@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md §4:
+//! Ablation benches for the workspace's design choices:
 //!
 //! * `sz_predictor_ablation` — Lorenzo-only SZ vs Lorenzo+regression SZ
 //!   (compression ratio is printed; the bench measures the time cost of the

@@ -29,8 +29,8 @@ use lcc_geostat::variogram::estimate_range;
 use lcc_geostat::{local_range_std, local_svd_truncation_std, LocalStatConfig};
 use lcc_grid::{Field2D, Window};
 use lcc_lossless::{
-    lz77_compress_with_at, rans8_decode_with_at, rans8_encode, rans_decode_with_at, rans_encode,
-    simd_level, CodecScratch, RansScratch, SimdLevel,
+    lz77_compress_with_at, rans8_decode_with_at, rans8_encode, simd_level, CodecScratch,
+    RansScratch, SimdLevel,
 };
 use lcc_par::ThreadPoolConfig;
 use lcc_pressio::{frame, ErrorBound, FrameScratch, ScratchArena};
@@ -99,8 +99,8 @@ fn main() {
     // the paper's mid-grid bound, recorded both as `compress_<name>` stages
     // and as MB/s + ratio throughput entries (the numbers the codec
     // hot-path work is judged by). The registry is the entropy ablation:
-    // every study compressor next to its rANS-backend variants, so the
-    // Huffman-vs-rANS-vs-rANS8 ratio/throughput tradeoff lands in the same
+    // every study compressor next to its rans8-backend variant, so the
+    // Huffman-vs-rans8 ratio/throughput tradeoff lands in the same
     // report. Best of `--reps` runs (default 3) so single-shot scheduler
     // noise doesn't pollute the perf trajectory; the compressors run
     // through a reused ScratchArena exactly like a sweep worker.
@@ -342,32 +342,12 @@ fn main() {
         }
 
         // rANS decode: a skewed quantizer-code-like alphabet, the shape the
-        // SZ/MGARD entropy stage feeds the decoder. The same symbol payload
-        // is then re-encoded in the 8-way format so the `rans8_decode` row
-        // is directly comparable — the 8-way acceptance bar is its
-        // dispatched-tier MB/s against this row's.
+        // SZ/MGARD entropy stage feeds the decoder.
         let mut state = 0xC0FF_EE00u64;
         let symbols: Vec<u32> =
             (0..6_000_000).map(|_| lcg(&mut state).trailing_zeros() % 24).collect();
-        let encoded = rans_encode(&symbols);
         let mut rans_scratch = RansScratch::new();
         let mut decoded: Vec<u32> = Vec::new();
-        let mut rans_at = |at: SimdLevel| {
-            best_of(reps, || {
-                decoded.clear();
-                rans_decode_with_at(&mut rans_scratch, at, &encoded, &mut decoded)
-                    .expect("bench rans stream decodes");
-            })
-        };
-        let kernel = KernelThroughput {
-            kernel: "rans_decode".into(),
-            megabytes: (symbols.len() * 4) as f64 / 1e6,
-            scalar_seconds: rans_at(SimdLevel::Scalar),
-            simd_seconds: rans_at(level),
-        };
-        report.record("kernel_rans_decode", kernel.simd_seconds);
-        report.record_kernel(kernel);
-
         let encoded8 = rans8_encode(&symbols);
         let mut rans8_at = |at: SimdLevel| {
             best_of(reps, || {
@@ -507,9 +487,9 @@ fn main() {
         report.record_kernel(kernel);
     }
 
-    // Stage 3: a reduced (3 fields × 9 compressors × 4 bounds) study through
+    // Stage 3: a reduced (3 fields × 5 compressors × 4 bounds) study through
     // the flat work-item scheduler — the ablation registry, so `run_sweep`
-    // exercises every entropy backend end to end.
+    // exercises both entropy backends end to end.
     let mut sweep_records = None;
     if run("sweep") {
         let datasets = StudyDatasets {
@@ -534,14 +514,9 @@ fn main() {
         pool.threads(),
         level.label()
     );
-    for name in [
-        "rans_decode",
-        "rans8_decode",
-        "lorenzo_quant",
-        "zfp_transform",
-        "zfp_transform_batch",
-        "lz77_match",
-    ] {
+    for name in
+        ["rans8_decode", "lorenzo_quant", "zfp_transform", "zfp_transform_batch", "lz77_match"]
+    {
         if let Some(k) = report.kernel(name) {
             println!(
                 "  kernel {name}: scalar {:.2} MB/s — {} {:.2} MB/s ({:.2}x)",
@@ -551,13 +526,6 @@ fn main() {
                 k.speedup()
             );
         }
-    }
-    if let (Some(two), Some(eight)) = (report.kernel("rans_decode"), report.kernel("rans8_decode"))
-    {
-        println!(
-            "  rans8 vs rans at the dispatched tier: {:.2}x",
-            eight.simd_mb_per_s() / two.simd_mb_per_s().max(f64::MIN_POSITIVE)
-        );
     }
     if let Some((global, range_spread, svd_spread)) = stats_lines {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
@@ -596,23 +564,18 @@ fn main() {
     if let Some(records) = &sweep_records {
         println!("  sweep records: {}", records.len());
     }
-    for base in ["sz", "zfp", "mgard"] {
-        let rans = format!("{base}-rans");
+    for base in ["sz", "mgard"] {
         let rans8 = format!("{base}-rans8");
-        if let (Some(h), Some(r), Some(r8)) =
-            (report.throughput(base), report.throughput(&rans), report.throughput(&rans8))
-        {
+        if let (Some(h), Some(r8)) = (report.throughput(base), report.throughput(&rans8)) {
             println!(
-                "  entropy ablation {base}: huffman {:.2} MB/s @ {:.2}x ratio — rans {:.2} MB/s \
-                 @ {:.2}x ratio ({:.2}x compress speedup) — rans8 decompress {:.2} MB/s \
-                 ({:.2}x over rans)",
+                "  entropy ablation {base}: huffman {:.2} MB/s @ {:.2}x ratio — rans8 {:.2} MB/s \
+                 @ {:.2}x ratio ({:.2}x compress, {:.2}x decompress speedup)",
                 h.compress_mb_per_s(),
                 h.compression_ratio,
-                r.compress_mb_per_s(),
-                r.compression_ratio,
-                r.compress_mb_per_s() / h.compress_mb_per_s().max(f64::MIN_POSITIVE),
-                r8.decompress_mb_per_s(),
-                r8.decompress_mb_per_s() / r.decompress_mb_per_s().max(f64::MIN_POSITIVE),
+                r8.compress_mb_per_s(),
+                r8.compression_ratio,
+                r8.compress_mb_per_s() / h.compress_mb_per_s().max(f64::MIN_POSITIVE),
+                r8.decompress_mb_per_s() / h.decompress_mb_per_s().max(f64::MIN_POSITIVE),
             );
         }
     }

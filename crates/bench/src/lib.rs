@@ -1,9 +1,9 @@
 //! # lcc-bench — figure-reproduction binaries and Criterion benches
 //!
 //! The `src/bin/figure*.rs` binaries regenerate every figure and table of
-//! the paper's evaluation (see DESIGN.md §3 for the experiment index); the
-//! Criterion benches under `benches/` measure compressor and statistic
-//! throughput plus the ablations called out in DESIGN.md §4.
+//! the paper's evaluation (README.md §"Build, test, bench" shows how to
+//! run them); the Criterion benches under `benches/` measure compressor and
+//! statistic throughput plus the design-choice ablations.
 //!
 //! This library holds the small amount of shared plumbing: a dependency-free
 //! command-line option parser and helpers that print fitted panels and write
@@ -60,19 +60,43 @@ impl CliOptions {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// Fetch a numeric option with a default.
+    /// Parse the value of `--name`, or `default` when the option is absent.
+    /// A value that does not parse is an error naming the flag and the
+    /// offending text — never a silent fallback to the default.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.values.get(name) {
+            None => Ok(default),
+            Some(text) => {
+                text.parse().map_err(|_| format!("--{name}: cannot parse {text:?} as a number"))
+            }
+        }
+    }
+
+    /// [`CliOptions::parsed`] for the binaries: report the error and exit
+    /// with status 2 instead of benchmarking something nobody asked for.
+    fn parsed_or_exit<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.parsed(name, default).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Fetch a numeric option with a default; an unparseable value is
+    /// reported on stderr and exits the process with status 2.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.values.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.parsed_or_exit(name, default)
     }
 
-    /// Fetch a u64 option with a default.
+    /// Fetch a u64 option with a default; an unparseable value is reported
+    /// on stderr and exits the process with status 2.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.values.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.parsed_or_exit(name, default)
     }
 
-    /// Fetch a float option with a default.
+    /// Fetch a float option with a default; an unparseable value is
+    /// reported on stderr and exits the process with status 2.
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.values.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.parsed_or_exit(name, default)
     }
 
     /// Fetch a string option with a default.
@@ -190,6 +214,29 @@ mod tests {
         assert_eq!(opts.get_usize("ranges", 10), 10);
         assert_eq!(opts.get_f64("min-range", 2.0), 2.0);
         assert_eq!(opts.get_str("missing", "d"), "d");
+    }
+
+    #[test]
+    fn unparseable_values_are_errors_naming_the_flag_and_the_text() {
+        let opts = CliOptions::parse(
+            ["--size", "abc", "--seed", "-1", "--min-range", "2.x"].iter().map(|s| s.to_string()),
+        );
+        for (name, text, message) in [
+            ("size", "abc", opts.parsed::<usize>("size", 64).unwrap_err()),
+            ("seed", "-1", opts.parsed::<u64>("seed", 1).unwrap_err()),
+            ("min-range", "2.x", opts.parsed::<f64>("min-range", 2.0).unwrap_err()),
+        ] {
+            assert!(message.contains(&format!("--{name}")), "flag missing from {message:?}");
+            assert!(message.contains(text), "offending text missing from {message:?}");
+        }
+    }
+
+    #[test]
+    fn missing_options_still_yield_the_default() {
+        let opts = CliOptions::parse(["--size", "abc"].iter().map(|s| s.to_string()));
+        assert_eq!(opts.parsed::<usize>("ranges", 10), Ok(10));
+        assert_eq!(opts.parsed::<u64>("seed", 7), Ok(7));
+        assert_eq!(opts.parsed::<f64>("max-range", 32.0), Ok(32.0));
     }
 
     #[test]

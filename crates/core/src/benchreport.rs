@@ -65,7 +65,7 @@ impl CodecThroughput {
 /// which kernel moved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelThroughput {
-    /// Kernel key (`"rans_decode"`, `"lorenzo_quant"`, `"zfp_transform"`,
+    /// Kernel key (`"rans8_decode"`, `"lorenzo_quant"`, `"zfp_transform"`,
     /// `"lz77_match"`).
     pub kernel: String,
     /// Payload processed per timed pass, in megabytes (10^6 bytes).
@@ -799,19 +799,19 @@ mod tests {
         t.set_simd_level("avx2");
         assert_eq!(t.simd_level(), "avx2");
         t.record_kernel(KernelThroughput {
-            kernel: "rans_decode".into(),
+            kernel: "rans8_decode".into(),
             megabytes: 4.0,
             scalar_seconds: 0.2,
             simd_seconds: 0.1,
         });
-        let k = t.kernel("rans_decode").unwrap();
+        let k = t.kernel("rans8_decode").unwrap();
         assert!((k.scalar_mb_per_s() - 20.0).abs() < 1e-9);
         assert!((k.simd_mb_per_s() - 40.0).abs() < 1e-9);
         assert!((k.speedup() - 2.0).abs() < 1e-9);
         assert!(t.kernel("lz77_match").is_none());
         let json = t.to_json();
         assert!(json.contains("\"simd_level\": \"avx2\""));
-        assert!(json.contains("\"kernel\": \"rans_decode\""));
+        assert!(json.contains("\"kernel\": \"rans8_decode\""));
         assert!(json.contains("\"speedup\": 2.000"));
     }
 

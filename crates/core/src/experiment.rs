@@ -361,9 +361,8 @@ fn compressor_id(name: &str) -> f64 {
         "sz" => 0.0,
         "zfp" => 1.0,
         "mgard" => 2.0,
-        "sz-rans" => 3.0,
-        "zfp-rans" => 4.0,
-        "mgard-rans" => 5.0,
+        "sz-rans8" => 3.0,
+        "mgard-rans8" => 4.0,
         _ => -1.0,
     }
 }
@@ -426,6 +425,16 @@ mod tests {
         assert_eq!(csv.len(), records.len());
         assert_eq!(csv.header().len(), 9);
         assert!(csv.to_csv_string().contains("compression_ratio"));
+    }
+
+    #[test]
+    fn every_registry_compressor_has_a_distinct_csv_id() {
+        let names = crate::registry::entropy_ablation_registry().names();
+        let mut ids: Vec<f64> = names.iter().map(|n| compressor_id(n)).collect();
+        assert!(ids.iter().all(|&id| id >= 0.0), "unmapped compressor among {names:?}");
+        ids.sort_by(f64::total_cmp);
+        ids.dedup();
+        assert_eq!(ids.len(), names.len(), "ids collide among {names:?}");
     }
 
     #[test]

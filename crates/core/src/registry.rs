@@ -24,20 +24,15 @@ pub fn default_registry() -> Registry {
 }
 
 /// Build the entropy-ablation registry: the three study compressors plus
-/// their interleaved-rANS backend variants (`sz-rans`, `zfp-rans`,
-/// `mgard-rans`) and the 8-way throughput-first variants (`sz-rans8`,
-/// `zfp-rans8`, `mgard-rans8`) as first-class compressors. `bench_sweep`
+/// the 8-way rANS backend variants of the two codecs with an entropy stage
+/// (`sz-rans8`, `mgard-rans8`) as first-class compressors. `bench_sweep`
 /// drives this registry so every sweep and framed-codec measurement covers
-/// all three points of the ratio-vs-throughput axis; the paper-figure
-/// binaries keep using [`default_registry`] (the study compares algorithms,
-/// not entropy backends).
+/// both points of the ratio-vs-throughput axis; the paper-figure binaries
+/// keep using [`default_registry`] (the study compares algorithms, not
+/// entropy backends).
 pub fn entropy_ablation_registry() -> Registry {
     let mut registry = default_registry();
-    registry.register(Arc::new(SzCompressor::rans()), SZ_VERSION);
-    registry.register(Arc::new(ZfpCompressor::rans()), ZFP_VERSION);
-    registry.register(Arc::new(MgardCompressor::rans()), MGARD_VERSION);
     registry.register(Arc::new(SzCompressor::rans8()), SZ_VERSION);
-    registry.register(Arc::new(ZfpCompressor::rans8()), ZFP_VERSION);
     registry.register(Arc::new(MgardCompressor::rans8()), MGARD_VERSION);
     registry
 }
@@ -101,29 +96,16 @@ mod tests {
     #[test]
     fn framed_variant_name_appends_the_framed_suffix() {
         assert_eq!(framed_variant_name("sz"), "sz+framed");
-        assert_eq!(framed_variant_name("mgard-rans"), "mgard-rans+framed");
+        assert_eq!(framed_variant_name("mgard-rans8"), "mgard-rans8+framed");
         assert_eq!(checksummed_variant_name("sz"), "sz+framed+ck");
-        assert_eq!(checksummed_variant_name("zfp-rans8"), "zfp-rans8+framed+ck");
+        assert_eq!(checksummed_variant_name("sz-rans8"), "sz-rans8+framed+ck");
         assert_eq!(region_variant_name("sz-rans8"), "region_sz-rans8");
     }
 
     #[test]
     fn ablation_registry_adds_the_rans_variants() {
         let registry = entropy_ablation_registry();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "mgard",
-                "mgard-rans",
-                "mgard-rans8",
-                "sz",
-                "sz-rans",
-                "sz-rans8",
-                "zfp",
-                "zfp-rans",
-                "zfp-rans8"
-            ]
-        );
+        assert_eq!(registry.names(), vec!["mgard", "mgard-rans8", "sz", "sz-rans8", "zfp"]);
     }
 
     #[test]
@@ -131,15 +113,13 @@ mod tests {
         let field =
             Field2D::from_fn(48, 48, |i, j| (i as f64 * 0.1).sin() + (j as f64 * 0.2).cos());
         let registry = entropy_ablation_registry();
-        for base in ["sz", "zfp", "mgard"] {
+        for base in ["sz", "mgard"] {
             let huff = registry.get(base).unwrap();
             let a = huff.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
-            for suffix in ["-rans", "-rans8"] {
-                let rans = registry.get(&format!("{base}{suffix}")).unwrap();
-                let b = rans.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
-                assert!(b.metrics.max_abs_error <= 1e-3, "{base}{suffix} violated the bound");
-                assert_eq!(a.reconstruction, b.reconstruction, "{base}{suffix} disagrees");
-            }
+            let rans = registry.get(&format!("{base}-rans8")).unwrap();
+            let b = rans.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
+            assert!(b.metrics.max_abs_error <= 1e-3, "{base}-rans8 violated the bound");
+            assert_eq!(a.reconstruction, b.reconstruction, "{base}-rans8 disagrees");
         }
     }
 

@@ -23,7 +23,7 @@
 //! the study — multi-scale spatial correlation, slice-to-slice heterogeneity,
 //! smooth large-scale structure with sharp interfaces — is present; absolute
 //! compression ratios will differ from the paper's Miranda numbers, the
-//! qualitative trends are preserved (see DESIGN.md §Substitutions).
+//! qualitative trends are preserved.
 
 pub mod euler2d;
 pub mod miranda;

@@ -6,7 +6,7 @@
 //!     --duration-ms 2000 --workers 4 --sizes 64,96,128 --out target/bench
 //! ```
 //!
-//! Drives N concurrent workers through all 30 registry variants (9 codecs ×
+//! Drives N concurrent workers through all 18 registry variants (5 codecs ×
 //! {single-stream, framed, framed+checksummed} plus the three archive
 //! region-read variants) with a seeded deterministic request mix, prints a
 //! per-variant p50/p99/MB-per-core table and the decoded-tile-cache summary,
@@ -70,7 +70,7 @@ fn main() {
     if !sizes.is_empty() {
         config.sizes = sizes;
     }
-    // Guarantee at least two full round-robins over the variant table (30
+    // Guarantee at least two full round-robins over the variant table (18
     // rows, or just the 3 region rows under --regions-only) so even a
     // near-zero duration produces a row (with a warmup-free histogram) for
     // every variant.

@@ -4,7 +4,7 @@
 //! the production question: what latency distribution and per-core
 //! throughput does the codec stack sustain under *concurrent mixed
 //! traffic*? A seeded deterministic [`schedule`] drives N worker threads
-//! through the full [`entropy_ablation_registry`] — all nine codec
+//! through the full [`entropy_ablation_registry`] — all five codec
 //! variants, each in single-stream, `LCCF`-framed, and checksummed-framed
 //! (`+framed+ck`, per-block XXH64 verified on decode) form, over mixed
 //! field sizes — via the bounded work queue in [`lcc_par::queue`]
@@ -23,8 +23,8 @@
 //! per core, and — with the `loadgen-alloc` feature — steady-state
 //! allocations per request.
 //!
-//! On top of the 27 round-trip variants, three **region-read** variants
-//! (`region_sz-rans8`, `region_zfp-rans8`, `region_mgard-rans8`) serve
+//! On top of the 15 round-trip variants, three **region-read** variants
+//! (`region_sz-rans8`, `region_zfp`, `region_mgard-rans8`) serve
 //! tile-sized windows out of an in-memory tiled [`lcc_archive`] through a
 //! shared decoded-tile cache, with a Zipf-skewed window popularity
 //! schedule — so `BENCH_load.json` carries region-read p50/p99 and the
@@ -49,9 +49,9 @@ use schedule::{Request, Schedule};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Codecs served through the archive region-read path: the rans8 tier of
-/// each family, the serving-grade default.
-const REGION_CODECS: [&str; 3] = ["sz-rans8", "zfp-rans8", "mgard-rans8"];
+/// Codecs served through the archive region-read path: the fastest-decoding
+/// variant of each family, the serving-grade default.
+const REGION_CODECS: [&str; 3] = ["sz-rans8", "zfp", "mgard-rans8"];
 /// Zipf exponent of the window-popularity schedule (weight ∝ 1/(k+1)^s).
 const ZIPF_EXPONENT: f64 = 1.1;
 
@@ -301,7 +301,7 @@ fn region_compressors() -> Vec<Arc<dyn Compressor>> {
     let registry = entropy_ablation_registry();
     REGION_CODECS
         .iter()
-        .map(|name| registry.get(name).expect("ablation registry carries the rans8 codecs"))
+        .map(|name| registry.get(name).expect("ablation registry carries the region codecs"))
         .collect()
 }
 
@@ -878,19 +878,9 @@ mod tests {
     #[test]
     fn variant_table_is_all_codecs_single_then_framed_then_checksummed() {
         let variants = build_variants(false);
-        assert_eq!(variants.len(), 30);
+        assert_eq!(variants.len(), 18);
         let labels: Vec<&str> = variants.iter().map(|v| v.label.as_str()).collect();
-        let codecs = [
-            "mgard",
-            "mgard-rans",
-            "mgard-rans8",
-            "sz",
-            "sz-rans",
-            "sz-rans8",
-            "zfp",
-            "zfp-rans",
-            "zfp-rans8",
-        ];
+        let codecs = ["mgard", "mgard-rans8", "sz", "sz-rans8", "zfp"];
         let expected: Vec<String> = codecs
             .iter()
             .map(|c| c.to_string())
@@ -899,10 +889,10 @@ mod tests {
             .chain(REGION_CODECS.iter().map(|c| format!("region_{c}")))
             .collect();
         assert_eq!(labels, expected);
-        assert!(variants[..9].iter().all(|v| v.mode == VariantMode::Single));
-        assert!(variants[9..18].iter().all(|v| v.mode == VariantMode::Framed));
-        assert!(variants[18..27].iter().all(|v| v.mode == VariantMode::FramedChecksummed));
-        assert!(variants[27..].iter().enumerate().all(|(k, v)| v.mode == VariantMode::Region(k)));
+        assert!(variants[..5].iter().all(|v| v.mode == VariantMode::Single));
+        assert!(variants[5..10].iter().all(|v| v.mode == VariantMode::Framed));
+        assert!(variants[10..15].iter().all(|v| v.mode == VariantMode::FramedChecksummed));
+        assert!(variants[15..].iter().enumerate().all(|(k, v)| v.mode == VariantMode::Region(k)));
     }
 
     #[test]

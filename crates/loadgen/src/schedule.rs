@@ -173,14 +173,14 @@ mod tests {
 
     #[test]
     fn region_band_is_deterministic_and_in_bounds() {
-        let make = || Schedule::new(11, 30, 6).with_regions(27, 49, 1.1);
+        let make = || Schedule::new(11, 18, 6).with_regions(15, 49, 1.1);
         let mut a = make();
         let mut b = make();
         for _ in 0..2000 {
             let ra = a.next_request();
             assert_eq!(ra, b.next_request());
             assert!(ra.window < 49);
-            if ra.variant < 27 {
+            if ra.variant < 15 {
                 assert_eq!(ra.window, 0, "non-region requests carry window 0");
             }
         }

@@ -1,5 +1,5 @@
 //! Default-suite load-generator smoke test: a short concurrent run over all
-//! 30 registry variants must complete with zero errors — which, by the
+//! 18 registry variants must complete with zero errors — which, by the
 //! harness's verification design, proves every round trip produced a stream
 //! and a reconstruction byte-identical to the single-threaded reference
 //! even under concurrent mixed-codec traffic, and every region read decoded
@@ -36,8 +36,8 @@ fn concurrent_mixed_codec_run_is_error_free_and_covers_every_variant() {
     );
     assert_eq!(
         report.variants.len(),
-        30,
-        "9 codecs × {{single, framed, framed+ck}} + 3 region readers"
+        18,
+        "5 codecs × {{single, framed, framed+ck}} + 3 region readers"
     );
     assert!(report.total_requests() >= 60);
     assert_eq!(report.workers, 4);
@@ -75,11 +75,11 @@ fn concurrent_mixed_codec_run_is_error_free_and_covers_every_variant() {
         "\"bench\": \"load\"",
         "\"variant\": \"sz\"",
         "\"variant\": \"sz+framed\"",
-        "\"variant\": \"zfp-rans+framed\"",
+        "\"variant\": \"zfp+framed\"",
         "\"variant\": \"sz-rans8\"",
-        "\"variant\": \"zfp-rans8+framed+ck\"",
+        "\"variant\": \"mgard-rans8+framed+ck\"",
         "\"variant\": \"region_sz-rans8\"",
-        "\"variant\": \"region_zfp-rans8\"",
+        "\"variant\": \"region_zfp\"",
         "\"variant\": \"region_mgard-rans8\"",
         "\"tile_cache\"",
         "\"hit_rate\"",

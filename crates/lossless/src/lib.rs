@@ -10,16 +10,13 @@
 //! * [`huffman`] — canonical Huffman coding over `u32` symbols with an
 //!   embedded code-length table (table-driven encode and LUT decode),
 //! * [`lz77`] — greedy hash-chain LZ77 with byte-oriented token encoding,
-//! * [`rans`] — 2-way and 8-way interleaved byte-oriented rANS coders
-//!   (shared 12-bit normalized tables, self-describing mode byte), the
-//!   fast-path entropy backends of the ratio-vs-throughput ablation; the
-//!   8-way format splits its payload into per-lane buffers so the decoder
-//!   runs eight independent chains (SSE4.1 unrolled, AVX2 two 4×u64 state
-//!   vectors with gathered slot lookups); [`pipeline::EntropyBackend`]
-//!   names the Huffman/rANS/rANS-8 choice the compressors thread through
-//!   their streams,
-//! * [`rle`] — zero-run-length pre-pass that pairs well with quantization
-//!   codes dominated by the "perfectly predicted" symbol,
+//! * [`rans`] — the 8-way interleaved byte-oriented rANS coder (12-bit
+//!   normalized tables, self-describing mode byte), the fast-path entropy
+//!   backend of the ratio-vs-throughput ablation; the payload is split into
+//!   per-lane buffers so the decoder runs eight independent chains (SSE4.1
+//!   unrolled, AVX2 two 4×u64 state vectors with gathered slot lookups);
+//!   [`pipeline::EntropyBackend`] names the Huffman/rANS-8 choice the
+//!   compressors thread through their streams,
 //! * [`dispatch`] — one-time runtime SIMD feature detection
 //!   ([`SimdLevel`], the `LCC_SIMD` override); the rANS decode loop, the
 //!   LZ77 comparator, and the [`xxhash`] stripe loop pick their widest
@@ -27,9 +24,6 @@
 //!   streams at every tier,
 //! * [`xxhash`] — XXH64 checksums (scalar + AVX2 stripe loop) used for the
 //!   framed container's optional per-block integrity checksums,
-//! * [`pipeline`] — the composition `Huffman → LZ77` exposed through the
-//!   [`pipeline::ByteCodec`] trait, mirroring the role Zstd plays for
-//!   SZ/MGARD,
 //! * [`scratch`] — the [`CodecScratch`] arena holding every reusable buffer
 //!   of the Huffman/LZ77 hot paths; the `*_with` entry points
 //!   ([`huffman_encode_with`], [`huffman_decode_with`],
@@ -45,7 +39,6 @@ pub mod huffman;
 pub mod lz77;
 pub mod pipeline;
 pub mod rans;
-pub mod rle;
 pub mod scratch;
 pub mod xxhash;
 
@@ -56,12 +49,10 @@ pub use lz77::{
     lz77_compress, lz77_compress_with, lz77_compress_with_at, lz77_decompress,
     lz77_decompress_into, match_length_at,
 };
-pub use pipeline::{ByteCodec, EntropyBackend, HuffLzCodec, RansCodec, RawCodec};
+pub use pipeline::EntropyBackend;
 pub use rans::{
-    rans8_decode, rans8_decode_bytes_with, rans8_decode_bytes_with_at, rans8_decode_with,
-    rans8_decode_with_at, rans8_encode, rans8_encode_bytes_with, rans8_encode_with, rans_decode,
-    rans_decode_bytes_with, rans_decode_bytes_with_at, rans_decode_with, rans_decode_with_at,
-    rans_encode, rans_encode_bytes_with, rans_encode_with, RansScratch,
+    rans8_decode, rans8_decode_with, rans8_decode_with_at, rans8_encode, rans8_encode_with,
+    RansScratch,
 };
 pub use scratch::CodecScratch;
 pub use xxhash::{xxh64, xxh64_at};

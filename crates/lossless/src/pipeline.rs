@@ -1,12 +1,5 @@
-//! Composable byte codecs and the Huffman→LZ77 pipeline used as the "Zstd"
-//! stage of the lossy compressors.
-
-use crate::rans::RansScratch;
-use crate::{
-    lz77_compress, lz77_decompress, rans_decode_bytes_with, rans_encode_bytes_with, read_varint,
-    write_varint, CodecError,
-};
-use bytes::{BufMut, BytesMut};
+//! The entropy-backend choice the lossy compressors thread through their
+//! streams.
 
 /// The entropy-coder choice of a compressor's lossless stage — the
 /// ratio-vs-throughput ablation axis. Every stream self-describes its
@@ -19,308 +12,33 @@ pub enum EntropyBackend {
     /// release before the backend existed.
     #[default]
     Huffman,
-    /// 2-way interleaved rANS ([`crate::rans`]): fractional-bit coding from
-    /// 12-bit normalized tables, skipping the follow-up LZ77 pass (rANS
-    /// output is already near the entropy, so a second pass buys ~nothing
-    /// while costing most of the encode time).
-    Rans,
-    /// 8-way interleaved rANS ([`crate::rans::rans8_encode`]): the same
-    /// tables and ratio as [`EntropyBackend::Rans`] (±24 flush bytes plus a
-    /// lane-length header), but eight independent decode chains, so the
-    /// dispatched decoder runs wide — the throughput-first backend.
+    /// 8-way interleaved rANS ([`crate::rans::rans8_encode`]):
+    /// fractional-bit coding from 12-bit normalized tables with eight
+    /// independent decode chains, so the dispatched decoder runs wide — the
+    /// throughput-first backend. Skips the follow-up LZ77 pass (rANS output
+    /// is already near the entropy, so a second pass buys ~nothing while
+    /// costing most of the encode time).
     Rans8,
 }
 
 impl EntropyBackend {
-    /// Short name used in compressor registry keys (`sz` vs `sz-rans` vs
-    /// `sz-rans8`).
+    /// Short name used in compressor registry keys (`sz` vs `sz-rans8`).
     pub fn name(self) -> &'static str {
         match self {
             EntropyBackend::Huffman => "huffman",
-            EntropyBackend::Rans => "rans",
             EntropyBackend::Rans8 => "rans8",
         }
     }
-}
-
-/// A reversible byte-stream codec.
-pub trait ByteCodec {
-    /// Human-readable codec name (used in compressor self-descriptions).
-    fn name(&self) -> &'static str;
-
-    /// Compress `input` into a self-describing byte stream.
-    fn encode(&self, input: &[u8]) -> Vec<u8>;
-
-    /// Invert [`ByteCodec::encode`].
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError>;
-}
-
-/// Identity codec — useful as an ablation baseline ("no lossless stage").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RawCodec;
-
-impl ByteCodec for RawCodec {
-    fn name(&self) -> &'static str {
-        "raw"
-    }
-
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        input.to_vec()
-    }
-
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(input.to_vec())
-    }
-}
-
-/// Byte-level Huffman followed by LZ77 — the stand-in for Zstd.
-///
-/// The byte-Huffman stage uses the `u32` symbol coder from [`crate::huffman`]
-/// over byte values; LZ77 then removes longer-range repetition from the
-/// Huffman output. The encoder keeps whichever of {raw, huffman, huffman+lz}
-/// is smallest and records the choice in a one-byte header, so the pipeline
-/// never expands pathological inputs by more than one byte plus the length
-/// varint.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HuffLzCodec;
-
-const MODE_RAW: u8 = 0;
-const MODE_HUFF: u8 = 1;
-const MODE_HUFF_LZ: u8 = 2;
-
-impl ByteCodec for HuffLzCodec {
-    fn name(&self) -> &'static str {
-        "huffman+lz77"
-    }
-
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let symbols: Vec<u32> = input.iter().map(|&b| u32::from(b)).collect();
-        let huff = crate::huffman_encode(&symbols);
-        let huff_lz = lz77_compress(&huff);
-
-        let (mode, payload): (u8, &[u8]) =
-            if input.len() <= huff.len() && input.len() <= huff_lz.len() {
-                (MODE_RAW, input)
-            } else if huff.len() <= huff_lz.len() {
-                (MODE_HUFF, &huff)
-            } else {
-                (MODE_HUFF_LZ, &huff_lz)
-            };
-
-        let mut out = BytesMut::with_capacity(payload.len() + 10);
-        out.put_u8(mode);
-        let mut len_prefix = Vec::new();
-        write_varint(&mut len_prefix, payload.len() as u64);
-        out.put_slice(&len_prefix);
-        out.put_slice(payload);
-        out.to_vec()
-    }
-
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let (mode, payload) = split_mode_payload(input)?;
-        match mode {
-            MODE_RAW => Ok(payload.to_vec()),
-            MODE_HUFF => {
-                let (symbols, _) = crate::huffman_decode(payload)?;
-                symbols_to_bytes(&symbols)
-            }
-            MODE_HUFF_LZ => {
-                let huff = lz77_decompress(payload)?;
-                let (symbols, _) = crate::huffman_decode(&huff)?;
-                symbols_to_bytes(&symbols)
-            }
-            other => Err(CodecError::Corrupt(format!("unknown pipeline mode {other}"))),
-        }
-    }
-}
-
-/// Byte-level interleaved rANS behind the same raw-fallback header as
-/// [`HuffLzCodec`] — the [`EntropyBackend::Rans`] pipeline. The encoder
-/// keeps whichever of {raw, rANS} is smaller, so pathological inputs never
-/// expand by more than the header.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RansCodec;
-
-const MODE_RANS: u8 = 3;
-
-impl ByteCodec for RansCodec {
-    fn name(&self) -> &'static str {
-        "rans"
-    }
-
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut rans = Vec::new();
-        rans_encode_bytes_with(&mut RansScratch::new(), input, &mut rans);
-        let (mode, payload): (u8, &[u8]) =
-            if input.len() <= rans.len() { (MODE_RAW, input) } else { (MODE_RANS, &rans) };
-        let mut out = BytesMut::with_capacity(payload.len() + 10);
-        out.put_u8(mode);
-        let mut len_prefix = Vec::new();
-        write_varint(&mut len_prefix, payload.len() as u64);
-        out.put_slice(&len_prefix);
-        out.put_slice(payload);
-        out.to_vec()
-    }
-
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let (mode, payload) = split_mode_payload(input)?;
-        match mode {
-            MODE_RAW => Ok(payload.to_vec()),
-            MODE_RANS => {
-                let mut out = Vec::new();
-                rans_decode_bytes_with(&mut RansScratch::new(), payload, &mut out)?;
-                Ok(out)
-            }
-            other => Err(CodecError::Corrupt(format!("unknown pipeline mode {other}"))),
-        }
-    }
-}
-
-/// Parse the `mode | varint len | payload` framing shared by the pipeline
-/// codecs.
-fn split_mode_payload(input: &[u8]) -> Result<(u8, &[u8]), CodecError> {
-    if input.is_empty() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let mode = input[0];
-    let (len, used) = read_varint(&input[1..])?;
-    let start = 1 + used;
-    let end = start + len as usize;
-    if input.len() < end {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok((mode, &input[start..end]))
-}
-
-fn symbols_to_bytes(symbols: &[u32]) -> Result<Vec<u8>, CodecError> {
-    symbols
-        .iter()
-        .map(|&s| {
-            u8::try_from(s).map_err(|_| CodecError::Corrupt(format!("symbol {s} is not a byte")))
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip<C: ByteCodec>(codec: &C, data: &[u8]) -> usize {
-        let enc = codec.encode(data);
-        let dec = codec.decode(&enc).unwrap();
-        assert_eq!(dec, data);
-        enc.len()
-    }
-
-    #[test]
-    fn raw_codec_is_identity() {
-        let c = RawCodec;
-        assert_eq!(c.name(), "raw");
-        let data = b"any bytes at all";
-        assert_eq!(c.encode(data), data.to_vec());
-        assert_eq!(roundtrip(&c, data), data.len());
-    }
-
-    #[test]
-    fn hufflz_roundtrips_various_inputs() {
-        let c = HuffLzCodec;
-        assert_eq!(c.name(), "huffman+lz77");
-        roundtrip(&c, b"");
-        roundtrip(&c, b"a");
-        roundtrip(&c, b"abcabcabcabcabc");
-        let zeros = vec![0u8; 50_000];
-        let n = roundtrip(&c, &zeros);
-        assert!(n < 200, "zeros compressed to {n}");
-    }
-
-    #[test]
-    fn hufflz_handles_incompressible_without_blowup() {
-        let c = HuffLzCodec;
-        let mut state = 88172645463325252u64;
-        let data: Vec<u8> = (0..10_000)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state & 0xFF) as u8
-            })
-            .collect();
-        let n = roundtrip(&c, &data);
-        assert!(n <= data.len() + 16, "incompressible data expanded to {n}");
-    }
-
-    #[test]
-    fn hufflz_compresses_quantization_like_data() {
-        // Mostly a single byte value with occasional excursions: the typical
-        // shape of serialized quantization codes on smooth fields.
-        let mut data = Vec::new();
-        for i in 0..20_000usize {
-            if i % 97 == 0 {
-                data.push((i % 251) as u8);
-            } else {
-                data.push(128);
-            }
-        }
-        let c = HuffLzCodec;
-        let n = roundtrip(&c, &data);
-        assert!(n < data.len() / 4, "skewed data compressed to only {n} of {}", data.len());
-    }
-
     #[test]
     fn entropy_backend_default_and_names() {
         assert_eq!(EntropyBackend::default(), EntropyBackend::Huffman);
         assert_eq!(EntropyBackend::Huffman.name(), "huffman");
-        assert_eq!(EntropyBackend::Rans.name(), "rans");
         assert_eq!(EntropyBackend::Rans8.name(), "rans8");
-    }
-
-    #[test]
-    fn rans_codec_roundtrips_various_inputs() {
-        let c = RansCodec;
-        assert_eq!(c.name(), "rans");
-        roundtrip(&c, b"");
-        roundtrip(&c, b"a");
-        roundtrip(&c, b"abcabcabcabcabc");
-        let zeros = vec![0u8; 50_000];
-        let n = roundtrip(&c, &zeros);
-        assert!(n < 64, "zeros compressed to {n}");
-    }
-
-    #[test]
-    fn rans_codec_never_expands_past_the_header() {
-        let c = RansCodec;
-        let mut state = 88172645463325252u64;
-        let data: Vec<u8> = (0..10_000)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state & 0xFF) as u8
-            })
-            .collect();
-        let n = roundtrip(&c, &data);
-        assert!(n <= data.len() + 16, "incompressible data expanded to {n}");
-    }
-
-    #[test]
-    fn rans_codec_rejects_corruption() {
-        let c = RansCodec;
-        let enc = c.encode(b"hello hello hello hello hello");
-        assert!(c.decode(&[]).is_err());
-        assert!(c.decode(&enc[..enc.len() - 1]).is_err());
-        let mut bad = enc.clone();
-        bad[0] = 9; // unknown mode
-        assert!(c.decode(&bad).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let c = HuffLzCodec;
-        let enc = c.encode(b"hello hello hello hello hello");
-        assert!(c.decode(&[]).is_err());
-        assert!(c.decode(&enc[..enc.len() - 1]).is_err());
-        let mut bad = enc.clone();
-        bad[0] = 9; // unknown mode
-        assert!(c.decode(&bad).is_err());
     }
 }

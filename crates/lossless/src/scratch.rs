@@ -150,28 +150,6 @@ impl SymbolMap {
     }
 }
 
-/// Input symbol types the alphabet machinery accepts: the coders work over
-/// `u32` symbols, and the byte-oriented entry points feed `u8` streams
-/// through the same histogram without widening the input first.
-pub(crate) trait SymbolLike: Copy {
-    /// The `u32` symbol value this input element codes for.
-    fn sym(self) -> u32;
-}
-
-impl SymbolLike for u32 {
-    #[inline(always)]
-    fn sym(self) -> u32 {
-        self
-    }
-}
-
-impl SymbolLike for u8 {
-    #[inline(always)]
-    fn sym(self) -> u32 {
-        u32::from(self)
-    }
-}
-
 /// How the per-call symbol tables are addressed: densely by
 /// `symbol − min_symbol`, or through the scratch's symbol map.
 #[derive(Clone, Copy)]
@@ -185,18 +163,18 @@ pub(crate) enum TableMode {
 /// span. Shared by the Huffman and rANS coders (the first stage of both);
 /// the caller hands in the reusable buffers of its scratch. The dense `hist`
 /// keeps its all-zero between-calls invariant (used entries are re-zeroed).
-pub(crate) fn build_alphabet_into<S: SymbolLike>(
+pub(crate) fn build_alphabet_into(
     hist: &mut Vec<u64>,
     sym_map: &mut SymbolMap,
     slot_counts: &mut Vec<u64>,
     alphabet: &mut Vec<(u32, u64)>,
-    symbols: &[S],
+    symbols: &[u32],
 ) -> TableMode {
     let mut min = u32::MAX;
     let mut max = 0u32;
     for &s in symbols {
-        min = min.min(s.sym());
-        max = max.max(s.sym());
+        min = min.min(s);
+        max = max.max(s);
     }
     let span = (max - min) as usize + 1;
     alphabet.clear();
@@ -206,9 +184,9 @@ pub(crate) fn build_alphabet_into<S: SymbolLike>(
             hist.resize(span, 0);
         }
         for &s in symbols {
-            let idx = (s.sym() - min) as usize;
+            let idx = (s - min) as usize;
             if hist[idx] == 0 {
-                alphabet.push((s.sym(), 0));
+                alphabet.push((s, 0));
             }
             hist[idx] += 1;
         }
@@ -223,10 +201,10 @@ pub(crate) fn build_alphabet_into<S: SymbolLike>(
         sym_map.clear();
         slot_counts.clear();
         for &s in symbols {
-            let (slot, inserted) = sym_map.get_or_insert(s.sym());
+            let (slot, inserted) = sym_map.get_or_insert(s);
             if inserted {
                 slot_counts.push(0);
-                alphabet.push((s.sym(), 0));
+                alphabet.push((s, 0));
             }
             slot_counts[slot as usize] += 1;
         }

@@ -38,8 +38,7 @@ pub mod decompose;
 use lcc_grid::{Field2D, FieldView};
 use lcc_lossless::{
     huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
-    rans8_decode_with, rans8_encode_with, rans_decode_with, rans_encode_with, CodecScratch,
-    EntropyBackend, RansScratch,
+    rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
 };
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 
@@ -54,11 +53,10 @@ pub struct MgardConfig {
     /// Entropy backend of the coefficient stream. [`EntropyBackend::Huffman`]
     /// (the default) emits the historical `LMG1` container — Huffman codes
     /// plus the outer LZ77 pass — byte-identical to every earlier release.
-    /// [`EntropyBackend::Rans`] emits the `LMR1` container: interleaved rANS
-    /// codes and no outer LZ77 pass (the ratio-vs-throughput ablation's fast
-    /// point). [`EntropyBackend::Rans8`] emits the `LM81` container — the
-    /// same layout with the 8-way interleaved stream, whose decoder runs
-    /// wide under SIMD dispatch.
+    /// [`EntropyBackend::Rans8`] emits the `LM81` container: 8-way
+    /// interleaved rANS codes, whose decoder runs wide under SIMD dispatch,
+    /// and no outer LZ77 pass (the ratio-vs-throughput ablation's fast
+    /// point).
     pub entropy: EntropyBackend,
 }
 
@@ -82,14 +80,6 @@ impl MgardCompressor {
         MgardCompressor { config }
     }
 
-    /// Create the rANS-backend variant (registry name `mgard-rans`).
-    pub fn rans() -> Self {
-        MgardCompressor::new(MgardConfig {
-            entropy: EntropyBackend::Rans,
-            ..MgardConfig::default()
-        })
-    }
-
     /// Create the 8-way rANS-backend variant (registry name `mgard-rans8`).
     pub fn rans8() -> Self {
         MgardCompressor::new(MgardConfig {
@@ -105,15 +95,11 @@ impl MgardCompressor {
 }
 
 const MAGIC: &[u8; 4] = b"LMG1";
-/// Magic of the rANS-backend container, emitted at the top level (the `LMR1`
-/// payload is not LZ77-wrapped). No collision with `LMG1` streams: LZ77
-/// output opens with the decompressed-length varint, and whenever its first
-/// byte could read as `b'L'` the next byte is a token tag of `0x00`/`0x01`,
-/// never `b'M'`.
-const RANS_MAGIC: &[u8; 4] = b"LMR1";
-/// Magic of the 8-way rANS-backend container — same top-level raw layout as
-/// `LMR1` (and the same collision argument against `LMG1` streams), but the
-/// coefficient section holds an 8-lane interleaved stream.
+/// Magic of the 8-way rANS-backend container, emitted at the top level (the
+/// `LM81` payload is not LZ77-wrapped). No collision with `LMG1` streams:
+/// LZ77 output opens with the decompressed-length varint, and whenever its
+/// first byte could read as `b'L'` the next byte is a token tag of
+/// `0x00`/`0x01`, never `b'M'`.
 const RANS8_MAGIC: &[u8; 4] = b"LM81";
 
 /// Reusable working memory of the MGARD compress path: the multilevel
@@ -123,7 +109,7 @@ const RANS8_MAGIC: &[u8; 4] = b"LM81";
 #[derive(Debug, Default)]
 pub struct MgardScratch {
     codec: CodecScratch,
-    /// rANS working memory (the `mgard-rans` backend).
+    /// rANS working memory (the `mgard-rans8` backend).
     rans: RansScratch,
     /// Coefficient workspace of [`decompose::forward_into`] (lazy:
     /// `Field2D` has no empty value).
@@ -185,7 +171,6 @@ impl MgardCompressor {
         payload.clear();
         payload.extend_from_slice(match self.config.entropy {
             EntropyBackend::Huffman => MAGIC,
-            EntropyBackend::Rans => RANS_MAGIC,
             EntropyBackend::Rans8 => RANS8_MAGIC,
         });
         payload.extend_from_slice(&(ny as u64).to_le_bytes());
@@ -196,7 +181,6 @@ impl MgardCompressor {
         s.huff.clear();
         match self.config.entropy {
             EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
-            EntropyBackend::Rans => rans_encode_with(&mut s.rans, &s.codes, &mut s.huff),
             EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
         }
         payload.extend_from_slice(&(s.huff.len() as u64).to_le_bytes());
@@ -211,10 +195,10 @@ impl MgardCompressor {
                 lz77_compress_with(&mut s.codec, &s.payload, &mut out);
                 Ok(out)
             }
-            // The rANS payloads ship raw: the coefficient stream is already
+            // The rANS payload ships raw: the coefficient stream is already
             // entropy-coded, so the LZ77 pass would trade most of the encode
             // time for ~no ratio.
-            EntropyBackend::Rans | EntropyBackend::Rans8 => Ok(s.payload.clone()),
+            EntropyBackend::Rans8 => Ok(s.payload.clone()),
         }
     }
 }
@@ -223,7 +207,6 @@ impl Compressor for MgardCompressor {
     fn name(&self) -> &str {
         match self.config.entropy {
             EntropyBackend::Huffman => "mgard",
-            EntropyBackend::Rans => "mgard-rans",
             EntropyBackend::Rans8 => "mgard-rans8",
         }
     }
@@ -232,10 +215,6 @@ impl Compressor for MgardCompressor {
         match self.config.entropy {
             EntropyBackend::Huffman => {
                 "MGARD-style multilevel interpolation decomposition with level-aware quantization"
-            }
-            EntropyBackend::Rans => {
-                "MGARD-style multilevel interpolation decomposition with level-aware \
-                 quantization and interleaved rANS"
             }
             EntropyBackend::Rans8 => {
                 "MGARD-style multilevel interpolation decomposition with level-aware \
@@ -268,10 +247,9 @@ impl Compressor for MgardCompressor {
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
         let s = scratch.get_or_default::<MgardScratch>();
-        // Streams self-describe their backend: `LMR1`/`LM81` containers are
-        // raw at the top level, everything else is the historical LZ77
-        // wrapping.
-        let payload: &[u8] = if stream.starts_with(RANS_MAGIC) || stream.starts_with(RANS8_MAGIC) {
+        // Streams self-describe their backend: the `LM81` container is raw
+        // at the top level, everything else is the historical LZ77 wrapping.
+        let payload: &[u8] = if stream.starts_with(RANS8_MAGIC) {
             stream
         } else {
             lz77_decompress_into(stream, &mut s.dec_payload)
@@ -292,8 +270,6 @@ impl Compressor for MgardCompressor {
         let magic = take(&mut pos, 4)?;
         let codes_backend = if magic == MAGIC {
             EntropyBackend::Huffman
-        } else if magic == RANS_MAGIC {
-            EntropyBackend::Rans
         } else if magic == RANS8_MAGIC {
             EntropyBackend::Rans8
         } else {
@@ -317,8 +293,6 @@ impl Compressor for MgardCompressor {
         match codes_backend {
             EntropyBackend::Huffman => huffman_decode_with(&mut s.codec, huff, &mut s.codes)
                 .map_err(|e| CompressError::CorruptStream(format!("huffman: {e}")))?,
-            EntropyBackend::Rans => rans_decode_with(&mut s.rans, huff, &mut s.codes)
-                .map_err(|e| CompressError::CorruptStream(format!("rans: {e}")))?,
             EntropyBackend::Rans8 => rans8_decode_with(&mut s.rans, huff, &mut s.codes)
                 .map_err(|e| CompressError::CorruptStream(format!("rans8: {e}")))?,
         };
@@ -479,9 +453,6 @@ mod tests {
         assert_eq!(mgard.name(), "mgard");
         assert!(mgard.description().contains("multilevel"));
         assert!(mgard.config().max_levels >= 1);
-        let rans = MgardCompressor::rans();
-        assert_eq!(rans.name(), "mgard-rans");
-        assert!(rans.description().contains("rANS"));
         let rans8 = MgardCompressor::rans8();
         assert_eq!(rans8.name(), "mgard-rans8");
         assert!(rans8.description().contains("8-way"));
@@ -489,26 +460,20 @@ mod tests {
 
     #[test]
     fn rans_backend_respects_bounds_and_decodes_identically() {
-        // The entropy stage is lossless, so all backends must decode to
-        // bit-identical fields — and every compressor instance must decode
-        // every other's self-describing stream.
+        // The entropy stage is lossless, so both backends must decode to
+        // bit-identical fields — and each compressor instance must decode
+        // the other's self-describing stream.
         let huff = MgardCompressor::default();
-        let rans = MgardCompressor::rans();
         let rans8 = MgardCompressor::rans8();
         for field in [smooth(64, 64), smooth(61, 83), rough(64, 11)] {
             for eb in [1e-4, 1e-2] {
                 let a = huff.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                let b = rans.compress(&field, ErrorBound::Absolute(eb)).unwrap();
                 let c = rans8.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                assert!(b.metrics.max_abs_error <= eb);
                 assert!(c.metrics.max_abs_error <= eb);
-                assert_eq!(a.reconstruction, b.reconstruction, "backends disagree at eb={eb}");
                 assert_eq!(a.reconstruction, c.reconstruction, "rans8 disagrees at eb={eb}");
-                assert!(b.stream.starts_with(RANS_MAGIC));
                 assert!(c.stream.starts_with(RANS8_MAGIC));
-                for decoder in [&huff, &rans, &rans8] {
+                for decoder in [&huff, &rans8] {
                     assert_eq!(decoder.decompress_field(&a.stream).unwrap(), a.reconstruction);
-                    assert_eq!(decoder.decompress_field(&b.stream).unwrap(), b.reconstruction);
                     assert_eq!(decoder.decompress_field(&c.stream).unwrap(), c.reconstruction);
                 }
             }
@@ -517,10 +482,9 @@ mod tests {
 
     #[test]
     fn rans_streams_reject_corruption() {
-        for c in [MgardCompressor::rans(), MgardCompressor::rans8()] {
-            let stream = c.compress_field(&smooth(32, 32), ErrorBound::Absolute(1e-3)).unwrap();
-            assert!(c.decompress_field(&stream[..stream.len() / 2]).is_err());
-            assert!(c.decompress_field(&stream[..5]).is_err());
-        }
+        let c = MgardCompressor::rans8();
+        let stream = c.compress_field(&smooth(32, 32), ErrorBound::Absolute(1e-3)).unwrap();
+        assert!(c.decompress_field(&stream[..stream.len() / 2]).is_err());
+        assert!(c.decompress_field(&stream[..5]).is_err());
     }
 }

@@ -49,8 +49,7 @@
 //! the pre- or post-update state, never a torn one. Poisoning therefore
 //! carries no information beyond "some job panicked", which is already
 //! reported through [`JobPanicked`]; propagating it would only cascade one
-//! failed job into unrelated lock sites. (The vendored `parking_lot` stub
-//! does not poison at all.)
+//! failed job into unrelated lock sites.
 
 pub mod cancel;
 pub mod queue;
@@ -58,10 +57,14 @@ pub mod queue;
 pub use cancel::CancelToken;
 pub use queue::{run_bounded_queue, BoundedQueue, PushError, QueueRunReport};
 
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Lock `mutex` under the poisoning policy of the module docs.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A job inside one of the parallel helpers panicked.
 ///
@@ -112,7 +115,7 @@ impl FirstPanic {
     }
 
     fn record(&self, job: usize, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         if slot.is_none() {
             *slot = Some(JobPanicked { job, message: panic_message(&*payload) });
         }
@@ -120,7 +123,7 @@ impl FirstPanic {
     }
 
     fn into_result<U>(self, ok: Vec<U>) -> Result<Vec<U>, JobPanicked> {
-        match self.slot.into_inner() {
+        match self.slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(err) => Err(err),
             None => Ok(ok),
         }
@@ -426,7 +429,7 @@ where
                         if i >= n {
                             break;
                         }
-                        let item = slots[i].lock().take().expect("each item is taken exactly once");
+                        let item = lock(&slots[i]).take().expect("each item is taken exactly once");
                         match catch_unwind(AssertUnwindSafe(|| f(state, i, item))) {
                             Ok(value) => local.push((i, value)),
                             Err(payload) => {
@@ -498,7 +501,7 @@ where
                     break;
                 }
                 let (offset, chunk) =
-                    slots[i].lock().take().expect("each chunk is taken exactly once");
+                    lock(&slots[i]).take().expect("each chunk is taken exactly once");
                 f(offset, chunk);
             });
         }
@@ -528,6 +531,20 @@ pub fn split_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn lock_is_usable_after_a_holder_panicked() {
+        let m = std::sync::Arc::new(Mutex::new(0u32));
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = lock(&m2);
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) = 7;
+        assert_eq!(*lock(&m), 7);
+    }
 
     #[test]
     fn config_minimum_one_thread() {
@@ -810,7 +827,10 @@ mod tests {
         // After the first panic the abort flag stops further claims: the
         // number of executed jobs must be well below the full input on a
         // large map (each worker can finish at most the jobs it had claimed
-        // before observing the flag).
+        // before observing the flag). Surviving jobs cost 50 µs each, so
+        // draining the input would take seconds — longer than any panic
+        // hook (backtrace symbolization under `RUST_BACKTRACE=1` included)
+        // needs to unwind and raise the flag.
         let executed = AtomicU64::new(0);
         let items: Vec<usize> = (0..100_000).collect();
         let err = try_parallel_map_with_state(
@@ -822,6 +842,7 @@ mod tests {
                 if x == 0 {
                     panic!("first job fails");
                 }
+                std::thread::sleep(std::time::Duration::from_micros(50));
                 x
             },
         )

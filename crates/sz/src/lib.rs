@@ -38,8 +38,7 @@ use lcc_grid::{Field2D, FieldView, WindowIter};
 use lcc_lossless::dispatch::simd_level;
 use lcc_lossless::{
     huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
-    rans8_decode_with, rans8_encode_with, rans_decode_with, rans_encode_with, CodecScratch,
-    EntropyBackend, RansScratch,
+    rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
 };
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 use predictor::{lorenzo_predict, plane_predict, BlockMode};
@@ -59,13 +58,11 @@ pub struct SzConfig {
     /// Entropy backend of the quantized-residual stream. [`EntropyBackend::Huffman`]
     /// (the default) emits the historical `LSZ1` container — Huffman codes
     /// plus the outer LZ77 pass — byte-identical to every earlier release.
-    /// [`EntropyBackend::Rans`] emits the `LSR1` container: interleaved rANS
-    /// codes and **no** outer LZ77 pass (rANS output is already near the
-    /// entropy, so the pass costs most of the encode time for ~no ratio) —
-    /// the fast point of the ratio-vs-throughput ablation.
-    /// [`EntropyBackend::Rans8`] emits the `LS81` container: identical layout
-    /// to `LSR1` but with the 8-way interleaved rANS stream, whose decoder
-    /// runs wide under SIMD dispatch — the throughput-first point.
+    /// [`EntropyBackend::Rans8`] emits the `LS81` container: 8-way
+    /// interleaved rANS codes, whose decoder runs wide under SIMD dispatch,
+    /// and **no** outer LZ77 pass (rANS output is already near the entropy,
+    /// so the pass costs most of the encode time for ~no ratio) — the
+    /// throughput-first point of the ratio-vs-throughput ablation.
     pub entropy: EntropyBackend,
 }
 
@@ -99,11 +96,6 @@ impl SzCompressor {
         SzCompressor::new(SzConfig { enable_regression: false, ..SzConfig::default() })
     }
 
-    /// Create the rANS-backend variant (registry name `sz-rans`).
-    pub fn rans() -> Self {
-        SzCompressor::new(SzConfig { entropy: EntropyBackend::Rans, ..SzConfig::default() })
-    }
-
     /// Create the 8-way rANS-backend variant (registry name `sz-rans8`).
     pub fn rans8() -> Self {
         SzCompressor::new(SzConfig { entropy: EntropyBackend::Rans8, ..SzConfig::default() })
@@ -116,15 +108,11 @@ impl SzCompressor {
 }
 
 const MAGIC: &[u8; 4] = b"LSZ1";
-/// Magic of the rANS-backend container. Emitted at the top level (the `LSR1`
-/// payload is not LZ77-wrapped), which cannot collide with an `LSZ1` stream:
-/// LZ77 output opens with the decompressed-length varint, and whenever its
-/// first byte could read as `b'L'` (a single-byte varint, high bit clear)
-/// the next byte is a token tag of `0x00`/`0x01`, never `b'S'`.
-const RANS_MAGIC: &[u8; 4] = b"LSR1";
-/// Magic of the 8-way rANS-backend container — same top-level raw layout as
-/// `LSR1` (and the same collision argument against `LSZ1` streams), but the
-/// codes section holds an 8-lane interleaved stream.
+/// Magic of the 8-way rANS-backend container. Emitted at the top level (the
+/// `LS81` payload is not LZ77-wrapped), which cannot collide with an `LSZ1`
+/// stream: LZ77 output opens with the decompressed-length varint, and
+/// whenever its first byte could read as `b'L'` (a single-byte varint, high
+/// bit clear) the next byte is a token tag of `0x00`/`0x01`, never `b'S'`.
 const RANS8_MAGIC: &[u8; 4] = b"LS81";
 
 /// Reusable working memory of the SZ compress path: one instance per sweep
@@ -135,7 +123,7 @@ const RANS8_MAGIC: &[u8; 4] = b"LS81";
 pub struct SzScratch {
     /// Huffman + LZ77 working memory.
     codec: CodecScratch,
-    /// rANS working memory (the `sz-rans` backend).
+    /// rANS working memory (the `sz-rans8` backend).
     rans: RansScratch,
     /// Row-major reconstruction buffer. Never zeroed: the block scan writes
     /// every cell before any predictor reads it (Lorenzo only looks at
@@ -289,7 +277,6 @@ impl SzCompressor {
         w.clear();
         w.bytes(match self.config.entropy {
             EntropyBackend::Huffman => MAGIC,
-            EntropyBackend::Rans => RANS_MAGIC,
             EntropyBackend::Rans8 => RANS8_MAGIC,
         });
         w.u64(ny as u64);
@@ -313,7 +300,6 @@ impl SzCompressor {
         s.huff.clear();
         match self.config.entropy {
             EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
-            EntropyBackend::Rans => rans_encode_with(&mut s.rans, &s.codes, &mut s.huff),
             EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
         }
         w.u64(s.huff.len() as u64);
@@ -330,10 +316,10 @@ impl SzCompressor {
                 lz77_compress_with(&mut s.codec, s.payload.as_bytes(), &mut out);
                 Ok(out)
             }
-            // The rANS payloads ship raw: their dominant section is already
+            // The rANS payload ships raw: its dominant section is already
             // entropy-coded, so the LZ77 pass would trade most of the encode
-            // time for ~no ratio (the ablation's fast points).
-            EntropyBackend::Rans | EntropyBackend::Rans8 => Ok(s.payload.as_bytes().to_vec()),
+            // time for ~no ratio (the ablation's fast point).
+            EntropyBackend::Rans8 => Ok(s.payload.as_bytes().to_vec()),
         }
     }
 }
@@ -342,7 +328,6 @@ impl Compressor for SzCompressor {
     fn name(&self) -> &str {
         match self.config.entropy {
             EntropyBackend::Huffman => "sz",
-            EntropyBackend::Rans => "sz-rans",
             EntropyBackend::Rans8 => "sz-rans8",
         }
     }
@@ -352,10 +337,6 @@ impl Compressor for SzCompressor {
             EntropyBackend::Huffman => {
                 "SZ-style block prediction (Lorenzo + regression) with linear quantization, \
                  Huffman and LZ77"
-            }
-            EntropyBackend::Rans => {
-                "SZ-style block prediction (Lorenzo + regression) with linear quantization \
-                 and interleaved rANS"
             }
             EntropyBackend::Rans8 => {
                 "SZ-style block prediction (Lorenzo + regression) with linear quantization \
@@ -388,10 +369,9 @@ impl Compressor for SzCompressor {
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
         let s = scratch.get_or_default::<SzScratch>();
-        // Streams self-describe their backend: `LSR1`/`LS81` containers are
-        // raw at the top level, everything else is the historical LZ77
-        // wrapping.
-        let payload: &[u8] = if stream.starts_with(RANS_MAGIC) || stream.starts_with(RANS8_MAGIC) {
+        // Streams self-describe their backend: the `LS81` container is raw
+        // at the top level, everything else is the historical LZ77 wrapping.
+        let payload: &[u8] = if stream.starts_with(RANS8_MAGIC) {
             stream
         } else {
             lz77_decompress_into(stream, &mut s.dec_payload)
@@ -402,8 +382,6 @@ impl Compressor for SzCompressor {
         let magic = r.bytes(4)?;
         let codes_backend = if magic == MAGIC {
             EntropyBackend::Huffman
-        } else if magic == RANS_MAGIC {
-            EntropyBackend::Rans
         } else if magic == RANS8_MAGIC {
             EntropyBackend::Rans8
         } else {
@@ -447,8 +425,6 @@ impl Compressor for SzCompressor {
         match codes_backend {
             EntropyBackend::Huffman => huffman_decode_with(&mut s.codec, huff_bytes, &mut s.codes)
                 .map_err(|e| CompressError::CorruptStream(format!("huffman: {e}")))?,
-            EntropyBackend::Rans => rans_decode_with(&mut s.rans, huff_bytes, &mut s.codes)
-                .map_err(|e| CompressError::CorruptStream(format!("rans: {e}")))?,
             EntropyBackend::Rans8 => rans8_decode_with(&mut s.rans, huff_bytes, &mut s.codes)
                 .map_err(|e| CompressError::CorruptStream(format!("rans8: {e}")))?,
         };
@@ -667,9 +643,6 @@ mod tests {
         let sz = SzCompressor::default();
         assert_eq!(sz.name(), "sz");
         assert!(sz.description().contains("Lorenzo"));
-        let rans = SzCompressor::rans();
-        assert_eq!(rans.name(), "sz-rans");
-        assert!(rans.description().contains("rANS"));
         let rans8 = SzCompressor::rans8();
         assert_eq!(rans8.name(), "sz-rans8");
         assert!(rans8.description().contains("8-way"));
@@ -677,28 +650,21 @@ mod tests {
 
     #[test]
     fn rans_backend_respects_bounds_and_decodes_identically() {
-        // The entropy stage is lossless, so all backends must decode to
-        // bit-identical fields — and every compressor instance must decode
-        // every other's self-describing stream.
+        // The entropy stage is lossless, so both backends must decode to
+        // bit-identical fields — and each compressor instance must decode
+        // the other's self-describing stream.
         let huff = SzCompressor::default();
-        let rans = SzCompressor::rans();
         let rans8 = SzCompressor::rans8();
         for field in [smooth_field(80), rough_field(64, 7)] {
             for eb in [1e-4, 1e-2] {
                 let a = huff.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                let b = rans.compress(&field, ErrorBound::Absolute(eb)).unwrap();
                 let c = rans8.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                assert!(b.metrics.max_abs_error <= eb);
                 assert!(c.metrics.max_abs_error <= eb);
-                assert_eq!(a.reconstruction, b.reconstruction, "backends disagree at eb={eb}");
                 assert_eq!(a.reconstruction, c.reconstruction, "rans8 disagrees at eb={eb}");
-                assert_ne!(a.stream, b.stream, "containers must differ");
-                assert_ne!(b.stream, c.stream, "rans containers must differ");
-                assert!(b.stream.starts_with(RANS_MAGIC));
+                assert_ne!(a.stream, c.stream, "containers must differ");
                 assert!(c.stream.starts_with(RANS8_MAGIC));
-                for decoder in [&huff, &rans, &rans8] {
+                for decoder in [&huff, &rans8] {
                     assert_eq!(decoder.decompress_field(&a.stream).unwrap(), a.reconstruction);
-                    assert_eq!(decoder.decompress_field(&b.stream).unwrap(), b.reconstruction);
                     assert_eq!(decoder.decompress_field(&c.stream).unwrap(), c.reconstruction);
                 }
             }
@@ -717,19 +683,5 @@ mod tests {
         // Must error or (if the flip landed in slack) decode cleanly — never
         // panic.
         let _ = rans8.decompress_field(&bad);
-    }
-
-    #[test]
-    fn rans_streams_reject_corruption() {
-        let rans = SzCompressor::rans();
-        let stream = rans.compress_field(&smooth_field(32), ErrorBound::Absolute(1e-3)).unwrap();
-        assert!(rans.decompress_field(&stream[..stream.len() / 2]).is_err());
-        assert!(rans.decompress_field(&stream[..6]).is_err());
-        // Clobber the entropy section's mode byte region; must error, never
-        // panic.
-        let mut bad = stream.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x55;
-        let _ = rans.decompress_field(&bad);
     }
 }

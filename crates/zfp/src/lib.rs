@@ -40,11 +40,7 @@ pub mod codec;
 pub mod transform;
 
 use lcc_grid::{Field2D, FieldView};
-use lcc_lossless::{
-    lz77_compress_with, lz77_decompress_into, rans8_decode_bytes_with, rans8_encode_bytes_with,
-    rans_decode_bytes_with, rans_encode_bytes_with, BitReader, BitWriter, CodecScratch,
-    EntropyBackend, RansScratch,
-};
+use lcc_lossless::{lz77_compress_with, lz77_decompress_into, BitReader, BitWriter, CodecScratch};
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 
 /// Side length of a coding block (fixed at 4, as in ZFP's 2D mode).
@@ -58,22 +54,15 @@ pub struct ZfpConfig {
     /// Fixed-point precision (bits) used for the block-floating-point
     /// conversion. 40 leaves ample headroom for transform growth in `i64`.
     pub precision_bits: u32,
-    /// Apply a final lossless pass over the assembled bit stream. ZFP itself
-    /// does not re-compress its output; this defaults to `false` and exists
-    /// for ablation.
+    /// Apply a final LZ77 pass over the assembled bit stream (container
+    /// tag 1). ZFP itself does not re-compress its output; this defaults to
+    /// `false` and exists for ablation.
     pub lossless_pass: bool,
-    /// Which lossless pass `lossless_pass` applies:
-    /// [`EntropyBackend::Huffman`] keeps the historical LZ77 container
-    /// (tag 1, byte-identical to earlier releases),
-    /// [`EntropyBackend::Rans`] codes the bit-stream bytes with 2-way
-    /// interleaved rANS (tag 2), and [`EntropyBackend::Rans8`] with the
-    /// 8-way format (tag 3). Ignored when `lossless_pass` is `false`.
-    pub entropy: EntropyBackend,
 }
 
 impl Default for ZfpConfig {
     fn default() -> Self {
-        ZfpConfig { precision_bits: 40, lossless_pass: false, entropy: EntropyBackend::Huffman }
+        ZfpConfig { precision_bits: 40, lossless_pass: false }
     }
 }
 
@@ -93,27 +82,6 @@ impl ZfpCompressor {
         ZfpCompressor { config }
     }
 
-    /// Create the rANS-container variant (registry name `zfp-rans`): the
-    /// bit-plane stream wrapped in an interleaved-rANS lossless pass.
-    pub fn rans() -> Self {
-        ZfpCompressor::new(ZfpConfig {
-            lossless_pass: true,
-            entropy: EntropyBackend::Rans,
-            ..ZfpConfig::default()
-        })
-    }
-
-    /// Create the 8-way rANS variant (registry name `zfp-rans8`): same
-    /// pipeline as [`ZfpCompressor::rans`] with the lane-parallel stream
-    /// format (container tag 3).
-    pub fn rans8() -> Self {
-        ZfpCompressor::new(ZfpConfig {
-            lossless_pass: true,
-            entropy: EntropyBackend::Rans8,
-            ..ZfpConfig::default()
-        })
-    }
-
     /// The active configuration.
     pub fn config(&self) -> ZfpConfig {
         self.config
@@ -130,10 +98,8 @@ const MAGIC: &[u8; 4] = b"LZF1";
 pub struct ZfpScratch {
     writer: BitWriter,
     codec: CodecScratch,
-    /// rANS working memory (the tag-2 `zfp-rans` container).
-    rans: RansScratch,
-    /// Decode side: the expanded bit stream (tag-1 LZ77 and tag-2 rANS
-    /// containers; tag-0 streams are read in place without a copy).
+    /// Decode side: the expanded bit stream (tag-1 LZ77 container; tag-0
+    /// streams are read in place without a copy).
     body: Vec<u8>,
 }
 
@@ -187,23 +153,9 @@ impl ZfpCompressor {
 
         let bits = s.writer.as_bytes();
         if self.config.lossless_pass {
-            match self.config.entropy {
-                EntropyBackend::Huffman => {
-                    let mut out = vec![1u8];
-                    lz77_compress_with(&mut s.codec, bits, &mut out);
-                    Ok(out)
-                }
-                EntropyBackend::Rans => {
-                    let mut out = vec![2u8];
-                    rans_encode_bytes_with(&mut s.rans, bits, &mut out);
-                    Ok(out)
-                }
-                EntropyBackend::Rans8 => {
-                    let mut out = vec![3u8];
-                    rans8_encode_bytes_with(&mut s.rans, bits, &mut out);
-                    Ok(out)
-                }
-            }
+            let mut out = vec![1u8];
+            lz77_compress_with(&mut s.codec, bits, &mut out);
+            Ok(out)
         } else {
             let mut out = Vec::with_capacity(1 + bits.len());
             out.push(0u8);
@@ -215,25 +167,11 @@ impl ZfpCompressor {
 
 impl Compressor for ZfpCompressor {
     fn name(&self) -> &str {
-        match (self.config.lossless_pass, self.config.entropy) {
-            (true, EntropyBackend::Rans) => "zfp-rans",
-            (true, EntropyBackend::Rans8) => "zfp-rans8",
-            _ => "zfp",
-        }
+        "zfp"
     }
 
     fn description(&self) -> &str {
-        match (self.config.lossless_pass, self.config.entropy) {
-            (true, EntropyBackend::Rans) => {
-                "ZFP-style 4x4 block transform coding with bit-plane truncation and interleaved \
-                 rANS"
-            }
-            (true, EntropyBackend::Rans8) => {
-                "ZFP-style 4x4 block transform coding with bit-plane truncation and 8-way \
-                 interleaved rANS"
-            }
-            _ => "ZFP-style 4x4 block transform coding with tolerance-driven bit-plane truncation",
-        }
+        "ZFP-style 4x4 block transform coding with tolerance-driven bit-plane truncation"
     }
 
     fn compress_view(
@@ -268,16 +206,6 @@ impl Compressor for ZfpCompressor {
             1 => {
                 lz77_decompress_into(&stream[1..], &mut s.body)
                     .map_err(|e| CompressError::CorruptStream(format!("lz77: {e}")))?;
-                &s.body
-            }
-            2 => {
-                rans_decode_bytes_with(&mut s.rans, &stream[1..], &mut s.body)
-                    .map_err(|e| CompressError::CorruptStream(format!("rans: {e}")))?;
-                &s.body
-            }
-            3 => {
-                rans8_decode_bytes_with(&mut s.rans, &stream[1..], &mut s.body)
-                    .map_err(|e| CompressError::CorruptStream(format!("rans8: {e}")))?;
                 &s.body
             }
             other => {
@@ -441,10 +369,19 @@ mod tests {
 
     #[test]
     fn lossless_pass_variant_roundtrips() {
-        let zfp = ZfpCompressor::new(ZfpConfig { lossless_pass: true, ..Default::default() });
+        // Both containers carry the same bit-plane stream, so the decodes
+        // must agree bit for bit, from either compressor instance.
+        let raw = ZfpCompressor::default();
+        let lz = ZfpCompressor::new(ZfpConfig { lossless_pass: true, ..Default::default() });
+        assert_eq!(lz.name(), "zfp");
         let field = smooth(48);
-        let r = zfp.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
-        assert!(r.metrics.max_abs_error <= 1e-3);
+        let a = raw.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
+        let b = lz.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
+        assert!(b.metrics.max_abs_error <= 1e-3);
+        assert_eq!(b.stream[0], 1, "lz77 container tag");
+        assert_eq!(a.reconstruction, b.reconstruction);
+        assert_eq!(raw.decompress_field(&b.stream).unwrap(), b.reconstruction);
+        assert_eq!(lz.decompress_field(&a.stream).unwrap(), a.reconstruction);
     }
 
     #[test]
@@ -491,56 +428,6 @@ mod tests {
         assert_eq!(zfp.name(), "zfp");
         assert!(zfp.description().contains("4x4"));
         assert_eq!(zfp.config().precision_bits, 40);
-        let rans = ZfpCompressor::rans();
-        assert_eq!(rans.name(), "zfp-rans");
-        assert!(rans.config().lossless_pass);
-        let rans8 = ZfpCompressor::rans8();
-        assert_eq!(rans8.name(), "zfp-rans8");
-        assert!(rans8.description().contains("8-way"));
-        assert!(rans8.config().lossless_pass);
-    }
-
-    #[test]
-    fn rans_container_respects_bounds_and_decodes_identically() {
-        // All four containers carry the same bit-plane stream, so every
-        // decode must agree bit for bit, from any compressor instance.
-        let raw = ZfpCompressor::default();
-        let lz = ZfpCompressor::new(ZfpConfig { lossless_pass: true, ..Default::default() });
-        let rans = ZfpCompressor::rans();
-        let rans8 = ZfpCompressor::rans8();
-        for field in [smooth(64), rough(64, 5)] {
-            for eb in [1e-4, 1e-2] {
-                let a = raw.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                let b = lz.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                let c = rans.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                let d = rans8.compress(&field, ErrorBound::Absolute(eb)).unwrap();
-                assert!(c.metrics.max_abs_error <= eb);
-                assert!(d.metrics.max_abs_error <= eb);
-                assert_eq!(a.reconstruction, b.reconstruction);
-                assert_eq!(a.reconstruction, c.reconstruction);
-                assert_eq!(a.reconstruction, d.reconstruction);
-                assert_eq!(c.stream[0], 2, "rans container tag");
-                assert_eq!(d.stream[0], 3, "rans8 container tag");
-                assert_eq!(raw.decompress_field(&c.stream).unwrap(), c.reconstruction);
-                assert_eq!(raw.decompress_field(&d.stream).unwrap(), d.reconstruction);
-                assert_eq!(rans.decompress_field(&a.stream).unwrap(), a.reconstruction);
-                assert_eq!(rans8.decompress_field(&a.stream).unwrap(), a.reconstruction);
-            }
-        }
-    }
-
-    #[test]
-    fn rans_container_rejects_corruption_and_unknown_tags() {
-        for compressor in [ZfpCompressor::rans(), ZfpCompressor::rans8()] {
-            let stream =
-                compressor.compress_field(&smooth(32), ErrorBound::Absolute(1e-3)).unwrap();
-            assert!(compressor.decompress_field(&stream[..stream.len() / 3]).is_err());
-            let mut bad = stream.clone();
-            bad[0] = 4; // unknown container tag
-            assert!(matches!(
-                compressor.decompress_field(&bad),
-                Err(CompressError::CorruptStream(msg)) if msg.contains("unknown container tag")
-            ));
-        }
+        assert!(!zfp.config().lossless_pass);
     }
 }

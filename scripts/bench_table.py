@@ -38,8 +38,7 @@ import sys
 # Every compressor bench_sweep's ablation registry must have measured, in
 # both single-stream and framed form. Keep in sync with
 # lcc_core::registry::entropy_ablation_registry().
-REQUIRED_VARIANTS = ["mgard", "mgard-rans", "mgard-rans8", "sz", "sz-rans",
-                     "sz-rans8", "zfp", "zfp-rans", "zfp-rans8"]
+REQUIRED_VARIANTS = ["mgard", "mgard-rans8", "sz", "sz-rans8", "zfp"]
 # Archive region-read rows bench_sweep's `regions` stage must have
 # measured: a full-entry decode baseline, a cold (cache-less) tiled window
 # read, and a warmed decoded-tile-cache read. Keep in sync with
@@ -50,16 +49,17 @@ REQUIRED_REGION_ROWS = ["region_full_decode", "region_read_cold",
 # framed, and framed+checksummed (lcc_core::registry::framed_variant_name /
 # checksummed_variant_name) — the +framed+ck rows are where the XXH64
 # verify cost must stay visible — plus the archive region-read variants
-# (lcc_core::registry::region_variant_name over the rans8 tier).
+# (lcc_core::registry::region_variant_name over each family's fastest
+# decoder).
 REQUIRED_LOAD_VARIANTS = (REQUIRED_VARIANTS
                           + [f"{n}+framed" for n in REQUIRED_VARIANTS]
                           + [f"{n}+framed+ck" for n in REQUIRED_VARIANTS]
-                          + [f"region_{n}-rans8" for n in
-                             ["sz", "zfp", "mgard"]])
+                          + [f"region_{n}" for n in
+                             ["sz-rans8", "zfp", "mgard-rans8"]])
 # Every hot kernel bench_sweep's SIMD pass must have measured scalar vs
 # dispatched. Keep in sync with bench_sweep's Stage 2c.
-REQUIRED_KERNELS = ["rans_decode", "rans8_decode", "lorenzo_quant",
-                    "zfp_transform", "zfp_transform_batch", "lz77_match"]
+REQUIRED_KERNELS = ["rans8_decode", "lorenzo_quant", "zfp_transform",
+                    "zfp_transform_batch", "lz77_match"]
 
 # Default regression threshold, percent. Generous on purpose: shared CI
 # runners jitter by tens of percent, and the gate exists to catch real
@@ -212,32 +212,29 @@ def render_sweep(baseline, current):
               f"| {fmt(bd)} | {fmt(ad)} | {ratio(bd, ad)} |")
     print()
 
-    # Entropy-backend ablation: each study codec against its 2-way and
-    # 8-way rANS-backend variants, read from the *current* run — ratio and
-    # decode throughput side by side, the tradeoff the backend axis exists
-    # to measure (the speedup columns are relative to the Huffman backend).
+    # Entropy-backend ablation: each codec with an entropy stage against
+    # its rans8-backend variant, read from the *current* run — ratio and
+    # throughput side by side, the tradeoff the backend axis exists to
+    # measure (the speedup columns are relative to the Huffman backend).
     cur_tp = {t["compressor"]: t for t in current.get("throughput", [])}
-    triples = [(name, cur_tp.get(name), cur_tp.get(f"{name}-rans"),
-                cur_tp.get(f"{name}-rans8"))
-               for name in ["sz", "zfp", "mgard"]]
-    triples = [(n, h, r, r8) for n, h, r, r8 in triples if h and r and r8]
-    if triples:
-        print("## Entropy backend ablation — Huffman vs rANS-2 vs rANS-8, "
-              "current run")
+    pairs = [(name, cur_tp.get(name), cur_tp.get(f"{name}-rans8"))
+             for name in ["sz", "mgard"]]
+    pairs = [(n, h, r8) for n, h, r8 in pairs if h and r8]
+    if pairs:
+        print("## Entropy backend ablation — Huffman vs rans8, current run")
         print()
-        print("| codec | ratio huffman | ratio rans | ratio rans8 | "
-              "decompress huffman | decompress rans | speedup | "
-              "decompress rans8 | speedup |")
+        print("| codec | ratio huffman | ratio rans8 | "
+              "compress huffman | compress rans8 | speedup | "
+              "decompress huffman | decompress rans8 | speedup |")
         print("|---|---|---|---|---|---|---|---|---|")
-        for name, h, r, r8 in triples:
-            hd, rd = h["decompress_mb_per_s"], r["decompress_mb_per_s"]
-            r8d = r8["decompress_mb_per_s"]
+        for name, h, r8 in pairs:
+            hc, r8c = h["compress_mb_per_s"], r8["compress_mb_per_s"]
+            hd, r8d = h["decompress_mb_per_s"], r8["decompress_mb_per_s"]
             hr = h.get("compression_ratio")
-            rr = r.get("compression_ratio")
             r8r = r8.get("compression_ratio")
-            print(f"| {name} | {fmt(hr)} | {fmt(rr)} | {fmt(r8r)} "
-                  f"| {fmt(hd)} | {fmt(rd)} | {ratio(hd, rd)} "
-                  f"| {fmt(r8d)} | {ratio(hd, r8d)} |")
+            print(f"| {name} | {fmt(hr)} | {fmt(r8r)} "
+                  f"| {fmt(hc)} | {fmt(r8c)} | {ratio(hc, r8c)} "
+                  f"| {fmt(hd)} | {fmt(r8d)} | {ratio(hd, r8d)} |")
         print()
 
     # Block-parallel framed codec: `<name>+framed` entries measure the same
@@ -643,8 +640,8 @@ def self_test():
         pass
     else:
         raise TableError("self-test failed: missing variants accepted")
-    # Dropping ONLY the rans8 sweep rows (a report from a binary that
-    # predates the 8-way backend) must fail the variant check.
+    # Dropping ONLY the rans8 sweep rows (a report from a binary without
+    # the rANS backend) must fail the variant check.
     no_rans8 = synth_sweep(1.0)
     no_rans8["throughput"] = [t for t in no_rans8["throughput"]
                               if "rans8" not in t["compressor"]]

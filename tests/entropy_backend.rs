@@ -1,14 +1,17 @@
 //! Entropy-backend ablation invariants across the whole stack:
 //!
-//! * the Huffman and rANS backends of every codec decode to **bit-identical**
-//!   fields (the entropy stage is lossless, so only size/speed may differ),
+//! * the Huffman and 8-way rANS backends of SZ and MGARD decode to
+//!   **bit-identical** fields (the entropy stage is lossless, so only
+//!   size/speed may differ),
 //! * every stream self-describes its backend — either compressor variant
 //!   decodes the other's output, standalone and through the framed container,
 //! * the rANS stream tags harden against corruption the same way the PR 4
 //!   corrupt-frame suite pinned the `LCCF` header: truncated frequency
 //!   tables, frequencies that do not sum to `1 << 12`, unknown backend/mode
 //!   bytes and forged giant headers all surface `CompressError` with
-//!   allocation bounded by the actual stream.
+//!   allocation bounded by the actual stream,
+//! * the retired formats (SZ `LSR1`, MGARD `LMR1`, ZFP container tags 2/3,
+//!   rANS mode byte 0) are refused the same way, never mis-decoded.
 
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
@@ -30,17 +33,13 @@ fn wavy(ny: usize, nx: usize, seed: u64) -> Field2D {
     })
 }
 
-/// Huffman-baseline vs rANS-variant pairs: both the 2-way and the 8-way
-/// interleaved backend of every codec, so each pair-driven invariant below
-/// (bit-identical decode, cross-decode, scratch stability, framing,
-/// truncation) covers the whole backend axis.
+/// Huffman-baseline vs rans8-variant pairs of the two codecs with an entropy
+/// stage, so each pair-driven invariant below (bit-identical decode,
+/// cross-decode, scratch stability, framing, truncation) covers the whole
+/// backend axis.
 fn backend_pairs() -> Vec<(Box<dyn Compressor>, Box<dyn Compressor>)> {
     vec![
-        (Box::new(SzCompressor::default()), Box::new(SzCompressor::rans())),
         (Box::new(SzCompressor::default()), Box::new(SzCompressor::rans8())),
-        (Box::new(ZfpCompressor::default()), Box::new(ZfpCompressor::rans())),
-        (Box::new(ZfpCompressor::default()), Box::new(ZfpCompressor::rans8())),
-        (Box::new(MgardCompressor::default()), Box::new(MgardCompressor::rans())),
         (Box::new(MgardCompressor::default()), Box::new(MgardCompressor::rans8())),
     ]
 }
@@ -143,68 +142,81 @@ fn sweep_exercises_both_backends() {
     let registry = entropy_ablation_registry();
     let config = SweepConfig { bounds: vec![ErrorBound::Absolute(1e-3)], ..SweepConfig::default() };
     let records = run_sweep(&fields, &registry, &config).unwrap();
-    assert_eq!(records.len(), 9, "one record per registry variant");
+    assert_eq!(records.len(), 5, "one record per registry variant");
     let names: Vec<&str> = records.iter().map(|r| r.compressor.as_ref()).collect();
-    for name in [
-        "sz",
-        "sz-rans",
-        "sz-rans8",
-        "zfp",
-        "zfp-rans",
-        "zfp-rans8",
-        "mgard",
-        "mgard-rans",
-        "mgard-rans8",
-    ] {
+    for name in ["sz", "sz-rans8", "zfp", "mgard", "mgard-rans8"] {
         assert!(names.contains(&name), "sweep is missing {name}");
     }
     // Backend variants must report identical error metrics (identical decode).
-    for base in ["sz", "zfp", "mgard"] {
+    for base in ["sz", "mgard"] {
         let h = records.iter().find(|r| r.compressor.as_ref() == base).unwrap();
-        for suffix in ["-rans", "-rans8"] {
-            let r = records
-                .iter()
-                .find(|r| r.compressor.as_ref() == format!("{base}{suffix}"))
-                .unwrap();
-            assert_eq!(h.max_abs_error, r.max_abs_error, "{base}{suffix} disagrees on error");
-            assert!(r.compression_ratio > 1.0);
-        }
+        let r = records.iter().find(|r| r.compressor.as_ref() == format!("{base}-rans8")).unwrap();
+        assert_eq!(h.max_abs_error, r.max_abs_error, "{base}-rans8 disagrees on error");
+        assert!(r.compression_ratio > 1.0);
     }
 }
 
-// ---- corrupt-stream hardening for the new tags ------------------------------
+// ---- corrupt-stream hardening for the rANS containers ------------------------
 
-/// Hand-assemble an `LSR1` SZ container around the given rANS codes section.
-fn forge_sz_rans_container(ny: u64, nx: u64, rans_section: &[u8]) -> Vec<u8> {
+/// Hand-assemble an SZ container under `magic` around the given codes section.
+fn forge_sz_container(magic: &[u8; 4], ny: u64, nx: u64, section: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(b"LSR1");
+    out.extend_from_slice(magic);
     out.extend_from_slice(&ny.to_le_bytes());
     out.extend_from_slice(&nx.to_le_bytes());
     out.extend_from_slice(&1e-3f64.to_le_bytes());
     out.extend_from_slice(&16u32.to_le_bytes()); // block size
     out.extend_from_slice(&32768u32.to_le_bytes()); // radius
-                                                    // One Lorenzo mode byte: correct for the ≤16×16 shapes the valid-shape
-                                                    // tests forge; the giant-dimension forgeries are rejected before the
-                                                    // mode list is ever cross-checked.
+
+    // One Lorenzo mode byte: correct for the ≤16×16 shapes the valid-shape
+    // tests forge; the giant-dimension forgeries are rejected before the
+    // mode list is ever cross-checked.
     out.extend_from_slice(&1u64.to_le_bytes()); // n_modes
     out.push(0); // Lorenzo
     out.extend_from_slice(&0u64.to_le_bytes()); // n_planes
-    out.extend_from_slice(&(rans_section.len() as u64).to_le_bytes());
-    out.extend_from_slice(rans_section);
+    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+    out.extend_from_slice(section);
     out.extend_from_slice(&0u64.to_le_bytes()); // n_exact
     out
 }
 
-/// A syntactically valid rANS section for `n` copies of one symbol.
+/// Hand-assemble an MGARD container under `magic` around the given
+/// coefficient section.
+fn forge_mgard_container(magic: &[u8; 4], ny: u64, nx: u64, section: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&ny.to_le_bytes());
+    out.extend_from_slice(&nx.to_le_bytes());
+    out.extend_from_slice(&1e-3f64.to_le_bytes());
+    out.extend_from_slice(&2u32.to_le_bytes()); // levels
+    out.extend_from_slice(&(1u32 << 30).to_le_bytes()); // radius
+    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+    out.extend_from_slice(section);
+    out.extend_from_slice(&0u64.to_le_bytes()); // n_exact
+    out
+}
+
+/// The tail every 8-way section ends with when no symbol carried
+/// information: a 32-byte payload of eight 4-byte lanes, each just its
+/// seed state.
+fn push_seed_lanes(section: &mut Vec<u8>) {
+    push_varint(section, 32); // payload_len
+    for _ in 0..8 {
+        push_varint(section, 4); // lane lengths
+    }
+    for _ in 0..8 {
+        section.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    }
+}
+
+/// A syntactically valid 8-way rANS section for `n` copies of one symbol.
 fn valid_rans_section(n: u64, symbol: u64) -> Vec<u8> {
-    let mut s = vec![0u8]; // mode 0 = rANS
+    let mut s = vec![2u8]; // mode 2 = 8-way rANS
     push_varint(&mut s, n);
     push_varint(&mut s, 1); // alphabet size
     push_varint(&mut s, symbol);
     push_varint(&mut s, 4096); // freq = full scale
-    push_varint(&mut s, 8); // payload: just the two seed states
-    s.extend_from_slice(&(1u32 << 23).to_le_bytes());
-    s.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    push_seed_lanes(&mut s);
     s
 }
 
@@ -229,85 +241,201 @@ fn assert_corrupt(compressor: &dyn Compressor, stream: &[u8], what: &str) {
 
 #[test]
 fn truncated_rans_frequency_table_is_rejected() {
-    let sz = SzCompressor::rans();
+    let sz = SzCompressor::rans8();
     // A section claiming 4096 table entries with almost none present.
-    let mut section = vec![0u8];
+    let mut section = vec![2u8];
     push_varint(&mut section, 100); // n_symbols
     push_varint(&mut section, 4096); // alphabet_size
     push_varint(&mut section, 1); // one lonely entry…
     push_varint(&mut section, 2);
-    assert_corrupt(&sz, &forge_sz_rans_container(16, 16, &section), "truncated freq table");
+    assert_corrupt(&sz, &forge_sz_container(b"LS81", 16, 16, &section), "truncated freq table");
 }
 
 #[test]
 fn rans_frequencies_must_sum_to_the_12_bit_scale() {
-    let sz = SzCompressor::rans();
-    let mgard = MgardCompressor::rans();
-    let mut section = vec![0u8];
+    let mut section = vec![2u8];
     push_varint(&mut section, 256); // n_symbols (= 16×16 cells)
     push_varint(&mut section, 2);
     push_varint(&mut section, 0);
     push_varint(&mut section, 2048);
     push_varint(&mut section, 1);
     push_varint(&mut section, 2047); // sums to 4095, not 4096
-    push_varint(&mut section, 8);
-    section.extend_from_slice(&(1u32 << 23).to_le_bytes());
-    section.extend_from_slice(&(1u32 << 23).to_le_bytes());
-    assert_corrupt(&sz, &forge_sz_rans_container(16, 16, &section), "bad freq sum (sz)");
-
-    // Same section inside an MGARD `LMR1` container.
-    let mut out = Vec::new();
-    out.extend_from_slice(b"LMR1");
-    out.extend_from_slice(&16u64.to_le_bytes());
-    out.extend_from_slice(&16u64.to_le_bytes());
-    out.extend_from_slice(&1e-3f64.to_le_bytes());
-    out.extend_from_slice(&2u32.to_le_bytes()); // levels
-    out.extend_from_slice(&(1u32 << 30).to_le_bytes()); // radius
-    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
-    out.extend_from_slice(&section);
-    out.extend_from_slice(&0u64.to_le_bytes()); // n_exact
-    assert_corrupt(&mgard, &out, "bad freq sum (mgard)");
+    push_seed_lanes(&mut section);
+    let sz = forge_sz_container(b"LS81", 16, 16, &section);
+    assert_corrupt(&SzCompressor::rans8(), &sz, "bad freq sum (sz)");
+    let mgard = forge_mgard_container(b"LM81", 16, 16, &section);
+    assert_corrupt(&MgardCompressor::rans8(), &mgard, "bad freq sum (mgard)");
 }
 
 #[test]
 fn unknown_backend_bytes_are_rejected() {
     // Unknown mode byte inside an otherwise valid rANS section.
-    let sz = SzCompressor::rans();
+    let sz = SzCompressor::rans8();
     let mut section = valid_rans_section(256, 40000);
     section[0] = 9;
-    assert_corrupt(&sz, &forge_sz_rans_container(16, 16, &section), "unknown rans mode");
+    assert_corrupt(&sz, &forge_sz_container(b"LS81", 16, 16, &section), "unknown rans mode");
 
-    // Unknown ZFP container tag (3 is now the valid rans8 tag, so the first
-    // unknown value is 4).
-    let zfp = ZfpCompressor::rans();
-    let field = wavy(16, 16, 5);
-    let mut stream = zfp.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
-    assert_eq!(stream[0], 2, "rans container tag");
+    // Unknown ZFP container tag.
+    let zfp = ZfpCompressor::default();
+    let mut stream = zfp.compress_field(&wavy(16, 16, 5), ErrorBound::Absolute(1e-3)).unwrap();
+    assert_eq!(stream[0], 0, "raw container tag");
     stream[0] = 4;
     assert_corrupt(&zfp, &stream, "unknown zfp tag");
-
-    // Forging the 2-way tag into the 8-way tag must be rejected by the
-    // rans8 decoder's mode byte (and vice versa) — the formats do not alias.
-    stream[0] = 3;
-    assert_corrupt(&zfp, &stream, "rans stream behind rans8 tag");
-    let zfp8 = ZfpCompressor::rans8();
-    let mut stream8 = zfp8.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
-    assert_eq!(stream8[0], 3, "rans8 container tag");
-    stream8[0] = 2;
-    assert_corrupt(&zfp8, &stream8, "rans8 stream behind rans tag");
 }
 
 #[test]
 fn forged_giant_rans_headers_fail_before_allocating() {
-    let sz = SzCompressor::rans();
+    let sz = SzCompressor::rans8();
     // ny·nx wrapping to 0 must die at the checked cell count.
     let section = valid_rans_section(0, 0);
-    assert_corrupt(&sz, &forge_sz_rans_container(1 << 32, 1 << 32, &section), "wrapping cells");
-    // A huge claimed cell count over a tiny near-zero-entropy section must
-    // fail the rANS plausibility cap or the code-count check — allocation
-    // stays bounded by the actual stream either way.
+    let wrapping = forge_sz_container(b"LS81", 1 << 32, 1 << 32, &section);
+    assert_corrupt(&sz, &wrapping, "wrapping cells");
+    // A huge claimed cell count over a tiny zero-entropy section must fail
+    // the rANS run cap or the code-count check — allocation stays bounded
+    // by the actual stream either way.
     let section = valid_rans_section(1 << 40, 7);
-    assert_corrupt(&sz, &forge_sz_rans_container(1 << 20, 1 << 20, &section), "implausible count");
+    let giant = forge_sz_container(b"LS81", 1 << 20, 1 << 20, &section);
+    assert_corrupt(&sz, &giant, "implausible count");
+}
+
+// ---- the retired formats ----------------------------------------------------
+
+/// Thread-local "largest single allocation request" probe: the oracle that
+/// a refused stream never sized a buffer by what its header claimed. Each
+/// test thread sees only its own requests.
+mod alloc_probe {
+    // `GlobalAlloc` is an unsafe trait by definition; the implementation
+    // only forwards to `System` after noting the request in a
+    // const-initialized thread-local `Cell` (no allocation, no reentrancy).
+    #![allow(unsafe_code)]
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        LARGEST.with(|c| c.set(c.get().max(size)));
+    }
+
+    /// Run `f` and return its result with the largest allocation (bytes)
+    /// the current thread requested meanwhile.
+    pub fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|c| c.set(0));
+        let value = f();
+        (value, LARGEST.with(|c| c.get()))
+    }
+
+    pub struct Probe;
+
+    unsafe impl GlobalAlloc for Probe {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+}
+
+#[global_allocator]
+static ALLOC: alloc_probe::Probe = alloc_probe::Probe;
+
+#[test]
+fn legacy_formats_are_refused_not_misdecoded() {
+    // What the deleted encoders used to write, every header claiming a
+    // 2^20 × 2^20 field (8 TB decoded): the 2-way rANS section (mode byte
+    // 0, two seed states), the `LSR1` / `LMR1` containers around it, and
+    // the ZFP container tags 2 (2-way) and 3 (8-way) over the byte-symbol
+    // form of the coder.
+    let mut two_way = vec![0u8]; // mode 0 = the retired 2-way format
+    push_varint(&mut two_way, 1 << 40); // n_symbols
+    push_varint(&mut two_way, 1); // alphabet size
+    push_varint(&mut two_way, 7);
+    push_varint(&mut two_way, 4096);
+    push_varint(&mut two_way, 8); // payload: the two seed states
+    two_way.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    two_way.extend_from_slice(&(1u32 << 23).to_le_bytes());
+    // Every forgery is padded to 128 bytes, the size of a small real
+    // stream: the LZ77 front end that all but the `LS81`/`LM81` magics go
+    // through reserves what its leading length varint claims (`b'L'` = 76
+    // here), capped by a multiple of the input.
+    let padded = |mut stream: Vec<u8>| {
+        stream.resize(stream.len().max(128), 0);
+        stream
+    };
+    let zfp_tagged = |tag: u8, section: &[u8]| {
+        let mut stream = vec![tag];
+        stream.extend_from_slice(section);
+        stream
+    };
+    let eight_way = valid_rans_section(1 << 40, 7);
+
+    let sz = SzCompressor::rans8();
+    let mgard = MgardCompressor::rans8();
+    let zfp = ZfpCompressor::default();
+    let cases: Vec<(&str, &dyn Compressor, Vec<u8>)> = vec![
+        ("LSR1", &sz, padded(forge_sz_container(b"LSR1", 1 << 20, 1 << 20, &two_way))),
+        ("LMR1", &mgard, padded(forge_mgard_container(b"LMR1", 1 << 20, 1 << 20, &two_way))),
+        ("zfp tag 2", &zfp, padded(zfp_tagged(2, &two_way))),
+        ("zfp tag 3", &zfp, padded(zfp_tagged(3, &eight_way))),
+        ("mode 0 in LS81", &sz, padded(forge_sz_container(b"LS81", 16, 16, &two_way))),
+        ("mode 0 in LM81", &mgard, padded(forge_mgard_container(b"LM81", 16, 16, &two_way))),
+    ];
+
+    // The bare section, straight into the coder.
+    assert!(matches!(
+        lcc::lossless::rans8_decode(&two_way),
+        Err(lcc::lossless::CodecError::Corrupt(_))
+    ));
+
+    let pool = ThreadPoolConfig::with_threads(2);
+    let warmup = wavy(16, 16, 29);
+    for (what, compressor, stream) in &cases {
+        // Warm scratch as a serving worker's would be (the per-codec scratch
+        // boxed, its buffers sized for a 16×16 field), so the probe sees
+        // only what the refused stream itself asks for.
+        let valid = compressor.compress_field(&warmup, ErrorBound::Absolute(1e-3)).unwrap();
+        let mut arena = ScratchArena::new();
+        let mut frames = FrameScratch::new();
+        let mut out = Field2D::zeros(1, 1);
+        compressor.decompress_view_with(&valid, &mut arena, &mut out).unwrap();
+        frame::decompress_framed_with(*compressor, &valid, pool, &mut frames, &mut out).unwrap();
+
+        let (single, largest_single) = alloc_probe::largest_request_during(|| {
+            compressor.decompress_view_with(stream, &mut arena, &mut out)
+        });
+        let (framed, largest_framed) = alloc_probe::largest_request_during(|| {
+            frame::decompress_framed_with(*compressor, stream, pool, &mut frames, &mut out)
+        });
+        for (path, result, largest) in
+            [("single", single, largest_single), ("framed", framed, largest_framed)]
+        {
+            assert!(
+                matches!(result, Err(CompressError::CorruptStream(_))),
+                "{what} ({path}): expected CorruptStream, got {result:?}"
+            );
+            assert!(
+                largest <= stream.len(),
+                "{what} ({path}): a {largest}-byte allocation for a {}-byte stream",
+                stream.len()
+            );
+        }
+    }
 }
 
 #[test]

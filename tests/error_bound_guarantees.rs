@@ -1,6 +1,5 @@
 //! Cross-crate guarantee: every registered compressor respects the requested
-//! absolute error bound on every dataset family used in the study
-//! (the promise recorded in DESIGN.md §6).
+//! absolute error bound on every dataset family used in the study.
 
 use lcc::core::default_registry;
 use lcc::grid::Field2D;
