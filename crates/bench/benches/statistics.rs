@@ -2,11 +2,14 @@
 //! variogram-range spread and the local SVD truncation spread. The paper's
 //! future work notes that the statistics must become cheap relative to the
 //! compressors before they can drive online adaptation — these benches
-//! quantify exactly that gap (compare against `compressors.rs`).
+//! quantify exactly that gap (compare against `compressors.rs`). The two
+//! `window_*` rows are the per-window kernels the local statistics spend
+//! their time in (256 calls each per 512² field).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcc_geostat::{
-    local_range_std, local_svd_truncation_std, variogram::estimate_range, LocalStatConfig,
+    local_range_std, local_svd_truncation_std, variogram::estimate_range, window_range,
+    window_truncation_level, LocalStatConfig,
 };
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 
@@ -48,6 +51,20 @@ fn bench_local_svd_std(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_window_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("window_kernels_32x32");
+    group.sample_size(10);
+    let field = generate_single_range(&GaussianFieldConfig::new(FIELD_SIZE, FIELD_SIZE, 16.0, 5));
+    // An interior window, strided through the parent like every real one.
+    let window = field.view().subview(96, 64, 32, 32);
+    let variogram = LocalStatConfig::default().variogram;
+    group.bench_function("window_truncation_level", |b| {
+        b.iter(|| window_truncation_level(&window, 0.99))
+    });
+    group.bench_function("window_range", |b| b.iter(|| window_range(&window, &variogram)));
+    group.finish();
+}
+
 fn bench_field_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("gaussian_field_generation");
     group.sample_size(10);
@@ -64,6 +81,7 @@ criterion_group!(
     bench_global_variogram,
     bench_local_variogram_std,
     bench_local_svd_std,
+    bench_window_kernels,
     bench_field_generation
 );
 criterion_main!(benches);

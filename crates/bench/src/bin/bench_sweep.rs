@@ -17,6 +17,10 @@
 //! when iterating on one kernel or codec; the written report then holds
 //! only that stage's rows, so don't gate a partial report against the full
 //! baseline.
+//!
+//! A run with both the `stats` and the `codecs` stage (the default) also
+//! reports `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
+//! seconds over `compress_sz` seconds on the same field.
 
 use lcc_archive::{Archive, ArchiveWriter, TileCache};
 use lcc_bench::CliOptions;
@@ -530,6 +534,9 @@ fn main() {
     if let Some((global, range_spread, svd_spread)) = stats_lines {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
         println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
+    }
+    if let Some(ratio) = report.predictor_cost_over_codec_cost() {
+        println!("  predictor cost / codec cost (statistics ÷ sz compress): {ratio:.2}x");
     }
     for name in registry.names() {
         if let Some(t) = report.throughput(&name) {

@@ -158,6 +158,17 @@ impl StageTimings {
         self.stages.iter().map(|&(_, s)| s).sum()
     }
 
+    /// The paper's cost ratio: seconds of `correlation_statistics_compute`
+    /// over seconds of `compress_sz` on the same field — what the predictor
+    /// costs in units of the compression it steers (it has to be well below
+    /// the number of candidate codecs to pay for itself). `None` unless the
+    /// run recorded both stages.
+    pub fn predictor_cost_over_codec_cost(&self) -> Option<f64> {
+        let predictor = self.seconds("correlation_statistics_compute")?;
+        let codec = self.seconds("compress_sz")?;
+        (codec > 0.0).then(|| predictor / codec)
+    }
+
     /// Record a per-compressor throughput measurement.
     pub fn record_throughput(&mut self, throughput: CodecThroughput) {
         self.throughputs.push(throughput);
@@ -228,7 +239,11 @@ impl StageTimings {
                 kt.speedup(),
             ));
         }
-        out.push_str(&format!("  ],\n  \"total_seconds\": {:.6}\n}}\n", self.total_seconds()));
+        out.push_str("  ],\n");
+        if let Some(ratio) = self.predictor_cost_over_codec_cost() {
+            out.push_str(&format!("  \"predictor_cost_over_codec_cost\": {ratio:.3},\n"));
+        }
+        out.push_str(&format!("  \"total_seconds\": {:.6}\n}}\n", self.total_seconds()));
         out
     }
 
@@ -757,6 +772,17 @@ mod tests {
         assert!(json.contains("{\"stage\": \"generate\", \"seconds\": 0.250000},"));
         assert!(json.contains("{\"stage\": \"stats\", \"seconds\": 0.500000}\n"));
         assert!(json.contains("\"total_seconds\": 0.750000"));
+        assert!(!json.contains("predictor_cost_over_codec_cost"));
+    }
+
+    #[test]
+    fn cost_ratio_needs_both_stages_and_lands_in_the_json() {
+        let mut t = StageTimings::new("64x64");
+        t.record("correlation_statistics_compute", 0.5);
+        assert_eq!(t.predictor_cost_over_codec_cost(), None);
+        t.record("compress_sz", 0.125);
+        assert_eq!(t.predictor_cost_over_codec_cost(), Some(4.0));
+        assert!(t.to_json().contains("  \"predictor_cost_over_codec_cost\": 4.000,\n"));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The per-field correlation statistics of the study.
 
 use lcc_geostat::{
-    local_range_std_view, local_svd_truncation_std_view, variogram::estimate_range_view,
-    LocalStatConfig, VariogramConfig,
+    estimate_range_pooled, local_range_std_view, local_svd_truncation_std_view, LocalStatConfig,
+    VariogramConfig,
 };
 use lcc_grid::{Field2D, FieldView};
+use lcc_par::ThreadPoolConfig;
 
 /// Which correlation statistic is on the x-axis of a figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,9 +84,13 @@ impl CorrelationStatistics {
 
     /// [`CorrelationStatistics::compute`] on a zero-copy view: every window
     /// of the local statistics is enumerated as a strided sub-view of the
-    /// parent buffer, with no per-window field allocation.
+    /// parent buffer, with no per-window field allocation. All three
+    /// statistics run on [`StatisticsConfig::threads`] workers and none of
+    /// them depends on that width.
     pub fn compute_view(field: &FieldView<'_>, config: &StatisticsConfig) -> CorrelationStatistics {
-        let global = estimate_range_view(field, &config.variogram);
+        let pool =
+            config.threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
+        let global = estimate_range_pooled(field, &config.variogram, pool);
         let local_range = local_range_std_view(field, &config.local_config());
         let local_svd = local_svd_truncation_std_view(
             field,

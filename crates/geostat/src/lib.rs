@@ -19,6 +19,8 @@
 pub mod local;
 pub mod regression;
 pub mod svdstat;
+#[cfg(test)]
+mod test_fields;
 pub mod variogram;
 
 pub use local::{
@@ -31,8 +33,9 @@ pub use svdstat::{
     local_svd_truncation_std_view, window_truncation_level,
 };
 pub use variogram::{
-    empirical_variogram, empirical_variogram_view, estimate_range, estimate_range_view,
-    fit_squared_exponential, EmpiricalVariogram, VariogramConfig, VariogramFit,
+    empirical_variogram, empirical_variogram_view, estimate_range, estimate_range_pooled,
+    estimate_range_view, fit_squared_exponential, EmpiricalVariogram, VariogramConfig,
+    VariogramFit,
 };
 
 /// Errors produced by the statistics routines.

@@ -12,22 +12,20 @@
 //! smooth large-scale flow from windows of developed turbulence.
 
 use lcc_grid::{stats, Field2D, FieldView, Window};
-use lcc_linalg::svd::truncation_level;
-use lcc_linalg::{singular_values, Matrix};
-use lcc_par::{parallel_map_with, ThreadPoolConfig};
+use lcc_linalg::svd::EnergySpectrum;
+use lcc_par::{parallel_map_with_state, ThreadPoolConfig};
 
 /// Truncation level of a single window view — the per-window kernel shared
 /// by [`local_svd_truncation_levels`] and the flat sweep scheduler in
 /// `lcc_core`. Returns `None` when the decomposition fails.
+///
+/// The window is centred so the level describes the variance (fluctuation)
+/// structure, not the rank-1 mean component; the level itself comes from the
+/// energy-only spectrum kernel ([`EnergySpectrum`]), which agrees with the
+/// Jacobi `svd()` oracle unless the cumulative energy lands within rounding
+/// of the threshold.
 pub fn window_truncation_level(view: &FieldView<'_>, fraction: f64) -> Option<usize> {
-    assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
-    // Centre the window so the decomposition captures the variance
-    // (fluctuation) structure, not the rank-1 mean component.
-    let mean = view.summary().mean;
-    let centred: Vec<f64> = view.iter().map(|v| v - mean).collect();
-    let m =
-        Matrix::from_vec(view.ny(), view.nx(), centred).expect("window buffer matches its shape");
-    singular_values(&m).ok().map(|sv| truncation_level(&sv, fraction))
+    EnergySpectrum::new().truncation_level(view.rows(), fraction)
 }
 
 /// Compute the 99 %-variance (or any `fraction`) truncation level of every
@@ -42,8 +40,8 @@ pub fn local_svd_truncation_levels(
 }
 
 /// [`local_svd_truncation_levels`] on a zero-copy view: each tile is a
-/// strided sub-view of the parent buffer, with no per-window `Field2D`
-/// allocation (only the centred working copy the SVD itself needs).
+/// strided sub-view of the parent buffer, with no per-window allocation at
+/// all (each worker reuses one [`EnergySpectrum`] scratch).
 pub fn local_svd_truncation_levels_view(
     field: &FieldView<'_>,
     window: usize,
@@ -57,12 +55,13 @@ pub fn local_svd_truncation_levels_view(
         Some(t) => ThreadPoolConfig::with_threads(t),
         None => ThreadPoolConfig::auto(),
     };
-    let levels = parallel_map_with(pool, &tiles, |(win, view)| {
-        if !win.is_full(window, window) {
-            return usize::MAX; // sentinel: dropped below
-        }
-        window_truncation_level(view, fraction).unwrap_or(usize::MAX)
-    });
+    let levels =
+        parallel_map_with_state(pool, &tiles, EnergySpectrum::new, |spectrum, _, (win, view)| {
+            if !win.is_full(window, window) {
+                return usize::MAX; // sentinel: dropped below
+            }
+            spectrum.truncation_level(view.rows(), fraction).unwrap_or(usize::MAX)
+        });
     levels.into_iter().filter(|&l| l != usize::MAX).collect()
 }
 
@@ -105,7 +104,148 @@ pub fn local_svd_truncation_mean(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_fields::{families, white_noise};
+    use lcc_linalg::svd::{svd, truncation_level};
+    use lcc_linalg::Matrix;
     use lcc_synth::{generate_single_range, GaussianFieldConfig};
+
+    const FRACTIONS: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
+
+    /// Checks one window at every fraction against the oracle: the Jacobi
+    /// `svd()` of the centred window + `truncation_level`. A mismatch fails,
+    /// except where the oracle's own cumulative energy passes within
+    /// 1e-10·total of the threshold — there the level is decided by rounding
+    /// on either route and ±1 is accepted. Returns how many of the four
+    /// comparisons were such near-threshold cases.
+    fn assert_levels_match_oracle(view: &FieldView<'_>, what: &str) -> usize {
+        let mean = view.summary().mean;
+        let centred: Vec<f64> = view.iter().map(|v| v - mean).collect();
+        let m = Matrix::from_vec(view.ny(), view.nx(), centred).unwrap();
+        let sv = svd(&m).unwrap().singular_values;
+        let total: f64 = sv.iter().map(|s| s * s).sum();
+        let mut near = 0;
+        for fraction in FRACTIONS {
+            let oracle = truncation_level(&sv, fraction);
+            let level = window_truncation_level(view, fraction).unwrap();
+            let threshold = fraction * total - 1e-12 * total;
+            let mut acc = 0.0;
+            let near_threshold = sv.iter().any(|s| {
+                acc += s * s;
+                (acc - threshold).abs() <= 1e-10 * total
+            });
+            if near_threshold {
+                near += 1;
+                assert!(level.abs_diff(oracle) <= 1, "{what} @ {fraction}: {level} vs {oracle}");
+            } else {
+                assert_eq!(level, oracle, "{what} @ {fraction}");
+            }
+        }
+        near
+    }
+
+    #[test]
+    fn window_levels_equal_the_jacobi_oracle_on_every_family() {
+        let (mut windows, mut near) = (0, 0);
+        for (name, field) in families() {
+            for size in [16, 32, 64] {
+                for (win, view) in field.windows(size, size) {
+                    near += assert_levels_match_oracle(
+                        &view,
+                        &format!("{name} {size}² at ({}, {})", win.i0, win.j0),
+                    );
+                    windows += 1;
+                }
+            }
+        }
+        assert_eq!(windows, 9 * (64 + 16 + 4));
+        // Near-threshold cases are the tolerated exception, not the rule.
+        assert!(near * 100 <= windows * FRACTIONS.len(), "{near} near-threshold comparisons");
+    }
+
+    #[test]
+    fn rectangular_and_strided_views_equal_the_oracle_and_their_owned_copies() {
+        for (name, field) in families() {
+            // Wide (Gram over rows), tall (Gram over columns), and a column
+            // strip; all strided through the parent buffer.
+            for (i0, j0, h, w) in [(3, 5, 24, 40), (5, 3, 40, 24), (60, 17, 64, 9)] {
+                let view = field.view().subview(i0, j0, h, w);
+                assert!(!view.is_contiguous());
+                assert_levels_match_oracle(&view, &format!("{name} {h}x{w}"));
+                let owned = view.to_field();
+                for fraction in FRACTIONS {
+                    assert_eq!(
+                        window_truncation_level(&view, fraction),
+                        window_truncation_level(&owned.view(), fraction)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn levels_survive_every_representable_amplitude() {
+        // The Gram route squares entries; without the power-of-two scaling
+        // 1e±300 would overflow / flush to zero.
+        let base = generate_single_range(&GaussianFieldConfig::new(32, 32, 5.0, 4));
+        let noise = white_noise(32, 32, 3);
+        for (name, field) in [("grf", &base), ("noise", &noise)] {
+            let expected = window_truncation_level(&field.view(), 0.99).unwrap();
+            assert!(expected > 0);
+            for amplitude in [1e-300, 1e-150, 1e150, 1e300] {
+                let scaled = Field2D::from_fn(32, 32, |i, j| field.at(i, j) * amplitude);
+                assert_eq!(
+                    window_truncation_level(&scaled.view(), 0.99),
+                    Some(expected),
+                    "{name} × {amplitude}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_windows_have_defined_levels() {
+        // Constant, and zeros of either sign: no variance, level 0.
+        let signed_zeros =
+            Field2D::from_fn(32, 32, |i, j| if (i + j) % 2 == 0 { 0.0 } else { -0.0 });
+        for f in [Field2D::filled(32, 32, 4.25), Field2D::zeros(32, 32), signed_zeros] {
+            assert_eq!(window_truncation_level(&f.view(), 0.99), Some(0));
+        }
+        // A constant whose mean does not round back to it leaves a rank-1
+        // residue of rounding, on both routes.
+        assert_levels_match_oracle(&Field2D::filled(32, 32, 4.2).view(), "constant 4.2");
+        // Subnormal values: integer multiples of the smallest subnormal,
+        // which the same integers at amplitude 1 must agree with.
+        let integers = Field2D::from_fn(32, 32, |i, j| {
+            (1e6 * ((0.3 * i as f64).sin() + (0.2 * j as f64).cos() + 0.01 * (i * j) as f64))
+                .round()
+        });
+        let tiny = f64::from_bits(1);
+        let subnormal = Field2D::from_fn(32, 32, |i, j| integers.at(i, j) * tiny);
+        assert!(subnormal.as_slice().iter().all(|x| x.abs() < f64::MIN_POSITIVE));
+        let level = window_truncation_level(&integers.view(), 0.99).unwrap();
+        assert!(level > 0);
+        assert_eq!(window_truncation_level(&subnormal.view(), 0.99), Some(level));
+        // A single spike: the centred window has rank 2. A huge one must
+        // read the same (the Jacobi oracle itself overflows there).
+        let spike = |amplitude: f64| {
+            let mut f = Field2D::zeros(32, 32);
+            f.set(7, 19, amplitude);
+            f
+        };
+        assert_levels_match_oracle(&spike(1.0).view(), "spike");
+        for fraction in FRACTIONS {
+            assert_eq!(
+                window_truncation_level(&spike(1e300).view(), fraction),
+                window_truncation_level(&spike(1.0).view(), fraction)
+            );
+        }
+        // Non-finite input has no spectrum.
+        let mut f = Field2D::filled(32, 32, 1.0);
+        f.set(3, 3, f64::NAN);
+        assert_eq!(window_truncation_level(&f.view(), 0.99), None);
+        f.set(3, 3, f64::INFINITY);
+        assert_eq!(window_truncation_level(&f.view(), 0.99), None);
+    }
 
     #[test]
     fn rank_one_windows_need_one_mode() {
@@ -119,13 +259,7 @@ mod tests {
     #[test]
     fn noise_needs_many_modes_smooth_needs_few() {
         let smooth = generate_single_range(&GaussianFieldConfig::new(96, 96, 20.0, 3));
-        let mut s = 11u64;
-        let noise = Field2D::from_fn(96, 96, |_, _| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s as f64 / u64::MAX as f64) * 2.0 - 1.0
-        });
+        let noise = white_noise(96, 96, 11);
         let smooth_mean = local_svd_truncation_mean(&smooth, 32, 0.99, None);
         let noise_mean = local_svd_truncation_mean(&noise, 32, 0.99, None);
         assert!(noise_mean > 2.0 * smooth_mean, "noise {noise_mean} vs smooth {smooth_mean}");

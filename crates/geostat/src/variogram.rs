@@ -13,6 +13,24 @@
 //! pairs by Euclidean distance. Very large fields are additionally strided
 //! so the cost stays bounded, mirroring gstat's sampling behaviour.
 //!
+//! The estimator runs in three steps:
+//!
+//! 1. **offset list** — every (direction, lag) offset that fits the field,
+//!    direction-major, with the origin stride its sampling budget implies;
+//! 2. **per-offset kernel** — the sum of squared differences of one offset,
+//!    over row slices, in [`LANES`] independent accumulators combined in a
+//!    fixed tree (one accumulator is a single floating-point dependency
+//!    chain and runs at add latency, not throughput);
+//! 3. **ordered binning** — the per-offset sums are folded into the distance
+//!    bins in list order.
+//!
+//! Step 2 is the only part that costs anything, and offsets are independent,
+//! so it fans out over a thread pool ([`estimate_range_pooled`]). Each
+//! offset's sum is computed by exactly one thread in a fixed order and step 3
+//! is serial, so **the variogram is bit-identical for every pool width**;
+//! [`empirical_variogram_view`] / [`estimate_range_view`] are the same code
+//! at width 1.
+//!
 //! The paper's "estimated variogram range" is the range parameter `a` of the
 //! squared-exponential model `γ(h) = c₀ (1 − exp(−h²/a²))` fitted to the
 //! empirical variogram by least squares.
@@ -20,6 +38,7 @@
 use crate::GeostatError;
 use lcc_grid::{Field2D, FieldView};
 use lcc_linalg::{gauss_newton, GaussNewtonOptions};
+use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
 /// Configuration of the empirical variogram estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,11 +106,111 @@ pub fn empirical_variogram_view(
     field: &FieldView<'_>,
     config: &VariogramConfig,
 ) -> EmpiricalVariogram {
+    empirical_variogram_pooled(field, config, ThreadPoolConfig::with_threads(1))
+}
+
+/// One (direction, lag) offset of the pair enumeration: origins `(i, j)` on
+/// a `stride`-spaced lattice pair with `(i + off_y, j ± off_x)`.
+#[derive(Debug, Clone, Copy)]
+struct Offset {
+    off_y: usize,
+    off_x: usize,
+    /// The anti-diagonal direction pairs with `j − off_x`.
+    negative_x: bool,
+    stride: usize,
+    dist: f64,
+}
+
+/// Directions sampled (dy, dx): axial + both diagonals. `usize::MAX` stands
+/// for dx = −1.
+const DIRECTIONS: [(usize, usize); 4] = [(0, 1), (1, 0), (1, 1), (1, usize::MAX)];
+
+/// The offsets that fit an `ny × nx` field, direction-major then by lag.
+fn offsets(ny: usize, nx: usize, max_lag: usize, max_dist: f64, budget: usize) -> Vec<Offset> {
+    let mut out = Vec::with_capacity(DIRECTIONS.len() * max_lag);
+    for &(dy, dx_raw) in &DIRECTIONS {
+        for lag in 1..=max_lag {
+            let negative_x = dx_raw == usize::MAX;
+            let (off_y, off_x) = (dy * lag, if negative_x { lag } else { dx_raw * lag });
+            if off_y >= ny || off_x >= nx {
+                continue;
+            }
+            let dist = ((off_y * off_y + off_x * off_x) as f64).sqrt();
+            if dist > max_dist {
+                continue;
+            }
+            // Stride the origin points so the per-offset pair count stays
+            // within the sampling budget.
+            let pairs = (ny - off_y) * (nx - off_x);
+            let stride = ((pairs as f64 / budget as f64).sqrt().ceil() as usize).max(1);
+            out.push(Offset { off_y, off_x, negative_x, stride, dist });
+        }
+    }
+    out
+}
+
+/// Independent accumulators of the pair kernel.
+const LANES: usize = 8;
+
+/// `acc[k mod LANES] += (a[k·stride] − b[k·stride])²` over the sampled
+/// elements `k` of two equally long row slices.
+#[inline(always)]
+fn accumulate_strided(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
+    let block = LANES * stride;
+    let (a_blocks, b_blocks) = (a.chunks_exact(block), b.chunks_exact(block));
+    let a_tail = a_blocks.remainder().iter().step_by(stride);
+    let b_tail = b_blocks.remainder().iter().step_by(stride);
+    for (ca, cb) in a_blocks.zip(b_blocks) {
+        for (k, lane) in acc.iter_mut().enumerate() {
+            let d = ca[k * stride] - cb[k * stride];
+            *lane += d * d;
+        }
+    }
+    for ((lane, x), y) in acc.iter_mut().zip(a_tail).zip(b_tail) {
+        let d = x - y;
+        *lane += d * d;
+    }
+}
+
+/// [`accumulate_strided`], with the unit stride (every window, and the long
+/// lags of a large field) compiled as a constant so that it vectorises.
+#[inline]
+fn accumulate_squared_differences(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
+    if stride == 1 {
+        accumulate_strided(acc, a, b, 1)
+    } else {
+        accumulate_strided(acc, a, b, stride)
+    }
+}
+
+/// Sum of squared differences and pair count of one offset.
+fn offset_sum(field: &FieldView<'_>, o: &Offset) -> (f64, u64) {
+    let (ny, nx) = field.shape();
+    let width = nx - o.off_x;
+    let (a_start, b_start) = if o.negative_x { (o.off_x, 0) } else { (0, o.off_x) };
+    let height = ny - o.off_y;
+    let mut acc = [0.0f64; LANES];
+    for i in (0..height).step_by(o.stride) {
+        let a = &field.row(i)[a_start..a_start + width];
+        let b = &field.row(i + o.off_y)[b_start..b_start + width];
+        accumulate_squared_differences(&mut acc, a, b, o.stride);
+    }
+    let sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+    (sum, (height.div_ceil(o.stride) * width.div_ceil(o.stride)) as u64)
+}
+
+/// [`empirical_variogram_view`] with the per-offset sums spread over `pool`.
+/// The result does not depend on the pool's width (module docs).
+fn empirical_variogram_pooled(
+    field: &FieldView<'_>,
+    config: &VariogramConfig,
+    pool: ThreadPoolConfig,
+) -> EmpiricalVariogram {
     let (ny, nx) = field.shape();
     let min_extent = ny.min(nx);
     if min_extent < 2 {
         // A single row or column admits no 2D lag structure under the
-        // directional enumeration below (partial edge windows can be this
+        // directional enumeration (partial edge windows can be this
         // degenerate); report an empty variogram so the fit is rejected.
         return EmpiricalVariogram {
             distances: Vec::new(),
@@ -101,68 +220,21 @@ pub fn empirical_variogram_view(
     }
     let max_lag = config.max_lag.unwrap_or((min_extent / 3).max(2)).clamp(1, min_extent - 1);
     let n_bins = config.n_bins.max(2);
-
-    // Directions sampled (dy, dx): axial + both diagonals.
-    const DIRECTIONS: [(usize, usize); 4] = [(0, 1), (1, 0), (1, 1), (1, usize::MAX)];
-
-    // Bin accumulators over distance [0, max_dist].
     let max_dist = (max_lag as f64) * std::f64::consts::SQRT_2;
+
+    let offsets = offsets(ny, nx, max_lag, max_dist, config.sample_budget);
+    let sums = parallel_map_with(pool, &offsets, |o| offset_sum(field, o));
+
+    // Bin accumulators over distance [0, max_dist], filled in offset order.
     let mut bin_gamma = vec![0.0f64; n_bins];
     let mut bin_dist = vec![0.0f64; n_bins];
     let mut bin_count = vec![0u64; n_bins];
-
-    for &(dy, dx_raw) in &DIRECTIONS {
-        for lag in 1..=max_lag {
-            let (off_y, off_x, negative_x) = if dx_raw == usize::MAX {
-                (dy * lag, lag, true)
-            } else {
-                (dy * lag, dx_raw * lag, false)
-            };
-            if off_y >= ny || off_x >= nx {
-                continue;
-            }
-            let dist = ((off_y * off_y + off_x * off_x) as f64).sqrt();
-            if dist > max_dist {
-                continue;
-            }
-
-            // Stride the origin points so the per-offset pair count stays
-            // within the sampling budget.
-            let usable_rows = ny - off_y;
-            let usable_cols = nx - off_x;
-            let pairs = usable_rows * usable_cols;
-            let stride =
-                ((pairs as f64 / config.sample_budget as f64).sqrt().ceil() as usize).max(1);
-
-            let mut sum = 0.0f64;
-            let mut count = 0u64;
-            let mut i = 0;
-            while i < usable_rows {
-                let mut j = if negative_x { off_x } else { 0 };
-                let j_end = if negative_x { nx } else { usable_cols };
-                while j < j_end {
-                    let a = field.at(i, j);
-                    let b = if negative_x {
-                        field.at(i + off_y, j - off_x)
-                    } else {
-                        field.at(i + off_y, j + off_x)
-                    };
-                    let d = a - b;
-                    sum += d * d;
-                    count += 1;
-                    j += stride;
-                }
-                i += stride;
-            }
-            if count == 0 {
-                continue;
-            }
-            let gamma = sum / (2.0 * count as f64);
-            let bin = (((dist / max_dist) * n_bins as f64) as usize).min(n_bins - 1);
-            bin_gamma[bin] += gamma * count as f64;
-            bin_dist[bin] += dist * count as f64;
-            bin_count[bin] += count;
-        }
+    for (o, (sum, count)) in offsets.iter().zip(sums) {
+        let gamma = sum / (2.0 * count as f64);
+        let bin = (((o.dist / max_dist) * n_bins as f64) as usize).min(n_bins - 1);
+        bin_gamma[bin] += gamma * count as f64;
+        bin_dist[bin] += o.dist * count as f64;
+        bin_count[bin] += count;
     }
 
     let mut distances = Vec::new();
@@ -248,7 +320,20 @@ pub fn estimate_range_with(field: &Field2D, config: &VariogramConfig) -> Variogr
 
 /// [`estimate_range_with`] on a zero-copy view.
 pub fn estimate_range_view(field: &FieldView<'_>, config: &VariogramConfig) -> VariogramFit {
-    let vg = empirical_variogram_view(field, config);
+    estimate_range_pooled(field, config, ThreadPoolConfig::with_threads(1))
+}
+
+/// [`estimate_range_view`] with the variogram's per-offset sums spread over
+/// `pool` — for one large field on an otherwise idle pool. Bit-identical to
+/// [`estimate_range_view`] at every width. Callers already inside a pool
+/// worker (the sweep scheduler, the per-window statistics) use
+/// [`estimate_range_view`], so pools never nest.
+pub fn estimate_range_pooled(
+    field: &FieldView<'_>,
+    config: &VariogramConfig,
+    pool: ThreadPoolConfig,
+) -> VariogramFit {
+    let vg = empirical_variogram_pooled(field, config, pool);
     fit_squared_exponential(&vg).unwrap_or(VariogramFit {
         sill: 0.0,
         range: f64::NAN,
@@ -268,7 +353,144 @@ pub fn model_gamma(fit: &VariogramFit, h: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_fields::{families, white_noise};
     use lcc_synth::{generate_single_range, GaussianFieldConfig};
+
+    /// The estimator as one scalar loop: every pair read through `at`, one
+    /// accumulator per offset. The kernel above must visit the same pairs.
+    fn reference_variogram(field: &FieldView<'_>, config: &VariogramConfig) -> EmpiricalVariogram {
+        let (ny, nx) = field.shape();
+        let min_extent = ny.min(nx);
+        let max_lag = config.max_lag.unwrap_or((min_extent / 3).max(2)).clamp(1, min_extent - 1);
+        let n_bins = config.n_bins.max(2);
+        let max_dist = (max_lag as f64) * std::f64::consts::SQRT_2;
+        let mut bin_gamma = vec![0.0f64; n_bins];
+        let mut bin_dist = vec![0.0f64; n_bins];
+        let mut bin_count = vec![0u64; n_bins];
+        for &(dy, dx_raw) in &DIRECTIONS {
+            for lag in 1..=max_lag {
+                let (off_y, off_x, negative_x) = if dx_raw == usize::MAX {
+                    (dy * lag, lag, true)
+                } else {
+                    (dy * lag, dx_raw * lag, false)
+                };
+                if off_y >= ny || off_x >= nx {
+                    continue;
+                }
+                let dist = ((off_y * off_y + off_x * off_x) as f64).sqrt();
+                if dist > max_dist {
+                    continue;
+                }
+                let usable_rows = ny - off_y;
+                let usable_cols = nx - off_x;
+                let pairs = usable_rows * usable_cols;
+                let stride =
+                    ((pairs as f64 / config.sample_budget as f64).sqrt().ceil() as usize).max(1);
+                let mut sum = 0.0f64;
+                let mut count = 0u64;
+                let mut i = 0;
+                while i < usable_rows {
+                    let mut j = if negative_x { off_x } else { 0 };
+                    let j_end = if negative_x { nx } else { usable_cols };
+                    while j < j_end {
+                        let a = field.at(i, j);
+                        let b = if negative_x {
+                            field.at(i + off_y, j - off_x)
+                        } else {
+                            field.at(i + off_y, j + off_x)
+                        };
+                        let d = a - b;
+                        sum += d * d;
+                        count += 1;
+                        j += stride;
+                    }
+                    i += stride;
+                }
+                let gamma = sum / (2.0 * count as f64);
+                let bin = (((dist / max_dist) * n_bins as f64) as usize).min(n_bins - 1);
+                bin_gamma[bin] += gamma * count as f64;
+                bin_dist[bin] += dist * count as f64;
+                bin_count[bin] += count;
+            }
+        }
+        let filled = (0..n_bins).filter(|&b| bin_count[b] > 0);
+        EmpiricalVariogram {
+            distances: filled.clone().map(|b| bin_dist[b] / bin_count[b] as f64).collect(),
+            gammas: filled.clone().map(|b| bin_gamma[b] / bin_count[b] as f64).collect(),
+            counts: filled.map(|b| bin_count[b]).collect(),
+        }
+    }
+
+    /// Same pairs (counts and distances equal), γ within 1e-12 relative.
+    fn assert_matches_reference(field: &FieldView<'_>, config: &VariogramConfig, what: &str) {
+        let kernel = empirical_variogram_view(field, config);
+        let reference = reference_variogram(field, config);
+        assert_eq!(kernel.counts, reference.counts, "{what}");
+        assert_eq!(kernel.distances, reference.distances, "{what}");
+        assert!(!kernel.is_empty(), "{what}");
+        for (k, r) in kernel.gammas.iter().zip(&reference.gammas) {
+            assert!((k - r).abs() <= 1e-12 * r.abs(), "{what}: gamma {k} vs {r}");
+        }
+    }
+
+    fn bits(vg: &EmpiricalVariogram) -> (Vec<u64>, Vec<u64>, &[u64]) {
+        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (to_bits(&vg.distances), to_bits(&vg.gammas), &vg.counts)
+    }
+
+    #[test]
+    fn kernel_matches_the_scalar_reference_on_every_family() {
+        let window_config = VariogramConfig { max_lag: Some(10), n_bins: 10, ..Default::default() };
+        for (name, field) in families() {
+            assert_matches_reference(&field.view(), &VariogramConfig::default(), &name);
+            // A 32×32 window as the local statistic reads it, and widths on
+            // both sides of the lane count.
+            assert_matches_reference(&field.view().subview(32, 64, 32, 32), &window_config, &name);
+            assert_matches_reference(
+                &field.view().subview(1, 2, 50, 37),
+                &VariogramConfig { max_lag: Some(31), ..Default::default() },
+                &name,
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_scalar_reference_when_the_budget_strides_the_origins() {
+        // 512² exceeds the default budget at short lags (stride 2) and not
+        // at long ones (stride 1); a small budget forces strides 3 and up.
+        let field = generate_single_range(&GaussianFieldConfig::new(512, 512, 12.0, 5));
+        let default = VariogramConfig::default();
+        let strides: Vec<usize> =
+            offsets(512, 512, 170, 512.0, default.sample_budget).iter().map(|o| o.stride).collect();
+        assert!(strides.contains(&1) && strides.contains(&2));
+        assert_matches_reference(&field.view(), &default, "512² default budget");
+        let tight = VariogramConfig { sample_budget: 9_000, max_lag: Some(40), ..default };
+        assert_matches_reference(&field.view(), &tight, "512² budget 9000");
+        assert_matches_reference(&field.view().subview(7, 3, 300, 401), &tight, "strided subview");
+    }
+
+    #[test]
+    fn variogram_bits_do_not_depend_on_pool_width_or_on_view_versus_owned() {
+        let field = generate_single_range(&GaussianFieldConfig::new(200, 168, 9.0, 21));
+        for (view, config) in [
+            (field.view(), VariogramConfig::default()),
+            (field.view(), VariogramConfig { sample_budget: 5_000, ..Default::default() }),
+            (field.view().subview(11, 5, 150, 97), VariogramConfig::default()),
+        ] {
+            let serial = empirical_variogram_view(&view, &config);
+            for width in [1, 2, 3, 8] {
+                let pool = ThreadPoolConfig::with_threads(width);
+                let pooled = empirical_variogram_pooled(&view, &config, pool);
+                assert_eq!(bits(&pooled), bits(&serial), "width {width}");
+                let fit = estimate_range_pooled(&view, &config, pool);
+                let fit_serial = estimate_range_view(&view, &config);
+                assert_eq!(fit.range.to_bits(), fit_serial.range.to_bits());
+                assert_eq!(fit.sill.to_bits(), fit_serial.sill.to_bits());
+            }
+            let owned = view.to_field();
+            assert_eq!(bits(&empirical_variogram_view(&owned.view(), &config)), bits(&serial));
+        }
+    }
 
     #[test]
     fn variogram_of_constant_field_is_zero() {
@@ -296,13 +518,7 @@ mod tests {
 
     #[test]
     fn white_noise_has_flat_variogram() {
-        let mut s = 5u64;
-        let f = Field2D::from_fn(96, 96, |_, _| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s as f64 / u64::MAX as f64) * 2.0 - 1.0
-        });
+        let f = white_noise(96, 96, 5);
         let vg = empirical_variogram(&f, &VariogramConfig::default());
         // All bins close to the variance (≈ 1/3 for uniform [-1,1]).
         let mean_gamma: f64 = vg.gammas.iter().sum::<f64>() / vg.len() as f64;

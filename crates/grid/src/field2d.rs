@@ -247,19 +247,6 @@ impl Field2D {
         WindowIter::over(self.ny, self.nx, h, w)
     }
 
-    /// Collect all windows into owned sub-fields together with their
-    /// placement metadata.
-    ///
-    /// This is the legacy cloning path: it allocates one [`Field2D`] per
-    /// window. The statistics pipeline iterates [`Field2D::windows`] views
-    /// instead; this stays as the reference implementation the view/owned
-    /// equivalence tests compare against.
-    pub fn window_fields(&self, h: usize, w: usize) -> Vec<(Window, Field2D)> {
-        self.window_placements(h, w)
-            .map(|win| (win, self.subfield(win.i0, win.j0, win.height, win.width)))
-            .collect()
-    }
-
     /// Summary statistics of the field values.
     pub fn summary(&self) -> Summary {
         Summary::of(&self.data)
@@ -511,13 +498,5 @@ mod tests {
         let d = f.downsample(2);
         assert_eq!(d.shape(), (2, 3));
         assert_eq!(d.get(1, 2), f.get(2, 4));
-    }
-
-    #[test]
-    fn window_fields_cover_everything() {
-        let f = ramp(5, 7);
-        let wins = f.window_fields(2, 3);
-        let total: usize = wins.iter().map(|(_, sub)| sub.len()).sum();
-        assert_eq!(total, f.len());
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * [`Matrix`] — a column-count-aware dense row-major matrix,
 //! * [`lstsq`] — linear least squares via QR (Householder) factorization,
-//! * [`svd`] — one-sided Jacobi SVD returning singular values (and optionally
-//!   the factors),
+//! * [`svd`] — one-sided Jacobi SVD (singular values and factors; the
+//!   accuracy oracle) and the values-only [`svd::EnergySpectrum`] the
+//!   per-window truncation statistic runs on,
 //! * [`fit`] — polynomial fitting (the `numpy.polyfit` stand-in) and
 //!   Gauss–Newton nonlinear least squares used by the variogram model fit.
 

@@ -5,6 +5,7 @@
 use lcc::core::dataset::StudyDatasets;
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::sz_zfp_registry;
+use lcc::core::statistics::{CorrelationStatistics, StatisticsConfig};
 use lcc::hydro::{MirandaProxy, MirandaProxyConfig, Problem};
 use lcc::pressio::ErrorBound;
 use lcc::synth::{generate_single_range, GaussianFieldConfig};
@@ -36,6 +37,22 @@ fn compressed_streams_are_bitwise_deterministic() {
         let b = compressor.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
         assert_eq!(a, b, "{} produced different streams for identical input", compressor.name());
     }
+}
+
+#[test]
+fn correlation_statistics_are_bitwise_independent_of_thread_count_and_of_view_versus_owned() {
+    // Large enough that the global variogram strides its origins and that
+    // every pool worker gets offsets and windows.
+    let parent = generate_single_range(&GaussianFieldConfig::new(560, 530, 9.0, 41));
+    let view = parent.view().subview(9, 5, 520, 512);
+    assert!(!view.is_contiguous());
+    let at = |threads| StatisticsConfig { threads: Some(threads), ..StatisticsConfig::default() };
+    let bits = |s: CorrelationStatistics| {
+        [s.global_range, s.global_sill, s.local_range_std, s.local_svd_std].map(f64::to_bits)
+    };
+    let serial = bits(CorrelationStatistics::compute_view(&view, &at(1)));
+    assert_eq!(bits(CorrelationStatistics::compute_view(&view, &at(4))), serial);
+    assert_eq!(bits(CorrelationStatistics::compute(&view.to_field(), &at(3))), serial);
 }
 
 #[test]

@@ -1,19 +1,17 @@
 //! View/owned equivalence guarantees.
 //!
-//! The zero-copy `FieldView` layer replaced the per-window `Field2D` clones
-//! in every statistics and compression path. These property tests pin the
-//! refactor down: for arbitrary fields (including shapes that leave partial
-//! edge windows) the view-based pipeline must produce **bit-identical**
-//! results to the legacy cloned-window path (`Field2D::window_fields`),
-//! which stays in the tree as the reference implementation.
+//! Every statistics and compression path reads windows as zero-copy,
+//! strided `FieldView`s of the parent buffer. These property tests pin that
+//! down: for arbitrary fields (including shapes that leave partial edge
+//! windows) the view-based pipeline must produce **bit-identical** results
+//! to running the same kernels on an owned copy of each window
+//! (`FieldView::to_field`).
 
 use lcc::geostat::{
     local_svd_truncation_std, local_variogram_ranges, variogram::estimate_range_with,
-    LocalStatConfig,
+    window_truncation_level, LocalStatConfig,
 };
-use lcc::grid::Field2D;
-use lcc::linalg::svd::truncation_level;
-use lcc::linalg::{singular_values, Matrix};
+use lcc::grid::{Field2D, Window};
 use lcc::mgard::MgardCompressor;
 use lcc::pressio::{Compressor, ErrorBound};
 use lcc::sz::SzCompressor;
@@ -32,11 +30,15 @@ fn arbitrary_field(ny: usize, nx: usize, seed: u64, roughness: f64) -> Field2D {
     })
 }
 
-/// Reference implementation of the local variogram ranges through the legacy
-/// cloned-window path: one owned `Field2D` per window.
+/// Every window of the tiling, copied out of the parent buffer.
+fn cloned_windows(field: &Field2D, window: usize) -> Vec<(Window, Field2D)> {
+    field.windows(window, window).map(|(win, view)| (win, view.to_field())).collect()
+}
+
+/// Reference implementation of the local variogram ranges: one owned
+/// `Field2D` per window.
 fn cloned_window_ranges(field: &Field2D, config: &LocalStatConfig) -> Vec<f64> {
-    field
-        .window_fields(config.window, config.window)
+    cloned_windows(field, config.window)
         .into_iter()
         .map(|(win, owned)| {
             if config.skip_partial_windows && !win.is_full(config.window, config.window) {
@@ -49,19 +51,14 @@ fn cloned_window_ranges(field: &Field2D, config: &LocalStatConfig) -> Vec<f64> {
         .collect()
 }
 
-/// Reference implementation of the local SVD truncation spread through the
-/// legacy cloned-window path.
+/// Reference implementation of the local SVD truncation spread: one owned
+/// `Field2D` per full window.
 fn cloned_window_svd_std(field: &Field2D, window: usize, fraction: f64) -> f64 {
-    let levels: Vec<f64> = field
-        .window_fields(window, window)
+    let levels: Vec<f64> = cloned_windows(field, window)
         .into_iter()
         .filter(|(win, _)| win.is_full(window, window))
-        .filter_map(|(_, owned)| {
-            let mean = owned.summary().mean;
-            let centred: Vec<f64> = owned.as_slice().iter().map(|v| v - mean).collect();
-            let m = Matrix::from_vec(owned.ny(), owned.nx(), centred).ok()?;
-            singular_values(&m).ok().map(|sv| truncation_level(&sv, fraction) as f64)
-        })
+        .filter_map(|(_, owned)| window_truncation_level(&owned.view(), fraction))
+        .map(|level| level as f64)
         .collect();
     lcc::grid::stats::std_dev(&levels)
 }
