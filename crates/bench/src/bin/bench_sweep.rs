@@ -18,13 +18,18 @@
 //! only that stage's rows, so don't gate a partial report against the full
 //! baseline.
 //!
+//! The `codecs` stage also writes an `encode_layers` section: the seconds
+//! `sz` and `sz-rans8` spend in each encode layer (input validation, block
+//! mode selection, predict/quantize, entropy coding, container + LZ77), from
+//! `SzCompressor::compress_view_timed`.
+//!
 //! A run with both the `stats` and the `codecs` stage (the default) also
 //! reports `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
 //! seconds over `compress_sz` seconds on the same field.
 
 use lcc_archive::{Archive, ArchiveWriter, TileCache};
 use lcc_bench::CliOptions;
-use lcc_core::benchreport::{CodecThroughput, KernelThroughput, StageTimings};
+use lcc_core::benchreport::{CodecThroughput, EncodeLayers, KernelThroughput, StageTimings};
 use lcc_core::dataset::StudyDatasets;
 use lcc_core::experiment::{run_sweep, SweepConfig};
 use lcc_core::registry::{entropy_ablation_registry, framed_variant_name};
@@ -37,15 +42,19 @@ use lcc_lossless::{
     RansScratch, SimdLevel,
 };
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::{frame, ErrorBound, FrameScratch, ScratchArena};
+use lcc_pressio::{frame, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use lcc_sz::quantize::{quantize_plane_row_at, Quantizer};
+use lcc_sz::{SzCompressor, SzScratch};
 use lcc_zfp::transform::{
     fwd_transform_at, fwd_transform_batch_at, inv_transform_at, inv_transform_batch_at,
 };
 use lcc_zfp::BLOCK_LEN;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Timed repetitions behind each layer's min and median.
+const LAYER_REPS: usize = 5;
 
 /// Valid `--stage` names; `all` (the default) runs every stage in order.
 const STAGES: [&str; 7] = ["all", "stats", "codecs", "framed", "regions", "kernels", "sweep"];
@@ -144,6 +153,28 @@ fn main() {
                 decompress_seconds,
                 compression_ratio: uncompressed_bytes / stream_len.max(1) as f64,
             });
+        }
+
+        // Where an SZ compress call's time goes: seconds per encode layer
+        // from `compress_view_timed` (the compress path itself, min and
+        // median of `LAYER_REPS`), so the compress ÷ decompress gap of the
+        // rows above has an owner.
+        let view = field.view();
+        for sz in [SzCompressor::default(), SzCompressor::rans8()] {
+            let mut scratch = SzScratch::new();
+            let samples: Vec<Vec<f64>> = (0..LAYER_REPS)
+                .map(|_| {
+                    let (_, seconds) = sz
+                        .compress_view_timed(&view, bound, &mut scratch)
+                        .expect("bench compressor succeeds");
+                    seconds.to_vec()
+                })
+                .collect();
+            report.record_encode_layers(EncodeLayers::from_samples(
+                sz.name(),
+                &SzCompressor::ENCODE_LAYERS,
+                &samples,
+            ));
         }
     }
 
@@ -534,6 +565,16 @@ fn main() {
     if let Some((global, range_spread, svd_spread)) = stats_lines {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
         println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
+    }
+    for name in ["sz", "sz-rans8"] {
+        if let Some(e) = report.encode_layers(name) {
+            let layers: Vec<String> = e
+                .layers
+                .iter()
+                .map(|(layer, min, _)| format!("{layer} {:.2}", min * 1e3))
+                .collect();
+            println!("  {name} encode layers (ms, min of {LAYER_REPS}): {}", layers.join(" · "));
+        }
     }
     if let Some(ratio) = report.predictor_cost_over_codec_cost() {
         println!("  predictor cost / codec cost (statistics ÷ sz compress): {ratio:.2}x");

@@ -105,6 +105,41 @@ impl KernelThroughput {
     }
 }
 
+/// Where one compressor's compress call spends its time: seconds per encode
+/// layer, in pipeline order, over repeated timed compress calls on the same
+/// field. Names the layer behind a compress ÷
+/// decompress gap, which a whole-codec [`CodecThroughput`] row cannot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EncodeLayers {
+    /// Compressor name (`"sz"`, `"sz-rans8"`).
+    pub compressor: String,
+    /// `(layer, min seconds, median seconds)` per layer.
+    pub layers: Vec<(String, f64, f64)>,
+}
+
+impl EncodeLayers {
+    /// Summarize per-repetition samples: `samples[r][k]` is the seconds
+    /// repetition `r` spent in layer `names[k]`.
+    pub fn from_samples(
+        compressor: impl Into<String>,
+        names: &[&str],
+        samples: &[Vec<f64>],
+    ) -> Self {
+        let layers = names
+            .iter()
+            .enumerate()
+            .map(|(k, name)| {
+                let mut column: Vec<f64> = samples.iter().map(|rep| rep[k]).collect();
+                column.sort_by(f64::total_cmp);
+                let min = column.first().copied().unwrap_or(0.0);
+                let median = column.get(column.len() / 2).copied().unwrap_or(0.0);
+                (name.to_string(), min, median)
+            })
+            .collect();
+        EncodeLayers { compressor: compressor.into(), layers }
+    }
+}
+
 /// An accumulating set of named stage timings.
 #[derive(Debug, Clone, Default)]
 pub struct StageTimings {
@@ -116,6 +151,7 @@ pub struct StageTimings {
     stages: Vec<(String, f64)>,
     throughputs: Vec<CodecThroughput>,
     kernels: Vec<KernelThroughput>,
+    encode_layers: Vec<EncodeLayers>,
 }
 
 impl StageTimings {
@@ -189,6 +225,16 @@ impl StageTimings {
         self.kernels.iter().find(|k| k.kernel == kernel)
     }
 
+    /// Record one compressor's per-layer encode timings.
+    pub fn record_encode_layers(&mut self, layers: EncodeLayers) {
+        self.encode_layers.push(layers);
+    }
+
+    /// The recorded encode-layer entry for a compressor, if present.
+    pub fn encode_layers(&self, compressor: &str) -> Option<&EncodeLayers> {
+        self.encode_layers.iter().find(|e| e.compressor == compressor)
+    }
+
     /// Serialize the report as JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -237,6 +283,26 @@ impl StageTimings {
                 kt.simd_seconds,
                 kt.simd_mb_per_s(),
                 kt.speedup(),
+            ));
+        }
+        out.push_str("  ],\n  \"encode_layers\": [\n");
+        for (k, e) in self.encode_layers.iter().enumerate() {
+            let comma = if k + 1 < self.encode_layers.len() { "," } else { "" };
+            let layers: Vec<String> = e
+                .layers
+                .iter()
+                .map(|(layer, min, median)| {
+                    format!(
+                        "{{\"layer\": \"{}\", \"min_seconds\": {min:.6}, \
+                         \"median_seconds\": {median:.6}}}",
+                        escape(layer)
+                    )
+                })
+                .collect();
+            out.push_str(&format!(
+                "    {{\"compressor\": \"{}\", \"layers\": [{}]}}{comma}\n",
+                escape(&e.compressor),
+                layers.join(", ")
             ));
         }
         out.push_str("  ],\n");
@@ -783,6 +849,24 @@ mod tests {
         t.record("compress_sz", 0.125);
         assert_eq!(t.predictor_cost_over_codec_cost(), Some(4.0));
         assert!(t.to_json().contains("  \"predictor_cost_over_codec_cost\": 4.000,\n"));
+    }
+
+    #[test]
+    fn encode_layers_summarize_samples_and_land_in_the_json() {
+        let samples = vec![vec![0.003, 0.5], vec![0.001, 0.25], vec![0.002, 1.0]];
+        let layers = EncodeLayers::from_samples("sz", &["validate", "lz77"], &samples);
+        assert_eq!(layers.layers[0], ("validate".to_string(), 0.001, 0.002));
+        assert_eq!(layers.layers[1], ("lz77".to_string(), 0.25, 0.5));
+        let mut t = StageTimings::new("1028x1028");
+        assert!(t.to_json().contains("  \"encode_layers\": [\n  ],\n"));
+        t.record_encode_layers(layers.clone());
+        assert_eq!(t.encode_layers("sz"), Some(&layers));
+        assert!(t.encode_layers("zfp").is_none());
+        assert!(t.to_json().contains(
+            "{\"compressor\": \"sz\", \"layers\": [{\"layer\": \"validate\", \
+             \"min_seconds\": 0.001000, \"median_seconds\": 0.002000}, {\"layer\": \"lz77\", \
+             \"min_seconds\": 0.250000, \"median_seconds\": 0.500000}]}\n"
+        ));
     }
 
     #[test]

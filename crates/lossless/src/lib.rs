@@ -22,6 +22,9 @@
 //!   LZ77 comparator, and the [`xxhash`] stripe loop pick their widest
 //!   implementation at or below the active tier, with byte-identical
 //!   streams at every tier,
+//! * [`round`] — exact `f64::round` without the libm call (scalar and AVX2)
+//!   and the dispatched rounding quantizer the lossy codecs' quantization
+//!   loops share,
 //! * [`xxhash`] — XXH64 checksums (scalar + AVX2 stripe loop) used for the
 //!   framed container's optional per-block integrity checksums,
 //! * [`scratch`] — the [`CodecScratch`] arena holding every reusable buffer
@@ -39,6 +42,7 @@ pub mod huffman;
 pub mod lz77;
 pub mod pipeline;
 pub mod rans;
+pub mod round;
 pub mod scratch;
 pub mod xxhash;
 

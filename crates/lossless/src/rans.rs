@@ -32,7 +32,7 @@
 //!
 //! All working memory lives in a caller-owned [`RansScratch`] — the
 //! frequency/cumulative tables, the normalization workspace, and the
-//! reversed-emit buffers are cleared, never shrunk, between calls, so the
+//! presized lane buffers are reused, never shrunk, between calls, so the
 //! `*_with` entry points are allocation-free in steady state exactly like
 //! their Huffman counterparts.
 //!
@@ -129,16 +129,64 @@ impl EncSym {
     }
 }
 
+/// Most renorm bytes one symbol can emit: states stay below `2^31` and
+/// `x_max ≥ 2^19` (a frequency of 1), so two 8-bit shifts always land under
+/// the threshold.
+const MAX_RENORM_BYTES: usize = 2;
+
 /// One encoder step: renormalize `x` into range for `sym`, then push the
-/// symbol. Emitted bytes go onto the reversed-emit stack.
+/// symbol. Renorm bytes go into `lane` back to front — `cursor` is the index
+/// of the lane's first live byte — so the finished lane reads in decode
+/// order without a reversal. The renorm is branch-free: each of the (at
+/// most) two bytes is stored unconditionally just below the cursor, and the
+/// comparison result decides whether the cursor and the state move; whether
+/// a symbol emits is exactly what the coder randomizes, so a `while`
+/// mispredicts on every other symbol. The caller keeps at least one spare
+/// byte below the cursor.
 #[inline(always)]
-fn enc_put(mut x: u32, rev: &mut Vec<u8>, sym: &EncSym) -> u32 {
-    while x >= sym.x_max {
-        rev.push(x as u8);
-        x >>= 8;
+fn enc_put(mut x: u32, lane: &mut [u8], cursor: &mut usize, sym: &EncSym) -> u32 {
+    for _ in 0..MAX_RENORM_BYTES {
+        let emit = x >= sym.x_max;
+        lane[*cursor - 1] = x as u8;
+        *cursor -= usize::from(emit);
+        x >>= 8 * u32::from(emit);
     }
     let q = ((u64::from(x) * u64::from(sym.rcp_freq)) >> 32 >> sym.rcp_shift) as u32;
     x + sym.bias + q * sym.cmpl_freq
+}
+
+/// Encode `symbols` onto the eight lanes of `buf` (lane `k` is
+/// `buf[k·cap..(k+1)·cap]`, filled from its end): symbol index `i` threads
+/// state `i mod 8`, walked in reverse (rANS is LIFO) a whole 8-symbol group
+/// at a time so the eight chains overlap. `index_of` maps a symbol to its
+/// alphabet index — one instantiation per table mode keeps that choice out
+/// of the symbol loop. Returns each lane's start: the flushed `u32`-LE seed
+/// state, then the lane's renorm bytes in decode order, up to the lane end.
+#[inline(always)]
+fn encode_lanes(
+    symbols: &[u32],
+    enc_syms: &[EncSym],
+    buf: &mut [u8],
+    cap: usize,
+    index_of: impl Fn(u32) -> u32,
+) -> [usize; LANES] {
+    let mut xs = [RANS_L; LANES];
+    let mut cursors: [usize; LANES] = std::array::from_fn(|k| (k + 1) * cap);
+    let groups = symbols.chunks_exact(LANES);
+    // The ragged tail holds the highest indices, so it goes first.
+    for (k, &sym) in groups.remainder().iter().enumerate().rev() {
+        xs[k] = enc_put(xs[k], buf, &mut cursors[k], &enc_syms[index_of(sym) as usize]);
+    }
+    for group in groups.rev() {
+        for k in (0..LANES).rev() {
+            xs[k] = enc_put(xs[k], buf, &mut cursors[k], &enc_syms[index_of(group[k]) as usize]);
+        }
+    }
+    for k in 0..LANES {
+        cursors[k] -= 4;
+        buf[cursors[k]..cursors[k] + 4].copy_from_slice(&xs[k].to_le_bytes());
+    }
+    cursors
 }
 
 /// Reusable working memory of the rANS coder: one instance per worker (held
@@ -173,11 +221,12 @@ pub struct RansScratch {
     dense_idx: Vec<u32>,
     /// Sparse symbol-map slot → alphabet index.
     slot_idx: Vec<u32>,
-    /// Per-lane reversed-emit stacks: each state pushes its renorm bytes
-    /// onto its own lane while encoding in reverse, and each lane is
-    /// reversed once into the output stream, so decode-side refill cursors
-    /// are independent.
-    lane_rev: [Vec<u8>; LANES],
+    /// The eight lane buffers, back to back and each sized for the worst
+    /// case (see [`lane_capacity`]): every state writes its renorm bytes
+    /// into its own lane from the end, so the decode-side refill cursors are
+    /// independent. Never shrunk or cleared — bytes below a lane's final
+    /// cursor are stale and never reach the stream.
+    lane_buf: Vec<u8>,
 
     // ---- decode tables ----
     /// Symbol per alphabet index.
@@ -345,6 +394,28 @@ fn clear_dense_idx(scratch: &mut RansScratch, mode: TableMode) {
     }
 }
 
+/// Frequencies from here up renormalize by at most one byte per symbol:
+/// `x_max = 2^19·freq ≥ 2^23`, and one 8-bit shift takes any state below
+/// `2^23`.
+const ONE_BYTE_FREQ: u32 = 16;
+
+/// Bytes one lane can need: one per symbol of its `⌈n/8⌉` share, a second
+/// ([`MAX_RENORM_BYTES`]) for as many of them as the input has occurrences
+/// of symbols rarer than [`ONE_BYTE_FREQ`] — all of which may ride one lane
+/// — the four bytes of the flushed state, and slack so the unconditional
+/// renorm stores of [`enc_put`] stay inside the lane even when it is full.
+fn lane_capacity(scratch: &RansScratch, n_symbols: usize) -> usize {
+    let share = n_symbols.div_ceil(LANES);
+    let two_byte: u64 = scratch
+        .alphabet
+        .iter()
+        .zip(&scratch.freqs)
+        .filter(|&(_, &freq)| freq < ONE_BYTE_FREQ)
+        .map(|(&(_, count), _)| count)
+        .sum();
+    share + share.min(two_byte as usize) + 8
+}
+
 /// [`rans8_encode`] into a caller-owned output buffer, reusing `scratch` for
 /// every table and the emit buffers. Appends to `out` (callers embed rANS
 /// sections inside larger containers).
@@ -367,43 +438,34 @@ pub fn rans8_encode_with(scratch: &mut RansScratch, symbols: &[u32], out: &mut V
     write_varint(out, symbols.len() as u64);
     write_freq_table(scratch, out);
 
-    // Encode in reverse (rANS is LIFO) with eight round-robin states:
-    // symbol index i threads state i mod 8, and each state pushes its
-    // renorm bytes onto its **own** lane stack, so the decoder walks eight
-    // independent byte cursors instead of one shared stream.
-    let enc_syms = &scratch.enc_syms;
-    let dense_idx = &scratch.dense_idx;
-    let slot_idx = &scratch.slot_idx;
-    let sym_map = &scratch.sym_map;
-    let lanes = &mut scratch.lane_rev;
-    for lane in lanes.iter_mut() {
-        lane.clear();
+    // Eight round-robin states, each writing its **own** lane, so the
+    // decoder walks eight independent byte cursors instead of one shared
+    // stream.
+    let cap = lane_capacity(scratch, symbols.len());
+    if scratch.lane_buf.len() < LANES * cap {
+        scratch.lane_buf.resize(LANES * cap, 0);
     }
-    let mut xs = [RANS_L; LANES];
-    for i in (0..symbols.len()).rev() {
-        let k = i & (LANES - 1);
-        let idx = match mode {
-            TableMode::Dense { min } => dense_idx[(symbols[i] - min) as usize],
-            TableMode::Sparse => {
-                let slot = sym_map.get(symbols[i]).expect("alphabet covers input");
-                slot_idx[slot as usize]
-            }
-        };
-        xs[k] = enc_put(xs[k], &mut lanes[k], &enc_syms[idx as usize]);
-    }
-    // Flush and reverse each lane so it opens with its u32-LE seed state
-    // followed by that lane's renorm bytes in decode order.
-    let mut payload_len = 0u64;
-    for (lane, &x) in lanes.iter_mut().zip(xs.iter()) {
-        lane.extend_from_slice(&x.to_be_bytes());
-        lane.reverse();
-        payload_len += lane.len() as u64;
-    }
-    write_varint(out, payload_len);
-    for lane in lanes.iter() {
+    let buf = &mut scratch.lane_buf[..LANES * cap];
+    let starts = match mode {
+        TableMode::Dense { min } => {
+            let dense_idx = &scratch.dense_idx;
+            encode_lanes(symbols, &scratch.enc_syms, buf, cap, |sym| {
+                dense_idx[(sym - min) as usize]
+            })
+        }
+        TableMode::Sparse => {
+            let (sym_map, slot_idx) = (&scratch.sym_map, &scratch.slot_idx);
+            encode_lanes(symbols, &scratch.enc_syms, buf, cap, |sym| {
+                slot_idx[sym_map.get(sym).expect("alphabet covers input") as usize]
+            })
+        }
+    };
+    let lanes: [&[u8]; LANES] = std::array::from_fn(|k| &buf[starts[k]..(k + 1) * cap]);
+    write_varint(out, lanes.iter().map(|lane| lane.len() as u64).sum());
+    for lane in lanes {
         write_varint(out, lane.len() as u64);
     }
-    for lane in lanes.iter() {
+    for lane in lanes {
         out.extend_from_slice(lane);
     }
 
@@ -1414,6 +1476,158 @@ mod tests {
                     assert_eq!(got, reference_err, "case={case} cut={cut} level={level:?}");
                 }
             }
+        }
+    }
+
+    /// The encoder this module shipped before the presized back-to-front
+    /// lanes: a `while` renorm pushing onto per-lane stacks that are reversed
+    /// at the end, the table mode matched per symbol. Kept as the oracle.
+    fn reference_rans8_encode(symbols: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        if symbols.is_empty() {
+            out.push(MODE_RANS8);
+            write_varint(&mut out, 0);
+            return out;
+        }
+        let scratch = &mut RansScratch::new();
+        let Some(mode) = build_encode_tables(scratch, symbols) else {
+            out.push(MODE_HUFF);
+            huffman_encode_with(&mut scratch.huff, symbols, &mut out);
+            return out;
+        };
+        out.push(MODE_RANS8);
+        write_varint(&mut out, symbols.len() as u64);
+        write_freq_table(scratch, &mut out);
+        let mut lanes: [Vec<u8>; LANES] = Default::default();
+        let mut xs = [RANS_L; LANES];
+        for i in (0..symbols.len()).rev() {
+            let k = i & (LANES - 1);
+            let idx = match mode {
+                TableMode::Dense { min } => scratch.dense_idx[(symbols[i] - min) as usize],
+                TableMode::Sparse => {
+                    scratch.slot_idx[scratch.sym_map.get(symbols[i]).unwrap() as usize]
+                }
+            };
+            let sym = &scratch.enc_syms[idx as usize];
+            let mut x = xs[k];
+            while x >= sym.x_max {
+                lanes[k].push(x as u8);
+                x >>= 8;
+            }
+            let q = ((u64::from(x) * u64::from(sym.rcp_freq)) >> 32 >> sym.rcp_shift) as u32;
+            xs[k] = x + sym.bias + q * sym.cmpl_freq;
+        }
+        for (lane, &x) in lanes.iter_mut().zip(xs.iter()) {
+            lane.extend_from_slice(&x.to_be_bytes());
+            lane.reverse();
+        }
+        write_varint(&mut out, lanes.iter().map(|l| l.len() as u64).sum());
+        for lane in &lanes {
+            write_varint(&mut out, lane.len() as u64);
+        }
+        for lane in &lanes {
+            out.extend_from_slice(lane);
+        }
+        out
+    }
+
+    /// Encode through a scratch whose lane buffer is pre-filled with a
+    /// sentinel (so slack bytes that leaked into the stream would show) and
+    /// compare with the reference encoder byte for byte; the stream must
+    /// also decode at every supported tier.
+    fn assert_matches_reference(scratch: &mut RansScratch, symbols: &[u32], what: &str) {
+        scratch.lane_buf.fill(0xA5);
+        let mut encoded = vec![0xEE]; // appends: the prefix must survive
+        rans8_encode_with(scratch, symbols, &mut encoded);
+        assert_eq!(encoded[0], 0xEE, "{what}");
+        assert!(encoded[1..] == reference_rans8_encode(symbols), "{what}: streams differ");
+        for &level in crate::dispatch::supported_levels() {
+            let mut decoded = Vec::new();
+            let used = rans8_decode_with_at(scratch, level, &encoded[1..], &mut decoded).unwrap();
+            assert_eq!(used, encoded.len() - 1, "{what} {level:?}");
+            assert!(decoded == symbols, "{what} {level:?}: round trip differs");
+        }
+    }
+
+    #[test]
+    fn rans8_branch_free_encoder_matches_the_push_reverse_reference() {
+        let mut state = 0x0DDB_A110u64;
+        let mut rng = move |m: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(m)) as u32
+        };
+        // One scratch across every case, largest first, so later (shorter)
+        // inputs run over lane buffers that are longer than they need.
+        let mut scratch = RansScratch::new();
+        let dense: Vec<u32> = (0..40_003).map(|_| 32_768 + rng(600)).collect();
+        assert_matches_reference(&mut scratch, &dense, "dense");
+        // Symbols seen once next to one seen a million times: `freq == 1`
+        // entries (the reciprocal's special case) and two-byte renorms.
+        let mut rare = vec![9u32; 1_000_000];
+        for (k, s) in rare.iter_mut().step_by(1013).enumerate() {
+            *s = 10 + k as u32;
+        }
+        assert_matches_reference(&mut scratch, &rare, "freq == 1 symbols");
+        // The widest alphabet a 12-bit table takes: every frequency is 1.
+        let full: Vec<u32> = (0..4096u32).map(|k| k * 3).collect();
+        assert_matches_reference(&mut scratch, &full, "4096-symbol alphabet");
+        let wide: Vec<u32> = (0..4097u32).collect();
+        assert_matches_reference(&mut scratch, &wide, "huffman fallback");
+        // A span past the dense limit: the symbol-map table mode.
+        let sparse: Vec<u32> = (0..9_001)
+            .map(|_| [0u32, 7, 1 << 22, u32::MAX, 123_456_789][rng(5) as usize])
+            .collect();
+        assert_matches_reference(&mut scratch, &sparse, "sparse table mode");
+        assert_matches_reference(&mut scratch, &[42; 70_001], "single symbol");
+        // Every length around the lane count, skewed and flat.
+        for n in 0..=17usize {
+            let flat: Vec<u32> = (0..n).map(|_| rng(5)).collect();
+            assert_matches_reference(&mut scratch, &flat, &format!("flat n={n}"));
+            let skewed: Vec<u32> =
+                (0..n).map(|k| if k % 5 == 4 { 1 + rng(300) } else { 0 }).collect();
+            assert_matches_reference(&mut scratch, &skewed, &format!("skewed n={n}"));
+            assert_matches_reference(&mut scratch, &vec![3; n], &format!("constant n={n}"));
+        }
+    }
+
+    #[test]
+    fn rans8_lane_capacity_covers_the_worst_lane() {
+        // Lanes are sized from the table: one byte per symbol plus a second
+        // for every occurrence of a symbol rarer than `ONE_BYTE_FREQ`. An
+        // undersized lane would panic on the renorm store's index, so each
+        // case only has to encode — and equal the reference.
+        let mut state = 0xCA9A_C17Fu64;
+        let mut rng = move |m: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(m)) as u32
+        };
+        // Every symbol at frequency 1: two bytes for most symbols.
+        let mut all_rare: Vec<u32> = (0..4096u32).collect();
+        for _ in 0..4 {
+            let mirrored: Vec<u32> = all_rare.iter().rev().copied().collect();
+            all_rare.extend(mirrored);
+        }
+        // Frequencies straddling the one-byte threshold (15, 16, 17 of 4096).
+        let mut straddle = Vec::new();
+        for (sym, weight) in [(1u32, 15usize), (2, 16), (3, 17), (4, 4048)] {
+            straddle.extend(std::iter::repeat_n(sym, weight * 8));
+        }
+        for k in (1..straddle.len()).rev() {
+            straddle.swap(k, rng(k as u32 + 1) as usize);
+        }
+        // Every rare occurrence on lane 0, the common symbol everywhere else.
+        let one_lane: Vec<u32> =
+            (0..8 * 3000u32).map(|i| if i % 8 == 0 { 100 + i / 8 } else { 7 }).collect();
+        for (what, symbols) in
+            [("all rare", all_rare), ("straddle", straddle), ("one lane", one_lane)]
+        {
+            let mut scratch = RansScratch::new();
+            let mut encoded = Vec::new();
+            rans8_encode_with(&mut scratch, &symbols, &mut encoded);
+            assert!(encoded == reference_rans8_encode(&symbols), "{what}");
+            let (_, _, lanes, _) = split8(&encoded);
+            let cap = lane_capacity(&scratch, symbols.len()) as u64;
+            assert!(lanes.iter().all(|&l| l + 4 <= cap), "{what}: lanes {lanes:?}, capacity {cap}");
         }
     }
 

@@ -36,6 +36,8 @@
 pub mod decompose;
 
 use lcc_grid::{Field2D, FieldView};
+use lcc_lossless::dispatch::simd_level;
+use lcc_lossless::round::quantize_rounded_at;
 use lcc_lossless::{
     huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
     rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
@@ -151,21 +153,19 @@ impl MgardCompressor {
         // Worst-case error accumulation is one quantization error per level
         // plus one for the coarsest values, so split the budget evenly.
         let bin = 2.0 * eb / (levels as f64 + 1.0);
-        let radius = i64::from(self.config.code_radius);
 
+        // Codes are shifted by the radius so 0 stays reserved for the escape
+        // (exact value follows).
         s.codes.clear();
-        s.codes.reserve(coeffs.len());
         s.exact.clear();
-        for &c in coeffs.as_slice() {
-            let q = (c / bin).round();
-            if !q.is_finite() || q.abs() as i64 >= radius - 1 {
-                s.codes.push(0); // escape: exact value follows
-                s.exact.push(c);
-            } else {
-                // Shift by radius so 0 stays reserved for the escape code.
-                s.codes.push((q as i64 + radius) as u32);
-            }
-        }
+        quantize_rounded_at(
+            simd_level(),
+            coeffs.as_slice(),
+            bin,
+            self.config.code_radius,
+            &mut s.codes,
+            &mut s.exact,
+        );
 
         let payload = &mut s.payload;
         payload.clear();

@@ -1,0 +1,240 @@
+//! The wavefront predict/quantize kernel and the wavefront decode replay
+//! against the raster cell loop they replaced, kept here as the oracle
+//! (libm `round`, one cell at a time, codes and exact values pushed in scan
+//! order): codes, exact values and every reconstructed bit must agree, at
+//! every SIMD tier the host supports.
+
+use super::*;
+use lcc_grid::Window;
+use lcc_lossless::dispatch::supported_levels;
+
+/// `Quantizer::quantize` as it was before the libm call was inlined.
+fn reference_quantize(q: &Quantizer, value: f64, prediction: f64) -> Option<(u32, f64)> {
+    let (eb, radius) = (q.error_bound(), q.radius());
+    let scaled = (value - prediction) / (2.0 * eb);
+    if !scaled.is_finite() || scaled.abs() >= (radius - 1) as f64 {
+        return None;
+    }
+    let rounded = scaled.round() as i64;
+    let reconstructed = prediction + rounded as f64 * 2.0 * eb;
+    if (reconstructed - value).abs() > eb {
+        return None;
+    }
+    Some(((rounded + i64::from(radius)) as u32, reconstructed))
+}
+
+/// What the encoder leaves in its scratch for the entropy stage, plus the
+/// reconstruction the decoder must reproduce.
+#[derive(Debug, PartialEq)]
+struct Sections {
+    codes: Vec<u32>,
+    exact_bits: Vec<u64>,
+    recon_bits: Vec<u64>,
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The historical encoder loop: blocks in tile order, rows top to bottom,
+/// cells left to right, every neighbour read back from the reconstruction.
+fn reference_sections(sz: &SzCompressor, field: &FieldView<'_>, eb: f64) -> Sections {
+    let (ny, nx) = field.shape();
+    let cfg = sz.config();
+    let quantizer = Quantizer::new(eb, cfg.quantization_radius);
+    let mut recon = vec![f64::NAN; ny * nx];
+    let (mut codes, mut exact) = (Vec::new(), Vec::new());
+    for win in WindowIter::over(ny, nx, cfg.block_size, cfg.block_size) {
+        let plane = cfg
+            .enable_regression
+            .then(|| predictor::select_mode_with_plane(field, &win))
+            .and_then(|(mode, plane)| (mode == BlockMode::Regression).then_some(plane));
+        for i in win.i0..win.i0 + win.height {
+            for j in win.j0..win.j0 + win.width {
+                let original = field.at(i, j);
+                let prediction = match plane {
+                    Some(p) => plane_predict(&p, i - win.i0, j - win.j0),
+                    None => {
+                        let up = if i > 0 { recon[(i - 1) * nx + j] } else { 0.0 };
+                        let left = if j > 0 { recon[i * nx + j - 1] } else { 0.0 };
+                        let diag = if i > 0 && j > 0 { recon[(i - 1) * nx + j - 1] } else { 0.0 };
+                        up + left - diag
+                    }
+                };
+                recon[i * nx + j] = match reference_quantize(&quantizer, original, prediction) {
+                    Some((code, reconstructed)) => {
+                        codes.push(code);
+                        reconstructed
+                    }
+                    None => {
+                        codes.push(quantize::UNPREDICTABLE);
+                        exact.push(original);
+                        original
+                    }
+                };
+            }
+        }
+    }
+    Sections { codes, exact_bits: bits(&exact), recon_bits: bits(&recon) }
+}
+
+/// The scratch of a worker that has compressed something else before: the
+/// reconstruction buffer holds NaNs (any read of a cell not yet written
+/// poisons the prediction) and the streams hold junk.
+fn poisoned_scratch() -> SzScratch {
+    let mut s = SzScratch::new();
+    s.recon = vec![f64::NAN; 4099];
+    s.codes = vec![7; 313];
+    s.exact = vec![f64::NAN; 17];
+    s
+}
+
+/// Encode `field` through `s` at every supported tier and decode the stream
+/// into a NaN-filled field: sections and reconstruction must equal the
+/// raster oracle bit for bit.
+fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, s: &mut SzScratch) {
+    let expected = reference_sections(sz, field, eb);
+    let (ny, nx) = field.shape();
+    let what = format!("{ny}x{nx} bs={} eb={eb:e}", sz.config().block_size);
+    for &level in supported_levels() {
+        sz.select_modes(field, s);
+        sz.predict_quantize_at(level, field, eb, s);
+        let got = Sections {
+            codes: s.codes.clone(),
+            exact_bits: bits(&s.exact),
+            recon_bits: bits(&s.recon[..ny * nx]),
+        };
+        assert!(got == expected, "encoder sections differ from the raster loop: {what} {level:?}");
+    }
+    sz.encode_codes(s);
+    let stream = sz.assemble((ny, nx), eb, s);
+    let mut out = Field2D::filled(3, 5, f64::NAN);
+    let mut arena = ScratchArena::new();
+    sz.decompress_view_with(&stream, &mut arena, &mut out).unwrap();
+    assert_eq!(out.shape(), (ny, nx));
+    assert!(bits(out.as_slice()) == expected.recon_bits, "decoder replay differs: {what}");
+}
+
+fn xorshift(state: &mut u64) -> f64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state as f64 / u64::MAX as f64
+}
+
+/// Smooth trend (Lorenzo blocks) with a noisy quadrant (regression blocks),
+/// sparse spikes far outside any radius, and cells that sit exactly on a
+/// half-bin tie of the previous cell.
+fn mixed_field(ny: usize, nx: usize, eb: f64, seed: u64) -> Field2D {
+    let mut state = seed | 1;
+    let mut previous = 0.0f64;
+    Field2D::from_fn(ny, nx, |i, j| {
+        let smooth = (i as f64 * 0.11).sin() + (j as f64 * 0.07).cos() + 0.01 * (i + j) as f64;
+        let noise = if i % 24 >= 12 && j % 24 >= 12 { xorshift(&mut state) - 0.5 } else { 0.0 };
+        let value = match (i * nx + j) % 37 {
+            5 => smooth + 1e9,         // unpredictable spike
+            11 => previous + 3.0 * eb, // residual near 1.5 bins
+            19 => previous - 5.0 * eb, // residual near −2.5 bins
+            _ => smooth + noise + (xorshift(&mut state) - 0.5) * 4.0 * eb,
+        };
+        previous = value;
+        value
+    })
+}
+
+#[test]
+fn wavefront_equals_raster_on_every_shape_and_block_size() {
+    let eb = 1e-3;
+    let mut s = poisoned_scratch();
+    let mut shapes = vec![(1, 67), (67, 1), (1, 1), (2, 2), (13, 17), (31, 29), (53, 37)];
+    for width in (1..=5).chain(15..=17) {
+        shapes.push((19, width));
+        shapes.push((width, 23));
+    }
+    for (k, &(ny, nx)) in shapes.iter().enumerate() {
+        let field = mixed_field(ny, nx, eb, 0x5EED + k as u64);
+        for block_size in 2..=17 {
+            let sz = SzCompressor::new(SzConfig { block_size, ..SzConfig::default() });
+            assert_identical(&sz, &field.view(), eb, &mut s);
+        }
+    }
+}
+
+#[test]
+fn wavefront_keeps_the_exact_stream_in_raster_order() {
+    // Radius 8 with residuals of many bins: most blocks hold several
+    // escapes, scattered over the band rows, so any order but raster shows.
+    let eb = 1e-2;
+    let mut s = poisoned_scratch();
+    for (ny, nx, seed) in [(40, 40, 1u64), (33, 50, 2), (16, 16, 3), (7, 64, 4)] {
+        let mut state = seed;
+        let field = Field2D::from_fn(ny, nx, |i, j| {
+            (i as f64 * 0.3).sin() + (j as f64 * 0.2).cos() + (xorshift(&mut state) - 0.5) * 0.4
+        });
+        for entropy in [EntropyBackend::Huffman, EntropyBackend::Rans8] {
+            for enable_regression in [false, true] {
+                let sz = SzCompressor::new(SzConfig {
+                    quantization_radius: 8,
+                    enable_regression,
+                    entropy,
+                    ..SzConfig::default()
+                });
+                let expected = reference_sections(&sz, &field.view(), eb);
+                assert!(expected.exact_bits.len() > ny * nx / 20, "the field must escape often");
+                assert_identical(&sz, &field.view(), eb, &mut s);
+            }
+        }
+    }
+}
+
+#[test]
+fn wavefront_equals_raster_at_extreme_magnitudes() {
+    let mut s = poisoned_scratch();
+    for (scale, eb) in [(1e300, 1e297), (1e-300, 1e-303), (1.0, 1e-300), (1e300, 1e-3)] {
+        let mut state = 0xABCDu64;
+        let field = Field2D::from_fn(37, 41, |i, j| {
+            scale * ((i as f64 * 0.2).sin() + (j as f64 * 0.1).cos() + xorshift(&mut state) * 0.01)
+        });
+        assert_identical(&SzCompressor::lorenzo_only(), &field.view(), eb, &mut s);
+        assert_identical(&SzCompressor::default(), &field.view(), eb, &mut s);
+    }
+}
+
+#[test]
+fn wavefront_equals_raster_on_exact_half_bin_ties() {
+    // Every value is a multiple of ε on a 2ε grid of bins, so residuals land
+    // on `k + 0.5` bins wherever the prediction is itself on the grid: the
+    // rounding emulation's hard case, on the Lorenzo chain.
+    let eb = 0.25;
+    let mut state = 0x71E5u64;
+    let field = Field2D::from_fn(45, 52, |_, _| (xorshift(&mut state) * 64.0).floor() * eb);
+    let mut s = poisoned_scratch();
+    for block_size in [4, 16] {
+        let sz = SzCompressor::new(SzConfig {
+            block_size,
+            enable_regression: false,
+            ..SzConfig::default()
+        });
+        assert_identical(&sz, &field.view(), eb, &mut s);
+    }
+}
+
+#[test]
+fn stale_scratch_of_another_shape_is_never_read() {
+    // Two compresses of different shapes through one scratch whose
+    // reconstruction buffer is NaN wherever the first did not write: a
+    // wavefront step that read a cell before writing it would turn its
+    // prediction — and every code after it — into an escape.
+    let eb = 1e-3;
+    let sz = SzCompressor::rans8();
+    let mut s = poisoned_scratch();
+    let wide = mixed_field(21, 90, eb, 0xA);
+    let tall = mixed_field(90, 21, eb, 0xB);
+    for field in [&wide, &tall, &wide] {
+        assert_identical(&sz, &field.view(), eb, &mut s);
+        s.recon.iter_mut().step_by(2).for_each(|v| *v = f64::NAN);
+    }
+    // Strided views take the same path as owned fields.
+    let window = Window { i0: 3, j0: 7, height: 17, width: 60 };
+    assert_identical(&sz, &wide.view().window(&window), eb, &mut s);
+}

@@ -30,19 +30,22 @@
 //! assert!(result.metrics.compression_ratio > 1.0);
 //! ```
 
+mod lorenzo;
 pub mod predictor;
 pub mod quantize;
 pub mod stream;
 
 use lcc_grid::{Field2D, FieldView, WindowIter};
-use lcc_lossless::dispatch::simd_level;
+use lcc_lossless::dispatch::{simd_level, SimdLevel};
 use lcc_lossless::{
     huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
     rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
 };
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
-use predictor::{lorenzo_predict, plane_predict, BlockMode};
+use lorenzo::Order;
+use predictor::{plane_predict, BlockMode};
 use quantize::Quantizer;
+use std::time::Instant;
 use stream::{StreamReader, StreamWriter};
 
 /// Configuration of the SZ-style compressor.
@@ -153,46 +156,96 @@ impl SzScratch {
     }
 }
 
-/// Quantize one cell into the code/exact streams and the reconstruction
-/// slot — the shared tail of the specialized predictor loops.
-#[inline(always)]
-fn quantize_cell(
-    quantizer: &Quantizer,
-    original: f64,
-    prediction: f64,
-    codes: &mut Vec<u32>,
-    exact: &mut Vec<f64>,
-    slot: &mut f64,
-) {
-    match quantizer.quantize(original, prediction) {
-        Some((code, reconstructed)) => {
-            codes.push(code);
-            *slot = reconstructed;
-        }
-        None => {
-            codes.push(quantize::UNPREDICTABLE);
-            exact.push(original);
-            *slot = original;
-        }
-    }
-}
-
 impl SzCompressor {
+    /// The encode layers of one compress call, in pipeline order: input
+    /// validation and bound resolution, block-mode selection, predict and
+    /// quantize, entropy coding of the codes, and container assembly plus the
+    /// outer LZ77 pass (`sz`) or the raw payload copy (`sz-rans8`).
+    pub const ENCODE_LAYERS: [&'static str; 5] =
+        ["validate", "mode_select", "predict_quantize", "entropy", "container_lz77"];
+
+    /// [`Compressor::compress_view_with`] over an [`SzScratch`], also
+    /// returning the seconds spent in each of [`Self::ENCODE_LAYERS`] — the
+    /// same code path, so the bench tools can name the layer behind a
+    /// compress ÷ decompress gap.
+    pub fn compress_view_timed(
+        &self,
+        field: &FieldView<'_>,
+        bound: ErrorBound,
+        scratch: &mut SzScratch,
+    ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
+        let mut marks = vec![Instant::now()];
+        let stream = self.compress_into(field, bound, scratch, || marks.push(Instant::now()))?;
+        let mut seconds = [0.0; 5];
+        for (layer, pair) in seconds.iter_mut().zip(marks.windows(2)) {
+            *layer = (pair[1] - pair[0]).as_secs_f64();
+        }
+        Ok((stream, seconds))
+    }
+
     /// The compress pipeline over explicit scratch memory. Byte-identical to
     /// [`Compressor::compress_view`] (which calls this with fresh scratch).
+    /// `layer_done` is called after each of [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
         field: &FieldView<'_>,
         bound: ErrorBound,
         s: &mut SzScratch,
+        mut layer_done: impl FnMut(),
     ) -> Result<Vec<u8>, CompressError> {
         validate_finite_view(field)?;
         let eb = bound.absolute_for_view(field)?;
+        layer_done();
+        self.select_modes(field, s);
+        layer_done();
+        // One dispatch lookup per stream, threaded into the row kernel.
+        self.predict_quantize_at(simd_level(), field, eb, s);
+        layer_done();
+        self.encode_codes(s);
+        layer_done();
+        let stream = self.assemble(field.shape(), eb, s);
+        layer_done();
+        Ok(stream)
+    }
+
+    /// Choose every block's predictor from the original data. The selection
+    /// pass already fits the plane, so regression blocks keep it instead of
+    /// fitting twice.
+    fn select_modes(&self, field: &FieldView<'_>, s: &mut SzScratch) {
+        let (ny, nx) = field.shape();
+        let bs = self.config.block_size;
+        s.modes.clear();
+        s.planes.clear();
+        for win in WindowIter::over(ny, nx, bs, bs) {
+            let mode = if self.config.enable_regression {
+                let (mode, plane) = predictor::select_mode_with_plane(field, &win);
+                if mode == BlockMode::Regression {
+                    s.planes.push(plane);
+                }
+                mode
+            } else {
+                BlockMode::Lorenzo
+            };
+            s.modes.push(mode);
+        }
+    }
+
+    /// Predict and quantize every block against the absolute bound `eb` with
+    /// the predictors [`SzCompressor::select_modes`] chose for this field,
+    /// filling the code and exact streams in block-raster order (the same
+    /// streams at every SIMD tier).
+    fn predict_quantize_at(
+        &self,
+        level: SimdLevel,
+        field: &FieldView<'_>,
+        eb: f64,
+        s: &mut SzScratch,
+    ) {
         let (ny, nx) = field.shape();
         let bs = self.config.block_size;
         let quantizer = Quantizer::new(eb, self.config.quantization_radius);
-        // One dispatch lookup per stream, threaded into the row kernel.
-        let level = simd_level();
+        let blocks = WindowIter::over(ny, nx, bs, bs);
+        debug_assert_eq!(s.modes.len(), blocks.count_windows(), "modes are for another shape");
 
         // Reconstruction buffer: predictions always read reconstructed values
         // so the decompressor sees the same inputs.
@@ -200,79 +253,85 @@ impl SzCompressor {
         s.codes.clear();
         s.codes.reserve(ny * nx);
         s.exact.clear();
-        s.modes.clear();
-        s.planes.clear();
+        let mut planes = s.planes.iter();
 
-        for win in WindowIter::over(ny, nx, bs, bs) {
-            // Choose the predictor for this block from the original data
-            // (the selection pass already fits the plane, so regression
-            // blocks reuse it instead of fitting twice).
-            let plane = if self.config.enable_regression {
-                let (mode, p) = predictor::select_mode_with_plane(field, &win);
-                s.modes.push(mode);
-                match mode {
-                    BlockMode::Regression => {
-                        s.planes.push(p);
-                        Some(p)
-                    }
-                    BlockMode::Lorenzo => None,
-                }
-            } else {
-                s.modes.push(BlockMode::Lorenzo);
-                None
-            };
-
-            for i in win.i0..win.i0 + win.height {
-                let orig_row = field.row(i);
-                // Split the reconstruction at row `i` so the already-written
-                // row above is readable while this row is written.
-                let (above, current) = s.recon.split_at_mut(i * nx);
-                let above_row: &[f64] = if i > 0 { &above[(i - 1) * nx..] } else { &[] };
-                let cur_row = &mut current[..nx];
-                // Specialized per-predictor row loops: the predictor is
-                // block-invariant, so the dispatch stays out of the cell
-                // path (the Lorenzo chain is serial through `quantize`; the
-                // plane loop is independent per cell).
-                match plane {
-                    Some(p) => {
-                        // Independent per cell → the runtime-dispatched row
-                        // kernel (AVX2 4-lane on capable hosts, scalar
-                        // otherwise; bit-identical streams either way).
-                        let di = i - win.i0;
+        for (win, mode) in blocks.zip(&s.modes) {
+            match mode {
+                BlockMode::Regression => {
+                    // Independent per cell → the runtime-dispatched row
+                    // kernel (AVX2 4-lane on capable hosts, scalar otherwise;
+                    // bit-identical streams either way).
+                    let plane = planes.next().expect("one plane per regression block");
+                    for di in 0..win.height {
+                        let i = win.i0 + di;
                         let span = win.j0..win.j0 + win.width;
                         quantize::quantize_plane_row_at(
                             level,
                             &quantizer,
-                            &p,
+                            plane,
                             di,
-                            &orig_row[span.clone()],
-                            &mut cur_row[span],
+                            &field.row(i)[span.clone()],
+                            &mut s.recon[i * nx..][span],
                             &mut s.codes,
                             &mut s.exact,
                         );
                     }
-                    None => {
-                        for j in win.j0..win.j0 + win.width {
-                            let original = orig_row[j];
-                            let up = if i > 0 { above_row[j] } else { 0.0 };
-                            let left = if j > 0 { cur_row[j - 1] } else { 0.0 };
-                            let diag = if i > 0 && j > 0 { above_row[j - 1] } else { 0.0 };
-                            quantize_cell(
-                                &quantizer,
-                                original,
-                                up + left - diag,
-                                &mut s.codes,
-                                &mut s.exact,
-                                &mut cur_row[j],
-                            );
+                }
+                BlockMode::Lorenzo => {
+                    // Codes land by block-raster index, so the wavefront
+                    // order of the kernel never shows in the stream; escaped
+                    // cells keep the fill value.
+                    let base = s.codes.len();
+                    s.codes.resize(base + win.len(), quantize::UNPREDICTABLE);
+                    let codes = &mut s.codes[base..];
+                    let mut escaped = false;
+                    lorenzo::replay_block(
+                        &mut s.recon,
+                        nx,
+                        &win,
+                        Order::Wavefront,
+                        |di, dj, prediction| {
+                            let original = field.at(win.i0 + di, win.j0 + dj);
+                            match quantizer.quantize(original, prediction) {
+                                Some((code, reconstructed)) => {
+                                    codes[di * win.width + dj] = code;
+                                    reconstructed
+                                }
+                                None => {
+                                    escaped = true;
+                                    original
+                                }
+                            }
+                        },
+                    );
+                    if escaped {
+                        // The exact stream is in raster order too.
+                        for (idx, _) in
+                            codes.iter().enumerate().filter(|(_, &c)| c == quantize::UNPREDICTABLE)
+                        {
+                            let (di, dj) = (idx / win.width, idx % win.width);
+                            s.exact.push(field.at(win.i0 + di, win.j0 + dj));
                         }
                     }
                 }
             }
         }
+    }
 
-        // Assemble the self-describing payload (the magic names the entropy
-        // backend of the codes section).
+    /// Entropy-code the quantization codes with the configured backend.
+    fn encode_codes(&self, s: &mut SzScratch) {
+        s.huff.clear();
+        match self.config.entropy {
+            EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
+            EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
+        }
+    }
+
+    /// Assemble the self-describing container of a `shape = (ny, nx)` field
+    /// from the scratch's sections (the magic names the entropy backend of
+    /// the codes section) and, for the Huffman backend, run the outer LZ77
+    /// pass over it.
+    fn assemble(&self, (ny, nx): (usize, usize), eb: f64, s: &mut SzScratch) -> Vec<u8> {
         let w = &mut s.payload;
         w.clear();
         w.bytes(match self.config.entropy {
@@ -297,11 +356,6 @@ impl SzCompressor {
             w.f64(p[1]);
             w.f64(p[2]);
         }
-        s.huff.clear();
-        match self.config.entropy {
-            EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
-            EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
-        }
         w.u64(s.huff.len() as u64);
         w.bytes(&s.huff);
         w.u64(s.exact.len() as u64);
@@ -314,12 +368,12 @@ impl SzCompressor {
             EntropyBackend::Huffman => {
                 let mut out = Vec::new();
                 lz77_compress_with(&mut s.codec, s.payload.as_bytes(), &mut out);
-                Ok(out)
+                out
             }
             // The rANS payload ships raw: its dominant section is already
             // entropy-coded, so the LZ77 pass would trade most of the encode
             // time for ~no ratio (the ablation's fast point).
-            EntropyBackend::Rans8 => Ok(s.payload.as_bytes().to_vec()),
+            EntropyBackend::Rans8 => s.payload.as_bytes().to_vec(),
         }
     }
 }
@@ -350,7 +404,7 @@ impl Compressor for SzCompressor {
         field: &FieldView<'_>,
         bound: ErrorBound,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, &mut SzScratch::new())
+        self.compress_into(field, bound, &mut SzScratch::new(), || {})
     }
 
     fn compress_view_with(
@@ -359,7 +413,7 @@ impl Compressor for SzCompressor {
         bound: ErrorBound,
         scratch: &mut ScratchArena,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, scratch.get_or_default::<SzScratch>())
+        self.compress_into(field, bound, scratch.get_or_default::<SzScratch>(), || {})
     }
 
     fn decompress_view_with(
@@ -446,49 +500,65 @@ impl Compressor for SzCompressor {
         // read touches it (the encoder's reconstruction buffer relies on the
         // same invariant).
         out.resize(ny, nx);
-        let mut code_idx = 0usize;
-        let mut exact_idx = 0usize;
-        let mut plane_idx = 0usize;
+        let mut codes = s.codes.as_slice();
+        let mut exact = s.exact.as_slice();
+        let mut planes = s.planes.iter();
 
         for (mode_idx, win) in WindowIter::over(ny, nx, block_size, block_size).enumerate() {
-            if mode_idx >= s.modes.len() {
+            let Some(&mode) = s.modes.get(mode_idx) else {
                 return Err(CompressError::CorruptStream("missing block mode".into()));
-            }
-            let mode = s.modes[mode_idx];
-            let plane = match mode {
-                BlockMode::Regression => {
-                    if plane_idx >= s.planes.len() {
-                        return Err(CompressError::CorruptStream("missing plane".into()));
-                    }
-                    plane_idx += 1;
-                    Some(s.planes[plane_idx - 1])
-                }
-                BlockMode::Lorenzo => None,
             };
-            for i in win.i0..win.i0 + win.height {
-                for j in win.j0..win.j0 + win.width {
-                    let code = s.codes[code_idx];
-                    code_idx += 1;
-                    let value = if code == quantize::UNPREDICTABLE {
-                        if exact_idx >= s.exact.len() {
-                            return Err(CompressError::CorruptStream("missing exact value".into()));
-                        }
-                        exact_idx += 1;
-                        s.exact[exact_idx - 1]
-                    } else {
-                        let prediction = match plane {
-                            Some(p) => plane_predict(&p, i - win.i0, j - win.j0),
-                            None => lorenzo_predict(out, i, j),
-                        };
-                        quantizer.dequantize(code, prediction)
+            let (block, rest) = codes.split_at(win.len());
+            codes = rest;
+            let escapes = block.iter().filter(|&&c| c == quantize::UNPREDICTABLE).count();
+            if escapes > exact.len() {
+                return Err(CompressError::CorruptStream("missing exact value".into()));
+            }
+            let (block_exact, rest) = exact.split_at(escapes);
+            exact = rest;
+            let mut block_exact = block_exact.iter();
+            match mode {
+                BlockMode::Regression => {
+                    let Some(plane) = planes.next() else {
+                        return Err(CompressError::CorruptStream("missing plane".into()));
                     };
-                    out.set(i, j, value);
+                    for (di, row_codes) in block.chunks_exact(win.width).enumerate() {
+                        let row = &mut out.row_mut(win.i0 + di)[win.j0..win.j0 + win.width];
+                        for (dj, (slot, &code)) in row.iter_mut().zip(row_codes).enumerate() {
+                            *slot = if code == quantize::UNPREDICTABLE {
+                                *block_exact.next().expect("escapes were counted")
+                            } else {
+                                quantizer.dequantize(code, plane_predict(plane, di, dj))
+                            };
+                        }
+                    }
+                }
+                BlockMode::Lorenzo => {
+                    // Exact values are stored in raster order, so a block
+                    // holding escapes replays in raster order; every other
+                    // block takes the wavefront.
+                    let order = if escapes == 0 { Order::Wavefront } else { Order::Raster };
+                    lorenzo::replay_block(
+                        out.as_mut_slice(),
+                        nx,
+                        &win,
+                        order,
+                        |di, dj, prediction| match block[di * win.width + dj] {
+                            quantize::UNPREDICTABLE => {
+                                *block_exact.next().expect("escapes were counted")
+                            }
+                            code => quantizer.dequantize(code, prediction),
+                        },
+                    );
                 }
             }
         }
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod kernel_identity;
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Prediction schemes: the 2D Lorenzo predictor and the block hyper-plane
 //! (regression) predictor, plus per-block predictor selection.
 
-use lcc_grid::{Field2D, FieldView, Window};
+use lcc_grid::{FieldView, Window};
 
 /// Which predictor a block uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,27 +10,6 @@ pub enum BlockMode {
     Lorenzo,
     /// Least-squares plane fitted over the block.
     Regression,
-}
-
-/// 2D Lorenzo prediction at `(i, j)` from already-reconstructed values:
-/// `f[i-1][j] + f[i][j-1] - f[i-1][j-1]`, with out-of-domain neighbours
-/// treated as zero (matching the behaviour at the field boundary in SZ).
-#[inline]
-pub fn lorenzo_predict(recon: &Field2D, i: usize, j: usize) -> f64 {
-    lorenzo_predict_flat(recon.as_slice(), recon.nx(), i, j)
-}
-
-/// [`lorenzo_predict`] over a bare row-major buffer. The reference form of
-/// the predictor: the decompressor uses it (through [`lorenzo_predict`]),
-/// while the encoder's specialized row loop in `lcc_sz::SzCompressor`
-/// inlines the same `up + left − diag` arithmetic over split row slices —
-/// change both together (the byte-identity fixtures will catch a mismatch).
-#[inline]
-pub fn lorenzo_predict_flat(recon: &[f64], nx: usize, i: usize, j: usize) -> f64 {
-    let up = if i > 0 { recon[(i - 1) * nx + j] } else { 0.0 };
-    let left = if j > 0 { recon[i * nx + j - 1] } else { 0.0 };
-    let diag = if i > 0 && j > 0 { recon[(i - 1) * nx + j - 1] } else { 0.0 };
-    up + left - diag
 }
 
 /// Evaluate the block plane `c0 + c1·di + c2·dj` at local offsets
@@ -153,30 +132,10 @@ pub fn select_mode_with_plane(field: &FieldView<'_>, win: &Window) -> (BlockMode
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcc_grid::Field2D;
 
     fn window(i0: usize, j0: usize, h: usize, w: usize) -> Window {
         Window { i0, j0, height: h, width: w }
-    }
-
-    #[test]
-    fn lorenzo_is_exact_on_planes() {
-        // For f(i,j) = a + b i + c j the Lorenzo prediction is exact away from
-        // the boundary.
-        let f = Field2D::from_fn(16, 16, |i, j| 2.0 + 0.5 * i as f64 - 0.25 * j as f64);
-        for i in 1..16 {
-            for j in 1..16 {
-                assert!((lorenzo_predict(&f, i, j) - f.get(i, j)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn lorenzo_boundary_uses_zeros() {
-        let f = Field2D::filled(4, 4, 5.0);
-        assert_eq!(lorenzo_predict(&f, 0, 0), 0.0);
-        assert_eq!(lorenzo_predict(&f, 0, 2), 5.0);
-        assert_eq!(lorenzo_predict(&f, 2, 0), 5.0);
-        assert_eq!(lorenzo_predict(&f, 2, 2), 5.0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Linear-scale quantization of prediction residuals.
 
 use lcc_lossless::dispatch::SimdLevel;
+use lcc_lossless::round::round_half_away;
 
 /// Code reserved for values that cannot be represented within the
 /// quantization radius and are therefore stored exactly.
@@ -53,7 +54,9 @@ impl Quantizer {
         if !scaled.is_finite() || scaled.abs() >= (self.radius - 1) as f64 {
             return None;
         }
-        let q = scaled.round() as i64;
+        // `scaled.round()` without the libm call, which would sit on the
+        // Lorenzo dependency chain (|scaled| < 2^32 here).
+        let q = round_half_away(scaled);
         let reconstructed = prediction + q as f64 * 2.0 * self.error_bound;
         if (reconstructed - value).abs() > self.error_bound {
             return None;
@@ -76,9 +79,9 @@ impl Quantizer {
 /// `prediction = (c0 + c1·di) + c2·dj` per cell, then [`Quantizer::quantize`]
 /// into the code/exact streams and the reconstruction row. This is the
 /// independent-per-cell half of the SZ encode hot loop (the Lorenzo
-/// recurrence is serial through the just-written neighbour and stays
-/// scalar), so it vectorizes: the AVX2 tier runs 4 f64 lanes per iteration
-/// with the exact scalar rounding sequence — `round` emulated as
+/// recurrence runs through the just-written neighbour; `crate::lorenzo`
+/// overlaps four of those chains instead), so it vectorizes: the AVX2 tier runs 4 f64 lanes per iteration
+/// with the exact scalar rounding sequence — `lcc_lossless::round`'s
 /// truncate-plus-half-test, reconstruction multiplied in the scalar's
 /// `(q·2)·ε` order — so codes, exact values, and reconstructions are
 /// bit-identical at every tier. Chunks with any unpredictable lane replay
@@ -134,6 +137,7 @@ mod simd {
     #![allow(unsafe_code)]
 
     use super::{Quantizer, UNPREDICTABLE};
+    use lcc_lossless::round::avx2::round_half_away;
     use std::arch::x86_64::*;
 
     /// Quantize `orig.len() & !3` cells in 4-lane chunks; returns the number
@@ -164,8 +168,6 @@ mod simd {
         let ebv = _mm256_set1_pd(eb);
         let twov = _mm256_set1_pd(2.0);
         let radv = _mm256_set1_pd((radius - 1) as f64);
-        let halfv = _mm256_set1_pd(0.5);
-        let onev = _mm256_set1_pd(1.0);
         let sign_mask = _mm256_set1_pd(-0.0);
         let radius_i = _mm_set1_epi32(radius as i32);
         // One code per cell over the whole row: reserving up front lets the
@@ -182,16 +184,7 @@ mod simd {
             // `!is_finite || abs >= …` rejection in one predicate.
             let absv = _mm256_andnot_pd(sign_mask, scaledv);
             let in_radius = _mm256_cmp_pd::<_CMP_LT_OQ>(absv, radv);
-            // `f64::round` (half away from zero), exactly: truncate, then
-            // add ±1 when the discarded fraction reaches one half. The
-            // subtraction is exact (|scaled| < 2^30 here), so the emulation
-            // agrees with the scalar rounding on every input, ties included.
-            let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(scaledv);
-            let frac = _mm256_sub_pd(scaledv, t);
-            let absfrac = _mm256_andnot_pd(sign_mask, frac);
-            let ge_half = _mm256_cmp_pd::<_CMP_GE_OQ>(absfrac, halfv);
-            let signed_one = _mm256_or_pd(onev, _mm256_and_pd(scaledv, sign_mask));
-            let qv = _mm256_add_pd(t, _mm256_and_pd(ge_half, signed_one));
+            let qv = round_half_away(scaledv);
             // Reconstruction in the scalar's operation order: (q · 2) · ε.
             let reconv = _mm256_add_pd(predv, _mm256_mul_pd(_mm256_mul_pd(qv, twov), ebv));
             // Predictability test 2: reject when |recon − value| > ε, with

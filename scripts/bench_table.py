@@ -114,6 +114,21 @@ def validate(report, path):
                     raise TableError(
                         f"{path}: kernel row {row.get('kernel', '?')!r} "
                         f"is missing '{key}'")
+        layered = report.get("encode_layers", [])
+        if not isinstance(layered, list):
+            raise TableError(f"{path}: 'encode_layers' is not an array")
+        for entry in layered:
+            layers = entry.get("layers")
+            if "compressor" not in entry or not isinstance(layers, list):
+                raise TableError(
+                    f"{path}: encode_layers entry needs 'compressor' and a "
+                    "'layers' array")
+            for layer in layers:
+                for key in ("layer", "min_seconds", "median_seconds"):
+                    if key not in layer:
+                        raise TableError(
+                            f"{path}: encode layer of "
+                            f"{entry['compressor']!r} is missing '{key}'")
     elif k == "load":
         rows = report.get("variants")
         if not isinstance(rows, list):
@@ -212,6 +227,7 @@ def render_sweep(baseline, current):
           "decompress before | decompress after | ratio |")
     print("|---|---|---|---|---|---|---|")
     base_tp = {t["compressor"]: t for t in baseline.get("throughput", [])}
+    cur_tp = {t["compressor"]: t for t in current.get("throughput", [])}
     for t in current.get("throughput", []):
         b = base_tp.get(t["compressor"], {})
         if not b and t["compressor"].endswith("+framed"):
@@ -227,11 +243,33 @@ def render_sweep(baseline, current):
               f"| {fmt(bd)} | {fmt(ad)} | {ratio(bd, ad)} |")
     print()
 
+    # Encode layers: where a compress call's time goes, next to the whole
+    # compress and decompress calls of the same run (the layers are timed
+    # inside the compress call itself; min of the repetitions, median in
+    # brackets). Reported, not gated.
+    layered = current.get("encode_layers", [])
+    if layered:
+        names = [l["layer"] for l in layered[0]["layers"]]
+        print("## Encode layers — current run (ms: min [median])")
+        print()
+        print("| compressor | " + " | ".join(names)
+              + " | layers sum | compress | decompress |")
+        print("|---|" + "---|" * (len(names) + 3))
+        for entry in layered:
+            t = cur_tp.get(entry["compressor"], {})
+            cells = [f"{l['min_seconds'] * 1e3:.2f} [{l['median_seconds'] * 1e3:.2f}]"
+                     for l in entry["layers"]]
+            total = sum(l["min_seconds"] for l in entry["layers"])
+            whole = [f"{t[key] * 1e3:.2f}" if t.get(key) else "—"
+                     for key in ("compress_seconds", "decompress_seconds")]
+            print(f"| {entry['compressor']} | " + " | ".join(cells)
+                  + f" | {total * 1e3:.2f} | {whole[0]} | {whole[1]} |")
+        print()
+
     # Entropy-backend ablation: each codec with an entropy stage against
     # its rans8-backend variant, read from the *current* run — ratio and
     # throughput side by side, the tradeoff the backend axis exists to
     # measure (the speedup columns are relative to the Huffman backend).
-    cur_tp = {t["compressor"]: t for t in current.get("throughput", [])}
     pairs = [(name, cur_tp.get(name), cur_tp.get(f"{name}-rans8"))
              for name in ["sz", "mgard"]]
     pairs = [(n, h, r8) for n, h, r8 in pairs if h and r8]
@@ -650,6 +688,16 @@ def self_test():
             pass
         else:
             raise TableError("self-test failed: schema violation accepted")
+    # An encode-layer row without its timings is one as well.
+    bad_layers = synth_sweep(1.0)
+    bad_layers["encode_layers"] = [
+        {"compressor": "sz", "layers": [{"layer": "entropy"}]}]
+    try:
+        validate(bad_layers, "<synthetic>")
+    except TableError:
+        pass
+    else:
+        raise TableError("self-test failed: malformed encode layer accepted")
     # Missing registry variants are caught.
     crippled = synth_sweep(1.0)
     crippled["throughput"] = crippled["throughput"][:3]

@@ -6,6 +6,7 @@
 //! cases live in the per-crate suites; this file lets proptest hunt for
 //! divergence in the corners nobody thought to pin.
 
+use lcc::lossless::round::quantize_rounded_at;
 use lcc::lossless::{
     lz77_compress_with_at, lz77_decompress, rans8_decode_with_at, rans8_encode, supported_levels,
     xxh64_at, CodecScratch, RansScratch, SimdLevel,
@@ -78,6 +79,44 @@ proptest! {
             inv_transform_at(level, &mut simd_inv);
             prop_assert_eq!(simd_inv, scalar_inv);
             prop_assert_eq!(scalar_inv, block);
+        }
+    }
+
+    #[test]
+    fn rounding_quantizer_equals_libm_round_at_every_level(
+        // Arbitrary bit patterns (NaN payloads, ±∞, subnormals) next to
+        // values a few bins from zero and exact half-bin ties: the shared
+        // round-without-libm sequence must reproduce `f64::round` — and the
+        // escape rule of the loop it replaced — at every tier.
+        raw in proptest::collection::vec(any::<u64>(), 0..200),
+        bin_sel in 0usize..4,
+        radius_sel in 0usize..4,
+    ) {
+        let bin = [1e-3, 0.25, 1e-300, 7e299][bin_sel];
+        let radius = [0u32, 16, 1 << 15, 1 << 30][radius_sel];
+        let values: Vec<f64> = raw
+            .iter()
+            .map(|&r| match r % 4 {
+                0 => f64::from_bits(r),
+                1 => ((r >> 8) % 64) as f64 * bin * 0.5 - 8.0 * bin,
+                _ => ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * bin * 40.0,
+            })
+            .collect();
+        let (mut ref_codes, mut ref_exact) = (Vec::new(), Vec::new());
+        for &c in &values {
+            let q = (c / bin).round();
+            if !q.is_finite() || q.abs() as i64 >= i64::from(radius) - 1 {
+                ref_codes.push(0);
+                ref_exact.push(c.to_bits());
+            } else {
+                ref_codes.push((q as i64 + i64::from(radius)) as u32);
+            }
+        }
+        for &level in supported_levels() {
+            let (mut codes, mut exact) = (Vec::new(), Vec::new());
+            quantize_rounded_at(level, &values, bin, radius, &mut codes, &mut exact);
+            prop_assert_eq!(&codes, &ref_codes);
+            prop_assert_eq!(exact.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), ref_exact.clone());
         }
     }
 
