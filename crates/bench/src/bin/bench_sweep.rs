@@ -19,9 +19,13 @@
 //! baseline.
 //!
 //! The `codecs` stage also writes an `encode_layers` section: the seconds
-//! `sz` and `sz-rans8` spend in each encode layer (input validation, block
-//! mode selection, predict/quantize, entropy coding, container + LZ77), from
-//! `SzCompressor::compress_view_timed`.
+//! `sz` / `sz-rans8` (input validation, block mode selection,
+//! predict/quantize, entropy coding, container + LZ77) and `mgard` /
+//! `mgard-rans8` (validation, decomposition, quantization, entropy coding,
+//! container + LZ77) spend in each encode layer, from their
+//! `compress_view_timed`; and `rans8_huffman_fallback`, how many of the
+//! stage's `*-rans8` streams overflowed the 12-bit rANS table and carry
+//! Huffman-mode codes instead.
 //!
 //! A run with both the `stats` and the `codecs` stage (the default) also
 //! reports `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
@@ -41,10 +45,12 @@ use lcc_lossless::{
     lz77_compress_with_at, rans8_decode_with_at, rans8_encode, simd_level, CodecScratch,
     RansScratch, SimdLevel,
 };
+use lcc_mgard::{MgardCompressor, MgardScratch};
 use lcc_par::ThreadPoolConfig;
 use lcc_pressio::{frame, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use lcc_sz::quantize::{quantize_plane_row_at, Quantizer};
+use lcc_sz::stream::StreamReader;
 use lcc_sz::{SzCompressor, SzScratch};
 use lcc_zfp::transform::{
     fwd_transform_at, fwd_transform_batch_at, inv_transform_at, inv_transform_batch_at,
@@ -55,6 +61,42 @@ use std::time::Instant;
 
 /// Timed repetitions behind each layer's min and median.
 const LAYER_REPS: usize = 5;
+
+/// Mode byte of a rANS section whose alphabet overflowed the 12-bit
+/// frequency table: the codes that follow are a Huffman stream.
+const RANS_MODE_HUFFMAN: u8 = 1;
+
+/// The mode byte of the codes section of an `LS81` (`sz-rans8`) or `LM81`
+/// (`mgard-rans8`) stream; `None` for any other stream. Both containers are
+/// raw at the top level: fixed-width little-endian fields up to the
+/// `u64`-prefixed codes section, whose first byte is the mode.
+fn rans8_section_mode(stream: &[u8]) -> Option<u8> {
+    let mut r = StreamReader::new(stream);
+    let magic = r.bytes(4).ok()?;
+    // ny, nx, eb, then two u32 parameters.
+    r.bytes(8 + 8 + 8 + 4 + 4).ok()?;
+    match magic {
+        b"LM81" => {}
+        b"LS81" => {
+            // Block modes (one byte each), then regression planes (3 × f64).
+            let modes = r.u64().ok()?;
+            r.bytes(usize::try_from(modes).ok()?).ok()?;
+            let planes = r.u64().ok()?;
+            r.bytes(usize::try_from(planes).ok()?.checked_mul(24)?).ok()?;
+        }
+        _ => return None,
+    }
+    r.u64().ok()?; // section length
+    r.u8().ok()
+}
+
+/// `LAYER_REPS` timed compress calls: `samples[r][k]` is the seconds
+/// repetition `r` spent in encode layer `k`.
+fn layer_samples(
+    mut timed_compress: impl FnMut() -> Result<[f64; 5], lcc_pressio::CompressError>,
+) -> Vec<Vec<f64>> {
+    (0..LAYER_REPS).map(|_| timed_compress().expect("bench compressor succeeds").to_vec()).collect()
+}
 
 /// Valid `--stage` names; `all` (the default) runs every stage in order.
 const STAGES: [&str; 7] = ["all", "stats", "codecs", "framed", "regions", "kernels", "sweep"];
@@ -125,18 +167,25 @@ fn main() {
         let field = field.as_ref().expect("codecs stage generated the field");
         let uncompressed_bytes = (field.len() * std::mem::size_of::<f64>()) as f64;
         let mut arena = ScratchArena::new();
+        let (mut rans8_streams, mut rans8_fallback) = (0usize, 0usize);
         for compressor in registry.compressors() {
             let name = compressor.name().to_string();
             let mut compress_seconds = f64::MAX;
             let mut decompress_seconds = f64::MAX;
             let mut stream_len = 0usize;
-            for _ in 0..reps {
+            for rep in 0..reps {
                 let start = Instant::now();
                 let stream = compressor
                     .compress_view_with(&field.view(), bound, &mut arena)
                     .expect("bench compressor succeeds");
                 compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
                 stream_len = stream.len();
+                if rep == 0 {
+                    if let Some(mode) = rans8_section_mode(&stream) {
+                        rans8_streams += 1;
+                        rans8_fallback += usize::from(mode == RANS_MODE_HUFFMAN);
+                    }
+                }
                 let start = Instant::now();
                 compressor
                     .decompress_view_with(&stream, &mut arena, &mut recon)
@@ -154,25 +203,32 @@ fn main() {
                 compression_ratio: uncompressed_bytes / stream_len.max(1) as f64,
             });
         }
+        report.record_rans8_fallback(rans8_streams, rans8_fallback);
 
-        // Where an SZ compress call's time goes: seconds per encode layer
-        // from `compress_view_timed` (the compress path itself, min and
-        // median of `LAYER_REPS`), so the compress ÷ decompress gap of the
-        // rows above has an owner.
+        // Where an SZ or MGARD compress call's time goes: seconds per encode
+        // layer from `compress_view_timed` (the compress path itself, min
+        // and median of `LAYER_REPS`), so the compress ÷ decompress gap of
+        // the rows above has an owner.
         let view = field.view();
         for sz in [SzCompressor::default(), SzCompressor::rans8()] {
             let mut scratch = SzScratch::new();
-            let samples: Vec<Vec<f64>> = (0..LAYER_REPS)
-                .map(|_| {
-                    let (_, seconds) = sz
-                        .compress_view_timed(&view, bound, &mut scratch)
-                        .expect("bench compressor succeeds");
-                    seconds.to_vec()
-                })
-                .collect();
+            let samples = layer_samples(|| {
+                sz.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
+            });
             report.record_encode_layers(EncodeLayers::from_samples(
                 sz.name(),
                 &SzCompressor::ENCODE_LAYERS,
+                &samples,
+            ));
+        }
+        for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
+            let mut scratch = MgardScratch::new();
+            let samples = layer_samples(|| {
+                mgard.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
+            });
+            report.record_encode_layers(EncodeLayers::from_samples(
+                mgard.name(),
+                &MgardCompressor::ENCODE_LAYERS,
                 &samples,
             ));
         }
@@ -566,7 +622,7 @@ fn main() {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
         println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
     }
-    for name in ["sz", "sz-rans8"] {
+    for name in ["sz", "sz-rans8", "mgard", "mgard-rans8"] {
         if let Some(e) = report.encode_layers(name) {
             let layers: Vec<String> = e
                 .layers
@@ -575,6 +631,9 @@ fn main() {
                 .collect();
             println!("  {name} encode layers (ms, min of {LAYER_REPS}): {}", layers.join(" · "));
         }
+    }
+    if let Some((streams, fallback)) = report.rans8_fallback() {
+        println!("  rans8 streams coded in Huffman-fallback mode: {fallback} of {streams}");
     }
     if let Some(ratio) = report.predictor_cost_over_codec_cost() {
         println!("  predictor cost / codec cost (statistics ÷ sz compress): {ratio:.2}x");

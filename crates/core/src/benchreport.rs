@@ -152,6 +152,8 @@ pub struct StageTimings {
     throughputs: Vec<CodecThroughput>,
     kernels: Vec<KernelThroughput>,
     encode_layers: Vec<EncodeLayers>,
+    /// `(rans8 streams, of which coded in the Huffman-fallback mode)`.
+    rans8_fallback: Option<(usize, usize)>,
 }
 
 impl StageTimings {
@@ -235,6 +237,19 @@ impl StageTimings {
         self.encode_layers.iter().find(|e| e.compressor == compressor)
     }
 
+    /// Record how many of the run's `*-rans8` streams there were and how many
+    /// of them overflowed the 12-bit frequency table, so that their codes
+    /// were written in the rANS stream's Huffman mode: a `*-rans8` row of
+    /// such a run measures Huffman.
+    pub fn record_rans8_fallback(&mut self, streams: usize, fallback: usize) {
+        self.rans8_fallback = Some((streams, fallback));
+    }
+
+    /// `(rans8 streams, Huffman-mode streams among them)`, if recorded.
+    pub fn rans8_fallback(&self) -> Option<(usize, usize)> {
+        self.rans8_fallback
+    }
+
     /// Serialize the report as JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -306,6 +321,11 @@ impl StageTimings {
             ));
         }
         out.push_str("  ],\n");
+        if let Some((streams, fallback)) = self.rans8_fallback {
+            out.push_str(&format!(
+                "  \"rans8_huffman_fallback\": {{\"streams\": {streams}, \"fallback\": {fallback}}},\n"
+            ));
+        }
         if let Some(ratio) = self.predictor_cost_over_codec_cost() {
             out.push_str(&format!("  \"predictor_cost_over_codec_cost\": {ratio:.3},\n"));
         }
@@ -860,6 +880,11 @@ mod tests {
         let mut t = StageTimings::new("1028x1028");
         assert!(t.to_json().contains("  \"encode_layers\": [\n  ],\n"));
         t.record_encode_layers(layers.clone());
+        assert!(!t.to_json().contains("rans8_huffman_fallback"));
+        t.record_rans8_fallback(2, 1);
+        assert!(t
+            .to_json()
+            .contains("  \"rans8_huffman_fallback\": {\"streams\": 2, \"fallback\": 1},\n"));
         assert_eq!(t.encode_layers("sz"), Some(&layers));
         assert!(t.encode_layers("zfp").is_none());
         assert!(t.to_json().contains(

@@ -9,8 +9,11 @@
 //! * codes are made *canonical* so only (symbol, length) pairs need to be
 //!   stored in the header,
 //! * decode is table-driven: a `LUT_BITS`-wide prefix table resolves the
-//!   common short codes in one peek, with a canonical
-//!   (length, first-code, offset) walk for the rare long ones.
+//!   short codes in one peek; a longer code is found in one `max_len`-bit
+//!   peek compared against the canonical (first code, count) of each
+//!   populated length — MGARD's alphabets of thousands of distinct codes
+//!   spend most of their symbols there; the bit-by-bit canonical walk
+//!   serves only the last `max_len` bits of a stream.
 //!
 //! The hot paths are **allocation-free** when driven through
 //! [`huffman_encode_with`] / [`huffman_decode_with`]: the histogram, tree,
@@ -253,6 +256,90 @@ pub fn huffman_decode_with(
     bytes: &[u8],
     out: &mut Vec<u32>,
 ) -> Result<usize, CodecError> {
+    decode_section(scratch, bytes, out, |scratch, canon, reader| {
+        let lut_bits = canon.lut_bits;
+        // Fast path: enough bits left for a full-width peek.
+        if reader.remaining() >= lut_bits as usize {
+            let probe = reader.peek_bits(lut_bits) as usize;
+            let len = scratch.lut_len[probe];
+            if len != 0 {
+                reader.skip_bits(u32::from(len))?;
+                return Ok(scratch.lut_sym[probe]);
+            }
+            // The LUT missed, so the code is longer than `lut_bits`: one
+            // `max_len`-bit window holds it whole, and each populated length
+            // is one shift and compare against it.
+            if reader.remaining() >= canon.max_len as usize {
+                let window = reader.peek_bits(canon.max_len);
+                for &len in &canon.long_lens[..canon.n_long] {
+                    let len = u32::from(len);
+                    if let Some(k) = canon.index_of(window >> (canon.max_len - len), len) {
+                        reader.skip_bits(len)?;
+                        return Ok(scratch.dec_syms[k]);
+                    }
+                }
+            }
+        }
+        // The last `max_len` bits of the stream, and windows no code matches
+        // (whose error the walk names).
+        canon.walk(reader, &scratch.dec_syms)
+    })
+}
+
+/// Canonical decode tables of one stream, by code length: first code, count
+/// and offset into the canonical symbol order (`CodecScratch::dec_syms`).
+struct Canon {
+    len_count: [u32; (MAX_CODE_LEN + 1) as usize],
+    first_code: [u64; (MAX_CODE_LEN + 1) as usize],
+    len_offset: [u32; (MAX_CODE_LEN + 1) as usize],
+    max_len: u32,
+    /// Width of the prefix LUT: `min(max_len, LUT_BITS)`.
+    lut_bits: u32,
+    /// The populated lengths above `lut_bits`, ascending.
+    long_lens: [u8; MAX_CODE_LEN as usize],
+    n_long: usize,
+}
+
+// `peek_bits(max_len)` must be legal for every accepted header.
+const _: () = assert!(MAX_CODE_LEN <= crate::bitstream::PEEK_MAX_BITS);
+
+impl Canon {
+    /// Position in the canonical symbol order of the `len`-bit code `code`,
+    /// if the header assigned it.
+    #[inline]
+    fn index_of(&self, code: u64, len: u32) -> Option<usize> {
+        let first = self.first_code[len as usize];
+        let count = u64::from(self.len_count[len as usize]);
+        (code >= first && code - first < count)
+            .then(|| self.len_offset[len as usize] as usize + (code - first) as usize)
+    }
+
+    /// Decode one symbol bit by bit: the canonical per-length walk.
+    fn walk(&self, reader: &mut BitReader<'_>, dec_syms: &[u32]) -> Result<u32, CodecError> {
+        let mut code = 0u64;
+        let mut len = 0u32;
+        loop {
+            code = (code << 1) | u64::from(reader.read_bit()?);
+            len += 1;
+            if len > self.max_len {
+                return Err(CodecError::Corrupt("code longer than maximum".into()));
+            }
+            if let Some(k) = self.index_of(code, len) {
+                return Ok(dec_syms[k]);
+            }
+        }
+    }
+}
+
+/// Parse one Huffman section — header, canonical tables, prefix LUT — and
+/// decode its `n_symbols` payload symbols with `next_symbol`. Returns the
+/// number of bytes consumed.
+fn decode_section(
+    scratch: &mut CodecScratch,
+    bytes: &[u8],
+    out: &mut Vec<u32>,
+    mut next_symbol: impl FnMut(&CodecScratch, &Canon, &mut BitReader<'_>) -> Result<u32, CodecError>,
+) -> Result<usize, CodecError> {
     out.clear();
     let mut offset = 0usize;
     let (n_symbols, used) = read_varint(&bytes[offset..])?;
@@ -312,7 +399,7 @@ pub fn huffman_decode_with(
     // assign consecutive codes, and record per-length (first code, count,
     // offset into the canonical symbol order). The same walk also fills the
     // prefix LUT — codes of at most `lut_bits` bits resolve with one peek,
-    // longer codes fall through to the canonical walk (entry length 0).
+    // longer codes leave entry length 0.
     scratch.dec_lens.sort_unstable_by_key(|&(sym, len)| (len, sym));
     let max_len = scratch.dec_lens.last().expect("alphabet_size >= 1").1;
     let lut_bits = max_len.min(LUT_BITS);
@@ -323,9 +410,15 @@ pub fn huffman_decode_with(
         scratch.lut_sym.resize(lut_size, 0);
     }
     scratch.dec_syms.clear();
-    let mut len_count = [0u32; (MAX_CODE_LEN + 1) as usize];
-    let mut first_code = [0u64; (MAX_CODE_LEN + 1) as usize];
-    let mut len_offset = [0u32; (MAX_CODE_LEN + 1) as usize];
+    let mut canon = Canon {
+        len_count: [0; (MAX_CODE_LEN + 1) as usize],
+        first_code: [0; (MAX_CODE_LEN + 1) as usize],
+        len_offset: [0; (MAX_CODE_LEN + 1) as usize],
+        max_len,
+        lut_bits,
+        long_lens: [0; MAX_CODE_LEN as usize],
+        n_long: 0,
+    };
     let mut code = 0u64;
     let mut prev_len = 0u32;
     for (k, &(sym, len)) in scratch.dec_lens.iter().enumerate() {
@@ -340,10 +433,14 @@ pub fn huffman_decode_with(
             return Err(CodecError::Corrupt("code lengths oversubscribe the code space".into()));
         }
         if len != prev_len {
-            first_code[len as usize] = code;
-            len_offset[len as usize] = k as u32;
+            canon.first_code[len as usize] = code;
+            canon.len_offset[len as usize] = k as u32;
+            if len > lut_bits {
+                canon.long_lens[canon.n_long] = len as u8;
+                canon.n_long += 1;
+            }
         }
-        len_count[len as usize] += 1;
+        canon.len_count[len as usize] += 1;
         scratch.dec_syms.push(sym);
         prev_len = len;
         if len <= lut_bits {
@@ -357,37 +454,7 @@ pub fn huffman_decode_with(
     }
 
     while out.len() < n_symbols as usize {
-        // Fast path: enough bits left for a full-width peek.
-        if reader.remaining() >= lut_bits as usize {
-            let probe = reader.peek_bits(lut_bits) as usize;
-            let len = scratch.lut_len[probe];
-            if len != 0 {
-                reader.skip_bits(u32::from(len))?;
-                out.push(scratch.lut_sym[probe]);
-                continue;
-            }
-        }
-        // Slow path: canonical per-length walk (long codes and the final
-        // sub-LUT-width bits of the stream).
-        let mut code = 0u64;
-        let mut len = 0u32;
-        loop {
-            code = (code << 1) | u64::from(reader.read_bit()?);
-            len += 1;
-            if len > max_len {
-                return Err(CodecError::Corrupt("code longer than maximum".into()));
-            }
-            let count = len_count[len as usize];
-            if count == 0 {
-                continue;
-            }
-            let first = first_code[len as usize];
-            if code >= first && code - first < u64::from(count) {
-                let k = len_offset[len as usize] + (code - first) as u32;
-                out.push(scratch.dec_syms[k as usize]);
-                break;
-            }
-        }
+        out.push(next_symbol(scratch, &canon, &mut reader)?);
     }
     Ok(consumed)
 }
@@ -570,6 +637,136 @@ mod tests {
             symbols.extend(std::iter::repeat_n(s, copies));
         }
         roundtrip(&symbols);
+    }
+
+    /// The reference the table-driven decoder is held to: every symbol
+    /// through the bit-by-bit canonical walk, no LUT and no peek.
+    fn decode_bitwise(
+        scratch: &mut CodecScratch,
+        bytes: &[u8],
+        out: &mut Vec<u32>,
+    ) -> Result<usize, CodecError> {
+        decode_section(scratch, bytes, out, |s, canon, reader| canon.walk(reader, &s.dec_syms))
+    }
+
+    /// Both decoders on `bytes`: same consumed length or same error, same
+    /// symbols, and an output reservation bounded by the stream's own bits.
+    fn assert_decoders_agree(
+        scratch: &mut CodecScratch,
+        bytes: &[u8],
+    ) -> Result<usize, CodecError> {
+        let (mut fast, mut reference) = (Vec::new(), Vec::new());
+        let got = huffman_decode_with(scratch, bytes, &mut fast);
+        let want = decode_bitwise(scratch, bytes, &mut reference);
+        assert_eq!(got, want);
+        if got.is_ok() {
+            assert_eq!(fast, reference);
+        }
+        assert!(fast.capacity() <= bytes.len() * 8 + 4, "reserved {}", fast.capacity());
+        got
+    }
+
+    /// `deep` symbols with Fibonacci counts (the shortest input that forces a
+    /// code of `deep - 1` bits) over `flat` symbols seen once each, shuffled.
+    /// The flat block stands in for the chain's first element and the chain
+    /// is scaled to its weight, so the flat symbols sit at the bottom of the
+    /// chain: `deep - 1 + log2(flat)` bits each.
+    fn skewed_symbols(deep: usize, flat: usize) -> Vec<u32> {
+        let mut symbols = Vec::new();
+        let (mut a, mut b) = (1usize, 1usize);
+        for s in 0..deep {
+            if s > 0 || flat == 0 {
+                symbols.extend(std::iter::repeat_n(s as u32, a * flat.max(1)));
+            }
+            (a, b) = (b, a + b);
+        }
+        symbols.extend((0..flat).map(|s| (deep + s) as u32));
+        let mut state = 0x2545F4914F6CDD1Du64;
+        for i in (1..symbols.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            symbols.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        symbols
+    }
+
+    fn max_code_len(scratch: &mut CodecScratch, symbols: &[u32]) -> u32 {
+        huffman_encode_with(scratch, symbols, &mut Vec::new());
+        *scratch.lens.iter().max().expect("non-empty alphabet")
+    }
+
+    #[test]
+    fn peek_decode_equals_the_bitwise_walk_from_2_to_20k_distinct_symbols() {
+        let mut scratch = CodecScratch::new();
+        for (deep, flat) in [(2, 0), (3, 0), (14, 0), (27, 0), (19, 100), (15, 2000), (11, 20_000)]
+        {
+            let symbols = skewed_symbols(deep, flat);
+            if deep + flat >= 27 {
+                assert!(max_code_len(&mut scratch, &symbols) > 24, "deep={deep} flat={flat}");
+            }
+            let encoded = huffman_encode(&symbols);
+            assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
+        }
+        // MGARD's shape: thousands of distinct codes of 9–17 bits around the
+        // radius, nearly all of them past the LUT.
+        let mut state = 7u64;
+        for distinct in [4_000u32, 19_000] {
+            let symbols: Vec<u32> = (0..60_000)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let (a, b) = ((state >> 33) as u32 % distinct, (state >> 13) as u32 % distinct);
+                    (1 << 30) + a.min(b)
+                })
+                .collect();
+            assert!(max_code_len(&mut scratch, &symbols) > LUT_BITS);
+            let encoded = huffman_encode(&symbols);
+            assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
+        }
+    }
+
+    #[test]
+    fn corrupt_long_code_streams_fail_alike_in_both_decoders() {
+        // 2 002 distinct symbols, 2 000 of them coded in 13 bits.
+        let mut symbols = skewed_symbols(0, 2000);
+        symbols.extend(std::iter::repeat_n(5000, 2000));
+        symbols.extend(std::iter::repeat_n(5001, 4000));
+        let mut scratch = CodecScratch::new();
+        assert!(max_code_len(&mut scratch, &symbols) > LUT_BITS);
+        let encoded = huffman_encode(&symbols);
+        for cut in 0..encoded.len() {
+            assert!(assert_decoders_agree(&mut scratch, &encoded[..cut]).is_err(), "cut {cut}");
+        }
+        let mut bad = encoded;
+        for at in 0..bad.len() {
+            bad[at] ^= 0x55;
+            let _ = assert_decoders_agree(&mut scratch, &bad);
+            bad[at] ^= 0x55;
+        }
+    }
+
+    #[test]
+    fn a_last_long_code_with_fewer_than_max_len_bits_left_decodes() {
+        // Codes run from 1 to 15 bits; every symbol takes the last place at
+        // every bit alignment, so short-of-`max_len` tails are covered.
+        let body = skewed_symbols(16, 0);
+        let mut scratch = CodecScratch::new();
+        let max_len = max_code_len(&mut scratch, &body) as usize;
+        let frequent = *body.iter().max().expect("non-empty");
+        let mut short_tails = 0;
+        for last in 0..16u32 {
+            for pad in 0..8 {
+                let mut symbols = body.clone();
+                symbols.extend(std::iter::repeat_n(frequent, pad));
+                symbols.push(last);
+                let mut encoded = Vec::new();
+                huffman_encode_with(&mut scratch, &symbols, &mut encoded);
+                assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
+                let k = scratch.alphabet.iter().position(|&(s, _)| s == last).expect("coded");
+                let len = scratch.lens[k] as usize;
+                let zero_fill = scratch.writer.as_bytes().len() * 8 - scratch.writer.bit_len();
+                short_tails += usize::from(len > LUT_BITS as usize && len + zero_fill < max_len);
+            }
+        }
+        assert!(short_tails > 0);
     }
 
     #[test]

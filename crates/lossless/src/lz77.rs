@@ -13,13 +13,26 @@
 //! Greedy matching with a 3-byte hash head + chained previous positions,
 //! bounded chain walk. Window size 64 KiB, minimum match length 4.
 //!
+//! The token format is the contract; what the encoder does with it is
+//! policy, and only the format is pinned forever (decode-only fixtures in
+//! `tests/bit_identity.rs`). The policy, like the Zstd-class stage it stands
+//! in for, does not fight input it cannot shrink:
+//!
+//! * **miss-skipping** — consecutive search misses widen the stride
+//!   (`pos += 1 + (misses >> 6)`, LZ4's skip acceleration, reset by the next
+//!   match; skipped positions are neither searched nor inserted into the
+//!   chains), so Huffman output without repeats is crossed in O(√n) searches
+//!   and ships as literal runs,
+//! * **literal-run fallback** — a stream never outgrows the length varint
+//!   plus one literal run of the whole input; when the tokens do, that run
+//!   is what ships.
+//!
 //! The matcher state (hash heads + chain links) lives in a caller-owned
 //! [`CodecScratch`](crate::CodecScratch) when driven through
 //! [`lz77_compress_with`], so repeated compressions reuse one arena instead
 //! of allocating ~`5 × input` bytes of chain state per call. Match
-//! candidates are compared eight bytes at a time; the greedy decisions — and
-//! therefore the emitted token stream — are identical to the historical
-//! byte-at-a-time encoder (pinned by `tests/bit_identity.rs`).
+//! candidates are compared eight bytes at a time (wider under SIMD
+//! dispatch); every tier emits the same stream.
 
 use crate::dispatch::{simd_level, SimdLevel};
 use crate::scratch::{CodecScratch, CHAIN_NIL};
@@ -161,7 +174,8 @@ mod simd {
 }
 
 /// Compress `input` with greedy LZ77. The output always starts with a varint
-/// holding the original length.
+/// holding the original length, and is at most that varint plus one literal
+/// run of the whole input (`0x00, varint len, len bytes`).
 ///
 /// # Panics
 /// Panics if `input` is 4 GiB or larger: chain positions are stored as
@@ -196,7 +210,9 @@ pub fn lz77_compress_with_at(
     out: &mut Vec<u8>,
 ) {
     out.reserve(input.len() / 2 + 16);
+    let start = out.len();
     write_varint(out, input.len() as u64);
+    let header = out.len() - start;
     if input.is_empty() {
         return;
     }
@@ -218,6 +234,8 @@ pub fn lz77_compress_with_at(
 
     let mut literals_start = 0usize;
     let mut pos = 0usize;
+    // Searches since the last match (miss-skipping, see the module docs).
+    let mut misses = 0usize;
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
         if to > from {
@@ -284,11 +302,20 @@ pub fn lz77_compress_with_at(
             }
             pos = end;
             literals_start = pos;
+            misses = 0;
         } else {
-            pos += 1;
+            pos += 1 + (misses >> 6);
+            misses += 1;
         }
     }
     flush_literals(out, literals_start, input.len(), input);
+
+    // Never expand: when the tokens outgrew one literal run of the whole
+    // input (whose length varint is as long as the header's), ship that run.
+    if out.len() - start > 2 * header + 1 + input.len() {
+        out.truncate(start + header);
+        flush_literals(out, 0, input.len(), input);
+    }
 }
 
 /// Decompress a stream produced by [`lz77_compress`].
@@ -430,20 +457,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incompressible_data_roundtrips() {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let data: Vec<u8> = (0..50_000)
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 (state & 0xFF) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn incompressible_data_roundtrips() {
+        let data = noise(50_000, 0x9E3779B97F4A7C15);
         let size = roundtrip(&data);
-        // Pseudo-random bytes should not blow up by more than the token framing.
-        assert!(size < data.len() + data.len() / 8 + 64);
+        // Length varint + one literal run: 3 + (1 + 3 + 50 000).
+        assert!(size <= data.len() + 7, "noise grew to {size} bytes");
+    }
+
+    #[test]
+    fn sparse_repeats_in_noise_roundtrip() {
+        // One 200-byte repeat per 1–8 KiB of noise: the stride is wider than
+        // one byte when it reaches a repeat, so matches start mid-repeat and
+        // the stride keeps resetting.
+        for gap in [1usize << 10, 2 << 10, 4 << 10, 8 << 10] {
+            let mut data = noise(gap, gap as u64);
+            let repeat = data[17..217].to_vec();
+            for k in 0..12 {
+                data.extend_from_slice(&noise(gap, (gap + k) as u64 * 0x9E37));
+                data.extend_from_slice(&repeat);
+            }
+            let size = roundtrip(&data);
+            assert!(size < data.len(), "gap {gap}: {size} vs {}", data.len());
+        }
+    }
+
+    #[test]
+    fn stride_resets_on_a_match_so_a_repetitive_tail_still_compresses() {
+        let tail: Vec<u8> = b"hello world, ".iter().copied().cycle().take(10_000).collect();
+        let tail_alone = roundtrip(&tail);
+        let mut data = noise(40_000, 0xD1B54A32D192ED03);
+        let head_alone = roundtrip(&data);
+        data.extend_from_slice(&tail);
+        let size = roundtrip(&data);
+        // The wide stride needs a few hundred bytes of the tail to land on a
+        // repeat; from there on the tail costs what it costs alone.
+        assert!(
+            size < head_alone + tail_alone + 1024,
+            "{size} vs noise {head_alone} + tail {tail_alone}"
+        );
     }
 
     #[test]

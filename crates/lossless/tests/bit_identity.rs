@@ -5,11 +5,17 @@
 //! refactored, scratch-driven encoders must reproduce those streams **byte
 //! for byte** — every compressor embeds these streams, so a silent encoding
 //! change would invalidate all previously written archives and the
-//! cross-compressor regression hashes in `tests/stream_identity.rs` (crate
-//! `lcc_core`).
+//! cross-compressor regression hashes in `tests/stream_identity.rs` (the
+//! facade package).
 //!
 //! If a future PR intentionally changes the stream format, it must
 //! regenerate the fixtures and say so loudly in its change log.
+//!
+//! PR 15 changed the LZ77 *encoder's policy* (miss-skipping, literal-run
+//! fallback), not the token format: `lz77_incompressible.bin` was re-captured
+//! and its old bytes live on as `lz77_incompressible_pre_skip.bin`, which must
+//! decode forever. Encode pins can move with the encoder; decode fixtures
+//! cannot.
 
 use lcc_lossless::{
     huffman_decode, huffman_encode, huffman_encode_with, lz77_compress, lz77_compress_with,
@@ -73,6 +79,14 @@ fn lz77_inputs() -> Vec<(&'static str, Vec<u8>)> {
         .collect();
     out.push(("lz77_incompressible.bin", noise));
     out
+}
+
+#[test]
+fn streams_of_the_every_byte_lz77_encoder_still_decode() {
+    let (_, noise) = lz77_inputs().pop().expect("the incompressible input is last");
+    let old = fixture("lz77_incompressible_pre_skip.bin");
+    assert_eq!(old.len(), 30_013);
+    assert_eq!(lz77_decompress(&old).expect("old stream"), noise);
 }
 
 #[test]

@@ -48,29 +48,11 @@ pub fn forward(field: &FieldView<'_>, levels: u32) -> Field2D {
 /// decompositions in a loop reuse one coefficient allocation.
 pub fn forward_into(field: &FieldView<'_>, levels: u32, work: &mut Field2D) {
     work.copy_from_view(field);
+    // In place: a level predicts from its coarse nodes only, and those still
+    // hold original values (a node is rewritten at the one level where it is
+    // fine).
     for level in 0..levels {
-        let stride = 1usize << level;
-        let coarse = stride * 2;
-        forward_level(work, field, stride, coarse);
-        // Subsequent levels predict from original coarse values, which the
-        // snapshot in `field` still holds (coarse nodes are never modified at
-        // finer levels).
-    }
-}
-
-fn forward_level(work: &mut Field2D, original: &FieldView<'_>, stride: usize, coarse: usize) {
-    let (ny, nx) = original.shape();
-    for i in (0..ny).step_by(stride) {
-        for j in (0..nx).step_by(stride) {
-            let fine_row = (i % coarse) != 0;
-            let fine_col = (j % coarse) != 0;
-            if !fine_row && !fine_col {
-                continue; // coarse node: handled at a later level
-            }
-            let prediction = interpolate(original, i, j, coarse, fine_row, fine_col);
-            let residual = original.at(i, j) - prediction;
-            work.set(i, j, residual);
-        }
+        apply_level(work, 1usize << level, |value, prediction| value - prediction);
     }
 }
 
@@ -87,24 +69,56 @@ pub fn inverse(coeffs: &Field2D, levels: u32) -> Field2D {
 pub fn inverse_inplace(out: &mut Field2D, levels: u32) {
     // Reconstruct from the coarsest level down to the finest.
     for level in (0..levels).rev() {
-        let stride = 1usize << level;
-        let coarse = stride * 2;
-        inverse_level(out, stride, coarse);
+        apply_level(out, 1usize << level, |value, prediction| value + prediction);
     }
 }
 
-fn inverse_level(out: &mut Field2D, stride: usize, coarse: usize) {
-    let (ny, nx) = out.shape();
+/// Rewrite every fine node of the level with node spacing `stride` as
+/// `combine(value, prediction)`. Rows are classified once: a coarse row
+/// predicts its fine columns from itself, a fine row with both vertical
+/// neighbours predicts from those two rows, and whatever has a neighbour
+/// past the grid edge — the last fine row, the last fine column — goes
+/// through [`interpolate`] cell by cell. The sums run in `interpolate`'s
+/// order from its `0.0`, so the coefficients are the per-cell ones bit for
+/// bit.
+fn apply_level(data: &mut Field2D, stride: usize, combine: impl Fn(f64, f64) -> f64) {
+    let (ny, nx) = data.shape();
+    let coarse = stride * 2;
+    // Fine columns below `inner_end` have both horizontal neighbours; at
+    // most one fine column does not.
+    let inner_end = nx.saturating_sub(stride);
+    let edge_col = (stride..nx).step_by(coarse).find(|&j| j >= inner_end);
+    let per_cell = |data: &mut Field2D, i: usize, j: usize| {
+        let prediction = interpolate(&data.view(), i, j, coarse, i % coarse != 0, j % coarse != 0);
+        data.set(i, j, combine(data.at(i, j), prediction));
+    };
     for i in (0..ny).step_by(stride) {
-        for j in (0..nx).step_by(stride) {
-            let fine_row = (i % coarse) != 0;
-            let fine_col = (j % coarse) != 0;
-            if !fine_row && !fine_col {
-                continue;
+        if i % coarse == 0 {
+            let row = data.row_mut(i);
+            for j in (stride..inner_end).step_by(coarse) {
+                row[j] = combine(row[j], (0.0 + row[j - stride] + row[j + stride]) / 2.0);
             }
-            let prediction = interpolate(&out.view(), i, j, coarse, fine_row, fine_col);
-            let value = out.at(i, j) + prediction;
-            out.set(i, j, value);
+        } else if i + stride < ny {
+            let (above, rest) = data.as_mut_slice().split_at_mut(i * nx);
+            let lo = &above[(i - stride) * nx..][..nx];
+            let (row, below) = rest.split_at_mut(stride * nx);
+            let row = &mut row[..nx];
+            let hi = &below[..nx];
+            for j in (0..nx).step_by(coarse) {
+                row[j] = combine(row[j], (0.0 + lo[j] + hi[j]) / 2.0);
+            }
+            for j in (stride..inner_end).step_by(coarse) {
+                let sum = 0.0 + lo[j - stride] + lo[j + stride] + hi[j - stride] + hi[j + stride];
+                row[j] = combine(row[j], sum / 4.0);
+            }
+        } else {
+            for j in (0..nx).step_by(stride) {
+                per_cell(data, i, j);
+            }
+            continue;
+        }
+        if let Some(j) = edge_col {
+            per_cell(data, i, j);
         }
     }
 }
@@ -172,6 +186,78 @@ mod tests {
         let back = inverse(&coeffs, levels);
         let err = field.max_abs_diff(&back);
         assert!(err < 1e-9, "roundtrip error {err} on shape {:?}", field.shape());
+    }
+
+    /// The per-cell reference the row kernel is held to: every fine node of
+    /// every level through `interpolate`, forward reading the original.
+    fn forward_per_cell(original: &FieldView<'_>, levels: u32) -> Field2D {
+        let mut work = original.to_field();
+        let (ny, nx) = original.shape();
+        for level in 0..levels {
+            let (stride, coarse) = (1usize << level, 2usize << level);
+            for i in (0..ny).step_by(stride) {
+                for j in (0..nx).step_by(stride) {
+                    let (fine_row, fine_col) = (i % coarse != 0, j % coarse != 0);
+                    if fine_row || fine_col {
+                        let p = interpolate(original, i, j, coarse, fine_row, fine_col);
+                        work.set(i, j, original.at(i, j) - p);
+                    }
+                }
+            }
+        }
+        work
+    }
+
+    fn inverse_per_cell(coeffs: &Field2D, levels: u32) -> Field2D {
+        let mut out = coeffs.clone();
+        let (ny, nx) = out.shape();
+        for level in (0..levels).rev() {
+            let (stride, coarse) = (1usize << level, 2usize << level);
+            for i in (0..ny).step_by(stride) {
+                for j in (0..nx).step_by(stride) {
+                    let (fine_row, fine_col) = (i % coarse != 0, j % coarse != 0);
+                    if fine_row || fine_col {
+                        let p = interpolate(&out.view(), i, j, coarse, fine_row, fine_col);
+                        out.set(i, j, out.at(i, j) + p);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(field: &Field2D) -> Vec<u64> {
+        field.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_kernel_equals_the_per_cell_reference_bit_for_bit() {
+        // Patches of -0.0 keep the sums honest about the sign of zero.
+        let parent = Field2D::from_fn(520, 530, |i, j| {
+            if (i / 5 + j / 3) % 4 == 0 {
+                -0.0
+            } else {
+                (i as f64 * 0.37).sin() * 3.0 + (j as f64 * 0.21).cos() - 1e-3 * (i * j) as f64
+            }
+        });
+        let shapes = [(1, 9), (9, 1), (2, 2), (3, 3), (5, 4), (33, 65), (97, 113), (512, 512)];
+        for (k, (ny, nx)) in shapes.into_iter().enumerate() {
+            // Every other case is a strided subview of the parent.
+            let owned = parent.subfield(3, 5, ny, nx);
+            let view = if k % 2 == 0 { owned.view() } else { parent.view().subview(3, 5, ny, nx) };
+            for levels in 0..=level_count(ny, nx) {
+                let coeffs = forward(&view, levels);
+                // `assert!`, not `assert_eq!`: a failure must not print 512² cells.
+                assert!(
+                    bits(&coeffs) == bits(&forward_per_cell(&view, levels)),
+                    "forward {ny}x{nx} levels={levels}"
+                );
+                assert!(
+                    bits(&inverse(&coeffs, levels)) == bits(&inverse_per_cell(&coeffs, levels)),
+                    "inverse {ny}x{nx} levels={levels}"
+                );
+            }
+        }
     }
 
     #[test]

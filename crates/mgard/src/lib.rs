@@ -43,6 +43,7 @@ use lcc_lossless::{
     rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
 };
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
+use std::time::Instant;
 
 /// Configuration of the MGARD-style compressor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +59,14 @@ pub struct MgardConfig {
     /// [`EntropyBackend::Rans8`] emits the `LM81` container: 8-way
     /// interleaved rANS codes, whose decoder runs wide under SIMD dispatch,
     /// and no outer LZ77 pass (the ratio-vs-throughput ablation's fast
-    /// point).
+    /// point) — *when the alphabet fits*. rANS frequencies live in a 12-bit
+    /// table, and MGARD's coefficient codes routinely number more than its
+    /// 4096 slots (2 k–19 k distinct on 512² random fields at
+    /// `Absolute(1e-3)`); such a codes section is written in the rANS
+    /// stream's Huffman mode (5 of the 8 `benchmarks/e2e` pool fields), and
+    /// a `mgard-rans8` ratio or speed row measured there is a Huffman row
+    /// without the LZ77 pass. `bench_sweep --stage codecs` counts the streams
+    /// that did.
     pub entropy: EntropyBackend,
 }
 
@@ -132,23 +140,54 @@ impl MgardScratch {
 }
 
 impl MgardCompressor {
+    /// The encode layers of one compress call, in pipeline order: input
+    /// validation and bound resolution, the forward multilevel decomposition,
+    /// level-aware quantization, entropy coding of the codes, and container
+    /// assembly plus the outer LZ77 pass (`mgard`) or the raw payload copy
+    /// (`mgard-rans8`).
+    pub const ENCODE_LAYERS: [&'static str; 5] =
+        ["validate", "decompose", "quantize", "entropy", "container_lz77"];
+
+    /// [`Compressor::compress_view_with`] over an [`MgardScratch`], also
+    /// returning the seconds spent in each of [`Self::ENCODE_LAYERS`] — the
+    /// same code path, so the bench tools can name the layer behind a
+    /// compress ÷ decompress gap.
+    pub fn compress_view_timed(
+        &self,
+        field: &FieldView<'_>,
+        bound: ErrorBound,
+        scratch: &mut MgardScratch,
+    ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
+        let mut marks = vec![Instant::now()];
+        let stream = self.compress_into(field, bound, scratch, || marks.push(Instant::now()))?;
+        let mut seconds = [0.0; 5];
+        for (layer, pair) in seconds.iter_mut().zip(marks.windows(2)) {
+            *layer = (pair[1] - pair[0]).as_secs_f64();
+        }
+        Ok((stream, seconds))
+    }
+
     /// The compress pipeline over explicit scratch memory. Byte-identical to
     /// [`Compressor::compress_view`] (which calls this with fresh scratch).
+    /// `layer_done` is called after each of [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
         field: &FieldView<'_>,
         bound: ErrorBound,
         s: &mut MgardScratch,
+        mut layer_done: impl FnMut(),
     ) -> Result<Vec<u8>, CompressError> {
         validate_finite_view(field)?;
         let eb = bound.absolute_for_view(field)?;
         let (ny, nx) = field.shape();
         let levels = decompose::level_count(ny, nx).min(self.config.max_levels);
+        layer_done();
 
         // Forward multilevel decomposition: `coeffs` holds residuals at fine
         // nodes and raw values at the coarsest nodes.
         let coeffs = s.work.get_or_insert_with(|| Field2D::zeros(1, 1));
         decompose::forward_into(field, levels, coeffs);
+        layer_done();
 
         // Worst-case error accumulation is one quantization error per level
         // plus one for the coarsest values, so split the budget evenly.
@@ -166,6 +205,14 @@ impl MgardCompressor {
             &mut s.codes,
             &mut s.exact,
         );
+        layer_done();
+
+        s.huff.clear();
+        match self.config.entropy {
+            EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
+            EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
+        }
+        layer_done();
 
         let payload = &mut s.payload;
         payload.clear();
@@ -178,28 +225,25 @@ impl MgardCompressor {
         payload.extend_from_slice(&eb.to_le_bytes());
         payload.extend_from_slice(&levels.to_le_bytes());
         payload.extend_from_slice(&self.config.code_radius.to_le_bytes());
-        s.huff.clear();
-        match self.config.entropy {
-            EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
-            EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
-        }
         payload.extend_from_slice(&(s.huff.len() as u64).to_le_bytes());
         payload.extend_from_slice(&s.huff);
         payload.extend_from_slice(&(s.exact.len() as u64).to_le_bytes());
         for v in &s.exact {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        match self.config.entropy {
+        let stream = match self.config.entropy {
             EntropyBackend::Huffman => {
                 let mut out = Vec::new();
                 lz77_compress_with(&mut s.codec, &s.payload, &mut out);
-                Ok(out)
+                out
             }
             // The rANS payload ships raw: the coefficient stream is already
             // entropy-coded, so the LZ77 pass would trade most of the encode
             // time for ~no ratio.
-            EntropyBackend::Rans8 => Ok(s.payload.clone()),
-        }
+            EntropyBackend::Rans8 => s.payload.clone(),
+        };
+        layer_done();
+        Ok(stream)
     }
 }
 
@@ -228,7 +272,7 @@ impl Compressor for MgardCompressor {
         field: &FieldView<'_>,
         bound: ErrorBound,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, &mut MgardScratch::new())
+        self.compress_into(field, bound, &mut MgardScratch::new(), || {})
     }
 
     fn compress_view_with(
@@ -237,7 +281,7 @@ impl Compressor for MgardCompressor {
         bound: ErrorBound,
         scratch: &mut ScratchArena,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, scratch.get_or_default::<MgardScratch>())
+        self.compress_into(field, bound, scratch.get_or_default::<MgardScratch>(), || {})
     }
 
     fn decompress_view_with(

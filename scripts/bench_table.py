@@ -129,6 +129,14 @@ def validate(report, path):
                         raise TableError(
                             f"{path}: encode layer of "
                             f"{entry['compressor']!r} is missing '{key}'")
+        fallback = report.get("rans8_huffman_fallback")
+        if fallback is not None and not (
+                isinstance(fallback, dict)
+                and all(isinstance(fallback.get(k), int)
+                        for k in ("streams", "fallback"))):
+            raise TableError(
+                f"{path}: 'rans8_huffman_fallback' needs integer 'streams' "
+                "and 'fallback'")
     elif k == "load":
         rows = report.get("variants")
         if not isinstance(rows, list):
@@ -249,13 +257,20 @@ def render_sweep(baseline, current):
     # brackets). Reported, not gated.
     layered = current.get("encode_layers", [])
     if layered:
-        names = [l["layer"] for l in layered[0]["layers"]]
         print("## Encode layers — current run (ms: min [median])")
         print()
-        print("| compressor | " + " | ".join(names)
-              + " | layers sum | compress | decompress |")
-        print("|---|" + "---|" * (len(names) + 3))
+        # One table per codec family: `sz*` and `mgard*` name their middle
+        # layers differently.
+        names = None
         for entry in layered:
+            entry_names = [l["layer"] for l in entry["layers"]]
+            if entry_names != names:
+                if names is not None:
+                    print()
+                names = entry_names
+                print("| compressor | " + " | ".join(names)
+                      + " | layers sum | compress | decompress |")
+                print("|---|" + "---|" * (len(names) + 3))
             t = cur_tp.get(entry["compressor"], {})
             cells = [f"{l['min_seconds'] * 1e3:.2f} [{l['median_seconds'] * 1e3:.2f}]"
                      for l in entry["layers"]]
@@ -264,6 +279,13 @@ def render_sweep(baseline, current):
                      for key in ("compress_seconds", "decompress_seconds")]
             print(f"| {entry['compressor']} | " + " | ".join(cells)
                   + f" | {total * 1e3:.2f} | {whole[0]} | {whole[1]} |")
+        print()
+    fallback = current.get("rans8_huffman_fallback")
+    if fallback:
+        print(f"{fallback['fallback']} of {fallback['streams']} `*-rans8` "
+              "streams overflowed the 12-bit rANS table and carry "
+              "Huffman-mode codes: the row of such a stream measures "
+              "Huffman without the LZ77 pass.")
         print()
 
     # Entropy-backend ablation: each codec with an entropy stage against
@@ -698,6 +720,15 @@ def self_test():
         pass
     else:
         raise TableError("self-test failed: malformed encode layer accepted")
+    # So is a fallback count without its base.
+    bad_fallback = synth_sweep(1.0)
+    bad_fallback["rans8_huffman_fallback"] = {"fallback": 1}
+    try:
+        validate(bad_fallback, "<synthetic>")
+    except TableError:
+        pass
+    else:
+        raise TableError("self-test failed: malformed fallback count accepted")
     # Missing registry variants are caught.
     crippled = synth_sweep(1.0)
     crippled["throughput"] = crippled["throughput"][:3]

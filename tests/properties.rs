@@ -11,13 +11,34 @@ use lcc::grid::{stats, Field2D};
 use lcc::lossless::{
     huffman_decode, huffman_decode_with, huffman_encode, huffman_encode_with, lz77_compress,
     lz77_compress_with, lz77_decompress, rans8_decode, rans8_decode_with, rans8_encode,
-    rans8_encode_with, CodecScratch, RansScratch,
+    rans8_encode_with, write_varint, CodecScratch, RansScratch,
 };
 use lcc::mgard::MgardCompressor;
 use lcc::pressio::{Compressor, ErrorBound};
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
 use proptest::prelude::*;
+
+/// The most an LZ77 stream over `n` input bytes may weigh: the length varint
+/// plus one literal run of the whole input (`0x00, varint n, n bytes`).
+fn lz77_stored_len(n: usize) -> usize {
+    let mut varint = Vec::new();
+    write_varint(&mut varint, n as u64);
+    n + 1 + 2 * varint.len()
+}
+
+/// The payload the outer LZ77 pass of the 512² a = 40 GRF field's `mgard`
+/// stream sees is Huffman output with few repeats: token framing used to grow
+/// it by 4 %.
+#[test]
+fn lz77_does_not_expand_the_mgard_payload_of_a_long_range_field() {
+    let field =
+        lcc::synth::generate_single_range(&lcc::synth::GaussianFieldConfig::new(512, 512, 40.0, 7));
+    let stream =
+        MgardCompressor::default().compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
+    let payload = lz77_decompress(&stream).expect("the `LMG1` container is LZ77-wrapped");
+    assert!(stream.len() <= lz77_stored_len(payload.len()), "{} > {}", stream.len(), payload.len());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -35,6 +56,20 @@ proptest! {
         let compressed = lz77_compress(&data);
         let back = lz77_decompress(&compressed).expect("decode");
         prop_assert_eq!(back, data);
+    }
+
+    /// "Compression is never harmful": noise and entropy-coded payloads ship
+    /// as one literal run at worst.
+    #[test]
+    fn lz77_never_expands_past_one_literal_run(
+        noise in proptest::collection::vec(any::<u8>(), 0..20_000),
+        symbols in proptest::collection::vec(0u32..10_000, 0..4000),
+    ) {
+        for input in [noise, huffman_encode(&symbols)] {
+            let compressed = lz77_compress(&input);
+            prop_assert!(compressed.len() <= lz77_stored_len(input.len()));
+            prop_assert_eq!(lz77_decompress(&compressed).expect("decode"), input);
+        }
     }
 
     /// Degenerate alphabet: any symbol value, any multiplicity — the

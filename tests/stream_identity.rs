@@ -1,15 +1,19 @@
-//! Compressed-stream identity gate for the scratch-buffer refactor.
+//! Compressed-stream identity gate.
 //!
-//! The FNV-1a hashes below were captured from the PR 2 (pre-refactor)
-//! compressors on a deterministic field. Every registered compressor must
-//! still emit those exact bytes — through the plain `compress_field` path
-//! *and* through `compress_view_with` on a worker-style reused
-//! [`ScratchArena`] — so archives written before the table-driven codec
-//! rewrite stay decodable and caches keyed by stream content stay valid.
+//! Every registered compressor must emit the exact bytes pinned below on a
+//! deterministic field — through the plain `compress_field` path *and*
+//! through `compress_view_with` on a worker-style reused [`ScratchArena`] —
+//! so caches keyed by stream content stay valid and a refactor cannot move a
+//! stream byte unnoticed. The gate lives in the facade package so that
+//! tier-1 (`cargo test -q` at the root) sees a stream change.
 //!
-//! If a future PR intentionally changes a stream format, it must re-capture
-//! these hashes (and the `lcc_lossless` fixtures) and say so in its change
-//! log.
+//! Two kinds of pin. `PINNED` pins what the encoders *emit*: a PR that
+//! changes a stream on purpose re-captures the rows (and the `lcc_lossless`
+//! fixtures) and says so in its change log — PR 15 did for the `sz` /
+//! `mgard` rows (LZ77 encoder policy: miss-skipping and literal-run
+//! fallback; token format unchanged). `tests/fixtures/*_pre_skip.bin` pin
+//! what the decoders *accept*: they are the streams those rows pinned
+//! before, and they must decode forever.
 
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_grid::Field2D;
@@ -37,16 +41,16 @@ fn pinned_field() -> Field2D {
     })
 }
 
-/// (compressor, bound, stream length, FNV-1a hash) captured pre-refactor;
-/// the `*-rans8` rows were captured at the commit before the 2-way rANS
-/// mode and `zfp-rans*` were deleted.
+/// (compressor, bound, stream length, FNV-1a hash). The `zfp` rows were
+/// captured pre-refactor, the `*-rans8` rows at the commit before the 2-way
+/// rANS mode and `zfp-rans*` were deleted, the `sz` / `mgard` rows in PR 15.
 const PINNED: &[(&str, f64, usize, u64)] = &[
-    ("mgard", 1e-4, 32740, 0x2f8a01fa2032b9e2),
-    ("mgard", 1e-2, 7622, 0x40c022411b87cddd),
+    ("mgard", 1e-4, 32570, 0xfd84723a24c1c714),
+    ("mgard", 1e-2, 7604, 0x6a222e7dbd1e91bc),
     ("mgard-rans8", 1e-4, 32867, 0x4b9f3abe8224dae6),
     ("mgard-rans8", 1e-2, 7621, 0x2c25fbb4d07a4f97),
-    ("sz", 1e-4, 15975, 0x5d5dd10c8a36d5db),
-    ("sz", 1e-2, 4109, 0xc2ba3253f995c204),
+    ("sz", 1e-4, 15980, 0x14cb14bd32d164cc),
+    ("sz", 1e-2, 4114, 0x8af3f9ad5bb965ba),
     ("sz-rans8", 1e-4, 16144, 0xe178d0e15a2db58d),
     ("sz-rans8", 1e-2, 4148, 0xc25c2cec33cc2d81),
     ("zfp", 1e-4, 29928, 0x6138c086316688d7),
@@ -54,7 +58,7 @@ const PINNED: &[(&str, f64, usize, u64)] = &[
 ];
 
 #[test]
-fn every_compressor_stream_is_byte_identical_to_pre_refactor() {
+fn every_compressor_stream_matches_its_pin() {
     let field = pinned_field();
     let registry = entropy_ablation_registry();
     // One arena reused across all compressors and bounds, like a sweep
@@ -91,5 +95,31 @@ fn repeated_reuse_on_one_arena_stays_stable() {
                 compressor.compress_view_with(&field.view(), bound, &mut arena).expect("compress");
             assert_eq!(stream, reference, "{} round {round}", compressor.name());
         }
+    }
+}
+
+#[test]
+fn streams_written_before_lz77_miss_skipping_still_decode() {
+    let field = pinned_field();
+    let registry = entropy_ablation_registry();
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    // (compressor, bound, file tag, FNV-1a hash the row pinned through PR 14)
+    for (name, eb, tag, hash) in [
+        ("mgard", 1e-4, "1e-4", 0x2f8a01fa2032b9e2u64),
+        ("mgard", 1e-2, "1e-2", 0x40c022411b87cddd),
+        ("sz", 1e-4, "1e-4", 0x5d5dd10c8a36d5db),
+        ("sz", 1e-2, "1e-2", 0xc2ba3253f995c204),
+    ] {
+        let path = fixtures.join(format!("{name}_{tag}_pre_skip.bin"));
+        let old = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(fnv(&old), hash, "{name}@{eb}: fixture is not the stream PR 14 pinned");
+        let compressor = registry.get(name).expect("registered compressor");
+        let recon = compressor.decompress_field(&old).expect("old stream decodes");
+        assert_eq!(recon.shape(), field.shape());
+        assert!(field.max_abs_diff(&recon) <= eb, "{name}@{eb}: bound violated");
+        // The lossy stages did not move, so today's stream decodes to the
+        // same field bit for bit.
+        let new = compressor.compress_field(&field, ErrorBound::Absolute(eb)).expect("compress");
+        assert_eq!(compressor.decompress_field(&new).expect("decompress"), recon, "{name}@{eb}");
     }
 }
