@@ -14,9 +14,12 @@
 //!   overlapping a window**, in parallel, writing disjoint bands of the
 //!   output. Full-frame decode stays available as
 //!   [`read_entry`](Archive::read_entry).
-//! * [`TileCache`] — a process-wide sharded, byte-budgeted LRU of decoded
+//! * [`TileCache`] — a process-wide sharded, byte-budgeted cache of decoded
 //!   tiles, so repeated reads of hot tiles skip entropy decode entirely
-//!   and become a lock + memcpy.
+//!   and become a lock + memcpy. The LRU tile of a shard is the eviction
+//!   victim, but a new tile displaces it only if it was looked up at least
+//!   as often lately; a refused tile is decoded into the window and goes
+//!   no further.
 //!
 //! Region reads are bit-identical to the matching window of a full-frame
 //! decode, cache or no cache, at any pool width — the property the
@@ -39,7 +42,7 @@ pub mod format;
 pub mod reader;
 pub mod writer;
 
-pub use cache::{CacheStats, CachedTile, Lookup, TileCache, TileKey};
+pub use cache::{Admission, CacheStats, CachedTile, Lookup, TileCache, TileKey};
 pub use format::{ArchiveEntry, TileStats, ARCHIVE_MAGIC, ARCHIVE_VERSION};
 pub use reader::{Archive, DegradedRegion, ReadAt, RegionStats, TileStatus};
 pub use writer::ArchiveWriter;

@@ -139,6 +139,8 @@ struct TileReadBuf(Vec<u8>);
 /// (tile coords), and the tile's byte span in the archive.
 struct Miss {
     tile: u32,
+    /// Where this tile sits in the read's per-tile status list.
+    slot: usize,
     tile_win: Window,
     dst: Window,
     src_i0: usize,
@@ -194,6 +196,17 @@ fn fetch_tile<R: ReadAt>(
         )));
     }
     Ok(())
+}
+
+/// Offer a freshly decoded tile to the cache, buffer and all, and return the
+/// worker's next decode target: the same storage when the cache declined the
+/// tile, the recycled storage of an evicted tile when it took it (or `None`
+/// when nothing could be recycled). The next decode sets the shape.
+fn offer_tile(cache: &TileCache, key: TileKey, block: Field2D) -> Option<Field2D> {
+    let (ny, nx) = block.shape();
+    let mut data = block.into_vec();
+    cache.insert(key, &mut data, ny, nx);
+    Field2D::from_vec(1, data.len(), data).ok()
 }
 
 impl<R: ReadAt> Archive<R> {
@@ -519,8 +532,9 @@ impl<R: ReadAt> Archive<R> {
         out.resize(window.height, window.width);
         let tiles = index.tiles_overlapping(window);
         let mut stats = RegionStats { tiles: tiles.len(), tiles_from_cache: 0, tiles_recovered: 0 };
+        // Every overlapped tile, ascending; a miss rewrites its slot once
+        // its decode has settled.
         let mut tile_status: Vec<(usize, TileStatus)> = Vec::with_capacity(tiles.len());
-
         let mut misses: Vec<Miss> = Vec::new();
         for t in tiles {
             let tile_win = index.tile_window(t);
@@ -530,8 +544,7 @@ impl<R: ReadAt> Archive<R> {
             let j1 = (tile_win.j0 + tile_win.width).min(window.j0 + window.width);
             let dst =
                 Window { i0: i0 - window.i0, j0: j0 - window.j0, height: i1 - i0, width: j1 - j0 };
-            let key = TileKey { archive: self.id, entry: k as u32, tile: t as u32 };
-            let lookup = self.cache.as_ref().map(|c| c.get_checked(&key));
+            let lookup = self.cache.as_ref().map(|c| c.get_checked(&self.tile_key(k, t)));
             if let Some(Lookup::Hit(cached)) = lookup {
                 // Hit: pure memcpy of the intersection, no decode.
                 let tile_view = FieldView::new(&cached.data, cached.ny, cached.nx, cached.nx)
@@ -539,7 +552,6 @@ impl<R: ReadAt> Archive<R> {
                     .subview(i0 - tile_win.i0, j0 - tile_win.j0, dst.height, dst.width);
                 out.copy_window_from(dst.i0, dst.j0, &tile_view);
                 stats.tiles_from_cache += 1;
-                tile_status.push((t, TileStatus::Ok));
             } else {
                 // A corrupt cached copy was evicted by `get_checked`; the
                 // tile falls through to a source fetch and, on success,
@@ -547,6 +559,7 @@ impl<R: ReadAt> Archive<R> {
                 let (at, len) = index.tile_span(t);
                 misses.push(Miss {
                     tile: t as u32,
+                    slot: tile_status.len(),
                     tile_win,
                     dst,
                     src_i0: i0 - tile_win.i0,
@@ -557,20 +570,21 @@ impl<R: ReadAt> Archive<R> {
                     cache_corrupt: matches!(lookup, Some(Lookup::Corrupt)),
                 });
             }
+            tile_status.push((t, TileStatus::Ok));
         }
         if !misses.is_empty() {
-            let dst_windows: Vec<Window> = misses.iter().map(|m| m.dst).collect();
-            let segments = disjoint_window_rows(out.as_mut_slice(), window.width, &dst_windows);
-            let items: Vec<(Miss, Vec<&mut [f64]>)> = misses.into_iter().zip(segments).collect();
+            let segments = disjoint_window_rows(
+                out.as_mut_slice(),
+                window.width,
+                misses.iter().map(|m| m.dst),
+            );
             let source = &self.source;
             let cache = self.cache.as_deref();
-            let archive_id = self.id;
-            let workers = scratch.workers(pool.threads().min(items.len()));
-            let decoded: Vec<Result<(u32, TileStatus), CompressError>> = try_parallel_block_map(
-                pool,
-                workers,
-                items,
-                move |worker, _j, (miss, mut segs)| {
+            let misses = &misses;
+            let workers = scratch.workers(pool.threads().min(misses.len()));
+            let decoded: Vec<Result<TileStatus, CompressError>> =
+                try_parallel_block_map(pool, workers, segments, move |worker, j, mut segs| {
+                    let miss = &misses[j];
                     if expired(cancel) {
                         return Err(CompressError::DeadlineExceeded(format!(
                             "archive: tile {} abandoned",
@@ -580,10 +594,10 @@ impl<R: ReadAt> Archive<R> {
                     // First attempt, then at most one retry whose fresh
                     // positioned read bypasses whatever buffer went bad.
                     let mut recovered = miss.cache_corrupt;
-                    let mut outcome = fetch_tile(source, compressor, worker, &miss);
+                    let mut outcome = fetch_tile(source, compressor, worker, miss);
                     if outcome.is_err() {
                         recovered = true;
-                        outcome = fetch_tile(source, compressor, worker, &miss);
+                        outcome = fetch_tile(source, compressor, worker, miss);
                     }
                     if outcome.is_ok() && expired(cancel) {
                         outcome = Err(CompressError::DeadlineExceeded(format!(
@@ -593,7 +607,7 @@ impl<R: ReadAt> Archive<R> {
                     }
                     match outcome {
                         Ok(()) => {
-                            let block = worker.block.as_ref().expect("decode filled the block");
+                            let block = worker.block.take().expect("decode filled the block");
                             let tile_view = block.view().subview(
                                 miss.src_i0,
                                 miss.src_j0,
@@ -603,21 +617,13 @@ impl<R: ReadAt> Archive<R> {
                             for (seg, row) in segs.iter_mut().zip(tile_view.rows()) {
                                 seg.copy_from_slice(row);
                             }
-                            if let Some(cache) = cache {
-                                cache.insert(
-                                    TileKey {
-                                        archive: archive_id,
-                                        entry: k as u32,
-                                        tile: miss.tile,
-                                    },
-                                    Arc::new(block.as_slice().to_vec()),
-                                    miss.tile_win.height,
-                                    miss.tile_win.width,
-                                );
-                            }
-                            let status =
-                                if recovered { TileStatus::Recovered } else { TileStatus::Ok };
-                            Ok((miss.tile, status))
+                            worker.block = match cache {
+                                Some(cache) => {
+                                    offer_tile(cache, self.tile_key(k, miss.tile as usize), block)
+                                }
+                                None => Some(block),
+                            };
+                            Ok(if recovered { TileStatus::Recovered } else { TileStatus::Ok })
                         }
                         Err(err)
                             if degraded && !matches!(err, CompressError::DeadlineExceeded(_)) =>
@@ -627,22 +633,20 @@ impl<R: ReadAt> Archive<R> {
                             for seg in segs.iter_mut() {
                                 seg.fill(0.0);
                             }
-                            Ok((miss.tile, TileStatus::Failed))
+                            Ok(TileStatus::Failed)
                         }
                         Err(err) => Err(err),
                     }
-                },
-            )
-            .map_err(job_panic)?;
-            for result in decoded {
-                let (tile, status) = result?;
+                })
+                .map_err(job_panic)?;
+            for (miss, result) in misses.iter().zip(decoded) {
+                let status = result?;
                 if status == TileStatus::Recovered {
                     stats.tiles_recovered += 1;
                 }
-                tile_status.push((tile as usize, status));
+                tile_status[miss.slot].1 = status;
             }
         }
-        tile_status.sort_unstable_by_key(|&(t, _)| t);
         Ok((stats, tile_status))
     }
 }

@@ -564,8 +564,10 @@ pub struct TileCacheSummary {
     pub hits: u64,
     /// Tile lookups that fell through to fetch + decode.
     pub misses: u64,
-    /// Tiles evicted to stay under the byte budget.
+    /// Resident tiles displaced to admit another.
     pub evictions: u64,
+    /// Decoded tiles the cache turned away as colder than what it held.
+    pub refusals: u64,
     /// Tiles resident at the end of the run.
     pub entries: u64,
     /// Bytes resident at the end of the run.
@@ -748,7 +750,7 @@ impl LoadReport {
         match &self.tile_cache {
             Some(c) => out.push_str(&format!(
                 "  \"tile_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-                 \"entries\": {}, \"bytes\": {}, \"budget_bytes\": {}, \
+                 \"refusals\": {}, \"entries\": {}, \"bytes\": {}, \"budget_bytes\": {}, \
                  \"hit_rate\": {:.4}, \"hit_megabytes\": {:.6}, \
                  \"hit_busy_seconds\": {:.6}, \"hit_mb_per_s\": {:.3}, \
                  \"miss_megabytes\": {:.6}, \"miss_busy_seconds\": {:.6}, \
@@ -756,6 +758,7 @@ impl LoadReport {
                 c.hits,
                 c.misses,
                 c.evictions,
+                c.refusals,
                 c.entries,
                 c.bytes,
                 c.budget_bytes,
@@ -1154,6 +1157,7 @@ mod tests {
             hits: 75,
             misses: 25,
             evictions: 3,
+            refusals: 5,
             entries: 12,
             bytes: 400_000,
             budget_bytes: 8_000_000,
@@ -1182,7 +1186,9 @@ mod tests {
             ..LoadReport::default()
         };
         let json = report.to_json();
-        assert!(json.contains("\"tile_cache\": {\"hits\": 75, \"misses\": 25"));
+        assert!(json.contains(
+            "\"tile_cache\": {\"hits\": 75, \"misses\": 25, \"evictions\": 3, \"refusals\": 5"
+        ));
         assert!(json.contains("\"hit_rate\": 0.7500"));
         assert!(json.contains("\"hit_mb_per_s\": 200.000"));
         assert!(json.contains("\"miss_mb_per_s\": 10.000"));

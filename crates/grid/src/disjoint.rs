@@ -8,10 +8,11 @@
 //! workers.
 
 use crate::window::Window;
+use std::borrow::Borrow;
 
 /// Split a row-major `ny × nx` buffer (`ny = data.len() / nx`) into one
 /// mutable row-segment list per window: `result[k]` holds, top to bottom,
-/// a `&mut [f64]` per row of `windows[k]`.
+/// a `&mut [f64]` per row of the `k`-th window.
 ///
 /// The windows must be pairwise disjoint and lie inside the buffer; the
 /// split is purely safe code (per-row `split_at_mut` walks), so overlap
@@ -23,41 +24,49 @@ use crate::window::Window;
 pub fn disjoint_window_rows<'a>(
     data: &'a mut [f64],
     nx: usize,
-    windows: &[Window],
+    windows: impl IntoIterator<Item = impl Borrow<Window>>,
 ) -> Vec<Vec<&'a mut [f64]>> {
     assert!(nx > 0, "row width must be non-zero");
     assert!(data.len() % nx == 0, "buffer length {} is not a multiple of nx {nx}", data.len());
     let ny = data.len() / nx;
-    for w in windows {
+    // Each window with its index in the caller's order, sorted by first row.
+    let mut pending: Vec<(Window, usize)> =
+        windows.into_iter().enumerate().map(|(k, w)| (*w.borrow(), k)).collect();
+    for (w, _) in &pending {
         assert!(w.height > 0 && w.width > 0, "empty window {w:?}");
         assert!(
             w.i0 + w.height <= ny && w.j0 + w.width <= nx,
             "window {w:?} exceeds buffer {ny}x{nx}"
         );
     }
-
-    // Bucket windows by the rows they cover, then walk each row once
-    // left-to-right, splitting off every covered column span.
-    let mut by_row: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); ny];
-    for (k, w) in windows.iter().enumerate() {
-        for row in by_row.iter_mut().skip(w.i0).take(w.height) {
-            row.push((w.j0, w.width, k));
-        }
-    }
-
     let mut segments: Vec<Vec<&'a mut [f64]>> =
-        windows.iter().map(|w| Vec::with_capacity(w.height)).collect();
-    for (i, (row, mut cover)) in data.chunks_mut(nx).zip(by_row).enumerate() {
-        cover.sort_unstable_by_key(|&(j0, _, _)| j0);
+        pending.iter().map(|(w, _)| Vec::with_capacity(w.height)).collect();
+    pending.sort_unstable_by_key(|(w, _)| w.i0);
+
+    // Sweep the rows top to bottom, keeping the windows that cover the
+    // current row ordered left to right, and split every covered column
+    // span off the row in one walk.
+    let mut pending = pending.into_iter().peekable();
+    let mut cover: Vec<(Window, usize)> = Vec::new();
+    for (i, mut rest) in data.chunks_mut(nx).enumerate() {
+        cover.retain(|(w, _)| i < w.i0 + w.height);
+        let carried = cover.len();
+        while let Some(entry) = pending.next_if(|(w, _)| w.i0 == i) {
+            cover.push(entry);
+        }
+        if cover.len() > carried {
+            cover.sort_unstable_by_key(|(w, _)| w.j0);
+        } else if cover.is_empty() && pending.peek().is_none() {
+            break;
+        }
         let mut consumed = 0usize;
-        let mut rest = row;
-        for (j0, width, k) in cover {
-            assert!(j0 >= consumed, "windows overlap in row {i} at column {j0}");
-            let (_, tail) = rest.split_at_mut(j0 - consumed);
-            let (seg, tail) = tail.split_at_mut(width);
+        for &(w, k) in &cover {
+            assert!(w.j0 >= consumed, "windows overlap in row {i} at column {}", w.j0);
+            let (_, tail) = rest.split_at_mut(w.j0 - consumed);
+            let (seg, tail) = tail.split_at_mut(w.width);
             segments[k].push(seg);
             rest = tail;
-            consumed = j0 + width;
+            consumed = w.j0 + w.width;
         }
     }
     segments
@@ -101,7 +110,7 @@ mod tests {
     fn sparse_windows_leave_the_rest_untouched() {
         let mut data = vec![0.0; 4 * 4];
         let windows = [win(0, 0, 2, 2), win(2, 2, 2, 2)];
-        let segments = disjoint_window_rows(&mut data, 4, &windows);
+        let segments = disjoint_window_rows(&mut data, 4, windows);
         for segs in &segments {
             for seg in segs {
                 assert_eq!(seg.len(), 2);
@@ -116,7 +125,7 @@ mod tests {
         let nx = 6;
         let mut data: Vec<f64> = (0..4 * nx).map(|v| v as f64).collect();
         let w = win(1, 2, 2, 3);
-        let segments = disjoint_window_rows(&mut data, nx, &[w]);
+        let segments = disjoint_window_rows(&mut data, nx, [w]);
         assert_eq!(segments[0][0], &[8.0, 9.0, 10.0]);
         assert_eq!(segments[0][1], &[14.0, 15.0, 16.0]);
     }
@@ -125,13 +134,13 @@ mod tests {
     #[should_panic(expected = "overlap")]
     fn overlapping_windows_panic() {
         let mut data = vec![0.0; 4 * 4];
-        disjoint_window_rows(&mut data, 4, &[win(0, 0, 2, 3), win(1, 2, 2, 2)]);
+        disjoint_window_rows(&mut data, 4, [win(0, 0, 2, 3), win(1, 2, 2, 2)]);
     }
 
     #[test]
     #[should_panic(expected = "exceeds")]
     fn out_of_bounds_window_panics() {
         let mut data = vec![0.0; 4 * 4];
-        disjoint_window_rows(&mut data, 4, &[win(3, 3, 2, 2)]);
+        disjoint_window_rows(&mut data, 4, [win(3, 3, 2, 2)]);
     }
 }

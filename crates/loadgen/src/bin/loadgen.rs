@@ -112,12 +112,13 @@ fn main() {
     );
     if let Some(cache) = &report.tile_cache {
         println!(
-            "  tile cache: {:.1}% hit rate ({} hits, {} misses, {} evictions), \
+            "  tile cache: {:.1}% hit rate ({} hits, {} misses, {} evictions, {} refusals), \
              {}/{} bytes resident — hits {:.2} MB/s vs misses {:.2} MB/s",
             cache.hit_rate() * 100.0,
             cache.hits,
             cache.misses,
             cache.evictions,
+            cache.refusals,
             cache.bytes,
             cache.budget_bytes,
             cache.hit_mb_per_s(),

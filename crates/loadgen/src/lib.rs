@@ -790,6 +790,7 @@ pub fn run_load(config: &LoadgenConfig) -> Result<LoadReport, CompressError> {
         hits: cache_stats.hits,
         misses: cache_stats.misses,
         evictions: cache_stats.evictions,
+        refusals: cache_stats.refusals,
         entries: cache_stats.entries,
         bytes: cache_stats.bytes,
         budget_bytes: (config.tile_cache_mb.max(1) * 1_000_000) as u64,

@@ -661,23 +661,20 @@ impl TiledIndex {
         (self.offsets[t], self.lengths[t])
     }
 
-    /// Row-major ids of the tiles overlapping `window` (clipped to the
-    /// field; empty when the window lies entirely outside it).
-    pub fn tiles_overlapping(&self, window: &Window) -> Vec<usize> {
+    /// Row-major ids of the tiles overlapping `window`, ascending (clipped
+    /// to the field; empty when the window lies entirely outside it).
+    pub fn tiles_overlapping(&self, window: &Window) -> impl ExactSizeIterator<Item = usize> {
         let i1 = window.i0.saturating_add(window.height).min(self.ny);
         let j1 = window.j0.saturating_add(window.width).min(self.nx);
-        if window.i0 >= i1 || window.j0 >= j1 {
-            return Vec::new();
-        }
-        let (ty0, ty1) = (window.i0 / self.tile_ny, (i1 - 1) / self.tile_ny);
-        let (tx0, tx1) = (window.j0 / self.tile_nx, (j1 - 1) / self.tile_nx);
-        let mut out = Vec::with_capacity((ty1 - ty0 + 1) * (tx1 - tx0 + 1));
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                out.push(ty * self.tiles_x() + tx);
-            }
-        }
-        out
+        // Tile-grid rectangle [ty0, ty1) × [tx0, tx1); zero rows when empty.
+        let (ty0, tx0) = (window.i0 / self.tile_ny, window.j0 / self.tile_nx);
+        let (ty1, tx1) = if window.i0 < i1 && window.j0 < j1 {
+            ((i1 - 1) / self.tile_ny + 1, (j1 - 1) / self.tile_nx + 1)
+        } else {
+            (ty0, tx0 + 1)
+        };
+        let (across, tiles_x) = (tx1 - tx0, self.tiles_x());
+        (0..(ty1 - ty0) * across).map(move |n| (ty0 + n / across) * tiles_x + tx0 + n % across)
     }
 }
 
@@ -1521,19 +1518,17 @@ mod tests {
         .unwrap();
         let index = TiledIndex::parse(&tiled, tiled.len()).unwrap();
         // One interior cell: exactly one tile.
-        assert_eq!(index.tiles_overlapping(&Window { i0: 9, j0: 9, height: 1, width: 1 }), [4]);
+        let tiles = |w: Window| index.tiles_overlapping(&w).collect::<Vec<_>>();
+        assert_eq!(tiles(Window { i0: 9, j0: 9, height: 1, width: 1 }), [4]);
         // A window crossing both seams: the 2x2 tile block around it.
-        assert_eq!(
-            index.tiles_overlapping(&Window { i0: 6, j0: 6, height: 4, width: 4 }),
-            [0, 1, 3, 4]
-        );
+        assert_eq!(tiles(Window { i0: 6, j0: 6, height: 4, width: 4 }), [0, 1, 3, 4]);
         // The whole field: every tile.
         assert_eq!(
-            index.tiles_overlapping(&Window { i0: 0, j0: 0, height: 23, width: 17 }),
+            tiles(Window { i0: 0, j0: 0, height: 23, width: 17 }),
             (0..9).collect::<Vec<_>>()
         );
         // Entirely outside: none.
-        assert!(index.tiles_overlapping(&Window { i0: 23, j0: 0, height: 4, width: 4 }).is_empty());
+        assert!(tiles(Window { i0: 23, j0: 0, height: 4, width: 4 }).is_empty());
     }
 
     #[test]

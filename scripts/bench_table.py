@@ -443,7 +443,8 @@ def render_load(baseline, current):
         print()
         print(f"Hit rate {hit_pct:.1f}%{base_note}: "
               f"{cache.get('hits', 0)} hits, {cache.get('misses', 0)} misses, "
-              f"{cache.get('evictions', 0)} evictions; "
+              f"{cache.get('evictions', 0)} evictions, "
+              f"{cache.get('refusals', 0)} refusals; "
               f"{cache.get('bytes', 0)} of {cache.get('budget_bytes', 0)} "
               f"budget bytes resident.")
         print()

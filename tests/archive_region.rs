@@ -180,3 +180,103 @@ fn degenerate_windows_are_rejected_as_invalid_input() {
         }
     }
 }
+
+/// The cache may refuse, evict and recycle as it likes — at no budget does
+/// a window come back different from the uncached read or the full-frame
+/// decode, strict or degraded.
+#[test]
+fn every_cache_budget_reads_the_same_bits() {
+    use lcc::archive::TileStatus;
+
+    const N: usize = 96;
+    const TILE: usize = 16;
+    let sz = SzCompressor::rans8();
+    let mut scratch = FrameScratch::default();
+    let mut writer = ArchiveWriter::new();
+    let pool = ThreadPoolConfig::with_threads(2);
+    writer
+        .add_entry(
+            "f",
+            0,
+            &wavy(N, N, 11),
+            &sz,
+            ErrorBound::Absolute(1e-3),
+            TILE,
+            TILE,
+            pool,
+            &mut scratch,
+        )
+        .unwrap();
+    let bytes = writer.finish();
+    let uncached = Archive::open(bytes.clone()).unwrap();
+    let mut full = Field2D::zeros(1, 1);
+    uncached.read_entry(0, &sz, pool, &mut scratch, &mut full).unwrap();
+
+    // A skewed, repeating window stream: a few windows come back every few
+    // reads, most are seen once or twice.
+    let mut s = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = |n: usize| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as usize % n
+    };
+    let candidates: Vec<Window> = (0..48)
+        .map(|_| {
+            let (height, width) = (1 + draw(40), 1 + draw(40));
+            Window { i0: draw(N - height + 1), j0: draw(N - width + 1), height, width }
+        })
+        .collect();
+    let stream: Vec<Window> = (0..240)
+        .map(|_| {
+            let head = 1 + draw(48);
+            candidates[draw(head)]
+        })
+        .collect();
+
+    // Budget bytes of one tile and of the whole decoded archive, as the
+    // cache charges them (values plus 96 bytes of bookkeeping).
+    let tile_bytes = TILE * TILE * 8 + 96;
+    let archive_bytes = (N / TILE) * (N / TILE) * tile_bytes;
+    let mut out = Field2D::zeros(1, 1);
+    let mut want = Field2D::zeros(1, 1);
+    for budget in [0, tile_bytes, archive_bytes / 4, 4 * archive_bytes] {
+        for degraded in [false, true] {
+            let cache = Arc::new(TileCache::new(budget));
+            let cached = Archive::open(bytes.clone()).unwrap().with_cache(Arc::clone(&cache));
+            for window in &stream {
+                uncached.read_region(0, window, &sz, pool, &mut scratch, &mut want).unwrap();
+                let from_full: Vec<f64> = full.view().window(window).iter().collect();
+                assert_eq!(want.as_slice(), from_full.as_slice());
+                let stats = if degraded {
+                    let read = cached
+                        .read_region_degraded(0, window, &sz, pool, &mut scratch, &mut out)
+                        .unwrap();
+                    assert!(read.tiles.iter().all(|&(_, s)| s == TileStatus::Ok));
+                    assert!(read.tiles.windows(2).all(|p| p[0].0 < p[1].0), "ascending tile ids");
+                    assert_eq!(read.tiles.len(), read.stats.tiles);
+                    read.stats
+                } else {
+                    cached.read_region(0, window, &sz, pool, &mut scratch, &mut out).unwrap()
+                };
+                assert_eq!(out.as_slice(), want.as_slice(), "budget {budget}, window {window:?}");
+                assert!(stats.tiles_from_cache <= stats.tiles && stats.tiles_recovered == 0);
+            }
+            let stats = cache.stats();
+            assert!(stats.bytes <= budget as u64, "budget {budget}: {} resident", stats.bytes);
+            match budget {
+                0 => {
+                    assert_eq!((stats.hits, stats.entries), (0, 0), "a zero budget admits nothing")
+                }
+                b if b == tile_bytes => assert_eq!(stats.entries, 1),
+                b if b < archive_bytes => {
+                    assert!(
+                        stats.hits > 0 && stats.evictions > 0 && stats.refusals > 0,
+                        "{stats:?}"
+                    )
+                }
+                _ => assert_eq!((stats.evictions, stats.refusals), (0, 0), "room for everything"),
+            }
+        }
+    }
+}

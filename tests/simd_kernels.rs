@@ -177,3 +177,117 @@ proptest! {
         }
     }
 }
+
+// ---- rANS streams the size of one archive tile ------------------------------
+//
+// A 64 × 64 tile is 4 096 symbols in eight lanes of a few hundred bytes:
+// shorter than one full-size unchecked chunk of the dispatched decoder, so
+// these streams are where its chunk sizing, its hand-over to the checked
+// loop and the `n mod 8` tail all meet. The scalar tier (the checked
+// round-robin loop alone) is the oracle.
+
+#[path = "common/alloc_probe.rs"]
+mod alloc_probe;
+
+#[global_allocator]
+static ALLOC: alloc_probe::Probe = alloc_probe::Probe;
+
+/// `n` seeded symbols over `alphabet` values, geometrically skewed so a
+/// lane costs between a fraction of a bit and ~10 bits per symbol.
+fn skewed_symbols(n: usize, alphabet: u32, seed: u64) -> Vec<u32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            match alphabet {
+                2 => u32::from(u < 0.02),
+                // Mostly geometric, with a uniform tenth so all 46 values occur.
+                46 if u < 0.1 => (state >> 3) as u32 % 46,
+                46 => (-u.ln() * 2.5) as u32 % 46,
+                _ => (u * f64::from(alphabet)) as u32,
+            }
+        })
+        .collect()
+}
+
+type Decoded = Result<(Vec<u32>, usize), lcc::lossless::CodecError>;
+
+/// Decode at one tier into a fresh output vector (so a forged count would
+/// show as a reservation), returning the largest allocation it asked for.
+fn decode_at(scratch: &mut RansScratch, level: SimdLevel, bytes: &[u8]) -> (Decoded, usize) {
+    alloc_probe::largest_request_during(|| {
+        let mut out = Vec::new();
+        rans8_decode_with_at(scratch, level, bytes, &mut out).map(|used| (out, used))
+    })
+}
+
+#[test]
+fn rans8_short_streams_decode_identically_at_every_tier() {
+    let mut scratch = RansScratch::new();
+    let mut shortest_lane_stream = usize::MAX;
+    let mut longest_lane_stream = 0;
+    for alphabet in [2u32, 46, 1000] {
+        for n in (0..=1100).chain([4096]) {
+            let symbols = skewed_symbols(n, alphabet, u64::from(alphabet) + n as u64);
+            let encoded = rans8_encode(&symbols);
+            shortest_lane_stream = shortest_lane_stream.min(encoded.len());
+            longest_lane_stream = longest_lane_stream.max(encoded.len());
+            for &level in supported_levels() {
+                let (decoded, _) = decode_at(&mut scratch, level, &encoded);
+                let (out, used) = decoded.unwrap_or_else(|e| {
+                    panic!("{level:?}: {n} symbols over {alphabet} values: {e}")
+                });
+                assert_eq!(used, encoded.len(), "{level:?}: {n} symbols over {alphabet} values");
+                assert_eq!(out, symbols, "{level:?}: {n} symbols over {alphabet} values");
+            }
+        }
+    }
+    // The sweep really spans seed-only lanes to lanes of several hundred bytes.
+    assert!(shortest_lane_stream < 64 && longest_lane_stream > 8 * 500);
+}
+
+#[test]
+fn rans8_damaged_tile_streams_fail_identically_at_every_tier() {
+    let symbols = skewed_symbols(4096, 46, 7);
+    let encoded = rans8_encode(&symbols);
+    assert!(encoded.len() < 8 * 256, "lanes must be shorter than a full unchecked chunk");
+    let mut scratch = RansScratch::new();
+    // Warm the decode tables so the probe sees the damaged stream's own asks.
+    decode_at(&mut scratch, SimdLevel::Scalar, &encoded).0.expect("pristine stream");
+
+    let mut damaged: Vec<Vec<u8>> = (0..encoded.len()).map(|cut| encoded[..cut].to_vec()).collect();
+    for mask in [0x01u8, 0xFF] {
+        damaged.extend((0..encoded.len()).map(|pos| {
+            let mut bad = encoded.clone();
+            bad[pos] ^= mask;
+            bad
+        }));
+    }
+    let mut rejected = 0;
+    for bad in &damaged {
+        let (reference, _) = decode_at(&mut scratch, SimdLevel::Scalar, bad);
+        rejected += usize::from(reference.is_err());
+        for &level in supported_levels() {
+            let (decoded, largest) = decode_at(&mut scratch, level, bad);
+            // Same symbols and length, or the same error class.
+            match (&decoded, &reference) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{level:?}"),
+                (Err(a), Err(b)) => assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "{level:?}: {a} against the scalar tier's {b}"
+                ),
+                _ => panic!("{level:?} returned {decoded:?}, the scalar tier {reference:?}"),
+            }
+            // The output reserve is a hint of at most 8 symbols per payload
+            // byte plus 64, four bytes each; nothing else scales with a count.
+            assert!(
+                largest <= 32 * bad.len() + 256,
+                "{level:?}: a {largest}-byte allocation for a {}-byte stream",
+                bad.len()
+            );
+        }
+    }
+    assert!(rejected >= encoded.len(), "every truncation, at least, is refused");
+}
