@@ -4,7 +4,7 @@
 use crate::format::{
     write_entry, ArchiveEntry, TileStats, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN,
 };
-use lcc_grid::{Field2D, WindowIter};
+use lcc_grid::Field2D;
 use lcc_par::ThreadPoolConfig;
 use lcc_pressio::frame::compress_tiled_checksummed_with;
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch};
@@ -59,19 +59,24 @@ impl ArchiveWriter {
         if name.len() > u16::MAX as usize || compressor.name().len() > u16::MAX as usize {
             return Err(CompressError::InvalidInput("entry name too long".into()));
         }
-        let view = field.view();
-        let frame = compress_tiled_checksummed_with(
-            compressor, &view, bound, tile_ny, tile_nx, pool, scratch,
+        // Each tile's statistics are taken by the worker that has just
+        // encoded it, while the tile is in that core's cache.
+        let (frame, tile_stats) = compress_tiled_checksummed_with(
+            compressor,
+            &field.view(),
+            bound,
+            tile_ny,
+            tile_nx,
+            pool,
+            scratch,
+            |tile| {
+                let s = tile.summary();
+                TileStats { min: s.min, max: s.max, mean: s.mean, variance: s.variance }
+            },
         )?;
         let (ny, nx) = field.shape();
         let tile_ny = tile_ny.min(ny);
         let tile_nx = tile_nx.min(nx);
-        let tile_stats: Vec<TileStats> = WindowIter::over(ny, nx, tile_ny, tile_nx)
-            .map(|w| {
-                let s = view.window(&w).summary();
-                TileStats { min: s.min, max: s.max, mean: s.mean, variance: s.variance }
-            })
-            .collect();
         let offset = self.bytes.len() as u64;
         let length = frame.len() as u64;
         self.bytes.extend_from_slice(&frame);

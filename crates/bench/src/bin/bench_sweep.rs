@@ -23,7 +23,10 @@
 //! predict/quantize, entropy coding, container + LZ77) and `mgard` /
 //! `mgard-rans8` (validation, decomposition, quantization, entropy coding,
 //! container + LZ77) spend in each encode layer, from their
-//! `compress_view_timed`; and `rans8_huffman_fallback`, how many of the
+//! `compress_view_timed` — for the `sz` variants a second `<name>@64x64`
+//! row sums the same layers over the field's 64 × 64 tiles, one stream
+//! each, with `tile_fixed_cost_us` = (tiles − whole) ÷ tile count, the cost
+//! of a stream before its first cell; and `rans8_huffman_fallback`, how many of the
 //! stage's `*-rans8` streams overflowed the 12-bit rANS table and carry
 //! Huffman-mode codes instead.
 //!
@@ -40,7 +43,7 @@ use lcc_core::registry::{entropy_ablation_registry, framed_variant_name};
 use lcc_core::statistics::{CorrelationStatistics, StatisticsConfig};
 use lcc_geostat::variogram::estimate_range;
 use lcc_geostat::{local_range_std, local_svd_truncation_std, LocalStatConfig};
-use lcc_grid::{Field2D, Window};
+use lcc_grid::{Field2D, Window, WindowIter};
 use lcc_lossless::{
     lz77_compress_with_at, rans8_decode_with_at, rans8_encode, simd_level, CodecScratch,
     RansScratch, SimdLevel,
@@ -61,6 +64,14 @@ use std::time::Instant;
 
 /// Timed repetitions behind each layer's min and median.
 const LAYER_REPS: usize = 5;
+
+/// Tile side of the per-tile `encode_layers` rows: the archive's tile.
+const LAYER_TILE: usize = 64;
+
+/// Name of the `encode_layers` row that sums `compressor`'s layers over tiles.
+fn tile_row(compressor: &str) -> String {
+    format!("{compressor}@{LAYER_TILE}x{LAYER_TILE}")
+}
 
 /// Mode byte of a rANS section whose alphabet overflowed the 12-bit
 /// frequency table: the codes that follow are a Huffman stream.
@@ -102,7 +113,10 @@ fn layer_samples(
 const STAGES: [&str; 7] = ["all", "stats", "codecs", "framed", "regions", "kernels", "sweep"];
 
 fn main() {
-    let opts = CliOptions::from_env();
+    let opts = CliOptions::from_env(
+        &["size", "sweep-size", "seed", "threads", "stage", "reps", "out"],
+        &[],
+    );
     let size = opts.get_usize("size", 1028);
     let sweep_size = opts.get_usize("sweep-size", 256);
     let seed = opts.get_u64("seed", 7);
@@ -209,17 +223,38 @@ fn main() {
         // layer from `compress_view_timed` (the compress path itself, min
         // and median of `LAYER_REPS`), so the compress ÷ decompress gap of
         // the rows above has an owner.
+        // Each `sz` variant gets a second row: the same layers summed over
+        // the field's archive tiles, one stream each, and from the two rows
+        // what a stream costs before its first cell.
         let view = field.view();
+        let tiles: Vec<Window> =
+            WindowIter::over(field.ny(), field.nx(), LAYER_TILE, LAYER_TILE).collect();
         for sz in [SzCompressor::default(), SzCompressor::rans8()] {
             let mut scratch = SzScratch::new();
             let samples = layer_samples(|| {
                 sz.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
             });
-            report.record_encode_layers(EncodeLayers::from_samples(
-                sz.name(),
+            let whole =
+                EncodeLayers::from_samples(sz.name(), &SzCompressor::ENCODE_LAYERS, &samples);
+            let samples = layer_samples(|| {
+                let mut sum = [0.0; 5];
+                for tile in &tiles {
+                    let (_, seconds) =
+                        sz.compress_view_timed(&view.window(tile), bound, &mut scratch)?;
+                    sum.iter_mut().zip(seconds).for_each(|(total, s)| *total += s);
+                }
+                Ok(sum)
+            });
+            let mut tiled = EncodeLayers::from_samples(
+                tile_row(sz.name()),
                 &SzCompressor::ENCODE_LAYERS,
                 &samples,
-            ));
+            );
+            tiled.tile_fixed_cost_us = Some(
+                (tiled.min_total_seconds() - whole.min_total_seconds()) * 1e6 / tiles.len() as f64,
+            );
+            report.record_encode_layers(whole);
+            report.record_encode_layers(tiled);
         }
         for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
             let mut scratch = MgardScratch::new();
@@ -622,14 +657,21 @@ fn main() {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
         println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
     }
-    for name in ["sz", "sz-rans8", "mgard", "mgard-rans8"] {
-        if let Some(e) = report.encode_layers(name) {
+    let rows = ["sz", "sz-rans8", "mgard", "mgard-rans8"];
+    for name in rows.iter().flat_map(|base| [base.to_string(), tile_row(base)]) {
+        if let Some(e) = report.encode_layers(&name) {
             let layers: Vec<String> = e
                 .layers
                 .iter()
                 .map(|(layer, min, _)| format!("{layer} {:.2}", min * 1e3))
                 .collect();
-            println!("  {name} encode layers (ms, min of {LAYER_REPS}): {}", layers.join(" · "));
+            let fixed = e
+                .tile_fixed_cost_us
+                .map_or(String::new(), |us| format!(" · per-tile fixed cost {us:.1} us"));
+            println!(
+                "  {name} encode layers (ms, min of {LAYER_REPS}): {}{fixed}",
+                layers.join(" · ")
+            );
         }
     }
     if let Some((streams, fallback)) = report.rans8_fallback() {

@@ -10,7 +10,7 @@ use lcc_core::figures::run_figure1;
 use lcc_grid::io::CsvSeries;
 
 fn main() {
-    let opts = CliOptions::from_env();
+    let opts = CliOptions::from_env(&["size", "range", "seed", "out"], &[]);
     let size = opts.get_usize("size", 256);
     let range = opts.get_f64("range", 16.0);
     let seed = opts.get_u64("seed", 2021);

@@ -14,7 +14,7 @@ use lcc_synth::{
 };
 
 fn main() {
-    let opts = CliOptions::from_env();
+    let opts = CliOptions::from_env(&["size", "seed", "out"], &["full-paper-scale"]);
     let paper = opts.flag("full-paper-scale");
     let size = if paper { 1028 } else { opts.get_usize("size", 256) };
     let seed = opts.get_u64("seed", 2021);

@@ -8,11 +8,13 @@
 //!     [--size N] [--ranges K] [--replicates R] [--seed S] [--quick] [--full-paper-scale] [--out DIR]
 //! ```
 
-use lcc_bench::{gaussian_config, print_panel, write_panel_csv, CliOptions};
+use lcc_bench::{
+    gaussian_config, print_panel, write_panel_csv, CliOptions, GAUSSIAN_KEYS, SCALE_FLAGS,
+};
 use lcc_core::figures::run_figure3;
 
 fn main() {
-    let opts = CliOptions::from_env();
+    let opts = CliOptions::from_env(&GAUSSIAN_KEYS, &SCALE_FLAGS);
     let config = gaussian_config(&opts);
     println!(
         "== Figure 3: CR vs global variogram range (size={}, ranges={}, replicates={}) ==",

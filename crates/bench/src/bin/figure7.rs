@@ -7,11 +7,13 @@
 //!     [--slices N] [--slice-size N] [--seed S] [--quick] [--full-paper-scale] [--out DIR]
 //! ```
 
-use lcc_bench::{miranda_config, print_panel, write_panel_csv, CliOptions};
+use lcc_bench::{
+    miranda_config, print_panel, write_panel_csv, CliOptions, MIRANDA_KEYS, SCALE_FLAGS,
+};
 use lcc_core::figures::run_figure7;
 
 fn main() {
-    let opts = CliOptions::from_env();
+    let opts = CliOptions::from_env(&MIRANDA_KEYS, &SCALE_FLAGS);
     let config = miranda_config(&opts);
     println!(
         "== Figure 7: CR vs local statistics, Miranda-proxy velocityx ({} slices of {}x{}) ==",

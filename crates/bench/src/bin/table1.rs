@@ -3,9 +3,12 @@
 //! the analysis components this repository implements in place of the
 //! paper's Python/R stack.
 
+use lcc_bench::CliOptions;
 use lcc_core::default_registry;
 
 fn main() {
+    // The table has no options: any argument is a mistake.
+    CliOptions::from_env(&[], &[]);
     println!("== Table I: compressors and software used for the study ==");
     println!("{:<12} {:<16} purpose", "software", "version");
     println!("{:-<12} {:-<16} {:-<60}", "", "", "");

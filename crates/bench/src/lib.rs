@@ -16,11 +16,23 @@ use lcc_grid::io::CsvSeries;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Parsed command-line options shared by the figure binaries.
-///
-/// Supported flags (all optional):
-/// `--size N`, `--ranges N`, `--replicates N`, `--slices N`, `--seed N`,
-/// `--threads N`, `--out DIR`, `--quick`, `--full-paper-scale`.
+/// Value options of the Gaussian-field figures (see [`gaussian_config`]),
+/// with `--out`.
+pub const GAUSSIAN_KEYS: [&str; 7] =
+    ["size", "ranges", "min-range", "max-range", "replicates", "seed", "out"];
+/// Value options of the Miranda-proxy figures (see [`miranda_config`]), with
+/// `--out`.
+pub const MIRANDA_KEYS: [&str; 4] = ["slices", "slice-size", "seed", "out"];
+/// The two scale presets every figure binary takes.
+pub const SCALE_FLAGS: [&str; 2] = ["quick", "full-paper-scale"];
+
+/// Exit status for an argument the binary does not declare (`EX_USAGE`, the
+/// code `benchmarks/e2e/run.sh` uses for the same mistake).
+const EXIT_USAGE: i32 = 64;
+
+/// Parsed command-line options of the figure, bench and load binaries: each
+/// declares the `--key value` options and the bare `--flag`s it reads, and
+/// any other argument is refused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
     /// Raw `--key value` pairs.
@@ -30,29 +42,41 @@ pub struct CliOptions {
 }
 
 impl CliOptions {
-    /// Parse from an iterator of arguments (excluding the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
-        let mut values = BTreeMap::new();
-        let mut flags = Vec::new();
-        let mut iter = args.into_iter().peekable();
+    /// Parse from an iterator of arguments (excluding the program name):
+    /// `--name value` for every `name` in `keys`, bare `--name` for every
+    /// `name` in `flags`. Anything else — an undeclared `--name`, a token
+    /// without the dashes, a key at the end with no value — is an error
+    /// naming the argument.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        keys: &[&str],
+        flags: &[&str],
+    ) -> Result<CliOptions, String> {
+        let mut opts = CliOptions { values: BTreeMap::new(), flags: Vec::new() };
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            let Some(key) = arg.strip_prefix("--") else {
-                continue;
-            };
-            let key = key.to_string();
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    values.insert(key, iter.next().expect("peeked value exists"));
+            match arg.strip_prefix("--") {
+                Some(name) if flags.contains(&name) => opts.flags.push(name.to_string()),
+                Some(name) if keys.contains(&name) => {
+                    let value = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                    opts.values.insert(name.to_string(), value);
                 }
-                _ => flags.push(key),
+                _ => return Err(format!("unknown argument {arg}")),
             }
         }
-        CliOptions { values, flags }
+        Ok(opts)
     }
 
-    /// Parse from the process arguments.
-    pub fn from_env() -> CliOptions {
-        CliOptions::parse(std::env::args().skip(1))
+    /// [`CliOptions::parse`] of the process arguments; an argument the
+    /// binary does not declare is reported on stderr and exits the process
+    /// with status 64.
+    pub fn from_env(keys: &[&str], flags: &[&str]) -> CliOptions {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        CliOptions::parse(args, keys, flags).unwrap_or_else(|message| {
+            eprintln!("{program}: {message}");
+            std::process::exit(EXIT_USAGE)
+        })
     }
 
     /// Whether a boolean flag is present.
@@ -198,13 +222,15 @@ pub fn write_csv(csv: &CsvSeries, dir: &Path, name: &str) -> std::io::Result<()>
 mod tests {
     use super::*;
 
+    const KEYS: [&str; 6] = ["size", "seed", "out", "ranges", "min-range", "max-range"];
+
+    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+        CliOptions::parse(args.iter().map(|s| s.to_string()), &KEYS, &SCALE_FLAGS)
+    }
+
     #[test]
     fn cli_parsing_handles_values_and_flags() {
-        let opts = CliOptions::parse(
-            ["--size", "256", "--quick", "--seed", "9", "--out", "/tmp/x"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let opts = parse(&["--size", "256", "--quick", "--seed", "9", "--out", "/tmp/x"]).unwrap();
         assert_eq!(opts.get_usize("size", 64), 256);
         assert_eq!(opts.get_u64("seed", 1), 9);
         assert!(opts.flag("quick"));
@@ -218,9 +244,7 @@ mod tests {
 
     #[test]
     fn unparseable_values_are_errors_naming_the_flag_and_the_text() {
-        let opts = CliOptions::parse(
-            ["--size", "abc", "--seed", "-1", "--min-range", "2.x"].iter().map(|s| s.to_string()),
-        );
+        let opts = parse(&["--size", "abc", "--seed", "-1", "--min-range", "2.x"]).unwrap();
         for (name, text, message) in [
             ("size", "abc", opts.parsed::<usize>("size", 64).unwrap_err()),
             ("seed", "-1", opts.parsed::<u64>("seed", 1).unwrap_err()),
@@ -233,16 +257,47 @@ mod tests {
 
     #[test]
     fn missing_options_still_yield_the_default() {
-        let opts = CliOptions::parse(["--size", "abc"].iter().map(|s| s.to_string()));
+        let opts = parse(&["--size", "abc"]).unwrap();
         assert_eq!(opts.parsed::<usize>("ranges", 10), Ok(10));
         assert_eq!(opts.parsed::<u64>("seed", 7), Ok(7));
         assert_eq!(opts.parsed::<f64>("max-range", 32.0), Ok(32.0));
     }
 
     #[test]
-    fn cli_parsing_ignores_stray_tokens() {
-        let opts = CliOptions::parse(["stray", "--flag"].iter().map(|s| s.to_string()));
-        assert!(opts.flag("flag"));
-        assert_eq!(opts.get_usize("size", 7), 7);
+    fn undeclared_arguments_are_refused_by_name() {
+        for (args, offender) in [
+            (&["stray", "--quick"][..], "stray"),
+            (&["--size", "8", "--sise", "9"], "--sise"),
+            (&["--quick", "-size", "8"], "-size"),
+            (&["--size", "8", "16"], "16"),
+            // A flag is not a key and a key is not a flag.
+            (&["--quick", "yes"], "yes"),
+            (&["--seed"], "--seed"),
+            (&["--"], "--"),
+        ] {
+            let message = parse(args).unwrap_err();
+            assert!(message.ends_with(offender) || message.starts_with(offender), "{message:?}");
+        }
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
+        assert_eq!(parse(&["--sise", "9"]).unwrap_err(), "unknown argument --sise");
+        // A binary that declares nothing takes nothing.
+        assert!(CliOptions::parse(["--quick".to_string()], &[], &[]).is_err());
+        assert!(CliOptions::parse(Vec::<String>::new(), &[], &[]).is_ok());
+    }
+
+    #[test]
+    fn the_shared_key_sets_cover_what_the_config_builders_read() {
+        fn args(keys: &[&str]) -> Vec<String> {
+            keys.iter().flat_map(|k| [format!("--{k}"), "3".to_string()]).collect()
+        }
+        let opts = CliOptions::parse(args(&GAUSSIAN_KEYS), &GAUSSIAN_KEYS, &SCALE_FLAGS).unwrap();
+        let config = gaussian_config(&opts);
+        assert_eq!((config.datasets.gaussian_size, config.datasets.n_ranges), (3, 3));
+        assert_eq!((config.datasets.min_range, config.datasets.max_range), (3.0, 3.0));
+        assert_eq!((config.datasets.replicates, config.datasets.seed), (3, 3));
+        let opts = CliOptions::parse(args(&MIRANDA_KEYS), &MIRANDA_KEYS, &SCALE_FLAGS).unwrap();
+        let config = miranda_config(&opts);
+        assert_eq!((config.slices, config.slice_size, config.seed), (3, 3, 3));
+        assert_eq!(opts.output_dir(), PathBuf::from("3"));
     }
 }

@@ -115,6 +115,10 @@ pub struct EncodeLayers {
     pub compressor: String,
     /// `(layer, min seconds, median seconds)` per layer.
     pub layers: Vec<(String, f64, f64)>,
+    /// On a row that sums the layers over the tiles of a field: what one
+    /// more stream costs, in microseconds — the row's layer minima minus
+    /// those of the whole-field row, over the tile count.
+    pub tile_fixed_cost_us: Option<f64>,
 }
 
 impl EncodeLayers {
@@ -136,7 +140,13 @@ impl EncodeLayers {
                 (name.to_string(), min, median)
             })
             .collect();
-        EncodeLayers { compressor: compressor.into(), layers }
+        EncodeLayers { compressor: compressor.into(), layers, tile_fixed_cost_us: None }
+    }
+
+    /// Sum of the layers' minima: the compress call with every layer at its
+    /// quickest.
+    pub fn min_total_seconds(&self) -> f64 {
+        self.layers.iter().map(|&(_, min, _)| min).sum()
     }
 }
 
@@ -314,8 +324,11 @@ impl StageTimings {
                     )
                 })
                 .collect();
+            let fixed = e
+                .tile_fixed_cost_us
+                .map_or(String::new(), |us| format!(", \"tile_fixed_cost_us\": {us:.3}"));
             out.push_str(&format!(
-                "    {{\"compressor\": \"{}\", \"layers\": [{}]}}{comma}\n",
+                "    {{\"compressor\": \"{}\", \"layers\": [{}]{fixed}}}{comma}\n",
                 escape(&e.compressor),
                 layers.join(", ")
             ));
@@ -895,6 +908,15 @@ mod tests {
              \"min_seconds\": 0.001000, \"median_seconds\": 0.002000}, {\"layer\": \"lz77\", \
              \"min_seconds\": 0.250000, \"median_seconds\": 0.500000}]}\n"
         ));
+        assert_eq!(layers.min_total_seconds(), 0.251);
+        t.record_encode_layers(EncodeLayers {
+            compressor: "sz@64x64".into(),
+            tile_fixed_cost_us: Some(12.5),
+            ..layers
+        });
+        assert!(t
+            .to_json()
+            .contains("\"median_seconds\": 0.500000}], \"tile_fixed_cost_us\": 12.500}\n"));
     }
 
     #[test]

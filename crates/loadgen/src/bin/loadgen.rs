@@ -33,7 +33,23 @@ static ALLOC: lcc_loadgen::alloc_count::CountingAllocator =
     lcc_loadgen::alloc_count::CountingAllocator;
 
 fn main() {
-    let opts = CliOptions::from_env();
+    let opts = CliOptions::from_env(
+        &[
+            "workers",
+            "duration-ms",
+            "seed",
+            "queue-capacity",
+            "framed-blocks",
+            "bound",
+            "sizes",
+            "out",
+            "archive-size",
+            "archive-tile",
+            "tile-cache-mb",
+            "chaos",
+        ],
+        &["regions-only"],
+    );
     let workers = opts.get_usize("workers", 4);
     let duration_ms = opts.get_u64("duration-ms", 2000);
     let seed = opts.get_u64("seed", 42);

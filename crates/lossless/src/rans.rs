@@ -119,10 +119,7 @@ impl EncSym {
         } else {
             // shift = ceil(log2(freq)); the rounded-up reciprocal makes
             // q = floor(x / freq) exact for all x < 2^31.
-            let mut shift = 0u32;
-            while (1u64 << shift) < u64::from(freq) {
-                shift += 1;
-            }
+            let shift = u32::BITS - (freq - 1).leading_zeros();
             let rcp_freq = (1u64 << (shift + 31)).div_ceil(u64::from(freq)) as u32;
             EncSym { x_max, rcp_freq, rcp_shift: shift - 1, bias: start, cmpl_freq: SCALE - freq }
         }
@@ -283,6 +280,26 @@ pub fn rans8_decode_with(
     rans8_decode_with_at(scratch, simd_level(), bytes, out)
 }
 
+/// Totals below this keep `count << SCALE_BITS` inside a `u64` and the
+/// reciprocal estimate of [`scale_count`] within one of the quotient.
+const RECIPROCAL_TOTAL_MAX: u64 = 1 << 51;
+
+/// `⌊(count << SCALE_BITS) / total⌋` for `count ≤ total`, given
+/// `rcp = ⌊(2^64 − 1) / total⌋`: one division a stream, not one a symbol.
+/// `⌊scaled · rcp / 2^64⌋` is the quotient or one less (it never exceeds
+/// `scaled / total` and falls short of it by at most
+/// `scaled / 2^64 ≤ (total << SCALE_BITS) / 2^64 < 1/2`), and the remainder
+/// says which.
+#[inline]
+fn scale_count(count: u64, total: u64, rcp: u64) -> u32 {
+    if total >= RECIPROCAL_TOTAL_MAX {
+        return ((u128::from(count) << SCALE_BITS) / u128::from(total)) as u32;
+    }
+    let scaled = count << SCALE_BITS;
+    let q = ((u128::from(scaled) * u128::from(rcp)) >> 64) as u64;
+    (q + u64::from(scaled - q * total >= total)) as u32
+}
+
 /// Normalize the histogram in `alphabet` to frequencies summing exactly to
 /// `SCALE`, every entry at least 1. Deterministic: floor-scaled counts, the
 /// deficit granted to the most frequent symbol, any excess shaved from the
@@ -290,11 +307,11 @@ pub fn rans8_decode_with(
 fn normalize_freqs(alphabet: &[(u32, u64)], freqs: &mut Vec<u32>, order: &mut Vec<u32>) {
     debug_assert!(!alphabet.is_empty() && alphabet.len() <= SCALE as usize);
     let total: u64 = alphabet.iter().map(|&(_, c)| c).sum();
+    let rcp = u64::MAX / total;
     freqs.clear();
     let mut sum = 0u32;
     for &(_, count) in alphabet {
-        let f = ((u128::from(count) << SCALE_BITS) / u128::from(total)) as u32;
-        let f = f.max(1);
+        let f = scale_count(count, total, rcp).max(1);
         freqs.push(f);
         sum += f;
     }
@@ -328,9 +345,11 @@ fn normalize_freqs(alphabet: &[(u32, u64)], freqs: &mut Vec<u32>, order: &mut Ve
 /// Encode-side table build: alphabet discovery, normalization,
 /// reciprocal tables, and the symbol → alphabet-index addressing for the
 /// chosen table mode. Returns `None` when the alphabet exceeds the 12-bit
-/// table and the caller must take the Huffman fallback. On `Some`, the
-/// caller owns restoring the dense-index invariant via [`clear_dense_idx`].
-fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<TableMode> {
+/// table and the caller must take the Huffman fallback; otherwise the table
+/// mode and how many of the input's symbols can renormalize by two bytes
+/// (what [`lane_capacity`] sizes the lanes from). On `Some`, the caller owns
+/// restoring the dense-index invariant via [`clear_dense_idx`].
+fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<(TableMode, u64)> {
     let mode = build_alphabet_into(
         &mut scratch.hist,
         &mut scratch.sym_map,
@@ -347,9 +366,13 @@ fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<Tab
     // and the symbol → index addressing for the chosen table mode.
     scratch.enc_syms.clear();
     let mut cum = 0u32;
-    for &f in &scratch.freqs {
+    let mut two_byte = 0u64;
+    for (&f, &(_, count)) in scratch.freqs.iter().zip(&scratch.alphabet) {
         scratch.enc_syms.push(EncSym::new(cum, f));
         cum += f;
+        if f < ONE_BYTE_FREQ {
+            two_byte += count;
+        }
     }
     debug_assert_eq!(cum, SCALE);
     match mode {
@@ -371,7 +394,7 @@ fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<Tab
             }
         }
     }
-    Some(mode)
+    Some((mode, two_byte))
 }
 
 /// Write the `varint alphabet_size (varint symbol, varint freq)*`
@@ -401,18 +424,12 @@ const ONE_BYTE_FREQ: u32 = 16;
 
 /// Bytes one lane can need: one per symbol of its `⌈n/8⌉` share, a second
 /// ([`MAX_RENORM_BYTES`]) for as many of them as the input has occurrences
-/// of symbols rarer than [`ONE_BYTE_FREQ`] — all of which may ride one lane
-/// — the four bytes of the flushed state, and slack so the unconditional
-/// renorm stores of [`enc_put`] stay inside the lane even when it is full.
-fn lane_capacity(scratch: &RansScratch, n_symbols: usize) -> usize {
+/// of symbols rarer than [`ONE_BYTE_FREQ`] (`two_byte`) — all of which may
+/// ride one lane — the four bytes of the flushed state, and slack so the
+/// unconditional renorm stores of [`enc_put`] stay inside the lane even when
+/// it is full.
+fn lane_capacity(n_symbols: usize, two_byte: u64) -> usize {
     let share = n_symbols.div_ceil(LANES);
-    let two_byte: u64 = scratch
-        .alphabet
-        .iter()
-        .zip(&scratch.freqs)
-        .filter(|&(_, &freq)| freq < ONE_BYTE_FREQ)
-        .map(|(&(_, count), _)| count)
-        .sum();
     share + share.min(two_byte as usize) + 8
 }
 
@@ -426,7 +443,7 @@ pub fn rans8_encode_with(scratch: &mut RansScratch, symbols: &[u32], out: &mut V
         return;
     }
 
-    let Some(mode) = build_encode_tables(scratch, symbols) else {
+    let Some((mode, two_byte)) = build_encode_tables(scratch, symbols) else {
         // Too many distinct symbols for a 12-bit table: embed a canonical
         // Huffman stream instead.
         out.push(MODE_HUFF);
@@ -441,7 +458,7 @@ pub fn rans8_encode_with(scratch: &mut RansScratch, symbols: &[u32], out: &mut V
     // Eight round-robin states, each writing its **own** lane, so the
     // decoder walks eight independent byte cursors instead of one shared
     // stream.
-    let cap = lane_capacity(scratch, symbols.len());
+    let cap = lane_capacity(symbols.len(), two_byte);
     if scratch.lane_buf.len() < LANES * cap {
         scratch.lane_buf.resize(LANES * cap, 0);
     }
@@ -1506,7 +1523,7 @@ mod tests {
             return out;
         }
         let scratch = &mut RansScratch::new();
-        let Some(mode) = build_encode_tables(scratch, symbols) else {
+        let Some((mode, _)) = build_encode_tables(scratch, symbols) else {
             out.push(MODE_HUFF);
             huffman_encode_with(&mut scratch.huff, symbols, &mut out);
             return out;
@@ -1607,6 +1624,80 @@ mod tests {
     }
 
     #[test]
+    fn rans8_tables_equal_their_per_symbol_division_definitions() {
+        // `scale_count` against the `u128` division it replaced: totals that
+        // are and are not powers of two, counts from 1 to the total, and
+        // totals on both sides of the reciprocal's range.
+        let totals = [
+            1,
+            2,
+            3,
+            4095,
+            4096,
+            4097,
+            262_144,
+            1_056_784,
+            999_999_999_989,
+            (1 << 40) + 1,
+            RECIPROCAL_TOTAL_MAX - 1,
+            RECIPROCAL_TOTAL_MAX,
+            u64::MAX >> 1,
+        ];
+        for total in totals {
+            let rcp = u64::MAX / total;
+            let near = |x: u64| [x.saturating_sub(1), x, x + 1];
+            let counts = [1, 2, 3, 7, 4095, 4096, total / 3, total / 2, total - 1, total]
+                .into_iter()
+                .flat_map(near)
+                // Multiples of total / SCALE sit on the floor's steps.
+                .chain((1..=64).flat_map(|k| near(total / 4096 * k * 64)));
+            for count in counts.filter(|c| (1..=total).contains(c)) {
+                let exact = ((u128::from(count) << SCALE_BITS) / u128::from(total)) as u32;
+                assert_eq!(scale_count(count, total, rcp), exact, "{count} of {total}");
+            }
+        }
+        // `EncSym::new` against the shift it used to find by a loop.
+        for freq in 2..=SCALE {
+            let mut shift = 0u32;
+            while (1u64 << shift) < u64::from(freq) {
+                shift += 1;
+            }
+            let sym = EncSym::new(17, freq);
+            assert_eq!(sym.rcp_shift, shift - 1, "freq {freq}");
+            assert_eq!(
+                sym.rcp_freq,
+                (1u64 << (shift + 31)).div_ceil(u64::from(freq)) as u32,
+                "freq {freq}"
+            );
+        }
+    }
+
+    #[test]
+    fn rans8_scratch_tables_are_all_zero_after_every_alphabet_shape() {
+        // The scan path, the sort path (a far-away escape code), a span at
+        // the dense limit and the Huffman fallback through one scratch: the
+        // histogram and the dense index must be clean after each, or the
+        // next stream's alphabet is wrong.
+        let mut escape: Vec<u32> = (0..4096u32).map(|k| 32_768 - 20 + (k * 13) % 40).collect();
+        escape[77] = 0;
+        let cases: Vec<(&str, Vec<u32>)> = vec![
+            ("single symbol", vec![5; 4096]),
+            ("4096 distinct", (0..4096u32).map(|k| 9 + k.wrapping_mul(2_654_435) % 4096).collect()),
+            ("escape code", escape),
+            ("dense limit", vec![1, 1 << 21, 1, 2]),
+            ("fallback", (0..5000u32).collect()),
+        ];
+        let mut scratch = RansScratch::new();
+        for _ in 0..2 {
+            for (what, symbols) in &cases {
+                assert_matches_reference(&mut scratch, symbols, what);
+                assert!(scratch.hist.iter().all(|&c| c == 0), "{what}: hist");
+                assert!(scratch.dense_idx.iter().all(|&k| k == 0), "{what}: dense_idx");
+            }
+        }
+    }
+
+    #[test]
     fn rans8_lane_capacity_covers_the_worst_lane() {
         // Lanes are sized from the table: one byte per symbol plus a second
         // for every occurrence of a symbol rarer than `ONE_BYTE_FREQ`. An
@@ -1642,7 +1733,12 @@ mod tests {
             rans8_encode_with(&mut scratch, &symbols, &mut encoded);
             assert!(encoded == reference_rans8_encode(&symbols), "{what}");
             let (_, _, lanes, _) = split8(&encoded);
-            let cap = lane_capacity(&scratch, symbols.len()) as u64;
+            let (_, two_byte) = build_encode_tables(&mut scratch, &symbols).unwrap();
+            let rare = scratch.alphabet.iter().zip(&scratch.freqs);
+            let walked: u64 =
+                rare.filter(|&(_, &f)| f < ONE_BYTE_FREQ).map(|(&(_, count), _)| count).sum();
+            assert_eq!(two_byte, walked, "{what}: the count taken while the tables were built");
+            let cap = lane_capacity(symbols.len(), two_byte) as u64;
             assert!(lanes.iter().all(|&l| l + 4 <= cap), "{what}: lanes {lanes:?}, capacity {cap}");
         }
     }

@@ -158,6 +158,12 @@ pub(crate) enum TableMode {
     Sparse,
 }
 
+/// A dense alphabet whose value span is at most this many times the symbol
+/// count is read off the histogram by an ordered scan; a wider one (a
+/// cluster of codes plus a far-away escape code) would scan mostly zeros, so
+/// its distinct symbols are collected while counting and sorted instead.
+pub(crate) const SCAN_SPAN_PER_SYMBOL: usize = 4;
+
 /// Histogram `symbols` into `alphabet` as `(symbol, count)` pairs sorted by
 /// symbol, choosing dense or sparse table addressing by the alphabet's value
 /// span. Shared by the Huffman and rANS coders (the first stage of both);
@@ -183,18 +189,21 @@ pub(crate) fn build_alphabet_into(
         if hist.len() < span {
             hist.resize(span, 0);
         }
-        for &s in symbols {
-            let idx = (s - min) as usize;
-            if hist[idx] == 0 {
-                alphabet.push((s, 0));
+        if span <= symbols.len().saturating_mul(SCAN_SPAN_PER_SYMBOL) {
+            // Count, then walk the span in symbol order: the alphabet comes
+            // out sorted, and a stream of a few thousand symbols does not
+            // pay for a sort of a thousand pairs.
+            for &s in symbols {
+                hist[(s - min) as usize] += 1;
             }
-            hist[idx] += 1;
-        }
-        alphabet.sort_unstable_by_key(|&(sym, _)| sym);
-        for entry in alphabet.iter_mut() {
-            let idx = (entry.0 - min) as usize;
-            entry.1 = hist[idx];
-            hist[idx] = 0; // restore the all-zero invariant
+            for (offset, count) in hist[..span].iter_mut().enumerate() {
+                if *count != 0 {
+                    alphabet.push((min + offset as u32, *count));
+                    *count = 0; // restore the all-zero invariant
+                }
+            }
+        } else {
+            dense_alphabet_by_sort(hist, alphabet, symbols, min);
         }
         TableMode::Dense { min }
     } else {
@@ -215,6 +224,31 @@ pub(crate) fn build_alphabet_into(
         }
         alphabet.sort_unstable_by_key(|&(sym, _)| sym);
         TableMode::Sparse
+    }
+}
+
+/// The dense alphabet of `symbols` (all at least `min`, `hist` covering
+/// their span) by collecting each symbol on its first count and sorting the
+/// distinct ones: work in the alphabet's size, whatever its span. Re-zeroes
+/// the `hist` entries it used.
+fn dense_alphabet_by_sort(
+    hist: &mut [u64],
+    alphabet: &mut Vec<(u32, u64)>,
+    symbols: &[u32],
+    min: u32,
+) {
+    for &s in symbols {
+        let idx = (s - min) as usize;
+        if hist[idx] == 0 {
+            alphabet.push((s, 0));
+        }
+        hist[idx] += 1;
+    }
+    alphabet.sort_unstable_by_key(|&(sym, _)| sym);
+    for entry in alphabet.iter_mut() {
+        let idx = (entry.0 - min) as usize;
+        entry.1 = hist[idx];
+        hist[idx] = 0; // restore the all-zero invariant
     }
 }
 
@@ -320,6 +354,85 @@ mod tests {
         assert_eq!(m.get(7919), None);
         let (slot, inserted) = m.get_or_insert(7919);
         assert_eq!((slot, inserted), (0, true));
+    }
+
+    /// `build_alphabet_into` on fresh buffers next to two oracles: a
+    /// `BTreeMap` count and, for dense spans, the collect-and-sort path. The
+    /// dense histogram must come back all-zero.
+    fn assert_alphabet(symbols: &[u32], scans: bool, what: &str) {
+        let mut hist = Vec::new();
+        let mut alphabet = vec![(9, 9)]; // stale content must not survive
+        let mode = build_alphabet_into(
+            &mut hist,
+            &mut SymbolMap::default(),
+            &mut Vec::new(),
+            &mut alphabet,
+            symbols,
+        );
+        let mut counted = std::collections::BTreeMap::new();
+        for &s in symbols {
+            *counted.entry(s).or_insert(0u64) += 1;
+        }
+        assert!(alphabet == counted.into_iter().collect::<Vec<_>>(), "{what}: alphabet differs");
+        assert!(hist.iter().all(|&c| c == 0), "{what}: hist left dirty");
+        let (min, max) = (alphabet[0].0, alphabet[alphabet.len() - 1].0);
+        let span = (max - min) as usize + 1;
+        assert_eq!(matches!(mode, TableMode::Dense { .. }), span <= DENSE_SPAN_MAX, "{what}");
+        if let TableMode::Dense { min: mode_min } = mode {
+            assert_eq!(mode_min, min, "{what}");
+            assert_eq!(span <= symbols.len() * SCAN_SPAN_PER_SYMBOL, scans, "{what}: wrong path");
+            let mut sorted = Vec::new();
+            dense_alphabet_by_sort(&mut hist, &mut sorted, symbols, min);
+            assert!(sorted == alphabet, "{what}: scan and sort paths disagree");
+            assert!(hist.iter().all(|&c| c == 0), "{what}: sort path left hist dirty");
+        }
+    }
+
+    #[test]
+    fn alphabet_scan_path_equals_the_sort_path() {
+        assert_alphabet(&[77; 4096], true, "single symbol");
+        assert_alphabet(&[u32::MAX], true, "one symbol at the top of the range");
+        let distinct: Vec<u32> =
+            (0..4096u32).map(|k| 32_768 + k.wrapping_mul(2_654_435) % 4096).collect();
+        assert_alphabet(&distinct, true, "4096 distinct symbols in 4096");
+
+        // A span exactly at the scan threshold, and one past it.
+        let n = 1000usize;
+        let mut at: Vec<u32> = (0..n as u32).map(|k| 500 + (k * 7) % 900).collect();
+        at[0] = 500;
+        at[1] = 500 + (n * SCAN_SPAN_PER_SYMBOL) as u32 - 1;
+        assert_alphabet(&at, true, "span at the threshold");
+        at[1] += 1;
+        assert_alphabet(&at, false, "span one past the threshold");
+
+        // The widest dense span, and the first sparse one.
+        assert_alphabet(&[3, 3 + DENSE_SPAN_MAX as u32 - 1, 3, 4], false, "span at DENSE_SPAN_MAX");
+        assert_alphabet(&[3, 3 + DENSE_SPAN_MAX as u32, 3, 4], false, "first sparse span");
+
+        // A 40-symbol cluster of codes and the escape code 2^15 below it.
+        let mut cluster: Vec<u32> = (0..4096u32).map(|k| 32_768 - 20 + (k * 13) % 40).collect();
+        cluster[1234] = 0;
+        assert_alphabet(&cluster, false, "escape code far from the cluster");
+    }
+
+    #[test]
+    fn alphabet_buffers_are_reusable_across_paths() {
+        // One set of buffers through the scan, sort and sparse paths in turn:
+        // each call must see the all-zero histogram the last one left.
+        let (mut hist, mut map, mut slots, mut alphabet) =
+            (Vec::new(), SymbolMap::default(), Vec::new(), Vec::new());
+        let inputs: [&[u32]; 5] =
+            [&[5, 6, 5, 9], &[1, 100_000, 1], &[0, u32::MAX, 0], &[7; 9], &[2, 1, 0, 1, 2, 2]];
+        for symbols in inputs.iter().cycle().take(15) {
+            build_alphabet_into(&mut hist, &mut map, &mut slots, &mut alphabet, symbols);
+            let mut sorted = symbols.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let counts = |s: u32| symbols.iter().filter(|&&x| x == s).count() as u64;
+            let expected: Vec<(u32, u64)> = sorted.iter().map(|&s| (s, counts(s))).collect();
+            assert_eq!(alphabet, expected);
+            assert!(hist.iter().all(|&c| c == 0));
+        }
     }
 
     #[test]

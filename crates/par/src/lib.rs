@@ -24,6 +24,13 @@
 //! threads themselves come from [`std::thread::scope`], so borrowed inputs
 //! need no `'static` bound and no `Arc` cloning.
 //!
+//! **The caller is a worker.** A pool of width `T` is the calling thread
+//! plus `T − 1` scoped threads: the caller claims items from the same cursor
+//! while the others start, instead of parking behind `T` fresh spawns, so a
+//! map over a handful of millisecond-sized items (the tiles of one archive
+//! entry) does not pay a spawn it has a thread for already. Per-worker state
+//! and panic isolation are the same on the calling thread as on the others.
+//!
 //! ## Panic isolation
 //!
 //! Every job body run by the helpers here is wrapped in
@@ -128,6 +135,55 @@ impl FirstPanic {
             None => Ok(ok),
         }
     }
+}
+
+/// One worker's share of a fallible map: claim indices below `n` from
+/// `cursor` until the input is drained or a sibling has panicked, run `job`
+/// on each under `catch_unwind`, and keep the `(index, result)` pairs.
+fn drain_claims<U>(
+    n: usize,
+    share: usize,
+    cursor: &AtomicUsize,
+    failure: &FirstPanic,
+    mut job: impl FnMut(usize) -> U,
+) -> Vec<(usize, U)> {
+    let mut local = Vec::with_capacity(share);
+    while !failure.aborted() {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        match catch_unwind(AssertUnwindSafe(|| job(i))) {
+            Ok(value) => local.push((i, value)),
+            Err(payload) => {
+                failure.record(i, payload);
+                break;
+            }
+        }
+    }
+    local
+}
+
+/// Run `work` once per element of `workers` — the first on the calling
+/// thread, the others on scoped threads of their own — and stitch the
+/// `(index, result)` pairs every worker kept back into index order.
+fn on_workers<W: Send, U: Send>(
+    n: usize,
+    mut workers: impl Iterator<Item = W>,
+    work: impl Fn(W) -> Vec<(usize, U)> + Sync,
+) -> Vec<U> {
+    let own = workers.next().expect("at least one worker");
+    let work = &work;
+    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers.map(|w| scope.spawn(move || work(w))).collect();
+        indexed.extend(work(own));
+        for handle in handles {
+            indexed.extend(handle.join().expect("parallel worker harness panicked"));
+        }
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Controls how many worker threads the parallel helpers spawn.
@@ -257,7 +313,8 @@ where
 /// Fallible form of [`parallel_map_with_state`]: a panicking job is caught
 /// per job (`catch_unwind`), siblings stop claiming further items, every
 /// worker thread exits cleanly, and the *first* panic comes back as
-/// `Err(JobPanicked)` — the pool itself survives.
+/// `Err(JobPanicked)` — the pool itself survives. The calling thread is one
+/// of the workers (it builds a state with `init` like the others).
 pub fn try_parallel_map_with_state<T, U, S, I, F>(
     config: ThreadPoolConfig,
     items: &[T],
@@ -291,45 +348,11 @@ where
 
     let cursor = AtomicUsize::new(0);
     let failure = FirstPanic::new();
-    let init = &init;
-    let f = &f;
-    let cursor = &cursor;
-    let failure_ref = &failure;
-    let per_thread: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut local: Vec<(usize, U)> = Vec::with_capacity(n / threads + 1);
-                    loop {
-                        if failure_ref.aborted() {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, &items[i]))) {
-                            Ok(value) => local.push((i, value)),
-                            Err(payload) => {
-                                failure_ref.record(i, payload);
-                                break;
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("parallel worker harness panicked")).collect()
+    let out = on_workers(n, 0..threads, |_| {
+        let mut state = init();
+        drain_claims(n, n / threads + 1, &cursor, &failure, |i| f(&mut state, i, &items[i]))
     });
-
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(n);
-    for buffer in per_thread {
-        indexed.extend(buffer);
-    }
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    failure.into_result(indexed.into_iter().map(|(_, value)| value).collect())
+    failure.into_result(out)
 }
 
 /// A work item waiting to be claimed by a worker, behind a take-once mutex.
@@ -348,7 +371,8 @@ type TakeSlot<T> = Mutex<Option<T>>;
 /// block its disjoint `&mut [f64]` slice of the output field. Results come
 /// back in item order.
 ///
-/// Uses at most `min(config.threads(), states.len(), items.len())` workers.
+/// Uses at most `min(config.threads(), states.len(), items.len())` workers,
+/// the calling thread among them (it owns `states[0]`).
 ///
 /// # Panics
 /// Panics if `states` is empty while `items` is not.
@@ -411,46 +435,13 @@ where
     let cursor = AtomicUsize::new(0);
     let failure = FirstPanic::new();
     let slots: Vec<TakeSlot<T>> = items.into_iter().map(|item| Mutex::new(Some(item))).collect();
-    let f = &f;
-    let cursor = &cursor;
-    let slots = &slots;
-    let failure_ref = &failure;
-    let per_worker: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states[..workers]
-            .iter_mut()
-            .map(|state| {
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, U)> = Vec::with_capacity(n / workers + 1);
-                    loop {
-                        if failure_ref.aborted() {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item = lock(&slots[i]).take().expect("each item is taken exactly once");
-                        match catch_unwind(AssertUnwindSafe(|| f(state, i, item))) {
-                            Ok(value) => local.push((i, value)),
-                            Err(payload) => {
-                                failure_ref.record(i, payload);
-                                break;
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("parallel worker harness panicked")).collect()
+    let out = on_workers(n, states[..workers].iter_mut(), |state| {
+        drain_claims(n, n / workers + 1, &cursor, &failure, |i| {
+            let item = lock(&slots[i]).take().expect("each item is taken exactly once");
+            f(state, i, item)
+        })
     });
-
-    let mut indexed: Vec<(usize, U)> = Vec::with_capacity(n);
-    for buffer in per_worker {
-        indexed.extend(buffer);
-    }
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    failure.into_result(indexed.into_iter().map(|(_, value)| value).collect())
+    failure.into_result(out)
 }
 
 /// A chunk waiting to be claimed by a worker: its offset in the original
@@ -493,18 +484,19 @@ where
         out
     };
     let slots: Vec<ChunkSlot<'_, T>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                let (offset, chunk) =
-                    lock(&slots[i]).take().expect("each chunk is taken exactly once");
-                f(offset, chunk);
-            });
+    let drain = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= slots.len() {
+            break;
         }
+        let (offset, chunk) = lock(&slots[i]).take().expect("each chunk is taken exactly once");
+        f(offset, chunk);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(drain);
+        }
+        drain();
     });
 }
 
@@ -887,6 +879,63 @@ mod tests {
         // The caller still owns its states afterwards (the scope joined
         // every worker cleanly) and non-panicking jobs ran on them.
         assert!(states.iter().sum::<usize>() >= 1);
+    }
+
+    /// Jobs that hold every worker of a `width`-wide pool at a barrier on its
+    /// first claim, so each of them provably runs at least one job, and
+    /// report the thread they ran on.
+    fn rendezvous(width: usize) -> impl Fn(&mut bool) -> std::thread::ThreadId + Sync {
+        let barrier = std::sync::Barrier::new(width);
+        move |arrived: &mut bool| {
+            if !std::mem::replace(arrived, true) {
+                barrier.wait();
+            }
+            std::thread::current().id()
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let items = vec![(); 64];
+        for width in [2, 3, 8] {
+            let job = rendezvous(width);
+            let pool = ThreadPoolConfig::with_threads(width);
+            let ran_on = parallel_map_with_state(pool, &items, || false, |s, _, ()| job(s));
+            let distinct: std::collections::HashSet<_> = ran_on.iter().collect();
+            assert_eq!(distinct.len(), width, "the caller plus {width} - 1 spawned threads");
+            assert!(distinct.contains(&caller));
+
+            let job = rendezvous(width);
+            let mut states = vec![false; width];
+            let ran_on = parallel_block_map(pool, &mut states, items.clone(), |s, _, ()| job(s));
+            let distinct: std::collections::HashSet<_> = ran_on.iter().collect();
+            assert_eq!(distinct.len(), width);
+            assert!(distinct.contains(&caller));
+            assert_eq!(states, vec![true; width], "every state was owned by one worker");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_callers_share_is_a_first_error_like_any_other() {
+        let caller = std::thread::current().id();
+        let job = rendezvous(3);
+        let mut states = vec![false; 3];
+        let err = try_parallel_block_map(
+            ThreadPoolConfig::with_threads(3),
+            &mut states,
+            vec![(); 32],
+            |s, i, ()| {
+                if job(s) == caller {
+                    panic!("the caller's job {i} went bad");
+                }
+            },
+        )
+        .unwrap_err();
+        assert!(err.message.contains(&format!("the caller's job {} went bad", err.job)));
+        // The scope joined the spawned workers and the caller's panic was
+        // caught per job: this thread is still running and owns its states.
+        assert_eq!(states, vec![true; 3]);
     }
 
     #[test]

@@ -155,6 +155,10 @@ const MAX_CELLS_PER_STREAM_BYTE: usize = 1 << 16;
 #[derive(Debug, Default)]
 pub struct FrameScratch {
     workers: Vec<FrameWorker>,
+    /// Length of the last multi-block frame encoded through this scratch:
+    /// the capacity the next one starts with, so a frame is not grown by
+    /// doubling from its header.
+    frame_len: usize,
 }
 
 /// One worker's persistent state: the inner compressor's scratch arena plus
@@ -181,6 +185,12 @@ impl FrameScratch {
             self.workers.resize_with(n, FrameWorker::default);
         }
         &mut self.workers[..n]
+    }
+
+    /// An empty frame buffer for a `fixed`-byte header, with room for a
+    /// frame as long as the last one.
+    fn frame_buffer(&self, fixed: usize) -> Vec<u8> {
+        Vec::with_capacity(fixed.max(self.frame_len))
     }
 }
 
@@ -294,13 +304,14 @@ fn compress_framed_impl(
         ranges.iter().map(|r| view.subview(r.start, 0, r.len(), nx)).collect();
     let n_blocks = sub_views.len();
 
-    let mut header = Vec::with_capacity(HEADER_LEN);
+    let mut header = scratch.frame_buffer(HEADER_LEN);
     header.extend_from_slice(&FRAME_MAGIC);
     header.push(if checksum { FRAME_VERSION | FLAG_CHECKSUM } else { FRAME_VERSION });
     header.extend_from_slice(&(ny as u64).to_le_bytes());
     header.extend_from_slice(&(nx as u64).to_le_bytes());
     header.extend_from_slice(&(n_blocks as u32).to_le_bytes());
-    encode_blocks(compressor, sub_views, bound, pool, scratch, checksum, header, cancel)
+    encode_blocks(compressor, sub_views, bound, pool, scratch, checksum, header, cancel, |_| ())
+        .map(|(frame, _)| frame)
 }
 
 /// Compress a view as a v2 **tiled** frame: blocks are `tile_ny × tile_nx`
@@ -319,15 +330,25 @@ pub fn compress_tiled_with(
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
 ) -> Result<Vec<u8>, CompressError> {
-    compress_tiled_impl(compressor, view, bound, tile_ny, tile_nx, pool, scratch, false)
+    compress_tiled_impl(compressor, view, bound, tile_ny, tile_nx, pool, scratch, false, |_| ())
+        .map(|(frame, _)| frame)
 }
 
 /// [`compress_tiled_with`] plus the per-tile XXH64 digest table of
 /// [`compress_framed_checksummed_with`]: the version byte carries both
 /// `FLAG_TILED` and `FLAG_CHECKSUM`, and every tile's digest is verified
 /// before that tile decodes — including single-tile region reads.
+///
+/// `per_tile` is handed every tile's view inside that tile's block job, on
+/// the worker that has just encoded it, and its results come back in tile
+/// order beside the frame: the hook by which an archive computes per-tile
+/// metadata while the tile is still in that core's cache, instead of in a
+/// later pass over the field. A panic in it is caught like one in the
+/// encoder and fails the frame with [`CompressError::Internal`]; a tiling
+/// that collapses to one tile calls it once, on the calling thread, with
+/// the whole view.
 #[allow(clippy::too_many_arguments)]
-pub fn compress_tiled_checksummed_with(
+pub fn compress_tiled_checksummed_with<R: Send>(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
     bound: ErrorBound,
@@ -335,12 +356,13 @@ pub fn compress_tiled_checksummed_with(
     tile_nx: usize,
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
-) -> Result<Vec<u8>, CompressError> {
-    compress_tiled_impl(compressor, view, bound, tile_ny, tile_nx, pool, scratch, true)
+    per_tile: impl Fn(&FieldView<'_>) -> R + Sync,
+) -> Result<(Vec<u8>, Vec<R>), CompressError> {
+    compress_tiled_impl(compressor, view, bound, tile_ny, tile_nx, pool, scratch, true, per_tile)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn compress_tiled_impl(
+fn compress_tiled_impl<R: Send>(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
     bound: ErrorBound,
@@ -349,7 +371,8 @@ fn compress_tiled_impl(
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
     checksum: bool,
-) -> Result<Vec<u8>, CompressError> {
+    per_tile: impl Fn(&FieldView<'_>) -> R + Sync,
+) -> Result<(Vec<u8>, Vec<R>), CompressError> {
     if tile_ny == 0 || tile_nx == 0 {
         return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
     }
@@ -358,12 +381,14 @@ fn compress_tiled_impl(
     let tile_nx = tile_nx.min(nx);
     let windows: Vec<Window> = WindowIter::over(ny, nx, tile_ny, tile_nx).collect();
     if windows.len() == 1 {
-        return compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena);
+        let stream =
+            compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena)?;
+        return Ok((stream, vec![per_tile(view)]));
     }
     let sub_views: Vec<FieldView<'_>> = windows.iter().map(|w| view.window(w)).collect();
     let n_blocks = sub_views.len();
 
-    let mut header = Vec::with_capacity(TILED_HEADER_LEN);
+    let mut header = scratch.frame_buffer(TILED_HEADER_LEN);
     header.extend_from_slice(&FRAME_MAGIC);
     header.push(FRAME_VERSION | FLAG_TILED | if checksum { FLAG_CHECKSUM } else { 0 });
     header.extend_from_slice(&(ny as u64).to_le_bytes());
@@ -371,7 +396,7 @@ fn compress_tiled_impl(
     header.extend_from_slice(&(n_blocks as u32).to_le_bytes());
     header.extend_from_slice(&(tile_ny as u32).to_le_bytes());
     header.extend_from_slice(&(tile_nx as u32).to_le_bytes());
-    encode_blocks(compressor, sub_views, bound, pool, scratch, checksum, header, None)
+    encode_blocks(compressor, sub_views, bound, pool, scratch, checksum, header, None, per_tile)
 }
 
 /// Encode `sub_views` as the blocks of a frame whose fixed header is
@@ -387,8 +412,11 @@ fn compress_tiled_impl(
 /// encoding of later ones instead of waiting at a barrier and concatenating
 /// afterwards. The emitted bytes are identical to the barrier version: same
 /// header, same tables, same in-order concatenation.
+///
+/// `per_block` sees each block's view inside that block's job, after the
+/// block has encoded; its results come back in block order.
 #[allow(clippy::too_many_arguments)]
-fn encode_blocks(
+fn encode_blocks<R: Send>(
     compressor: &dyn Compressor,
     sub_views: Vec<FieldView<'_>>,
     bound: ErrorBound,
@@ -397,7 +425,8 @@ fn encode_blocks(
     checksum: bool,
     mut header: Vec<u8>,
     cancel: Option<&CancelToken>,
-) -> Result<Vec<u8>, CompressError> {
+    per_block: impl Fn(&FieldView<'_>) -> R + Sync,
+) -> Result<(Vec<u8>, Vec<R>), CompressError> {
     let n_blocks = sub_views.len();
     let tables = if checksum { 16 } else { 8 };
     let table_at = header.len();
@@ -412,7 +441,7 @@ fn encode_blocks(
     });
 
     let workers = scratch.workers(pool.threads().min(n_blocks));
-    try_parallel_block_map(pool, workers, sub_views, |worker, b, sub| {
+    let results = try_parallel_block_map(pool, workers, sub_views, |worker, b, sub| {
         // Poll the deadline before paying for the block: once the token
         // fires, every not-yet-encoded block submits DeadlineExceeded
         // immediately (first-error-wins) instead of finishing its work.
@@ -426,7 +455,9 @@ fn encode_blocks(
                 (stream, digest)
             })
         };
+        let encoded = result.is_ok();
         assembler.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).submit(b, result);
+        encoded.then(|| per_block(&sub))
     })
     .map_err(job_panic)?;
 
@@ -435,7 +466,9 @@ fn encode_blocks(
         Some(error) => Err(error),
         None => {
             debug_assert_eq!(assembler.next, n_blocks, "every block was appended");
-            Ok(assembler.out)
+            scratch.frame_len = assembler.out.len();
+            let results = results.into_iter().map(|r| r.expect("every block encoded")).collect();
+            Ok((assembler.out, results))
         }
     }
 }
@@ -1421,7 +1454,7 @@ mod tests {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
         let mut scratch = FrameScratch::new();
-        let tiled = compress_tiled_checksummed_with(
+        let (tiled, cells) = compress_tiled_checksummed_with(
             &Store,
             &field.view(),
             bound,
@@ -1429,8 +1462,10 @@ mod tests {
             8,
             pool(),
             &mut scratch,
+            |tile| tile.len(),
         )
         .unwrap();
+        assert_eq!(cells, [64, 64, 8, 64, 64, 8, 56, 56, 7], "one result a tile, in tile order");
         assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
         assert_eq!(decompress_framed(&Store, &tiled, pool()).unwrap(), field);
 

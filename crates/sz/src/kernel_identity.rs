@@ -97,7 +97,7 @@ fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, s: &mut S
     let (ny, nx) = field.shape();
     let what = format!("{ny}x{nx} bs={} eb={eb:e}", sz.config().block_size);
     for &level in supported_levels() {
-        sz.select_modes(field, s);
+        sz.select_modes(field, s).unwrap();
         sz.predict_quantize_at(level, field, eb, s);
         let got = Sections {
             codes: s.codes.clone(),

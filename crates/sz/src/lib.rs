@@ -157,8 +157,8 @@ impl SzScratch {
 }
 
 impl SzCompressor {
-    /// The encode layers of one compress call, in pipeline order: input
-    /// validation and bound resolution, block-mode selection, predict and
+    /// The encode layers of one compress call, in pipeline order: bound
+    /// resolution, block-mode selection (with the finiteness check), predict and
     /// quantize, entropy coding of the codes, and container assembly plus the
     /// outer LZ77 pass (`sz`) or the raw payload copy (`sz-rans8`).
     pub const ENCODE_LAYERS: [&'static str; 5] =
@@ -193,10 +193,13 @@ impl SzCompressor {
         s: &mut SzScratch,
         mut layer_done: impl FnMut(),
     ) -> Result<Vec<u8>, CompressError> {
-        validate_finite_view(field)?;
-        let eb = bound.absolute_for_view(field)?;
+        // Mode selection reads every value, so it is also the finiteness
+        // check; a non-finite field is reported before an invalid bound, as
+        // when the check was a pass of its own.
+        let eb = bound.absolute_for_view(field);
         layer_done();
-        self.select_modes(field, s);
+        self.select_modes(field, s)?;
+        let eb = eb?;
         layer_done();
         // One dispatch lookup per stream, threaded into the row kernel.
         self.predict_quantize_at(simd_level(), field, eb, s);
@@ -208,26 +211,24 @@ impl SzCompressor {
         Ok(stream)
     }
 
-    /// Choose every block's predictor from the original data. The selection
-    /// pass already fits the plane, so regression blocks keep it instead of
-    /// fitting twice.
-    fn select_modes(&self, field: &FieldView<'_>, s: &mut SzScratch) {
-        let (ny, nx) = field.shape();
-        let bs = self.config.block_size;
+    /// Choose every block's predictor from the original data and refuse a
+    /// field with a non-finite value. The selection pass already fits the
+    /// plane, so regression blocks keep it instead of fitting twice, and its
+    /// per-block value sums are finite only if every value is, so the scan
+    /// of [`validate_finite_view`] runs only to tell an overflowed sum from
+    /// a non-finite value (or when there is no selection pass).
+    fn select_modes(&self, field: &FieldView<'_>, s: &mut SzScratch) -> Result<(), CompressError> {
         s.modes.clear();
         s.planes.clear();
-        for win in WindowIter::over(ny, nx, bs, bs) {
-            let mode = if self.config.enable_regression {
-                let (mode, plane) = predictor::select_mode_with_plane(field, &win);
-                if mode == BlockMode::Regression {
-                    s.planes.push(plane);
-                }
-                mode
-            } else {
-                BlockMode::Lorenzo
-            };
-            s.modes.push(mode);
+        let bs = self.config.block_size;
+        if !self.config.enable_regression {
+            validate_finite_view(field)?;
+            let blocks = WindowIter::over(field.ny(), field.nx(), bs, bs).count_windows();
+            s.modes.resize(blocks, BlockMode::Lorenzo);
+        } else if !predictor::select_modes(field, bs, &mut s.modes, &mut s.planes) {
+            validate_finite_view(field)?;
         }
+        Ok(())
     }
 
     /// Predict and quantize every block against the absolute bound `eb` with
@@ -665,6 +666,39 @@ mod tests {
         assert!(sz.compress_field(&field, ErrorBound::Absolute(0.0)).is_err());
         field.set(0, 0, f64::NAN);
         assert!(sz.compress_field(&field, ErrorBound::Absolute(1e-3)).is_err());
+    }
+
+    #[test]
+    fn the_finiteness_check_inside_mode_selection_keeps_its_verdicts_and_their_order() {
+        // Fields wide enough for grouped and ragged blocks, at a tile's size
+        // and with one block row.
+        for sz in [SzCompressor::default(), SzCompressor::rans8(), SzCompressor::lorenzo_only()] {
+            for (ny, nx) in [(64, 64), (9, 150), (40, 3)] {
+                let clean = Field2D::from_fn(ny, nx, |i, j| (i as f64 * 0.3).sin() + j as f64);
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    for (i, j) in [(0, 0), (ny / 2, nx / 2), (ny - 1, nx - 1)] {
+                        let mut field = clean.clone();
+                        field.set(i, j, bad);
+                        // Non-finite input is the first error, whatever the bound.
+                        for bound in [ErrorBound::Absolute(1e-3), ErrorBound::Absolute(-1.0)] {
+                            let err = sz.compress_view(&field.view(), bound).unwrap_err();
+                            assert!(
+                                matches!(&err, CompressError::InvalidInput(m) if m.contains("non-finite")),
+                                "{ny}x{nx} {bad} at ({i}, {j}) under {bound:?}: {err:?}"
+                            );
+                        }
+                    }
+                }
+                let err = sz.compress_view(&clean.view(), ErrorBound::Absolute(-1.0)).unwrap_err();
+                assert!(matches!(err, CompressError::InvalidBound(_)), "{err:?}");
+                // Finite values whose block sums overflow are still a valid field.
+                let huge = Field2D::from_fn(ny, nx, |i, j| f64::MAX / 2.0 - (i + j) as f64 * 1e300);
+                let stream = sz.compress_view(&huge.view(), ErrorBound::Absolute(1e290)).unwrap();
+                let back = sz.decompress_field(&stream).unwrap();
+                let worst = huge.as_slice().iter().zip(back.as_slice()).map(|(a, b)| (a - b).abs());
+                assert!(worst.fold(0.0, f64::max) <= 1e290, "{ny}x{nx}");
+            }
+        }
     }
 
     #[test]

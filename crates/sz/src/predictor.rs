@@ -25,8 +25,43 @@ pub fn plane_predict(coeffs: &[f64; 3], di: usize, dj: usize) -> f64 {
 /// only on the block geometry (offsets `di`, `dj`), mirroring how SZ fits its
 /// regression coefficients per block.
 pub fn fit_block_plane(field: &FieldView<'_>, win: &Window) -> [f64; 3] {
-    let h = win.height as f64;
-    let w = win.width as f64;
+    let [sums] = block_sums::<1>(field, win.i0, win.j0, win.height, win.width);
+    plane_from_sums(win.height, win.width, sums)
+}
+
+/// The value sums `[Σv, Σv·di, Σv·dj]` of `G` side-by-side `h × w` blocks,
+/// the first at `(i0, j0)`. Every block has its own three accumulators and
+/// adds its cells in the same order whatever `G` is — rows top to bottom,
+/// cells left to right — so its sums do not depend on its neighbours; the
+/// blocks advance cell by cell together so that `3·G` add chains are in
+/// flight where one block alone waits on three.
+fn block_sums<const G: usize>(
+    field: &FieldView<'_>,
+    i0: usize,
+    j0: usize,
+    h: usize,
+    w: usize,
+) -> [[f64; 3]; G] {
+    let mut sums = [[0.0; 3]; G];
+    for di in 0..h {
+        let row = &field.row(i0 + di)[j0..j0 + G * w];
+        for dj in 0..w {
+            for (g, s) in sums.iter_mut().enumerate() {
+                let v = row[g * w + dj];
+                s[0] += v;
+                s[1] += v * di as f64;
+                s[2] += v * dj as f64;
+            }
+        }
+    }
+    sums
+}
+
+/// The least-squares plane of an `h × w` block from its value sums
+/// `[Σv, Σv·di, Σv·dj]`.
+fn plane_from_sums(h: usize, w: usize, [s_v, s_iv, s_jv]: [f64; 3]) -> [f64; 3] {
+    let h = h as f64;
+    let w = w as f64;
     let n = h * w;
 
     // Sums over the regular grid of offsets.
@@ -35,19 +70,6 @@ pub fn fit_block_plane(field: &FieldView<'_>, win: &Window) -> [f64; 3] {
     let s_ii = (h - 1.0) * h * (2.0 * h - 1.0) / 6.0 * w; // Σ di²
     let s_jj = (w - 1.0) * w * (2.0 * w - 1.0) / 6.0 * h; // Σ dj²
     let s_ij = ((h - 1.0) * h / 2.0) * ((w - 1.0) * w / 2.0); // Σ di·dj
-
-    let mut s_v = 0.0;
-    let mut s_iv = 0.0;
-    let mut s_jv = 0.0;
-    for di in 0..win.height {
-        let row = field.row(win.i0 + di);
-        for dj in 0..win.width {
-            let v = row[win.j0 + dj];
-            s_v += v;
-            s_iv += v * di as f64;
-            s_jv += v * dj as f64;
-        }
-    }
 
     // Solve the symmetric 3x3 system
     // [ n    s_i   s_j  ] [c0]   [ s_v  ]
@@ -109,24 +131,98 @@ pub fn select_mode(field: &FieldView<'_>, win: &Window) -> BlockMode {
 /// and [`fit_block_plane`] separately.
 pub fn select_mode_with_plane(field: &FieldView<'_>, win: &Window) -> (BlockMode, [f64; 3]) {
     let plane = fit_block_plane(field, win);
-    let mut lorenzo_err = 0.0;
-    let mut plane_err = 0.0;
-    for di in 0..win.height {
-        let i = win.i0 + di;
+    let [errors] = block_errors::<1>(field, win.i0, win.j0, win.height, win.width, &[plane]);
+    (mode_of(errors), plane)
+}
+
+/// `[Σ|v − lorenzo|, Σ|v − plane|]` of `G` side-by-side `h × w` blocks, the
+/// first at `(i0, j0)`, each against its own plane; accumulated per block
+/// and interleaved across blocks the way [`block_sums`] is.
+fn block_errors<const G: usize>(
+    field: &FieldView<'_>,
+    i0: usize,
+    j0: usize,
+    h: usize,
+    w: usize,
+    planes: &[[f64; 3]; G],
+) -> [[f64; 2]; G] {
+    let mut errors = [[0.0; 2]; G];
+    for di in 0..h {
+        let i = i0 + di;
         let row = field.row(i);
         let prev = if i > 0 { field.row(i - 1) } else { &[] as &[f64] };
-        for dj in 0..win.width {
-            let j = win.j0 + dj;
-            let v = row[j];
-            let up = if i > 0 { prev[j] } else { 0.0 };
-            let left = if j > 0 { row[j - 1] } else { 0.0 };
-            let diag = if i > 0 && j > 0 { prev[j - 1] } else { 0.0 };
-            lorenzo_err += (v - (up + left - diag)).abs();
-            plane_err += (v - plane_predict(&plane, di, dj)).abs();
+        for dj in 0..w {
+            for (g, (e, plane)) in errors.iter_mut().zip(planes).enumerate() {
+                let j = j0 + g * w + dj;
+                let v = row[j];
+                let up = if i > 0 { prev[j] } else { 0.0 };
+                let left = if j > 0 { row[j - 1] } else { 0.0 };
+                let diag = if i > 0 && j > 0 { prev[j - 1] } else { 0.0 };
+                e[0] += (v - (up + left - diag)).abs();
+                e[1] += (v - plane_predict(plane, di, dj)).abs();
+            }
         }
     }
-    let mode = if plane_err < lorenzo_err { BlockMode::Regression } else { BlockMode::Lorenzo };
-    (mode, plane)
+    errors
+}
+
+/// The predictor with the smaller summed residual; Lorenzo on a tie.
+fn mode_of([lorenzo_err, plane_err]: [f64; 2]) -> BlockMode {
+    if plane_err < lorenzo_err {
+        BlockMode::Regression
+    } else {
+        BlockMode::Lorenzo
+    }
+}
+
+/// Blocks of one block row whose selection passes run interleaved: twelve
+/// add chains in the fitting pass, eight in the comparison.
+const GROUP: usize = 4;
+
+/// [`select_mode_with_plane`] for every `block_size`-sided block of `field`
+/// in [`WindowIter`] order — the same decisions and the same plane bits —
+/// with full-width blocks taken [`GROUP`] at a time: `modes` gets one entry
+/// per block, `planes` one per regression block. Returns whether every
+/// block's value sum was finite; where it is, so is every value of the
+/// field, and where it is not, a value is non-finite or the sum overflowed.
+pub fn select_modes(
+    field: &FieldView<'_>,
+    block_size: usize,
+    modes: &mut Vec<BlockMode>,
+    planes: &mut Vec<[f64; 3]>,
+) -> bool {
+    let (ny, nx) = field.shape();
+    let mut sums_finite = true;
+    let mut keep = |sums: [f64; 3], errors: [f64; 2], plane: [f64; 3]| {
+        sums_finite &= sums[0].is_finite();
+        let mode = mode_of(errors);
+        if mode == BlockMode::Regression {
+            planes.push(plane);
+        }
+        modes.push(mode);
+    };
+    for i0 in (0..ny).step_by(block_size) {
+        let h = block_size.min(ny - i0);
+        let mut j0 = 0;
+        while j0 + GROUP * block_size <= nx {
+            let sums = block_sums::<GROUP>(field, i0, j0, h, block_size);
+            let fitted = sums.map(|s| plane_from_sums(h, block_size, s));
+            let errors = block_errors::<GROUP>(field, i0, j0, h, block_size, &fitted);
+            for g in 0..GROUP {
+                keep(sums[g], errors[g], fitted[g]);
+            }
+            j0 += GROUP * block_size;
+        }
+        while j0 < nx {
+            let w = block_size.min(nx - j0);
+            let [sums] = block_sums::<1>(field, i0, j0, h, w);
+            let plane = plane_from_sums(h, w, sums);
+            let [errors] = block_errors::<1>(field, i0, j0, h, w, &[plane]);
+            keep(sums, errors, plane);
+            j0 += w;
+        }
+    }
+    sums_finite
 }
 
 #[cfg(test)]
@@ -184,6 +280,123 @@ mod tests {
             0.1 * (i as f64) + 0.05 * (j as f64) + (state % 1000) as f64 / 1000.0
         });
         assert_eq!(select_mode(&noisy.view(), &w), BlockMode::Regression);
+    }
+
+    /// The per-block selection as it was before the passes were shared with
+    /// the interleaved form: one block, five serial accumulators. Kept as
+    /// the oracle for both.
+    fn reference_select(field: &FieldView<'_>, win: &Window) -> (BlockMode, [f64; 3]) {
+        let (h, w) = (win.height as f64, win.width as f64);
+        let n = h * w;
+        let s_i = (h - 1.0) * h / 2.0 * w;
+        let s_j = (w - 1.0) * w / 2.0 * h;
+        let s_ii = (h - 1.0) * h * (2.0 * h - 1.0) / 6.0 * w;
+        let s_jj = (w - 1.0) * w * (2.0 * w - 1.0) / 6.0 * h;
+        let s_ij = ((h - 1.0) * h / 2.0) * ((w - 1.0) * w / 2.0);
+        let (mut s_v, mut s_iv, mut s_jv) = (0.0, 0.0, 0.0);
+        for di in 0..win.height {
+            let row = field.row(win.i0 + di);
+            for dj in 0..win.width {
+                let v = row[win.j0 + dj];
+                s_v += v;
+                s_iv += v * di as f64;
+                s_jv += v * dj as f64;
+            }
+        }
+        let a = [[n, s_i, s_j], [s_i, s_ii, s_ij], [s_j, s_ij, s_jj]];
+        let plane = solve3(a, [s_v, s_iv, s_jv]).unwrap_or([s_v / n, 0.0, 0.0]);
+        let (mut lorenzo_err, mut plane_err) = (0.0, 0.0);
+        for di in 0..win.height {
+            let i = win.i0 + di;
+            for dj in 0..win.width {
+                let j = win.j0 + dj;
+                let v = field.at(i, j);
+                let up = if i > 0 { field.at(i - 1, j) } else { 0.0 };
+                let left = if j > 0 { field.at(i, j - 1) } else { 0.0 };
+                let diag = if i > 0 && j > 0 { field.at(i - 1, j - 1) } else { 0.0 };
+                lorenzo_err += (v - (up + left - diag)).abs();
+                plane_err += (v - plane_predict(&plane, di, dj)).abs();
+            }
+        }
+        let mode = if plane_err < lorenzo_err { BlockMode::Regression } else { BlockMode::Lorenzo };
+        (mode, plane)
+    }
+
+    #[test]
+    fn interleaved_selection_equals_the_per_block_selection_bit_for_bit() {
+        // The shapes of `kernel_identity.rs` — 1 × N, N × 1, one block row,
+        // widths around a multiple of the block — plus fields wide enough
+        // for several groups and a ragged tail of blocks after them.
+        let mut shapes = vec![(1, 67), (67, 1), (1, 1), (2, 2), (13, 17), (31, 29), (53, 37)];
+        for width in (1..=5).chain(15..=17) {
+            shapes.push((19, width));
+            shapes.push((width, 23));
+        }
+        shapes.extend([(16, 64), (16, 130), (40, 64), (33, 200), (5, 257)]);
+        let mut state = 0x005E_1EC7_u64;
+        let mut noise = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as f64 / u64::MAX as f64 - 0.5
+        };
+        let (mut regression, mut lorenzo) = (0usize, 0usize);
+        for (ny, nx) in shapes {
+            let field = Field2D::from_fn(ny, nx, |i, j| {
+                let smooth = (i as f64 * 0.11).sin() + (j as f64 * 0.07).cos();
+                // Noisy patches make regression blocks; spikes make planes
+                // whose bits a changed summation order would move.
+                let rough = if (i / 9 + j / 11) % 2 == 0 { noise() } else { 1e-6 * noise() };
+                smooth + rough + if (i * nx + j) % 41 == 7 { 1e9 } else { 0.0 }
+            });
+            let view = field.view();
+            for block_size in (2..=17).chain([32]) {
+                let (mut modes, mut planes) = (vec![BlockMode::Regression], vec![[7.0; 3]]);
+                modes.clear();
+                planes.clear();
+                assert!(select_modes(&view, block_size, &mut modes, &mut planes));
+                let mut planes = planes.iter();
+                let blocks = lcc_grid::WindowIter::over(ny, nx, block_size, block_size);
+                assert_eq!(modes.len(), blocks.count_windows());
+                for (win, mode) in blocks.zip(&modes) {
+                    let what = format!("{ny}x{nx} bs={block_size} block at {:?}", (win.i0, win.j0));
+                    let (expected, plane) = reference_select(&view, &win);
+                    assert_eq!(*mode, expected, "{what}");
+                    assert_eq!(
+                        select_mode_with_plane(&view, &win).1.map(f64::to_bits),
+                        plane.map(f64::to_bits),
+                        "{what}"
+                    );
+                    match mode {
+                        BlockMode::Regression => {
+                            regression += 1;
+                            let kept = planes.next().expect("a plane per regression block");
+                            assert_eq!(kept.map(f64::to_bits), plane.map(f64::to_bits), "{what}");
+                        }
+                        BlockMode::Lorenzo => lorenzo += 1,
+                    }
+                }
+                assert!(planes.next().is_none(), "no plane without a regression block");
+            }
+        }
+        assert!(regression > 1000 && lorenzo > 1000, "{regression} / {lorenzo}: both modes occur");
+    }
+
+    #[test]
+    fn block_sums_flag_non_finite_values_and_overflowed_sums_alike() {
+        let clean = Field2D::from_fn(20, 70, |i, j| (i + j) as f64);
+        let (mut modes, mut planes) = (Vec::new(), Vec::new());
+        assert!(select_modes(&clean.view(), 16, &mut modes, &mut planes));
+        // Anywhere in a grouped block, a ragged one, or the last row.
+        for (i, j, bad) in [(0, 0, f64::NAN), (3, 40, f64::INFINITY), (19, 69, f64::NEG_INFINITY)] {
+            let mut field = clean.clone();
+            field.set(i, j, bad);
+            assert!(!select_modes(&field.view(), 16, &mut modes, &mut planes), "({i}, {j})");
+        }
+        // Finite values whose sum is not: flagged too, for the caller's
+        // exact scan to clear.
+        let huge = Field2D::from_fn(20, 70, |_, _| f64::MAX / 4.0);
+        assert!(!select_modes(&huge.view(), 16, &mut modes, &mut planes));
     }
 
     #[test]
