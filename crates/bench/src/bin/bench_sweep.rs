@@ -30,19 +30,30 @@
 //! stage's `*-rans8` streams overflowed the 12-bit rANS table and carry
 //! Huffman-mode codes instead.
 //!
+//! The `stats` stage also writes `variogram_pairs`, `variogram_ns_per_pair`
+//! (width 1; the pair kernel on an L1-resident row runs 0.17 ns/pair on the
+//! dev box) and `variogram_parallel_eff` (width `--threads` over
+//! `--threads` × width 1, `variogram_threads` beside it) for the global
+//! variogram of the paper-scale field.
+//!
 //! A run with both the `stats` and the `codecs` stage (the default) also
 //! reports `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
 //! seconds over `compress_sz` seconds on the same field.
 
 use lcc_archive::{Archive, ArchiveWriter, TileCache};
 use lcc_bench::CliOptions;
-use lcc_core::benchreport::{CodecThroughput, EncodeLayers, KernelThroughput, StageTimings};
+use lcc_core::benchreport::{
+    CodecThroughput, EncodeLayers, KernelThroughput, StageTimings, VariogramCost,
+};
 use lcc_core::dataset::StudyDatasets;
 use lcc_core::experiment::{run_sweep, SweepConfig};
 use lcc_core::registry::{entropy_ablation_registry, framed_variant_name};
 use lcc_core::statistics::{CorrelationStatistics, StatisticsConfig};
 use lcc_geostat::variogram::estimate_range;
-use lcc_geostat::{local_range_std, local_svd_truncation_std, LocalStatConfig};
+use lcc_geostat::{
+    empirical_variogram_view, estimate_range_pooled, local_range_std, local_svd_truncation_std,
+    LocalStatConfig, VariogramConfig,
+};
 use lcc_grid::{Field2D, Window, WindowIter};
 use lcc_lossless::{
     lz77_compress_with_at, rans8_decode_with_at, rans8_encode, simd_level, CodecScratch,
@@ -109,6 +120,27 @@ fn layer_samples(
     (0..LAYER_REPS).map(|_| timed_compress().expect("bench compressor succeeds").to_vec()).collect()
 }
 
+/// The global variogram of `field` at width 1 and on `pool` (best of three
+/// each), and the pairs it sums.
+fn variogram_cost(field: &Field2D, pool: ThreadPoolConfig) -> VariogramCost {
+    let (view, config) = (field.view(), VariogramConfig::default());
+    let best_of_three = |width: ThreadPoolConfig| {
+        (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(estimate_range_pooled(&view, &config, width));
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    VariogramCost {
+        pairs: empirical_variogram_view(&view, &config).counts.iter().sum(),
+        serial_seconds: best_of_three(ThreadPoolConfig::with_threads(1)),
+        pooled_seconds: best_of_three(pool),
+        threads: pool.threads(),
+    }
+}
+
 /// Valid `--stage` names; `all` (the default) runs every stage in order.
 const STAGES: [&str; 7] = ["all", "stats", "codecs", "framed", "regions", "kernels", "sweep"];
 
@@ -153,6 +185,7 @@ fn main() {
     if run("stats") {
         let field = field.as_ref().expect("stats stage generated the field");
         let global = report.time("global_variogram_range", || estimate_range(field));
+        report.record_variogram_cost(variogram_cost(field, pool));
         let range_spread = report.time("local_variogram_range_std", || {
             local_range_std(field, &LocalStatConfig::default())
         });
@@ -656,6 +689,15 @@ fn main() {
     if let Some((global, range_spread, svd_spread)) = stats_lines {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
         println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
+    }
+    if let Some(cost) = report.variogram_cost() {
+        println!(
+            "  global variogram: {} pairs, {:.3} ns/pair at one thread, parallel efficiency {:.2} at {}",
+            cost.pairs,
+            cost.ns_per_pair(),
+            cost.parallel_eff(),
+            cost.threads
+        );
     }
     let rows = ["sz", "sz-rans8", "mgard", "mgard-rans8"];
     for name in rows.iter().flat_map(|base| [base.to_string(), tile_row(base)]) {

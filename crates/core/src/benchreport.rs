@@ -164,6 +164,35 @@ pub struct StageTimings {
     encode_layers: Vec<EncodeLayers>,
     /// `(rans8 streams, of which coded in the Huffman-fallback mode)`.
     rans8_fallback: Option<(usize, usize)>,
+    variogram_cost: Option<VariogramCost>,
+}
+
+/// What the global variogram of the report's field costs: the pairs it sums
+/// and the seconds that takes on one thread and on `threads`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VariogramCost {
+    /// Pairs summed over every (direction, lag) offset.
+    pub pairs: u64,
+    /// Seconds at pool width 1.
+    pub serial_seconds: f64,
+    /// Seconds at pool width `threads`.
+    pub pooled_seconds: f64,
+    /// The pooled run's width.
+    pub threads: usize,
+}
+
+impl VariogramCost {
+    /// Nanoseconds per pair at width 1 — to hold against what the pair
+    /// kernel does on a row that sits in L1.
+    pub fn ns_per_pair(&self) -> f64 {
+        self.serial_seconds * 1e9 / (self.pairs as f64).max(1.0)
+    }
+
+    /// Speed-up at `threads` over `threads` times the width-1 rate; what is
+    /// missing from 1 is the serial fraction and the pool's idle tail.
+    pub fn parallel_eff(&self) -> f64 {
+        self.serial_seconds / (self.threads as f64 * self.pooled_seconds.max(f64::MIN_POSITIVE))
+    }
 }
 
 impl StageTimings {
@@ -260,6 +289,16 @@ impl StageTimings {
         self.rans8_fallback
     }
 
+    /// Record the global variogram's cost on the report's field.
+    pub fn record_variogram_cost(&mut self, cost: VariogramCost) {
+        self.variogram_cost = Some(cost);
+    }
+
+    /// The recorded variogram cost, if any.
+    pub fn variogram_cost(&self) -> Option<VariogramCost> {
+        self.variogram_cost
+    }
+
     /// Serialize the report as JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -337,6 +376,16 @@ impl StageTimings {
         if let Some((streams, fallback)) = self.rans8_fallback {
             out.push_str(&format!(
                 "  \"rans8_huffman_fallback\": {{\"streams\": {streams}, \"fallback\": {fallback}}},\n"
+            ));
+        }
+        if let Some(cost) = self.variogram_cost {
+            out.push_str(&format!(
+                "  \"variogram_pairs\": {},\n  \"variogram_ns_per_pair\": {:.4},\n  \
+                 \"variogram_parallel_eff\": {:.3},\n  \"variogram_threads\": {},\n",
+                cost.pairs,
+                cost.ns_per_pair(),
+                cost.parallel_eff(),
+                cost.threads
             ));
         }
         if let Some(ratio) = self.predictor_cost_over_codec_cost() {
@@ -885,6 +934,26 @@ mod tests {
         t.record("compress_sz", 0.125);
         assert_eq!(t.predictor_cost_over_codec_cost(), Some(4.0));
         assert!(t.to_json().contains("  \"predictor_cost_over_codec_cost\": 4.000,\n"));
+    }
+
+    #[test]
+    fn variogram_cost_lands_in_the_json_as_three_named_numbers() {
+        let mut t = StageTimings::new("1028x1028");
+        assert!(!t.to_json().contains("variogram_"));
+        let cost = VariogramCost {
+            pairs: 2_000_000,
+            serial_seconds: 0.5e-3,
+            pooled_seconds: 0.3125e-3,
+            threads: 2,
+        };
+        assert_eq!(cost.ns_per_pair(), 0.25);
+        assert_eq!(cost.parallel_eff(), 0.8);
+        t.record_variogram_cost(cost);
+        assert_eq!(t.variogram_cost(), Some(cost));
+        assert!(t.to_json().contains(
+            "  \"variogram_pairs\": 2000000,\n  \"variogram_ns_per_pair\": 0.2500,\n  \
+             \"variogram_parallel_eff\": 0.800,\n  \"variogram_threads\": 2,\n"
+        ));
     }
 
     #[test]

@@ -17,17 +17,31 @@
 //!
 //! 1. **offset list** — every (direction, lag) offset that fits the field,
 //!    direction-major, with the origin stride its sampling budget implies;
-//! 2. **per-offset kernel** — the sum of squared differences of one offset,
-//!    over row slices, in [`LANES`] independent accumulators combined in a
-//!    fixed tree (one accumulator is a single floating-point dependency
-//!    chain and runs at add latency, not throughput);
+//! 2. **band sweep** — the offsets of one stride whose lags fall in one band
+//!    of `BAND` (16) consecutive lags, in all four directions, are one job. The
+//!    job walks the field's origin rows once, `ROWS` (8) at a time, and runs
+//!    every offset of the band against each block of rows: horizontal lags
+//!    re-read a row that is in L1, vertical and diagonal lags share one
+//!    sliding window of `ROWS · stride + BAND` partner rows, so a 512² field
+//!    is streamed once per band (15 times) instead of once per offset (680
+//!    times). Per offset the sum of squared differences still goes into
+//!    `LANES` (8) independent accumulators combined in a fixed tree (one
+//!    accumulator is a single floating-point dependency chain and runs at
+//!    add latency, not throughput), and `GROUP` (2) lags of a direction share
+//!    a kernel call, their blocks interleaved;
 //! 3. **ordered binning** — the per-offset sums are folded into the distance
 //!    bins in list order.
 //!
-//! Step 2 is the only part that costs anything, and offsets are independent,
-//! so it fans out over a thread pool ([`estimate_range_pooled`]). Each
-//! offset's sum is computed by exactly one thread in a fixed order and step 3
-//! is serial, so **the variogram is bit-identical for every pool width**;
+//! Step 2 is the only part that costs anything, and jobs are independent, so
+//! it fans out over a thread pool ([`estimate_range_pooled`], largest job
+//! first). **The variogram is bit-identical for every pool
+//! width, and to a pass over the field per offset**: each offset is in
+//! exactly one job and its sum is computed by exactly one thread; element
+//! `k` of a row still goes to lane `k mod LANES`; each lane still receives
+//! its offset's terms rows ascending, columns ascending — interleaving lags
+//! and blocking rows only reorders work *between* lanes, which do not
+//! interact until the fixed tree; and step 3 is serial in list order. The
+//! per-offset pass survives as the test oracle (`offset_sum`).
 //! [`empirical_variogram_view`] / [`estimate_range_view`] are the same code
 //! at width 1.
 //!
@@ -72,6 +86,11 @@ pub struct EmpiricalVariogram {
 }
 
 impl EmpiricalVariogram {
+    /// The variogram of no pairs, which every fit rejects.
+    fn empty() -> Self {
+        EmpiricalVariogram { distances: Vec::new(), gammas: Vec::new(), counts: Vec::new() }
+    }
+
     /// Number of non-empty bins.
     pub fn len(&self) -> usize {
         self.distances.len()
@@ -113,6 +132,9 @@ pub fn empirical_variogram_view(
 /// a `stride`-spaced lattice pair with `(i + off_y, j ± off_x)`.
 #[derive(Debug, Clone, Copy)]
 struct Offset {
+    /// Index into [`DIRECTIONS`].
+    dir: usize,
+    lag: usize,
     off_y: usize,
     off_x: usize,
     /// The anti-diagonal direction pairs with `j − off_x`.
@@ -121,14 +143,24 @@ struct Offset {
     dist: f64,
 }
 
+impl Offset {
+    /// Number of pairs the offset samples in an `ny × nx` field.
+    fn pairs(&self, ny: usize, nx: usize) -> u64 {
+        ((ny - self.off_y).div_ceil(self.stride) * (nx - self.off_x).div_ceil(self.stride)) as u64
+    }
+}
+
 /// Directions sampled (dy, dx): axial + both diagonals. `usize::MAX` stands
 /// for dx = −1.
 const DIRECTIONS: [(usize, usize); 4] = [(0, 1), (1, 0), (1, 1), (1, usize::MAX)];
 
 /// The offsets that fit an `ny × nx` field, direction-major then by lag.
+/// Within a direction the pair count falls with the lag, so the stride
+/// never rises.
 fn offsets(ny: usize, nx: usize, max_lag: usize, max_dist: f64, budget: usize) -> Vec<Offset> {
+    let budget = budget.max(1) as f64;
     let mut out = Vec::with_capacity(DIRECTIONS.len() * max_lag);
-    for &(dy, dx_raw) in &DIRECTIONS {
+    for (dir, &(dy, dx_raw)) in DIRECTIONS.iter().enumerate() {
         for lag in 1..=max_lag {
             let negative_x = dx_raw == usize::MAX;
             let (off_y, off_x) = (dy * lag, if negative_x { lag } else { dx_raw * lag });
@@ -140,10 +172,12 @@ fn offsets(ny: usize, nx: usize, max_lag: usize, max_dist: f64, budget: usize) -
                 continue;
             }
             // Stride the origin points so the per-offset pair count stays
-            // within the sampling budget.
+            // within the sampling budget. A stride of the larger extent
+            // already samples a single origin, so nothing above it is needed
+            // (and `LANES * stride` cannot overflow).
             let pairs = (ny - off_y) * (nx - off_x);
-            let stride = ((pairs as f64 / budget as f64).sqrt().ceil() as usize).max(1);
-            out.push(Offset { off_y, off_x, negative_x, stride, dist });
+            let stride = ((pairs as f64 / budget).sqrt().ceil() as usize).clamp(1, ny.max(nx));
+            out.push(Offset { dir, lag, off_y, off_x, negative_x, stride, dist });
         }
     }
     out
@@ -151,6 +185,36 @@ fn offsets(ny: usize, nx: usize, max_lag: usize, max_dist: f64, budget: usize) -
 
 /// Independent accumulators of the pair kernel.
 const LANES: usize = 8;
+
+/// Consecutive lags one job sweeps together. 512² at one thread, alternating
+/// runs: 8 lags 17.8 ms, 16 lags 17.9, 32 lags 16.4–19.8 — flat, because any
+/// of them keeps the partner rows in L2; 16 leaves 15 jobs for the pool to
+/// balance where 32 leaves 8, and a 4 KB accumulator block on the stack.
+const BAND: usize = 16;
+
+/// Lags of one direction that share a kernel call. Alternating runs at one
+/// thread, no grouping / 2 / 4: 512² 20.7 / 17.7 / 17.6 ms; a 32 × 32 window
+/// (10 lags a direction) 10.2 / 11.0 / 12.9 µs against 9.5 for the per-offset
+/// pass — groups of four leave two of ten lags, and every row only the
+/// shorter lags of a group have, to single calls. Two takes the large-field
+/// gain and a third of the window cost.
+const GROUP: usize = 2;
+
+/// Origin rows a kernel call walks with its accumulators in registers.
+/// 512² at one thread: 4 rows 18.5 ms, 8 rows 17.2–18.2, 16 rows 18.3–21.9,
+/// 32 rows 19.8, 256 rows 20.1 (the per-band working set leaves L2's fast
+/// ways); one row a call costs a 32 × 32 window 15 µs instead of 11.
+const ROWS: usize = 8;
+
+/// `acc[k] += (a[k·stride] − b[k·stride])²` for the [`LANES`] sampled
+/// elements of one `LANES × stride` block.
+#[inline(always)]
+fn accumulate_block(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
+    for (k, lane) in acc.iter_mut().enumerate() {
+        let d = a[k * stride] - b[k * stride];
+        *lane += d * d;
+    }
+}
 
 /// `acc[k mod LANES] += (a[k·stride] − b[k·stride])²` over the sampled
 /// elements `k` of two equally long row slices.
@@ -160,46 +224,284 @@ fn accumulate_strided(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usiz
     let (a_blocks, b_blocks) = (a.chunks_exact(block), b.chunks_exact(block));
     let a_tail = a_blocks.remainder().iter().step_by(stride);
     let b_tail = b_blocks.remainder().iter().step_by(stride);
+    // A copy, so that the lanes are registers over both loops: accumulating
+    // through `acc` reads 25 ms for a 512² field where this reads 17.
+    let mut lanes = *acc;
     for (ca, cb) in a_blocks.zip(b_blocks) {
-        for (k, lane) in acc.iter_mut().enumerate() {
-            let d = ca[k * stride] - cb[k * stride];
-            *lane += d * d;
-        }
+        accumulate_block(&mut lanes, ca, cb, stride);
     }
-    for ((lane, x), y) in acc.iter_mut().zip(a_tail).zip(b_tail) {
+    for ((lane, x), y) in lanes.iter_mut().zip(a_tail).zip(b_tail) {
         let d = x - y;
         *lane += d * d;
     }
+    *acc = lanes;
 }
 
-/// [`accumulate_strided`], with the unit stride (every window, and the long
-/// lags of a large field) compiled as a constant so that it vectorises.
-#[inline]
-fn accumulate_squared_differences(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
-    if stride == 1 {
-        accumulate_strided(acc, a, b, 1)
-    } else {
-        accumulate_strided(acc, a, b, stride)
+/// [`accumulate_strided`] for `G` slice pairs at once: the full
+/// `LANES × stride` blocks every pair has are interleaved block by block
+/// (`G × LANES` independent add chains in flight), then each pair finishes
+/// its own remaining blocks and ragged tail. Every pair's lanes receive
+/// exactly the terms, in exactly the order, of a call of its own.
+#[inline(always)]
+fn accumulate_interleaved<const G: usize>(
+    acc: &mut [[f64; LANES]; G],
+    a: [&[f64]; G],
+    b: [&[f64]; G],
+    stride: usize,
+) {
+    let block = LANES * stride;
+    let mut blocks = usize::MAX;
+    for pair in &a {
+        blocks = blocks.min(pair.len() / block);
+    }
+    let joint = blocks * block;
+    for t in 0..blocks {
+        for g in 0..G {
+            let (ca, cb) =
+                (&a[g][..joint][t * block..][..block], &b[g][..joint][t * block..][..block]);
+            accumulate_block(&mut acc[g], ca, cb, stride);
+        }
+    }
+    for g in 0..G {
+        accumulate_strided(&mut acc[g], &a[g][joint..], &b[g][joint..], stride);
     }
 }
 
-/// Sum of squared differences and pair count of one offset.
-fn offset_sum(field: &FieldView<'_>, o: &Offset) -> (f64, u64) {
-    let (ny, nx) = field.shape();
-    let width = nx - o.off_x;
+/// The slices offset `o` pairs on origin row `i`: the origin row's part and
+/// the partner row's.
+#[inline(always)]
+fn pair_rows<'a>(field: &FieldView<'a>, i: usize, o: &Offset) -> (&'a [f64], &'a [f64]) {
+    let (origin, partner) = (field.row(i), field.row(i + o.off_y));
+    let width = origin.len() - o.off_x;
     let (a_start, b_start) = if o.negative_x { (o.off_x, 0) } else { (0, o.off_x) };
-    let height = ny - o.off_y;
-    let mut acc = [0.0f64; LANES];
-    for i in (0..height).step_by(o.stride) {
-        let a = &field.row(i)[a_start..a_start + width];
-        let b = &field.row(i + o.off_y)[b_start..b_start + width];
-        accumulate_squared_differences(&mut acc, a, b, o.stride);
-    }
-    let sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-    (sum, (height.div_ceil(o.stride) * width.div_ceil(o.stride)) as u64)
+    (&origin[a_start..a_start + width], &partner[b_start..b_start + width])
 }
 
-/// [`empirical_variogram_view`] with the per-offset sums spread over `pool`.
+/// [`sweep_group`] at a stride the compiler can see.
+#[inline(always)]
+fn sweep_group_strided<const G: usize>(
+    acc: &mut [[f64; LANES]; G],
+    field: &FieldView<'_>,
+    group: &[Offset; G],
+    origins: std::ops::Range<usize>,
+    stride: usize,
+) {
+    let mut lanes = *acc;
+    for r in origins {
+        let (mut a, mut b): ([&[f64]; G], [&[f64]; G]) = ([&[]; G], [&[]; G]);
+        for g in 0..G {
+            (a[g], b[g]) = pair_rows(field, r * stride, &group[g]);
+        }
+        accumulate_interleaved(&mut lanes, a, b, stride);
+    }
+    *acc = lanes;
+}
+
+/// The pair kernel: `G` offsets of one direction against the origin rows
+/// `r · stride`, `r` in `origins`, rows ascending. Not inlined, so that the
+/// accumulators are plain memory on entry and exit and registers between;
+/// the unit stride (every window, and the long lags of a large field) and
+/// stride 2 (the short lags of a 512² field) are compiled as constants.
+#[inline(never)]
+fn sweep_group<const G: usize>(
+    acc: &mut [[f64; LANES]; G],
+    field: &FieldView<'_>,
+    group: &[Offset; G],
+    origins: std::ops::Range<usize>,
+    stride: usize,
+) {
+    match stride {
+        1 => sweep_group_strided(acc, field, group, origins, 1),
+        2 => sweep_group_strided(acc, field, group, origins, 2),
+        s => sweep_group_strided(acc, field, group, origins, s),
+    }
+}
+
+/// A block of origin rows against the offsets of one direction (`acc[k]`
+/// belongs to `band[k]`, lags ascending): each [`GROUP`] of offsets in one
+/// kernel call over the rows its longest lag still has a partner for, the
+/// rows only shorter lags have, and the offsets short of a group, singly.
+fn sweep_direction(
+    acc: &mut [[f64; LANES]],
+    field: &FieldView<'_>,
+    band: &[Offset],
+    origins: std::ops::Range<usize>,
+    stride: usize,
+) {
+    let ny = field.ny();
+    // Origin rows `r · stride` of offset `o` that fall in this block.
+    let rows_of =
+        |o: &Offset, from: usize| from..(ny - o.off_y).div_ceil(stride).clamp(from, origins.end);
+    let mut acc_groups = acc.chunks_exact_mut(GROUP);
+    let mut band_groups = band.chunks_exact(GROUP);
+    for (acc, group) in acc_groups.by_ref().zip(band_groups.by_ref()) {
+        let acc: &mut [[f64; LANES]; GROUP] = acc.try_into().expect("a chunk of GROUP");
+        let group: &[Offset; GROUP] = group.try_into().expect("a chunk of GROUP");
+        let joint = rows_of(&group[GROUP - 1], origins.start);
+        sweep_group(acc, field, group, joint.clone(), stride);
+        for (acc, o) in acc.iter_mut().zip(group) {
+            let rest = rows_of(o, joint.end);
+            if !rest.is_empty() {
+                sweep_group(
+                    std::array::from_mut(acc),
+                    field,
+                    std::array::from_ref(o),
+                    rest,
+                    stride,
+                );
+            }
+        }
+    }
+    for (acc, o) in acc_groups.into_remainder().iter_mut().zip(band_groups.remainder()) {
+        let rows = rows_of(o, origins.start);
+        sweep_group(std::array::from_mut(acc), field, std::array::from_ref(o), rows, stride);
+    }
+}
+
+/// The unit of parallel work: the offsets of one origin stride whose lags
+/// fall in one band of [`BAND`] consecutive lags, in all four directions.
+#[derive(Debug)]
+struct BandJob {
+    stride: usize,
+    /// `(lag − 1) / BAND`.
+    band: usize,
+    /// Per direction, the job's offsets as a range of the offset list.
+    dirs: [std::ops::Range<usize>; DIRECTIONS.len()],
+    /// Pairs the job sums — its cost, to order the job list by.
+    pairs: u64,
+}
+
+/// Per direction, the sum of squared differences of each offset of a job.
+type BandSums = [[f64; BAND]; DIRECTIONS.len()];
+
+/// Group the offset list into band jobs, most pairs first. Every offset is
+/// in exactly one job.
+fn band_jobs(offsets: &[Offset], ny: usize, nx: usize) -> Vec<BandJob> {
+    let mut jobs: Vec<BandJob> = Vec::new();
+    // Within a direction the stride never rises and the band never falls,
+    // so equal (direction, stride, band) keys are one run of consecutive
+    // offsets and the job list is searched once a run, not once an offset.
+    let mut run = None;
+    for (index, o) in offsets.iter().enumerate() {
+        let key = (o.dir, o.stride, (o.lag - 1) / BAND);
+        let job = match run {
+            Some((run_key, job)) if run_key == key => job,
+            _ => {
+                let found = jobs.iter().position(|j| (j.stride, j.band) == (key.1, key.2));
+                let job = found.unwrap_or_else(|| {
+                    let dirs = std::array::from_fn(|_| 0..0);
+                    jobs.push(BandJob { stride: key.1, band: key.2, dirs, pairs: 0 });
+                    jobs.len() - 1
+                });
+                jobs[job].dirs[o.dir] = index..index;
+                run = Some((key, job));
+                job
+            }
+        };
+        jobs[job].dirs[o.dir].end = index + 1;
+        jobs[job].pairs += o.pairs(ny, nx);
+    }
+    jobs.sort_unstable_by_key(|j| (std::cmp::Reverse(j.pairs), j.stride, j.band));
+    jobs
+}
+
+/// The estimator of one field laid out as work: the offset list (step 1),
+/// its band jobs, largest first (step 2, [`BandSweep::run`] on any thread,
+/// one call per job) and the binning of their sums (step 3,
+/// [`BandSweep::bin`]).
+#[derive(Debug)]
+struct BandSweep {
+    ny: usize,
+    nx: usize,
+    n_bins: usize,
+    max_dist: f64,
+    offsets: Vec<Offset>,
+    jobs: Vec<BandJob>,
+}
+
+impl BandSweep {
+    /// Lay out the estimator for an `ny × nx` field. `None` for a single
+    /// row or column, which admits no 2D lag structure under the
+    /// directional enumeration (partial edge windows can be this
+    /// degenerate): its variogram is [`EmpiricalVariogram::empty`].
+    fn plan(ny: usize, nx: usize, config: &VariogramConfig) -> Option<BandSweep> {
+        let min_extent = ny.min(nx);
+        if min_extent < 2 {
+            return None;
+        }
+        let max_lag = config.max_lag.unwrap_or((min_extent / 3).max(2)).clamp(1, min_extent - 1);
+        let n_bins = config.n_bins.max(2);
+        let max_dist = (max_lag as f64) * std::f64::consts::SQRT_2;
+        let offsets = offsets(ny, nx, max_lag, max_dist, config.sample_budget);
+        let jobs = band_jobs(&offsets, ny, nx);
+        Some(BandSweep { ny, nx, n_bins, max_dist, offsets, jobs })
+    }
+
+    /// Run one band job: walk the origin rows once, a block of [`ROWS`] at a
+    /// time, and pair each block with every offset of the band. Each
+    /// offset's eight lanes see its rows ascending and its columns
+    /// ascending, and are combined in the same fixed tree, as if the offset
+    /// had been swept alone.
+    fn run(&self, field: &FieldView<'_>, job: &BandJob) -> BandSums {
+        debug_assert_eq!(field.shape(), (self.ny, self.nx));
+        let origins = self.ny.div_ceil(job.stride);
+        let mut acc = [[[0.0f64; LANES]; BAND]; DIRECTIONS.len()];
+        for start in (0..origins).step_by(ROWS) {
+            let block = start..(start + ROWS).min(origins);
+            for (acc, range) in acc.iter_mut().zip(&job.dirs) {
+                let band = &self.offsets[range.clone()];
+                sweep_direction(&mut acc[..band.len()], field, band, block.clone(), job.stride);
+            }
+        }
+        acc.map(|dir| {
+            dir.map(|l| ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7])))
+        })
+    }
+
+    /// The sum of squared differences of every offset, in list order, from
+    /// the sums of the jobs in `jobs` order.
+    fn offset_sums(&self, job_sums: &[BandSums]) -> Vec<f64> {
+        let mut sums = vec![0.0f64; self.offsets.len()];
+        for (job, by_dir) in self.jobs.iter().zip(job_sums) {
+            for (range, dir_sums) in job.dirs.iter().zip(by_dir) {
+                sums[range.clone()].copy_from_slice(&dir_sums[..range.len()]);
+            }
+        }
+        sums
+    }
+
+    /// Fold the job sums (`jobs` order) into the distance bins, offset by
+    /// offset in list order.
+    fn bin(&self, job_sums: &[BandSums]) -> EmpiricalVariogram {
+        let (n_bins, max_dist) = (self.n_bins, self.max_dist);
+        // Bin accumulators over distance [0, max_dist].
+        let mut bin_gamma = vec![0.0f64; n_bins];
+        let mut bin_dist = vec![0.0f64; n_bins];
+        let mut bin_count = vec![0u64; n_bins];
+        for (o, sum) in self.offsets.iter().zip(self.offset_sums(job_sums)) {
+            let count = o.pairs(self.ny, self.nx);
+            let gamma = sum / (2.0 * count as f64);
+            let bin = (((o.dist / max_dist) * n_bins as f64) as usize).min(n_bins - 1);
+            bin_gamma[bin] += gamma * count as f64;
+            bin_dist[bin] += o.dist * count as f64;
+            bin_count[bin] += count;
+        }
+
+        let mut variogram = EmpiricalVariogram::empty();
+        for b in 0..n_bins {
+            if bin_count[b] == 0 {
+                continue;
+            }
+            let w = bin_count[b] as f64;
+            variogram.distances.push(bin_dist[b] / w);
+            variogram.gammas.push(bin_gamma[b] / w);
+            variogram.counts.push(bin_count[b]);
+        }
+        variogram
+    }
+}
+
+/// [`empirical_variogram_view`] with the band jobs spread over `pool`.
 /// The result does not depend on the pool's width (module docs).
 fn empirical_variogram_pooled(
     field: &FieldView<'_>,
@@ -207,49 +509,11 @@ fn empirical_variogram_pooled(
     pool: ThreadPoolConfig,
 ) -> EmpiricalVariogram {
     let (ny, nx) = field.shape();
-    let min_extent = ny.min(nx);
-    if min_extent < 2 {
-        // A single row or column admits no 2D lag structure under the
-        // directional enumeration (partial edge windows can be this
-        // degenerate); report an empty variogram so the fit is rejected.
-        return EmpiricalVariogram {
-            distances: Vec::new(),
-            gammas: Vec::new(),
-            counts: Vec::new(),
-        };
-    }
-    let max_lag = config.max_lag.unwrap_or((min_extent / 3).max(2)).clamp(1, min_extent - 1);
-    let n_bins = config.n_bins.max(2);
-    let max_dist = (max_lag as f64) * std::f64::consts::SQRT_2;
-
-    let offsets = offsets(ny, nx, max_lag, max_dist, config.sample_budget);
-    let sums = parallel_map_with(pool, &offsets, |o| offset_sum(field, o));
-
-    // Bin accumulators over distance [0, max_dist], filled in offset order.
-    let mut bin_gamma = vec![0.0f64; n_bins];
-    let mut bin_dist = vec![0.0f64; n_bins];
-    let mut bin_count = vec![0u64; n_bins];
-    for (o, (sum, count)) in offsets.iter().zip(sums) {
-        let gamma = sum / (2.0 * count as f64);
-        let bin = (((o.dist / max_dist) * n_bins as f64) as usize).min(n_bins - 1);
-        bin_gamma[bin] += gamma * count as f64;
-        bin_dist[bin] += o.dist * count as f64;
-        bin_count[bin] += count;
-    }
-
-    let mut distances = Vec::new();
-    let mut gammas = Vec::new();
-    let mut counts = Vec::new();
-    for b in 0..n_bins {
-        if bin_count[b] == 0 {
-            continue;
-        }
-        let w = bin_count[b] as f64;
-        distances.push(bin_dist[b] / w);
-        gammas.push(bin_gamma[b] / w);
-        counts.push(bin_count[b]);
-    }
-    EmpiricalVariogram { distances, gammas, counts }
+    let Some(sweep) = BandSweep::plan(ny, nx, config) else {
+        return EmpiricalVariogram::empty();
+    };
+    let job_sums = parallel_map_with(pool, &sweep.jobs, |job| sweep.run(field, job));
+    sweep.bin(&job_sums)
 }
 
 /// Fit the squared-exponential variogram model by damped Gauss–Newton with a
@@ -273,19 +537,19 @@ pub fn fit_squared_exponential(
         return Ok(VariogramFit { sill: 0.0, range: max_h, residual: 0.0 });
     }
 
-    let model = |hh: f64, p: &[f64]| p[0] * (1.0 - (-(hh * hh) / (p[1] * p[1])).exp());
-    let jacobian = |hh: f64, p: &[f64]| {
+    let model = |hh: f64, p: &[f64; 2]| p[0] * (1.0 - (-(hh * hh) / (p[1] * p[1])).exp());
+    let jacobian = |hh: f64, p: &[f64; 2]| {
         let e = (-(hh * hh) / (p[1] * p[1])).exp();
-        vec![1.0 - e, -2.0 * p[0] * e * hh * hh / (p[1] * p[1] * p[1])]
+        [1.0 - e, -2.0 * p[0] * e * hh * hh / (p[1] * p[1] * p[1])]
     };
-    let sse = |p: &[f64]| -> f64 {
+    let sse = |p: &[f64; 2]| -> f64 {
         h.iter().zip(g.iter()).map(|(&hh, &gg)| (model(hh, p) - gg).powi(2)).sum()
     };
 
     // Grid-search initialization over plausible ranges.
-    let mut best = (vec![max_g, max_h / 3.0], f64::INFINITY);
+    let mut best = ([max_g, max_h / 3.0], f64::INFINITY);
     for frac in [0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.5] {
-        let candidate = vec![max_g, (max_h * frac).max(1e-3)];
+        let candidate = [max_g, (max_h * frac).max(1e-3)];
         let err = sse(&candidate);
         if err < best.1 {
             best = (candidate, err);
@@ -323,7 +587,7 @@ pub fn estimate_range_view(field: &FieldView<'_>, config: &VariogramConfig) -> V
     estimate_range_pooled(field, config, ThreadPoolConfig::with_threads(1))
 }
 
-/// [`estimate_range_view`] with the variogram's per-offset sums spread over
+/// [`estimate_range_view`] with the variogram's band jobs spread over
 /// `pool` — for one large field on an otherwise idle pool. Bit-identical to
 /// [`estimate_range_view`] at every width. Callers already inside a pool
 /// worker (the sweep scheduler, the per-window statistics) use
@@ -384,8 +648,8 @@ mod tests {
                 let usable_rows = ny - off_y;
                 let usable_cols = nx - off_x;
                 let pairs = usable_rows * usable_cols;
-                let stride =
-                    ((pairs as f64 / config.sample_budget as f64).sqrt().ceil() as usize).max(1);
+                let budget = config.sample_budget.max(1) as f64;
+                let stride = ((pairs as f64 / budget).sqrt().ceil() as usize).clamp(1, ny.max(nx));
                 let mut sum = 0.0f64;
                 let mut count = 0u64;
                 let mut i = 0;
@@ -430,6 +694,147 @@ mod tests {
         assert!(!kernel.is_empty(), "{what}");
         for (k, r) in kernel.gammas.iter().zip(&reference.gammas) {
             assert!((k - r).abs() <= 1e-12 * r.abs(), "{what}: gamma {k} vs {r}");
+        }
+    }
+
+    /// The per-offset pass the band sweep replaced, kept as its oracle: one
+    /// offset alone, its rows ascending, through the single-pair kernel at a
+    /// run-time stride, the eight lanes combined in the fixed tree.
+    fn offset_sum(field: &FieldView<'_>, o: &Offset) -> (f64, u64) {
+        let (ny, nx) = field.shape();
+        let width = nx - o.off_x;
+        let (a_start, b_start) = if o.negative_x { (o.off_x, 0) } else { (0, o.off_x) };
+        let height = ny - o.off_y;
+        let mut acc = [0.0f64; LANES];
+        for i in (0..height).step_by(o.stride) {
+            let a = &field.row(i)[a_start..a_start + width];
+            let b = &field.row(i + o.off_y)[b_start..b_start + width];
+            accumulate_strided(&mut acc, a, b, o.stride);
+        }
+        let sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+        (sum, (height.div_ceil(o.stride) * width.div_ceil(o.stride)) as u64)
+    }
+
+    /// Every offset sits in exactly one band job of its own stride, and its
+    /// `(sum, count)` from the sweep has the oracle's bits at every pool
+    /// width. Returns the strides the field was swept at.
+    fn assert_sweep_matches_oracle(
+        field: &FieldView<'_>,
+        config: &VariogramConfig,
+        what: &str,
+    ) -> Vec<usize> {
+        let (ny, nx) = field.shape();
+        let sweep = BandSweep::plan(ny, nx, config).expect("a 2D field");
+        let mut jobs_of = vec![0usize; sweep.offsets.len()];
+        for job in &sweep.jobs {
+            for index in job.dirs.iter().flat_map(|range| range.clone()) {
+                jobs_of[index] += 1;
+                assert_eq!(sweep.offsets[index].stride, job.stride, "{what}");
+            }
+        }
+        assert!(jobs_of.iter().all(|&n| n == 1), "{what}: one job per offset");
+        let oracle: Vec<(f64, u64)> = sweep.offsets.iter().map(|o| offset_sum(field, o)).collect();
+        for width in [1, 2, 3, 8] {
+            let pool = ThreadPoolConfig::with_threads(width);
+            let job_sums = parallel_map_with(pool, &sweep.jobs, |job| sweep.run(field, job));
+            let sums = sweep.offset_sums(&job_sums);
+            for ((o, sum), (want, count)) in sweep.offsets.iter().zip(sums).zip(&oracle) {
+                assert_eq!(sum.to_bits(), want.to_bits(), "{what}, width {width}: {o:?}");
+                assert_eq!(o.pairs(ny, nx), *count, "{what}: {o:?}");
+            }
+        }
+        let mut strides: Vec<usize> = sweep.offsets.iter().map(|o| o.stride).collect();
+        strides.sort_unstable();
+        strides.dedup();
+        strides
+    }
+
+    #[test]
+    fn band_sweep_has_the_per_offset_bits_on_every_family() {
+        let window_config = VariogramConfig { max_lag: Some(10), n_bins: 10, ..Default::default() };
+        for (name, field) in families() {
+            let view = field.view();
+            assert_sweep_matches_oracle(&view, &VariogramConfig::default(), &name);
+            assert_sweep_matches_oracle(&view.subview(32, 64, 32, 32), &window_config, &name);
+            let lag31 = VariogramConfig { max_lag: Some(31), ..Default::default() };
+            assert_sweep_matches_oracle(&view.subview(1, 2, 50, 37), &lag31, &name);
+        }
+    }
+
+    #[test]
+    fn band_sweep_has_the_per_offset_bits_on_degenerate_and_odd_shapes() {
+        let default = VariogramConfig::default();
+        let noise = white_noise(140, 150, 3);
+        let view = noise.view();
+        assert_sweep_matches_oracle(&view.subview(0, 0, 2, 2), &default, "2x2");
+        assert!(BandSweep::plan(1, 16, &default).is_none());
+        assert!(BandSweep::plan(16, 1, &default).is_none());
+        for (ny, nx) in [(2, 97), (97, 2), (67, 71), (131, 127), (3, 5)] {
+            let config = VariogramConfig { max_lag: Some(40), ..default };
+            assert_sweep_matches_oracle(
+                &view.subview(5, 7, ny, nx),
+                &config,
+                &format!("{ny}x{nx}"),
+            );
+        }
+        // Pair widths `nx − lag` on both sides of one and two `LANES × stride`
+        // blocks, at stride 1 and (a third of the pairs as budget) stride 2.
+        for nx in [9, 12, 17, 20, 33, 36] {
+            for (budget, stride) in [(usize::MAX, 1), (4 * nx, 2)] {
+                let config = VariogramConfig { max_lag: Some(5), sample_budget: budget, ..default };
+                let what = format!("12x{nx}, budget {budget}");
+                let strides =
+                    assert_sweep_matches_oracle(&view.subview(3, 1, 12, nx), &config, &what);
+                assert_eq!(strides.last(), Some(&stride), "{what}: {strides:?}");
+            }
+        }
+        // A band is BAND lags and a kernel call GROUP of them.
+        for max_lag in [1, 3, BAND - 1, BAND, BAND + 1, BAND + GROUP + 1, 2 * BAND + 5] {
+            let config = VariogramConfig { max_lag: Some(max_lag), ..default };
+            assert_sweep_matches_oracle(&view, &config, &format!("max_lag {max_lag}"));
+        }
+    }
+
+    #[test]
+    fn band_sweep_has_the_per_offset_bits_at_every_stride() {
+        // Lags up to the extent: pair counts from n² down to a handful, so
+        // one budget gives every stride from 5 down to 1 in one field.
+        let noise = white_noise(120, 120, 9);
+        let config =
+            VariogramConfig { max_lag: Some(119), sample_budget: 600, ..Default::default() };
+        let strides = assert_sweep_matches_oracle(&noise.view(), &config, "120², budget 600");
+        for stride in [1, 2, 3, 5] {
+            assert!(strides.contains(&stride), "{strides:?}");
+        }
+        // Paper scale, not square, lags past half the extent: strides 3 → 1
+        // under the default budget.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let large = Field2D::from_fn(1028, 1021, |i, j| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (i as f64 * 0.011).sin() + (j as f64 * 0.017).cos() + state as f64 / u64::MAX as f64
+        });
+        let config = VariogramConfig { max_lag: Some(600), ..Default::default() };
+        let strides = assert_sweep_matches_oracle(&large.view(), &config, "1028x1021");
+        assert_eq!(strides, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_zero_or_tiny_budget_samples_one_origin_and_does_not_overflow() {
+        // `sample_budget: 0` used to give `stride = usize::MAX`, whose
+        // `LANES * stride` overflows (a panic with debug assertions, a wrap
+        // without); the stride is clamped to the larger extent instead.
+        let field = white_noise(40, 56, 13);
+        for budget in [0, 1, 2] {
+            let config = VariogramConfig { sample_budget: budget, ..Default::default() };
+            let kernel = empirical_variogram_view(&field.view(), &config);
+            let reference = reference_variogram(&field.view(), &config);
+            assert_eq!(kernel.counts, reference.counts, "budget {budget}");
+            assert_eq!(kernel.distances, reference.distances, "budget {budget}");
+            assert!(!kernel.is_empty());
+            let strides = assert_sweep_matches_oracle(&field.view(), &config, "tiny budget");
+            assert!(strides.iter().all(|&s| s <= 56), "budget {budget}: {strides:?}");
         }
     }
 

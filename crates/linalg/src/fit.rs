@@ -49,50 +49,50 @@ impl Default for GaussNewtonOptions {
 }
 
 /// Damped Gauss–Newton (Levenberg–Marquardt) minimization of
-/// `sum_i (model(x_i, params) - y_i)²`.
+/// `sum_i (model(x_i, params) - y_i)²` over `P` parameters.
 ///
 /// `model` evaluates the model at one sample; `jacobian` returns the partial
 /// derivatives of the model with respect to each parameter at one sample.
-/// Returns the fitted parameters.
-pub fn gauss_newton<M, J>(
+/// Returns the fitted parameters. The parameter count is a constant so the
+/// normal equations live on the stack: a fit allocates nothing (the study
+/// runs 257 of them per field).
+pub fn gauss_newton<const P: usize, M, J>(
     x: &[f64],
     y: &[f64],
-    initial: &[f64],
+    initial: &[f64; P],
     model: M,
     jacobian: J,
     options: GaussNewtonOptions,
-) -> Result<Vec<f64>, LinalgError>
+) -> Result<[f64; P], LinalgError>
 where
-    M: Fn(f64, &[f64]) -> f64,
-    J: Fn(f64, &[f64]) -> Vec<f64>,
+    M: Fn(f64, &[f64; P]) -> f64,
+    J: Fn(f64, &[f64; P]) -> [f64; P],
 {
     if x.len() != y.len() {
         return Err(LinalgError::DimensionMismatch("x and y lengths differ".into()));
     }
-    let n_params = initial.len();
-    if x.len() < n_params {
+    if x.len() < P {
         return Err(LinalgError::DimensionMismatch("fewer samples than parameters".into()));
     }
-    let mut params = initial.to_vec();
+    let mut params = *initial;
     let mut lambda = options.damping.max(1e-12);
 
-    let sse = |p: &[f64]| -> f64 {
+    let sse = |p: &[f64; P]| -> f64 {
         x.iter().zip(y.iter()).map(|(&xi, &yi)| (model(xi, p) - yi).powi(2)).sum()
     };
     let mut current_sse = sse(&params);
 
     for _ in 0..options.max_iterations {
         // Build JᵀJ and Jᵀr for the current parameters.
-        let mut jtj = vec![0.0; n_params * n_params];
-        let mut jtr = vec![0.0; n_params];
+        let mut jtj = [[0.0; P]; P];
+        let mut jtr = [0.0; P];
         for (&xi, &yi) in x.iter().zip(y.iter()) {
             let r = yi - model(xi, &params);
             let grad = jacobian(xi, &params);
-            debug_assert_eq!(grad.len(), n_params);
-            for p in 0..n_params {
+            for p in 0..P {
                 jtr[p] += grad[p] * r;
-                for q in 0..n_params {
-                    jtj[p * n_params + q] += grad[p] * grad[q];
+                for q in 0..P {
+                    jtj[p][q] += grad[p] * grad[q];
                 }
             }
         }
@@ -100,17 +100,19 @@ where
         // Solve the damped system (JᵀJ + λ diag(JᵀJ)) δ = Jᵀ r.
         let mut step = None;
         for _attempt in 0..8 {
-            let mut a = jtj.clone();
-            for p in 0..n_params {
-                let d = a[p * n_params + p];
-                a[p * n_params + p] = d + lambda * d.max(1e-12);
+            let mut a = jtj;
+            for (p, row) in a.iter_mut().enumerate() {
+                row[p] += lambda * row[p].max(1e-12);
             }
-            let mut rhs = jtr.clone();
-            if solve_inplace(&mut a, &mut rhs, n_params).is_err() {
+            let mut rhs = jtr;
+            if solve_inplace(&mut a, &mut rhs).is_err() {
                 lambda *= 10.0;
                 continue;
             }
-            let candidate: Vec<f64> = params.iter().zip(rhs.iter()).map(|(p, d)| p + d).collect();
+            let mut candidate = params;
+            for (c, d) in candidate.iter_mut().zip(&rhs) {
+                *c += d;
+            }
             let new_sse = sse(&candidate);
             if new_sse.is_finite() && new_sse <= current_sse {
                 step = Some((candidate, rhs, new_sse));
@@ -134,13 +136,17 @@ where
     Ok(params)
 }
 
-fn solve_inplace(a: &mut [f64], rhs: &mut [f64], n: usize) -> Result<(), LinalgError> {
-    for k in 0..n {
+/// Gaussian elimination with partial pivoting; the solution replaces `rhs`.
+fn solve_inplace<const N: usize>(
+    a: &mut [[f64; N]; N],
+    rhs: &mut [f64; N],
+) -> Result<(), LinalgError> {
+    for k in 0..N {
         let mut piv = k;
-        let mut best = a[k * n + k].abs();
-        for i in k + 1..n {
-            if a[i * n + k].abs() > best {
-                best = a[i * n + k].abs();
+        let mut best = a[k][k].abs();
+        for (i, row) in a.iter().enumerate().skip(k + 1) {
+            if row[k].abs() > best {
+                best = row[k].abs();
                 piv = i;
             }
         }
@@ -148,28 +154,27 @@ fn solve_inplace(a: &mut [f64], rhs: &mut [f64], n: usize) -> Result<(), LinalgE
             return Err(LinalgError::Singular);
         }
         if piv != k {
-            for j in 0..n {
-                a.swap(k * n + j, piv * n + j);
-            }
+            a.swap(k, piv);
             rhs.swap(k, piv);
         }
-        for i in k + 1..n {
-            let f = a[i * n + k] / a[k * n + k];
+        let pivot_row = a[k];
+        for i in k + 1..N {
+            let f = a[i][k] / pivot_row[k];
             if f == 0.0 {
                 continue;
             }
-            for j in k..n {
-                a[i * n + j] -= f * a[k * n + j];
+            for (x, p) in a[i][k..].iter_mut().zip(&pivot_row[k..]) {
+                *x -= f * p;
             }
             rhs[i] -= f * rhs[k];
         }
     }
-    for k in (0..n).rev() {
+    for k in (0..N).rev() {
         let mut acc = rhs[k];
-        for j in k + 1..n {
-            acc -= a[k * n + j] * rhs[j];
+        for j in k + 1..N {
+            acc -= a[k][j] * rhs[j];
         }
-        rhs[k] = acc / a[k * n + k];
+        rhs[k] = acc / a[k][k];
     }
     Ok(())
 }
@@ -210,10 +215,10 @@ mod tests {
         // y = A exp(-x / tau) with A = 2, tau = 3.
         let xs: Vec<f64> = (0..40).map(|i| i as f64 * 0.25).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * (-x / 3.0).exp()).collect();
-        let model = |x: f64, p: &[f64]| p[0] * (-x / p[1]).exp();
-        let jac = |x: f64, p: &[f64]| {
+        let model = |x: f64, p: &[f64; 2]| p[0] * (-x / p[1]).exp();
+        let jac = |x: f64, p: &[f64; 2]| {
             let e = (-x / p[1]).exp();
-            vec![e, p[0] * e * x / (p[1] * p[1])]
+            [e, p[0] * e * x / (p[1] * p[1])]
         };
         let fitted =
             gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac, GaussNewtonOptions::default()).unwrap();
@@ -226,10 +231,10 @@ mod tests {
         // gamma(h) = c0 (1 - exp(-(h/a)^2)) with c0 = 1.2, a = 14.
         let hs: Vec<f64> = (1..60).map(|i| i as f64).collect();
         let ys: Vec<f64> = hs.iter().map(|h| 1.2 * (1.0 - (-(h / 14.0).powi(2)).exp())).collect();
-        let model = |h: f64, p: &[f64]| p[0] * (1.0 - (-(h / p[1]).powi(2)).exp());
-        let jac = |h: f64, p: &[f64]| {
+        let model = |h: f64, p: &[f64; 2]| p[0] * (1.0 - (-(h / p[1]).powi(2)).exp());
+        let jac = |h: f64, p: &[f64; 2]| {
             let e = (-(h / p[1]).powi(2)).exp();
-            vec![1.0 - e, -p[0] * e * 2.0 * h * h / (p[1] * p[1] * p[1])]
+            [1.0 - e, -p[0] * e * 2.0 * h * h / (p[1] * p[1] * p[1])]
         };
         let fitted =
             gauss_newton(&hs, &ys, &[0.5, 5.0], model, jac, GaussNewtonOptions::default()).unwrap();
@@ -246,10 +251,10 @@ mod tests {
             .enumerate()
             .map(|(i, x)| 5.0 * (-x / 2.0).exp() + 0.01 * ((i * 2654435761) % 1000) as f64 / 1000.0)
             .collect();
-        let model = |x: f64, p: &[f64]| p[0] * (-x / p[1]).exp();
-        let jac = |x: f64, p: &[f64]| {
+        let model = |x: f64, p: &[f64; 2]| p[0] * (-x / p[1]).exp();
+        let jac = |x: f64, p: &[f64; 2]| {
             let e = (-x / p[1]).exp();
-            vec![e, p[0] * e * x / (p[1] * p[1])]
+            [e, p[0] * e * x / (p[1] * p[1])]
         };
         let fitted =
             gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac, GaussNewtonOptions::default()).unwrap();
@@ -259,15 +264,15 @@ mod tests {
 
     #[test]
     fn gauss_newton_validates_inputs() {
-        let model = |_x: f64, p: &[f64]| p[0];
-        let jac = |_x: f64, _p: &[f64]| vec![1.0];
+        let model = |_x: f64, p: &[f64; 1]| p[0];
+        let jac = |_x: f64, _p: &[f64; 1]| [1.0];
         assert!(gauss_newton(&[1.0], &[1.0, 2.0], &[0.0], model, jac, Default::default()).is_err());
         assert!(gauss_newton(
             &[] as &[f64],
             &[],
             &[0.0],
-            |_x, p: &[f64]| p[0],
-            |_x, _p| vec![1.0],
+            |_x, p: &[f64; 1]| p[0],
+            |_x, _p| [1.0],
             Default::default()
         )
         .is_err());

@@ -1,0 +1,87 @@
+//! The correlation statistics of a field, bit for bit.
+//!
+//! The global variogram sweeps the field once per lag band instead of once
+//! per offset, and the model fit runs on stack arrays. Neither may move a
+//! bit: at every pool width the four statistics of
+//! `CorrelationStatistics::compute_view` must equal the three stand-alone
+//! calls, and the values the estimators produced before either change
+//! (constants captured at the commit before the band sweep — per-offset
+//! passes and a `Vec`-based Gauss–Newton fit).
+
+use lcc::core::statistics::{CorrelationStatistics, StatisticsConfig};
+use lcc::geostat::{estimate_range_view, local_range_std_view, local_svd_truncation_std_view};
+use lcc::grid::Field2D;
+use lcc::hydro::{MirandaProxy, MirandaProxyConfig, Problem};
+use lcc::synth::{
+    generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
+};
+
+/// `[global_range, global_sill, local_range_std, local_svd_std]` as bits.
+type Bits = [u64; 4];
+
+/// Two 512² fields of the e2e pool's kinds, one of its Miranda-proxy slices
+/// and one 256² field of its training set's kind, with their statistics at
+/// the parent commit.
+fn pinned() -> Vec<(&'static str, Field2D, Bits)> {
+    let miranda = MirandaProxy::new(MirandaProxyConfig {
+        ny: 512,
+        nx: 512,
+        n_slices: 1,
+        steps_between_snapshots: 3,
+        problem: Problem::KelvinHelmholtz,
+        seed: 2021,
+    })
+    .generate_velocityx_slices()
+    .remove(0);
+    vec![
+        (
+            "grf-a6 512",
+            generate_single_range(&GaussianFieldConfig::new(512, 512, 6.0, 101)),
+            [0x401a40ed26cb5b0e, 0x3ff08d56a6d09c32, 0x3ff2f26f0e3e97c8, 0x3fe1a9dc8f6df104],
+        ),
+        (
+            "grf-a8+40 512",
+            generate_multi_range(&MultiRangeConfig::two_ranges(512, 512, 8.0, 40.0, 105)),
+            [0x403498204423c678, 0x3fed2b60cd590e96, 0x3ffdd276066e56d0, 0x3fdeb97e455b9edb],
+        ),
+        (
+            "miranda-vx 512",
+            miranda,
+            [0x40649c06909f8a40, 0x3fdb74acd2411f04, 0x40120b8acc7fb230, 0x3fdc443f1d4d22af],
+        ),
+        (
+            "train-a9 256",
+            generate_single_range(&GaussianFieldConfig::new(256, 256, 9.0, 307)),
+            [0x4022d4cf9772b0db, 0x3ff09fd191409cbb, 0x400027ce3e275ddc, 0x3fdfeffbfdfebf1f],
+        ),
+    ]
+}
+
+#[test]
+fn composite_statistics_equal_the_stand_alone_calls_and_the_parent_commit_at_every_width() {
+    for (name, field, parent) in pinned() {
+        let view = field.view();
+        for threads in [1, 2, 3, 8] {
+            let config = StatisticsConfig { threads: Some(threads), ..StatisticsConfig::default() };
+            let s = CorrelationStatistics::compute_view(&view, &config);
+            let composite = [s.global_range, s.global_sill, s.local_range_std, s.local_svd_std]
+                .map(f64::to_bits);
+            assert_eq!(composite, parent, "{name}, {threads} threads: composite vs parent commit");
+
+            let global = estimate_range_view(&view, &config.variogram);
+            let stand_alone = [
+                global.range,
+                global.sill,
+                local_range_std_view(&view, &config.local_config()),
+                local_svd_truncation_std_view(
+                    &view,
+                    config.window,
+                    config.svd_fraction,
+                    config.threads,
+                ),
+            ]
+            .map(f64::to_bits);
+            assert_eq!(stand_alone, parent, "{name}, {threads} threads: stand-alone vs parent");
+        }
+    }
+}
