@@ -26,7 +26,9 @@
 //! `compress_view_timed` — for the `sz` variants a second `<name>@64x64`
 //! row sums the same layers over the field's 64 × 64 tiles, one stream
 //! each, with `tile_fixed_cost_us` = (tiles − whole) ÷ tile count, the cost
-//! of a stream before its first cell; and `rans8_huffman_fallback`, how many of the
+//! of a stream before its first cell, and on the `sz-rans8` row
+//! `tile_table_bytes_frac`, the share of those streams' bytes that is rANS
+//! frequency table; and `rans8_huffman_fallback`, how many of the
 //! stage's `*-rans8` streams overflowed the 12-bit rANS table and carry
 //! Huffman-mode codes instead.
 //!
@@ -56,8 +58,8 @@ use lcc_geostat::{
 };
 use lcc_grid::{Field2D, Window, WindowIter};
 use lcc_lossless::{
-    lz77_compress_with_at, rans8_decode_with_at, rans8_encode, simd_level, CodecScratch,
-    RansScratch, SimdLevel,
+    lz77_compress_with_at, rans8_decode_with_at, rans8_encode, rans8_stream_info, simd_level,
+    CodecScratch, RansScratch, SimdLevel,
 };
 use lcc_mgard::{MgardCompressor, MgardScratch};
 use lcc_par::ThreadPoolConfig;
@@ -88,11 +90,11 @@ fn tile_row(compressor: &str) -> String {
 /// frequency table: the codes that follow are a Huffman stream.
 const RANS_MODE_HUFFMAN: u8 = 1;
 
-/// The mode byte of the codes section of an `LS81` (`sz-rans8`) or `LM81`
-/// (`mgard-rans8`) stream; `None` for any other stream. Both containers are
-/// raw at the top level: fixed-width little-endian fields up to the
-/// `u64`-prefixed codes section, whose first byte is the mode.
-fn rans8_section_mode(stream: &[u8]) -> Option<u8> {
+/// The codes section of an `LS81` (`sz-rans8`) or `LM81` (`mgard-rans8`)
+/// stream — a stream of `lcc_lossless::rans8_encode` — or `None` for any
+/// other stream. Both containers are raw at the top level: fixed-width
+/// little-endian fields up to the `u64`-prefixed section.
+fn rans8_section(stream: &[u8]) -> Option<&[u8]> {
     let mut r = StreamReader::new(stream);
     let magic = r.bytes(4).ok()?;
     // ny, nx, eb, then two u32 parameters.
@@ -108,8 +110,8 @@ fn rans8_section_mode(stream: &[u8]) -> Option<u8> {
         }
         _ => return None,
     }
-    r.u64().ok()?; // section length
-    r.u8().ok()
+    let len = r.u64().ok()?;
+    r.bytes(usize::try_from(len).ok()?).ok()
 }
 
 /// `LAYER_REPS` timed compress calls: `samples[r][k]` is the seconds
@@ -228,9 +230,10 @@ fn main() {
                 compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
                 stream_len = stream.len();
                 if rep == 0 {
-                    if let Some(mode) = rans8_section_mode(&stream) {
+                    if let Some(section) = rans8_section(&stream) {
+                        let info = rans8_stream_info(section).expect("bench stream parses");
                         rans8_streams += 1;
-                        rans8_fallback += usize::from(mode == RANS_MODE_HUFFMAN);
+                        rans8_fallback += usize::from(info.mode == RANS_MODE_HUFFMAN);
                     }
                 }
                 let start = Instant::now();
@@ -286,6 +289,20 @@ fn main() {
             tiled.tile_fixed_cost_us = Some(
                 (tiled.min_total_seconds() - whole.min_total_seconds()) * 1e6 / tiles.len() as f64,
             );
+            // What share of the tile streams is frequency table (untimed).
+            let (mut stream_bytes, mut table_bytes) = (0usize, 0usize);
+            for tile in &tiles {
+                let (stream, _) = sz
+                    .compress_view_timed(&view.window(tile), bound, &mut scratch)
+                    .expect("bench compressor succeeds");
+                if let Some(section) = rans8_section(&stream) {
+                    stream_bytes += stream.len();
+                    table_bytes += rans8_stream_info(section).expect("tile parses").table_bytes;
+                }
+            }
+            if stream_bytes > 0 {
+                tiled.tile_table_bytes_frac = Some(table_bytes as f64 / stream_bytes as f64);
+            }
             report.record_encode_layers(whole);
             report.record_encode_layers(tiled);
         }
@@ -710,8 +727,11 @@ fn main() {
             let fixed = e
                 .tile_fixed_cost_us
                 .map_or(String::new(), |us| format!(" · per-tile fixed cost {us:.1} us"));
+            let table = e.tile_table_bytes_frac.map_or(String::new(), |frac| {
+                format!(" · frequency tables {:.1} % of the bytes", frac * 100.0)
+            });
             println!(
-                "  {name} encode layers (ms, min of {LAYER_REPS}): {}{fixed}",
+                "  {name} encode layers (ms, min of {LAYER_REPS}): {}{fixed}{table}",
                 layers.join(" · ")
             );
         }

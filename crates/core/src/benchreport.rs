@@ -119,6 +119,9 @@ pub struct EncodeLayers {
     /// more stream costs, in microseconds — the row's layer minima minus
     /// those of the whole-field row, over the tile count.
     pub tile_fixed_cost_us: Option<f64>,
+    /// On such a row of a `*-rans8` codec: the share of the tiles' stream
+    /// bytes that is rANS frequency table rather than coded symbols.
+    pub tile_table_bytes_frac: Option<f64>,
 }
 
 impl EncodeLayers {
@@ -140,7 +143,12 @@ impl EncodeLayers {
                 (name.to_string(), min, median)
             })
             .collect();
-        EncodeLayers { compressor: compressor.into(), layers, tile_fixed_cost_us: None }
+        EncodeLayers {
+            compressor: compressor.into(),
+            layers,
+            tile_fixed_cost_us: None,
+            tile_table_bytes_frac: None,
+        }
     }
 
     /// Sum of the layers' minima: the compress call with every layer at its
@@ -366,8 +374,11 @@ impl StageTimings {
             let fixed = e
                 .tile_fixed_cost_us
                 .map_or(String::new(), |us| format!(", \"tile_fixed_cost_us\": {us:.3}"));
+            let table = e
+                .tile_table_bytes_frac
+                .map_or(String::new(), |frac| format!(", \"tile_table_bytes_frac\": {frac:.4}"));
             out.push_str(&format!(
-                "    {{\"compressor\": \"{}\", \"layers\": [{}]{fixed}}}{comma}\n",
+                "    {{\"compressor\": \"{}\", \"layers\": [{}]{fixed}{table}}}{comma}\n",
                 escape(&e.compressor),
                 layers.join(", ")
             ));
@@ -981,11 +992,20 @@ mod tests {
         t.record_encode_layers(EncodeLayers {
             compressor: "sz@64x64".into(),
             tile_fixed_cost_us: Some(12.5),
-            ..layers
+            ..layers.clone()
         });
         assert!(t
             .to_json()
             .contains("\"median_seconds\": 0.500000}], \"tile_fixed_cost_us\": 12.500}\n"));
+        t.record_encode_layers(EncodeLayers {
+            compressor: "sz-rans8@64x64".into(),
+            tile_fixed_cost_us: Some(12.5),
+            tile_table_bytes_frac: Some(0.13107),
+            ..layers
+        });
+        assert!(t
+            .to_json()
+            .contains("}], \"tile_fixed_cost_us\": 12.500, \"tile_table_bytes_frac\": 0.1311}\n"));
     }
 
     #[test]

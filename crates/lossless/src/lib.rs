@@ -56,7 +56,7 @@ pub use lz77::{
 pub use pipeline::EntropyBackend;
 pub use rans::{
     rans8_decode, rans8_decode_with, rans8_decode_with_at, rans8_encode, rans8_encode_with,
-    RansScratch,
+    rans8_stream_info, Rans8StreamInfo, RansScratch,
 };
 pub use scratch::CodecScratch;
 pub use xxhash::{xxh64, xxh64_at};
@@ -96,13 +96,18 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Read a varint written by [`write_varint`]; returns the value and the
-/// number of bytes consumed.
+/// number of bytes consumed. A `u64` fills nine bytes and one bit of a
+/// tenth: a tenth byte carrying more than that bit is refused rather than
+/// having its high bits shifted out.
 pub fn read_varint(bytes: &[u8]) -> Result<(u64, usize), CodecError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     for (i, &b) in bytes.iter().enumerate() {
         if shift >= 64 {
             return Err(CodecError::Corrupt("varint too long".into()));
+        }
+        if shift == 63 && b & 0x7f > 1 {
+            return Err(CodecError::Corrupt("varint overflows u64".into()));
         }
         value |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
@@ -126,6 +131,29 @@ mod tests {
             assert_eq!(back, v);
             assert_eq!(used, buf.len());
         }
+    }
+
+    #[test]
+    fn varint_tenth_byte_holds_one_bit() {
+        // `u64::MAX` is nine full bytes and a tenth of 0x01, and still
+        // round-trips; a tenth byte of 0x7f would have its six high bits
+        // shifted out and read as `u64::MAX` too.
+        let mut max = Vec::new();
+        write_varint(&mut max, u64::MAX);
+        assert_eq!(max, [[0xff; 9].as_slice(), &[0x01]].concat());
+        assert_eq!(read_varint(&max), Ok((u64::MAX, 10)));
+        for tenth in [0x02u8, 0x7f, 0x82, 0xff] {
+            let bad = [[0xff; 9].as_slice(), &[tenth]].concat();
+            assert_eq!(
+                read_varint(&bad),
+                Err(CodecError::Corrupt("varint overflows u64".into())),
+                "tenth byte {tenth:#04x}"
+            );
+        }
+        // 2^63 alone: the tenth byte's one bit.
+        let mut top = Vec::new();
+        write_varint(&mut top, 1 << 63);
+        assert_eq!(read_varint(&top), Ok((1 << 63, 10)));
     }
 
     #[test]

@@ -39,15 +39,29 @@
 //! ## Stream layout
 //!
 //! ```text
-//! u8 mode                     1 = embedded Huffman fallback, 2 = 8-way
-//!                             rANS; 0 is reserved (the retired 2-way
-//!                             format) and rejected like any unknown mode
+//! u8 mode                     1 = embedded Huffman fallback, 3 = 8-way
+//!                             rANS with a run-coded frequency table (the
+//!                             only rANS mode the encoder writes), 2 = 8-way
+//!                             rANS with a pair table (decode-only: what
+//!                             the encoder wrote before mode 3); 0 is
+//!                             reserved (the retired 2-way format) and
+//!                             rejected like any unknown mode
 //! mode 1:
 //!   a self-describing `huffman_encode` stream
-//! mode 2:
-//!   varint n_symbols
-//!   varint alphabet_size      1..=4096 (absent when n_symbols == 0)
-//!   (varint symbol, varint freq)*   ascending symbols; freqs sum to 4096
+//! modes 2 and 3:
+//!   varint n_symbols          nothing follows when n_symbols == 0
+//!   frequency table           mode 3, one entry per maximal run of
+//!                             consecutive symbols, ascending:
+//!     varint n_runs − 1
+//!     per run:
+//!       varint gap            the first run's first symbol; afterwards
+//!                             `first − previous run's last − 2` (adjacent
+//!                             runs cannot be written: runs are maximal)
+//!       varint len − 1
+//!       varint (freq − 1) × len
+//!                             mode 2 (decode-only), absolute pairs:
+//!     varint alphabet_size    1..=4096
+//!     (varint symbol, varint freq) × alphabet_size
 //!   varint payload_len
 //!   varint lane_len × 8       lane lengths; they sum to payload_len
 //!   payload                   8 concatenated lanes, each a u32-LE seed
@@ -55,6 +69,18 @@
 //!                             in decode order (lane k decodes symbols
 //!                             k, k+8, k+16, …)
 //! ```
+//!
+//! The normalised frequencies — and so everything from `payload_len` on —
+//! are the same in both table forms; quantisation codes sit next to each
+//! other around the zero-residual code, so a run costs about one byte a
+//! symbol where a pair cost four.
+//!
+//! Either table is validated as it is read, straight into the decoder's
+//! fixed 4096-slot LUT: every symbol within `u32`, every frequency in
+//! `1..=4096`, the running sum refused the moment it passes 4096 and
+//! required to equal it at the end (which bounds the alphabet, and mode 3's
+//! `Σ len`, by 4096 whatever the counts claim), a varint that overflows
+//! `u64` refused. Nothing is sized by a count read from the stream.
 
 use crate::dispatch::{simd_level, SimdLevel};
 use crate::scratch::{build_alphabet_into, CodecScratch, SymbolMap, TableMode};
@@ -68,8 +94,11 @@ const SCALE: u32 = 1 << SCALE_BITS;
 const RANS_L: u32 = 1 << 23;
 /// Mode byte: embedded Huffman stream (alphabet wider than the 12-bit table).
 const MODE_HUFF: u8 = 1;
-/// Mode byte: 8-way interleaved rANS payload with per-lane buffers.
-const MODE_RANS8: u8 = 2;
+/// Mode byte: 8-way interleaved rANS payload with per-lane buffers behind a
+/// `(symbol, freq)` pair table. Decode-only since [`MODE_RANS8`].
+const MODE_RANS8_PAIRS: u8 = 2;
+/// Mode byte: the same payload behind a run-coded frequency table.
+const MODE_RANS8: u8 = 3;
 /// Lane count of the stream format.
 const LANES: usize = 8;
 /// Decode-side cap on a single-symbol (zero-cost) stream's run length.
@@ -225,17 +254,12 @@ pub struct RansScratch {
     /// cursor are stale and never reach the stream.
     lane_buf: Vec<u8>,
 
-    // ---- decode tables ----
-    /// Symbol per alphabet index.
-    dec_syms: Vec<u32>,
-    /// Normalized frequency per alphabet index.
-    dec_freq: Vec<u16>,
-    /// Cumulative start per alphabet index.
-    dec_cum: Vec<u16>,
+    // ---- decode table ----
     /// Fused slot → `symbol << 32 | freq << 16 | cum` entries: one 64-bit
     /// load replaces the index → symbol/freq/cum chain of dependent lookups.
     /// Used by every decoder tier (the scalar loop is LUT-bound, so the
-    /// fused entry is a win there too).
+    /// fused entry is a win there too). Always `SCALE` long once used; the
+    /// table parse fills it directly.
     slot_entry: Vec<u64>,
 
     // ---- Huffman fallback (alphabets wider than the 12-bit table) ----
@@ -397,13 +421,25 @@ fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<(Ta
     Some((mode, two_byte))
 }
 
-/// Write the `varint alphabet_size (varint symbol, varint freq)*`
-/// header, pairs in ascending symbol order.
+/// Write the run-coded frequency table (see the module docs): the alphabet
+/// is ascending, so it splits into maximal runs of consecutive symbols and
+/// only a run's first symbol is spelled out, as its distance from the run
+/// before.
 fn write_freq_table(scratch: &RansScratch, out: &mut Vec<u8>) {
-    write_varint(out, scratch.alphabet.len() as u64);
-    for (k, &(sym, _)) in scratch.alphabet.iter().enumerate() {
-        write_varint(out, u64::from(sym));
-        write_varint(out, u64::from(scratch.freqs[k]));
+    let alphabet = &scratch.alphabet;
+    let starts_run = |k: usize| k == 0 || alphabet[k].0 - alphabet[k - 1].0 > 1;
+    let n_runs = (0..alphabet.len()).filter(|&k| starts_run(k)).count();
+    write_varint(out, n_runs as u64 - 1);
+    let mut k = 0;
+    while k < alphabet.len() {
+        let len = 1 + (k + 1..alphabet.len()).take_while(|&j| !starts_run(j)).count();
+        let first = u64::from(alphabet[k].0);
+        write_varint(out, if k == 0 { first } else { first - u64::from(alphabet[k - 1].0) - 2 });
+        write_varint(out, len as u64 - 1);
+        for &f in &scratch.freqs[k..k + len] {
+            write_varint(out, u64::from(f) - 1);
+        }
+        k += len;
     }
 }
 
@@ -489,55 +525,142 @@ pub fn rans8_encode_with(scratch: &mut RansScratch, symbols: &[u32], out: &mut V
     clear_dense_idx(scratch, mode);
 }
 
-/// Parse the frequency-table header into the decode tables: a bounded
-/// parse (each entry costs at least two stream bytes, and the size itself is
-/// capped at 4096), validating the `u32` symbol range and the exact 12-bit
-/// sum before any LUT fill. Returns `(alphabet_size, new_offset)`.
-fn parse_freq_table(
-    scratch: &mut RansScratch,
-    bytes: &[u8],
-    mut offset: usize,
-) -> Result<(usize, usize), CodecError> {
-    let (alphabet_size, used) = read_varint(&bytes[offset..])?;
-    offset += used;
-    if alphabet_size == 0 || alphabet_size > u64::from(SCALE) {
-        return Err(CodecError::Corrupt(format!(
-            "rans alphabet size {alphabet_size} outside 1..={SCALE}"
-        )));
+/// The next varint of `bytes` at `*offset`, advancing it. A frequency table
+/// is mostly one-byte varints, so that case is spelled out.
+#[inline(always)]
+fn next_varint(bytes: &[u8], offset: &mut usize) -> Result<u64, CodecError> {
+    match bytes.get(*offset) {
+        Some(&b) if b < 0x80 => {
+            *offset += 1;
+            Ok(u64::from(b))
+        }
+        _ => {
+            let (value, used) = read_varint(bytes.get(*offset..).unwrap_or_default())?;
+            *offset += used;
+            Ok(value)
+        }
     }
-    let alphabet_size = alphabet_size as usize;
+}
 
-    scratch.dec_syms.clear();
-    scratch.dec_freq.clear();
-    scratch.dec_cum.clear();
-    let mut cum = 0u32;
-    for _ in 0..alphabet_size {
-        let (sym, used) = read_varint(&bytes[offset..])?;
-        offset += used;
-        let (freq, used) = read_varint(&bytes[offset..])?;
-        offset += used;
+/// What the decoder keeps of a frequency table besides the slot LUT: the
+/// running sum while it is read, and the two facts the single-symbol path
+/// and [`check_symbol_count_plausible`] ask about.
+#[derive(Debug, Clone, Copy, Default)]
+struct TableSummary {
+    /// Entries admitted so far.
+    alphabet: u32,
+    /// Sum of the admitted frequencies: the next entry's cumulative start.
+    cum: u32,
+    /// Symbol of the first entry.
+    first_symbol: u32,
+    /// Largest admitted frequency; `SCALE` exactly when the table has one entry.
+    max_freq: u32,
+}
+
+impl TableSummary {
+    /// Validate one table entry and account for it; returns its cumulative
+    /// start. The sum is refused the moment it passes `SCALE`, so a table
+    /// admits at most `SCALE` entries whatever its counts claim.
+    #[inline(always)]
+    fn admit(&mut self, sym: u64, freq: u64) -> Result<u32, CodecError> {
         if sym > u64::from(u32::MAX) {
             return Err(CodecError::Corrupt(format!("symbol {sym} exceeds the u32 range")));
         }
         if freq == 0 || freq > u64::from(SCALE) {
             return Err(CodecError::Corrupt(format!("invalid rans frequency {freq}")));
         }
-        scratch.dec_syms.push(sym as u32);
-        scratch.dec_freq.push(freq as u16);
-        scratch.dec_cum.push(cum as u16);
-        cum += freq as u32;
-        if cum > SCALE {
+        let start = self.cum;
+        if start + freq as u32 > SCALE {
             return Err(CodecError::Corrupt(format!(
                 "rans frequencies sum past {SCALE} at symbol {sym}"
             )));
         }
+        if self.alphabet == 0 {
+            self.first_symbol = sym as u32;
+        }
+        self.alphabet += 1;
+        self.cum = start + freq as u32;
+        self.max_freq = self.max_freq.max(freq as u32);
+        Ok(start)
     }
-    if cum != SCALE {
+
+    /// The exact-sum rule: every 12-bit slot belongs to exactly one entry.
+    fn finish(self) -> Result<TableSummary, CodecError> {
+        if self.cum != SCALE {
+            return Err(CodecError::Corrupt(format!(
+                "rans frequencies sum to {}, expected {SCALE}",
+                self.cum
+            )));
+        }
+        Ok(self)
+    }
+}
+
+/// Parse a mode-2 table, `varint alphabet_size (varint symbol, varint
+/// freq)*`, handing each validated `(symbol, freq, cumulative start)` to
+/// `entry`. Every entry costs at least two stream bytes and the size itself
+/// is capped at 4096.
+fn parse_pair_table(
+    bytes: &[u8],
+    offset: &mut usize,
+    mut entry: impl FnMut(u32, u32, u32),
+) -> Result<TableSummary, CodecError> {
+    let alphabet_size = next_varint(bytes, offset)?;
+    if alphabet_size == 0 || alphabet_size > u64::from(SCALE) {
         return Err(CodecError::Corrupt(format!(
-            "rans frequencies sum to {cum}, expected {SCALE}"
+            "rans alphabet size {alphabet_size} outside 1..={SCALE}"
         )));
     }
-    Ok((alphabet_size, offset))
+    let mut table = TableSummary::default();
+    for _ in 0..alphabet_size {
+        let sym = next_varint(bytes, offset)?;
+        let freq = next_varint(bytes, offset)?;
+        let start = table.admit(sym, freq)?;
+        entry(sym as u32, freq as u32, start);
+    }
+    table.finish()
+}
+
+/// Parse a mode-3 table — `varint n_runs − 1`, then per run `varint gap`,
+/// `varint len − 1` and `len` × `varint freq − 1` — handing each validated
+/// `(symbol, freq, cumulative start)` to `entry`. Every symbol costs at
+/// least one stream byte, and the run lengths may not sum past 4096.
+fn parse_run_table(
+    bytes: &[u8],
+    offset: &mut usize,
+    mut entry: impl FnMut(u32, u32, u32),
+) -> Result<TableSummary, CodecError> {
+    let more_runs = next_varint(bytes, offset)?;
+    if more_runs >= u64::from(SCALE) {
+        return Err(CodecError::Corrupt(format!("rans table claims {more_runs} + 1 runs")));
+    }
+    let mut table = TableSummary::default();
+    // Where a gap of 0 puts the next run: two past the previous run's last
+    // symbol (at most 2^32 + 1, so only the gap can overflow the sum).
+    let mut base = 0u64;
+    for _ in 0..=more_runs {
+        let gap = next_varint(bytes, offset)?;
+        let more = next_varint(bytes, offset)?; // len − 1
+        if more >= u64::from(SCALE - table.alphabet) {
+            return Err(CodecError::Corrupt(format!(
+                "rans table runs cover more than {SCALE} symbols"
+            )));
+        }
+        let first = base.saturating_add(gap);
+        let last = first.saturating_add(more);
+        if last > u64::from(u32::MAX) {
+            return Err(CodecError::Corrupt(format!(
+                "symbol run {first}..={last} exceeds the u32 range"
+            )));
+        }
+        for sym in first..=last {
+            let freq = next_varint(bytes, offset)?.saturating_add(1);
+            let start = table.admit(sym, freq)?;
+            entry(sym as u32, freq as u32, start);
+        }
+        base = last + 2;
+    }
+    table.finish()
 }
 
 /// Cap a claimed multi-symbol count by what the payload could possibly
@@ -547,14 +670,13 @@ fn parse_freq_table(
 /// it, while a forged header can no longer turn a few bytes into an absurd
 /// allocation or decode loop.
 fn check_symbol_count_plausible(
-    scratch: &RansScratch,
+    max_freq: u32,
     payload_len: usize,
     n_symbols: u64,
 ) -> Result<(), CodecError> {
-    let max_freq = scratch.dec_freq.iter().map(|&f| u64::from(f)).max().expect("non-empty table");
     let budget_bits = payload_len as u64 * 8 + 64;
     let max_symbols =
-        budget_bits.saturating_mul(3 * u64::from(SCALE) / (u64::from(SCALE) - max_freq));
+        budget_bits.saturating_mul(3 * u64::from(SCALE) / u64::from(SCALE - max_freq));
     if n_symbols > max_symbols {
         return Err(CodecError::Corrupt(format!(
             "implausible symbol count {n_symbols} for a {payload_len}-byte payload"
@@ -563,22 +685,117 @@ fn check_symbol_count_plausible(
     Ok(())
 }
 
-/// Fill the fused slot → `symbol << 32 | freq << 16 | cum` LUT from the
-/// parsed decode tables (every 12-bit slot maps to exactly one alphabet
-/// index — the exact-sum check of [`parse_freq_table`] guarantees full
-/// coverage).
-fn build_slot_entries(scratch: &mut RansScratch) {
-    scratch.slot_entry.clear();
-    scratch.slot_entry.resize(SCALE as usize, 0);
-    for k in 0..scratch.dec_syms.len() {
-        let freq = u32::from(scratch.dec_freq[k]);
-        let cum = u32::from(scratch.dec_cum[k]);
-        let fused =
-            (u64::from(scratch.dec_syms[k]) << 32) | (u64::from(freq) << 16) | u64::from(cum);
-        for entry in &mut scratch.slot_entry[cum as usize..(cum + freq) as usize] {
-            *entry = fused;
-        }
+/// Everything of a mode-2 / mode-3 stream ahead of its payload.
+#[derive(Debug)]
+struct Rans8Header {
+    n_symbols: u64,
+    table: TableSummary,
+    /// Bytes the frequency table takes in the stream.
+    table_bytes: usize,
+    lane_len: [usize; LANES],
+    /// Where the payload starts, and its length (all of it present).
+    payload_at: usize,
+    payload_len: usize,
+}
+
+/// Parse the header of a non-empty stream whose mode byte names one of the
+/// two rANS table forms (any other is refused here), handing each table
+/// entry to `entry` — the one header walk behind [`rans8_decode_with_at`]
+/// (whose `entry` fills the slot LUT) and [`rans8_stream_info`] (which only
+/// counts). An empty stream is its mode byte and a zero count: the table
+/// summary stays empty.
+fn parse_rans8_header(
+    bytes: &[u8],
+    entry: impl FnMut(u32, u32, u32),
+) -> Result<Rans8Header, CodecError> {
+    let run_coded = match bytes[0] {
+        MODE_RANS8 => true,
+        MODE_RANS8_PAIRS => false,
+        // The reserved mode 0 (the retired 2-way format) lands here too.
+        mode => return Err(CodecError::Corrupt(format!("unknown rans8 mode {mode}"))),
+    };
+    let mut offset = 1usize;
+    let n_symbols = next_varint(bytes, &mut offset)?;
+    let mut header = Rans8Header {
+        n_symbols,
+        table: TableSummary::default(),
+        table_bytes: 0,
+        lane_len: [0; LANES],
+        payload_at: offset,
+        payload_len: 0,
+    };
+    if n_symbols == 0 {
+        return Ok(header);
     }
+
+    let table_at = offset;
+    header.table = if run_coded {
+        parse_run_table(bytes, &mut offset, entry)?
+    } else {
+        parse_pair_table(bytes, &mut offset, entry)?
+    };
+    header.table_bytes = offset - table_at;
+
+    // Lane-length header: eight varints that must sum to the payload length
+    // (a mismatch means a forged or mis-stitched header).
+    let payload_len = next_varint(bytes, &mut offset)?;
+    let mut lane_sum = 0u64;
+    for len in header.lane_len.iter_mut() {
+        let l = next_varint(bytes, &mut offset)?;
+        *len = l as usize;
+        lane_sum = lane_sum.saturating_add(l);
+    }
+    if lane_sum != payload_len {
+        return Err(CodecError::Corrupt(format!(
+            "rans8 lane lengths sum to {lane_sum}, expected the {payload_len}-byte payload"
+        )));
+    }
+    if ((bytes.len() - offset) as u64) < payload_len {
+        return Err(CodecError::UnexpectedEof);
+    }
+    header.payload_at = offset;
+    header.payload_len = payload_len as usize;
+    Ok(header)
+}
+
+/// What [`rans8_stream_info`] reads off a stream's header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rans8StreamInfo {
+    /// The mode byte: 1 Huffman fallback, 2 pair table, 3 run-coded table.
+    pub mode: u8,
+    /// Symbols the stream decodes to (0 in mode 1: the embedded Huffman
+    /// stream keeps its own count).
+    pub n_symbols: u64,
+    /// Distinct symbols in the frequency table (0 in mode 1).
+    pub alphabet: usize,
+    /// Bytes spent on the frequency table (0 in mode 1).
+    pub table_bytes: usize,
+    /// Bytes of the eight lanes; in mode 1, of the embedded Huffman stream.
+    pub payload_bytes: usize,
+}
+
+/// Read-only header walk of a stream [`rans8_encode`] wrote — the same
+/// validation as the decoder's, no scratch and no decode — so a report can
+/// say what share of a stream is table and what share is symbols.
+pub fn rans8_stream_info(bytes: &[u8]) -> Result<Rans8StreamInfo, CodecError> {
+    let &mode = bytes.first().ok_or(CodecError::UnexpectedEof)?;
+    if mode == MODE_HUFF {
+        return Ok(Rans8StreamInfo {
+            mode,
+            n_symbols: 0,
+            alphabet: 0,
+            table_bytes: 0,
+            payload_bytes: bytes.len() - 1,
+        });
+    }
+    let header = parse_rans8_header(bytes, |_, _, _| ())?;
+    Ok(Rans8StreamInfo {
+        mode,
+        n_symbols: header.n_symbols,
+        alphabet: header.table.alphabet as usize,
+        table_bytes: header.table_bytes,
+        payload_bytes: header.payload_len,
+    })
 }
 
 /// [`rans8_decode_with`] at an explicit SIMD tier (tests and benchmarks —
@@ -590,53 +807,27 @@ pub fn rans8_decode_with_at(
     out: &mut Vec<u32>,
 ) -> Result<usize, CodecError> {
     out.clear();
-    if bytes.is_empty() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let mode = bytes[0];
-    let mut offset = 1usize;
+    let &mode = bytes.first().ok_or(CodecError::UnexpectedEof)?;
     if mode == MODE_HUFF {
-        return Ok(offset + huffman_decode_with(&mut scratch.huff, &bytes[offset..], out)?);
-    }
-    if mode != MODE_RANS8 {
-        // The reserved mode 0 (the retired 2-way format) lands here too.
-        return Err(CodecError::Corrupt(format!("unknown rans8 mode {mode}")));
+        return Ok(1 + huffman_decode_with(&mut scratch.huff, &bytes[1..], out)?);
     }
 
-    let (n_symbols, used) = read_varint(&bytes[offset..])?;
-    offset += used;
+    // The table goes straight into the fused slot LUT — fixed size, so a
+    // forged table reserves nothing — as `symbol << 32 | freq << 16 | cum`;
+    // the exact-sum rule leaves every 12-bit slot filled by exactly one
+    // entry, and a refused table leaves slots nobody will read.
+    scratch.slot_entry.resize(SCALE as usize, 0);
+    let slots = &mut scratch.slot_entry[..];
+    let Rans8Header { n_symbols, table, lane_len, payload_at, payload_len, .. } =
+        parse_rans8_header(bytes, |sym, freq, cum| {
+            let fused = (u64::from(sym) << 32) | (u64::from(freq) << 16) | u64::from(cum);
+            slots[cum as usize..(cum + freq) as usize].fill(fused);
+        })?;
     if n_symbols == 0 {
-        return Ok(offset);
+        return Ok(payload_at);
     }
-
-    let (alphabet_size, new_offset) = parse_freq_table(scratch, bytes, offset)?;
-    offset = new_offset;
-
-    let (payload_len, used) = read_varint(&bytes[offset..])?;
-    offset += used;
-    let payload_len = payload_len as usize;
-
-    // Lane-length header: eight varints that must sum to the payload length
-    // (a mismatch means a forged or mis-stitched header) and each cover at
-    // least that lane's u32 seed state.
-    let mut lane_len = [0usize; LANES];
-    let mut lane_sum = 0u64;
-    for len in lane_len.iter_mut() {
-        let (l, used) = read_varint(&bytes[offset..])?;
-        offset += used;
-        *len = l as usize;
-        lane_sum += l;
-    }
-    if lane_sum != payload_len as u64 {
-        return Err(CodecError::Corrupt(format!(
-            "rans8 lane lengths sum to {lane_sum}, expected the {payload_len}-byte payload"
-        )));
-    }
-    if bytes.len() < offset || bytes.len() - offset < payload_len {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let payload = &bytes[offset..offset + payload_len];
-    let consumed = offset + payload_len;
+    let payload = &bytes[payload_at..payload_at + payload_len];
+    let consumed = payload_at + payload_len;
 
     // Per-lane byte regions and seed states.
     let mut ptrs = [0usize; LANES]; // next renorm byte, per lane
@@ -667,7 +858,7 @@ pub fn rans8_decode_with_at(
     // as a bulk fill behind an absolute run cap — without the per-byte
     // coupling a forged count would otherwise exploit, and without
     // false-rejecting huge constant inputs the encoder legitimately emits.
-    if alphabet_size == 1 {
+    if table.max_freq == SCALE {
         if n_symbols > MAX_DEGENERATE_RUN {
             return Err(CodecError::Corrupt(format!(
                 "single-symbol run of {n_symbols} exceeds the {MAX_DEGENERATE_RUN} cap"
@@ -678,21 +869,19 @@ pub fn rans8_decode_with_at(
                 "single-symbol payload must be exactly the eight seed states".into(),
             ));
         }
-        out.resize(n_symbols as usize, scratch.dec_syms[0]);
+        out.resize(n_symbols as usize, table.first_symbol);
         return Ok(consumed);
     }
 
     // Every other alphabet has max_freq ≤ SCALE − 1, so each symbol costs
     // real information (state flush included); coding overhead only makes
     // honest streams larger.
-    check_symbol_count_plausible(scratch, payload.len(), n_symbols)?;
+    check_symbol_count_plausible(table.max_freq, payload.len(), n_symbols)?;
     let n_symbols = n_symbols as usize;
 
     // The reserve is a hint bounded by the input; near-zero-entropy streams
     // may decode more (amortized push growth covers the rest).
     out.reserve(n_symbols.min(payload.len().saturating_mul(8) + 64));
-
-    build_slot_entries(scratch);
 
     #[cfg(target_arch = "x86_64")]
     if level >= SimdLevel::Sse4 {
@@ -1092,20 +1281,14 @@ mod tests {
         encoded
     }
 
-    /// Split an 8-way stream into `(prefix through the freq table,
-    /// payload_len, lane lengths, payload)` so tests can forge individual
-    /// header fields and restitch with [`join8`].
+    /// Split an 8-way stream (either table form) into `(prefix through the
+    /// freq table, payload_len, lane lengths, payload)` so tests can forge
+    /// individual header fields and restitch with [`join8`].
     fn split8(encoded: &[u8]) -> (Vec<u8>, u64, Vec<u64>, Vec<u8>) {
-        assert_eq!(encoded[0], MODE_RANS8);
-        let mut off = 1usize;
-        let (_n, u) = read_varint(&encoded[off..]).unwrap();
-        off += u;
-        let (alphabet, u) = read_varint(&encoded[off..]).unwrap();
-        off += u;
-        for _ in 0..alphabet * 2 {
-            let (_, u) = read_varint(&encoded[off..]).unwrap();
-            off += u;
-        }
+        assert!(matches!(encoded[0], MODE_RANS8 | MODE_RANS8_PAIRS));
+        let header = parse_rans8_header(encoded, |_, _, _| ()).unwrap();
+        let (_, count_bytes) = read_varint(&encoded[1..]).unwrap();
+        let mut off = 1 + count_bytes + header.table_bytes;
         let prefix = encoded[..off].to_vec();
         let (payload_len, u) = read_varint(&encoded[off..]).unwrap();
         off += u;
@@ -1115,6 +1298,7 @@ mod tests {
             off += u;
             lanes.push(l);
         }
+        assert_eq!(off, header.payload_at);
         (prefix, payload_len, lanes, encoded[off..].to_vec())
     }
 
@@ -1222,7 +1406,7 @@ mod tests {
     fn rans8_truncated_frequency_table_is_an_error_not_an_allocation() {
         // A header claiming 4096 alphabet entries with two bytes of table
         // must fail the entry parse, not reserve anything sized by the claim.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 10); // n_symbols
         write_varint(&mut bad, 4096); // alphabet_size
         write_varint(&mut bad, 1); // one symbol…
@@ -1233,7 +1417,7 @@ mod tests {
     #[test]
     fn rans8_frequencies_must_sum_to_scale() {
         for freqs in [[2048u64, 2047].as_slice(), &[2048, 2049], &[4096, 1]] {
-            let mut bad = vec![MODE_RANS8];
+            let mut bad = vec![MODE_RANS8_PAIRS];
             write_varint(&mut bad, 4); // n_symbols
             write_varint(&mut bad, freqs.len() as u64);
             for (sym, &f) in freqs.iter().enumerate() {
@@ -1254,14 +1438,14 @@ mod tests {
 
     #[test]
     fn rans8_zero_frequency_and_oversized_alphabet_are_rejected() {
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 4);
         write_varint(&mut bad, 1);
         write_varint(&mut bad, 7);
         write_varint(&mut bad, 0); // freq 0
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
 
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 4);
         write_varint(&mut bad, 4097); // alphabet too wide for 12-bit tables
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
@@ -1282,7 +1466,7 @@ mod tests {
     #[test]
     fn rans8_truncated_lane_length_header_is_eof() {
         // A stream that ends after three of the eight lane-length varints.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 4); // n_symbols
         write_varint(&mut bad, 2); // alphabet {0, 1}, 2048 each
         write_varint(&mut bad, 0);
@@ -1313,7 +1497,7 @@ mod tests {
     #[test]
     fn rans8_lane_shorter_than_its_seed_is_rejected() {
         // Lane lengths that sum correctly but starve lane 0 of its seed.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 4);
         write_varint(&mut bad, 2);
         write_varint(&mut bad, 0);
@@ -1367,7 +1551,7 @@ mod tests {
     #[test]
     fn rans8_degenerate_forgeries_are_rejected() {
         // 2^60 claimed symbols over a single-symbol table: the run cap.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 1u64 << 60);
         write_varint(&mut bad, 1);
         write_varint(&mut bad, 7);
@@ -1382,7 +1566,7 @@ mod tests {
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
 
         // A single-symbol stream whose lane 0 does not hold the seed state.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 4);
         write_varint(&mut bad, 1);
         write_varint(&mut bad, 7);
@@ -1398,7 +1582,7 @@ mod tests {
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
 
         // A single-symbol stream with payload beyond the eight seeds.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 4);
         write_varint(&mut bad, 1);
         write_varint(&mut bad, 7);
@@ -1416,7 +1600,7 @@ mod tests {
 
         // A multi-symbol table over a seeds-only payload claiming 10M
         // symbols: the information bound.
-        let mut bad = vec![MODE_RANS8];
+        let mut bad = vec![MODE_RANS8_PAIRS];
         write_varint(&mut bad, 10_000_000);
         write_varint(&mut bad, 2);
         write_varint(&mut bad, 0);
@@ -1512,13 +1696,30 @@ mod tests {
         }
     }
 
+    /// The table writer this module shipped until mode 3: `varint
+    /// alphabet_size (varint symbol, varint freq)*`, pairs in ascending
+    /// symbol order. Kept as the oracle of the transcoding identity.
+    fn write_pair_table(scratch: &RansScratch, out: &mut Vec<u8>) {
+        write_varint(out, scratch.alphabet.len() as u64);
+        for (k, &(sym, _)) in scratch.alphabet.iter().enumerate() {
+            write_varint(out, u64::from(sym));
+            write_varint(out, u64::from(scratch.freqs[k]));
+        }
+    }
+
+    fn reference_rans8_encode(symbols: &[u32]) -> Vec<u8> {
+        reference_rans8_encode_as(MODE_RANS8, symbols)
+    }
+
     /// The encoder this module shipped before the presized back-to-front
     /// lanes: a `while` renorm pushing onto per-lane stacks that are reversed
-    /// at the end, the table mode matched per symbol. Kept as the oracle.
-    fn reference_rans8_encode(symbols: &[u32]) -> Vec<u8> {
+    /// at the end, the table mode matched per symbol. Kept as the oracle,
+    /// for both table forms: `MODE_RANS8_PAIRS` is the whole stream as it
+    /// was written before the run-coded table.
+    fn reference_rans8_encode_as(rans_mode: u8, symbols: &[u32]) -> Vec<u8> {
         let mut out = Vec::new();
         if symbols.is_empty() {
-            out.push(MODE_RANS8);
+            out.push(rans_mode);
             write_varint(&mut out, 0);
             return out;
         }
@@ -1528,9 +1729,12 @@ mod tests {
             huffman_encode_with(&mut scratch.huff, symbols, &mut out);
             return out;
         };
-        out.push(MODE_RANS8);
+        out.push(rans_mode);
         write_varint(&mut out, symbols.len() as u64);
-        write_freq_table(scratch, &mut out);
+        match rans_mode {
+            MODE_RANS8 => write_freq_table(scratch, &mut out),
+            _ => write_pair_table(scratch, &mut out),
+        }
         let mut lanes: [Vec<u8>; LANES] = Default::default();
         let mut xs = [RANS_L; LANES];
         for i in (0..symbols.len()).rev() {
@@ -1620,6 +1824,126 @@ mod tests {
                 (0..n).map(|k| if k % 5 == 4 { 1 + rng(300) } else { 0 }).collect();
             assert_matches_reference(&mut scratch, &skewed, &format!("skewed n={n}"));
             assert_matches_reference(&mut scratch, &vec![3; n], &format!("constant n={n}"));
+        }
+    }
+
+    /// The `(symbol, freq)` entries of a stream's table, as its parser
+    /// hands them out.
+    fn table_entries(encoded: &[u8]) -> Vec<(u32, u32)> {
+        let mut entries = Vec::new();
+        parse_rans8_header(encoded, |sym, freq, _| entries.push((sym, freq))).unwrap();
+        entries
+    }
+
+    #[test]
+    fn rans8_run_table_streams_are_the_pair_table_streams_with_the_table_replaced() {
+        let mut state = 0x7A_B1E5u64;
+        let mut rng = move |m: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(m)) as u32
+        };
+        // Quantisation-code shapes: a cluster around the radius whose width
+        // follows the residual spread, sum-of-uniforms tails so the rare
+        // codes leave holes (runs), at tile and field sizes.
+        let mut codes = |n: usize, spread: u32| -> Vec<u32> {
+            (0..n)
+                .map(|_| 32_768 + rng(spread) + rng(spread) + rng(spread) - 3 * spread / 2)
+                .collect()
+        };
+        let mut escape: Vec<u32> = (0..4096u32).map(|k| 32_768 - 20 + (k * 13) % 40).collect();
+        escape[77] = 0;
+        let cases: Vec<(&str, Vec<u32>)> = vec![
+            ("empty", vec![]),
+            ("one symbol", vec![5; 4096]),
+            ("two symbols", vec![7, 9, 9, 7, 9]),
+            ("two adjacent symbols", vec![7, 8, 8, 7, 8]),
+            ("4096 distinct", (0..4096u32).map(|k| 9 + k.wrapping_mul(2_654_435) % 4096).collect()),
+            ("4096 distinct, every other", (0..4096u32).map(|k| 2 * k).collect()),
+            ("escape code", escape),
+            ("sparse table mode", vec![0, u32::MAX, 123_456_789, 42, u32::MAX, 42, 0, 0, 7]),
+            ("top of the range", vec![u32::MAX - 1, u32::MAX, u32::MAX - 3, u32::MAX]),
+            ("tile, narrow", codes(4096, 12)),
+            ("tile, wide", codes(4096, 700)),
+            ("97 x 113, wide", codes(97 * 113, 300)),
+            ("512 x 512", codes(512 * 512, 90)),
+        ];
+        let mut scratch = RansScratch::new();
+        for (what, symbols) in &cases {
+            let mut runs = Vec::new();
+            rans8_encode_with(&mut scratch, symbols, &mut runs);
+            let pairs = reference_rans8_encode_as(MODE_RANS8_PAIRS, symbols);
+            assert_eq!((runs[0], pairs[0]), (MODE_RANS8, MODE_RANS8_PAIRS), "{what}");
+            if symbols.is_empty() {
+                assert_eq!(runs[1..], pairs[1..], "{what}");
+            } else {
+                let (runs_prefix, payload_len, lanes, payload) = split8(&runs);
+                let (pairs_prefix, ..) = split8(&pairs);
+                // Only the table differs: the count ahead of it and every
+                // byte after it are the pair-table stream's.
+                assert_eq!(join8(&pairs_prefix, payload_len, &lanes, &payload), pairs, "{what}");
+                let (_, count_bytes) = read_varint(&runs[1..]).unwrap();
+                assert_eq!(runs_prefix[1..1 + count_bytes], pairs_prefix[1..1 + count_bytes]);
+                assert_eq!(table_entries(&runs), table_entries(&pairs), "{what}");
+                // A run costs a byte more than a pair only where every
+                // symbol is its own run; code-shaped alphabets pay about a
+                // byte a symbol (two once a frequency passes 128) where a pair cost four.
+                let (run_table, pair_table) = (
+                    rans8_stream_info(&runs).unwrap().table_bytes,
+                    rans8_stream_info(&pairs).unwrap().table_bytes,
+                );
+                assert!(run_table <= pair_table + table_entries(&runs).len(), "{what}");
+                if what.contains(" x ") || what.starts_with("tile") {
+                    assert!(2 * run_table < pair_table, "{what}: {run_table} of {pair_table}");
+                }
+            }
+            for &level in crate::dispatch::supported_levels() {
+                for stream in [&runs, &pairs] {
+                    let mut decoded = Vec::new();
+                    let used =
+                        rans8_decode_with_at(&mut scratch, level, stream, &mut decoded).unwrap();
+                    assert_eq!(used, stream.len(), "{what} {level:?}");
+                    assert!(&decoded == symbols, "{what} {level:?}: round trip differs");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rans8_stream_info_reads_what_the_decoder_reads() {
+        let symbols: Vec<u32> = (0..4096u32).map(|k| 32_700 + (k * 7) % 150).collect();
+        let runs = rans8_encode(&symbols);
+        let pairs = reference_rans8_encode_as(MODE_RANS8_PAIRS, &symbols);
+        let (info, old) = (rans8_stream_info(&runs).unwrap(), rans8_stream_info(&pairs).unwrap());
+        assert_eq!((info.mode, old.mode), (MODE_RANS8, MODE_RANS8_PAIRS));
+        assert_eq!((info.n_symbols, info.alphabet), (4096, table_entries(&runs).len()));
+        assert_eq!(
+            (old.n_symbols, old.alphabet, old.payload_bytes),
+            (4096, info.alphabet, info.payload_bytes)
+        );
+        // A handful of runs at a byte a symbol against four bytes a pair.
+        assert!(info.table_bytes < info.alphabet + 8 && old.table_bytes >= 4 * old.alphabet);
+        assert_eq!(runs.len() - info.table_bytes, pairs.len() - old.table_bytes);
+        // Mode byte + count + table + length header + lanes is the stream.
+        let (prefix, _, _, payload) = split8(&runs);
+        assert_eq!(info.payload_bytes, payload.len());
+        assert_eq!(prefix.len(), 1 + 2 + info.table_bytes);
+
+        let empty = rans8_stream_info(&rans8_encode(&[])).unwrap();
+        assert_eq!(
+            (empty.n_symbols, empty.alphabet, empty.table_bytes, empty.payload_bytes),
+            (0, 0, 0, 0)
+        );
+        let wide = rans8_encode(&(0..5000u32).collect::<Vec<_>>());
+        let info = rans8_stream_info(&wide).unwrap();
+        assert_eq!(
+            (info.mode, info.table_bytes, info.payload_bytes),
+            (MODE_HUFF, 0, wide.len() - 1)
+        );
+        // The same refusals as the decoder's.
+        assert_eq!(rans8_stream_info(&[]), Err(CodecError::UnexpectedEof));
+        assert!(matches!(rans8_stream_info(&[0, 1]), Err(CodecError::Corrupt(_))));
+        for cut in 1..runs.len() {
+            assert_eq!(rans8_stream_info(&runs[..cut]).err(), rans8_decode(&runs[..cut]).err());
         }
     }
 

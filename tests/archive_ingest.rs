@@ -28,6 +28,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::thread::ThreadId;
 
+#[path = "common/fields.rs"]
+mod fields;
+use fields::ripple;
+
 const BOUND: ErrorBound = ErrorBound::Absolute(1e-3);
 const WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
@@ -46,16 +50,6 @@ fn entry(
     codec: impl Compressor + 'static,
 ) -> Entry {
     Entry { name, field, tile, codec: Box::new(codec) }
-}
-
-fn ripple(ny: usize, nx: usize) -> Field2D {
-    let mut s = (ny * 1000 + nx) as u64 | 1;
-    Field2D::from_fn(ny, nx, |i, j| {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        (i as f64 * 0.13).sin() + (j as f64 * 0.09).cos() + 0.05 * (s as f64 / u64::MAX as f64)
-    })
 }
 
 /// The study's families at a small size, every shipped codec on one of
@@ -186,15 +180,21 @@ fn reference_archive(entries: &[Entry]) -> Vec<u8> {
     bytes
 }
 
-/// XXH64 of the archive of [`entries`] as the commit before this test
-/// built it (`add_entry` at width 2, then `finish`).
-const ARCHIVE_DIGEST_BEFORE: u64 = 0xd824_94f6_7f85_a1dd;
+/// XXH64 of the archive of [`entries`] (`add_entry` at width 2, then
+/// `finish`). Taken at the commit before tiles were summarized on the
+/// workers (`0xd824_94f6_7f85_a1dd`) and re-captured once since, in PR 21,
+/// when the `*-rans8` tile streams moved to run-coded frequency tables (the
+/// nine `sz-rans8` / `mgard-rans8` entries; the `sz`, `zfp` and `mgard`
+/// entries, the frames and the container did not move —
+/// `tests/fixtures/archive_pair_table.lcca` keeps an archive of the old
+/// streams readable, see `tests/stream_identity.rs`).
+const ARCHIVE_DIGEST: u64 = 0x3086_6a00_356a_9efc;
 
 #[test]
 fn archives_are_byte_identical_at_every_pool_width_and_to_the_serial_build() {
     let entries = entries();
     let reference = reference_archive(&entries);
-    assert_eq!(xxh64(&reference, 0), ARCHIVE_DIGEST_BEFORE, "the archive bytes moved");
+    assert_eq!(xxh64(&reference, 0), ARCHIVE_DIGEST, "the archive bytes moved");
     for threads in WIDTHS {
         // One scratch for the whole archive, as an ingest loop holds it, and
         // a second build over the warm scratch.

@@ -11,13 +11,23 @@
 //! changes a stream on purpose re-captures the rows (and the `lcc_lossless`
 //! fixtures) and says so in its change log — PR 15 did for the `sz` /
 //! `mgard` rows (LZ77 encoder policy: miss-skipping and literal-run
-//! fallback; token format unchanged). `tests/fixtures/*_pre_skip.bin` pin
-//! what the decoders *accept*: they are the streams those rows pinned
-//! before, and they must decode forever.
+//! fallback; token format unchanged), PR 21 for the `sz-rans8` /
+//! `mgard-rans8` rows (rANS stream mode 3: the frequency table run-coded
+//! instead of written as absolute pairs; the lanes after it unchanged).
+//! `tests/fixtures/` pins what the decoders *accept*: `*_pre_skip.bin` and
+//! `*_pair_table.bin` are the streams those rows pinned before, and
+//! `archive_pair_table.lcca` an archive of pair-table tile streams built at
+//! the commit before PR 21; they must decode forever.
 
+use lcc_archive::Archive;
 use lcc_core::registry::entropy_ablation_registry;
-use lcc_grid::Field2D;
-use lcc_pressio::{ErrorBound, ScratchArena};
+use lcc_grid::{Field2D, Window};
+use lcc_par::ThreadPoolConfig;
+use lcc_pressio::{ErrorBound, FrameScratch, ScratchArena};
+
+#[path = "common/fields.rs"]
+mod fields;
+use fields::{pinned_field, ripple};
 
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -28,31 +38,18 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The deterministic 97×113 field the hashes were captured on.
-fn pinned_field() -> Field2D {
-    let mut s = 42u64;
-    Field2D::from_fn(97, 113, |i, j| {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        ((i as f64) * 0.07).sin()
-            + ((j as f64) * 0.05).cos()
-            + 0.05 * ((s as f64 / u64::MAX as f64) - 0.5)
-    })
-}
-
 /// (compressor, bound, stream length, FNV-1a hash). The `zfp` rows were
-/// captured pre-refactor, the `*-rans8` rows at the commit before the 2-way
-/// rANS mode and `zfp-rans*` were deleted, the `sz` / `mgard` rows in PR 15.
+/// captured pre-refactor, the `sz` / `mgard` rows in PR 15, the `*-rans8`
+/// rows in PR 21 (all four are rANS streams, none the Huffman fallback).
 const PINNED: &[(&str, f64, usize, u64)] = &[
     ("mgard", 1e-4, 32570, 0xfd84723a24c1c714),
     ("mgard", 1e-2, 7604, 0x6a222e7dbd1e91bc),
-    ("mgard-rans8", 1e-4, 32867, 0x4b9f3abe8224dae6),
-    ("mgard-rans8", 1e-2, 7621, 0x2c25fbb4d07a4f97),
+    ("mgard-rans8", 1e-4, 19610, 0x888c0134fcf4c546),
+    ("mgard-rans8", 1e-2, 7028, 0x73cc4f909a1cec4f),
     ("sz", 1e-4, 15980, 0x14cb14bd32d164cc),
     ("sz", 1e-2, 4114, 0x8af3f9ad5bb965ba),
-    ("sz-rans8", 1e-4, 16144, 0xe178d0e15a2db58d),
-    ("sz-rans8", 1e-2, 4148, 0xc25c2cec33cc2d81),
+    ("sz-rans8", 1e-4, 13993, 0x3f383aa63474971a),
+    ("sz-rans8", 1e-2, 4116, 0xc3224041bf197059),
     ("zfp", 1e-4, 29928, 0x6138c086316688d7),
     ("zfp", 1e-2, 20335, 0x5fe34963db75c8bf),
 ];
@@ -121,5 +118,71 @@ fn streams_written_before_lz77_miss_skipping_still_decode() {
         // same field bit for bit.
         let new = compressor.compress_field(&field, ErrorBound::Absolute(eb)).expect("compress");
         assert_eq!(compressor.decompress_field(&new).expect("decompress"), recon, "{name}@{eb}");
+    }
+}
+
+#[test]
+fn streams_written_before_run_coded_tables_still_decode() {
+    let field = pinned_field();
+    let registry = entropy_ablation_registry();
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    // (compressor, bound, file tag, length and FNV-1a hash the row pinned
+    // through PR 20)
+    for (name, eb, tag, len, hash) in [
+        ("mgard-rans8", 1e-4, "1e-4", 32867, 0x4b9f3abe8224dae6u64),
+        ("mgard-rans8", 1e-2, "1e-2", 7621, 0x2c25fbb4d07a4f97),
+        ("sz-rans8", 1e-4, "1e-4", 16144, 0xe178d0e15a2db58d),
+        ("sz-rans8", 1e-2, "1e-2", 4148, 0xc25c2cec33cc2d81),
+    ] {
+        let path = fixtures.join(format!("{name}_{tag}_pair_table.bin"));
+        let old = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!((old.len(), fnv(&old)), (len, hash), "{name}@{eb}: not the stream PR 20 pinned");
+        let compressor = registry.get(name).expect("registered compressor");
+        let recon = compressor.decompress_field(&old).expect("old stream decodes");
+        assert!(field.max_abs_diff(&recon) <= eb, "{name}@{eb}: bound violated");
+        // The symbols did not move, so today's (shorter) stream decodes to
+        // the same field bit for bit.
+        let new = compressor.compress_field(&field, ErrorBound::Absolute(eb)).expect("compress");
+        assert!(new.len() < old.len(), "{name}@{eb}: {} against {}", new.len(), old.len());
+        assert_eq!(compressor.decompress_field(&new).expect("decompress"), recon, "{name}@{eb}");
+    }
+
+    // An archive of such streams: `ripple(48, 80)` as 16 × 32 `sz-rans8`
+    // tiles and `ripple(40, 56)` as 24 × 24 `mgard-rans8` tiles, both at
+    // `Absolute(1e-3)`, written by `ArchiveWriter` at the commit before PR 21.
+    let bytes = std::fs::read(fixtures.join("archive_pair_table.lcca")).expect("archive fixture");
+    assert_eq!((bytes.len(), lcc_lossless::xxh64(&bytes, 0)), (17967, 0x7234db5b95fcc551));
+    let archive = Archive::open(bytes).expect("old archive opens");
+    assert_eq!(archive.len(), 2);
+    let pool = ThreadPoolConfig::with_threads(2);
+    let mut scratch = FrameScratch::new();
+    for (k, (name, (ny, nx))) in
+        [("sz-rans8", (48, 80)), ("mgard-rans8", (40, 56))].into_iter().enumerate()
+    {
+        let compressor = registry.get(name).expect("registered compressor");
+        assert_eq!(archive.entry(k).codec, name);
+        let field = ripple(ny, nx);
+        let mut full = Field2D::zeros(1, 1);
+        archive
+            .read_entry(k, compressor.as_ref(), pool, &mut scratch, &mut full)
+            .expect("entry decodes");
+        assert!(field.max_abs_diff(&full) <= 1e-3, "{name}: bound violated");
+        // Tile by tile, the old entry is today's streams' reconstruction.
+        let entry = archive.entry(k);
+        for w in lcc_grid::WindowIter::over(ny, nx, entry.tile_ny, entry.tile_nx) {
+            let tile = field.view().window(&w);
+            let today = compressor.compress_view(&tile, ErrorBound::Absolute(1e-3)).unwrap();
+            let recon = compressor.decompress_field(&today).unwrap();
+            let old: Vec<f64> = full.view().window(&w).iter().collect();
+            assert_eq!(recon.as_slice(), old.as_slice(), "{name} tile at ({}, {})", w.i0, w.j0);
+        }
+        // A window straddling tile seams reads as the full decode's window.
+        let window = Window { i0: 9, j0: 17, height: 23, width: 31 };
+        let mut region = Field2D::zeros(1, 1);
+        archive
+            .read_region(k, &window, compressor.as_ref(), pool, &mut scratch, &mut region)
+            .expect("region decodes");
+        let want: Vec<f64> = full.view().window(&window).iter().collect();
+        assert_eq!(region.as_slice(), want.as_slice(), "{name}: region read differs");
     }
 }
