@@ -1,28 +1,22 @@
-//! Timed paper-scale statistics stages plus a flat-scheduler sweep,
-//! written to `BENCH_sweep.json` — the perf-trajectory artifact the CI
-//! benchmark smoke job uploads on every run.
+//! Timed paper-scale statistics and codec stages, written to
+//! `BENCH_sweep.json` — what only this binary reports (the serving paths'
+//! throughput, latency, allocation and cache numbers are `benchmarks/e2e`'s).
 //!
 //! ```text
 //! cargo run --release -p lcc_bench --bin bench_sweep -- \
-//!     --size 1028 --sweep-size 256 --threads 4 --out target/bench
+//!     --size 1028 --threads 4 --out target/bench
 //! ```
 //!
-//! `--threads N` pins the worker-pool width of the block-parallel framed
-//! codec stage and the flat sweep, so block-parallel scaling can be
-//! measured at fixed widths (`LCC_THREADS` in the environment does the
-//! same for every `ThreadPoolConfig::auto()` call in the process).
+//! `--stage stats` or `--stage codecs` runs one of the two stages instead of
+//! both — the fast loop when iterating on one kernel or codec; the written
+//! report then holds only that stage's rows.
 //!
-//! `--stage <name>` runs a single stage (`stats`, `codecs`, `framed`,
-//! `regions`, `kernels`, or `sweep`) instead of all of them — the fast loop
-//! when iterating on one kernel or codec; the written report then holds
-//! only that stage's rows, so don't gate a partial report against the full
-//! baseline.
-//!
-//! The `codecs` stage also writes an `encode_layers` section: the seconds
-//! `sz` / `sz-rans8` (input validation, block mode selection,
-//! predict/quantize, entropy coding, container + LZ77) and `mgard` /
-//! `mgard-rans8` (validation, decomposition, quantization, entropy coding,
-//! container + LZ77) spend in each encode layer, from their
+//! The `codecs` stage times every compressor of the entropy-ablation
+//! registry on the field (best of `--reps`) and writes an `encode_layers`
+//! section: the seconds `sz` / `sz-rans8` (input validation, block mode
+//! selection, predict/quantize, entropy coding, container + LZ77) and
+//! `mgard` / `mgard-rans8` (validation, decomposition, quantization, entropy
+//! coding, container + LZ77) spend in each encode layer, from their
 //! `compress_view_timed` — for the `sz` variants a second `<name>@64x64`
 //! row sums the same layers over the field's 64 × 64 tiles, one stream
 //! each, with `tile_fixed_cost_us` = (tiles − whole) ÷ tile count, the cost
@@ -38,18 +32,13 @@
 //! `--threads` × width 1, `variogram_threads` beside it) for the global
 //! variogram of the paper-scale field.
 //!
-//! A run with both the `stats` and the `codecs` stage (the default) also
-//! reports `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
+//! A run with both stages (the default) also reports
+//! `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
 //! seconds over `compress_sz` seconds on the same field.
 
-use lcc_archive::{Archive, ArchiveWriter, TileCache};
+use lcc_bench::report::{write_json, CodecThroughput, EncodeLayers, SweepReport, VariogramCost};
 use lcc_bench::CliOptions;
-use lcc_core::benchreport::{
-    CodecThroughput, EncodeLayers, KernelThroughput, StageTimings, VariogramCost,
-};
-use lcc_core::dataset::StudyDatasets;
-use lcc_core::experiment::{run_sweep, SweepConfig};
-use lcc_core::registry::{entropy_ablation_registry, framed_variant_name};
+use lcc_core::registry::entropy_ablation_registry;
 use lcc_core::statistics::{CorrelationStatistics, StatisticsConfig};
 use lcc_geostat::variogram::estimate_range;
 use lcc_geostat::{
@@ -57,22 +46,13 @@ use lcc_geostat::{
     LocalStatConfig, VariogramConfig,
 };
 use lcc_grid::{Field2D, Window, WindowIter};
-use lcc_lossless::{
-    lz77_compress_with_at, rans8_decode_with_at, rans8_encode, rans8_stream_info, simd_level,
-    CodecScratch, RansScratch, SimdLevel,
-};
+use lcc_lossless::{rans8_stream_info, simd_level};
 use lcc_mgard::{MgardCompressor, MgardScratch};
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::{frame, Compressor, ErrorBound, FrameScratch, ScratchArena};
+use lcc_pressio::{Compressor, ErrorBound, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
-use lcc_sz::quantize::{quantize_plane_row_at, Quantizer};
 use lcc_sz::stream::StreamReader;
 use lcc_sz::{SzCompressor, SzScratch};
-use lcc_zfp::transform::{
-    fwd_transform_at, fwd_transform_batch_at, inv_transform_at, inv_transform_batch_at,
-};
-use lcc_zfp::BLOCK_LEN;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Timed repetitions behind each layer's min and median.
@@ -143,16 +123,12 @@ fn variogram_cost(field: &Field2D, pool: ThreadPoolConfig) -> VariogramCost {
     }
 }
 
-/// Valid `--stage` names; `all` (the default) runs every stage in order.
-const STAGES: [&str; 7] = ["all", "stats", "codecs", "framed", "regions", "kernels", "sweep"];
+/// Valid `--stage` names; `all` (the default) runs both stages in order.
+const STAGES: [&str; 3] = ["all", "stats", "codecs"];
 
 fn main() {
-    let opts = CliOptions::from_env(
-        &["size", "sweep-size", "seed", "threads", "stage", "reps", "out"],
-        &[],
-    );
+    let opts = CliOptions::from_env(&["size", "seed", "threads", "stage", "reps", "out"], &[]);
     let size = opts.get_usize("size", 1028);
-    let sweep_size = opts.get_usize("sweep-size", 256);
     let seed = opts.get_u64("seed", 7);
     let threads = opts.get_usize("threads", 0);
     let stage = opts.get_str("stage", "all");
@@ -168,54 +144,48 @@ fn main() {
     };
     let out_dir = opts.output_dir();
 
-    let mut report = StageTimings::new(format!("{size}x{size}"));
     let level = simd_level();
-    report.set_simd_level(level.label());
-
-    // The paper-scale field feeds the stats, codecs, and framed stages;
-    // kernel microbenches and the sweep build their own payloads, so a
-    // filtered run skips the (multi-second) generation when it can.
-    let field = (run("stats") || run("codecs") || run("framed") || run("regions")).then(|| {
-        report.time("generate_field", || {
-            generate_single_range(&GaussianFieldConfig::new(size, size, 16.0, seed))
-        })
+    let mut report = SweepReport {
+        label: format!("{size}x{size}"),
+        simd_level: level.label().to_string(),
+        ..SweepReport::default()
+    };
+    let field = report.time("generate_field", || {
+        generate_single_range(&GaussianFieldConfig::new(size, size, 16.0, seed))
     });
 
     // Stage 1: paper-scale single-field statistics, one stage per estimator
     // plus the bundled computation the sweep scheduler amortizes.
     let mut stats_lines = None;
     if run("stats") {
-        let field = field.as_ref().expect("stats stage generated the field");
-        let global = report.time("global_variogram_range", || estimate_range(field));
-        report.record_variogram_cost(variogram_cost(field, pool));
+        let global = report.time("global_variogram_range", || estimate_range(&field));
+        report.variogram_cost = Some(variogram_cost(&field, pool));
         let range_spread = report.time("local_variogram_range_std", || {
-            local_range_std(field, &LocalStatConfig::default())
+            local_range_std(&field, &LocalStatConfig::default())
         });
         let svd_spread = report
-            .time("local_svd_truncation_std", || local_svd_truncation_std(field, 32, 0.99, None));
+            .time("local_svd_truncation_std", || local_svd_truncation_std(&field, 32, 0.99, None));
         report.time("correlation_statistics_compute", || {
-            CorrelationStatistics::compute(field, &StatisticsConfig::default())
+            CorrelationStatistics::compute(&field, &StatisticsConfig::default())
         });
         stats_lines = Some((global, range_spread, svd_spread));
     }
 
     // Stage 2: per-compressor codec throughput on the full-size field at
     // the paper's mid-grid bound, recorded both as `compress_<name>` stages
-    // and as MB/s + ratio throughput entries (the numbers the codec
-    // hot-path work is judged by). The registry is the entropy ablation:
-    // every study compressor next to its rans8-backend variant, so the
-    // Huffman-vs-rans8 ratio/throughput tradeoff lands in the same
+    // and as MB/s + ratio throughput entries. The registry is the entropy
+    // ablation: every study compressor next to its rans8-backend variant, so
+    // the Huffman-vs-rans8 ratio/throughput tradeoff lands in the same
     // report. Best of `--reps` runs (default 3) so single-shot scheduler
     // noise doesn't pollute the perf trajectory; the compressors run
     // through a reused ScratchArena exactly like a sweep worker.
     let reps = opts.get_usize("reps", 3).max(1);
     let registry = entropy_ablation_registry();
     let bound = ErrorBound::Absolute(1e-3);
-    let mut recon = Field2D::zeros(1, 1);
     if run("codecs") {
-        let field = field.as_ref().expect("codecs stage generated the field");
         let uncompressed_bytes = (field.len() * std::mem::size_of::<f64>()) as f64;
         let mut arena = ScratchArena::new();
+        let mut recon = Field2D::zeros(1, 1);
         let (mut rans8_streams, mut rans8_fallback) = (0usize, 0usize);
         for compressor in registry.compressors() {
             let name = compressor.name().to_string();
@@ -243,9 +213,9 @@ fn main() {
                 decompress_seconds = decompress_seconds.min(start.elapsed().as_secs_f64());
                 assert_eq!(recon.shape(), field.shape());
             }
-            report.record(format!("compress_{name}"), compress_seconds);
-            report.record(format!("decompress_{name}"), decompress_seconds);
-            report.record_throughput(CodecThroughput {
+            report.stages.push((format!("compress_{name}"), compress_seconds));
+            report.stages.push((format!("decompress_{name}"), decompress_seconds));
+            report.throughput.push(CodecThroughput {
                 compressor: name,
                 megabytes: uncompressed_bytes / 1e6,
                 compress_seconds,
@@ -253,7 +223,7 @@ fn main() {
                 compression_ratio: uncompressed_bytes / stream_len.max(1) as f64,
             });
         }
-        report.record_rans8_fallback(rans8_streams, rans8_fallback);
+        report.rans8_fallback = Some((rans8_streams, rans8_fallback));
 
         // Where an SZ or MGARD compress call's time goes: seconds per encode
         // layer from `compress_view_timed` (the compress path itself, min
@@ -303,15 +273,15 @@ fn main() {
             if stream_bytes > 0 {
                 tiled.tile_table_bytes_frac = Some(table_bytes as f64 / stream_bytes as f64);
             }
-            report.record_encode_layers(whole);
-            report.record_encode_layers(tiled);
+            report.encode_layers.push(whole);
+            report.encode_layers.push(tiled);
         }
         for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
             let mut scratch = MgardScratch::new();
             let samples = layer_samples(|| {
                 mgard.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
             });
-            report.record_encode_layers(EncodeLayers::from_samples(
+            report.encode_layers.push(EncodeLayers::from_samples(
                 mgard.name(),
                 &MgardCompressor::ENCODE_LAYERS,
                 &samples,
@@ -319,395 +289,16 @@ fn main() {
         }
     }
 
-    // Stage 2b: the same single-field codec work through the block-parallel
-    // framed container — the single-field *latency* number. The block count
-    // follows the pool width (one row band per worker at paper scale), the
-    // per-worker arenas live in one FrameScratch reused across reps, and
-    // the `<name>+framed` throughput rows land next to the single-stream
-    // rows so the block-parallel speedup is visible in the same table.
-    let mut blocks = 0usize;
-    if run("framed") {
-        let field = field.as_ref().expect("framed stage generated the field");
-        let uncompressed_bytes = (field.len() * std::mem::size_of::<f64>()) as f64;
-        blocks = frame::auto_block_count(field.ny(), field.nx(), pool.threads());
-        let mut frame_scratch = FrameScratch::new();
-        for compressor in registry.compressors() {
-            let name = compressor.name().to_string();
-            let mut compress_seconds = f64::MAX;
-            let mut decompress_seconds = f64::MAX;
-            let mut stream_len = 0usize;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let stream = frame::compress_framed_with(
-                    compressor.as_ref(),
-                    &field.view(),
-                    bound,
-                    blocks,
-                    pool,
-                    &mut frame_scratch,
-                )
-                .expect("framed compressor succeeds");
-                compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
-                stream_len = stream.len();
-                let start = Instant::now();
-                frame::decompress_framed_with(
-                    compressor.as_ref(),
-                    &stream,
-                    pool,
-                    &mut frame_scratch,
-                    &mut recon,
-                )
-                .expect("framed stream decodes");
-                decompress_seconds = decompress_seconds.min(start.elapsed().as_secs_f64());
-                assert_eq!(recon.shape(), field.shape());
-            }
-            report.record(format!("compress_framed_{name}"), compress_seconds);
-            report.record(format!("decompress_framed_{name}"), decompress_seconds);
-            report.record_throughput(CodecThroughput {
-                compressor: framed_variant_name(&name),
-                megabytes: uncompressed_bytes / 1e6,
-                compress_seconds,
-                decompress_seconds,
-                compression_ratio: uncompressed_bytes / stream_len.max(1) as f64,
-            });
-        }
-    }
-
-    // Stage 2c: archive region reads — the random-access numbers the tiled
-    // LCCF v2 format exists for. The paper-scale field goes into an
-    // in-memory `LCCA` archive as one 64×64-tiled sz-rans8 entry; the three
-    // rows then measure (per read, best/mean of a seeded window set):
-    // `region_full_decode` — decoding the whole entry, the v1 baseline for
-    // any window; `region_read_cold` — a 64×64 window through the seek
-    // index with no cache (tiles decoded on demand); `region_read_hot` —
-    // the same windows through a warmed decoded-tile cache. All three land
-    // as throughput rows (compress side zeroed: these are read paths) so
-    // `bench_table.py --gate` tracks region-read latency like any codec.
-    let mut region_lines = None;
-    if run("regions") {
-        let field = field.as_ref().expect("regions stage generated the field");
-        let tile = 64usize.min(size);
-        let uncompressed_bytes = (field.len() * std::mem::size_of::<f64>()) as f64;
-        let window_bytes = (tile * tile * std::mem::size_of::<f64>()) as f64;
-        let sz8 = registry.get("sz-rans8").expect("ablation registry has sz-rans8");
-        let mut frame_scratch = FrameScratch::new();
-
-        let mut writer = ArchiveWriter::new();
-        writer
-            .add_entry(
-                "bench-field",
-                0,
-                field,
-                sz8.as_ref(),
-                bound,
-                tile,
-                tile,
-                pool,
-                &mut frame_scratch,
-            )
-            .expect("archive entry compresses");
-        let archive_bytes = writer.finish();
-        let cold = Archive::open(archive_bytes.clone()).expect("archive opens");
-        let entry_ratio = uncompressed_bytes / cold.entry(0).length.max(1) as f64;
-
-        // A seeded set of tile-aligned windows: every read is one tile's
-        // worth of values, scattered across the entry.
-        let mut state = seed | 1;
-        let mut lcg = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let anchors = (size - tile) / tile + 1;
-        let windows: Vec<Window> = (0..32)
-            .map(|_| Window {
-                i0: (lcg() as usize % anchors) * tile,
-                j0: (lcg() as usize % anchors) * tile,
-                height: tile,
-                width: tile,
-            })
-            .collect();
-
-        // Full-entry decode: the only way to serve a window without the
-        // tile index.
-        let mut full_seconds = f64::MAX;
-        for _ in 0..reps {
-            let start = Instant::now();
-            cold.read_entry(0, sz8.as_ref(), pool, &mut frame_scratch, &mut recon)
-                .expect("entry decodes");
-            full_seconds = full_seconds.min(start.elapsed().as_secs_f64());
-            assert_eq!(recon.shape(), field.shape());
-        }
-        report.record("region_full_decode", full_seconds);
-        report.record_throughput(CodecThroughput {
-            compressor: "region_full_decode".into(),
-            megabytes: uncompressed_bytes / 1e6,
-            compress_seconds: 0.0,
-            decompress_seconds: full_seconds,
-            compression_ratio: entry_ratio,
-        });
-
-        // Cold region reads: per-read mean over the window set, best of
-        // `reps` sweeps (no cache attached, every tile decodes).
-        let mut cold_seconds = f64::MAX;
-        for _ in 0..reps {
-            let start = Instant::now();
-            for window in &windows {
-                cold.read_region(0, window, sz8.as_ref(), pool, &mut frame_scratch, &mut recon)
-                    .expect("region decodes");
-            }
-            cold_seconds = cold_seconds.min(start.elapsed().as_secs_f64() / windows.len() as f64);
-        }
-        report.record("region_read_cold", cold_seconds);
-        report.record_throughput(CodecThroughput {
-            compressor: "region_read_cold".into(),
-            megabytes: window_bytes / 1e6,
-            compress_seconds: 0.0,
-            decompress_seconds: cold_seconds,
-            compression_ratio: entry_ratio,
-        });
-
-        // Hot region reads: warm a comfortably-sized decoded-tile cache
-        // with one pass, then every timed read is all cache hits.
-        let hot = Archive::open(archive_bytes)
-            .expect("archive opens")
-            .with_cache(Arc::new(TileCache::new(256 * 1_000_000)));
-        for window in &windows {
-            hot.read_region(0, window, sz8.as_ref(), pool, &mut frame_scratch, &mut recon)
-                .expect("warmup region decodes");
-        }
-        let mut hot_seconds = f64::MAX;
-        for _ in 0..reps {
-            let start = Instant::now();
-            for window in &windows {
-                let stats = hot
-                    .read_region(0, window, sz8.as_ref(), pool, &mut frame_scratch, &mut recon)
-                    .expect("cached region decodes");
-                assert_eq!(stats.tiles_from_cache, stats.tiles, "warmed read must be all hits");
-            }
-            hot_seconds = hot_seconds.min(start.elapsed().as_secs_f64() / windows.len() as f64);
-        }
-        report.record("region_read_hot", hot_seconds);
-        report.record_throughput(CodecThroughput {
-            compressor: "region_read_hot".into(),
-            megabytes: window_bytes / 1e6,
-            compress_seconds: 0.0,
-            decompress_seconds: hot_seconds,
-            compression_ratio: entry_ratio,
-        });
-        region_lines = Some((full_seconds, cold_seconds, hot_seconds));
-    }
-
-    // Stage 2d: per-kernel SIMD microbenches — each hot kernel timed at the
-    // scalar tier and at the detected dispatch tier over the same payload,
-    // best of `--reps`. These are the numbers that attribute a codec-level
-    // speedup to the kernel that produced it (and the rows
-    // `bench_table.py --gate` checks against the committed baseline).
-    if run("kernels") {
-        fn lcg(state: &mut u64) -> u64 {
-            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *state >> 33
-        }
-        fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-            let mut best = f64::MAX;
-            for _ in 0..reps {
-                let start = Instant::now();
-                f();
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            best
-        }
-
-        // rANS decode: a skewed quantizer-code-like alphabet, the shape the
-        // SZ/MGARD entropy stage feeds the decoder.
-        let mut state = 0xC0FF_EE00u64;
-        let symbols: Vec<u32> =
-            (0..6_000_000).map(|_| lcg(&mut state).trailing_zeros() % 24).collect();
-        let mut rans_scratch = RansScratch::new();
-        let mut decoded: Vec<u32> = Vec::new();
-        let encoded8 = rans8_encode(&symbols);
-        let mut rans8_at = |at: SimdLevel| {
-            best_of(reps, || {
-                decoded.clear();
-                rans8_decode_with_at(&mut rans_scratch, at, &encoded8, &mut decoded)
-                    .expect("bench rans8 stream decodes");
-            })
-        };
-        let kernel = KernelThroughput {
-            kernel: "rans8_decode".into(),
-            megabytes: (symbols.len() * 4) as f64 / 1e6,
-            scalar_seconds: rans8_at(SimdLevel::Scalar),
-            simd_seconds: rans8_at(level),
-        };
-        report.record("kernel_rans8_decode", kernel.simd_seconds);
-        report.record_kernel(kernel);
-
-        // SZ plane quantizer: smooth rows plus mild residual noise — the
-        // regression-predictor inner loop of `compress_into`.
-        let (rows, cols) = (2_000usize, 1_000usize);
-        let plane = [4.2e-1, 3.1e-4, -2.7e-4];
-        let mut state = 0xDEAD_BEA7u64;
-        let orig: Vec<f64> = (0..rows * cols)
-            .map(|k| {
-                let (i, j) = (k / cols, k % cols);
-                plane[0]
-                    + plane[1] * i as f64
-                    + plane[2] * j as f64
-                    + (lcg(&mut state) as f64 / (1u64 << 31) as f64 - 1.0) * 5e-4
-            })
-            .collect();
-        let quantizer = Quantizer::new(1e-3, 1 << 15);
-        let mut recon = vec![0.0; cols];
-        let mut codes: Vec<u32> = Vec::new();
-        let mut exact: Vec<f64> = Vec::new();
-        // Several passes per timed rep: a single sweep over the plane is
-        // ~5 ms dispatched, short enough that scheduler noise dominates the
-        // best-of spread on a busy host.
-        const QUANT_PASSES: usize = 4;
-        let mut quant_at = |at: SimdLevel| {
-            best_of(reps, || {
-                for _ in 0..QUANT_PASSES {
-                    codes.clear();
-                    exact.clear();
-                    for (di, row) in orig.chunks_exact(cols).enumerate() {
-                        quantize_plane_row_at(
-                            at, &quantizer, &plane, di, row, &mut recon, &mut codes, &mut exact,
-                        );
-                    }
-                }
-            })
-        };
-        let kernel = KernelThroughput {
-            kernel: "lorenzo_quant".into(),
-            megabytes: (orig.len() * 8 * QUANT_PASSES) as f64 / 1e6,
-            scalar_seconds: quant_at(SimdLevel::Scalar),
-            simd_seconds: quant_at(level),
-        };
-        report.record("kernel_lorenzo_quant", kernel.simd_seconds);
-        report.record_kernel(kernel);
-
-        // ZFP block transform: forward + inverse lift, repeated over an
-        // L2-resident block batch (4096 blocks = 512 KiB) so the timing is
-        // compute-bound — a single pass over a DRAM-sized batch finishes in
-        // ~2 ms of pure memory traffic and drowns the lift arithmetic the
-        // kernel actually dispatches on.
-        const ZFP_BLOCKS: usize = 4_096;
-        const ZFP_PASSES: usize = 128;
-        let mut state = 0x5EED_CAFEu64;
-        let mut blocks_buf: Vec<[i64; BLOCK_LEN]> = (0..ZFP_BLOCKS)
-            .map(|_| std::array::from_fn(|_| lcg(&mut state) as i64 - (1 << 30)))
-            .collect();
-        let mut zfp_at = |at: SimdLevel| {
-            best_of(reps, || {
-                for _ in 0..ZFP_PASSES {
-                    for block in &mut blocks_buf {
-                        fwd_transform_at(at, block);
-                        inv_transform_at(at, block);
-                    }
-                }
-            })
-        };
-        let kernel = KernelThroughput {
-            kernel: "zfp_transform".into(),
-            megabytes: (ZFP_BLOCKS * ZFP_PASSES * BLOCK_LEN * 8) as f64 / 1e6,
-            scalar_seconds: zfp_at(SimdLevel::Scalar),
-            simd_seconds: zfp_at(level),
-        };
-        report.record("kernel_zfp_transform", kernel.simd_seconds);
-        report.record_kernel(kernel);
-
-        // The same lift through the 4-block batch entry points the codec
-        // uses since the batching change — the delta against
-        // `zfp_transform` is pure dispatch/call amortization.
-        let mut zfp_batch_at = |at: SimdLevel| {
-            best_of(reps, || {
-                for _ in 0..ZFP_PASSES {
-                    for chunk in blocks_buf.chunks_mut(lcc_zfp::codec::TRANSFORM_BATCH) {
-                        fwd_transform_batch_at(at, chunk);
-                        inv_transform_batch_at(at, chunk);
-                    }
-                }
-            })
-        };
-        let kernel = KernelThroughput {
-            kernel: "zfp_transform_batch".into(),
-            megabytes: (ZFP_BLOCKS * ZFP_PASSES * BLOCK_LEN * 8) as f64 / 1e6,
-            scalar_seconds: zfp_batch_at(SimdLevel::Scalar),
-            simd_seconds: zfp_batch_at(level),
-        };
-        report.record("kernel_zfp_transform_batch", kernel.simd_seconds);
-        report.record_kernel(kernel);
-
-        // LZ77 matcher: byte-plane-like data with long, near-periodic
-        // matches, dominated by `match_length` compares.
-        let mut state = 0x0FAC_E0FFu64;
-        let mut input = Vec::with_capacity(4 << 20);
-        for k in 0..(4 << 20) as u64 {
-            let byte = ((k / 8) % 251) as u8;
-            input.push(if lcg(&mut state) % 997 == 0 { byte ^ 0x3C } else { byte });
-        }
-        let mut codec_scratch = CodecScratch::new();
-        let mut out = Vec::new();
-        let mut lz_at = |at: SimdLevel| {
-            best_of(reps, || {
-                out.clear();
-                lz77_compress_with_at(&mut codec_scratch, at, &input, &mut out);
-            })
-        };
-        let kernel = KernelThroughput {
-            kernel: "lz77_match".into(),
-            megabytes: input.len() as f64 / 1e6,
-            scalar_seconds: lz_at(SimdLevel::Scalar),
-            simd_seconds: lz_at(level),
-        };
-        report.record("kernel_lz77_match", kernel.simd_seconds);
-        report.record_kernel(kernel);
-    }
-
-    // Stage 3: a reduced (3 fields × 5 compressors × 4 bounds) study through
-    // the flat work-item scheduler — the ablation registry, so `run_sweep`
-    // exercises both entropy backends end to end.
-    let mut sweep_records = None;
-    if run("sweep") {
-        let datasets = StudyDatasets {
-            gaussian_size: sweep_size,
-            n_ranges: 3,
-            min_range: 4.0,
-            max_range: 24.0,
-            replicates: 1,
-            seed,
-        };
-        let fields = datasets.single_range_fields();
-        let sweep_config =
-            SweepConfig { threads: (threads > 0).then_some(threads), ..SweepConfig::default() };
-        sweep_records = Some(report.time("flat_sweep_3_fields", || {
-            run_sweep(&fields, &registry, &sweep_config).expect("sweep completes")
-        }));
-    }
-
-    println!("bench_sweep: {size}x{size} field, sweep at {sweep_size}x{sweep_size}");
     println!(
-        "  pool: {} threads, framed codec blocks: {blocks}, simd: {}, stage: {stage}",
+        "bench_sweep: {size}x{size} field, pool: {} threads, simd: {}, stage: {stage}",
         pool.threads(),
         level.label()
     );
-    for name in
-        ["rans8_decode", "lorenzo_quant", "zfp_transform", "zfp_transform_batch", "lz77_match"]
-    {
-        if let Some(k) = report.kernel(name) {
-            println!(
-                "  kernel {name}: scalar {:.2} MB/s — {} {:.2} MB/s ({:.2}x)",
-                k.scalar_mb_per_s(),
-                level.label(),
-                k.simd_mb_per_s(),
-                k.speedup()
-            );
-        }
-    }
     if let Some((global, range_spread, svd_spread)) = stats_lines {
         println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
         println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
     }
-    if let Some(cost) = report.variogram_cost() {
+    if let Some(cost) = report.variogram_cost {
         println!(
             "  global variogram: {} pairs, {:.3} ns/pair at one thread, parallel efficiency {:.2} at {}",
             cost.pairs,
@@ -716,84 +307,41 @@ fn main() {
             cost.threads
         );
     }
-    let rows = ["sz", "sz-rans8", "mgard", "mgard-rans8"];
-    for name in rows.iter().flat_map(|base| [base.to_string(), tile_row(base)]) {
-        if let Some(e) = report.encode_layers(&name) {
-            let layers: Vec<String> = e
-                .layers
-                .iter()
-                .map(|(layer, min, _)| format!("{layer} {:.2}", min * 1e3))
-                .collect();
-            let fixed = e
-                .tile_fixed_cost_us
-                .map_or(String::new(), |us| format!(" · per-tile fixed cost {us:.1} us"));
-            let table = e.tile_table_bytes_frac.map_or(String::new(), |frac| {
-                format!(" · frequency tables {:.1} % of the bytes", frac * 100.0)
-            });
-            println!(
-                "  {name} encode layers (ms, min of {LAYER_REPS}): {}{fixed}{table}",
-                layers.join(" · ")
-            );
-        }
+    for e in &report.encode_layers {
+        let layers: Vec<String> =
+            e.layers.iter().map(|(layer, min, _)| format!("{layer} {:.2}", min * 1e3)).collect();
+        let fixed = e
+            .tile_fixed_cost_us
+            .map_or(String::new(), |us| format!(" · per-tile fixed cost {us:.1} us"));
+        let table = e.tile_table_bytes_frac.map_or(String::new(), |frac| {
+            format!(" · frequency tables {:.1} % of the bytes", frac * 100.0)
+        });
+        println!(
+            "  {} encode layers (ms, min of {LAYER_REPS}): {}{fixed}{table}",
+            e.compressor,
+            layers.join(" · ")
+        );
     }
-    if let Some((streams, fallback)) = report.rans8_fallback() {
+    if let Some((streams, fallback)) = report.rans8_fallback {
         println!("  rans8 streams coded in Huffman-fallback mode: {fallback} of {streams}");
     }
     if let Some(ratio) = report.predictor_cost_over_codec_cost() {
         println!("  predictor cost / codec cost (statistics ÷ sz compress): {ratio:.2}x");
     }
-    for name in registry.names() {
-        if let Some(t) = report.throughput(&name) {
-            println!(
-                "  {name}: compress {:.2} MB/s   decompress {:.2} MB/s",
-                t.compress_mb_per_s(),
-                t.decompress_mb_per_s()
-            );
-        }
-        let framed = framed_variant_name(&name);
-        if let (Some(single), Some(t)) = (report.throughput(&name), report.throughput(&framed)) {
-            println!(
-                "  {framed}: compress {:.2} MB/s ({:.2}x)   decompress {:.2} MB/s ({:.2}x)",
-                t.compress_mb_per_s(),
-                t.compress_mb_per_s() / single.compress_mb_per_s().max(f64::MIN_POSITIVE),
-                t.decompress_mb_per_s(),
-                t.decompress_mb_per_s() / single.decompress_mb_per_s().max(f64::MIN_POSITIVE),
-            );
-        }
-    }
-    if let Some((full, cold, hot)) = region_lines {
+    for t in &report.throughput {
         println!(
-            "  region reads (64x64 of {size}x{size}, sz-rans8): full decode {:.2} ms — cold \
-             {:.3} ms ({:.1}x faster) — hot {:.3} ms ({:.1}x over cold)",
-            full * 1e3,
-            cold * 1e3,
-            full / cold.max(f64::MIN_POSITIVE),
-            hot * 1e3,
-            cold / hot.max(f64::MIN_POSITIVE),
+            "  {}: compress {:.2} MB/s   decompress {:.2} MB/s   ratio {:.2}x",
+            t.compressor,
+            t.compress_mb_per_s(),
+            t.decompress_mb_per_s(),
+            t.compression_ratio
         );
-    }
-    if let Some(records) = &sweep_records {
-        println!("  sweep records: {}", records.len());
-    }
-    for base in ["sz", "mgard"] {
-        let rans8 = format!("{base}-rans8");
-        if let (Some(h), Some(r8)) = (report.throughput(base), report.throughput(&rans8)) {
-            println!(
-                "  entropy ablation {base}: huffman {:.2} MB/s @ {:.2}x ratio — rans8 {:.2} MB/s \
-                 @ {:.2}x ratio ({:.2}x compress, {:.2}x decompress speedup)",
-                h.compress_mb_per_s(),
-                h.compression_ratio,
-                r8.compress_mb_per_s(),
-                r8.compression_ratio,
-                r8.compress_mb_per_s() / h.compress_mb_per_s().max(f64::MIN_POSITIVE),
-                r8.decompress_mb_per_s() / h.decompress_mb_per_s().max(f64::MIN_POSITIVE),
-            );
-        }
     }
     println!("  total: {:.3}s", report.total_seconds());
 
     let path = out_dir.join("BENCH_sweep.json");
-    report.write(&path).expect("write BENCH_sweep.json");
+    let json = report.to_json();
+    write_json(&path, &json).expect("write BENCH_sweep.json");
     println!("wrote {}", path.display());
-    println!("{}", report.to_json());
+    println!("{json}");
 }

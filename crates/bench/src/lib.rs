@@ -1,13 +1,15 @@
-//! # lcc-bench — figure-reproduction binaries and Criterion benches
+//! # lcc-bench — figure-reproduction binaries and the `bench_sweep` report
 //!
 //! The `src/bin/figure*.rs` binaries regenerate every figure and table of
 //! the paper's evaluation (README.md §"Build, test, bench" shows how to
-//! run them); the Criterion benches under `benches/` measure compressor and
-//! statistic throughput plus the design-choice ablations.
+//! run them); `bench_sweep` times the paper-scale statistics and codec
+//! stages into the [`report`] this crate owns.
 //!
 //! This library holds the small amount of shared plumbing: a dependency-free
 //! command-line option parser and helpers that print fitted panels and write
 //! their CSV files.
+
+pub mod report;
 
 use lcc_core::dataset::StudyDatasets;
 use lcc_core::experiment::FittedSeries;

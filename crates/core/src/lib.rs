@@ -21,10 +21,7 @@
 //! * [`predict`] — the study's stated end goal, implemented as an
 //!   extension: predict the compression ratio of an unseen field from its
 //!   correlation statistics, and use the prediction to select a compressor
-//!   (the SZ/ZFP auto-selection scenario of the related work),
-//! * [`benchreport`] — wall-clock stage timings serialized as the
-//!   `BENCH_sweep.json` perf-trajectory artifact the CI smoke job and the
-//!   paper-scale statistics gate emit.
+//!   (the SZ/ZFP auto-selection scenario of the related work).
 //!
 //! ```no_run
 //! use lcc_core::figures::{Figure3Config, run_figure3};
@@ -36,7 +33,6 @@
 //! }
 //! ```
 
-pub mod benchreport;
 pub mod dataset;
 pub mod experiment;
 pub mod figures;

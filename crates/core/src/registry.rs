@@ -26,7 +26,7 @@ pub fn default_registry() -> Registry {
 /// Build the entropy-ablation registry: the three study compressors plus
 /// the 8-way rANS backend variants of the two codecs with an entropy stage
 /// (`sz-rans8`, `mgard-rans8`) as first-class compressors. `bench_sweep`
-/// drives this registry so every sweep and framed-codec measurement covers
+/// and the load generator drive this registry so every measurement covers
 /// both points of the ratio-vs-throughput axis; the paper-figure binaries
 /// keep using [`default_registry`] (the study compares algorithms, not
 /// entropy backends).
@@ -37,27 +37,24 @@ pub fn entropy_ablation_registry() -> Registry {
     registry
 }
 
-/// Report key of a compressor measured through the block-parallel framed
-/// container (`"sz"` → `"sz+framed"`). `bench_sweep` and the load generator
-/// both derive their `BENCH_*.json` variant keys from this, and
-/// `scripts/bench_table.py` joins rows across reports on it — one place to
-/// change the convention.
+/// Report key of a compressor driven through the block-parallel framed
+/// container (`"sz"` → `"sz+framed"`): the load generator derives its
+/// `BENCH_load.json` variant keys from this — one place to change the
+/// convention.
 pub fn framed_variant_name(name: &str) -> String {
     format!("{name}+framed")
 }
 
-/// Report key of a compressor measured through the checksummed framed
+/// Report key of a compressor driven through the checksummed framed
 /// container (`"sz"` → `"sz+framed+ck"`): the same block-parallel `LCCF`
-/// frame plus a per-block XXH64 verified on decode, so the delta against the
-/// `+framed` row is the integrity-check cost.
+/// frame plus a per-block XXH64 verified on decode.
 pub fn checksummed_variant_name(name: &str) -> String {
     format!("{name}+framed+ck")
 }
 
-/// Report key of a compressor measured through archive region reads
+/// Report key of a compressor driven through archive region reads
 /// (`"sz-rans8"` → `"region_sz-rans8"`): one tiled-archive window request
-/// per round trip instead of a whole-field compress+decompress, so the row
-/// reflects seek-and-decode latency, not codec throughput.
+/// per round trip instead of a whole-field compress+decompress.
 pub fn region_variant_name(name: &str) -> String {
     format!("region_{name}")
 }

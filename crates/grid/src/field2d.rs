@@ -1,7 +1,6 @@
 //! Row-major dense 2D field of `f64` values.
 
 use crate::view::{FieldView, WindowViews};
-use crate::window::{Window, WindowIter};
 use crate::{GridError, Summary};
 
 /// A dense, row-major 2D field of `f64` values.
@@ -229,22 +228,11 @@ impl Field2D {
             .expect("a constructed field is always a valid view")
     }
 
-    /// Zero-copy view of the rectangle covered by a [`Window`] placement.
-    pub fn view_window(&self, win: &Window) -> FieldView<'_> {
-        self.view().window(win)
-    }
-
     /// Iterate over non-overlapping `h × w` tiles covering the field
     /// (trailing partial tiles at the right/bottom edges are included),
     /// yielding each tile's placement and a zero-copy [`FieldView`] of it.
     pub fn windows(&self, h: usize, w: usize) -> WindowViews<'_> {
         self.view().windows(h, w)
-    }
-
-    /// Iterate over the tile placements only (no data access), e.g. to
-    /// replay a tiling while reconstructing a field.
-    pub fn window_placements(&self, h: usize, w: usize) -> WindowIter {
-        WindowIter::over(self.ny, self.nx, h, w)
     }
 
     /// Summary statistics of the field values.
@@ -307,15 +295,6 @@ impl Field2D {
             }
         }
         out
-    }
-
-    /// Downsample by an integer stride in both axes (keeps every `stride`-th
-    /// sample), useful for cheap previews and sampled statistics.
-    pub fn downsample(&self, stride: usize) -> Field2D {
-        assert!(stride > 0, "stride must be positive");
-        let ny = self.ny.div_ceil(stride);
-        let nx = self.nx.div_ceil(stride);
-        Field2D::from_fn(ny, nx, |i, j| self.at(i * stride, j * stride))
     }
 }
 
@@ -490,13 +469,5 @@ mod tests {
         let g = f.clone();
         f.add_assign_field(&g);
         assert_eq!(f.as_slice(), &[2.0, 6.0, 10.0, 14.0]);
-    }
-
-    #[test]
-    fn downsample_keeps_strided_samples() {
-        let f = ramp(4, 6);
-        let d = f.downsample(2);
-        assert_eq!(d.shape(), (2, 3));
-        assert_eq!(d.get(1, 2), f.get(2, 4));
     }
 }

@@ -114,8 +114,7 @@ mod tests {
 
     #[test]
     fn exact_tiling_covers_field_once() {
-        let f = Field2D::zeros(64, 64);
-        let wins: Vec<Window> = f.window_placements(32, 32).collect();
+        let wins: Vec<Window> = WindowIter::over(64, 64, 32, 32).collect();
         assert_eq!(wins.len(), 4);
         assert!(wins.iter().all(|w| w.is_full(32, 32)));
         let covered: usize = wins.iter().map(Window::len).sum();
@@ -124,8 +123,7 @@ mod tests {
 
     #[test]
     fn partial_edges_are_clipped() {
-        let f = Field2D::zeros(70, 50);
-        let wins: Vec<Window> = f.window_placements(32, 32).collect();
+        let wins: Vec<Window> = WindowIter::over(70, 50, 32, 32).collect();
         // 3 tile rows (32, 32, 6) x 2 tile cols (32, 18)
         assert_eq!(wins.len(), 6);
         let covered: usize = wins.iter().map(Window::len).sum();
@@ -137,16 +135,14 @@ mod tests {
     #[test]
     fn count_windows_matches_iteration() {
         for (ny, nx, h, w) in [(10, 10, 3, 4), (32, 32, 32, 32), (33, 17, 8, 8), (5, 5, 7, 7)] {
-            let f = Field2D::zeros(ny, nx);
-            let it = f.window_placements(h, w);
+            let it = WindowIter::over(ny, nx, h, w);
             assert_eq!(it.count_windows(), it.clone().count(), "{ny}x{nx} h={h} w={w}");
         }
     }
 
     #[test]
     fn size_hint_is_exact() {
-        let f = Field2D::zeros(33, 17);
-        let mut it = f.window_placements(8, 8);
+        let mut it = WindowIter::over(33, 17, 8, 8);
         let mut remaining = it.count_windows();
         assert_eq!(it.size_hint(), (remaining, Some(remaining)));
         while let Some(_) = it.next() {

@@ -1,42 +1,36 @@
-//! # lcc-loadgen — serving-grade sustained-traffic load generator
+//! # lcc-loadgen — concurrency-identity and chaos harness
 //!
-//! `bench_sweep` measures one-shot kernel throughput; this crate measures
-//! the production question: what latency distribution and per-core
-//! throughput does the codec stack sustain under *concurrent mixed
-//! traffic*? A seeded deterministic [`schedule`] drives N worker threads
-//! through the full [`entropy_ablation_registry`] — all five codec
-//! variants, each in single-stream, `LCCF`-framed, and checksummed-framed
-//! (`+framed+ck`, per-block XXH64 verified on decode) form, over mixed
-//! field sizes — via the bounded work queue in [`lcc_par::queue`]
-//! (backpressure instead of an unbounded backlog, like a serving admission
-//! queue).
+//! `benchmarks/e2e` measures the codec stack's throughput and latency; this
+//! crate answers the other production question: does the stack produce the
+//! *same bytes* under concurrent mixed traffic, and does it account for
+//! every fault thrown at it? A seeded deterministic [`schedule`] drives N
+//! worker threads through the full [`entropy_ablation_registry`] — all five
+//! codec variants, each in single-stream, `LCCF`-framed, and
+//! checksummed-framed (`+framed+ck`, per-block XXH64 verified on decode)
+//! form, over mixed field sizes — via the bounded work queue in
+//! [`lcc_par::queue`] (backpressure instead of an unbounded backlog, like a
+//! serving admission queue).
 //!
 //! Every request is a full round trip: compress a field view through the
 //! worker's persistent [`ScratchArena`]/[`FrameScratch`], decode the stream
 //! back into the worker's reusable reconstruction field, and verify both
 //! the stream and the reconstruction hash-match a single-threaded reference
 //! computed at setup — so a run with zero errors *proves* byte-identical
-//! round trips under concurrency, not just absence of panics. Per-request
-//! latency lands in a per-worker per-variant
-//! [`LatencyHistogram`](lcc_core::benchreport::LatencyHistogram); the
-//! merged [`LoadReport`] (`BENCH_load.json`) carries p50/p90/p99/max, MB/s
-//! per core, and — with the `loadgen-alloc` feature — steady-state
-//! allocations per request.
+//! round trips under concurrency, not just absence of panics.
 //!
 //! On top of the 15 round-trip variants, three **region-read** variants
 //! (`region_sz-rans8`, `region_zfp`, `region_mgard-rans8`) serve
 //! tile-sized windows out of an in-memory tiled [`lcc_archive`] through a
 //! shared decoded-tile cache, with a Zipf-skewed window popularity
-//! schedule — so `BENCH_load.json` carries region-read p50/p99 and the
-//! cache hit rate as first-class serving metrics.
+//! schedule, each verified against the same window of a full-entry decode.
+//! The merged [`LoadReport`] (`BENCH_load.json`) carries the per-variant
+//! request / error / tile counts, the cache's counters and, in chaos mode,
+//! the [`ChaosSummary`].
 
-pub mod alloc_count;
+pub mod report;
 pub mod schedule;
 
 use lcc_archive::{Archive, ArchiveWriter, TileCache};
-use lcc_core::benchreport::{
-    ChaosSummary, LatencyHistogram, LoadReport, LoadVariant, TileCacheSummary,
-};
 use lcc_core::registry::{
     checksummed_variant_name, entropy_ablation_registry, framed_variant_name, region_variant_name,
 };
@@ -45,6 +39,7 @@ use lcc_grid::{Field2D, FieldView, Window};
 use lcc_par::{run_bounded_queue, CancelToken, ThreadPoolConfig};
 use lcc_pressio::{frame, CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
+pub use report::{ChaosSummary, LoadReport, LoadVariant};
 use schedule::{Request, Schedule};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,6 +49,25 @@ use std::time::{Duration, Instant};
 const REGION_CODECS: [&str; 3] = ["sz-rans8", "zfp", "mgard-rans8"];
 /// Zipf exponent of the window-popularity schedule (weight ∝ 1/(k+1)^s).
 const ZIPF_EXPONENT: f64 = 1.1;
+/// Edge lengths of the square payload fields (two correlation ranges are
+/// generated per size, so the payload table is six fields).
+const SIZES: [usize; 3] = [64, 96, 128];
+/// Absolute point-wise error bound of every compress call.
+const BOUND: ErrorBound = ErrorBound::Absolute(1e-3);
+/// Block count of framed requests. Blocks encode sequentially *within* a
+/// worker — concurrency comes from the request level, as in a serving pool.
+const FRAMED_BLOCKS: usize = 4;
+/// Edge length of the square archive entries the region variants read from.
+const ARCHIVE_SIZE: usize = 256;
+/// Tile edge of the archive entries; region requests read one tile-sized
+/// window each.
+const ARCHIVE_TILE: usize = 64;
+/// Byte budget of the decoded-tile cache the region variants share.
+const TILE_CACHE_BYTES: usize = 8_000_000;
+/// Per-request deadline of region reads in chaos mode. Injected device
+/// stalls last 5× this, so every stall surfaces as `DeadlineExceeded`;
+/// clean reads finish orders of magnitude inside it.
+const CHAOS_DEADLINE: Duration = Duration::from_millis(50);
 
 /// Configuration of one load run.
 #[derive(Debug, Clone)]
@@ -64,35 +78,10 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// Seed of the deterministic request schedule and payload fields.
     pub seed: u64,
-    /// Edge lengths of the square payload fields (two correlation ranges
-    /// are generated per size, so the payload table is `2 × sizes.len()`
-    /// fields).
-    pub sizes: Vec<usize>,
-    /// Admission-queue capacity; 0 means `4 × workers`.
-    pub queue_capacity: usize,
     /// Minimum number of requests to submit even if the deadline passes
     /// first — at least one full round-robin over the variants guarantees
     /// every variant appears in the report of an arbitrarily short run.
     pub min_requests: u64,
-    /// Absolute point-wise error bound of every compress call.
-    pub bound: f64,
-    /// Block count of framed requests (clamped to the field's row count by
-    /// the frame layer). Blocks encode sequentially *within* a worker —
-    /// concurrency comes from the request level, as in a serving pool.
-    pub framed_blocks: usize,
-    /// Per-worker requests excluded from the steady-state allocation
-    /// average (scratch arenas grow to their high-water mark first).
-    pub warmup_requests: u64,
-    /// Edge length of the square archive entries the region variants read
-    /// from (clamped up to 64).
-    pub archive_size: usize,
-    /// Tile edge of the archive entries (clamped to `[8, archive_size]`);
-    /// region requests read one tile-sized window each.
-    pub archive_tile: usize,
-    /// Decoded-tile cache budget in megabytes (10^6 bytes, minimum 1).
-    pub tile_cache_mb: usize,
-    /// Serve only the region-read variants — the CI region smoke mode.
-    pub regions_only: bool,
     /// Per-site fault-injection probability (`--chaos <rate>`); 0 disables
     /// chaos mode. When enabled, archive reads go through a seeded
     /// [`FaultyReadAt`], round-trip streams are corrupted at the same rate,
@@ -100,10 +89,6 @@ pub struct LoadgenConfig {
     /// the report carries a [`ChaosSummary`] proving
     /// `injected == detected + recovered`.
     pub chaos_rate: f64,
-    /// Per-request deadline of region reads in chaos mode. Injected device
-    /// stalls last 5× this, so every stall surfaces as `DeadlineExceeded`;
-    /// clean reads finish orders of magnitude inside it.
-    pub chaos_deadline: Duration,
 }
 
 impl Default for LoadgenConfig {
@@ -112,18 +97,8 @@ impl Default for LoadgenConfig {
             workers: 4,
             duration: Duration::from_millis(2000),
             seed: 42,
-            sizes: vec![64, 96, 128],
-            queue_capacity: 0,
             min_requests: 0,
-            bound: 1e-3,
-            framed_blocks: 4,
-            warmup_requests: 4,
-            archive_size: 256,
-            archive_tile: 64,
-            tile_cache_mb: 8,
-            regions_only: false,
             chaos_rate: 0.0,
-            chaos_deadline: Duration::from_millis(50),
         }
     }
 }
@@ -131,22 +106,7 @@ impl Default for LoadgenConfig {
 impl LoadgenConfig {
     /// One-line workload description used as the report label.
     fn label(&self) -> String {
-        let sizes: Vec<String> = self.sizes.iter().map(|s| s.to_string()).collect();
-        format!(
-            "{} workers, {} ms, sizes [{}], seed {}",
-            self.workers,
-            self.duration.as_millis(),
-            sizes.join(","),
-            self.seed
-        )
-    }
-
-    fn capacity(&self) -> usize {
-        if self.queue_capacity > 0 {
-            self.queue_capacity
-        } else {
-            self.workers.max(1) * 4
-        }
+        format!("{} workers, {} ms, seed {}", self.workers, self.duration.as_millis(), self.seed)
     }
 
     fn chaos_enabled(&self) -> bool {
@@ -154,8 +114,19 @@ impl LoadgenConfig {
     }
 }
 
+/// Parse the value of `--chaos`: a finite fault rate in `[0, 1]`. Anything
+/// else is an error naming the flag and the text — `nan` parses as an `f64`
+/// and a clamp would turn `-1` or `nan` into a run *without* chaos, whose
+/// exit contract a typo would then pass vacuously.
+pub fn parse_chaos_rate(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+        _ => Err(format!("--chaos: {text:?} is not a fault rate in [0, 1]")),
+    }
+}
+
 /// Injected worker panics are this fraction of the byte-fault rate: rare
-/// enough that the run still measures throughput, frequent enough that a
+/// enough that most requests still run, frequent enough that a
 /// multi-second smoke run exercises per-job panic absorption.
 const CHAOS_PANIC_FRACTION: f64 = 0.1;
 
@@ -183,31 +154,11 @@ struct Variant {
 
 /// Single-threaded reference of one (variant, field) cell: the expected
 /// stream and reconstruction hashes every concurrent round trip must
-/// reproduce, plus the stream length for the ratio column.
+/// reproduce.
 #[derive(Debug, Clone, Copy)]
 struct Reference {
     stream_hash: u64,
     recon_hash: u64,
-    stream_len: usize,
-}
-
-/// Per-variant accumulator of one worker.
-#[derive(Default)]
-struct VariantStats {
-    requests: u64,
-    errors: u64,
-    bytes: f64,
-    busy_seconds: f64,
-    ratio_sum: f64,
-    latency: LatencyHistogram,
-    /// Region-read only: tiles touched / served from cache, and the
-    /// fully-cached vs decoding split of volume and busy time.
-    tiles: u64,
-    tiles_from_cache: u64,
-    hit_bytes: f64,
-    hit_busy_seconds: f64,
-    miss_bytes: f64,
-    miss_busy_seconds: f64,
 }
 
 /// Per-worker chaos ledger: where this worker's share of the injected
@@ -239,16 +190,15 @@ impl ChaosLedger {
     }
 }
 
-/// Per-worker state: persistent scratch plus accumulators, handed to the
-/// worker thread by [`run_bounded_queue`] for the whole run.
+/// Per-worker state: persistent scratch plus this worker's share of the
+/// report rows, handed to the worker thread by [`run_bounded_queue`] for the
+/// whole run.
 struct Worker {
     arena: ScratchArena,
     frame: FrameScratch,
     recon: Field2D,
-    per_variant: Vec<VariantStats>,
+    per_variant: Vec<LoadVariant>,
     served: u64,
-    alloc_calls: u64,
-    alloc_requests: u64,
     chaos: ChaosLedger,
 }
 
@@ -258,10 +208,8 @@ impl Worker {
             arena: ScratchArena::new(),
             frame: FrameScratch::new(),
             recon: Field2D::zeros(1, 1),
-            per_variant: std::iter::repeat_with(VariantStats::default).take(n_variants).collect(),
+            per_variant: vec![LoadVariant::default(); n_variants],
             served: 0,
-            alloc_calls: 0,
-            alloc_requests: 0,
             chaos: ChaosLedger::default(),
         }
     }
@@ -307,25 +255,22 @@ fn region_compressors() -> Vec<Arc<dyn Compressor>> {
 
 /// Build the run's variant table from the ablation registry: every codec in
 /// single-stream form first (registry order), then every codec framed, then
-/// every codec checksummed-framed — the same ordering `bench_sweep` uses
-/// for its throughput rows — and finally the archive region-read variants.
-/// `regions_only` keeps just the region band (the CI region smoke mode).
-fn build_variants(regions_only: bool) -> Vec<Variant> {
+/// every codec checksummed-framed, and finally the archive region-read
+/// variants.
+fn build_variants() -> Vec<Variant> {
     let registry = entropy_ablation_registry();
     let mut variants = Vec::with_capacity(registry.len() * 3 + REGION_CODECS.len());
-    if !regions_only {
-        for compressor in registry.compressors() {
-            let label = compressor.name().to_string();
-            variants.push(Variant { compressor, mode: VariantMode::Single, label });
-        }
-        for compressor in registry.compressors() {
-            let label = framed_variant_name(compressor.name());
-            variants.push(Variant { compressor, mode: VariantMode::Framed, label });
-        }
-        for compressor in registry.compressors() {
-            let label = checksummed_variant_name(compressor.name());
-            variants.push(Variant { compressor, mode: VariantMode::FramedChecksummed, label });
-        }
+    for compressor in registry.compressors() {
+        let label = compressor.name().to_string();
+        variants.push(Variant { compressor, mode: VariantMode::Single, label });
+    }
+    for compressor in registry.compressors() {
+        let label = framed_variant_name(compressor.name());
+        variants.push(Variant { compressor, mode: VariantMode::Framed, label });
+    }
+    for compressor in registry.compressors() {
+        let label = checksummed_variant_name(compressor.name());
+        variants.push(Variant { compressor, mode: VariantMode::FramedChecksummed, label });
     }
     for (ordinal, compressor) in region_compressors().into_iter().enumerate() {
         let label = region_variant_name(compressor.name());
@@ -358,9 +303,7 @@ fn build_region_workload(
     config: &LoadgenConfig,
     plan: &Arc<FaultPlan>,
 ) -> Result<RegionWorkload, CompressError> {
-    let size = config.archive_size.max(64);
-    let tile = config.archive_tile.clamp(8, size);
-    let bound = ErrorBound::Absolute(config.bound);
+    let (size, tile) = (ARCHIVE_SIZE, ARCHIVE_TILE);
     let pool = ThreadPoolConfig::with_threads(2);
     let mut scratch = FrameScratch::new();
     let compressors = region_compressors();
@@ -370,7 +313,7 @@ fn build_region_workload(
         let cfg = GaussianFieldConfig::new(
             size,
             size,
-            (size as f64 / 8.0).max(2.0),
+            size as f64 / 8.0,
             config.seed.wrapping_add(9000 + k as u64),
         );
         let field = generate_single_range(&cfg);
@@ -379,27 +322,19 @@ fn build_region_workload(
             k as u64,
             &field,
             compressor.as_ref(),
-            bound,
+            BOUND,
             tile,
             tile,
             pool,
             &mut scratch,
         )?;
     }
-    let cache = Arc::new(
-        TileCache::new(config.tile_cache_mb.max(1) * 1_000_000)
-            .with_verification(config.chaos_enabled()),
-    );
+    let cache =
+        Arc::new(TileCache::new(TILE_CACHE_BYTES).with_verification(config.chaos_enabled()));
     let faulty = FaultyReadAt::new(writer.finish(), Arc::clone(plan));
     let archive = Archive::open(faulty)?.with_cache(cache.clone());
 
-    let step = (tile / 2).max(1);
-    let mut anchors = Vec::new();
-    let mut at = 0;
-    while at + tile <= size {
-        anchors.push(at);
-        at += step;
-    }
+    let anchors: Vec<usize> = (0..=size - tile).step_by(tile / 2).collect();
     let mut windows = Vec::with_capacity(anchors.len() * anchors.len());
     for &i0 in &anchors {
         for &j0 in &anchors {
@@ -416,17 +351,15 @@ fn build_region_workload(
     Ok(RegionWorkload { archive, cache, windows, refs })
 }
 
-/// Generate the payload table: two Gaussian random fields per configured
-/// size (a short- and a long-correlation-range instance), all derived from
-/// the run seed.
-fn build_fields(config: &LoadgenConfig) -> Vec<Field2D> {
-    let mut fields = Vec::with_capacity(config.sizes.len() * 2);
-    for (k, &size) in config.sizes.iter().enumerate() {
-        let size = size.max(8);
+/// Generate the payload table: two Gaussian random fields per size of
+/// [`SIZES`] (a short- and a long-correlation-range instance), all derived
+/// from the run seed.
+fn build_fields(seed: u64) -> Vec<Field2D> {
+    let mut fields = Vec::with_capacity(SIZES.len() * 2);
+    for (k, &size) in SIZES.iter().enumerate() {
         for (r, range_div) in [8.0, 3.0].iter().enumerate() {
-            let range = (size as f64 / range_div).max(2.0);
-            let seed = config.seed.wrapping_add((k * 2 + r) as u64 + 1);
-            let cfg = GaussianFieldConfig::new(size, size, range, seed);
+            let seed = seed.wrapping_add((k * 2 + r) as u64 + 1);
+            let cfg = GaussianFieldConfig::new(size, size, size as f64 / range_div, seed);
             fields.push(generate_single_range(&cfg));
         }
     }
@@ -439,12 +372,9 @@ fn build_fields(config: &LoadgenConfig) -> Vec<Field2D> {
 /// mode `sabotage` corrupts the encoded stream *between* encode and decode
 /// — modelling bytes damaged at rest — so the decode/verify side must
 /// catch every injection.
-#[allow(clippy::too_many_arguments)]
 fn round_trip(
     variant: &Variant,
     field: &Field2D,
-    bound: ErrorBound,
-    blocks: usize,
     arena: &mut ScratchArena,
     frame_scratch: &mut FrameScratch,
     recon: &mut Field2D,
@@ -452,12 +382,12 @@ fn round_trip(
 ) -> Result<Vec<u8>, CompressError> {
     if variant.mode == VariantMode::Single {
         if let Some((plan, site)) = sabotage {
-            let mut stream = variant.compressor.compress_view_with(&field.view(), bound, arena)?;
+            let mut stream = variant.compressor.compress_view_with(&field.view(), BOUND, arena)?;
             plan.corrupt_stream(site, &mut stream);
             variant.compressor.decompress_view_with(&stream, arena, recon)?;
             return Ok(stream);
         }
-        return variant.compressor.roundtrip_with(&field.view(), bound, arena, recon);
+        return variant.compressor.roundtrip_with(&field.view(), BOUND, arena, recon);
     }
     let pool = ThreadPoolConfig::with_threads(1);
     let compress = match variant.mode {
@@ -466,8 +396,14 @@ fn round_trip(
         VariantMode::Single => unreachable!("handled above"),
         VariantMode::Region(_) => unreachable!("region requests go through serve_region"),
     };
-    let mut stream =
-        compress(variant.compressor.as_ref(), &field.view(), bound, blocks, pool, frame_scratch)?;
+    let mut stream = compress(
+        variant.compressor.as_ref(),
+        &field.view(),
+        BOUND,
+        FRAMED_BLOCKS,
+        pool,
+        frame_scratch,
+    )?;
     if let Some((plan, site)) = sabotage {
         plan.corrupt_stream(site, &mut stream);
     }
@@ -488,8 +424,6 @@ fn round_trip(
 fn build_references(
     variants: &[Variant],
     fields: &[Field2D],
-    bound: ErrorBound,
-    blocks: usize,
 ) -> Result<Vec<Vec<Reference>>, CompressError> {
     let mut arena = ScratchArena::new();
     let mut frame_scratch = FrameScratch::new();
@@ -508,18 +442,12 @@ fn build_references(
                     let stream = round_trip(
                         variant,
                         field,
-                        bound,
-                        blocks,
                         &mut arena,
                         &mut frame_scratch,
                         &mut recon,
                         None,
                     )?;
-                    Ok(Reference {
-                        stream_hash: fnv1a(&stream),
-                        recon_hash: hash_field(&recon),
-                        stream_len: stream.len(),
-                    })
+                    Ok(Reference { stream_hash: fnv1a(&stream), recon_hash: hash_field(&recon) })
                 })
                 .collect()
         })
@@ -527,48 +455,40 @@ fn build_references(
 }
 
 /// Everything a worker needs to serve requests: the immutable variant,
-/// payload, and reference tables plus the run's codec parameters. Shared
-/// read-only across all worker threads.
+/// payload, and reference tables. Shared read-only across all worker
+/// threads.
 struct Workload {
     variants: Vec<Variant>,
     fields: Vec<Field2D>,
     references: Vec<Vec<Reference>>,
     regions: RegionWorkload,
-    bound: ErrorBound,
-    blocks: usize,
-    warmup: u64,
-    /// Armed fault plan plus the region-read deadline; `None` outside
-    /// chaos mode.
-    chaos: Option<(Arc<FaultPlan>, Duration)>,
+    /// The armed fault plan; `None` outside chaos mode.
+    chaos: Option<Arc<FaultPlan>>,
 }
 
 /// Serve one region-read request: decode one Zipf-popular window out of the
-/// shared archive through the decoded-tile cache, verify the output hash
-/// against the full-decode reference, and split the accumulators by whether
-/// the read was served entirely from cache (the "hit" latency class) or had
-/// to decode at least one tile.
+/// shared archive through the decoded-tile cache and verify the output hash
+/// against the full-decode reference.
 fn serve_region(worker: &mut Worker, request: Request, ordinal: usize, load: &Workload) {
     let variant = &load.variants[request.variant];
     let regions = &load.regions;
     let window = &regions.windows[request.window];
-    let window_bytes = (window.height * window.width * std::mem::size_of::<f64>()) as f64;
     let pool = ThreadPoolConfig::with_threads(1);
 
-    let start = Instant::now();
     // Chaos mode serves under a per-request deadline, so an injected
     // device stall (5× the deadline) surfaces as `DeadlineExceeded`
     // instead of silently stretching the tail. The 1-wide pool keeps the
     // whole read on this thread, so the plan's thread-local injection
     // counter attributes every fault to this request.
     let outcome = match &load.chaos {
-        Some((_, deadline)) => regions.archive.read_region_deadline(
+        Some(_) => regions.archive.read_region_deadline(
             ordinal,
             window,
             variant.compressor.as_ref(),
             pool,
             &mut worker.frame,
             &mut worker.recon,
-            &CancelToken::with_timeout(*deadline),
+            &CancelToken::with_timeout(CHAOS_DEADLINE),
         ),
         None => regions.archive.read_region(
             ordinal,
@@ -579,7 +499,6 @@ fn serve_region(worker: &mut Worker, request: Request, ordinal: usize, load: &Wo
             &mut worker.recon,
         ),
     };
-    let elapsed = start.elapsed();
 
     worker.served += 1;
     let verified =
@@ -588,36 +507,26 @@ fn serve_region(worker: &mut Worker, request: Request, ordinal: usize, load: &Wo
         let timed_out = matches!(&outcome, Err(CompressError::DeadlineExceeded(_)));
         worker.chaos.settle(take_thread_injections(), verified, timed_out);
     }
-    let stats = &mut worker.per_variant[request.variant];
+    let row = &mut worker.per_variant[request.variant];
     match outcome {
         Ok(region) if verified => {
-            stats.requests += 1;
-            stats.bytes += window_bytes;
-            stats.busy_seconds += elapsed.as_secs_f64();
-            stats.latency.record_duration(elapsed);
-            stats.tiles += region.tiles as u64;
-            stats.tiles_from_cache += region.tiles_from_cache as u64;
-            if region.tiles_from_cache == region.tiles {
-                stats.hit_bytes += window_bytes;
-                stats.hit_busy_seconds += elapsed.as_secs_f64();
-            } else {
-                stats.miss_bytes += window_bytes;
-                stats.miss_busy_seconds += elapsed.as_secs_f64();
-            }
+            row.requests += 1;
+            row.tiles += region.tiles as u64;
+            row.tiles_from_cache += region.tiles_from_cache as u64;
         }
-        _ => stats.errors += 1,
+        _ => row.errors += 1,
     }
 }
 
 /// Serve one request on a worker: round trip, verify against the reference,
-/// record latency/bytes/ratio or an error. Region requests dispatch to
+/// count it as verified or failed. Region requests dispatch to
 /// [`serve_region`].
 fn serve(worker: &mut Worker, request: Request, load: &Workload) {
     let variant = &load.variants[request.variant];
     // Injected worker panic: fires before any fault site, so the absorbed
     // job carries no injection delta. The bounded-queue harness catches it
     // per job and the pool keeps serving.
-    if let Some((plan, _)) = &load.chaos {
+    if let Some(plan) = &load.chaos {
         if plan.draw_panic(worker.served) {
             lcc_fault::inject_panic(worker.served);
         }
@@ -626,51 +535,29 @@ fn serve(worker: &mut Worker, request: Request, load: &Workload) {
         serve_region(worker, request, ordinal, load);
         return;
     }
-    let field = &load.fields[request.field];
     let reference = &load.references[request.variant][request.field];
-    let uncompressed_bytes = (field.len() * std::mem::size_of::<f64>()) as f64;
-    let sabotage = load.chaos.as_ref().map(|(plan, _)| (plan.as_ref(), worker.served));
-
-    let allocs_before = alloc_count::thread_allocs();
-    let start = Instant::now();
+    let sabotage = load.chaos.as_ref().map(|plan| (plan.as_ref(), worker.served));
     let outcome = round_trip(
         variant,
-        field,
-        load.bound,
-        load.blocks,
+        &load.fields[request.field],
         &mut worker.arena,
         &mut worker.frame,
         &mut worker.recon,
         sabotage,
     );
-    let elapsed = start.elapsed();
-    let alloc_delta = alloc_count::thread_allocs() - allocs_before;
-
     worker.served += 1;
-    if worker.served > load.warmup {
-        worker.alloc_calls += alloc_delta;
-        worker.alloc_requests += 1;
-    }
 
-    let stats = &mut worker.per_variant[request.variant];
-    let verified = match outcome {
-        Ok(stream) => {
-            fnv1a(&stream) == reference.stream_hash
-                && hash_field(&worker.recon) == reference.recon_hash
-        }
-        Err(_) => false,
-    };
+    let verified = outcome.is_ok_and(|stream| {
+        fnv1a(&stream) == reference.stream_hash && hash_field(&worker.recon) == reference.recon_hash
+    });
     if load.chaos.is_some() {
         worker.chaos.settle(take_thread_injections(), verified, false);
     }
+    let row = &mut worker.per_variant[request.variant];
     if verified {
-        stats.requests += 1;
-        stats.bytes += uncompressed_bytes;
-        stats.busy_seconds += elapsed.as_secs_f64();
-        stats.ratio_sum += uncompressed_bytes / reference.stream_len.max(1) as f64;
-        stats.latency.record_duration(elapsed);
+        row.requests += 1;
     } else {
-        stats.errors += 1;
+        row.errors += 1;
     }
 }
 
@@ -684,8 +571,6 @@ fn serve(worker: &mut Worker, request: Request, load: &Workload) {
 /// a serving error budget.
 pub fn run_load(config: &LoadgenConfig) -> Result<LoadReport, CompressError> {
     let workers = config.workers.max(1);
-    let bound = ErrorBound::Absolute(config.bound);
-    let blocks = config.framed_blocks.max(2);
     let chaos_on = config.chaos_enabled();
     // The plan exists in every run (the region archive always reads
     // through the fault seam) but stays disarmed — and therefore inert —
@@ -694,28 +579,22 @@ pub fn run_load(config: &LoadgenConfig) -> Result<LoadReport, CompressError> {
     if chaos_on {
         plan = plan
             .with_panic_rate(config.chaos_rate * CHAOS_PANIC_FRACTION)
-            .with_delay(config.chaos_deadline * 5);
+            .with_delay(CHAOS_DEADLINE * 5);
         install_chaos_panic_hook();
     }
     let plan = Arc::new(plan);
-    let variants = build_variants(config.regions_only);
-    let fields = build_fields(config);
-    let references = build_references(&variants, &fields, bound, blocks)?;
+    let variants = build_variants();
+    let fields = build_fields(config.seed);
+    let references = build_references(&variants, &fields)?;
     let regions = build_region_workload(config, &plan)?;
-    let region_start = variants
-        .iter()
-        .position(|v| matches!(v.mode, VariantMode::Region(_)))
-        .unwrap_or(variants.len());
+    let region_start = variants.len() - REGION_CODECS.len();
     let n_windows = regions.windows.len();
     let load = Workload {
         variants,
         fields,
         references,
         regions,
-        bound,
-        blocks,
-        warmup: config.warmup_requests,
-        chaos: chaos_on.then(|| (Arc::clone(&plan), config.chaos_deadline)),
+        chaos: chaos_on.then(|| Arc::clone(&plan)),
     };
 
     let mut states: Vec<Worker> =
@@ -732,7 +611,7 @@ pub fn run_load(config: &LoadgenConfig) -> Result<LoadReport, CompressError> {
     let queue_report = run_bounded_queue(
         ThreadPoolConfig::with_threads(workers),
         &mut states,
-        config.capacity(),
+        workers * 4,
         |queue| loop {
             let issued = schedule.issued();
             if issued >= min_requests && Instant::now() >= deadline {
@@ -747,61 +626,21 @@ pub fn run_load(config: &LoadgenConfig) -> Result<LoadReport, CompressError> {
     plan.disarm();
     let duration_seconds = started.elapsed().as_secs_f64();
 
-    // Merge the per-worker accumulators into one report row per variant.
+    // Merge the per-worker rows into one report row per variant.
     let mut rows: Vec<LoadVariant> = load
         .variants
         .iter()
         .map(|v| LoadVariant { variant: v.label.clone(), ..LoadVariant::default() })
         .collect();
-    let mut alloc_calls = 0u64;
-    let mut alloc_requests = 0u64;
-    let mut hit_bytes = 0.0f64;
-    let mut hit_busy = 0.0f64;
-    let mut miss_bytes = 0.0f64;
-    let mut miss_busy = 0.0f64;
     for worker in &states {
-        alloc_calls += worker.alloc_calls;
-        alloc_requests += worker.alloc_requests;
-        for (row, stats) in rows.iter_mut().zip(&worker.per_variant) {
-            row.requests += stats.requests;
-            row.errors += stats.errors;
-            row.megabytes += stats.bytes / 1e6;
-            row.busy_seconds += stats.busy_seconds;
-            row.compression_ratio += stats.ratio_sum;
-            row.tiles += stats.tiles;
-            row.tiles_from_cache += stats.tiles_from_cache;
-            row.latency.merge(&stats.latency);
-        }
-        for stats in &worker.per_variant {
-            hit_bytes += stats.hit_bytes;
-            hit_busy += stats.hit_busy_seconds;
-            miss_bytes += stats.miss_bytes;
-            miss_busy += stats.miss_busy_seconds;
-        }
-    }
-    for row in &mut rows {
-        if row.requests > 0 {
-            row.compression_ratio /= row.requests as f64;
+        for (row, share) in rows.iter_mut().zip(&worker.per_variant) {
+            row.requests += share.requests;
+            row.errors += share.errors;
+            row.tiles += share.tiles;
+            row.tiles_from_cache += share.tiles_from_cache;
         }
     }
 
-    let cache_stats = load.regions.cache.stats();
-    let tile_cache = Some(TileCacheSummary {
-        hits: cache_stats.hits,
-        misses: cache_stats.misses,
-        evictions: cache_stats.evictions,
-        refusals: cache_stats.refusals,
-        entries: cache_stats.entries,
-        bytes: cache_stats.bytes,
-        budget_bytes: (config.tile_cache_mb.max(1) * 1_000_000) as u64,
-        hit_megabytes: hit_bytes / 1e6,
-        hit_busy_seconds: hit_busy,
-        miss_megabytes: miss_bytes / 1e6,
-        miss_busy_seconds: miss_busy,
-    });
-
-    let allocs_per_request = (alloc_count::enabled() && alloc_requests > 0)
-        .then(|| alloc_calls as f64 / alloc_requests as f64);
     let chaos = chaos_on.then(|| {
         let mut summary = ChaosSummary {
             seed: config.seed,
@@ -824,8 +663,7 @@ pub fn run_load(config: &LoadgenConfig) -> Result<LoadReport, CompressError> {
         simd_level: lcc_lossless::simd_level().label().to_string(),
         workers,
         duration_seconds,
-        allocs_per_request,
-        tile_cache,
+        tile_cache: load.regions.cache.stats(),
         chaos,
         variants: rows,
     })
@@ -877,8 +715,19 @@ mod tests {
     }
 
     #[test]
+    fn chaos_rates_outside_the_unit_interval_are_refused_by_name() {
+        for (text, rate) in [("0", 0.0), ("0.02", 0.02), ("1", 1.0), ("1e-3", 1e-3)] {
+            assert_eq!(parse_chaos_rate(text), Ok(rate));
+        }
+        for text in ["-1", "-0.001", "1.5", "5", "nan", "NaN", "inf", "-inf", "", "abc", "0.1x"] {
+            let message = parse_chaos_rate(text).unwrap_err();
+            assert!(message.starts_with("--chaos") && message.contains(text), "{message:?}");
+        }
+    }
+
+    #[test]
     fn variant_table_is_all_codecs_single_then_framed_then_checksummed() {
-        let variants = build_variants(false);
+        let variants = build_variants();
         assert_eq!(variants.len(), 18);
         let labels: Vec<&str> = variants.iter().map(|v| v.label.as_str()).collect();
         let codecs = ["mgard", "mgard-rans8", "sz", "sz-rans8", "zfp"];
@@ -897,41 +746,32 @@ mod tests {
     }
 
     #[test]
-    fn regions_only_variant_table_is_just_the_region_band() {
-        let variants = build_variants(true);
-        assert_eq!(variants.len(), 3);
-        assert!(variants.iter().all(|v| matches!(v.mode, VariantMode::Region(_))));
-        assert!(variants.iter().all(|v| v.label.starts_with("region_")));
-    }
-
-    #[test]
     fn region_workload_windows_cover_and_refs_are_deterministic() {
-        let config =
-            LoadgenConfig { archive_size: 96, archive_tile: 32, ..LoadgenConfig::default() };
+        let config = LoadgenConfig::default();
         let plan = Arc::new(FaultPlan::new(config.seed, 0.0));
         let a = build_region_workload(&config, &plan).unwrap();
         let b = build_region_workload(&config, &plan).unwrap();
-        // 96/16-step anchors with at+32<=96 → at ∈ {0,16,32,48,64} → 25 windows.
-        assert_eq!(a.windows.len(), 25);
-        assert!(a.windows.iter().all(|w| w.height == 32 && w.width == 32));
-        assert!(a.windows.iter().all(|w| w.i0 + w.height <= 96 && w.j0 + w.width <= 96));
+        // Half-tile anchors 0, 32, …, 192 on both axes → 49 windows.
+        assert_eq!(a.windows.len(), 49);
+        assert!(a.windows.iter().all(|w| w.height == ARCHIVE_TILE && w.width == ARCHIVE_TILE));
+        assert!(a
+            .windows
+            .iter()
+            .all(|w| w.i0 + w.height <= ARCHIVE_SIZE && w.j0 + w.width <= ARCHIVE_SIZE));
         assert_eq!(a.refs, b.refs, "same seed must give identical references");
         assert_eq!(a.refs.len(), REGION_CODECS.len());
-        assert!(a.refs.iter().all(|r| r.len() == 25));
+        assert!(a.refs.iter().all(|r| r.len() == 49));
     }
 
     #[test]
     fn payload_fields_are_seed_deterministic() {
-        let config = LoadgenConfig { sizes: vec![32, 48], ..LoadgenConfig::default() };
-        let a = build_fields(&config);
-        let b = build_fields(&config);
-        assert_eq!(a.len(), 4, "two ranges per size");
+        let a = build_fields(42);
+        let b = build_fields(42);
+        assert_eq!(a.len(), 6, "two ranges per size");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(hash_field(x), hash_field(y));
         }
-        let other = LoadgenConfig { seed: 1234, ..config };
-        let c = build_fields(&other);
-        assert_ne!(hash_field(&a[0]), hash_field(&c[0]));
+        assert_ne!(hash_field(&a[0]), hash_field(&build_fields(1234)[0]));
     }
 
     #[test]
@@ -939,11 +779,7 @@ mod tests {
         let config = LoadgenConfig {
             workers: 2,
             duration: Duration::from_millis(50),
-            sizes: vec![32],
             min_requests: 40,
-            regions_only: true,
-            archive_size: 64,
-            archive_tile: 16,
             ..LoadgenConfig::default()
         };
         let report = run_load(&config).unwrap();
@@ -957,11 +793,7 @@ mod tests {
         let config = LoadgenConfig {
             workers: 2,
             duration: Duration::from_millis(150),
-            sizes: vec![32],
-            min_requests: 150,
-            regions_only: true,
-            archive_size: 64,
-            archive_tile: 16,
+            min_requests: 600,
             chaos_rate: 0.25,
             ..LoadgenConfig::default()
         };
@@ -969,7 +801,7 @@ mod tests {
         let chaos = report.chaos.expect("chaos mode records a summary");
         assert_eq!(chaos.rate, 0.25);
         assert_eq!(chaos.seed, config.seed);
-        assert!(chaos.injected > 0, "a 25% plan over 150+ region reads injects faults");
+        assert!(chaos.injected > 0, "a 25% plan over 600+ requests injects faults");
         assert!(
             chaos.is_accounted(),
             "injected {} != detected {} + recovered {}",
@@ -983,7 +815,7 @@ mod tests {
         );
         assert_eq!(chaos.unexplained_errors, 0);
         // Recovery actually happens: the verified cache + source re-read
-        // heal at least some corrupt reads in a 150-request run.
+        // heal at least some corrupt region reads (a sixth of the requests).
         assert!(chaos.recovered > 0, "no injection was recovered: {chaos:?}");
     }
 
@@ -991,11 +823,9 @@ mod tests {
     fn references_are_scratch_independent() {
         // The reference table must not depend on arena reuse order:
         // computing a single cell with fresh scratch gives the same hashes.
-        let config = LoadgenConfig { sizes: vec![32], ..LoadgenConfig::default() };
-        let variants = build_variants(false);
-        let fields = build_fields(&config);
-        let bound = ErrorBound::Absolute(config.bound);
-        let refs = build_references(&variants, &fields, bound, 4).unwrap();
+        let variants = build_variants();
+        let fields = build_fields(42);
+        let refs = build_references(&variants, &fields).unwrap();
         let mut arena = ScratchArena::new();
         let mut frame_scratch = FrameScratch::new();
         let mut recon = Field2D::zeros(1, 1);
@@ -1004,20 +834,11 @@ mod tests {
                 assert!(refs[v].is_empty(), "region variants carry no round-trip references");
                 continue;
             }
-            let stream = round_trip(
-                variant,
-                &fields[1],
-                bound,
-                4,
-                &mut arena,
-                &mut frame_scratch,
-                &mut recon,
-                None,
-            )
-            .unwrap();
+            let stream =
+                round_trip(variant, &fields[1], &mut arena, &mut frame_scratch, &mut recon, None)
+                    .unwrap();
             assert_eq!(fnv1a(&stream), refs[v][1].stream_hash, "variant {}", variant.label);
             assert_eq!(hash_field(&recon), refs[v][1].recon_hash, "variant {}", variant.label);
-            assert_eq!(stream.len(), refs[v][1].stream_len);
         }
     }
 }

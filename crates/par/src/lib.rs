@@ -5,11 +5,12 @@
 //! (compressor, error bound) cells. This crate provides a tiny, dependency-
 //! light data-parallel layer used everywhere a sweep fans out:
 //!
-//! * [`parallel_map`] — order-preserving parallel map over a slice,
-//! * [`parallel_map_indexed`] — the same but the closure also receives the
-//!   element index,
-//! * [`parallel_for_chunks`] — run a closure over contiguous chunks of a
-//!   mutable slice (used by the hydro solver's stencil updates),
+//! * [`parallel_map_with`] — order-preserving parallel map over a slice,
+//! * [`parallel_map_indexed_with`] — the same but the closure also receives
+//!   the element index,
+//! * [`parallel_map_with_state`] / [`try_parallel_block_map`] — maps whose
+//!   workers own a mutable state (built per call, or kept by the caller
+//!   across calls),
 //! * [`ThreadPoolConfig`] — chooses the worker count (defaults to the number
 //!   of available CPUs, overridable with the `LCC_THREADS` environment
 //!   variable so benches can pin a thread count),
@@ -62,7 +63,7 @@ pub mod cancel;
 pub mod queue;
 
 pub use cancel::CancelToken;
-pub use queue::{run_bounded_queue, BoundedQueue, PushError, QueueRunReport};
+pub use queue::{run_bounded_queue, BoundedQueue, QueueRunReport};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -236,23 +237,13 @@ impl Default for ThreadPoolConfig {
     }
 }
 
-/// Parallel, order-preserving map over a slice using the default thread
-/// configuration.
+/// Parallel, order-preserving map over a slice.
 ///
 /// ```
-/// let squares = lcc_par::parallel_map(&[1, 2, 3, 4], |&x| x * x);
+/// let pool = lcc_par::ThreadPoolConfig::auto();
+/// let squares = lcc_par::parallel_map_with(pool, &[1, 2, 3, 4], |&x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
-pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    parallel_map_with(ThreadPoolConfig::auto(), items, f)
-}
-
-/// Parallel map with an explicit thread configuration.
 pub fn parallel_map_with<T, U, F>(config: ThreadPoolConfig, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -263,16 +254,6 @@ where
 }
 
 /// Parallel, order-preserving map where the closure receives `(index, &item)`.
-pub fn parallel_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    parallel_map_indexed_with(ThreadPoolConfig::auto(), items, f)
-}
-
-/// Parallel indexed map with an explicit thread configuration.
 pub fn parallel_map_indexed_with<T, U, F>(config: ThreadPoolConfig, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -374,29 +355,9 @@ type TakeSlot<T> = Mutex<Option<T>>;
 /// Uses at most `min(config.threads(), states.len(), items.len())` workers,
 /// the calling thread among them (it owns `states[0]`).
 ///
-/// # Panics
-/// Panics if `states` is empty while `items` is not.
-pub fn parallel_block_map<T, S, U, F>(
-    config: ThreadPoolConfig,
-    states: &mut [S],
-    items: Vec<T>,
-    f: F,
-) -> Vec<U>
-where
-    T: Send,
-    S: Send,
-    U: Send,
-    F: Fn(&mut S, usize, T) -> U + Sync,
-{
-    match try_parallel_block_map(config, states, items, f) {
-        Ok(out) => out,
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// Fallible form of [`parallel_block_map`]: a panicking block is caught per
-/// job, siblings stop claiming further blocks, and the first panic comes
-/// back as `Err(JobPanicked)` with every worker thread joined cleanly.
+/// A panicking block is caught per job, siblings stop claiming further
+/// blocks, and the first panic comes back as `Err(JobPanicked)` with every
+/// worker thread joined cleanly.
 ///
 /// # Panics
 /// Panics if `states` is empty while `items` is not.
@@ -442,62 +403,6 @@ where
         })
     });
     failure.into_result(out)
-}
-
-/// A chunk waiting to be claimed by a worker: its offset in the original
-/// slice plus the chunk itself, behind a take-once mutex.
-type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-
-/// Run `f` over contiguous mutable chunks of `data`, each of at most
-/// `chunk_len` elements, in parallel. The closure receives the starting
-/// offset of the chunk within `data` and the chunk itself.
-pub fn parallel_for_chunks<T, F>(config: ThreadPoolConfig, data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let threads = config.threads().min(n.div_ceil(chunk_len));
-    if threads <= 1 {
-        for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(c * chunk_len, chunk);
-        }
-        return;
-    }
-    let f = &f;
-    let cursor = AtomicUsize::new(0);
-    let chunks: Vec<(usize, &mut [T])> = {
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        let mut rest = data;
-        while !rest.is_empty() {
-            let take = chunk_len.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            out.push((offset, head));
-            offset += take;
-            rest = tail;
-        }
-        out
-    };
-    let slots: Vec<ChunkSlot<'_, T>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let drain = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= slots.len() {
-            break;
-        }
-        let (offset, chunk) = lock(&slots[i]).take().expect("each chunk is taken exactly once");
-        f(offset, chunk);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(drain);
-        }
-        drain();
-    });
 }
 
 /// Split `0..total` into per-thread ranges of roughly equal size; used by
@@ -575,13 +480,13 @@ mod tests {
     #[test]
     fn map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, |&x| x * 3);
+        let out = parallel_map_with(ThreadPoolConfig::auto(), &items, |&x| x * 3);
         assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn map_empty_input() {
-        let out: Vec<u32> = parallel_map(&[] as &[u32], |&x| x);
+        let out: Vec<u32> = parallel_map_with(ThreadPoolConfig::auto(), &[] as &[u32], |&x| x);
         assert!(out.is_empty());
     }
 
@@ -659,7 +564,7 @@ mod tests {
         // one of the caller's, and results must come back in item order.
         let mut states = vec![0usize; 4];
         let items: Vec<usize> = (0..1000).collect();
-        let out = parallel_block_map(
+        let out = try_parallel_block_map(
             ThreadPoolConfig::with_threads(4),
             &mut states,
             items,
@@ -667,7 +572,8 @@ mod tests {
                 *seen += 1;
                 (i, item * 2)
             },
-        );
+        )
+        .unwrap();
         for (k, &(i, doubled)) in out.iter().enumerate() {
             assert_eq!(i, k);
             assert_eq!(doubled, k * 2);
@@ -682,12 +588,13 @@ mod tests {
         // counts left by the first (scratch reuse across framed codec calls).
         let mut states = vec![0usize; 2];
         for round in 1..=3 {
-            let _ = parallel_block_map(
+            try_parallel_block_map(
                 ThreadPoolConfig::with_threads(2),
                 &mut states,
                 vec![(); 10],
                 |seen, _, ()| *seen += 1,
-            );
+            )
+            .unwrap();
             assert_eq!(states.iter().sum::<usize>(), 10 * round);
         }
     }
@@ -711,7 +618,7 @@ mod tests {
             out
         };
         let mut states = vec![(); 3];
-        parallel_block_map(
+        try_parallel_block_map(
             ThreadPoolConfig::with_threads(3),
             &mut states,
             chunks,
@@ -720,7 +627,8 @@ mod tests {
                     *v = (offset + k) as u64;
                 }
             },
-        );
+        )
+        .unwrap();
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i as u64);
         }
@@ -729,14 +637,15 @@ mod tests {
     #[test]
     fn block_map_empty_and_single_worker_paths() {
         let mut states = vec![0u32; 1];
-        let out: Vec<u32> = parallel_block_map(
+        let out: Vec<u32> = try_parallel_block_map(
             ThreadPoolConfig::with_threads(8),
             &mut states,
             Vec::<u32>::new(),
             |_, _, x| x,
-        );
+        )
+        .unwrap();
         assert!(out.is_empty());
-        let out = parallel_block_map(
+        let out = try_parallel_block_map(
             ThreadPoolConfig::with_threads(8),
             &mut states,
             vec![5u32, 6, 7],
@@ -744,35 +653,10 @@ mod tests {
                 *s += 1;
                 x + 1
             },
-        );
+        )
+        .unwrap();
         assert_eq!(out, vec![6, 7, 8]);
         assert_eq!(states[0], 3, "one state bounds the map to one worker");
-    }
-
-    #[test]
-    fn for_chunks_touches_all_elements() {
-        let mut data = vec![0u64; 1003];
-        parallel_for_chunks(ThreadPoolConfig::with_threads(4), &mut data, 64, |offset, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (offset + k) as u64;
-            }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i as u64);
-        }
-    }
-
-    #[test]
-    fn for_chunks_single_thread_and_empty() {
-        let mut data: Vec<u8> = vec![];
-        parallel_for_chunks(ThreadPoolConfig::with_threads(2), &mut data, 8, |_, _| {});
-        let mut data = vec![1u8; 5];
-        parallel_for_chunks(ThreadPoolConfig::with_threads(1), &mut data, 2, |_, chunk| {
-            for v in chunk {
-                *v += 1;
-            }
-        });
-        assert_eq!(data, vec![2u8; 5]);
     }
 
     #[test]
@@ -908,7 +792,9 @@ mod tests {
 
             let job = rendezvous(width);
             let mut states = vec![false; width];
-            let ran_on = parallel_block_map(pool, &mut states, items.clone(), |s, _, ()| job(s));
+            let ran_on =
+                try_parallel_block_map(pool, &mut states, items.clone(), |s, _, ()| job(s))
+                    .unwrap();
             let distinct: std::collections::HashSet<_> = ran_on.iter().collect();
             assert_eq!(distinct.len(), width);
             assert!(distinct.contains(&caller));

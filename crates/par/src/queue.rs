@@ -1,7 +1,7 @@
 //! Bounded MPMC work queue for *sustained* submission.
 //!
-//! The one-shot helpers in the crate root ([`crate::parallel_map`],
-//! [`crate::parallel_block_map`]) take a fully materialized work list and
+//! The one-shot helpers in the crate root ([`crate::parallel_map_with`],
+//! [`crate::try_parallel_block_map`]) take a fully materialized work list and
 //! return when it drains — the right shape for a sweep, the wrong shape for
 //! a load generator that keeps producing requests against a deadline. This
 //! module adds the serving-style primitive: a fixed-capacity queue whose
@@ -14,31 +14,8 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
-use crate::cancel::CancelToken;
 use crate::{panic_message, ThreadPoolConfig};
-
-/// Why a bounded [`BoundedQueue::push_timeout`] / cancel-aware push failed.
-/// The rejected item rides along so the producer can retry or drop it.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue was closed before the item could be enqueued.
-    Closed(T),
-    /// The timeout elapsed (or the [`CancelToken`] fired) with the queue
-    /// still at capacity — the guard against a producer blocking forever
-    /// when every consumer has stopped draining.
-    TimedOut(T),
-}
-
-impl<T> PushError<T> {
-    /// Recover the item that could not be enqueued.
-    pub fn into_inner(self) -> T {
-        match self {
-            PushError::Closed(item) | PushError::TimedOut(item) => item,
-        }
-    }
-}
 
 /// A fixed-capacity multi-producer/multi-consumer queue.
 ///
@@ -90,11 +67,6 @@ impl<T> BoundedQueue<T> {
         self.lock().items.is_empty()
     }
 
-    /// True once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Enqueue `item`, blocking while the queue is at capacity. Returns the
     /// item back as `Err` when the queue has been closed (the producer-side
     /// stop signal).
@@ -105,61 +77,6 @@ impl<T> BoundedQueue<T> {
         }
         if state.closed {
             return Err(item);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Like [`BoundedQueue::push`], but gives up once `timeout` elapses with
-    /// the queue still full. This is the producer's guard against the
-    /// pathological case where every consumer has stopped draining (all
-    /// workers wedged or dead): instead of blocking forever, the producer
-    /// gets `Err(PushError::TimedOut)` and can shut the run down.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), PushError<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        while state.items.len() >= self.capacity && !state.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::TimedOut(item));
-            }
-            let (guard, _) = self
-                .not_full
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
-        }
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Like [`BoundedQueue::push`], but abandons the wait once `cancel`
-    /// fires (deadline or explicit cancellation), returning
-    /// `Err(PushError::TimedOut)`. The wait polls the token every few
-    /// milliseconds — cancellation is a slow path, so the coarse poll keeps
-    /// the uncontended fast path identical to `push`.
-    pub fn push_with_cancel(&self, item: T, cancel: &CancelToken) -> Result<(), PushError<T>> {
-        const POLL: Duration = Duration::from_millis(5);
-        let mut state = self.lock();
-        while state.items.len() >= self.capacity && !state.closed {
-            if cancel.is_cancelled() {
-                return Err(PushError::TimedOut(item));
-            }
-            let (guard, _) = self
-                .not_full
-                .wait_timeout(state, POLL)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
-        }
-        if state.closed {
-            return Err(PushError::Closed(item));
         }
         state.items.push_back(item);
         drop(state);
@@ -210,7 +127,7 @@ impl<T> BoundedQueue<T> {
 
 /// Run a producer/worker pair over a [`BoundedQueue`] with caller-owned
 /// per-worker states — the sustained-submission analogue of
-/// [`crate::parallel_block_map`].
+/// [`crate::try_parallel_block_map`].
 ///
 /// Spawns `min(config.threads(), states.len())` scoped workers, each owning
 /// the exclusive `&mut states[w]` for the whole run and draining the queue
@@ -294,7 +211,6 @@ mod tests {
         let q: BoundedQueue<u32> = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
         assert!(q.is_empty());
-        assert!(!q.is_closed());
     }
 
     #[test]
@@ -316,7 +232,6 @@ mod tests {
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.push(3), Err(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
@@ -391,50 +306,6 @@ mod tests {
             |(), _, _| std::thread::yield_now(),
         );
         assert!(max_seen.load(Ordering::Relaxed) <= capacity);
-    }
-
-    #[test]
-    fn push_timeout_times_out_when_no_consumer_drains() {
-        // The all-workers-dead shape: queue full, nobody popping. The
-        // producer must come back with TimedOut instead of blocking forever.
-        let q = BoundedQueue::new(1);
-        q.push(1u32).unwrap();
-        let start = Instant::now();
-        match q.push_timeout(2, Duration::from_millis(20)) {
-            Err(PushError::TimedOut(item)) => assert_eq!(item, 2),
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-        assert!(start.elapsed() >= Duration::from_millis(20));
-        // With headroom the same call succeeds immediately.
-        assert_eq!(q.pop(), Some(1));
-        q.push_timeout(3, Duration::from_millis(20)).unwrap();
-        assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
-    fn push_timeout_reports_closed() {
-        let q = BoundedQueue::new(2);
-        q.close();
-        match q.push_timeout(9u8, Duration::from_millis(5)) {
-            Err(PushError::Closed(item)) => assert_eq!(item, 9),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        assert_eq!(PushError::Closed(9u8).into_inner(), 9);
-    }
-
-    #[test]
-    fn push_with_cancel_abandons_the_wait_when_the_token_fires() {
-        let q = BoundedQueue::new(1);
-        q.push(1u32).unwrap();
-        let cancel = CancelToken::with_timeout(Duration::from_millis(15));
-        match q.push_with_cancel(2, &cancel) {
-            Err(PushError::TimedOut(item)) => assert_eq!(item, 2),
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-        // A live token on a non-full queue pushes straight through.
-        assert_eq!(q.pop(), Some(1));
-        q.push_with_cancel(3, &CancelToken::new()).unwrap();
-        assert_eq!(q.pop(), Some(3));
     }
 
     #[test]

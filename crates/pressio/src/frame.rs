@@ -135,11 +135,6 @@ pub const FLAG_TILED: u8 = 0x20;
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
 /// Fixed header bytes of a tiled (v2) frame: the v1 header plus tile dims.
 const TILED_HEADER_LEN: usize = HEADER_LEN + 4 + 4;
-/// Smallest row count a block may cover before auto-splitting stops.
-const MIN_ROWS_PER_BLOCK: usize = 32;
-/// Smallest cell count a block may cover before auto-splitting stops
-/// (framing a 32×32 sweep window would be pure overhead).
-const MIN_CELLS_PER_BLOCK: usize = 1 << 16;
 /// Decode-side allocation guard: the most cells a frame header may claim
 /// per payload byte. Real streams sit orders of magnitude below this (a
 /// constant paper-scale field compresses to roughly 700 cells/byte), so the
@@ -194,33 +189,10 @@ impl FrameScratch {
     }
 }
 
-/// Number of row blocks a `ny × nx` field splits into on a pool of
-/// `threads` workers: one block per worker, clamped so no block goes below
-/// [`MIN_ROWS_PER_BLOCK`] rows or [`MIN_CELLS_PER_BLOCK`] cells. Paper-scale
-/// fields (1028×1028) split onto every core; sweep windows (32×32) stay
-/// single-block and therefore byte-identical to the unframed format.
-pub fn auto_block_count(ny: usize, nx: usize, threads: usize) -> usize {
-    let by_rows = ny / MIN_ROWS_PER_BLOCK;
-    let by_cells = ny.saturating_mul(nx) / MIN_CELLS_PER_BLOCK;
-    threads.min(by_rows).min(by_cells).max(1)
-}
-
 /// True when `stream` carries a version-1+ multi-block frame header (as
 /// opposed to a raw single stream of an inner compressor).
 pub fn is_framed(stream: &[u8]) -> bool {
     stream.len() >= HEADER_LEN && stream[..4] == FRAME_MAGIC
-}
-
-/// Compress a view as a multi-block frame with an automatically chosen
-/// block count, fresh scratch, and the given pool width.
-pub fn compress_framed(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    pool: ThreadPoolConfig,
-) -> Result<Vec<u8>, CompressError> {
-    let blocks = auto_block_count(view.ny(), view.nx(), pool.threads());
-    compress_framed_with(compressor, view, bound, blocks, pool, &mut FrameScratch::new())
 }
 
 /// Compress a view as a `blocks`-block frame, encoding blocks in parallel
@@ -1185,19 +1157,6 @@ mod tests {
         let n_blocks = u32::from_le_bytes(framed[21..25].try_into().unwrap());
         assert_eq!(n_blocks, 3);
         assert_eq!(decompress_framed(&Store, &framed, pool()).unwrap(), field);
-    }
-
-    #[test]
-    fn auto_block_count_scales_with_size_and_pool() {
-        // Paper-scale field: one block per core (up to the cell floor).
-        assert_eq!(auto_block_count(1028, 1028, 4), 4);
-        assert_eq!(auto_block_count(1028, 1028, 64), 16);
-        // Sweep windows stay single-block.
-        assert_eq!(auto_block_count(32, 32, 8), 1);
-        assert_eq!(auto_block_count(256, 256, 8), 1);
-        // Degenerate shapes never exceed the row count.
-        assert_eq!(auto_block_count(1, 1_000_000, 8), 1);
-        assert_eq!(auto_block_count(1_000_000, 1, 8), 8);
     }
 
     #[test]

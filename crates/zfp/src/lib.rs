@@ -40,7 +40,7 @@ pub mod codec;
 pub mod transform;
 
 use lcc_grid::{Field2D, FieldView};
-use lcc_lossless::{lz77_compress_with, lz77_decompress_into, BitReader, BitWriter, CodecScratch};
+use lcc_lossless::{lz77_decompress_into, BitReader, BitWriter};
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 
 /// Side length of a coding block (fixed at 4, as in ZFP's 2D mode).
@@ -54,15 +54,11 @@ pub struct ZfpConfig {
     /// Fixed-point precision (bits) used for the block-floating-point
     /// conversion. 40 leaves ample headroom for transform growth in `i64`.
     pub precision_bits: u32,
-    /// Apply a final LZ77 pass over the assembled bit stream (container
-    /// tag 1). ZFP itself does not re-compress its output; this defaults to
-    /// `false` and exists for ablation.
-    pub lossless_pass: bool,
 }
 
 impl Default for ZfpConfig {
     fn default() -> Self {
-        ZfpConfig { precision_bits: 40, lossless_pass: false }
+        ZfpConfig { precision_bits: 40 }
     }
 }
 
@@ -91,13 +87,11 @@ impl ZfpCompressor {
 const MAGIC: &[u8; 4] = b"LZF1";
 
 /// Reusable working memory of the ZFP codec: the block bit stream
-/// accumulator, the LZ77 state of the optional lossless pass, and the
-/// decode-side expansion buffer. One instance per sweep worker, held in a
-/// [`ScratchArena`].
+/// accumulator and the decode-side expansion buffer. One instance per sweep
+/// worker, held in a [`ScratchArena`].
 #[derive(Debug, Default)]
 pub struct ZfpScratch {
     writer: BitWriter,
-    codec: CodecScratch,
     /// Decode side: the expanded bit stream (tag-1 LZ77 container; tag-0
     /// streams are read in place without a copy).
     body: Vec<u8>,
@@ -151,17 +145,13 @@ impl ZfpCompressor {
         }
         codec::encode_blocks(writer, &batch[..filled], eb, self.config.precision_bits);
 
+        // Container tag 0: the bit stream as it is. (Tag 1, the same stream
+        // behind an LZ77 pass, is no longer written but still decodes.)
         let bits = s.writer.as_bytes();
-        if self.config.lossless_pass {
-            let mut out = vec![1u8];
-            lz77_compress_with(&mut s.codec, bits, &mut out);
-            Ok(out)
-        } else {
-            let mut out = Vec::with_capacity(1 + bits.len());
-            out.push(0u8);
-            out.extend_from_slice(bits);
-            Ok(out)
-        }
+        let mut out = Vec::with_capacity(1 + bits.len());
+        out.push(0u8);
+        out.extend_from_slice(bits);
+        Ok(out)
     }
 }
 
@@ -368,20 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn lossless_pass_variant_roundtrips() {
-        // Both containers carry the same bit-plane stream, so the decodes
-        // must agree bit for bit, from either compressor instance.
-        let raw = ZfpCompressor::default();
-        let lz = ZfpCompressor::new(ZfpConfig { lossless_pass: true, ..Default::default() });
-        assert_eq!(lz.name(), "zfp");
-        let field = smooth(48);
-        let a = raw.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
-        let b = lz.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
-        assert!(b.metrics.max_abs_error <= 1e-3);
-        assert_eq!(b.stream[0], 1, "lz77 container tag");
-        assert_eq!(a.reconstruction, b.reconstruction);
-        assert_eq!(raw.decompress_field(&b.stream).unwrap(), b.reconstruction);
-        assert_eq!(lz.decompress_field(&a.stream).unwrap(), a.reconstruction);
+    fn tag_1_streams_still_decode() {
+        // `smooth(48)` at 1e-3 behind the LZ77 pass, captured before the
+        // tag-1 writer was removed. Both containers carry the same
+        // bit-plane stream, so the decodes must agree bit for bit.
+        let tag1 = include_bytes!("../tests/fixtures/zfp_tag1_lz77.bin");
+        assert_eq!(tag1[0], 1, "lz77 container tag");
+        let zfp = ZfpCompressor::default();
+        let a = zfp.compress(&smooth(48), ErrorBound::Absolute(1e-3)).unwrap();
+        assert_eq!(a.stream[0], 0);
+        assert_eq!(zfp.decompress_field(tag1).unwrap(), a.reconstruction);
     }
 
     #[test]
@@ -428,6 +414,5 @@ mod tests {
         assert_eq!(zfp.name(), "zfp");
         assert!(zfp.description().contains("4x4"));
         assert_eq!(zfp.config().precision_bits, 40);
-        assert!(!zfp.config().lossless_pass);
     }
 }

@@ -3,20 +3,14 @@
 //! The paper's Miranda slices are 1028×1028; with the zero-copy view layer
 //! the full correlation-statistics computation on a field of that size is
 //! cheap enough to run in the **default** (non-`slow-tests`) suite. This
-//! test measures it, enforces a generous wall-clock budget, and writes the
-//! stage timings to `target/BENCH_sweep.json` so every CI run leaves a perf
-//! trajectory behind (override the path with `LCC_BENCH_OUT`).
-
+//! test times it and enforces a generous wall-clock budget (the stage
+//! seconds themselves are `bench_sweep`'s to report).
 //!
 //! The `slow-tests` feature additionally gates the **full paper-scale
 //! sweep** (1028×1028 fields × every registered compressor × the paper's
 //! bound grid) through the flat scheduler with per-worker codec scratch; it
-//! asserts the error-bound guarantee on every record and writes its stage
-//! timings to `target/BENCH_sweep_full.json` (override with
-//! `LCC_BENCH_FULL_OUT`; the default-suite statistics gate keeps its own
-//! file so concurrent tests never clobber each other's report).
+//! asserts the error-bound guarantee on every record.
 
-use lcc::core::benchreport::StageTimings;
 use lcc::core::statistics::{CorrelationStatistics, StatisticsConfig};
 use lcc::geostat::{local_range_std, local_svd_truncation_std, LocalStatConfig};
 use lcc::grid::Field2D;
@@ -40,26 +34,18 @@ fn paper_scale_field() -> Field2D {
 
 #[test]
 fn full_statistics_at_paper_scale_fit_the_default_suite() {
-    let mut report = StageTimings::new(format!("{N}x{N}"));
-    let field = report.time("generate_field", paper_scale_field);
+    let field = paper_scale_field();
 
-    // Per-stage timings through the public per-statistic entry points…
+    // The public per-statistic entry points…
     let config = StatisticsConfig::default();
-    let local_cfg = LocalStatConfig::default();
-    let range_spread =
-        report.time("local_variogram_range_std", || local_range_std(&field, &local_cfg));
-    let svd_spread = report.time("local_svd_truncation_std", || {
-        local_svd_truncation_std(&field, config.window, config.svd_fraction, None)
-    });
+    let range_spread = local_range_std(&field, &LocalStatConfig::default());
+    let svd_spread = local_svd_truncation_std(&field, config.window, config.svd_fraction, None);
 
     // …and the headline number: one full `CorrelationStatistics::compute`
     // (global variogram + both local statistics) at paper scale.
-    let stats = report
-        .time("correlation_statistics_compute", || CorrelationStatistics::compute(&field, &config));
-
-    let out =
-        std::env::var("LCC_BENCH_OUT").unwrap_or_else(|_| "target/BENCH_sweep.json".to_string());
-    report.write(&out).expect("write BENCH_sweep.json");
+    let start = std::time::Instant::now();
+    let stats = CorrelationStatistics::compute(&field, &config);
+    let compute_secs = start.elapsed().as_secs_f64();
 
     assert!(stats.global_range.is_finite() && stats.global_range > 0.0);
     assert!(stats.local_range_std.is_finite());
@@ -72,7 +58,6 @@ fn full_statistics_at_paper_scale_fit_the_default_suite() {
     // Generous tractability budget: the refactor's point is that this runs
     // in seconds; the bound only guards against a regression back to
     // paper-scale intractability.
-    let compute_secs = report.seconds("correlation_statistics_compute").unwrap();
     assert!(
         compute_secs < 300.0,
         "paper-scale CorrelationStatistics::compute took {compute_secs:.1}s (budget 300s)"
@@ -83,7 +68,6 @@ fn full_statistics_at_paper_scale_fit_the_default_suite() {
 /// work — `slow-tests` only.
 #[cfg(feature = "slow-tests")]
 mod full_sweep {
-    use lcc::core::benchreport::StageTimings;
     use lcc::core::dataset::StudyDatasets;
     use lcc::core::experiment::{run_sweep, SweepConfig};
     use lcc::core::registry::default_registry;
@@ -92,10 +76,9 @@ mod full_sweep {
     /// 1028×1028 fields across the study's range spread × all registered
     /// compressors × the paper's four absolute bounds, scheduled through the
     /// flat work-item queue (per-worker scratch arenas). Every record must
-    /// honour its bound; stage timings land in the perf-trajectory report.
+    /// honour its bound.
     #[test]
-    fn full_paper_scale_sweep_respects_bounds_and_writes_timings() {
-        let mut report = StageTimings::new("1028x1028-full-sweep");
+    fn full_paper_scale_sweep_respects_bounds() {
         // Paper-sized fields; two correlation ranges keep the slow suite in
         // minutes while still spanning the smooth-vs-rough axis.
         let datasets = StudyDatasets {
@@ -106,7 +89,7 @@ mod full_sweep {
             replicates: 1,
             seed: 11,
         };
-        let fields = report.time("generate_fields", || datasets.single_range_fields());
+        let fields = datasets.single_range_fields();
         assert_eq!(fields.len(), 2);
         for f in &fields {
             assert_eq!(f.field.shape(), (1028, 1028));
@@ -115,9 +98,7 @@ mod full_sweep {
         let registry = default_registry();
         let config = SweepConfig::default(); // the paper's four bounds
         assert_eq!(config.bounds, ErrorBound::paper_bounds().to_vec());
-        let records = report.time("paper_scale_sweep", || {
-            run_sweep(&fields, &registry, &config).expect("paper-scale sweep completes")
-        });
+        let records = run_sweep(&fields, &registry, &config).expect("paper-scale sweep completes");
 
         assert_eq!(records.len(), fields.len() * registry.len() * config.bounds.len());
         for r in &records {
@@ -132,9 +113,5 @@ mod full_sweep {
             assert!(r.compression_ratio > 1.0, "{} ratio {}", r.compressor, r.compression_ratio);
             assert!(r.statistics.global_range.is_finite() && r.statistics.global_range > 0.0);
         }
-
-        let out = std::env::var("LCC_BENCH_FULL_OUT")
-            .unwrap_or_else(|_| "target/BENCH_sweep_full.json".to_string());
-        report.write(&out).expect("write BENCH_sweep_full.json");
     }
 }
