@@ -54,7 +54,7 @@ fn value_digest(data: &[f64]) -> u64 {
 /// so re-opening a file never aliases stale tiles), which entry, which
 /// row-major tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TileKey {
+pub(crate) struct TileKey {
     /// Process-unique id of the open archive ([`crate::Archive`] draws one
     /// per `open`).
     pub archive: u64,
@@ -68,7 +68,7 @@ pub struct TileKey {
 /// row-major values plus the tile's shape. The buffer is `Arc`-shared —
 /// readers copy the window they need out of it without cloning the tile.
 #[derive(Debug, Clone)]
-pub struct CachedTile {
+pub(crate) struct CachedTile {
     /// Row-major decoded values, `ny * nx` long.
     pub data: Arc<Vec<f64>>,
     /// Tile rows.
@@ -186,21 +186,9 @@ pub struct CacheStats {
     pub bytes: u64,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from cache (0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Outcome of a verifying lookup ([`TileCache::get_checked`]).
 #[derive(Debug, Clone)]
-pub enum Lookup {
+pub(crate) enum Lookup {
     /// Resident and (when the cache verifies) matching its digest.
     Hit(CachedTile),
     /// Resident but failing its integrity digest; the entry was evicted and
@@ -212,7 +200,7 @@ pub enum Lookup {
 
 /// What [`TileCache::insert`] did with the tile it was offered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// The tile is resident; the cache took the caller's buffer.
     Admitted,
     /// Making room meant displacing a tile looked up more often lately than
@@ -296,7 +284,7 @@ impl TileCache {
     /// [`Lookup::Corrupt`] so the caller can re-decode from source and
     /// account the tile as recovered rather than merely uncached. On a
     /// non-verifying cache this never returns `Corrupt`.
-    pub fn get_checked(&self, key: &TileKey) -> Lookup {
+    pub(crate) fn get_checked(&self, key: &TileKey) -> Lookup {
         let mut shard = self.lock_shard(self.shard(key));
         shard.tick += 1;
         let tick = shard.tick;
@@ -330,7 +318,8 @@ impl TileCache {
     /// corruption of decoded data. Returns `false` when the tile is not
     /// resident. Outstanding `Arc` clones handed to earlier readers are
     /// unaffected (copy-on-write).
-    pub fn tamper(&self, key: &TileKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn tamper(&self, key: &TileKey) -> bool {
         let mut shard = self.lock_shard(self.shard(key));
         match shard.map.get_mut(key) {
             Some(entry) => {
@@ -359,7 +348,13 @@ impl TileCache {
     ///
     /// # Panics
     /// Panics if `data.len() != ny * nx`.
-    pub fn insert(&self, key: TileKey, data: &mut Vec<f64>, ny: usize, nx: usize) -> Admission {
+    pub(crate) fn insert(
+        &self,
+        key: TileKey,
+        data: &mut Vec<f64>,
+        ny: usize,
+        nx: usize,
+    ) -> Admission {
         assert_eq!(data.len(), ny * nx, "tile data must match its shape");
         let cost = tile_cost(data.len());
         if cost > self.shard_budget {
@@ -568,7 +563,6 @@ mod tests {
         assert_eq!(*got.data, vec![7.0; 16]);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub const HEAD_LEN: usize = 5;
 pub const FOOTER_LEN: usize = 8 + 8 + 4 + 1 + 4;
 /// Smallest possible metadata record (empty names, one tile): bounds the
 /// entry count a footer may claim against the actual table bytes.
-pub const MIN_ENTRY_RECORD: usize = 2 + 2 + 8 + 8 + 8 + 4 + 4 + 1 + 8 + 8 + 8 + 4 + 32;
+pub(crate) const MIN_ENTRY_RECORD: usize = 2 + 2 + 8 + 8 + 8 + 4 + 4 + 1 + 8 + 8 + 8 + 4 + 32;
 
 /// Windowed summary statistics of one tile, stored in the entry metadata.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,19 +136,19 @@ pub fn write_entry(out: &mut Vec<u8>, e: &ArchiveEntry) {
 }
 
 /// Bounds-checked little-endian cursor over the entry table.
-pub struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
     /// Cursor over `bytes`, starting at offset 0.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, at: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.at
     }
 
@@ -191,7 +191,7 @@ impl<'a> Cursor<'a> {
 /// Parse one metadata record off the cursor. Every length read is bounded
 /// by the bytes actually remaining in the table — a forged record cannot
 /// demand an allocation larger than the table itself.
-pub fn parse_entry(cur: &mut Cursor<'_>) -> Result<ArchiveEntry, CompressError> {
+pub(crate) fn parse_entry(cur: &mut Cursor<'_>) -> Result<ArchiveEntry, CompressError> {
     let corrupt = |msg: String| CompressError::CorruptStream(format!("archive: {msg}"));
     let name = cur.string()?;
     let codec = cur.string()?;

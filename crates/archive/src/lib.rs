@@ -29,22 +29,23 @@
 //!
 //! Serving builds on three per-tile mechanisms: a corrupt cached tile
 //! (caught by the cache's opt-in integrity digests) or a bad fetch/decode
-//! is retried once from the source before the read gives up;
-//! [`read_region_degraded`](Archive::read_region_degraded) zero-fills
-//! tiles that stay bad and reports an accurate per-tile [`TileStatus`]
-//! mask instead of failing the whole window; and
-//! [`read_region_deadline`](Archive::read_region_deadline) checks a
-//! [`CancelToken`](lcc_par::CancelToken) at tile granularity so an expired
-//! deadline is a `DeadlineExceeded` error, never a hang.
+//! is retried once from the source before the read gives up; and
+//! [`read_region_with`](Archive::read_region_with) takes the rest as
+//! [`ReadOptions`]: `degraded` zero-fills tiles that stay bad and reports an
+//! accurate per-tile [`TileStatus`] mask instead of failing the whole
+//! window, `cancel` checks a [`CancelToken`](lcc_par::CancelToken) at tile
+//! granularity so an expired deadline is a `DeadlineExceeded` error, never a
+//! hang. Every read form refuses a compressor other than the one the entry
+//! records.
 
 pub mod cache;
 pub mod format;
 pub mod reader;
 pub mod writer;
 
-pub use cache::{Admission, CacheStats, CachedTile, Lookup, TileCache, TileKey};
+pub use cache::{CacheStats, TileCache};
 pub use format::{ArchiveEntry, TileStats, ARCHIVE_MAGIC, ARCHIVE_VERSION};
-pub use reader::{Archive, DegradedRegion, ReadAt, RegionStats, TileStatus};
+pub use reader::{Archive, DegradedRegion, ReadAt, ReadOptions, RegionStats, TileStatus};
 pub use writer::ArchiveWriter;
 
 #[cfg(test)]
@@ -64,10 +65,11 @@ mod tests {
             "store"
         }
 
-        fn compress_view(
+        fn compress_view_with(
             &self,
             view: &FieldView<'_>,
             _bound: ErrorBound,
+            _scratch: &mut ScratchArena,
         ) -> Result<Vec<u8>, CompressError> {
             let mut out = Vec::new();
             out.extend_from_slice(&(view.ny() as u32).to_le_bytes());
@@ -303,9 +305,11 @@ mod tests {
         // Locate tile 0 of entry 0 in the byte stream and corrupt it at the
         // source, so the one-shot retry re-reads the same bad bytes.
         let (tile_at, tile_len) = {
-            let archive = Archive::open(bytes.clone()).unwrap();
-            let (at, len) = archive.tile_index(0).tile_span(0);
-            (archive.entry(0).offset as usize + at, len)
+            let entry = Archive::open(bytes.clone()).unwrap().entry(0).clone();
+            let frame = &bytes[entry.offset as usize..][..entry.length as usize];
+            let (at, len) =
+                lcc_pressio::FrameIndex::parse(frame, frame.len()).unwrap().block_span(0);
+            (entry.offset as usize + at, len)
         };
         bytes[tile_at + tile_len / 2] ^= 0xFF;
         let archive = Archive::open(bytes).unwrap();
@@ -321,8 +325,9 @@ mod tests {
 
         // Degraded mode serves the three good tiles, zero-fills the bad
         // one, and the status mask says exactly which is which.
+        let degraded = ReadOptions { degraded: true, ..ReadOptions::default() };
         let region = archive
-            .read_region_degraded(0, &window, &Store, pool(), &mut scratch, &mut out)
+            .read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, degraded)
             .unwrap();
         assert!(!region.is_complete());
         assert_eq!(region.stats.tiles, 4);
@@ -348,28 +353,48 @@ mod tests {
         let mut scratch = FrameScratch::default();
         let mut out = Field2D::zeros(1, 1);
         let window = Window { i0: 0, j0: 0, height: 16, width: 16 };
+        let mut read = |token: &CancelToken| {
+            let options = ReadOptions { cancel: Some(token), degraded: false };
+            archive.read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, options)
+        };
 
         let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
-        assert!(matches!(
-            archive.read_region_deadline(
-                0,
-                &window,
-                &Store,
-                pool(),
-                &mut scratch,
-                &mut out,
-                &expired
-            ),
-            Err(CompressError::DeadlineExceeded(_))
-        ));
+        assert!(matches!(read(&expired), Err(CompressError::DeadlineExceeded(_))));
 
         let generous = CancelToken::with_timeout(std::time::Duration::from_secs(60));
-        let stats = archive
-            .read_region_deadline(0, &window, &Store, pool(), &mut scratch, &mut out, &generous)
-            .unwrap();
-        assert_eq!(stats.tiles, 4);
+        let region = read(&generous).unwrap();
+        assert_eq!(region.stats.tiles, 4);
+        assert!(region.is_complete());
         let want: Vec<f64> = ramp(23, 17, 0.0).view().window(&window).iter().collect();
         assert_eq!(out.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn tiles_overlapping_a_window_match_the_tile_geometry() {
+        let archive = Archive::open(build_archive()).unwrap();
+        let mut scratch = FrameScratch::default();
+        let mut out = Field2D::zeros(1, 1);
+        let mut tiles = |window: Window| {
+            let options = ReadOptions::default();
+            archive
+                .read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, options)
+                .unwrap()
+                .tiles
+                .into_iter()
+                .map(|(t, _)| t)
+                .collect::<Vec<_>>()
+        };
+        // One interior cell: exactly one tile of the 3x3 grid over 23x17.
+        assert_eq!(tiles(Window { i0: 9, j0: 9, height: 1, width: 1 }), [4]);
+        // A window crossing both seams: the 2x2 tile block around it.
+        assert_eq!(tiles(Window { i0: 6, j0: 6, height: 4, width: 4 }), [0, 1, 3, 4]);
+        // The last row and column alone: the clipped corner tile.
+        assert_eq!(tiles(Window { i0: 22, j0: 16, height: 1, width: 1 }), [8]);
+        // The whole field: every tile.
+        assert_eq!(
+            tiles(Window { i0: 0, j0: 0, height: 23, width: 17 }),
+            (0..9).collect::<Vec<_>>()
+        );
     }
 
     #[cfg(unix)]

@@ -9,7 +9,7 @@ use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
 use lcc_lossless::xxh64;
 use lcc_par::{try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
 use lcc_pressio::frame::{decompress_framed_with, FrameWorker};
-use lcc_pressio::{CompressError, Compressor, FrameScratch, TiledIndex, FRAME_MAGIC};
+use lcc_pressio::{CompressError, Compressor, FrameIndex, FrameScratch, FRAME_MAGIC};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ pub struct RegionStats {
 }
 
 /// Per-tile outcome of a region read, reported by
-/// [`Archive::read_region_degraded`].
+/// [`Archive::read_region_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileStatus {
     /// Served cleanly from cache or a first fetch.
@@ -91,9 +91,25 @@ pub enum TileStatus {
     Failed,
 }
 
-/// A degraded-mode region read: the best-effort window plus an accurate
-/// per-tile status mask, so callers can render what survived and mask or
-/// re-request what did not.
+/// What [`Archive::read_region_with`] asks for beyond the window itself.
+/// The default is what [`Archive::read_region`] does: strict, no token.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReadOptions<'a> {
+    /// Checked before each tile fetch/decode and again after, so an expired
+    /// deadline surfaces as [`CompressError::DeadlineExceeded`] at tile
+    /// granularity instead of a hang.
+    pub cancel: Option<&'a CancelToken>,
+    /// Best effort: a tile that stays corrupt after the one-shot source
+    /// retry is zero-filled and reported [`TileStatus::Failed`] instead of
+    /// failing the call. Structural errors (bad entry index, wrong codec,
+    /// window out of bounds, worker panics, an expired deadline) still fail
+    /// it.
+    pub degraded: bool,
+}
+
+/// The outcome of [`Archive::read_region_with`]: the window's accounting
+/// plus an accurate per-tile status mask, so a caller of a degraded read can
+/// render what survived and mask or re-request what did not.
 #[derive(Debug, Clone)]
 pub struct DegradedRegion {
     /// Cache/recovery accounting, as for [`Archive::read_region`].
@@ -111,7 +127,7 @@ impl DegradedRegion {
 
 struct EntryState {
     meta: ArchiveEntry,
-    index: TiledIndex,
+    index: FrameIndex,
 }
 
 /// Process-unique ids for open archives, so cache keys from a re-opened
@@ -303,23 +319,19 @@ impl<R: ReadAt> Archive<R> {
 
     /// Parse (or, for raw single-tile entries, synthesize) the tile seek
     /// index of one entry, reading only the frame's header and tables.
-    fn index_entry(source: &R, meta: &ArchiveEntry) -> Result<TiledIndex, CompressError> {
+    fn index_entry(source: &R, meta: &ArchiveEntry) -> Result<FrameIndex, CompressError> {
         let corrupt = |msg: String| CompressError::CorruptStream(format!("archive: {msg}"));
         let frame_len = meta.length as usize;
-        let mut magic = [0u8; 4];
-        if frame_len >= TiledIndex::PREFIX_LEN {
-            source.read_at(meta.offset, &mut magic)?;
-        }
-        let index = if frame_len >= TiledIndex::PREFIX_LEN && magic == FRAME_MAGIC {
-            let mut prefix = vec![0u8; TiledIndex::PREFIX_LEN];
-            source.read_at(meta.offset, &mut prefix)?;
-            let span = TiledIndex::table_span(&prefix, frame_len)?;
+        let mut prefix = vec![0u8; FrameIndex::PREFIX_LEN.min(frame_len)];
+        source.read_at(meta.offset, &mut prefix)?;
+        let index = if prefix.len() == FrameIndex::PREFIX_LEN && prefix[..4] == FRAME_MAGIC {
+            let span = FrameIndex::table_span(&prefix, frame_len)?;
             prefix.resize(span, 0);
             source.read_at(meta.offset, &mut prefix)?;
-            TiledIndex::parse(&prefix, frame_len)?
+            FrameIndex::parse(&prefix, frame_len)?
         } else {
             // No frame magic: the entry is the inner codec's raw stream,
-            // which the v2 passthrough rule only permits for a single-tile
+            // which the passthrough rule only permits for a single-tile
             // tiling. Synthesize the trivial index.
             if meta.n_tiles() != 1 {
                 return Err(corrupt(format!(
@@ -328,41 +340,27 @@ impl<R: ReadAt> Archive<R> {
                     meta.n_tiles()
                 )));
             }
-            TiledIndex {
-                ny: meta.ny,
-                nx: meta.nx,
-                tile_ny: meta.ny,
-                tile_nx: meta.nx,
-                checksummed: false,
-                body_at: 0,
-                lengths: vec![frame_len],
-                offsets: vec![0],
-                digests: None,
-            }
+            FrameIndex::single_tile(meta.ny, meta.nx, frame_len)
         };
-        if (index.ny, index.nx) != (meta.ny, meta.nx)
-            || (index.tile_ny, index.tile_nx) != (meta.tile_ny, meta.tile_nx)
+        // A row-band frame has no tile grid for region reads to seek in, and
+        // the writer never produces one.
+        let Some((tile_ny, tile_nx)) = index.tile else {
+            return Err(corrupt(format!("entry '{}' payload is not a tiled frame", meta.name)));
+        };
+        if (index.ny, index.nx, tile_ny, tile_nx) != (meta.ny, meta.nx, meta.tile_ny, meta.tile_nx)
         {
             return Err(corrupt(format!(
                 "entry '{}' metadata ({}x{} in {}x{} tiles) disagrees with its \
-                 frame header ({}x{} in {}x{} tiles)",
-                meta.name,
-                meta.ny,
-                meta.nx,
-                meta.tile_ny,
-                meta.tile_nx,
-                index.ny,
-                index.nx,
-                index.tile_ny,
-                index.tile_nx
+                 frame header ({}x{} in {tile_ny}x{tile_nx} tiles)",
+                meta.name, meta.ny, meta.nx, meta.tile_ny, meta.tile_nx, index.ny, index.nx
             )));
         }
-        if index.n_tiles() != meta.tile_stats.len() {
+        if index.n_blocks() != meta.tile_stats.len() {
             return Err(corrupt(format!(
                 "entry '{}' carries {} tile stats for {} tiles",
                 meta.name,
                 meta.tile_stats.len(),
-                index.n_tiles()
+                index.n_blocks()
             )));
         }
         Ok(index)
@@ -381,9 +379,8 @@ impl<R: ReadAt> Archive<R> {
     }
 
     /// The cache key this archive uses for tile `tile` of entry `entry`,
-    /// carrying the archive's process-unique generation id. Fault-injection
-    /// harnesses use it to tamper with or evict specific resident tiles.
-    pub fn tile_key(&self, entry: usize, tile: usize) -> TileKey {
+    /// carrying the archive's process-unique generation id.
+    pub(crate) fn tile_key(&self, entry: usize, tile: usize) -> TileKey {
         TileKey { archive: self.id, entry: entry as u32, tile: tile as u32 }
     }
 
@@ -405,17 +402,32 @@ impl<R: ReadAt> Archive<R> {
         &self.entries[k].meta
     }
 
-    /// Tile seek index of entry `k`.
-    ///
-    /// # Panics
-    /// Panics if `k` is out of range.
-    pub fn tile_index(&self, k: usize) -> &TiledIndex {
-        &self.entries[k].index
-    }
-
     /// Index of the entry named `name` at `timestep`, if present.
     pub fn find(&self, name: &str, timestep: u64) -> Option<usize> {
         self.entries.iter().position(|e| e.meta.name == name && e.meta.timestep == timestep)
+    }
+
+    /// Entry `k`, once `compressor` is known to be the codec that wrote it:
+    /// any other would fetch every tile twice and report its own stream
+    /// check failing as corruption (or, degraded, "succeed" with every tile
+    /// zero-filled).
+    fn entry_for(
+        &self,
+        k: usize,
+        compressor: &dyn Compressor,
+    ) -> Result<&EntryState, CompressError> {
+        let state = self.entries.get(k).ok_or_else(|| {
+            CompressError::InvalidInput(format!("archive: entry {k} out of range"))
+        })?;
+        if state.meta.codec != compressor.name() {
+            return Err(CompressError::InvalidInput(format!(
+                "archive: entry '{}' was written by '{}', not '{}'",
+                state.meta.name,
+                state.meta.codec,
+                compressor.name()
+            )));
+        }
+        Ok(state)
     }
 
     /// Decode entry `k` in full into `out` (the whole-frame path — region
@@ -428,12 +440,27 @@ impl<R: ReadAt> Archive<R> {
         scratch: &mut FrameScratch,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        let state = self.entries.get(k).ok_or_else(|| {
-            CompressError::InvalidInput(format!("archive: entry {k} out of range"))
-        })?;
+        let state = self.entry_for(k, compressor)?;
         let mut frame = vec![0u8; state.meta.length as usize];
         self.source.read_at(state.meta.offset, &mut frame)?;
         decompress_framed_with(compressor, &frame, pool, scratch, out)
+    }
+
+    /// Decode exactly the tiles of entry `k` overlapping `window` into
+    /// `out` (resized to the window's shape), strictly and without a
+    /// deadline: [`Archive::read_region_with`] under the default
+    /// [`ReadOptions`], returning its accounting.
+    pub fn read_region(
+        &self,
+        k: usize,
+        window: &Window,
+        compressor: &dyn Compressor,
+        pool: ThreadPoolConfig,
+        scratch: &mut FrameScratch,
+        out: &mut Field2D,
+    ) -> Result<RegionStats, CompressError> {
+        self.read_region_with(k, window, compressor, pool, scratch, out, ReadOptions::default())
+            .map(|region| region.stats)
     }
 
     /// Decode exactly the tiles of entry `k` overlapping `window` into
@@ -444,31 +471,16 @@ impl<R: ReadAt> Archive<R> {
     ///
     /// A tile whose cached copy fails the cache's integrity digest, or
     /// whose fetched bytes fail their checksum or decode, is retried once
-    /// from the source before the read gives up on it (strict mode: the
-    /// whole call errors; see [`Archive::read_region_degraded`] for the
-    /// best-effort variant).
+    /// from the source before the read gives up on it: the whole call
+    /// errors, unless [`ReadOptions::degraded`] asks for the tile to be
+    /// zero-filled and reported instead. `compressor` must be the codec the
+    /// entry records, or the call is [`CompressError::InvalidInput`] before
+    /// any tile is touched.
     ///
     /// The decoded window is bit-identical to the same window of a
     /// full-frame decode, with or without a cache attached.
-    pub fn read_region(
-        &self,
-        k: usize,
-        window: &Window,
-        compressor: &dyn Compressor,
-        pool: ThreadPoolConfig,
-        scratch: &mut FrameScratch,
-        out: &mut Field2D,
-    ) -> Result<RegionStats, CompressError> {
-        self.read_region_impl(k, window, compressor, pool, scratch, out, None, false)
-            .map(|(stats, _)| stats)
-    }
-
-    /// [`Archive::read_region`] under a deadline: the cancel token is
-    /// checked before each tile fetch/decode and again after, so an
-    /// expired deadline surfaces as [`CompressError::DeadlineExceeded`]
-    /// at tile granularity instead of a hang.
     #[allow(clippy::too_many_arguments)]
-    pub fn read_region_deadline(
+    pub fn read_region_with(
         &self,
         k: usize,
         window: &Window,
@@ -476,48 +488,13 @@ impl<R: ReadAt> Archive<R> {
         pool: ThreadPoolConfig,
         scratch: &mut FrameScratch,
         out: &mut Field2D,
-        cancel: &CancelToken,
-    ) -> Result<RegionStats, CompressError> {
-        self.read_region_impl(k, window, compressor, pool, scratch, out, Some(cancel), false)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Best-effort region read: tiles that stay corrupt after the one-shot
-    /// source retry are zero-filled instead of failing the call, and the
-    /// returned [`DegradedRegion`] reports an accurate per-tile
-    /// [`TileStatus`] mask. Structural errors (bad entry index, window out
-    /// of bounds, worker panics) still fail the call.
-    pub fn read_region_degraded(
-        &self,
-        k: usize,
-        window: &Window,
-        compressor: &dyn Compressor,
-        pool: ThreadPoolConfig,
-        scratch: &mut FrameScratch,
-        out: &mut Field2D,
+        options: ReadOptions<'_>,
     ) -> Result<DegradedRegion, CompressError> {
-        self.read_region_impl(k, window, compressor, pool, scratch, out, None, true)
-            .map(|(stats, tiles)| DegradedRegion { stats, tiles })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn read_region_impl(
-        &self,
-        k: usize,
-        window: &Window,
-        compressor: &dyn Compressor,
-        pool: ThreadPoolConfig,
-        scratch: &mut FrameScratch,
-        out: &mut Field2D,
-        cancel: Option<&CancelToken>,
-        degraded: bool,
-    ) -> Result<(RegionStats, Vec<(usize, TileStatus)>), CompressError> {
+        let ReadOptions { cancel, degraded } = options;
         if expired(cancel) {
             return Err(CompressError::DeadlineExceeded("archive: region read abandoned".into()));
         }
-        let state = self.entries.get(k).ok_or_else(|| {
-            CompressError::InvalidInput(format!("archive: entry {k} out of range"))
-        })?;
+        let state = self.entry_for(k, compressor)?;
         let index = &state.index;
         if window.height == 0
             || window.width == 0
@@ -530,14 +507,14 @@ impl<R: ReadAt> Archive<R> {
             )));
         }
         out.resize(window.height, window.width);
-        let tiles = index.tiles_overlapping(window);
+        let tiles = tiles_overlapping(&state.meta, window);
         let mut stats = RegionStats { tiles: tiles.len(), tiles_from_cache: 0, tiles_recovered: 0 };
         // Every overlapped tile, ascending; a miss rewrites its slot once
         // its decode has settled.
         let mut tile_status: Vec<(usize, TileStatus)> = Vec::with_capacity(tiles.len());
         let mut misses: Vec<Miss> = Vec::new();
         for t in tiles {
-            let tile_win = index.tile_window(t);
+            let tile_win = index.block_window(t);
             let i0 = tile_win.i0.max(window.i0);
             let j0 = tile_win.j0.max(window.j0);
             let i1 = (tile_win.i0 + tile_win.height).min(window.i0 + window.height);
@@ -556,7 +533,7 @@ impl<R: ReadAt> Archive<R> {
                 // A corrupt cached copy was evicted by `get_checked`; the
                 // tile falls through to a source fetch and, on success,
                 // counts as recovered.
-                let (at, len) = index.tile_span(t);
+                let (at, len) = index.block_span(t);
                 misses.push(Miss {
                     tile: t as u32,
                     slot: tile_status.len(),
@@ -566,7 +543,7 @@ impl<R: ReadAt> Archive<R> {
                     src_j0: j0 - tile_win.j0,
                     at: state.meta.offset + at as u64,
                     len,
-                    digest: index.digests.as_ref().map(|d| d[t]),
+                    digest: index.block_digest(t),
                     cache_corrupt: matches!(lookup, Some(Lookup::Corrupt)),
                 });
             }
@@ -647,6 +624,20 @@ impl<R: ReadAt> Archive<R> {
                 tile_status[miss.slot].1 = status;
             }
         }
-        Ok((stats, tile_status))
+        Ok(DegradedRegion { stats, tiles: tile_status })
     }
+}
+
+/// Row-major ids of the tiles of `entry` overlapping `window` (which lies
+/// inside the entry's field), ascending.
+fn tiles_overlapping(
+    entry: &ArchiveEntry,
+    window: &Window,
+) -> impl ExactSizeIterator<Item = usize> {
+    // Tile-grid rectangle [ty0, ty1) × [tx0, tx1).
+    let (ty0, tx0) = (window.i0 / entry.tile_ny, window.j0 / entry.tile_nx);
+    let ty1 = (window.i0 + window.height - 1) / entry.tile_ny + 1;
+    let tx1 = (window.j0 + window.width - 1) / entry.tile_nx + 1;
+    let (across, tiles_x) = (tx1 - tx0, entry.tiles_x());
+    (0..(ty1 - ty0) * across).map(move |n| (ty0 + n / across) * tiles_x + tx0 + n % across)
 }

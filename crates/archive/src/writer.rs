@@ -6,7 +6,7 @@ use crate::format::{
 };
 use lcc_grid::Field2D;
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::frame::compress_tiled_checksummed_with;
+use lcc_pressio::frame::{compress_frame, FrameOptions, Layout};
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch};
 
 /// Builds an LCCA archive in memory: add one entry per (field, timestep),
@@ -61,12 +61,12 @@ impl ArchiveWriter {
         }
         // Each tile's statistics are taken by the worker that has just
         // encoded it, while the tile is in that core's cache.
-        let (frame, tile_stats) = compress_tiled_checksummed_with(
+        let (frame, tile_stats) = compress_frame(
             compressor,
             &field.view(),
             bound,
-            tile_ny,
-            tile_nx,
+            Layout::Tiles { ny: tile_ny, nx: tile_nx },
+            FrameOptions { checksum: true, cancel: None },
             pool,
             scratch,
             |tile| {

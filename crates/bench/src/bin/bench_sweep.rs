@@ -40,10 +40,9 @@ use lcc_bench::report::{write_json, CodecThroughput, EncodeLayers, SweepReport, 
 use lcc_bench::CliOptions;
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_core::statistics::{CorrelationStatistics, StatisticsConfig};
-use lcc_geostat::variogram::estimate_range;
 use lcc_geostat::{
-    empirical_variogram_view, estimate_range_pooled, local_range_std, local_svd_truncation_std,
-    LocalStatConfig, VariogramConfig,
+    empirical_variogram_view, estimate_range_pooled, estimate_range_view, local_range_std_view,
+    local_svd_truncation_std_view, LocalStatConfig, VariogramConfig,
 };
 use lcc_grid::{Field2D, Window, WindowIter};
 use lcc_lossless::{rans8_stream_info, simd_level};
@@ -158,15 +157,18 @@ fn main() {
     // plus the bundled computation the sweep scheduler amortizes.
     let mut stats_lines = None;
     if run("stats") {
-        let global = report.time("global_variogram_range", || estimate_range(&field));
+        let global = report.time("global_variogram_range", || {
+            estimate_range_view(&field.view(), &VariogramConfig::default())
+        });
         report.variogram_cost = Some(variogram_cost(&field, pool));
         let range_spread = report.time("local_variogram_range_std", || {
-            local_range_std(&field, &LocalStatConfig::default())
+            local_range_std_view(&field.view(), &LocalStatConfig::default())
         });
-        let svd_spread = report
-            .time("local_svd_truncation_std", || local_svd_truncation_std(&field, 32, 0.99, None));
+        let svd_spread = report.time("local_svd_truncation_std", || {
+            local_svd_truncation_std_view(&field.view(), 32, 0.99, None)
+        });
         report.time("correlation_statistics_compute", || {
-            CorrelationStatistics::compute(&field, &StatisticsConfig::default())
+            CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default())
         });
         stats_lines = Some((global, range_spread, svd_spread));
     }

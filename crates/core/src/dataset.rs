@@ -56,8 +56,9 @@ impl Default for StudyDatasets {
 }
 
 impl StudyDatasets {
-    /// A small configuration for unit tests and smoke runs.
-    pub fn tiny() -> Self {
+    /// A small configuration for this crate's unit tests.
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Self {
         StudyDatasets {
             gaussian_size: 64,
             n_ranges: 3,

@@ -462,10 +462,11 @@ mod tests {
             fn name(&self) -> &str {
                 "explosive"
             }
-            fn compress_view(
+            fn compress_view_with(
                 &self,
                 _view: &FieldView<'_>,
                 _bound: ErrorBound,
+                _scratch: &mut lcc_pressio::ScratchArena,
             ) -> Result<Vec<u8>, CompressError> {
                 panic!("injected codec panic");
             }

@@ -13,7 +13,7 @@ use crate::registry::{default_registry, sz_zfp_registry};
 use crate::statistics::StatisticKind;
 use crate::CoreError;
 use lcc_geostat::variogram::{
-    empirical_variogram, fit_squared_exponential, model_gamma, VariogramConfig,
+    empirical_variogram_view, fit_squared_exponential, model_gamma, VariogramConfig,
 };
 use lcc_grid::io::CsvSeries;
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
@@ -81,7 +81,7 @@ pub struct Figure1Data {
 /// range.
 pub fn run_figure1(size: usize, range: f64, seed: u64) -> Figure1Data {
     let field = generate_single_range(&GaussianFieldConfig::new(size, size, range, seed));
-    let vg = empirical_variogram(&field, &VariogramConfig::default());
+    let vg = empirical_variogram_view(&field.view(), &VariogramConfig::default());
     let fit = fit_squared_exponential(&vg).unwrap_or(lcc_geostat::VariogramFit {
         sill: 0.0,
         range: f64::NAN,

@@ -155,7 +155,8 @@ mod tests {
         for (k, range) in [3.0, 6.0, 12.0].iter().enumerate() {
             let field =
                 generate_single_range(&GaussianFieldConfig::new(96, 96, *range, 900 + k as u64));
-            let stats_k = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+            let stats_k =
+                CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
             predicted.push(predictor.predict(&stats_k, "sz", bound).unwrap());
             measured.push(sz.compress(&field, bound).unwrap().metrics.compression_ratio);
         }
@@ -172,7 +173,8 @@ mod tests {
             CompressionRatioPredictor::train(&records, StatisticKind::GlobalVariogramRange)
                 .unwrap();
         let field = generate_single_range(&GaussianFieldConfig::new(96, 96, 10.0, 77));
-        let stats_f = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+        let stats_f =
+            CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
         let bound = ErrorBound::Absolute(1e-2);
         let choice = predictor.select_compressor(&stats_f, bound, &["sz", "zfp"]).unwrap();
         let sz_pred = predictor.predict(&stats_f, "sz", bound).unwrap();
@@ -188,7 +190,8 @@ mod tests {
             CompressionRatioPredictor::train(&records, StatisticKind::GlobalVariogramRange)
                 .unwrap();
         let field = generate_single_range(&GaussianFieldConfig::new(64, 64, 5.0, 1));
-        let stats_f = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+        let stats_f =
+            CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
         assert!(predictor.predict(&stats_f, "mgard", ErrorBound::Absolute(1e-2)).is_none());
         assert!(predictor.predict(&stats_f, "sz", ErrorBound::Absolute(0.5)).is_none());
         assert!(predictor

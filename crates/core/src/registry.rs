@@ -37,28 +37,6 @@ pub fn entropy_ablation_registry() -> Registry {
     registry
 }
 
-/// Report key of a compressor driven through the block-parallel framed
-/// container (`"sz"` → `"sz+framed"`): the load generator derives its
-/// `BENCH_load.json` variant keys from this — one place to change the
-/// convention.
-pub fn framed_variant_name(name: &str) -> String {
-    format!("{name}+framed")
-}
-
-/// Report key of a compressor driven through the checksummed framed
-/// container (`"sz"` → `"sz+framed+ck"`): the same block-parallel `LCCF`
-/// frame plus a per-block XXH64 verified on decode.
-pub fn checksummed_variant_name(name: &str) -> String {
-    format!("{name}+framed+ck")
-}
-
-/// Report key of a compressor driven through archive region reads
-/// (`"sz-rans8"` → `"region_sz-rans8"`): one tiled-archive window request
-/// per round trip instead of a whole-field compress+decompress.
-pub fn region_variant_name(name: &str) -> String {
-    format!("region_{name}")
-}
-
 /// Build a registry holding only SZ and ZFP (the paper omits MGARD from the
 /// local-SVD figures because it is insensitive to those statistics).
 pub fn sz_zfp_registry() -> Registry {
@@ -88,15 +66,6 @@ mod tests {
     fn sz_zfp_registry_omits_mgard() {
         let registry = sz_zfp_registry();
         assert_eq!(registry.names(), vec!["sz", "zfp"]);
-    }
-
-    #[test]
-    fn framed_variant_name_appends_the_framed_suffix() {
-        assert_eq!(framed_variant_name("sz"), "sz+framed");
-        assert_eq!(framed_variant_name("mgard-rans8"), "mgard-rans8+framed");
-        assert_eq!(checksummed_variant_name("sz"), "sz+framed+ck");
-        assert_eq!(checksummed_variant_name("sz-rans8"), "sz-rans8+framed+ck");
-        assert_eq!(region_variant_name("sz-rans8"), "region_sz-rans8");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use lcc_geostat::{
     estimate_range_pooled, local_range_std_view, local_svd_truncation_std_view, LocalStatConfig,
     VariogramConfig,
 };
-use lcc_grid::{Field2D, FieldView};
+use lcc_grid::FieldView;
 use lcc_par::ThreadPoolConfig;
 
 /// Which correlation statistic is on the x-axis of a figure.
@@ -77,13 +77,8 @@ impl StatisticsConfig {
 }
 
 impl CorrelationStatistics {
-    /// Compute all three statistics for a field.
-    pub fn compute(field: &Field2D, config: &StatisticsConfig) -> CorrelationStatistics {
-        CorrelationStatistics::compute_view(&field.view(), config)
-    }
-
-    /// [`CorrelationStatistics::compute`] on a zero-copy view: every window
-    /// of the local statistics is enumerated as a strided sub-view of the
+    /// Compute all three statistics for a (possibly strided) view: every
+    /// window of the local statistics is enumerated as a sub-view of the
     /// parent buffer, with no per-window field allocation. All three
     /// statistics run on [`StatisticsConfig::threads`] workers and none of
     /// them depends on that width.
@@ -134,7 +129,8 @@ mod tests {
     #[test]
     fn statistics_are_finite_and_accessible_by_kind() {
         let field = generate_single_range(&GaussianFieldConfig::new(96, 96, 8.0, 3));
-        let stats = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+        let stats =
+            CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
         assert!(stats.global_range.is_finite() && stats.global_range > 0.0);
         assert!(stats.global_sill > 0.0);
         assert!(stats.local_range_std.is_finite());
@@ -149,8 +145,8 @@ mod tests {
         let cfg = StatisticsConfig::default();
         let short = generate_single_range(&GaussianFieldConfig::new(128, 128, 3.0, 5));
         let long = generate_single_range(&GaussianFieldConfig::new(128, 128, 18.0, 5));
-        let s = CorrelationStatistics::compute(&short, &cfg);
-        let l = CorrelationStatistics::compute(&long, &cfg);
+        let s = CorrelationStatistics::compute_view(&short.view(), &cfg);
+        let l = CorrelationStatistics::compute_view(&long.view(), &cfg);
         assert!(l.global_range > s.global_range);
     }
 }

@@ -37,12 +37,6 @@ impl Complex {
         Complex { re: theta.cos(), im: theta.sin() }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex { re: self.re, im: -self.im }
-    }
-
     /// Squared magnitude.
     #[inline]
     pub fn norm_sqr(self) -> f64 {
@@ -174,14 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_norm() {
+    fn norm() {
         let a = Complex::new(3.0, -4.0);
-        assert_eq!(a.conj(), Complex::new(3.0, 4.0));
         assert!((a.norm_sqr() - 25.0).abs() < EPS);
         assert!((a.abs() - 5.0).abs() < EPS);
-        let p = a * a.conj();
-        assert!((p.re - 25.0).abs() < EPS);
-        assert!(p.im.abs() < EPS);
     }
 
     #[test]

@@ -71,26 +71,6 @@ fn reverse_bits(mut x: usize, bits: u32) -> usize {
     r
 }
 
-/// Forward FFT of a real signal, returning the full complex spectrum.
-pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
-    let mut data: Vec<Complex> = signal.iter().map(|&v| Complex::from_real(v)).collect();
-    fft(&mut data);
-    data
-}
-
-/// Circular convolution of two equal-length power-of-two real signals via the
-/// FFT. Used by tests and by kernel-convolution field generation.
-pub fn circular_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "convolution operands must have equal length");
-    let mut fa = fft_real(a);
-    let fb = fft_real(b);
-    for (x, y) in fa.iter_mut().zip(fb.iter()) {
-        *x *= *y;
-    }
-    ifft(&mut fa);
-    fa.into_iter().map(|c| c.re).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,20 +157,5 @@ mod tests {
     fn non_pow2_length_panics() {
         let mut x = vec![Complex::ZERO; 12];
         fft(&mut x);
-    }
-
-    #[test]
-    fn circular_convolution_matches_direct() {
-        let a = [1.0, 2.0, 0.0, -1.0, 0.5, 0.0, 0.0, 0.0];
-        let b = [0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25];
-        let got = circular_convolve(&a, &b);
-        let n = a.len();
-        for k in 0..n {
-            let mut expect = 0.0;
-            for j in 0..n {
-                expect += a[j] * b[(k + n - j) % n];
-            }
-            assert!((got[k] - expect).abs() < 1e-10, "lag {k}: {got:?}");
-        }
     }
 }

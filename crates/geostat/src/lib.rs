@@ -5,7 +5,7 @@
 //!
 //! * [`variogram`] — the empirical (Matheron) semi-variogram of a 2D field
 //!   (Equation 1 of the paper), a squared-exponential model fit by damped
-//!   Gauss–Newton, and [`variogram::estimate_range`] returning the paper's
+//!   Gauss–Newton, and [`variogram::estimate_range_view`] returning the paper's
 //!   "estimated variogram range",
 //! * [`local`] — the same statistic estimated on `H × H` windows tiling the
 //!   field, and its standard deviation ("Std estimated of local variogram
@@ -23,19 +23,14 @@ pub mod svdstat;
 mod test_fields;
 pub mod variogram;
 
-pub use local::{
-    local_range_std, local_range_std_view, local_variogram_ranges, local_variogram_ranges_view,
-    window_range, LocalStatConfig,
-};
+pub use local::{local_range_std_view, local_variogram_ranges_view, window_range, LocalStatConfig};
 pub use regression::{log_regression, LogRegression};
 pub use svdstat::{
-    local_svd_truncation_levels, local_svd_truncation_levels_view, local_svd_truncation_std,
-    local_svd_truncation_std_view, window_truncation_level,
+    local_svd_truncation_levels_view, local_svd_truncation_std_view, window_truncation_level,
 };
 pub use variogram::{
-    empirical_variogram, empirical_variogram_view, estimate_range, estimate_range_pooled,
-    estimate_range_view, fit_squared_exponential, EmpiricalVariogram, VariogramConfig,
-    VariogramFit,
+    empirical_variogram_view, estimate_range_pooled, estimate_range_view, fit_squared_exponential,
+    EmpiricalVariogram, VariogramConfig, VariogramFit,
 };
 
 /// Errors produced by the statistics routines.

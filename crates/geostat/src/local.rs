@@ -5,7 +5,7 @@
 //! the **standard deviation** of those local ranges.
 
 use crate::variogram::{estimate_range_view, VariogramConfig};
-use lcc_grid::{stats, Field2D, FieldView, Window};
+use lcc_grid::{stats, FieldView, Window};
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
 /// Configuration of the local (windowed) statistics.
@@ -40,7 +40,7 @@ impl LocalStatConfig {
 }
 
 /// Estimate the variogram range of a single window view — the per-window
-/// kernel shared by [`local_variogram_ranges`] and the flat sweep scheduler
+/// kernel shared by [`local_variogram_ranges_view`] and the flat sweep scheduler
 /// in `lcc_core`. Returns NaN when the fit fails.
 #[inline]
 pub fn window_range(view: &FieldView<'_>, config: &VariogramConfig) -> f64 {
@@ -48,14 +48,8 @@ pub fn window_range(view: &FieldView<'_>, config: &VariogramConfig) -> f64 {
 }
 
 /// Estimate the variogram range on every window tiling the field; windows
-/// whose fit fails (NaN) are dropped.
-pub fn local_variogram_ranges(field: &Field2D, config: &LocalStatConfig) -> Vec<f64> {
-    local_variogram_ranges_view(&field.view(), config)
-}
-
-/// [`local_variogram_ranges`] on a zero-copy view: windows are enumerated
-/// as strided sub-views of the parent buffer, with no per-window `Field2D`
-/// allocation.
+/// whose fit fails (NaN) are dropped. Windows are enumerated as strided
+/// sub-views of the parent buffer, with no per-window `Field2D` allocation.
 pub fn local_variogram_ranges_view(field: &FieldView<'_>, config: &LocalStatConfig) -> Vec<f64> {
     assert!(config.window >= 4, "local windows must be at least 4x4");
     let windows: Vec<(Window, FieldView<'_>)> =
@@ -78,26 +72,15 @@ pub fn local_variogram_ranges_view(field: &FieldView<'_>, config: &LocalStatConf
 
 /// Standard deviation of the local variogram ranges — the paper's
 /// "Std estimated of local variogram range (H=32)" statistic.
-pub fn local_range_std(field: &Field2D, config: &LocalStatConfig) -> f64 {
-    local_range_std_view(&field.view(), config)
-}
-
-/// [`local_range_std`] on a zero-copy view.
 pub fn local_range_std_view(field: &FieldView<'_>, config: &LocalStatConfig) -> f64 {
     let ranges = local_variogram_ranges_view(field, config);
     stats::std_dev(&ranges)
 }
 
-/// Mean of the local variogram ranges (a companion statistic used in the
-/// extended analyses / ablation benches).
-pub fn local_range_mean(field: &Field2D, config: &LocalStatConfig) -> f64 {
-    let ranges = local_variogram_ranges(field, config);
-    stats::mean(&ranges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcc_grid::Field2D;
     use lcc_synth::{
         generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
     };
@@ -105,7 +88,7 @@ mod tests {
     #[test]
     fn number_of_windows_matches_tiling() {
         let f = generate_single_range(&GaussianFieldConfig::new(96, 96, 5.0, 1));
-        let ranges = local_variogram_ranges(&f, &LocalStatConfig::default());
+        let ranges = local_variogram_ranges_view(&f.view(), &LocalStatConfig::default());
         // 96/32 = 3 windows per axis → 9 full windows.
         assert_eq!(ranges.len(), 9);
         assert!(ranges.iter().all(|r| r.is_finite() && *r > 0.0));
@@ -116,8 +99,8 @@ mod tests {
         let f = generate_single_range(&GaussianFieldConfig::new(80, 80, 5.0, 2));
         let default_cfg = LocalStatConfig::default();
         let kept = LocalStatConfig { skip_partial_windows: false, ..default_cfg };
-        let skipped_count = local_variogram_ranges(&f, &default_cfg).len();
-        let kept_count = local_variogram_ranges(&f, &kept).len();
+        let skipped_count = local_variogram_ranges_view(&f.view(), &default_cfg).len();
+        let kept_count = local_variogram_ranges_view(&f.view(), &kept).len();
         assert_eq!(skipped_count, 4); // 2x2 full windows
         assert!(kept_count > skipped_count);
     }
@@ -144,8 +127,8 @@ mod tests {
                 },
             );
         let cfg = LocalStatConfig::default();
-        let std_homogeneous = local_range_std(&homogeneous, &cfg);
-        let std_stitched = local_range_std(&stitched, &cfg);
+        let std_homogeneous = local_range_std_view(&homogeneous.view(), &cfg);
+        let std_stitched = local_range_std_view(&stitched.view(), &cfg);
         assert!(std_homogeneous.is_finite() && std_stitched.is_finite());
         assert!(
             std_stitched > std_homogeneous,
@@ -154,15 +137,17 @@ mod tests {
         // The multi-range construction from the paper also yields a finite,
         // positive spread (its magnitude depends on the chosen ranges).
         let multi = generate_multi_range(&MultiRangeConfig::two_ranges(128, 128, 3.0, 24.0, 11));
-        assert!(local_range_std(&multi, &cfg) > 0.0);
+        assert!(local_range_std_view(&multi.view(), &cfg) > 0.0);
     }
 
     #[test]
     fn local_mean_tracks_the_global_range_ordering() {
         let cfg = LocalStatConfig::default();
-        let short = generate_single_range(&GaussianFieldConfig::new(128, 128, 3.0, 5));
-        let long = generate_single_range(&GaussianFieldConfig::new(128, 128, 12.0, 5));
-        assert!(local_range_mean(&long, &cfg) > local_range_mean(&short, &cfg));
+        let mean = |range| {
+            let field = generate_single_range(&GaussianFieldConfig::new(128, 128, range, 5));
+            stats::mean(&local_variogram_ranges_view(&field.view(), &cfg))
+        };
+        assert!(mean(12.0) > mean(3.0));
     }
 
     #[test]
@@ -170,7 +155,10 @@ mod tests {
         let f = generate_single_range(&GaussianFieldConfig::new(96, 96, 8.0, 4));
         let one = LocalStatConfig { threads: Some(1), ..Default::default() };
         let many = LocalStatConfig { threads: Some(8), ..Default::default() };
-        assert_eq!(local_variogram_ranges(&f, &one), local_variogram_ranges(&f, &many));
+        assert_eq!(
+            local_variogram_ranges_view(&f.view(), &one),
+            local_variogram_ranges_view(&f.view(), &many)
+        );
     }
 
     #[test]
@@ -178,7 +166,7 @@ mod tests {
         let f = generate_single_range(&GaussianFieldConfig::new(64, 64, 5.0, 6));
         for window in [16, 32, 64] {
             let cfg = LocalStatConfig::with_window(window);
-            let ranges = local_variogram_ranges(&f, &cfg);
+            let ranges = local_variogram_ranges_view(&f.view(), &cfg);
             assert!(!ranges.is_empty(), "window {window}");
         }
     }
@@ -188,6 +176,6 @@ mod tests {
     fn tiny_window_panics() {
         let f = Field2D::zeros(8, 8);
         let cfg = LocalStatConfig::with_window(2);
-        let _ = local_variogram_ranges(&f, &cfg);
+        let _ = local_variogram_ranges_view(&f.view(), &cfg);
     }
 }

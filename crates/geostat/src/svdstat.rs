@@ -11,12 +11,12 @@
 //! mean component. This is what makes the statistic discriminate windows of
 //! smooth large-scale flow from windows of developed turbulence.
 
-use lcc_grid::{stats, Field2D, FieldView, Window};
+use lcc_grid::{stats, FieldView, Window};
 use lcc_linalg::svd::EnergySpectrum;
-use lcc_par::{parallel_map_with_state, ThreadPoolConfig};
+use lcc_par::{try_parallel_map_with_state, ThreadPoolConfig};
 
 /// Truncation level of a single window view — the per-window kernel shared
-/// by [`local_svd_truncation_levels`] and the flat sweep scheduler in
+/// by [`local_svd_truncation_levels_view`] and the flat sweep scheduler in
 /// `lcc_core`. Returns `None` when the decomposition fails.
 ///
 /// The window is centred so the level describes the variance (fluctuation)
@@ -29,19 +29,9 @@ pub fn window_truncation_level(view: &FieldView<'_>, fraction: f64) -> Option<us
 }
 
 /// Compute the 99 %-variance (or any `fraction`) truncation level of every
-/// full `window × window` tile of the field.
-pub fn local_svd_truncation_levels(
-    field: &Field2D,
-    window: usize,
-    fraction: f64,
-    threads: Option<usize>,
-) -> Vec<usize> {
-    local_svd_truncation_levels_view(&field.view(), window, fraction, threads)
-}
-
-/// [`local_svd_truncation_levels`] on a zero-copy view: each tile is a
-/// strided sub-view of the parent buffer, with no per-window allocation at
-/// all (each worker reuses one [`EnergySpectrum`] scratch).
+/// full `window × window` tile of the field. Each tile is a strided
+/// sub-view of the parent buffer, with no per-window allocation at all
+/// (each worker reuses one [`EnergySpectrum`] scratch).
 pub fn local_svd_truncation_levels_view(
     field: &FieldView<'_>,
     window: usize,
@@ -55,28 +45,19 @@ pub fn local_svd_truncation_levels_view(
         Some(t) => ThreadPoolConfig::with_threads(t),
         None => ThreadPoolConfig::auto(),
     };
-    let levels =
-        parallel_map_with_state(pool, &tiles, EnergySpectrum::new, |spectrum, _, (win, view)| {
-            if !win.is_full(window, window) {
-                return usize::MAX; // sentinel: dropped below
-            }
-            spectrum.truncation_level(view.rows(), fraction).unwrap_or(usize::MAX)
-        });
+    let level = |spectrum: &mut EnergySpectrum, _, (win, view): &(Window, FieldView<'_>)| {
+        if !win.is_full(window, window) {
+            return usize::MAX; // sentinel: dropped below
+        }
+        spectrum.truncation_level(view.rows(), fraction).unwrap_or(usize::MAX)
+    };
+    let levels = try_parallel_map_with_state(pool, &tiles, EnergySpectrum::new, level)
+        .unwrap_or_else(|err| panic!("{err}"));
     levels.into_iter().filter(|&l| l != usize::MAX).collect()
 }
 
 /// Standard deviation of the local SVD truncation levels — the statistic on
 /// the x-axis of Figure 6 and the right column of Figure 7.
-pub fn local_svd_truncation_std(
-    field: &Field2D,
-    window: usize,
-    fraction: f64,
-    threads: Option<usize>,
-) -> f64 {
-    local_svd_truncation_std_view(&field.view(), window, fraction, threads)
-}
-
-/// [`local_svd_truncation_std`] on a zero-copy view.
 pub fn local_svd_truncation_std_view(
     field: &FieldView<'_>,
     window: usize,
@@ -88,26 +69,20 @@ pub fn local_svd_truncation_std_view(
     stats::std_dev(&as_f64)
 }
 
-/// Mean local truncation level (companion statistic for the extended
-/// analyses).
-pub fn local_svd_truncation_mean(
-    field: &Field2D,
-    window: usize,
-    fraction: f64,
-    threads: Option<usize>,
-) -> f64 {
-    let levels = local_svd_truncation_levels(field, window, fraction, threads);
-    let as_f64: Vec<f64> = levels.iter().map(|&l| l as f64).collect();
-    stats::mean(&as_f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_fields::{families, white_noise};
+    use lcc_grid::Field2D;
     use lcc_linalg::svd::{svd, truncation_level};
     use lcc_linalg::Matrix;
     use lcc_synth::{generate_single_range, GaussianFieldConfig};
+
+    /// Mean truncation level over the field's full 32 × 32 windows.
+    fn mean_level(field: &Field2D, fraction: f64) -> f64 {
+        let levels = local_svd_truncation_levels_view(&field.view(), 32, fraction, None);
+        stats::mean(&levels.iter().map(|&l| l as f64).collect::<Vec<_>>())
+    }
 
     const FRACTIONS: [f64; 4] = [0.5, 0.9, 0.99, 0.999];
 
@@ -251,7 +226,7 @@ mod tests {
     fn rank_one_windows_need_one_mode() {
         // A separable product field has rank-1 windows.
         let f = Field2D::from_fn(64, 64, |i, j| (1.0 + i as f64) * (1.0 + j as f64).ln().max(0.1));
-        let levels = local_svd_truncation_levels(&f, 32, 0.99, Some(2));
+        let levels = local_svd_truncation_levels_view(&f.view(), 32, 0.99, Some(2));
         assert_eq!(levels.len(), 4);
         assert!(levels.iter().all(|&l| l <= 2), "{levels:?}");
     }
@@ -260,16 +235,16 @@ mod tests {
     fn noise_needs_many_modes_smooth_needs_few() {
         let smooth = generate_single_range(&GaussianFieldConfig::new(96, 96, 20.0, 3));
         let noise = white_noise(96, 96, 11);
-        let smooth_mean = local_svd_truncation_mean(&smooth, 32, 0.99, None);
-        let noise_mean = local_svd_truncation_mean(&noise, 32, 0.99, None);
+        let smooth_mean = mean_level(&smooth, 0.99);
+        let noise_mean = mean_level(&noise, 0.99);
         assert!(noise_mean > 2.0 * smooth_mean, "noise {noise_mean} vs smooth {smooth_mean}");
     }
 
     #[test]
     fn std_statistic_is_finite_and_deterministic() {
         let f = generate_single_range(&GaussianFieldConfig::new(96, 96, 6.0, 8));
-        let a = local_svd_truncation_std(&f, 32, 0.99, Some(1));
-        let b = local_svd_truncation_std(&f, 32, 0.99, Some(4));
+        let a = local_svd_truncation_std_view(&f.view(), 32, 0.99, Some(1));
+        let b = local_svd_truncation_std_view(&f.view(), 32, 0.99, Some(4));
         assert!(a.is_finite());
         assert_eq!(a, b);
     }
@@ -277,15 +252,15 @@ mod tests {
     #[test]
     fn partial_windows_are_ignored() {
         let f = generate_single_range(&GaussianFieldConfig::new(70, 70, 6.0, 8));
-        let levels = local_svd_truncation_levels(&f, 32, 0.99, None);
+        let levels = local_svd_truncation_levels_view(&f.view(), 32, 0.99, None);
         assert_eq!(levels.len(), 4); // only the 2x2 grid of full windows
     }
 
     #[test]
     fn fraction_controls_the_level() {
         let f = generate_single_range(&GaussianFieldConfig::new(64, 64, 5.0, 2));
-        let strict = local_svd_truncation_mean(&f, 32, 0.999, None);
-        let loose = local_svd_truncation_mean(&f, 32, 0.5, None);
+        let strict = mean_level(&f, 0.999);
+        let loose = mean_level(&f, 0.5);
         assert!(strict > loose);
     }
 
@@ -293,6 +268,6 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn invalid_fraction_panics() {
         let f = Field2D::zeros(32, 32);
-        let _ = local_svd_truncation_levels(&f, 32, 1.5, None);
+        let _ = local_svd_truncation_levels_view(&f.view(), 32, 1.5, None);
     }
 }

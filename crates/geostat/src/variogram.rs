@@ -50,7 +50,7 @@
 //! empirical variogram by least squares.
 
 use crate::GeostatError;
-use lcc_grid::{Field2D, FieldView};
+use lcc_grid::FieldView;
 use lcc_linalg::{gauss_newton, GaussNewtonOptions};
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
@@ -111,11 +111,6 @@ pub struct VariogramFit {
     pub range: f64,
     /// Sum of squared residuals of the fit.
     pub residual: f64,
-}
-
-/// Compute the empirical semi-variogram of a field.
-pub fn empirical_variogram(field: &Field2D, config: &VariogramConfig) -> EmpiricalVariogram {
-    empirical_variogram_view(&field.view(), config)
 }
 
 /// Compute the empirical semi-variogram of a (possibly strided) view — the
@@ -571,18 +566,8 @@ pub fn fit_squared_exponential(
     Ok(VariogramFit { sill, range, residual: sse(&[sill, range]) })
 }
 
-/// Convenience wrapper: empirical variogram with default configuration plus
-/// model fit — the paper's per-field "estimated global variogram range".
-pub fn estimate_range(field: &Field2D) -> VariogramFit {
-    estimate_range_with(field, &VariogramConfig::default())
-}
-
-/// [`estimate_range`] with an explicit estimator configuration.
-pub fn estimate_range_with(field: &Field2D, config: &VariogramConfig) -> VariogramFit {
-    estimate_range_view(&field.view(), config)
-}
-
-/// [`estimate_range_with`] on a zero-copy view.
+/// Empirical variogram plus model fit of a (possibly strided) view — the
+/// paper's per-field "estimated global variogram range".
 pub fn estimate_range_view(field: &FieldView<'_>, config: &VariogramConfig) -> VariogramFit {
     estimate_range_pooled(field, config, ThreadPoolConfig::with_threads(1))
 }
@@ -618,6 +603,7 @@ pub fn model_gamma(fit: &VariogramFit, h: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::test_fields::{families, white_noise};
+    use lcc_grid::Field2D;
     use lcc_synth::{generate_single_range, GaussianFieldConfig};
 
     /// The estimator as one scalar loop: every pair read through `at`, one
@@ -900,7 +886,7 @@ mod tests {
     #[test]
     fn variogram_of_constant_field_is_zero() {
         let f = Field2D::filled(32, 32, 4.2);
-        let vg = empirical_variogram(&f, &VariogramConfig::default());
+        let vg = empirical_variogram_view(&f.view(), &VariogramConfig::default());
         assert!(!vg.is_empty());
         assert!(vg.gammas.iter().all(|&g| g == 0.0));
         let fit = fit_squared_exponential(&vg).unwrap();
@@ -910,7 +896,7 @@ mod tests {
     #[test]
     fn variogram_increases_with_distance_for_correlated_fields() {
         let f = generate_single_range(&GaussianFieldConfig::new(96, 96, 10.0, 3));
-        let vg = empirical_variogram(&f, &VariogramConfig::default());
+        let vg = empirical_variogram_view(&f.view(), &VariogramConfig::default());
         assert!(vg.len() >= 5);
         // γ at the shortest lag is well below γ at the longest lag.
         assert!(vg.gammas[0] < 0.5 * vg.gammas[vg.len() - 1]);
@@ -924,7 +910,7 @@ mod tests {
     #[test]
     fn white_noise_has_flat_variogram() {
         let f = white_noise(96, 96, 5);
-        let vg = empirical_variogram(&f, &VariogramConfig::default());
+        let vg = empirical_variogram_view(&f.view(), &VariogramConfig::default());
         // All bins close to the variance (≈ 1/3 for uniform [-1,1]).
         let mean_gamma: f64 = vg.gammas.iter().sum::<f64>() / vg.len() as f64;
         for &g in &vg.gammas {
@@ -943,7 +929,7 @@ mod tests {
         let mut estimates = Vec::new();
         for &a in &[4.0, 8.0, 16.0] {
             let f = generate_single_range(&GaussianFieldConfig::new(160, 160, a, 17));
-            let fit = estimate_range(&f);
+            let fit = estimate_range_view(&f.view(), &VariogramConfig::default());
             assert!(fit.range.is_finite() && fit.range > 0.0);
             assert!((fit.range - a).abs() / a < 0.6, "true range {a}, estimated {}", fit.range);
             estimates.push(fit.range);
@@ -954,7 +940,7 @@ mod tests {
     #[test]
     fn sill_matches_field_variance() {
         let f = generate_single_range(&GaussianFieldConfig::new(160, 160, 6.0, 23));
-        let fit = estimate_range(&f);
+        let fit = estimate_range_view(&f.view(), &VariogramConfig::default());
         let var = f.summary().variance;
         assert!((fit.sill - var).abs() / var < 0.4, "sill {} vs variance {var}", fit.sill);
     }
@@ -976,9 +962,9 @@ mod tests {
         for f in
             [Field2D::from_fn(1, 16, |_, j| j as f64), Field2D::from_fn(16, 1, |i, _| i as f64)]
         {
-            let vg = empirical_variogram(&f, &VariogramConfig::default());
+            let vg = empirical_variogram_view(&f.view(), &VariogramConfig::default());
             assert!(vg.is_empty());
-            let fit = estimate_range(&f);
+            let fit = estimate_range_view(&f.view(), &VariogramConfig::default());
             assert!(fit.range.is_nan());
         }
     }
@@ -998,15 +984,15 @@ mod tests {
         // 32x32 windows are the paper's local statistic unit.
         let f = generate_single_range(&GaussianFieldConfig::new(32, 32, 5.0, 9));
         let config = VariogramConfig { max_lag: Some(10), n_bins: 10, ..Default::default() };
-        let fit = estimate_range_with(&f, &config);
+        let fit = estimate_range_view(&f.view(), &config);
         assert!(fit.range.is_finite() && fit.range > 0.0);
     }
 
     #[test]
     fn estimator_is_deterministic() {
         let f = generate_single_range(&GaussianFieldConfig::new(64, 64, 7.0, 2));
-        let a = empirical_variogram(&f, &VariogramConfig::default());
-        let b = empirical_variogram(&f, &VariogramConfig::default());
+        let a = empirical_variogram_view(&f.view(), &VariogramConfig::default());
+        let b = empirical_variogram_view(&f.view(), &VariogramConfig::default());
         assert_eq!(a, b);
     }
 }

@@ -5,7 +5,7 @@
 //! between the hydro solver and offline analysis.
 
 use crate::{Field2D, Field3D, GridError};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 /// Render a field to an 8-bit binary PGM (grey-scale) image, linearly mapping
@@ -20,24 +20,6 @@ pub fn write_pgm<P: AsRef<Path>>(field: &Field2D, path: P) -> Result<(), GridErr
         bytes.push(g);
     }
     std::fs::write(path, bytes)?;
-    Ok(())
-}
-
-/// Write a field as a CSV matrix (one row per line, comma separated).
-pub fn write_csv_matrix<P: AsRef<Path>>(field: &Field2D, path: P) -> Result<(), GridError> {
-    let mut f = std::fs::File::create(path)?;
-    let mut line = String::new();
-    for i in 0..field.ny() {
-        line.clear();
-        for (j, v) in field.row(i).iter().enumerate() {
-            if j > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("{v:.17e}"));
-        }
-        line.push('\n');
-        f.write_all(line.as_bytes())?;
-    }
     Ok(())
 }
 
@@ -199,17 +181,6 @@ mod tests {
         write_raw_f64(f.as_slice(), &path).unwrap();
         let g = read_raw_f64_3d(2, 3, 4, &path).unwrap();
         assert_eq!(f, g);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn csv_matrix_rows_and_columns() {
-        let f = Field2D::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        let path = tmp("e.csv");
-        write_csv_matrix(&f, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert_eq!(text.lines().next().unwrap().split(',').count(), 2);
         std::fs::remove_file(path).ok();
     }
 

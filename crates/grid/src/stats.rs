@@ -154,38 +154,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     sxy / (sxx.sqrt() * syy.sqrt())
 }
 
-/// Spearman rank correlation between two equally long slices.
-pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "spearman requires equally long slices");
-    let rx = ranks(x);
-    let ry = ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Fractional ranks (ties get the average rank), 1-based.
-pub fn ranks(values: &[f64]) -> Vec<f64> {
-    let n = values.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| {
-        values[a].partial_cmp(&values[b]).expect("ranks require comparable (non-NaN) values")
-    });
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        // Average rank for the tie group [i, j].
-        let rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,18 +219,5 @@ mod tests {
         // Zero variance input.
         assert_eq!(pearson(&x, &[1.0; 4]), 0.0);
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear_is_one() {
-        let x: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v| v.exp()).collect();
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_handle_ties() {
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 }

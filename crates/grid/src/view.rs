@@ -135,11 +135,6 @@ impl<'a> FieldView<'a> {
         self.row_stride == self.nx
     }
 
-    /// The backing data as one flat slice, when the view is contiguous.
-    pub fn as_contiguous(&self) -> Option<&'a [f64]> {
-        self.is_contiguous().then(|| &self.data[..self.ny * self.nx])
-    }
-
     /// Copy the viewed rectangle into an owned [`Field2D`].
     pub fn to_field(&self) -> Field2D {
         let mut out = Field2D::zeros(self.ny, self.nx);
@@ -252,7 +247,6 @@ mod tests {
         assert_eq!(v.len(), 15);
         assert!(!v.is_empty());
         assert!(v.is_contiguous());
-        assert_eq!(v.as_contiguous(), Some(f.as_slice()));
         assert_eq!(v.row_stride(), 5);
         for i in 0..3 {
             assert_eq!(v.row(i), f.row(i));
@@ -272,7 +266,6 @@ mod tests {
         let v = f.view().subview(2, 3, 3, 4);
         assert_eq!(v.shape(), (3, 4));
         assert!(!v.is_contiguous());
-        assert_eq!(v.as_contiguous(), None);
         assert_eq!(v.row_stride(), 8);
         assert_eq!(v.at(0, 0), f.at(2, 3));
         assert_eq!(v.at(2, 3), f.at(4, 6));

@@ -2,7 +2,7 @@
 //! second-order Runge–Kutta, optional gravity source term.
 
 use crate::euler2d::{minmod, rusanov_flux, Conserved, EulerState};
-use lcc_par::{parallel_map_indexed_with, ThreadPoolConfig};
+use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +93,7 @@ impl Euler2DSolver {
             None => ThreadPoolConfig::auto(),
         };
         let rows: Vec<usize> = (0..ny).collect();
-        let row_results = parallel_map_indexed_with(pool, &rows, |_, &i| {
+        let row_results = parallel_map_with(pool, &rows, |&i| {
             let mut out = Vec::with_capacity(nx);
             for j in 0..nx {
                 let ii = i as isize;

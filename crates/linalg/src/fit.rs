@@ -1,34 +1,8 @@
-//! Curve fitting: polynomial least squares and Gauss–Newton nonlinear
-//! least squares.
-//!
-//! `polyfit`/`polyval` replace the paper's use of `numpy.polyfit` to draw the
-//! fitted regression curves; `gauss_newton` fits the parametric
-//! squared-exponential variogram model to the empirical variogram.
+//! Curve fitting: Gauss–Newton nonlinear least squares. `gauss_newton` fits
+//! the parametric squared-exponential variogram model to the empirical
+//! variogram.
 
-use crate::{lstsq, LinalgError, Matrix};
-
-/// Fit a polynomial of the given `degree` to `(x, y)` samples by least
-/// squares; the returned coefficients are ordered from the constant term up
-/// (`c[0] + c[1] x + c[2] x² + …`).
-pub fn polyfit(x: &[f64], y: &[f64], degree: usize) -> Result<Vec<f64>, LinalgError> {
-    if x.len() != y.len() {
-        return Err(LinalgError::DimensionMismatch("x and y lengths differ".into()));
-    }
-    if x.len() < degree + 1 {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "need at least {} samples for degree {degree}",
-            degree + 1
-        )));
-    }
-    let a = Matrix::from_fn(x.len(), degree + 1, |i, j| x[i].powi(j as i32));
-    lstsq(&a, y)
-}
-
-/// Evaluate a polynomial with coefficients ordered from the constant term up.
-pub fn polyval(coeffs: &[f64], x: f64) -> f64 {
-    // Horner evaluation from the highest coefficient down.
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-}
+use crate::LinalgError;
 
 /// Options controlling the Gauss–Newton iteration.
 #[derive(Debug, Clone, Copy)]
@@ -182,33 +156,6 @@ fn solve_inplace<const N: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn polyfit_recovers_exact_polynomial() {
-        let xs: Vec<f64> = (0..25).map(|i| i as f64 * 0.2 - 2.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 1.5 - 2.0 * x + 0.5 * x * x * x).collect();
-        let c = polyfit(&xs, &ys, 3).unwrap();
-        assert!((c[0] - 1.5).abs() < 1e-8);
-        assert!((c[1] + 2.0).abs() < 1e-8);
-        assert!(c[2].abs() < 1e-8);
-        assert!((c[3] - 0.5).abs() < 1e-8);
-    }
-
-    #[test]
-    fn polyval_matches_direct_evaluation() {
-        let c = [2.0, -1.0, 0.5];
-        for x in [-3.0, 0.0, 1.5, 7.0] {
-            let direct = 2.0 - x + 0.5 * x * x;
-            assert!((polyval(&c, x) - direct).abs() < 1e-12);
-        }
-        assert_eq!(polyval(&[], 3.0), 0.0);
-    }
-
-    #[test]
-    fn polyfit_validates_inputs() {
-        assert!(polyfit(&[1.0, 2.0], &[1.0], 1).is_err());
-        assert!(polyfit(&[1.0, 2.0], &[1.0, 2.0], 3).is_err());
-    }
 
     #[test]
     fn gauss_newton_fits_exponential_decay() {

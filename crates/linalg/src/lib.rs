@@ -11,16 +11,16 @@
 //! * [`svd`] — one-sided Jacobi SVD (singular values and factors; the
 //!   accuracy oracle) and the values-only [`svd::EnergySpectrum`] the
 //!   per-window truncation statistic runs on,
-//! * [`fit`] — polynomial fitting (the `numpy.polyfit` stand-in) and
-//!   Gauss–Newton nonlinear least squares used by the variogram model fit.
+//! * [`fit`] — Gauss–Newton nonlinear least squares used by the variogram
+//!   model fit.
 
 pub mod fit;
 pub mod lstsq;
 pub mod matrix;
 pub mod svd;
 
-pub use fit::{gauss_newton, polyfit, polyval, GaussNewtonOptions};
-pub use lstsq::{lstsq, solve_normal_equations};
+pub use fit::{gauss_newton, GaussNewtonOptions};
+pub use lstsq::lstsq;
 pub use matrix::Matrix;
 pub use svd::{singular_values, svd, SvdResult};
 

@@ -86,86 +86,86 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Ok(x)
 }
 
-/// Solve `min ||A x - b||₂` through the normal equations `AᵀA x = Aᵀ b` with
-/// Gaussian elimination and partial pivoting. Less accurate than [`lstsq`]
-/// for ill-conditioned systems but cheaper for very small `n`; used by the
-/// SZ block-regression predictor where `n == 3`.
-pub fn solve_normal_equations(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let m = a.rows();
-    let n = a.cols();
-    if b.len() != m {
-        return Err(LinalgError::DimensionMismatch("rhs length".into()));
-    }
-    // Form AtA (n×n) and Atb (n).
-    let mut ata = vec![0.0; n * n];
-    let mut atb = vec![0.0; n];
-    for (i, &rhs) in b.iter().enumerate() {
-        let row = a.row(i);
-        for p in 0..n {
-            atb[p] += row[p] * rhs;
-            for q in p..n {
-                ata[p * n + q] += row[p] * row[q];
-            }
-        }
-    }
-    for p in 0..n {
-        for q in 0..p {
-            ata[p * n + q] = ata[q * n + p];
-        }
-    }
-    solve_dense(&mut ata, &mut atb, n)?;
-    Ok(atb)
-}
-
-/// In-place Gaussian elimination with partial pivoting; the solution replaces
-/// `rhs`.
-fn solve_dense(a: &mut [f64], rhs: &mut [f64], n: usize) -> Result<(), LinalgError> {
-    for k in 0..n {
-        // Pivot.
-        let mut piv = k;
-        let mut best = a[k * n + k].abs();
-        for i in k + 1..n {
-            let v = a[i * n + k].abs();
-            if v > best {
-                best = v;
-                piv = i;
-            }
-        }
-        if best < 1e-300 {
-            return Err(LinalgError::Singular);
-        }
-        if piv != k {
-            for j in 0..n {
-                a.swap(k * n + j, piv * n + j);
-            }
-            rhs.swap(k, piv);
-        }
-        // Eliminate below.
-        for i in k + 1..n {
-            let factor = a[i * n + k] / a[k * n + k];
-            if factor == 0.0 {
-                continue;
-            }
-            for j in k..n {
-                a[i * n + j] -= factor * a[k * n + j];
-            }
-            rhs[i] -= factor * rhs[k];
-        }
-    }
-    // Back substitution.
-    for k in (0..n).rev() {
-        let mut acc = rhs[k];
-        for j in k + 1..n {
-            acc -= a[k * n + j] * rhs[j];
-        }
-        rhs[k] = acc / a[k * n + k];
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Solve `min ||A x - b||₂` through the normal equations `AᵀA x = Aᵀ b` with
+    /// Gaussian elimination and partial pivoting. Less accurate than [`lstsq`]
+    /// for ill-conditioned systems but cheaper for very small `n`; used by the
+    /// SZ block-regression predictor where `n == 3`.
+    fn solve_normal_equations(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let m = a.rows();
+        let n = a.cols();
+        if b.len() != m {
+            return Err(LinalgError::DimensionMismatch("rhs length".into()));
+        }
+        // Form AtA (n×n) and Atb (n).
+        let mut ata = vec![0.0; n * n];
+        let mut atb = vec![0.0; n];
+        for (i, &rhs) in b.iter().enumerate() {
+            let row = a.row(i);
+            for p in 0..n {
+                atb[p] += row[p] * rhs;
+                for q in p..n {
+                    ata[p * n + q] += row[p] * row[q];
+                }
+            }
+        }
+        for p in 0..n {
+            for q in 0..p {
+                ata[p * n + q] = ata[q * n + p];
+            }
+        }
+        solve_dense(&mut ata, &mut atb, n)?;
+        Ok(atb)
+    }
+
+    /// In-place Gaussian elimination with partial pivoting; the solution replaces
+    /// `rhs`.
+    fn solve_dense(a: &mut [f64], rhs: &mut [f64], n: usize) -> Result<(), LinalgError> {
+        for k in 0..n {
+            // Pivot.
+            let mut piv = k;
+            let mut best = a[k * n + k].abs();
+            for i in k + 1..n {
+                let v = a[i * n + k].abs();
+                if v > best {
+                    best = v;
+                    piv = i;
+                }
+            }
+            if best < 1e-300 {
+                return Err(LinalgError::Singular);
+            }
+            if piv != k {
+                for j in 0..n {
+                    a.swap(k * n + j, piv * n + j);
+                }
+                rhs.swap(k, piv);
+            }
+            // Eliminate below.
+            for i in k + 1..n {
+                let factor = a[i * n + k] / a[k * n + k];
+                if factor == 0.0 {
+                    continue;
+                }
+                for j in k..n {
+                    a[i * n + j] -= factor * a[k * n + j];
+                }
+                rhs[i] -= factor * rhs[k];
+            }
+        }
+        // Back substitution.
+        for k in (0..n).rev() {
+            let mut acc = rhs[k];
+            for j in k + 1..n {
+                acc -= a[k * n + j] * rhs[j];
+            }
+            rhs[k] = acc / a[k * n + k];
+        }
+        Ok(())
+    }
 
     fn design(xs: &[f64], degree: usize) -> Matrix {
         Matrix::from_fn(xs.len(), degree + 1, |i, j| xs[i].powi(j as i32))

@@ -45,7 +45,8 @@ impl Matrix {
     }
 
     /// Build from nested rows (each inner slice is one row).
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, LinalgError> {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Result<Self, LinalgError> {
         if rows.is_empty() || rows[0].is_empty() {
             return Err(LinalgError::DimensionMismatch("empty rows".into()));
         }
@@ -119,7 +120,8 @@ impl Matrix {
     }
 
     /// Matrix–matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
+    #[cfg(test)]
+    pub(crate) fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch(format!(
                 "{}x{} * {}x{}",
@@ -142,7 +144,8 @@ impl Matrix {
     }
 
     /// Matrix–vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if v.len() != self.cols {
             return Err(LinalgError::DimensionMismatch(format!(
                 "matrix has {} columns, vector has {} entries",
@@ -156,7 +159,8 @@ impl Matrix {
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 

@@ -1,4 +1,4 @@
-//! # lcc_fault — deterministic fault injection for resilience testing
+//! Deterministic fault injection for the chaos runs.
 //!
 //! Chaos tooling for the serving stack: a seeded [`FaultPlan`] decides,
 //! reproducibly, where to corrupt bytes, fail reads, inject delays, or
@@ -32,11 +32,11 @@ use std::time::Duration;
 /// Marker carried by every injected panic's payload, so panic hooks can
 /// silence chaos noise and harnesses can tell injected panics from real
 /// ones.
-pub const CHAOS_PANIC_TAG: &str = "chaos: injected worker panic";
+pub(crate) const CHAOS_PANIC_TAG: &str = "chaos: injected worker panic";
 
 /// One concrete fault drawn from a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
+pub(crate) enum Fault {
     /// Flip one bit of the affected buffer; the carried hash picks which.
     BitFlip(u64),
     /// Zero the buffer's tail; the carried hash picks the cut point.
@@ -55,7 +55,7 @@ thread_local! {
 /// applied on the calling thread since the last call. Harnesses that serve
 /// one request at a time per thread call this after each request to
 /// attribute injections to it.
-pub fn take_thread_injections() -> u64 {
+pub(crate) fn take_thread_injections() -> u64 {
     THREAD_INJECTIONS.with(|c| c.replace(0))
 }
 
@@ -81,7 +81,7 @@ fn unit(h: u64) -> f64 {
 /// measured window. Each decision consumes one draw from a global
 /// sequence, hashed with the seed and the site offset.
 #[derive(Debug)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     seed: u64,
     /// Probability that any one read-level site draws a fault.
     rate: f64,
@@ -98,7 +98,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan injecting byte-level faults at `rate` (clamped to `[0, 1]`)
     /// per read site. Starts disarmed, with no panics and no delays.
-    pub fn new(seed: u64, rate: f64) -> Self {
+    pub(crate) fn new(seed: u64, rate: f64) -> Self {
         FaultPlan {
             seed,
             rate: rate.clamp(0.0, 1.0),
@@ -112,7 +112,7 @@ impl FaultPlan {
     }
 
     /// Builder: inject worker panics at `rate` per [`draw_panic`](Self::draw_panic) site.
-    pub fn with_panic_rate(mut self, rate: f64) -> Self {
+    pub(crate) fn with_panic_rate(mut self, rate: f64) -> Self {
         self.panic_rate = rate.clamp(0.0, 1.0);
         self
     }
@@ -120,45 +120,34 @@ impl FaultPlan {
     /// Builder: add `delay` stalls to the byte-fault repertoire. Pair with
     /// per-request deadlines so a stall surfaces as `DeadlineExceeded`
     /// rather than an unbounded hang.
-    pub fn with_delay(mut self, delay: Duration) -> Self {
+    pub(crate) fn with_delay(mut self, delay: Duration) -> Self {
         self.delay = Some(delay);
         self
     }
 
-    /// The seed this plan draws from (recorded in benchmark reports so a
-    /// chaos run can be replayed).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The byte-fault rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Start injecting. Counters are *not* reset: arm/disarm brackets
     /// compose over one accumulating run.
-    pub fn arm(&self) {
+    pub(crate) fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
     }
 
     /// Stop injecting (reference rebuilds, teardown).
-    pub fn disarm(&self) {
+    pub(crate) fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
     }
 
     /// True while faults are being injected.
-    pub fn is_armed(&self) -> bool {
+    fn is_armed(&self) -> bool {
         self.armed.load(Ordering::SeqCst)
     }
 
     /// Total byte-level faults applied so far (all threads).
-    pub fn injected(&self) -> u64 {
+    pub(crate) fn injected(&self) -> u64 {
         self.injected.load(Ordering::SeqCst)
     }
 
     /// Total panics injected so far via [`draw_panic`](Self::draw_panic).
-    pub fn injected_panics(&self) -> u64 {
+    pub(crate) fn injected_panics(&self) -> u64 {
         self.injected_panics.load(Ordering::SeqCst)
     }
 
@@ -173,7 +162,7 @@ impl FaultPlan {
     /// draw comes up clean. Drawing does not count as injecting — the
     /// applier calls [`note_injection`](Self::note_injection) once the
     /// fault actually lands.
-    pub fn next_fault(&self, site: u64) -> Option<Fault> {
+    fn next_fault(&self, site: u64) -> Option<Fault> {
         if !self.is_armed() || self.rate <= 0.0 {
             return None;
         }
@@ -192,7 +181,7 @@ impl FaultPlan {
     }
 
     /// Record one applied byte-level fault, globally and on this thread.
-    pub fn note_injection(&self) {
+    fn note_injection(&self) {
         self.injected.fetch_add(1, Ordering::SeqCst);
         THREAD_INJECTIONS.with(|c| c.set(c.get() + 1));
     }
@@ -202,7 +191,7 @@ impl FaultPlan {
     /// [`injected_panics`](Self::injected_panics) — the caller's only job
     /// is to actually `panic!` with [`CHAOS_PANIC_TAG`] in the payload
     /// (see [`inject_panic`]).
-    pub fn draw_panic(&self, site: u64) -> bool {
+    pub(crate) fn draw_panic(&self, site: u64) -> bool {
         if !self.is_armed() || self.panic_rate <= 0.0 {
             return false;
         }
@@ -219,7 +208,7 @@ impl FaultPlan {
     /// Returns `true` — and counts the injection — when a fault landed.
     /// `Delay` stalls the calling thread; `FailRead` is expressed as
     /// clearing the stream (the "device" returned nothing).
-    pub fn corrupt_stream(&self, site: u64, stream: &mut Vec<u8>) -> bool {
+    pub(crate) fn corrupt_stream(&self, site: u64, stream: &mut Vec<u8>) -> bool {
         let Some(fault) = self.next_fault(site) else {
             return false;
         };
@@ -251,25 +240,15 @@ impl FaultPlan {
 /// corruption: flipped bits in the returned buffer, a zeroed tail, a
 /// failed call, or a stalled device. A disarmed or zero-rate plan is a
 /// strict passthrough (one atomic load per read).
-pub struct FaultyReadAt<R: ReadAt> {
+pub(crate) struct FaultyReadAt<R: ReadAt> {
     inner: R,
     plan: std::sync::Arc<FaultPlan>,
 }
 
 impl<R: ReadAt> FaultyReadAt<R> {
     /// Wrap `inner`, drawing faults from `plan`.
-    pub fn new(inner: R, plan: std::sync::Arc<FaultPlan>) -> Self {
+    pub(crate) fn new(inner: R, plan: std::sync::Arc<FaultPlan>) -> Self {
         FaultyReadAt { inner, plan }
-    }
-
-    /// The shared plan.
-    pub fn plan(&self) -> &std::sync::Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// Unwrap the inner source.
-    pub fn into_inner(self) -> R {
-        self.inner
     }
 }
 
@@ -314,7 +293,7 @@ impl<R: ReadAt> ReadAt for FaultyReadAt<R> {
 /// Panic with the chaos marker in the payload. Call only after
 /// [`FaultPlan::draw_panic`] returned `true`; the surrounding harness's
 /// panic isolation absorbs it per-job.
-pub fn inject_panic(site: u64) -> ! {
+pub(crate) fn inject_panic(site: u64) -> ! {
     panic!("{CHAOS_PANIC_TAG} (site {site})");
 }
 
@@ -332,14 +311,14 @@ mod tests {
     #[test]
     fn disarmed_and_zero_rate_plans_are_passthrough() {
         let source: Vec<u8> = (0..=255).collect();
-        let quiet = FaultPlan::new(7, 1.0); // armed = false
-        let faulty = FaultyReadAt::new(source.clone(), Arc::new(quiet));
+        let quiet = Arc::new(FaultPlan::new(7, 1.0)); // armed = false
+        let faulty = FaultyReadAt::new(source.clone(), Arc::clone(&quiet));
         let mut buf = [0u8; 64];
         for off in [0u64, 17, 192] {
             faulty.read_at(off, &mut buf).unwrap();
             assert_eq!(&buf[..], &source[off as usize..off as usize + 64]);
         }
-        assert_eq!(faulty.plan().injected(), 0);
+        assert_eq!(quiet.injected(), 0);
 
         let zero = plan(7, 0.0);
         assert!(zero.next_fault(0).is_none());
@@ -349,7 +328,8 @@ mod tests {
     #[test]
     fn rate_one_faults_every_read_and_counts_each() {
         let source: Vec<u8> = (0..=255).collect();
-        let faulty = FaultyReadAt::new(source.clone(), plan(42, 1.0));
+        let every_read = plan(42, 1.0);
+        let faulty = FaultyReadAt::new(source.clone(), Arc::clone(&every_read));
         take_thread_injections(); // reset this thread's tally
         let mut corrupted = 0;
         for k in 0..32u64 {
@@ -372,7 +352,7 @@ mod tests {
         // already being zero only if source had zeros — it does not here),
         // so every read must observably corrupt or fail.
         assert_eq!(corrupted, 32);
-        assert_eq!(faulty.plan().injected(), 32);
+        assert_eq!(every_read.injected(), 32);
         assert_eq!(take_thread_injections(), 32);
     }
 
@@ -414,7 +394,7 @@ mod tests {
         assert_eq!(take_thread_injections(), 0);
 
         let absorbed = std::panic::catch_unwind(|| inject_panic(3)).unwrap_err();
-        let msg = lcc_par::panic_message(&*absorbed);
+        let msg = absorbed.downcast_ref::<String>().expect("a formatted panic message");
         assert!(msg.contains(CHAOS_PANIC_TAG), "{msg}");
     }
 

@@ -27,17 +27,17 @@
 //! request / error / tile counts, the cache's counters and, in chaos mode,
 //! the [`ChaosSummary`].
 
+mod fault;
 pub mod report;
 pub mod schedule;
 
-use lcc_archive::{Archive, ArchiveWriter, TileCache};
-use lcc_core::registry::{
-    checksummed_variant_name, entropy_ablation_registry, framed_variant_name, region_variant_name,
-};
-use lcc_fault::{take_thread_injections, FaultPlan, FaultyReadAt, CHAOS_PANIC_TAG};
+use fault::{take_thread_injections, FaultPlan, FaultyReadAt, CHAOS_PANIC_TAG};
+use lcc_archive::{Archive, ArchiveWriter, ReadOptions, TileCache};
+use lcc_core::registry::entropy_ablation_registry;
 use lcc_grid::{Field2D, FieldView, Window};
 use lcc_par::{run_bounded_queue, CancelToken, ThreadPoolConfig};
-use lcc_pressio::{frame, CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
+use lcc_pressio::frame::{compress_frame, decompress_framed_with, FrameOptions, Layout};
+use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 pub use report::{ChaosSummary, LoadReport, LoadVariant};
 use schedule::{Request, Schedule};
@@ -142,6 +142,19 @@ enum VariantMode {
     /// Archive region read of entry `k` — one tile-sized window per
     /// request, through the shared decoded-tile cache.
     Region(usize),
+}
+
+impl VariantMode {
+    /// Report key (`BENCH_load.json`) of `codec` driven in this form:
+    /// `sz`, `sz+framed`, `sz+framed+ck`, `region_sz`.
+    fn label(self, codec: &str) -> String {
+        match self {
+            VariantMode::Single => codec.to_string(),
+            VariantMode::Framed => format!("{codec}+framed"),
+            VariantMode::FramedChecksummed => format!("{codec}+framed+ck"),
+            VariantMode::Region(_) => format!("region_{codec}"),
+        }
+    }
 }
 
 /// One entry of the run's variant table: a registry compressor in
@@ -260,21 +273,17 @@ fn region_compressors() -> Vec<Arc<dyn Compressor>> {
 fn build_variants() -> Vec<Variant> {
     let registry = entropy_ablation_registry();
     let mut variants = Vec::with_capacity(registry.len() * 3 + REGION_CODECS.len());
-    for compressor in registry.compressors() {
-        let label = compressor.name().to_string();
-        variants.push(Variant { compressor, mode: VariantMode::Single, label });
-    }
-    for compressor in registry.compressors() {
-        let label = framed_variant_name(compressor.name());
-        variants.push(Variant { compressor, mode: VariantMode::Framed, label });
-    }
-    for compressor in registry.compressors() {
-        let label = checksummed_variant_name(compressor.name());
-        variants.push(Variant { compressor, mode: VariantMode::FramedChecksummed, label });
+    let mut push = |compressor: Arc<dyn Compressor>, mode: VariantMode| {
+        let label = mode.label(compressor.name());
+        variants.push(Variant { compressor, mode, label });
+    };
+    for mode in [VariantMode::Single, VariantMode::Framed, VariantMode::FramedChecksummed] {
+        for compressor in registry.compressors() {
+            push(compressor, mode);
+        }
     }
     for (ordinal, compressor) in region_compressors().into_iter().enumerate() {
-        let label = region_variant_name(compressor.name());
-        variants.push(Variant { compressor, mode: VariantMode::Region(ordinal), label });
+        push(compressor, VariantMode::Region(ordinal));
     }
     variants
 }
@@ -380,42 +389,40 @@ fn round_trip(
     recon: &mut Field2D,
     sabotage: Option<(&FaultPlan, u64)>,
 ) -> Result<Vec<u8>, CompressError> {
-    if variant.mode == VariantMode::Single {
+    let compressor = variant.compressor.as_ref();
+    let corrupt = |stream: &mut Vec<u8>| {
         if let Some((plan, site)) = sabotage {
-            let mut stream = variant.compressor.compress_view_with(&field.view(), BOUND, arena)?;
-            plan.corrupt_stream(site, &mut stream);
-            variant.compressor.decompress_view_with(&stream, arena, recon)?;
+            plan.corrupt_stream(site, stream);
+        }
+    };
+    let checksum = match variant.mode {
+        VariantMode::Single => {
+            let mut stream = compressor.compress_view_with(&field.view(), BOUND, arena)?;
+            corrupt(&mut stream);
+            compressor.decompress_view_with(&stream, arena, recon)?;
             return Ok(stream);
         }
-        return variant.compressor.roundtrip_with(&field.view(), BOUND, arena, recon);
-    }
-    let pool = ThreadPoolConfig::with_threads(1);
-    let compress = match variant.mode {
-        VariantMode::Framed => frame::compress_framed_with,
-        VariantMode::FramedChecksummed => frame::compress_framed_checksummed_with,
-        VariantMode::Single => unreachable!("handled above"),
+        VariantMode::Framed => false,
+        VariantMode::FramedChecksummed => true,
         VariantMode::Region(_) => unreachable!("region requests go through serve_region"),
     };
-    let mut stream = compress(
-        variant.compressor.as_ref(),
+    let pool = ThreadPoolConfig::with_threads(1);
+    let (layout, options) =
+        (Layout::RowBands(FRAMED_BLOCKS), FrameOptions { checksum, cancel: None });
+    let (mut stream, _) = compress_frame(
+        compressor,
         &field.view(),
         BOUND,
-        FRAMED_BLOCKS,
+        layout,
+        options,
         pool,
         frame_scratch,
+        |_| (),
     )?;
-    if let Some((plan, site)) = sabotage {
-        plan.corrupt_stream(site, &mut stream);
-    }
+    corrupt(&mut stream);
     // Checksummed frames self-describe; the one decode path verifies when
     // the flag is present.
-    frame::decompress_framed_with(
-        variant.compressor.as_ref(),
-        &stream,
-        pool,
-        frame_scratch,
-        recon,
-    )?;
+    decompress_framed_with(compressor, &stream, pool, frame_scratch, recon)?;
     Ok(stream)
 }
 
@@ -480,25 +487,19 @@ fn serve_region(worker: &mut Worker, request: Request, ordinal: usize, load: &Wo
     // instead of silently stretching the tail. The 1-wide pool keeps the
     // whole read on this thread, so the plan's thread-local injection
     // counter attributes every fault to this request.
-    let outcome = match &load.chaos {
-        Some(_) => regions.archive.read_region_deadline(
+    let deadline = load.chaos.as_ref().map(|_| CancelToken::with_timeout(CHAOS_DEADLINE));
+    let outcome = regions
+        .archive
+        .read_region_with(
             ordinal,
             window,
             variant.compressor.as_ref(),
             pool,
             &mut worker.frame,
             &mut worker.recon,
-            &CancelToken::with_timeout(CHAOS_DEADLINE),
-        ),
-        None => regions.archive.read_region(
-            ordinal,
-            window,
-            variant.compressor.as_ref(),
-            pool,
-            &mut worker.frame,
-            &mut worker.recon,
-        ),
-    };
+            ReadOptions { cancel: deadline.as_ref(), degraded: false },
+        )
+        .map(|region| region.stats);
 
     worker.served += 1;
     let verified =
@@ -528,7 +529,7 @@ fn serve(worker: &mut Worker, request: Request, load: &Workload) {
     // per job and the pool keeps serving.
     if let Some(plan) = &load.chaos {
         if plan.draw_panic(worker.served) {
-            lcc_fault::inject_panic(worker.served);
+            fault::inject_panic(worker.served);
         }
     }
     if let VariantMode::Region(ordinal) = variant.mode {

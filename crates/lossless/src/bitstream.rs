@@ -118,7 +118,8 @@ impl<'a> BitReader<'a> {
 
     /// Rewind to the start of the stream (reuse entry point mirroring
     /// [`BitWriter::clear`]).
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.cursor = 0;
     }
 

@@ -329,16 +329,12 @@ mod tests {
         let delta = 1e-3;
         let mut s = 99u64;
         let mut perturbed = coeffs.clone();
-        perturbed.map_inplace(|v| {
+        for v in perturbed.as_mut_slice() {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            if s % 2 == 0 {
-                v + delta
-            } else {
-                v - delta
-            }
-        });
+            *v += if s % 2 == 0 { delta } else { -delta };
+        }
         let back = inverse(&perturbed, levels);
         let err = f.max_abs_diff(&back);
         let bound = (levels as f64 + 1.0) * delta;

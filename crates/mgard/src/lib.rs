@@ -167,8 +167,9 @@ impl MgardCompressor {
         Ok((stream, seconds))
     }
 
-    /// The compress pipeline over explicit scratch memory. Byte-identical to
-    /// [`Compressor::compress_view`] (which calls this with fresh scratch).
+    /// The compress pipeline over explicit scratch memory: what
+    /// [`Compressor::compress_view_with`] runs on the arena's scratch. The
+    /// stream does not depend on what the scratch held before.
     /// `layer_done` is called after each of [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
@@ -265,14 +266,6 @@ impl Compressor for MgardCompressor {
                  quantization and 8-way interleaved rANS"
             }
         }
-    }
-
-    fn compress_view(
-        &self,
-        field: &FieldView<'_>,
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, &mut MgardScratch::new(), || {})
     }
 
     fn compress_view_with(
@@ -450,11 +443,11 @@ mod tests {
     fn rejects_invalid_input_and_corrupt_streams() {
         let mgard = MgardCompressor::default();
         let mut f = Field2D::zeros(8, 8);
-        assert!(mgard.compress_field(&f, ErrorBound::Absolute(0.0)).is_err());
+        assert!(mgard.compress_view(&f.view(), ErrorBound::Absolute(0.0)).is_err());
         f.set(2, 2, f64::NAN);
-        assert!(mgard.compress_field(&f, ErrorBound::Absolute(1e-3)).is_err());
+        assert!(mgard.compress_view(&f.view(), ErrorBound::Absolute(1e-3)).is_err());
 
-        let good = mgard.compress_field(&smooth(32, 32), ErrorBound::Absolute(1e-3)).unwrap();
+        let good = mgard.compress_view(&smooth(32, 32).view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert!(mgard.decompress_field(&good[..good.len() / 2]).is_err());
         assert!(mgard.decompress_field(&[]).is_err());
     }
@@ -527,7 +520,7 @@ mod tests {
     #[test]
     fn rans_streams_reject_corruption() {
         let c = MgardCompressor::rans8();
-        let stream = c.compress_field(&smooth(32, 32), ErrorBound::Absolute(1e-3)).unwrap();
+        let stream = c.compress_view(&smooth(32, 32).view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert!(c.decompress_field(&stream[..stream.len() / 2]).is_err());
         assert!(c.decompress_field(&stream[..5]).is_err());
     }

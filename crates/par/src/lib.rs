@@ -5,12 +5,12 @@
 //! (compressor, error bound) cells. This crate provides a tiny, dependency-
 //! light data-parallel layer used everywhere a sweep fans out:
 //!
-//! * [`parallel_map_with`] — order-preserving parallel map over a slice,
-//! * [`parallel_map_indexed_with`] — the same but the closure also receives
-//!   the element index,
-//! * [`parallel_map_with_state`] / [`try_parallel_block_map`] — maps whose
-//!   workers own a mutable state (built per call, or kept by the caller
-//!   across calls),
+//! * [`parallel_map_with`] — order-preserving, stateless parallel map over a
+//!   slice; a panicking job is re-raised on the calling thread,
+//! * [`try_parallel_map_with_state`] — the same map with a mutable state
+//!   built once per worker, the first panicking job returned as a value,
+//! * [`try_parallel_block_map`] — a map over owned items whose worker states
+//!   the caller keeps across calls,
 //! * [`ThreadPoolConfig`] — chooses the worker count (defaults to the number
 //!   of available CPUs, overridable with the `LCC_THREADS` environment
 //!   variable so benches can pin a thread count),
@@ -40,7 +40,7 @@
 //! ([`try_parallel_map_with_state`], [`try_parallel_block_map`]) surface the
 //! *first* panic as a [`JobPanicked`] value (first-error-wins, matching the
 //! framed codec's `FrameAssembler` contract) and stop siblings from claiming
-//! further items; the infallible wrappers re-raise that first panic on the
+//! further items; [`parallel_map_with`] re-raises that first panic on the
 //! *calling* thread after every worker has exited cleanly.
 //! [`queue::run_bounded_queue`] instead absorbs panics per job — the job is
 //! dropped, a counter ticks, and the worker keeps serving — because a
@@ -96,7 +96,7 @@ impl std::fmt::Display for JobPanicked {
 impl std::error::Error for JobPanicked {}
 
 /// Extract a human-readable message from a caught panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -204,25 +204,26 @@ impl ThreadPoolConfig {
         ThreadPoolConfig { threads: threads.max(1) }
     }
 
-    /// Use the number of available CPUs, or the `LCC_THREADS` environment
-    /// variable when it parses to a positive integer.
+    /// Use the `LCC_THREADS` environment variable when it is set, the number
+    /// of available CPUs otherwise (an empty value counts as unset).
     ///
     /// The detection result is cached for the lifetime of the process, so
     /// `LCC_THREADS` is read once — set it before the first parallel call.
+    ///
+    /// # Panics
+    /// Panics when `LCC_THREADS` is set to anything but a positive integer:
+    /// a pinned width that silently became the CPU count would invalidate
+    /// whatever the run was pinned for.
     pub fn auto() -> Self {
         ThreadPoolConfig { threads: *AUTO_THREADS.get_or_init(Self::detect) }
     }
 
     /// Uncached environment/CPU detection backing [`ThreadPoolConfig::auto`].
     fn detect() -> usize {
-        if let Ok(v) = std::env::var("LCC_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        let pinned = std::env::var("LCC_THREADS").ok().and_then(|value| {
+            parse_threads(&value).unwrap_or_else(|message| panic!("LCC_THREADS: {message}"))
+        });
+        pinned.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Number of worker threads this configuration will use.
@@ -237,7 +238,22 @@ impl Default for ThreadPoolConfig {
     }
 }
 
-/// Parallel, order-preserving map over a slice.
+/// The pool width an `LCC_THREADS` value asks for: `None` for the empty
+/// (unset) value, an error naming the value and the accepted form otherwise
+/// unless it is a positive integer.
+fn parse_threads(value: &str) -> Result<Option<usize>, String> {
+    match value.trim() {
+        "" => Ok(None),
+        text => match text.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(format!("cannot use {value:?} as a thread count (a positive integer)")),
+        },
+    }
+}
+
+/// Parallel, order-preserving map over a slice. A panicking job is caught,
+/// the other workers stop claiming items, and the first panic is re-raised
+/// on the calling thread once every worker has exited.
 ///
 /// ```
 /// let pool = lcc_par::ThreadPoolConfig::auto();
@@ -250,52 +266,23 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    parallel_map_indexed_with(config, items, |_, item| f(item))
+    try_parallel_map_with_state(config, items, || (), |(), _, item| f(item))
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
-/// Parallel, order-preserving map where the closure receives `(index, &item)`.
-pub fn parallel_map_indexed_with<T, U, F>(config: ThreadPoolConfig, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    parallel_map_with_state(config, items, || (), |(), i, item| f(i, item))
-}
-
-/// Parallel, order-preserving map where every worker thread owns a mutable
-/// state built by `init` and passed to each of its `f` calls — the hook the
-/// sweep scheduler uses to hand each worker one reusable scratch arena for
-/// all the work items it drains.
+/// Parallel, order-preserving map where every worker owns a mutable state
+/// built by `init` and passed, with the item's index, to each of its `f`
+/// calls — how the sweep scheduler hands each worker one reusable scratch
+/// arena for all the work items it drains.
 ///
 /// Each worker claims indices from a shared atomic cursor (best load balance
-/// for heterogeneous item costs) and appends `(index, result)` pairs to its
-/// own buffer; the per-thread buffers are stitched back into input order at
-/// the end. No per-element locking: a million-element map allocates worker
-/// buffers and one output vector, not a million mutexes.
-pub fn parallel_map_with_state<T, U, S, I, F>(
-    config: ThreadPoolConfig,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
-    match try_parallel_map_with_state(config, items, init, f) {
-        Ok(out) => out,
-        Err(err) => panic!("{err}"),
-    }
-}
-
-/// Fallible form of [`parallel_map_with_state`]: a panicking job is caught
-/// per job (`catch_unwind`), siblings stop claiming further items, every
-/// worker thread exits cleanly, and the *first* panic comes back as
-/// `Err(JobPanicked)` — the pool itself survives. The calling thread is one
-/// of the workers (it builds a state with `init` like the others).
+/// for heterogeneous item costs) and keeps `(index, result)` pairs in its own
+/// buffer; the buffers are stitched back into input order at the end. A
+/// panicking job is caught per job (`catch_unwind`), siblings stop claiming
+/// further items, every worker thread exits cleanly, and the *first* panic
+/// comes back as `Err(JobPanicked)` — the pool itself survives. The calling
+/// thread is one of the workers (it builds a state with `init` like the
+/// others).
 pub fn try_parallel_map_with_state<T, U, S, I, F>(
     config: ThreadPoolConfig,
     items: &[T],
@@ -405,23 +392,16 @@ where
     failure.into_result(out)
 }
 
-/// Split `0..total` into per-thread ranges of roughly equal size; used by
-/// callers that want to manage their own scoped threads.
-pub fn split_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.max(1);
-    let mut out = Vec::with_capacity(parts);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        if len == 0 {
-            continue;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+/// Part `part` of `0..total` cut into `parts` contiguous ranges whose
+/// lengths differ by at most one, the longer ones first: how a row-band
+/// frame assigns rows to blocks. A part past `total` is empty.
+///
+/// # Panics
+/// Panics if `parts` is zero.
+pub fn split_range(total: usize, parts: usize, part: usize) -> std::ops::Range<usize> {
+    let (base, extra) = (total / parts, total % parts);
+    let start = part * base + part.min(extra);
+    start..start + base + usize::from(part < extra)
 }
 
 #[cfg(test)]
@@ -451,6 +431,19 @@ mod tests {
     }
 
     #[test]
+    fn lcc_threads_is_a_positive_integer_or_unset() {
+        assert_eq!(parse_threads(""), Ok(None));
+        assert_eq!(parse_threads("  "), Ok(None));
+        assert_eq!(parse_threads("3"), Ok(Some(3)));
+        assert_eq!(parse_threads(" 12\n"), Ok(Some(12)));
+        for bad in ["abc", "0", "-1", "2x", "1.5", "+"] {
+            let message = parse_threads(bad).unwrap_err();
+            assert!(message.contains(&format!("{bad:?}")), "{message}");
+            assert!(message.contains("positive integer"), "{message}");
+        }
+    }
+
+    #[test]
     fn auto_detection_is_cached_and_stable() {
         // Repeated calls hit the OnceLock and agree (hot loops call auto()
         // once per job).
@@ -465,12 +458,19 @@ mod tests {
         // Heterogeneous per-item work exercises the per-thread buffers +
         // stitching path (items finish far out of order).
         let items: Vec<usize> = (0..50_000).collect();
-        let out = parallel_map_indexed_with(ThreadPoolConfig::with_threads(8), &items, |i, &x| {
-            if i % 1000 == 0 {
-                std::thread::yield_now();
-            }
-            x * 2 + i
-        });
+        let pool = ThreadPoolConfig::with_threads(8);
+        let out = try_parallel_map_with_state(
+            pool,
+            &items,
+            || (),
+            |(), i, &x| {
+                if i % 1000 == 0 {
+                    std::thread::yield_now();
+                }
+                x * 2 + i
+            },
+        )
+        .unwrap();
         assert_eq!(out.len(), items.len());
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 3);
@@ -498,21 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn indexed_map_passes_indices() {
-        let items = vec![10.0, 20.0, 30.0];
-        let out = parallel_map_indexed_with(ThreadPoolConfig::with_threads(4), &items, |i, &x| {
-            x + i as f64
-        });
-        assert_eq!(out, vec![10.0, 21.0, 32.0]);
-    }
-
-    #[test]
     fn per_worker_state_is_created_once_per_thread_and_reused() {
         // Each worker's state counts the items it processed; the total must
         // cover every item exactly once, and no worker may observe a fresh
         // state mid-run (monotonically growing per-item counter).
         let items: Vec<usize> = (0..10_000).collect();
-        let out = parallel_map_with_state(
+        let out = try_parallel_map_with_state(
             ThreadPoolConfig::with_threads(4),
             &items,
             || 0usize,
@@ -520,7 +511,8 @@ mod tests {
                 *seen += 1;
                 (x, *seen, i)
             },
-        );
+        )
+        .unwrap();
         assert_eq!(out.len(), items.len());
         let total: usize = out.iter().filter(|&&(_, seen, _)| seen == 1).count();
         assert!(total <= 4, "at most one state reset per worker thread");
@@ -534,7 +526,7 @@ mod tests {
     #[test]
     fn with_state_single_thread_path_reuses_one_state() {
         let items = vec![5, 6, 7];
-        let out = parallel_map_with_state(
+        let out = try_parallel_map_with_state(
             ThreadPoolConfig::with_threads(1),
             &items,
             || 100usize,
@@ -542,7 +534,8 @@ mod tests {
                 *acc += x;
                 *acc
             },
-        );
+        )
+        .unwrap();
         assert_eq!(out, vec![105, 111, 118]);
     }
 
@@ -785,7 +778,8 @@ mod tests {
         for width in [2, 3, 8] {
             let job = rendezvous(width);
             let pool = ThreadPoolConfig::with_threads(width);
-            let ran_on = parallel_map_with_state(pool, &items, || false, |s, _, ()| job(s));
+            let ran_on =
+                try_parallel_map_with_state(pool, &items, || false, |s, _, ()| job(s)).unwrap();
             let distinct: std::collections::HashSet<_> = ran_on.iter().collect();
             assert_eq!(distinct.len(), width, "the caller plus {width} - 1 spawned threads");
             assert!(distinct.contains(&caller));
@@ -828,17 +822,12 @@ mod tests {
     #[should_panic(expected = "job 7 panicked")]
     fn infallible_map_reraises_on_the_calling_thread() {
         let items: Vec<usize> = (0..16).collect();
-        let _ = parallel_map_with_state(
-            ThreadPoolConfig::with_threads(1),
-            &items,
-            || (),
-            |(), i, _| {
-                if i == 7 {
-                    panic!("kept behavior");
-                }
-                i
-            },
-        );
+        let _ = parallel_map_with(ThreadPoolConfig::with_threads(1), &items, |&i| {
+            if i == 7 {
+                panic!("kept behavior");
+            }
+            i
+        });
     }
 
     #[test]
@@ -852,17 +841,18 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_covers_everything() {
-        for (total, parts) in [(10usize, 3usize), (7, 7), (5, 9), (0, 4), (100, 1)] {
-            let ranges = split_ranges(total, parts);
-            let covered: usize = ranges.iter().map(|r| r.len()).sum();
-            assert_eq!(covered, total);
-            // Ranges must be contiguous and ordered.
+    fn split_range_parts_are_contiguous_balanced_and_cover_everything() {
+        for (total, parts) in [(10usize, 3usize), (7, 7), (5, 9), (0, 4), (100, 1), (23, 4)] {
             let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next);
+            for part in 0..parts {
+                let r = split_range(total, parts, part);
+                assert_eq!(r.start, next, "{total}/{parts} part {part}");
+                assert!(r.len() == total / parts || r.len() == total / parts + 1);
                 next = r.end;
             }
+            assert_eq!(next, total);
         }
+        assert_eq!(split_range(10, 4, 0), 0..3);
+        assert_eq!(split_range(10, 4, 3), 8..10);
     }
 }

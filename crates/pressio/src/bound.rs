@@ -1,14 +1,14 @@
 //! Point-wise error-bound modes.
 
 use crate::CompressError;
-use lcc_grid::{Field2D, FieldView};
+use lcc_grid::FieldView;
 
 /// A point-wise reconstruction error bound.
 ///
 /// The paper runs every compressor in *absolute* error-bound mode
 /// (1e-5 … 1e-2) and notes the formal equivalence with value-range-relative
 /// bounds; both modes are provided here and every compressor resolves the
-/// bound to an absolute tolerance with [`ErrorBound::absolute_for`] before
+/// bound to an absolute tolerance with [`ErrorBound::absolute_for_view`] before
 /// coding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBound {
@@ -19,15 +19,10 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolve the bound to an absolute tolerance for the given field.
+    /// Resolve the bound to an absolute tolerance for the given view.
     ///
     /// A value-range-relative bound on a constant field resolves to a tiny
     /// positive tolerance (the field is exactly representable anyway).
-    pub fn absolute_for(&self, field: &Field2D) -> Result<f64, CompressError> {
-        self.absolute_for_view(&field.view())
-    }
-
-    /// [`ErrorBound::absolute_for`] on a borrowed view.
     pub fn absolute_for_view(&self, view: &FieldView<'_>) -> Result<f64, CompressError> {
         let eps = match *self {
             ErrorBound::Absolute(e) => e,
@@ -86,24 +81,25 @@ impl std::fmt::Display for ErrorBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcc_grid::Field2D;
 
     #[test]
     fn absolute_passthrough() {
         let f = Field2D::from_fn(4, 4, |i, j| (i + j) as f64);
-        assert_eq!(ErrorBound::Absolute(1e-3).absolute_for(&f).unwrap(), 1e-3);
+        assert_eq!(ErrorBound::Absolute(1e-3).absolute_for_view(&f.view()).unwrap(), 1e-3);
     }
 
     #[test]
     fn relative_scales_by_value_range() {
         let f = Field2D::from_fn(2, 2, |i, j| (i * 2 + j) as f64 * 10.0); // range 30
-        let abs = ErrorBound::ValueRangeRelative(1e-2).absolute_for(&f).unwrap();
+        let abs = ErrorBound::ValueRangeRelative(1e-2).absolute_for_view(&f.view()).unwrap();
         assert!((abs - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn relative_on_constant_field_is_tiny_but_positive() {
         let f = Field2D::filled(3, 3, 5.0);
-        let abs = ErrorBound::ValueRangeRelative(1e-2).absolute_for(&f).unwrap();
+        let abs = ErrorBound::ValueRangeRelative(1e-2).absolute_for_view(&f.view()).unwrap();
         assert!(abs > 0.0);
         assert!(abs < 1e-15);
     }
@@ -111,10 +107,12 @@ mod tests {
     #[test]
     fn invalid_bounds_are_rejected() {
         let f = Field2D::zeros(2, 2);
-        assert!(ErrorBound::Absolute(0.0).absolute_for(&f).is_err());
-        assert!(ErrorBound::Absolute(-1e-3).absolute_for(&f).is_err());
-        assert!(ErrorBound::Absolute(f64::NAN).absolute_for(&f).is_err());
-        assert!(ErrorBound::ValueRangeRelative(f64::INFINITY).absolute_for(&f).is_err());
+        assert!(ErrorBound::Absolute(0.0).absolute_for_view(&f.view()).is_err());
+        assert!(ErrorBound::Absolute(-1e-3).absolute_for_view(&f.view()).is_err());
+        assert!(ErrorBound::Absolute(f64::NAN).absolute_for_view(&f.view()).is_err());
+        assert!(ErrorBound::ValueRangeRelative(f64::INFINITY)
+            .absolute_for_view(&f.view())
+            .is_err());
     }
 
     #[test]

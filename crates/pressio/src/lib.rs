@@ -5,10 +5,11 @@
 //! role for the Rust reimplementations:
 //!
 //! * [`Compressor`] — the trait every lossy compressor implements
-//!   (`compress_view` / `decompress_field` plus provided `compress_field`
-//!   and [`Compressor::compress`] conveniences that also reconstruct and
-//!   measure); compressors read borrowed [`FieldView`]s directly, so the
-//!   sweep scheduler never clones a field or window to compress it,
+//!   (`compress_view_with` / `decompress_view_with`, plus provided
+//!   fresh-scratch conveniences and [`Compressor::compress`], which also
+//!   reconstructs and measures); compressors read borrowed [`FieldView`]s
+//!   directly, so the sweep scheduler never clones a field or window to
+//!   compress it,
 //! * [`ErrorBound`] — absolute and value-range-relative point-wise bounds
 //!   with the paper's conversion between the two,
 //! * [`Metrics`] — compression ratio, maximum absolute error, MSE, PSNR and
@@ -24,7 +25,7 @@ pub mod scratch;
 
 pub use bound::ErrorBound;
 pub use frame::{
-    FrameScratch, FrameWorker, TiledIndex, FLAG_CHECKSUM, FLAG_TILED, FRAME_MAGIC, FRAME_VERSION,
+    FrameIndex, FrameScratch, FrameWorker, FLAG_CHECKSUM, FLAG_TILED, FRAME_MAGIC, FRAME_VERSION,
 };
 pub use metrics::Metrics;
 pub use registry::{CompressorInfo, Registry};
@@ -81,6 +82,11 @@ pub struct CompressionResult {
 }
 
 /// An error-bounded lossy compressor operating on 2D fields.
+///
+/// An implementation provides [`name`](Compressor::name) and the two
+/// scratch-taking primitives, [`compress_view_with`](Compressor::compress_view_with)
+/// and [`decompress_view_with`](Compressor::decompress_view_with); everything
+/// else is a provided one-liner over that pair.
 pub trait Compressor: Send + Sync {
     /// Short identifier, e.g. `"sz"`, `"zfp"`, `"mgard"`.
     fn name(&self) -> &str;
@@ -91,50 +97,30 @@ pub trait Compressor: Send + Sync {
     }
 
     /// Compress a (possibly strided) borrowed view under `bound`, returning
-    /// the self-describing stream. This is the primitive every
-    /// implementation provides: the sweep scheduler hands whole-field and
-    /// window views here without cloning, and the produced stream is
-    /// identical to compressing an owned copy of the same rectangle.
-    fn compress_view(
-        &self,
-        view: &FieldView<'_>,
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CompressError>;
-
-    /// Compress an owned field (zero-copy delegation to
-    /// [`Compressor::compress_view`]).
-    fn compress_field(&self, field: &Field2D, bound: ErrorBound) -> Result<Vec<u8>, CompressError> {
-        self.compress_view(&field.view(), bound)
-    }
-
-    /// [`Compressor::compress_view`] with caller-owned scratch memory.
+    /// the self-describing stream — the encode primitive. The sweep
+    /// scheduler and the framed codec hand whole-field, window and block
+    /// views here without cloning, and the produced stream is identical to
+    /// compressing an owned copy of the same rectangle.
     ///
-    /// Implementations that support buffer reuse override this to pull
-    /// their scratch state out of `scratch` (via
-    /// [`ScratchArena::get_or_default`]) and run allocation-free; the
-    /// produced stream must be **byte-identical** to
-    /// [`Compressor::compress_view`]'s. The default implementation ignores
-    /// the arena and allocates fresh, so external implementations keep
-    /// working unchanged.
+    /// Working memory comes out of `scratch` (via
+    /// [`ScratchArena::get_or_default`]), so a caller that keeps one arena
+    /// per worker runs allocation-free in steady state; the stream must not
+    /// depend on what the arena held before.
     fn compress_view_with(
         &self,
         view: &FieldView<'_>,
         bound: ErrorBound,
         scratch: &mut ScratchArena,
-    ) -> Result<Vec<u8>, CompressError> {
-        let _ = scratch;
-        self.compress_view(view, bound)
-    }
+    ) -> Result<Vec<u8>, CompressError>;
 
     /// Reconstruct a stream into a caller-owned field using caller-owned
-    /// scratch memory — the primary decode entry point.
+    /// scratch memory — the decode primitive.
     ///
     /// Implementations resize `out` to the stream's shape and overwrite
     /// every cell; their internal working memory (decoded payloads, symbol
     /// buffers, coefficient workspaces) comes out of `scratch`, so
     /// decode-heavy loops — the sweep's metric jobs, the framed multi-block
-    /// decoder — run allocation-free in steady state. The decoded values
-    /// must be identical to [`Compressor::decompress_field`]'s.
+    /// decoder — run allocation-free in steady state.
     fn decompress_view_with(
         &self,
         stream: &[u8],
@@ -142,34 +128,10 @@ pub trait Compressor: Send + Sync {
         out: &mut Field2D,
     ) -> Result<(), CompressError>;
 
-    /// Reconstruct a field from a stream produced by
-    /// [`Compressor::compress_view`] / [`Compressor::compress_field`] —
-    /// compatibility wrapper over [`Compressor::decompress_view_with`] with
-    /// fresh scratch and a fresh output field.
-    fn decompress_field(&self, stream: &[u8]) -> Result<Field2D, CompressError> {
-        let mut out = Field2D::zeros(1, 1);
-        self.decompress_view_with(stream, &mut ScratchArena::new(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Compress, reconstruct, and measure a view in one call — the operation
-    /// the experiment scheduler runs for every (field, compressor, bound)
-    /// work item.
-    fn compress_measured(
-        &self,
-        view: &FieldView<'_>,
-        bound: ErrorBound,
-    ) -> Result<CompressionResult, CompressError> {
-        self.compress_measured_with(view, bound, &mut ScratchArena::new())
-    }
-
-    /// [`Compressor::compress_measured`] with caller-owned scratch memory —
-    /// what each sweep worker runs per (field, compressor, bound) cell,
-    /// reusing one arena across all its work items. Both directions go
-    /// through the arena: the encode via
-    /// [`Compressor::compress_view_with`], the decode via
-    /// [`Compressor::decompress_view_with`] (only the returned
-    /// reconstruction itself is freshly allocated).
+    /// Compress, reconstruct, and measure a view in one call — what each
+    /// sweep worker runs per (field, compressor, bound) cell, reusing one
+    /// arena across all its work items. Both directions go through the
+    /// arena (only the returned reconstruction itself is freshly allocated).
     fn compress_measured_with(
         &self,
         view: &FieldView<'_>,
@@ -183,42 +145,38 @@ pub trait Compressor: Send + Sync {
         Ok(CompressionResult { stream, reconstruction, metrics })
     }
 
-    /// Compress `view` and immediately decode the stream back into the
-    /// caller's `recon`, both directions through `scratch` — the sustained-
-    /// traffic round trip the load generator times per request. Unlike
-    /// [`Compressor::compress_measured_with`] nothing but the returned
-    /// stream is freshly allocated: the reconstruction lands in the reused
-    /// `recon` and no metrics comparison runs, so the call measures codec
-    /// cost, not measurement cost.
-    fn roundtrip_with(
+    /// [`Compressor::compress_view_with`] with fresh scratch — for tests,
+    /// examples and one-off calls.
+    fn compress_view(
         &self,
         view: &FieldView<'_>,
         bound: ErrorBound,
-        scratch: &mut ScratchArena,
-        recon: &mut Field2D,
     ) -> Result<Vec<u8>, CompressError> {
-        let stream = self.compress_view_with(view, bound, scratch)?;
-        self.decompress_view_with(&stream, scratch, recon)?;
-        Ok(stream)
+        self.compress_view_with(view, bound, &mut ScratchArena::new())
     }
 
-    /// [`Compressor::compress_measured`] for an owned field.
+    /// [`Compressor::decompress_view_with`] with fresh scratch and a fresh
+    /// output field.
+    fn decompress_field(&self, stream: &[u8]) -> Result<Field2D, CompressError> {
+        let mut out = Field2D::zeros(1, 1);
+        self.decompress_view_with(stream, &mut ScratchArena::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Compressor::compress_measured_with`] for an owned field, with
+    /// fresh scratch.
     fn compress(
         &self,
         field: &Field2D,
         bound: ErrorBound,
     ) -> Result<CompressionResult, CompressError> {
-        self.compress_measured(&field.view(), bound)
+        self.compress_measured_with(&field.view(), bound, &mut ScratchArena::new())
     }
 }
 
-/// Validate that a field is finite (compressors share this precondition).
-pub fn validate_finite(field: &Field2D) -> Result<(), CompressError> {
-    validate_finite_view(&field.view())
-}
-
-/// [`validate_finite`] for a borrowed view. Scans whole rows so the check
-/// vectorizes (it runs at the head of every compress call).
+/// Validate that a view is finite (compressors share this precondition).
+/// Scans whole rows so the check vectorizes (it runs at the head of every
+/// compress call).
 pub fn validate_finite_view(view: &FieldView<'_>) -> Result<(), CompressError> {
     if view.rows().all(|row| row.iter().all(|v| v.is_finite())) {
         Ok(())
@@ -240,10 +198,11 @@ mod tests {
             "store"
         }
 
-        fn compress_view(
+        fn compress_view_with(
             &self,
             view: &FieldView<'_>,
             bound: ErrorBound,
+            _scratch: &mut ScratchArena,
         ) -> Result<Vec<u8>, CompressError> {
             bound.absolute_for_view(view)?; // validate the bound
             let mut out = Vec::new();
@@ -289,38 +248,17 @@ mod tests {
     }
 
     #[test]
-    fn default_scratch_entry_points_fall_back_to_fresh_allocation() {
-        // A compressor that doesn't override compress_view_with must behave
-        // identically through the scratch entry points (and leave the arena
-        // untouched).
+    fn provided_conveniences_agree_with_the_scratch_primitives() {
         let field = Field2D::from_fn(6, 5, |i, j| (i + 2 * j) as f64);
         let c = StoreCompressor;
         let mut arena = ScratchArena::new();
         let bound = ErrorBound::Absolute(1.0);
         let direct = c.compress_view(&field.view(), bound).unwrap();
-        let with = c.compress_view_with(&field.view(), bound, &mut arena).unwrap();
-        assert_eq!(direct, with);
+        assert_eq!(direct, c.compress_view_with(&field.view(), bound, &mut arena).unwrap());
+        assert_eq!(c.decompress_field(&direct).unwrap(), field);
         let measured = c.compress_measured_with(&field.view(), bound, &mut arena).unwrap();
         assert_eq!(measured.reconstruction, field);
         assert_eq!(measured.stream, direct);
-        assert!(arena.is_empty(), "default impls do not touch the arena");
-    }
-
-    #[test]
-    fn roundtrip_with_reconstructs_into_the_callers_field() {
-        let field = Field2D::from_fn(7, 9, |i, j| (i * 13 + j) as f64);
-        let c = StoreCompressor;
-        let mut arena = ScratchArena::new();
-        let mut recon = Field2D::zeros(1, 1);
-        let stream = c
-            .roundtrip_with(&field.view(), ErrorBound::Absolute(1.0), &mut arena, &mut recon)
-            .unwrap();
-        assert_eq!(recon, field);
-        assert_eq!(stream, c.compress_view(&field.view(), ErrorBound::Absolute(1.0)).unwrap());
-        // A second round trip through the same recon field overwrites it.
-        let other = Field2D::from_fn(3, 3, |i, j| -((i + j) as f64));
-        c.roundtrip_with(&other.view(), ErrorBound::Absolute(1.0), &mut arena, &mut recon).unwrap();
-        assert_eq!(recon, other);
     }
 
     #[test]
@@ -336,11 +274,11 @@ mod tests {
     #[test]
     fn validate_finite_detects_nan() {
         let mut f = Field2D::zeros(2, 2);
-        assert!(validate_finite(&f).is_ok());
+        assert!(validate_finite_view(&f.view()).is_ok());
         f.set(1, 1, f64::NAN);
-        assert!(validate_finite(&f).is_err());
+        assert!(validate_finite_view(&f.view()).is_err());
         f.set(1, 1, f64::INFINITY);
-        assert!(validate_finite(&f).is_err());
+        assert!(validate_finite_view(&f.view()).is_err());
     }
 
     #[test]

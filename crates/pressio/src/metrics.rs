@@ -23,31 +23,23 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Compare `original` against `reconstruction` given the compressed
-    /// stream size.
-    ///
-    /// # Panics
-    /// Panics if the two fields have different shapes or the stream size is 0.
-    pub fn compare(
-        original: &Field2D,
-        reconstruction: &Field2D,
-        compressed_bytes: usize,
-    ) -> Metrics {
-        Metrics::compare_view(&original.view(), reconstruction, compressed_bytes)
-    }
-
-    /// [`Metrics::compare`] against a (possibly strided) borrowed view of
-    /// the original. Accumulates in row-major order, so the result is
-    /// bit-identical to comparing an owned copy of the same rectangle.
+    /// Compare a (possibly strided) borrowed view of the original against
+    /// `reconstruction`, given the compressed stream size. Accumulates in
+    /// row-major order, so the result is bit-identical to comparing an owned
+    /// copy of the same rectangle.
     ///
     /// # Panics
     /// Panics if the shapes differ or the stream size is 0.
-    pub fn compare_view(
+    pub(crate) fn compare_view(
         original: &FieldView<'_>,
         reconstruction: &Field2D,
         compressed_bytes: usize,
     ) -> Metrics {
-        assert_eq!(original.shape(), reconstruction.shape(), "shape mismatch in Metrics::compare");
+        assert_eq!(
+            original.shape(),
+            reconstruction.shape(),
+            "shape mismatch in Metrics::compare_view"
+        );
         assert!(compressed_bytes > 0, "compressed size must be positive");
         let n = original.len();
         let uncompressed_bytes = n * std::mem::size_of::<f64>();
@@ -73,12 +65,6 @@ impl Metrics {
             psnr,
         }
     }
-
-    /// True when the observed maximum error satisfies the given absolute
-    /// bound (with a small numerical cushion).
-    pub fn respects_bound(&self, absolute_bound: f64) -> bool {
-        self.max_abs_error <= absolute_bound * (1.0 + 1e-12) + f64::EPSILON
-    }
 }
 
 impl std::fmt::Display for Metrics {
@@ -98,13 +84,12 @@ mod tests {
     #[test]
     fn perfect_reconstruction() {
         let f = Field2D::from_fn(8, 8, |i, j| (i * j) as f64);
-        let m = Metrics::compare(&f, &f, 64);
+        let m = Metrics::compare_view(&f.view(), &f, 64);
         assert_eq!(m.max_abs_error, 0.0);
         assert_eq!(m.mse, 0.0);
         assert!(m.psnr.is_infinite());
         assert!((m.compression_ratio - (64.0 * 8.0 / 64.0)).abs() < 1e-12);
         assert!((m.bitrate - 8.0).abs() < 1e-12);
-        assert!(m.respects_bound(1e-9));
     }
 
     #[test]
@@ -114,12 +99,10 @@ mod tests {
         b.set(0, 0, 0.1);
         b.set(1, 1, -0.2);
         // Value range of the original is 0, so PSNR uses the MSE-only form.
-        let m = Metrics::compare(&a, &b, 16);
+        let m = Metrics::compare_view(&a.view(), &b, 16);
         assert!((m.max_abs_error - 0.2).abs() < 1e-12);
         assert!((m.mse - (0.01 + 0.04) / 4.0).abs() < 1e-12);
         assert!(m.psnr.is_finite());
-        assert!(m.respects_bound(0.2));
-        assert!(!m.respects_bound(0.1));
     }
 
     #[test]
@@ -127,7 +110,7 @@ mod tests {
         let a = Field2D::from_fn(4, 4, |i, j| (i * 4 + j) as f64); // range 15
         let mut b = a.clone();
         b.set(0, 0, a.get(0, 0) + 0.15);
-        let m = Metrics::compare(&a, &b, 10);
+        let m = Metrics::compare_view(&a.view(), &b, 10);
         let expected = 20.0 * 15.0f64.log10() - 10.0 * m.mse.log10();
         assert!((m.psnr - expected).abs() < 1e-9);
     }
@@ -135,7 +118,7 @@ mod tests {
     #[test]
     fn display_contains_key_numbers() {
         let f = Field2D::from_fn(4, 4, |i, _| i as f64);
-        let m = Metrics::compare(&f, &f, 32);
+        let m = Metrics::compare_view(&f.view(), &f, 32);
         let s = m.to_string();
         assert!(s.contains("CR="));
         assert!(s.contains("psnr"));
@@ -146,13 +129,13 @@ mod tests {
     fn mismatched_shapes_panic() {
         let a = Field2D::zeros(2, 2);
         let b = Field2D::zeros(2, 3);
-        let _ = Metrics::compare(&a, &b, 1);
+        let _ = Metrics::compare_view(&a.view(), &b, 1);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_compressed_size_panics() {
         let a = Field2D::zeros(2, 2);
-        let _ = Metrics::compare(&a, &a, 0);
+        let _ = Metrics::compare_view(&a.view(), &a, 0);
     }
 }

@@ -95,10 +95,11 @@ mod tests {
         fn description(&self) -> &str {
             "fake compressor for registry tests"
         }
-        fn compress_view(
+        fn compress_view_with(
             &self,
             _view: &lcc_grid::FieldView<'_>,
             _bound: ErrorBound,
+            _scratch: &mut crate::ScratchArena,
         ) -> Result<Vec<u8>, CompressError> {
             Ok(vec![1, 2, 3])
         }

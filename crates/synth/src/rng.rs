@@ -35,7 +35,8 @@ impl GaussianSampler {
     }
 
     /// Draw `n` standard normal values.
-    pub fn sample_vec(&mut self, n: usize) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn sample_vec(&mut self, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.sample()).collect()
     }
 

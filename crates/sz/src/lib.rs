@@ -183,8 +183,9 @@ impl SzCompressor {
         Ok((stream, seconds))
     }
 
-    /// The compress pipeline over explicit scratch memory. Byte-identical to
-    /// [`Compressor::compress_view`] (which calls this with fresh scratch).
+    /// The compress pipeline over explicit scratch memory: what
+    /// [`Compressor::compress_view_with`] runs on the arena's scratch. The
+    /// stream does not depend on what the scratch held before.
     /// `layer_done` is called after each of [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
@@ -398,14 +399,6 @@ impl Compressor for SzCompressor {
                  and 8-way interleaved rANS"
             }
         }
-    }
-
-    fn compress_view(
-        &self,
-        field: &FieldView<'_>,
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, &mut SzScratch::new(), || {})
     }
 
     fn compress_view_with(
@@ -663,9 +656,9 @@ mod tests {
     fn rejects_invalid_inputs() {
         let mut field = Field2D::zeros(8, 8);
         let sz = SzCompressor::default();
-        assert!(sz.compress_field(&field, ErrorBound::Absolute(0.0)).is_err());
+        assert!(sz.compress_view(&field.view(), ErrorBound::Absolute(0.0)).is_err());
         field.set(0, 0, f64::NAN);
-        assert!(sz.compress_field(&field, ErrorBound::Absolute(1e-3)).is_err());
+        assert!(sz.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).is_err());
     }
 
     #[test]
@@ -705,7 +698,7 @@ mod tests {
     fn corrupt_streams_are_rejected() {
         let field = smooth_field(32);
         let sz = SzCompressor::default();
-        let stream = sz.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
+        let stream = sz.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert!(sz.decompress_field(&stream[..stream.len() / 2]).is_err());
         assert!(sz.decompress_field(&[]).is_err());
         let mut bad = stream.clone();
@@ -778,7 +771,8 @@ mod tests {
     #[test]
     fn rans8_streams_reject_corruption() {
         let rans8 = SzCompressor::rans8();
-        let stream = rans8.compress_field(&smooth_field(32), ErrorBound::Absolute(1e-3)).unwrap();
+        let stream =
+            rans8.compress_view(&smooth_field(32).view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert!(rans8.decompress_field(&stream[..stream.len() / 2]).is_err());
         assert!(rans8.decompress_field(&stream[..6]).is_err());
         let mut bad = stream.clone();

@@ -118,17 +118,10 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
 
 /// Choose the predictor for a block by comparing, on the original data, the
 /// sum of absolute residuals of (a) an original-value Lorenzo pass and (b)
-/// the fitted plane. This mirrors SZ's sampled predictor selection; using
-/// original (not reconstructed) values for the estimate is the same
-/// approximation the reference implementation makes.
-pub fn select_mode(field: &FieldView<'_>, win: &Window) -> BlockMode {
-    select_mode_with_plane(field, win).0
-}
-
-/// [`select_mode`] that also returns the plane it fitted for the
-/// comparison, so the encoder of a regression block need not fit it twice.
-/// The decision and coefficients are identical to calling [`select_mode`]
-/// and [`fit_block_plane`] separately.
+/// the fitted plane, and return the plane with the choice, so the encoder
+/// of a regression block need not fit it twice. This mirrors SZ's sampled
+/// predictor selection; using original (not reconstructed) values for the
+/// estimate is the same approximation the reference implementation makes.
 pub fn select_mode_with_plane(field: &FieldView<'_>, win: &Window) -> (BlockMode, [f64; 3]) {
     let plane = fit_block_plane(field, win);
     let [errors] = block_errors::<1>(field, win.i0, win.j0, win.height, win.width, &[plane]);
@@ -229,6 +222,10 @@ pub fn select_modes(
 mod tests {
     use super::*;
     use lcc_grid::Field2D;
+
+    fn select_mode(field: &FieldView<'_>, win: &Window) -> BlockMode {
+        select_mode_with_plane(field, win).0
+    }
 
     fn window(i0: usize, j0: usize, h: usize, w: usize) -> Window {
         Window { i0, j0, height: h, width: w }

@@ -33,15 +33,9 @@ enum EncPlan {
     Coded { e: i32, kmin: u32, slot: usize },
 }
 
-/// Encode one 4×4 block under the absolute error bound `eb`. Equivalent to
-/// a one-block [`encode_blocks`] batch.
-pub fn encode_block(writer: &mut BitWriter, values: &[f64; BLOCK_LEN], eb: f64, precision: u32) {
-    encode_blocks(writer, std::slice::from_ref(values), eb, precision);
-}
-
 /// Encode up to [`TRANSFORM_BATCH`] consecutive 4×4 blocks under the
 /// absolute error bound `eb`, forward-transforming the whole batch through
-/// one dispatch call. Bit-identical to calling [`encode_block`] per block.
+/// one dispatch call. Bit-identical to encoding the blocks one per call.
 pub fn encode_blocks(writer: &mut BitWriter, blocks: &[[f64; BLOCK_LEN]], eb: f64, precision: u32) {
     assert!(blocks.len() <= TRANSFORM_BATCH);
     let mut plans: [EncPlan; TRANSFORM_BATCH] = std::array::from_fn(|_| EncPlan::Zero);
@@ -129,18 +123,6 @@ fn write_exact(writer: &mut BitWriter, values: &[f64; BLOCK_LEN]) {
     }
 }
 
-/// Decode one block previously written by [`encode_block`]. Equivalent to a
-/// one-block [`decode_blocks`] batch.
-pub fn decode_block(
-    reader: &mut BitReader<'_>,
-    eb: f64,
-    precision: u32,
-) -> Result<[f64; BLOCK_LEN], CodecError> {
-    let mut out = [[0.0; BLOCK_LEN]; 1];
-    decode_blocks(reader, eb, precision, &mut out)?;
-    Ok(out[0])
-}
-
 /// Decode up to [`TRANSFORM_BATCH`] consecutive blocks into `out`,
 /// inverse-transforming the whole batch through one dispatch call. Reads
 /// the same bits and reports the same errors as per-block decoding.
@@ -211,6 +193,24 @@ pub fn decode_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encode one 4×4 block under the absolute error bound `eb`. Equivalent to
+    /// a one-block [`encode_blocks`] batch.
+    fn encode_block(writer: &mut BitWriter, values: &[f64; BLOCK_LEN], eb: f64, precision: u32) {
+        encode_blocks(writer, std::slice::from_ref(values), eb, precision);
+    }
+
+    /// Decode one block previously written by [`encode_block`]. Equivalent to a
+    /// one-block [`decode_blocks`] batch.
+    fn decode_block(
+        reader: &mut BitReader<'_>,
+        eb: f64,
+        precision: u32,
+    ) -> Result<[f64; BLOCK_LEN], CodecError> {
+        let mut out = [[0.0; BLOCK_LEN]; 1];
+        decode_blocks(reader, eb, precision, &mut out)?;
+        Ok(out[0])
+    }
 
     fn roundtrip(values: [f64; BLOCK_LEN], eb: f64) -> [f64; BLOCK_LEN] {
         let mut w = BitWriter::new();

@@ -105,8 +105,9 @@ impl ZfpScratch {
 }
 
 impl ZfpCompressor {
-    /// The compress pipeline over explicit scratch memory. Byte-identical to
-    /// [`Compressor::compress_view`] (which calls this with fresh scratch).
+    /// The compress pipeline over explicit scratch memory: what
+    /// [`Compressor::compress_view_with`] runs on the arena's scratch. The
+    /// stream does not depend on what the scratch held before.
     fn compress_into(
         &self,
         field: &FieldView<'_>,
@@ -162,14 +163,6 @@ impl Compressor for ZfpCompressor {
 
     fn description(&self) -> &str {
         "ZFP-style 4x4 block transform coding with tolerance-driven bit-plane truncation"
-    }
-
-    fn compress_view(
-        &self,
-        field: &FieldView<'_>,
-        bound: ErrorBound,
-    ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, &mut ZfpScratch::new())
     }
 
     fn compress_view_with(
@@ -374,9 +367,9 @@ mod tests {
     fn invalid_inputs_are_rejected() {
         let zfp = ZfpCompressor::default();
         let mut field = Field2D::zeros(8, 8);
-        assert!(zfp.compress_field(&field, ErrorBound::Absolute(-1.0)).is_err());
+        assert!(zfp.compress_view(&field.view(), ErrorBound::Absolute(-1.0)).is_err());
         field.set(0, 0, f64::INFINITY);
-        assert!(zfp.compress_field(&field, ErrorBound::Absolute(1e-3)).is_err());
+        assert!(zfp.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).is_err());
         assert!(zfp.decompress_field(&[]).is_err());
         assert!(zfp.decompress_field(&[9, 1, 2, 3]).is_err());
     }
@@ -385,7 +378,7 @@ mod tests {
     fn truncated_stream_is_rejected() {
         let zfp = ZfpCompressor::default();
         let field = smooth(32);
-        let stream = zfp.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
+        let stream = zfp.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert!(zfp.decompress_field(&stream[..stream.len() / 3]).is_err());
     }
 

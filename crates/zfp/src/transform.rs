@@ -19,7 +19,7 @@
 //! the inverse reverses that order.
 
 use crate::{BLOCK_DIM, BLOCK_LEN};
-use lcc_lossless::dispatch::{simd_level, SimdLevel};
+use lcc_lossless::dispatch::SimdLevel;
 
 /// Forward 1D transform of four integers.
 #[inline]
@@ -47,19 +47,8 @@ pub fn inv_lift4(v: [i64; 4]) -> [i64; 4] {
     [x0, x1, x2, x3]
 }
 
-/// Forward 2D transform of a 4×4 block (rows, then columns), in place, at
-/// the process-wide dispatch level.
-pub fn fwd_transform(block: &mut [i64; BLOCK_LEN]) {
-    fwd_transform_at(simd_level(), block);
-}
-
-/// Inverse 2D transform (columns, then rows), in place, at the process-wide
-/// dispatch level.
-pub fn inv_transform(block: &mut [i64; BLOCK_LEN]) {
-    inv_transform_at(simd_level(), block);
-}
-
-/// [`fwd_transform`] at an explicit SIMD tier. The AVX2 tier holds the whole
+/// Forward 2D transform of a 4×4 block (rows, then columns), in place, at an
+/// explicit SIMD tier. The AVX2 tier holds the whole
 /// block in four 256-bit registers (one row each) and runs the lifting
 /// vertically across 4 lanes, transposing in-register between the row and
 /// column passes; its integer arithmetic is identical to the scalar lifts,
@@ -79,7 +68,8 @@ pub fn fwd_transform_at(level: SimdLevel, block: &mut [i64; BLOCK_LEN]) {
     fwd_transform_scalar(block);
 }
 
-/// [`inv_transform`] at an explicit SIMD tier (see [`fwd_transform_at`]).
+/// Inverse 2D transform (columns, then rows), in place, at an explicit SIMD
+/// tier (see [`fwd_transform_at`]).
 // Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`).
 #[allow(unsafe_code)]
 pub fn inv_transform_at(level: SimdLevel, block: &mut [i64; BLOCK_LEN]) {
@@ -332,6 +322,19 @@ pub const INVERSE_ERROR_OFFSET: i64 = 10;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcc_lossless::dispatch::simd_level;
+
+    /// Forward 2D transform of a 4×4 block (rows, then columns), in place, at
+    /// the process-wide dispatch level.
+    fn fwd_transform(block: &mut [i64; BLOCK_LEN]) {
+        fwd_transform_at(simd_level(), block);
+    }
+
+    /// Inverse 2D transform (columns, then rows), in place, at the process-wide
+    /// dispatch level.
+    fn inv_transform(block: &mut [i64; BLOCK_LEN]) {
+        inv_transform_at(simd_level(), block);
+    }
 
     fn pseudo_random_block(seed: u64, amplitude: i64) -> [i64; BLOCK_LEN] {
         let mut s = seed | 1;

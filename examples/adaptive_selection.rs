@@ -50,7 +50,8 @@ fn main() {
     for (k, range) in [2.5, 5.0, 9.0, 14.0, 22.0, 30.0].iter().enumerate() {
         let field =
             generate_single_range(&GaussianFieldConfig::new(128, 128, *range, 777 + k as u64));
-        let stats = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+        let stats =
+            CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
         let pred_sz = predictor.predict(&stats, "sz", bound).unwrap_or(f64::NAN);
         let pred_zfp = predictor.predict(&stats, "zfp", bound).unwrap_or(f64::NAN);
         let choice = predictor.select_compressor(&stats, bound, &["sz", "zfp"]).expect("choice");

@@ -40,7 +40,8 @@ fn main() {
         "slice", "global_range", "loc_range_std", "loc_svd_std", "cr_sz", "cr_zfp", "cr_mgard"
     );
     for (k, slice) in volume.equally_spaced_slices(volume.n0()) {
-        let stats = CorrelationStatistics::compute(&slice, &StatisticsConfig::default());
+        let stats =
+            CorrelationStatistics::compute_view(&slice.view(), &StatisticsConfig::default());
         let mut ratios = Vec::new();
         for name in ["sz", "zfp", "mgard"] {
             let compressor = registry.get(name).expect("registered");

@@ -18,7 +18,7 @@ fn main() {
     println!("generated a {}x{} field with correlation range {range}", field.ny(), field.nx());
 
     // 2. The paper's correlation statistics.
-    let stats = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+    let stats = CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
     println!("estimated global variogram range  : {:.2}", stats.global_range);
     println!("std of local variogram ranges H=32: {:.2}", stats.local_range_std);
     println!("std of local SVD truncation  H=32 : {:.2}", stats.local_svd_std);

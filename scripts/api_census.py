@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Caller census: every `pub` item of `crates/*/src` needs a caller.
+
+Prints each `pub fn|struct|enum|trait|const|type` (bins excluded) whose name
+is referenced nowhere but at its definition, in re-exports, and in its own
+crate's `#[cfg(test)]` items and `tests/` directory. Comments and string
+literals are stripped first, so a doc or message mention is not a caller. Callers are: non-test code of any
+crate, every crate's bins, root `src/`, `tests/` and `examples/`, and
+`benchmarks/e2e/src`. Matching is by name, so an item sharing its name with
+one that has callers (`new`, `len`) is never listed.
+
+Exit status 1 when anything is listed: delete the item, make it
+`pub(crate)`, gate a test oracle `#[cfg(test)]`, or add it to EXEMPT with
+the reason it stays.
+"""
+
+import glob
+import os
+import re
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+EXEMPT = {
+    # name: why it stays `pub` without a caller in this repository
+    "read_raw_f64_2d": "lcc_grid::io — the only way outside (SDRBench-layout) data enters; ROADMAP 'Parked'",
+    "read_raw_f64_3d": "lcc_grid::io — as read_raw_f64_2d, for volumes",
+    "write_raw_f64": "lcc_grid::io — writes the layout the two readers read",
+}
+
+ITEM = re.compile(r"^\s*pub (?:const |unsafe )*(fn|struct|enum|trait|const|type) (\w+)", re.M)
+# Comments and string literals: mentions that call nothing.
+NOT_CODE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"', re.S)
+REEXPORT = re.compile(r"\bpub use [^;]*;")
+
+
+def strip_tests(text):
+    """Drop every item that follows a `#[cfg(test)]` line (rustfmt layout:
+    the item ends at a `;` on its first line or at a `}` at its own indent)."""
+    out, lines, i = [], text.split("\n"), 0
+    while i < len(lines):
+        gate = re.match(r"^(\s*)#\[cfg\(test\)\]\s*$", lines[i])
+        if not gate:
+            out.append(lines[i])
+            i += 1
+            continue
+        i += 1
+        while i < len(lines) and lines[i].lstrip().startswith("#["):
+            i += 1
+        if i < len(lines) and not lines[i].rstrip().endswith(";"):
+            while i < len(lines) and lines[i].rstrip() != gate.group(1) + "}":
+                i += 1
+        i += 1
+    return "\n".join(out)
+
+
+def read(path, tests=False):
+    text = NOT_CODE.sub("", open(path, encoding="utf-8").read())
+    return text if tests else strip_tests(text)
+
+
+def main():
+    crates = sorted(os.listdir(os.path.join(ROOT, "crates")))
+    lib, callers = {}, []  # crate -> its non-test library text; all other caller text
+    for crate in crates:
+        src = os.path.join(ROOT, "crates", crate, "src")
+        paths = sorted(glob.glob(os.path.join(src, "**", "*.rs"), recursive=True))
+        bins = [p for p in paths if p.startswith(os.path.join(src, "bin") + os.sep)]
+        lib[crate] = "\n".join(read(p) for p in paths if p not in bins)
+        callers += [read(p, tests=True) for p in bins]
+    for pattern in ("src", "tests", "examples", "benchmarks/e2e/src"):
+        paths = glob.glob(os.path.join(ROOT, pattern, "**", "*.rs"), recursive=True)
+        callers += [read(p, tests=True) for p in paths]
+    callers = "\n".join(callers)
+
+    listed = []
+    for crate in crates:
+        items = sorted(set(ITEM.findall(lib[crate])))
+        # The crate's own code calls an item when it names it beyond the one
+        # mention that defines it; a re-export names it without calling it.
+        own = REEXPORT.sub("", lib[crate])
+        others = callers + "\n" + "\n".join(text for name, text in lib.items() if name != crate)
+        for kind, name in items:
+            word = re.compile(r"\b%s\b" % re.escape(name))
+            if name not in EXEMPT and len(word.findall(own)) < 2 and not word.search(others):
+                listed.append(f"{crate}: pub {kind} {name}")
+    for line in listed:
+        print(line)
+    print("exempt:")
+    for name, why in EXEMPT.items():
+        print(f"  {name} — {why}")
+    return 1 if listed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

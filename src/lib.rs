@@ -7,14 +7,14 @@
 //!
 //! ```
 //! use lcc::synth::{GaussianFieldConfig, generate_single_range};
-//! use lcc::geostat::variogram::estimate_range;
+//! use lcc::geostat::{estimate_range_view, VariogramConfig};
 //! use lcc::sz::SzCompressor;
 //! use lcc::pressio::{Compressor, ErrorBound};
 //!
 //! // Generate a small correlated Gaussian field ...
 //! let field = generate_single_range(&GaussianFieldConfig::new(64, 64, 8.0, 42));
 //! // ... estimate its variogram range ...
-//! let range = estimate_range(&field).range;
+//! let range = estimate_range_view(&field.view(), &VariogramConfig::default()).range;
 //! // ... and compress it with an absolute error bound.
 //! let sz = SzCompressor::default();
 //! let result = sz.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
@@ -34,7 +34,6 @@
 
 pub use lcc_archive as archive;
 pub use lcc_core as core;
-pub use lcc_fault as fault;
 pub use lcc_fft as fft;
 pub use lcc_geostat as geostat;
 pub use lcc_grid as grid;

@@ -6,11 +6,11 @@
 //! versions, entry offsets outside the payload region, overlapping
 //! entries, footer entry counts the table cannot hold, frame headers that
 //! disagree with the entry metadata, tile-length overflow in the frame's
-//! seek index, stray table bytes, and raw (unframed) payloads claiming a
-//! multi-tile shape.
+//! seek index, stray table bytes, raw (unframed) payloads claiming a
+//! multi-tile shape, and reads with a codec other than the entry's writer.
 
 use lcc::archive::format::{write_entry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN};
-use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter};
+use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt, ReadOptions};
 use lcc::grid::Field2D;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::{CompressError, ErrorBound, FrameScratch};
@@ -264,7 +264,16 @@ fn every_single_byte_flip_is_survived() {
                 // Errors are legitimate (the flip may hit a tile checksum);
                 // only panics and runaway allocations are not.
                 let _ = archive.read_region(k, &window, &sz, pool, &mut scratch, &mut out);
-                let _ = archive.read_region_degraded(k, &window, &sz, pool, &mut scratch, &mut out);
+                let degraded = ReadOptions { degraded: true, ..ReadOptions::default() };
+                let _ = archive.read_region_with(
+                    k,
+                    &window,
+                    &sz,
+                    pool,
+                    &mut scratch,
+                    &mut out,
+                    degraded,
+                );
             }
         }));
         assert!(outcome.is_ok(), "flipping byte {pos} of {} caused a panic", good.len());
@@ -288,4 +297,73 @@ fn tile_length_overflow_in_the_seek_index_is_rejected() {
     let (payload, mut entries) = dissect(&bytes);
     entries[0].length -= 1;
     assert!(Archive::open(reassemble(&payload, &entries)).is_err());
+}
+
+/// An in-memory source that counts the positioned reads it serves.
+struct CountingSource {
+    bytes: Vec<u8>,
+    reads: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl ReadAt for CountingSource {
+    fn len(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), CompressError> {
+        self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.bytes.read_at(offset, buf)
+    }
+}
+
+#[test]
+fn reads_with_a_codec_other_than_the_writer_are_refused_before_any_tile_is_touched() {
+    // The entries were written by `sz`. Any other compressor used to fetch
+    // every tile twice and report `CorruptStream` (strict) or hand back a
+    // zero-filled window of `Failed` tiles as a success (degraded).
+    use lcc::grid::{Field2D, Window};
+    use lcc::par::CancelToken;
+    use std::sync::atomic::Ordering;
+
+    let reads = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let source = CountingSource { bytes: build(), reads: reads.clone() };
+    let archive = Archive::open(source).unwrap();
+    let opened = reads.load(Ordering::Relaxed);
+    let pool = ThreadPoolConfig::with_threads(2);
+    let mut scratch = FrameScratch::default();
+    let mut out = Field2D::zeros(1, 1);
+    let window = Window { i0: 4, j0: 4, height: 8, width: 8 };
+    let live = CancelToken::new();
+
+    let wrong: [&dyn lcc::pressio::Compressor; 2] =
+        [&lcc::zfp::ZfpCompressor::default(), &SzCompressor::rans8()];
+    for codec in wrong {
+        let mut refusals = vec![
+            archive.read_entry(0, codec, pool, &mut scratch, &mut out).unwrap_err(),
+            archive.read_region(0, &window, codec, pool, &mut scratch, &mut out).unwrap_err(),
+        ];
+        for options in [
+            ReadOptions { cancel: Some(&live), degraded: false },
+            ReadOptions { cancel: None, degraded: true },
+            ReadOptions { cancel: Some(&live), degraded: true },
+        ] {
+            let refused =
+                archive.read_region_with(0, &window, codec, pool, &mut scratch, &mut out, options);
+            refusals.push(refused.unwrap_err());
+        }
+        for err in refusals {
+            let want = format!(
+                "archive: entry 'density' was written by 'sz', not '{}'",
+                lcc::pressio::Compressor::name(codec)
+            );
+            assert_eq!(err, CompressError::InvalidInput(want));
+        }
+    }
+    assert_eq!(reads.load(Ordering::Relaxed), opened, "a refused read must not touch the source");
+
+    // The recorded codec still reads, through the same counting source.
+    let sz = SzCompressor::default();
+    let stats = archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out).unwrap();
+    assert_eq!(stats.tiles, 4);
+    assert_eq!(reads.load(Ordering::Relaxed), opened + 4, "one positioned read a tile");
 }

@@ -5,7 +5,7 @@
 //! cache and the parallel tile fan-out are allowed to change timing only,
 //! never a single bit of output.
 
-use lcc::archive::{Archive, ArchiveWriter, TileCache};
+use lcc::archive::{Archive, ArchiveWriter, ReadOptions, TileCache};
 use lcc::grid::{Field2D, Window};
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::{CompressError, ErrorBound, FrameScratch};
@@ -130,8 +130,9 @@ proptest! {
             archive.read_region(0, &window, &sz, pool, &mut scratch, &mut strict_out).unwrap();
 
         let mut degraded_out = Field2D::zeros(1, 1);
+        let options = ReadOptions { degraded: true, ..ReadOptions::default() };
         let degraded = archive
-            .read_region_degraded(0, &window, &sz, pool, &mut scratch, &mut degraded_out)
+            .read_region_with(0, &window, &sz, pool, &mut scratch, &mut degraded_out, options)
             .unwrap();
 
         prop_assert_eq!(degraded_out.as_slice(), strict_out.as_slice());
@@ -249,8 +250,9 @@ fn every_cache_budget_reads_the_same_bits() {
                 let from_full: Vec<f64> = full.view().window(window).iter().collect();
                 assert_eq!(want.as_slice(), from_full.as_slice());
                 let stats = if degraded {
+                    let options = ReadOptions { degraded: true, ..ReadOptions::default() };
                     let read = cached
-                        .read_region_degraded(0, window, &sz, pool, &mut scratch, &mut out)
+                        .read_region_with(0, window, &sz, pool, &mut scratch, &mut out, options)
                         .unwrap();
                     assert!(read.tiles.iter().all(|&(_, s)| s == TileStatus::Ok));
                     assert!(read.tiles.windows(2).all(|p| p[0].0 < p[1].0), "ascending tile ids");

@@ -100,6 +100,11 @@ fn framed_container_carries_rans_variants() {
     let field = wavy(131, 67, 3);
     let bound = ErrorBound::Absolute(1e-3);
     let pool = ThreadPoolConfig::with_threads(3);
+    let decode = |compressor: &dyn Compressor, stream: &[u8]| {
+        let mut out = Field2D::zeros(1, 1);
+        let scratch = &mut FrameScratch::new();
+        frame::decompress_framed_with(compressor, stream, pool, scratch, &mut out).map(|()| out)
+    };
     for (huff, rans) in backend_pairs() {
         let mut scratch = FrameScratch::new();
         // Multi-block frame over the rANS variant round-trips and matches
@@ -111,8 +116,8 @@ fn framed_container_carries_rans_variants() {
             frame::compress_framed_with(huff.as_ref(), &field.view(), bound, 4, pool, &mut scratch)
                 .unwrap();
         assert!(frame::is_framed(&framed_r));
-        let dec_r = frame::decompress_framed(rans.as_ref(), &framed_r, pool).unwrap();
-        let dec_h = frame::decompress_framed(huff.as_ref(), &framed_h, pool).unwrap();
+        let dec_r = decode(rans.as_ref(), &framed_r).unwrap();
+        let dec_h = decode(huff.as_ref(), &framed_h).unwrap();
         assert_eq!(dec_r, dec_h, "{} framed decode differs", rans.name());
 
         // Single-block passthrough: the raw rANS container must survive the
@@ -126,7 +131,7 @@ fn framed_container_carries_rans_variants() {
         // multi-block decodes differ legitimately: predictors do not see
         // across block seams).
         assert_eq!(
-            frame::decompress_framed(rans.as_ref(), &single, pool).unwrap(),
+            decode(rans.as_ref(), &single).unwrap(),
             rans.decompress_field(&single).unwrap()
         );
     }
@@ -277,7 +282,8 @@ fn unknown_backend_bytes_are_rejected() {
 
     // Unknown ZFP container tag.
     let zfp = ZfpCompressor::default();
-    let mut stream = zfp.compress_field(&wavy(16, 16, 5), ErrorBound::Absolute(1e-3)).unwrap();
+    let mut stream =
+        zfp.compress_view(&wavy(16, 16, 5).view(), ErrorBound::Absolute(1e-3)).unwrap();
     assert_eq!(stream[0], 0, "raw container tag");
     stream[0] = 4;
     assert_corrupt(&zfp, &stream, "unknown zfp tag");
@@ -360,7 +366,7 @@ fn legacy_formats_are_refused_not_misdecoded() {
         // Warm scratch as a serving worker's would be (the per-codec scratch
         // boxed, its buffers sized for a 16×16 field), so the probe sees
         // only what the refused stream itself asks for.
-        let valid = compressor.compress_field(&warmup, ErrorBound::Absolute(1e-3)).unwrap();
+        let valid = compressor.compress_view(&warmup.view(), ErrorBound::Absolute(1e-3)).unwrap();
         let mut arena = ScratchArena::new();
         let mut frames = FrameScratch::new();
         let mut out = Field2D::zeros(1, 1);
@@ -393,7 +399,7 @@ fn legacy_formats_are_refused_not_misdecoded() {
 fn truncated_rans_containers_are_rejected_at_every_cut() {
     let field = wavy(32, 32, 23);
     for (_, rans) in backend_pairs() {
-        let stream = rans.compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
+        let stream = rans.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).unwrap();
         for cut in [1, 4, stream.len() / 3, stream.len() / 2, stream.len() - 1] {
             assert!(
                 rans.decompress_field(&stream[..cut]).is_err(),

@@ -12,7 +12,7 @@
 //! asserts the error-bound guarantee on every record.
 
 use lcc::core::statistics::{CorrelationStatistics, StatisticsConfig};
-use lcc::geostat::{local_range_std, local_svd_truncation_std, LocalStatConfig};
+use lcc::geostat::{local_range_std_view, local_svd_truncation_std_view, LocalStatConfig};
 use lcc::grid::Field2D;
 
 const N: usize = 1028;
@@ -38,13 +38,14 @@ fn full_statistics_at_paper_scale_fit_the_default_suite() {
 
     // The public per-statistic entry points…
     let config = StatisticsConfig::default();
-    let range_spread = local_range_std(&field, &LocalStatConfig::default());
-    let svd_spread = local_svd_truncation_std(&field, config.window, config.svd_fraction, None);
+    let range_spread = local_range_std_view(&field.view(), &LocalStatConfig::default());
+    let svd_spread =
+        local_svd_truncation_std_view(&field.view(), config.window, config.svd_fraction, None);
 
     // …and the headline number: one full `CorrelationStatistics::compute`
     // (global variogram + both local statistics) at paper scale.
     let start = std::time::Instant::now();
-    let stats = CorrelationStatistics::compute(&field, &config);
+    let stats = CorrelationStatistics::compute_view(&field.view(), &config);
     let compute_secs = start.elapsed().as_secs_f64();
 
     assert!(stats.global_range.is_finite() && stats.global_range > 0.0);

@@ -34,8 +34,9 @@ fn lz77_stored_len(n: usize) -> usize {
 fn lz77_does_not_expand_the_mgard_payload_of_a_long_range_field() {
     let field =
         lcc::synth::generate_single_range(&lcc::synth::GaussianFieldConfig::new(512, 512, 40.0, 7));
-    let stream =
-        MgardCompressor::default().compress_field(&field, ErrorBound::Absolute(1e-3)).unwrap();
+    let stream = MgardCompressor::default()
+        .compress_view(&field.view(), ErrorBound::Absolute(1e-3))
+        .unwrap();
     let payload = lz77_decompress(&stream).expect("the `LMG1` container is LZ77-wrapped");
     assert!(stream.len() <= lz77_stored_len(payload.len()), "{} > {}", stream.len(), payload.len());
 }
@@ -255,7 +256,7 @@ proptest! {
         let field = Field2D::from_fn(48, 48, |i, j| {
             ((i as f64) * scale).sin() + ((j as f64) * scale * 0.7).cos() + (seed as f64 * 1e-3)
         });
-        let fit = lcc::geostat::variogram::estimate_range(&field);
+        let fit = lcc::geostat::estimate_range_view(&field.view(), &Default::default());
         prop_assert!(fit.range.is_finite());
         prop_assert!(fit.range > 0.0);
         prop_assert!(fit.sill >= 0.0);

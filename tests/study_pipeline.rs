@@ -122,9 +122,9 @@ fn statistics_and_registry_are_consistent_across_the_facade() {
     assert_eq!(registry.names(), vec!["mgard", "sz", "zfp"]);
     let field =
         lcc::synth::generate_single_range(&lcc::synth::GaussianFieldConfig::new(64, 64, 6.0, 3));
-    let stats = CorrelationStatistics::compute(&field, &StatisticsConfig::default());
+    let stats = CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default());
     assert!(stats.global_range > 0.0);
-    let fit = lcc::geostat::variogram::estimate_range(&field);
+    let fit = lcc::geostat::estimate_range_view(&field.view(), &Default::default());
     // The standalone estimator and the bundled statistics agree.
     assert!((fit.range - stats.global_range).abs() < 1e-9);
 }

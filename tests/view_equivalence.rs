@@ -8,7 +8,7 @@
 //! (`FieldView::to_field`).
 
 use lcc::geostat::{
-    local_svd_truncation_std, local_variogram_ranges, variogram::estimate_range_with,
+    local_svd_truncation_std_view, local_variogram_ranges_view, variogram::estimate_range_view,
     window_truncation_level, LocalStatConfig,
 };
 use lcc::grid::{Field2D, Window};
@@ -44,7 +44,7 @@ fn cloned_window_ranges(field: &Field2D, config: &LocalStatConfig) -> Vec<f64> {
             if config.skip_partial_windows && !win.is_full(config.window, config.window) {
                 f64::NAN
             } else {
-                estimate_range_with(&owned, &config.variogram).range
+                estimate_range_view(&owned.view(), &config.variogram).range
             }
         })
         .filter(|r| r.is_finite())
@@ -84,7 +84,7 @@ proptest! {
             threads: Some(2),
             ..LocalStatConfig::with_window(16)
         };
-        let through_views = local_variogram_ranges(&field, &config);
+        let through_views = local_variogram_ranges_view(&field.view(), &config);
         let through_clones = cloned_window_ranges(&field, &config);
         prop_assert_eq!(through_views.len(), through_clones.len());
         for (a, b) in through_views.iter().zip(through_clones.iter()) {
@@ -100,7 +100,7 @@ proptest! {
         roughness in 0.0f64..2.0,
     ) {
         let field = arbitrary_field(ny, nx, seed, roughness);
-        let through_views = local_svd_truncation_std(&field, 16, 0.99, Some(2));
+        let through_views = local_svd_truncation_std_view(&field.view(), 16, 0.99, Some(2));
         let through_clones = cloned_window_svd_std(&field, 16, 0.99);
         prop_assert_eq!(through_views.to_bits(), through_clones.to_bits());
     }
@@ -126,7 +126,7 @@ proptest! {
         ];
         for compressor in &compressors {
             let from_view = compressor.compress_view(&view, ErrorBound::Absolute(1e-3)).expect("view");
-            let from_owned = compressor.compress_field(&owned, ErrorBound::Absolute(1e-3)).expect("owned");
+            let from_owned = compressor.compress_view(&owned.view(), ErrorBound::Absolute(1e-3)).expect("owned");
             prop_assert_eq!(&from_view, &from_owned);
             // And the roundtrip reconstructs the viewed rectangle.
             let recon = compressor.decompress_field(&from_view).expect("decompress");
@@ -141,7 +141,7 @@ proptest! {
 fn partial_h32_windows_are_identical_through_views_and_clones() {
     let field = arbitrary_field(70, 50, 9, 1.0); // 32x32 tiling leaves 6- and 18-wide edges
     let config = LocalStatConfig { skip_partial_windows: false, ..LocalStatConfig::default() };
-    let through_views = local_variogram_ranges(&field, &config);
+    let through_views = local_variogram_ranges_view(&field.view(), &config);
     let through_clones = cloned_window_ranges(&field, &config);
     assert_eq!(through_views.len(), through_clones.len());
     for (a, b) in through_views.iter().zip(through_clones.iter()) {
