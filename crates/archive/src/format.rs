@@ -36,6 +36,7 @@
 //! predictors, stored so a router can rank or prefetch tiles without
 //! decoding anything.
 
+use lcc_pressio::codes::Reader;
 use lcc_pressio::{CompressError, ErrorBound};
 
 /// Magic prefix (and footer suffix) of an LCCA archive.
@@ -135,66 +136,20 @@ pub fn write_entry(out: &mut Vec<u8>, e: &ArchiveEntry) {
     }
 }
 
-/// Bounds-checked little-endian cursor over the entry table.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Cursor over `bytes`, starting at offset 0.
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, at: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.at
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CompressError> {
-        if self.remaining() < n {
-            return Err(CompressError::CorruptStream(format!(
-                "archive: entry table truncated ({} bytes left, {n} needed)",
-                self.remaining()
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u16(&mut self) -> Result<u16, CompressError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CompressError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CompressError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CompressError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, CompressError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CompressError::CorruptStream("archive: entry name is not UTF-8".into()))
-    }
+/// A `u16`-length-prefixed UTF-8 string.
+fn string(cur: &mut Reader<'_>) -> Result<String, CompressError> {
+    let len = cur.u16()? as usize;
+    String::from_utf8(cur.bytes(len)?.to_vec())
+        .map_err(|_| CompressError::CorruptStream("archive: entry name is not UTF-8".into()))
 }
 
 /// Parse one metadata record off the cursor. Every length read is bounded
 /// by the bytes actually remaining in the table — a forged record cannot
 /// demand an allocation larger than the table itself.
-pub(crate) fn parse_entry(cur: &mut Cursor<'_>) -> Result<ArchiveEntry, CompressError> {
+pub(crate) fn parse_entry(cur: &mut Reader<'_>) -> Result<ArchiveEntry, CompressError> {
     let corrupt = |msg: String| CompressError::CorruptStream(format!("archive: {msg}"));
-    let name = cur.string()?;
-    let codec = cur.string()?;
+    let name = string(cur)?;
+    let codec = string(cur)?;
     let timestep = cur.u64()?;
     let ny =
         usize::try_from(cur.u64()?).map_err(|_| corrupt("row count overflows usize".into()))?;
@@ -202,7 +157,7 @@ pub(crate) fn parse_entry(cur: &mut Cursor<'_>) -> Result<ArchiveEntry, Compress
         usize::try_from(cur.u64()?).map_err(|_| corrupt("column count overflows usize".into()))?;
     let tile_ny = cur.u32()? as usize;
     let tile_nx = cur.u32()? as usize;
-    let tag = cur.take(1)?[0];
+    let tag = cur.u8()?;
     let eps = cur.f64()?;
     let bound = match tag {
         0 => ErrorBound::Absolute(eps),
@@ -289,7 +244,7 @@ mod tests {
         let entry = sample();
         let mut bytes = Vec::new();
         write_entry(&mut bytes, &entry);
-        let mut cur = Cursor::new(&bytes);
+        let mut cur = Reader::new(&bytes);
         assert_eq!(parse_entry(&mut cur).unwrap(), entry);
         assert_eq!(cur.remaining(), 0);
         assert!(bytes.len() >= MIN_ENTRY_RECORD);
@@ -301,7 +256,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_entry(&mut bytes, &entry);
         for cut in [0, 1, 3, 20, bytes.len() - 1] {
-            let mut cur = Cursor::new(&bytes[..cut]);
+            let mut cur = Reader::new(&bytes[..cut]);
             assert!(parse_entry(&mut cur).is_err(), "cut at {cut}");
         }
     }
@@ -312,7 +267,7 @@ mod tests {
         entry.tile_stats.pop();
         let mut bytes = Vec::new();
         write_entry(&mut bytes, &entry);
-        let mut cur = Cursor::new(&bytes);
+        let mut cur = Reader::new(&bytes);
         assert!(matches!(
             parse_entry(&mut cur),
             Err(CompressError::CorruptStream(msg)) if msg.contains("tile stats")

@@ -2,12 +2,13 @@
 
 use crate::cache::{Lookup, TileCache, TileKey};
 use crate::format::{
-    parse_entry, ArchiveEntry, Cursor, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN,
+    parse_entry, ArchiveEntry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN,
     MIN_ENTRY_RECORD,
 };
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
 use lcc_lossless::xxh64;
 use lcc_par::{try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
+use lcc_pressio::codes::Reader;
 use lcc_pressio::frame::{decompress_framed_with, FrameWorker};
 use lcc_pressio::{CompressError, Compressor, FrameIndex, FrameScratch, FRAME_MAGIC};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -269,7 +270,7 @@ impl<R: ReadAt> Archive<R> {
         }
         let mut table = vec![0u8; table_bytes as usize];
         source.read_at(table_offset, &mut table)?;
-        let mut cursor = Cursor::new(&table);
+        let mut cursor = Reader::new(&table);
         let mut metas = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
             let meta = parse_entry(&mut cursor)?;

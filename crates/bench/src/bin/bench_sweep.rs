@@ -45,12 +45,11 @@ use lcc_geostat::{
     local_svd_truncation_std_view, LocalStatConfig, VariogramConfig,
 };
 use lcc_grid::{Field2D, Window, WindowIter};
-use lcc_lossless::{rans8_stream_info, simd_level};
+use lcc_lossless::{rans8_stream_info, simd_level, Rans8StreamInfo};
 use lcc_mgard::{MgardCompressor, MgardScratch};
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::{Compressor, ErrorBound, ScratchArena};
+use lcc_pressio::{codes, Compressor, ErrorBound, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
-use lcc_sz::stream::StreamReader;
 use lcc_sz::{SzCompressor, SzScratch};
 use std::time::Instant;
 
@@ -69,28 +68,17 @@ fn tile_row(compressor: &str) -> String {
 /// frequency table: the codes that follow are a Huffman stream.
 const RANS_MODE_HUFFMAN: u8 = 1;
 
-/// The codes section of an `LS81` (`sz-rans8`) or `LM81` (`mgard-rans8`)
-/// stream — a stream of `lcc_lossless::rans8_encode` — or `None` for any
-/// other stream. Both containers are raw at the top level: fixed-width
-/// little-endian fields up to the `u64`-prefixed section.
-fn rans8_section(stream: &[u8]) -> Option<&[u8]> {
-    let mut r = StreamReader::new(stream);
-    let magic = r.bytes(4).ok()?;
-    // ny, nx, eb, then two u32 parameters.
-    r.bytes(8 + 8 + 8 + 4 + 4).ok()?;
-    match magic {
-        b"LM81" => {}
-        b"LS81" => {
-            // Block modes (one byte each), then regression planes (3 × f64).
-            let modes = r.u64().ok()?;
-            r.bytes(usize::try_from(modes).ok()?).ok()?;
-            let planes = r.u64().ok()?;
-            r.bytes(usize::try_from(planes).ok()?.checked_mul(24)?).ok()?;
-        }
-        _ => return None,
-    }
-    let len = r.u64().ok()?;
-    r.bytes(usize::try_from(len).ok()?).ok()
+/// The rANS stream header of an `sz-rans8` or `mgard-rans8` stream's codes
+/// section — a stream of `lcc_lossless::rans8_encode` — or `None` for any
+/// other stream.
+fn rans8_info(stream: &[u8]) -> Option<Rans8StreamInfo> {
+    // A rANS container ships raw, so it opens with its format's magic (and
+    // nothing is LZ77-expanded to open it).
+    let formats = [&lcc_sz::FORMAT, &lcc_mgard::FORMAT];
+    let format = formats.into_iter().find(|format| stream.starts_with(&format.rans8))?;
+    let mut unused = Vec::new();
+    let parts = codes::open(format, stream, &mut unused).expect("bench stream opens");
+    Some(rans8_stream_info(parts.section).expect("bench stream parses"))
 }
 
 /// `LAYER_REPS` timed compress calls: `samples[r][k]` is the seconds
@@ -202,8 +190,7 @@ fn main() {
                 compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
                 stream_len = stream.len();
                 if rep == 0 {
-                    if let Some(section) = rans8_section(&stream) {
-                        let info = rans8_stream_info(section).expect("bench stream parses");
+                    if let Some(info) = rans8_info(&stream) {
                         rans8_streams += 1;
                         rans8_fallback += usize::from(info.mode == RANS_MODE_HUFFMAN);
                     }
@@ -238,7 +225,7 @@ fn main() {
         let tiles: Vec<Window> =
             WindowIter::over(field.ny(), field.nx(), LAYER_TILE, LAYER_TILE).collect();
         for sz in [SzCompressor::default(), SzCompressor::rans8()] {
-            let mut scratch = SzScratch::new();
+            let mut scratch = SzScratch::default();
             let samples = layer_samples(|| {
                 sz.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
             });
@@ -267,9 +254,9 @@ fn main() {
                 let (stream, _) = sz
                     .compress_view_timed(&view.window(tile), bound, &mut scratch)
                     .expect("bench compressor succeeds");
-                if let Some(section) = rans8_section(&stream) {
+                if let Some(info) = rans8_info(&stream) {
                     stream_bytes += stream.len();
-                    table_bytes += rans8_stream_info(section).expect("tile parses").table_bytes;
+                    table_bytes += info.table_bytes;
                 }
             }
             if stream_bytes > 0 {
@@ -279,7 +266,7 @@ fn main() {
             report.encode_layers.push(tiled);
         }
         for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
-            let mut scratch = MgardScratch::new();
+            let mut scratch = MgardScratch::default();
             let samples = layer_samples(|| {
                 mgard.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
             });

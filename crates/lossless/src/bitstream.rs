@@ -85,12 +85,6 @@ impl BitWriter {
         self.write_bits(u64::from(byte), 8);
     }
 
-    /// Finish writing and return the padded byte vector (trailing bits are
-    /// zero).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// Borrow the bytes written so far (including the partial last byte).
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -221,7 +215,7 @@ mod tests {
             w.write_bit(b);
         }
         assert_eq!(w.bit_len(), pattern.len());
-        let bytes = w.into_bytes();
+        let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bit().unwrap(), b);
@@ -241,7 +235,7 @@ mod tests {
         for &(v, n) in &values {
             w.write_bits(v, n);
         }
-        let bytes = w.into_bytes();
+        let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &values {
             assert_eq!(r.read_bits(n).unwrap(), v, "value {v} width {n}");
@@ -255,7 +249,7 @@ mod tests {
         for b in 0u8..=255 {
             w.write_byte(b);
         }
-        let bytes = w.into_bytes();
+        let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes);
         assert!(r.read_bit().unwrap());
         for b in 0u8..=255 {
@@ -271,7 +265,7 @@ mod tests {
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0xFF, 8);
         assert_eq!(w.bit_len(), 11);
-        let bytes = w.into_bytes();
+        let bytes = w.as_bytes().to_vec();
         assert_eq!(bytes.len(), 2);
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.bit_len(), 16);

@@ -6,13 +6,14 @@
 //! The guarantees are:
 //!
 //! * **One-time detection.** [`simd_level`] probes the CPU once (via
-//!   `is_x86_feature_detected!` on x86_64; NEON is assumed on aarch64;
-//!   everything else is scalar) and caches the answer in a `OnceLock`.
+//!   `is_x86_feature_detected!` on x86_64; every other architecture,
+//!   aarch64 included, has scalar kernels only and detects as such) and
+//!   caches the answer in a `OnceLock`.
 //! * **Byte-identical streams.** A SIMD tier is only ever an implementation
 //!   of the scalar kernel — same outputs, same errors, same consumed byte
 //!   counts — so streams written at any tier decode at any other tier and
 //!   the binary fixtures pin one set of bytes for all of them.
-//! * **Override for testing.** `LCC_SIMD=off|sse4|avx2|neon` forces a tier
+//! * **Override for testing.** `LCC_SIMD=off|sse4|avx2` forces a tier
 //!   at or below the detected one (CI runs the suite at `off` and at the
 //!   default). Requests above the hardware's capability clamp down to the
 //!   detected level — the override can never select an illegal instruction.
@@ -24,16 +25,14 @@
 //! read the process-wide level in their plain entry points. Each kernel maps
 //! the level to the best implementation it has at or below that tier — e.g.
 //! the ZFP transform has only scalar and AVX2 implementations, so `sse4`
-//! runs it scalar, and the NEON tier currently lowers every kernel to its
-//! scalar loop (the dispatch seam is in place for a future NEON pass).
+//! runs it scalar.
 
 use std::sync::OnceLock;
 
 /// A SIMD capability tier, ordered from narrowest to widest.
 ///
 /// The ordering is what kernels dispatch on: a kernel runs its widest
-/// implementation at or below the active level. `Neon` sorts above the x86
-/// tiers only because the two families never coexist on one host.
+/// implementation at or below the active level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Portable scalar loops only.
@@ -42,8 +41,6 @@ pub enum SimdLevel {
     Sse4,
     /// x86_64 AVX2 (256-bit lanes).
     Avx2,
-    /// aarch64 NEON (128-bit lanes, assumed present on every aarch64).
-    Neon,
 }
 
 impl SimdLevel {
@@ -54,7 +51,6 @@ impl SimdLevel {
             SimdLevel::Scalar => "off",
             SimdLevel::Sse4 => "sse4",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Neon => "neon",
         }
     }
 
@@ -64,7 +60,6 @@ impl SimdLevel {
             "off" | "scalar" => Some(SimdLevel::Scalar),
             "sse4" | "sse4.1" => Some(SimdLevel::Sse4),
             "avx2" => Some(SimdLevel::Avx2),
-            "neon" => Some(SimdLevel::Neon),
             _ => None,
         }
     }
@@ -82,11 +77,7 @@ fn detect() -> SimdLevel {
             SimdLevel::Scalar
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdLevel::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         SimdLevel::Scalar
     }
@@ -103,7 +94,7 @@ pub fn detected_level() -> SimdLevel {
 ///
 /// # Panics
 /// Panics when `LCC_SIMD` is set to something other than
-/// `off|scalar|sse4|avx2|neon` (or empty, which counts as unset).
+/// `off|scalar|sse4|avx2` (or empty, which counts as unset).
 pub fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
@@ -111,7 +102,7 @@ pub fn simd_level() -> SimdLevel {
         match std::env::var("LCC_SIMD") {
             Ok(value) if !value.is_empty() => {
                 let requested = SimdLevel::parse(&value).unwrap_or_else(|| {
-                    panic!("LCC_SIMD={value} is not one of off|scalar|sse4|avx2|neon")
+                    panic!("LCC_SIMD={value} is not one of off|scalar|sse4|avx2")
                 });
                 if supported_levels().contains(&requested) {
                     requested
@@ -134,7 +125,6 @@ pub fn supported_levels() -> &'static [SimdLevel] {
         SimdLevel::Scalar => &[SimdLevel::Scalar],
         SimdLevel::Sse4 => &[SimdLevel::Scalar, SimdLevel::Sse4],
         SimdLevel::Avx2 => &[SimdLevel::Scalar, SimdLevel::Sse4, SimdLevel::Avx2],
-        SimdLevel::Neon => &[SimdLevel::Scalar, SimdLevel::Neon],
     }
 }
 
@@ -150,17 +140,15 @@ mod tests {
 
     #[test]
     fn labels_match_the_override_vocabulary() {
-        for (level, label) in [
-            (SimdLevel::Scalar, "off"),
-            (SimdLevel::Sse4, "sse4"),
-            (SimdLevel::Avx2, "avx2"),
-            (SimdLevel::Neon, "neon"),
-        ] {
+        for (level, label) in
+            [(SimdLevel::Scalar, "off"), (SimdLevel::Sse4, "sse4"), (SimdLevel::Avx2, "avx2")]
+        {
             assert_eq!(level.label(), label);
             assert_eq!(SimdLevel::parse(label), Some(level));
         }
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Scalar));
         assert_eq!(SimdLevel::parse("avx512"), None);
+        assert_eq!(SimdLevel::parse("neon"), None);
         assert_eq!(SimdLevel::parse(""), None);
     }
 

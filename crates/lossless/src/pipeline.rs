@@ -21,24 +21,12 @@ pub enum EntropyBackend {
     Rans8,
 }
 
-impl EntropyBackend {
-    /// Short name used in compressor registry keys (`sz` vs `sz-rans8`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EntropyBackend::Huffman => "huffman",
-            EntropyBackend::Rans8 => "rans8",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn entropy_backend_default_and_names() {
+    fn entropy_backend_defaults_to_huffman() {
         assert_eq!(EntropyBackend::default(), EntropyBackend::Huffman);
-        assert_eq!(EntropyBackend::Huffman.name(), "huffman");
-        assert_eq!(EntropyBackend::Rans8.name(), "rans8");
     }
 }

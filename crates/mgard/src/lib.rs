@@ -18,8 +18,9 @@
 //!    width chosen so that the worst-case accumulated reconstruction error
 //!    across levels stays below the requested absolute bound (coefficients
 //!    that cannot be quantized into the code range are stored exactly),
-//! 3. **Huffman + LZ77** over the quantized codes (the role Zlib/Zstd play
-//!    in MGARD releases).
+//! 3. codes and exactly stored coefficients leave through
+//!    [`lcc_pressio::codes`], which owns entropy coding, the LZ77 pass and
+//!    the stream layout (README, *Stream formats*).
 //!
 //! ```
 //! use lcc_grid::Field2D;
@@ -38,105 +39,58 @@ pub mod decompose;
 use lcc_grid::{Field2D, FieldView};
 use lcc_lossless::dispatch::simd_level;
 use lcc_lossless::round::quantize_rounded_at;
-use lcc_lossless::{
-    huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
-    rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
-};
+use lcc_lossless::EntropyBackend;
+use lcc_pressio::codes::{self, Format, Header};
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
-use std::time::Instant;
 
-/// Configuration of the MGARD-style compressor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MgardConfig {
-    /// Maximum number of decomposition levels (the effective number is also
-    /// limited by the grid size).
-    pub max_levels: u32,
-    /// Quantization code radius; residuals outside it are stored exactly.
-    pub code_radius: u32,
-    /// Entropy backend of the coefficient stream. [`EntropyBackend::Huffman`]
-    /// (the default) emits the historical `LMG1` container — Huffman codes
-    /// plus the outer LZ77 pass — byte-identical to every earlier release.
-    /// [`EntropyBackend::Rans8`] emits the `LM81` container: 8-way
-    /// interleaved rANS codes, whose decoder runs wide under SIMD dispatch,
-    /// and no outer LZ77 pass (the ratio-vs-throughput ablation's fast
-    /// point) — *when the alphabet fits*. rANS frequencies live in a 12-bit
-    /// table, and MGARD's coefficient codes routinely number more than its
-    /// 4096 slots (2 k–19 k distinct on 512² random fields at
-    /// `Absolute(1e-3)`); such a codes section is written in the rANS
-    /// stream's Huffman mode (5 of the 8 `benchmarks/e2e` pool fields), and
-    /// a `mgard-rans8` ratio or speed row measured there is a Huffman row
-    /// without the LZ77 pass. `bench_sweep --stage codecs` counts the streams
-    /// that did.
-    pub entropy: EntropyBackend,
-}
-
-impl Default for MgardConfig {
-    fn default() -> Self {
-        MgardConfig { max_levels: 16, code_radius: 1 << 30, entropy: EntropyBackend::Huffman }
-    }
-}
+/// Cap on the decomposition levels (the grid's size sets the count for any
+/// field up to 2¹⁷ cells a side).
+const MAX_LEVELS: u32 = 16;
+/// Quantization code radius; coefficients outside it are stored exactly.
+const CODE_RADIUS: u32 = 1 << 30;
 
 /// The MGARD-style compressor. See the crate-level documentation.
+///
+/// [`MgardCompressor::default`] writes Huffman codes,
+/// [`MgardCompressor::rans8`] 8-way rANS codes, whose decoder runs wide under
+/// SIMD dispatch — *when the alphabet fits*. rANS frequencies live in a
+/// 12-bit table, and MGARD's coefficient codes routinely number more than
+/// its 4096 slots (2 k–19 k distinct on 512² random fields at
+/// `Absolute(1e-3)`); such a codes section is written in the rANS stream's
+/// Huffman mode (5 of the 8 `benchmarks/e2e` pool fields), and a
+/// `mgard-rans8` ratio or speed row measured there is a Huffman row without
+/// the LZ77 pass. `bench_sweep --stage codecs` counts the streams that did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MgardCompressor {
-    config: MgardConfig,
+    entropy: EntropyBackend,
 }
 
 impl MgardCompressor {
-    /// Create a compressor with an explicit configuration.
-    pub fn new(config: MgardConfig) -> Self {
-        assert!(config.max_levels >= 1, "at least one level is required");
-        assert!(config.code_radius >= 2, "code radius must be at least 2");
-        MgardCompressor { config }
-    }
-
     /// Create the 8-way rANS-backend variant (registry name `mgard-rans8`).
     pub fn rans8() -> Self {
-        MgardCompressor::new(MgardConfig {
-            entropy: EntropyBackend::Rans8,
-            ..MgardConfig::default()
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> MgardConfig {
-        self.config
+        MgardCompressor { entropy: EntropyBackend::Rans8 }
     }
 }
 
-const MAGIC: &[u8; 4] = b"LMG1";
-/// Magic of the 8-way rANS-backend container, emitted at the top level (the
-/// `LM81` payload is not LZ77-wrapped). No collision with `LMG1` streams:
-/// LZ77 output opens with the decompressed-length varint, and whenever its
-/// first byte could read as `b'L'` the next byte is a token tag of
-/// `0x00`/`0x01`, never `b'M'`.
-const RANS8_MAGIC: &[u8; 4] = b"LM81";
+/// The MGARD codes container: `LMG1` over Huffman codes (`mgard`), `LM81`
+/// over rANS codes (`mgard-rans8`), no middle. The header parameter is the
+/// level count, which drives `1usize << level` strides in the inverse pass:
+/// any real grid needs fewer than 64, so a larger claim is forged.
+pub const FORMAT: Format =
+    Format { huffman: *b"LMG1", rans8: *b"LM81", param: 0..=63, middle: &[] };
 
 /// Reusable working memory of the MGARD compress path: the multilevel
-/// coefficient workspace, the code/exact buffers, the assembled payload and
-/// the Huffman/LZ77 internals. One instance per sweep worker, held in a
-/// [`ScratchArena`].
+/// coefficient workspace, the code/exact buffers and the container's working
+/// memory. One instance per sweep worker, held in a [`ScratchArena`].
 #[derive(Debug, Default)]
 pub struct MgardScratch {
-    codec: CodecScratch,
-    /// rANS working memory (the `mgard-rans8` backend).
-    rans: RansScratch,
+    /// Entropy coding, payload assembly and the LZ77 pass.
+    container: codes::Scratch,
     /// Coefficient workspace of [`decompose::forward_into`] (lazy:
     /// `Field2D` has no empty value).
     work: Option<Field2D>,
     codes: Vec<u32>,
     exact: Vec<f64>,
-    huff: Vec<u8>,
-    payload: Vec<u8>,
-    /// Decode side: the LZ77-expanded container payload.
-    dec_payload: Vec<u8>,
-}
-
-impl MgardScratch {
-    /// Create an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        MgardScratch::default()
-    }
 }
 
 impl MgardCompressor {
@@ -158,13 +112,7 @@ impl MgardCompressor {
         bound: ErrorBound,
         scratch: &mut MgardScratch,
     ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
-        let mut marks = vec![Instant::now()];
-        let stream = self.compress_into(field, bound, scratch, || marks.push(Instant::now()))?;
-        let mut seconds = [0.0; 5];
-        for (layer, pair) in seconds.iter_mut().zip(marks.windows(2)) {
-            *layer = (pair[1] - pair[0]).as_secs_f64();
-        }
-        Ok((stream, seconds))
+        codes::timed_layers(|layer_done| self.compress_into(field, bound, scratch, layer_done))
     }
 
     /// The compress pipeline over explicit scratch memory: what
@@ -181,7 +129,7 @@ impl MgardCompressor {
         validate_finite_view(field)?;
         let eb = bound.absolute_for_view(field)?;
         let (ny, nx) = field.shape();
-        let levels = decompose::level_count(ny, nx).min(self.config.max_levels);
+        let levels = decompose::level_count(ny, nx).min(MAX_LEVELS);
         layer_done();
 
         // Forward multilevel decomposition: `coeffs` holds residuals at fine
@@ -202,62 +150,28 @@ impl MgardCompressor {
             simd_level(),
             coeffs.as_slice(),
             bin,
-            self.config.code_radius,
+            CODE_RADIUS,
             &mut s.codes,
             &mut s.exact,
         );
         layer_done();
 
-        s.huff.clear();
-        match self.config.entropy {
-            EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
-            EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
-        }
-        layer_done();
-
-        let payload = &mut s.payload;
-        payload.clear();
-        payload.extend_from_slice(match self.config.entropy {
-            EntropyBackend::Huffman => MAGIC,
-            EntropyBackend::Rans8 => RANS8_MAGIC,
-        });
-        payload.extend_from_slice(&(ny as u64).to_le_bytes());
-        payload.extend_from_slice(&(nx as u64).to_le_bytes());
-        payload.extend_from_slice(&eb.to_le_bytes());
-        payload.extend_from_slice(&levels.to_le_bytes());
-        payload.extend_from_slice(&self.config.code_radius.to_le_bytes());
-        payload.extend_from_slice(&(s.huff.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&s.huff);
-        payload.extend_from_slice(&(s.exact.len() as u64).to_le_bytes());
-        for v in &s.exact {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        let stream = match self.config.entropy {
-            EntropyBackend::Huffman => {
-                let mut out = Vec::new();
-                lz77_compress_with(&mut s.codec, &s.payload, &mut out);
-                out
-            }
-            // The rANS payload ships raw: the coefficient stream is already
-            // entropy-coded, so the LZ77 pass would trade most of the encode
-            // time for ~no ratio.
-            EntropyBackend::Rans8 => s.payload.clone(),
-        };
-        layer_done();
-        Ok(stream)
+        let header = Header { ny, nx, eb, param: levels, radius: CODE_RADIUS };
+        let MgardScratch { container, codes, exact, .. } = s;
+        Ok(container.encode(&FORMAT, self.entropy, &header, |_| {}, codes, exact, layer_done))
     }
 }
 
 impl Compressor for MgardCompressor {
     fn name(&self) -> &str {
-        match self.config.entropy {
+        match self.entropy {
             EntropyBackend::Huffman => "mgard",
             EntropyBackend::Rans8 => "mgard-rans8",
         }
     }
 
     fn description(&self) -> &str {
-        match self.config.entropy {
+        match self.entropy {
             EntropyBackend::Huffman => {
                 "MGARD-style multilevel interpolation decomposition with level-aware quantization"
             }
@@ -283,65 +197,9 @@ impl Compressor for MgardCompressor {
         scratch: &mut ScratchArena,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        let s = scratch.get_or_default::<MgardScratch>();
-        // Streams self-describe their backend: the `LM81` container is raw
-        // at the top level, everything else is the historical LZ77 wrapping.
-        let payload: &[u8] = if stream.starts_with(RANS8_MAGIC) {
-            stream
-        } else {
-            lz77_decompress_into(stream, &mut s.dec_payload)
-                .map_err(|e| CompressError::CorruptStream(format!("lz77: {e}")))?;
-            &s.dec_payload
-        };
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], CompressError> {
-            // Subtraction side: `*pos + n` could wrap for a forged length.
-            if payload.len().saturating_sub(*pos) < n {
-                return Err(CompressError::CorruptStream("truncated payload".into()));
-            }
-            let out = &payload[*pos..*pos + n];
-            *pos += n;
-            Ok(out)
-        };
-
-        let magic = take(&mut pos, 4)?;
-        let codes_backend = if magic == MAGIC {
-            EntropyBackend::Huffman
-        } else if magic == RANS8_MAGIC {
-            EntropyBackend::Rans8
-        } else {
-            return Err(CompressError::CorruptStream("bad magic".into()));
-        };
-        let ny = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let nx = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let eb = f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let levels = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let radius = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        // `levels` drives `1usize << level` strides in the inverse pass;
-        // any real grid needs < 64, so larger claims are forged.
-        if ny == 0 || nx == 0 || !eb.is_finite() || eb <= 0.0 || radius < 2 || levels >= 64 {
-            return Err(CompressError::CorruptStream("invalid header".into()));
-        }
-        let cells = ny
-            .checked_mul(nx)
-            .ok_or_else(|| CompressError::CorruptStream("cell count overflows".into()))?;
-        let huff_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        let huff = take(&mut pos, huff_len)?;
-        match codes_backend {
-            EntropyBackend::Huffman => huffman_decode_with(&mut s.codec, huff, &mut s.codes)
-                .map_err(|e| CompressError::CorruptStream(format!("huffman: {e}")))?,
-            EntropyBackend::Rans8 => rans8_decode_with(&mut s.rans, huff, &mut s.codes)
-                .map_err(|e| CompressError::CorruptStream(format!("rans8: {e}")))?,
-        };
-        if s.codes.len() != cells {
-            return Err(CompressError::CorruptStream("code count mismatch".into()));
-        }
-        let n_exact = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-        s.exact.clear();
-        s.exact.reserve(n_exact.min(payload.len().saturating_sub(pos) / 8));
-        for _ in 0..n_exact {
-            s.exact.push(f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-        }
+        let MgardScratch { container, codes, exact, .. } = scratch.get_or_default::<MgardScratch>();
+        let Header { ny, nx, eb, param: levels, radius } =
+            container.decode(&FORMAT, stream, codes, exact)?.header;
 
         // Dequantize straight into the output field (every cell is written),
         // then run the inverse decomposition in place — no intermediate
@@ -349,12 +207,12 @@ impl Compressor for MgardCompressor {
         let bin = 2.0 * eb / (levels as f64 + 1.0);
         out.resize(ny, nx);
         let mut exact_idx = 0usize;
-        for (slot, &code) in out.as_mut_slice().iter_mut().zip(&s.codes) {
+        for (slot, &code) in out.as_mut_slice().iter_mut().zip(codes.iter()) {
             if code == 0 {
-                if exact_idx >= s.exact.len() {
+                if exact_idx >= exact.len() {
                     return Err(CompressError::CorruptStream("missing exact coefficient".into()));
                 }
-                *slot = s.exact[exact_idx];
+                *slot = exact[exact_idx];
                 exact_idx += 1;
             } else {
                 let q = i64::from(code) - i64::from(radius);
@@ -456,7 +314,7 @@ mod tests {
     /// through the decoder; must produce a CompressError, never a panic.
     fn assert_forged_header_rejected(ny: u64, nx: u64, levels: u32, huff_len: u64) {
         let mut payload = Vec::new();
-        payload.extend_from_slice(MAGIC);
+        payload.extend_from_slice(&FORMAT.huffman);
         payload.extend_from_slice(&ny.to_le_bytes());
         payload.extend_from_slice(&nx.to_le_bytes());
         payload.extend_from_slice(&1e-3f64.to_le_bytes());
@@ -489,7 +347,6 @@ mod tests {
         let mgard = MgardCompressor::default();
         assert_eq!(mgard.name(), "mgard");
         assert!(mgard.description().contains("multilevel"));
-        assert!(mgard.config().max_levels >= 1);
         let rans8 = MgardCompressor::rans8();
         assert_eq!(rans8.name(), "mgard-rans8");
         assert!(rans8.description().contains("8-way"));
@@ -508,7 +365,7 @@ mod tests {
                 let c = rans8.compress(&field, ErrorBound::Absolute(eb)).unwrap();
                 assert!(c.metrics.max_abs_error <= eb);
                 assert_eq!(a.reconstruction, c.reconstruction, "rans8 disagrees at eb={eb}");
-                assert!(c.stream.starts_with(RANS8_MAGIC));
+                assert!(c.stream.starts_with(&FORMAT.rans8));
                 for decoder in [&huff, &rans8] {
                     assert_eq!(decoder.decompress_field(&a.stream).unwrap(), a.reconstruction);
                     assert_eq!(decoder.decompress_field(&c.stream).unwrap(), c.reconstruction);

@@ -15,9 +15,12 @@
 //! * [`Metrics`] — compression ratio, maximum absolute error, MSE, PSNR and
 //!   bitrate computed from original + reconstruction + stream size,
 //! * [`Registry`] — a name-indexed collection of boxed compressors used by
-//!   the experiment driver and the Table I binary.
+//!   the experiment driver and the Table I binary,
+//! * [`codes`] — the container SZ and MGARD share from quantisation codes to
+//!   bytes, and the little-endian cursor it is written and read with.
 
 pub mod bound;
+pub mod codes;
 pub mod frame;
 pub mod metrics;
 pub mod registry;

@@ -40,7 +40,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 /// cells left to right, every neighbour read back from the reconstruction.
 fn reference_sections(sz: &SzCompressor, field: &FieldView<'_>, eb: f64) -> Sections {
     let (ny, nx) = field.shape();
-    let cfg = sz.config();
+    let cfg = sz.config;
     let quantizer = Quantizer::new(eb, cfg.quantization_radius);
     let mut recon = vec![f64::NAN; ny * nx];
     let (mut codes, mut exact) = (Vec::new(), Vec::new());
@@ -82,11 +82,12 @@ fn reference_sections(sz: &SzCompressor, field: &FieldView<'_>, eb: f64) -> Sect
 /// reconstruction buffer holds NaNs (any read of a cell not yet written
 /// poisons the prediction) and the streams hold junk.
 fn poisoned_scratch() -> SzScratch {
-    let mut s = SzScratch::new();
-    s.recon = vec![f64::NAN; 4099];
-    s.codes = vec![7; 313];
-    s.exact = vec![f64::NAN; 17];
-    s
+    SzScratch {
+        recon: vec![f64::NAN; 4099],
+        codes: vec![7; 313],
+        exact: vec![f64::NAN; 17],
+        ..SzScratch::default()
+    }
 }
 
 /// Encode `field` through `s` at every supported tier and decode the stream
@@ -95,7 +96,7 @@ fn poisoned_scratch() -> SzScratch {
 fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, s: &mut SzScratch) {
     let expected = reference_sections(sz, field, eb);
     let (ny, nx) = field.shape();
-    let what = format!("{ny}x{nx} bs={} eb={eb:e}", sz.config().block_size);
+    let what = format!("{ny}x{nx} bs={} eb={eb:e}", sz.config.block_size);
     for &level in supported_levels() {
         sz.select_modes(field, s).unwrap();
         sz.predict_quantize_at(level, field, eb, s);
@@ -106,8 +107,7 @@ fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, s: &mut S
         };
         assert!(got == expected, "encoder sections differ from the raster loop: {what} {level:?}");
     }
-    sz.encode_codes(s);
-    let stream = sz.assemble((ny, nx), eb, s);
+    let stream = sz.compress_into(field, ErrorBound::Absolute(eb), s, || {}).unwrap();
     let mut out = Field2D::filled(3, 5, f64::NAN);
     let mut arena = ScratchArena::new();
     sz.decompress_view_with(&stream, &mut arena, &mut out).unwrap();

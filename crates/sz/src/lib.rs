@@ -11,8 +11,8 @@
 //! 3. prediction residuals are **linearly quantized** against the absolute
 //!    error bound; codes outside the quantization radius are stored exactly
 //!    ("unpredictable" values),
-//! 4. the quantization codes go through a **Huffman** coder and the whole
-//!    stream through an **LZ77** pass (standing in for Zstd).
+//! 4. codes and escapes leave through [`lcc_pressio::codes`], which owns
+//!    entropy coding, the LZ77 pass and the stream layout (README, *Stream formats*).
 //!
 //! Because every reconstructed value is either `prediction + code·2ε`
 //! (with `|residual − code·2ε| ≤ ε`) or stored exactly, the absolute error
@@ -33,39 +33,32 @@
 mod lorenzo;
 pub mod predictor;
 pub mod quantize;
-pub mod stream;
 
 use lcc_grid::{Field2D, FieldView, WindowIter};
 use lcc_lossless::dispatch::{simd_level, SimdLevel};
-use lcc_lossless::{
-    huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
-    rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
-};
+use lcc_lossless::EntropyBackend;
+use lcc_pressio::codes::{self, Format, Header, Reader};
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 use lorenzo::Order;
 use predictor::{plane_predict, BlockMode};
 use quantize::Quantizer;
-use std::time::Instant;
-use stream::{StreamReader, StreamWriter};
 
-/// Configuration of the SZ-style compressor.
+/// Configuration of the SZ-style compressor. Outside this crate's tests (the
+/// way the decoder's odd-block and escape paths get exercised) only
+/// [`SzCompressor::default`] and [`SzCompressor::rans8`] build one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SzConfig {
+pub(crate) struct SzConfig {
     /// Side length of the square prediction blocks (paper: 16 for 2D).
     pub block_size: usize,
     /// Quantization radius: codes are accepted in `[-radius, radius]`.
     pub quantization_radius: u32,
     /// Enable the block regression (hyper-plane) predictor in addition to
-    /// Lorenzo. Disabling it is the `sz_predictor_ablation` bench baseline.
+    /// Lorenzo.
     pub enable_regression: bool,
-    /// Entropy backend of the quantized-residual stream. [`EntropyBackend::Huffman`]
-    /// (the default) emits the historical `LSZ1` container — Huffman codes
-    /// plus the outer LZ77 pass — byte-identical to every earlier release.
-    /// [`EntropyBackend::Rans8`] emits the `LS81` container: 8-way
-    /// interleaved rANS codes, whose decoder runs wide under SIMD dispatch,
-    /// and **no** outer LZ77 pass (rANS output is already near the entropy,
-    /// so the pass costs most of the encode time for ~no ratio) — the
-    /// throughput-first point of the ratio-vs-throughput ablation.
+    /// Entropy backend of the codes section, and with it the container's
+    /// magic and wrap ([`lcc_pressio::codes`]): Huffman, the default, is the
+    /// ratio-first point of the ratio-vs-throughput ablation, 8-way rANS
+    /// (a decoder that runs wide under SIMD dispatch) the throughput-first.
     pub entropy: EntropyBackend,
 }
 
@@ -88,14 +81,15 @@ pub struct SzCompressor {
 
 impl SzCompressor {
     /// Create a compressor with an explicit configuration.
-    pub fn new(config: SzConfig) -> Self {
+    pub(crate) fn new(config: SzConfig) -> Self {
         assert!(config.block_size >= 2, "block size must be at least 2");
         assert!(config.quantization_radius >= 2, "quantization radius must be at least 2");
         SzCompressor { config }
     }
 
     /// Create a Lorenzo-only variant (regression predictor disabled).
-    pub fn lorenzo_only() -> Self {
+    #[cfg(test)]
+    pub(crate) fn lorenzo_only() -> Self {
         SzCompressor::new(SzConfig { enable_regression: false, ..SzConfig::default() })
     }
 
@@ -103,31 +97,23 @@ impl SzCompressor {
     pub fn rans8() -> Self {
         SzCompressor::new(SzConfig { entropy: EntropyBackend::Rans8, ..SzConfig::default() })
     }
-
-    /// The active configuration.
-    pub fn config(&self) -> SzConfig {
-        self.config
-    }
 }
 
-const MAGIC: &[u8; 4] = b"LSZ1";
-/// Magic of the 8-way rANS-backend container. Emitted at the top level (the
-/// `LS81` payload is not LZ77-wrapped), which cannot collide with an `LSZ1`
-/// stream: LZ77 output opens with the decompressed-length varint, and
-/// whenever its first byte could read as `b'L'` (a single-byte varint, high
-/// bit clear) the next byte is a token tag of `0x00`/`0x01`, never `b'S'`.
-const RANS8_MAGIC: &[u8; 4] = b"LS81";
+/// The SZ codes container: `LSZ1` over Huffman codes (`sz`), `LS81` over
+/// rANS codes (`sz-rans8`); the header parameter is the block side; the
+/// middle is one mode byte per block, then the three `f64` plane
+/// coefficients of every regression block.
+pub const FORMAT: Format =
+    Format { huffman: *b"LSZ1", rans8: *b"LS81", param: 2..=u32::MAX, middle: &[1, 24] };
 
 /// Reusable working memory of the SZ compress path: one instance per sweep
 /// worker (held in a [`ScratchArena`]) turns every per-call allocation —
-/// reconstruction, code/exact buffers, block metadata, the assembled
-/// payload, and the Huffman/LZ77 internals — into a cleared-not-freed reuse.
+/// reconstruction, code/exact buffers, block metadata and the container's
+/// working memory — into a cleared-not-freed reuse.
 #[derive(Debug, Default)]
 pub struct SzScratch {
-    /// Huffman + LZ77 working memory.
-    codec: CodecScratch,
-    /// rANS working memory (the `sz-rans8` backend).
-    rans: RansScratch,
+    /// Entropy coding, payload assembly and the LZ77 pass.
+    container: codes::Scratch,
     /// Row-major reconstruction buffer. Never zeroed: the block scan writes
     /// every cell before any predictor reads it (Lorenzo only looks at
     /// already-visited neighbours and treats the field boundary as zero
@@ -141,19 +127,6 @@ pub struct SzScratch {
     modes: Vec<BlockMode>,
     /// Regression coefficients for regression blocks.
     planes: Vec<[f64; 3]>,
-    /// Encoded entropy section (Huffman or rANS, per the backend).
-    huff: Vec<u8>,
-    /// Assembled container payload (input of the final LZ77 pass).
-    payload: StreamWriter,
-    /// Decode side: the LZ77-expanded container payload.
-    dec_payload: Vec<u8>,
-}
-
-impl SzScratch {
-    /// Create an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        SzScratch::default()
-    }
 }
 
 impl SzCompressor {
@@ -174,13 +147,7 @@ impl SzCompressor {
         bound: ErrorBound,
         scratch: &mut SzScratch,
     ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
-        let mut marks = vec![Instant::now()];
-        let stream = self.compress_into(field, bound, scratch, || marks.push(Instant::now()))?;
-        let mut seconds = [0.0; 5];
-        for (layer, pair) in seconds.iter_mut().zip(marks.windows(2)) {
-            *layer = (pair[1] - pair[0]).as_secs_f64();
-        }
-        Ok((stream, seconds))
+        codes::timed_layers(|layer_done| self.compress_into(field, bound, scratch, layer_done))
     }
 
     /// The compress pipeline over explicit scratch memory: what
@@ -205,11 +172,18 @@ impl SzCompressor {
         // One dispatch lookup per stream, threaded into the row kernel.
         self.predict_quantize_at(simd_level(), field, eb, s);
         layer_done();
-        self.encode_codes(s);
-        layer_done();
-        let stream = self.assemble(field.shape(), eb, s);
-        layer_done();
-        Ok(stream)
+        let (ny, nx) = field.shape();
+        let SzConfig { block_size, quantization_radius: radius, entropy, .. } = self.config;
+        let header = Header { ny, nx, eb, param: block_size as u32, radius };
+        let SzScratch { container, codes, exact, modes, planes, .. } = s;
+        // The middle [`FORMAT`] declares.
+        let middle = |w: &mut codes::Writer| {
+            w.u64(modes.len() as u64);
+            modes.iter().for_each(|m| w.u8(*m as u8));
+            w.u64(planes.len() as u64);
+            planes.iter().flatten().for_each(|v| w.f64(*v));
+        };
+        Ok(container.encode(&FORMAT, entropy, &header, middle, codes, exact, layer_done))
     }
 
     /// Choose every block's predictor from the original data and refuse a
@@ -319,65 +293,31 @@ impl SzCompressor {
             }
         }
     }
+}
 
-    /// Entropy-code the quantization codes with the configured backend.
-    fn encode_codes(&self, s: &mut SzScratch) {
-        s.huff.clear();
-        match self.config.entropy {
-            EntropyBackend::Huffman => huffman_encode_with(&mut s.codec, &s.codes, &mut s.huff),
-            EntropyBackend::Rans8 => rans8_encode_with(&mut s.rans, &s.codes, &mut s.huff),
-        }
-    }
-
-    /// Assemble the self-describing container of a `shape = (ny, nx)` field
-    /// from the scratch's sections (the magic names the entropy backend of
-    /// the codes section) and, for the Huffman backend, run the outer LZ77
-    /// pass over it.
-    fn assemble(&self, (ny, nx): (usize, usize), eb: f64, s: &mut SzScratch) -> Vec<u8> {
-        let w = &mut s.payload;
-        w.clear();
-        w.bytes(match self.config.entropy {
-            EntropyBackend::Huffman => MAGIC,
-            EntropyBackend::Rans8 => RANS8_MAGIC,
-        });
-        w.u64(ny as u64);
-        w.u64(nx as u64);
-        w.f64(eb);
-        w.u32(self.config.block_size as u32);
-        w.u32(self.config.quantization_radius);
-        w.u64(s.modes.len() as u64);
-        for m in &s.modes {
-            w.u8(match m {
-                BlockMode::Lorenzo => 0,
-                BlockMode::Regression => 1,
-            });
-        }
-        w.u64(s.planes.len() as u64);
-        for p in &s.planes {
-            w.f64(p[0]);
-            w.f64(p[1]);
-            w.f64(p[2]);
-        }
-        w.u64(s.huff.len() as u64);
-        w.bytes(&s.huff);
-        w.u64(s.exact.len() as u64);
-        for v in &s.exact {
-            w.f64(*v);
-        }
-
-        match self.config.entropy {
-            // Final lossless pass over the assembled payload (Zstd's role).
-            EntropyBackend::Huffman => {
-                let mut out = Vec::new();
-                lz77_compress_with(&mut s.codec, s.payload.as_bytes(), &mut out);
-                out
+/// Read the middle [`FORMAT`] declares.
+fn read_middle(
+    middle: &[u8],
+    modes: &mut Vec<BlockMode>,
+    planes: &mut Vec<[f64; 3]>,
+) -> Result<(), CompressError> {
+    let mut r = Reader::new(middle);
+    modes.clear();
+    for &mode in r.counted(1)? {
+        modes.push(match mode {
+            0 => BlockMode::Lorenzo,
+            1 => BlockMode::Regression,
+            other => {
+                return Err(CompressError::CorruptStream(format!("unknown block mode {other}")))
             }
-            // The rANS payload ships raw: its dominant section is already
-            // entropy-coded, so the LZ77 pass would trade most of the encode
-            // time for ~no ratio (the ablation's fast point).
-            EntropyBackend::Rans8 => s.payload.as_bytes().to_vec(),
-        }
+        });
     }
+    planes.clear();
+    for plane in r.counted(24)?.chunks_exact(24) {
+        let mut c = Reader::new(plane);
+        planes.push([c.f64()?, c.f64()?, c.f64()?]);
+    }
+    Ok(())
 }
 
 impl Compressor for SzCompressor {
@@ -416,90 +356,25 @@ impl Compressor for SzCompressor {
         scratch: &mut ScratchArena,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        let s = scratch.get_or_default::<SzScratch>();
-        // Streams self-describe their backend: the `LS81` container is raw
-        // at the top level, everything else is the historical LZ77 wrapping.
-        let payload: &[u8] = if stream.starts_with(RANS8_MAGIC) {
-            stream
-        } else {
-            lz77_decompress_into(stream, &mut s.dec_payload)
-                .map_err(|e| CompressError::CorruptStream(format!("lz77: {e}")))?;
-            &s.dec_payload
-        };
-        let mut r = StreamReader::new(payload);
-        let magic = r.bytes(4)?;
-        let codes_backend = if magic == MAGIC {
-            EntropyBackend::Huffman
-        } else if magic == RANS8_MAGIC {
-            EntropyBackend::Rans8
-        } else {
-            return Err(CompressError::CorruptStream("bad magic".into()));
-        };
-        let ny = r.u64()? as usize;
-        let nx = r.u64()? as usize;
-        let eb = r.f64()?;
-        let block_size = r.u32()? as usize;
-        let radius = r.u32()?;
-        if ny == 0 || nx == 0 || block_size < 2 {
-            return Err(CompressError::CorruptStream("invalid header".into()));
-        }
-        // Checked up front: a forged header must not wrap `ny * nx` (the
-        // cell-count comparison below and `out.resize` both rely on it).
-        let cells = ny
-            .checked_mul(nx)
-            .ok_or_else(|| CompressError::CorruptStream("cell count overflows".into()))?;
+        let SzScratch { container, codes, exact, modes, planes, .. } =
+            scratch.get_or_default::<SzScratch>();
+        let parts = container.decode(&FORMAT, stream, codes, exact)?;
+        read_middle(parts.middle, modes, planes)?;
+        let Header { ny, nx, eb, param, radius } = parts.header;
+        let block_size = param as usize;
         let quantizer = Quantizer::new(eb, radius);
-
-        let n_modes = r.u64()? as usize;
-        s.modes.clear();
-        s.modes.reserve(n_modes.min(r.remaining()));
-        for _ in 0..n_modes {
-            s.modes.push(match r.u8()? {
-                0 => BlockMode::Lorenzo,
-                1 => BlockMode::Regression,
-                other => {
-                    return Err(CompressError::CorruptStream(format!("unknown block mode {other}")))
-                }
-            });
-        }
-        let n_planes = r.u64()? as usize;
-        s.planes.clear();
-        s.planes.reserve(n_planes.min(r.remaining() / 24));
-        for _ in 0..n_planes {
-            s.planes.push([r.f64()?, r.f64()?, r.f64()?]);
-        }
-        let huff_len = r.u64()? as usize;
-        let huff_bytes = r.bytes(huff_len)?;
-        match codes_backend {
-            EntropyBackend::Huffman => huffman_decode_with(&mut s.codec, huff_bytes, &mut s.codes)
-                .map_err(|e| CompressError::CorruptStream(format!("huffman: {e}")))?,
-            EntropyBackend::Rans8 => rans8_decode_with(&mut s.rans, huff_bytes, &mut s.codes)
-                .map_err(|e| CompressError::CorruptStream(format!("rans8: {e}")))?,
-        };
-        if s.codes.len() != cells {
-            return Err(CompressError::CorruptStream(format!(
-                "expected {cells} codes, found {}",
-                s.codes.len()
-            )));
-        }
-        let n_exact = r.u64()? as usize;
-        s.exact.clear();
-        s.exact.reserve(n_exact.min(r.remaining() / 8));
-        for _ in 0..n_exact {
-            s.exact.push(r.f64()?);
-        }
 
         // Replay the prediction/quantization chain. `resize` leaves stale
         // contents, but the block scan writes every cell before any Lorenzo
         // read touches it (the encoder's reconstruction buffer relies on the
         // same invariant).
         out.resize(ny, nx);
-        let mut codes = s.codes.as_slice();
-        let mut exact = s.exact.as_slice();
-        let mut planes = s.planes.iter();
+        let mut codes = codes.as_slice();
+        let mut exact = exact.as_slice();
+        let mut planes = planes.iter();
 
         for (mode_idx, win) in WindowIter::over(ny, nx, block_size, block_size).enumerate() {
-            let Some(&mode) = s.modes.get(mode_idx) else {
+            let Some(&mode) = modes.get(mode_idx) else {
                 return Err(CompressError::CorruptStream("missing block mode".into()));
             };
             let (block, rest) = codes.split_at(win.len());
@@ -647,7 +522,7 @@ mod tests {
     fn lorenzo_only_variant_still_respects_bound() {
         let field = smooth_field(64);
         let sz = SzCompressor::lorenzo_only();
-        assert!(!sz.config().enable_regression);
+        assert!(!sz.config.enable_regression);
         let r = sz.compress(&field, ErrorBound::Absolute(1e-3)).unwrap();
         assert!(r.metrics.max_abs_error <= 1e-3);
     }
@@ -716,7 +591,7 @@ mod tests {
         // slip past the code-count check and panic in the replay loop; the
         // checked cell count must reject it as a corrupt stream instead.
         let mut payload = Vec::new();
-        payload.extend_from_slice(MAGIC);
+        payload.extend_from_slice(&FORMAT.huffman);
         payload.extend_from_slice(&(1u64 << 32).to_le_bytes()); // ny
         payload.extend_from_slice(&(1u64 << 32).to_le_bytes()); // nx
         payload.extend_from_slice(&1e-3f64.to_le_bytes()); // eb
@@ -759,7 +634,7 @@ mod tests {
                 assert!(c.metrics.max_abs_error <= eb);
                 assert_eq!(a.reconstruction, c.reconstruction, "rans8 disagrees at eb={eb}");
                 assert_ne!(a.stream, c.stream, "containers must differ");
-                assert!(c.stream.starts_with(RANS8_MAGIC));
+                assert!(c.stream.starts_with(&FORMAT.rans8));
                 for decoder in [&huff, &rans8] {
                     assert_eq!(decoder.decompress_field(&a.stream).unwrap(), a.reconstruction);
                     assert_eq!(decoder.decompress_field(&c.stream).unwrap(), c.reconstruction);

@@ -1,15 +1,15 @@
 //! Prediction schemes: the 2D Lorenzo predictor and the block hyper-plane
 //! (regression) predictor, plus per-block predictor selection.
 
-use lcc_grid::{FieldView, Window};
+use lcc_grid::FieldView;
 
-/// Which predictor a block uses.
+/// Which predictor a block uses; the discriminant is its byte in the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockMode {
     /// First-order Lorenzo predictor from reconstructed neighbours.
-    Lorenzo,
+    Lorenzo = 0,
     /// Least-squares plane fitted over the block.
-    Regression,
+    Regression = 1,
 }
 
 /// Evaluate the block plane `c0 + c1·di + c2·dj` at local offsets
@@ -24,7 +24,8 @@ pub fn plane_predict(coeffs: &[f64; 3], di: usize, dj: usize) -> f64 {
 /// The 3×3 normal equations have a closed form because the design depends
 /// only on the block geometry (offsets `di`, `dj`), mirroring how SZ fits its
 /// regression coefficients per block.
-pub fn fit_block_plane(field: &FieldView<'_>, win: &Window) -> [f64; 3] {
+#[cfg(test)]
+pub(crate) fn fit_block_plane(field: &FieldView<'_>, win: &lcc_grid::Window) -> [f64; 3] {
     let [sums] = block_sums::<1>(field, win.i0, win.j0, win.height, win.width);
     plane_from_sums(win.height, win.width, sums)
 }
@@ -122,7 +123,12 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
 /// of a regression block need not fit it twice. This mirrors SZ's sampled
 /// predictor selection; using original (not reconstructed) values for the
 /// estimate is the same approximation the reference implementation makes.
-pub fn select_mode_with_plane(field: &FieldView<'_>, win: &Window) -> (BlockMode, [f64; 3]) {
+/// The block-at-a-time oracle of [`select_modes`], which the encoder runs.
+#[cfg(test)]
+pub(crate) fn select_mode_with_plane(
+    field: &FieldView<'_>,
+    win: &lcc_grid::Window,
+) -> (BlockMode, [f64; 3]) {
     let plane = fit_block_plane(field, win);
     let [errors] = block_errors::<1>(field, win.i0, win.j0, win.height, win.width, &[plane]);
     (mode_of(errors), plane)
@@ -172,8 +178,8 @@ fn mode_of([lorenzo_err, plane_err]: [f64; 2]) -> BlockMode {
 /// add chains in the fitting pass, eight in the comparison.
 const GROUP: usize = 4;
 
-/// [`select_mode_with_plane`] for every `block_size`-sided block of `field`
-/// in [`WindowIter`] order — the same decisions and the same plane bits —
+/// `select_mode_with_plane` (the test oracle) for every `block_size`-sided
+/// block of `field` in [`WindowIter`] order — same decisions, same plane bits —
 /// with full-width blocks taken [`GROUP`] at a time: `modes` gets one entry
 /// per block, `planes` one per regression block. Returns whether every
 /// block's value sum was finite; where it is, so is every value of the
@@ -221,7 +227,7 @@ pub fn select_modes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcc_grid::Field2D;
+    use lcc_grid::{Field2D, Window};
 
     fn select_mode(field: &FieldView<'_>, win: &Window) -> BlockMode {
         select_mode_with_plane(field, win).0

@@ -215,7 +215,7 @@ mod tests {
     fn roundtrip(values: [f64; BLOCK_LEN], eb: f64) -> [f64; BLOCK_LEN] {
         let mut w = BitWriter::new();
         encode_block(&mut w, &values, eb, 40);
-        let bytes = w.into_bytes();
+        let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes);
         decode_block(&mut r, eb, 40).unwrap()
     }
@@ -243,7 +243,7 @@ mod tests {
             let mut w = BitWriter::new();
             encode_block(&mut w, &values, eb, 40);
             let bits = w.bit_len();
-            let bytes = w.into_bytes();
+            let bytes = w.as_bytes().to_vec();
             let mut r = BitReader::new(&bytes);
             let out = decode_block(&mut r, eb, 40).unwrap();
             assert!(max_err(&values, &out) <= eb, "eb={eb}");
@@ -303,7 +303,7 @@ mod tests {
     fn truncated_block_stream_errors() {
         let mut w = BitWriter::new();
         encode_block(&mut w, &[1.25; BLOCK_LEN], 1e-6, 40);
-        let bytes = w.into_bytes();
+        let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes[..1]);
         // With only one byte the block payload is missing.
         assert!(decode_block(&mut r, 1e-6, 40).is_err() || bytes.len() <= 1);

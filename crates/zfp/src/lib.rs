@@ -48,41 +48,15 @@ pub const BLOCK_DIM: usize = 4;
 /// Number of values in a coding block.
 pub const BLOCK_LEN: usize = BLOCK_DIM * BLOCK_DIM;
 
-/// Configuration of the ZFP-style compressor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZfpConfig {
-    /// Fixed-point precision (bits) used for the block-floating-point
-    /// conversion. 40 leaves ample headroom for transform growth in `i64`.
-    pub precision_bits: u32,
-}
+/// Fixed-point precision (bits) of the block-floating-point conversion:
+/// 40 leaves ample headroom for transform growth in `i64`. Streams record
+/// it, and the decoder accepts any recorded value from 16 to 48.
+const PRECISION_BITS: u32 = 40;
 
-impl Default for ZfpConfig {
-    fn default() -> Self {
-        ZfpConfig { precision_bits: 40 }
-    }
-}
-
-/// The ZFP-style compressor. See the crate-level documentation.
+/// The ZFP-style compressor. See the crate-level documentation. Nothing to
+/// configure (the precision is a constant): `default()` constructs it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ZfpCompressor {
-    config: ZfpConfig,
-}
-
-impl ZfpCompressor {
-    /// Create a compressor with an explicit configuration.
-    pub fn new(config: ZfpConfig) -> Self {
-        assert!(
-            (16..=48).contains(&config.precision_bits),
-            "precision must be between 16 and 48 bits"
-        );
-        ZfpCompressor { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> ZfpConfig {
-        self.config
-    }
-}
+pub struct ZfpCompressor {}
 
 const MAGIC: &[u8; 4] = b"LZF1";
 
@@ -95,13 +69,6 @@ pub struct ZfpScratch {
     /// Decode side: the expanded bit stream (tag-1 LZ77 container; tag-0
     /// streams are read in place without a copy).
     body: Vec<u8>,
-}
-
-impl ZfpScratch {
-    /// Create an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        ZfpScratch::default()
-    }
 }
 
 impl ZfpCompressor {
@@ -127,7 +94,7 @@ impl ZfpCompressor {
         writer.write_bits(ny as u64, 32);
         writer.write_bits(nx as u64, 32);
         writer.write_bits(eb.to_bits(), 64);
-        writer.write_bits(u64::from(self.config.precision_bits), 8);
+        writer.write_bits(u64::from(PRECISION_BITS), 8);
 
         // Blocks are gathered into batches of `TRANSFORM_BATCH` so the
         // forward transforms share one dispatch call (the stream is
@@ -139,12 +106,12 @@ impl ZfpCompressor {
                 batch[filled] = block::gather(field, bi, bj);
                 filled += 1;
                 if filled == codec::TRANSFORM_BATCH {
-                    codec::encode_blocks(writer, &batch, eb, self.config.precision_bits);
+                    codec::encode_blocks(writer, &batch, eb, PRECISION_BITS);
                     filled = 0;
                 }
             }
         }
-        codec::encode_blocks(writer, &batch[..filled], eb, self.config.precision_bits);
+        codec::encode_blocks(writer, &batch[..filled], eb, PRECISION_BITS);
 
         // Container tag 0: the bit stream as it is. (Tag 1, the same stream
         // behind an LZ77 pass, is no longer written but still decodes.)
@@ -402,10 +369,12 @@ mod tests {
     }
 
     #[test]
-    fn name_and_config() {
+    fn name_and_recorded_precision() {
         let zfp = ZfpCompressor::default();
         assert_eq!(zfp.name(), "zfp");
         assert!(zfp.description().contains("4x4"));
-        assert_eq!(zfp.config().precision_bits, 40);
+        // Tag byte, then magic, ny, nx and eb ahead of the precision byte.
+        let stream = zfp.compress_view(&smooth(8).view(), ErrorBound::Absolute(1e-3)).unwrap();
+        assert_eq!(u32::from(stream[1 + 4 + 4 + 4 + 8]), PRECISION_BITS);
     }
 }

@@ -3,8 +3,9 @@
 
 Prints each `pub fn|struct|enum|trait|const|type` (bins excluded) whose name
 is referenced nowhere but at its definition, in re-exports, and in its own
-crate's `#[cfg(test)]` items and `tests/` directory. Comments and string
-literals are stripped first, so a doc or message mention is not a caller. Callers are: non-test code of any
+crate's `#[cfg(test)]` items (a file declared `#[cfg(test)] mod name;` is
+one) and `tests/` directory. Comments and string literals are stripped
+first, so a doc or message mention is not a caller. Callers are: non-test code of any
 crate, every crate's bins, root `src/`, `tests/` and `examples/`, and
 `benchmarks/e2e/src`. Matching is by name, so an item sharing its name with
 one that has callers (`new`, `len`) is never listed.
@@ -32,6 +33,8 @@ ITEM = re.compile(r"^\s*pub (?:const |unsafe )*(fn|struct|enum|trait|const|type)
 # Comments and string literals: mentions that call nothing.
 NOT_CODE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"', re.S)
 REEXPORT = re.compile(r"\bpub use [^;]*;")
+# A whole file of test code: `#[cfg(test)]` (and further attributes) over `mod name;`.
+TEST_MOD = re.compile(r"^[ \t]*#\[cfg\(test\)\][ \t]*\n(?:[ \t]*#\[[^\n]*\n)*[ \t]*(?:pub(?:\([^)]*\))? )?mod (\w+);", re.M)
 
 
 def strip_tests(text):
@@ -54,6 +57,17 @@ def strip_tests(text):
     return "\n".join(out)
 
 
+def test_module_paths(path):
+    """Path prefixes of the modules `path` declares `#[cfg(test)] mod name;`
+    (`name.rs`, or everything under `name/`): test code like an inline
+    `#[cfg(test)] mod tests { … }`, though it sits in a file of its own."""
+    text = NOT_CODE.sub("", open(path, encoding="utf-8").read())
+    stem, base = os.path.splitext(path)[0], os.path.dirname(path)
+    if os.path.basename(path) not in ("lib.rs", "mod.rs", "main.rs"):
+        base = stem
+    return [os.path.join(base, name) for name in TEST_MOD.findall(text)]
+
+
 def read(path, tests=False):
     text = NOT_CODE.sub("", open(path, encoding="utf-8").read())
     return text if tests else strip_tests(text)
@@ -66,7 +80,9 @@ def main():
         src = os.path.join(ROOT, "crates", crate, "src")
         paths = sorted(glob.glob(os.path.join(src, "**", "*.rs"), recursive=True))
         bins = [p for p in paths if p.startswith(os.path.join(src, "bin") + os.sep)]
-        lib[crate] = "\n".join(read(p) for p in paths if p not in bins)
+        gated = [prefix for p in paths for prefix in test_module_paths(p)]
+        tests = [p for p in paths if any(p == g + ".rs" or p.startswith(g + os.sep) for g in gated)]
+        lib[crate] = "\n".join(read(p) for p in paths if p not in bins + tests)
         callers += [read(p, tests=True) for p in bins]
     for pattern in ("src", "tests", "examples", "benchmarks/e2e/src"):
         paths = glob.glob(os.path.join(ROOT, pattern, "**", "*.rs"), recursive=True)

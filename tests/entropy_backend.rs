@@ -163,15 +163,26 @@ fn sweep_exercises_both_backends() {
 
 // ---- corrupt-stream hardening for the rANS containers ------------------------
 
-/// Hand-assemble an SZ container under `magic` around the given codes section.
-fn forge_sz_container(magic: &[u8; 4], ny: u64, nx: u64, section: &[u8]) -> Vec<u8> {
+/// The radii the two encoders write.
+const SZ_RADIUS: u32 = 32768;
+const MGARD_RADIUS: u32 = 1 << 30;
+
+/// Hand-assemble an SZ container under `magic`, with the given bound and
+/// radius in its header, around the given codes section.
+fn forge_sz_container(
+    magic: &[u8; 4],
+    (ny, nx): (u64, u64),
+    eb: f64,
+    radius: u32,
+    section: &[u8],
+) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(magic);
     out.extend_from_slice(&ny.to_le_bytes());
     out.extend_from_slice(&nx.to_le_bytes());
-    out.extend_from_slice(&1e-3f64.to_le_bytes());
+    out.extend_from_slice(&eb.to_le_bytes());
     out.extend_from_slice(&16u32.to_le_bytes()); // block size
-    out.extend_from_slice(&32768u32.to_le_bytes()); // radius
+    out.extend_from_slice(&radius.to_le_bytes());
 
     // One Lorenzo mode byte: correct for the ≤16×16 shapes the valid-shape
     // tests forge; the giant-dimension forgeries are rejected before the
@@ -185,16 +196,22 @@ fn forge_sz_container(magic: &[u8; 4], ny: u64, nx: u64, section: &[u8]) -> Vec<
     out
 }
 
-/// Hand-assemble an MGARD container under `magic` around the given
-/// coefficient section.
-fn forge_mgard_container(magic: &[u8; 4], ny: u64, nx: u64, section: &[u8]) -> Vec<u8> {
+/// Hand-assemble an MGARD container under `magic`, with the given bound and
+/// radius in its header, around the given coefficient section.
+fn forge_mgard_container(
+    magic: &[u8; 4],
+    (ny, nx): (u64, u64),
+    eb: f64,
+    radius: u32,
+    section: &[u8],
+) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(magic);
     out.extend_from_slice(&ny.to_le_bytes());
     out.extend_from_slice(&nx.to_le_bytes());
-    out.extend_from_slice(&1e-3f64.to_le_bytes());
+    out.extend_from_slice(&eb.to_le_bytes());
     out.extend_from_slice(&2u32.to_le_bytes()); // levels
-    out.extend_from_slice(&(1u32 << 30).to_le_bytes()); // radius
+    out.extend_from_slice(&radius.to_le_bytes());
     out.extend_from_slice(&(section.len() as u64).to_le_bytes());
     out.extend_from_slice(section);
     out.extend_from_slice(&0u64.to_le_bytes()); // n_exact
@@ -253,7 +270,11 @@ fn truncated_rans_frequency_table_is_rejected() {
     push_varint(&mut section, 4096); // alphabet_size
     push_varint(&mut section, 1); // one lonely entry…
     push_varint(&mut section, 2);
-    assert_corrupt(&sz, &forge_sz_container(b"LS81", 16, 16, &section), "truncated freq table");
+    assert_corrupt(
+        &sz,
+        &forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &section),
+        "truncated freq table",
+    );
 }
 
 #[test]
@@ -266,9 +287,9 @@ fn rans_frequencies_must_sum_to_the_12_bit_scale() {
     push_varint(&mut section, 1);
     push_varint(&mut section, 2047); // sums to 4095, not 4096
     push_seed_lanes(&mut section);
-    let sz = forge_sz_container(b"LS81", 16, 16, &section);
+    let sz = forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &section);
     assert_corrupt(&SzCompressor::rans8(), &sz, "bad freq sum (sz)");
-    let mgard = forge_mgard_container(b"LM81", 16, 16, &section);
+    let mgard = forge_mgard_container(b"LM81", (16, 16), 1e-3, MGARD_RADIUS, &section);
     assert_corrupt(&MgardCompressor::rans8(), &mgard, "bad freq sum (mgard)");
 }
 
@@ -278,7 +299,11 @@ fn unknown_backend_bytes_are_rejected() {
     let sz = SzCompressor::rans8();
     let mut section = valid_rans_section(256, 40000);
     section[0] = 9;
-    assert_corrupt(&sz, &forge_sz_container(b"LS81", 16, 16, &section), "unknown rans mode");
+    assert_corrupt(
+        &sz,
+        &forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &section),
+        "unknown rans mode",
+    );
 
     // Unknown ZFP container tag.
     let zfp = ZfpCompressor::default();
@@ -294,14 +319,64 @@ fn forged_giant_rans_headers_fail_before_allocating() {
     let sz = SzCompressor::rans8();
     // ny·nx wrapping to 0 must die at the checked cell count.
     let section = valid_rans_section(0, 0);
-    let wrapping = forge_sz_container(b"LS81", 1 << 32, 1 << 32, &section);
+    let wrapping = forge_sz_container(b"LS81", (1 << 32, 1 << 32), 1e-3, SZ_RADIUS, &section);
     assert_corrupt(&sz, &wrapping, "wrapping cells");
     // A huge claimed cell count over a tiny zero-entropy section must fail
     // the rANS run cap or the code-count check — allocation stays bounded
     // by the actual stream either way.
     let section = valid_rans_section(1 << 40, 7);
-    let giant = forge_sz_container(b"LS81", 1 << 20, 1 << 20, &section);
+    let giant = forge_sz_container(b"LS81", (1 << 20, 1 << 20), 1e-3, SZ_RADIUS, &section);
     assert_corrupt(&sz, &giant, "implausible count");
+}
+
+type Forge = fn(&[u8; 4], (u64, u64), f64, u32, &[u8]) -> Vec<u8>;
+
+/// A header no encoder writes — a bound that is zero, negative or not
+/// finite, a radius below 2 — around an otherwise valid 16 × 16 stream of
+/// "residual zero" codes under `magic` (`wrapped`: Huffman codes, behind the
+/// LZ77 pass the decoder expects; otherwise rANS codes, raw). No
+/// `catch_unwind`: a decoder that asserts on the header fails the test by
+/// panicking.
+fn assert_forged_bounds_and_radii_refused(
+    magic: &[u8; 4],
+    wrapped: bool,
+    decoder: &dyn Compressor,
+    forge: Forge,
+    radius: u32,
+) {
+    let what = String::from_utf8_lossy(magic).into_owned();
+    let section = if wrapped {
+        lcc::lossless::huffman_encode(&[radius; 256])
+    } else {
+        valid_rans_section(256, u64::from(radius))
+    };
+    let stream = |eb: f64, radius: u32| {
+        let payload = forge(magic, (16, 16), eb, radius, &section);
+        if wrapped {
+            lcc::lossless::lz77_compress(&payload)
+        } else {
+            payload
+        }
+    };
+    // The control: with the header an encoder writes, the forgery decodes.
+    let field = decoder.decompress_field(&stream(1e-3, radius)).expect(&what);
+    assert_eq!(field, Field2D::zeros(16, 16), "{what}");
+    for eb in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert_corrupt(decoder, &stream(eb, radius), &format!("{what} with eb = {eb}"));
+    }
+    for radius in [0, 1] {
+        assert_corrupt(decoder, &stream(1e-3, radius), &format!("{what} with radius {radius}"));
+    }
+}
+
+#[test]
+fn forged_bounds_and_radii_are_refused_before_a_quantiser_is_built() {
+    let (sz, mgard) = (SzCompressor::default(), MgardCompressor::default());
+    assert_forged_bounds_and_radii_refused(b"LSZ1", true, &sz, forge_sz_container, SZ_RADIUS);
+    assert_forged_bounds_and_radii_refused(b"LS81", false, &sz, forge_sz_container, SZ_RADIUS);
+    let forge = forge_mgard_container;
+    assert_forged_bounds_and_radii_refused(b"LMG1", true, &mgard, forge, MGARD_RADIUS);
+    assert_forged_bounds_and_radii_refused(b"LM81", false, &mgard, forge, MGARD_RADIUS);
 }
 
 // ---- the retired formats ----------------------------------------------------
@@ -346,12 +421,34 @@ fn legacy_formats_are_refused_not_misdecoded() {
     let mgard = MgardCompressor::rans8();
     let zfp = ZfpCompressor::default();
     let cases: Vec<(&str, &dyn Compressor, Vec<u8>)> = vec![
-        ("LSR1", &sz, padded(forge_sz_container(b"LSR1", 1 << 20, 1 << 20, &two_way))),
-        ("LMR1", &mgard, padded(forge_mgard_container(b"LMR1", 1 << 20, 1 << 20, &two_way))),
+        (
+            "LSR1",
+            &sz,
+            padded(forge_sz_container(b"LSR1", (1 << 20, 1 << 20), 1e-3, SZ_RADIUS, &two_way)),
+        ),
+        (
+            "LMR1",
+            &mgard,
+            padded(forge_mgard_container(
+                b"LMR1",
+                (1 << 20, 1 << 20),
+                1e-3,
+                MGARD_RADIUS,
+                &two_way,
+            )),
+        ),
         ("zfp tag 2", &zfp, padded(zfp_tagged(2, &two_way))),
         ("zfp tag 3", &zfp, padded(zfp_tagged(3, &eight_way))),
-        ("mode 0 in LS81", &sz, padded(forge_sz_container(b"LS81", 16, 16, &two_way))),
-        ("mode 0 in LM81", &mgard, padded(forge_mgard_container(b"LM81", 16, 16, &two_way))),
+        (
+            "mode 0 in LS81",
+            &sz,
+            padded(forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &two_way)),
+        ),
+        (
+            "mode 0 in LM81",
+            &mgard,
+            padded(forge_mgard_container(b"LM81", (16, 16), 1e-3, MGARD_RADIUS, &two_way)),
+        ),
     ];
 
     // The bare section, straight into the coder.

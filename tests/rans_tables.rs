@@ -28,10 +28,11 @@ use lcc::pressio::ErrorBound;
 use lcc::synth::{
     generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
 };
-use std::ops::Range;
 
 #[path = "common/alloc_probe.rs"]
 mod alloc_probe;
+#[path = "common/container.rs"]
+mod container;
 #[path = "common/fields.rs"]
 mod fields;
 
@@ -143,35 +144,6 @@ fn alphabet_shapes_transcode_to_the_pair_table_stream() {
     }
 }
 
-/// The codes section of an `LS81` (`sz-rans8`) or `LM81` (`mgard-rans8`)
-/// stream. Both containers are raw at the top level: fixed-width
-/// little-endian fields up to the `u64`-prefixed section.
-fn codes_section(stream: &[u8]) -> Range<usize> {
-    let u64_at = |at: usize| u64::from_le_bytes(stream[at..at + 8].try_into().unwrap()) as usize;
-    // magic, ny, nx, eb, two u32 parameters.
-    let mut at = 4 + 8 + 8 + 8 + 4 + 4;
-    match &stream[..4] {
-        b"LM81" => {}
-        b"LS81" => {
-            // Block modes (one byte each), then regression planes (3 × f64).
-            at += 8 + u64_at(at);
-            at += 8 + 24 * u64_at(at);
-        }
-        other => panic!("not a rans8 container: {other:?}"),
-    }
-    at + 8..at + 8 + u64_at(at)
-}
-
-/// `stream` with its codes section replaced (and the length ahead of it).
-fn with_codes_section(stream: &[u8], section: &[u8]) -> Vec<u8> {
-    let old = codes_section(stream);
-    let mut out = stream[..old.start - 8].to_vec();
-    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
-    out.extend_from_slice(section);
-    out.extend_from_slice(&stream[old.end..]);
-    out
-}
-
 /// The study's families at side `n`: single-range and two-range Gaussian
 /// fields and a Miranda-proxy `velocityx` slice.
 fn families(n: usize) -> Vec<(String, Field2D)> {
@@ -203,12 +175,15 @@ fn assert_stream_transcodes(name: &str, view: &FieldView<'_>, eb: f64, what: &st
     let registry = entropy_ablation_registry();
     let compressor = registry.get(name).expect("registered compressor");
     let stream = compressor.compress_view(view, ErrorBound::Absolute(eb)).expect("compress");
-    let section = &stream[codes_section(&stream)];
+    let mut expanded = Vec::new();
+    // A rANS container is raw, so nothing is expanded.
+    let parts = container::open(name, &stream, &mut expanded);
+    let section = parts.section;
     let codes = decode_at_every_tier(section, what);
     assert!(rans8_encode(&codes) == section, "{what}: the section is not the codes' stream");
     let (new, old) = assert_transcodes(&codes, what);
     assert!(new <= old + 1, "{what}: {new} bytes run-coded, {old} as pairs");
-    let transcoded = with_codes_section(&stream, &to_pair_table(section));
+    let transcoded = container::reassemble(name, &parts, &to_pair_table(section));
     assert_eq!(
         compressor.decompress_field(&transcoded).expect("pair-table stream decodes"),
         compressor.decompress_field(&stream).expect("run-table stream decodes"),
