@@ -1,24 +1,18 @@
 //! The (field × compressor × error bound) sweep driver.
 //!
-//! The sweep is scheduled as a **flat queue of work items** rather than one
-//! task per field: every window-local statistic (variogram range, SVD
-//! truncation level), every global variogram fit and every
-//! (field × compressor × bound) compression cell becomes its own job, and a
-//! single `lcc_par` map drains them all. A study of 3 fields therefore
-//! saturates every core with its ~1024 windows per field and its
-//! 3 × 4 compression cells per field, instead of running at most 3 workers.
-//! Per-field statistics are assembled once from the window results (a stats
-//! cache keyed by field index) and shared by all of that field's records.
+//! One `lcc_par` map drains a field-major queue: per field, one statistics
+//! job — [`CorrelationStatistics::compute_view`], the call `select` makes on
+//! every request, so the sweep and the predictor's inputs cannot drift apart
+//! — then one job per (compressor, bound) cell. The statistics are computed
+//! once per field and shared by all of that field's records.
 
 use crate::dataset::LabeledField;
 use crate::statistics::{CorrelationStatistics, StatisticsConfig};
 use crate::CoreError;
-use lcc_geostat::variogram::{estimate_range_view, VariogramFit};
-use lcc_geostat::{log_regression, window_range, window_truncation_level, LogRegression};
+use lcc_geostat::{log_regression, LogRegression};
 use lcc_grid::io::CsvSeries;
-use lcc_grid::{stats, FieldView};
 use lcc_par::{try_parallel_map_with_state, CancelToken, ThreadPoolConfig};
-use lcc_pressio::{Compressor, ErrorBound, Metrics, Registry, ScratchArena};
+use lcc_pressio::{ErrorBound, Metrics, Registry, ScratchArena};
 use std::sync::Arc;
 
 /// Configuration of one sweep.
@@ -26,9 +20,11 @@ use std::sync::Arc;
 pub struct SweepConfig {
     /// Error bounds to evaluate (the paper uses 1e-5 … 1e-2 absolute).
     pub bounds: Vec<ErrorBound>,
-    /// Statistics configuration applied to every field.
+    /// Statistics configuration applied to every field. Its `threads` is not
+    /// read: the sweep's own pool is the parallelism, and each field's
+    /// statistics run at width 1 inside it.
     pub statistics: StatisticsConfig,
-    /// Worker threads (`None` = automatic).
+    /// Worker threads of the sweep's pool (`None` = automatic).
     pub threads: Option<usize>,
     /// Optional deadline/cancellation token: checked before every job, so
     /// an expired sweep fails fast with a "deadline"-tagged
@@ -74,50 +70,31 @@ pub struct ExperimentRecord {
     pub statistics: CorrelationStatistics,
 }
 
-/// One unit of work in the flat sweep schedule. Statistics jobs carry the
-/// zero-copy window view they operate on; compression cells re-read the
-/// whole-field view by index.
-enum SweepJob<'a> {
-    /// Global variogram fit of one field.
-    Global { field: usize },
-    /// Variogram range of one local window of one field.
-    RangeWindow { field: usize, view: FieldView<'a> },
-    /// SVD truncation level of one local window of one field.
-    SvdWindow { field: usize, view: FieldView<'a> },
+/// One unit of work in the sweep's schedule, field-major: a field's
+/// statistics job comes before its compression cells.
+enum SweepJob {
+    /// The correlation statistics of one field.
+    Statistics { field: usize },
     /// One (field, compressor, bound) compression cell.
     Cell { field: usize, compressor: usize, bound: usize },
 }
 
 /// The result of one [`SweepJob`], in the same order as the job list.
 enum SweepJobOutput {
-    Global(VariogramFit),
-    /// NaN when the window fit failed (dropped at aggregation).
-    Range(f64),
-    /// NaN when the decomposition failed (dropped at aggregation).
-    Svd(f64),
-    Cell(Result<Metrics, String>),
-}
-
-/// Per-field statistics under assembly: window results accumulate here (in
-/// window-iteration order, so aggregation is thread-count independent) and
-/// are reduced to one [`CorrelationStatistics`] per field, shared by every
-/// record of that field.
-#[derive(Default)]
-struct FieldStatsAccum {
-    global: Option<VariogramFit>,
-    ranges: Vec<f64>,
-    svd_levels: Vec<f64>,
+    Statistics(CorrelationStatistics),
+    Cell(Metrics),
 }
 
 /// Run the full sweep: every field is measured once per compressor per
-/// bound, and its statistics are computed once (deduplicated across the
-/// field's records via the per-field stats cache). All work — one job per
-/// statistics window, one per global fit, one per (field, compressor,
-/// bound) cell — feeds a single flat parallel queue, so even a sweep over
-/// few fields keeps every core busy.
+/// bound, and its statistics are computed once, by
+/// [`CorrelationStatistics::compute_view`], and shared by all of the
+/// field's records. One statistics job per field and one job per
+/// (field, compressor, bound) cell feed a single parallel queue of
+/// [`SweepConfig::threads`] workers; each statistics job runs at width 1, so
+/// pools never nest and `config.statistics.threads` is not read (the
+/// statistics do not depend on the width).
 ///
-/// Peak-memory model: unlike the old per-field driver (which ran a field's
-/// compressions sequentially), up to one compression working set — a
+/// Peak-memory model: up to one compression working set — a
 /// reconstruction plus codec buffers — can be live **per worker thread**.
 /// At paper scale that is roughly 20 MB × threads; bound it with
 /// [`SweepConfig::threads`] (or `LCC_THREADS`) on very wide machines.
@@ -132,32 +109,13 @@ pub fn run_sweep(
     if registry.is_empty() {
         return Err(CoreError::Compression("no compressors registered".into()));
     }
-    let pool = match config.threads {
-        Some(t) => ThreadPoolConfig::with_threads(t),
-        None => ThreadPoolConfig::auto(),
-    };
+    let pool = config.threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
     let compressors = registry.compressors();
-    let stats_cfg = &config.statistics;
-    let local_cfg = stats_cfg.local_config();
-    let window = local_cfg.window;
-    assert!(window >= 4, "local windows must be at least 4x4");
+    let stats_cfg = StatisticsConfig { threads: Some(1), ..config.statistics };
 
-    // Build the flat schedule, field-major so aggregation below can walk the
-    // outputs in one deterministic pass.
-    let views: Vec<FieldView<'_>> = fields.iter().map(|labeled| labeled.field.view()).collect();
-    let n_cells_per_field = compressors.len() * config.bounds.len();
-    let mut jobs: Vec<SweepJob<'_>> = Vec::new();
-    for (field, view) in views.iter().enumerate() {
-        jobs.push(SweepJob::Global { field });
-        for (win, sub) in view.windows(window, window) {
-            let full = win.is_full(window, window);
-            if full || !local_cfg.skip_partial_windows {
-                jobs.push(SweepJob::RangeWindow { field, view: sub });
-            }
-            if full {
-                jobs.push(SweepJob::SvdWindow { field, view: sub });
-            }
-        }
+    let mut jobs = Vec::with_capacity(fields.len() * (1 + compressors.len() * config.bounds.len()));
+    for field in 0..fields.len() {
+        jobs.push(SweepJob::Statistics { field });
         for compressor in 0..compressors.len() {
             for bound in 0..config.bounds.len() {
                 jobs.push(SweepJob::Cell { field, compressor, bound });
@@ -175,104 +133,56 @@ pub fn run_sweep(
     // and surfaced here as the sweep's error instead of aborting the
     // process; an expired deadline abandons jobs not yet started.
     let cancel = config.cancel.as_ref();
-    let outputs: Vec<Result<SweepJobOutput, CoreError>> =
-        try_parallel_map_with_state(pool, &jobs, ScratchArena::new, |scratch, _, job| {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return Err(CoreError::Compression(
-                    "sweep: deadline exceeded, remaining jobs abandoned".into(),
-                ));
+    let outputs = try_parallel_map_with_state(pool, &jobs, ScratchArena::new, |scratch, _, job| {
+        if cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(CoreError::Compression(
+                "sweep: deadline exceeded, remaining jobs abandoned".into(),
+            ));
+        }
+        match *job {
+            SweepJob::Statistics { field } => Ok(SweepJobOutput::Statistics(
+                CorrelationStatistics::compute_view(&fields[field].field.view(), &stats_cfg),
+            )),
+            SweepJob::Cell { field, compressor, bound } => {
+                let (labeled, comp) = (&fields[field], &compressors[compressor]);
+                let view = labeled.field.view();
+                match comp.compress_measured_with(&view, config.bounds[bound], scratch) {
+                    Ok(result) => Ok(SweepJobOutput::Cell(result.metrics)),
+                    Err(e) => Err(CoreError::Compression(format!(
+                        "{} on {}: {e}",
+                        comp.name(),
+                        labeled.name
+                    ))),
+                }
             }
-            Ok(match job {
-                SweepJob::Global { field } => SweepJobOutput::Global(estimate_range_view(
-                    &views[*field],
-                    &stats_cfg.variogram,
-                )),
-                SweepJob::RangeWindow { view, .. } => {
-                    SweepJobOutput::Range(window_range(view, &local_cfg.variogram))
-                }
-                SweepJob::SvdWindow { view, .. } => SweepJobOutput::Svd(
-                    window_truncation_level(view, stats_cfg.svd_fraction)
-                        .map_or(f64::NAN, |level| level as f64),
-                ),
-                SweepJob::Cell { field, compressor, bound } => {
-                    let comp: &Arc<dyn Compressor> = &compressors[*compressor];
-                    SweepJobOutput::Cell(
-                        comp.compress_measured_with(&views[*field], config.bounds[*bound], scratch)
-                            .map(|result| result.metrics)
-                            .map_err(|e| {
-                                format!("{} on {}: {e}", comp.name(), fields[*field].name)
-                            }),
-                    )
-                }
-            })
-        })
-        .map_err(|panic| CoreError::Compression(format!("sweep: {panic}")))?;
+        }
+    })
+    .map_err(|panic| CoreError::Compression(format!("sweep: {panic}")))?;
 
-    // Aggregate: fold window results into the per-field stats cache and park
-    // cell metrics at their (field, compressor, bound) slot.
-    let mut stats_cache: Vec<FieldStatsAccum> = Vec::new();
-    stats_cache.resize_with(fields.len(), FieldStatsAccum::default);
-    let mut cells: Vec<Option<Result<Metrics, String>>> = Vec::new();
-    cells.resize_with(fields.len() * n_cells_per_field, || None);
+    // Assemble the records in job order, i.e. (field, compressor, bound).
+    let compressor_names: Vec<Arc<str>> = compressors.iter().map(|c| Arc::from(c.name())).collect();
+    let mut out = Vec::with_capacity(jobs.len() - fields.len());
+    let mut current = None;
     for (job, output) in jobs.iter().zip(outputs) {
         match (job, output?) {
-            (SweepJob::Global { field }, SweepJobOutput::Global(fit)) => {
-                stats_cache[*field].global = Some(fit);
+            (&SweepJob::Statistics { field }, SweepJobOutput::Statistics(statistics)) => {
+                current = Some((Arc::<str>::from(fields[field].name.as_str()), statistics));
             }
-            (SweepJob::RangeWindow { field, .. }, SweepJobOutput::Range(range)) => {
-                if range.is_finite() {
-                    stats_cache[*field].ranges.push(range);
-                }
-            }
-            (SweepJob::SvdWindow { field, .. }, SweepJobOutput::Svd(level)) => {
-                if level.is_finite() {
-                    stats_cache[*field].svd_levels.push(level);
-                }
-            }
-            (SweepJob::Cell { field, compressor, bound }, SweepJobOutput::Cell(result)) => {
-                cells[field * n_cells_per_field + compressor * config.bounds.len() + bound] =
-                    Some(result);
-            }
-            _ => unreachable!("job and output streams are index-aligned"),
-        }
-    }
-    let field_stats: Vec<CorrelationStatistics> = stats_cache
-        .into_iter()
-        .map(|accum| {
-            let global = accum.global.expect("one global job is scheduled per field");
-            CorrelationStatistics {
-                global_range: global.range,
-                global_sill: global.sill,
-                local_range_std: stats::std_dev(&accum.ranges),
-                local_svd_std: stats::std_dev(&accum.svd_levels),
-            }
-        })
-        .collect();
-
-    // Assemble the records in (field, compressor, bound) order.
-    let compressor_names: Vec<Arc<str>> = compressors.iter().map(|c| Arc::from(c.name())).collect();
-    let mut cell_iter = cells.into_iter();
-    let mut out = Vec::with_capacity(fields.len() * n_cells_per_field);
-    for (field, labeled) in fields.iter().enumerate() {
-        let field_name: Arc<str> = Arc::from(labeled.name.as_str());
-        for compressor_name in &compressor_names {
-            for &bound in &config.bounds {
-                let metrics = cell_iter
-                    .next()
-                    .flatten()
-                    .expect("every cell is scheduled exactly once")
-                    .map_err(CoreError::Compression)?;
+            (&SweepJob::Cell { field, compressor, bound }, SweepJobOutput::Cell(metrics)) => {
+                let (field_name, statistics) =
+                    current.as_ref().expect("a field's statistics job precedes its cells");
                 out.push(ExperimentRecord {
-                    field_name: Arc::clone(&field_name),
-                    true_range: labeled.true_range,
-                    compressor: Arc::clone(compressor_name),
-                    bound,
+                    field_name: Arc::clone(field_name),
+                    true_range: fields[field].true_range,
+                    compressor: Arc::clone(&compressor_names[compressor]),
+                    bound: config.bounds[bound],
                     compression_ratio: metrics.compression_ratio,
                     max_abs_error: metrics.max_abs_error,
                     psnr: metrics.psnr,
-                    statistics: field_stats[field],
+                    statistics: *statistics,
                 });
             }
+            _ => unreachable!("job and output streams are index-aligned"),
         }
     }
     Ok(out)
@@ -338,8 +248,7 @@ pub fn records_to_csv(records: &[ExperimentRecord]) -> CsvSeries {
         "local_svd_std",
         "compressor_id",
     ]);
-    for (idx, r) in records.iter().enumerate() {
-        let _ = idx;
+    for r in records {
         csv.push_row(vec![
             r.true_range.unwrap_or(f64::NAN),
             r.bound.raw_epsilon(),
@@ -355,8 +264,9 @@ pub fn records_to_csv(records: &[ExperimentRecord]) -> CsvSeries {
     csv
 }
 
-/// Stable numeric id for a compressor name (CSV cells are numeric).
-fn compressor_id(name: &str) -> f64 {
+/// Stable numeric id for a compressor name (CSV cells are numeric): the one
+/// table behind both the records CSV and a panel's fits CSV.
+pub(crate) fn compressor_id(name: &str) -> f64 {
     match name {
         "sz" => 0.0,
         "zfp" => 1.0,
@@ -429,12 +339,29 @@ mod tests {
 
     #[test]
     fn every_registry_compressor_has_a_distinct_csv_id() {
-        let names = crate::registry::entropy_ablation_registry().names();
+        let registry = crate::registry::entropy_ablation_registry();
+        let names = registry.names();
         let mut ids: Vec<f64> = names.iter().map(|n| compressor_id(n)).collect();
         assert!(ids.iter().all(|&id| id >= 0.0), "unmapped compressor among {names:?}");
         ids.sort_by(f64::total_cmp);
         ids.dedup();
         assert_eq!(ids.len(), names.len(), "ids collide among {names:?}");
+
+        // A panel's two CSVs name every compressor by the same id.
+        let fields = StudyDatasets::tiny().single_range_fields();
+        let config = SweepConfig { bounds: vec![ErrorBound::Absolute(1e-2)], ..quick_config() };
+        let records = run_sweep(&fields, &registry, &config).unwrap();
+        let column = |csv: CsvSeries, column: usize| {
+            let mut ids: Vec<f64> = csv.rows().iter().map(|row| row[column]).collect();
+            ids.sort_by(f64::total_cmp);
+            ids.dedup();
+            ids
+        };
+        assert_eq!(column(records_to_csv(&records), 8), ids);
+        let statistic = StatisticKind::GlobalVariogramRange;
+        let series = fit_series(&records, statistic);
+        let panel = crate::figures::FigurePanel { statistic, series, records };
+        assert_eq!(column(panel.fits_to_csv(), 0), ids);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! thin wrappers that print these results and write them as CSV.
 
 use crate::dataset::{LabeledField, StudyDatasets};
-use crate::experiment::{fit_series, run_sweep, ExperimentRecord, FittedSeries, SweepConfig};
+use crate::experiment::{
+    compressor_id, fit_series, run_sweep, ExperimentRecord, FittedSeries, SweepConfig,
+};
 use crate::registry::{default_registry, sz_zfp_registry};
 use crate::statistics::StatisticKind;
 use crate::CoreError;
@@ -43,12 +45,7 @@ impl FigurePanel {
             CsvSeries::new(["compressor_id", "error_bound", "alpha", "beta", "r_squared", "n"]);
         for s in &self.series {
             csv.push_row(vec![
-                match s.compressor.as_str() {
-                    "sz" => 0.0,
-                    "zfp" => 1.0,
-                    "mgard" => 2.0,
-                    _ => -1.0,
-                },
+                compressor_id(&s.compressor),
                 s.bound.raw_epsilon(),
                 s.fit.alpha,
                 s.fit.beta,

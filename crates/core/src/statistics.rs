@@ -69,8 +69,8 @@ impl Default for StatisticsConfig {
 impl StatisticsConfig {
     /// The local-statistics configuration this statistics configuration
     /// implies — the single place the window size and thread count are
-    /// translated, shared by [`CorrelationStatistics::compute_view`] and the
-    /// flat sweep scheduler so both paths window the field identically.
+    /// translated, used by [`CorrelationStatistics::compute_view`] and by
+    /// callers that time its local-range call on its own.
     pub fn local_config(&self) -> LocalStatConfig {
         LocalStatConfig { window: self.window, threads: self.threads, ..LocalStatConfig::default() }
     }

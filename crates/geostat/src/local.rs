@@ -5,10 +5,12 @@
 //! the **standard deviation** of those local ranges.
 
 use crate::variogram::{estimate_range_view, VariogramConfig};
-use lcc_grid::{stats, FieldView, Window};
+use lcc_grid::{stats, FieldView};
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
-/// Configuration of the local (windowed) statistics.
+/// Configuration of the local (windowed) statistics. Only full
+/// `window × window` tiles are measured: partial edge windows are skipped,
+/// as in the paper's H × H tiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalStatConfig {
     /// Window side length H (the paper uses 32).
@@ -17,8 +19,6 @@ pub struct LocalStatConfig {
     pub variogram: VariogramConfig,
     /// Thread count (`None` = automatic).
     pub threads: Option<usize>,
-    /// Skip partial edge windows smaller than `window × window`.
-    pub skip_partial_windows: bool,
 }
 
 impl Default for LocalStatConfig {
@@ -27,7 +27,6 @@ impl Default for LocalStatConfig {
             window: 32,
             variogram: VariogramConfig { max_lag: Some(10), n_bins: 10, ..Default::default() },
             threads: None,
-            skip_partial_windows: true,
         }
     }
 }
@@ -40,33 +39,31 @@ impl LocalStatConfig {
 }
 
 /// Estimate the variogram range of a single window view — the per-window
-/// kernel shared by [`local_variogram_ranges_view`] and the flat sweep scheduler
-/// in `lcc_core`. Returns NaN when the fit fails.
+/// kernel of [`local_variogram_ranges_view`], public so a benchmark can time
+/// one window. Returns NaN when the fit fails.
 #[inline]
 pub fn window_range(view: &FieldView<'_>, config: &VariogramConfig) -> f64 {
     estimate_range_view(view, config).range
 }
 
-/// Estimate the variogram range on every window tiling the field; windows
-/// whose fit fails (NaN) are dropped. Windows are enumerated as strided
-/// sub-views of the parent buffer, with no per-window `Field2D` allocation.
+/// The full `window × window` tiles of the field, as strided sub-views of
+/// the parent buffer in row-major tile order; partial edge tiles are left out.
+pub(crate) fn full_windows<'a>(field: &FieldView<'a>, window: usize) -> Vec<FieldView<'a>> {
+    field
+        .windows(window, window)
+        .filter(|(win, _)| win.is_full(window, window))
+        .map(|(_, view)| view)
+        .collect()
+}
+
+/// Estimate the variogram range on every full window tiling the field;
+/// windows whose fit fails (NaN) are dropped. Windows are strided sub-views
+/// of the parent buffer, with no per-window `Field2D` allocation.
 pub fn local_variogram_ranges_view(field: &FieldView<'_>, config: &LocalStatConfig) -> Vec<f64> {
     assert!(config.window >= 4, "local windows must be at least 4x4");
-    let windows: Vec<(Window, FieldView<'_>)> =
-        field.windows(config.window, config.window).collect();
-    let pool = match config.threads {
-        Some(t) => ThreadPoolConfig::with_threads(t),
-        None => ThreadPoolConfig::auto(),
-    };
-    let variogram_config = config.variogram;
-    let skip_partial = config.skip_partial_windows;
-    let window = config.window;
-    let ranges = parallel_map_with(pool, &windows, |(win, view)| {
-        if skip_partial && !win.is_full(window, window) {
-            return f64::NAN;
-        }
-        window_range(view, &variogram_config)
-    });
+    let windows = full_windows(field, config.window);
+    let pool = config.threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
+    let ranges = parallel_map_with(pool, &windows, |view| window_range(view, &config.variogram));
     ranges.into_iter().filter(|r| r.is_finite()).collect()
 }
 
@@ -92,17 +89,9 @@ mod tests {
         // 96/32 = 3 windows per axis → 9 full windows.
         assert_eq!(ranges.len(), 9);
         assert!(ranges.iter().all(|r| r.is_finite() && *r > 0.0));
-    }
-
-    #[test]
-    fn partial_windows_are_skipped_by_default_but_can_be_kept() {
+        // 80² leaves 16-wide edges: only the 2x2 full windows are measured.
         let f = generate_single_range(&GaussianFieldConfig::new(80, 80, 5.0, 2));
-        let default_cfg = LocalStatConfig::default();
-        let kept = LocalStatConfig { skip_partial_windows: false, ..default_cfg };
-        let skipped_count = local_variogram_ranges_view(&f.view(), &default_cfg).len();
-        let kept_count = local_variogram_ranges_view(&f.view(), &kept).len();
-        assert_eq!(skipped_count, 4); // 2x2 full windows
-        assert!(kept_count > skipped_count);
+        assert_eq!(local_variogram_ranges_view(&f.view(), &LocalStatConfig::default()).len(), 4);
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! mean component. This is what makes the statistic discriminate windows of
 //! smooth large-scale flow from windows of developed turbulence.
 
-use lcc_grid::{stats, FieldView, Window};
+use crate::local::full_windows;
+use lcc_grid::{stats, FieldView};
 use lcc_linalg::svd::EnergySpectrum;
 use lcc_par::{try_parallel_map_with_state, ThreadPoolConfig};
 
-/// Truncation level of a single window view — the per-window kernel shared
-/// by [`local_svd_truncation_levels_view`] and the flat sweep scheduler in
-/// `lcc_core`. Returns `None` when the decomposition fails.
+/// Truncation level of a single window view — one window through the
+/// kernel [`local_svd_truncation_levels_view`] runs per tile, public so a
+/// benchmark can time one window. Returns `None` when the decomposition
+/// fails.
 ///
 /// The window is centred so the level describes the variance (fluctuation)
 /// structure, not the rank-1 mean component; the level itself comes from the
@@ -29,9 +31,10 @@ pub fn window_truncation_level(view: &FieldView<'_>, fraction: f64) -> Option<us
 }
 
 /// Compute the 99 %-variance (or any `fraction`) truncation level of every
-/// full `window × window` tile of the field. Each tile is a strided
-/// sub-view of the parent buffer, with no per-window allocation at all
-/// (each worker reuses one [`EnergySpectrum`] scratch).
+/// full `window × window` tile of the field; tiles whose decomposition fails
+/// are dropped. Each tile is a strided sub-view of the parent buffer, with
+/// no per-window allocation at all (each worker reuses one
+/// [`EnergySpectrum`] scratch).
 pub fn local_svd_truncation_levels_view(
     field: &FieldView<'_>,
     window: usize,
@@ -40,20 +43,14 @@ pub fn local_svd_truncation_levels_view(
 ) -> Vec<usize> {
     assert!(window >= 2, "windows must be at least 2x2");
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
-    let tiles: Vec<(Window, FieldView<'_>)> = field.windows(window, window).collect();
-    let pool = match threads {
-        Some(t) => ThreadPoolConfig::with_threads(t),
-        None => ThreadPoolConfig::auto(),
-    };
-    let level = |spectrum: &mut EnergySpectrum, _, (win, view): &(Window, FieldView<'_>)| {
-        if !win.is_full(window, window) {
-            return usize::MAX; // sentinel: dropped below
-        }
-        spectrum.truncation_level(view.rows(), fraction).unwrap_or(usize::MAX)
+    let tiles = full_windows(field, window);
+    let pool = threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
+    let level = |spectrum: &mut EnergySpectrum, _, view: &FieldView<'_>| {
+        spectrum.truncation_level(view.rows(), fraction)
     };
     let levels = try_parallel_map_with_state(pool, &tiles, EnergySpectrum::new, level)
         .unwrap_or_else(|err| panic!("{err}"));
-    levels.into_iter().filter(|&l| l != usize::MAX).collect()
+    levels.into_iter().flatten().collect()
 }
 
 /// Standard deviation of the local SVD truncation levels — the statistic on

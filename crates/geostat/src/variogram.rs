@@ -957,8 +957,8 @@ mod tests {
 
     #[test]
     fn degenerate_single_row_or_column_yields_empty_variogram() {
-        // 1×N / N×1 rectangles occur as partial edge windows when
-        // `skip_partial_windows` is off; they must not panic.
+        // 1×N / N×1 rectangles are valid views (a strip of a field, or a
+        // field one row or column wide); they must not panic.
         for f in
             [Field2D::from_fn(1, 16, |_, j| j as f64), Field2D::from_fn(16, 1, |i, _| i as f64)]
         {

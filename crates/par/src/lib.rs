@@ -193,9 +193,10 @@ pub struct ThreadPoolConfig {
     threads: usize,
 }
 
-/// Cached result of [`ThreadPoolConfig::detect`]: the flat sweep scheduler
-/// calls [`ThreadPoolConfig::auto`] once per window-sized job, and re-reading
-/// the environment plus `available_parallelism` there is measurable.
+/// Cached result of [`ThreadPoolConfig::detect`]: every map without a pinned
+/// width asks [`ThreadPoolConfig::auto`], so the environment and
+/// `available_parallelism` are read once per process instead of once per
+/// call.
 static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
 
 impl ThreadPoolConfig {

@@ -76,7 +76,7 @@ mod full_sweep {
 
     /// 1028×1028 fields across the study's range spread × all registered
     /// compressors × the paper's four absolute bounds, scheduled through the
-    /// flat work-item queue (per-worker scratch arenas). Every record must
+    /// sweep's one queue (per-worker scratch arenas). Every record must
     /// honour its bound.
     #[test]
     fn full_paper_scale_sweep_respects_bounds() {

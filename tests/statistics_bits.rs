@@ -6,15 +6,21 @@
 //! `CorrelationStatistics::compute_view` must equal the three stand-alone
 //! calls, and the values the estimators produced before either change
 //! (constants captured at the commit before the band sweep — per-offset
-//! passes and a `Vec`-based Gauss–Newton fit).
+//! passes and a `Vec`-based Gauss–Newton fit). The study sweep's records
+//! carry the same bits.
 
+use lcc::core::dataset::LabeledField;
+use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::statistics::{CorrelationStatistics, StatisticsConfig};
 use lcc::geostat::{estimate_range_view, local_range_std_view, local_svd_truncation_std_view};
 use lcc::grid::Field2D;
 use lcc::hydro::{MirandaProxy, MirandaProxyConfig, Problem};
+use lcc::pressio::{ErrorBound, Registry};
 use lcc::synth::{
     generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
 };
+use lcc::zfp::ZfpCompressor;
+use std::sync::Arc;
 
 /// `[global_range, global_sill, local_range_std, local_svd_std]` as bits.
 type Bits = [u64; 4];
@@ -82,6 +88,33 @@ fn composite_statistics_equal_the_stand_alone_calls_and_the_parent_commit_at_eve
             ]
             .map(f64::to_bits);
             assert_eq!(stand_alone, parent, "{name}, {threads} threads: stand-alone vs parent");
+        }
+    }
+}
+
+/// The study sweep — what trains the predictor and draws every figure —
+/// carries the same four statistics on every record, at every sweep width.
+#[test]
+fn sweep_records_carry_the_composite_statistics_at_every_width() {
+    let (labeled, parents): (Vec<LabeledField>, Vec<Bits>) = pinned()
+        .into_iter()
+        .map(|(name, field, parent)| (LabeledField::new(name, field, None), parent))
+        .unzip();
+    let mut registry = Registry::new();
+    registry.register(Arc::new(ZfpCompressor::default()), "0");
+    for threads in [1, 2, 4] {
+        let config = SweepConfig {
+            bounds: vec![ErrorBound::Absolute(1e-2)],
+            threads: Some(threads),
+            ..SweepConfig::default()
+        };
+        let records = run_sweep(&labeled, &registry, &config).unwrap();
+        assert_eq!(records.len(), parents.len());
+        for (record, parent) in records.iter().zip(&parents) {
+            let s = record.statistics;
+            let bits = [s.global_range, s.global_sill, s.local_range_std, s.local_svd_std]
+                .map(f64::to_bits);
+            assert_eq!(bits, *parent, "{}, sweep at {threads} threads", record.field_name);
         }
     }
 }

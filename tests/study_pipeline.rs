@@ -4,7 +4,7 @@
 
 use lcc::core::dataset::StudyDatasets;
 use lcc::core::experiment::{fit_series, run_sweep, SweepConfig};
-use lcc::core::figures::{run_figure1, run_figure3, Figure3Config};
+use lcc::core::figures::{run_figure1, run_figure3, Figure3Config, FigurePanel};
 use lcc::core::registry::{default_registry, sz_zfp_registry};
 use lcc::core::statistics::{CorrelationStatistics, StatisticKind, StatisticsConfig};
 use lcc::core::CompressionRatioPredictor;
@@ -58,6 +58,33 @@ fn figure3_headline_trends_hold_at_reduced_scale() {
         records.iter().sum::<f64>() / records.len() as f64
     };
     assert!(mean_cr("sz", 1e-2) > mean_cr("sz", 1e-3));
+
+    // (4) Nothing moved: every record's statistics and ratio, and every
+    // series' fit, hash to the values captured at the commit before the
+    // sweep took its statistics from `compute_view`.
+    for (name, panel, pinned) in [
+        ("single-range", &data.single_range, 0x9d16_63bc_b214_7bc8),
+        ("multi-range", &data.multi_range, 0x1e73_5e20_fb79_279c),
+    ] {
+        assert_eq!(panel_digest(panel), pinned, "{name} panel moved");
+    }
+}
+
+/// FNV-1a over the bits of every record's four statistics and ratio, then
+/// every series' `(alpha, beta, r_squared, n_points)`.
+fn panel_digest(panel: &FigurePanel) -> u64 {
+    let records = panel.records.iter().flat_map(|r| {
+        let s = r.statistics;
+        [s.global_range, s.global_sill, s.local_range_std, s.local_svd_std, r.compression_ratio]
+            .map(f64::to_bits)
+    });
+    let fits = panel.series.iter().flat_map(|s| {
+        let f = &s.fit;
+        [f.alpha.to_bits(), f.beta.to_bits(), f.r_squared.to_bits(), f.n_points as u64]
+    });
+    records.chain(fits).flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]

@@ -8,10 +8,10 @@
 //! (`FieldView::to_field`).
 
 use lcc::geostat::{
-    local_svd_truncation_std_view, local_variogram_ranges_view, variogram::estimate_range_view,
-    window_truncation_level, LocalStatConfig,
+    local_svd_truncation_levels_view, local_svd_truncation_std_view, local_variogram_ranges_view,
+    variogram::estimate_range_view, LocalStatConfig,
 };
-use lcc::grid::{Field2D, Window};
+use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
 use lcc::pressio::{Compressor, ErrorBound};
 use lcc::sz::SzCompressor;
@@ -30,34 +30,33 @@ fn arbitrary_field(ny: usize, nx: usize, seed: u64, roughness: f64) -> Field2D {
     })
 }
 
-/// Every window of the tiling, copied out of the parent buffer.
-fn cloned_windows(field: &Field2D, window: usize) -> Vec<(Window, Field2D)> {
-    field.windows(window, window).map(|(win, view)| (win, view.to_field())).collect()
+/// Every full window of the tiling, copied out of the parent buffer.
+fn cloned_full_windows(field: &Field2D, window: usize) -> Vec<Field2D> {
+    field
+        .windows(window, window)
+        .filter(|(win, _)| win.is_full(window, window))
+        .map(|(_, view)| view.to_field())
+        .collect()
 }
 
 /// Reference implementation of the local variogram ranges: one owned
-/// `Field2D` per window.
+/// `Field2D` per full window.
 fn cloned_window_ranges(field: &Field2D, config: &LocalStatConfig) -> Vec<f64> {
-    cloned_windows(field, config.window)
-        .into_iter()
-        .map(|(win, owned)| {
-            if config.skip_partial_windows && !win.is_full(config.window, config.window) {
-                f64::NAN
-            } else {
-                estimate_range_view(&owned.view(), &config.variogram).range
-            }
-        })
+    cloned_full_windows(field, config.window)
+        .iter()
+        .map(|owned| estimate_range_view(&owned.view(), &config.variogram).range)
         .filter(|r| r.is_finite())
         .collect()
 }
 
-/// Reference implementation of the local SVD truncation spread: one owned
-/// `Field2D` per full window.
+/// Reference implementation of the local SVD truncation spread: the tiled
+/// statistic run on one owned `Field2D` per full window.
 fn cloned_window_svd_std(field: &Field2D, window: usize, fraction: f64) -> f64 {
-    let levels: Vec<f64> = cloned_windows(field, window)
-        .into_iter()
-        .filter(|(win, _)| win.is_full(window, window))
-        .filter_map(|(_, owned)| window_truncation_level(&owned.view(), fraction))
+    let levels: Vec<f64> = cloned_full_windows(field, window)
+        .iter()
+        .flat_map(|owned| {
+            local_svd_truncation_levels_view(&owned.view(), window, fraction, Some(1))
+        })
         .map(|level| level as f64)
         .collect();
     lcc::grid::stats::std_dev(&levels)
@@ -74,16 +73,11 @@ proptest! {
         nx in 36usize..90,
         seed in 0u64..500,
         roughness in 0.0f64..2.0,
-        skip_partial in any::<bool>(),
     ) {
         // Shapes in 36..90 with window 16 exercise both exact tilings and
         // partial edge windows.
         let field = arbitrary_field(ny, nx, seed, roughness);
-        let config = LocalStatConfig {
-            skip_partial_windows: skip_partial,
-            threads: Some(2),
-            ..LocalStatConfig::with_window(16)
-        };
+        let config = LocalStatConfig { threads: Some(2), ..LocalStatConfig::with_window(16) };
         let through_views = local_variogram_ranges_view(&field.view(), &config);
         let through_clones = cloned_window_ranges(&field, &config);
         prop_assert_eq!(through_views.len(), through_clones.len());
@@ -133,20 +127,4 @@ proptest! {
             prop_assert_eq!(recon.shape(), view.shape());
         }
     }
-}
-
-/// Partial edge windows kept (`skip_partial_windows: false`) at the paper's
-/// H=32 window size: the explicit case called out by the issue.
-#[test]
-fn partial_h32_windows_are_identical_through_views_and_clones() {
-    let field = arbitrary_field(70, 50, 9, 1.0); // 32x32 tiling leaves 6- and 18-wide edges
-    let config = LocalStatConfig { skip_partial_windows: false, ..LocalStatConfig::default() };
-    let through_views = local_variogram_ranges_view(&field.view(), &config);
-    let through_clones = cloned_window_ranges(&field, &config);
-    assert_eq!(through_views.len(), through_clones.len());
-    for (a, b) in through_views.iter().zip(through_clones.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    // The 2x2 grid of full windows plus at least one finite partial window.
-    assert!(through_views.len() > 4);
 }
