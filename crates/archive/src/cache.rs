@@ -220,7 +220,7 @@ pub struct TileCache {
     /// values and [`TileCache::get_checked`] re-hashes on each hit,
     /// evicting entries whose resident data no longer matches. Off by
     /// default: the re-hash costs a few microseconds per hit, so only
-    /// integrity-sensitive callers (chaos runs, degraded readers) opt in.
+    /// integrity-sensitive callers (`tests/chaos.rs`, degraded readers) opt in.
     verify: bool,
     hits: AtomicU64,
     misses: AtomicU64,

@@ -47,8 +47,10 @@ impl Field2D {
         if ny == 0 || nx == 0 {
             return Err(GridError::EmptyDimension);
         }
-        if data.len() != ny * nx {
-            return Err(GridError::ShapeMismatch { expected: ny * nx, actual: data.len() });
+        let expected = ny.checked_mul(nx);
+        if expected != Some(data.len()) {
+            let expected = expected.unwrap_or(usize::MAX);
+            return Err(GridError::ShapeMismatch { expected, actual: data.len() });
         }
         Ok(Field2D { ny, nx, data })
     }
@@ -386,6 +388,14 @@ mod tests {
             GridError::ShapeMismatch { expected: 4, actual: 5 }
         );
         assert_eq!(Field2D::from_vec(0, 2, vec![]).unwrap_err(), GridError::EmptyDimension);
+    }
+
+    #[test]
+    fn from_vec_refuses_a_shape_whose_product_overflows() {
+        assert_eq!(
+            Field2D::from_vec(usize::MAX, 2, vec![]).unwrap_err(),
+            GridError::ShapeMismatch { expected: usize::MAX, actual: 0 }
+        );
     }
 
     #[test]

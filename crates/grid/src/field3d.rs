@@ -28,8 +28,9 @@ impl Field3D {
         if n0 == 0 || n1 == 0 || n2 == 0 {
             return Err(GridError::EmptyDimension);
         }
-        let expected = n0 * n1 * n2;
-        if data.len() != expected {
+        let expected = n0.checked_mul(n1).and_then(|n| n.checked_mul(n2));
+        if expected != Some(data.len()) {
+            let expected = expected.unwrap_or(usize::MAX);
             return Err(GridError::ShapeMismatch { expected, actual: data.len() });
         }
         Ok(Field3D { n0, n1, n2, data })
@@ -184,6 +185,14 @@ mod tests {
             Err(GridError::ShapeMismatch { expected: 8, actual: 7 })
         ));
         assert!(matches!(Field3D::from_vec(0, 2, 2, vec![]), Err(GridError::EmptyDimension)));
+    }
+
+    #[test]
+    fn from_vec_refuses_a_shape_whose_product_overflows() {
+        assert_eq!(
+            Field3D::from_vec(2, usize::MAX, 1, vec![]).unwrap_err(),
+            GridError::ShapeMismatch { expected: usize::MAX, actual: 0 }
+        );
     }
 
     #[test]

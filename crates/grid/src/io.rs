@@ -40,7 +40,7 @@ pub fn read_raw_f64_2d<P: AsRef<Path>>(
     nx: usize,
     path: P,
 ) -> Result<Field2D, GridError> {
-    let data = read_raw_f64(path, ny * nx)?;
+    let data = read_raw_f64(path, ny.checked_mul(nx))?;
     Field2D::from_vec(ny, nx, data)
 }
 
@@ -51,23 +51,21 @@ pub fn read_raw_f64_3d<P: AsRef<Path>>(
     n2: usize,
     path: P,
 ) -> Result<Field3D, GridError> {
-    let data = read_raw_f64(path, n0 * n1 * n2)?;
+    let data = read_raw_f64(path, n0.checked_mul(n1).and_then(|n| n.checked_mul(n2)))?;
     Field3D::from_vec(n0, n1, n2, data)
 }
 
-fn read_raw_f64<P: AsRef<Path>>(path: P, expected: usize) -> Result<Vec<f64>, GridError> {
+/// Read exactly `values` little-endian `f64`s: `None` is a shape whose
+/// element count overflows `usize`, which no file matches.
+fn read_raw_f64<P: AsRef<Path>>(path: P, values: Option<usize>) -> Result<Vec<f64>, GridError> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() != expected * 8 {
-        return Err(GridError::ShapeMismatch { expected: expected * 8, actual: bytes.len() });
+    let expected = values.and_then(|n| n.checked_mul(8));
+    if expected != Some(bytes.len()) {
+        let expected = expected.unwrap_or(usize::MAX);
+        return Err(GridError::ShapeMismatch { expected, actual: bytes.len() });
     }
-    let mut out = Vec::with_capacity(expected);
-    for chunk in bytes.chunks_exact(8) {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(chunk);
-        out.push(f64::from_le_bytes(b));
-    }
-    Ok(out)
+    Ok(bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes"))).collect())
 }
 
 /// A minimal CSV series writer for figure outputs: a header row followed by
@@ -181,6 +179,18 @@ mod tests {
         write_raw_f64(f.as_slice(), &path).unwrap();
         let g = read_raw_f64_3d(2, 3, 4, &path).unwrap();
         assert_eq!(f, g);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn raw_f64_refuses_shapes_whose_byte_count_overflows() {
+        // 2^61 values are 2^64 bytes, which wraps to the empty file's 0.
+        let path = tmp("e.bin");
+        std::fs::write(&path, []).unwrap();
+        let refused = GridError::ShapeMismatch { expected: usize::MAX, actual: 0 };
+        assert_eq!(read_raw_f64_2d(1 << 61, 1, &path).unwrap_err(), refused);
+        assert_eq!(read_raw_f64_2d(usize::MAX, 2, &path).unwrap_err(), refused);
+        assert_eq!(read_raw_f64_3d(1 << 20, 1 << 20, 1 << 21, &path).unwrap_err(), refused);
         std::fs::remove_file(path).ok();
     }
 

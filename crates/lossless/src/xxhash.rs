@@ -142,10 +142,10 @@ fn stripes_scalar(bytes: &[u8], stripes: usize, seed: u64) -> [u64; 4] {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    // The workspace denies `unsafe_code`; the SIMD tiers are the second
-    // sanctioned waiver (after the loadgen counting allocator): `core::arch`
-    // intrinsics are unsafe by definition, and every entry point here is
-    // guarded by runtime feature detection plus the bit-identity test suite.
+    // The workspace denies `unsafe_code`; the SIMD tiers are the sanctioned
+    // waiver: `core::arch` intrinsics are unsafe by definition, and every
+    // entry point here is guarded by runtime feature detection plus the
+    // bit-identity test suite.
     #![allow(unsafe_code)]
 
     use super::{PRIME64_1, PRIME64_2};

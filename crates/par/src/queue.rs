@@ -3,12 +3,12 @@
 //! The one-shot helpers in the crate root ([`crate::parallel_map_with`],
 //! [`crate::try_parallel_block_map`]) take a fully materialized work list and
 //! return when it drains — the right shape for a sweep, the wrong shape for
-//! a load generator that keeps producing requests against a deadline. This
-//! module adds the serving-style primitive: a fixed-capacity queue whose
-//! `push` blocks when the workers fall behind (backpressure instead of an
-//! unbounded backlog), plus [`run_bounded_queue`], which spawns scoped
-//! workers with caller-owned per-worker states and runs the producer on the
-//! calling thread until it returns.
+//! a server whose requests keep arriving. This module adds the serving-style
+//! primitive: a fixed-capacity queue whose `push` blocks when the workers
+//! fall behind (backpressure instead of an unbounded backlog), plus
+//! [`run_bounded_queue`], which spawns scoped workers with caller-owned
+//! per-worker states and runs the producer on the calling thread until it
+//! returns.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -142,7 +142,7 @@ impl<T> BoundedQueue<T> {
 /// panic is counted, and the worker keeps draining — a sustained serving
 /// loop must outlive any single bad request. The counts come back in the
 /// returned [`QueueRunReport`] so callers can account for every absorbed
-/// panic (the loadgen chaos mode asserts injected == absorbed).
+/// panic (`tests/chaos.rs` asserts injected == absorbed).
 ///
 /// # Panics
 /// Panics if `states` is empty.

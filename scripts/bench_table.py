@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json reports and render one as a markdown table.
+"""Validate BENCH_sweep.json reports and render one as a markdown table.
 
 Usage:
   bench_table.py FILE
@@ -10,12 +10,9 @@ Usage:
       malformed or truncated artifact fails with a one-line message (never
       a stack trace), so CI steps surface the real problem.
 
-Sweep reports (BENCH_sweep.json, written by bench_sweep) carry the
-paper-scale stage seconds, per-codec MB/s and ratio, the encode layers and
-the variogram's cost. Load reports (BENCH_load.json, written by loadgen)
-carry per-variant verified / failed request counts, the tile cache's
-counters and the chaos accounting, whose invariant is re-checked here from
-the artifact. Neither is compared against anything: throughput, latency,
+Sweep reports (written by bench_sweep) carry the paper-scale stage
+seconds, per-codec MB/s and ratio, the encode layers and the variogram's
+cost. They are not compared against anything: throughput, latency,
 allocation and cache numbers come from benchmarks/e2e.
 """
 
@@ -23,11 +20,6 @@ import argparse
 import itertools
 import json
 import sys
-
-CHAOS_KEYS = ("enabled", "seed", "rate", "injected", "detected", "recovered",
-              "timeouts", "panics_injected", "panics_absorbed",
-              "unexplained_errors")
-
 
 class TableError(Exception):
     """A user-facing failure: printed as one line, never a traceback."""
@@ -45,12 +37,9 @@ def load(path):
     if not isinstance(report, dict):
         raise TableError(f"{path}: expected a JSON object at top level")
     kind = report.get("bench")
-    if kind == "sweep":
-        validate_sweep(report, path)
-    elif kind == "load":
-        validate_load(report, path)
-    else:
+    if kind != "sweep":
         raise TableError(f"{path}: unknown report kind {kind!r}")
+    validate_sweep(report, path)
     return report
 
 
@@ -83,35 +72,6 @@ def validate_sweep(report, path):
                     for k in ("streams", "fallback"))):
         raise TableError(f"{path}: 'rans8_huffman_fallback' needs integer "
                          "'streams' and 'fallback'")
-
-
-def validate_load(report, path):
-    rows_with(report, path, "variants",
-              ("variant", "requests", "errors", "tiles", "tiles_from_cache"))
-    chaos = report.get("chaos")
-    if chaos is None:
-        return
-    if not isinstance(chaos, dict):
-        raise TableError(f"{path}: 'chaos' is neither null nor an object")
-    for key in CHAOS_KEYS:
-        if key not in chaos:
-            raise TableError(f"{path}: chaos block is missing '{key}'")
-    # A chaos run whose injected faults are not all detected-or-recovered is
-    # a failed run even if the loadgen binary forgot to say so.
-    if chaos["injected"] != chaos["detected"] + chaos["recovered"]:
-        raise TableError(
-            f"{path}: chaos accounting broken — {chaos['injected']} injected "
-            f"!= {chaos['detected']} detected + {chaos['recovered']} "
-            "recovered")
-    if chaos["panics_absorbed"] != chaos["panics_injected"]:
-        raise TableError(
-            f"{path}: chaos panic accounting broken — "
-            f"{chaos['panics_injected']} injected worker panic(s) but "
-            f"{chaos['panics_absorbed']} absorbed")
-    if chaos["unexplained_errors"]:
-        raise TableError(
-            f"{path}: {chaos['unexplained_errors']} request(s) failed with "
-            "no fault injected into them")
 
 
 def table(header, rows):
@@ -170,38 +130,13 @@ def render_sweep(report):
               f"compress_sz): {cost:.2f}")
 
 
-def render_load(report):
-    print(f"## loadgen — {report.get('label', '?')}, "
-          f"SIMD {report.get('simd_level') or 'unrecorded'}")
-    print()
-    print(f"{report.get('total_requests', 0)} requests verified against the "
-          f"single-threaded reference, {report.get('total_errors', 0)} errors.")
-    print()
-    table(["variant", "requests", "errors", "tiles", "tiles from cache"],
-          [(v["variant"], v["requests"], v["errors"], v["tiles"],
-            v["tiles_from_cache"]) for v in report["variants"]])
-    cache = report.get("tile_cache")
-    if cache:
-        print("Tile cache: " + ", ".join(f"{v} {k}" for k, v in cache.items())
-              + ".")
-        print()
-    chaos = report.get("chaos")
-    if chaos:
-        print(f"Chaos (rate {chaos['rate']:.4f}, seed {chaos['seed']}): "
-              "invariant held — injected == detected + recovered, every "
-              "injected panic absorbed, zero unexplained errors.")
-        print()
-        table(["counter", "value"],
-              [(k, chaos[k]) for k in CHAOS_KEYS[3:]])
-
-
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check-only", action="store_true",
                         help="validate report files and exit")
-    parser.add_argument("files", nargs="+", help="BENCH_*.json report(s)")
+    parser.add_argument("files", nargs="+", help="BENCH_sweep.json report(s)")
     args = parser.parse_args()
     try:
         if args.check_only:
@@ -210,8 +145,7 @@ def main():
         elif len(args.files) != 1:
             parser.error("expected exactly one report to render")
         else:
-            report = load(args.files[0])
-            (render_load if report["bench"] == "load" else render_sweep)(report)
+            render_sweep(load(args.files[0]))
     except TableError as e:
         print(f"bench_table.py: {e}", file=sys.stderr)
         sys.exit(1)

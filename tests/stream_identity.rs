@@ -27,16 +27,9 @@ use lcc_pressio::{ErrorBound, FrameScratch, ScratchArena};
 
 #[path = "common/fields.rs"]
 mod fields;
+#[path = "common/fnv.rs"]
+mod fnv;
 use fields::{pinned_field, ripple};
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// (compressor, bound, stream length, FNV-1a hash). The `zfp` rows were
 /// captured pre-refactor, the `sz` / `mgard` rows in PR 15, the `*-rans8`
@@ -66,7 +59,7 @@ fn every_compressor_stream_matches_its_pin() {
         let bound = ErrorBound::Absolute(eb);
         let fresh = compressor.compress_view(&field.view(), bound).expect("compress");
         assert_eq!(fresh.len(), expected_len, "{name}@{eb}: stream length changed");
-        assert_eq!(fnv(&fresh), expected_hash, "{name}@{eb}: stream bytes changed");
+        assert_eq!(fnv::bytes(&fresh), expected_hash, "{name}@{eb}: stream bytes changed");
         let reused =
             compressor.compress_view_with(&field.view(), bound, &mut arena).expect("compress");
         assert_eq!(reused, fresh, "{name}@{eb}: scratch reuse changed the stream");
@@ -109,7 +102,7 @@ fn streams_written_before_lz77_miss_skipping_still_decode() {
     ] {
         let path = fixtures.join(format!("{name}_{tag}_pre_skip.bin"));
         let old = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(fnv(&old), hash, "{name}@{eb}: fixture is not the stream PR 14 pinned");
+        assert_eq!(fnv::bytes(&old), hash, "{name}@{eb}: fixture is not the stream PR 14 pinned");
         let compressor = registry.get(name).expect("registered compressor");
         let recon = compressor.decompress_field(&old).expect("old stream decodes");
         assert_eq!(recon.shape(), field.shape());
@@ -137,7 +130,11 @@ fn streams_written_before_run_coded_tables_still_decode() {
     ] {
         let path = fixtures.join(format!("{name}_{tag}_pair_table.bin"));
         let old = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!((old.len(), fnv(&old)), (len, hash), "{name}@{eb}: not the stream PR 20 pinned");
+        assert_eq!(
+            (old.len(), fnv::bytes(&old)),
+            (len, hash),
+            "{name}@{eb}: not the stream PR 20 pinned"
+        );
         let compressor = registry.get(name).expect("registered compressor");
         let recon = compressor.decompress_field(&old).expect("old stream decodes");
         assert!(field.max_abs_diff(&recon) <= eb, "{name}@{eb}: bound violated");

@@ -10,6 +10,9 @@ use lcc::core::statistics::{CorrelationStatistics, StatisticKind, StatisticsConf
 use lcc::core::CompressionRatioPredictor;
 use lcc::pressio::ErrorBound;
 
+#[path = "common/fnv.rs"]
+mod fnv;
+
 #[test]
 fn figure1_pipeline_recovers_a_plausible_range() {
     let data = run_figure1(128, 12.0, 7);
@@ -82,9 +85,7 @@ fn panel_digest(panel: &FigurePanel) -> u64 {
         let f = &s.fit;
         [f.alpha.to_bits(), f.beta.to_bits(), f.r_squared.to_bits(), f.n_points as u64]
     });
-    records.chain(fits).flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv::bytes(&records.chain(fits).flat_map(u64::to_le_bytes).collect::<Vec<u8>>())
 }
 
 #[test]
