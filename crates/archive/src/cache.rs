@@ -174,7 +174,7 @@ pub struct CacheStats {
     /// else: a refused insert evicts nothing.
     pub evictions: u64,
     /// Inserts turned away because the tile was colder than the LRU victim
-    /// it would have displaced ([`Admission::Refused`]).
+    /// it would have displaced (`Admission::Refused`).
     pub refusals: u64,
     /// Verified lookups whose resident data no longer matched its insert-time
     /// digest; the poisoned entry was evicted and the caller re-decoded from

@@ -6,7 +6,6 @@ use crate::format::{
     MIN_ENTRY_RECORD,
 };
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
-use lcc_lossless::xxh64;
 use lcc_par::{try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
 use lcc_pressio::codes::Reader;
 use lcc_pressio::frame::{decompress_framed_with, FrameWorker};
@@ -152,19 +151,15 @@ pub struct Archive<R: ReadAt> {
 struct TileReadBuf(Vec<u8>);
 
 /// The intersection geometry of one uncached tile with the requested
-/// window: the destination rectangle (window coords), the source corner
-/// (tile coords), and the tile's byte span in the archive.
+/// window: the destination rectangle (window coords) and the source corner
+/// (tile coords).
 struct Miss {
-    tile: u32,
+    tile: usize,
     /// Where this tile sits in the read's per-tile status list.
     slot: usize,
-    tile_win: Window,
     dst: Window,
     src_i0: usize,
     src_j0: usize,
-    at: u64,
-    len: usize,
-    digest: Option<u64>,
     /// The cache held this tile but it failed its integrity digest; a
     /// successful source fetch then counts as recovered, not merely uncached.
     cache_corrupt: bool,
@@ -178,41 +173,25 @@ fn job_panic(err: JobPanicked) -> CompressError {
     CompressError::Internal(format!("archive: {err}"))
 }
 
-/// Fetch one tile's bytes, digest-verify, and decode into `worker.block`,
-/// validating the decoded shape. Every call issues a fresh positioned read,
-/// so a retry observes the source anew rather than replaying a bad buffer.
+/// Fetch tile `tile` of `state`'s entry and decode it into `worker.block`
+/// through the frame's block step ([`FrameIndex::decode_block`]: digest,
+/// decode, shape). Every call issues a fresh positioned read, so a retry
+/// observes the source anew rather than replaying a bad buffer.
 fn fetch_tile<R: ReadAt>(
     source: &R,
+    state: &EntryState,
     compressor: &dyn Compressor,
     worker: &mut FrameWorker,
-    miss: &Miss,
+    tile: usize,
 ) -> Result<(), CompressError> {
+    let (at, len) = state.index.block_span(tile);
     let mut buf = std::mem::take(&mut worker.arena.get_or_default::<TileReadBuf>().0);
-    buf.resize(miss.len, 0);
-    let verified = source.read_at(miss.at, &mut buf).and_then(|()| match miss.digest {
-        Some(digest) if xxh64(&buf, 0) != digest => Err(CompressError::CorruptStream(format!(
-            "archive: tile {} checksum mismatch",
-            miss.tile
-        ))),
-        _ => Ok(()),
-    });
-    let decoded = verified.and_then(|()| {
-        let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
-        compressor.decompress_view_with(&buf, &mut worker.arena, block)
-    });
+    buf.resize(len, 0);
+    let decoded = source
+        .read_at(state.meta.offset + at as u64, &mut buf)
+        .and_then(|()| state.index.decode_block(tile, &buf, compressor, worker).map(|_| ()));
     worker.arena.get_or_default::<TileReadBuf>().0 = buf;
-    decoded?;
-    let block = worker.block.as_ref().expect("decode filled the block");
-    if block.shape() != (miss.tile_win.height, miss.tile_win.width) {
-        return Err(CompressError::CorruptStream(format!(
-            "archive: tile {} decoded to {:?}, expected ({}, {})",
-            miss.tile,
-            block.shape(),
-            miss.tile_win.height,
-            miss.tile_win.width
-        )));
-    }
-    Ok(())
+    decoded
 }
 
 /// Offer a freshly decoded tile to the cache, buffer and all, and return the
@@ -534,17 +513,12 @@ impl<R: ReadAt> Archive<R> {
                 // A corrupt cached copy was evicted by `get_checked`; the
                 // tile falls through to a source fetch and, on success,
                 // counts as recovered.
-                let (at, len) = index.block_span(t);
                 misses.push(Miss {
-                    tile: t as u32,
+                    tile: t,
                     slot: tile_status.len(),
-                    tile_win,
                     dst,
                     src_i0: i0 - tile_win.i0,
                     src_j0: j0 - tile_win.j0,
-                    at: state.meta.offset + at as u64,
-                    len,
-                    digest: index.block_digest(t),
                     cache_corrupt: matches!(lookup, Some(Lookup::Corrupt)),
                 });
             }
@@ -572,10 +546,10 @@ impl<R: ReadAt> Archive<R> {
                     // First attempt, then at most one retry whose fresh
                     // positioned read bypasses whatever buffer went bad.
                     let mut recovered = miss.cache_corrupt;
-                    let mut outcome = fetch_tile(source, compressor, worker, miss);
+                    let mut outcome = fetch_tile(source, state, compressor, worker, miss.tile);
                     if outcome.is_err() {
                         recovered = true;
-                        outcome = fetch_tile(source, compressor, worker, miss);
+                        outcome = fetch_tile(source, state, compressor, worker, miss.tile);
                     }
                     if outcome.is_ok() && expired(cancel) {
                         outcome = Err(CompressError::DeadlineExceeded(format!(
@@ -597,7 +571,7 @@ impl<R: ReadAt> Archive<R> {
                             }
                             worker.block = match cache {
                                 Some(cache) => {
-                                    offer_tile(cache, self.tile_key(k, miss.tile as usize), block)
+                                    offer_tile(cache, self.tile_key(k, miss.tile), block)
                                 }
                                 None => Some(block),
                             };

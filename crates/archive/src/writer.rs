@@ -6,7 +6,7 @@ use crate::format::{
 };
 use lcc_grid::Field2D;
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::frame::{compress_frame, FrameOptions, Layout};
+use lcc_pressio::frame::compress_frame;
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch};
 
 /// Builds an LCCA archive in memory: add one entry per (field, timestep),
@@ -65,8 +65,8 @@ impl ArchiveWriter {
             compressor,
             &field.view(),
             bound,
-            Layout::Tiles { ny: tile_ny, nx: tile_nx },
-            FrameOptions { checksum: true, cancel: None },
+            (tile_ny, tile_nx),
+            true,
             pool,
             scratch,
             |tile| {

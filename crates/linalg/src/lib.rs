@@ -7,8 +7,8 @@
 //! those pieces from scratch:
 //!
 //! * [`Matrix`] — a column-count-aware dense row-major matrix,
-//! * [`lstsq`] — linear least squares via QR (Householder) factorization,
-//! * [`svd`] — one-sided Jacobi SVD (singular values and factors; the
+//! * [`lstsq`](mod@lstsq) — linear least squares via QR (Householder) factorization,
+//! * [`svd`](mod@svd) — one-sided Jacobi SVD (singular values and factors; the
 //!   accuracy oracle) and the values-only [`svd::EnergySpectrum`] the
 //!   per-window truncation statistic runs on,
 //! * [`fit`] — Gauss–Newton nonlinear least squares used by the variogram

@@ -18,7 +18,7 @@
 //! The hot paths are **allocation-free** when driven through
 //! [`huffman_encode_with`] / [`huffman_decode_with`]: the histogram, tree,
 //! code tables and bit buffers all live in a caller-owned
-//! [`CodecScratch`](crate::CodecScratch). Dense `Vec`-indexed tables serve
+//! [`CodecScratch`]. Dense `Vec`-indexed tables serve
 //! the common tightly-clustered alphabets (quantization codes around the
 //! zero-residual symbol); alphabets spanning more than ~2M symbol values
 //! fall back to an open-addressed symbol map of the distinct symbols only.

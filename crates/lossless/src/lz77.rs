@@ -28,7 +28,7 @@
 //!   is what ships.
 //!
 //! The matcher state (hash heads + chain links) lives in a caller-owned
-//! [`CodecScratch`](crate::CodecScratch) when driven through
+//! [`CodecScratch`] when driven through
 //! [`lz77_compress_with`], so repeated compressions reuse one arena instead
 //! of allocating ~`5 × input` bytes of chain state per call. Match
 //! candidates are compared eight bytes at a time (wider under SIMD
@@ -71,7 +71,7 @@ fn match_length(bytes: &[u8], a_at: usize, b_at: usize, max_len: usize) -> usize
     len
 }
 
-/// [`match_length`] at an explicit SIMD tier: the SSE tier compares 16 bytes
+/// `match_length` at an explicit SIMD tier: the SSE tier compares 16 bytes
 /// per iteration, AVX2 compares 32, both locating the first mismatch with a
 /// `movemask`. Every tier returns the same length as the scalar comparator,
 /// so the greedy token stream is independent of the dispatch level.

@@ -1,6 +1,6 @@
 //! XXH64 checksums with a runtime-dispatched AVX2 stripe loop.
 //!
-//! The framed container ([`lcc_pressio`]'s `LCCF` streams) can carry one
+//! The framed container (`lcc_pressio`'s `LCCF` streams) can carry one
 //! 64-bit checksum per block so corruption is detected *before* a block
 //! decoder walks a damaged stream. XXH64 is the standard pick for that job:
 //! far stronger mixing than CRC32 at a few bytes per cycle, and the 32-byte

@@ -1,12 +1,11 @@
 //! Cooperative cancellation and deadlines.
 //!
 //! A [`CancelToken`] is the one cancellation currency used across the
-//! workspace: the sweep scheduler, the framed codec's block loops, and the
-//! archive reader's tile loops all accept one and poll it at work-item
-//! granularity (a block, a tile, a sweep cell). Polling costs one relaxed
-//! atomic load on the fast path — once a deadline has been observed as
-//! expired the token latches, so only the first expired check pays for
-//! `Instant::now`.
+//! workspace: the sweep scheduler and the archive reader's tile loops both
+//! accept one and poll it at work-item granularity (a tile, a sweep cell).
+//! Polling costs one relaxed atomic load on the fast path — once a deadline
+//! has been observed as expired the token latches, so only the first expired
+//! check pays for `Instant::now`.
 //!
 //! Tokens are `Clone` (an `Arc` bump) and every clone observes the same
 //! cancelled state, so one token can fan out to any number of workers and a

@@ -336,7 +336,7 @@ type TakeSlot<T> = Mutex<Option<T>>;
 /// decode fields) alive *across* calls, and every invocation hands worker
 /// `w` the exclusive `&mut states[w]`. Items are claimed from an atomic
 /// cursor (good load balance when block costs differ, e.g. smooth vs rough
-/// row bands) and may own mutable borrows — the framed decoder passes each
+/// tiles) and may own mutable borrows — the framed decoder passes each
 /// block its disjoint `&mut [f64]` slice of the output field. Results come
 /// back in item order.
 ///
@@ -391,18 +391,6 @@ where
         })
     });
     failure.into_result(out)
-}
-
-/// Part `part` of `0..total` cut into `parts` contiguous ranges whose
-/// lengths differ by at most one, the longer ones first: how a row-band
-/// frame assigns rows to blocks. A part past `total` is empty.
-///
-/// # Panics
-/// Panics if `parts` is zero.
-pub fn split_range(total: usize, parts: usize, part: usize) -> std::ops::Range<usize> {
-    let (base, extra) = (total / parts, total % parts);
-    let start = part * base + part.min(extra);
-    start..start + base + usize::from(part < extra)
 }
 
 #[cfg(test)]
@@ -839,21 +827,5 @@ mod tests {
         assert_eq!(panic_message(&*from_string), "formatted");
         let opaque = catch_unwind(|| std::panic::panic_any(17u32)).unwrap_err();
         assert_eq!(panic_message(&*opaque), "non-string panic payload");
-    }
-
-    #[test]
-    fn split_range_parts_are_contiguous_balanced_and_cover_everything() {
-        for (total, parts) in [(10usize, 3usize), (7, 7), (5, 9), (0, 4), (100, 1), (23, 4)] {
-            let mut next = 0;
-            for part in 0..parts {
-                let r = split_range(total, parts, part);
-                assert_eq!(r.start, next, "{total}/{parts} part {part}");
-                assert!(r.len() == total / parts || r.len() == total / parts + 1);
-                next = r.end;
-            }
-            assert_eq!(next, total);
-        }
-        assert_eq!(split_range(10, 4, 0), 0..3);
-        assert_eq!(split_range(10, 4, 3), 8..10);
     }
 }

@@ -2,53 +2,38 @@
 //!
 //! A single field normally compresses as one sequential stream, so the
 //! latency of serving one compressibility estimate is bound to one core.
-//! This module cuts a [`FieldView`] into independent **blocks** — full-width
-//! row bands or 2D tiles, see [`Layout`] — encodes/decodes each block on its
-//! own worker (a [`lcc_par`] scoped block map with one persistent
-//! [`ScratchArena`] per worker), and concatenates the per-block streams
-//! under a small versioned header, the same trick production SZ3/ZFP builds
-//! use to scale a single field across cores.
+//! This module cuts a [`FieldView`] into independent `tile_ny × tile_nx`
+//! **tiles** (the frame's blocks), encodes/decodes each on its own worker (a
+//! [`lcc_par`] scoped block map with one persistent [`ScratchArena`] per
+//! worker), and concatenates the per-tile streams under a small versioned
+//! header, the same trick production SZ3/ZFP builds use to scale a single
+//! field across cores.
 //!
 //! Every operation has one pinned plain entry point
 //! ([`compress_framed_with`], [`compress_tiled_with`],
-//! [`decompress_framed_with`]) and one general form that takes what else a
-//! caller may want as a value: [`compress_frame`] ([`Layout`],
-//! [`FrameOptions`] and a per-block hook) and [`decompress_frame`] (an
-//! optional [`CancelToken`]). The plain forms are one-line calls into the
-//! general ones.
+//! [`decompress_framed_with`]). Encoding has one general form,
+//! [`compress_frame`], which takes the tile shape, a checksum switch and a
+//! per-block hook; the plain encoders are one-line calls into it, and
+//! `compress_framed_with`'s `blocks` are full-width tiles of
+//! `ny.div_ceil(blocks)` rows. Decoding has one block step,
+//! [`FrameIndex::decode_block`], shared by the frame decoder and the
+//! archive's region reader.
 //!
 //! Because each block is compressed as an independent field, a frame's
 //! decoded values equal decoding each block's stream on its own and
 //! stitching the windows — but not the single-stream encoding of the whole
 //! field (predictors do not see across block seams). The error bound still
-//! holds point-wise: it is enforced per block. A layout that collapses to
-//! **one block** is, by definition, the inner compressor's raw stream with
-//! no header at all, byte-identical to [`Compressor::compress_view`]; that
-//! passthrough carries no digest, whatever the options say.
-//!
-//! ## Row-band frames (format version 1)
-//!
-//! ```text
-//! offset  size        field
-//! 0       4           magic  b"LCCF"
-//! 4       1           version byte: 1, OR-ed with FLAG_CHECKSUM (0x40)
-//! 5       8           ny  (u64 LE, total rows)
-//! 13      8           nx  (u64 LE, columns)
-//! 21      4           n_blocks (u32 LE, 2 ..= ny)
-//! 25      8*n_blocks  per-block compressed byte length (u64 LE each)
-//! …       8*n_blocks  per-block XXH64 digest (u64 LE each) — only with
-//!                     FLAG_CHECKSUM
-//! …       …           the n_blocks compressed streams, concatenated
-//! ```
-//!
-//! Block `b` covers the rows [`lcc_par::split_range`]`(ny, n_blocks, b)`
-//! at full width.
+//! holds point-wise: it is enforced per block. A tile shape that covers the
+//! field in **one block** is, by definition, the inner compressor's raw
+//! stream with no header at all, byte-identical to
+//! [`Compressor::compress_view`]; that passthrough carries no digest,
+//! whatever `checksum` says.
 //!
 //! ## Tiled frames (format version 2, flag bit `0x20`)
 //!
 //! Blocks are `tile_ny × tile_nx` rectangles covering the field in
 //! row-major tile order (exactly [`lcc_grid::WindowIter::over`]'s tiling,
-//! edge tiles clipped), and the header grows two fields:
+//! edge tiles clipped):
 //!
 //! ```text
 //! offset  size        field
@@ -71,6 +56,28 @@
 //! archive-style region readers use to decode only the tiles overlapping a
 //! query window.
 //!
+//! ## Row-band frames (format version 1, decode-only)
+//!
+//! No encoder writes them any more; every committed one decodes forever.
+//! The header is the tiled one without the flag bit and the tile shape:
+//!
+//! ```text
+//! offset  size        field
+//! 0       4           magic  b"LCCF"
+//! 4       1           version byte: 1, OR-ed with FLAG_CHECKSUM (0x40)
+//! 5       8           ny  (u64 LE, total rows)
+//! 13      8           nx  (u64 LE, columns)
+//! 21      4           n_blocks (u32 LE, 2 ..= ny)
+//! 25      8*n_blocks  per-block compressed byte length (u64 LE each)
+//! …       8*n_blocks  per-block XXH64 digest (u64 LE each) — only with
+//!                     FLAG_CHECKSUM
+//! …       …           the n_blocks compressed streams, concatenated
+//! ```
+//!
+//! Block `b` is the `b`-th of `n_blocks` contiguous full-width row bands
+//! whose heights differ by at most one, the taller ones first (10 rows in 4
+//! bands are 3, 3, 2, 2) — not the uniform tiles of v2.
+//!
 //! ## Encoding
 //!
 //! The encoder does not wait for every block before assembling the frame:
@@ -79,50 +86,46 @@
 //! slots, the moment all earlier blocks have landed — later blocks are still
 //! encoding while early ones are copied into place. The produced bytes are
 //! those of a barrier-then-concatenate assembly and do not depend on the
-//! pool's width. With [`FrameOptions::checksum`] each block's compressed
-//! bytes are hashed ([`lcc_lossless::xxh64`], seed 0) on the worker that
-//! encoded them.
+//! pool's width. With `checksum` each block's compressed bytes are hashed
+//! ([`lcc_lossless::xxh64`], seed 0) on the worker that encoded them.
 //!
 //! ## Decoding
 //!
-//! [`decompress_frame`] dispatches on the magic: no `LCCF` prefix means the
-//! stream is the inner compressor's own (the one-block passthrough, and
-//! every stream written before this container existed). The magic cannot
-//! collide with the inner codecs' streams (SZ/MGARD Huffman streams open
-//! with an LZ77 varint whose next byte is a token tag of `0x00`/`0x01`,
-//! never `b'C'`; their rANS containers open with the magics `LSR1`/`LMR1`,
-//! whose second byte is never `b'C'`; ZFP streams open with a `0`/`1`/`2`
-//! container tag, never `b'L'`).
+//! [`decompress_framed_with`] dispatches on the magic: no `LCCF` prefix
+//! means the stream is the inner compressor's own (the one-block
+//! passthrough, and every stream written before this container existed).
+//! No inner stream opens with `LCCF`. The `sz*` / `mgard*` codes containers
+//! (`crate::codes`) open either with their rANS magic (`LS81` / `LM81`),
+//! whose second byte is never `b'C'`, or with LZ77 output under their
+//! Huffman magic (`LSZ1` / `LMG1`): a decoded-length varint which, where it
+//! is the single byte `b'L'`, is followed by a token tag `0x00` or `0x01`,
+//! never `b'C'`. ZFP streams open with container tag 0 or 1, never `b'L'`.
 //!
-//! A framed stream of either layout goes through one parser,
+//! A framed stream of either version goes through one parser,
 //! [`FrameIndex::parse`], which refuses — before anything sized by a header
 //! claim is allocated — an unknown version or flag bit, a block count below
 //! two, above the row count (v1) or different from the tile cover (v2), a
 //! table that does not fit the stream, block lengths that overflow or do
 //! not sum exactly to the body, and a cell count implausible for the body's
-//! bytes. Then every block is decoded on a worker: its digest, when the
-//! frame carries one, is verified *before* the inner decoder touches the
-//! bytes (so bit corruption is a [`CompressError::CorruptStream`] naming the
-//! block, never a garbled entropy-decode failure or a silently wrong field),
-//! the decoded shape is checked against the block's window, and the rows
-//! are copied into the block's disjoint segments of the output.
+//! bytes. Then every block goes through [`FrameIndex::decode_block`] on a
+//! worker: its digest, when the frame carries one, is verified *before* the
+//! inner decoder touches the bytes (so bit corruption is a
+//! [`CompressError::CorruptStream`] naming the block, never a garbled
+//! entropy-decode failure or a silently wrong field), and the decoded shape
+//! is checked against the block's window; the rows are then copied into the
+//! block's disjoint segments of the output.
 
 use crate::{CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window, WindowIter};
 use lcc_lossless::xxh64;
-use lcc_par::{split_range, try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
+use lcc_par::{try_parallel_block_map, JobPanicked, ThreadPoolConfig};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A panicking block job, isolated per job by `lcc_par`, surfaces as an
 /// internal error instead of aborting the process.
 fn job_panic(err: JobPanicked) -> CompressError {
     CompressError::Internal(format!("frame: {err}"))
-}
-
-/// True when an optional cancellation token has fired — the per-block check
-/// both the encoder and decoder poll before touching a block.
-fn expired(cancel: Option<&CancelToken>) -> bool {
-    cancel.is_some_and(|c| c.is_cancelled())
 }
 
 fn corrupt(msg: &str) -> CompressError {
@@ -138,7 +141,7 @@ pub const FRAME_VERSION: u8 = 1;
 pub const FLAG_CHECKSUM: u8 = 0x40;
 /// Version-byte flag bit: blocks are 2D `tile_ny × tile_nx` tiles in
 /// row-major tile order (frame format v2) and the header carries the tile
-/// shape.
+/// shape. Every frame the encoder writes carries it.
 pub const FLAG_TILED: u8 = 0x20;
 
 /// Fixed header bytes of a row-band (v1) frame.
@@ -151,6 +154,15 @@ const TILED_HEADER_LEN: usize = HEADER_LEN + 4 + 4;
 /// cap only trips on forged headers trying to turn a tiny stream into a
 /// huge `out` allocation.
 const MAX_CELLS_PER_STREAM_BYTE: usize = 1 << 16;
+
+/// Rows of band `part` of a `parts`-band (v1) frame over `total` rows:
+/// contiguous ranges whose lengths differ by at most one, the longer ones
+/// first.
+fn split_range(total: usize, parts: usize, part: usize) -> Range<usize> {
+    let (base, extra) = (total / parts, total % parts);
+    let start = part * base + part.min(extra);
+    start..start + base + usize::from(part < extra)
+}
 
 /// Per-worker state of the framed codec, persistent across calls: one
 /// scratch arena (the inner compressor's buffers) plus one reusable decode
@@ -199,39 +211,10 @@ pub fn is_framed(stream: &[u8]) -> bool {
     stream.len() >= HEADER_LEN && stream[..4] == FRAME_MAGIC
 }
 
-/// How a frame cuts its field into independently coded blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// This many full-width row bands (format v1), clamped to the row count.
-    RowBands(usize),
-    /// `ny × nx` tiles in row-major tile order (format v2), each dimension
-    /// clamped to the field's. Zero is [`CompressError::InvalidInput`].
-    Tiles {
-        /// Tile height (edge tiles may be shorter).
-        ny: usize,
-        /// Tile width (edge tiles may be narrower).
-        nx: usize,
-    },
-}
-
-/// What a caller of [`compress_frame`] may ask for beyond the frame itself.
-/// The default is what the plain entry points do: no digests, no token.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrameOptions<'a> {
-    /// Write a per-block XXH64 digest table (the version byte gains
-    /// [`FLAG_CHECKSUM`]), so the decoder can refuse a damaged block before
-    /// decoding it.
-    pub checksum: bool,
-    /// Polled before every block encodes: once it fires the frame is
-    /// abandoned at block granularity with
-    /// [`CompressError::DeadlineExceeded`], and in-flight sibling blocks
-    /// stop as soon as they observe it.
-    pub cancel: Option<&'a CancelToken>,
-}
-
-/// Compress a view as a `blocks`-row-band frame, encoding blocks in
-/// parallel over `pool` with per-worker arenas from `scratch`:
-/// [`compress_frame`] with [`Layout::RowBands`] and default options.
+/// Compress a view as a frame of at most `blocks` full-width tiles, each
+/// `ny.div_ceil(blocks)` rows high but the last, encoded in parallel over
+/// `pool` with per-worker arenas from `scratch`: [`compress_tiled_with`]
+/// with that tile shape.
 pub fn compress_framed_with(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
@@ -240,14 +223,14 @@ pub fn compress_framed_with(
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
 ) -> Result<Vec<u8>, CompressError> {
-    let (layout, options) = (Layout::RowBands(blocks), FrameOptions::default());
-    compress_frame(compressor, view, bound, layout, options, pool, scratch, |_| ())
-        .map(|(frame, _)| frame)
+    let (ny, nx) = view.shape();
+    let rows = ny.div_ceil(blocks.clamp(1, ny));
+    compress_tiled_with(compressor, view, bound, rows, nx, pool, scratch)
 }
 
 /// Compress a view as a frame of `tile_ny × tile_nx` tiles, whose length
-/// table doubles as a seek index over the tiles: [`compress_frame`] with
-/// [`Layout::Tiles`] and default options.
+/// table doubles as a seek index over the tiles: [`compress_frame`] without
+/// digests or a per-block hook.
 pub fn compress_tiled_with(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
@@ -257,107 +240,82 @@ pub fn compress_tiled_with(
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
 ) -> Result<Vec<u8>, CompressError> {
-    let layout = Layout::Tiles { ny: tile_ny, nx: tile_nx };
-    compress_frame(compressor, view, bound, layout, FrameOptions::default(), pool, scratch, |_| ())
+    compress_frame(compressor, view, bound, (tile_ny, tile_nx), false, pool, scratch, |_| ())
         .map(|(frame, _)| frame)
 }
 
-/// Compress a view as a frame of `layout`'s blocks, encoded in parallel
-/// over `pool` with per-worker arenas from `scratch` — the general encoder
-/// behind [`compress_framed_with`] and [`compress_tiled_with`]. The
-/// produced stream is independent of the pool width; a layout that
-/// collapses to one block emits the inner compressor's raw stream,
-/// byte-identical to [`Compressor::compress_view`], with no header and no
-/// digest.
+/// Compress a view as a frame of `tile_ny × tile_nx` tiles (each dimension
+/// clamped to the field's; zero is [`CompressError::InvalidInput`]),
+/// encoded in parallel over `pool` with per-worker arenas from `scratch` —
+/// the general encoder behind [`compress_framed_with`] and
+/// [`compress_tiled_with`]. With `checksum` the frame carries a per-tile
+/// XXH64 digest table (the version byte gains [`FLAG_CHECKSUM`]), so a
+/// decoder refuses a damaged tile before decoding it. The produced stream
+/// is independent of the pool width; a tile shape that covers the field in
+/// one tile emits the inner compressor's raw stream, byte-identical to
+/// [`Compressor::compress_view`], with no header and no digest.
 ///
 /// `per_block` is handed every block's view inside that block's job, on the
 /// worker that has just encoded it, and its results come back in block
 /// order beside the frame: the hook by which an archive computes per-tile
 /// metadata while the tile is still in that core's cache, instead of in a
 /// later pass over the field. A panic in it is caught like one in the
-/// encoder and fails the frame with [`CompressError::Internal`]; a one-block
-/// layout calls it once, on the calling thread, with the whole view.
+/// encoder and fails the frame with [`CompressError::Internal`]; a one-tile
+/// frame calls it once, on the calling thread, with the whole view.
 #[allow(clippy::too_many_arguments)]
 pub fn compress_frame<R: Send>(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
     bound: ErrorBound,
-    layout: Layout,
-    options: FrameOptions<'_>,
+    (tile_ny, tile_nx): (usize, usize),
+    checksum: bool,
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
     per_block: impl Fn(&FieldView<'_>) -> R + Sync,
 ) -> Result<(Vec<u8>, Vec<R>), CompressError> {
-    let FrameOptions { checksum, cancel } = options;
-    if expired(cancel) {
-        return Err(CompressError::DeadlineExceeded("frame: encode abandoned".into()));
+    if tile_ny == 0 || tile_nx == 0 {
+        return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
     }
     let (ny, nx) = view.shape();
-    let (n_blocks, tile) = match layout {
-        Layout::RowBands(blocks) => (blocks.clamp(1, ny), None),
-        Layout::Tiles { ny: 0, .. } | Layout::Tiles { nx: 0, .. } => {
-            return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
-        }
-        Layout::Tiles { ny: tile_ny, nx: tile_nx } => {
-            let (tile_ny, tile_nx) = (tile_ny.min(ny), tile_nx.min(nx));
-            (ny.div_ceil(tile_ny) * nx.div_ceil(tile_nx), Some((tile_ny, tile_nx)))
-        }
-    };
+    let (tile_ny, tile_nx) = (tile_ny.min(ny), tile_nx.min(nx));
+    let n_blocks = ny.div_ceil(tile_ny) * nx.div_ceil(tile_nx);
     if n_blocks == 1 {
         let stream =
             compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena)?;
         return Ok((stream, vec![per_block(view)]));
     }
-    let sub_views: Vec<FieldView<'_>> = match tile {
-        None => (0..n_blocks)
-            .map(|b| split_range(ny, n_blocks, b))
-            .map(|rows| view.subview(rows.start, 0, rows.len(), nx))
-            .collect(),
-        Some((tile_ny, tile_nx)) => {
-            WindowIter::over(ny, nx, tile_ny, tile_nx).map(|w| view.window(&w)).collect()
-        }
-    };
+    let sub_views: Vec<FieldView<'_>> =
+        WindowIter::over(ny, nx, tile_ny, tile_nx).map(|w| view.window(&w)).collect();
     debug_assert_eq!(sub_views.len(), n_blocks);
 
     // The fixed header, then zeroed length (and digest) tables to backfill,
     // in a buffer with room for a frame as long as the last one.
-    let flags = tile.map_or(0, |_| FLAG_TILED) | if checksum { FLAG_CHECKSUM } else { 0 };
+    let flags = FLAG_TILED | if checksum { FLAG_CHECKSUM } else { 0 };
     let mut out = Vec::with_capacity(TILED_HEADER_LEN.max(scratch.frame_len));
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION | flags);
     out.extend_from_slice(&(ny as u64).to_le_bytes());
     out.extend_from_slice(&(nx as u64).to_le_bytes());
     out.extend_from_slice(&(n_blocks as u32).to_le_bytes());
-    if let Some((tile_ny, tile_nx)) = tile {
-        out.extend_from_slice(&(tile_ny as u32).to_le_bytes());
-        out.extend_from_slice(&(tile_nx as u32).to_le_bytes());
-    }
-    let table_at = out.len();
-    out.resize(table_at + if checksum { 16 } else { 8 } * n_blocks, 0);
+    out.extend_from_slice(&(tile_ny as u32).to_le_bytes());
+    out.extend_from_slice(&(tile_nx as u32).to_le_bytes());
+    out.resize(TILED_HEADER_LEN + if checksum { 16 } else { 8 } * n_blocks, 0);
     let assembler = Mutex::new(FrameAssembler {
         out,
         next: 0,
         pending: (0..n_blocks).map(|_| None).collect(),
         error: None,
-        table_at,
-        hash_table_at: checksum.then_some(table_at + 8 * n_blocks),
+        hash_table_at: checksum.then_some(TILED_HEADER_LEN + 8 * n_blocks),
     });
 
     let workers = scratch.workers(pool.threads().min(n_blocks));
     let results = try_parallel_block_map(pool, workers, sub_views, |worker, b, sub| {
-        // Poll the deadline before paying for the block: once the token
-        // fires, every not-yet-encoded block submits DeadlineExceeded
-        // immediately (first-error-wins) instead of finishing its work.
-        let result = if expired(cancel) {
-            Err(CompressError::DeadlineExceeded(format!("frame: block {b} abandoned")))
-        } else {
-            // The digest is computed here, on the encoding worker, so
-            // hashing of one block overlaps with encoding of the others.
-            compressor.compress_view_with(&sub, bound, &mut worker.arena).map(|stream| {
-                let digest = checksum.then(|| xxh64(&stream, 0));
-                (stream, digest)
-            })
-        };
+        // The digest is computed here, on the encoding worker, so hashing
+        // of one block overlaps with encoding of the others.
+        let result = compressor.compress_view_with(&sub, bound, &mut worker.arena).map(|stream| {
+            let digest = checksum.then(|| xxh64(&stream, 0));
+            (stream, digest)
+        });
         let encoded = result.is_ok();
         assembler.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).submit(b, result);
         encoded.then(|| per_block(&sub))
@@ -388,9 +346,6 @@ struct FrameAssembler {
     pending: Vec<Option<(Vec<u8>, Option<u64>)>>,
     /// First compression error observed (the frame is abandoned).
     error: Option<CompressError>,
-    /// Byte offset of the reserved length table (25 for row-band frames,
-    /// 33 for tiled ones).
-    table_at: usize,
     /// Byte offset of the reserved digest table, when checksumming.
     hash_table_at: Option<usize>,
 }
@@ -410,7 +365,7 @@ impl FrameAssembler {
                 while let Some((stream, digest)) =
                     self.pending.get_mut(self.next).and_then(Option::take)
                 {
-                    let slot = self.table_at + 8 * self.next;
+                    let slot = TILED_HEADER_LEN + 8 * self.next;
                     self.out[slot..slot + 8].copy_from_slice(&(stream.len() as u64).to_le_bytes());
                     if let (Some(base), Some(digest)) = (self.hash_table_at, digest) {
                         let slot = base + 8 * self.next;
@@ -424,10 +379,10 @@ impl FrameAssembler {
     }
 }
 
-/// Parsed header + seek index of a frame of either layout: everything a
-/// reader needs to locate one block's compressed bytes and the window of
-/// the field it decodes to, without touching the rest of the stream.
-/// Parsing consumes only the frame's leading bytes — read
+/// Parsed header + seek index of a frame of either version: everything a
+/// reader needs to locate one block's compressed bytes, the window of the
+/// field it decodes to, and to decode it, without touching the rest of the
+/// stream. Parsing consumes only the frame's leading bytes — read
 /// [`FrameIndex::PREFIX_LEN`] bytes, size the rest with
 /// [`FrameIndex::table_span`], then hand that prefix to
 /// [`FrameIndex::parse`] — so an archive can index a multi-megabyte entry
@@ -494,8 +449,8 @@ impl FrameIndex {
         if ny == 0 || nx == 0 {
             return Err(corrupt("empty field shape"));
         }
-        // The encoder never writes a one-block frame (that is the raw
-        // passthrough stream) and writes exactly one block per band or per
+        // No encoder writes a one-block frame (that is the raw passthrough
+        // stream), and every frame holds exactly one block per band or per
         // tile of the cover, so any other count is corrupt by construction.
         let (tile, table_at) = if prefix[4] & FLAG_TILED == 0 {
             if n_blocks < 2 || n_blocks > ny {
@@ -585,17 +540,43 @@ impl FrameIndex {
         (self.offsets[b], self.offsets[b + 1] - self.offsets[b])
     }
 
-    /// The XXH64 digest block `b`'s bytes must hash to, in a checksummed
-    /// frame.
-    pub fn block_digest(&self, b: usize) -> Option<u64> {
-        self.digests.as_ref().map(|d| d[b])
+    /// Decode block `b` from its compressed `bytes` into `worker.block` and
+    /// return it — the block step of [`decompress_framed_with`] and of the
+    /// archive's region reads. A checksummed frame's digest is verified
+    /// before the inner decoder touches the bytes, and the decoded shape must
+    /// be [`block_window`](Self::block_window)`(b)`'s; either failure is a
+    /// [`CompressError::CorruptStream`] naming the block.
+    pub fn decode_block<'w>(
+        &self,
+        b: usize,
+        bytes: &[u8],
+        compressor: &dyn Compressor,
+        worker: &'w mut FrameWorker,
+    ) -> Result<&'w Field2D, CompressError> {
+        if self.digests.as_ref().is_some_and(|digests| xxh64(bytes, 0) != digests[b]) {
+            return Err(corrupt(&format!("block {b} checksum mismatch")));
+        }
+        let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
+        compressor.decompress_view_with(bytes, &mut worker.arena, block)?;
+        let w = self.block_window(b);
+        if block.shape() != (w.height, w.width) {
+            return Err(corrupt(&format!(
+                "block {b} decoded to {:?}, expected ({}, {})",
+                block.shape(),
+                w.height,
+                w.width
+            )));
+        }
+        Ok(block)
     }
 }
 
-/// Decompress a stream that may be a multi-block frame or a raw single
-/// stream, decoding blocks in parallel over `pool` with per-worker arenas
-/// and reusable block fields from `scratch`: [`decompress_frame`] without a
-/// token.
+/// Decompress a frame of either version, or a raw single stream (which
+/// passes straight through to [`Compressor::decompress_view_with`]), into
+/// `out`, resized to the decoded shape, decoding blocks in parallel over
+/// `pool` with per-worker arenas and reusable block fields from `scratch`;
+/// the module docs list what it refuses. `out` holds unspecified contents
+/// after an error.
 pub fn decompress_framed_with(
     compressor: &dyn Compressor,
     stream: &[u8],
@@ -603,33 +584,6 @@ pub fn decompress_framed_with(
     scratch: &mut FrameScratch,
     out: &mut Field2D,
 ) -> Result<(), CompressError> {
-    decompress_frame(compressor, stream, pool, scratch, out, None)
-}
-
-/// One block's decode work item: its window of the field, its compressed
-/// bytes, and the disjoint output row segments it writes.
-type BlockItem<'a> = (Window, &'a [u8], Vec<&'a mut [f64]>);
-
-/// Decompress a frame of either layout, or a raw single stream (which
-/// passes straight through to [`Compressor::decompress_view_with`]), into
-/// `out`, resized to the decoded shape — the general decoder behind
-/// [`decompress_framed_with`]; the module docs list what it refuses.
-///
-/// `cancel` is polled before every block decodes: an expired deadline
-/// returns [`CompressError::DeadlineExceeded`] at block granularity and
-/// sibling workers stop early. `out` holds unspecified contents after an
-/// error.
-pub fn decompress_frame(
-    compressor: &dyn Compressor,
-    stream: &[u8],
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    out: &mut Field2D,
-    cancel: Option<&CancelToken>,
-) -> Result<(), CompressError> {
-    if expired(cancel) {
-        return Err(CompressError::DeadlineExceeded("frame: decode abandoned".into()));
-    }
     if !is_framed(stream) {
         return compressor.decompress_view_with(stream, &mut scratch.workers(1)[0].arena, out);
     }
@@ -640,34 +594,11 @@ pub fn decompress_frame(
     // Carve `out` into per-block disjoint row segments (safe `split_at_mut`
     // slicing, no aliasing), so every block decodes straight into its window.
     let segments = disjoint_window_rows(out.as_mut_slice(), index.nx, &windows);
-    let items: Vec<BlockItem<'_>> = windows
-        .iter()
-        .zip(segments)
-        .enumerate()
-        .map(|(b, (w, segs))| {
-            let (at, len) = index.block_span(b);
-            (*w, &stream[at..at + len], segs)
-        })
-        .collect();
     let workers = scratch.workers(pool.threads().min(n_blocks));
     let decoded: Vec<Result<(), CompressError>> =
-        try_parallel_block_map(pool, workers, items, |worker, b, (win, sub, mut segs)| {
-            if expired(cancel) {
-                return Err(CompressError::DeadlineExceeded(format!("frame: block {b} abandoned")));
-            }
-            if index.block_digest(b).is_some_and(|digest| xxh64(sub, 0) != digest) {
-                return Err(corrupt(&format!("block {b} checksum mismatch")));
-            }
-            let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
-            compressor.decompress_view_with(sub, &mut worker.arena, block)?;
-            if block.shape() != (win.height, win.width) {
-                return Err(corrupt(&format!(
-                    "block {b} decoded to {:?}, expected ({}, {})",
-                    block.shape(),
-                    win.height,
-                    win.width
-                )));
-            }
+        try_parallel_block_map(pool, workers, segments, |worker, b, mut segs| {
+            let (at, len) = index.block_span(b);
+            let block = index.decode_block(b, &stream[at..at + len], compressor, worker)?;
             for (seg, row) in segs.iter_mut().zip(block.view().rows()) {
                 seg.copy_from_slice(row);
             }
@@ -743,17 +674,50 @@ mod tests {
         Ok(out)
     }
 
-    /// A checksummed `Store` frame of `field` in `layout`, with fresh scratch.
-    fn checksummed(field: &Field2D, layout: Layout) -> Vec<u8> {
-        let options = FrameOptions { checksum: true, cancel: None };
+    /// A `Store` frame of `field` in `tile`s, with fresh scratch.
+    fn tiled(field: &Field2D, tile: (usize, usize), checksum: bool) -> Vec<u8> {
         let (bound, scratch) = (ErrorBound::Absolute(1.0), &mut FrameScratch::new());
-        compress_frame(&Store, &field.view(), bound, layout, options, pool(), scratch, |_| ())
-            .unwrap()
-            .0
+        let encoded =
+            compress_frame(&Store, &field.view(), bound, tile, checksum, pool(), scratch, |_| ());
+        encoded.unwrap().0
+    }
+
+    /// A row-band (v1) `Store` frame of `field` in `n` bands, assembled by
+    /// hand: no encoder writes them, but they decode forever.
+    fn v1_frame(field: &Field2D, n: usize, checksum: bool) -> Vec<u8> {
+        let (ny, nx) = field.shape();
+        let streams: Vec<Vec<u8>> = (0..n)
+            .map(|b| split_range(ny, n, b))
+            .map(|rows| field.view().subview(rows.start, 0, rows.len(), nx))
+            .map(|band| Store.compress_view(&band, ErrorBound::Absolute(1.0)).unwrap())
+            .collect();
+        let mut out = FRAME_MAGIC.to_vec();
+        out.push(FRAME_VERSION | if checksum { FLAG_CHECKSUM } else { 0 });
+        out.extend_from_slice(&(ny as u64).to_le_bytes());
+        out.extend_from_slice(&(nx as u64).to_le_bytes());
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+        for stream in &streams {
+            out.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+        }
+        for stream in streams.iter().filter(|_| checksum) {
+            out.extend_from_slice(&xxh64(stream, 0).to_le_bytes());
+        }
+        out.extend(streams.concat());
+        out
+    }
+
+    /// Byte offset of the length-table entry of block `b`.
+    fn length_slot(frame: &[u8], b: usize) -> usize {
+        let index = FrameIndex::parse(frame, frame.len()).unwrap();
+        let per_block = if index.digests.is_some() { 16 } else { 8 };
+        index.block_span(0).0 - per_block * index.n_blocks() + 8 * b
     }
 
     #[test]
     fn single_block_is_the_raw_stream() {
+        // Blocks or tile dims that cover the field once collapse to one
+        // block: the output equals the unframed stream, byte for byte, and
+        // carries no digest even when asked for one.
         let field = ramp(8, 5);
         let bound = ErrorBound::Absolute(1.0);
         let raw = Store.compress_view(&field.view(), bound).unwrap();
@@ -763,6 +727,9 @@ mod tests {
         assert_eq!(framed, raw, "version-0 passthrough must not add a header");
         assert!(!is_framed(&framed));
         assert_eq!(decode(&Store, &framed).unwrap(), field);
+        for (ty, tx) in [(8, 5), (100, 100), (8, 9)] {
+            assert_eq!(tiled(&field, (ty, tx), true), raw, "{ty}x{tx} tiles");
+        }
     }
 
     #[test]
@@ -775,7 +742,9 @@ mod tests {
                 compress_framed_with(&Store, &field.view(), bound, blocks, pool(), &mut scratch)
                     .unwrap();
             assert!(is_framed(&framed), "{blocks} blocks");
-            assert_eq!(framed[4], FRAME_VERSION);
+            assert_eq!(framed[4], FRAME_VERSION | FLAG_TILED);
+            let index = FrameIndex::parse(&framed, framed.len()).unwrap();
+            assert_eq!(index.tile, Some((23usize.div_ceil(blocks), 7)), "{blocks} blocks");
             let back = decode(&Store, &framed).unwrap();
             assert_eq!(back, field, "{blocks} blocks");
         }
@@ -845,24 +814,21 @@ mod tests {
 
     #[test]
     fn stream_is_independent_of_pool_width() {
-        let field = ramp(40, 6);
+        let field = ramp(40, 26);
         let bound = ErrorBound::Absolute(1.0);
-        let mut streams = Vec::new();
-        for threads in [1, 2, 5] {
-            streams.push(
-                compress_framed_with(
-                    &Store,
-                    &field.view(),
-                    bound,
-                    4,
-                    ThreadPoolConfig::with_threads(threads),
-                    &mut FrameScratch::new(),
-                )
-                .unwrap(),
-            );
+        for (ty, tx) in [(10, 26), (16, 16)] {
+            let streams: Vec<Vec<u8>> = [1, 2, 5]
+                .into_iter()
+                .map(|threads| {
+                    let pool = ThreadPoolConfig::with_threads(threads);
+                    let scratch = &mut FrameScratch::new();
+                    compress_tiled_with(&Store, &field.view(), bound, ty, tx, pool, scratch)
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(streams[0], streams[1], "{ty}x{tx}");
+            assert_eq!(streams[0], streams[2], "{ty}x{tx}");
         }
-        assert_eq!(streams[0], streams[1]);
-        assert_eq!(streams[0], streams[2]);
     }
 
     #[test]
@@ -933,7 +899,7 @@ mod tests {
 
     #[test]
     fn block_error_abandons_the_frame() {
-        // Poison a row band in the middle: the pipelined assembler must
+        // Poison a block in the middle: the pipelined assembler must
         // surface the error instead of emitting a half-assembled frame.
         let mut field = ramp(24, 8);
         field.set(12, 3, -999.0);
@@ -949,18 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_frames_roundtrip_and_flag_the_version_byte() {
-        let field = ramp(23, 7);
-        for blocks in 2..=8 {
-            let framed = checksummed(&field, Layout::RowBands(blocks));
-            assert!(is_framed(&framed), "{blocks} blocks");
-            assert_eq!(framed[4], FRAME_VERSION | FLAG_CHECKSUM);
-            let back = decode(&Store, &framed).unwrap();
-            assert_eq!(back, field, "{blocks} blocks");
-        }
-    }
-
-    #[test]
     fn checksummed_frame_is_the_plain_frame_plus_digest_table() {
         // Same header fields, same lengths, same payload — the digest table
         // is strictly additive, so the checksummed encoder cannot change
@@ -970,75 +924,54 @@ mod tests {
         let plain =
             compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
                 .unwrap();
-        let summed = checksummed(&field, Layout::RowBands(4));
-        let table_end = HEADER_LEN + 8 * 4;
+        let summed = tiled(&field, (10, 6), true);
+        let table_end = TILED_HEADER_LEN + 8 * 4;
         assert_eq!(summed[..4], plain[..4]);
         assert_eq!(summed[4], plain[4] | FLAG_CHECKSUM);
         assert_eq!(summed[5..table_end], plain[5..table_end], "header + length table");
         assert_eq!(summed[table_end + 8 * 4..], plain[table_end..], "block payloads");
         // And each digest in the table matches an independent hash of the
         // block bytes it covers.
-        let mut block_at = table_end + 8 * 4;
+        let index = FrameIndex::parse(&summed, summed.len()).unwrap();
         for b in 0..4 {
-            let len =
-                u64::from_le_bytes(summed[HEADER_LEN + 8 * b..][..8].try_into().unwrap()) as usize;
+            let (at, len) = index.block_span(b);
             let digest = u64::from_le_bytes(summed[table_end + 8 * b..][..8].try_into().unwrap());
-            assert_eq!(
-                digest,
-                lcc_lossless::xxh64(&summed[block_at..block_at + len], 0),
-                "block {b}"
-            );
-            block_at += len;
+            assert_eq!(digest, xxh64(&summed[at..at + len], 0), "block {b}");
         }
-    }
-
-    #[test]
-    fn checksummed_single_block_is_still_the_raw_stream() {
-        let field = ramp(8, 5);
-        let bound = ErrorBound::Absolute(1.0);
-        let raw = Store.compress_view(&field.view(), bound).unwrap();
-        let framed = checksummed(&field, Layout::RowBands(1));
-        assert_eq!(framed, raw, "single-block passthrough must stay unframed");
     }
 
     #[test]
     fn checksum_catches_payload_corruption() {
         let field = ramp(24, 8);
-        let good = checksummed(&field, Layout::RowBands(4));
-        let body_at = HEADER_LEN + 16 * 4;
-
-        // Flip one payload bit in each block's first byte: the digest check
-        // must reject it with the block-naming message. (The Store codec
-        // would otherwise happily decode some of these corruptions into a
-        // wrong field — the checksum is what catches them.)
-        let lengths: Vec<usize> = (0..4)
-            .map(|b| {
-                u64::from_le_bytes(good[HEADER_LEN + 8 * b..][..8].try_into().unwrap()) as usize
-            })
-            .collect();
-        let mut at = body_at;
-        for (b, len) in lengths.iter().enumerate() {
-            let mut bad = good.clone();
-            bad[at + len - 1] ^= 0x10;
-            match decode(&Store, &bad) {
-                Err(CompressError::CorruptStream(msg)) => {
-                    assert_eq!(msg, format!("frame: block {b} checksum mismatch"));
+        for good in [tiled(&field, (6, 8), true), v1_frame(&field, 4, true)] {
+            // Flip one payload bit in each block's last byte: the digest
+            // check must reject it with the block-naming message. (The Store
+            // codec would otherwise happily decode some of these corruptions
+            // into a wrong field — the checksum is what catches them.)
+            let index = FrameIndex::parse(&good, good.len()).unwrap();
+            for b in 0..index.n_blocks() {
+                let (at, len) = index.block_span(b);
+                let mut bad = good.clone();
+                bad[at + len - 1] ^= 0x10;
+                match decode(&Store, &bad) {
+                    Err(CompressError::CorruptStream(msg)) => {
+                        assert_eq!(msg, format!("frame: block {b} checksum mismatch"));
+                    }
+                    other => panic!("block {b}: expected checksum mismatch, got {other:?}"),
                 }
-                other => panic!("block {b}: expected checksum mismatch, got {other:?}"),
             }
-            at += len;
+
+            // A flipped digest-table bit is equally fatal.
+            let mut bad = good.clone();
+            bad[length_slot(&good, index.n_blocks())] ^= 1;
+            assert!(matches!(
+                decode(&Store, &bad),
+                Err(CompressError::CorruptStream(msg)) if msg.contains("checksum mismatch")
+            ));
+
+            // The untouched stream still decodes to the original field.
+            assert_eq!(decode(&Store, &good).unwrap(), field);
         }
-
-        // A flipped digest-table bit is equally fatal.
-        let mut bad = good.clone();
-        bad[HEADER_LEN + 8 * 4] ^= 1;
-        assert!(matches!(
-            decode(&Store, &bad),
-            Err(CompressError::CorruptStream(msg)) if msg.contains("checksum mismatch")
-        ));
-
-        // The untouched stream still decodes to the original field.
-        assert_eq!(decode(&Store, &good).unwrap(), field);
     }
 
     #[test]
@@ -1053,29 +986,6 @@ mod tests {
         bad.extend_from_slice(&200u32.to_le_bytes());
         bad.extend_from_slice(&[0u8; 32]);
         assert!(matches!(decode(&Store, &bad), Err(CompressError::CorruptStream(_))));
-    }
-
-    #[test]
-    fn tiled_single_tile_is_the_raw_stream() {
-        // Tile dims >= the field collapse to one tile: the v2 single-tile
-        // output must equal the unframed stream, byte for byte.
-        let field = ramp(8, 5);
-        let bound = ErrorBound::Absolute(1.0);
-        let raw = Store.compress_view(&field.view(), bound).unwrap();
-        for (ty, tx) in [(8, 5), (100, 100), (8, 9)] {
-            let tiled = compress_tiled_with(
-                &Store,
-                &field.view(),
-                bound,
-                ty,
-                tx,
-                pool(),
-                &mut FrameScratch::new(),
-            )
-            .unwrap();
-            assert_eq!(tiled, raw, "{ty}x{tx} tiles");
-            assert!(!is_framed(&tiled));
-        }
     }
 
     #[test]
@@ -1098,55 +1008,15 @@ mod tests {
     fn tiled_checksummed_frames_roundtrip_and_flag_both_bits() {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
-        let (layout, options) =
-            (Layout::Tiles { ny: 8, nx: 8 }, FrameOptions { checksum: true, cancel: None });
         let scratch = &mut FrameScratch::new();
-        let (tiled, cells) = compress_frame(
-            &Store,
-            &field.view(),
-            bound,
-            layout,
-            options,
-            pool(),
-            scratch,
-            |tile| tile.len(),
-        )
-        .unwrap();
+        let (tiled, cells) =
+            compress_frame(&Store, &field.view(), bound, (8, 8), true, pool(), scratch, |tile| {
+                tile.len()
+            })
+            .unwrap();
         assert_eq!(cells, [64, 64, 8, 64, 64, 8, 56, 56, 7], "one result a tile, in tile order");
         assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
         assert_eq!(decode(&Store, &tiled).unwrap(), field);
-
-        // A flipped payload bit is caught by the per-tile digest.
-        let mut bad = tiled.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x08;
-        assert!(matches!(
-            decode(&Store, &bad),
-            Err(CompressError::CorruptStream(msg)) if msg.contains("checksum mismatch")
-        ));
-    }
-
-    #[test]
-    fn tiled_stream_is_independent_of_pool_width() {
-        let field = ramp(40, 26);
-        let bound = ErrorBound::Absolute(1.0);
-        let mut streams = Vec::new();
-        for threads in [1, 2, 5] {
-            streams.push(
-                compress_tiled_with(
-                    &Store,
-                    &field.view(),
-                    bound,
-                    16,
-                    16,
-                    ThreadPoolConfig::with_threads(threads),
-                    &mut FrameScratch::new(),
-                )
-                .unwrap(),
-            );
-        }
-        assert_eq!(streams[0], streams[1]);
-        assert_eq!(streams[0], streams[2]);
     }
 
     #[test]
@@ -1155,46 +1025,30 @@ mod tests {
         // matching window of the field — the property the archive's seek
         // path and the one decode loop rest on.
         let field = ramp(23, 17);
-        let bound = ErrorBound::Absolute(1.0);
-        for (layout, tile, n_blocks) in [
-            (Layout::Tiles { ny: 8, nx: 8 }, Some((8, 8)), 9),
-            (Layout::RowBands(4), None, 4),
-            (Layout::RowBands(23), None, 23),
-        ] {
-            for checksum in [false, true] {
-                let options = FrameOptions { checksum, cancel: None };
-                let scratch = &mut FrameScratch::new();
-                let (frame, _) = compress_frame(
-                    &Store,
-                    &field.view(),
-                    bound,
-                    layout,
-                    options,
-                    pool(),
-                    scratch,
-                    |_| (),
-                )
-                .unwrap();
+        for checksum in [false, true] {
+            for (frame, tile, n_blocks) in [
+                (tiled(&field, (8, 8), checksum), Some((8, 8)), 9),
+                (v1_frame(&field, 4, checksum), None, 4),
+                (v1_frame(&field, 23, checksum), None, 23),
+            ] {
+                let what = format!("{n_blocks} blocks, checksum={checksum}");
                 let index = FrameIndex::parse(&frame, frame.len()).unwrap();
-                assert_eq!((index.ny, index.nx, index.tile), (23, 17, tile), "{layout:?}");
-                assert_eq!(index.n_blocks(), n_blocks, "{layout:?}");
-                let mut arena = ScratchArena::new();
-                let mut block = Field2D::zeros(1, 1);
+                assert_eq!((index.ny, index.nx, index.tile), (23, 17, tile), "{what}");
+                assert_eq!(index.n_blocks(), n_blocks, "{what}");
+                let mut worker = FrameWorker::default();
                 let mut cells = 0;
                 for b in 0..index.n_blocks() {
                     let w = index.block_window(b);
                     let (at, len) = index.block_span(b);
                     let bytes = &frame[at..at + len];
-                    assert_eq!(index.block_digest(b), checksum.then(|| xxh64(bytes, 0)));
-                    Store.decompress_view_with(bytes, &mut arena, &mut block).unwrap();
-                    assert_eq!(
-                        block,
-                        field.subfield(w.i0, w.j0, w.height, w.width),
-                        "{layout:?} block {b}"
-                    );
+                    let digest = index.digests.as_ref().map(|d| d[b]);
+                    assert_eq!(digest, checksum.then(|| xxh64(bytes, 0)), "{what}");
+                    let block = index.decode_block(b, bytes, &Store, &mut worker).unwrap();
+                    let want = field.subfield(w.i0, w.j0, w.height, w.width);
+                    assert_eq!(*block, want, "{what}: block {b}");
                     cells += w.height * w.width;
                 }
-                assert_eq!(cells, 23 * 17, "{layout:?}: the windows cover the field");
+                assert_eq!(cells, 23 * 17, "{what}: the windows cover the field");
                 // The two-step prefix parse (header, then exactly table_span
                 // bytes) must agree with parsing the whole stream.
                 let span =
@@ -1203,6 +1057,36 @@ mod tests {
                 assert_eq!(FrameIndex::parse(&frame[..span], frame.len()).unwrap(), index);
             }
         }
+    }
+
+    #[test]
+    fn decode_block_refuses_a_block_of_the_wrong_shape() {
+        // Block 0's bytes stand in for the shorter last band: the shape
+        // check names the block instead of copying a wrong-sized field.
+        let field = ramp(10, 3);
+        let frame = v1_frame(&field, 4, false);
+        let index = FrameIndex::parse(&frame, frame.len()).unwrap();
+        let (at, len) = index.block_span(0);
+        let mut worker = FrameWorker::default();
+        let err = index.decode_block(3, &frame[at..at + len], &Store, &mut worker).unwrap_err();
+        let want = "frame: block 3 decoded to (3, 3), expected (2, 3)";
+        assert_eq!(err, CompressError::CorruptStream(want.into()));
+    }
+
+    #[test]
+    fn split_range_parts_are_contiguous_balanced_and_cover_everything() {
+        for (total, parts) in [(10usize, 3usize), (7, 7), (5, 9), (0, 4), (100, 1), (23, 4)] {
+            let mut next = 0;
+            for part in 0..parts {
+                let r = split_range(total, parts, part);
+                assert_eq!(r.start, next, "{total}/{parts} part {part}");
+                assert!(r.len() == total / parts || r.len() == total / parts + 1);
+                next = r.end;
+            }
+            assert_eq!(next, total);
+        }
+        assert_eq!(split_range(10, 4, 0), 0..3);
+        assert_eq!(split_range(10, 4, 3), 8..10);
     }
 
     #[test]
@@ -1254,7 +1138,8 @@ mod tests {
 
         // Overflowing tile length in the seek index.
         let mut bad = good.clone();
-        bad[33..41].copy_from_slice(&u64::MAX.to_le_bytes());
+        let slot = length_slot(&good, 0);
+        bad[slot..slot + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode(&Store, &bad).is_err());
 
         // Truncated stream: lengths no longer reach the end of the frame.
@@ -1291,10 +1176,8 @@ mod tests {
     #[test]
     fn corrupt_frames_are_rejected() {
         let field = ramp(24, 8);
-        let bound = ErrorBound::Absolute(1.0);
-        let good =
-            compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
-                .unwrap();
+        let good = v1_frame(&field, 4, false);
+        assert_eq!(decode(&Store, &good).unwrap(), field, "the untouched v1 frame decodes");
 
         // Bad version byte.
         let mut bad = good.clone();
@@ -1319,14 +1202,15 @@ mod tests {
         assert!(decode(&Store, &bad).is_err());
 
         // Overflowing block length.
+        let slot = length_slot(&good, 0);
         let mut bad = good.clone();
-        bad[25..33].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[slot..slot + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode(&Store, &bad).is_err());
 
         // Lengths that no longer sum to the payload.
         let mut bad = good.clone();
-        let first = u64::from_le_bytes(bad[25..33].try_into().unwrap());
-        bad[25..33].copy_from_slice(&(first - 1).to_le_bytes());
+        let first = u64::from_le_bytes(bad[slot..slot + 8].try_into().unwrap());
+        bad[slot..slot + 8].copy_from_slice(&(first - 1).to_le_bytes());
         assert!(decode(&Store, &bad).is_err());
 
         // Truncated payload.

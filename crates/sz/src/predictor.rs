@@ -179,9 +179,9 @@ fn mode_of([lorenzo_err, plane_err]: [f64; 2]) -> BlockMode {
 const GROUP: usize = 4;
 
 /// `select_mode_with_plane` (the test oracle) for every `block_size`-sided
-/// block of `field` in [`WindowIter`] order — same decisions, same plane bits —
-/// with full-width blocks taken [`GROUP`] at a time: `modes` gets one entry
-/// per block, `planes` one per regression block. Returns whether every
+/// block of `field` in [`lcc_grid::WindowIter`] order — same decisions,
+/// same plane bits — with full-width blocks taken `GROUP` at a time: `modes`
+/// gets one entry per block, `planes` one per regression block. Returns whether every
 /// block's value sum was finite; where it is, so is every value of the
 /// field, and where it is not, a value is non-finite or the sum overflowed.
 pub fn select_modes(

@@ -13,7 +13,7 @@ use lcc::hydro::{MirandaProxy, MirandaProxyConfig, Problem};
 use lcc::lossless::xxh64;
 use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
-use lcc::pressio::frame::{compress_frame, FrameOptions, Layout};
+use lcc::pressio::frame::compress_frame;
 use lcc::pressio::{
     CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena, FLAG_CHECKSUM, FLAG_TILED,
     FRAME_MAGIC, FRAME_VERSION,
@@ -285,24 +285,6 @@ impl Compressor for Rendezvous {
     }
 }
 
-/// The frame `ArchiveWriter::add_entry` writes: checksummed tiles, with a
-/// hook that sees every tile on the worker that encoded it.
-#[allow(clippy::too_many_arguments)]
-fn compress_checksummed_tiles<R: Send>(
-    compressor: &dyn Compressor,
-    view: &FieldView<'_>,
-    bound: ErrorBound,
-    tile_ny: usize,
-    tile_nx: usize,
-    pool: ThreadPoolConfig,
-    scratch: &mut FrameScratch,
-    per_tile: impl Fn(&FieldView<'_>) -> R + Sync,
-) -> Result<(Vec<u8>, Vec<R>), CompressError> {
-    let layout = Layout::Tiles { ny: tile_ny, nx: tile_nx };
-    let options = FrameOptions { checksum: true, cancel: None };
-    compress_frame(compressor, view, bound, layout, options, pool, scratch, per_tile)
-}
-
 #[test]
 fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
     let field = ripple(96, 96);
@@ -311,19 +293,19 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
     let mut scratch = FrameScratch::new();
     let sz = SzCompressor::rans8();
     let (clean, cells) =
-        compress_checksummed_tiles(&sz, &view, BOUND, 16, 16, pool(2), &mut scratch, |t| t.len())
+        compress_frame(&sz, &view, BOUND, (16, 16), true, pool(2), &mut scratch, |t| t.len())
             .unwrap();
     assert_eq!(cells, vec![256; 36]);
 
     for width in [2, 3, 8] {
         // A tile that fails to encode on the calling thread's share.
         let codec = Rendezvous::new(width, Some(caller));
-        let result = compress_checksummed_tiles(
+        let result = compress_frame(
             &codec,
             &view,
             BOUND,
-            16,
-            16,
+            (16, 16),
+            true,
             pool(width),
             &mut scratch,
             |tile| tile.len(),
@@ -337,12 +319,12 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
         // A tile closure that panics on the calling thread's share.
         let codec = Rendezvous::new(width, None);
         let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let result = compress_checksummed_tiles(
+        let result = compress_frame(
             &codec,
             &view,
             BOUND,
-            16,
-            16,
+            (16, 16),
+            true,
             pool(width),
             &mut scratch,
             |tile| {
@@ -371,12 +353,12 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
         // claims it.
         let mut poisoned = field.clone();
         poisoned.set(40, 70, f64::NAN);
-        let result = compress_checksummed_tiles(
+        let result = compress_frame(
             &sz,
             &poisoned.view(),
             BOUND,
-            16,
-            16,
+            (16, 16),
+            true,
             pool(width),
             &mut scratch,
             |tile| tile.len(),
@@ -384,17 +366,9 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
         assert!(matches!(result, Err(CompressError::InvalidInput(_))), "width {width}");
 
         // The scratch the failed frames ran over is as good as new.
-        let (again, _) = compress_checksummed_tiles(
-            &sz,
-            &view,
-            BOUND,
-            16,
-            16,
-            pool(width),
-            &mut scratch,
-            |_| (),
-        )
-        .unwrap();
+        let (again, _) =
+            compress_frame(&sz, &view, BOUND, (16, 16), true, pool(width), &mut scratch, |_| ())
+                .unwrap();
         assert!(again == clean, "width {width}: bytes after the failures differ");
     }
 }

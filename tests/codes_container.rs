@@ -3,13 +3,15 @@
 //! codec's `open_container`) and handing the parts back to
 //! `codes::write_payload` reproduces the payload byte for byte — on the
 //! eight SZ / MGARD streams `tests/stream_identity.rs` pins by hash and on
-//! every decode-forever fixture under `tests/fixtures/` — and the section
+//! every decode-forever fixture under `tests/fixtures/` (a frame fixture's
+//! every block) — and the section
 //! the reader returns is the byte range the container layout puts it at,
 //! computed here by hand the way the tools used to.
 
 use lcc::core::registry::entropy_ablation_registry;
 use lcc::lossless::{lz77_decompress, rans8_stream_info, EntropyBackend};
-use lcc::pressio::ErrorBound;
+use lcc::pressio::frame::is_framed;
+use lcc::pressio::{ErrorBound, FrameIndex};
 use std::ops::Range;
 
 #[path = "common/container.rs"]
@@ -31,8 +33,8 @@ fn section_by_hand(name: &str, stream: &[u8]) -> Range<usize> {
     at + 8..at + 8 + u64_at(at)
 }
 
-/// Open, re-assemble, compare; returns whether the stream was raw.
-fn assert_reader_and_writer_invert(name: &str, stream: &[u8], what: &str) {
+/// Open, re-assemble, compare, for a stream of a `shape` field.
+fn assert_reader_and_writer_invert(name: &str, stream: &[u8], shape: (usize, usize), what: &str) {
     let mut expanded = Vec::new();
     let parts = container::open(name, stream, &mut expanded);
     let rans = name.ends_with("rans8");
@@ -48,7 +50,7 @@ fn assert_reader_and_writer_invert(name: &str, stream: &[u8], what: &str) {
     } else {
         lz77_decompress(stream).expect(what)
     };
-    assert_eq!((parts.header.ny, parts.header.nx), (97, 113), "{what}");
+    assert_eq!((parts.header.ny, parts.header.nx), shape, "{what}");
     assert_eq!(parts.middle.is_empty(), name.starts_with("mgard"), "{what}");
     let again = container::reassemble(name, &parts, parts.section);
     assert!(again == payload, "{what}: the writer does not reproduce the payload");
@@ -63,7 +65,7 @@ fn pinned_streams_and_fixtures_reassemble_byte_for_byte() {
         let compressor = registry.get(name).expect("registered compressor");
         for eb in [1e-4, 1e-2] {
             let stream = compressor.compress_view(&field.view(), ErrorBound::Absolute(eb)).unwrap();
-            assert_reader_and_writer_invert(name, &stream, &format!("{name}@{eb}"));
+            assert_reader_and_writer_invert(name, &stream, (97, 113), &format!("{name}@{eb}"));
         }
     }
 
@@ -75,12 +77,26 @@ fn pinned_streams_and_fixtures_reassemble_byte_for_byte() {
             continue;
         }
         let file = path.file_name().unwrap().to_string_lossy().into_owned();
-        // `<compressor>_<bound>_<what it predates>.bin`
+        // `<compressor>_<bound>_<what it predates>.bin`, `<compressor>_frame_…`
         let name = file.split('_').next().unwrap();
         assert!(names.contains(&name), "{file}: not a codes-container fixture");
         let stream = std::fs::read(&path).unwrap();
-        assert_reader_and_writer_invert(name, &stream, &file);
+        if is_framed(&stream) {
+            let index = FrameIndex::parse(&stream, stream.len()).unwrap();
+            for b in 0..index.n_blocks() {
+                let ((at, len), w) = (index.block_span(b), index.block_window(b));
+                let what = format!("{file} block {b}");
+                assert_reader_and_writer_invert(
+                    name,
+                    &stream[at..at + len],
+                    (w.height, w.width),
+                    &what,
+                );
+            }
+        } else {
+            assert_reader_and_writer_invert(name, &stream, (97, 113), &file);
+        }
         seen += 1;
     }
-    assert_eq!(seen, 8, "the eight decode-forever streams");
+    assert_eq!(seen, 10, "the eight decode-forever streams and two frames");
 }

@@ -1,7 +1,7 @@
 //! The serving set-up `tests/concurrency_identity.rs` and `tests/chaos.rs`
 //! share (`#[path]`-included). 18 variants: the five registry codecs, each
-//! as a single stream, in a `Layout::RowBands(4)` frame and in a checksummed
-//! frame, plus region reads of three codecs' entries in one tiled archive
+//! as a single stream, in a frame of four full-width tiles and in a
+//! checksummed one, plus region reads of three codecs' entries in one tiled archive
 //! behind a shared [`TileCache`]. Six payload fields, a fixed seeded request
 //! list, and the single-threaded, fresh-scratch references every concurrent
 //! answer must equal.
@@ -15,7 +15,7 @@ use lcc_archive::{Archive, ArchiveWriter, ReadAt, ReadOptions, TileCache};
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_grid::{Field2D, Window};
 use lcc_par::{CancelToken, ThreadPoolConfig};
-use lcc_pressio::frame::{compress_frame, decompress_framed_with, FrameOptions, Layout};
+use lcc_pressio::frame::{compress_frame, decompress_framed_with};
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use std::sync::Arc;
@@ -258,14 +258,13 @@ fn round_trip(
         return Ok(stream);
     };
     let pool = ThreadPoolConfig::with_threads(1);
-    let (layout, options) =
-        (Layout::RowBands(FRAMED_BLOCKS), FrameOptions { checksum, cancel: None });
+    let tile = (field.ny().div_ceil(FRAMED_BLOCKS), field.nx());
     let (mut stream, _) = compress_frame(
         compressor,
         &field.view(),
         BOUND,
-        layout,
-        options,
+        tile,
+        checksum,
         pool,
         &mut scratch.frame,
         |_| (),

@@ -6,6 +6,7 @@
 //!
 //! * framed round-trips across block counts 1..=8, including non-divisible
 //!   row tails and 1×N / N×1 degenerate fields, always hold the error bound,
+//!   and `blocks` always means full-width tiles of `ny.div_ceil(blocks)` rows,
 //! * a single-block frame is byte-identical to the unframed stream
 //!   (version-0 passthrough),
 //! * a multi-block frame decodes to exactly the values obtained by
@@ -14,17 +15,17 @@
 //!   `decompress_field` under heavy arena reuse,
 //! * corrupt frames (bad version, truncated table, overflowing/overlapping
 //!   lengths) error out instead of panicking for every compressor,
-//! * the general `compress_frame` / `decompress_frame` forms agree with the
-//!   pinned plain entry points over every layout × checksum × token state,
-//! * every header forgery of either layout is refused by class without an
-//!   allocation sized by what the header claims.
+//! * the general `compress_frame` form agrees with the pinned plain entry
+//!   points over both tile shapes they write × checksum,
+//! * every header forgery of either layout (v1 row bands, decode-only, and
+//!   v2 tiles) is refused by class without an allocation sized by what the
+//!   header claims.
 
 use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
-use lcc::par::{split_range, CancelToken, ThreadPoolConfig};
+use lcc::par::ThreadPoolConfig;
 use lcc::pressio::frame::{
-    compress_frame, compress_framed_with, compress_tiled_with, decompress_frame,
-    decompress_framed_with, is_framed, FrameOptions, Layout,
+    compress_frame, compress_framed_with, compress_tiled_with, decompress_framed_with, is_framed,
 };
 use lcc::pressio::{
     CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena, FLAG_CHECKSUM,
@@ -153,8 +154,8 @@ fn degenerate_row_and_column_fields_roundtrip() {
 #[test]
 fn framed_decode_matches_stitched_per_block_single_streams() {
     // A multi-block frame's decoded values must be exactly what decoding
-    // each row band as its own stand-alone stream yields — the frame
-    // container adds structure, never distortion.
+    // each block as its own stand-alone stream yields — the frame container
+    // adds structure, never distortion.
     let field = wavy(47, 29, 21);
     let bound = ErrorBound::Absolute(1e-3);
     let blocks = 4usize;
@@ -170,15 +171,14 @@ fn framed_decode_matches_stitched_per_block_single_streams() {
         .unwrap();
         let framed_decode = decompress_framed(comp.as_ref(), &stream, pool(4)).unwrap();
 
+        let index = FrameIndex::parse(&stream, stream.len()).unwrap();
+        assert_eq!(index.n_blocks(), blocks);
         let mut stitched = Field2D::zeros(field.ny(), field.nx());
-        for range in (0..blocks).map(|b| split_range(field.ny(), blocks, b)) {
-            let sub = field.view().subview(range.start, 0, range.len(), field.nx());
-            let sub_stream = comp.compress_view(&sub, bound).unwrap();
+        for w in (0..blocks).map(|b| index.block_window(b)) {
+            let sub_stream = comp.compress_view(&field.view().window(&w), bound).unwrap();
             let sub_back = comp.decompress_field(&sub_stream).unwrap();
-            assert_eq!(sub_back.shape(), (range.len(), field.nx()));
-            for (k, i) in range.clone().enumerate() {
-                stitched.row_mut(i).copy_from_slice(sub_back.row(k));
-            }
+            assert_eq!(sub_back.shape(), (w.height, w.width));
+            stitched.copy_window_from(w.i0, w.j0, &sub_back.view());
         }
         assert_eq!(framed_decode, stitched, "{}: framed != stitched blocks", comp.name());
     }
@@ -243,6 +243,11 @@ fn corrupt_frames_error_for_every_compressor() {
         )
         .unwrap();
         assert!(is_framed(&good));
+        // The length table sits right before the first block's bytes.
+        let index = FrameIndex::parse(&good, good.len()).unwrap();
+        let table = index.block_span(0).0 - 8 * index.n_blocks();
+        let (first, second) = (table..table + 8, table + 8..table + 16);
+        let (len0, len1) = (index.block_span(0).1 as u64, index.block_span(1).1 as u64);
 
         let decode = |bytes: &[u8]| decompress_framed(comp.as_ref(), bytes, pool(2));
 
@@ -271,14 +276,13 @@ fn corrupt_frames_error_for_every_compressor() {
 
         // Overflowing block length.
         let mut bad = good.clone();
-        bad[25..33].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[first.clone()].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode(&bad).is_err(), "{}: overflowing length", comp.name());
 
         // Overlapping lengths: grow the first entry so the blocks overlap
         // and the sum no longer matches the payload.
         let mut bad = good.clone();
-        let first = u64::from_le_bytes(bad[25..33].try_into().unwrap());
-        bad[25..33].copy_from_slice(&(first + 7).to_le_bytes());
+        bad[first.clone()].copy_from_slice(&(len0 + 7).to_le_bytes());
         assert!(decode(&bad).is_err(), "{}: overlapping lengths", comp.name());
 
         // Truncated payload.
@@ -305,11 +309,10 @@ fn corrupt_frames_error_for_every_compressor() {
         // A block whose substream decodes to the wrong shape: swap the
         // lengths so block boundaries land mid-stream (only meaningful when
         // the two blocks compressed to different sizes).
-        let second = u64::from_le_bytes(good[33..41].try_into().unwrap());
-        if first != second {
+        if len0 != len1 {
             let mut bad = good.clone();
-            bad[25..33].copy_from_slice(&second.to_le_bytes());
-            bad[33..41].copy_from_slice(&first.to_le_bytes());
+            bad[first].copy_from_slice(&len1.to_le_bytes());
+            bad[second].copy_from_slice(&len0.to_le_bytes());
             assert!(decode(&bad).is_err(), "{}: swapped lengths", comp.name());
         }
     }
@@ -319,7 +322,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary shapes and block counts: the frame must round-trip inside
-    /// the bound and stay deterministic regardless of the worker count.
+    /// the bound regardless of the worker count, and `blocks` must become
+    /// at most `blocks` full-width tiles of `ny.div_ceil(blocks)` rows, the
+    /// last one possibly shorter.
     #[test]
     fn framed_roundtrip_property(
         ny in 1usize..64,
@@ -340,6 +345,19 @@ proptest! {
                 &mut FrameScratch::new(),
             )
             .unwrap();
+            let rows = ny.div_ceil(blocks);
+            prop_assert_eq!(is_framed(&stream), rows < ny);
+            if is_framed(&stream) {
+                prop_assert!(stream[4] & FLAG_TILED != 0, "{}: not a tiled frame", comp.name());
+                let index = FrameIndex::parse(&stream, stream.len()).unwrap();
+                let n_blocks = index.n_blocks();
+                prop_assert!(n_blocks <= blocks, "{n_blocks} tiles for {blocks} blocks");
+                for b in 0..n_blocks {
+                    let w = index.block_window(b);
+                    prop_assert_eq!((w.i0, w.j0, w.width), (b * rows, 0, nx));
+                    prop_assert!(w.height == rows || b + 1 == n_blocks, "tile {b}: {w:?}");
+                }
+            }
             let mut out = Field2D::zeros(1, 1);
             decompress_framed_with(
                 comp.as_ref(),
@@ -355,23 +373,6 @@ proptest! {
     }
 }
 
-/// A call under a fired token is abandoned as a whole.
-fn assert_deadline_exceeded<T>(result: Result<T, CompressError>, what: &str) {
-    match result.map(|_| "Ok") {
-        Err(CompressError::DeadlineExceeded(_)) => {}
-        other => panic!("{what}: expected DeadlineExceeded, got {other:?}"),
-    }
-}
-
-/// How the token of one cross-product row is set up.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Token {
-    Absent,
-    Live,
-    ExpiredBeforeTheCall,
-    CancelledByTheFirstBlocksHook,
-}
-
 #[test]
 fn the_general_forms_agree_with_the_pinned_entry_points_over_every_option() {
     let field = wavy(48, 40, 17);
@@ -380,116 +381,53 @@ fn the_general_forms_agree_with_the_pinned_entry_points_over_every_option() {
     let bound = ErrorBound::Absolute(eb);
     let sz = SzCompressor::default();
     let scratch = &mut FrameScratch::new();
-    let mut out = Field2D::zeros(1, 1);
-    for layout in [Layout::RowBands(4), Layout::Tiles { ny: 16, nx: 16 }] {
-        // What the benchmark's surface measures: the pinned plain names.
-        let pinned = match layout {
-            Layout::RowBands(blocks) => {
-                compress_framed_with(&sz, &view, bound, blocks, pool(2), scratch)
-            }
-            Layout::Tiles { ny, nx } => {
-                compress_tiled_with(&sz, &view, bound, ny, nx, pool(2), scratch)
-            }
-        }
-        .unwrap();
+    // What the benchmark's surface measures: the pinned plain names, each
+    // beside the tile shape it writes (four blocks of 48 rows: 12-row tiles).
+    for (tile, pinned) in [
+        ((12, 40), compress_framed_with(&sz, &view, bound, 4, pool(2), scratch)),
+        ((16, 16), compress_tiled_with(&sz, &view, bound, 16, 16, pool(2), scratch)),
+    ] {
+        let pinned = pinned.unwrap();
         let plain_index = FrameIndex::parse(&pinned, pinned.len()).unwrap();
+        assert_eq!(plain_index.tile, Some(tile));
         let n_blocks = plain_index.n_blocks();
         let pinned_decode = decompress_framed(&sz, &pinned, pool(2)).unwrap();
         assert!(field.max_abs_diff(&pinned_decode) <= eb);
 
         for checksum in [false, true] {
-            let reference = {
-                let options = FrameOptions { checksum, cancel: None };
-                compress_frame(&sz, &view, bound, layout, options, pool(2), scratch, |_| ())
-                    .unwrap()
-                    .0
-            };
-            for token_state in [
-                Token::Absent,
-                Token::Live,
-                Token::ExpiredBeforeTheCall,
-                Token::CancelledByTheFirstBlocksHook,
-            ] {
-                let what = format!("{layout:?} checksum={checksum} {token_state:?}");
-                let token = match token_state {
-                    Token::Absent => None,
-                    Token::ExpiredBeforeTheCall => {
-                        Some(CancelToken::with_timeout(std::time::Duration::ZERO))
-                    }
-                    Token::Live | Token::CancelledByTheFirstBlocksHook => Some(CancelToken::new()),
-                };
-                let options = FrameOptions { checksum, cancel: token.as_ref() };
-                let hook = |_: &lcc::grid::FieldView<'_>| {
-                    if token_state == Token::CancelledByTheFirstBlocksHook {
-                        token.as_ref().unwrap().cancel();
-                    }
-                };
-                // One worker: block 0 encodes, its hook runs, and block 1
-                // polls the token next — the order is fixed.
-                let encoded =
-                    compress_frame(&sz, &view, bound, layout, options, pool(1), scratch, hook);
-                match token_state {
-                    Token::Absent | Token::Live => {
-                        let (frame, per_block) = encoded.unwrap();
-                        assert_eq!(per_block.len(), n_blocks, "{what}: one hook result a block");
-                        assert_eq!(frame, reference, "{what}: bytes depend on the token or pool");
-                        let tiled = if plain_index.tile.is_some() { FLAG_TILED } else { 0 };
-                        if checksum {
-                            assert_eq!(frame[4], FRAME_VERSION | tiled | FLAG_CHECKSUM, "{what}");
-                            // The digest table is strictly additive.
-                            let index = FrameIndex::parse(&frame, frame.len()).unwrap();
-                            let (at, plain_at) =
-                                (index.block_span(0).0, plain_index.block_span(0).0);
-                            assert_eq!(at, plain_at + 8 * n_blocks, "{what}");
-                            assert_eq!(frame[5..plain_at], pinned[5..plain_at], "{what}");
-                            assert_eq!(frame[at..], pinned[plain_at..], "{what}: block bytes");
-                        } else {
-                            assert_eq!(frame, pinned, "{what}: drifted from the pinned name");
-                        }
-                        decompress_frame(&sz, &frame, pool(2), scratch, &mut out, token.as_ref())
-                            .unwrap();
-                        assert_eq!(out, pinned_decode, "{what}: decode");
-                    }
-                    Token::ExpiredBeforeTheCall | Token::CancelledByTheFirstBlocksHook => {
-                        assert_deadline_exceeded(encoded, &format!("{what}: encode"));
-                        let decoded = decompress_frame(
-                            &sz,
-                            &reference,
-                            pool(2),
-                            scratch,
-                            &mut out,
-                            token.as_ref(),
-                        );
-                        assert_deadline_exceeded(decoded, &format!("{what}: decode"));
-                    }
-                }
-                // On a wider pool a hook-cancelled encode may also finish,
-                // every other block having passed its poll already: then it
-                // is the whole frame, never part of one.
-                if token_state == Token::CancelledByTheFirstBlocksHook {
-                    let fresh = CancelToken::new();
-                    let options = FrameOptions { checksum, cancel: Some(&fresh) };
-                    let hook = |_: &lcc::grid::FieldView<'_>| fresh.cancel();
-                    match compress_frame(&sz, &view, bound, layout, options, pool(3), scratch, hook)
-                    {
-                        Ok((frame, _)) => assert_eq!(frame, reference, "{what}: partial Ok"),
-                        Err(CompressError::DeadlineExceeded(_)) => {}
-                        Err(other) => panic!("{what}: {other:?}"),
-                    }
-                }
+            let what = format!("{tile:?} checksum={checksum}");
+            // One worker against the pinned name's two: the bytes depend on
+            // neither the pool nor the hook.
+            let (frame, cells) =
+                compress_frame(&sz, &view, bound, tile, checksum, pool(1), scratch, |b| b.len())
+                    .unwrap();
+            let windows = (0..n_blocks).map(|b| plain_index.block_window(b));
+            let want: Vec<usize> = windows.map(|w| w.height * w.width).collect();
+            assert_eq!(cells, want, "{what}: one hook result a block, in block order");
+            if checksum {
+                assert_eq!(frame[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM, "{what}");
+                // The digest table is strictly additive.
+                let index = FrameIndex::parse(&frame, frame.len()).unwrap();
+                let (at, plain_at) = (index.block_span(0).0, plain_index.block_span(0).0);
+                assert_eq!(at, plain_at + 8 * n_blocks, "{what}");
+                assert_eq!(frame[5..plain_at], pinned[5..plain_at], "{what}");
+                assert_eq!(frame[at..], pinned[plain_at..], "{what}: block bytes");
+            } else {
+                assert_eq!(frame, pinned, "{what}: drifted from the pinned name");
             }
+            assert_eq!(decompress_framed(&sz, &frame, pool(2)).unwrap(), pinned_decode, "{what}");
 
             // One flipped body byte: a checksummed frame names the block, an
             // unchecksummed one still never panics.
-            let index = FrameIndex::parse(&reference, reference.len()).unwrap();
+            let index = FrameIndex::parse(&frame, frame.len()).unwrap();
             for b in [0, n_blocks / 2, n_blocks - 1] {
                 let (at, len) = index.block_span(b);
-                let mut bad = reference.clone();
+                let mut bad = frame.clone();
                 bad[at + len / 2] ^= 0x20;
                 let result = decompress_framed(&sz, &bad, pool(2));
                 if checksum {
                     let want = format!("frame: block {b} checksum mismatch");
-                    assert_eq!(result, Err(CompressError::CorruptStream(want)), "{layout:?}");
+                    assert_eq!(result, Err(CompressError::CorruptStream(want)), "{what}");
                 } else if let Ok(decoded) = result {
                     assert_eq!(decoded.shape(), field.shape());
                 }

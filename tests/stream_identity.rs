@@ -18,12 +18,17 @@
 //! `*_pair_table.bin` are the streams those rows pinned before, and
 //! `archive_pair_table.lcca` an archive of pair-table tile streams built at
 //! the commit before PR 21; they must decode forever.
+//! `sz_frame_v1*.bin` are row-band (format v1) frames, which the encoder no
+//! longer writes; they decode forever too.
 
 use lcc_archive::Archive;
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_grid::{Field2D, Window};
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::{ErrorBound, FrameScratch, ScratchArena};
+use lcc_pressio::frame::decompress_framed_with;
+use lcc_pressio::{
+    ErrorBound, FrameIndex, FrameScratch, ScratchArena, FLAG_CHECKSUM, FRAME_VERSION,
+};
 
 #[path = "common/fields.rs"]
 mod fields;
@@ -183,5 +188,35 @@ fn streams_written_before_run_coded_tables_still_decode() {
             .expect("region decodes");
         let want: Vec<f64> = full.view().window(&window).iter().collect();
         assert_eq!(region.as_slice(), want.as_slice(), "{name}: region read differs");
+    }
+}
+
+#[test]
+fn row_band_frames_still_decode() {
+    // `pinned_field()` as a four-band `sz` frame at `Absolute(1e-3)`, plain
+    // and checksummed, written at the last commit whose encoder wrote row
+    // bands. Its 97 rows make
+    // bands of 25, 24, 24, 24 where equal tiles would be 25, 25, 25, 22, so
+    // a change to the v1 band rule fails the decoder's shape check.
+    let field = pinned_field();
+    let sz = entropy_ablation_registry().get("sz").expect("registered compressor");
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    // (file, version byte, length and FNV-1a hash the parent wrote)
+    for (file, version, len, hash) in [
+        ("sz_frame_v1.bin", FRAME_VERSION, 10393, 0xe83be8874614c9d3u64),
+        ("sz_frame_v1_ck.bin", FRAME_VERSION | FLAG_CHECKSUM, 10425, 0xad35c622079f88fe),
+    ] {
+        let old = std::fs::read(fixtures.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!((old.len(), fnv::bytes(&old), old[4]), (len, hash, version), "{file}");
+        let index = FrameIndex::parse(&old, old.len()).expect("old frame parses");
+        let heights: Vec<usize> =
+            (0..index.n_blocks()).map(|b| index.block_window(b).height).collect();
+        assert_eq!((index.tile, heights), (None, vec![25, 24, 24, 24]), "{file}");
+        let mut out = Field2D::zeros(1, 1);
+        let (pool, scratch) = (ThreadPoolConfig::with_threads(2), &mut FrameScratch::new());
+        decompress_framed_with(sz.as_ref(), &old, pool, scratch, &mut out)
+            .expect("old frame decodes");
+        assert_eq!(fnv::values(&out.view()), 0x7a585d091ddeaf9e, "{file}: the decode moved");
+        assert!(field.max_abs_diff(&out) <= 1e-3, "{file}: bound violated");
     }
 }
