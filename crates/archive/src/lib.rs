@@ -27,16 +27,14 @@
 //!
 //! ## Resilience
 //!
-//! Serving builds on three per-tile mechanisms: a corrupt cached tile
-//! (caught by the cache's opt-in integrity digests) or a bad fetch/decode
-//! is retried once from the source before the read gives up; and
-//! [`read_region_with`](Archive::read_region_with) takes the rest as
-//! [`ReadOptions`]: `degraded` zero-fills tiles that stay bad and reports an
-//! accurate per-tile [`TileStatus`] mask instead of failing the whole
-//! window, `cancel` checks a [`CancelToken`](lcc_par::CancelToken) at tile
-//! granularity so an expired deadline is a `DeadlineExceeded` error, never a
-//! hang. Every read form refuses a compressor other than the one the entry
-//! records.
+//! A region read is strict: it returns the whole window or an error. A
+//! corrupt cached tile (caught by the cache's opt-in integrity digests) or a
+//! bad fetch/decode is retried once from the source before the read gives
+//! up, and a verifying cache re-checks every hit.
+//! [`read_region_with`](Archive::read_region_with) adds an optional
+//! `Instant` deadline, checked at tile granularity, so a stalled source is a
+//! `DeadlineExceeded` error, never a hang. Every read form refuses a
+//! compressor other than the one the entry records.
 
 pub mod cache;
 pub mod format;
@@ -45,7 +43,7 @@ pub mod writer;
 
 pub use cache::{CacheStats, TileCache};
 pub use format::{ArchiveEntry, TileStats, ARCHIVE_MAGIC, ARCHIVE_VERSION};
-pub use reader::{Archive, DegradedRegion, ReadAt, ReadOptions, RegionStats, TileStatus};
+pub use reader::{Archive, ReadAt, RegionStats};
 pub use writer::ArchiveWriter;
 
 #[cfg(test)]
@@ -153,10 +151,10 @@ mod tests {
     fn archive_roundtrips_entries_and_metadata() {
         let bytes = build_archive();
         let archive = Archive::open(bytes).unwrap();
-        assert_eq!(archive.len(), 3);
-        assert_eq!(archive.find("density", 1), Some(1));
-        assert_eq!(archive.find("energy", 0), Some(2));
-        assert_eq!(archive.find("missing", 0), None);
+        let keys: Vec<(&str, u64)> = (0..archive.len())
+            .map(|k| (&*archive.entry(k).name, archive.entry(k).timestep))
+            .collect();
+        assert_eq!(keys, [("density", 0), ("density", 1), ("energy", 0)]);
 
         let entry = archive.entry(0);
         assert_eq!((entry.ny, entry.nx), (23, 17));
@@ -300,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_reads_mask_tiles_the_source_cannot_heal() {
+    fn tiles_the_source_cannot_heal_fail_the_read() {
         let mut bytes = build_archive();
         // Locate tile 0 of entry 0 in the byte stream and corrupt it at the
         // source, so the one-shot retry re-reads the same bad bytes.
@@ -316,55 +314,30 @@ mod tests {
         let mut scratch = FrameScratch::default();
         let mut out = Field2D::zeros(1, 1);
         let window = Window { i0: 4, j0: 4, height: 8, width: 8 };
-
-        // Strict mode refuses the window outright.
         assert!(matches!(
             archive.read_region(0, &window, &Store, pool(), &mut scratch, &mut out),
             Err(CompressError::CorruptStream(_))
         ));
-
-        // Degraded mode serves the three good tiles, zero-fills the bad
-        // one, and the status mask says exactly which is which.
-        let degraded = ReadOptions { degraded: true, ..ReadOptions::default() };
-        let region = archive
-            .read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, degraded)
-            .unwrap();
-        assert!(!region.is_complete());
-        assert_eq!(region.stats.tiles, 4);
-        assert_eq!(region.tiles.len(), 4);
-        for &(t, status) in &region.tiles {
-            let expect = if t == 0 { TileStatus::Failed } else { TileStatus::Ok };
-            assert_eq!(status, expect, "tile {t}");
-        }
-        let full = ramp(23, 17, 0.0);
-        for i in 0..8 {
-            for j in 0..8 {
-                let (gi, gj) = (window.i0 + i, window.j0 + j);
-                let want = if gi < 8 && gj < 8 { 0.0 } else { full.view().at(gi, gj) };
-                assert_eq!(out.view().at(i, j), want, "({i}, {j})");
-            }
-        }
     }
 
     #[test]
     fn expired_deadlines_abandon_region_reads() {
-        use lcc_par::CancelToken;
+        use std::time::{Duration, Instant};
         let archive = Archive::open(build_archive()).unwrap();
         let mut scratch = FrameScratch::default();
         let mut out = Field2D::zeros(1, 1);
         let window = Window { i0: 0, j0: 0, height: 16, width: 16 };
-        let mut read = |token: &CancelToken| {
-            let options = ReadOptions { cancel: Some(token), degraded: false };
-            archive.read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, options)
+        let mut read = |deadline: Instant| {
+            let deadline = Some(deadline);
+            archive.read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, deadline)
         };
 
-        let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
-        assert!(matches!(read(&expired), Err(CompressError::DeadlineExceeded(_))));
+        let expired = Instant::now();
+        assert!(matches!(read(expired), Err(CompressError::DeadlineExceeded(_))));
 
-        let generous = CancelToken::with_timeout(std::time::Duration::from_secs(60));
-        let region = read(&generous).unwrap();
-        assert_eq!(region.stats.tiles, 4);
-        assert!(region.is_complete());
+        let generous = Instant::now() + Duration::from_secs(60);
+        let stats = read(generous).unwrap();
+        assert_eq!(stats, RegionStats { tiles: 4, tiles_from_cache: 0, tiles_recovered: 0 });
         let want: Vec<f64> = ramp(23, 17, 0.0).view().window(&window).iter().collect();
         assert_eq!(out.as_slice(), want.as_slice());
     }
@@ -372,17 +345,8 @@ mod tests {
     #[test]
     fn tiles_overlapping_a_window_match_the_tile_geometry() {
         let archive = Archive::open(build_archive()).unwrap();
-        let mut scratch = FrameScratch::default();
-        let mut out = Field2D::zeros(1, 1);
-        let mut tiles = |window: Window| {
-            let options = ReadOptions::default();
-            archive
-                .read_region_with(0, &window, &Store, pool(), &mut scratch, &mut out, options)
-                .unwrap()
-                .tiles
-                .into_iter()
-                .map(|(t, _)| t)
-                .collect::<Vec<_>>()
+        let tiles = |window: Window| {
+            reader::tiles_overlapping(archive.entry(0), &window).collect::<Vec<_>>()
         };
         // One interior cell: exactly one tile of the 3x3 grid over 23x17.
         assert_eq!(tiles(Window { i0: 9, j0: 9, height: 1, width: 1 }), [4]);

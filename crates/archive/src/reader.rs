@@ -6,12 +6,13 @@ use crate::format::{
     MIN_ENTRY_RECORD,
 };
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
-use lcc_par::{try_parallel_block_map, CancelToken, JobPanicked, ThreadPoolConfig};
+use lcc_par::{try_parallel_block_map, JobPanicked, ThreadPoolConfig};
 use lcc_pressio::codes::Reader;
 use lcc_pressio::frame::{decompress_framed_with, FrameWorker};
 use lcc_pressio::{CompressError, Compressor, FrameIndex, FrameScratch, FRAME_MAGIC};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Positioned reads over an archive byte source. Implementations exist for
 /// in-memory buffers and (on unix) `std::fs::File`, and the trait is the
@@ -78,53 +79,6 @@ pub struct RegionStats {
     pub tiles_recovered: usize,
 }
 
-/// Per-tile outcome of a region read, reported by
-/// [`Archive::read_region_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileStatus {
-    /// Served cleanly from cache or a first fetch.
-    Ok,
-    /// First copy was corrupt; the one-shot source re-read succeeded.
-    Recovered,
-    /// Corrupt even after the source re-read; the tile's window rectangle
-    /// was zero-filled.
-    Failed,
-}
-
-/// What [`Archive::read_region_with`] asks for beyond the window itself.
-/// The default is what [`Archive::read_region`] does: strict, no token.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReadOptions<'a> {
-    /// Checked before each tile fetch/decode and again after, so an expired
-    /// deadline surfaces as [`CompressError::DeadlineExceeded`] at tile
-    /// granularity instead of a hang.
-    pub cancel: Option<&'a CancelToken>,
-    /// Best effort: a tile that stays corrupt after the one-shot source
-    /// retry is zero-filled and reported [`TileStatus::Failed`] instead of
-    /// failing the call. Structural errors (bad entry index, wrong codec,
-    /// window out of bounds, worker panics, an expired deadline) still fail
-    /// it.
-    pub degraded: bool,
-}
-
-/// The outcome of [`Archive::read_region_with`]: the window's accounting
-/// plus an accurate per-tile status mask, so a caller of a degraded read can
-/// render what survived and mask or re-request what did not.
-#[derive(Debug, Clone)]
-pub struct DegradedRegion {
-    /// Cache/recovery accounting, as for [`Archive::read_region`].
-    pub stats: RegionStats,
-    /// One `(tile_index, status)` per overlapped tile, ascending by tile.
-    pub tiles: Vec<(usize, TileStatus)>,
-}
-
-impl DegradedRegion {
-    /// True when every tile decoded (possibly after recovery).
-    pub fn is_complete(&self) -> bool {
-        self.tiles.iter().all(|&(_, s)| s != TileStatus::Failed)
-    }
-}
-
 struct EntryState {
     meta: ArchiveEntry,
     index: FrameIndex,
@@ -155,18 +109,12 @@ struct TileReadBuf(Vec<u8>);
 /// (tile coords).
 struct Miss {
     tile: usize,
-    /// Where this tile sits in the read's per-tile status list.
-    slot: usize,
     dst: Window,
     src_i0: usize,
     src_j0: usize,
     /// The cache held this tile but it failed its integrity digest; a
     /// successful source fetch then counts as recovered, not merely uncached.
     cache_corrupt: bool,
-}
-
-fn expired(cancel: Option<&CancelToken>) -> bool {
-    cancel.is_some_and(|c| c.is_cancelled())
 }
 
 fn job_panic(err: JobPanicked) -> CompressError {
@@ -353,11 +301,6 @@ impl<R: ReadAt> Archive<R> {
         self
     }
 
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&Arc<TileCache>> {
-        self.cache.as_ref()
-    }
-
     /// The cache key this archive uses for tile `tile` of entry `entry`,
     /// carrying the archive's process-unique generation id.
     pub(crate) fn tile_key(&self, entry: usize, tile: usize) -> TileKey {
@@ -382,15 +325,9 @@ impl<R: ReadAt> Archive<R> {
         &self.entries[k].meta
     }
 
-    /// Index of the entry named `name` at `timestep`, if present.
-    pub fn find(&self, name: &str, timestep: u64) -> Option<usize> {
-        self.entries.iter().position(|e| e.meta.name == name && e.meta.timestep == timestep)
-    }
-
     /// Entry `k`, once `compressor` is known to be the codec that wrote it:
     /// any other would fetch every tile twice and report its own stream
-    /// check failing as corruption (or, degraded, "succeed" with every tile
-    /// zero-filled).
+    /// check failing as corruption.
     fn entry_for(
         &self,
         k: usize,
@@ -427,9 +364,8 @@ impl<R: ReadAt> Archive<R> {
     }
 
     /// Decode exactly the tiles of entry `k` overlapping `window` into
-    /// `out` (resized to the window's shape), strictly and without a
-    /// deadline: [`Archive::read_region_with`] under the default
-    /// [`ReadOptions`], returning its accounting.
+    /// `out` (resized to the window's shape), without a deadline:
+    /// [`Archive::read_region_with`] under `None`.
     pub fn read_region(
         &self,
         k: usize,
@@ -439,8 +375,7 @@ impl<R: ReadAt> Archive<R> {
         scratch: &mut FrameScratch,
         out: &mut Field2D,
     ) -> Result<RegionStats, CompressError> {
-        self.read_region_with(k, window, compressor, pool, scratch, out, ReadOptions::default())
-            .map(|region| region.stats)
+        self.read_region_with(k, window, compressor, pool, scratch, out, None)
     }
 
     /// Decode exactly the tiles of entry `k` overlapping `window` into
@@ -451,11 +386,12 @@ impl<R: ReadAt> Archive<R> {
     ///
     /// A tile whose cached copy fails the cache's integrity digest, or
     /// whose fetched bytes fail their checksum or decode, is retried once
-    /// from the source before the read gives up on it: the whole call
-    /// errors, unless [`ReadOptions::degraded`] asks for the tile to be
-    /// zero-filled and reported instead. `compressor` must be the codec the
-    /// entry records, or the call is [`CompressError::InvalidInput`] before
-    /// any tile is touched.
+    /// from the source; if the retry fails too, so does the call.
+    /// `compressor` must be the codec the entry records, or the call is
+    /// [`CompressError::InvalidInput`] before any tile is touched. Once
+    /// `deadline` has passed — checked before the read, before each tile
+    /// fetch and after each decode — the call is
+    /// [`CompressError::DeadlineExceeded`].
     ///
     /// The decoded window is bit-identical to the same window of a
     /// full-frame decode, with or without a cache attached.
@@ -468,10 +404,10 @@ impl<R: ReadAt> Archive<R> {
         pool: ThreadPoolConfig,
         scratch: &mut FrameScratch,
         out: &mut Field2D,
-        options: ReadOptions<'_>,
-    ) -> Result<DegradedRegion, CompressError> {
-        let ReadOptions { cancel, degraded } = options;
-        if expired(cancel) {
+        deadline: Option<Instant>,
+    ) -> Result<RegionStats, CompressError> {
+        let expired = move || deadline.is_some_and(|d| Instant::now() >= d);
+        if expired() {
             return Err(CompressError::DeadlineExceeded("archive: region read abandoned".into()));
         }
         let state = self.entry_for(k, compressor)?;
@@ -489,9 +425,6 @@ impl<R: ReadAt> Archive<R> {
         out.resize(window.height, window.width);
         let tiles = tiles_overlapping(&state.meta, window);
         let mut stats = RegionStats { tiles: tiles.len(), tiles_from_cache: 0, tiles_recovered: 0 };
-        // Every overlapped tile, ascending; a miss rewrites its slot once
-        // its decode has settled.
-        let mut tile_status: Vec<(usize, TileStatus)> = Vec::with_capacity(tiles.len());
         let mut misses: Vec<Miss> = Vec::new();
         for t in tiles {
             let tile_win = index.block_window(t);
@@ -515,97 +448,69 @@ impl<R: ReadAt> Archive<R> {
                 // counts as recovered.
                 misses.push(Miss {
                     tile: t,
-                    slot: tile_status.len(),
                     dst,
                     src_i0: i0 - tile_win.i0,
                     src_j0: j0 - tile_win.j0,
                     cache_corrupt: matches!(lookup, Some(Lookup::Corrupt)),
                 });
             }
-            tile_status.push((t, TileStatus::Ok));
         }
-        if !misses.is_empty() {
-            let segments = disjoint_window_rows(
-                out.as_mut_slice(),
-                window.width,
-                misses.iter().map(|m| m.dst),
-            );
-            let source = &self.source;
-            let cache = self.cache.as_deref();
-            let misses = &misses;
-            let workers = scratch.workers(pool.threads().min(misses.len()));
-            let decoded: Vec<Result<TileStatus, CompressError>> =
-                try_parallel_block_map(pool, workers, segments, move |worker, j, mut segs| {
-                    let miss = &misses[j];
-                    if expired(cancel) {
-                        return Err(CompressError::DeadlineExceeded(format!(
-                            "archive: tile {} abandoned",
-                            miss.tile
-                        )));
-                    }
-                    // First attempt, then at most one retry whose fresh
-                    // positioned read bypasses whatever buffer went bad.
-                    let mut recovered = miss.cache_corrupt;
-                    let mut outcome = fetch_tile(source, state, compressor, worker, miss.tile);
-                    if outcome.is_err() {
-                        recovered = true;
-                        outcome = fetch_tile(source, state, compressor, worker, miss.tile);
-                    }
-                    if outcome.is_ok() && expired(cancel) {
-                        outcome = Err(CompressError::DeadlineExceeded(format!(
-                            "archive: tile {} finished past the deadline",
-                            miss.tile
-                        )));
-                    }
-                    match outcome {
-                        Ok(()) => {
-                            let block = worker.block.take().expect("decode filled the block");
-                            let tile_view = block.view().subview(
-                                miss.src_i0,
-                                miss.src_j0,
-                                miss.dst.height,
-                                miss.dst.width,
-                            );
-                            for (seg, row) in segs.iter_mut().zip(tile_view.rows()) {
-                                seg.copy_from_slice(row);
-                            }
-                            worker.block = match cache {
-                                Some(cache) => {
-                                    offer_tile(cache, self.tile_key(k, miss.tile), block)
-                                }
-                                None => Some(block),
-                            };
-                            Ok(if recovered { TileStatus::Recovered } else { TileStatus::Ok })
-                        }
-                        Err(err)
-                            if degraded && !matches!(err, CompressError::DeadlineExceeded(_)) =>
-                        {
-                            // Best effort: blank the rectangle so the caller
-                            // never sees stale bytes, and report the tile.
-                            for seg in segs.iter_mut() {
-                                seg.fill(0.0);
-                            }
-                            Ok(TileStatus::Failed)
-                        }
-                        Err(err) => Err(err),
-                    }
-                })
-                .map_err(job_panic)?;
-            for (miss, result) in misses.iter().zip(decoded) {
-                let status = result?;
-                if status == TileStatus::Recovered {
-                    stats.tiles_recovered += 1;
+        if misses.is_empty() {
+            return Ok(stats);
+        }
+        let segments =
+            disjoint_window_rows(out.as_mut_slice(), window.width, misses.iter().map(|m| m.dst));
+        let source = &self.source;
+        let cache = self.cache.as_deref();
+        let misses = &misses;
+        let workers = scratch.workers(pool.threads().min(misses.len()));
+        // Each miss answers whether it needed the retry (or replaced a
+        // corrupt cached copy).
+        let decoded: Vec<Result<bool, CompressError>> =
+            try_parallel_block_map(pool, workers, segments, move |worker, j, mut segs| {
+                let miss = &misses[j];
+                if expired() {
+                    return Err(CompressError::DeadlineExceeded(format!(
+                        "archive: tile {} abandoned",
+                        miss.tile
+                    )));
                 }
-                tile_status[miss.slot].1 = status;
-            }
+                // First attempt, then at most one retry whose fresh
+                // positioned read bypasses whatever buffer went bad.
+                let mut recovered = miss.cache_corrupt;
+                if fetch_tile(source, state, compressor, worker, miss.tile).is_err() {
+                    recovered = true;
+                    fetch_tile(source, state, compressor, worker, miss.tile)?;
+                }
+                if expired() {
+                    return Err(CompressError::DeadlineExceeded(format!(
+                        "archive: tile {} finished past the deadline",
+                        miss.tile
+                    )));
+                }
+                let block = worker.block.take().expect("decode filled the block");
+                let tile_view =
+                    block.view().subview(miss.src_i0, miss.src_j0, miss.dst.height, miss.dst.width);
+                for (seg, row) in segs.iter_mut().zip(tile_view.rows()) {
+                    seg.copy_from_slice(row);
+                }
+                worker.block = match cache {
+                    Some(cache) => offer_tile(cache, self.tile_key(k, miss.tile), block),
+                    None => Some(block),
+                };
+                Ok(recovered)
+            })
+            .map_err(job_panic)?;
+        for recovered in decoded {
+            stats.tiles_recovered += usize::from(recovered?);
         }
-        Ok(DegradedRegion { stats, tiles: tile_status })
+        Ok(stats)
     }
 }
 
 /// Row-major ids of the tiles of `entry` overlapping `window` (which lies
 /// inside the entry's field), ascending.
-fn tiles_overlapping(
+pub(crate) fn tiles_overlapping(
     entry: &ArchiveEntry,
     window: &Window,
 ) -> impl ExactSizeIterator<Item = usize> {

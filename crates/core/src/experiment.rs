@@ -11,7 +11,7 @@ use crate::statistics::{CorrelationStatistics, StatisticsConfig};
 use crate::CoreError;
 use lcc_geostat::{log_regression, LogRegression};
 use lcc_grid::io::CsvSeries;
-use lcc_par::{try_parallel_map_with_state, CancelToken, ThreadPoolConfig};
+use lcc_par::{try_parallel_map_with_state, ThreadPoolConfig};
 use lcc_pressio::{ErrorBound, Metrics, Registry, ScratchArena};
 use std::sync::Arc;
 
@@ -26,11 +26,6 @@ pub struct SweepConfig {
     pub statistics: StatisticsConfig,
     /// Worker threads of the sweep's pool (`None` = automatic).
     pub threads: Option<usize>,
-    /// Optional deadline/cancellation token: checked before every job, so
-    /// an expired sweep fails fast with a "deadline"-tagged
-    /// [`CoreError::Compression`] instead of grinding through the
-    /// remaining schedule.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for SweepConfig {
@@ -39,7 +34,6 @@ impl Default for SweepConfig {
             bounds: ErrorBound::paper_bounds().to_vec(),
             statistics: StatisticsConfig::default(),
             threads: None,
-            cancel: None,
         }
     }
 }
@@ -131,15 +125,9 @@ pub fn run_sweep(
     // `decompress_view_with`.
     // A panicking job (a buggy codec on one cell) is isolated by the pool
     // and surfaced here as the sweep's error instead of aborting the
-    // process; an expired deadline abandons jobs not yet started.
-    let cancel = config.cancel.as_ref();
-    let outputs = try_parallel_map_with_state(pool, &jobs, ScratchArena::new, |scratch, _, job| {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(CoreError::Compression(
-                "sweep: deadline exceeded, remaining jobs abandoned".into(),
-            ));
-        }
-        match *job {
+    // process.
+    let outputs =
+        try_parallel_map_with_state(pool, &jobs, ScratchArena::new, |scratch, _, job| match *job {
             SweepJob::Statistics { field } => Ok(SweepJobOutput::Statistics(
                 CorrelationStatistics::compute_view(&fields[field].field.view(), &stats_cfg),
             )),
@@ -155,9 +143,8 @@ pub fn run_sweep(
                     ))),
                 }
             }
-        }
-    })
-    .map_err(|panic| CoreError::Compression(format!("sweep: {panic}")))?;
+        })
+        .map_err(|panic| CoreError::Compression(format!("sweep: {panic}")))?;
 
     // Assemble the records in job order, i.e. (field, compressor, bound).
     let compressor_names: Vec<Arc<str>> = compressors.iter().map(|c| Arc::from(c.name())).collect();
@@ -362,21 +349,6 @@ mod tests {
         let series = fit_series(&records, statistic);
         let panel = crate::figures::FigurePanel { statistic, series, records };
         assert_eq!(column(panel.fits_to_csv(), 0), ids);
-    }
-
-    #[test]
-    fn expired_deadlines_fail_the_sweep_fast() {
-        let fields = StudyDatasets::tiny().single_range_fields();
-        let registry = default_registry();
-        let mut cfg = quick_config();
-        cfg.cancel = Some(CancelToken::with_timeout(std::time::Duration::ZERO));
-        let err = run_sweep(&fields, &registry, &cfg).unwrap_err();
-        assert!(err.to_string().contains("deadline"), "{err}");
-
-        // A generous deadline changes nothing about the result.
-        cfg.cancel = Some(CancelToken::with_timeout(std::time::Duration::from_secs(600)));
-        let records = run_sweep(&fields, &registry, &cfg).unwrap();
-        assert_eq!(records.len(), fields.len() * registry.len() * 2);
     }
 
     #[test]

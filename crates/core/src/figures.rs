@@ -110,8 +110,6 @@ pub struct GaussianFigureConfig {
     pub datasets: StudyDatasets,
     /// Sweep settings (bounds, statistics, threads).
     pub sweep: SweepConfig,
-    /// Include MGARD (Figures 3-5 do; Figure 6 omits it).
-    pub include_mgard: bool,
 }
 
 impl GaussianFigureConfig {
@@ -133,17 +131,12 @@ impl GaussianFigureConfig {
                 ],
                 ..Default::default()
             },
-            include_mgard: true,
         }
     }
 
     /// The default experiment scale (256×256 fields, 10 ranges, 4 bounds).
     pub fn standard() -> Self {
-        GaussianFigureConfig {
-            datasets: StudyDatasets::default(),
-            sweep: SweepConfig::default(),
-            include_mgard: true,
-        }
+        GaussianFigureConfig { datasets: StudyDatasets::default(), sweep: SweepConfig::default() }
     }
 
     /// The paper-scale configuration (1028×1028 fields).
@@ -151,15 +144,6 @@ impl GaussianFigureConfig {
         GaussianFigureConfig {
             datasets: StudyDatasets::paper_scale(),
             sweep: SweepConfig::default(),
-            include_mgard: true,
-        }
-    }
-
-    fn registry(&self) -> lcc_pressio::Registry {
-        if self.include_mgard {
-            default_registry()
-        } else {
-            sz_zfp_registry()
         }
     }
 }
@@ -179,13 +163,13 @@ pub struct GaussianSweepData {
 
 fn run_gaussian_figure(
     config: &GaussianFigureConfig,
+    registry: &lcc_pressio::Registry,
     statistic: StatisticKind,
 ) -> Result<GaussianSweepData, CoreError> {
-    let registry = config.registry();
     let single = config.datasets.single_range_fields();
     let multi = config.datasets.multi_range_fields();
-    let single_records = run_sweep(&single, &registry, &config.sweep)?;
-    let multi_records = run_sweep(&multi, &registry, &config.sweep)?;
+    let single_records = run_sweep(&single, registry, &config.sweep)?;
+    let multi_records = run_sweep(&multi, registry, &config.sweep)?;
     Ok(GaussianSweepData {
         single_range: FigurePanel::from_records(single_records, statistic),
         multi_range: FigurePanel::from_records(multi_records, statistic),
@@ -195,22 +179,20 @@ fn run_gaussian_figure(
 /// Figure 3: compression ratio vs the **global variogram range** on single-
 /// and multi-range Gaussian fields.
 pub fn run_figure3(config: &Figure3Config) -> GaussianSweepData {
-    run_gaussian_figure(config, StatisticKind::GlobalVariogramRange)
+    run_gaussian_figure(config, &default_registry(), StatisticKind::GlobalVariogramRange)
         .expect("the study compressors never fail on finite synthetic fields")
 }
 
 /// Figure 5: compression ratio vs the **std of local variogram ranges**.
 pub fn run_figure5(config: &GaussianFigureConfig) -> GaussianSweepData {
-    run_gaussian_figure(config, StatisticKind::LocalVariogramRangeStd)
+    run_gaussian_figure(config, &default_registry(), StatisticKind::LocalVariogramRangeStd)
         .expect("the study compressors never fail on finite synthetic fields")
 }
 
 /// Figure 6: compression ratio vs the **std of local SVD truncation levels**
 /// (SZ and ZFP only, as in the paper).
 pub fn run_figure6(config: &GaussianFigureConfig) -> GaussianSweepData {
-    let mut cfg = config.clone();
-    cfg.include_mgard = false;
-    run_gaussian_figure(&cfg, StatisticKind::LocalSvdTruncationStd)
+    run_gaussian_figure(config, &sz_zfp_registry(), StatisticKind::LocalSvdTruncationStd)
         .expect("the study compressors never fail on finite synthetic fields")
 }
 

@@ -31,13 +31,6 @@ impl Default for LocalStatConfig {
     }
 }
 
-impl LocalStatConfig {
-    /// A configuration with the given window size and defaults otherwise.
-    pub fn with_window(window: usize) -> Self {
-        LocalStatConfig { window, ..Default::default() }
-    }
-}
-
 /// Estimate the variogram range of a single window view — the per-window
 /// kernel of [`local_variogram_ranges_view`], public so a benchmark can time
 /// one window. Returns NaN when the fit fails.
@@ -154,7 +147,7 @@ mod tests {
     fn different_window_sizes_are_supported() {
         let f = generate_single_range(&GaussianFieldConfig::new(64, 64, 5.0, 6));
         for window in [16, 32, 64] {
-            let cfg = LocalStatConfig::with_window(window);
+            let cfg = LocalStatConfig { window, ..Default::default() };
             let ranges = local_variogram_ranges_view(&f.view(), &cfg);
             assert!(!ranges.is_empty(), "window {window}");
         }
@@ -164,7 +157,7 @@ mod tests {
     #[should_panic(expected = "at least 4x4")]
     fn tiny_window_panics() {
         let f = Field2D::zeros(8, 8);
-        let cfg = LocalStatConfig::with_window(2);
+        let cfg = LocalStatConfig { window: 2, ..Default::default() };
         let _ = local_variogram_ranges_view(&f.view(), &cfg);
     }
 }

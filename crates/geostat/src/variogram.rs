@@ -51,7 +51,7 @@
 
 use crate::GeostatError;
 use lcc_grid::FieldView;
-use lcc_linalg::{gauss_newton, GaussNewtonOptions};
+use lcc_linalg::gauss_newton;
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
 /// Configuration of the empirical variogram estimator.
@@ -551,7 +551,7 @@ pub fn fit_squared_exponential(
         }
     }
 
-    let fitted = gauss_newton(h, g, &best.0, model, jacobian, GaussNewtonOptions::default())
+    let fitted = gauss_newton(h, g, &best.0, model, jacobian)
         .map_err(|e| GeostatError::FitFailed(e.to_string()))?;
     let mut sill = fitted[0];
     let mut range = fitted[1].abs(); // the model is even in the range parameter

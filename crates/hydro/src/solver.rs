@@ -4,21 +4,16 @@
 use crate::euler2d::{minmod, rusanov_flux, Conserved, EulerState};
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
+/// CFL number: the fraction of the maximum stable time step each step takes.
+const CFL: f64 = 0.4;
+
 /// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverConfig {
-    /// CFL number (fraction of the maximum stable time step).
-    pub cfl: f64,
     /// Gravitational acceleration in the −y direction.
     pub gravity: f64,
     /// Thread count for the flux sweeps (`None` = automatic).
     pub threads: Option<usize>,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig { cfl: 0.4, gravity: 0.0, threads: None }
-    }
 }
 
 /// Explicit finite-volume solver for the 2D Euler equations on the unit
@@ -34,7 +29,6 @@ pub struct Euler2DSolver {
 impl Euler2DSolver {
     /// Create a solver from an initial state.
     pub fn new(state: EulerState, config: SolverConfig) -> Self {
-        assert!(config.cfl > 0.0 && config.cfl < 1.0, "CFL must be in (0, 1)");
         Euler2DSolver { state, config, time: 0.0, steps_taken: 0 }
     }
 
@@ -60,7 +54,7 @@ impl Euler2DSolver {
         let dx = 1.0 / nx as f64;
         let dy = 1.0 / ny as f64;
         let smax = self.state.max_signal_speed().max(1e-12);
-        let dt = self.config.cfl * dx.min(dy) / smax;
+        let dt = CFL * dx.min(dy) / smax;
 
         // Two-stage Runge–Kutta (Heun): U1 = U + dt L(U); U = (U + U1 + dt L(U1)) / 2.
         let l0 = self.rhs(&self.state, dx, dy);
@@ -276,14 +270,5 @@ mod tests {
         a.run_steps(5);
         b.run_steps(5);
         assert_eq!(a.state(), b.state());
-    }
-
-    #[test]
-    #[should_panic(expected = "CFL")]
-    fn invalid_cfl_panics() {
-        let _ = Euler2DSolver::new(
-            uniform_state(4, 4),
-            SolverConfig { cfl: 1.5, ..Default::default() },
-        );
     }
 }

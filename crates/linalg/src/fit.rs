@@ -4,23 +4,13 @@
 
 use crate::LinalgError;
 
-/// Options controlling the Gauss–Newton iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussNewtonOptions {
-    /// Maximum number of iterations.
-    pub max_iterations: usize,
-    /// Convergence threshold on the parameter update norm.
-    pub tolerance: f64,
-    /// Initial Levenberg–Marquardt style damping added to the normal matrix
-    /// diagonal; adapts up and down as steps are rejected/accepted.
-    pub damping: f64,
-}
-
-impl Default for GaussNewtonOptions {
-    fn default() -> Self {
-        GaussNewtonOptions { max_iterations: 100, tolerance: 1e-10, damping: 1e-6 }
-    }
-}
+/// Maximum number of Gauss–Newton iterations.
+const MAX_ITERATIONS: usize = 100;
+/// Convergence threshold on the parameter update norm.
+const TOLERANCE: f64 = 1e-10;
+/// Initial Levenberg–Marquardt style damping added to the normal matrix
+/// diagonal; adapts up and down as steps are rejected/accepted.
+const DAMPING: f64 = 1e-6;
 
 /// Damped Gauss–Newton (Levenberg–Marquardt) minimization of
 /// `sum_i (model(x_i, params) - y_i)²` over `P` parameters.
@@ -36,7 +26,6 @@ pub fn gauss_newton<const P: usize, M, J>(
     initial: &[f64; P],
     model: M,
     jacobian: J,
-    options: GaussNewtonOptions,
 ) -> Result<[f64; P], LinalgError>
 where
     M: Fn(f64, &[f64; P]) -> f64,
@@ -49,14 +38,14 @@ where
         return Err(LinalgError::DimensionMismatch("fewer samples than parameters".into()));
     }
     let mut params = *initial;
-    let mut lambda = options.damping.max(1e-12);
+    let mut lambda = DAMPING;
 
     let sse = |p: &[f64; P]| -> f64 {
         x.iter().zip(y.iter()).map(|(&xi, &yi)| (model(xi, p) - yi).powi(2)).sum()
     };
     let mut current_sse = sse(&params);
 
-    for _ in 0..options.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         // Build JᵀJ and Jᵀr for the current parameters.
         let mut jtj = [[0.0; P]; P];
         let mut jtr = [0.0; P];
@@ -103,7 +92,7 @@ where
         let delta_norm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
         params = candidate;
         current_sse = new_sse;
-        if delta_norm < options.tolerance {
+        if delta_norm < TOLERANCE {
             return Ok(params);
         }
     }
@@ -167,8 +156,7 @@ mod tests {
             let e = (-x / p[1]).exp();
             [e, p[0] * e * x / (p[1] * p[1])]
         };
-        let fitted =
-            gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac, GaussNewtonOptions::default()).unwrap();
+        let fitted = gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac).unwrap();
         assert!((fitted[0] - 2.0).abs() < 1e-6, "{fitted:?}");
         assert!((fitted[1] - 3.0).abs() < 1e-6, "{fitted:?}");
     }
@@ -183,8 +171,7 @@ mod tests {
             let e = (-(h / p[1]).powi(2)).exp();
             [1.0 - e, -p[0] * e * 2.0 * h * h / (p[1] * p[1] * p[1])]
         };
-        let fitted =
-            gauss_newton(&hs, &ys, &[0.5, 5.0], model, jac, GaussNewtonOptions::default()).unwrap();
+        let fitted = gauss_newton(&hs, &ys, &[0.5, 5.0], model, jac).unwrap();
         assert!((fitted[0] - 1.2).abs() < 1e-5, "{fitted:?}");
         assert!((fitted[1] - 14.0).abs() < 1e-4, "{fitted:?}");
     }
@@ -203,8 +190,7 @@ mod tests {
             let e = (-x / p[1]).exp();
             [e, p[0] * e * x / (p[1] * p[1])]
         };
-        let fitted =
-            gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac, GaussNewtonOptions::default()).unwrap();
+        let fitted = gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac).unwrap();
         assert!((fitted[0] - 5.0).abs() < 0.05);
         assert!((fitted[1] - 2.0).abs() < 0.05);
     }
@@ -213,15 +199,7 @@ mod tests {
     fn gauss_newton_validates_inputs() {
         let model = |_x: f64, p: &[f64; 1]| p[0];
         let jac = |_x: f64, _p: &[f64; 1]| [1.0];
-        assert!(gauss_newton(&[1.0], &[1.0, 2.0], &[0.0], model, jac, Default::default()).is_err());
-        assert!(gauss_newton(
-            &[] as &[f64],
-            &[],
-            &[0.0],
-            |_x, p: &[f64; 1]| p[0],
-            |_x, _p| [1.0],
-            Default::default()
-        )
-        .is_err());
+        assert!(gauss_newton(&[1.0], &[1.0, 2.0], &[0.0], model, jac).is_err());
+        assert!(gauss_newton(&[] as &[f64], &[], &[0.0], model, jac).is_err());
     }
 }

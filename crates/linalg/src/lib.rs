@@ -19,7 +19,7 @@ pub mod lstsq;
 pub mod matrix;
 pub mod svd;
 
-pub use fit::{gauss_newton, GaussNewtonOptions};
+pub use fit::gauss_newton;
 pub use lstsq::lstsq;
 pub use matrix::Matrix;
 pub use svd::{singular_values, svd, SvdResult};

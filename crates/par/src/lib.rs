@@ -32,6 +32,10 @@
 //! entry) does not pay a spawn it has a thread for already. Per-worker state
 //! and panic isolation are the same on the calling thread as on the others.
 //!
+//! There is no cancellation handle: a claimed item runs to completion. A
+//! caller that needs a deadline checks a plain `Instant` inside its own job
+//! body, as the archive's region read does at tile granularity.
+//!
 //! ## Panic isolation
 //!
 //! Every job body run by the helpers here is wrapped in
@@ -59,10 +63,8 @@
 //! reported through [`JobPanicked`]; propagating it would only cascade one
 //! failed job into unrelated lock sites.
 
-pub mod cancel;
 pub mod queue;
 
-pub use cancel::CancelToken;
 pub use queue::{run_bounded_queue, BoundedQueue, QueueRunReport};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

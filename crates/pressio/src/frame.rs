@@ -115,7 +115,7 @@
 //! is checked against the block's window; the rows are then copied into the
 //! block's disjoint segments of the output.
 
-use crate::{CompressError, Compressor, ErrorBound, ScratchArena};
+use crate::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window, WindowIter};
 use lcc_lossless::xxh64;
 use lcc_par::{try_parallel_block_map, JobPanicked, ThreadPoolConfig};
@@ -253,7 +253,9 @@ pub fn compress_tiled_with(
 /// decoder refuses a damaged tile before decoding it. The produced stream
 /// is independent of the pool width; a tile shape that covers the field in
 /// one tile emits the inner compressor's raw stream, byte-identical to
-/// [`Compressor::compress_view`], with no header and no digest.
+/// [`Compressor::compress_view`], with no header and no digest. A
+/// [`ErrorBound::ValueRangeRelative`] bound is relative to the whole
+/// field's range: every tile is coded at the absolute bound it resolves to.
 ///
 /// `per_block` is handed every block's view inside that block's job, on the
 /// worker that has just encoded it, and its results come back in block
@@ -284,6 +286,16 @@ pub fn compress_frame<R: Send>(
             compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena)?;
         return Ok((stream, vec![per_block(view)]));
     }
+    // A relative bound is the field's, not each tile's: resolve it once,
+    // against the whole view. Non-finite input is refused first, as a tile
+    // would refuse it, rather than read as an infinite range.
+    let bound = match bound {
+        ErrorBound::Absolute(_) => bound,
+        ErrorBound::ValueRangeRelative(_) => {
+            validate_finite_view(view)?;
+            ErrorBound::Absolute(bound.absolute_for_view(view)?)
+        }
+    };
     let sub_views: Vec<FieldView<'_>> =
         WindowIter::over(ny, nx, tile_ny, tile_nx).map(|w| view.window(&w)).collect();
     debug_assert_eq!(sub_views.len(), n_blocks);

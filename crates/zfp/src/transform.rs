@@ -47,49 +47,16 @@ pub fn inv_lift4(v: [i64; 4]) -> [i64; 4] {
     [x0, x1, x2, x3]
 }
 
-/// Forward 2D transform of a 4×4 block (rows, then columns), in place, at an
-/// explicit SIMD tier. The AVX2 tier holds the whole
-/// block in four 256-bit registers (one row each) and runs the lifting
-/// vertically across 4 lanes, transposing in-register between the row and
-/// column passes; its integer arithmetic is identical to the scalar lifts,
-/// so the coefficients are bit-equal at every tier. The SSE tier lowers to
-/// scalar (4×4 of i64 wants 256-bit lanes to pay off).
-// Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`): the shim
-// holds the feature-detection guard that makes the intrinsics legal.
-#[allow(unsafe_code)]
-pub fn fwd_transform_at(level: SimdLevel, block: &mut [i64; BLOCK_LEN]) {
-    #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Avx2 {
-        // SAFETY: AVX2 presence is guaranteed by dispatch.
-        unsafe { simd::fwd_transform_avx2(block) };
-        return;
-    }
-    let _ = level;
-    fwd_transform_scalar(block);
-}
-
-/// Inverse 2D transform (columns, then rows), in place, at an explicit SIMD
-/// tier (see [`fwd_transform_at`]).
-// Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`).
-#[allow(unsafe_code)]
-pub fn inv_transform_at(level: SimdLevel, block: &mut [i64; BLOCK_LEN]) {
-    #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Avx2 {
-        // SAFETY: AVX2 presence is guaranteed by dispatch.
-        unsafe { simd::inv_transform_avx2(block) };
-        return;
-    }
-    let _ = level;
-    inv_transform_scalar(block);
-}
-
-/// [`fwd_transform_at`] over a batch of blocks through **one** dispatch
-/// call. The per-block transform is load/store-bound at 4×4 (PR 7 measured
-/// ~1.05× for the AVX2 tier dispatched block-by-block): the call overhead
-/// and the dispatch branch cost as much as the lift arithmetic saves.
-/// Batching hoists both out of the loop and lets the compiler keep the
-/// lift constants in registers and overlap independent blocks —
-/// coefficients stay bit-identical to per-block calls at every tier.
+/// Forward 2D transform of each 4×4 block of a batch (rows, then columns),
+/// in place, at an explicit SIMD tier, through **one** dispatch call. The
+/// AVX2 tier holds a block in four 256-bit registers (one row each) and
+/// runs the lifting vertically across 4 lanes, transposing in-register
+/// between the row and column passes; its integer arithmetic is identical
+/// to the scalar lifts, so the coefficients are bit-equal at every tier.
+/// The SSE tier lowers to scalar (4×4 of i64 wants 256-bit lanes to pay
+/// off). A single block is load/store-bound (dispatched block by block the
+/// AVX2 tier measured ~1.05×): batching hoists the call and the dispatch
+/// branch out of the loop and lets independent blocks overlap.
 // Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`).
 #[allow(unsafe_code)]
 pub fn fwd_transform_batch_at(level: SimdLevel, blocks: &mut [[i64; BLOCK_LEN]]) {
@@ -105,8 +72,8 @@ pub fn fwd_transform_batch_at(level: SimdLevel, blocks: &mut [[i64; BLOCK_LEN]])
     }
 }
 
-/// [`inv_transform_at`] over a batch of blocks through one dispatch call
-/// (see [`fwd_transform_batch_at`]).
+/// Inverse 2D transform (columns, then rows) of each block of a batch, in
+/// place, through one dispatch call (see [`fwd_transform_batch_at`]).
 // Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`).
 #[allow(unsafe_code)]
 pub fn inv_transform_batch_at(level: SimdLevel, blocks: &mut [[i64; BLOCK_LEN]]) {
@@ -266,24 +233,6 @@ mod simd {
         store(block, transpose(inv_lift_vertical(transpose(cols))));
     }
 
-    /// Forward 2D transform of a single block.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fwd_transform_avx2(block: &mut [i64; BLOCK_LEN]) {
-        fwd_transform_body(block);
-    }
-
-    /// Inverse 2D transform of a single block.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inv_transform_avx2(block: &mut [i64; BLOCK_LEN]) {
-        inv_transform_body(block);
-    }
-
     /// Forward 2D transform of a whole batch inside one `target_feature`
     /// region: no per-block call or dispatch-branch overhead, and the
     /// blocks' independent register chains overlap.
@@ -327,13 +276,13 @@ mod tests {
     /// Forward 2D transform of a 4×4 block (rows, then columns), in place, at
     /// the process-wide dispatch level.
     fn fwd_transform(block: &mut [i64; BLOCK_LEN]) {
-        fwd_transform_at(simd_level(), block);
+        fwd_transform_batch_at(simd_level(), std::slice::from_mut(block));
     }
 
     /// Inverse 2D transform (columns, then rows), in place, at the process-wide
     /// dispatch level.
     fn inv_transform(block: &mut [i64; BLOCK_LEN]) {
-        inv_transform_at(simd_level(), block);
+        inv_transform_batch_at(simd_level(), std::slice::from_mut(block));
     }
 
     fn pseudo_random_block(seed: u64, amplitude: i64) -> [i64; BLOCK_LEN] {
@@ -408,23 +357,29 @@ mod tests {
     #[test]
     fn every_supported_level_transforms_identically() {
         use lcc_lossless::dispatch::supported_levels;
-        for seed in 1..200u64 {
+        for seed in (1..200u64).step_by(5) {
             // Large amplitudes exercise the emulated arithmetic shift's
             // sign handling; small ones the common codec range.
             for amplitude in [1i64 << 40, 1 << 20, 5, 1] {
-                let original = pseudo_random_block(seed, amplitude);
-                let mut fwd_ref = original;
-                fwd_transform_at(SimdLevel::Scalar, &mut fwd_ref);
-                let mut inv_ref = fwd_ref;
-                inv_transform_at(SimdLevel::Scalar, &mut inv_ref);
+                let original: Vec<[i64; BLOCK_LEN]> =
+                    (seed..seed + 5).map(|s| pseudo_random_block(s, amplitude)).collect();
+                let mut fwd_ref = original.clone();
+                fwd_transform_batch_at(SimdLevel::Scalar, &mut fwd_ref);
+                let mut inv_ref = fwd_ref.clone();
+                inv_transform_batch_at(SimdLevel::Scalar, &mut inv_ref);
                 assert_eq!(inv_ref, original);
                 for &level in supported_levels() {
-                    let mut fwd = original;
-                    fwd_transform_at(level, &mut fwd);
-                    assert_eq!(fwd, fwd_ref, "fwd seed={seed} level={level:?}");
-                    let mut inv = fwd;
-                    inv_transform_at(level, &mut inv);
-                    assert_eq!(inv, original, "inv seed={seed} level={level:?}");
+                    // One batch of five, and five batches of one.
+                    let mut batch = original.clone();
+                    let mut single = original.clone();
+                    fwd_transform_batch_at(level, &mut batch);
+                    single.chunks_mut(1).for_each(|b| fwd_transform_batch_at(level, b));
+                    assert_eq!(batch, fwd_ref, "fwd seed={seed} level={level:?}");
+                    assert_eq!(single, fwd_ref, "fwd single seed={seed} level={level:?}");
+                    inv_transform_batch_at(level, &mut batch);
+                    single.chunks_mut(1).for_each(|b| inv_transform_batch_at(level, b));
+                    assert_eq!(batch, original, "inv seed={seed} level={level:?}");
+                    assert_eq!(single, original, "inv single seed={seed} level={level:?}");
                 }
             }
         }
@@ -434,7 +389,7 @@ mod tests {
     fn batched_transforms_match_per_block_calls_at_every_level() {
         use lcc_lossless::dispatch::supported_levels;
         // Batch sizes around the codec's 4-block buffering plus ragged
-        // tails; batched coefficients must equal per-block dispatch exactly.
+        // tails; batched coefficients must equal batches of one exactly.
         for &n in &[0usize, 1, 3, 4, 5, 8, 17] {
             let original: Vec<[i64; BLOCK_LEN]> =
                 (0..n).map(|i| pseudo_random_block(i as u64 + 1, 1 << 40)).collect();
@@ -443,7 +398,7 @@ mod tests {
                 fwd_transform_batch_at(level, &mut batched);
                 for (i, block) in original.iter().enumerate() {
                     let mut single = *block;
-                    fwd_transform_at(level, &mut single);
+                    fwd_transform_batch_at(level, std::slice::from_mut(&mut single));
                     assert_eq!(batched[i], single, "fwd n={n} i={i} level={level:?}");
                 }
                 inv_transform_batch_at(level, &mut batched);

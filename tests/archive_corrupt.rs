@@ -10,7 +10,7 @@
 //! multi-tile shape, and reads with a codec other than the entry's writer.
 
 use lcc::archive::format::{write_entry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN};
-use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt, ReadOptions};
+use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt};
 use lcc::grid::Field2D;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::{CompressError, ErrorBound, FrameScratch};
@@ -235,9 +235,8 @@ fn every_single_byte_flip_is_survived() {
     // Exhaustive single-byte fuzz: flip all eight bits of EVERY byte of the
     // archive, one position at a time, and demand that `Archive::open` plus a
     // full-window `read_region` of every entry either succeeds or fails with
-    // a clean `CompressError` — never a panic, never an abort. Degraded reads
-    // over the same corrupted bytes must uphold the same contract. This is
-    // the blanket guarantee the targeted structural tests above sample from.
+    // a clean `CompressError` — never a panic, never an abort. This is the
+    // blanket guarantee the targeted structural tests above sample from.
     use lcc::grid::Window;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -264,16 +263,6 @@ fn every_single_byte_flip_is_survived() {
                 // Errors are legitimate (the flip may hit a tile checksum);
                 // only panics and runaway allocations are not.
                 let _ = archive.read_region(k, &window, &sz, pool, &mut scratch, &mut out);
-                let degraded = ReadOptions { degraded: true, ..ReadOptions::default() };
-                let _ = archive.read_region_with(
-                    k,
-                    &window,
-                    &sz,
-                    pool,
-                    &mut scratch,
-                    &mut out,
-                    degraded,
-                );
             }
         }));
         assert!(outcome.is_ok(), "flipping byte {pos} of {} caused a panic", good.len());
@@ -319,11 +308,10 @@ impl ReadAt for CountingSource {
 #[test]
 fn reads_with_a_codec_other_than_the_writer_are_refused_before_any_tile_is_touched() {
     // The entries were written by `sz`. Any other compressor used to fetch
-    // every tile twice and report `CorruptStream` (strict) or hand back a
-    // zero-filled window of `Failed` tiles as a success (degraded).
+    // every tile twice and report `CorruptStream`.
     use lcc::grid::{Field2D, Window};
-    use lcc::par::CancelToken;
     use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
 
     let reads = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let source = CountingSource { bytes: build(), reads: reads.clone() };
@@ -333,24 +321,18 @@ fn reads_with_a_codec_other_than_the_writer_are_refused_before_any_tile_is_touch
     let mut scratch = FrameScratch::default();
     let mut out = Field2D::zeros(1, 1);
     let window = Window { i0: 4, j0: 4, height: 8, width: 8 };
-    let live = CancelToken::new();
+    let live = Some(Instant::now() + Duration::from_secs(600));
 
     let wrong: [&dyn lcc::pressio::Compressor; 2] =
         [&lcc::zfp::ZfpCompressor::default(), &SzCompressor::rans8()];
     for codec in wrong {
-        let mut refusals = vec![
+        let refusals = [
             archive.read_entry(0, codec, pool, &mut scratch, &mut out).unwrap_err(),
             archive.read_region(0, &window, codec, pool, &mut scratch, &mut out).unwrap_err(),
+            archive
+                .read_region_with(0, &window, codec, pool, &mut scratch, &mut out, live)
+                .unwrap_err(),
         ];
-        for options in [
-            ReadOptions { cancel: Some(&live), degraded: false },
-            ReadOptions { cancel: None, degraded: true },
-            ReadOptions { cancel: Some(&live), degraded: true },
-        ] {
-            let refused =
-                archive.read_region_with(0, &window, codec, pool, &mut scratch, &mut out, options);
-            refusals.push(refused.unwrap_err());
-        }
         for err in refusals {
             let want = format!(
                 "archive: entry 'density' was written by 'sz', not '{}'",

@@ -5,7 +5,7 @@
 //! cache and the parallel tile fan-out are allowed to change timing only,
 //! never a single bit of output.
 
-use lcc::archive::{Archive, ArchiveWriter, ReadOptions, TileCache};
+use lcc::archive::{Archive, ArchiveWriter, TileCache};
 use lcc::grid::{Field2D, Window};
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::{CompressError, ErrorBound, FrameScratch};
@@ -87,61 +87,6 @@ proptest! {
             prop_assert_eq!(hot.tiles_from_cache, hot.tiles);
         }
     }
-
-    /// With no faults present, the degraded entry point is a strict
-    /// superset of [`Archive::read_region`]: identical window bytes,
-    /// identical stats, a complete all-`Ok` tile mask, and zero recoveries.
-    #[test]
-    fn degraded_reads_match_strict_reads_when_nothing_is_wrong(
-        ny in 1usize..40,
-        nx in 1usize..40,
-        tile_ny in 1usize..13,
-        tile_nx in 1usize..13,
-        wi in any::<u32>(),
-        wj in any::<u32>(),
-        wh in any::<u32>(),
-        ww in any::<u32>(),
-        seed in any::<u64>(),
-    ) {
-        use lcc::archive::TileStatus;
-
-        let i0 = wi as usize % ny;
-        let j0 = wj as usize % nx;
-        let window = Window {
-            i0,
-            j0,
-            height: 1 + wh as usize % (ny - i0),
-            width: 1 + ww as usize % (nx - j0),
-        };
-
-        let sz = SzCompressor::default();
-        let field = wavy(ny, nx, seed);
-        let mut scratch = FrameScratch::default();
-        let mut writer = ArchiveWriter::new();
-        writer.add_entry(
-            "f", 0, &field, &sz, ErrorBound::Absolute(1e-3), tile_ny, tile_nx,
-            ThreadPoolConfig::with_threads(2), &mut scratch,
-        ).unwrap();
-        let archive = Archive::open(writer.finish()).unwrap();
-
-        let pool = ThreadPoolConfig::with_threads(2);
-        let mut strict_out = Field2D::zeros(1, 1);
-        let strict =
-            archive.read_region(0, &window, &sz, pool, &mut scratch, &mut strict_out).unwrap();
-
-        let mut degraded_out = Field2D::zeros(1, 1);
-        let options = ReadOptions { degraded: true, ..ReadOptions::default() };
-        let degraded = archive
-            .read_region_with(0, &window, &sz, pool, &mut scratch, &mut degraded_out, options)
-            .unwrap();
-
-        prop_assert_eq!(degraded_out.as_slice(), strict_out.as_slice());
-        prop_assert_eq!(degraded.stats, strict);
-        prop_assert!(degraded.is_complete());
-        prop_assert_eq!(degraded.tiles.len(), strict.tiles);
-        prop_assert_eq!(degraded.stats.tiles_recovered, 0);
-        prop_assert!(degraded.tiles.iter().all(|&(_, s)| s == TileStatus::Ok));
-    }
 }
 
 #[test]
@@ -184,11 +129,9 @@ fn degenerate_windows_are_rejected_as_invalid_input() {
 
 /// The cache may refuse, evict and recycle as it likes — at no budget does
 /// a window come back different from the uncached read or the full-frame
-/// decode, strict or degraded.
+/// decode.
 #[test]
 fn every_cache_budget_reads_the_same_bits() {
-    use lcc::archive::TileStatus;
-
     const N: usize = 96;
     const TILE: usize = 16;
     let sz = SzCompressor::rans8();
@@ -242,43 +185,27 @@ fn every_cache_budget_reads_the_same_bits() {
     let mut out = Field2D::zeros(1, 1);
     let mut want = Field2D::zeros(1, 1);
     for budget in [0, tile_bytes, archive_bytes / 4, 4 * archive_bytes] {
-        for degraded in [false, true] {
-            let cache = Arc::new(TileCache::new(budget));
-            let cached = Archive::open(bytes.clone()).unwrap().with_cache(Arc::clone(&cache));
-            for window in &stream {
-                uncached.read_region(0, window, &sz, pool, &mut scratch, &mut want).unwrap();
-                let from_full: Vec<f64> = full.view().window(window).iter().collect();
-                assert_eq!(want.as_slice(), from_full.as_slice());
-                let stats = if degraded {
-                    let options = ReadOptions { degraded: true, ..ReadOptions::default() };
-                    let read = cached
-                        .read_region_with(0, window, &sz, pool, &mut scratch, &mut out, options)
-                        .unwrap();
-                    assert!(read.tiles.iter().all(|&(_, s)| s == TileStatus::Ok));
-                    assert!(read.tiles.windows(2).all(|p| p[0].0 < p[1].0), "ascending tile ids");
-                    assert_eq!(read.tiles.len(), read.stats.tiles);
-                    read.stats
-                } else {
-                    cached.read_region(0, window, &sz, pool, &mut scratch, &mut out).unwrap()
-                };
-                assert_eq!(out.as_slice(), want.as_slice(), "budget {budget}, window {window:?}");
-                assert!(stats.tiles_from_cache <= stats.tiles && stats.tiles_recovered == 0);
+        let cache = Arc::new(TileCache::new(budget));
+        let cached = Archive::open(bytes.clone()).unwrap().with_cache(Arc::clone(&cache));
+        for window in &stream {
+            uncached.read_region(0, window, &sz, pool, &mut scratch, &mut want).unwrap();
+            let from_full: Vec<f64> = full.view().window(window).iter().collect();
+            assert_eq!(want.as_slice(), from_full.as_slice());
+            let stats = cached.read_region(0, window, &sz, pool, &mut scratch, &mut out).unwrap();
+            assert_eq!(out.as_slice(), want.as_slice(), "budget {budget}, window {window:?}");
+            assert!(stats.tiles_from_cache <= stats.tiles && stats.tiles_recovered == 0);
+        }
+        let stats = cache.stats();
+        assert!(stats.bytes <= budget as u64, "budget {budget}: {} resident", stats.bytes);
+        match budget {
+            0 => {
+                assert_eq!((stats.hits, stats.entries), (0, 0), "a zero budget admits nothing")
             }
-            let stats = cache.stats();
-            assert!(stats.bytes <= budget as u64, "budget {budget}: {} resident", stats.bytes);
-            match budget {
-                0 => {
-                    assert_eq!((stats.hits, stats.entries), (0, 0), "a zero budget admits nothing")
-                }
-                b if b == tile_bytes => assert_eq!(stats.entries, 1),
-                b if b < archive_bytes => {
-                    assert!(
-                        stats.hits > 0 && stats.evictions > 0 && stats.refusals > 0,
-                        "{stats:?}"
-                    )
-                }
-                _ => assert_eq!((stats.evictions, stats.refusals), (0, 0), "room for everything"),
+            b if b == tile_bytes => assert_eq!(stats.entries, 1),
+            b if b < archive_bytes => {
+                assert!(stats.hits > 0 && stats.evictions > 0 && stats.refusals > 0, "{stats:?}")
             }
+            _ => assert_eq!((stats.evictions, stats.refusals), (0, 0), "room for everything"),
         }
     }
 }

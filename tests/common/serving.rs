@@ -11,15 +11,15 @@
 #[path = "fnv.rs"]
 mod fnv;
 
-use lcc_archive::{Archive, ArchiveWriter, ReadAt, ReadOptions, TileCache};
+use lcc_archive::{Archive, ArchiveWriter, ReadAt, TileCache};
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_grid::{Field2D, Window};
-use lcc_par::{CancelToken, ThreadPoolConfig};
+use lcc_par::ThreadPoolConfig;
 use lcc_pressio::frame::{compress_frame, decompress_framed_with};
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Seed of the payload fields, the archive entries and the request list.
 pub const SEED: u64 = 42;
@@ -210,9 +210,9 @@ impl<R: ReadAt> Load<R> {
     }
 
     /// Serve one request through `scratch`: `Ok(true)` when its stream and
-    /// reconstruction (or window) equal the reference. A region read runs
-    /// under `deadline` when one is given, on a 1-wide pool, so the whole
-    /// read stays on the calling thread. `corrupt` sees a round trip's
+    /// reconstruction (or window) equal the reference. A region read must
+    /// finish within `deadline` of its start when one is given, and runs on
+    /// a 1-wide pool, so the whole read stays on the calling thread. `corrupt` sees a round trip's
     /// stream between encode and decode.
     pub fn serve(
         &self,
@@ -223,7 +223,6 @@ impl<R: ReadAt> Load<R> {
     ) -> Result<bool, CompressError> {
         let variant = &self.variants[request.variant];
         if let Mode::Region(k) = variant.mode {
-            let token = deadline.map(CancelToken::with_timeout);
             self.archive.read_region_with(
                 k,
                 &self.windows[request.window],
@@ -231,7 +230,7 @@ impl<R: ReadAt> Load<R> {
                 ThreadPoolConfig::with_threads(1),
                 &mut scratch.frame,
                 &mut scratch.recon,
-                ReadOptions { cancel: token.as_ref(), degraded: false },
+                deadline.map(|timeout| Instant::now() + timeout),
             )?;
             return Ok(fnv::values(&scratch.recon.view()) == self.window_refs[k][request.window]);
         }

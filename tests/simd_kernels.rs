@@ -12,7 +12,7 @@ use lcc::lossless::{
     xxh64_at, CodecScratch, RansScratch, SimdLevel,
 };
 use lcc::sz::quantize::{quantize_plane_row_at, Quantizer};
-use lcc::zfp::transform::{fwd_transform_at, inv_transform_at};
+use lcc::zfp::transform::{fwd_transform_batch_at, inv_transform_batch_at};
 use lcc::zfp::BLOCK_LEN;
 use proptest::prelude::*;
 
@@ -62,23 +62,31 @@ proptest! {
 
     #[test]
     fn zfp_transforms_are_level_invariant(
-        coeffs in proptest::collection::vec(-(1i64 << 40)..(1i64 << 40), BLOCK_LEN..BLOCK_LEN + 1),
+        coeffs in proptest::collection::vec(
+            -(1i64 << 40)..(1i64 << 40),
+            5 * BLOCK_LEN..5 * BLOCK_LEN + 1,
+        ),
     ) {
-        let block: [i64; BLOCK_LEN] = coeffs.try_into().expect("exact length");
+        let blocks: Vec<[i64; BLOCK_LEN]> =
+            coeffs.chunks_exact(BLOCK_LEN).map(|c| c.try_into().expect("exact length")).collect();
+        let mut scalar_fwd = blocks.clone();
+        fwd_transform_batch_at(SimdLevel::Scalar, &mut scalar_fwd);
+        let mut scalar_inv = scalar_fwd.clone();
+        inv_transform_batch_at(SimdLevel::Scalar, &mut scalar_inv);
+        prop_assert_eq!(&scalar_inv, &blocks);
         for &level in &supported_levels()[1..] {
-            let mut scalar_fwd = block;
-            fwd_transform_at(SimdLevel::Scalar, &mut scalar_fwd);
-            let mut simd_fwd = block;
-            fwd_transform_at(level, &mut simd_fwd);
-            prop_assert_eq!(simd_fwd, scalar_fwd);
+            // One batch of five blocks, and five batches of one.
+            let mut batch = blocks.clone();
+            let mut single = blocks.clone();
+            fwd_transform_batch_at(level, &mut batch);
+            single.chunks_mut(1).for_each(|b| fwd_transform_batch_at(level, b));
+            prop_assert_eq!(&batch, &scalar_fwd);
+            prop_assert_eq!(&single, &scalar_fwd);
 
-            // The inverse must agree on transformed *and* arbitrary blocks.
-            let mut scalar_inv = scalar_fwd;
-            inv_transform_at(SimdLevel::Scalar, &mut scalar_inv);
-            let mut simd_inv = simd_fwd;
-            inv_transform_at(level, &mut simd_inv);
-            prop_assert_eq!(simd_inv, scalar_inv);
-            prop_assert_eq!(scalar_inv, block);
+            inv_transform_batch_at(level, &mut batch);
+            single.chunks_mut(1).for_each(|b| inv_transform_batch_at(level, b));
+            prop_assert_eq!(&batch, &scalar_inv);
+            prop_assert_eq!(&single, &scalar_inv);
         }
     }
 

@@ -77,7 +77,7 @@ proptest! {
         // Shapes in 36..90 with window 16 exercise both exact tilings and
         // partial edge windows.
         let field = arbitrary_field(ny, nx, seed, roughness);
-        let config = LocalStatConfig { threads: Some(2), ..LocalStatConfig::with_window(16) };
+        let config = LocalStatConfig { window: 16, threads: Some(2), ..Default::default() };
         let through_views = local_variogram_ranges_view(&field.view(), &config);
         let through_clones = cloned_window_ranges(&field, &config);
         prop_assert_eq!(through_views.len(), through_clones.len());
