@@ -115,7 +115,7 @@ const STAGES: [&str; 3] = ["all", "stats", "codecs"];
 
 fn main() {
     let opts = CliOptions::from_env(&["size", "seed", "threads", "stage", "reps", "out"], &[]);
-    let size = opts.get_usize("size", 1028);
+    let size = opts.get_count("size", 1028);
     let seed = opts.get_u64("seed", 7);
     let threads = opts.get_usize("threads", 0);
     let stage = opts.get_str("stage", "all");
@@ -169,7 +169,7 @@ fn main() {
     // report. Best of `--reps` runs (default 3) so single-shot scheduler
     // noise doesn't pollute the perf trajectory; the compressors run
     // through a reused ScratchArena exactly like a sweep worker.
-    let reps = opts.get_usize("reps", 3).max(1);
+    let reps = opts.get_count("reps", 3);
     let registry = entropy_ablation_registry();
     let bound = ErrorBound::Absolute(1e-3);
     if run("codecs") {

@@ -11,8 +11,8 @@ use lcc_grid::io::CsvSeries;
 
 fn main() {
     let opts = CliOptions::from_env(&["size", "range", "seed", "out"], &[]);
-    let size = opts.get_usize("size", 256);
-    let range = opts.get_f64("range", 16.0);
+    let size = opts.get_count("size", 256);
+    let range = opts.get_length("range", 16.0);
     let seed = opts.get_u64("seed", 2021);
 
     println!("== Figure 1: example variogram (size={size}, true range={range}, seed={seed}) ==");

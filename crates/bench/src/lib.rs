@@ -32,6 +32,13 @@ pub const SCALE_FLAGS: [&str; 2] = ["quick", "full-paper-scale"];
 /// code `benchmarks/e2e/run.sh` uses for the same mistake).
 const EXIT_USAGE: i32 = 64;
 
+/// Report `message` on stderr and exit with status 2: a value the binary
+/// cannot use is refused, never replaced by one nobody asked for.
+fn refuse(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 /// Parsed command-line options of the figure, bench and load binaries: each
 /// declares the `--key value` options and the bare `--flag`s it reads, and
 /// any other argument is refused.
@@ -101,10 +108,7 @@ impl CliOptions {
     /// [`CliOptions::parsed`] for the binaries: report the error and exit
     /// with status 2 instead of benchmarking something nobody asked for.
     fn parsed_or_exit<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.parsed(name, default).unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            std::process::exit(2)
-        })
+        self.parsed(name, default).unwrap_or_else(|message| refuse(&message))
     }
 
     /// Fetch a numeric option with a default; an unparseable value is
@@ -119,10 +123,25 @@ impl CliOptions {
         self.parsed_or_exit(name, default)
     }
 
-    /// Fetch a float option with a default; an unparseable value is
-    /// reported on stderr and exits the process with status 2.
-    pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.parsed_or_exit(name, default)
+    /// Fetch a count or a size (at least 1) with a default; an unparseable
+    /// value or 0 is reported on stderr and exits the process with status 2.
+    pub fn get_count(&self, name: &str, default: usize) -> usize {
+        let value = self.parsed_or_exit(name, default);
+        if value == 0 {
+            refuse(&format!("--{name}: must be at least 1, got 0"));
+        }
+        value
+    }
+
+    /// Fetch a length (finite and positive) with a default; an unparseable
+    /// value or any other number is reported on stderr and exits the
+    /// process with status 2.
+    pub fn get_length(&self, name: &str, default: f64) -> f64 {
+        let value: f64 = self.parsed_or_exit(name, default);
+        if !(value.is_finite() && value > 0.0) {
+            refuse(&format!("--{name}: must be a positive finite number, got {value}"));
+        }
+        value
     }
 
     /// Fetch a string option with a default.
@@ -134,25 +153,42 @@ impl CliOptions {
     pub fn output_dir(&self) -> PathBuf {
         PathBuf::from(self.get_str("out", "target/figures"))
     }
+
+    /// The scale preset given (`quick` or `full-paper-scale`), if any. Both
+    /// at once, or a preset beside one of `fixed` (the options whose
+    /// value the preset fixes), is reported on stderr and exits the process
+    /// with status 2: the option would be dropped.
+    pub fn preset(&self, fixed: &[&str]) -> Option<&'static str> {
+        let mut given = SCALE_FLAGS.into_iter().filter(|flag| self.flag(flag));
+        let preset = given.next()?;
+        if let Some(other) = given.next() {
+            refuse(&format!("--{preset} and --{other} are exclusive"));
+        }
+        if let Some(key) = fixed.iter().find(|key| self.values.contains_key(**key)) {
+            refuse(&format!("--{key}: --{preset} sets it, so it would be dropped"));
+        }
+        Some(preset)
+    }
 }
 
 /// Build the Gaussian-figure configuration (figures 3, 5, 6) from the
 /// command line: `--quick`, `--full-paper-scale`, or explicit `--size`,
 /// `--ranges`, `--min-range`, `--max-range`, `--replicates`, `--seed`.
+/// A preset beside an explicit one of those, a count of 0 or a range that
+/// is not positive exits with status 2 naming the option.
 pub fn gaussian_config(opts: &CliOptions) -> GaussianFigureConfig {
-    if opts.flag("full-paper-scale") {
-        return GaussianFigureConfig::paper_scale();
-    }
-    if opts.flag("quick") {
-        return GaussianFigureConfig::quick();
-    }
-    let mut config = GaussianFigureConfig::standard();
+    let dataset_keys = ["size", "ranges", "min-range", "max-range", "replicates", "seed"];
+    let mut config = match opts.preset(&dataset_keys) {
+        Some("quick") => return GaussianFigureConfig::quick(),
+        Some(_) => return GaussianFigureConfig::paper_scale(),
+        None => GaussianFigureConfig::standard(),
+    };
     config.datasets = StudyDatasets {
-        gaussian_size: opts.get_usize("size", config.datasets.gaussian_size),
-        n_ranges: opts.get_usize("ranges", config.datasets.n_ranges),
-        min_range: opts.get_f64("min-range", config.datasets.min_range),
-        max_range: opts.get_f64("max-range", config.datasets.max_range),
-        replicates: opts.get_usize("replicates", config.datasets.replicates),
+        gaussian_size: opts.get_count("size", config.datasets.gaussian_size),
+        n_ranges: opts.get_count("ranges", config.datasets.n_ranges),
+        min_range: opts.get_length("min-range", config.datasets.min_range),
+        max_range: opts.get_length("max-range", config.datasets.max_range),
+        replicates: opts.get_count("replicates", config.datasets.replicates),
         seed: opts.get_u64("seed", config.datasets.seed),
     };
     config
@@ -160,17 +196,15 @@ pub fn gaussian_config(opts: &CliOptions) -> GaussianFigureConfig {
 
 /// Build the Miranda-figure configuration (figures 4 and 7) from the command
 /// line: `--quick`, `--full-paper-scale`, or explicit `--slices`,
-/// `--slice-size`, `--seed`.
+/// `--slice-size`, `--seed`, refused like [`gaussian_config`]'s.
 pub fn miranda_config(opts: &CliOptions) -> MirandaFigureConfig {
-    if opts.flag("full-paper-scale") {
-        return MirandaFigureConfig::paper_scale();
-    }
-    if opts.flag("quick") {
-        return MirandaFigureConfig::quick();
-    }
-    let mut config = MirandaFigureConfig::standard();
-    config.slices = opts.get_usize("slices", config.slices);
-    config.slice_size = opts.get_usize("slice-size", config.slice_size);
+    let mut config = match opts.preset(&["slices", "slice-size", "seed"]) {
+        Some("quick") => return MirandaFigureConfig::quick(),
+        Some(_) => return MirandaFigureConfig::paper_scale(),
+        None => MirandaFigureConfig::standard(),
+    };
+    config.slices = opts.get_count("slices", config.slices);
+    config.slice_size = opts.get_count("slice-size", config.slice_size);
     config.seed = opts.get_u64("seed", config.seed);
     config
 }
@@ -239,8 +273,8 @@ mod tests {
         assert!(!opts.flag("full-paper-scale"));
         assert_eq!(opts.output_dir(), PathBuf::from("/tmp/x"));
         // Defaults for missing keys.
-        assert_eq!(opts.get_usize("ranges", 10), 10);
-        assert_eq!(opts.get_f64("min-range", 2.0), 2.0);
+        assert_eq!(opts.get_count("ranges", 10), 10);
+        assert_eq!(opts.get_length("min-range", 2.0), 2.0);
         assert_eq!(opts.get_str("missing", "d"), "d");
     }
 

@@ -91,7 +91,7 @@ impl StudyDatasets {
     pub fn single_range_fields(&self) -> Vec<LabeledField> {
         let mut out = Vec::new();
         for (ri, range) in self.ranges().into_iter().enumerate() {
-            for rep in 0..self.replicates.max(1) {
+            for rep in 0..self.replicates {
                 let seed = self.seed + (ri as u64) * 131 + rep as u64;
                 let field = generate_single_range(&GaussianFieldConfig::new(
                     self.gaussian_size,
@@ -115,7 +115,7 @@ impl StudyDatasets {
         let long_component = self.max_range;
         let mut out = Vec::new();
         for (ri, range) in self.ranges().into_iter().enumerate() {
-            for rep in 0..self.replicates.max(1) {
+            for rep in 0..self.replicates {
                 let seed = self.seed + 10_000 + (ri as u64) * 131 + rep as u64;
                 let field = generate_multi_range(&MultiRangeConfig::two_ranges(
                     self.gaussian_size,

@@ -53,8 +53,6 @@ pub enum CoreError {
     Compression(String),
     /// A statistic or regression could not be computed.
     Statistics(String),
-    /// Result output could not be written.
-    Io(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -62,7 +60,6 @@ impl std::fmt::Display for CoreError {
         match self {
             CoreError::Compression(m) => write!(f, "compression failed: {m}"),
             CoreError::Statistics(m) => write!(f, "statistics failed: {m}"),
-            CoreError::Io(m) => write!(f, "i/o failed: {m}"),
         }
     }
 }
@@ -77,6 +74,5 @@ mod tests {
     fn error_display() {
         assert!(CoreError::Compression("x".into()).to_string().contains("compression"));
         assert!(CoreError::Statistics("x".into()).to_string().contains("statistics"));
-        assert!(CoreError::Io("x".into()).to_string().contains("i/o"));
     }
 }

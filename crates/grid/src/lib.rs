@@ -46,13 +46,6 @@ pub enum GridError {
     },
     /// A dimension was zero.
     EmptyDimension,
-    /// An index was out of bounds.
-    OutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// The extent of that axis.
-        extent: usize,
-    },
     /// An I/O error occurred while reading or writing a field.
     Io(String),
 }
@@ -64,9 +57,6 @@ impl std::fmt::Display for GridError {
                 write!(f, "shape mismatch: expected {expected} elements, got {actual}")
             }
             GridError::EmptyDimension => write!(f, "field dimensions must be non-zero"),
-            GridError::OutOfBounds { index, extent } => {
-                write!(f, "index {index} out of bounds for extent {extent}")
-            }
             GridError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
@@ -88,8 +78,6 @@ mod tests {
     fn error_display_is_informative() {
         let e = GridError::ShapeMismatch { expected: 4, actual: 3 };
         assert!(e.to_string().contains("expected 4"));
-        let e = GridError::OutOfBounds { index: 9, extent: 4 };
-        assert!(e.to_string().contains("9"));
         assert!(GridError::EmptyDimension.to_string().contains("non-zero"));
         assert!(GridError::Io("boom".into()).to_string().contains("boom"));
     }

@@ -13,20 +13,21 @@
 //! * [`rans`] — the 8-way interleaved byte-oriented rANS coder (12-bit
 //!   normalized tables, self-describing mode byte), the fast-path entropy
 //!   backend of the ratio-vs-throughput ablation; the payload is split into
-//!   per-lane buffers so the decoder runs eight independent chains (SSE4.1
-//!   unrolled, AVX2 two 4×u64 state vectors with gathered slot lookups);
+//!   per-lane buffers so the decoder runs eight independent chains (AVX2:
+//!   two 4×u64 state vectors with gathered slot lookups);
 //!   [`pipeline::EntropyBackend`] names the Huffman/rANS-8 choice the
 //!   compressors thread through their streams,
 //! * [`dispatch`] — one-time runtime SIMD feature detection
-//!   ([`SimdLevel`], the `LCC_SIMD` override); the rANS decode loop, the
-//!   LZ77 comparator, and the [`xxhash`] stripe loop pick their widest
-//!   implementation at or below the active tier, with byte-identical
-//!   streams at every tier,
+//!   ([`SimdLevel`]: scalar or AVX2, and the `LCC_SIMD` override); the rANS
+//!   decode loop, the LZ77 comparator and the rounding quantizer run their
+//!   AVX2 implementation at the AVX2 tier, with byte-identical streams at
+//!   both tiers,
 //! * [`round`] — exact `f64::round` without the libm call (scalar and AVX2)
 //!   and the dispatched rounding quantizer the lossy codecs' quantization
 //!   loops share,
-//! * [`xxhash`] — XXH64 checksums (scalar + AVX2 stripe loop) used for the
-//!   framed container's optional per-block integrity checksums,
+//! * [`xxhash`] — XXH64 checksums (scalar; an AVX2 stripe loop lost to it)
+//!   used for the framed container's optional per-block integrity
+//!   checksums,
 //! * [`scratch`] — the [`CodecScratch`] arena holding every reusable buffer
 //!   of the Huffman/LZ77 hot paths; the `*_with` entry points
 //!   ([`huffman_encode_with`], [`huffman_decode_with`],
@@ -47,11 +48,10 @@ pub mod scratch;
 pub mod xxhash;
 
 pub use bitstream::{BitReader, BitWriter};
-pub use dispatch::{detected_level, simd_level, supported_levels, SimdLevel};
+pub use dispatch::{simd_level, supported_levels, SimdLevel};
 pub use huffman::{huffman_decode, huffman_decode_with, huffman_encode, huffman_encode_with};
 pub use lz77::{
-    lz77_compress, lz77_compress_with, lz77_compress_with_at, lz77_decompress,
-    lz77_decompress_into, match_length_at,
+    lz77_compress, lz77_compress_with, lz77_compress_with_at, lz77_decompress, lz77_decompress_into,
 };
 pub use pipeline::EntropyBackend;
 pub use rans::{
@@ -59,7 +59,7 @@ pub use rans::{
     rans8_stream_info, Rans8StreamInfo, RansScratch,
 };
 pub use scratch::CodecScratch;
-pub use xxhash::{xxh64, xxh64_at};
+pub use xxhash::xxh64;
 
 /// Errors produced while decoding a lossless stream.
 #[derive(Debug, Clone, PartialEq, Eq)]

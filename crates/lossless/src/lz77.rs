@@ -31,8 +31,8 @@
 //! [`CodecScratch`] when driven through
 //! [`lz77_compress_with`], so repeated compressions reuse one arena instead
 //! of allocating ~`5 × input` bytes of chain state per call. Match
-//! candidates are compared eight bytes at a time (wider under SIMD
-//! dispatch); every tier emits the same stream.
+//! candidates are compared eight bytes at a time (32 under AVX2 dispatch);
+//! both tiers emit the same stream.
 
 use crate::dispatch::{simd_level, SimdLevel};
 use crate::scratch::{CodecScratch, CHAIN_NIL};
@@ -71,10 +71,10 @@ fn match_length(bytes: &[u8], a_at: usize, b_at: usize, max_len: usize) -> usize
     len
 }
 
-/// `match_length` at an explicit SIMD tier: the SSE tier compares 16 bytes
-/// per iteration, AVX2 compares 32, both locating the first mismatch with a
-/// `movemask`. Every tier returns the same length as the scalar comparator,
-/// so the greedy token stream is independent of the dispatch level.
+/// `match_length` at an explicit SIMD tier: AVX2 compares 32 bytes per
+/// iteration and locates the first mismatch with a `movemask`, returning
+/// the same length as the scalar comparator, so the greedy token stream is
+/// independent of the dispatch level.
 ///
 /// # Panics
 /// Panics unless `a_at <= b_at` and `b_at + max_len <= bytes.len()` — the
@@ -83,9 +83,11 @@ fn match_length(bytes: &[u8], a_at: usize, b_at: usize, max_len: usize) -> usize
 /// `pos`).
 // Sanctioned `unsafe_code` waiver (see `crate::dispatch`): this shim owns
 // the bounds assertion the wide loads rely on and the feature-detection
-// guard that makes the intrinsics legal.
+// guard that makes the intrinsics legal. Kept out of line: inlined into the
+// chain walk, it encoded a 512² `sz` stream 4 % slower.
 #[allow(unsafe_code)]
-pub fn match_length_at(
+#[inline(never)]
+fn match_length_at(
     level: SimdLevel,
     bytes: &[u8],
     a_at: usize,
@@ -97,15 +99,9 @@ pub fn match_length_at(
         "match window out of bounds"
     );
     #[cfg(target_arch = "x86_64")]
-    {
-        if level >= SimdLevel::Avx2 && max_len >= 32 {
-            // SAFETY: AVX2 verified by dispatch; bounds asserted above.
-            return unsafe { simd::match_length_avx2(bytes, a_at, b_at, max_len) };
-        }
-        if level >= SimdLevel::Sse4 && max_len >= 16 {
-            // SAFETY: 128-bit loads are baseline x86_64; bounds asserted above.
-            return unsafe { simd::match_length_sse2(bytes, a_at, b_at, max_len) };
-        }
+    if level >= SimdLevel::Avx2 && max_len >= 32 {
+        // SAFETY: AVX2 verified by dispatch; bounds asserted above.
+        return unsafe { simd::match_length_avx2(bytes, a_at, b_at, max_len) };
     }
     let _ = level;
     match_length(bytes, a_at, b_at, max_len)
@@ -119,32 +115,6 @@ mod simd {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::*;
-
-    /// 16-byte compare loop, falling back to the scalar comparator for the
-    /// sub-16-byte tail.
-    ///
-    /// # Safety
-    /// Requires `a_at <= b_at` and `b_at + max_len <= bytes.len()`.
-    #[inline]
-    pub(super) unsafe fn match_length_sse2(
-        bytes: &[u8],
-        a_at: usize,
-        b_at: usize,
-        max_len: usize,
-    ) -> usize {
-        let base = bytes.as_ptr();
-        let mut len = 0usize;
-        while len + 16 <= max_len {
-            let a = _mm_loadu_si128(base.add(a_at + len) as *const __m128i);
-            let b = _mm_loadu_si128(base.add(b_at + len) as *const __m128i);
-            let eq = _mm_movemask_epi8(_mm_cmpeq_epi8(a, b)) as u32;
-            if eq != 0xFFFF {
-                return len + (!eq).trailing_zeros() as usize;
-            }
-            len += 16;
-        }
-        len + super::match_length(bytes, a_at + len, b_at + len, max_len - len)
-    }
 
     /// 32-byte compare loop, falling back to the scalar comparator for the
     /// sub-32-byte tail.
@@ -538,8 +508,8 @@ mod tests {
     fn match_length_levels_agree_on_every_mismatch_offset() {
         use crate::dispatch::supported_levels;
         // A long shared prefix broken at every offset in turn hits the wide
-        // loops, their movemask mismatch location, and the scalar tail.
-        let period = 97usize; // coprime with 16 and 32 → mismatches land at every lane
+        // loop, its movemask mismatch location, and the scalar tail.
+        let period = 97usize; // coprime with 32 → mismatches land at every lane
         let template: Vec<u8> = (0..400).map(|i| (i % period) as u8).collect();
         let mut data = template.clone();
         data.extend_from_slice(&template);

@@ -21,7 +21,7 @@
 //! Every state has its **own lane buffer**, stitched with a lane-length
 //! header: each lane carries its seed state and exactly the renorm bytes
 //! that lane consumes, so the decoder holds eight independent byte cursors
-//! and all eight chains retire in parallel (and the SIMD tiers can refill
+//! and all eight chains retire in parallel (and the AVX2 tier can refill
 //! lanes independently).
 //!
 //! Alphabets with more than `SCALE` distinct symbols cannot be normalized
@@ -884,13 +884,10 @@ pub fn rans8_decode_with_at(
     out.reserve(n_symbols.min(payload.len().saturating_mul(8) + 64));
 
     #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Sse4 {
-        return decode8_payload_fast(
-            scratch, payload, n_symbols, level, &mut ptrs, &ends, &mut xs, out,
-        )
-        .map(|()| consumed);
+    if level >= SimdLevel::Avx2 {
+        return decode8_payload_fast(scratch, payload, n_symbols, &mut ptrs, &ends, &mut xs, out)
+            .map(|()| consumed);
     }
-    #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
 
     // Scalar tier: checked round-robin over the eight lanes with the fused
@@ -962,28 +959,25 @@ fn check8_final(
     Ok(())
 }
 
-/// The dispatched (≥ SSE4.1) 8-way decode driver. Identical observable
-/// behaviour to the scalar round-robin loop — same symbols, same errors —
-/// structured for throughput: the loop runs in chunks of full 8-symbol
-/// rounds sized by a **per-lane byte budget** (a decoded symbol
-/// renormalizes by at most two bytes from its own lane, so a chunk of
-/// `rounds` rounds needs no per-byte bounds checks while every lane holds
-/// `2 × rounds` spare bytes), writing symbols into `out`'s reserved spare
-/// capacity. A chunk is as long as the shortest lane's remaining bytes
-/// allow — a 64 × 64 tile's lanes are a few hundred bytes, less than one
-/// full-size chunk would ask for — and only the last few rounds before any
-/// lane's end, the `n mod 8` tail, and with them every stream truncated
-/// mid-decode, take the checked careful loop instead.
+/// The AVX2 8-way decode driver. Identical observable behaviour to the
+/// scalar round-robin loop — same symbols, same errors — structured for
+/// throughput: the loop runs in chunks of full 8-symbol rounds sized by a
+/// **per-lane byte budget** (a decoded symbol renormalizes by at most two
+/// bytes from its own lane, so a chunk of `rounds` rounds needs no per-byte
+/// bounds checks while every lane holds `2 × rounds` spare bytes), writing
+/// symbols into `out`'s reserved spare capacity. A chunk is as long as the
+/// shortest lane's remaining bytes allow — a 64 × 64 tile's lanes are a few
+/// hundred bytes, less than one full-size chunk would ask for — and only the
+/// last few rounds before any lane's end, the `n mod 8` tail, and with them
+/// every stream truncated mid-decode, take the checked careful loop instead.
 // Sanctioned `unsafe_code` waiver (see `crate::dispatch`): this driver owns
 // the byte-budget and capacity checks the unchecked inner loop relies on.
 #[allow(unsafe_code)]
-#[allow(clippy::too_many_arguments)]
 #[cfg(target_arch = "x86_64")]
 fn decode8_payload_fast(
     scratch: &mut RansScratch,
     payload: &[u8],
     n_symbols: usize,
-    level: SimdLevel,
     ptrs: &mut [usize; LANES],
     ends: &[usize; LANES],
     xs: &mut [u32; LANES],
@@ -1010,18 +1004,12 @@ fn decode8_payload_fast(
             }
         }
         out.reserve(take * LANES);
-        // SAFETY: the dispatched tiers are only reachable on hosts whose
-        // feature detection confirmed them; every lane was just seen to
-        // hold `2 × take` readable bytes past its cursor, which keeps every
+        // SAFETY: this driver is only reachable on hosts whose feature
+        // detection confirmed AVX2; every lane was just seen to hold
+        // `2 × take` readable bytes past its cursor, which keeps every
         // unchecked payload read inside its lane's region (≤ 2 bytes per
         // symbol), and the reserve covers the raw output writes.
-        unsafe {
-            if level >= SimdLevel::Avx2 {
-                simd8::decode_rounds_avx2(entries, payload, ptrs, xs, take, out);
-            } else {
-                simd8::decode_rounds_sse4(entries, payload, ptrs, xs, take, out);
-            }
-        }
+        unsafe { simd8::decode_rounds_avx2(entries, payload, ptrs, xs, take, out) };
         rounds -= take;
     }
     // The rounds no lane budget covers, then the last n mod 8 symbols on
@@ -1041,116 +1029,41 @@ mod simd8 {
 
     use super::{LANES, RANS_L, SCALE, SCALE_BITS};
 
-    /// Decode `rounds` full 8-symbol rounds with no bounds checks: eight
-    /// independent state chains in scalar registers, fully unrolled per
-    /// round, each refilling from its own lane cursor. The chains have no
-    /// cross dependencies, so they retire in parallel on any superscalar
-    /// core — this is where the format's decode throughput comes from even
-    /// before vector ALUs get involved.
-    ///
-    /// The refill is **branchless**: every step reads two big-endian bytes
-    /// at the lane cursor unconditionally, derives the needed injection
-    /// count from the renormalization thresholds (`x < 2^23` needs one
-    /// byte, `x < 2^15` a second — post-step states are ≥ 2^11, so two
-    /// always suffice), and shifts in exactly that many. A branchy refill
-    /// mispredicts roughly every other symbol on entropy-shaped data (the
-    /// per-symbol byte count is what the coder randomizes!), and those
-    /// flushes cost more than the always-taken 2-byte load.
-    ///
-    /// # Safety
-    /// Requires SSE4.1 (for the wrapper's codegen), a spare capacity of at
-    /// least `8 · rounds` in `out`, every `entries` slot filled for a
-    /// 12-bit slot index, all states `≥ RANS_L`, and `rounds · 2` readable
-    /// payload bytes remaining in **every** lane region past its cursor —
-    /// the caller-validated budget that both bounds renormalization and
-    /// keeps the unconditional 2-byte read inside the lane (a round
-    /// consuming `c ≤ 2` bytes leaves the next round's read at most
-    /// `2·rounds` past the chunk start).
-    #[inline(always)]
-    unsafe fn decode_rounds_body(
-        entries: &[u64],
-        payload: &[u8],
-        ptrs: &mut [usize; LANES],
-        xs: &mut [u32; LANES],
-        rounds: usize,
-        out: &mut Vec<u32>,
-    ) {
-        debug_assert!(out.capacity() - out.len() >= rounds * LANES);
-        debug_assert_eq!(entries.len(), SCALE as usize);
-        let eb = entries.as_ptr();
-        let pb = payload.as_ptr();
-        let out_len = out.len();
-        let ob = out.as_mut_ptr().add(out_len);
-        let mut x = *xs;
-        let mut p = *ptrs;
-        for r in 0..rounds {
-            macro_rules! lane {
-                ($k:literal) => {{
-                    let slot = x[$k] & (SCALE - 1);
-                    let e = *eb.add(slot as usize);
-                    ob.add(r * LANES + $k).write((e >> 32) as u32);
-                    let nx = ((e >> 16) & 0xFFFF) as u32 * (x[$k] >> SCALE_BITS) + slot
-                        - (e & 0xFFFF) as u32;
-                    let b = pb.add(p[$k]);
-                    let two = (u32::from(*b) << 8) | u32::from(*b.add(1));
-                    let n = usize::from(nx < RANS_L) + usize::from(nx < (1 << 15));
-                    x[$k] = (nx << (8 * n)) | (two >> (16 - 8 * n));
-                    p[$k] += n;
-                }};
-            }
-            lane!(0);
-            lane!(1);
-            lane!(2);
-            lane!(3);
-            lane!(4);
-            lane!(5);
-            lane!(6);
-            lane!(7);
-        }
-        out.set_len(out_len + rounds * LANES);
-        *xs = x;
-        *ptrs = p;
-    }
-
-    /// The SSE4.1 tier: the eight-chain body compiled with SSE4.1 codegen.
-    ///
-    /// # Safety
-    /// See [`decode_rounds_body`]; additionally requires SSE4.1.
-    #[target_feature(enable = "sse4.1")]
-    pub(super) unsafe fn decode_rounds_sse4(
-        entries: &[u64],
-        payload: &[u8],
-        ptrs: &mut [usize; LANES],
-        xs: &mut [u32; LANES],
-        rounds: usize,
-        out: &mut Vec<u32>,
-    ) {
-        decode_rounds_body(entries, payload, ptrs, xs, rounds, out);
-    }
-
-    /// The AVX2 tier: all eight states live in two 4×u64 vectors — two
-    /// **independent** dependency chains, which matters more than lane
-    /// economy: a round's states feed the next round's gathers, so each
-    /// vector is one serial chain and two of them overlap the gather+
-    /// multiply latency. Per round and half, a slot mask and a fused-entry
-    /// gather (`_mm256_i64gather_epi64`) resolve four table loads in one
+    /// Decode `rounds` full 8-symbol rounds with no bounds checks. All
+    /// eight states live in two 4×u64 vectors — two **independent**
+    /// dependency chains, which matters more than lane economy: a round's
+    /// states feed the next round's gathers, so each vector is one serial
+    /// chain and two of them overlap the gather+multiply latency. Per round
+    /// and half, a slot mask and a fused-entry gather
+    /// (`_mm256_i64gather_epi64`) resolve four table loads in one
     /// instruction, and the `freq · (x >> 12) + slot − cum` update runs as
     /// 4-wide `vpmuludq`/`vpaddq`/`vpsubq` (freq ≤ 2^12 and `x >> 12` <
-    /// 2^19, so the 32×32→64 multiply never overflows). Each half then
-    /// spills to a lane array for the branchless scalar byte refill (each
-    /// lane reads a data-dependent count from its own cursor, which no
-    /// gather expresses) and reloads.
+    /// 2^19, so the 32×32→64 multiply never overflows).
+    ///
+    /// The refill is **branchless**: every step reads two big-endian bytes
+    /// at each lane cursor unconditionally and shifts in exactly as many as
+    /// the renormalization thresholds ask for (`x < 2^23` needs one byte,
+    /// `x < 2^15` a second — post-step states are ≥ 2^11, so two always
+    /// suffice). A branchy refill mispredicts roughly every other symbol on
+    /// entropy-shaped data (the per-symbol byte count is what the coder
+    /// randomizes), and those flushes cost more than the always-taken
+    /// 2-byte load.
     ///
     /// Two earlier revisions inform this shape: one 8×u32 state vector
     /// halved the arithmetic op count but also halved the chain count and
-    /// measured ~20% slower end to end, and gating the refill spill behind
-    /// a `vpcmpgtq`+`vpmovmskb` "no lane needs bytes" fast path
-    /// mispredicted constantly on entropy-shaped data (the per-symbol byte
-    /// count is exactly what the coder randomizes), costing nearly 2× the
-    /// unconditional spill/reload it saved.
+    /// measured ~20% slower end to end, and gating the refill behind a
+    /// `vpcmpgtq`+`vpmovmskb` "no lane needs bytes" fast path mispredicted
+    /// constantly on entropy-shaped data, costing nearly 2× the
+    /// unconditional work it saved.
     ///
     /// # Safety
-    /// See [`decode_rounds_body`]; additionally requires AVX2.
+    /// Requires AVX2, a spare capacity of at least `8 · rounds` in `out`,
+    /// every `entries` slot filled for a 12-bit slot index, all states
+    /// `≥ RANS_L`, and `rounds · 2` readable payload bytes remaining in
+    /// **every** lane region past its cursor — the caller-validated budget
+    /// that both bounds renormalization and keeps the unconditional 2-byte
+    /// read inside the lane (a round consuming `c ≤ 2` bytes leaves the
+    /// next round's read at most `2·rounds` past the chunk start).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn decode_rounds_avx2(
         entries: &[u64],

@@ -2,7 +2,7 @@
 //!
 //! Every SIMD tier the host supports must reproduce the scalar kernels'
 //! bytes exactly — same compressed streams, same decoded symbols, same
-//! digests, same errors on the same truncated inputs. The fixture checks
+//! errors on the same truncated inputs. The fixture checks
 //! additionally pin the SIMD encoders to the historical stream format: the
 //! `tests/fixtures/*.bin` streams were captured long before the SIMD pass
 //! existed, so a vector path that drifted from the scalar match/emit
@@ -10,7 +10,7 @@
 
 use lcc_lossless::{
     lz77_compress_with_at, lz77_decompress, rans8_decode_with_at, rans8_encode, supported_levels,
-    xxh64_at, CodecScratch, RansScratch, SimdLevel,
+    CodecScratch, RansScratch, SimdLevel,
 };
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -89,9 +89,9 @@ fn every_level_compresses_mixed_entropy_bytes_identically() {
 
 #[test]
 fn every_level_decodes_rans8_symbol_streams_identically() {
-    // The decoder runs a different kernel per tier (scalar
-    // round-robin, SSE4 8-chain, AVX2 gather + vector renorm); the decoded
-    // symbols and consumed byte count must nonetheless be bit-identical.
+    // The decoder runs a different kernel per tier (scalar round-robin,
+    // AVX2 gather + vector renorm); the decoded symbols and consumed byte
+    // count must nonetheless be bit-identical.
     let mut state = 0xFEED_F00Du64;
     let inputs: Vec<Vec<u32>> = vec![
         Vec::new(),
@@ -141,18 +141,6 @@ fn every_level_fails_identically_on_truncated_rans8_streams() {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "cut {cut} at {level:?}"),
                 _ => panic!("cut {cut} at {level:?}: scalar {reference:?} vs {got:?}"),
             }
-        }
-    }
-}
-
-#[test]
-fn every_level_hashes_identically() {
-    let mut state = 0xABCD_EF01u64;
-    for n in [0usize, 1, 31, 32, 33, 4_096, 100_003] {
-        let data: Vec<u8> = (0..n).map(|_| lcg(&mut state) as u8).collect();
-        let reference = xxh64_at(SimdLevel::Scalar, &data, 0);
-        for &level in &supported_levels()[1..] {
-            assert_eq!(xxh64_at(level, &data, 0), reference, "n={n} at {level:?}");
         }
     }
 }

@@ -46,8 +46,6 @@ pub enum CompressError {
     InvalidInput(String),
     /// The compressed stream is corrupt or truncated.
     CorruptStream(String),
-    /// The compressor cannot satisfy the configuration.
-    Unsupported(String),
     /// A deadline or cancellation fired before the work completed; partial
     /// output must be discarded. Carries the stage that observed expiry.
     DeadlineExceeded(String),
@@ -63,7 +61,6 @@ impl std::fmt::Display for CompressError {
             CompressError::InvalidBound(m) => write!(f, "invalid error bound: {m}"),
             CompressError::InvalidInput(m) => write!(f, "invalid input: {m}"),
             CompressError::CorruptStream(m) => write!(f, "corrupt stream: {m}"),
-            CompressError::Unsupported(m) => write!(f, "unsupported configuration: {m}"),
             CompressError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
             CompressError::Internal(m) => write!(f, "internal error: {m}"),
         }
@@ -289,7 +286,6 @@ mod tests {
         assert!(CompressError::InvalidBound("x".into()).to_string().contains("bound"));
         assert!(CompressError::InvalidInput("x".into()).to_string().contains("input"));
         assert!(CompressError::CorruptStream("x".into()).to_string().contains("corrupt"));
-        assert!(CompressError::Unsupported("x".into()).to_string().contains("unsupported"));
         assert!(CompressError::DeadlineExceeded("x".into()).to_string().contains("deadline"));
         assert!(CompressError::Internal("x".into()).to_string().contains("internal"));
     }

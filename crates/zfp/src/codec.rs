@@ -163,7 +163,8 @@ pub fn decode_blocks(
                     if width > 0 {
                         let negative = reader.read_bit()?;
                         let mag = (reader.read_bits(width)? as i64) << kmin;
-                        *c = if negative { -mag } else { mag };
+                        // `wrapping_neg`: a damaged stream may code `i64::MIN`.
+                        *c = if negative { mag.wrapping_neg() } else { mag };
                     } else {
                         *c = 0;
                     }

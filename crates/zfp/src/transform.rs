@@ -16,7 +16,9 @@
 //! ```
 //! and the inverse runs the same steps backwards. The 2D transform applies
 //! the 1D transform to every row and then to every column of the 4×4 block;
-//! the inverse reverses that order.
+//! the inverse reverses that order. The arithmetic wraps, as the AVX2
+//! lanes do: coefficients read from a damaged stream can be anything, and
+//! decoding them must give the same garbage at both tiers, not a panic.
 
 use crate::{BLOCK_DIM, BLOCK_LEN};
 use lcc_lossless::dispatch::SimdLevel;
@@ -25,12 +27,12 @@ use lcc_lossless::dispatch::SimdLevel;
 #[inline]
 pub fn fwd_lift4(v: [i64; 4]) -> [i64; 4] {
     let [x0, x1, x2, x3] = v;
-    let d0 = x1 - x0;
-    let a0 = x0 + (d0 >> 1);
-    let d1 = x3 - x2;
-    let a1 = x2 + (d1 >> 1);
-    let d2 = a1 - a0;
-    let a2 = a0 + (d2 >> 1);
+    let d0 = x1.wrapping_sub(x0);
+    let a0 = x0.wrapping_add(d0 >> 1);
+    let d1 = x3.wrapping_sub(x2);
+    let a1 = x2.wrapping_add(d1 >> 1);
+    let d2 = a1.wrapping_sub(a0);
+    let a2 = a0.wrapping_add(d2 >> 1);
     [a2, d2, d0, d1]
 }
 
@@ -38,12 +40,12 @@ pub fn fwd_lift4(v: [i64; 4]) -> [i64; 4] {
 #[inline]
 pub fn inv_lift4(v: [i64; 4]) -> [i64; 4] {
     let [a2, d2, d0, d1] = v;
-    let a0 = a2 - (d2 >> 1);
-    let a1 = a0 + d2;
-    let x0 = a0 - (d0 >> 1);
-    let x1 = x0 + d0;
-    let x2 = a1 - (d1 >> 1);
-    let x3 = x2 + d1;
+    let a0 = a2.wrapping_sub(d2 >> 1);
+    let a1 = a0.wrapping_add(d2);
+    let x0 = a0.wrapping_sub(d0 >> 1);
+    let x1 = x0.wrapping_add(d0);
+    let x2 = a1.wrapping_sub(d1 >> 1);
+    let x3 = x2.wrapping_add(d1);
     [x0, x1, x2, x3]
 }
 
@@ -52,10 +54,9 @@ pub fn inv_lift4(v: [i64; 4]) -> [i64; 4] {
 /// AVX2 tier holds a block in four 256-bit registers (one row each) and
 /// runs the lifting vertically across 4 lanes, transposing in-register
 /// between the row and column passes; its integer arithmetic is identical
-/// to the scalar lifts, so the coefficients are bit-equal at every tier.
-/// The SSE tier lowers to scalar (4×4 of i64 wants 256-bit lanes to pay
-/// off). A single block is load/store-bound (dispatched block by block the
-/// AVX2 tier measured ~1.05×): batching hoists the call and the dispatch
+/// to the scalar lifts, so the coefficients are bit-equal at both tiers.
+/// A single block is load/store-bound (dispatched block by block the AVX2
+/// tier measured ~1.05×): batching hoists the call and the dispatch
 /// branch out of the loop and lets independent blocks overlap.
 // Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`).
 #[allow(unsafe_code)]
@@ -382,6 +383,28 @@ mod tests {
                     assert_eq!(single, original, "inv single seed={seed} level={level:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn overflowing_coefficients_wrap_identically_at_every_level() {
+        use lcc_lossless::dispatch::supported_levels;
+        // What a damaged stream can hand the inverse: values at and near
+        // the ends of `i64`, whose lifts overflow.
+        let extremes = [i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, -1, 0, 1];
+        let blocks: Vec<[i64; BLOCK_LEN]> = (0..7)
+            .map(|k| std::array::from_fn(|i| extremes[(i * 3 + k) % extremes.len()]))
+            .collect();
+        let mut fwd_ref = blocks.clone();
+        fwd_transform_batch_at(SimdLevel::Scalar, &mut fwd_ref);
+        let mut inv_ref = blocks.clone();
+        inv_transform_batch_at(SimdLevel::Scalar, &mut inv_ref);
+        for &level in supported_levels() {
+            let (mut fwd, mut inv) = (blocks.clone(), blocks.clone());
+            fwd_transform_batch_at(level, &mut fwd);
+            inv_transform_batch_at(level, &mut inv);
+            assert_eq!(fwd, fwd_ref, "fwd level={level:?}");
+            assert_eq!(inv, inv_ref, "inv level={level:?}");
         }
     }
 

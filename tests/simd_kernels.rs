@@ -2,14 +2,14 @@
 //! kernels: on *arbitrary* inputs, every SIMD tier the host supports must
 //! produce exactly the bytes/bits the scalar kernel produces — compressed
 //! streams, decoded symbols, transform coefficients, quantizer codes and
-//! reconstructions, and checksum digests. Fixed seeds and hand-picked edge
+//! reconstructions. Fixed seeds and hand-picked edge
 //! cases live in the per-crate suites; this file lets proptest hunt for
 //! divergence in the corners nobody thought to pin.
 
 use lcc::lossless::round::quantize_rounded_at;
 use lcc::lossless::{
     lz77_compress_with_at, lz77_decompress, rans8_decode_with_at, rans8_encode, supported_levels,
-    xxh64_at, CodecScratch, RansScratch, SimdLevel,
+    CodecScratch, RansScratch, SimdLevel,
 };
 use lcc::sz::quantize::{quantize_plane_row_at, Quantizer};
 use lcc::zfp::transform::{fwd_transform_batch_at, inv_transform_batch_at};
@@ -34,10 +34,10 @@ proptest! {
 
     #[test]
     fn rans8_decode_is_level_invariant(symbols in proptest::collection::vec(0u32..5000, 0..30_000)) {
-        // The 8-way stream has three decode paths (scalar round-robin, the
-        // SSE4-tier 8-chain, and the AVX2 gathered/vector-renorm kernel)
-        // plus a careful tail; proptest hunts for length/alphabet corners
-        // where any pair could diverge.
+        // The 8-way stream has two decode paths (the scalar round-robin and
+        // the AVX2 gathered/vector-renorm kernel) plus a careful tail;
+        // proptest hunts for length/alphabet corners where they could
+        // diverge.
         let mut scratch = RansScratch::new();
         let encoded = rans8_encode(&symbols);
         for &level in supported_levels() {
@@ -46,17 +46,6 @@ proptest! {
                 .expect("well-formed stream");
             prop_assert_eq!(&out, &symbols);
             prop_assert_eq!(consumed, encoded.len());
-        }
-    }
-
-    #[test]
-    fn xxh64_is_level_invariant(
-        data in proptest::collection::vec(any::<u8>(), 0..8_192),
-        seed in any::<u64>(),
-    ) {
-        let reference = xxh64_at(SimdLevel::Scalar, &data, seed);
-        for &level in &supported_levels()[1..] {
-            prop_assert_eq!(xxh64_at(level, &data, seed), reference);
         }
     }
 

@@ -94,6 +94,31 @@ fn repeated_reuse_on_one_arena_stays_stable() {
 }
 
 #[test]
+fn xxh64_digests_match_their_pin() {
+    // Xorshift bytes of every length class on both sides of the 32-byte
+    // stripe threshold, and stripe-heavy lengths, at two seeds; the FNV-1a
+    // of their digests was taken while an AVX2 stripe loop still ran beside
+    // the scalar one and agreed with it. `lcc_lossless::xxhash`'s unit
+    // tests hold the digests one by one.
+    let mut digests = Vec::new();
+    for n in (0..64).chain([100, 127, 128, 255, 1000, 4096, 65_537]) {
+        let mut state = n as u64 + 1;
+        let data: Vec<u8> = (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        for seed in [0, 0x1234_5678_9ABC_DEF0] {
+            digests.extend(lcc_lossless::xxh64(&data, seed).to_le_bytes());
+        }
+    }
+    assert_eq!(fnv::bytes(&digests), 0x62dd_84cf_3807_2d9f);
+}
+
+#[test]
 fn streams_written_before_lz77_miss_skipping_still_decode() {
     let field = pinned_field();
     let registry = entropy_ablation_registry();
