@@ -1,42 +1,37 @@
-//! Timed paper-scale statistics and codec stages, written to
-//! `BENCH_sweep.json` — what only this binary reports (the serving paths'
-//! throughput, latency, allocation and cache numbers are `benchmarks/e2e`'s).
+//! Timed paper-scale statistics and codec stages, printed on stdout as one
+//! GitHub-markdown report — what only this binary measures (the serving
+//! paths' throughput, latency, allocation and cache numbers are
+//! `benchmarks/e2e`'s).
 //!
 //! ```text
-//! cargo run --release -p lcc_bench --bin bench_sweep -- \
-//!     --size 1028 --threads 4 --out target/bench
+//! cargo run --release -p lcc_bench --bin bench_sweep -- --size 1028
 //! ```
 //!
-//! `--stage stats` or `--stage codecs` runs one of the two stages instead of
-//! both — the fast loop when iterating on one kernel or codec; the written
-//! report then holds only that stage's rows.
+//! `--size` (default 1028) is the only option: the field's seed is 7, and
+//! the pool is `LCC_THREADS` wide, or one thread per CPU. The report holds:
 //!
-//! The `codecs` stage times every compressor of the entropy-ablation
-//! registry on the field (best of `--reps`) and writes an `encode_layers`
-//! section: the seconds `sz` / `sz-rans8` (input validation, block mode
-//! selection, predict/quantize, entropy coding, container + LZ77) and
-//! `mgard` / `mgard-rans8` (validation, decomposition, quantization, entropy
-//! coding, container + LZ77) spend in each encode layer, from their
-//! `compress_view_timed` — for the `sz` variants a second `<name>@64x64`
-//! row sums the same layers over the field's 64 × 64 tiles, one stream
-//! each, with `tile_fixed_cost_us` = (tiles − whole) ÷ tile count, the cost
-//! of a stream before its first cell, and on the `sz-rans8` row
-//! `tile_table_bytes_frac`, the share of those streams' bytes that is rANS
-//! frequency table; and `rans8_huffman_fallback`, how many of the
-//! stage's `*-rans8` streams overflowed the 12-bit rANS table and carry
-//! Huffman-mode codes instead.
-//!
-//! The `stats` stage also writes `variogram_pairs`, `variogram_ns_per_pair`
-//! (width 1; the pair kernel on an L1-resident row runs 0.17 ns/pair on the
-//! dev box) and `variogram_parallel_eff` (width `--threads` over
-//! `--threads` × width 1, `variogram_threads` beside it) for the global
-//! variogram of the paper-scale field.
-//!
-//! A run with both stages (the default) also reports
-//! `predictor_cost_over_codec_cost`: `correlation_statistics_compute`
-//! seconds over `compress_sz` seconds on the same field.
+//! - compress / decompress MB/s and ratio of every compressor of the
+//!   entropy-ablation registry on the field (best of 3), at the absolute
+//!   bound 1e-3;
+//! - the milliseconds `sz` / `sz-rans8` (input validation, block mode
+//!   selection, predict/quantize, entropy coding, container + LZ77) and
+//!   `mgard` / `mgard-rans8` (validation, decomposition, quantization,
+//!   entropy coding, container + LZ77) spend in each encode layer, as
+//!   `min [median]` of 5 `compress_view_timed` calls — on a field of two or more
+//!   64 × 64 tiles each `sz` variant has a second `<name>@64x64` row, the
+//!   same layers summed over the tiles, one stream each, with the per-tile
+//!   fixed cost (what a stream costs before its first cell) and, on the
+//!   `sz-rans8` row, the share of the tile streams' bytes that is rANS
+//!   frequency table;
+//! - how many of the `*-rans8` streams overflowed the 12-bit rANS table
+//!   and carry Huffman-mode codes instead;
+//! - every stage's seconds;
+//! - the global variogram's pairs, its ns/pair at width 1 (the pair kernel
+//!   on an L1-resident row runs 0.17 ns/pair on the dev box) and its
+//!   parallel efficiency at the pool's width;
+//! - `correlation_statistics_compute` seconds over `compress_sz` seconds:
+//!   what the predictor costs in units of the compression it steers.
 
-use lcc_bench::report::{write_json, CodecThroughput, EncodeLayers, SweepReport, VariogramCost};
 use lcc_bench::CliOptions;
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_core::statistics::{CorrelationStatistics, StatisticsConfig};
@@ -48,25 +43,48 @@ use lcc_grid::{Field2D, Window, WindowIter};
 use lcc_lossless::{rans8_stream_info, simd_level, Rans8StreamInfo};
 use lcc_mgard::{MgardCompressor, MgardScratch};
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::{codes, Compressor, ErrorBound, ScratchArena};
+use lcc_pressio::{codes, CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use lcc_sz::{SzCompressor, SzScratch};
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Seed of the report's field.
+const SEED: u64 = 7;
+
+/// Timed repetitions behind each codec's best compress and decompress.
+const CODEC_REPS: usize = 3;
 
 /// Timed repetitions behind each layer's min and median.
 const LAYER_REPS: usize = 5;
 
-/// Tile side of the per-tile `encode_layers` rows: the archive's tile.
+/// Tile side of the per-tile encode-layer rows: the archive's tile.
 const LAYER_TILE: usize = 64;
-
-/// Name of the `encode_layers` row that sums `compressor`'s layers over tiles.
-fn tile_row(compressor: &str) -> String {
-    format!("{compressor}@{LAYER_TILE}x{LAYER_TILE}")
-}
 
 /// Mode byte of a rANS section whose alphabet overflowed the 12-bit
 /// frequency table: the codes that follow are a Huffman stream.
 const RANS_MODE_HUFFMAN: u8 = 1;
+
+/// `(stage, seconds)`, in the order the stages ran.
+type Stages = Vec<(String, f64)>;
+
+/// Run `f`, record its wall time under `stage`, and pass its result on.
+fn timed<T>(stages: &mut Stages, stage: &str, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = black_box(f());
+    stages.push((stage.to_string(), start.elapsed().as_secs_f64()));
+    out
+}
+
+/// Print a markdown table and the blank line that ends it.
+fn table(header: &[&str], rows: &[Vec<String>]) {
+    println!("| {} |", header.join(" | "));
+    println!("|{}", "---|".repeat(header.len()));
+    for row in rows {
+        println!("| {} |", row.join(" | "));
+    }
+    println!();
+}
 
 /// The rANS stream header of an `sz-rans8` or `mgard-rans8` stream's codes
 /// section — a stream of `lcc_lossless::rans8_encode` — or `None` for any
@@ -81,256 +99,332 @@ fn rans8_info(stream: &[u8]) -> Option<Rans8StreamInfo> {
     Some(rans8_stream_info(parts.section).expect("bench stream parses"))
 }
 
-/// `LAYER_REPS` timed compress calls: `samples[r][k]` is the seconds
-/// repetition `r` spent in encode layer `k`.
-fn layer_samples(
-    mut timed_compress: impl FnMut() -> Result<[f64; 5], lcc_pressio::CompressError>,
-) -> Vec<Vec<f64>> {
-    (0..LAYER_REPS).map(|_| timed_compress().expect("bench compressor succeeds").to_vec()).collect()
+/// Where one compress call spends its time: `(layer, min, median)` seconds
+/// per encode layer, in pipeline order, over repeated calls.
+#[derive(Debug, PartialEq)]
+struct EncodeLayers(Vec<(&'static str, f64, f64)>);
+
+impl EncodeLayers {
+    /// Summarize per-repetition samples: `samples[r][k]` is the seconds
+    /// repetition `r` spent in layer `names[k]`.
+    fn from_samples(names: &[&'static str; 5], samples: &[[f64; 5]]) -> Self {
+        EncodeLayers(
+            names
+                .iter()
+                .enumerate()
+                .map(|(k, &name)| {
+                    let mut column: Vec<f64> = samples.iter().map(|rep| rep[k]).collect();
+                    column.sort_by(f64::total_cmp);
+                    (name, column[0], column[column.len() / 2])
+                })
+                .collect(),
+        )
+    }
+
+    /// [`EncodeLayers::from_samples`] of `LAYER_REPS` calls of
+    /// `timed_compress`, which returns each layer's seconds.
+    fn measure(
+        names: &[&'static str; 5],
+        mut timed_compress: impl FnMut() -> Result<[f64; 5], CompressError>,
+    ) -> Self {
+        let samples: Vec<[f64; 5]> =
+            (0..LAYER_REPS).map(|_| timed_compress().expect("bench compressor succeeds")).collect();
+        Self::from_samples(names, &samples)
+    }
+
+    /// Sum of the minima of the first `layers` layers.
+    fn min_seconds(&self, layers: usize) -> f64 {
+        self.0[..layers].iter().map(|&(_, min, _)| min).sum()
+    }
+
+    /// What one more stream costs before its first cell, in microseconds:
+    /// `tiled` (these layers summed over `tiles` streams) minus `self` (one
+    /// stream of the whole field) over the tile count, on every layer but
+    /// the last. That one, `container_lz77`, is not linear in the payload:
+    /// the whole field's LZ77 pass costs several times the tiles' passes
+    /// together, and counting it would read as a negative cost.
+    fn tile_fixed_cost_us(&self, tiled: &EncodeLayers, tiles: usize) -> f64 {
+        let before_container = self.0.len() - 1;
+        (tiled.min_seconds(before_container) - self.min_seconds(before_container)) * 1e6
+            / tiles as f64
+    }
+
+    /// The row's cells: `min [median]` ms per layer, the minima's sum, and
+    /// the per-tile fixed cost and table share where the row has them.
+    fn row(&self, name: &str, fixed_us: Option<f64>, table_frac: Option<f64>) -> Vec<String> {
+        let mut row = vec![name.to_string()];
+        row.extend(
+            self.0.iter().map(|(_, min, median)| format!("{:.2} [{:.2}]", min * 1e3, median * 1e3)),
+        );
+        row.push(format!("{:.2}", self.min_seconds(self.0.len()) * 1e3));
+        row.push(fixed_us.map_or("—".into(), |us| format!("{us:.1}")));
+        row.push(table_frac.map_or("—".into(), |frac| format!("{:.1} %", frac * 100.0)));
+        row
+    }
+}
+
+/// Print one codec family's encode-layer table.
+fn layer_table(names: &[&'static str; 5], rows: &[Vec<String>]) {
+    println!("Encode layers (ms: min [median])");
+    println!();
+    let mut header = vec!["compressor"];
+    header.extend(names);
+    header.extend(["layers sum", "per-tile fixed us", "table bytes"]);
+    table(&header, rows);
+}
+
+/// The report's variogram line: `pairs` summed in `serial` seconds at width
+/// 1 and in `pooled` seconds at width `threads`.
+fn variogram_line(pairs: u64, serial: f64, pooled: f64, threads: usize) -> String {
+    // What is missing from an efficiency of 1 is the serial fraction and the
+    // pool's idle tail.
+    format!(
+        "Global variogram: {pairs} pairs, {:.3} ns/pair at one thread, \
+         parallel efficiency {:.2} at {threads} threads.",
+        serial * 1e9 / (pairs as f64).max(1.0),
+        serial / (threads as f64 * pooled.max(f64::MIN_POSITIVE)),
+    )
+}
+
+/// The report's predictor-cost line: `correlation_statistics_compute`
+/// seconds over `compress_sz` seconds — what the predictor costs in units
+/// of the compression it steers — or `—` without both stages.
+fn predictor_cost_line(stages: &Stages) -> String {
+    let seconds = |stage: &str| stages.iter().find(|(name, _)| name == stage).map(|&(_, s)| s);
+    let ratio = seconds("correlation_statistics_compute")
+        .zip(seconds("compress_sz").filter(|&codec| codec > 0.0))
+        .map_or("—".into(), |(predictor, codec)| format!("{:.2}", predictor / codec));
+    format!("Predictor cost / codec cost (correlation_statistics_compute ÷ compress_sz): {ratio}")
 }
 
 /// The global variogram of `field` at width 1 and on `pool` (best of three
-/// each), and the pairs it sums.
-fn variogram_cost(field: &Field2D, pool: ThreadPoolConfig) -> VariogramCost {
+/// each): the report's line of its pairs, ns/pair and parallel efficiency.
+fn variogram_cost(field: &Field2D, pool: ThreadPoolConfig) -> String {
     let (view, config) = (field.view(), VariogramConfig::default());
     let best_of_three = |width: ThreadPoolConfig| {
         (0..3)
             .map(|_| {
                 let start = Instant::now();
-                std::hint::black_box(estimate_range_pooled(&view, &config, width));
+                black_box(estimate_range_pooled(&view, &config, width));
                 start.elapsed().as_secs_f64()
             })
             .fold(f64::MAX, f64::min)
     };
-    VariogramCost {
-        pairs: empirical_variogram_view(&view, &config).counts.iter().sum(),
-        serial_seconds: best_of_three(ThreadPoolConfig::with_threads(1)),
-        pooled_seconds: best_of_three(pool),
-        threads: pool.threads(),
-    }
+    let pairs: u64 = empirical_variogram_view(&view, &config).counts.iter().sum();
+    let serial = best_of_three(ThreadPoolConfig::with_threads(1));
+    let pooled = best_of_three(pool);
+    variogram_line(pairs, serial, pooled, pool.threads())
 }
 
-/// Valid `--stage` names; `all` (the default) runs both stages in order.
-const STAGES: [&str; 3] = ["all", "stats", "codecs"];
-
 fn main() {
-    let opts = CliOptions::from_env(&["size", "seed", "threads", "stage", "reps", "out"], &[]);
-    let size = opts.get_count("size", 1028);
-    let seed = opts.get_u64("seed", 7);
-    let threads = opts.get_usize("threads", 0);
-    let stage = opts.get_str("stage", "all");
-    if !STAGES.contains(&stage.as_str()) {
-        eprintln!("bench_sweep: unknown --stage {stage:?} (expected one of {STAGES:?})");
-        std::process::exit(2);
-    }
-    let run = |name: &str| stage == "all" || stage == name;
-    let pool = if threads > 0 {
-        ThreadPoolConfig::with_threads(threads)
-    } else {
-        ThreadPoolConfig::auto()
-    };
-    let out_dir = opts.output_dir();
+    let size = CliOptions::from_env(&["size"], &[]).get_count("size", 1028);
+    let pool = ThreadPoolConfig::auto();
+    let bytes = (size * size * std::mem::size_of::<f64>()) as f64;
+    let megabytes = bytes / 1e6;
+    println!(
+        "## bench_sweep — {size}x{size} ({megabytes:.2} MB), SIMD {}, {} threads",
+        simd_level().label(),
+        pool.threads()
+    );
+    println!();
+    let mut stages = Stages::new();
+    let field = timed(&mut stages, "generate_field", || {
+        generate_single_range(&GaussianFieldConfig::new(size, size, 16.0, SEED))
+    });
+    let view = field.view();
 
-    let level = simd_level();
-    let mut report = SweepReport {
-        label: format!("{size}x{size}"),
-        simd_level: level.label().to_string(),
-        ..SweepReport::default()
-    };
-    let field = report.time("generate_field", || {
-        generate_single_range(&GaussianFieldConfig::new(size, size, 16.0, seed))
+    // Paper-scale single-field statistics: one stage per estimator, plus the
+    // bundled computation a request makes.
+    timed(&mut stages, "global_variogram_range", || {
+        estimate_range_view(&view, &VariogramConfig::default())
+    });
+    let variogram_line = variogram_cost(&field, pool);
+    timed(&mut stages, "local_variogram_range_std", || {
+        local_range_std_view(&view, &LocalStatConfig::default())
+    });
+    timed(&mut stages, "local_svd_truncation_std", || {
+        local_svd_truncation_std_view(&view, 32, 0.99, None)
+    });
+    timed(&mut stages, "correlation_statistics_compute", || {
+        CorrelationStatistics::compute_view(&view, &StatisticsConfig::default())
     });
 
-    // Stage 1: paper-scale single-field statistics, one stage per estimator
-    // plus the bundled computation the sweep scheduler amortizes.
-    let mut stats_lines = None;
-    if run("stats") {
-        let global = report.time("global_variogram_range", || {
-            estimate_range_view(&field.view(), &VariogramConfig::default())
-        });
-        report.variogram_cost = Some(variogram_cost(&field, pool));
-        let range_spread = report.time("local_variogram_range_std", || {
-            local_range_std_view(&field.view(), &LocalStatConfig::default())
-        });
-        let svd_spread = report.time("local_svd_truncation_std", || {
-            local_svd_truncation_std_view(&field.view(), 32, 0.99, None)
-        });
-        report.time("correlation_statistics_compute", || {
-            CorrelationStatistics::compute_view(&field.view(), &StatisticsConfig::default())
-        });
-        stats_lines = Some((global, range_spread, svd_spread));
-    }
-
-    // Stage 2: per-compressor codec throughput on the full-size field at
-    // the paper's mid-grid bound, recorded both as `compress_<name>` stages
-    // and as MB/s + ratio throughput entries. The registry is the entropy
-    // ablation: every study compressor next to its rans8-backend variant, so
-    // the Huffman-vs-rans8 ratio/throughput tradeoff lands in the same
-    // report. Best of `--reps` runs (default 3) so single-shot scheduler
-    // noise doesn't pollute the perf trajectory; the compressors run
-    // through a reused ScratchArena exactly like a sweep worker.
-    let reps = opts.get_count("reps", 3);
-    let registry = entropy_ablation_registry();
+    // Codec throughput at the paper's mid-grid bound, through a reused
+    // ScratchArena exactly like a sweep worker. The registry is the entropy
+    // ablation: every study compressor next to its rans8-backend variant.
     let bound = ErrorBound::Absolute(1e-3);
-    if run("codecs") {
-        let uncompressed_bytes = (field.len() * std::mem::size_of::<f64>()) as f64;
-        let mut arena = ScratchArena::new();
-        let mut recon = Field2D::zeros(1, 1);
-        let (mut rans8_streams, mut rans8_fallback) = (0usize, 0usize);
-        for compressor in registry.compressors() {
-            let name = compressor.name().to_string();
-            let mut compress_seconds = f64::MAX;
-            let mut decompress_seconds = f64::MAX;
-            let mut stream_len = 0usize;
-            for rep in 0..reps {
-                let start = Instant::now();
-                let stream = compressor
-                    .compress_view_with(&field.view(), bound, &mut arena)
-                    .expect("bench compressor succeeds");
-                compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
-                stream_len = stream.len();
-                if rep == 0 {
-                    if let Some(info) = rans8_info(&stream) {
-                        rans8_streams += 1;
-                        rans8_fallback += usize::from(info.mode == RANS_MODE_HUFFMAN);
-                    }
-                }
-                let start = Instant::now();
-                compressor
-                    .decompress_view_with(&stream, &mut arena, &mut recon)
-                    .expect("bench stream decodes");
-                decompress_seconds = decompress_seconds.min(start.elapsed().as_secs_f64());
-                assert_eq!(recon.shape(), field.shape());
-            }
-            report.stages.push((format!("compress_{name}"), compress_seconds));
-            report.stages.push((format!("decompress_{name}"), decompress_seconds));
-            report.throughput.push(CodecThroughput {
-                compressor: name,
-                megabytes: uncompressed_bytes / 1e6,
-                compress_seconds,
-                decompress_seconds,
-                compression_ratio: uncompressed_bytes / stream_len.max(1) as f64,
-            });
-        }
-        report.rans8_fallback = Some((rans8_streams, rans8_fallback));
-
-        // Where an SZ or MGARD compress call's time goes: seconds per encode
-        // layer from `compress_view_timed` (the compress path itself, min
-        // and median of `LAYER_REPS`), so the compress ÷ decompress gap of
-        // the rows above has an owner.
-        // Each `sz` variant gets a second row: the same layers summed over
-        // the field's archive tiles, one stream each, and from the two rows
-        // what a stream costs before its first cell.
-        let view = field.view();
-        let tiles: Vec<Window> =
-            WindowIter::over(field.ny(), field.nx(), LAYER_TILE, LAYER_TILE).collect();
-        for sz in [SzCompressor::default(), SzCompressor::rans8()] {
-            let mut scratch = SzScratch::default();
-            let samples = layer_samples(|| {
-                sz.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
-            });
-            let whole =
-                EncodeLayers::from_samples(sz.name(), &SzCompressor::ENCODE_LAYERS, &samples);
-            let samples = layer_samples(|| {
-                let mut sum = [0.0; 5];
-                for tile in &tiles {
-                    let (_, seconds) =
-                        sz.compress_view_timed(&view.window(tile), bound, &mut scratch)?;
-                    sum.iter_mut().zip(seconds).for_each(|(total, s)| *total += s);
-                }
-                Ok(sum)
-            });
-            let mut tiled = EncodeLayers::from_samples(
-                tile_row(sz.name()),
-                &SzCompressor::ENCODE_LAYERS,
-                &samples,
-            );
-            tiled.tile_fixed_cost_us = Some(
-                (tiled.min_total_seconds() - whole.min_total_seconds()) * 1e6 / tiles.len() as f64,
-            );
-            // What share of the tile streams is frequency table (untimed).
-            let (mut stream_bytes, mut table_bytes) = (0usize, 0usize);
-            for tile in &tiles {
-                let (stream, _) = sz
-                    .compress_view_timed(&view.window(tile), bound, &mut scratch)
-                    .expect("bench compressor succeeds");
+    let mut arena = ScratchArena::new();
+    let mut recon = Field2D::zeros(1, 1);
+    let (mut rans8_streams, mut rans8_fallback) = (0usize, 0usize);
+    let mut rows = Vec::new();
+    for compressor in entropy_ablation_registry().compressors() {
+        let name = compressor.name();
+        let (mut compress_seconds, mut decompress_seconds) = (f64::MAX, f64::MAX);
+        let mut stream_len = 0;
+        for rep in 0..CODEC_REPS {
+            let start = Instant::now();
+            let stream = compressor
+                .compress_view_with(&view, bound, &mut arena)
+                .expect("bench compressor succeeds");
+            compress_seconds = compress_seconds.min(start.elapsed().as_secs_f64());
+            stream_len = stream.len();
+            if rep == 0 {
                 if let Some(info) = rans8_info(&stream) {
-                    stream_bytes += stream.len();
-                    table_bytes += info.table_bytes;
+                    rans8_streams += 1;
+                    rans8_fallback += usize::from(info.mode == RANS_MODE_HUFFMAN);
                 }
             }
-            if stream_bytes > 0 {
-                tiled.tile_table_bytes_frac = Some(table_bytes as f64 / stream_bytes as f64);
-            }
-            report.encode_layers.push(whole);
-            report.encode_layers.push(tiled);
+            let start = Instant::now();
+            compressor
+                .decompress_view_with(&stream, &mut arena, &mut recon)
+                .expect("bench stream decodes");
+            decompress_seconds = decompress_seconds.min(start.elapsed().as_secs_f64());
+            assert_eq!(recon.shape(), field.shape());
         }
-        for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
-            let mut scratch = MgardScratch::default();
-            let samples = layer_samples(|| {
-                mgard.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
-            });
-            report.encode_layers.push(EncodeLayers::from_samples(
-                mgard.name(),
-                &MgardCompressor::ENCODE_LAYERS,
-                &samples,
-            ));
-        }
+        stages.push((format!("compress_{name}"), compress_seconds));
+        stages.push((format!("decompress_{name}"), decompress_seconds));
+        rows.push(vec![
+            name.to_string(),
+            format!("{:.1}", megabytes / compress_seconds),
+            format!("{:.1}", megabytes / decompress_seconds),
+            format!("{:.2}", bytes / stream_len as f64),
+        ]);
     }
+    table(&["compressor", "compress MB/s", "decompress MB/s", "ratio"], &rows);
+
+    // Where an SZ or MGARD compress call's time goes, from its
+    // `compress_view_timed` (the compress path itself), so the compress ÷
+    // decompress gap of the rows above has an owner. On a field of several
+    // archive tiles each `sz` variant gets a second row, the same layers
+    // summed over the tiles, and from the two rows what a stream costs
+    // before its first cell.
+    let tiles: Vec<Window> =
+        WindowIter::over(field.ny(), field.nx(), LAYER_TILE, LAYER_TILE).collect();
+    let mut rows = Vec::new();
+    for sz in [SzCompressor::default(), SzCompressor::rans8()] {
+        let mut scratch = SzScratch::default();
+        let whole = EncodeLayers::measure(&SzCompressor::ENCODE_LAYERS, || {
+            sz.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
+        });
+        rows.push(whole.row(sz.name(), None, None));
+        if tiles.len() < 2 {
+            continue;
+        }
+        let tiled = EncodeLayers::measure(&SzCompressor::ENCODE_LAYERS, || {
+            let mut sum = [0.0; 5];
+            for tile in &tiles {
+                let (_, seconds) =
+                    sz.compress_view_timed(&view.window(tile), bound, &mut scratch)?;
+                sum.iter_mut().zip(seconds).for_each(|(total, s)| *total += s);
+            }
+            Ok(sum)
+        });
+        // What share of the tile streams is frequency table (untimed).
+        let (mut stream_bytes, mut table_bytes) = (0usize, 0usize);
+        for tile in &tiles {
+            let (stream, _) = sz
+                .compress_view_timed(&view.window(tile), bound, &mut scratch)
+                .expect("bench compressor succeeds");
+            if let Some(info) = rans8_info(&stream) {
+                stream_bytes += stream.len();
+                table_bytes += info.table_bytes;
+            }
+        }
+        rows.push(tiled.row(
+            &format!("{}@{LAYER_TILE}x{LAYER_TILE}", sz.name()),
+            Some(whole.tile_fixed_cost_us(&tiled, tiles.len())),
+            (stream_bytes > 0).then(|| table_bytes as f64 / stream_bytes as f64),
+        ));
+    }
+    layer_table(&SzCompressor::ENCODE_LAYERS, &rows);
+    let mut rows = Vec::new();
+    for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
+        let mut scratch = MgardScratch::default();
+        let layers = EncodeLayers::measure(&MgardCompressor::ENCODE_LAYERS, || {
+            mgard.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
+        });
+        rows.push(layers.row(mgard.name(), None, None));
+    }
+    layer_table(&MgardCompressor::ENCODE_LAYERS, &rows);
 
     println!(
-        "bench_sweep: {size}x{size} field, pool: {} threads, simd: {}, stage: {stage}",
-        pool.threads(),
-        level.label()
+        "{rans8_fallback} of {rans8_streams} `*-rans8` streams overflowed the 12-bit rANS \
+         table and carry Huffman-mode codes: the row of such a stream measures Huffman."
     );
-    if let Some((global, range_spread, svd_spread)) = stats_lines {
-        println!("  global variogram range: {:.3} (sill {:.3})", global.range, global.sill);
-        println!("  local range std: {range_spread:.4}   local svd std: {svd_spread:.4}");
-    }
-    if let Some(cost) = report.variogram_cost {
-        println!(
-            "  global variogram: {} pairs, {:.3} ns/pair at one thread, parallel efficiency {:.2} at {}",
-            cost.pairs,
-            cost.ns_per_pair(),
-            cost.parallel_eff(),
-            cost.threads
-        );
-    }
-    for e in &report.encode_layers {
-        let layers: Vec<String> =
-            e.layers.iter().map(|(layer, min, _)| format!("{layer} {:.2}", min * 1e3)).collect();
-        let fixed = e
-            .tile_fixed_cost_us
-            .map_or(String::new(), |us| format!(" · per-tile fixed cost {us:.1} us"));
-        let table = e.tile_table_bytes_frac.map_or(String::new(), |frac| {
-            format!(" · frequency tables {:.1} % of the bytes", frac * 100.0)
-        });
-        println!(
-            "  {} encode layers (ms, min of {LAYER_REPS}): {}{fixed}{table}",
-            e.compressor,
-            layers.join(" · ")
-        );
-    }
-    if let Some((streams, fallback)) = report.rans8_fallback {
-        println!("  rans8 streams coded in Huffman-fallback mode: {fallback} of {streams}");
-    }
-    if let Some(ratio) = report.predictor_cost_over_codec_cost() {
-        println!("  predictor cost / codec cost (statistics ÷ sz compress): {ratio:.2}x");
-    }
-    for t in &report.throughput {
-        println!(
-            "  {}: compress {:.2} MB/s   decompress {:.2} MB/s   ratio {:.2}x",
-            t.compressor,
-            t.compress_mb_per_s(),
-            t.decompress_mb_per_s(),
-            t.compression_ratio
-        );
-    }
-    println!("  total: {:.3}s", report.total_seconds());
+    println!();
+    let total: f64 = stages.iter().map(|&(_, seconds)| seconds).sum();
+    let mut rows: Vec<Vec<String>> =
+        stages.iter().map(|(stage, s)| vec![stage.clone(), format!("{s:.3}")]).collect();
+    rows.push(vec!["total".into(), format!("{total:.3}")]);
+    table(&["stage", "seconds"], &rows);
+    println!("{variogram_line}");
+    println!();
+    println!("{}", predictor_cost_line(&stages));
+}
 
-    let path = out_dir.join("BENCH_sweep.json");
-    let json = report.to_json();
-    write_json(&path, &json).expect("write BENCH_sweep.json");
-    println!("wrote {}", path.display());
-    println!("{json}");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LAYERS: [&str; 5] = SzCompressor::ENCODE_LAYERS;
+
+    #[test]
+    fn layer_rows_carry_min_median_and_sum_in_milliseconds() {
+        let samples = [
+            [0.003, 0.5e-3, 0.0, 0.0, 0.5],
+            [0.001, 0.25e-3, 0.0, 0.0, 0.25],
+            [0.002, 1.0e-3, 0.0, 0.0, 1.0],
+        ];
+        let layers = EncodeLayers::from_samples(&LAYERS, &samples);
+        assert_eq!(layers.0[0], ("validate", 0.001, 0.002));
+        assert_eq!(layers.0[4], ("container_lz77", 0.25, 0.5));
+        let row = layers.row("sz@64x64", Some(12.34), Some(0.13107));
+        assert_eq!(row[0], "sz@64x64");
+        assert_eq!(row[1], "1.00 [2.00]");
+        assert_eq!(row[2], "0.25 [0.50]");
+        assert_eq!(row[5], "250.00 [500.00]");
+        assert_eq!(row[6..], ["251.25", "12.3", "13.1 %"]);
+        assert_eq!(layers.row("sz", None, None)[7..], ["—", "—"]);
+    }
+
+    /// The whole field's LZ77 pass costs more than the tiles' passes
+    /// together (19.6–25.9 ms against 2.2–3.2 ms summed over the 289 tiles
+    /// of a 1028² field, for `sz`): over all five layers the fixed cost read
+    /// negative; without the container it is what the other layers add.
+    #[test]
+    fn tile_fixed_cost_leaves_the_container_layer_out() {
+        let ms = |layers: [f64; 5]| layers.map(|x| x * 1e-3);
+        let whole = [ms([0.0, 3.6, 8.9, 5.1, 19.6]), ms([0.0, 3.7, 9.3, 5.2, 25.9])];
+        let tiled = [ms([0.01, 3.7, 9.4, 8.5, 2.2]), ms([0.01, 3.8, 9.6, 8.7, 3.2])];
+        let whole = EncodeLayers::from_samples(&LAYERS, &whole);
+        let tiled = EncodeLayers::from_samples(&LAYERS, &tiled);
+        let tiles = 289;
+        let all_five = (tiled.min_seconds(5) - whole.min_seconds(5)) * 1e6 / tiles as f64;
+        assert!(all_five < 0.0, "{all_five}");
+        let fixed = whole.tile_fixed_cost_us(&tiled, tiles);
+        let expected = (0.01 + 0.1 + 0.5 + 3.4) * 1e3 / tiles as f64;
+        assert!((fixed - expected).abs() < 1e-9, "{fixed} vs {expected}");
+    }
+
+    #[test]
+    fn variogram_line_carries_pairs_ns_per_pair_and_parallel_efficiency() {
+        assert_eq!(
+            variogram_line(2_000_000, 0.5e-3, 0.3125e-3, 2),
+            "Global variogram: 2000000 pairs, 0.250 ns/pair at one thread, \
+             parallel efficiency 0.80 at 2 threads."
+        );
+        // A pooled run below the clock's resolution reads a finite efficiency.
+        assert!(!variogram_line(0, 0.5e-3, 0.0, 2).contains("inf"));
+    }
+
+    #[test]
+    fn predictor_cost_needs_both_stages() {
+        let mut stages = vec![("correlation_statistics_compute".to_string(), 0.5)];
+        assert!(predictor_cost_line(&stages).ends_with("compress_sz): —"));
+        stages.push(("compress_sz".into(), 0.125));
+        assert_eq!(
+            predictor_cost_line(&stages),
+            "Predictor cost / codec cost (correlation_statistics_compute ÷ compress_sz): 4.00"
+        );
+    }
 }

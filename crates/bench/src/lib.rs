@@ -3,13 +3,11 @@
 //! The `src/bin/figure*.rs` binaries regenerate every figure and table of
 //! the paper's evaluation (README.md §"Build, test, bench" shows how to
 //! run them); `bench_sweep` times the paper-scale statistics and codec
-//! stages into the [`report`] this crate owns.
+//! stages and prints them as one markdown report.
 //!
 //! This library holds the small amount of shared plumbing: a dependency-free
 //! command-line option parser and helpers that print fitted panels and write
 //! their CSV files.
-
-pub mod report;
 
 use lcc_core::dataset::StudyDatasets;
 use lcc_core::experiment::FittedSeries;
@@ -39,7 +37,7 @@ fn refuse(message: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Parsed command-line options of the figure, bench and load binaries: each
+/// Parsed command-line options of the figure and bench binaries: each
 /// declares the `--key value` options and the bare `--flag`s it reads, and
 /// any other argument is refused.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,12 +107,6 @@ impl CliOptions {
     /// with status 2 instead of benchmarking something nobody asked for.
     fn parsed_or_exit<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.parsed(name, default).unwrap_or_else(|message| refuse(&message))
-    }
-
-    /// Fetch a numeric option with a default; an unparseable value is
-    /// reported on stderr and exits the process with status 2.
-    pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.parsed_or_exit(name, default)
     }
 
     /// Fetch a u64 option with a default; an unparseable value is reported
@@ -267,7 +259,7 @@ mod tests {
     #[test]
     fn cli_parsing_handles_values_and_flags() {
         let opts = parse(&["--size", "256", "--quick", "--seed", "9", "--out", "/tmp/x"]).unwrap();
-        assert_eq!(opts.get_usize("size", 64), 256);
+        assert_eq!(opts.get_count("size", 64), 256);
         assert_eq!(opts.get_u64("seed", 1), 9);
         assert!(opts.flag("quick"));
         assert!(!opts.flag("full-paper-scale"));

@@ -1,6 +1,7 @@
 //! The figure and bench binaries refuse a value they would otherwise
 //! replace or drop: each case exits with status 2 and names the option,
-//! like an unparseable value does, before any field is generated.
+//! like an unparseable value does, before any field is generated. An
+//! option the binary does not declare exits 64.
 
 use std::process::Command;
 
@@ -8,7 +9,6 @@ use std::process::Command;
 fn substituted_or_dropped_values_exit_2_naming_the_option() {
     let figure3 = env!("CARGO_BIN_EXE_figure3");
     let figure4 = env!("CARGO_BIN_EXE_figure4");
-    let bench_sweep = env!("CARGO_BIN_EXE_bench_sweep");
     for (bin, args, named) in [
         // Counts and lengths the generators cannot use.
         (figure3, &["--size", "0"][..], &["--size"][..]),
@@ -18,7 +18,6 @@ fn substituted_or_dropped_values_exit_2_naming_the_option() {
         (figure4, &["--slice-size", "0"], &["--slice-size"]),
         // Counts that used to be read as 1.
         (figure3, &["--size", "32", "--ranges", "1", "--replicates", "0"], &["--replicates"]),
-        (bench_sweep, &["--stage", "codecs", "--size", "64", "--reps", "0"], &["--reps"]),
         // Options a scale preset used to drop.
         (figure3, &["--quick", "--size", "64"], &["--size", "--quick"]),
         (figure3, &["--full-paper-scale", "--seed", "3"], &["--seed", "--full-paper-scale"]),
@@ -35,5 +34,29 @@ fn substituted_or_dropped_values_exit_2_naming_the_option() {
         for option in named {
             assert!(stderr.contains(option), "{bin} {args:?} does not name {option}: {stderr}");
         }
+    }
+}
+
+/// `bench_sweep` takes `--size` and nothing else: a size of 0 exits 2
+/// naming `--size`, and each option it once read exits 64 naming the
+/// argument, both before a line of the report.
+#[test]
+fn bench_sweep_refuses_every_option_but_size() {
+    for (args, code, named) in [
+        (&["--size", "0"][..], 2, "--size"),
+        (&["--stage", "codecs"], 64, "unknown argument --stage"),
+        (&["--out", "x"], 64, "unknown argument --out"),
+        (&["--seed", "7"], 64, "unknown argument --seed"),
+        (&["--threads", "2"], 64, "unknown argument --threads"),
+        (&["--reps", "3"], 64, "unknown argument --reps"),
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_bench_sweep"))
+            .args(args)
+            .output()
+            .expect("bench_sweep starts");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?} does not name {named}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} printed a report");
     }
 }

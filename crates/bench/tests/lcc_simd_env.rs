@@ -6,7 +6,7 @@ use std::process::{Command, Output};
 
 fn bench_sweep_under(lcc_simd: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bench_sweep"))
-        .args(["--stage", "stats", "--size", "64", "--out", env!("CARGO_TARGET_TMPDIR")])
+        .args(["--size", "64"])
         .env("LCC_SIMD", lcc_simd)
         .output()
         .expect("bench_sweep starts")

@@ -1,13 +1,13 @@
 //! `LCC_THREADS` as a tool input: `ThreadPoolConfig::auto` caches its answer
 //! in a `OnceLock`, so the environment path is only testable from outside the
-//! process. `bench_sweep` without `--threads` calls `auto()` before it does
+//! process. `bench_sweep` sizes its pool with `auto()` before it does
 //! anything else.
 
 use std::process::{Command, Output};
 
 fn bench_sweep_under(lcc_threads: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bench_sweep"))
-        .args(["--stage", "stats", "--size", "64", "--out", env!("CARGO_TARGET_TMPDIR")])
+        .args(["--size", "64"])
         .env("LCC_THREADS", lcc_threads)
         .output()
         .expect("bench_sweep starts")

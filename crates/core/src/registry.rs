@@ -25,11 +25,12 @@ pub fn default_registry() -> Registry {
 
 /// Build the entropy-ablation registry: the three study compressors plus
 /// the 8-way rANS backend variants of the two codecs with an entropy stage
-/// (`sz-rans8`, `mgard-rans8`) as first-class compressors. `bench_sweep`
-/// and the load generator drive this registry so every measurement covers
-/// both points of the ratio-vs-throughput axis; the paper-figure binaries
-/// keep using [`default_registry`] (the study compares algorithms, not
-/// entropy backends).
+/// (`sz-rans8`, `mgard-rans8`) as first-class compressors. `bench_sweep`,
+/// the root suites that pin streams and bounds, and the serving set-up of
+/// the concurrency-identity and chaos tests drive this registry, so every
+/// measurement and pin covers both points of the ratio-vs-throughput axis;
+/// the paper-figure binaries keep using [`default_registry`] (the study
+/// compares algorithms, not entropy backends).
 pub fn entropy_ablation_registry() -> Registry {
     let mut registry = default_registry();
     registry.register(Arc::new(SzCompressor::rans8()), SZ_VERSION);

@@ -49,12 +49,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase angle).
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiply by a real scalar.
     #[inline]
     pub fn scale(self, s: f64) -> Self {
@@ -164,7 +158,6 @@ mod tests {
         assert!(z.re.abs() < EPS);
         assert!((z.im - 1.0).abs() < EPS);
         assert!((z.abs() - 1.0).abs() < EPS);
-        assert!((z.arg() - std::f64::consts::FRAC_PI_2).abs() < EPS);
     }
 
     #[test]

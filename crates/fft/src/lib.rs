@@ -14,8 +14,10 @@
 //!   and cropped.
 //!
 //! The implementation favours clarity and exactness of the inverse transform
-//! over raw speed; generating even the full-scale 1028×1028 fields takes a
-//! few tens of milliseconds, far below the cost of compressing them.
+//! over raw speed. Generating one full-scale 1028×1028 field takes 1.2–1.6 s
+//! on a 2-vCPU dev box (`bench_sweep`'s `generate_field` stage), 30–40 times
+//! one `sz` compress of it (≈ 40 ms): synthesis, not compression, is what a
+//! paper-scale study spends its set-up on.
 
 pub mod complex;
 pub mod fft1d;

@@ -274,13 +274,6 @@ impl Field2D {
             .0
     }
 
-    /// Mean squared difference to another field of identical shape.
-    pub fn mse(&self, other: &Field2D) -> f64 {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in mse");
-        crate::stats::error_pair_metrics(self.data.iter().copied().zip(other.data.iter().copied()))
-            .1
-    }
-
     /// Transpose the field (rows become columns).
     pub fn transpose(&self) -> Field2D {
         let mut out = Field2D::zeros(self.nx, self.ny);
@@ -443,12 +436,11 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_and_mse() {
+    fn max_abs_diff_of_one_changed_cell() {
         let a = ramp(2, 3);
         let mut b = a.clone();
         b.set(1, 2, b.get(1, 2) + 0.5);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-12);
-        assert!((a.mse(&b) - 0.25 / 6.0).abs() < 1e-12);
         assert_eq!(a.max_abs_diff(&a), 0.0);
     }
 

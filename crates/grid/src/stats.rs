@@ -62,11 +62,6 @@ impl Summary {
         Summary { count, min, max, mean, variance: ssq / count as f64 }
     }
 
-    /// Population standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
     /// Value range `max - min`.
     pub fn range(&self) -> f64 {
         self.max - self.min
@@ -75,8 +70,8 @@ impl Summary {
 
 /// Maximum absolute difference and mean squared error between two paired
 /// value sequences, in one pass. The single accumulation kernel behind
-/// `Field2D::max_abs_diff` / `Field2D::mse` and `Metrics::compare_view`, so
-/// owned and view-based comparisons are bit-identical.
+/// `Field2D::max_abs_diff` and `Metrics::compare_view`, so owned and
+/// view-based comparisons are bit-identical.
 pub fn error_pair_metrics<I>(pairs: I) -> (f64, f64)
 where
     I: Iterator<Item = (f64, f64)>,
@@ -166,7 +161,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert!((s.variance - 1.25).abs() < 1e-12);
-        assert!((s.std() - 1.25f64.sqrt()).abs() < 1e-12);
         assert_eq!(s.range(), 3.0);
     }
 

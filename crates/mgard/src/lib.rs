@@ -59,7 +59,7 @@ const CODE_RADIUS: u32 = 1 << 30;
 /// `Absolute(1e-3)`); such a codes section is written in the rANS stream's
 /// Huffman mode (5 of the 8 `benchmarks/e2e` pool fields), and a
 /// `mgard-rans8` ratio or speed row measured there is a Huffman row without
-/// the LZ77 pass. `bench_sweep --stage codecs` counts the streams that did.
+/// the LZ77 pass. `bench_sweep`'s report counts the streams that did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MgardCompressor {
     entropy: EntropyBackend,

@@ -38,7 +38,7 @@ mod tests {
         let f = generate_single_range(&cfg);
         let s = f.summary();
         assert_eq!(s.count, 32 * 32);
-        assert!(s.std() > 0.0);
+        assert!(s.variance.sqrt() > 0.0);
         let mut sampler = GaussianSampler::new(1);
         let draws: Vec<f64> = (0..100).map(|_| sampler.sample()).collect();
         assert!(stats::std_dev(&draws) > 0.5);

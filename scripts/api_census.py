@@ -8,7 +8,10 @@ one) and `tests/` directory. Comments and string literals are stripped
 first, so a doc or message mention is not a caller. Callers are: non-test code of any
 crate, every crate's bins, root `src/`, `tests/` and `examples/`, and
 `benchmarks/e2e/src`. Matching is by name, so an item sharing its name with
-one that has callers (`new`, `len`) is never listed.
+one that has callers (`new`, `len`) is never listed. A `pub fn` declared
+inside an `impl` block is a method: only `.name` (a call, or a field of the
+same name) and `::name` count, so a bare mention of the same word (`std`,
+`arg`) does not.
 
 It also prints each variant of a `pub enum` that no caller names as
 `Enum::Variant` — the same callers, plus the enum's own file outside its
@@ -38,6 +41,8 @@ ITEM = re.compile(r"^\s*pub (?:const |unsafe )*(fn|struct|enum|trait|const|type)
 # Comments and string literals: mentions that call nothing.
 NOT_CODE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"', re.S)
 REEXPORT = re.compile(r"\bpub use [^;]*;")
+# An `impl` block (rustfmt layout: `{}` on its line, or a `}` at its indent).
+IMPL = re.compile(r"^([ \t]*)impl\b[^;{]*\{(?:\}|.*?^\1\})", re.M | re.S)
 # An `impl … Display for T` block (rustfmt layout: it ends at a `}` in column 0).
 DISPLAY_IMPL = re.compile(r"^impl\b[^{\n]*\bDisplay for [^{\n]*\{.*?^\}", re.M | re.S)
 # A whole file of test code: `#[cfg(test)]` (and further attributes) over `mod name;`.
@@ -123,6 +128,7 @@ def main():
     for crate in crates:
         text = "\n".join(lib[crate].values())
         items = sorted(set(ITEM.findall(text)))
+        free = set(ITEM.findall(IMPL.sub("", text)))
         # The crate's own code calls an item when it names it beyond the one
         # mention that defines it; a re-export names it without calling it.
         own = REEXPORT.sub("", text)
@@ -130,8 +136,14 @@ def main():
             t for name, files in lib.items() if name != crate for t in files.values()
         )
         for kind, name in items:
-            word = re.compile(r"\b%s\b" % re.escape(name))
-            if name not in EXEMPT and len(word.findall(own)) < 2 and not word.search(others):
+            if kind == "fn" and (kind, name) not in free:
+                # A method: its definition is neither a `.name` nor a `::name`.
+                call = re.compile(r"\.%s\b|::%s\b" % (re.escape(name), re.escape(name)))
+                called = call.search(own) or call.search(others)
+            else:
+                word = re.compile(r"\b%s\b" % re.escape(name))
+                called = len(word.findall(own)) >= 2 or word.search(others)
+            if name not in EXEMPT and not called:
                 listed.append(f"{crate}: pub {kind} {name}")
         for path, body in lib[crate].items():
             # Callers of a variant: every other file, and its own file bar
