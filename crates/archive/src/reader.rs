@@ -270,11 +270,7 @@ impl<R: ReadAt> Archive<R> {
             }
             FrameIndex::single_tile(meta.ny, meta.nx, frame_len)
         };
-        // A row-band frame has no tile grid for region reads to seek in, and
-        // the writer never produces one.
-        let Some((tile_ny, tile_nx)) = index.tile else {
-            return Err(corrupt(format!("entry '{}' payload is not a tiled frame", meta.name)));
-        };
+        let (tile_ny, tile_nx) = index.tile;
         if (index.ny, index.nx, tile_ny, tile_nx) != (meta.ny, meta.nx, meta.tile_ny, meta.tile_nx)
         {
             return Err(corrupt(format!(

@@ -14,7 +14,7 @@
 //! bounded chain walk. Window size 64 KiB, minimum match length 4.
 //!
 //! The token format is the contract; what the encoder does with it is
-//! policy, and only the format is pinned forever (decode-only fixtures in
+//! policy, and only the format is pinned (decode fixtures in
 //! `tests/bit_identity.rs`). The policy, like the Zstd-class stage it stands
 //! in for, does not fight input it cannot shrink:
 //!

@@ -40,18 +40,15 @@
 //!
 //! ```text
 //! u8 mode                     1 = embedded Huffman fallback, 3 = 8-way
-//!                             rANS with a run-coded frequency table (the
-//!                             only rANS mode the encoder writes), 2 = 8-way
-//!                             rANS with a pair table (decode-only: what
-//!                             the encoder wrote before mode 3); 0 is
-//!                             reserved (the retired 2-way format) and
-//!                             rejected like any unknown mode
+//!                             rANS with a run-coded frequency table; any
+//!                             other byte is refused (`FORMAT.md` lists
+//!                             the retired modes 0 and 2)
 //! mode 1:
 //!   a self-describing `huffman_encode` stream
-//! modes 2 and 3:
+//! mode 3:
 //!   varint n_symbols          nothing follows when n_symbols == 0
-//!   frequency table           mode 3, one entry per maximal run of
-//!                             consecutive symbols, ascending:
+//!   frequency table           one entry per maximal run of consecutive
+//!                             symbols, ascending:
 //!     varint n_runs − 1
 //!     per run:
 //!       varint gap            the first run's first symbol; afterwards
@@ -59,9 +56,6 @@
 //!                             runs cannot be written: runs are maximal)
 //!       varint len − 1
 //!       varint (freq − 1) × len
-//!                             mode 2 (decode-only), absolute pairs:
-//!     varint alphabet_size    1..=4096
-//!     (varint symbol, varint freq) × alphabet_size
 //!   varint payload_len
 //!   varint lane_len × 8       lane lengths; they sum to payload_len
 //!   payload                   8 concatenated lanes, each a u32-LE seed
@@ -70,17 +64,15 @@
 //!                             k, k+8, k+16, …)
 //! ```
 //!
-//! The normalised frequencies — and so everything from `payload_len` on —
-//! are the same in both table forms; quantisation codes sit next to each
-//! other around the zero-residual code, so a run costs about one byte a
-//! symbol where a pair cost four.
+//! Quantisation codes sit next to each other around the zero-residual code,
+//! so a run costs about one byte a symbol.
 //!
-//! Either table is validated as it is read, straight into the decoder's
-//! fixed 4096-slot LUT: every symbol within `u32`, every frequency in
-//! `1..=4096`, the running sum refused the moment it passes 4096 and
-//! required to equal it at the end (which bounds the alphabet, and mode 3's
-//! `Σ len`, by 4096 whatever the counts claim), a varint that overflows
-//! `u64` refused. Nothing is sized by a count read from the stream.
+//! The table is validated as it is read, straight into the decoder's fixed
+//! 4096-slot LUT: every symbol within `u32`, every frequency in `1..=4096`,
+//! the running sum refused the moment it passes 4096 and required to equal
+//! it at the end (which bounds the alphabet, and `Σ len`, by 4096 whatever
+//! the counts claim), a varint that overflows `u64` refused. Nothing is
+//! sized by a count read from the stream.
 
 use crate::dispatch::{simd_level, SimdLevel};
 use crate::scratch::{build_alphabet_into, CodecScratch, SymbolMap, TableMode};
@@ -95,9 +87,7 @@ const RANS_L: u32 = 1 << 23;
 /// Mode byte: embedded Huffman stream (alphabet wider than the 12-bit table).
 const MODE_HUFF: u8 = 1;
 /// Mode byte: 8-way interleaved rANS payload with per-lane buffers behind a
-/// `(symbol, freq)` pair table. Decode-only since [`MODE_RANS8`].
-const MODE_RANS8_PAIRS: u8 = 2;
-/// Mode byte: the same payload behind a run-coded frequency table.
+/// run-coded frequency table.
 const MODE_RANS8: u8 = 3;
 /// Lane count of the stream format.
 const LANES: usize = 8;
@@ -596,31 +586,6 @@ impl TableSummary {
     }
 }
 
-/// Parse a mode-2 table, `varint alphabet_size (varint symbol, varint
-/// freq)*`, handing each validated `(symbol, freq, cumulative start)` to
-/// `entry`. Every entry costs at least two stream bytes and the size itself
-/// is capped at 4096.
-fn parse_pair_table(
-    bytes: &[u8],
-    offset: &mut usize,
-    mut entry: impl FnMut(u32, u32, u32),
-) -> Result<TableSummary, CodecError> {
-    let alphabet_size = next_varint(bytes, offset)?;
-    if alphabet_size == 0 || alphabet_size > u64::from(SCALE) {
-        return Err(CodecError::Corrupt(format!(
-            "rans alphabet size {alphabet_size} outside 1..={SCALE}"
-        )));
-    }
-    let mut table = TableSummary::default();
-    for _ in 0..alphabet_size {
-        let sym = next_varint(bytes, offset)?;
-        let freq = next_varint(bytes, offset)?;
-        let start = table.admit(sym, freq)?;
-        entry(sym as u32, freq as u32, start);
-    }
-    table.finish()
-}
-
 /// Parse a mode-3 table — `varint n_runs − 1`, then per run `varint gap`,
 /// `varint len − 1` and `len` × `varint freq − 1` — handing each validated
 /// `(symbol, freq, cumulative start)` to `entry`. Every symbol costs at
@@ -685,7 +650,7 @@ fn check_symbol_count_plausible(
     Ok(())
 }
 
-/// Everything of a mode-2 / mode-3 stream ahead of its payload.
+/// Everything of a mode-3 stream ahead of its payload.
 #[derive(Debug)]
 struct Rans8Header {
     n_symbols: u64,
@@ -698,22 +663,19 @@ struct Rans8Header {
     payload_len: usize,
 }
 
-/// Parse the header of a non-empty stream whose mode byte names one of the
-/// two rANS table forms (any other is refused here), handing each table
-/// entry to `entry` — the one header walk behind [`rans8_decode_with_at`]
-/// (whose `entry` fills the slot LUT) and [`rans8_stream_info`] (which only
-/// counts). An empty stream is its mode byte and a zero count: the table
-/// summary stays empty.
+/// Parse the header of a non-empty stream whose mode byte must be
+/// [`MODE_RANS8`] (any other is refused here, by number), handing each
+/// table entry to `entry` — the one header walk behind
+/// [`rans8_decode_with_at`] (whose `entry` fills the slot LUT) and
+/// [`rans8_stream_info`] (which only counts). An empty stream is its mode
+/// byte and a zero count: the table summary stays empty.
 fn parse_rans8_header(
     bytes: &[u8],
     entry: impl FnMut(u32, u32, u32),
 ) -> Result<Rans8Header, CodecError> {
-    let run_coded = match bytes[0] {
-        MODE_RANS8 => true,
-        MODE_RANS8_PAIRS => false,
-        // The reserved mode 0 (the retired 2-way format) lands here too.
-        mode => return Err(CodecError::Corrupt(format!("unknown rans8 mode {mode}"))),
-    };
+    if bytes[0] != MODE_RANS8 {
+        return Err(CodecError::Corrupt(format!("unknown rans8 mode {}", bytes[0])));
+    }
     let mut offset = 1usize;
     let n_symbols = next_varint(bytes, &mut offset)?;
     let mut header = Rans8Header {
@@ -729,11 +691,7 @@ fn parse_rans8_header(
     }
 
     let table_at = offset;
-    header.table = if run_coded {
-        parse_run_table(bytes, &mut offset, entry)?
-    } else {
-        parse_pair_table(bytes, &mut offset, entry)?
-    };
+    header.table = parse_run_table(bytes, &mut offset, entry)?;
     header.table_bytes = offset - table_at;
 
     // Lane-length header: eight varints that must sum to the payload length
@@ -761,7 +719,7 @@ fn parse_rans8_header(
 /// What [`rans8_stream_info`] reads off a stream's header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rans8StreamInfo {
-    /// The mode byte: 1 Huffman fallback, 2 pair table, 3 run-coded table.
+    /// The mode byte: 1 Huffman fallback, 3 run-coded table.
     pub mode: u8,
     /// Symbols the stream decodes to (0 in mode 1: the embedded Huffman
     /// stream keeps its own count).
@@ -1194,11 +1152,11 @@ mod tests {
         encoded
     }
 
-    /// Split an 8-way stream (either table form) into `(prefix through the
-    /// freq table, payload_len, lane lengths, payload)` so tests can forge
-    /// individual header fields and restitch with [`join8`].
+    /// Split an 8-way stream into `(prefix through the freq table,
+    /// payload_len, lane lengths, payload)` so tests can forge individual
+    /// header fields and restitch with [`join8`].
     fn split8(encoded: &[u8]) -> (Vec<u8>, u64, Vec<u64>, Vec<u8>) {
-        assert!(matches!(encoded[0], MODE_RANS8 | MODE_RANS8_PAIRS));
+        assert_eq!(encoded[0], MODE_RANS8);
         let header = parse_rans8_header(encoded, |_, _, _| ()).unwrap();
         let (_, count_bytes) = read_varint(&encoded[1..]).unwrap();
         let mut off = 1 + count_bytes + header.table_bytes;
@@ -1223,6 +1181,36 @@ mod tests {
         }
         out.extend_from_slice(payload);
         out
+    }
+
+    /// A forged stream head: the mode byte, the symbol count, then a table
+    /// of one run of consecutive symbols from `first` with these
+    /// frequencies (a frequency of 0 can only be written as the `freq − 1`
+    /// varint 2^64 − 1).
+    fn one_run(n_symbols: u64, first: u64, freqs: &[u64]) -> Vec<u8> {
+        let mut out = vec![MODE_RANS8];
+        write_varint(&mut out, n_symbols);
+        write_varint(&mut out, 0); // n_runs − 1
+        write_varint(&mut out, first);
+        write_varint(&mut out, freqs.len() as u64 - 1);
+        for &f in freqs {
+            write_varint(&mut out, f.wrapping_sub(1));
+        }
+        out
+    }
+
+    /// `join8` onto `head` of lanes of these lengths, every lane's seed
+    /// `RANS_L` and its other bytes zero.
+    fn with_lanes(head: Vec<u8>, lanes: [u64; LANES]) -> Vec<u8> {
+        let payload: Vec<u8> = lanes
+            .iter()
+            .flat_map(|&len| {
+                let mut lane = RANS_L.to_le_bytes().to_vec();
+                lane.resize(len as usize, 0);
+                lane
+            })
+            .collect();
+        join8(&head, payload.len() as u64, &lanes, &payload)
     }
 
     #[test]
@@ -1317,31 +1305,21 @@ mod tests {
 
     #[test]
     fn rans8_truncated_frequency_table_is_an_error_not_an_allocation() {
-        // A header claiming 4096 alphabet entries with two bytes of table
+        // A header claiming a 4096-symbol run with one byte of frequencies
         // must fail the entry parse, not reserve anything sized by the claim.
-        let mut bad = vec![MODE_RANS8_PAIRS];
+        let mut bad = vec![MODE_RANS8];
         write_varint(&mut bad, 10); // n_symbols
-        write_varint(&mut bad, 4096); // alphabet_size
-        write_varint(&mut bad, 1); // one symbol…
-        write_varint(&mut bad, 2); // …and its freq, then nothing
+        write_varint(&mut bad, 0); // one run…
+        write_varint(&mut bad, 0); // …from symbol 0…
+        write_varint(&mut bad, 4095); // …4096 symbols long
+        write_varint(&mut bad, 1); // one freq − 1, then nothing
         assert_eq!(rans8_decode(&bad), Err(CodecError::UnexpectedEof));
     }
 
     #[test]
     fn rans8_frequencies_must_sum_to_scale() {
         for freqs in [[2048u64, 2047].as_slice(), &[2048, 2049], &[4096, 1]] {
-            let mut bad = vec![MODE_RANS8_PAIRS];
-            write_varint(&mut bad, 4); // n_symbols
-            write_varint(&mut bad, freqs.len() as u64);
-            for (sym, &f) in freqs.iter().enumerate() {
-                write_varint(&mut bad, sym as u64);
-                write_varint(&mut bad, f);
-            }
-            write_varint(&mut bad, 4 * LANES as u64);
-            for _ in 0..LANES {
-                write_varint(&mut bad, 4);
-            }
-            bad.extend_from_slice(&[0u8; 4 * LANES]);
+            let bad = with_lanes(one_run(4, 0, freqs), [4; LANES]);
             assert!(
                 matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))),
                 "freqs {freqs:?} must be rejected"
@@ -1351,17 +1329,20 @@ mod tests {
 
     #[test]
     fn rans8_zero_frequency_and_oversized_alphabet_are_rejected() {
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 4);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 7);
-        write_varint(&mut bad, 0); // freq 0
-        assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
+        for freq in [0, 4097] {
+            match rans8_decode(&one_run(4, 7, &[freq])) {
+                Err(CodecError::Corrupt(msg)) => {
+                    assert!(msg.contains("invalid rans frequency"), "freq {freq}: {msg}")
+                }
+                other => panic!("freq {freq} accepted: {other:?}"),
+            }
+        }
 
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 4);
-        write_varint(&mut bad, 4097); // alphabet too wide for 12-bit tables
-        assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
+        // A run too long for 12-bit tables.
+        match rans8_decode(&one_run(4, 0, &[1; 4097])) {
+            Err(CodecError::Corrupt(msg)) => assert!(msg.contains("more than 4096"), "{msg}"),
+            other => panic!("4097-symbol alphabet accepted: {other:?}"),
+        }
     }
 
     #[test]
@@ -1379,13 +1360,7 @@ mod tests {
     #[test]
     fn rans8_truncated_lane_length_header_is_eof() {
         // A stream that ends after three of the eight lane-length varints.
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 4); // n_symbols
-        write_varint(&mut bad, 2); // alphabet {0, 1}, 2048 each
-        write_varint(&mut bad, 0);
-        write_varint(&mut bad, 2048);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 2048);
+        let mut bad = one_run(4, 0, &[2048, 2048]);
         write_varint(&mut bad, 32); // payload_len
         for _ in 0..3 {
             write_varint(&mut bad, 4);
@@ -1410,18 +1385,7 @@ mod tests {
     #[test]
     fn rans8_lane_shorter_than_its_seed_is_rejected() {
         // Lane lengths that sum correctly but starve lane 0 of its seed.
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 4);
-        write_varint(&mut bad, 2);
-        write_varint(&mut bad, 0);
-        write_varint(&mut bad, 2048);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 2048);
-        write_varint(&mut bad, 32);
-        for len in [3u64, 5, 4, 4, 4, 4, 4, 4] {
-            write_varint(&mut bad, len);
-        }
-        bad.extend_from_slice(&[0u8; 32]);
+        let bad = with_lanes(one_run(4, 0, &[2048, 2048]), [3, 5, 4, 4, 4, 4, 4, 4]);
         match rans8_decode(&bad) {
             Err(CodecError::Corrupt(msg)) => {
                 assert!(msg.contains("too short for its seed state"), "got: {msg}")
@@ -1464,69 +1428,22 @@ mod tests {
     #[test]
     fn rans8_degenerate_forgeries_are_rejected() {
         // 2^60 claimed symbols over a single-symbol table: the run cap.
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 1u64 << 60);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 7);
-        write_varint(&mut bad, u64::from(SCALE));
-        write_varint(&mut bad, 4 * LANES as u64);
-        for _ in 0..LANES {
-            write_varint(&mut bad, 4);
-        }
-        for _ in 0..LANES {
-            bad.extend_from_slice(&RANS_L.to_le_bytes());
-        }
+        let bad = with_lanes(one_run(1 << 60, 7, &[u64::from(SCALE)]), [4; LANES]);
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
 
         // A single-symbol stream whose lane 0 does not hold the seed state.
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 4);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 7);
-        write_varint(&mut bad, u64::from(SCALE));
-        write_varint(&mut bad, 4 * LANES as u64);
-        for _ in 0..LANES {
-            write_varint(&mut bad, 4);
-        }
-        bad.extend_from_slice(&(RANS_L + 5).to_le_bytes());
-        for _ in 1..LANES {
-            bad.extend_from_slice(&RANS_L.to_le_bytes());
-        }
+        let mut bad = with_lanes(one_run(4, 7, &[u64::from(SCALE)]), [4; LANES]);
+        let lane0 = bad.len() - 4 * LANES;
+        bad[lane0..lane0 + 4].copy_from_slice(&(RANS_L + 5).to_le_bytes());
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
 
         // A single-symbol stream with payload beyond the eight seeds.
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 4);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 7);
-        write_varint(&mut bad, u64::from(SCALE));
-        write_varint(&mut bad, 4 * LANES as u64 + 1);
-        write_varint(&mut bad, 5);
-        for _ in 1..LANES {
-            write_varint(&mut bad, 4);
-        }
-        for _ in 0..LANES {
-            bad.extend_from_slice(&RANS_L.to_le_bytes());
-        }
-        bad.push(0xAB);
+        let bad = with_lanes(one_run(4, 7, &[u64::from(SCALE)]), [5, 4, 4, 4, 4, 4, 4, 4]);
         assert!(matches!(rans8_decode(&bad), Err(CodecError::Corrupt(_))));
 
         // A multi-symbol table over a seeds-only payload claiming 10M
         // symbols: the information bound.
-        let mut bad = vec![MODE_RANS8_PAIRS];
-        write_varint(&mut bad, 10_000_000);
-        write_varint(&mut bad, 2);
-        write_varint(&mut bad, 0);
-        write_varint(&mut bad, 4095);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 1);
-        write_varint(&mut bad, 4 * LANES as u64);
-        for _ in 0..LANES {
-            write_varint(&mut bad, 4);
-        }
-        for _ in 0..LANES {
-            bad.extend_from_slice(&RANS_L.to_le_bytes());
-        }
+        let bad = with_lanes(one_run(10_000_000, 0, &[4095, 1]), [4; LANES]);
         match rans8_decode(&bad) {
             Err(CodecError::Corrupt(msg)) => {
                 assert!(msg.contains("implausible"), "got: {msg}")
@@ -1609,30 +1526,13 @@ mod tests {
         }
     }
 
-    /// The table writer this module shipped until mode 3: `varint
-    /// alphabet_size (varint symbol, varint freq)*`, pairs in ascending
-    /// symbol order. Kept as the oracle of the transcoding identity.
-    fn write_pair_table(scratch: &RansScratch, out: &mut Vec<u8>) {
-        write_varint(out, scratch.alphabet.len() as u64);
-        for (k, &(sym, _)) in scratch.alphabet.iter().enumerate() {
-            write_varint(out, u64::from(sym));
-            write_varint(out, u64::from(scratch.freqs[k]));
-        }
-    }
-
-    fn reference_rans8_encode(symbols: &[u32]) -> Vec<u8> {
-        reference_rans8_encode_as(MODE_RANS8, symbols)
-    }
-
     /// The encoder this module shipped before the presized back-to-front
     /// lanes: a `while` renorm pushing onto per-lane stacks that are reversed
-    /// at the end, the table mode matched per symbol. Kept as the oracle,
-    /// for both table forms: `MODE_RANS8_PAIRS` is the whole stream as it
-    /// was written before the run-coded table.
-    fn reference_rans8_encode_as(rans_mode: u8, symbols: &[u32]) -> Vec<u8> {
+    /// at the end, the table mode matched per symbol. Kept as the oracle.
+    fn reference_rans8_encode(symbols: &[u32]) -> Vec<u8> {
         let mut out = Vec::new();
         if symbols.is_empty() {
-            out.push(rans_mode);
+            out.push(MODE_RANS8);
             write_varint(&mut out, 0);
             return out;
         }
@@ -1642,12 +1542,9 @@ mod tests {
             huffman_encode_with(&mut scratch.huff, symbols, &mut out);
             return out;
         };
-        out.push(rans_mode);
+        out.push(MODE_RANS8);
         write_varint(&mut out, symbols.len() as u64);
-        match rans_mode {
-            MODE_RANS8 => write_freq_table(scratch, &mut out),
-            _ => write_pair_table(scratch, &mut out),
-        }
+        write_freq_table(scratch, &mut out);
         let mut lanes: [Vec<u8>; LANES] = Default::default();
         let mut xs = [RANS_L; LANES];
         for i in (0..symbols.len()).rev() {
@@ -1718,9 +1615,16 @@ mod tests {
             *s = 10 + k as u32;
         }
         assert_matches_reference(&mut scratch, &rare, "freq == 1 symbols");
-        // The widest alphabet a 12-bit table takes: every frequency is 1.
+        // The widest alphabet a 12-bit table takes: every frequency is 1,
+        // every symbol its own run, then every other symbol its own run.
         let full: Vec<u32> = (0..4096u32).map(|k| k * 3).collect();
         assert_matches_reference(&mut scratch, &full, "4096-symbol alphabet");
+        let every_other: Vec<u32> = (0..4096u32).map(|k| 2 * k).collect();
+        assert_matches_reference(&mut scratch, &every_other, "4096 symbols, every other");
+        // Runs whose gaps the table spells near both ends of `u32`.
+        let top = [u32::MAX - 1, u32::MAX, u32::MAX - 3, u32::MAX, 0, 1];
+        assert_matches_reference(&mut scratch, &top, "top of the range");
+        assert_matches_reference(&mut scratch, &[7, 8, 8, 7, 8], "two adjacent symbols");
         let wide: Vec<u32> = (0..4097u32).collect();
         assert_matches_reference(&mut scratch, &wide, "huffman fallback");
         // A span past the dense limit: the symbol-map table mode.
@@ -1749,93 +1653,14 @@ mod tests {
     }
 
     #[test]
-    fn rans8_run_table_streams_are_the_pair_table_streams_with_the_table_replaced() {
-        let mut state = 0x7A_B1E5u64;
-        let mut rng = move |m: u32| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) % u64::from(m)) as u32
-        };
-        // Quantisation-code shapes: a cluster around the radius whose width
-        // follows the residual spread, sum-of-uniforms tails so the rare
-        // codes leave holes (runs), at tile and field sizes.
-        let mut codes = |n: usize, spread: u32| -> Vec<u32> {
-            (0..n)
-                .map(|_| 32_768 + rng(spread) + rng(spread) + rng(spread) - 3 * spread / 2)
-                .collect()
-        };
-        let mut escape: Vec<u32> = (0..4096u32).map(|k| 32_768 - 20 + (k * 13) % 40).collect();
-        escape[77] = 0;
-        let cases: Vec<(&str, Vec<u32>)> = vec![
-            ("empty", vec![]),
-            ("one symbol", vec![5; 4096]),
-            ("two symbols", vec![7, 9, 9, 7, 9]),
-            ("two adjacent symbols", vec![7, 8, 8, 7, 8]),
-            ("4096 distinct", (0..4096u32).map(|k| 9 + k.wrapping_mul(2_654_435) % 4096).collect()),
-            ("4096 distinct, every other", (0..4096u32).map(|k| 2 * k).collect()),
-            ("escape code", escape),
-            ("sparse table mode", vec![0, u32::MAX, 123_456_789, 42, u32::MAX, 42, 0, 0, 7]),
-            ("top of the range", vec![u32::MAX - 1, u32::MAX, u32::MAX - 3, u32::MAX]),
-            ("tile, narrow", codes(4096, 12)),
-            ("tile, wide", codes(4096, 700)),
-            ("97 x 113, wide", codes(97 * 113, 300)),
-            ("512 x 512", codes(512 * 512, 90)),
-        ];
-        let mut scratch = RansScratch::new();
-        for (what, symbols) in &cases {
-            let mut runs = Vec::new();
-            rans8_encode_with(&mut scratch, symbols, &mut runs);
-            let pairs = reference_rans8_encode_as(MODE_RANS8_PAIRS, symbols);
-            assert_eq!((runs[0], pairs[0]), (MODE_RANS8, MODE_RANS8_PAIRS), "{what}");
-            if symbols.is_empty() {
-                assert_eq!(runs[1..], pairs[1..], "{what}");
-            } else {
-                let (runs_prefix, payload_len, lanes, payload) = split8(&runs);
-                let (pairs_prefix, ..) = split8(&pairs);
-                // Only the table differs: the count ahead of it and every
-                // byte after it are the pair-table stream's.
-                assert_eq!(join8(&pairs_prefix, payload_len, &lanes, &payload), pairs, "{what}");
-                let (_, count_bytes) = read_varint(&runs[1..]).unwrap();
-                assert_eq!(runs_prefix[1..1 + count_bytes], pairs_prefix[1..1 + count_bytes]);
-                assert_eq!(table_entries(&runs), table_entries(&pairs), "{what}");
-                // A run costs a byte more than a pair only where every
-                // symbol is its own run; code-shaped alphabets pay about a
-                // byte a symbol (two once a frequency passes 128) where a pair cost four.
-                let (run_table, pair_table) = (
-                    rans8_stream_info(&runs).unwrap().table_bytes,
-                    rans8_stream_info(&pairs).unwrap().table_bytes,
-                );
-                assert!(run_table <= pair_table + table_entries(&runs).len(), "{what}");
-                if what.contains(" x ") || what.starts_with("tile") {
-                    assert!(2 * run_table < pair_table, "{what}: {run_table} of {pair_table}");
-                }
-            }
-            for &level in crate::dispatch::supported_levels() {
-                for stream in [&runs, &pairs] {
-                    let mut decoded = Vec::new();
-                    let used =
-                        rans8_decode_with_at(&mut scratch, level, stream, &mut decoded).unwrap();
-                    assert_eq!(used, stream.len(), "{what} {level:?}");
-                    assert!(&decoded == symbols, "{what} {level:?}: round trip differs");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn rans8_stream_info_reads_what_the_decoder_reads() {
         let symbols: Vec<u32> = (0..4096u32).map(|k| 32_700 + (k * 7) % 150).collect();
         let runs = rans8_encode(&symbols);
-        let pairs = reference_rans8_encode_as(MODE_RANS8_PAIRS, &symbols);
-        let (info, old) = (rans8_stream_info(&runs).unwrap(), rans8_stream_info(&pairs).unwrap());
-        assert_eq!((info.mode, old.mode), (MODE_RANS8, MODE_RANS8_PAIRS));
+        let info = rans8_stream_info(&runs).unwrap();
+        assert_eq!(info.mode, MODE_RANS8);
         assert_eq!((info.n_symbols, info.alphabet), (4096, table_entries(&runs).len()));
-        assert_eq!(
-            (old.n_symbols, old.alphabet, old.payload_bytes),
-            (4096, info.alphabet, info.payload_bytes)
-        );
-        // A handful of runs at a byte a symbol against four bytes a pair.
-        assert!(info.table_bytes < info.alphabet + 8 && old.table_bytes >= 4 * old.alphabet);
-        assert_eq!(runs.len() - info.table_bytes, pairs.len() - old.table_bytes);
+        // A handful of runs at a byte a symbol.
+        assert!(info.table_bytes < info.alphabet + 8);
         // Mode byte + count + table + length header + lanes is the stream.
         let (prefix, _, _, payload) = split8(&runs);
         assert_eq!(info.payload_bytes, payload.len());

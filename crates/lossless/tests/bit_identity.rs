@@ -14,8 +14,8 @@
 //! PR 15 changed the LZ77 *encoder's policy* (miss-skipping, literal-run
 //! fallback), not the token format: `lz77_incompressible.bin` was re-captured
 //! and its old bytes live on as `lz77_incompressible_pre_skip.bin`, which must
-//! decode forever. Encode pins can move with the encoder; decode fixtures
-//! cannot.
+//! decode while the token format is written (`FORMAT.md`'s policy). Encode
+//! pins can move with the encoder; decode fixtures cannot.
 
 use lcc_lossless::{
     huffman_decode, huffman_encode, huffman_encode_with, lz77_compress, lz77_compress_with,

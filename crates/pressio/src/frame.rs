@@ -29,7 +29,7 @@
 //! [`Compressor::compress_view`]; that passthrough carries no digest,
 //! whatever `checksum` says.
 //!
-//! ## Tiled frames (format version 2, flag bit `0x20`)
+//! ## Layout
 //!
 //! Blocks are `tile_ny × tile_nx` rectangles covering the field in
 //! row-major tile order (exactly [`lcc_grid::WindowIter::over`]'s tiling,
@@ -39,7 +39,7 @@
 //! offset  size        field
 //! 0       4           magic  b"LCCF"
 //! 4       1           version byte: 1 | FLAG_TILED (0x20), optionally
-//!                     | FLAG_CHECKSUM (0x40)
+//!                     | FLAG_CHECKSUM (0x40) — 0x21 or 0x61
 //! 5       8           ny  (u64 LE, total rows)
 //! 13      8           nx  (u64 LE, columns)
 //! 21      4           n_blocks (u32 LE, == tiles_y * tiles_x, >= 2)
@@ -54,29 +54,8 @@
 //! index**: prefix-summing it locates any block's bytes without touching
 //! the rest of the stream. [`FrameIndex`] is that index, which is what
 //! archive-style region readers use to decode only the tiles overlapping a
-//! query window.
-//!
-//! ## Row-band frames (format version 1, decode-only)
-//!
-//! No encoder writes them any more; every committed one decodes forever.
-//! The header is the tiled one without the flag bit and the tile shape:
-//!
-//! ```text
-//! offset  size        field
-//! 0       4           magic  b"LCCF"
-//! 4       1           version byte: 1, OR-ed with FLAG_CHECKSUM (0x40)
-//! 5       8           ny  (u64 LE, total rows)
-//! 13      8           nx  (u64 LE, columns)
-//! 21      4           n_blocks (u32 LE, 2 ..= ny)
-//! 25      8*n_blocks  per-block compressed byte length (u64 LE each)
-//! …       8*n_blocks  per-block XXH64 digest (u64 LE each) — only with
-//!                     FLAG_CHECKSUM
-//! …       …           the n_blocks compressed streams, concatenated
-//! ```
-//!
-//! Block `b` is the `b`-th of `n_blocks` contiguous full-width row bands
-//! whose heights differ by at most one, the taller ones first (10 rows in 4
-//! bands are 3, 3, 2, 2) — not the uniform tiles of v2.
+//! query window. Any other version byte — the retired row-band frames'
+//! `0x01` / `0x41` among them (`FORMAT.md`) — is refused by value.
 //!
 //! ## Encoding
 //!
@@ -99,16 +78,16 @@
 //! whose second byte is never `b'C'`, or with LZ77 output under their
 //! Huffman magic (`LSZ1` / `LMG1`): a decoded-length varint which, where it
 //! is the single byte `b'L'`, is followed by a token tag `0x00` or `0x01`,
-//! never `b'C'`. ZFP streams open with container tag 0 or 1, never `b'L'`.
+//! never `b'C'`. ZFP streams open with container tag 0, never `b'L'`.
 //!
-//! A framed stream of either version goes through one parser,
-//! [`FrameIndex::parse`], which refuses — before anything sized by a header
-//! claim is allocated — an unknown version or flag bit, a block count below
-//! two, above the row count (v1) or different from the tile cover (v2), a
-//! table that does not fit the stream, block lengths that overflow or do
-//! not sum exactly to the body, and a cell count implausible for the body's
-//! bytes. Then every block goes through [`FrameIndex::decode_block`] on a
-//! worker: its digest, when the frame carries one, is verified *before* the
+//! A framed stream goes through one parser, [`FrameIndex::parse`], which
+//! refuses — before anything sized by a header claim is allocated — any
+//! version byte but `0x21` / `0x61`, a tile shape that is empty or larger
+//! than the field, a block count below two or different from the tile
+//! cover, a table that does not fit the stream, block lengths that overflow
+//! or do not sum exactly to the body, and a cell count implausible for the
+//! body's bytes. Then every block goes through [`FrameIndex::decode_block`]
+//! on a worker: its digest, when the frame carries one, is verified *before* the
 //! inner decoder touches the bytes (so bit corruption is a
 //! [`CompressError::CorruptStream`] naming the block, never a garbled
 //! entropy-decode failure or a silently wrong field), and the decoded shape
@@ -119,7 +98,6 @@ use crate::{validate_finite_view, CompressError, Compressor, ErrorBound, Scratch
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window, WindowIter};
 use lcc_lossless::xxh64;
 use lcc_par::{try_parallel_block_map, JobPanicked, ThreadPoolConfig};
-use std::ops::Range;
 use std::sync::Mutex;
 
 /// A panicking block job, isolated per job by `lcc_par`, surfaces as an
@@ -140,29 +118,18 @@ pub const FRAME_VERSION: u8 = 1;
 /// XXH64 digest table, verified before each block decodes.
 pub const FLAG_CHECKSUM: u8 = 0x40;
 /// Version-byte flag bit: blocks are 2D `tile_ny × tile_nx` tiles in
-/// row-major tile order (frame format v2) and the header carries the tile
-/// shape. Every frame the encoder writes carries it.
+/// row-major tile order and the header carries the tile shape. Every frame
+/// carries it.
 pub const FLAG_TILED: u8 = 0x20;
 
-/// Fixed header bytes of a row-band (v1) frame.
-const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4;
-/// Fixed header bytes of a tiled (v2) frame: the v1 header plus tile dims.
-const TILED_HEADER_LEN: usize = HEADER_LEN + 4 + 4;
+/// Fixed header bytes: magic, version byte, shape, block count, tile shape.
+const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4 + 4 + 4;
 /// Decode-side allocation guard: the most cells a frame header may claim
 /// per payload byte. Real streams sit orders of magnitude below this (a
 /// constant paper-scale field compresses to roughly 700 cells/byte), so the
 /// cap only trips on forged headers trying to turn a tiny stream into a
 /// huge `out` allocation.
 const MAX_CELLS_PER_STREAM_BYTE: usize = 1 << 16;
-
-/// Rows of band `part` of a `parts`-band (v1) frame over `total` rows:
-/// contiguous ranges whose lengths differ by at most one, the longer ones
-/// first.
-fn split_range(total: usize, parts: usize, part: usize) -> Range<usize> {
-    let (base, extra) = (total / parts, total % parts);
-    let start = part * base + part.min(extra);
-    start..start + base + usize::from(part < extra)
-}
 
 /// Per-worker state of the framed codec, persistent across calls: one
 /// scratch arena (the inner compressor's buffers) plus one reusable decode
@@ -303,7 +270,7 @@ pub fn compress_frame<R: Send>(
     // The fixed header, then zeroed length (and digest) tables to backfill,
     // in a buffer with room for a frame as long as the last one.
     let flags = FLAG_TILED | if checksum { FLAG_CHECKSUM } else { 0 };
-    let mut out = Vec::with_capacity(TILED_HEADER_LEN.max(scratch.frame_len));
+    let mut out = Vec::with_capacity(HEADER_LEN.max(scratch.frame_len));
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION | flags);
     out.extend_from_slice(&(ny as u64).to_le_bytes());
@@ -311,13 +278,13 @@ pub fn compress_frame<R: Send>(
     out.extend_from_slice(&(n_blocks as u32).to_le_bytes());
     out.extend_from_slice(&(tile_ny as u32).to_le_bytes());
     out.extend_from_slice(&(tile_nx as u32).to_le_bytes());
-    out.resize(TILED_HEADER_LEN + if checksum { 16 } else { 8 } * n_blocks, 0);
+    out.resize(HEADER_LEN + if checksum { 16 } else { 8 } * n_blocks, 0);
     let assembler = Mutex::new(FrameAssembler {
         out,
         next: 0,
         pending: (0..n_blocks).map(|_| None).collect(),
         error: None,
-        hash_table_at: checksum.then_some(TILED_HEADER_LEN + 8 * n_blocks),
+        hash_table_at: checksum.then_some(HEADER_LEN + 8 * n_blocks),
     });
 
     let workers = scratch.workers(pool.threads().min(n_blocks));
@@ -377,7 +344,7 @@ impl FrameAssembler {
                 while let Some((stream, digest)) =
                     self.pending.get_mut(self.next).and_then(Option::take)
                 {
-                    let slot = TILED_HEADER_LEN + 8 * self.next;
+                    let slot = HEADER_LEN + 8 * self.next;
                     self.out[slot..slot + 8].copy_from_slice(&(stream.len() as u64).to_le_bytes());
                     if let (Some(base), Some(digest)) = (self.hash_table_at, digest) {
                         let slot = base + 8 * self.next;
@@ -391,10 +358,10 @@ impl FrameAssembler {
     }
 }
 
-/// Parsed header + seek index of a frame of either version: everything a
-/// reader needs to locate one block's compressed bytes, the window of the
-/// field it decodes to, and to decode it, without touching the rest of the
-/// stream. Parsing consumes only the frame's leading bytes — read
+/// Parsed header + seek index of a frame: everything a reader needs to
+/// locate one block's compressed bytes, the window of the field it decodes
+/// to, and to decode it, without touching the rest of the stream. Parsing
+/// consumes only the frame's leading bytes — read
 /// [`FrameIndex::PREFIX_LEN`] bytes, size the rest with
 /// [`FrameIndex::table_span`], then hand that prefix to
 /// [`FrameIndex::parse`] — so an archive can index a multi-megabyte entry
@@ -405,9 +372,8 @@ pub struct FrameIndex {
     pub ny: usize,
     /// Field columns.
     pub nx: usize,
-    /// Tile height and width of a tiled (v2) frame, edge tiles clipped;
-    /// `None` for a row-band (v1) frame.
-    pub tile: Option<(usize, usize)>,
+    /// Tile height and width, edge tiles clipped.
+    pub tile: (usize, usize),
     /// Byte offset of every block within the frame, then the frame's length.
     offsets: Vec<usize>,
     /// Per-block XXH64 digest of a checksummed frame.
@@ -417,28 +383,24 @@ pub struct FrameIndex {
 impl FrameIndex {
     /// Bytes of a frame a reader must fetch before
     /// [`table_span`](Self::table_span) can size the rest of the prefix.
-    pub const PREFIX_LEN: usize = TILED_HEADER_LEN;
+    pub const PREFIX_LEN: usize = HEADER_LEN;
 
     /// Total header + table span (in bytes) of the frame whose first
-    /// [`PREFIX_LEN`](Self::PREFIX_LEN) bytes are `prefix` (a row-band
-    /// frame needs only its 25), validated against the total frame length so
-    /// a forged block count cannot demand more bytes than the frame holds.
+    /// [`PREFIX_LEN`](Self::PREFIX_LEN) bytes are `prefix`, validated against
+    /// the total frame length so a forged block count cannot demand more
+    /// bytes than the frame holds.
     pub fn table_span(prefix: &[u8], frame_len: usize) -> Result<usize, CompressError> {
         if !is_framed(prefix) {
             return Err(corrupt("header truncated or missing magic"));
         }
-        // The version byte carries flag bits above the version number; mask
-        // the known flags off before comparing, so plain v1 streams keep
-        // decoding whatever flags later encoders add to *new* streams.
-        if prefix[4] & !(FLAG_CHECKSUM | FLAG_TILED) != FRAME_VERSION {
+        if prefix[4] & !FLAG_CHECKSUM != (FRAME_VERSION | FLAG_TILED) {
             return Err(corrupt(&format!("unsupported version byte {:#04x}", prefix[4])));
         }
-        let fixed = if prefix[4] & FLAG_TILED != 0 { TILED_HEADER_LEN } else { HEADER_LEN };
         let per_block = if prefix[4] & FLAG_CHECKSUM != 0 { 16 } else { 8 };
         let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
         n_blocks
             .checked_mul(per_block)
-            .and_then(|t| t.checked_add(fixed))
+            .and_then(|t| t.checked_add(HEADER_LEN))
             .filter(|&t| t <= frame_len)
             .ok_or_else(|| corrupt(&format!("block table for {n_blocks} blocks exceeds stream")))
     }
@@ -458,38 +420,30 @@ impl FrameIndex {
         let nx = usize::try_from(u64::from_le_bytes(prefix[13..21].try_into().unwrap()))
             .map_err(|_| corrupt("column count overflows usize"))?;
         let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
+        let tile_ny = u32::from_le_bytes(prefix[25..29].try_into().unwrap()) as usize;
+        let tile_nx = u32::from_le_bytes(prefix[29..33].try_into().unwrap()) as usize;
         if ny == 0 || nx == 0 {
             return Err(corrupt("empty field shape"));
         }
-        // No encoder writes a one-block frame (that is the raw passthrough
-        // stream), and every frame holds exactly one block per band or per
-        // tile of the cover, so any other count is corrupt by construction.
-        let (tile, table_at) = if prefix[4] & FLAG_TILED == 0 {
-            if n_blocks < 2 || n_blocks > ny {
-                return Err(corrupt(&format!("block count {n_blocks} invalid for {ny} rows")));
-            }
-            (None, HEADER_LEN)
-        } else {
-            let tile_ny = u32::from_le_bytes(prefix[25..29].try_into().unwrap()) as usize;
-            let tile_nx = u32::from_le_bytes(prefix[29..33].try_into().unwrap()) as usize;
-            if tile_ny == 0 || tile_nx == 0 || tile_ny > ny || tile_nx > nx {
-                return Err(corrupt(&format!(
-                    "tile shape {tile_ny}x{tile_nx} invalid for a {ny}x{nx} field"
-                )));
-            }
-            let tiles = ny
-                .div_ceil(tile_ny)
-                .checked_mul(nx.div_ceil(tile_nx))
-                .ok_or_else(|| corrupt("tile count overflows usize"))?;
-            if n_blocks != tiles || n_blocks < 2 {
-                return Err(corrupt(&format!(
-                    "tile count {n_blocks} does not cover a {ny}x{nx} field \
-                     with {tile_ny}x{tile_nx} tiles (expected {tiles})"
-                )));
-            }
-            (Some((tile_ny, tile_nx)), TILED_HEADER_LEN)
-        };
-        let (lengths, digests) = prefix[table_at..span].split_at(8 * n_blocks);
+        if tile_ny == 0 || tile_nx == 0 || tile_ny > ny || tile_nx > nx {
+            return Err(corrupt(&format!(
+                "tile shape {tile_ny}x{tile_nx} invalid for a {ny}x{nx} field"
+            )));
+        }
+        // No encoder writes a one-tile frame (that is the raw passthrough
+        // stream), and every frame holds exactly one block per tile of the
+        // cover, so any other count is corrupt by construction.
+        let tiles = ny
+            .div_ceil(tile_ny)
+            .checked_mul(nx.div_ceil(tile_nx))
+            .ok_or_else(|| corrupt("tile count overflows usize"))?;
+        if n_blocks != tiles || n_blocks < 2 {
+            return Err(corrupt(&format!(
+                "tile count {n_blocks} does not cover a {ny}x{nx} field \
+                 with {tile_ny}x{tile_nx} tiles (expected {tiles})"
+            )));
+        }
+        let (lengths, digests) = prefix[HEADER_LEN..span].split_at(8 * n_blocks);
         let mut offsets = Vec::with_capacity(n_blocks + 1);
         let mut at = span;
         for entry in lengths.chunks_exact(8) {
@@ -517,13 +471,13 @@ impl FrameIndex {
         let digests = (prefix[4] & FLAG_CHECKSUM != 0).then(|| {
             digests.chunks_exact(8).map(|e| u64::from_le_bytes(e.try_into().unwrap())).collect()
         });
-        Ok(FrameIndex { ny, nx, tile, offsets, digests })
+        Ok(FrameIndex { ny, nx, tile: (tile_ny, tile_nx), offsets, digests })
     }
 
     /// The index of a `len`-byte raw stream standing for a whole `ny × nx`
     /// field: the one-tile passthrough, which carries no header to parse.
     pub fn single_tile(ny: usize, nx: usize, len: usize) -> FrameIndex {
-        FrameIndex { ny, nx, tile: Some((ny, nx)), offsets: vec![0, len], digests: None }
+        FrameIndex { ny, nx, tile: (ny, nx), offsets: vec![0, len], digests: None }
     }
 
     /// Number of blocks.
@@ -533,18 +487,11 @@ impl FrameIndex {
 
     /// The field rectangle block `b` decodes to.
     pub fn block_window(&self, b: usize) -> Window {
-        match self.tile {
-            None => {
-                let rows = split_range(self.ny, self.n_blocks(), b);
-                Window { i0: rows.start, j0: 0, height: rows.len(), width: self.nx }
-            }
-            Some((tile_ny, tile_nx)) => {
-                let tiles_x = self.nx.div_ceil(tile_nx);
-                let (i0, j0) = (b / tiles_x * tile_ny, b % tiles_x * tile_nx);
-                let (height, width) = (tile_ny.min(self.ny - i0), tile_nx.min(self.nx - j0));
-                Window { i0, j0, height, width }
-            }
-        }
+        let (tile_ny, tile_nx) = self.tile;
+        let tiles_x = self.nx.div_ceil(tile_nx);
+        let (i0, j0) = (b / tiles_x * tile_ny, b % tiles_x * tile_nx);
+        let (height, width) = (tile_ny.min(self.ny - i0), tile_nx.min(self.nx - j0));
+        Window { i0, j0, height, width }
     }
 
     /// `(offset, length)` of block `b`'s compressed bytes within the frame.
@@ -583,7 +530,7 @@ impl FrameIndex {
     }
 }
 
-/// Decompress a frame of either version, or a raw single stream (which
+/// Decompress a frame, or a raw single stream (which
 /// passes straight through to [`Compressor::decompress_view_with`]), into
 /// `out`, resized to the decoded shape, decoding blocks in parallel over
 /// `pool` with per-worker arenas and reusable block fields from `scratch`;
@@ -694,30 +641,6 @@ mod tests {
         encoded.unwrap().0
     }
 
-    /// A row-band (v1) `Store` frame of `field` in `n` bands, assembled by
-    /// hand: no encoder writes them, but they decode forever.
-    fn v1_frame(field: &Field2D, n: usize, checksum: bool) -> Vec<u8> {
-        let (ny, nx) = field.shape();
-        let streams: Vec<Vec<u8>> = (0..n)
-            .map(|b| split_range(ny, n, b))
-            .map(|rows| field.view().subview(rows.start, 0, rows.len(), nx))
-            .map(|band| Store.compress_view(&band, ErrorBound::Absolute(1.0)).unwrap())
-            .collect();
-        let mut out = FRAME_MAGIC.to_vec();
-        out.push(FRAME_VERSION | if checksum { FLAG_CHECKSUM } else { 0 });
-        out.extend_from_slice(&(ny as u64).to_le_bytes());
-        out.extend_from_slice(&(nx as u64).to_le_bytes());
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        for stream in &streams {
-            out.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-        }
-        for stream in streams.iter().filter(|_| checksum) {
-            out.extend_from_slice(&xxh64(stream, 0).to_le_bytes());
-        }
-        out.extend(streams.concat());
-        out
-    }
-
     /// Byte offset of the length-table entry of block `b`.
     fn length_slot(frame: &[u8], b: usize) -> usize {
         let index = FrameIndex::parse(frame, frame.len()).unwrap();
@@ -756,7 +679,7 @@ mod tests {
             assert!(is_framed(&framed), "{blocks} blocks");
             assert_eq!(framed[4], FRAME_VERSION | FLAG_TILED);
             let index = FrameIndex::parse(&framed, framed.len()).unwrap();
-            assert_eq!(index.tile, Some((23usize.div_ceil(blocks), 7)), "{blocks} blocks");
+            assert_eq!(index.tile, (23usize.div_ceil(blocks), 7), "{blocks} blocks");
             let back = decode(&Store, &framed).unwrap();
             assert_eq!(back, field, "{blocks} blocks");
         }
@@ -937,7 +860,7 @@ mod tests {
             compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
                 .unwrap();
         let summed = tiled(&field, (10, 6), true);
-        let table_end = TILED_HEADER_LEN + 8 * 4;
+        let table_end = HEADER_LEN + 8 * 4;
         assert_eq!(summed[..4], plain[..4]);
         assert_eq!(summed[4], plain[4] | FLAG_CHECKSUM);
         assert_eq!(summed[5..table_end], plain[5..table_end], "header + length table");
@@ -955,7 +878,7 @@ mod tests {
     #[test]
     fn checksum_catches_payload_corruption() {
         let field = ramp(24, 8);
-        for good in [tiled(&field, (6, 8), true), v1_frame(&field, 4, true)] {
+        for good in [tiled(&field, (6, 8), true), tiled(&field, (8, 3), true)] {
             // Flip one payload bit in each block's last byte: the digest
             // check must reject it with the block-naming message. (The Store
             // codec would otherwise happily decode some of these corruptions
@@ -992,12 +915,17 @@ mod tests {
         // can hold tables for must fail the early size check.
         let mut bad = Vec::new();
         bad.extend_from_slice(&FRAME_MAGIC);
-        bad.push(FRAME_VERSION | FLAG_CHECKSUM);
+        bad.push(FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
         bad.extend_from_slice(&1000u64.to_le_bytes());
         bad.extend_from_slice(&8u64.to_le_bytes());
         bad.extend_from_slice(&200u32.to_le_bytes());
+        bad.extend_from_slice(&5u32.to_le_bytes());
+        bad.extend_from_slice(&8u32.to_le_bytes());
         bad.extend_from_slice(&[0u8; 32]);
-        assert!(matches!(decode(&Store, &bad), Err(CompressError::CorruptStream(_))));
+        assert!(matches!(
+            decode(&Store, &bad),
+            Err(CompressError::CorruptStream(msg)) if msg.contains("exceeds stream")
+        ));
     }
 
     #[test]
@@ -1032,17 +960,14 @@ mod tests {
     }
 
     #[test]
-    fn the_index_locates_every_block_of_either_layout_exactly() {
+    fn the_index_locates_every_block_exactly() {
         // Each block's (offset, length) span must decode, on its own, to the
         // matching window of the field — the property the archive's seek
         // path and the one decode loop rest on.
         let field = ramp(23, 17);
         for checksum in [false, true] {
-            for (frame, tile, n_blocks) in [
-                (tiled(&field, (8, 8), checksum), Some((8, 8)), 9),
-                (v1_frame(&field, 4, checksum), None, 4),
-                (v1_frame(&field, 23, checksum), None, 23),
-            ] {
+            for (tile, n_blocks) in [((8, 8), 9), ((6, 17), 4), ((1, 17), 23)] {
+                let frame = tiled(&field, tile, checksum);
                 let what = format!("{n_blocks} blocks, checksum={checksum}");
                 let index = FrameIndex::parse(&frame, frame.len()).unwrap();
                 assert_eq!((index.ny, index.nx, index.tile), (23, 17, tile), "{what}");
@@ -1073,48 +998,30 @@ mod tests {
 
     #[test]
     fn decode_block_refuses_a_block_of_the_wrong_shape() {
-        // Block 0's bytes stand in for the shorter last band: the shape
+        // Block 0's bytes stand in for the shorter last tile: the shape
         // check names the block instead of copying a wrong-sized field.
         let field = ramp(10, 3);
-        let frame = v1_frame(&field, 4, false);
+        let frame = tiled(&field, (3, 3), false);
         let index = FrameIndex::parse(&frame, frame.len()).unwrap();
         let (at, len) = index.block_span(0);
         let mut worker = FrameWorker::default();
         let err = index.decode_block(3, &frame[at..at + len], &Store, &mut worker).unwrap_err();
-        let want = "frame: block 3 decoded to (3, 3), expected (2, 3)";
+        let want = "frame: block 3 decoded to (3, 3), expected (1, 3)";
         assert_eq!(err, CompressError::CorruptStream(want.into()));
     }
 
     #[test]
-    fn split_range_parts_are_contiguous_balanced_and_cover_everything() {
-        for (total, parts) in [(10usize, 3usize), (7, 7), (5, 9), (0, 4), (100, 1), (23, 4)] {
-            let mut next = 0;
-            for part in 0..parts {
-                let r = split_range(total, parts, part);
-                assert_eq!(r.start, next, "{total}/{parts} part {part}");
-                assert!(r.len() == total / parts || r.len() == total / parts + 1);
-                next = r.end;
-            }
-            assert_eq!(next, total);
-        }
-        assert_eq!(split_range(10, 4, 0), 0..3);
-        assert_eq!(split_range(10, 4, 3), 8..10);
-    }
-
-    #[test]
-    fn corrupt_tiled_frames_are_rejected() {
+    fn corrupt_frames_are_rejected() {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
-        let good = compress_tiled_with(
-            &Store,
-            &field.view(),
-            bound,
-            8,
-            8,
-            pool(),
-            &mut FrameScratch::new(),
-        )
-        .unwrap();
+        let good = tiled(&field, (8, 8), false);
+        let refused = |bad: &[u8], names: &str| {
+            let result = decode(&Store, bad);
+            assert!(
+                matches!(&result, Err(CompressError::CorruptStream(msg)) if msg.contains(names)),
+                "expected a refusal naming {names:?}, got {result:?}"
+            );
+        };
 
         // Zero tile dims at encode time are invalid input, not a panic.
         assert!(matches!(
@@ -1130,107 +1037,71 @@ mod tests {
             Err(CompressError::InvalidInput(_))
         ));
 
+        // Any version byte but 0x21 / 0x61: an unknown flag bit, a version
+        // number no encoder wrote, and a retired row-band (v1) frame — a
+        // frame of full-width tiles without the tile shape in its header.
+        for version in [FRAME_VERSION | FLAG_TILED | 0x80, 9] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            refused(&bad, &format!("unsupported version byte {version:#04x}"));
+        }
+        let mut v1 = tiled(&field, (6, 17), false);
+        v1[4] = FRAME_VERSION;
+        v1.drain(25..33);
+        refused(&v1, "unsupported version byte 0x01");
+
         // Tile dims that don't cover the field: claimed 4x4 tiling of a
         // 23x17 field needs 30 tiles, but the header still says 9.
         let mut bad = good.clone();
         bad[25..29].copy_from_slice(&4u32.to_le_bytes());
         bad[29..33].copy_from_slice(&4u32.to_le_bytes());
-        assert!(matches!(
-            decode(&Store, &bad),
-            Err(CompressError::CorruptStream(msg)) if msg.contains("does not cover")
-        ));
+        refused(&bad, "does not cover");
 
-        // Zero tile dims in the header.
+        // Zero blocks, and zero tile dims in the header.
+        let mut bad = good.clone();
+        bad[21..25].copy_from_slice(&0u32.to_le_bytes());
+        refused(&bad, "does not cover");
         let mut bad = good.clone();
         bad[25..29].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode(&Store, &bad),
-            Err(CompressError::CorruptStream(msg)) if msg.contains("tile shape")
-        ));
+        refused(&bad, "tile shape");
 
-        // Overflowing tile length in the seek index.
-        let mut bad = good.clone();
+        // A forged header claims 200 blocks but only a few table bytes
+        // follow — must fail before allocating anything sized by the claim.
+        let mut bad = good[..HEADER_LEN + 10].to_vec();
+        bad[21..25].copy_from_slice(&200u32.to_le_bytes());
+        refused(&bad, "exceeds stream");
+
+        // Overflowing tile length in the seek index, and lengths that no
+        // longer sum to the payload.
         let slot = length_slot(&good, 0);
+        let mut bad = good.clone();
         bad[slot..slot + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode(&Store, &bad).is_err());
+        refused(&bad, "block lengths overflow");
+        let mut bad = good.clone();
+        let first = u64::from_le_bytes(bad[slot..slot + 8].try_into().unwrap());
+        bad[slot..slot + 8].copy_from_slice(&(first - 1).to_le_bytes());
+        refused(&bad, "block lengths end at byte");
 
         // Truncated stream: lengths no longer reach the end of the frame.
-        assert!(decode(&Store, &good[..good.len() - 3]).is_err());
+        refused(&good[..good.len() - 3], "block lengths end at byte");
 
-        // An unknown flag bit on a tiled frame is an unsupported version.
-        let mut bad = good.clone();
-        bad[4] |= 0x80;
-        assert!(matches!(
-            decode(&Store, &bad),
-            Err(CompressError::CorruptStream(msg)) if msg.contains("unsupported version")
-        ));
-
-        // A forged tiled header claiming a huge field over a tiny payload
-        // trips the allocation guard before `out` is sized.
+        // A forged header claiming a huge field over a tiny payload trips
+        // the allocation guard before `out` is sized.
         let mut bad = Vec::new();
         bad.extend_from_slice(&FRAME_MAGIC);
         bad.push(FRAME_VERSION | FLAG_TILED);
         bad.extend_from_slice(&(1u64 << 32).to_le_bytes());
-        bad.extend_from_slice(&(1u64 << 32).to_le_bytes());
-        bad.extend_from_slice(&4u32.to_le_bytes());
+        bad.extend_from_slice(&(1u64 << 16).to_le_bytes());
+        bad.extend_from_slice(&2u32.to_le_bytes());
         bad.extend_from_slice(&(1u32 << 31).to_le_bytes());
-        bad.extend_from_slice(&(1u32 << 31).to_le_bytes());
-        for len in [8u64, 8, 8, 8] {
+        bad.extend_from_slice(&(1u32 << 16).to_le_bytes());
+        for len in [8u64, 8] {
             bad.extend_from_slice(&len.to_le_bytes());
         }
-        bad.extend_from_slice(&[0u8; 32]);
-        assert!(matches!(decode(&Store, &bad), Err(CompressError::CorruptStream(_))));
+        bad.extend_from_slice(&[0u8; 16]);
+        refused(&bad, "plausible yield");
 
         // The untouched stream still decodes.
         assert_eq!(decode(&Store, &good).unwrap(), field);
-    }
-
-    #[test]
-    fn corrupt_frames_are_rejected() {
-        let field = ramp(24, 8);
-        let good = v1_frame(&field, 4, false);
-        assert_eq!(decode(&Store, &good).unwrap(), field, "the untouched v1 frame decodes");
-
-        // Bad version byte.
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert!(matches!(decode(&Store, &bad), Err(CompressError::CorruptStream(_))));
-
-        // Truncated frame table: a forged header claims 200 blocks but only
-        // a few table bytes follow — must fail before allocating anything
-        // sized by the claim.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&FRAME_MAGIC);
-        bad.push(FRAME_VERSION);
-        bad.extend_from_slice(&1000u64.to_le_bytes());
-        bad.extend_from_slice(&8u64.to_le_bytes());
-        bad.extend_from_slice(&200u32.to_le_bytes());
-        bad.extend_from_slice(&[0u8; 10]);
-        assert!(matches!(decode(&Store, &bad), Err(CompressError::CorruptStream(_))));
-
-        // Block count exceeding the row count.
-        let mut bad = good.clone();
-        bad[21..25].copy_from_slice(&100u32.to_le_bytes());
-        assert!(decode(&Store, &bad).is_err());
-
-        // Overflowing block length.
-        let slot = length_slot(&good, 0);
-        let mut bad = good.clone();
-        bad[slot..slot + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode(&Store, &bad).is_err());
-
-        // Lengths that no longer sum to the payload.
-        let mut bad = good.clone();
-        let first = u64::from_le_bytes(bad[slot..slot + 8].try_into().unwrap());
-        bad[slot..slot + 8].copy_from_slice(&(first - 1).to_le_bytes());
-        assert!(decode(&Store, &bad).is_err());
-
-        // Truncated payload.
-        assert!(decode(&Store, &good[..good.len() - 3]).is_err());
-
-        // Zero blocks.
-        let mut bad = good;
-        bad[21..25].copy_from_slice(&0u32.to_le_bytes());
-        assert!(decode(&Store, &bad).is_err());
     }
 }

@@ -128,7 +128,6 @@ fn write_exact(writer: &mut BitWriter, values: &[f64; BLOCK_LEN]) {
 /// the same bits and reports the same errors as per-block decoding.
 pub fn decode_blocks(
     reader: &mut BitReader<'_>,
-    _eb: f64,
     precision: u32,
     out: &mut [[f64; BLOCK_LEN]],
 ) -> Result<(), CodecError> {
@@ -205,11 +204,10 @@ mod tests {
     /// one-block [`decode_blocks`] batch.
     fn decode_block(
         reader: &mut BitReader<'_>,
-        eb: f64,
         precision: u32,
     ) -> Result<[f64; BLOCK_LEN], CodecError> {
         let mut out = [[0.0; BLOCK_LEN]; 1];
-        decode_blocks(reader, eb, precision, &mut out)?;
+        decode_blocks(reader, precision, &mut out)?;
         Ok(out[0])
     }
 
@@ -218,7 +216,7 @@ mod tests {
         encode_block(&mut w, &values, eb, 40);
         let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes);
-        decode_block(&mut r, eb, 40).unwrap()
+        decode_block(&mut r, 40).unwrap()
     }
 
     fn max_err(a: &[f64; BLOCK_LEN], b: &[f64; BLOCK_LEN]) -> f64 {
@@ -246,7 +244,7 @@ mod tests {
             let bits = w.bit_len();
             let bytes = w.as_bytes().to_vec();
             let mut r = BitReader::new(&bytes);
-            let out = decode_block(&mut r, eb, 40).unwrap();
+            let out = decode_block(&mut r, 40).unwrap();
             assert!(max_err(&values, &out) <= eb, "eb={eb}");
             // Far below the 16*64 = 1024 bits of raw storage.
             assert!(bits < 700, "eb={eb} used {bits} bits");
@@ -307,6 +305,6 @@ mod tests {
         let bytes = w.as_bytes().to_vec();
         let mut r = BitReader::new(&bytes[..1]);
         // With only one byte the block payload is missing.
-        assert!(decode_block(&mut r, 1e-6, 40).is_err() || bytes.len() <= 1);
+        assert!(decode_block(&mut r, 40).is_err() || bytes.len() <= 1);
     }
 }

@@ -40,7 +40,7 @@ pub mod codec;
 pub mod transform;
 
 use lcc_grid::{Field2D, FieldView};
-use lcc_lossless::{lz77_decompress_into, BitReader, BitWriter};
+use lcc_lossless::{BitReader, BitWriter};
 use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 
 /// Side length of a coding block (fixed at 4, as in ZFP's 2D mode).
@@ -61,14 +61,10 @@ pub struct ZfpCompressor {}
 const MAGIC: &[u8; 4] = b"LZF1";
 
 /// Reusable working memory of the ZFP codec: the block bit stream
-/// accumulator and the decode-side expansion buffer. One instance per sweep
-/// worker, held in a [`ScratchArena`].
+/// accumulator. One instance per sweep worker, held in a [`ScratchArena`].
 #[derive(Debug, Default)]
 pub struct ZfpScratch {
     writer: BitWriter,
-    /// Decode side: the expanded bit stream (tag-1 LZ77 container; tag-0
-    /// streams are read in place without a copy).
-    body: Vec<u8>,
 }
 
 impl ZfpCompressor {
@@ -113,8 +109,7 @@ impl ZfpCompressor {
         }
         codec::encode_blocks(writer, &batch[..filled], eb, PRECISION_BITS);
 
-        // Container tag 0: the bit stream as it is. (Tag 1, the same stream
-        // behind an LZ77 pass, is no longer written but still decodes.)
+        // Container tag 0, the one tag: the bit stream as it is.
         let bits = s.writer.as_bytes();
         let mut out = Vec::with_capacity(1 + bits.len());
         out.push(0u8);
@@ -144,22 +139,15 @@ impl Compressor for ZfpCompressor {
     fn decompress_view_with(
         &self,
         stream: &[u8],
-        scratch: &mut ScratchArena,
+        _scratch: &mut ScratchArena,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        if stream.is_empty() {
-            return Err(CompressError::CorruptStream("empty stream".into()));
-        }
-        let s = scratch.get_or_default::<ZfpScratch>();
-        let body: &[u8] = match stream[0] {
-            0 => &stream[1..],
-            1 => {
-                lz77_decompress_into(&stream[1..], &mut s.body)
-                    .map_err(|e| CompressError::CorruptStream(format!("lz77: {e}")))?;
-                &s.body
-            }
-            other => {
-                return Err(CompressError::CorruptStream(format!("unknown container tag {other}")))
+        // The bit stream is read in place: decoding needs no scratch.
+        let body = match stream {
+            [0, body @ ..] => body,
+            [] => return Err(CompressError::CorruptStream("empty stream".into())),
+            [tag, ..] => {
+                return Err(CompressError::CorruptStream(format!("unknown container tag {tag}")))
             }
         };
         let mut reader = BitReader::new(body);
@@ -175,7 +163,8 @@ impl Compressor for ZfpCompressor {
         let read_err = |e| CompressError::CorruptStream(format!("header: {e}"));
         let ny = reader.read_bits(32).map_err(read_err)? as usize;
         let nx = reader.read_bits(32).map_err(read_err)? as usize;
-        let eb = f64::from_bits(reader.read_bits(64).map_err(read_err)?);
+        // The bound the encoder quantised against; decoding does not use it.
+        reader.read_bits(64).map_err(read_err)?;
         let precision = reader.read_bits(8).map_err(read_err)? as u32;
         if ny == 0 || nx == 0 || !(16..=48).contains(&precision) {
             return Err(CompressError::CorruptStream("invalid header".into()));
@@ -207,7 +196,7 @@ impl Compressor for ZfpCompressor {
                 coords[filled] = (bi, bj);
                 filled += 1;
                 if filled == codec::TRANSFORM_BATCH {
-                    codec::decode_blocks(&mut reader, eb, precision, &mut decoded)
+                    codec::decode_blocks(&mut reader, precision, &mut decoded)
                         .map_err(block_err)?;
                     for (&(bi, bj), values) in coords.iter().zip(decoded.iter()) {
                         block::scatter(out, bi, bj, values);
@@ -217,7 +206,7 @@ impl Compressor for ZfpCompressor {
             }
         }
         if filled > 0 {
-            codec::decode_blocks(&mut reader, eb, precision, &mut decoded[..filled])
+            codec::decode_blocks(&mut reader, precision, &mut decoded[..filled])
                 .map_err(block_err)?;
             for (&(bi, bj), values) in coords[..filled].iter().zip(decoded.iter()) {
                 block::scatter(out, bi, bj, values);
@@ -315,19 +304,6 @@ mod tests {
         let zfp = ZfpCompressor::default();
         let r = zfp.compress(&field, ErrorBound::Absolute(1e-5)).unwrap();
         assert!(r.metrics.max_abs_error <= 1e-5, "{}", r.metrics.max_abs_error);
-    }
-
-    #[test]
-    fn tag_1_streams_still_decode() {
-        // `smooth(48)` at 1e-3 behind the LZ77 pass, captured before the
-        // tag-1 writer was removed. Both containers carry the same
-        // bit-plane stream, so the decodes must agree bit for bit.
-        let tag1 = include_bytes!("../tests/fixtures/zfp_tag1_lz77.bin");
-        assert_eq!(tag1[0], 1, "lz77 container tag");
-        let zfp = ZfpCompressor::default();
-        let a = zfp.compress(&smooth(48), ErrorBound::Absolute(1e-3)).unwrap();
-        assert_eq!(a.stream[0], 0);
-        assert_eq!(zfp.decompress_field(tag1).unwrap(), a.reconstruction);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! entries, footer entry counts the table cannot hold, frame headers that
 //! disagree with the entry metadata, tile-length overflow in the frame's
 //! seek index, stray table bytes, raw (unframed) payloads claiming a
-//! multi-tile shape, and reads with a codec other than the entry's writer.
+//! multi-tile shape, entries holding a retired row-band frame, and reads
+//! with a codec other than the entry's writer.
 
 use lcc::archive::format::{write_entry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN};
 use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt};
@@ -228,6 +229,26 @@ fn raw_payloads_claiming_multiple_tiles_are_rejected() {
     entries[1].tile_stats =
         vec![lcc::archive::TileStats { min: 0.0, max: 0.0, mean: 0.0, variance: 0.0 }; 2];
     assert!(open_err(reassemble(&payload, &entries)).contains("not a tiled frame"));
+}
+
+#[test]
+fn entries_holding_a_retired_row_band_frame_are_rejected() {
+    // Full-width 8-row tiles of a 32-row field are the bands a row-band
+    // frame held: dropping the tile shape from the header and the tiled flag
+    // from the version byte turns the entry into one (checksummed, `0x41`),
+    // digests and all, under metadata that still describes its blocks.
+    let mut writer = ArchiveWriter::new();
+    let (bound, pool) = (ErrorBound::Absolute(1e-3), ThreadPoolConfig::with_threads(2));
+    let (sz, mut scratch) = (SzCompressor::default(), FrameScratch::default());
+    writer.add_entry("bands", 0, &wavy(32, 24), &sz, bound, 8, 24, pool, &mut scratch).unwrap();
+    let (mut payload, mut entries) = dissect(&writer.finish());
+    let at = entries[0].offset as usize - HEAD_LEN;
+    assert_eq!(payload[at + 4], 0x61, "a checksummed tiled frame");
+    payload[at + 4] = 0x41;
+    payload.drain(at + 25..at + 33);
+    entries[0].length -= 8;
+    let msg = open_err(reassemble(&payload, &entries));
+    assert!(msg.contains("unsupported version byte 0x41"), "{msg}");
 }
 
 #[test]

@@ -185,9 +185,7 @@ fn reference_archive(entries: &[Entry]) -> Vec<u8> {
 /// workers (`0xd824_94f6_7f85_a1dd`) and re-captured once since, in PR 21,
 /// when the `*-rans8` tile streams moved to run-coded frequency tables (the
 /// nine `sz-rans8` / `mgard-rans8` entries; the `sz`, `zfp` and `mgard`
-/// entries, the frames and the container did not move —
-/// `tests/fixtures/archive_pair_table.lcca` keeps an archive of the old
-/// streams readable, see `tests/stream_identity.rs`).
+/// entries, the frames and the container did not move).
 const ARCHIVE_DIGEST: u64 = 0x3086_6a00_356a_9efc;
 
 #[test]

@@ -3,15 +3,13 @@
 //! codec's `open_container`) and handing the parts back to
 //! `codes::write_payload` reproduces the payload byte for byte — on the
 //! eight SZ / MGARD streams `tests/stream_identity.rs` pins by hash and on
-//! every decode-forever fixture under `tests/fixtures/` (a frame fixture's
-//! every block) — and the section
-//! the reader returns is the byte range the container layout puts it at,
-//! computed here by hand the way the tools used to.
+//! the four streams under `tests/fixtures/` that an older LZ77 policy wrote
+//! — and the section the reader returns is the byte range the container
+//! layout puts it at, computed here by hand the way the tools used to.
 
 use lcc::core::registry::entropy_ablation_registry;
 use lcc::lossless::{lz77_decompress, rans8_stream_info, EntropyBackend};
-use lcc::pressio::frame::is_framed;
-use lcc::pressio::{ErrorBound, FrameIndex};
+use lcc::pressio::ErrorBound;
 use std::ops::Range;
 
 #[path = "common/container.rs"]
@@ -77,26 +75,12 @@ fn pinned_streams_and_fixtures_reassemble_byte_for_byte() {
             continue;
         }
         let file = path.file_name().unwrap().to_string_lossy().into_owned();
-        // `<compressor>_<bound>_<what it predates>.bin`, `<compressor>_frame_…`
+        // `<compressor>_<bound>_<what it predates>.bin`
         let name = file.split('_').next().unwrap();
         assert!(names.contains(&name), "{file}: not a codes-container fixture");
         let stream = std::fs::read(&path).unwrap();
-        if is_framed(&stream) {
-            let index = FrameIndex::parse(&stream, stream.len()).unwrap();
-            for b in 0..index.n_blocks() {
-                let ((at, len), w) = (index.block_span(b), index.block_window(b));
-                let what = format!("{file} block {b}");
-                assert_reader_and_writer_invert(
-                    name,
-                    &stream[at..at + len],
-                    (w.height, w.width),
-                    &what,
-                );
-            }
-        } else {
-            assert_reader_and_writer_invert(name, &stream, (97, 113), &file);
-        }
+        assert_reader_and_writer_invert(name, &stream, (97, 113), &file);
         seen += 1;
     }
-    assert_eq!(seen, 10, "the eight decode-forever streams and two frames");
+    assert_eq!(seen, 4, "the four streams written before LZ77 miss-skipping");
 }

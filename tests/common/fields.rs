@@ -19,8 +19,7 @@ pub fn pinned_field() -> Field2D {
     })
 }
 
-/// The field behind the archive digest's degenerate-shape entries and each
-/// entry of `tests/fixtures/archive_pair_table.lcca`.
+/// The field behind the archive digest's degenerate-shape entries.
 pub fn ripple(ny: usize, nx: usize) -> Field2D {
     let mut s = (ny * 1000 + nx) as u64 | 1;
     Field2D::from_fn(ny, nx, |i, j| {

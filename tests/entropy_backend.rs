@@ -10,14 +10,18 @@
 //!   tables, frequencies that do not sum to `1 << 12`, unknown backend/mode
 //!   bytes and forged giant headers all surface `CompressError` with
 //!   allocation bounded by the actual stream,
-//! * the retired formats (SZ `LSR1`, MGARD `LMR1`, ZFP container tags 2/3,
-//!   rANS mode byte 0) are refused the same way, never mis-decoded.
+//! * every retired form `FORMAT.md` lists (SZ `LSR1`, MGARD `LMR1`, ZFP
+//!   container tags 1–3, rANS mode bytes 0 and 2, `LCCF` row bands) is
+//!   refused the same way, by a message that names it, never mis-decoded.
 
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
 use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
-use lcc::pressio::{frame, CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
+use lcc::pressio::{
+    frame, CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena,
+    FLAG_TILED,
+};
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
 use lcc_par::ThreadPoolConfig;
@@ -233,11 +237,12 @@ fn push_seed_lanes(section: &mut Vec<u8>) {
 
 /// A syntactically valid 8-way rANS section for `n` copies of one symbol.
 fn valid_rans_section(n: u64, symbol: u64) -> Vec<u8> {
-    let mut s = vec![2u8]; // mode 2 = 8-way rANS
+    let mut s = vec![3u8]; // mode 3 = 8-way rANS behind a run-coded table
     push_varint(&mut s, n);
-    push_varint(&mut s, 1); // alphabet size
-    push_varint(&mut s, symbol);
-    push_varint(&mut s, 4096); // freq = full scale
+    push_varint(&mut s, 0); // one run…
+    push_varint(&mut s, symbol); // …starting at the symbol…
+    push_varint(&mut s, 0); // …one symbol long…
+    push_varint(&mut s, 4095); // …at freq − 1 = full scale − 1
     push_seed_lanes(&mut s);
     s
 }
@@ -264,12 +269,13 @@ fn assert_corrupt(compressor: &dyn Compressor, stream: &[u8], what: &str) {
 #[test]
 fn truncated_rans_frequency_table_is_rejected() {
     let sz = SzCompressor::rans8();
-    // A section claiming 4096 table entries with almost none present.
-    let mut section = vec![2u8];
+    // A section claiming a 4096-symbol table with almost none of it present.
+    let mut section = vec![3u8];
     push_varint(&mut section, 100); // n_symbols
-    push_varint(&mut section, 4096); // alphabet_size
-    push_varint(&mut section, 1); // one lonely entry…
-    push_varint(&mut section, 2);
+    push_varint(&mut section, 0); // one run…
+    push_varint(&mut section, 0); // …from symbol 0…
+    push_varint(&mut section, 4095); // …4096 symbols long…
+    push_varint(&mut section, 1); // …and one lonely frequency
     assert_corrupt(
         &sz,
         &forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &section),
@@ -279,13 +285,13 @@ fn truncated_rans_frequency_table_is_rejected() {
 
 #[test]
 fn rans_frequencies_must_sum_to_the_12_bit_scale() {
-    let mut section = vec![2u8];
+    let mut section = vec![3u8];
     push_varint(&mut section, 256); // n_symbols (= 16×16 cells)
-    push_varint(&mut section, 2);
+    push_varint(&mut section, 0); // one run of symbols 0 and 1
     push_varint(&mut section, 0);
-    push_varint(&mut section, 2048);
     push_varint(&mut section, 1);
-    push_varint(&mut section, 2047); // sums to 4095, not 4096
+    push_varint(&mut section, 2047);
+    push_varint(&mut section, 2046); // sums to 4095, not 4096
     push_seed_lanes(&mut section);
     let sz = forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &section);
     assert_corrupt(&SzCompressor::rans8(), &sz, "bad freq sum (sz)");
@@ -387,13 +393,43 @@ mod alloc_probe;
 #[global_allocator]
 static ALLOC: alloc_probe::Probe = alloc_probe::Probe;
 
+/// The section `valid_rans_section` holds, as the retired pair table wrote
+/// it: mode byte 2, then `(symbol, freq)` pairs instead of runs.
+fn pair_table_section(n: u64, symbol: u64) -> Vec<u8> {
+    let mut s = vec![2u8];
+    push_varint(&mut s, n);
+    push_varint(&mut s, 1); // alphabet size
+    push_varint(&mut s, symbol);
+    push_varint(&mut s, 4096); // freq = full scale
+    push_seed_lanes(&mut s);
+    s
+}
+
+/// A retired row-band frame: a frame of full-width tiles of equal height is
+/// one once its header drops the tile shape (bytes 25..33) and its version
+/// byte the tiled flag (`0x21` → `0x01`, `0x61` → `0x41`).
+fn row_band_frame(compressor: &dyn Compressor, field: &Field2D, rows: usize, ck: bool) -> Vec<u8> {
+    let (bound, pool) = (ErrorBound::Absolute(1e-3), ThreadPoolConfig::with_threads(1));
+    let tile = (rows, field.nx());
+    let scratch = &mut FrameScratch::new();
+    let (mut frame, _) =
+        frame::compress_frame(compressor, &field.view(), bound, tile, ck, pool, scratch, |_| ())
+            .unwrap();
+    frame[4] &= !FLAG_TILED;
+    frame.drain(25..33);
+    frame
+}
+
 #[test]
 fn legacy_formats_are_refused_not_misdecoded() {
-    // What the deleted encoders used to write, every header claiming a
-    // 2^20 × 2^20 field (8 TB decoded): the 2-way rANS section (mode byte
-    // 0, two seed states), the `LSR1` / `LMR1` containers around it, and
-    // the ZFP container tags 2 (2-way) and 3 (8-way) over the byte-symbol
-    // form of the coder.
+    // What the deleted encoders used to write. The forms retired with
+    // their writers claim a 2^20 × 2^20 field (8 TB decoded): the 2-way
+    // rANS section (mode byte 0, two seed states), the `LSR1` / `LMR1`
+    // containers around it, and the ZFP container tags 2 (2-way) and 3
+    // (8-way) over the byte-symbol form of the coder. The forms whose
+    // decoders went later are streams a decoder once read back: rANS mode 2
+    // (the pair table), ZFP tag 1 (the bit stream behind an LZ77 pass) and
+    // `LCCF` row-band frames, plain (`0x01`) and checksummed (`0x41`).
     let mut two_way = vec![0u8]; // mode 0 = the retired 2-way format
     push_varint(&mut two_way, 1 << 40); // n_symbols
     push_varint(&mut two_way, 1); // alphabet size
@@ -402,10 +438,10 @@ fn legacy_formats_are_refused_not_misdecoded() {
     push_varint(&mut two_way, 8); // payload: the two seed states
     two_way.extend_from_slice(&(1u32 << 23).to_le_bytes());
     two_way.extend_from_slice(&(1u32 << 23).to_le_bytes());
-    // Every forgery is padded to 128 bytes, the size of a small real
-    // stream: the LZ77 front end that all but the `LS81`/`LM81` magics go
-    // through reserves what its leading length varint claims (`b'L'` = 76
-    // here), capped by a multiple of the input.
+    // Forgeries under a magic the LZ77 front end reads are padded to 128
+    // bytes, the size of a small real stream: it reserves what its leading
+    // length varint claims (`b'L'` = 76 here), capped by a multiple of the
+    // input.
     let padded = |mut stream: Vec<u8>| {
         stream.resize(stream.len().max(128), 0);
         stream
@@ -420,11 +456,18 @@ fn legacy_formats_are_refused_not_misdecoded() {
     let sz = SzCompressor::rans8();
     let mgard = MgardCompressor::rans8();
     let zfp = ZfpCompressor::default();
-    let cases: Vec<(&str, &dyn Compressor, Vec<u8>)> = vec![
+    let warmup = wavy(16, 16, 29);
+    let zfp_stream = zfp.compress_view(&warmup.view(), ErrorBound::Absolute(1e-3)).unwrap();
+    let sz_pairs = pair_table_section(256, u64::from(SZ_RADIUS));
+    let mgard_pairs = pair_table_section(256, u64::from(MGARD_RADIUS));
+    // (what, decoder, stream, what its refusal names; `LSR1` / `LMR1` are
+    // not a rANS magic, so the LZ77 front end refuses them first)
+    let cases: Vec<(&str, &dyn Compressor, Vec<u8>, &str)> = vec![
         (
             "LSR1",
             &sz,
             padded(forge_sz_container(b"LSR1", (1 << 20, 1 << 20), 1e-3, SZ_RADIUS, &two_way)),
+            "lz77",
         ),
         (
             "LMR1",
@@ -436,30 +479,65 @@ fn legacy_formats_are_refused_not_misdecoded() {
                 MGARD_RADIUS,
                 &two_way,
             )),
+            "lz77",
         ),
-        ("zfp tag 2", &zfp, padded(zfp_tagged(2, &two_way))),
-        ("zfp tag 3", &zfp, padded(zfp_tagged(3, &eight_way))),
+        ("zfp tag 2", &zfp, padded(zfp_tagged(2, &two_way)), "container tag 2"),
+        ("zfp tag 3", &zfp, padded(zfp_tagged(3, &eight_way)), "container tag 3"),
         (
             "mode 0 in LS81",
             &sz,
             padded(forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &two_way)),
+            "rans8 mode 0",
         ),
         (
             "mode 0 in LM81",
             &mgard,
             padded(forge_mgard_container(b"LM81", (16, 16), 1e-3, MGARD_RADIUS, &two_way)),
+            "rans8 mode 0",
         ),
+        (
+            "mode 2 in LS81",
+            &sz,
+            forge_sz_container(b"LS81", (16, 16), 1e-3, SZ_RADIUS, &sz_pairs),
+            "rans8 mode 2",
+        ),
+        (
+            "mode 2 in LM81",
+            &mgard,
+            forge_mgard_container(b"LM81", (16, 16), 1e-3, MGARD_RADIUS, &mgard_pairs),
+            "rans8 mode 2",
+        ),
+        (
+            "zfp tag 1",
+            &zfp,
+            zfp_tagged(1, &lcc::lossless::lz77_compress(&zfp_stream[1..])),
+            "container tag 1",
+        ),
+        ("LCCF 0x01", &sz, row_band_frame(&sz, &warmup, 8, false), "version byte 0x01"),
+        ("LCCF 0x41", &sz, row_band_frame(&sz, &warmup, 4, true), "version byte 0x41"),
     ];
 
-    // The bare section, straight into the coder.
-    assert!(matches!(
-        lcc::lossless::rans8_decode(&two_way),
-        Err(lcc::lossless::CodecError::Corrupt(_))
-    ));
+    // The bare sections, straight into a warm coder (padded too: a section
+    // may sit inside a larger container, and the refusal's message is an
+    // allocation of its own).
+    let (mut rans, mut codes) = (lcc::lossless::RansScratch::new(), Vec::new());
+    lcc::lossless::rans8_decode_with(&mut rans, &valid_rans_section(256, 7), &mut codes).unwrap();
+    for (section, names) in
+        [(padded(two_way.clone()), "rans8 mode 0"), (padded(sz_pairs.clone()), "rans8 mode 2")]
+    {
+        let section = &section;
+        let (result, largest) = alloc_probe::largest_request_during(|| {
+            lcc::lossless::rans8_decode_with(&mut rans, section, &mut codes)
+        });
+        assert!(
+            matches!(&result, Err(lcc::lossless::CodecError::Corrupt(msg)) if msg.contains(names)),
+            "bare {names}: {result:?}"
+        );
+        assert!(largest <= section.len(), "bare {names}: a {largest}-byte allocation");
+    }
 
     let pool = ThreadPoolConfig::with_threads(2);
-    let warmup = wavy(16, 16, 29);
-    for (what, compressor, stream) in &cases {
+    for (what, compressor, stream, names) in &cases {
         // Warm scratch as a serving worker's would be (the per-codec scratch
         // boxed, its buffers sized for a 16×16 field), so the probe sees
         // only what the refused stream itself asks for.
@@ -470,8 +548,13 @@ fn legacy_formats_are_refused_not_misdecoded() {
         compressor.decompress_view_with(&valid, &mut arena, &mut out).unwrap();
         frame::decompress_framed_with(*compressor, &valid, pool, &mut frames, &mut out).unwrap();
 
+        // A frame's one-stream path is its header parse, the archive's too.
         let (single, largest_single) = alloc_probe::largest_request_during(|| {
-            compressor.decompress_view_with(stream, &mut arena, &mut out)
+            if frame::is_framed(stream) {
+                FrameIndex::parse(stream, stream.len()).map(drop)
+            } else {
+                compressor.decompress_view_with(stream, &mut arena, &mut out)
+            }
         });
         let (framed, largest_framed) = alloc_probe::largest_request_during(|| {
             frame::decompress_framed_with(*compressor, stream, pool, &mut frames, &mut out)
@@ -480,8 +563,8 @@ fn legacy_formats_are_refused_not_misdecoded() {
             [("single", single, largest_single), ("framed", framed, largest_framed)]
         {
             assert!(
-                matches!(result, Err(CompressError::CorruptStream(_))),
-                "{what} ({path}): expected CorruptStream, got {result:?}"
+                matches!(&result, Err(CompressError::CorruptStream(msg)) if msg.contains(names)),
+                "{what} ({path}): expected CorruptStream naming {names:?}, got {result:?}"
             );
             assert!(
                 largest <= stream.len(),

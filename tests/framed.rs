@@ -17,9 +17,8 @@
 //!   lengths) error out instead of panicking for every compressor,
 //! * the general `compress_frame` form agrees with the pinned plain entry
 //!   points over both tile shapes they write × checksum,
-//! * every header forgery of either layout (v1 row bands, decode-only, and
-//!   v2 tiles) is refused by class without an allocation sized by what the
-//!   header claims.
+//! * every header forgery is refused by class without an allocation sized
+//!   by what the header claims, and so is a retired row-band header.
 
 use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
@@ -57,6 +56,11 @@ fn wavy(ny: usize, nx: usize, seed: u64) -> Field2D {
 
 fn pool(threads: usize) -> ThreadPoolConfig {
     ThreadPoolConfig::with_threads(threads)
+}
+
+/// Whether `result` is a `CorruptStream` whose message contains `names`.
+fn refused<T>(result: &Result<T, CompressError>, names: &str) -> bool {
+    matches!(result, Err(CompressError::CorruptStream(msg)) if msg.contains(names))
 }
 
 /// Decode a (framed or raw) stream with fresh scratch into an owned field.
@@ -261,18 +265,8 @@ fn corrupt_frames_error_for_every_compressor() {
         );
 
         // Truncated frame table (header claims blocks the table can't hold).
-        let mut forged = Vec::new();
-        forged.extend_from_slice(&FRAME_MAGIC);
-        forged.push(FRAME_VERSION);
-        forged.extend_from_slice(&512u64.to_le_bytes());
-        forged.extend_from_slice(&512u64.to_le_bytes());
-        forged.extend_from_slice(&500u32.to_le_bytes());
-        forged.extend_from_slice(&[0u8; 16]);
-        assert!(
-            matches!(decode(&forged), Err(CompressError::CorruptStream(_))),
-            "{}: truncated table",
-            comp.name()
-        );
+        let forged = forged_frame(V2, (512, 512), 500, Some((23, 23)), &[0, 0], 0);
+        assert!(refused(&decode(&forged), "exceeds"), "{}: truncated table", comp.name());
 
         // Overflowing block length.
         let mut bad = good.clone();
@@ -289,22 +283,13 @@ fn corrupt_frames_error_for_every_compressor() {
         assert!(decode(&good[..good.len() - 5]).is_err(), "{}: truncated body", comp.name());
 
         // Forged giant dimensions over a tiny valid-looking table: all
-        // checks up to the allocation guard pass (2 blocks <= 2^40 rows,
-        // table fits, lengths sum to the empty body), but the claimed cell
-        // count must be rejected before `out` is resized to exabytes.
-        let mut forged = Vec::new();
-        forged.extend_from_slice(&FRAME_MAGIC);
-        forged.push(FRAME_VERSION);
-        forged.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        forged.extend_from_slice(&(1u64 << 16).to_le_bytes());
-        forged.extend_from_slice(&2u32.to_le_bytes());
-        forged.extend_from_slice(&0u64.to_le_bytes());
-        forged.extend_from_slice(&0u64.to_le_bytes());
-        assert!(
-            matches!(decode(&forged), Err(CompressError::CorruptStream(_))),
-            "{}: forged giant shape",
-            comp.name()
-        );
+        // checks up to the allocation guard pass (two full-width tiles
+        // cover 2^32 rows, the table fits, lengths sum to the empty body),
+        // but the claimed cell count must be rejected before `out` is
+        // resized to exabytes.
+        let giant = Some((1 << 31, 1 << 16));
+        let forged = forged_frame(V2, (1 << 32, 1 << 16), 2, giant, &[0, 0], 0);
+        assert!(refused(&decode(&forged), "cells"), "{}: forged giant shape", comp.name());
 
         // A block whose substream decodes to the wrong shape: swap the
         // lengths so block boundaries land mid-stream (only meaningful when
@@ -389,7 +374,7 @@ fn the_general_forms_agree_with_the_pinned_entry_points_over_every_option() {
     ] {
         let pinned = pinned.unwrap();
         let plain_index = FrameIndex::parse(&pinned, pinned.len()).unwrap();
-        assert_eq!(plain_index.tile, Some(tile));
+        assert_eq!(plain_index.tile, tile);
         let n_blocks = plain_index.n_blocks();
         let pinned_decode = decompress_framed(&sz, &pinned, pool(2)).unwrap();
         assert!(field.max_abs_diff(&pinned_decode) <= eb);
@@ -442,8 +427,13 @@ mod alloc_probe;
 #[global_allocator]
 static ALLOC: alloc_probe::Probe = alloc_probe::Probe;
 
-/// A frame header of either layout (`tile` present: v2) with `flags` OR-ed
-/// into the version byte, followed by `lengths` and `body` zero bytes.
+/// The version byte of a tiled frame; with [`FLAG_CHECKSUM`] that of a
+/// checksummed one.
+const V2: u8 = FRAME_VERSION | FLAG_TILED;
+
+/// A frame header (with `tile`, the tiled layout's; without, a retired
+/// row-band header) under `version`, followed by `lengths` and `body` zero
+/// bytes.
 fn forged_frame(
     version: u8,
     (ny, nx): (u64, u64),
@@ -470,54 +460,57 @@ fn forged_frame(
 
 #[test]
 fn forged_headers_of_either_layout_are_refused_without_reserving() {
-    const V1: u8 = FRAME_VERSION;
-    const V2: u8 = FRAME_VERSION | FLAG_TILED;
     let t = Some((4u32, 4u32));
-    let forgeries: Vec<(&str, Vec<u8>)> = vec![
-        // Row bands (v1).
-        ("v1: zero blocks", forged_frame(V1, (8, 8), 0, None, &[], 16)),
-        ("v1: one block", forged_frame(V1, (8, 8), 1, None, &[16], 16)),
-        ("v1: more blocks than rows", forged_frame(V1, (2, 8), 3, None, &[4, 4, 4], 12)),
-        ("v1: table past the end", forged_frame(V1, (1000, 8), 200, None, &[0, 0], 0)),
-        ("v1: length overflows", forged_frame(V1, (8, 8), 2, None, &[u64::MAX, 8], 16)),
-        ("v1: lengths fall short", forged_frame(V1, (8, 8), 2, None, &[4, 4], 9)),
-        ("v1: lengths run over", forged_frame(V1, (8, 8), 2, None, &[8, 8], 9)),
-        ("v1: cell-count guard", forged_frame(V1, (1 << 40, 1 << 16), 2, None, &[0, 0], 0)),
-        ("v1: cell count overflows", forged_frame(V1, (1 << 62, 1 << 62), 2, None, &[8, 8], 16)),
-        ("v1: empty shape", forged_frame(V1, (0, 8), 2, None, &[8, 8], 16)),
-        ("v1: unknown flag bit 0x80", forged_frame(V1 | 0x80, (8, 8), 2, None, &[8, 8], 16)),
-        ("v1: unknown flag bit 0x10", forged_frame(V1 | 0x10, (8, 8), 2, None, &[8, 8], 16)),
-        ("v1: version 2", forged_frame(2, (8, 8), 2, None, &[8, 8], 16)),
+    let ck = V2 | FLAG_CHECKSUM;
+    // (what is forged, the forgery, what its refusal names)
+    let forgeries: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("zero tiles", forged_frame(V2, (8, 8), 0, t, &[], 16), "does not cover"),
+        ("one tile", forged_frame(V2, (4, 4), 1, t, &[16], 16), "does not cover"),
+        ("count is not the cover", forged_frame(V2, (8, 8), 3, t, &[4; 3], 12), "does not cover"),
+        ("zero tile height", forged_frame(V2, (8, 8), 4, Some((0, 4)), &[4; 4], 16), "tile shape"),
         (
-            "v1 checksummed: digest table past the end",
-            forged_frame(V1 | FLAG_CHECKSUM, (8, 8), 2, None, &[8, 8], 8),
+            "tile wider than the field",
+            forged_frame(V2, (8, 8), 2, Some((4, 9)), &[8; 2], 16),
+            "tile shape",
         ),
-        // Tiles (v2).
-        ("v2: zero tiles", forged_frame(V2, (8, 8), 0, t, &[], 16)),
-        ("v2: one tile", forged_frame(V2, (4, 4), 1, t, &[16], 16)),
-        ("v2: count is not the cover", forged_frame(V2, (8, 8), 3, t, &[4, 4, 4], 12)),
-        ("v2: zero tile height", forged_frame(V2, (8, 8), 4, Some((0, 4)), &[4; 4], 16)),
-        ("v2: tile wider than the field", forged_frame(V2, (8, 8), 2, Some((4, 9)), &[8, 8], 16)),
-        ("v2: table past the end", forged_frame(V2, (1000, 1000), 62_500, t, &[0, 0], 0)),
-        ("v2: header cut short", forged_frame(V2, (8, 8), 4, None, &[], 4)),
-        ("v2: length overflows", forged_frame(V2, (8, 8), 4, t, &[u64::MAX, 8, 8, 8], 32)),
-        ("v2: lengths fall short", forged_frame(V2, (8, 8), 4, t, &[4; 4], 17)),
+        ("empty shape", forged_frame(V2, (0, 8), 2, t, &[8, 8], 16), "empty field shape"),
+        ("table past the end", forged_frame(V2, (1000, 1000), 62_500, t, &[0, 0], 0), "exceeds"),
         (
-            "v2: cell-count guard",
-            forged_frame(V2, (1 << 32, 1 << 32), 4, Some((1 << 31, 1 << 31)), &[8; 4], 32),
+            "checksummed: digest table past the end",
+            forged_frame(ck, (8, 4), 2, t, &[8; 2], 8),
+            "exceeds",
         ),
-        ("v2: unknown flag bit 0x80", forged_frame(V2 | 0x80, (8, 8), 4, t, &[4; 4], 16)),
+        ("length overflows", forged_frame(V2, (8, 8), 4, t, &[u64::MAX, 8, 8, 8], 32), "overflow"),
+        ("lengths fall short", forged_frame(V2, (8, 8), 4, t, &[4; 4], 17), "lengths end at"),
+        (
+            "cell-count guard",
+            forged_frame(V2, (1 << 32, 1 << 16), 2, Some((1 << 31, 1 << 16)), &[8; 2], 16),
+            "plausible yield",
+        ),
+        (
+            "cell count overflows",
+            forged_frame(V2, (1 << 33, 1 << 33), 9, Some((u32::MAX, u32::MAX)), &[8; 9], 72),
+            "cell count overflows",
+        ),
+        ("unknown flag bit 0x80", forged_frame(V2 | 0x80, (8, 8), 4, t, &[4; 4], 16), "byte 0xa1"),
+        ("unknown flag bit 0x10", forged_frame(V2 | 0x10, (8, 8), 4, t, &[4; 4], 16), "byte 0x31"),
+        ("version 2", forged_frame(2 | FLAG_TILED, (8, 8), 4, t, &[4; 4], 16), "byte 0x22"),
+        (
+            "v1 row bands are refused by version",
+            forged_frame(FRAME_VERSION, (8, 8), 2, None, &[8, 8], 16),
+            "byte 0x01",
+        ),
     ];
 
     let sz = SzCompressor::default();
     let mut scratch = FrameScratch::new();
     let mut out = Field2D::zeros(1, 1);
-    for (what, bytes) in &forgeries {
+    for (what, bytes, names) in &forgeries {
         assert!(is_framed(bytes), "{what}: the forgery must reach the frame parser");
         let (result, largest) = alloc_probe::largest_request_during(|| {
             decompress_framed_with(&sz, bytes, pool(1), &mut scratch, &mut out)
         });
-        assert!(matches!(result, Err(CompressError::CorruptStream(_))), "{what}: {result:?}");
+        assert!(refused(&result, names), "{what}: {result:?}");
         assert!(
             largest <= 4 * bytes.len() + 256,
             "{what}: a {}-byte stream made the decoder request {largest} bytes",
@@ -525,9 +518,16 @@ fn forged_headers_of_either_layout_are_refused_without_reserving() {
         );
         let (parsed, largest) =
             alloc_probe::largest_request_during(|| FrameIndex::parse(bytes, bytes.len()));
-        assert!(matches!(parsed, Err(CompressError::CorruptStream(_))), "{what}: {parsed:?}");
+        assert!(refused(&parsed, names), "{what}: {parsed:?}");
         assert!(largest <= 4 * bytes.len() + 256, "{what}: parse requested {largest} bytes");
     }
+
+    // A stream cut inside the header is no frame: the inner codec refuses
+    // it, and so does the index parse.
+    let cut = forged_frame(V2, (8, 8), 4, None, &[], 4);
+    assert!(!is_framed(&cut));
+    assert!(matches!(decompress_framed(&sz, &cut, pool(1)), Err(CompressError::CorruptStream(_))));
+    assert!(refused(&FrameIndex::parse(&cut, cut.len()), "truncated"));
 
     // Control: the same builder, given true lengths, makes frames that parse.
     let field = wavy(8, 8, 3);
@@ -536,7 +536,7 @@ fn forged_headers_of_either_layout_are_refused_without_reserving() {
         .map(|b| sz.compress_view(&field.view().subview(4 * b, 0, 4, 8), bound).unwrap())
         .collect();
     let lengths: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    let mut good = forged_frame(V1, (8, 8), 2, None, &lengths, 0);
+    let mut good = forged_frame(V2, (8, 8), 2, Some((4, 8)), &lengths, 0);
     good.extend(streams.concat());
     let decoded = decompress_framed(&sz, &good, pool(1)).unwrap();
     assert!(field.max_abs_diff(&decoded) <= 1e-3);
