@@ -217,7 +217,7 @@ fn variogram_cost(field: &Field2D, pool: ThreadPoolConfig) -> String {
 }
 
 fn main() {
-    let size = CliOptions::from_env(&["size"], &[]).get_count("size", 1028);
+    let size = CliOptions::from_env(&["size"], &[]).get_count("size", 1028, 1);
     let pool = ThreadPoolConfig::auto();
     let bytes = (size * size * std::mem::size_of::<f64>()) as f64;
     let megabytes = bytes / 1e6;

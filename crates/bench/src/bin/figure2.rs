@@ -16,7 +16,7 @@ use lcc_synth::{
 fn main() {
     let opts = CliOptions::from_env(&["size", "seed", "out"], &["full-paper-scale"]);
     let paper = opts.preset(&["size"]).is_some();
-    let size = if paper { 1028 } else { opts.get_count("size", 256) };
+    let size = if paper { 1028 } else { opts.get_count("size", 256, 2) };
     let seed = opts.get_u64("seed", 2021);
     let dir = opts.output_dir();
     std::fs::create_dir_all(&dir).expect("create output directory");

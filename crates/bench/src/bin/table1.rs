@@ -40,7 +40,7 @@ fn main() {
         (
             "lcc-hydro",
             env!("CARGO_PKG_VERSION"),
-            "compressible-flow Miranda substitute (velocityx volumes)",
+            "compressible-flow Miranda substitute (velocityx slices)",
         ),
     ];
     for (name, version, purpose) in extra {

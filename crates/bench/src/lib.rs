@@ -1,29 +1,33 @@
 //! # lcc-bench — figure-reproduction binaries and the `bench_sweep` report
 //!
-//! The `src/bin/figure*.rs` binaries regenerate every figure and table of
-//! the paper's evaluation (README.md §"Build, test, bench" shows how to
-//! run them); `bench_sweep` times the paper-scale statistics and codec
+//! The `study` binary regenerates every panel of Figures 3–7 from one sweep
+//! per dataset family; `figure1`, `figure2` and `table1` regenerate the
+//! rest of the paper's evaluation (README.md §"Build, test, bench" shows how
+//! to run them); `bench_sweep` times the paper-scale statistics and codec
 //! stages and prints them as one markdown report.
 //!
 //! This library holds the small amount of shared plumbing: a dependency-free
-//! command-line option parser and helpers that print fitted panels and write
-//! their CSV files.
+//! command-line option parser and the study's configuration from it.
 
 use lcc_core::dataset::StudyDatasets;
-use lcc_core::experiment::FittedSeries;
-use lcc_core::figures::{FigurePanel, GaussianFigureConfig, MirandaFigureConfig};
-use lcc_grid::io::CsvSeries;
+use lcc_core::figures::StudyConfig;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Value options of the Gaussian-field figures (see [`gaussian_config`]),
-/// with `--out`.
-pub const GAUSSIAN_KEYS: [&str; 7] =
-    ["size", "ranges", "min-range", "max-range", "replicates", "seed", "out"];
-/// Value options of the Miranda-proxy figures (see [`miranda_config`]), with
-/// `--out`.
-pub const MIRANDA_KEYS: [&str; 4] = ["slices", "slice-size", "seed", "out"];
-/// The two scale presets every figure binary takes.
+/// Value options of the `study` binary: `--out`, then the dataset options
+/// of [`study_config`] (`--seed` seeds all three families).
+pub const STUDY_KEYS: [&str; 9] = [
+    "out",
+    "size",
+    "ranges",
+    "min-range",
+    "max-range",
+    "replicates",
+    "slices",
+    "slice-size",
+    "seed",
+];
+/// The two scale presets the `study` binary takes.
 pub const SCALE_FLAGS: [&str; 2] = ["quick", "full-paper-scale"];
 
 /// Exit status for an argument the binary does not declare (`EX_USAGE`, the
@@ -32,7 +36,7 @@ const EXIT_USAGE: i32 = 64;
 
 /// Report `message` on stderr and exit with status 2: a value the binary
 /// cannot use is refused, never replaced by one nobody asked for.
-fn refuse(message: &str) -> ! {
+pub fn refuse(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2)
 }
@@ -115,12 +119,13 @@ impl CliOptions {
         self.parsed_or_exit(name, default)
     }
 
-    /// Fetch a count or a size (at least 1) with a default; an unparseable
-    /// value or 0 is reported on stderr and exits the process with status 2.
-    pub fn get_count(&self, name: &str, default: usize) -> usize {
+    /// Fetch a count or a size (at least `min`) with a default; an
+    /// unparseable value or one below `min` is reported on stderr and exits
+    /// the process with status 2.
+    pub fn get_count(&self, name: &str, default: usize, min: usize) -> usize {
         let value = self.parsed_or_exit(name, default);
-        if value == 0 {
-            refuse(&format!("--{name}: must be at least 1, got 0"));
+        if value < min {
+            refuse(&format!("--{name}: must be at least {min}, got {value}"));
         }
         value
     }
@@ -163,87 +168,34 @@ impl CliOptions {
     }
 }
 
-/// Build the Gaussian-figure configuration (figures 3, 5, 6) from the
-/// command line: `--quick`, `--full-paper-scale`, or explicit `--size`,
-/// `--ranges`, `--min-range`, `--max-range`, `--replicates`, `--seed`.
-/// A preset beside an explicit one of those, a count of 0 or a range that
-/// is not positive exits with status 2 naming the option.
-pub fn gaussian_config(opts: &CliOptions) -> GaussianFigureConfig {
-    let dataset_keys = ["size", "ranges", "min-range", "max-range", "replicates", "seed"];
-    let mut config = match opts.preset(&dataset_keys) {
-        Some("quick") => return GaussianFigureConfig::quick(),
-        Some(_) => return GaussianFigureConfig::paper_scale(),
-        None => GaussianFigureConfig::standard(),
+/// Build the study configuration from the command line: `--quick`,
+/// `--full-paper-scale`, or explicit `--size`, `--ranges`, `--min-range`,
+/// `--max-range`, `--replicates`, `--slices`, `--slice-size` and `--seed`
+/// (which seeds the Gaussian fields and the Miranda proxy alike). A preset
+/// beside an explicit one of those, a count of 0, a `--size` or
+/// `--slice-size` below the statistics window (H = 32: neither local
+/// statistic has a window on a smaller field) or a range that is not
+/// positive exits with status 2 naming the option.
+pub fn study_config(opts: &CliOptions) -> StudyConfig {
+    let mut config = match opts.preset(&STUDY_KEYS[1..]) {
+        Some("quick") => return StudyConfig::quick(),
+        Some(_) => return StudyConfig::paper_scale(),
+        None => StudyConfig::standard(),
     };
+    let window = config.sweep.statistics.window;
+    let seed = opts.get_u64("seed", config.datasets.seed);
     config.datasets = StudyDatasets {
-        gaussian_size: opts.get_count("size", config.datasets.gaussian_size),
-        n_ranges: opts.get_count("ranges", config.datasets.n_ranges),
+        gaussian_size: opts.get_count("size", config.datasets.gaussian_size, window),
+        n_ranges: opts.get_count("ranges", config.datasets.n_ranges, 1),
         min_range: opts.get_length("min-range", config.datasets.min_range),
         max_range: opts.get_length("max-range", config.datasets.max_range),
-        replicates: opts.get_count("replicates", config.datasets.replicates),
-        seed: opts.get_u64("seed", config.datasets.seed),
+        replicates: opts.get_count("replicates", config.datasets.replicates, 1),
+        seed,
     };
+    config.slices = opts.get_count("slices", config.slices, 1);
+    config.slice_size = opts.get_count("slice-size", config.slice_size, window);
+    config.miranda_seed = seed;
     config
-}
-
-/// Build the Miranda-figure configuration (figures 4 and 7) from the command
-/// line: `--quick`, `--full-paper-scale`, or explicit `--slices`,
-/// `--slice-size`, `--seed`, refused like [`gaussian_config`]'s.
-pub fn miranda_config(opts: &CliOptions) -> MirandaFigureConfig {
-    let mut config = match opts.preset(&["slices", "slice-size", "seed"]) {
-        Some("quick") => return MirandaFigureConfig::quick(),
-        Some(_) => return MirandaFigureConfig::paper_scale(),
-        None => MirandaFigureConfig::standard(),
-    };
-    config.slices = opts.get_count("slices", config.slices);
-    config.slice_size = opts.get_count("slice-size", config.slice_size);
-    config.seed = opts.get_u64("seed", config.seed);
-    config
-}
-
-/// Print one fitted series as the paper's legend line.
-pub fn print_series(series: &FittedSeries) {
-    println!(
-        "  {:>6} {:>9}  alpha={:>8.3}  beta={:>8.3}  R2={:>6.3}  n={}",
-        series.compressor,
-        series.bound.to_string(),
-        series.fit.alpha,
-        series.fit.beta,
-        series.fit.r_squared,
-        series.fit.n_points
-    );
-}
-
-/// Print a whole panel (header + every series) and return the number of
-/// series printed.
-pub fn print_panel(title: &str, panel: &FigurePanel) -> usize {
-    println!("{title}");
-    println!("  x-axis: {}", panel.statistic.label());
-    for s in &panel.series {
-        print_series(s);
-    }
-    panel.series.len()
-}
-
-/// Write a panel's per-record CSV and fitted-coefficients CSV under
-/// `dir/<stem>_records.csv` and `dir/<stem>_fits.csv`.
-pub fn write_panel_csv(panel: &FigurePanel, dir: &Path, stem: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let records = lcc_core::experiment::records_to_csv(&panel.records);
-    records
-        .write(dir.join(format!("{stem}_records.csv")))
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    panel
-        .fits_to_csv()
-        .write(dir.join(format!("{stem}_fits.csv")))
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    Ok(())
-}
-
-/// Write an arbitrary CSV series under the output directory.
-pub fn write_csv(csv: &CsvSeries, dir: &Path, name: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    csv.write(dir.join(name)).map_err(|e| std::io::Error::other(e.to_string()))
 }
 
 #[cfg(test)]
@@ -259,13 +211,13 @@ mod tests {
     #[test]
     fn cli_parsing_handles_values_and_flags() {
         let opts = parse(&["--size", "256", "--quick", "--seed", "9", "--out", "/tmp/x"]).unwrap();
-        assert_eq!(opts.get_count("size", 64), 256);
+        assert_eq!(opts.get_count("size", 64, 32), 256);
         assert_eq!(opts.get_u64("seed", 1), 9);
         assert!(opts.flag("quick"));
         assert!(!opts.flag("full-paper-scale"));
         assert_eq!(opts.output_dir(), PathBuf::from("/tmp/x"));
         // Defaults for missing keys.
-        assert_eq!(opts.get_count("ranges", 10), 10);
+        assert_eq!(opts.get_count("ranges", 10, 1), 10);
         assert_eq!(opts.get_length("min-range", 2.0), 2.0);
         assert_eq!(opts.get_str("missing", "d"), "d");
     }
@@ -314,18 +266,14 @@ mod tests {
     }
 
     #[test]
-    fn the_shared_key_sets_cover_what_the_config_builders_read() {
-        fn args(keys: &[&str]) -> Vec<String> {
-            keys.iter().flat_map(|k| [format!("--{k}"), "3".to_string()]).collect()
-        }
-        let opts = CliOptions::parse(args(&GAUSSIAN_KEYS), &GAUSSIAN_KEYS, &SCALE_FLAGS).unwrap();
-        let config = gaussian_config(&opts);
-        assert_eq!((config.datasets.gaussian_size, config.datasets.n_ranges), (3, 3));
-        assert_eq!((config.datasets.min_range, config.datasets.max_range), (3.0, 3.0));
-        assert_eq!((config.datasets.replicates, config.datasets.seed), (3, 3));
-        let opts = CliOptions::parse(args(&MIRANDA_KEYS), &MIRANDA_KEYS, &SCALE_FLAGS).unwrap();
-        let config = miranda_config(&opts);
-        assert_eq!((config.slices, config.slice_size, config.seed), (3, 3, 3));
-        assert_eq!(opts.output_dir(), PathBuf::from("3"));
+    fn the_study_keys_cover_what_the_config_builder_reads() {
+        let args = STUDY_KEYS.iter().flat_map(|k| [format!("--{k}"), "33".to_string()]);
+        let opts = CliOptions::parse(args, &STUDY_KEYS, &SCALE_FLAGS).unwrap();
+        let config = study_config(&opts);
+        assert_eq!((config.datasets.gaussian_size, config.datasets.n_ranges), (33, 33));
+        assert_eq!((config.datasets.min_range, config.datasets.max_range), (33.0, 33.0));
+        assert_eq!((config.datasets.replicates, config.datasets.seed), (33, 33));
+        assert_eq!((config.slices, config.slice_size, config.miranda_seed), (33, 33, 33));
+        assert_eq!(opts.output_dir(), PathBuf::from("33"));
     }
 }

@@ -7,22 +7,32 @@ use std::process::Command;
 
 #[test]
 fn substituted_or_dropped_values_exit_2_naming_the_option() {
-    let figure3 = env!("CARGO_BIN_EXE_figure3");
-    let figure4 = env!("CARGO_BIN_EXE_figure4");
+    let study = env!("CARGO_BIN_EXE_study");
+    let figure1 = env!("CARGO_BIN_EXE_figure1");
+    let figure2 = env!("CARGO_BIN_EXE_figure2");
     for (bin, args, named) in [
         // Counts and lengths the generators cannot use.
-        (figure3, &["--size", "0"][..], &["--size"][..]),
-        (figure3, &["--ranges", "0"], &["--ranges"]),
-        (figure3, &["--min-range", "-1"], &["--min-range"]),
-        (figure3, &["--max-range", "inf"], &["--max-range"]),
-        (figure4, &["--slice-size", "0"], &["--slice-size"]),
+        (study, &["--size", "0"][..], &["--size"][..]),
+        (study, &["--ranges", "0"], &["--ranges"]),
+        (study, &["--min-range", "-1"], &["--min-range"]),
+        (study, &["--max-range", "inf"], &["--max-range"]),
+        (study, &["--slice-size", "0"], &["--slice-size"]),
+        // Sizes below the statistics window H = 32, where neither local
+        // statistic has a window.
+        (study, &["--size", "1", "--ranges", "3"], &["--size"]),
+        (study, &["--size", "31"], &["--size"]),
+        (study, &["--slice-size", "1"], &["--slice-size"]),
+        (study, &["--slice-size", "31"], &["--slice-size"]),
+        // A variogram too short to fit, and a slice the solver cannot run.
+        (figure1, &["--size", "2"], &["--size"]),
+        (figure2, &["--size", "1"], &["--size"]),
         // Counts that used to be read as 1.
-        (figure3, &["--size", "32", "--ranges", "1", "--replicates", "0"], &["--replicates"]),
+        (study, &["--size", "32", "--ranges", "1", "--replicates", "0"], &["--replicates"]),
         // Options a scale preset used to drop.
-        (figure3, &["--quick", "--size", "64"], &["--size", "--quick"]),
-        (figure3, &["--full-paper-scale", "--seed", "3"], &["--seed", "--full-paper-scale"]),
-        (figure4, &["--quick", "--slices", "2"], &["--slices", "--quick"]),
-        (figure3, &["--quick", "--full-paper-scale"], &["--quick", "--full-paper-scale"]),
+        (study, &["--quick", "--size", "64"], &["--size", "--quick"]),
+        (study, &["--full-paper-scale", "--seed", "3"], &["--seed", "--full-paper-scale"]),
+        (study, &["--quick", "--slices", "2"], &["--slices", "--quick"]),
+        (study, &["--quick", "--full-paper-scale"], &["--quick", "--full-paper-scale"]),
     ] {
         let run = Command::new(bin)
             .args(args)

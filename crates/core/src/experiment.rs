@@ -222,7 +222,7 @@ pub fn fit_series(
 }
 
 /// Serialize experiment records as a flat CSV (one row per cell), the format
-/// the figure binaries write next to their fitted-series output.
+/// the `study` binary writes next to each panel's fitted-series output.
 pub fn records_to_csv(records: &[ExperimentRecord]) -> CsvSeries {
     let mut csv = CsvSeries::new([
         "true_range",

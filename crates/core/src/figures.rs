@@ -1,23 +1,25 @@
-//! Per-figure experiment assemblies.
+//! The experiments behind the paper's evaluation figures.
 //!
-//! Each `run_figure*` function regenerates the data behind one figure of the
-//! paper's evaluation section: it builds the right dataset family, runs the
-//! compression sweep, computes the statistic on the figure's x-axis, fits
-//! the logarithmic regressions reported in the legends, and returns both the
-//! raw per-cell records and the fitted series. The `lcc-bench` binaries are
-//! thin wrappers that print these results and write them as CSV.
+//! [`run_figure1`] fits the example variogram of Figure 1. [`run_study`]
+//! regenerates Figures 3–7: it runs the compression sweep once per dataset
+//! family — single-range Gaussian fields, multi-range Gaussian fields and
+//! Miranda-proxy slices — and [`PANELS`] names the nine panels, each one
+//! statistic plotted against one family's records. [`Study::panel`] fits
+//! the logarithmic regressions a panel's legend reports. The `study` binary
+//! of `lcc-bench` prints every panel and writes its CSV files.
 
-use crate::dataset::{LabeledField, StudyDatasets};
+use crate::dataset::StudyDatasets;
 use crate::experiment::{
     compressor_id, fit_series, run_sweep, ExperimentRecord, FittedSeries, SweepConfig,
 };
-use crate::registry::{default_registry, sz_zfp_registry};
+use crate::registry::default_registry;
 use crate::statistics::StatisticKind;
 use crate::CoreError;
 use lcc_geostat::variogram::{
     empirical_variogram_view, fit_squared_exponential, model_gamma, VariogramConfig,
 };
 use lcc_grid::io::CsvSeries;
+use lcc_pressio::ErrorBound;
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 
 /// One panel of a figure: every (compressor, bound) series against a single
@@ -75,15 +77,12 @@ pub struct Figure1Data {
 }
 
 /// Regenerate Figure 1 from a synthetic field with the given correlation
-/// range.
-pub fn run_figure1(size: usize, range: f64, seed: u64) -> Figure1Data {
+/// range. A field whose variogram cannot be fitted (too few lags) is an
+/// error, not a model curve of NaNs.
+pub fn run_figure1(size: usize, range: f64, seed: u64) -> Result<Figure1Data, CoreError> {
     let field = generate_single_range(&GaussianFieldConfig::new(size, size, range, seed));
     let vg = empirical_variogram_view(&field.view(), &VariogramConfig::default());
-    let fit = fit_squared_exponential(&vg).unwrap_or(lcc_geostat::VariogramFit {
-        sill: 0.0,
-        range: f64::NAN,
-        residual: f64::NAN,
-    });
+    let fit = fit_squared_exponential(&vg).map_err(|e| CoreError::Statistics(e.to_string()))?;
     let max_h = vg.distances.iter().cloned().fold(1.0, f64::max);
     let model: Vec<(f64, f64)> = (0..100)
         .map(|k| {
@@ -91,31 +90,139 @@ pub fn run_figure1(size: usize, range: f64, seed: u64) -> Figure1Data {
             (h, model_gamma(&fit, h))
         })
         .collect();
-    Figure1Data {
+    Ok(Figure1Data {
         empirical: vg.distances.iter().cloned().zip(vg.gammas.iter().cloned()).collect(),
         model,
         sill: fit.sill,
         range: fit.range,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Figure 3 / 5 / 6: Gaussian-field sweeps
+// Figures 3–7: one sweep per dataset family
 // ---------------------------------------------------------------------------
 
-/// Configuration shared by the Gaussian-field figures (3, 5, 6).
+/// The three dataset families of the study (Section IV-A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Single-range Gaussian fields, one correlation range each.
+    SingleRange,
+    /// Gaussian fields mixing a sweep range with a fixed long range.
+    MultiRange,
+    /// Miranda-proxy velocityx slices (the application dataset).
+    Miranda,
+}
+
+/// One panel of Figures 3–7: which family's records it plots against
+/// which statistic.
+#[derive(Debug, Clone, Copy)]
+pub struct PanelSpec {
+    /// Stem of the panel's CSV files, `<stem>_records.csv` and
+    /// `<stem>_fits.csv`.
+    pub stem: &'static str,
+    /// Heading printed above the panel's series.
+    pub title: &'static str,
+    /// The family whose records the panel plots.
+    pub family: Family,
+    /// The statistic on the x-axis.
+    pub statistic: StatisticKind,
+    /// Whether MGARD's records are plotted: the paper omits MGARD from
+    /// Figure 6, whose local-SVD statistic it is insensitive to.
+    pub mgard: bool,
+}
+
+/// The nine panels of Figures 3–7, in figure order.
+pub const PANELS: [PanelSpec; 9] = {
+    use Family::*;
+    use StatisticKind::*;
+    [
+        PanelSpec {
+            stem: "figure3_single_range",
+            title: "Figure 3, left: single-range Gaussian fields",
+            family: SingleRange,
+            statistic: GlobalVariogramRange,
+            mgard: true,
+        },
+        PanelSpec {
+            stem: "figure3_multi_range",
+            title: "Figure 3, right: multi-range Gaussian fields",
+            family: MultiRange,
+            statistic: GlobalVariogramRange,
+            mgard: true,
+        },
+        PanelSpec {
+            stem: "figure4_miranda_global_range",
+            title: "Figure 4: Miranda-proxy velocityx slices",
+            family: Miranda,
+            statistic: GlobalVariogramRange,
+            mgard: true,
+        },
+        PanelSpec {
+            stem: "figure5_single_range",
+            title: "Figure 5, left: single-range Gaussian fields",
+            family: SingleRange,
+            statistic: LocalVariogramRangeStd,
+            mgard: true,
+        },
+        PanelSpec {
+            stem: "figure5_multi_range",
+            title: "Figure 5, right: multi-range Gaussian fields",
+            family: MultiRange,
+            statistic: LocalVariogramRangeStd,
+            mgard: true,
+        },
+        PanelSpec {
+            stem: "figure6_single_range",
+            title: "Figure 6, left: single-range Gaussian fields, no MGARD",
+            family: SingleRange,
+            statistic: LocalSvdTruncationStd,
+            mgard: false,
+        },
+        PanelSpec {
+            stem: "figure6_multi_range",
+            title: "Figure 6, right: multi-range Gaussian fields, no MGARD",
+            family: MultiRange,
+            statistic: LocalSvdTruncationStd,
+            mgard: false,
+        },
+        PanelSpec {
+            stem: "figure7_local_range_std",
+            title: "Figure 7, left: Miranda-proxy velocityx slices",
+            family: Miranda,
+            statistic: LocalVariogramRangeStd,
+            mgard: true,
+        },
+        PanelSpec {
+            stem: "figure7_local_svd_std",
+            title: "Figure 7, right: Miranda-proxy velocityx slices",
+            family: Miranda,
+            statistic: LocalSvdTruncationStd,
+            mgard: true,
+        },
+    ]
+};
+
+/// Configuration of one study run: the datasets of the three families and
+/// the one sweep all three go through.
 #[derive(Debug, Clone)]
-pub struct GaussianFigureConfig {
-    /// Dataset generation settings.
+pub struct StudyConfig {
+    /// The two Gaussian families: field size, ranges, replicates and seed.
     pub datasets: StudyDatasets,
-    /// Sweep settings (bounds, statistics, threads).
+    /// Number of Miranda-proxy velocityx slices.
+    pub slices: usize,
+    /// Side length of each slice.
+    pub slice_size: usize,
+    /// Seed of the Miranda-proxy simulation.
+    pub miranda_seed: u64,
+    /// Bounds and statistics of every sweep, and the sweep's threads.
     pub sweep: SweepConfig,
 }
 
-impl GaussianFigureConfig {
-    /// A reduced configuration suitable for tests and smoke runs.
+impl StudyConfig {
+    /// A reduced configuration for tests and smoke runs (96×96 fields and
+    /// slices, 2 bounds).
     pub fn quick() -> Self {
-        GaussianFigureConfig {
+        StudyConfig {
             datasets: StudyDatasets {
                 gaussian_size: 96,
                 n_ranges: 4,
@@ -124,179 +231,81 @@ impl GaussianFigureConfig {
                 replicates: 1,
                 seed: 11,
             },
-            sweep: SweepConfig {
-                bounds: vec![
-                    lcc_pressio::ErrorBound::Absolute(1e-3),
-                    lcc_pressio::ErrorBound::Absolute(1e-2),
-                ],
-                ..Default::default()
-            },
-        }
-    }
-
-    /// The default experiment scale (256×256 fields, 10 ranges, 4 bounds).
-    pub fn standard() -> Self {
-        GaussianFigureConfig { datasets: StudyDatasets::default(), sweep: SweepConfig::default() }
-    }
-
-    /// The paper-scale configuration (1028×1028 fields).
-    pub fn paper_scale() -> Self {
-        GaussianFigureConfig {
-            datasets: StudyDatasets::paper_scale(),
-            sweep: SweepConfig::default(),
-        }
-    }
-}
-
-/// Alias used by the figure-3 entry points.
-pub type Figure3Config = GaussianFigureConfig;
-
-/// Data behind Figure 3 (and reused by Figures 5 and 6): sweeps over the
-/// single-range and multi-range Gaussian datasets.
-#[derive(Debug, Clone)]
-pub struct GaussianSweepData {
-    /// Panel computed on the single-range fields.
-    pub single_range: FigurePanel,
-    /// Panel computed on the multi-range fields.
-    pub multi_range: FigurePanel,
-}
-
-fn run_gaussian_figure(
-    config: &GaussianFigureConfig,
-    registry: &lcc_pressio::Registry,
-    statistic: StatisticKind,
-) -> Result<GaussianSweepData, CoreError> {
-    let single = config.datasets.single_range_fields();
-    let multi = config.datasets.multi_range_fields();
-    let single_records = run_sweep(&single, registry, &config.sweep)?;
-    let multi_records = run_sweep(&multi, registry, &config.sweep)?;
-    Ok(GaussianSweepData {
-        single_range: FigurePanel::from_records(single_records, statistic),
-        multi_range: FigurePanel::from_records(multi_records, statistic),
-    })
-}
-
-/// Figure 3: compression ratio vs the **global variogram range** on single-
-/// and multi-range Gaussian fields.
-pub fn run_figure3(config: &Figure3Config) -> GaussianSweepData {
-    run_gaussian_figure(config, &default_registry(), StatisticKind::GlobalVariogramRange)
-        .expect("the study compressors never fail on finite synthetic fields")
-}
-
-/// Figure 5: compression ratio vs the **std of local variogram ranges**.
-pub fn run_figure5(config: &GaussianFigureConfig) -> GaussianSweepData {
-    run_gaussian_figure(config, &default_registry(), StatisticKind::LocalVariogramRangeStd)
-        .expect("the study compressors never fail on finite synthetic fields")
-}
-
-/// Figure 6: compression ratio vs the **std of local SVD truncation levels**
-/// (SZ and ZFP only, as in the paper).
-pub fn run_figure6(config: &GaussianFigureConfig) -> GaussianSweepData {
-    run_gaussian_figure(config, &sz_zfp_registry(), StatisticKind::LocalSvdTruncationStd)
-        .expect("the study compressors never fail on finite synthetic fields")
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 / 7: Miranda-proxy sweeps
-// ---------------------------------------------------------------------------
-
-/// Configuration of the Miranda-proxy figures (4 and 7).
-#[derive(Debug, Clone)]
-pub struct MirandaFigureConfig {
-    /// Number of velocityx slices analysed.
-    pub slices: usize,
-    /// Side length of each slice.
-    pub slice_size: usize,
-    /// Base seed of the simulation.
-    pub seed: u64,
-    /// Sweep settings.
-    pub sweep: SweepConfig,
-}
-
-impl MirandaFigureConfig {
-    /// Reduced configuration for tests.
-    pub fn quick() -> Self {
-        MirandaFigureConfig {
             slices: 5,
             slice_size: 96,
-            seed: 2021,
+            miranda_seed: 2021,
             sweep: SweepConfig {
-                bounds: vec![
-                    lcc_pressio::ErrorBound::Absolute(1e-3),
-                    lcc_pressio::ErrorBound::Absolute(1e-2),
-                ],
+                bounds: vec![ErrorBound::Absolute(1e-3), ErrorBound::Absolute(1e-2)],
                 ..Default::default()
             },
         }
     }
 
-    /// Default experiment scale.
+    /// The default experiment scale (256×256 fields, 10 ranges, 12 slices
+    /// of 192×192, 4 bounds).
     pub fn standard() -> Self {
-        MirandaFigureConfig {
+        StudyConfig {
+            datasets: StudyDatasets::default(),
             slices: 12,
             slice_size: 192,
-            seed: 2021,
+            miranda_seed: 2021,
             sweep: SweepConfig::default(),
         }
     }
 
-    /// Paper-scale slices (384×384, 16 slices).
+    /// The paper-scale configuration (1028×1028 fields, 16 slices of
+    /// 384×384).
     pub fn paper_scale() -> Self {
-        MirandaFigureConfig {
+        StudyConfig {
+            datasets: StudyDatasets::paper_scale(),
             slices: 16,
             slice_size: 384,
-            seed: 2021,
+            miranda_seed: 2021,
             sweep: SweepConfig::default(),
         }
     }
 }
 
-/// Data behind Figures 4 and 7: per-slice records with panels for each
-/// statistic the two figures plot.
+/// The sweep records of one study run, one set per family.
 #[derive(Debug, Clone)]
-pub struct MirandaSweepData {
-    /// CR vs global variogram range (Figure 4).
-    pub global_range: FigurePanel,
-    /// CR vs std of local variogram range (Figure 7, left column).
-    pub local_range_std: FigurePanel,
-    /// CR vs std of local SVD truncation level (Figure 7, right column).
-    pub local_svd_std: FigurePanel,
-    /// The slice fields that were analysed (name + ground-truth-free).
-    pub slice_names: Vec<String>,
+pub struct Study {
+    /// Records of the single-range Gaussian fields.
+    pub single_range: Vec<ExperimentRecord>,
+    /// Records of the multi-range Gaussian fields.
+    pub multi_range: Vec<ExperimentRecord>,
+    /// Records of the Miranda-proxy slices.
+    pub miranda: Vec<ExperimentRecord>,
 }
 
-/// Run the Miranda-proxy sweep once and derive all three panels.
-pub fn run_miranda_figures(config: &MirandaFigureConfig) -> Result<MirandaSweepData, CoreError> {
-    let datasets = StudyDatasets { seed: config.seed, ..StudyDatasets::default() };
-    let slices: Vec<LabeledField> = datasets.miranda_slices(config.slices, config.slice_size);
+impl Study {
+    /// Build one panel: its family's records (without MGARD's where the
+    /// panel omits it) and their series fitted against its statistic.
+    pub fn panel(&self, spec: &PanelSpec) -> FigurePanel {
+        let records = match spec.family {
+            Family::SingleRange => &self.single_range,
+            Family::MultiRange => &self.multi_range,
+            Family::Miranda => &self.miranda,
+        };
+        let records =
+            records.iter().filter(|r| spec.mgard || &*r.compressor != "mgard").cloned().collect();
+        FigurePanel::from_records(records, spec.statistic)
+    }
+}
+
+/// Run the study: one sweep of the [`default_registry`] per family, each
+/// family generated just before its sweep.
+pub fn run_study(config: &StudyConfig) -> Result<Study, CoreError> {
     let registry = default_registry();
-    let records = run_sweep(&slices, &registry, &config.sweep)?;
-    Ok(MirandaSweepData {
-        global_range: FigurePanel::from_records(
-            records.clone(),
-            StatisticKind::GlobalVariogramRange,
-        ),
-        local_range_std: FigurePanel::from_records(
-            records.clone(),
-            StatisticKind::LocalVariogramRangeStd,
-        ),
-        local_svd_std: FigurePanel::from_records(records, StatisticKind::LocalSvdTruncationStd),
-        slice_names: slices.iter().map(|s| s.name.clone()).collect(),
+    let miranda = StudyDatasets { seed: config.miranda_seed, ..config.datasets };
+    Ok(Study {
+        single_range: run_sweep(&config.datasets.single_range_fields(), &registry, &config.sweep)?,
+        multi_range: run_sweep(&config.datasets.multi_range_fields(), &registry, &config.sweep)?,
+        miranda: run_sweep(
+            &miranda.miranda_slices(config.slices, config.slice_size),
+            &registry,
+            &config.sweep,
+        )?,
     })
-}
-
-/// Figure 4 = the global-range panel of the Miranda sweep.
-pub fn run_figure4(config: &MirandaFigureConfig) -> FigurePanel {
-    run_miranda_figures(config)
-        .expect("the study compressors never fail on finite hydro fields")
-        .global_range
-}
-
-/// Figure 7 = the two local-statistic panels of the Miranda sweep.
-pub fn run_figure7(config: &MirandaFigureConfig) -> (FigurePanel, FigurePanel) {
-    let data = run_miranda_figures(config)
-        .expect("the study compressors never fail on finite hydro fields");
-    (data.local_range_std, data.local_svd_std)
 }
 
 #[cfg(test)]
@@ -305,50 +314,50 @@ mod tests {
 
     #[test]
     fn figure1_data_has_points_and_model() {
-        let data = run_figure1(96, 8.0, 3);
+        let data = run_figure1(96, 8.0, 3).unwrap();
         assert!(data.empirical.len() >= 5);
         assert_eq!(data.model.len(), 100);
         assert!(data.range > 0.0 && data.sill > 0.0);
         // The model curve is monotonically non-decreasing in h.
         assert!(data.model.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-12));
+        // A 2×2 field has too few lags to fit: an error, not NaN.
+        assert!(matches!(run_figure1(2, 8.0, 3), Err(CoreError::Statistics(_))));
     }
 
     #[test]
-    fn figure3_quick_produces_series_with_positive_slope_for_sz() {
-        let data = run_figure3(&Figure3Config::quick());
-        assert!(!data.single_range.series.is_empty());
-        // On single-range fields the CR of the block-local compressors grows
-        // with the variogram range: β > 0 for SZ at the loosest bound.
-        let sz_loose = data
-            .single_range
-            .series
-            .iter()
-            .find(|s| s.compressor == "sz" && s.bound.raw_epsilon() == 1e-2)
-            .expect("series exists");
-        assert!(sz_loose.fit.beta > 0.0, "beta = {}", sz_loose.fit.beta);
-        // CSV export includes one row per series.
-        let csv = data.single_range.fits_to_csv();
-        assert_eq!(csv.len(), data.single_range.series.len());
-    }
-
-    #[test]
-    fn figure6_excludes_mgard() {
-        let data = run_figure6(&GaussianFigureConfig::quick());
-        assert!(data.single_range.series.iter().all(|s| s.compressor != "mgard"));
-        assert!(data.single_range.series.iter().any(|s| s.compressor == "sz"));
-        assert!(data.single_range.series.iter().any(|s| s.compressor == "zfp"));
-    }
-
-    #[test]
-    fn miranda_figures_produce_all_three_panels() {
-        let data = run_miranda_figures(&MirandaFigureConfig::quick()).unwrap();
-        assert_eq!(data.slice_names.len(), 5);
-        assert!(!data.global_range.series.is_empty());
-        assert!(!data.local_range_std.series.is_empty());
-        assert!(!data.local_svd_std.series.is_empty());
-        // Every record respected its error bound.
-        for r in &data.global_range.records {
-            assert!(r.max_abs_error <= r.bound.raw_epsilon() * 1.0000001);
+    fn every_panel_is_its_familys_records_fitted_against_its_statistic() {
+        let config = StudyConfig {
+            datasets: StudyDatasets::tiny(),
+            slices: 3,
+            slice_size: 48,
+            miranda_seed: 5,
+            sweep: SweepConfig { bounds: vec![ErrorBound::Absolute(1e-2)], ..Default::default() },
+        };
+        let study = run_study(&config).unwrap();
+        // Three compressors, one bound: three records a field.
+        assert_eq!(study.single_range.len(), 3 * 3);
+        assert_eq!(study.multi_range.len(), 3 * 3);
+        assert_eq!(study.miranda.len(), 3 * 3);
+        let mut stems: Vec<&str> = PANELS.iter().map(|p| p.stem).collect();
+        stems.sort_unstable();
+        stems.dedup();
+        assert_eq!(stems.len(), PANELS.len());
+        for spec in &PANELS {
+            let panel = study.panel(spec);
+            assert_eq!(panel.statistic, spec.statistic);
+            let compressors = if spec.mgard { 3 } else { 2 };
+            assert_eq!(panel.records.len(), 3 * compressors, "{}", spec.stem);
+            // A series whose statistic is 0 on every tiny field has no
+            // log fit and is dropped.
+            assert!(panel.series.len() <= compressors, "{}", spec.stem);
+            assert_eq!(panel.fits_to_csv().len(), panel.series.len());
+            assert!(panel.series.iter().all(|s| spec.mgard || s.compressor != "mgard"));
+            for r in &panel.records {
+                assert!(r.max_abs_error <= r.bound.raw_epsilon() * 1.0000001, "{}", spec.stem);
+            }
         }
+        assert_eq!(study.panel(&PANELS[0]).series.len(), 3);
+        assert!(study.miranda.iter().all(|r| r.field_name.starts_with("miranda-velocityx")));
+        assert!(study.multi_range.iter().all(|r| r.field_name.starts_with("gauss-multi")));
     }
 }

@@ -15,20 +15,23 @@
 //!   SVD truncation levels) computed per field,
 //! * [`experiment`] — the (field × compressor × error bound) sweep driver,
 //!   parallelized with `lcc-par`, producing one record per cell,
-//! * [`figures`] — per-figure experiment assemblies that regenerate every
-//!   figure of the paper's evaluation as CSV series plus fitted logarithmic
-//!   regression coefficients,
+//! * [`figures`] — the study behind the paper's evaluation figures: one
+//!   sweep per dataset family, and the nine panels of Figures 3–7 built
+//!   from those records as CSV series plus fitted logarithmic regression
+//!   coefficients,
 //! * [`predict`] — the study's stated end goal, implemented as an
 //!   extension: predict the compression ratio of an unseen field from its
 //!   correlation statistics, and use the prediction to select a compressor
 //!   (the SZ/ZFP auto-selection scenario of the related work).
 //!
 //! ```no_run
-//! use lcc_core::figures::{Figure3Config, run_figure3};
+//! use lcc_core::figures::{run_study, StudyConfig, PANELS};
 //!
-//! // A reduced-scale Figure 3 (CR vs global variogram range).
-//! let data = run_figure3(&Figure3Config::quick());
-//! for series in &data.single_range.series {
+//! // A reduced-scale study: three sweeps, nine panels.
+//! let study = run_study(&StudyConfig::quick()).unwrap();
+//! // Figure 3, left: CR vs global variogram range on single-range fields.
+//! let panel = study.panel(&PANELS[0]);
+//! for series in &panel.series {
 //!     println!("{} {}: alpha={:.2} beta={:.2}", series.compressor, series.bound, series.fit.alpha, series.fit.beta);
 //! }
 //! ```

@@ -29,7 +29,7 @@ pub fn default_registry() -> Registry {
 /// the root suites that pin streams and bounds, and the serving set-up of
 /// the concurrency-identity and chaos tests drive this registry, so every
 /// measurement and pin covers both points of the ratio-vs-throughput axis;
-/// the paper-figure binaries keep using [`default_registry`] (the study
+/// the `study` binary keeps using [`default_registry`] (the study
 /// compares algorithms, not entropy backends).
 pub fn entropy_ablation_registry() -> Registry {
     let mut registry = default_registry();
@@ -38,8 +38,9 @@ pub fn entropy_ablation_registry() -> Registry {
     registry
 }
 
-/// Build a registry holding only SZ and ZFP (the paper omits MGARD from the
-/// local-SVD figures because it is insensitive to those statistics).
+/// Build a registry holding only SZ and ZFP: a two-codec sweep for tests
+/// that need no MGARD record (the study itself sweeps [`default_registry`]
+/// and drops MGARD's records from Figure 6's panels).
 pub fn sz_zfp_registry() -> Registry {
     let mut registry = Registry::new();
     registry.register(Arc::new(SzCompressor::default()), SZ_VERSION);

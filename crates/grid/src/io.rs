@@ -1,10 +1,10 @@
 //! Portable text/binary exports and imports for fields.
 //!
 //! The study never needs a heavyweight format: figures are CSV series, field
-//! previews are PGM images (Figure 2), and raw `f64` dumps round-trip volumes
+//! previews are PGM images (Figure 2), and raw `f64` dumps round-trip fields
 //! between the hydro solver and offline analysis.
 
-use crate::{Field2D, Field3D, GridError};
+use crate::{Field2D, GridError};
 use std::io::Read;
 use std::path::Path;
 
@@ -35,6 +35,9 @@ pub fn write_raw_f64<P: AsRef<Path>>(data: &[f64], path: P) -> Result<(), GridEr
 }
 
 /// Read raw little-endian `f64` values into a 2D field of the given shape.
+/// An `n0 × n1 × n2` volume (SDRBench's Miranda layout) reads as
+/// `read_raw_f64_2d(n0 * n1, n2, path)`: slice `k` is then
+/// `field.view().subview(k * n1, 0, n1, n2)`.
 pub fn read_raw_f64_2d<P: AsRef<Path>>(
     ny: usize,
     nx: usize,
@@ -42,17 +45,6 @@ pub fn read_raw_f64_2d<P: AsRef<Path>>(
 ) -> Result<Field2D, GridError> {
     let data = read_raw_f64(path, ny.checked_mul(nx))?;
     Field2D::from_vec(ny, nx, data)
-}
-
-/// Read raw little-endian `f64` values into a 3D field of the given shape.
-pub fn read_raw_f64_3d<P: AsRef<Path>>(
-    n0: usize,
-    n1: usize,
-    n2: usize,
-    path: P,
-) -> Result<Field3D, GridError> {
-    let data = read_raw_f64(path, n0.checked_mul(n1).and_then(|n| n.checked_mul(n2)))?;
-    Field3D::from_vec(n0, n1, n2, data)
 }
 
 /// Read exactly `values` little-endian `f64`s: `None` is a shape whose
@@ -173,12 +165,19 @@ mod tests {
     }
 
     #[test]
-    fn raw_f64_roundtrip_3d() {
-        let f = Field3D::from_fn(2, 3, 4, |k, i, j| (k * 100 + i * 10 + j) as f64);
+    fn volumes_read_as_a_stack_of_slices() {
+        let (n0, n1, n2) = (3, 4, 5);
+        let value = |k: usize, i: usize, j: usize| (k * 100 + i * 10 + j) as f64;
+        let volume: Vec<f64> = (0..n0)
+            .flat_map(|k| (0..n1).flat_map(move |i| (0..n2).map(move |j| value(k, i, j))))
+            .collect();
         let path = tmp("d.bin");
-        write_raw_f64(f.as_slice(), &path).unwrap();
-        let g = read_raw_f64_3d(2, 3, 4, &path).unwrap();
-        assert_eq!(f, g);
+        write_raw_f64(&volume, &path).unwrap();
+        let stack = read_raw_f64_2d(n0 * n1, n2, &path).unwrap();
+        for k in 0..n0 {
+            let slice = Field2D::from_fn(n1, n2, |i, j| value(k, i, j));
+            assert_eq!(stack.view().subview(k * n1, 0, n1, n2).to_field(), slice, "slice {k}");
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -190,7 +189,6 @@ mod tests {
         let refused = GridError::ShapeMismatch { expected: usize::MAX, actual: 0 };
         assert_eq!(read_raw_f64_2d(1 << 61, 1, &path).unwrap_err(), refused);
         assert_eq!(read_raw_f64_2d(usize::MAX, 2, &path).unwrap_err(), refused);
-        assert_eq!(read_raw_f64_3d(1 << 20, 1 << 20, 1 << 21, &path).unwrap_err(), refused);
         std::fs::remove_file(path).ok();
     }
 

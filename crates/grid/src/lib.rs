@@ -1,18 +1,18 @@
 //! # lcc-grid — gridded scientific field containers
 //!
-//! Dense 2D and 3D floating-point fields with the operations the
+//! Dense 2D floating-point fields with the operations the
 //! lossy-compressibility study needs:
 //!
-//! * row-major [`Field2D`] / [`Field3D`] containers with bounds-checked and
-//!   unchecked accessors,
+//! * the row-major [`Field2D`] container with bounds-checked and unchecked
+//!   accessors, and borrowed [`FieldView`] windows into it,
 //! * tiled window iteration ([`WindowIter`], [`Field2D::windows`]) used for
 //!   local variogram / local SVD statistics,
-//! * slicing a 3D volume into 2D planes ([`Field3D::slice_axis0`]) the way the
-//!   paper splits the Miranda volume into `velocityx` slices,
 //! * summary statistics ([`stats::Summary`]) and value-range helpers used to
 //!   convert absolute error bounds to value-range-relative bounds,
 //! * simple portable exports (PGM images, CSV matrices) for inspecting fields
-//!   and figure series.
+//!   and figure series, and raw `f64` reads: a volume is read as a stack of
+//!   2D slices, one [`FieldView::subview`] each (the paper analyses the
+//!   Miranda volume slice by slice).
 //!
 //! The containers are deliberately plain (a `Vec<f64>` plus dimensions): every
 //! downstream consumer (compressors, variogram estimators, the hydro solver)
@@ -21,7 +21,6 @@
 
 pub mod disjoint;
 pub mod field2d;
-pub mod field3d;
 pub mod io;
 pub mod stats;
 pub mod view;
@@ -29,7 +28,6 @@ pub mod window;
 
 pub use disjoint::disjoint_window_rows;
 pub use field2d::Field2D;
-pub use field3d::Field3D;
 pub use stats::Summary;
 pub use view::{FieldView, WindowViews};
 pub use window::{Window, WindowIter};

@@ -1,9 +1,10 @@
-//! The Miranda stand-in: stack `velocityx` snapshots of a mixing simulation
-//! into a 3D volume with the paper's slice-along-axis-0 layout.
+//! The Miranda stand-in: `velocityx` snapshots of a mixing simulation, one
+//! 2D slice each, like the paper's slices along axis 0 of the Miranda
+//! volume.
 
 use crate::problems::Problem;
 use crate::solver::{Euler2DSolver, SolverConfig};
-use lcc_grid::{Field2D, Field3D};
+use lcc_grid::Field2D;
 
 /// Configuration of the Miranda-proxy dataset generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +54,7 @@ impl MirandaProxyConfig {
     }
 }
 
-/// Generates Miranda-like `velocityx` volumes by running the Euler solver
+/// Generates Miranda-like `velocityx` slices by running the Euler solver
 /// and collecting snapshots.
 #[derive(Debug, Clone)]
 pub struct MirandaProxy {
@@ -73,27 +74,18 @@ impl MirandaProxy {
         self.config
     }
 
-    /// Run the simulation and return the stacked `velocityx` volume
-    /// (shape `n_slices × ny × nx`). Every slice is separated from the next
-    /// by `steps_between_snapshots` solver steps (including a warm-up of the
+    /// Run the simulation and return `n_slices` `velocityx` snapshots of
+    /// `ny × nx`. Every slice is separated from the next by
+    /// `steps_between_snapshots` solver steps (including a warm-up of the
     /// same length before the first snapshot, so even slice 0 contains
     /// developed flow rather than the layered initial condition); the
     /// correlation structure therefore evolves from smooth large-scale
-    /// structure to developed multi-scale turbulence across the axis — the
+    /// structure to developed multi-scale turbulence across the slices — the
     /// heterogeneity the paper's per-slice analysis needs.
-    pub fn generate_velocityx(&self) -> Field3D {
-        let slices = self.generate_velocityx_slices();
-        let (ny, nx) = slices[0].shape();
-        Field3D::from_fn(slices.len(), ny, nx, |k, i, j| slices[k].at(i, j))
-    }
-
-    /// Same as [`MirandaProxy::generate_velocityx`] but returns the slices
-    /// individually (what the per-slice experiments consume directly).
     pub fn generate_velocityx_slices(&self) -> Vec<Field2D> {
         let cfg = &self.config;
         let state = cfg.problem.initial_state(cfg.ny, cfg.nx, cfg.seed);
-        let solver_config = SolverConfig { gravity: cfg.problem.gravity(), ..Default::default() };
-        let mut solver = Euler2DSolver::new(state, solver_config);
+        let mut solver = Euler2DSolver::new(state, SolverConfig::default());
 
         let mut slices = Vec::with_capacity(cfg.n_slices);
         for _ in 0..cfg.n_slices {
@@ -121,10 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn volume_shape_matches_config() {
-        let volume = MirandaProxy::new(small_config()).generate_velocityx();
-        assert_eq!(volume.shape(), (4, 40, 40));
-        assert!(volume.as_slice().iter().all(|v| v.is_finite()));
+    fn slice_shapes_match_config() {
+        let slices = MirandaProxy::new(small_config()).generate_velocityx_slices();
+        assert_eq!(slices.len(), 4);
+        for slice in &slices {
+            assert_eq!(slice.shape(), (40, 40));
+            assert!(slice.as_slice().iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]
@@ -141,37 +136,13 @@ mod tests {
 
     #[test]
     fn generation_is_reproducible() {
-        let a = MirandaProxy::new(small_config()).generate_velocityx();
-        let b = MirandaProxy::new(small_config()).generate_velocityx();
+        let a = MirandaProxy::new(small_config()).generate_velocityx_slices();
+        let b = MirandaProxy::new(small_config()).generate_velocityx_slices();
         assert_eq!(a, b);
         let mut other = small_config();
         other.seed = 8;
-        let c = MirandaProxy::new(other).generate_velocityx();
+        let c = MirandaProxy::new(other).generate_velocityx_slices();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn volume_and_slices_agree() {
-        let proxy = MirandaProxy::new(small_config());
-        let volume = proxy.generate_velocityx();
-        let slices = proxy.generate_velocityx_slices();
-        for (k, slice) in slices.iter().enumerate() {
-            assert_eq!(&volume.slice_axis0(k), slice);
-        }
-    }
-
-    #[test]
-    fn rayleigh_taylor_volume_generates() {
-        let config = MirandaProxyConfig {
-            problem: Problem::RayleighTaylor,
-            ny: 32,
-            nx: 24,
-            n_slices: 2,
-            steps_between_snapshots: 10,
-            seed: 3,
-        };
-        let volume = MirandaProxy::new(config).generate_velocityx();
-        assert_eq!(volume.shape(), (2, 32, 24));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Initial conditions for the mixing problems Miranda is typically used for.
+//! Initial conditions for the mixing problem the Miranda proxy runs.
 
 use crate::euler2d::{EulerState, Primitive};
 use lcc_synth::GaussianSampler;
@@ -9,9 +9,6 @@ pub enum Problem {
     /// A perturbed double shear layer: bands of opposite x-velocity with a
     /// density contrast; the interface rolls up into a street of vortices.
     KelvinHelmholtz,
-    /// A heavy fluid resting on a light fluid in a downward gravity field
-    /// with a perturbed interface; fingers and bubbles develop.
-    RayleighTaylor,
 }
 
 impl Problem {
@@ -19,15 +16,6 @@ impl Problem {
     pub fn name(&self) -> &'static str {
         match self {
             Problem::KelvinHelmholtz => "kelvin-helmholtz",
-            Problem::RayleighTaylor => "rayleigh-taylor",
-        }
-    }
-
-    /// Gravitational acceleration (in the −y direction) used by the problem.
-    pub fn gravity(&self) -> f64 {
-        match self {
-            Problem::KelvinHelmholtz => 0.0,
-            Problem::RayleighTaylor => 0.5,
         }
     }
 
@@ -60,26 +48,6 @@ impl Problem {
                 let v = 0.05 * perturb(x) * envelope;
                 Primitive { rho, u, v, p: 2.5 }
             }),
-            Problem::RayleighTaylor => {
-                let g = self.gravity();
-                EulerState::from_fn(ny, nx, |y, x| {
-                    // Heavy fluid on top (large y), light below; hydrostatic
-                    // pressure so the unperturbed state is in equilibrium.
-                    let heavy = 2.0;
-                    let light = 1.0;
-                    let rho = if y > 0.5 { heavy } else { light };
-                    let p0 = 2.5;
-                    let p = if y > 0.5 {
-                        p0 - light * g * 0.5 - heavy * g * (y - 0.5)
-                    } else {
-                        p0 - light * g * y
-                    };
-                    let d = (y - 0.5).abs();
-                    let envelope = (-d * d / 0.001).exp();
-                    let v = 0.04 * perturb(x) * envelope;
-                    Primitive { rho, u: 0.0, v, p }
-                })
-            }
         }
     }
 }
@@ -89,11 +57,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_and_gravity() {
+    fn names() {
         assert_eq!(Problem::KelvinHelmholtz.name(), "kelvin-helmholtz");
-        assert_eq!(Problem::RayleighTaylor.name(), "rayleigh-taylor");
-        assert_eq!(Problem::KelvinHelmholtz.gravity(), 0.0);
-        assert!(Problem::RayleighTaylor.gravity() > 0.0);
     }
 
     #[test]
@@ -109,20 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_taylor_is_heavy_over_light_and_nearly_hydrostatic() {
-        let s = Problem::RayleighTaylor.initial_state(64, 32, 5);
-        let rho = s.density();
-        assert!(rho.get(60, 0) > rho.get(4, 0));
-        // Pressure decreases upward.
-        let p_low = s.get(4, 0).to_primitive().p;
-        let p_high = s.get(60, 0).to_primitive().p;
-        assert!(p_high < p_low);
-        // No initial x-velocity.
-        let u = s.velocity_x();
-        assert!(u.as_slice().iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
     fn different_seeds_give_different_perturbations() {
         let a = Problem::KelvinHelmholtz.initial_state(32, 32, 1);
         let b = Problem::KelvinHelmholtz.initial_state(32, 32, 2);
@@ -133,13 +84,11 @@ mod tests {
 
     #[test]
     fn initial_states_are_finite_and_positive() {
-        for problem in [Problem::KelvinHelmholtz, Problem::RayleighTaylor] {
-            let s = problem.initial_state(48, 40, 9);
-            for cell in s.cells() {
-                let w = cell.to_primitive();
-                assert!(w.rho > 0.0 && w.p > 0.0);
-                assert!(w.u.is_finite() && w.v.is_finite());
-            }
+        let s = Problem::KelvinHelmholtz.initial_state(48, 40, 9);
+        for cell in s.cells() {
+            let w = cell.to_primitive();
+            assert!(w.rho > 0.0 && w.p > 0.0);
+            assert!(w.u.is_finite() && w.v.is_finite());
         }
     }
 }

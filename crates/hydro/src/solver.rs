@@ -1,5 +1,5 @@
 //! Finite-volume time integration: MUSCL reconstruction, Rusanov fluxes,
-//! second-order Runge–Kutta, optional gravity source term.
+//! second-order Runge–Kutta.
 
 use crate::euler2d::{minmod, rusanov_flux, Conserved, EulerState};
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
@@ -10,8 +10,6 @@ const CFL: f64 = 0.4;
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolverConfig {
-    /// Gravitational acceleration in the −y direction.
-    pub gravity: f64,
     /// Thread count for the flux sweeps (`None` = automatic).
     pub threads: Option<usize>,
 }
@@ -77,11 +75,10 @@ impl Euler2DSolver {
         }
     }
 
-    /// Spatial right-hand side `L(U) = -∂F/∂x - ∂G/∂y + S` for every cell.
+    /// Spatial right-hand side `L(U) = -∂F/∂x - ∂G/∂y` for every cell.
     fn rhs(&self, state: &EulerState, dx: f64, dy: f64) -> Vec<Conserved> {
         let ny = state.ny();
         let nx = state.nx();
-        let gravity = self.config.gravity;
         let pool = match self.config.threads {
             Some(t) => ThreadPoolConfig::with_threads(t),
             None => ThreadPoolConfig::auto(),
@@ -100,21 +97,14 @@ impl Euler2DSolver {
                 let flux_north = interface_flux(state, ii, jj, ii + 1, jj, false);
                 let flux_south = interface_flux(state, ii - 1, jj, ii, jj, false);
 
-                let mut rhs = Conserved {
+                out.push(Conserved {
                     rho: -(flux_east.rho - flux_west.rho) / dx
                         - (flux_north.rho - flux_south.rho) / dy,
                     mx: -(flux_east.mx - flux_west.mx) / dx - (flux_north.mx - flux_south.mx) / dy,
                     my: -(flux_east.my - flux_west.my) / dx - (flux_north.my - flux_south.my) / dy,
                     energy: -(flux_east.energy - flux_west.energy) / dx
                         - (flux_north.energy - flux_south.energy) / dy,
-                };
-                if gravity != 0.0 {
-                    let q = state.get(i, j);
-                    let w = q.to_primitive();
-                    rhs.my -= gravity * q.rho;
-                    rhs.energy -= gravity * q.rho * w.v;
-                }
-                out.push(rhs);
+                });
             }
             out
         });
@@ -245,28 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_taylor_stays_stable_with_gravity() {
-        let problem = Problem::RayleighTaylor;
-        let state = problem.initial_state(48, 24, 5);
-        let config = SolverConfig { gravity: problem.gravity(), ..Default::default() };
-        let mut solver = Euler2DSolver::new(state, config);
-        solver.run_steps(40);
-        for c in solver.state().cells() {
-            let w = c.to_primitive();
-            assert!(w.rho > 0.0 && w.p > 0.0);
-            assert!(w.v.is_finite());
-        }
-    }
-
-    #[test]
     fn explicit_thread_count_gives_identical_results() {
         let state = Problem::KelvinHelmholtz.initial_state(24, 24, 9);
-        let mut a = Euler2DSolver::new(
-            state.clone(),
-            SolverConfig { threads: Some(1), ..Default::default() },
-        );
-        let mut b =
-            Euler2DSolver::new(state, SolverConfig { threads: Some(4), ..Default::default() });
+        let mut a = Euler2DSolver::new(state.clone(), SolverConfig { threads: Some(1) });
+        let mut b = Euler2DSolver::new(state, SolverConfig { threads: Some(4) });
         a.run_steps(5);
         b.run_steps(5);
         assert_eq!(a.state(), b.state());

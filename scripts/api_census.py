@@ -33,8 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXEMPT = {
     # name: why it stays `pub` without a caller in this repository
     "read_raw_f64_2d": "lcc_grid::io — the only way outside (SDRBench-layout) data enters; ROADMAP 'Parked'",
-    "read_raw_f64_3d": "lcc_grid::io — as read_raw_f64_2d, for volumes",
-    "write_raw_f64": "lcc_grid::io — writes the layout the two readers read",
+    "write_raw_f64": "lcc_grid::io — writes the layout read_raw_f64_2d reads",
 }
 
 ITEM = re.compile(r"^\s*pub (?:const |unsafe )*(fn|struct|enum|trait|const|type) (\w+)", re.M)

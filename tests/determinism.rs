@@ -20,12 +20,12 @@ fn synthetic_fields_and_hydro_runs_are_seed_deterministic() {
         nx: 32,
         n_slices: 2,
         steps_between_snapshots: 10,
-        problem: Problem::RayleighTaylor,
+        problem: Problem::KelvinHelmholtz,
         seed: 5,
     };
     assert_eq!(
-        MirandaProxy::new(hydro_cfg).generate_velocityx(),
-        MirandaProxy::new(hydro_cfg).generate_velocityx()
+        MirandaProxy::new(hydro_cfg).generate_velocityx_slices(),
+        MirandaProxy::new(hydro_cfg).generate_velocityx_slices()
     );
 }
 

@@ -4,18 +4,30 @@
 
 use lcc::core::dataset::StudyDatasets;
 use lcc::core::experiment::{fit_series, run_sweep, SweepConfig};
-use lcc::core::figures::{run_figure1, run_figure3, Figure3Config, FigurePanel};
+use lcc::core::figures::{run_figure1, run_study, FigurePanel, Study, StudyConfig, PANELS};
 use lcc::core::registry::{default_registry, sz_zfp_registry};
 use lcc::core::statistics::{CorrelationStatistics, StatisticKind, StatisticsConfig};
 use lcc::core::CompressionRatioPredictor;
 use lcc::pressio::ErrorBound;
+use std::sync::OnceLock;
 
 #[path = "common/fnv.rs"]
 mod fnv;
 
+/// The quick study, run once and shared by the tests that read its panels.
+fn quick_study() -> &'static Study {
+    static STUDY: OnceLock<Study> = OnceLock::new();
+    STUDY.get_or_init(|| run_study(&StudyConfig::quick()).expect("the quick study runs"))
+}
+
+/// The panel of [`PANELS`] written as `<stem>_records.csv`.
+fn study_panel(study: &Study, stem: &str) -> FigurePanel {
+    study.panel(PANELS.iter().find(|p| p.stem == stem).expect("a panel of that stem"))
+}
+
 #[test]
 fn figure1_pipeline_recovers_a_plausible_range() {
-    let data = run_figure1(128, 12.0, 7);
+    let data = run_figure1(128, 12.0, 7).unwrap();
     assert!(data.range > 4.0 && data.range < 40.0, "fitted range {}", data.range);
     assert!(data.sill > 0.3 && data.sill < 3.0, "fitted sill {}", data.sill);
     assert!(!data.empirical.is_empty());
@@ -29,8 +41,7 @@ fn figure3_headline_trends_hold_at_reduced_scale() {
     //      range (positive beta),
     //  (2) MGARD's ratios are less sensitive to the range than SZ's,
     //  (3) looser bounds yield larger ratios at a fixed range.
-    let data = run_figure3(&Figure3Config::quick());
-    let panel = &data.single_range;
+    let panel = &study_panel(quick_study(), "figure3_single_range");
 
     let beta = |name: &str, eps: f64| -> f64 {
         panel
@@ -61,15 +72,29 @@ fn figure3_headline_trends_hold_at_reduced_scale() {
         records.iter().sum::<f64>() / records.len() as f64
     };
     assert!(mean_cr("sz", 1e-2) > mean_cr("sz", 1e-3));
+}
 
-    // (4) Nothing moved: every record's statistics and ratio, and every
-    // series' fit, hash to the values captured at the commit before the
-    // sweep took its statistics from `compute_view`.
-    for (name, panel, pinned) in [
-        ("single-range", &data.single_range, 0x9d16_63bc_b214_7bc8),
-        ("multi-range", &data.multi_range, 0x1e73_5e20_fb79_279c),
-    ] {
-        assert_eq!(panel_digest(panel), pinned, "{name} panel moved");
+#[test]
+fn every_panel_of_the_quick_study_matches_its_pin() {
+    // Every record's statistics and ratio, and every series' fit, hash to
+    // the values captured before the figures shared one sweep per family:
+    // the figure-3 pins at the commit before the sweep took its statistics
+    // from `compute_view`, the other seven from the per-figure runners the
+    // study replaced.
+    let pins = [
+        ("figure3_single_range", 0x9d16_63bc_b214_7bc8),
+        ("figure3_multi_range", 0x1e73_5e20_fb79_279c),
+        ("figure4_miranda_global_range", 0x2fa3_2428_9af5_0d10),
+        ("figure5_single_range", 0x4d63_a753_e99d_5e15),
+        ("figure5_multi_range", 0xaf75_45e2_dc2e_53d9),
+        ("figure6_single_range", 0xc326_3a7c_3baf_4094),
+        ("figure6_multi_range", 0xc46b_f064_db2c_ca73),
+        ("figure7_local_range_std", 0x5208_a278_ea31_c7f9),
+        ("figure7_local_svd_std", 0x9dc9_588d_d837_929d),
+    ];
+    assert_eq!(pins.map(|(stem, _)| stem), PANELS.map(|p| p.stem));
+    for (stem, pinned) in pins {
+        assert_eq!(panel_digest(&study_panel(quick_study(), stem)), pinned, "{stem} panel moved");
     }
 }
 
@@ -115,32 +140,25 @@ fn sweep_records_feed_prediction_and_selection() {
     assert!(choice.predicted_ratio >= 1.0);
 }
 
-/// Full-study runs at the standard experiment scale (256×256 fields, the
-/// complete bound grid). Minutes, not seconds — gated behind the
-/// `slow-tests` feature so the default tier-1 loop stays fast; CI runs them
-/// on a schedule via `cargo test --features slow-tests`.
+/// The full study at the standard experiment scale (256×256 fields, 12
+/// slices of 192×192, the complete bound grid). Tens of seconds, not
+/// seconds — gated behind the `slow-tests` feature so the default tier-1
+/// loop stays fast; CI runs it on a schedule via
+/// `cargo test --features slow-tests`.
 #[cfg(feature = "slow-tests")]
-mod full_study {
-    use lcc::core::figures::{run_figure3, run_figure4, Figure3Config, MirandaFigureConfig};
-
-    #[test]
-    fn figure3_trends_hold_at_standard_scale() {
-        let data = run_figure3(&Figure3Config::standard());
-        let panel = &data.single_range;
-        // Positive range→ratio slope for SZ at every bound in the grid.
-        for series in panel.series.iter().filter(|s| s.compressor == "sz") {
-            assert!(series.fit.beta > 0.0, "sz beta {} at {:?}", series.fit.beta, series.bound);
-        }
-        // The multi-range panel carries the same number of series.
-        assert_eq!(data.multi_range.series.len(), panel.series.len());
+#[test]
+fn the_study_trends_hold_at_standard_scale() {
+    let study = run_study(&StudyConfig::standard()).unwrap();
+    let single = study_panel(&study, "figure3_single_range");
+    // Positive range→ratio slope for SZ at every bound in the grid.
+    for series in single.series.iter().filter(|s| s.compressor == "sz") {
+        assert!(series.fit.beta > 0.0, "sz beta {} at {:?}", series.fit.beta, series.bound);
     }
-
-    #[test]
-    fn figure4_miranda_proxy_completes_at_standard_scale() {
-        let data = run_figure4(&MirandaFigureConfig::standard());
-        assert!(!data.records.is_empty());
-        assert!(data.records.iter().all(|r| r.compression_ratio >= 1.0));
-    }
+    // The multi-range panel carries the same number of series.
+    assert_eq!(study_panel(&study, "figure3_multi_range").series.len(), single.series.len());
+    // Every Miranda-proxy slice compresses.
+    assert!(!study.miranda.is_empty());
+    assert!(study.miranda.iter().all(|r| r.compression_ratio >= 1.0));
 }
 
 #[test]
