@@ -15,7 +15,26 @@
 //!   across windows ("Std of truncation level of local SVD (H=32)"),
 //! * [`regression`] — the logarithmic regression `CR = α + β·log(a) + ε`
 //!   used in every figure legend, with goodness-of-fit summaries.
+//!
+//! The statistics only ever need *small* dense numerics, and each routine
+//! lives, private, beside its one caller:
+//!
+//! * the Gauss–Newton (Levenberg–Marquardt) least-squares fit of the
+//!   variogram model, in [`variogram`]: two parameters, normal equations
+//!   on the stack, so a fit allocates nothing;
+//! * a dense row-major matrix and linear least squares by Householder QR,
+//!   in [`regression`];
+//! * the values-only energy spectrum of a window (Gram matrix →
+//!   Householder tridiagonalisation → implicit QL), in [`svdstat`]. Its
+//!   eigenvalues carry an *absolute* error of about `n·ε·λ_max`, so a
+//!   99 % energy threshold is decided exactly as a full SVD decides it
+//!   (except within rounding of the threshold), but singular values below
+//!   `≈ 1e-7·σ_max` are noise. The tests hold it to a one-sided Jacobi SVD,
+//!   which resolves every singular value to high *relative* accuracy and is
+//!   kept only as that test oracle (≈ 17× slower per 32×32 window).
 
+#[cfg(test)]
+mod jacobi;
 pub mod local;
 pub mod regression;
 pub mod svdstat;

@@ -203,12 +203,6 @@ impl Field2D {
         &mut self.data[i * self.nx..(i + 1) * self.nx]
     }
 
-    /// Copy column `j` into a new vector.
-    pub fn column(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.nx, "column {j} out of bounds");
-        (0..self.ny).map(|i| self.data[i * self.nx + j]).collect()
-    }
-
     /// Extract the rectangular sub-field starting at `(i0, j0)` with shape
     /// `(h, w)`, clamped to the field boundary.
     pub fn subfield(&self, i0: usize, j0: usize, h: usize, w: usize) -> Field2D {
@@ -272,17 +266,6 @@ impl Field2D {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in max_abs_diff");
         crate::stats::error_pair_metrics(self.data.iter().copied().zip(other.data.iter().copied()))
             .0
-    }
-
-    /// Transpose the field (rows become columns).
-    pub fn transpose(&self) -> Field2D {
-        let mut out = Field2D::zeros(self.nx, self.ny);
-        for i in 0..self.ny {
-            for j in 0..self.nx {
-                out.data[j * self.ny + i] = self.data[i * self.nx + j];
-            }
-        }
-        out
     }
 }
 
@@ -408,10 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_columns() {
+    fn rows_are_row_major_slices() {
         let f = ramp(3, 4);
         assert_eq!(f.row(1), &[4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(f.column(2), vec![2.0, 6.0, 10.0]);
     }
 
     #[test]
@@ -424,15 +406,6 @@ mod tests {
         let s = f.subfield(3, 3, 5, 5);
         assert_eq!(s.shape(), (1, 1));
         assert_eq!(s.get(0, 0), 15.0);
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let f = ramp(3, 5);
-        let t = f.transpose();
-        assert_eq!(t.shape(), (5, 3));
-        assert_eq!(t.get(4, 2), f.get(2, 4));
-        assert_eq!(t.transpose(), f);
     }
 
     #[test]

@@ -33,19 +33,12 @@ pub fn level_count(ny: usize, nx: usize) -> u32 {
     levels
 }
 
-/// Forward decomposition: returns a field of the same shape holding
-/// multilevel coefficients at fine nodes and raw values at the coarsest
-/// nodes. The input is a borrowed view, so the compressor can decompose a
-/// window or a whole field straight out of the parent buffer; the one owned
-/// allocation is the coefficient output itself.
-pub fn forward(field: &FieldView<'_>, levels: u32) -> Field2D {
-    let mut work = Field2D::zeros(1, 1);
-    forward_into(field, levels, &mut work);
-    work
-}
-
-/// [`forward`] into a caller-owned workspace (reshaped to the view), so
-/// decompositions in a loop reuse one coefficient allocation.
+/// Forward decomposition into a caller-owned workspace (reshaped to the
+/// view): `work` ends up holding multilevel coefficients at fine nodes and
+/// raw values at the coarsest nodes. The input is a borrowed view, so the
+/// compressor can decompose a window or a whole field straight out of the
+/// parent buffer, and decompositions in a loop reuse one coefficient
+/// allocation.
 pub fn forward_into(field: &FieldView<'_>, levels: u32, work: &mut Field2D) {
     work.copy_from_view(field);
     // In place: a level predicts from its coarse nodes only, and those still
@@ -56,16 +49,9 @@ pub fn forward_into(field: &FieldView<'_>, levels: u32, work: &mut Field2D) {
     }
 }
 
-/// Inverse decomposition: reconstruct a field from multilevel coefficients.
-pub fn inverse(coeffs: &Field2D, levels: u32) -> Field2D {
-    let mut out = coeffs.clone();
-    inverse_inplace(&mut out, levels);
-    out
-}
-
-/// [`inverse`] operating directly on the coefficient field, so the
-/// scratch-threaded decompressor reconstructs in the caller's output buffer
-/// without an intermediate coefficient clone.
+/// Inverse decomposition, operating directly on the coefficient field, so
+/// the scratch-threaded decompressor reconstructs in the caller's output
+/// buffer without an intermediate coefficient clone.
 pub fn inverse_inplace(out: &mut Field2D, levels: u32) {
     // Reconstruct from the coarsest level down to the finest.
     for level in (0..levels).rev() {
@@ -179,6 +165,20 @@ fn interpolate(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forward decomposition into a new field.
+    fn forward(field: &FieldView<'_>, levels: u32) -> Field2D {
+        let mut work = Field2D::zeros(1, 1);
+        forward_into(field, levels, &mut work);
+        work
+    }
+
+    /// Inverse decomposition into a new field.
+    fn inverse(coeffs: &Field2D, levels: u32) -> Field2D {
+        let mut out = coeffs.clone();
+        inverse_inplace(&mut out, levels);
+        out
+    }
 
     fn roundtrip(field: &Field2D) {
         let levels = level_count(field.ny(), field.nx());

@@ -17,8 +17,8 @@
 //! across correlation ranges at a fixed error bound.
 
 use crate::rng::GaussianSampler;
-use lcc_fft::{next_pow2, Complex, Fft2D};
 use lcc_grid::Field2D;
+use std::ops::{Add, Mul, Sub};
 
 /// Configuration for a single-range squared-exponential Gaussian field.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,57 +83,66 @@ impl MultiRangeConfig {
 
 /// Generate a single-range squared-exponential Gaussian random field.
 ///
+/// The whole synthesis runs on one buffer of the embedding's size: the
+/// kernel is filled into it, transformed, filtered and inverse-transformed
+/// in place.
+///
 /// # Panics
-/// Panics if the dimensions are zero or the range is not positive/finite.
+/// Panics if the dimensions are zero, the range or the variance is not
+/// positive and finite, or the range makes the periodic embedding domain
+/// too large to address.
 pub fn generate_single_range(config: &GaussianFieldConfig) -> Field2D {
     assert!(config.ny > 0 && config.nx > 0, "field dimensions must be non-zero");
     assert!(config.range.is_finite() && config.range > 0.0, "correlation range must be positive");
-    assert!(config.variance > 0.0, "variance must be positive");
+    assert!(
+        config.variance.is_finite() && config.variance > 0.0,
+        "variance must be positive and finite"
+    );
+    let (m_y, m_x) = embedding(config.ny, config.nx, config.range).unwrap_or_else(|| {
+        panic!("correlation range {} needs a periodic embedding too large to address", config.range)
+    });
 
-    // Periodic embedding domain: pad by ~4 correlation lengths so the wrapped
-    // covariance is negligible at the crop boundary, then round up to a power
-    // of two for the FFT.
-    let pad = (4.0 * config.range).ceil() as usize + 8;
-    let m_y = next_pow2(config.ny + pad);
-    let m_x = next_pow2(config.nx + pad);
-    let plan = Fft2D::new(m_y, m_x);
-
-    // Wrapped squared-exponential covariance kernel.
+    // Wrapped squared-exponential covariance kernel; its FFT is the
+    // eigenvalues of the circulant covariance.
     let a2 = config.range * config.range;
-    let mut kernel = vec![0.0f64; m_y * m_x];
+    let mut data = Vec::with_capacity(m_y * m_x);
     for i in 0..m_y {
         let di = i.min(m_y - i) as f64;
         for j in 0..m_x {
             let dj = j.min(m_x - j) as f64;
-            kernel[i * m_x + j] = (-(di * di + dj * dj) / a2).exp();
+            data.push(Complex::new((-(di * di + dj * dj) / a2).exp(), 0.0));
         }
     }
-
-    // Eigenvalues of the circulant covariance = FFT of the kernel.
-    let spectrum = plan.forward_real(&kernel);
+    fft_2d(&mut data, m_x, false);
 
     // Filter complex white noise by sqrt(eigenvalues).
     let mut sampler = GaussianSampler::new(config.seed);
-    let mut freq = vec![Complex::ZERO; m_y * m_x];
-    for (f, s) in freq.iter_mut().zip(spectrum.iter()) {
+    for c in &mut data {
         // Numerical round-off can leave tiny negative eigenvalues; clamp.
-        let lambda = s.re.max(0.0);
-        let amp = lambda.sqrt();
-        *f = Complex::new(sampler.sample() * amp, sampler.sample() * amp);
+        let amp = c.re.max(0.0).sqrt();
+        *c = Complex::new(sampler.sample() * amp, sampler.sample() * amp);
     }
-    let mut field = plan.inverse_real(&freq);
+    fft_2d(&mut data, m_x, true);
 
-    // Normalize to zero mean / requested variance over the generation domain.
-    let n = field.len() as f64;
-    let mean = field.iter().sum::<f64>() / n;
-    let var = field.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    // Normalize the real part to zero mean / requested variance over the
+    // generation domain, and crop the requested corner.
+    let n = data.len() as f64;
+    let mean = data.iter().map(|c| c.re).sum::<f64>() / n;
+    let var = data.iter().map(|c| (c.re - mean) * (c.re - mean)).sum::<f64>() / n;
     let scale = if var > 0.0 { (config.variance / var).sqrt() } else { 0.0 };
-    for v in &mut field {
-        *v = (*v - mean) * scale;
-    }
+    Field2D::from_fn(config.ny, config.nx, |i, j| (data[i * m_x + j].re - mean) * scale)
+}
 
-    // Crop the requested corner.
-    Field2D::from_fn(config.ny, config.nx, |i, j| field[i * m_x + j])
+/// Rows and columns of the periodic embedding domain: the field padded by
+/// ~4 correlation lengths so the wrapped covariance is negligible at the
+/// crop boundary, each extent rounded up to a power of two for the FFT.
+/// `None` when the domain's bytes cannot be counted in an `isize`.
+fn embedding(ny: usize, nx: usize, range: f64) -> Option<(usize, usize)> {
+    let pad = ((4.0 * range).ceil() as usize).checked_add(8)?;
+    let m_y = ny.checked_add(pad)?.checked_next_power_of_two()?;
+    let m_x = nx.checked_add(pad)?.checked_next_power_of_two()?;
+    let bytes = m_y.checked_mul(m_x)?.checked_mul(std::mem::size_of::<Complex>())?;
+    (bytes <= isize::MAX as usize).then_some((m_y, m_x))
 }
 
 /// Generate a multi-range field by superposing independent single-range
@@ -161,6 +170,114 @@ pub fn generate_multi_range(config: &MultiRangeConfig) -> Field2D {
         out.add_assign_field(&component);
     }
     out
+}
+
+/// Complex number with `f64` parts: the FFT's element.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Complex {
+    re: f64,
+    im: f64,
+}
+
+impl Complex {
+    const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+
+    fn new(re: f64, im: f64) -> Self {
+        Complex { re, im }
+    }
+
+    /// `exp(i theta)`, a unit phasor.
+    fn cis(theta: f64) -> Self {
+        Complex { re: theta.cos(), im: theta.sin() }
+    }
+}
+
+impl Add for Complex {
+    type Output = Complex;
+    #[inline]
+    fn add(self, rhs: Complex) -> Complex {
+        Complex { re: self.re + rhs.re, im: self.im + rhs.im }
+    }
+}
+
+impl Sub for Complex {
+    type Output = Complex;
+    #[inline]
+    fn sub(self, rhs: Complex) -> Complex {
+        Complex { re: self.re - rhs.re, im: self.im - rhs.im }
+    }
+}
+
+impl Mul for Complex {
+    type Output = Complex;
+    #[inline]
+    fn mul(self, rhs: Complex) -> Complex {
+        Complex { re: self.re * rhs.re - self.im * rhs.im, im: self.re * rhs.im + self.im * rhs.re }
+    }
+}
+
+/// In-place 2D FFT of a row-major buffer `nx` wide (both extents powers of
+/// two): the 1D transform over every row, then over every column through
+/// one scratch column. `inverse` is normalized, so the inverse undoes the
+/// forward transform.
+fn fft_2d(data: &mut [Complex], nx: usize, inverse: bool) {
+    let ny = data.len() / nx;
+    for row in data.chunks_exact_mut(nx) {
+        fft(row, inverse);
+    }
+    let mut col = vec![Complex::ZERO; ny];
+    for j in 0..nx {
+        for i in 0..ny {
+            col[i] = data[i * nx + j];
+        }
+        fft(&mut col, inverse);
+        for i in 0..ny {
+            data[i * nx + j] = col[i];
+        }
+    }
+}
+
+/// In-place iterative radix-2 Cooley–Tukey FFT of a power-of-two length:
+/// the DFT with the `exp(-i 2π kn / N)` kernel, unnormalized, or with
+/// `inverse` the `exp(+i …)` kernel divided by `N`.
+fn fft(data: &mut [Complex], inverse: bool) {
+    let n = data.len();
+    debug_assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
+    if n > 1 {
+        // Bit-reversal permutation.
+        let shift = usize::BITS - n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> shift;
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        // Danielson–Lanczos butterflies.
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2usize;
+        while len <= n {
+            let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            let half = len / 2;
+            for block in data.chunks_exact_mut(len) {
+                let mut w = Complex::ONE;
+                for k in 0..half {
+                    let a = block[k];
+                    let b = block[k + half] * w;
+                    block[k] = a + b;
+                    block[k + half] = a - b;
+                    w = w * wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+    if inverse {
+        let n = n as f64;
+        for v in data {
+            *v = Complex::new(v.re / n, v.im / n);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +372,92 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_range_panics() {
         let _ = generate_single_range(&GaussianFieldConfig::new(16, 16, 0.0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "correlation range 2500000000000000000 needs a periodic embedding")]
+    fn range_beyond_any_embedding_panics() {
+        let _ = generate_single_range(&GaussianFieldConfig::new(64, 64, 2.5e18, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "variance must be positive and finite")]
+    fn infinite_variance_panics() {
+        let config = GaussianFieldConfig {
+            variance: f64::INFINITY,
+            ..GaussianFieldConfig::new(16, 16, 2.0, 1)
+        };
+        let _ = generate_single_range(&config);
+    }
+
+    /// A deterministic complex test signal of length `n`.
+    fn signal(n: usize) -> Vec<Complex> {
+        (0..n).map(|i| Complex::new((i as f64 * 0.37).sin(), ((i * 3) % 5) as f64)).collect()
+    }
+
+    #[test]
+    fn fft_matches_the_naive_dft() {
+        let x = signal(32);
+        let mut y = x.clone();
+        fft(&mut y, false);
+        for (k, v) in y.iter().enumerate() {
+            let mut acc = Complex::ZERO;
+            for (j, &xj) in x.iter().enumerate() {
+                let angle = -2.0 * std::f64::consts::PI * (k * j) as f64 / 32.0;
+                acc = acc + xj * Complex::cis(angle);
+            }
+            assert!(
+                (v.re - acc.re).abs() < 1e-9 && (v.im - acc.im).abs() < 1e-9,
+                "{v:?} vs {acc:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn inverse_fft_undoes_the_forward_transform() {
+        for n in [1usize, 2, 4, 64, 256, 1024] {
+            let x = signal(n);
+            let mut y = x.clone();
+            fft(&mut y, false);
+            fft(&mut y, true);
+            assert!(x
+                .iter()
+                .zip(&y)
+                .all(|(a, b)| (a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9));
+        }
+        let x = signal(16 * 8);
+        let mut y = x.clone();
+        fft_2d(&mut y, 8, false);
+        fft_2d(&mut y, 8, true);
+        assert!(x
+            .iter()
+            .zip(&y)
+            .all(|(a, b)| (a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9));
+    }
+
+    #[test]
+    fn fft_2d_puts_a_plane_wave_on_its_two_modes_and_keeps_its_energy() {
+        let (ny, nx, ky, kx) = (8usize, 16usize, 2usize, 3usize);
+        let mut data: Vec<Complex> = (0..ny * nx)
+            .map(|idx| {
+                let phase = 2.0 * std::f64::consts::PI * (ky * (idx / nx)) as f64 / ny as f64
+                    + 2.0 * std::f64::consts::PI * (kx * (idx % nx)) as f64 / nx as f64;
+                Complex::new(phase.cos(), 0.0)
+            })
+            .collect();
+        let energy = |d: &[Complex]| d.iter().map(|c| c.re * c.re + c.im * c.im).sum::<f64>();
+        let before = energy(&data);
+        fft_2d(&mut data, nx, false);
+        // Parseval: the unnormalized transform scales energy by the cell count.
+        assert!((energy(&data) / (ny * nx) as f64 - before).abs() < 1e-9 * before);
+        for (idx, c) in data.iter().enumerate() {
+            let magnitude = (c.re * c.re + c.im * c.im).sqrt();
+            if idx == ky * nx + kx || idx == (ny - ky) * nx + (nx - kx) {
+                assert!((magnitude - (ny * nx / 2) as f64).abs() < 1e-9, "mode {idx}: {magnitude}");
+            } else {
+                assert!(magnitude < 1e-9, "mode {idx}: {magnitude}");
+            }
+        }
     }
 
     #[test]

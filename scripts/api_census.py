@@ -18,15 +18,20 @@ It also prints each variant of a `pub enum` that no caller names as
 `Display` impls: a variant only its `Display` arm and unit tests mention is
 one nothing constructs or matches.
 
+And it prints each declared dependency of a `crates/*/Cargo.toml` that
+the crate never names: a `[dependencies]` entry its `src/` does not
+mention, or a `[dev-dependencies]` entry neither `src/` nor `tests/` does.
+
 Exit status 1 when anything is listed: delete the item, make it
 `pub(crate)`, gate a test oracle `#[cfg(test)]`, or add it to EXEMPT with
-the reason it stays.
+the reason it stays; drop an unnamed dependency from its manifest.
 """
 
 import glob
 import os
 import re
 import sys
+import tomllib
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -106,6 +111,25 @@ def read(path, tests=False):
     return text if tests else strip_tests(text)
 
 
+def unnamed_dependencies(crate):
+    """`crate → dependency` for each manifest entry the crate's code never names."""
+    base = os.path.join(ROOT, "crates", crate)
+    with open(os.path.join(base, "Cargo.toml"), "rb") as manifest:
+        declared = tomllib.load(manifest)
+
+    def text(*dirs):
+        paths = [p for d in dirs for p in glob.glob(os.path.join(base, d, "**", "*.rs"), recursive=True)]
+        return "\n".join(read(p, tests=True) for p in paths)
+
+    unnamed = []
+    for table, dirs in (("dependencies", ("src",)), ("dev-dependencies", ("src", "tests"))):
+        code = text(*dirs)
+        for dep in declared.get(table, {}):
+            if not re.search(r"\b%s\b" % re.escape(dep.replace("-", "_")), code):
+                unnamed.append(f"{crate}: [{table}] {dep} is never named")
+    return unnamed
+
+
 def main():
     crates = sorted(os.listdir(os.path.join(ROOT, "crates")))
     # crate -> {path: non-test library text}; all caller text outside crate libraries
@@ -154,6 +178,7 @@ def main():
                 named = re.compile(r"\b%s::%s\b" % (enum, variant))
                 if f"{enum}::{variant}" not in EXEMPT and not named.search(elsewhere):
                     listed.append(f"{crate}: variant {enum}::{variant}")
+        listed += unnamed_dependencies(crate)
     for line in listed:
         print(line)
     print("exempt:")

@@ -26,19 +26,17 @@
 //!
 //! | layer | crates |
 //! |---|---|
-//! | containers & kernels | [`grid`], [`par`], [`fft`], [`linalg`], [`lossless`] |
+//! | containers & kernels | [`grid`], [`par`], [`lossless`] |
 //! | compressors | [`pressio`] (traits/metrics), [`sz`], [`zfp`], [`mgard`] |
-//! | data | [`synth`] (Gaussian random fields), [`hydro`] (Miranda-like solver) |
-//! | statistics | [`geostat`] (variograms, local SVD, regressions) |
+//! | data | [`synth`] (Gaussian random fields over a private FFT), [`hydro`] (Miranda-like solver) |
+//! | statistics | [`geostat`] (variograms, local SVD, regressions, and the small dense solvers behind them) |
 //! | study | [`core`] (experiment pipelines regenerating every figure) |
 
 pub use lcc_archive as archive;
 pub use lcc_core as core;
-pub use lcc_fft as fft;
 pub use lcc_geostat as geostat;
 pub use lcc_grid as grid;
 pub use lcc_hydro as hydro;
-pub use lcc_linalg as linalg;
 pub use lcc_lossless as lossless;
 pub use lcc_mgard as mgard;
 pub use lcc_par as par;
