@@ -130,13 +130,17 @@ impl CliOptions {
         value
     }
 
-    /// Fetch a length (finite and positive) with a default; an unparseable
-    /// value or any other number is reported on stderr and exits the
-    /// process with status 2.
+    /// Fetch a length (finite and positive, its square not underflowing to
+    /// zero, as the Gaussian kernel divides by it) with a default; an
+    /// unparseable value or any other number is reported on stderr and
+    /// exits the process with status 2.
     pub fn get_length(&self, name: &str, default: f64) -> f64 {
         let value: f64 = self.parsed_or_exit(name, default);
         if !(value.is_finite() && value > 0.0) {
             refuse(&format!("--{name}: must be a positive finite number, got {value}"));
+        }
+        if value * value == 0.0 {
+            refuse(&format!("--{name}: {value:e} is too small, its square underflows to zero"));
         }
         value
     }
@@ -175,7 +179,8 @@ impl CliOptions {
 /// beside an explicit one of those, a count of 0, a `--size` or
 /// `--slice-size` below the statistics window (H = 32: neither local
 /// statistic has a window on a smaller field) or a range that is not
-/// positive exits with status 2 naming the option.
+/// positive, or whose square underflows to zero, exits with status 2
+/// naming the option.
 pub fn study_config(opts: &CliOptions) -> StudyConfig {
     let mut config = match opts.preset(&STUDY_KEYS[1..]) {
         Some("quick") => return StudyConfig::quick(),

@@ -16,6 +16,11 @@ fn substituted_or_dropped_values_exit_2_naming_the_option() {
         (study, &["--ranges", "0"], &["--ranges"]),
         (study, &["--min-range", "-1"], &["--min-range"]),
         (study, &["--max-range", "inf"], &["--max-range"]),
+        // Ranges whose square underflows to zero: the kernel's origin
+        // would be 0 / 0 and every amplitude 0.
+        (study, &["--min-range", "1e-200"], &["--min-range"]),
+        (study, &["--max-range", "1e-170"], &["--max-range"]),
+        (figure1, &["--size", "64", "--range", "1e-200"], &["--range"]),
         (study, &["--slice-size", "0"], &["--slice-size"]),
         // Sizes below the statistics window H = 32, where neither local
         // statistic has a window.

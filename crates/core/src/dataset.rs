@@ -2,6 +2,7 @@
 
 use lcc_grid::Field2D;
 use lcc_hydro::{MirandaProxy, MirandaProxyConfig, Problem};
+use lcc_par::{parallel_map_with, ThreadPoolConfig};
 use lcc_synth::{
     generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
 };
@@ -87,51 +88,55 @@ impl StudyDatasets {
             .collect()
     }
 
-    /// Single-range Gaussian fields, one per (range, replicate).
-    pub fn single_range_fields(&self) -> Vec<LabeledField> {
-        let mut out = Vec::new();
-        for (ri, range) in self.ranges().into_iter().enumerate() {
-            for rep in 0..self.replicates {
-                let seed = self.seed + (ri as u64) * 131 + rep as u64;
-                let field = generate_single_range(&GaussianFieldConfig::new(
-                    self.gaussian_size,
-                    self.gaussian_size,
-                    range,
-                    seed,
-                ));
-                out.push(LabeledField::new(
-                    format!("gauss-single-a{range:.1}-r{rep}"),
-                    field,
-                    Some(range),
-                ));
-            }
-        }
-        out
+    /// Single-range Gaussian fields, one per (range, replicate), range-major,
+    /// generated on `threads` workers (`None` = automatic). Each field has
+    /// its own seed, so the set does not depend on the pool width.
+    pub fn single_range_fields(&self, threads: Option<usize>) -> Vec<LabeledField> {
+        self.per_cell(threads, |ri, range, rep| {
+            let seed = self.seed + (ri as u64) * 131 + rep as u64;
+            let field = generate_single_range(&GaussianFieldConfig::new(
+                self.gaussian_size,
+                self.gaussian_size,
+                range,
+                seed,
+            ));
+            LabeledField::new(format!("gauss-single-a{range:.1}-r{rep}"), field, Some(range))
+        })
     }
 
     /// Multi-range Gaussian fields: each combines a sweep range with a fixed
     /// long-range component contributing equally (the paper's construction).
-    pub fn multi_range_fields(&self) -> Vec<LabeledField> {
+    /// Ordered and generated like [`StudyDatasets::single_range_fields`].
+    pub fn multi_range_fields(&self, threads: Option<usize>) -> Vec<LabeledField> {
         let long_component = self.max_range;
-        let mut out = Vec::new();
-        for (ri, range) in self.ranges().into_iter().enumerate() {
-            for rep in 0..self.replicates {
-                let seed = self.seed + 10_000 + (ri as u64) * 131 + rep as u64;
-                let field = generate_multi_range(&MultiRangeConfig::two_ranges(
-                    self.gaussian_size,
-                    self.gaussian_size,
-                    range,
-                    long_component,
-                    seed,
-                ));
-                out.push(LabeledField::new(
-                    format!("gauss-multi-a{range:.1}+{long_component:.1}-r{rep}"),
-                    field,
-                    Some(range),
-                ));
-            }
-        }
-        out
+        self.per_cell(threads, |ri, range, rep| {
+            let seed = self.seed + 10_000 + (ri as u64) * 131 + rep as u64;
+            let field = generate_multi_range(&MultiRangeConfig::two_ranges(
+                self.gaussian_size,
+                self.gaussian_size,
+                range,
+                long_component,
+                seed,
+            ));
+            LabeledField::new(
+                format!("gauss-multi-a{range:.1}+{long_component:.1}-r{rep}"),
+                field,
+                Some(range),
+            )
+        })
+    }
+
+    /// `make(range index, range, replicate)` for every (range, replicate)
+    /// of the sweep, range-major, on `threads` workers.
+    fn per_cell<F>(&self, threads: Option<usize>, make: F) -> Vec<LabeledField>
+    where
+        F: Fn(usize, f64, usize) -> LabeledField + Sync,
+    {
+        let cells: Vec<(usize, f64, usize)> = (self.ranges().into_iter().enumerate())
+            .flat_map(|(ri, range)| (0..self.replicates).map(move |rep| (ri, range, rep)))
+            .collect();
+        let pool = threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
+        parallel_map_with(pool, &cells, |&(ri, range, rep)| make(ri, range, rep))
     }
 
     /// Miranda-proxy velocityx slices (the application dataset).
@@ -177,7 +182,7 @@ mod tests {
     #[test]
     fn single_range_set_has_one_field_per_cell() {
         let d = StudyDatasets::tiny();
-        let fields = d.single_range_fields();
+        let fields = d.single_range_fields(None);
         assert_eq!(fields.len(), d.n_ranges * d.replicates);
         for f in &fields {
             assert_eq!(f.field.shape(), (64, 64));
@@ -189,8 +194,8 @@ mod tests {
     #[test]
     fn multi_range_set_is_distinct_from_single_range() {
         let d = StudyDatasets::tiny();
-        let single = d.single_range_fields();
-        let multi = d.multi_range_fields();
+        let single = d.single_range_fields(None);
+        let multi = d.multi_range_fields(None);
         assert_eq!(multi.len(), single.len());
         assert_ne!(single[0].field, multi[0].field);
         assert!(multi[0].name.contains("multi"));
@@ -209,13 +214,19 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_reproducible() {
-        let d = StudyDatasets::tiny();
-        let a = d.single_range_fields();
-        let b = d.single_range_fields();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.field, y.field);
+    fn generation_is_reproducible_and_independent_of_the_pool_width() {
+        let d = StudyDatasets { replicates: 2, ..StudyDatasets::tiny() };
+        for family in [StudyDatasets::single_range_fields, StudyDatasets::multi_range_fields] {
+            let a = family(&d, Some(1));
+            let b = family(&d, Some(4));
+            assert_eq!(a.len(), d.n_ranges * d.replicates);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!((&x.name, &x.field, x.true_range), (&y.name, &y.field, y.true_range));
+            }
+            // Range-major: the replicates of one range are adjacent.
+            assert!(a[0].name.ends_with("-r0") && a[1].name.ends_with("-r1"));
+            assert_eq!(a[0].true_range, a[1].true_range);
         }
     }
 }

@@ -156,8 +156,8 @@ impl EulerState {
     }
 
     /// Immutable cell access with periodic x and clamped (reflective-ish) y.
-    #[inline]
-    pub fn at(&self, i: isize, j: isize) -> Conserved {
+    #[cfg(test)]
+    pub(crate) fn at(&self, i: isize, j: isize) -> Conserved {
         let i = i.clamp(0, self.ny as isize - 1) as usize;
         let j = j.rem_euclid(self.nx as isize) as usize;
         self.cells[i * self.nx + j]

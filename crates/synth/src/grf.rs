@@ -15,6 +15,21 @@
 //! sampling fluctuation of the marginal variance without touching the
 //! correlation structure — convenient because the study compares fields
 //! across correlation ranges at a fixed error bound.
+//!
+//! ## Traversal
+//!
+//! The FFT computes every value by the same floating-point operations, in
+//! the same order, as the textbook transform (the 1D transform of each row
+//! and then of each column, with its twiddles built inside the butterfly
+//! loop and the inverse divided by `N`), which the tests keep as the
+//! oracle; only the traversal differs:
+//!
+//! * each axis's twiddles are built once per transform, by the butterfly
+//!   loop's own `w = w · wlen` recurrence, so each has that loop's bits;
+//! * columns are transformed eight at a time, gathered once into a
+//!   contiguous strip, instead of one strided column at a time;
+//! * the inverse multiplies by `1 / N`, an exact power of two, which
+//!   rounds as the quotient by `N` does.
 
 use crate::rng::GaussianSampler;
 use lcc_grid::Field2D;
@@ -89,8 +104,10 @@ impl MultiRangeConfig {
 ///
 /// # Panics
 /// Panics if the dimensions are zero, the range or the variance is not
-/// positive and finite, or the range makes the periodic embedding domain
-/// too large to address.
+/// positive and finite, the range is so small that its square underflows
+/// to zero (below about 1e-162, where the kernel's origin would be
+/// `0 / 0`), or the range makes the periodic embedding domain too large to
+/// address.
 pub fn generate_single_range(config: &GaussianFieldConfig) -> Field2D {
     assert!(config.ny > 0 && config.nx > 0, "field dimensions must be non-zero");
     assert!(config.range.is_finite() && config.range > 0.0, "correlation range must be positive");
@@ -105,6 +122,11 @@ pub fn generate_single_range(config: &GaussianFieldConfig) -> Field2D {
     // Wrapped squared-exponential covariance kernel; its FFT is the
     // eigenvalues of the circulant covariance.
     let a2 = config.range * config.range;
+    assert!(
+        a2 > 0.0,
+        "correlation range {:e} is too small: its square underflows to zero",
+        config.range
+    );
     let mut data = Vec::with_capacity(m_y * m_x);
     for i in 0..m_y {
         let di = i.min(m_y - i) as f64;
@@ -217,65 +239,111 @@ impl Mul for Complex {
     }
 }
 
+/// Columns transformed together by [`fft_2d`]: the strip is gathered into
+/// an `ny × STRIP` scratch once, so each butterfly runs over `STRIP`
+/// contiguous values instead of one strided column at a time.
+const STRIP: usize = 8;
+
 /// In-place 2D FFT of a row-major buffer `nx` wide (both extents powers of
-/// two): the 1D transform over every row, then over every column through
-/// one scratch column. `inverse` is normalized, so the inverse undoes the
-/// forward transform.
+/// two): the 1D transform over every row, then over every column. `inverse`
+/// is normalized, so the inverse undoes the forward transform. A strip of
+/// `STRIP` columns applies each butterfly to its columns side by side, in
+/// the order of one column, so each value has the textbook transform's
+/// bits (see the module's traversal notes).
 fn fft_2d(data: &mut [Complex], nx: usize, inverse: bool) {
     let ny = data.len() / nx;
+    let row_twiddles = twiddles(nx, inverse);
     for row in data.chunks_exact_mut(nx) {
-        fft(row, inverse);
+        fft_lanes::<1>(row, &row_twiddles, inverse);
     }
-    let mut col = vec![Complex::ZERO; ny];
-    for j in 0..nx {
-        for i in 0..ny {
-            col[i] = data[i * nx + j];
+    let col_twiddles = if ny == nx { row_twiddles } else { twiddles(ny, inverse) };
+    let mut strip = vec![Complex::ZERO; ny * STRIP.min(nx)];
+    let wide = nx - nx % STRIP;
+    for j in (0..wide).step_by(STRIP) {
+        for (lanes, row) in strip.chunks_exact_mut(STRIP).zip(data.chunks_exact(nx)) {
+            lanes.copy_from_slice(&row[j..j + STRIP]);
         }
-        fft(&mut col, inverse);
-        for i in 0..ny {
-            data[i * nx + j] = col[i];
+        fft_lanes::<STRIP>(&mut strip, &col_twiddles, inverse);
+        for (lanes, row) in strip.chunks_exact(STRIP).zip(data.chunks_exact_mut(nx)) {
+            row[j..j + STRIP].copy_from_slice(lanes);
+        }
+    }
+    let column = &mut strip[..ny];
+    for j in wide..nx {
+        for (value, row) in column.iter_mut().zip(data.chunks_exact(nx)) {
+            *value = row[j];
+        }
+        fft_lanes::<1>(column, &col_twiddles, inverse);
+        for (value, row) in column.iter().zip(data.chunks_exact_mut(nx)) {
+            row[j] = *value;
         }
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT of a power-of-two length:
-/// the DFT with the `exp(-i 2π kn / N)` kernel, unnormalized, or with
-/// `inverse` the `exp(+i …)` kernel divided by `N`.
-fn fft(data: &mut [Complex], inverse: bool) {
-    let n = data.len();
+/// Twiddle factors of every butterfly stage of a length-`n` transform, the
+/// stage of span `len` at offsets `len / 2 - 1 ..= len - 2`: `w_0 = 1`,
+/// `w_{k+1} = w_k · cis(±2π / len)`, the recurrence and rounding of the
+/// textbook butterfly loop, so each factor has that loop's bits.
+fn twiddles(n: usize, inverse: bool) -> Vec<Complex> {
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let mut table = Vec::with_capacity(n.saturating_sub(1));
+    let mut len = 2usize;
+    while len <= n {
+        let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+        let mut w = Complex::ONE;
+        for _ in 0..len / 2 {
+            table.push(w);
+            w = w * wlen;
+        }
+        len <<= 1;
+    }
+    table
+}
+
+/// In-place radix-2 Cooley–Tukey FFT of `LANES` interleaved signals of a
+/// power-of-two length `data.len() / LANES` (element `i` of lane `b` at
+/// `i * LANES + b`), with the stage twiddles of [`twiddles`]: the DFT with
+/// the `exp(-i 2π kn / N)` kernel, unnormalized, or with `inverse` the
+/// `exp(+i …)` kernel times `1 / N` (a power of two, so the product is the
+/// quotient by `N`, bit for bit).
+fn fft_lanes<const LANES: usize>(data: &mut [Complex], twiddles: &[Complex], inverse: bool) {
+    let n = data.len() / LANES;
     debug_assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
+    debug_assert_eq!(twiddles.len(), n - 1, "twiddle table of another length");
     if n > 1 {
         // Bit-reversal permutation.
         let shift = usize::BITS - n.trailing_zeros();
         for i in 0..n {
             let j = i.reverse_bits() >> shift;
             if j > i {
-                data.swap(i, j);
+                for b in 0..LANES {
+                    data.swap(i * LANES + b, j * LANES + b);
+                }
             }
         }
         // Danielson–Lanczos butterflies.
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let mut len = 2usize;
-        while len <= n {
-            let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let mut w = Complex::ONE;
-                for k in 0..half {
-                    let a = block[k];
-                    let b = block[k + half] * w;
-                    block[k] = a + b;
-                    block[k + half] = a - b;
-                    w = w * wlen;
+        let mut half = 1usize;
+        while half < n {
+            let stage = &twiddles[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half * LANES) {
+                let (lo, hi) = block.split_at_mut(half * LANES);
+                for ((a, b), &w) in
+                    lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)).zip(stage)
+                {
+                    for (a, b) in a.iter_mut().zip(b.iter_mut()) {
+                        let t = *b * w;
+                        *b = *a - t;
+                        *a = *a + t;
+                    }
                 }
             }
-            len <<= 1;
+            half <<= 1;
         }
     }
     if inverse {
-        let n = n as f64;
+        let scale = 1.0 / n as f64;
         for v in data {
-            *v = Complex::new(v.re / n, v.im / n);
+            *v = Complex::new(v.re * scale, v.im * scale);
         }
     }
 }
@@ -284,6 +352,99 @@ fn fft(data: &mut [Complex], inverse: bool) {
 mod tests {
     use super::*;
     use lcc_grid::stats;
+
+    /// The textbook transform [`fft_2d`] must reproduce bit for bit: each
+    /// stage's twiddles built inside the butterfly loop, and the inverse
+    /// divided by `N`.
+    fn fft(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        if n > 1 {
+            let shift = usize::BITS - n.trailing_zeros();
+            for i in 0..n {
+                let j = i.reverse_bits() >> shift;
+                if j > i {
+                    data.swap(i, j);
+                }
+            }
+            let sign = if inverse { 1.0 } else { -1.0 };
+            let mut len = 2usize;
+            while len <= n {
+                let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+                let half = len / 2;
+                for block in data.chunks_exact_mut(len) {
+                    let mut w = Complex::ONE;
+                    for k in 0..half {
+                        let a = block[k];
+                        let b = block[k + half] * w;
+                        block[k] = a + b;
+                        block[k + half] = a - b;
+                        w = w * wlen;
+                    }
+                }
+                len <<= 1;
+            }
+        }
+        if inverse {
+            let n = n as f64;
+            for v in data {
+                *v = Complex::new(v.re / n, v.im / n);
+            }
+        }
+    }
+
+    /// The textbook 2D transform: [`fft`] over every row, then over every
+    /// column through one scratch column.
+    fn fft_2d_textbook(data: &mut [Complex], nx: usize, inverse: bool) {
+        let ny = data.len() / nx;
+        for row in data.chunks_exact_mut(nx) {
+            fft(row, inverse);
+        }
+        let mut col = vec![Complex::ZERO; ny];
+        for j in 0..nx {
+            for i in 0..ny {
+                col[i] = data[i * nx + j];
+            }
+            fft(&mut col, inverse);
+            for i in 0..ny {
+                data[i * nx + j] = col[i];
+            }
+        }
+    }
+
+    /// The values of `data` as bits, so a comparison fails on one wrong bit
+    /// (and on a zero of the other sign).
+    fn bits(data: &[Complex]) -> Vec<(u64, u64)> {
+        data.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn fft_lanes_equals_the_textbook_transform_bit_for_bit() {
+        for log_n in 0..=12 {
+            let n = 1usize << log_n;
+            for inverse in [false, true] {
+                let mut expected = signal(n);
+                fft(&mut expected, inverse);
+                let mut got = signal(n);
+                fft_lanes::<1>(&mut got, &twiddles(n, inverse), inverse);
+                assert_eq!(bits(&got), bits(&expected), "n = {n}, inverse = {inverse}");
+            }
+        }
+    }
+
+    #[test]
+    fn fft_2d_equals_the_textbook_transform_bit_for_bit() {
+        // 64 × 256 is the embedding of a 40 × 200 field at range 3.
+        let shapes = [(1, 64), (64, 1), (1, 1), (2, 1024), (1024, 2), (16, 8), (8, 32), (64, 256)];
+        for (ny, nx) in shapes {
+            for inverse in [false, true] {
+                let mut expected = signal(ny * nx);
+                fft_2d_textbook(&mut expected, nx, inverse);
+                let mut got = signal(ny * nx);
+                fft_2d(&mut got, nx, inverse);
+                assert_eq!(bits(&got), bits(&expected), "{ny}x{nx}, inverse = {inverse}");
+            }
+        }
+    }
 
     /// Empirical correlation between the field and itself shifted by `lag`
     /// grid points along x.
@@ -378,6 +539,12 @@ mod tests {
     #[should_panic(expected = "correlation range 2500000000000000000 needs a periodic embedding")]
     fn range_beyond_any_embedding_panics() {
         let _ = generate_single_range(&GaussianFieldConfig::new(64, 64, 2.5e18, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "correlation range 1e-200 is too small: its square underflows")]
+    fn range_whose_square_underflows_panics() {
+        let _ = generate_single_range(&GaussianFieldConfig::new(16, 16, 1e-200, 1));
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //!
 //! The spectral synthesis needs only a power-of-two complex FFT in 2D: a
 //! private iterative radix-2 Cooley–Tukey transform, applied row by row and
-//! then column by column, in place on the one buffer a field is generated
-//! on. It favours clarity and an exact inverse over raw speed. Generating
-//! one full-scale 1028×1028 field takes 1.2–1.6 s on a 2-vCPU dev box,
-//! 30–40 times one `sz` compress of it (≈ 40 ms): synthesis, not
-//! compression, is what a paper-scale study spends its set-up on.
+//! then to strips of eight columns, with each axis's twiddles tabulated
+//! once, in place on the one buffer a field is generated on. It gives the
+//! textbook transform's bits (see [`grf`]). Generating one full-scale
+//! 1028×1028 field takes 0.6–0.8 s on a 2-vCPU dev box (1.0–1.1 s with the
+//! textbook transform), 15–20 times one `sz` compress of it (≈ 40 ms):
+//! synthesis, not compression, is what a paper-scale study spends its
+//! set-up on.
 //!
 //! ```
 //! use lcc_synth::{generate_single_range, GaussianFieldConfig};
