@@ -88,55 +88,61 @@ impl StudyDatasets {
             .collect()
     }
 
-    /// Single-range Gaussian fields, one per (range, replicate), range-major,
-    /// generated on `threads` workers (`None` = automatic). Each field has
-    /// its own seed, so the set does not depend on the pool width.
-    pub fn single_range_fields(&self, threads: Option<usize>) -> Vec<LabeledField> {
-        self.per_cell(threads, |ri, range, rep| {
-            let seed = self.seed + (ri as u64) * 131 + rep as u64;
-            let field = generate_single_range(&GaussianFieldConfig::new(
-                self.gaussian_size,
-                self.gaussian_size,
-                range,
-                seed,
-            ));
-            LabeledField::new(format!("gauss-single-a{range:.1}-r{rep}"), field, Some(range))
-        })
+    /// Single-range Gaussian fields, one per (range, replicate), range-major.
+    /// They are generated in parallel; each field has its own seed, so the
+    /// set does not depend on the pool width.
+    pub fn single_range_fields(&self) -> Vec<LabeledField> {
+        self.per_cell(ThreadPoolConfig::auto(), Self::single_range_field)
     }
 
     /// Multi-range Gaussian fields: each combines a sweep range with a fixed
     /// long-range component contributing equally (the paper's construction).
     /// Ordered and generated like [`StudyDatasets::single_range_fields`].
-    pub fn multi_range_fields(&self, threads: Option<usize>) -> Vec<LabeledField> {
-        let long_component = self.max_range;
-        self.per_cell(threads, |ri, range, rep| {
-            let seed = self.seed + 10_000 + (ri as u64) * 131 + rep as u64;
-            let field = generate_multi_range(&MultiRangeConfig::two_ranges(
-                self.gaussian_size,
-                self.gaussian_size,
-                range,
-                long_component,
-                seed,
-            ));
-            LabeledField::new(
-                format!("gauss-multi-a{range:.1}+{long_component:.1}-r{rep}"),
-                field,
-                Some(range),
-            )
-        })
+    pub fn multi_range_fields(&self) -> Vec<LabeledField> {
+        self.per_cell(ThreadPoolConfig::auto(), Self::multi_range_field)
     }
 
-    /// `make(range index, range, replicate)` for every (range, replicate)
-    /// of the sweep, range-major, on `threads` workers.
-    fn per_cell<F>(&self, threads: Option<usize>, make: F) -> Vec<LabeledField>
-    where
-        F: Fn(usize, f64, usize) -> LabeledField + Sync,
-    {
+    /// The single-range field of range `range` (index `ri`), replicate `rep`.
+    fn single_range_field(&self, ri: usize, range: f64, rep: usize) -> LabeledField {
+        let seed = self.seed + (ri as u64) * 131 + rep as u64;
+        let field = generate_single_range(&GaussianFieldConfig::new(
+            self.gaussian_size,
+            self.gaussian_size,
+            range,
+            seed,
+        ));
+        LabeledField::new(format!("gauss-single-a{range:.1}-r{rep}"), field, Some(range))
+    }
+
+    /// The multi-range field of range `range` (index `ri`), replicate `rep`.
+    fn multi_range_field(&self, ri: usize, range: f64, rep: usize) -> LabeledField {
+        let long_component = self.max_range;
+        let seed = self.seed + 10_000 + (ri as u64) * 131 + rep as u64;
+        let field = generate_multi_range(&MultiRangeConfig::two_ranges(
+            self.gaussian_size,
+            self.gaussian_size,
+            range,
+            long_component,
+            seed,
+        ));
+        LabeledField::new(
+            format!("gauss-multi-a{range:.1}+{long_component:.1}-r{rep}"),
+            field,
+            Some(range),
+        )
+    }
+
+    /// `make(self, range index, range, replicate)` for every (range,
+    /// replicate) of the sweep, range-major, on `pool`.
+    fn per_cell(
+        &self,
+        pool: ThreadPoolConfig,
+        make: fn(&Self, usize, f64, usize) -> LabeledField,
+    ) -> Vec<LabeledField> {
         let cells: Vec<(usize, f64, usize)> = (self.ranges().into_iter().enumerate())
             .flat_map(|(ri, range)| (0..self.replicates).map(move |rep| (ri, range, rep)))
             .collect();
-        let pool = threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
-        parallel_map_with(pool, &cells, |&(ri, range, rep)| make(ri, range, rep))
+        parallel_map_with(pool, &cells, |&(ri, range, rep)| make(self, ri, range, rep))
     }
 
     /// Miranda-proxy velocityx slices (the application dataset).
@@ -182,7 +188,7 @@ mod tests {
     #[test]
     fn single_range_set_has_one_field_per_cell() {
         let d = StudyDatasets::tiny();
-        let fields = d.single_range_fields(None);
+        let fields = d.single_range_fields();
         assert_eq!(fields.len(), d.n_ranges * d.replicates);
         for f in &fields {
             assert_eq!(f.field.shape(), (64, 64));
@@ -194,8 +200,8 @@ mod tests {
     #[test]
     fn multi_range_set_is_distinct_from_single_range() {
         let d = StudyDatasets::tiny();
-        let single = d.single_range_fields(None);
-        let multi = d.multi_range_fields(None);
+        let single = d.single_range_fields();
+        let multi = d.multi_range_fields();
         assert_eq!(multi.len(), single.len());
         assert_ne!(single[0].field, multi[0].field);
         assert!(multi[0].name.contains("multi"));
@@ -216,9 +222,9 @@ mod tests {
     #[test]
     fn generation_is_reproducible_and_independent_of_the_pool_width() {
         let d = StudyDatasets { replicates: 2, ..StudyDatasets::tiny() };
-        for family in [StudyDatasets::single_range_fields, StudyDatasets::multi_range_fields] {
-            let a = family(&d, Some(1));
-            let b = family(&d, Some(4));
+        for family in [StudyDatasets::single_range_field, StudyDatasets::multi_range_field] {
+            let a = d.per_cell(ThreadPoolConfig::with_threads(1), family);
+            let b = d.per_cell(ThreadPoolConfig::with_threads(4), family);
             assert_eq!(a.len(), d.n_ranges * d.replicates);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {

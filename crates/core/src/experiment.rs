@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_record_per_cell() {
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let registry = default_registry();
         let records = run_sweep(&fields, &registry, &quick_config()).unwrap();
         assert_eq!(records.len(), fields.len() * registry.len() * 2);
@@ -295,14 +295,14 @@ mod tests {
     fn empty_inputs_are_handled() {
         let registry = default_registry();
         assert!(run_sweep(&[], &registry, &quick_config()).unwrap().is_empty());
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let empty = lcc_pressio::Registry::new();
         assert!(run_sweep(&fields, &empty, &quick_config()).is_err());
     }
 
     #[test]
     fn fitted_series_cover_every_compressor_bound_pair() {
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let registry = default_registry();
         let records = run_sweep(&fields, &registry, &quick_config()).unwrap();
         let series = fit_series(&records, StatisticKind::GlobalVariogramRange);
@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn csv_export_has_one_row_per_record() {
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let registry = default_registry();
         let records = run_sweep(&fields, &registry, &quick_config()).unwrap();
         let csv = records_to_csv(&records);
@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(ids.len(), names.len(), "ids collide among {names:?}");
 
         // A panel's two CSVs name every compressor by the same id.
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let config = SweepConfig { bounds: vec![ErrorBound::Absolute(1e-2)], ..quick_config() };
         let records = run_sweep(&fields, &registry, &config).unwrap();
         let column = |csv: CsvSeries, column: usize| {
@@ -379,7 +379,7 @@ mod tests {
             }
         }
 
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let mut registry = lcc_pressio::Registry::new();
         registry.register(Arc::new(Explosive), "0.0");
         let err = run_sweep(&fields, &registry, &quick_config()).unwrap_err();
@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let fields = StudyDatasets::tiny().single_range_fields(None);
+        let fields = StudyDatasets::tiny().single_range_fields();
         let registry = default_registry();
         let mut cfg = quick_config();
         cfg.threads = Some(1);

@@ -298,16 +298,8 @@ pub fn run_study(config: &StudyConfig) -> Result<Study, CoreError> {
     let registry = default_registry();
     let miranda = StudyDatasets { seed: config.miranda_seed, ..config.datasets };
     Ok(Study {
-        single_range: run_sweep(
-            &config.datasets.single_range_fields(config.sweep.threads),
-            &registry,
-            &config.sweep,
-        )?,
-        multi_range: run_sweep(
-            &config.datasets.multi_range_fields(config.sweep.threads),
-            &registry,
-            &config.sweep,
-        )?,
+        single_range: run_sweep(&config.datasets.single_range_fields(), &registry, &config.sweep)?,
+        multi_range: run_sweep(&config.datasets.multi_range_fields(), &registry, &config.sweep)?,
         miranda: run_sweep(
             &miranda.miranda_slices(config.slices, config.slice_size),
             &registry,

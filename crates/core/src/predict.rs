@@ -120,7 +120,7 @@ mod tests {
             replicates: 1,
             seed: 5,
         };
-        let fields = datasets.single_range_fields(None);
+        let fields = datasets.single_range_fields();
         let registry = sz_zfp_registry();
         let config = SweepConfig {
             bounds: vec![ErrorBound::Absolute(1e-3), ErrorBound::Absolute(1e-2)],

@@ -268,6 +268,8 @@ fn fft_2d(data: &mut [Complex], nx: usize, inverse: bool) {
             row[j..j + STRIP].copy_from_slice(lanes);
         }
     }
+    // `nx` is a power of two, so columns are left over only when the whole
+    // field is narrower than one strip (`nx` of 1, 2 or 4): those go one by one.
     let column = &mut strip[..ny];
     for j in wide..nx {
         for (value, row) in column.iter_mut().zip(data.chunks_exact(nx)) {

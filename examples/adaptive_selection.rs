@@ -30,8 +30,7 @@ fn main() {
         bounds: vec![ErrorBound::Absolute(1e-3), ErrorBound::Absolute(1e-2)],
         ..Default::default()
     };
-    let records =
-        run_sweep(&datasets.single_range_fields(None), &registry, &config).expect("sweep");
+    let records = run_sweep(&datasets.single_range_fields(), &registry, &config).expect("sweep");
     let predictor = CompressionRatioPredictor::train(&records, StatisticKind::GlobalVariogramRange)
         .expect("predictor training");
     println!(

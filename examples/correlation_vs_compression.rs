@@ -23,7 +23,7 @@ fn main() {
         replicates: 1,
         seed: 7,
     };
-    let fields = datasets.single_range_fields(None);
+    let fields = datasets.single_range_fields();
     println!("generated {} single-range Gaussian fields ({}x{})", fields.len(), 160, 160);
 
     let registry = default_registry();

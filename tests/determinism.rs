@@ -65,7 +65,7 @@ fn sweep_results_do_not_depend_on_thread_count() {
         replicates: 1,
         seed: 17,
     };
-    let fields = datasets.single_range_fields(None);
+    let fields = datasets.single_range_fields();
     let registry = sz_zfp_registry();
     let run = |threads: Option<usize>| {
         let config =

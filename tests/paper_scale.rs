@@ -90,7 +90,7 @@ mod full_sweep {
             replicates: 1,
             seed: 11,
         };
-        let fields = datasets.single_range_fields(None);
+        let fields = datasets.single_range_fields();
         assert_eq!(fields.len(), 2);
         for f in &fields {
             assert_eq!(f.field.shape(), (1028, 1028));

@@ -125,7 +125,7 @@ fn sweep_records_feed_prediction_and_selection() {
     };
     let registry = sz_zfp_registry();
     let config = SweepConfig { bounds: vec![ErrorBound::Absolute(1e-2)], ..Default::default() };
-    let records = run_sweep(&datasets.single_range_fields(None), &registry, &config).unwrap();
+    let records = run_sweep(&datasets.single_range_fields(), &registry, &config).unwrap();
     assert_eq!(records.len(), 4 * 2);
 
     let series = fit_series(&records, StatisticKind::GlobalVariogramRange);
