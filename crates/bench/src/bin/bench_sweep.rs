@@ -41,11 +41,11 @@ use lcc_geostat::{
 };
 use lcc_grid::{Field2D, Window, WindowIter};
 use lcc_lossless::{rans8_stream_info, simd_level, Rans8StreamInfo};
-use lcc_mgard::{MgardCompressor, MgardScratch};
+use lcc_mgard::MgardCompressor;
 use lcc_par::ThreadPoolConfig;
 use lcc_pressio::{codes, CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
-use lcc_sz::{SzCompressor, SzScratch};
+use lcc_sz::SzCompressor;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -302,7 +302,7 @@ fn main() {
         WindowIter::over(field.ny(), field.nx(), LAYER_TILE, LAYER_TILE).collect();
     let mut rows = Vec::new();
     for sz in [SzCompressor::default(), SzCompressor::rans8()] {
-        let mut scratch = SzScratch::default();
+        let mut scratch = ScratchArena::new();
         let whole = EncodeLayers::measure(&SzCompressor::ENCODE_LAYERS, || {
             sz.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
         });
@@ -339,7 +339,7 @@ fn main() {
     layer_table(&SzCompressor::ENCODE_LAYERS, &rows);
     let mut rows = Vec::new();
     for mgard in [MgardCompressor::default(), MgardCompressor::rans8()] {
-        let mut scratch = MgardScratch::default();
+        let mut scratch = ScratchArena::new();
         let layers = EncodeLayers::measure(&MgardCompressor::ENCODE_LAYERS, || {
             mgard.compress_view_timed(&view, bound, &mut scratch).map(|(_, seconds)| seconds)
         });

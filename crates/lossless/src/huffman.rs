@@ -38,7 +38,7 @@
 //! `single_distinct_symbol_*` tests below.
 
 use crate::bitstream::BitReader;
-use crate::scratch::{build_alphabet_into, CodecScratch, HeapNode, TableMode};
+use crate::scratch::{build_alphabet, CodecScratch, HeapNode, TableMode};
 use crate::{read_varint, write_varint, CodecError};
 use std::collections::BinaryHeap;
 
@@ -133,19 +133,6 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
             scratch.enc_len[(sym - min) as usize] = 0;
         }
     }
-}
-
-/// Histogram `symbols` into `scratch.alphabet` as `(symbol, count)` pairs
-/// sorted by symbol, choosing dense or sparse table addressing by the
-/// alphabet's value span (shared machinery with the rANS coder).
-fn build_alphabet(scratch: &mut CodecScratch, symbols: &[u32]) -> TableMode {
-    build_alphabet_into(
-        &mut scratch.hist,
-        &mut scratch.sym_map,
-        &mut scratch.slot_counts,
-        &mut scratch.alphabet,
-        symbols,
-    )
 }
 
 /// Huffman code lengths from `scratch.alphabet` into `scratch.lens`

@@ -27,12 +27,14 @@
 //!   plus one literal run of the whole input; when the tokens do, that run
 //!   is what ships.
 //!
-//! The matcher state (hash heads + chain links) lives in a caller-owned
-//! [`CodecScratch`] when driven through
-//! [`lz77_compress_with`], so repeated compressions reuse one arena instead
-//! of allocating ~`5 × input` bytes of chain state per call. Match
-//! candidates are compared eight bytes at a time (32 under AVX2 dispatch);
-//! both tiers emit the same stream.
+//! The matcher state lives in a caller-owned [`CodecScratch`] when driven
+//! through [`lz77_compress_with`], so repeated compressions reuse one arena:
+//! 128 KiB of hash heads and a ring of `WINDOW` chain links (256 KiB), at
+//! most, whatever the input's length. Position `p` links through slot
+//! `p & (WINDOW − 1)`, so a slot is overwritten only once its position is
+//! more than `WINDOW` behind every later search, which is where the chain
+//! walk stops anyway. Match candidates are compared eight bytes at a time
+//! (32 under AVX2 dispatch); both tiers emit the same stream.
 
 use crate::dispatch::{simd_level, SimdLevel};
 use crate::scratch::{CodecScratch, CHAIN_NIL};
@@ -179,6 +181,18 @@ pub fn lz77_compress_with_at(
     input: &[u8],
     out: &mut Vec<u8>,
 ) {
+    compress_chained(scratch, level, input, out, WINDOW);
+}
+
+/// The encoder over a ring of `ring` chain links (a power of two; `WINDOW`
+/// but in the full-length oracle of the tests).
+fn compress_chained(
+    scratch: &mut CodecScratch,
+    level: SimdLevel,
+    input: &[u8],
+    out: &mut Vec<u8>,
+    ring: usize,
+) {
     out.reserve(input.len() / 2 + 16);
     let start = out.len();
     write_varint(out, input.len() as u64);
@@ -196,8 +210,10 @@ pub fn lz77_compress_with_at(
     } else {
         scratch.head.fill(CHAIN_NIL);
     }
-    if scratch.prev.len() < input.len() {
-        scratch.prev.resize(input.len(), CHAIN_NIL);
+    debug_assert!(ring.is_power_of_two());
+    let mask = ring - 1;
+    if scratch.prev.len() < input.len().min(ring) {
+        scratch.prev.resize(input.len().min(ring), CHAIN_NIL);
     }
     let head = &mut scratch.head;
     let prev = &mut scratch.prev;
@@ -247,11 +263,11 @@ pub fn lz77_compress_with_at(
                         best_dist = pos - candidate_pos;
                     }
                 }
-                candidate = prev[candidate_pos];
+                candidate = prev[candidate_pos & mask];
                 chain += 1;
             }
             // Insert the current position into the hash chain.
-            prev[pos] = head[h];
+            prev[pos & mask] = head[h];
             head[h] = pos as u32;
         }
 
@@ -266,7 +282,7 @@ pub fn lz77_compress_with_at(
             let mut p = pos + 1;
             while p < end && p + MIN_MATCH <= input.len() {
                 let h = hash3(&input[p..]);
-                prev[p] = head[h];
+                prev[p & mask] = head[h];
                 head[h] = p as u32;
                 p += 1;
             }
@@ -548,6 +564,68 @@ mod tests {
             assert_eq!(out, reference, "level={level:?}");
         }
         assert_eq!(lz77_decompress(&reference).unwrap(), data);
+    }
+
+    /// The encoder with a chain link per input position, as it was before
+    /// the links became a ring: the oracle the ring must match byte for byte.
+    fn full_chain_oracle(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let links = input.len().next_power_of_two();
+        compress_chained(&mut CodecScratch::new(), SimdLevel::Scalar, input, &mut out, links);
+        out
+    }
+
+    fn assert_ring_matches_oracle(scratch: &mut CodecScratch, input: &[u8], what: &str) {
+        let mut ring = Vec::new();
+        lz77_compress_with(scratch, input, &mut ring);
+        assert!(ring == full_chain_oracle(input), "{what}: ring and full-chain streams differ");
+        assert!(lz77_decompress(&ring).unwrap() == input, "{what}: round trip");
+    }
+
+    #[test]
+    fn the_link_ring_emits_the_full_chain_stream_at_every_window_distance() {
+        // 64-symbol noise (about two positions per hash bucket per window,
+        // so chains reach back a whole window) copied from `distance` bytes
+        // back, one byte in 251 left alone so that matches end and chains
+        // are walked again all along the input.
+        let mut scratch = CodecScratch::new();
+        for len in [WINDOW, WINDOW + WINDOW / 2, 4 * WINDOW, 16 * WINDOW] {
+            for distance in [WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW] {
+                let mut data: Vec<u8> =
+                    noise(len, (len + distance) as u64).iter().map(|b| b & 63).collect();
+                for i in (distance..len).filter(|i| i % 251 != 0) {
+                    data[i] = data[i - distance];
+                }
+                assert_ring_matches_oracle(&mut scratch, &data, &format!("{len} B, {distance}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_link_ring_emits_the_full_chain_stream_on_sz_and_mgard_payloads() {
+        use lcc_pressio::{codes, Compressor, ErrorBound, ScratchArena};
+        let (mut scratch, mut arena, mut payload) =
+            (CodecScratch::new(), ScratchArena::new(), Vec::new());
+        let codecs: [(&dyn Compressor, &codes::Format); 2] = [
+            (&lcc_sz::SzCompressor::default(), &lcc_sz::FORMAT),
+            (&lcc_mgard::MgardCompressor::default(), &lcc_mgard::FORMAT),
+        ];
+        for range in [2.0, 12.0] {
+            let config = lcc_synth::GaussianFieldConfig::new(512, 512, range, 2021);
+            let field = lcc_synth::generate_single_range(&config);
+            for (codec, format) in codecs {
+                for eb in [1e-3, 1e-5] {
+                    let what = format!("{} a={range} eb={eb}", codec.name());
+                    let stream = codec
+                        .compress_view_with(&field.view(), ErrorBound::Absolute(eb), &mut arena)
+                        .unwrap();
+                    codes::open(format, &stream, &mut payload).unwrap();
+                    assert!(payload.len() > 2 * WINDOW, "{what}: {} B payload", payload.len());
+                    assert_ring_matches_oracle(&mut scratch, &payload, &what);
+                    assert!(lz77_compress(&payload) == stream, "{what}: not the codec's stream");
+                }
+            }
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@
 //! sized by a count read from the stream.
 
 use crate::dispatch::{simd_level, SimdLevel};
-use crate::scratch::{build_alphabet_into, CodecScratch, SymbolMap, TableMode};
+use crate::scratch::{build_alphabet, CodecScratch, TableMode};
 use crate::{huffman_decode_with, huffman_encode_with, read_varint, write_varint, CodecError};
 
 /// Log2 of the normalized frequency scale (12-bit tables).
@@ -205,22 +205,16 @@ fn encode_lanes(
     cursors
 }
 
-/// Reusable working memory of the rANS coder: one instance per worker (held
-/// inside the compressor scratches in a
-/// [`ScratchArena`](https://docs.rs/lcc_pressio)-style bag) turns every
-/// per-call table build and emit buffer into a cleared-not-freed reuse.
+/// Reusable working memory of the rANS coder: one instance per worker (the
+/// codes container of `lcc_pressio` holds one in each worker's scratch
+/// arena) turns every per-call table build and emit buffer into a
+/// cleared-not-freed reuse.
 #[derive(Debug, Default)]
 pub struct RansScratch {
-    // ---- alphabet discovery (shared machinery with the Huffman coder) ----
-    /// Dense counts indexed by `symbol − min_symbol`.
-    /// Invariant: all-zero between calls.
-    hist: Vec<u64>,
-    /// Sparse-path counts indexed by symbol-map slot.
-    slot_counts: Vec<u64>,
-    /// Sparse-path symbol → slot map.
-    sym_map: SymbolMap,
-    /// `(symbol, count)` pairs sorted by symbol.
-    alphabet: Vec<(u32, u64)>,
+    /// The Huffman coder's working memory: alphabet discovery runs on its
+    /// histogram, symbol map and alphabet, and a stream whose alphabet
+    /// overflows the 12-bit table is coded through it whole.
+    huff: CodecScratch,
 
     // ---- normalization workspace ----
     /// Normalized frequency per alphabet index (sums to `SCALE`).
@@ -251,10 +245,6 @@ pub struct RansScratch {
     /// fused entry is a win there too). Always `SCALE` long once used; the
     /// table parse fills it directly.
     slot_entry: Vec<u64>,
-
-    // ---- Huffman fallback (alphabets wider than the 12-bit table) ----
-    /// Working memory of the embedded Huffman section.
-    huff: CodecScratch,
 }
 
 impl RansScratch {
@@ -262,6 +252,12 @@ impl RansScratch {
     /// recycled across calls.
     pub fn new() -> Self {
         RansScratch::default()
+    }
+
+    /// The embedded Huffman working memory, for a caller that codes either
+    /// backend (and the LZ77 pass) through this one scratch.
+    pub fn huffman(&mut self) -> &mut CodecScratch {
+        &mut self.huff
     }
 }
 
@@ -364,24 +360,18 @@ fn normalize_freqs(alphabet: &[(u32, u64)], freqs: &mut Vec<u32>, order: &mut Ve
 /// (what [`lane_capacity`] sizes the lanes from). On `Some`, the caller owns
 /// restoring the dense-index invariant via [`clear_dense_idx`].
 fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<(TableMode, u64)> {
-    let mode = build_alphabet_into(
-        &mut scratch.hist,
-        &mut scratch.sym_map,
-        &mut scratch.slot_counts,
-        &mut scratch.alphabet,
-        symbols,
-    );
-    if scratch.alphabet.len() > SCALE as usize {
+    let mode = build_alphabet(&mut scratch.huff, symbols);
+    if scratch.huff.alphabet.len() > SCALE as usize {
         return None;
     }
-    normalize_freqs(&scratch.alphabet, &mut scratch.freqs, &mut scratch.norm_order);
+    normalize_freqs(&scratch.huff.alphabet, &mut scratch.freqs, &mut scratch.norm_order);
 
     // Encoder tables: cumulative starts + reciprocals per alphabet index,
     // and the symbol → index addressing for the chosen table mode.
     scratch.enc_syms.clear();
     let mut cum = 0u32;
     let mut two_byte = 0u64;
-    for (&f, &(_, count)) in scratch.freqs.iter().zip(&scratch.alphabet) {
+    for (&f, &(_, count)) in scratch.freqs.iter().zip(&scratch.huff.alphabet) {
         scratch.enc_syms.push(EncSym::new(cum, f));
         cum += f;
         if f < ONE_BYTE_FREQ {
@@ -391,19 +381,19 @@ fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<(Ta
     debug_assert_eq!(cum, SCALE);
     match mode {
         TableMode::Dense { min } => {
-            let span = (scratch.alphabet.last().expect("non-empty").0 - min) as usize + 1;
+            let span = (scratch.huff.alphabet.last().expect("non-empty").0 - min) as usize + 1;
             if scratch.dense_idx.len() < span {
                 scratch.dense_idx.resize(span, 0);
             }
-            for (k, &(sym, _)) in scratch.alphabet.iter().enumerate() {
+            for (k, &(sym, _)) in scratch.huff.alphabet.iter().enumerate() {
                 scratch.dense_idx[(sym - min) as usize] = k as u32;
             }
         }
         TableMode::Sparse => {
             scratch.slot_idx.clear();
-            scratch.slot_idx.resize(scratch.alphabet.len(), 0);
-            for (k, &(sym, _)) in scratch.alphabet.iter().enumerate() {
-                let slot = scratch.sym_map.get(sym).expect("alphabet symbol") as usize;
+            scratch.slot_idx.resize(scratch.huff.alphabet.len(), 0);
+            for (k, &(sym, _)) in scratch.huff.alphabet.iter().enumerate() {
+                let slot = scratch.huff.sym_map.get(sym).expect("alphabet symbol") as usize;
                 scratch.slot_idx[slot] = k as u32;
             }
         }
@@ -416,7 +406,7 @@ fn build_encode_tables(scratch: &mut RansScratch, symbols: &[u32]) -> Option<(Ta
 /// only a run's first symbol is spelled out, as its distance from the run
 /// before.
 fn write_freq_table(scratch: &RansScratch, out: &mut Vec<u8>) {
-    let alphabet = &scratch.alphabet;
+    let alphabet = &scratch.huff.alphabet;
     let starts_run = |k: usize| k == 0 || alphabet[k].0 - alphabet[k - 1].0 > 1;
     let n_runs = (0..alphabet.len()).filter(|&k| starts_run(k)).count();
     write_varint(out, n_runs as u64 - 1);
@@ -437,7 +427,7 @@ fn write_freq_table(scratch: &RansScratch, out: &mut Vec<u8>) {
 /// (O(distinct), not O(span)).
 fn clear_dense_idx(scratch: &mut RansScratch, mode: TableMode) {
     if let TableMode::Dense { min } = mode {
-        for &(sym, _) in &scratch.alphabet {
+        for &(sym, _) in &scratch.huff.alphabet {
             scratch.dense_idx[(sym - min) as usize] = 0;
         }
     }
@@ -497,7 +487,7 @@ pub fn rans8_encode_with(scratch: &mut RansScratch, symbols: &[u32], out: &mut V
             })
         }
         TableMode::Sparse => {
-            let (sym_map, slot_idx) = (&scratch.sym_map, &scratch.slot_idx);
+            let (sym_map, slot_idx) = (&scratch.huff.sym_map, &scratch.slot_idx);
             encode_lanes(symbols, &scratch.enc_syms, buf, cap, |sym| {
                 slot_idx[sym_map.get(sym).expect("alphabet covers input") as usize]
             })
@@ -1552,7 +1542,7 @@ mod tests {
             let idx = match mode {
                 TableMode::Dense { min } => scratch.dense_idx[(symbols[i] - min) as usize],
                 TableMode::Sparse => {
-                    scratch.slot_idx[scratch.sym_map.get(symbols[i]).unwrap() as usize]
+                    scratch.slot_idx[scratch.huff.sym_map.get(symbols[i]).unwrap() as usize]
                 }
             };
             let sym = &scratch.enc_syms[idx as usize];
@@ -1753,7 +1743,7 @@ mod tests {
         for _ in 0..2 {
             for (what, symbols) in &cases {
                 assert_matches_reference(&mut scratch, symbols, what);
-                assert!(scratch.hist.iter().all(|&c| c == 0), "{what}: hist");
+                assert!(scratch.huff.hist.iter().all(|&c| c == 0), "{what}: hist");
                 assert!(scratch.dense_idx.iter().all(|&k| k == 0), "{what}: dense_idx");
             }
         }
@@ -1796,7 +1786,7 @@ mod tests {
             assert!(encoded == reference_rans8_encode(&symbols), "{what}");
             let (_, _, lanes, _) = split8(&encoded);
             let (_, two_byte) = build_encode_tables(&mut scratch, &symbols).unwrap();
-            let rare = scratch.alphabet.iter().zip(&scratch.freqs);
+            let rare = scratch.huff.alphabet.iter().zip(&scratch.freqs);
             let walked: u64 =
                 rare.filter(|&(_, &f)| f < ONE_BYTE_FREQ).map(|(&(_, count), _)| count).sum();
             assert_eq!(two_byte, walked, "{what}: the count taken while the tables were built");

@@ -164,18 +164,13 @@ pub(crate) enum TableMode {
 /// its distinct symbols are collected while counting and sorted instead.
 pub(crate) const SCAN_SPAN_PER_SYMBOL: usize = 4;
 
-/// Histogram `symbols` into `alphabet` as `(symbol, count)` pairs sorted by
-/// symbol, choosing dense or sparse table addressing by the alphabet's value
-/// span. Shared by the Huffman and rANS coders (the first stage of both);
-/// the caller hands in the reusable buffers of its scratch. The dense `hist`
+/// Histogram `symbols` into `scratch.alphabet` as `(symbol, count)` pairs
+/// sorted by symbol, choosing dense or sparse table addressing by the
+/// alphabet's value span. The first stage of both the Huffman and the rANS
+/// coder, which runs it on the Huffman scratch it embeds. The dense `hist`
 /// keeps its all-zero between-calls invariant (used entries are re-zeroed).
-pub(crate) fn build_alphabet_into(
-    hist: &mut Vec<u64>,
-    sym_map: &mut SymbolMap,
-    slot_counts: &mut Vec<u64>,
-    alphabet: &mut Vec<(u32, u64)>,
-    symbols: &[u32],
-) -> TableMode {
+pub(crate) fn build_alphabet(scratch: &mut CodecScratch, symbols: &[u32]) -> TableMode {
+    let CodecScratch { hist, sym_map, slot_counts, alphabet, .. } = scratch;
     let mut min = u32::MAX;
     let mut max = 0u32;
     for &s in symbols {
@@ -356,24 +351,19 @@ mod tests {
         assert_eq!((slot, inserted), (0, true));
     }
 
-    /// `build_alphabet_into` on fresh buffers next to two oracles: a
+    /// `build_alphabet` on a fresh scratch next to two oracles: a
     /// `BTreeMap` count and, for dense spans, the collect-and-sort path. The
     /// dense histogram must come back all-zero.
     fn assert_alphabet(symbols: &[u32], scans: bool, what: &str) {
-        let mut hist = Vec::new();
-        let mut alphabet = vec![(9, 9)]; // stale content must not survive
-        let mode = build_alphabet_into(
-            &mut hist,
-            &mut SymbolMap::default(),
-            &mut Vec::new(),
-            &mut alphabet,
-            symbols,
-        );
+        let mut scratch = CodecScratch::new();
+        scratch.alphabet = vec![(9, 9)]; // stale content must not survive
+        let mode = build_alphabet(&mut scratch, symbols);
+        let CodecScratch { hist, alphabet, .. } = &mut scratch;
         let mut counted = std::collections::BTreeMap::new();
         for &s in symbols {
             *counted.entry(s).or_insert(0u64) += 1;
         }
-        assert!(alphabet == counted.into_iter().collect::<Vec<_>>(), "{what}: alphabet differs");
+        assert!(*alphabet == counted.into_iter().collect::<Vec<_>>(), "{what}: alphabet differs");
         assert!(hist.iter().all(|&c| c == 0), "{what}: hist left dirty");
         let (min, max) = (alphabet[0].0, alphabet[alphabet.len() - 1].0);
         let span = (max - min) as usize + 1;
@@ -382,8 +372,8 @@ mod tests {
             assert_eq!(mode_min, min, "{what}");
             assert_eq!(span <= symbols.len() * SCAN_SPAN_PER_SYMBOL, scans, "{what}: wrong path");
             let mut sorted = Vec::new();
-            dense_alphabet_by_sort(&mut hist, &mut sorted, symbols, min);
-            assert!(sorted == alphabet, "{what}: scan and sort paths disagree");
+            dense_alphabet_by_sort(hist, &mut sorted, symbols, min);
+            assert!(sorted == *alphabet, "{what}: scan and sort paths disagree");
             assert!(hist.iter().all(|&c| c == 0), "{what}: sort path left hist dirty");
         }
     }
@@ -419,19 +409,18 @@ mod tests {
     fn alphabet_buffers_are_reusable_across_paths() {
         // One set of buffers through the scan, sort and sparse paths in turn:
         // each call must see the all-zero histogram the last one left.
-        let (mut hist, mut map, mut slots, mut alphabet) =
-            (Vec::new(), SymbolMap::default(), Vec::new(), Vec::new());
+        let mut scratch = CodecScratch::new();
         let inputs: [&[u32]; 5] =
             [&[5, 6, 5, 9], &[1, 100_000, 1], &[0, u32::MAX, 0], &[7; 9], &[2, 1, 0, 1, 2, 2]];
         for symbols in inputs.iter().cycle().take(15) {
-            build_alphabet_into(&mut hist, &mut map, &mut slots, &mut alphabet, symbols);
+            build_alphabet(&mut scratch, symbols);
             let mut sorted = symbols.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             let counts = |s: u32| symbols.iter().filter(|&&x| x == s).count() as u64;
             let expected: Vec<(u32, u64)> = sorted.iter().map(|&s| (s, counts(s))).collect();
-            assert_eq!(alphabet, expected);
-            assert!(hist.iter().all(|&c| c == 0));
+            assert_eq!(scratch.alphabet, expected);
+            assert!(scratch.hist.iter().all(|&c| c == 0));
         }
     }
 

@@ -41,7 +41,9 @@ use lcc_lossless::dispatch::simd_level;
 use lcc_lossless::round::quantize_rounded_at;
 use lcc_lossless::EntropyBackend;
 use lcc_pressio::codes::{self, Format, Header};
-use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
+use lcc_pressio::{
+    validate_finite_view, CodecWork, CompressError, Compressor, ErrorBound, ScratchArena,
+};
 
 /// Cap on the decomposition levels (the grid's size sets the count for any
 /// field up to 2¹⁷ cells a side).
@@ -79,19 +81,10 @@ impl MgardCompressor {
 pub const FORMAT: Format =
     Format { huffman: *b"LMG1", rans8: *b"LM81", param: 0..=63, middle: &[] };
 
-/// Reusable working memory of the MGARD compress path: the multilevel
-/// coefficient workspace, the code/exact buffers and the container's working
-/// memory. One instance per sweep worker, held in a [`ScratchArena`].
+/// MGARD's slot of a [`ScratchArena`]: empty, as every buffer MGARD uses is
+/// in the shared [`CodecWork`].
 #[derive(Debug, Default)]
-pub struct MgardScratch {
-    /// Entropy coding, payload assembly and the LZ77 pass.
-    container: codes::Scratch,
-    /// Coefficient workspace of [`decompose::forward_into`] (lazy:
-    /// `Field2D` has no empty value).
-    work: Option<Field2D>,
-    codes: Vec<u32>,
-    exact: Vec<f64>,
-}
+struct MgardScratch;
 
 impl MgardCompressor {
     /// The encode layers of one compress call, in pipeline order: input
@@ -102,28 +95,28 @@ impl MgardCompressor {
     pub const ENCODE_LAYERS: [&'static str; 5] =
         ["validate", "decompose", "quantize", "entropy", "container_lz77"];
 
-    /// [`Compressor::compress_view_with`] over an [`MgardScratch`], also
-    /// returning the seconds spent in each of [`Self::ENCODE_LAYERS`] — the
-    /// same code path, so the bench tools can name the layer behind a
-    /// compress ÷ decompress gap.
+    /// [`Compressor::compress_view_with`], also returning the seconds spent
+    /// in each of [`Self::ENCODE_LAYERS`] — the same code path, so the bench
+    /// tools can name the layer behind a compress ÷ decompress gap.
     pub fn compress_view_timed(
         &self,
         field: &FieldView<'_>,
         bound: ErrorBound,
-        scratch: &mut MgardScratch,
+        scratch: &mut ScratchArena,
     ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
-        codes::timed_layers(|layer_done| self.compress_into(field, bound, scratch, layer_done))
+        codes::timed_layers(|layer_done| {
+            self.compress_into(field, bound, scratch.get_with_work::<MgardScratch>().1, layer_done)
+        })
     }
 
-    /// The compress pipeline over explicit scratch memory: what
-    /// [`Compressor::compress_view_with`] runs on the arena's scratch. The
-    /// stream does not depend on what the scratch held before.
-    /// `layer_done` is called after each of [`Self::ENCODE_LAYERS`].
+    /// The compress pipeline over the arena's shared working set. The stream
+    /// does not depend on what the working set held before. `layer_done` is
+    /// called after each of [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
         field: &FieldView<'_>,
         bound: ErrorBound,
-        s: &mut MgardScratch,
+        w: &mut CodecWork,
         mut layer_done: impl FnMut(),
     ) -> Result<Vec<u8>, CompressError> {
         validate_finite_view(field)?;
@@ -133,9 +126,12 @@ impl MgardCompressor {
         layer_done();
 
         // Forward multilevel decomposition: `coeffs` holds residuals at fine
-        // nodes and raw values at the coarsest nodes.
-        let coeffs = s.work.get_or_insert_with(|| Field2D::zeros(1, 1));
-        decompose::forward_into(field, levels, coeffs);
+        // nodes and raw values at the coarsest nodes. It borrows the shared
+        // cell buffer, sized to this field first, and hands it back below.
+        w.cells.resize(ny * nx, 0.0);
+        let cells = std::mem::take(&mut w.cells);
+        let mut coeffs = Field2D::from_vec(ny, nx, cells).expect("cells sized to the field");
+        decompose::forward_into(field, levels, &mut coeffs);
         layer_done();
 
         // Worst-case error accumulation is one quantization error per level
@@ -144,21 +140,15 @@ impl MgardCompressor {
 
         // Codes are shifted by the radius so 0 stays reserved for the escape
         // (exact value follows).
-        s.codes.clear();
-        s.exact.clear();
-        quantize_rounded_at(
-            simd_level(),
-            coeffs.as_slice(),
-            bin,
-            CODE_RADIUS,
-            &mut s.codes,
-            &mut s.exact,
-        );
+        w.codes.clear();
+        w.exact.clear();
+        let (codes, exact) = (&mut w.codes, &mut w.exact);
+        quantize_rounded_at(simd_level(), coeffs.as_slice(), bin, CODE_RADIUS, codes, exact);
+        w.cells = coeffs.into_vec();
         layer_done();
 
         let header = Header { ny, nx, eb, param: levels, radius: CODE_RADIUS };
-        let MgardScratch { container, codes, exact, .. } = s;
-        Ok(container.encode(&FORMAT, self.entropy, &header, |_| {}, codes, exact, layer_done))
+        Ok(w.encode(&FORMAT, self.entropy, &header, |_| {}, layer_done))
     }
 }
 
@@ -188,7 +178,7 @@ impl Compressor for MgardCompressor {
         bound: ErrorBound,
         scratch: &mut ScratchArena,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, scratch.get_or_default::<MgardScratch>(), || {})
+        self.compress_into(field, bound, scratch.get_with_work::<MgardScratch>().1, || {})
     }
 
     fn decompress_view_with(
@@ -197,9 +187,8 @@ impl Compressor for MgardCompressor {
         scratch: &mut ScratchArena,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        let MgardScratch { container, codes, exact, .. } = scratch.get_or_default::<MgardScratch>();
-        let Header { ny, nx, eb, param: levels, radius } =
-            container.decode(&FORMAT, stream, codes, exact)?.header;
+        let w = scratch.get_with_work::<MgardScratch>().1;
+        let Header { ny, nx, eb, param: levels, radius } = w.decode(&FORMAT, stream)?.header;
 
         // Dequantize straight into the output field (every cell is written),
         // then run the inverse decomposition in place — no intermediate
@@ -207,12 +196,12 @@ impl Compressor for MgardCompressor {
         let bin = 2.0 * eb / (levels as f64 + 1.0);
         out.resize(ny, nx);
         let mut exact_idx = 0usize;
-        for (slot, &code) in out.as_mut_slice().iter_mut().zip(codes.iter()) {
+        for (slot, &code) in out.as_mut_slice().iter_mut().zip(&w.codes) {
             if code == 0 {
-                if exact_idx >= exact.len() {
+                if exact_idx >= w.exact.len() {
                     return Err(CompressError::CorruptStream("missing exact coefficient".into()));
                 }
-                *slot = exact[exact_idx];
+                *slot = w.exact[exact_idx];
                 exact_idx += 1;
             } else {
                 let q = i64::from(code) - i64::from(radius);

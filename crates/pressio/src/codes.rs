@@ -19,7 +19,7 @@
 use crate::CompressError;
 use lcc_lossless::{
     huffman_decode_with, huffman_encode_with, lz77_compress_with, lz77_decompress_into,
-    rans8_decode_with, rans8_encode_with, CodecScratch, EntropyBackend, RansScratch,
+    rans8_decode_with, rans8_encode_with, EntropyBackend, RansScratch,
 };
 use std::time::Instant;
 
@@ -178,14 +178,15 @@ pub struct Parts<'a> {
 }
 
 /// Write a container payload (no LZ77 pass) onto `w`: the prefix under
-/// `backend`'s magic, the counted arrays `middle` writes, `section`, `exact`.
+/// `backend`'s magic, the counted arrays `middle` writes, the codes section
+/// `section` appends (its length is patched in after), `exact`.
 pub fn write_payload(
     w: &mut Writer,
     format: &Format,
     backend: EntropyBackend,
     header: &Header,
     middle: impl FnOnce(&mut Writer),
-    section: &[u8],
+    section: impl FnOnce(&mut Vec<u8>),
     exact: &[f64],
 ) {
     w.bytes(match backend {
@@ -198,8 +199,11 @@ pub fn write_payload(
     w.u32(header.param);
     w.u32(header.radius);
     middle(w);
-    w.u64(section.len() as u64);
-    w.bytes(section);
+    let at = w.0.len() + 8;
+    w.u64(0);
+    section(&mut w.0);
+    let len = (w.0.len() - at) as u64;
+    w.0[at - 8..at].copy_from_slice(&len.to_le_bytes());
     w.u64(exact.len() as u64);
     for v in exact {
         w.f64(*v);
@@ -251,72 +255,79 @@ pub fn open<'a>(
     Ok(Parts { backend, header, middle, section, exact })
 }
 
-/// Reusable working memory of both directions — the coders' internals, the
-/// encoded section, the assembled payload, the decode side's LZ77-expanded
-/// payload — held inside each codec's scratch, so a worker's steady state
-/// allocates only the stream it returns.
+/// The working set every codes-container codec on a worker shares, held
+/// once in its [`ScratchArena`](crate::ScratchArena), so a worker's steady
+/// state allocates only the stream it returns: the coders' state — one
+/// [`RansScratch`], whose embedded
+/// [`CodecScratch`](lcc_lossless::CodecScratch) also codes the Huffman
+/// backend and runs the LZ77 pass — one payload buffer for both directions
+/// (the encoder entropy-codes straight into it, the decoder expands an
+/// LZ77-wrapped stream into it), and the codecs' per-cell buffers. Each
+/// holds whatever the last codec left there: a borrower sizes it first.
 #[derive(Debug, Default)]
-pub struct Scratch {
-    codec: CodecScratch,
+pub struct CodecWork {
     rans: RansScratch,
-    section: Vec<u8>,
     payload: Writer,
-    expanded: Vec<u8>,
+    /// Quantization code per cell.
+    pub codes: Vec<u32>,
+    /// Exactly stored values (quantizer escapes).
+    pub exact: Vec<f64>,
+    /// One value per cell: SZ's reconstruction, MGARD's coefficients.
+    pub cells: Vec<f64>,
 }
 
-impl Scratch {
-    /// Entropy-code `codes` with `backend`, assemble the container around
-    /// the section and return the stream: the payload through the LZ77 pass
-    /// for the Huffman backend, a copy of it for rANS. `layer_done` is
-    /// called after the entropy layer and after the container layer.
-    #[allow(clippy::too_many_arguments)]
+impl CodecWork {
+    /// Assemble the container around [`CodecWork::codes`] entropy-coded
+    /// with `backend` and [`CodecWork::exact`], and return the stream: the
+    /// payload through the LZ77 pass for the Huffman backend, a copy of it
+    /// for rANS. `layer_done` is called after the entropy layer (which
+    /// includes the prefix and middle written ahead of the section) and
+    /// after the container layer.
     pub fn encode(
         &mut self,
         format: &Format,
         backend: EntropyBackend,
         header: &Header,
         middle: impl FnOnce(&mut Writer),
-        codes: &[u32],
-        exact: &[f64],
         mut layer_done: impl FnMut(),
     ) -> Vec<u8> {
-        self.section.clear();
-        match backend {
-            EntropyBackend::Huffman => {
-                huffman_encode_with(&mut self.codec, codes, &mut self.section)
+        let CodecWork { rans, payload, codes, exact, .. } = self;
+        payload.0.clear();
+        let section = |out: &mut Vec<u8>| {
+            match backend {
+                EntropyBackend::Huffman => huffman_encode_with(rans.huffman(), codes, out),
+                EntropyBackend::Rans8 => rans8_encode_with(rans, codes, out),
             }
-            EntropyBackend::Rans8 => rans8_encode_with(&mut self.rans, codes, &mut self.section),
-        }
-        layer_done();
-        self.payload.0.clear();
-        write_payload(&mut self.payload, format, backend, header, middle, &self.section, exact);
+            layer_done();
+        };
+        write_payload(payload, format, backend, header, middle, section, exact);
         let stream = match backend {
             EntropyBackend::Huffman => {
                 let mut out = Vec::new();
-                lz77_compress_with(&mut self.codec, &self.payload.0, &mut out);
+                lz77_compress_with(rans.huffman(), &payload.0, &mut out);
                 out
             }
-            EntropyBackend::Rans8 => self.payload.0.clone(),
+            EntropyBackend::Rans8 => payload.0.clone(),
         };
         layer_done();
         stream
     }
 
-    /// [`open`] `stream`, decode its section into `codes` (one per cell, or
-    /// the stream is corrupt) and its escape values into `exact`. The rANS
-    /// container is read in place; only an LZ77-wrapped payload is copied.
+    /// [`open`] `stream`, decode its section into [`CodecWork::codes`] (one
+    /// per cell, or the stream is corrupt) and its escape values into
+    /// [`CodecWork::exact`]. The rANS container is read in place; only an
+    /// LZ77-wrapped payload is copied.
     pub fn decode<'a>(
         &'a mut self,
         format: &Format,
         stream: &'a [u8],
-        codes: &mut Vec<u32>,
-        exact: &mut Vec<f64>,
     ) -> Result<Parts<'a>, CompressError> {
-        let parts = open(format, stream, &mut self.expanded)?;
+        let CodecWork { rans, payload, codes, exact, .. } = self;
+        let parts = open(format, stream, &mut payload.0)?;
         match parts.backend {
-            EntropyBackend::Huffman => huffman_decode_with(&mut self.codec, parts.section, codes)
+            EntropyBackend::Huffman => huffman_decode_with(rans.huffman(), parts.section, codes)
                 .map_err(|e| corrupt(format!("huffman: {e}")))?,
-            EntropyBackend::Rans8 => rans8_decode_with(&mut self.rans, parts.section, codes)
+            EntropyBackend::Rans8 => rans8_decode_with(rans, parts.section, codes)
                 .map_err(|e| corrupt(format!("rans8: {e}")))?,
         };
         let cells = parts.header.ny * parts.header.nx;
@@ -332,7 +343,7 @@ impl Scratch {
 
 /// Run an encode that reports the end of each of its five layers — all
 /// five, where it succeeds — through the callback it is handed (the last two
-/// reports are [`Scratch::encode`]'s) and return, beside its result, the
+/// reports are [`CodecWork::encode`]'s) and return, beside its result, the
 /// seconds each layer took.
 pub fn timed_layers<T>(
     encode: impl FnOnce(&mut dyn FnMut()) -> Result<T, CompressError>,

@@ -27,6 +27,7 @@ pub mod registry;
 pub mod scratch;
 
 pub use bound::ErrorBound;
+pub use codes::CodecWork;
 pub use frame::{
     FrameIndex, FrameScratch, FrameWorker, FLAG_CHECKSUM, FLAG_TILED, FRAME_MAGIC, FRAME_VERSION,
 };
@@ -103,7 +104,7 @@ pub trait Compressor: Send + Sync {
     /// compressing an owned copy of the same rectangle.
     ///
     /// Working memory comes out of `scratch` (via
-    /// [`ScratchArena::get_or_default`]), so a caller that keeps one arena
+    /// [`ScratchArena::get_with_work`]), so a caller that keeps one arena
     /// per worker runs allocation-free in steady state; the stream must not
     /// depend on what the arena held before.
     fn compress_view_with(

@@ -1,25 +1,28 @@
 //! Type-erased reusable working memory for compressors.
 //!
 //! The sweep scheduler drives *different* compressors from the same worker
-//! thread, and each compressor family has its own scratch layout (SZ reuses
-//! quantization-code and reconstruction buffers, ZFP a bit writer, MGARD a
-//! coefficient field — each embedding a `lcc_lossless::CodecScratch`). A
-//! [`ScratchArena`] holds one instance of each compressor's scratch type,
-//! keyed by [`TypeId`], so a worker owns exactly one arena and every
-//! compressor it runs finds its buffers there.
+//! thread. A [`ScratchArena`] holds one [`CodecWork`] they all share (the
+//! codes container, code and escape vectors, one `f64` per cell) and, keyed
+//! by [`TypeId`], one instance of each compressor's own scratch type (SZ's
+//! block metadata, ZFP's bit writer; MGARD's is empty). A worker owns one
+//! arena, so it holds what its largest call needs, not the sum over codecs.
 //!
 //! Ownership rule: the arena (and therefore the worker thread) owns the
 //! memory; compressors only borrow it for the duration of one
 //! [`Compressor::compress_view_with`](crate::Compressor::compress_view_with)
-//! call and must leave their scratch reusable (cleared, not shrunk).
+//! call and must leave their scratch reusable (cleared, not shrunk). The
+//! shared buffers hold whatever the last codec left: size them before use.
 
+use crate::codes::CodecWork;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
-/// A heterogeneous bag of reusable scratch states, one per type.
+/// A heterogeneous bag of reusable scratch states, one per type, beside
+/// the shared [`CodecWork`].
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     slots: HashMap<TypeId, Box<dyn Any + Send>>,
+    work: CodecWork,
 }
 
 impl ScratchArena {
@@ -30,11 +33,14 @@ impl ScratchArena {
 
     /// The arena's instance of `T`, default-created on first request.
     pub fn get_or_default<T: Any + Send + Default>(&mut self) -> &mut T {
-        self.slots
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::<T>::default())
-            .downcast_mut::<T>()
-            .expect("slot is keyed by TypeId")
+        self.get_with_work::<T>().0
+    }
+
+    /// [`ScratchArena::get_or_default`] and the shared working set at once.
+    pub fn get_with_work<T: Any + Send + Default>(&mut self) -> (&mut T, &mut CodecWork) {
+        let work = &mut self.work;
+        let slot = self.slots.entry(TypeId::of::<T>()).or_insert_with(|| Box::<T>::default());
+        (slot.downcast_mut::<T>().expect("slot is keyed by TypeId"), work)
     }
 
     /// Number of distinct scratch types materialized so far.

@@ -78,36 +78,35 @@ fn reference_sections(sz: &SzCompressor, field: &FieldView<'_>, eb: f64) -> Sect
     Sections { codes, exact_bits: bits(&exact), recon_bits: bits(&recon) }
 }
 
-/// The scratch of a worker that has compressed something else before: the
-/// reconstruction buffer holds NaNs (any read of a cell not yet written
+/// The arena of a worker that has compressed something else before: the
+/// shared cell buffer holds NaNs (any read of a cell not yet written
 /// poisons the prediction) and the streams hold junk.
-fn poisoned_scratch() -> SzScratch {
-    SzScratch {
-        recon: vec![f64::NAN; 4099],
-        codes: vec![7; 313],
-        exact: vec![f64::NAN; 17],
-        ..SzScratch::default()
-    }
+fn poisoned_scratch() -> ScratchArena {
+    let mut arena = ScratchArena::new();
+    let w = arena.get_with_work::<SzScratch>().1;
+    (w.cells, w.codes, w.exact) = (vec![f64::NAN; 4099], vec![7; 313], vec![f64::NAN; 17]);
+    arena
 }
 
-/// Encode `field` through `s` at every supported tier and decode the stream
-/// into a NaN-filled field: sections and reconstruction must equal the
-/// raster oracle bit for bit.
-fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, s: &mut SzScratch) {
+/// Encode `field` through `arena` at every supported tier and decode the
+/// stream into a NaN-filled field: sections and reconstruction must equal
+/// the raster oracle bit for bit.
+fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, arena: &mut ScratchArena) {
     let expected = reference_sections(sz, field, eb);
     let (ny, nx) = field.shape();
     let what = format!("{ny}x{nx} bs={} eb={eb:e}", sz.config.block_size);
     for &level in supported_levels() {
+        let (s, w) = arena.get_with_work::<SzScratch>();
         sz.select_modes(field, s).unwrap();
-        sz.predict_quantize_at(level, field, eb, s);
+        sz.predict_quantize_at(level, field, eb, s, w);
         let got = Sections {
-            codes: s.codes.clone(),
-            exact_bits: bits(&s.exact),
-            recon_bits: bits(&s.recon[..ny * nx]),
+            codes: w.codes.clone(),
+            exact_bits: bits(&w.exact),
+            recon_bits: bits(&w.cells[..ny * nx]),
         };
         assert!(got == expected, "encoder sections differ from the raster loop: {what} {level:?}");
     }
-    let stream = sz.compress_into(field, ErrorBound::Absolute(eb), s, || {}).unwrap();
+    let stream = sz.compress_into(field, ErrorBound::Absolute(eb), arena, || {}).unwrap();
     let mut out = Field2D::filled(3, 5, f64::NAN);
     let mut arena = ScratchArena::new();
     sz.decompress_view_with(&stream, &mut arena, &mut out).unwrap();
@@ -232,7 +231,7 @@ fn stale_scratch_of_another_shape_is_never_read() {
     let tall = mixed_field(90, 21, eb, 0xB);
     for field in [&wide, &tall, &wide] {
         assert_identical(&sz, &field.view(), eb, &mut s);
-        s.recon.iter_mut().step_by(2).for_each(|v| *v = f64::NAN);
+        s.get_with_work::<SzScratch>().1.cells.iter_mut().step_by(2).for_each(|v| *v = f64::NAN);
     }
     // Strided views take the same path as owned fields.
     let window = Window { i0: 3, j0: 7, height: 17, width: 60 };

@@ -38,7 +38,9 @@ use lcc_grid::{Field2D, FieldView, WindowIter};
 use lcc_lossless::dispatch::{simd_level, SimdLevel};
 use lcc_lossless::EntropyBackend;
 use lcc_pressio::codes::{self, Format, Header, Reader};
-use lcc_pressio::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
+use lcc_pressio::{
+    validate_finite_view, CodecWork, CompressError, Compressor, ErrorBound, ScratchArena,
+};
 use lorenzo::Order;
 use predictor::{plane_predict, BlockMode};
 use quantize::Quantizer;
@@ -106,23 +108,11 @@ impl SzCompressor {
 pub const FORMAT: Format =
     Format { huffman: *b"LSZ1", rans8: *b"LS81", param: 2..=u32::MAX, middle: &[1, 24] };
 
-/// Reusable working memory of the SZ compress path: one instance per sweep
-/// worker (held in a [`ScratchArena`]) turns every per-call allocation —
-/// reconstruction, code/exact buffers, block metadata and the container's
-/// working memory — into a cleared-not-freed reuse.
+/// SZ's private slot of a [`ScratchArena`], beside the shared [`CodecWork`]
+/// (container, codes, escapes and reconstruction): the block metadata,
+/// cleared and refilled by every call.
 #[derive(Debug, Default)]
-pub struct SzScratch {
-    /// Entropy coding, payload assembly and the LZ77 pass.
-    container: codes::Scratch,
-    /// Row-major reconstruction buffer. Never zeroed: the block scan writes
-    /// every cell before any predictor reads it (Lorenzo only looks at
-    /// already-visited neighbours and treats the field boundary as zero
-    /// explicitly), so stale values from a previous call are never read.
-    recon: Vec<f64>,
-    /// Quantization code per cell.
-    codes: Vec<u32>,
-    /// Exactly-stored values (quantizer escapes).
-    exact: Vec<f64>,
+struct SzScratch {
     /// Predictor choice per block.
     modes: Vec<BlockMode>,
     /// Regression coefficients for regression blocks.
@@ -137,30 +127,29 @@ impl SzCompressor {
     pub const ENCODE_LAYERS: [&'static str; 5] =
         ["validate", "mode_select", "predict_quantize", "entropy", "container_lz77"];
 
-    /// [`Compressor::compress_view_with`] over an [`SzScratch`], also
-    /// returning the seconds spent in each of [`Self::ENCODE_LAYERS`] — the
-    /// same code path, so the bench tools can name the layer behind a
-    /// compress ÷ decompress gap.
+    /// [`Compressor::compress_view_with`], also returning the seconds spent
+    /// in each of [`Self::ENCODE_LAYERS`] — the same code path, so the bench
+    /// tools can name the layer behind a compress ÷ decompress gap.
     pub fn compress_view_timed(
         &self,
         field: &FieldView<'_>,
         bound: ErrorBound,
-        scratch: &mut SzScratch,
+        scratch: &mut ScratchArena,
     ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
         codes::timed_layers(|layer_done| self.compress_into(field, bound, scratch, layer_done))
     }
 
-    /// The compress pipeline over explicit scratch memory: what
-    /// [`Compressor::compress_view_with`] runs on the arena's scratch. The
-    /// stream does not depend on what the scratch held before.
-    /// `layer_done` is called after each of [`Self::ENCODE_LAYERS`].
+    /// The compress pipeline over the arena's scratch. The stream does not
+    /// depend on what the arena held before. `layer_done` is called after
+    /// each of [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
         field: &FieldView<'_>,
         bound: ErrorBound,
-        s: &mut SzScratch,
+        arena: &mut ScratchArena,
         mut layer_done: impl FnMut(),
     ) -> Result<Vec<u8>, CompressError> {
+        let (s, w) = arena.get_with_work::<SzScratch>();
         // Mode selection reads every value, so it is also the finiteness
         // check; a non-finite field is reported before an invalid bound, as
         // when the check was a pass of its own.
@@ -170,12 +159,12 @@ impl SzCompressor {
         let eb = eb?;
         layer_done();
         // One dispatch lookup per stream, threaded into the row kernel.
-        self.predict_quantize_at(simd_level(), field, eb, s);
+        self.predict_quantize_at(simd_level(), field, eb, s, w);
         layer_done();
         let (ny, nx) = field.shape();
         let SzConfig { block_size, quantization_radius: radius, entropy, .. } = self.config;
         let header = Header { ny, nx, eb, param: block_size as u32, radius };
-        let SzScratch { container, codes, exact, modes, planes, .. } = s;
+        let SzScratch { modes, planes } = s;
         // The middle [`FORMAT`] declares.
         let middle = |w: &mut codes::Writer| {
             w.u64(modes.len() as u64);
@@ -183,7 +172,7 @@ impl SzCompressor {
             w.u64(planes.len() as u64);
             planes.iter().flatten().for_each(|v| w.f64(*v));
         };
-        Ok(container.encode(&FORMAT, entropy, &header, middle, codes, exact, layer_done))
+        Ok(w.encode(&FORMAT, entropy, &header, middle, layer_done))
     }
 
     /// Choose every block's predictor from the original data and refuse a
@@ -215,7 +204,8 @@ impl SzCompressor {
         level: SimdLevel,
         field: &FieldView<'_>,
         eb: f64,
-        s: &mut SzScratch,
+        s: &SzScratch,
+        w: &mut CodecWork,
     ) {
         let (ny, nx) = field.shape();
         let bs = self.config.block_size;
@@ -224,11 +214,15 @@ impl SzCompressor {
         debug_assert_eq!(s.modes.len(), blocks.count_windows(), "modes are for another shape");
 
         // Reconstruction buffer: predictions always read reconstructed values
-        // so the decompressor sees the same inputs.
-        s.recon.resize(ny * nx, 0.0);
-        s.codes.clear();
-        s.codes.reserve(ny * nx);
-        s.exact.clear();
+        // so the decompressor sees the same inputs. It is the shared cell
+        // buffer, never zeroed: the block scan writes every cell before any
+        // predictor reads it (Lorenzo only looks at already-visited
+        // neighbours and treats the field boundary as zero explicitly), so
+        // what the last call of any codec left there is never read.
+        w.cells.resize(ny * nx, 0.0);
+        w.codes.clear();
+        w.codes.reserve(ny * nx);
+        w.exact.clear();
         let mut planes = s.planes.iter();
 
         for (win, mode) in blocks.zip(&s.modes) {
@@ -247,9 +241,9 @@ impl SzCompressor {
                             plane,
                             di,
                             &field.row(i)[span.clone()],
-                            &mut s.recon[i * nx..][span],
-                            &mut s.codes,
-                            &mut s.exact,
+                            &mut w.cells[i * nx..][span],
+                            &mut w.codes,
+                            &mut w.exact,
                         );
                     }
                 }
@@ -257,12 +251,12 @@ impl SzCompressor {
                     // Codes land by block-raster index, so the wavefront
                     // order of the kernel never shows in the stream; escaped
                     // cells keep the fill value.
-                    let base = s.codes.len();
-                    s.codes.resize(base + win.len(), quantize::UNPREDICTABLE);
-                    let codes = &mut s.codes[base..];
+                    let base = w.codes.len();
+                    w.codes.resize(base + win.len(), quantize::UNPREDICTABLE);
+                    let codes = &mut w.codes[base..];
                     let mut escaped = false;
                     lorenzo::replay_block(
-                        &mut s.recon,
+                        &mut w.cells,
                         nx,
                         &win,
                         Order::Wavefront,
@@ -286,7 +280,7 @@ impl SzCompressor {
                             codes.iter().enumerate().filter(|(_, &c)| c == quantize::UNPREDICTABLE)
                         {
                             let (di, dj) = (idx / win.width, idx % win.width);
-                            s.exact.push(field.at(win.i0 + di, win.j0 + dj));
+                            w.exact.push(field.at(win.i0 + di, win.j0 + dj));
                         }
                     }
                 }
@@ -347,7 +341,7 @@ impl Compressor for SzCompressor {
         bound: ErrorBound,
         scratch: &mut ScratchArena,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, scratch.get_or_default::<SzScratch>(), || {})
+        self.compress_into(field, bound, scratch, || {})
     }
 
     fn decompress_view_with(
@@ -356,9 +350,8 @@ impl Compressor for SzCompressor {
         scratch: &mut ScratchArena,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        let SzScratch { container, codes, exact, modes, planes, .. } =
-            scratch.get_or_default::<SzScratch>();
-        let parts = container.decode(&FORMAT, stream, codes, exact)?;
+        let (SzScratch { modes, planes }, w) = scratch.get_with_work::<SzScratch>();
+        let parts = w.decode(&FORMAT, stream)?;
         read_middle(parts.middle, modes, planes)?;
         let Header { ny, nx, eb, param, radius } = parts.header;
         let block_size = param as usize;
@@ -369,8 +362,8 @@ impl Compressor for SzCompressor {
         // read touches it (the encoder's reconstruction buffer relies on the
         // same invariant).
         out.resize(ny, nx);
-        let mut codes = codes.as_slice();
-        let mut exact = exact.as_slice();
+        let mut codes = w.codes.as_slice();
+        let mut exact = w.exact.as_slice();
         let mut planes = planes.iter();
 
         for (mode_idx, win) in WindowIter::over(ny, nx, block_size, block_size).enumerate() {

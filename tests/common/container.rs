@@ -33,7 +33,7 @@ pub fn reassemble(name: &str, parts: &Parts<'_>, section: &[u8]) -> Vec<u8> {
         parts.backend,
         &parts.header,
         middle,
-        section,
+        |out: &mut Vec<u8>| out.extend_from_slice(section),
         &exact,
     );
     w.0
