@@ -3,11 +3,21 @@
 use crate::CodecError;
 
 /// Accumulates bits most-significant-bit first into a byte vector.
+///
+/// Pending bits collect in a 64-bit accumulator and reach the byte vector
+/// eight bytes at a time; [`finish`](BitWriter::finish) stores the rest,
+/// the last byte zero-padded.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Number of bits already used in the trailing partial byte (0..=7).
-    bit_pos: u8,
+    /// The pending bits are the low `fill` bits; the bits above them are
+    /// stale and never read.
+    acc: u64,
+    /// Number of pending bits (0..=63).
+    fill: u32,
+    /// Bytes at the end of `bytes` that the last `finish` copied out of the
+    /// accumulator; the next store replaces them.
+    tail: usize,
 }
 
 impl BitWriter {
@@ -20,64 +30,49 @@ impl BitWriter {
     /// allocation — the reuse entry point for scratch-held writers.
     pub fn clear(&mut self) {
         self.bytes.clear();
-        self.bit_pos = 0;
+        self.acc = 0;
+        self.fill = 0;
+        self.tail = 0;
     }
 
     /// Number of whole bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        (self.bytes.len() - self.tail) * 8 + self.fill as usize
     }
 
     /// Append a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        if self.bit_pos == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= 1 << (7 - self.bit_pos);
-        }
-        self.bit_pos = (self.bit_pos + 1) % 8;
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Append the lowest `count` bits of `value`, most significant first.
     ///
-    /// Bits land in the same MSB-first layout as repeated [`write_bit`]
-    /// calls, but are moved in three chunked steps — top up the trailing
-    /// partial byte, push whole bytes, open a new partial byte — with no
-    /// per-bit work. The Huffman payload loop spends most of its time here.
-    ///
-    /// [`write_bit`]: BitWriter::write_bit
+    /// The bits join the accumulator with one shift and OR; when it fills,
+    /// its 64 bits are stored as eight bytes at once. The Huffman payload
+    /// loop and ZFP's coefficient loop spend most of their time here.
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
-        let mut remaining = count;
-        // Top up the trailing partial byte in one masked OR.
-        if self.bit_pos != 0 && remaining > 0 {
-            let free = 8 - u32::from(self.bit_pos);
-            let take = free.min(remaining);
-            let chunk = ((value >> (remaining - take)) & ((1 << take) - 1)) as u8;
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= chunk << (free - take);
-            self.bit_pos = ((u32::from(self.bit_pos) + take) % 8) as u8;
-            remaining -= take;
+        if count == 0 {
+            return;
         }
-        // Byte-aligned middle: one push per 8 bits.
-        while remaining >= 8 {
-            remaining -= 8;
-            self.bytes.push(((value >> remaining) & 0xFF) as u8);
+        let value = value & (u64::MAX >> (64 - count));
+        let free = 64 - self.fill;
+        if count < free {
+            self.acc = (self.acc << count) | value;
+            self.fill += count;
+            return;
         }
-        // Tail bits open a new partial byte, left-aligned.
-        if remaining > 0 {
-            let chunk = (value & ((1 << remaining) - 1)) as u8;
-            self.bytes.push(chunk << (8 - remaining));
-            self.bit_pos = remaining as u8;
-        }
+        // The top `free` bits of `value` complete a word; the other `spill`
+        // stay pending. (`<< (free - 1) << 1`: `free` may be 64.)
+        let spill = count - free;
+        let word = (self.acc << (free - 1) << 1) | (value >> spill);
+        self.bytes.truncate(self.bytes.len() - self.tail);
+        self.tail = 0;
+        self.bytes.extend_from_slice(&word.to_be_bytes());
+        self.acc = value;
+        self.fill = spill;
     }
 
     /// Append a whole byte (8 bits).
@@ -85,8 +80,14 @@ impl BitWriter {
         self.write_bits(u64::from(byte), 8);
     }
 
-    /// Borrow the bytes written so far (including the partial last byte).
-    pub fn as_bytes(&self) -> &[u8] {
+    /// Store the pending bits, the last byte zero-padded, and borrow every
+    /// byte written so far. Writing may go on afterwards: the next store
+    /// replaces the padded bytes.
+    pub fn finish(&mut self) -> &[u8] {
+        self.bytes.truncate(self.bytes.len() - self.tail);
+        let word = self.acc << (63 - self.fill) << 1;
+        self.tail = self.fill.div_ceil(8) as usize;
+        self.bytes.extend_from_slice(&word.to_be_bytes()[..self.tail]);
         &self.bytes
     }
 }
@@ -215,7 +216,7 @@ mod tests {
             w.write_bit(b);
         }
         assert_eq!(w.bit_len(), pattern.len());
-        let bytes = w.as_bytes().to_vec();
+        let bytes = w.finish().to_vec();
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bit().unwrap(), b);
@@ -235,7 +236,7 @@ mod tests {
         for &(v, n) in &values {
             w.write_bits(v, n);
         }
-        let bytes = w.as_bytes().to_vec();
+        let bytes = w.finish().to_vec();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &values {
             assert_eq!(r.read_bits(n).unwrap(), v, "value {v} width {n}");
@@ -249,7 +250,7 @@ mod tests {
         for b in 0u8..=255 {
             w.write_byte(b);
         }
-        let bytes = w.as_bytes().to_vec();
+        let bytes = w.finish().to_vec();
         let mut r = BitReader::new(&bytes);
         assert!(r.read_bit().unwrap());
         for b in 0u8..=255 {
@@ -265,7 +266,7 @@ mod tests {
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0xFF, 8);
         assert_eq!(w.bit_len(), 11);
-        let bytes = w.as_bytes().to_vec();
+        let bytes = w.finish().to_vec();
         assert_eq!(bytes.len(), 2);
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.bit_len(), 16);
@@ -289,7 +290,7 @@ mod tests {
         w.clear();
         assert_eq!(w.bit_len(), 0);
         w.write_bits(0b101, 3);
-        assert_eq!(w.as_bytes(), &[0b1010_0000]);
+        assert_eq!(w.finish(), &[0b1010_0000]);
 
         let bytes = [0xF0u8, 0x0F];
         let mut r = BitReader::new(&bytes);
@@ -338,7 +339,7 @@ mod tests {
                 bitwise.write_bit((v >> i) & 1 == 1);
             }
         }
-        assert_eq!(batched.as_bytes(), bitwise.as_bytes());
+        assert_eq!(batched.finish(), bitwise.finish());
         assert_eq!(batched.bit_len(), bitwise.bit_len());
     }
 
@@ -349,6 +350,6 @@ mod tests {
         for b in [true, false, true, false] {
             w.write_bit(b);
         }
-        assert_eq!(w.as_bytes(), &[0b1010_0000]);
+        assert_eq!(w.finish(), &[0b1010_0000]);
     }
 }

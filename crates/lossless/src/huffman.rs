@@ -124,7 +124,7 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
         scratch.writer.write_bits(acc, acc_bits);
     }
     write_varint(out, scratch.writer.bit_len() as u64);
-    out.extend_from_slice(scratch.writer.as_bytes());
+    out.extend_from_slice(scratch.writer.finish());
 
     // Restore the all-zero invariant of the dense tables (O(distinct), not
     // O(span)).
@@ -749,7 +749,7 @@ mod tests {
                 assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
                 let k = scratch.alphabet.iter().position(|&(s, _)| s == last).expect("coded");
                 let len = scratch.lens[k] as usize;
-                let zero_fill = scratch.writer.as_bytes().len() * 8 - scratch.writer.bit_len();
+                let zero_fill = scratch.writer.finish().len() * 8 - scratch.writer.bit_len();
                 short_tails += usize::from(len > LUT_BITS as usize && len + zero_fill < max_len);
             }
         }

@@ -102,11 +102,17 @@ pub fn encode_blocks(writer: &mut BitWriter, blocks: &[[f64; BLOCK_LEN]], eb: f6
                 // bits on each high-frequency coefficient while the DC term
                 // keeps full precision — the same "pay for what the block
                 // contains" behaviour ZFP's embedded coding has.
+                // Up to 57 magnitude bits, the three fields go in one append.
                 for &c in &coeffs[slot] {
                     let mag = c.unsigned_abs() >> kmin;
                     let width = 64 - mag.leading_zeros();
-                    writer.write_bits(u64::from(width), 6);
-                    if width > 0 {
+                    if width == 0 {
+                        writer.write_bits(0, 6);
+                    } else if width <= 57 {
+                        let head = (u64::from(width) << 1) | u64::from(c < 0);
+                        writer.write_bits((head << width) | mag, width + 7);
+                    } else {
+                        writer.write_bits(u64::from(width), 6);
                         writer.write_bit(c < 0);
                         writer.write_bits(mag, width);
                     }
@@ -156,17 +162,27 @@ pub fn decode_blocks(
                 }
                 for c in &mut coeffs[coded] {
                     let width = reader.read_bits(6)? as u32;
-                    if width > 63 {
+                    if width == 0 {
+                        *c = 0;
+                        continue;
+                    }
+                    // `width + kmin` is the coefficient's bit length. The
+                    // block's values are at most 2^precision in magnitude and
+                    // the transform grows them at most 4×, so the encoder
+                    // writes at most `precision + 3` bits (64 only for a
+                    // coefficient of 2^63), and a wider one would not fit.
+                    if width + kmin > 63 {
                         return Err(CodecError::Corrupt("implausible coefficient width".into()));
                     }
-                    if width > 0 {
-                        let negative = reader.read_bit()?;
-                        let mag = (reader.read_bits(width)? as i64) << kmin;
-                        // `wrapping_neg`: a damaged stream may code `i64::MIN`.
-                        *c = if negative { mag.wrapping_neg() } else { mag };
+                    // Sign and magnitude in one read where the peek holds both.
+                    let (negative, mag) = if width < 56 {
+                        let bits = reader.read_bits(width + 1)?;
+                        (bits >> width == 1, bits & ((1 << width) - 1))
                     } else {
-                        *c = 0;
-                    }
+                        (reader.read_bit()?, reader.read_bits(width)?)
+                    };
+                    let mag = (mag << kmin) as i64;
+                    *c = if negative { -mag } else { mag };
                 }
                 slots[i] = coded;
                 exps[i] = e;
@@ -214,7 +230,7 @@ mod tests {
     fn roundtrip(values: [f64; BLOCK_LEN], eb: f64) -> [f64; BLOCK_LEN] {
         let mut w = BitWriter::new();
         encode_block(&mut w, &values, eb, 40);
-        let bytes = w.as_bytes().to_vec();
+        let bytes = w.finish().to_vec();
         let mut r = BitReader::new(&bytes);
         decode_block(&mut r, 40).unwrap()
     }
@@ -242,7 +258,7 @@ mod tests {
             let mut w = BitWriter::new();
             encode_block(&mut w, &values, eb, 40);
             let bits = w.bit_len();
-            let bytes = w.as_bytes().to_vec();
+            let bytes = w.finish().to_vec();
             let mut r = BitReader::new(&bytes);
             let out = decode_block(&mut r, 40).unwrap();
             assert!(max_err(&values, &out) <= eb, "eb={eb}");
@@ -302,7 +318,7 @@ mod tests {
     fn truncated_block_stream_errors() {
         let mut w = BitWriter::new();
         encode_block(&mut w, &[1.25; BLOCK_LEN], 1e-6, 40);
-        let bytes = w.as_bytes().to_vec();
+        let bytes = w.finish().to_vec();
         let mut r = BitReader::new(&bytes[..1]);
         // With only one byte the block payload is missing.
         assert!(decode_block(&mut r, 40).is_err() || bytes.len() <= 1);

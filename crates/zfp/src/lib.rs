@@ -110,7 +110,7 @@ impl ZfpCompressor {
         codec::encode_blocks(writer, &batch[..filled], eb, PRECISION_BITS);
 
         // Container tag 0, the one tag: the bit stream as it is.
-        let bits = s.writer.as_bytes();
+        let bits = s.writer.finish();
         let mut out = Vec::with_capacity(1 + bits.len());
         out.push(0u8);
         out.extend_from_slice(bits);
@@ -339,7 +339,7 @@ mod tests {
         writer.write_bits(1e-3f64.to_bits(), 64);
         writer.write_bits(40, 8);
         let mut stream = vec![0u8];
-        stream.extend_from_slice(writer.as_bytes());
+        stream.extend_from_slice(writer.finish());
         let zfp = ZfpCompressor::default();
         assert!(matches!(zfp.decompress_field(&stream), Err(CompressError::CorruptStream(_))));
     }

@@ -20,7 +20,8 @@
 //! still written: the `sz` / `mgard` streams the rows pinned before the LZ77
 //! policy moved, which must still decode.
 use lcc_core::registry::entropy_ablation_registry;
-use lcc_pressio::{ErrorBound, ScratchArena};
+use lcc_lossless::EntropyBackend;
+use lcc_pressio::{codes, ErrorBound, ScratchArena};
 
 #[path = "common/fields.rs"]
 mod fields;
@@ -30,10 +31,17 @@ use fields::pinned_field;
 
 /// (compressor, bound, stream length, FNV-1a hash). The `zfp` rows were
 /// captured pre-refactor, the `sz` / `mgard` rows in PR 15, the `*-rans8`
-/// rows in PR 21 (all four are rANS streams, none the Huffman fallback).
+/// rows at 1e-4 and 1e-2 in PR 21 (all four are rANS streams, none the
+/// Huffman fallback). The 1e-5 rows were captured before the Huffman tables
+/// were built by two queues and a counting sort: their codes take
+/// [`WIDE_ALPHABET`] distinct values, most of them seen once, so the code
+/// lengths hang on how equal counts are tie-broken, and the `mgard-rans8`
+/// row is the Huffman fallback.
 const PINNED: &[(&str, f64, usize, u64)] = &[
+    ("mgard", 1e-5, 70758, 0x486c81ba8d5be8f1),
     ("mgard", 1e-4, 32570, 0xfd84723a24c1c714),
     ("mgard", 1e-2, 7604, 0x6a222e7dbd1e91bc),
+    ("mgard-rans8", 1e-5, 70752, 0xc3091021611272bc),
     ("mgard-rans8", 1e-4, 19610, 0x888c0134fcf4c546),
     ("mgard-rans8", 1e-2, 7028, 0x73cc4f909a1cec4f),
     ("sz", 1e-4, 15980, 0x14cb14bd32d164cc),
@@ -65,6 +73,37 @@ fn every_compressor_stream_matches_its_pin() {
         assert!(field.max_abs_diff(&recon) <= eb, "{name}@{eb}: bound violated");
     }
     assert_eq!(arena.len(), 3, "each compressor materializes exactly one scratch type");
+}
+
+/// Distinct MGARD codes of [`pinned_field`] at 1e-5: more than the 4 096
+/// symbols of the 12-bit rANS table.
+const WIDE_ALPHABET: usize = 8796;
+
+#[test]
+fn the_1e_5_rows_code_a_wide_alphabet_with_huffman() {
+    let field = pinned_field();
+    let registry = entropy_ablation_registry();
+    for name in ["mgard", "mgard-rans8"] {
+        let stream = registry
+            .get(name)
+            .expect("registered compressor")
+            .compress_view(&field.view(), ErrorBound::Absolute(1e-5))
+            .expect("compress");
+        let mut expanded = Vec::new();
+        let parts = codes::open(&lcc_mgard::FORMAT, &stream, &mut expanded).expect("opens");
+        let huffman = match parts.backend {
+            EntropyBackend::Huffman => parts.section,
+            // rANS mode 1: the alphabet overflowed the table, Huffman follows.
+            EntropyBackend::Rans8 => {
+                assert_eq!(parts.section[0], 1, "{name}: not the Huffman fallback");
+                &parts.section[1..]
+            }
+        };
+        let (mut symbols, _) = lcc_lossless::huffman_decode(huffman).expect("decodes");
+        symbols.sort_unstable();
+        symbols.dedup();
+        assert_eq!(symbols.len(), WIDE_ALPHABET, "{name}");
+    }
 }
 
 #[test]
