@@ -317,30 +317,67 @@ mod tests {
         assert_eq!(r.peek_bits(8), 0, "peek at EOF is all zeros");
     }
 
-    #[test]
-    fn batched_and_bitwise_writes_agree() {
-        // The batched write_bits fast path must produce the exact bytes the
-        // bit-by-bit loop produced (the byte-identity guarantee rests on it).
-        let values: [(u64, u32); 8] = [
-            (0b1, 1),
-            (0xDEADBEEF, 32),
-            (0, 7),
-            (u64::MAX, 64),
-            (0x1234, 13),
-            (1, 2),
-            (0xFF, 8),
-            (0x7FFF_FFFF_FFFF_FFFF, 63),
-        ];
-        let mut batched = BitWriter::new();
-        let mut bitwise = BitWriter::new();
-        for &(v, n) in &values {
-            batched.write_bits(v, n);
-            for i in (0..n).rev() {
-                bitwise.write_bit((v >> i) & 1 == 1);
+    /// The reference [`BitWriter`] is held to: one bit at a time into a
+    /// byte vector, MSB first.
+    #[derive(Default)]
+    struct BitByBit {
+        bytes: Vec<u8>,
+        bits: usize,
+    }
+
+    impl BitByBit {
+        fn write_bits(&mut self, value: u64, count: u32) {
+            for i in (0..count).rev() {
+                if self.bits % 8 == 0 {
+                    self.bytes.push(0);
+                }
+                let bit = (value >> i) as u8 & 1;
+                *self.bytes.last_mut().expect("pushed") |= bit << (7 - self.bits % 8);
+                self.bits += 1;
             }
         }
-        assert_eq!(batched.finish(), bitwise.finish());
-        assert_eq!(batched.bit_len(), bitwise.bit_len());
+    }
+
+    #[test]
+    fn writer_equals_a_bit_at_a_time_reference() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut writer = BitWriter::new();
+        for round in 0..200 {
+            writer.clear();
+            let mut reference = BitByBit::default();
+            for _ in 0..next() % 300 {
+                // Values carry bits above `count`, which must be ignored.
+                let value = next();
+                match next() % 8 {
+                    0 => {
+                        writer.write_bit(value & 1 == 1);
+                        reference.write_bits(value, 1);
+                    }
+                    1 => {
+                        writer.write_byte(value as u8);
+                        reference.write_bits(value, 8);
+                    }
+                    // Finishing mid-stream must not disturb what follows.
+                    2 if round % 2 == 1 => {
+                        writer.finish();
+                    }
+                    _ => {
+                        let count = (next() % 65) as u32;
+                        writer.write_bits(value, count);
+                        reference.write_bits(value, count);
+                    }
+                }
+                assert_eq!(writer.bit_len(), reference.bits, "round {round}");
+            }
+            assert_eq!(writer.finish(), reference.bytes, "round {round}");
+            assert_eq!(writer.bit_len(), reference.bits, "round {round}");
+        }
     }
 
     #[test]

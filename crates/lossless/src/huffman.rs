@@ -5,9 +5,14 @@
 //! self-describing encoder/decoder:
 //!
 //! * symbol alphabet is discovered from the input (arbitrary `u32` symbols),
-//! * code lengths are derived from a standard binary-heap Huffman tree,
+//! * code lengths come from a Huffman tree built in one linear pass over two
+//!   queues — the leaves sorted by count, and the merged nodes in the order
+//!   they were made (each is heavier than the last) — which merges exactly
+//!   as a binary heap would,
 //! * codes are made *canonical* so only (symbol, length) pairs need to be
-//!   stored in the header,
+//!   stored in the header, in strictly ascending symbol order (the decoder
+//!   refuses any other); the `(length, symbol)` order of the codes is a
+//!   counting sort on length, shared by encoder and decoder,
 //! * decode is table-driven: a `LUT_BITS`-wide prefix table resolves the
 //!   short codes in one peek; a longer code is found in one `max_len`-bit
 //!   peek compared against the canonical (first code, count) of each
@@ -38,9 +43,8 @@
 //! `single_distinct_symbol_*` tests below.
 
 use crate::bitstream::BitReader;
-use crate::scratch::{build_alphabet, CodecScratch, HeapNode, TableMode};
+use crate::scratch::{build_alphabet, CodecScratch, TableMode};
 use crate::{read_varint, write_varint, CodecError};
-use std::collections::BinaryHeap;
 
 /// Maximum accepted code length. With ≤ 2^20 distinct symbols and the
 /// depth-balancing property of Huffman trees over realistic count
@@ -136,48 +140,90 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
 }
 
 /// Huffman code lengths from `scratch.alphabet` into `scratch.lens`
-/// (parallel arrays) using a binary heap over scratch-owned storage. A
-/// single distinct symbol gets length 1 (see the module docs on the
-/// degenerate alphabet). Identical merge order — and therefore identical
-/// lengths — to the historical `HashMap`-based construction: node ties are
-/// broken on the smallest symbol in the subtree, which is unique per node.
+/// (parallel arrays). A single distinct symbol gets length 1 (see the module
+/// docs on the degenerate alphabet).
+///
+/// The tree is the one a min-heap on `(weight, order)` builds — `order`
+/// being the smallest symbol in the node's subtree, unique per node — with
+/// the heap replaced by two queues: the leaves sorted by `(count, symbol)`,
+/// and the merged nodes in the order they were made. Every count is at
+/// least 1, so each merged node is heavier than both nodes it joins, and the
+/// pairs taken never get lighter; merged nodes are therefore made in
+/// strictly increasing `(weight, order)`, and the lighter of the two heads
+/// is always the heap's minimum. Leaf `k` stands for `alphabet[k]`, whose
+/// symbols ascend, so a leaf index orders nodes as its symbol does.
 fn build_code_lengths(scratch: &mut CodecScratch) {
-    let n = scratch.alphabet.len();
-    scratch.lens.clear();
-    scratch.lens.resize(n, 0);
+    let CodecScratch { alphabet, leaves, merged, children, depths, lens, .. } = scratch;
+    let n = alphabet.len();
+    lens.clear();
+    lens.resize(n, 0);
     if n == 1 {
-        scratch.lens[0] = 1;
+        lens[0] = 1;
         return;
     }
 
-    scratch.children.clear();
-    // Clear before heapifying: `BinaryHeap::from` would otherwise sift the
-    // previous call's stale nodes just to throw them away.
-    scratch.heap.clear();
-    let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.heap));
-    for (id, &(sym, count)) in scratch.alphabet.iter().enumerate() {
-        heap.push(HeapNode { weight: count, order: sym, id: id as u32 });
-    }
-    while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
-        let id = (n + scratch.children.len()) as u32;
-        scratch.children.push((a.id, b.id));
-        heap.push(HeapNode { weight: a.weight + b.weight, order: a.order.min(b.order), id });
-    }
-    let root = heap.pop().expect("one node remains").id;
-    scratch.heap = heap.into_vec(); // recycle the heap allocation
-
-    scratch.stack.clear();
-    scratch.stack.push((root, 0));
-    while let Some((node, depth)) = scratch.stack.pop() {
-        if (node as usize) < n {
-            scratch.lens[node as usize] = depth.max(1);
+    leaves.clear();
+    leaves.extend(alphabet.iter().enumerate().map(|(k, &(_, count))| (count, k as u32)));
+    leaves.sort_unstable();
+    merged.clear();
+    children.clear();
+    let (mut next_leaf, mut next_merged) = (0, 0);
+    // The lighter head by `(weight, order)`, as `(weight, order, id)`.
+    let mut take = |merged: &[(u64, u32)]| {
+        let leaf_first = next_leaf < n
+            && merged.get(next_merged).is_none_or(|&head| leaves[next_leaf] < head);
+        if leaf_first {
+            let (count, leaf) = leaves[next_leaf];
+            next_leaf += 1;
+            (count, leaf, leaf)
         } else {
-            let (a, b) = scratch.children[node as usize - n];
-            scratch.stack.push((a, depth + 1));
-            scratch.stack.push((b, depth + 1));
+            let (weight, order) = merged[next_merged];
+            next_merged += 1;
+            (weight, order, (n + next_merged - 1) as u32)
         }
+    };
+    for _ in 1..n {
+        let a = take(merged);
+        let b = take(merged);
+        merged.push((a.0 + b.0, a.1.min(b.1)));
+        children.push((a.2, b.2));
+    }
+
+    // The root is the last merged node; every node is made after its
+    // children, so one backward pass hands each child its depth.
+    depths.clear();
+    depths.resize(n - 1, 0);
+    for (k, &(a, b)) in children.iter().enumerate().rev() {
+        let depth = depths[k] + 1;
+        for child in [a as usize, b as usize] {
+            if child < n {
+                lens[child] = depth;
+            } else {
+                depths[child - n] = depth;
+            }
+        }
+    }
+}
+
+/// Alphabet indices `0..n` in canonical `(length, symbol)` order into
+/// `order`, for an alphabet listed in ascending symbol order whose `k`-th
+/// entry has a code length `len(k)` of at most 64 bits: a counting sort on
+/// length, stable, so equal lengths keep their symbol order.
+fn canonical_order(n: usize, len: impl Fn(usize) -> u32, order: &mut Vec<u32>) {
+    let mut start = [0u32; 65];
+    for k in 0..n {
+        start[len(k) as usize] += 1;
+    }
+    let mut below = 0;
+    for slot in &mut start {
+        (*slot, below) = (below, below + *slot);
+    }
+    order.clear();
+    order.resize(n, 0);
+    for k in 0..n {
+        let slot = &mut start[len(k) as usize];
+        order[*slot as usize] = k as u32;
+        *slot += 1;
     }
 }
 
@@ -185,11 +231,8 @@ fn build_code_lengths(scratch: &mut CodecScratch) {
 /// consecutive codes — into the flat encode tables selected by `mode`.
 fn assign_canonical_codes(scratch: &mut CodecScratch, mode: TableMode) {
     let n = scratch.alphabet.len();
-    scratch.canon.clear();
-    for (k, &(sym, _)) in scratch.alphabet.iter().enumerate() {
-        scratch.canon.push((scratch.lens[k], sym, k as u32));
-    }
-    scratch.canon.sort_unstable();
+    let lens = &scratch.lens;
+    canonical_order(n, |k| lens[k], &mut scratch.canon);
 
     match mode {
         TableMode::Dense { min } => {
@@ -207,7 +250,8 @@ fn assign_canonical_codes(scratch: &mut CodecScratch, mode: TableMode) {
 
     let mut code = 0u64;
     let mut prev_len = 0u32;
-    for &(len, sym, _) in &scratch.canon {
+    for &k in &scratch.canon {
+        let (len, sym) = (scratch.lens[k as usize], scratch.alphabet[k as usize].0);
         if prev_len != 0 {
             code = (code + 1) << (len - prev_len);
         }
@@ -354,6 +398,12 @@ fn decode_section(
         if len == 0 || len > u64::from(MAX_CODE_LEN) {
             return Err(CodecError::Corrupt(format!("invalid code length {len}")));
         }
+        // The encoder lists each symbol once, ascending: a repeated or
+        // out-of-order symbol would shift the canonical codes of the rest.
+        let after_last = scratch.dec_lens.last().map_or(0, |&(last, _)| u64::from(last) + 1);
+        if sym < after_last || sym > u64::from(u32::MAX) {
+            return Err(CodecError::Corrupt(format!("header symbol {sym} out of order")));
+        }
         scratch.dec_lens.push((sym as u32, len as u32));
     }
 
@@ -382,13 +432,14 @@ fn decode_section(
         return Ok(consumed);
     }
 
-    // Canonical reconstruction: sort (symbol, length) by (length, symbol),
-    // assign consecutive codes, and record per-length (first code, count,
-    // offset into the canonical symbol order). The same walk also fills the
-    // prefix LUT — codes of at most `lut_bits` bits resolve with one peek,
-    // longer codes leave entry length 0.
-    scratch.dec_lens.sort_unstable_by_key(|&(sym, len)| (len, sym));
-    let max_len = scratch.dec_lens.last().expect("alphabet_size >= 1").1;
+    // Canonical reconstruction: put (symbol, length) in (length, symbol)
+    // order as the encoder did, assign consecutive codes, and record
+    // per-length (first code, count, offset into the canonical symbol order).
+    // The same walk also fills the prefix LUT — codes of at most `lut_bits`
+    // bits resolve with one peek, longer codes leave entry length 0.
+    let dec_lens = &scratch.dec_lens;
+    canonical_order(dec_lens.len(), |k| dec_lens[k].1, &mut scratch.canon);
+    let max_len = dec_lens[*scratch.canon.last().expect("alphabet_size >= 1") as usize].1;
     let lut_bits = max_len.min(LUT_BITS);
     let lut_size = 1usize << lut_bits;
     scratch.lut_len.clear();
@@ -408,7 +459,8 @@ fn decode_section(
     };
     let mut code = 0u64;
     let mut prev_len = 0u32;
-    for (k, &(sym, len)) in scratch.dec_lens.iter().enumerate() {
+    for (k, &entry) in scratch.canon.iter().enumerate() {
+        let (sym, len) = scratch.dec_lens[entry as usize];
         if prev_len != 0 {
             code = (code + 1) << (len - prev_len);
         }
@@ -831,6 +883,153 @@ mod tests {
         // alphabet is symbol-sorted: index 0 is symbol 0.
         assert!(scratch.lens[0] <= scratch.lens[1]);
         assert!(scratch.lens[0] <= scratch.lens[3]);
+    }
+
+    /// A node of the heap construction the two queues replaced: ordered
+    /// (reversed, for a min-heap) on `(weight, order)`, `order` being the
+    /// smallest symbol below the node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct HeapNode {
+        weight: u64,
+        order: u32,
+        id: u32,
+    }
+
+    impl Ord for HeapNode {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other.weight.cmp(&self.weight).then(other.order.cmp(&self.order))
+        }
+    }
+
+    impl PartialOrd for HeapNode {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The oracle [`build_code_lengths`] is held to: the code lengths of
+    /// `(symbol, count)` pairs (symbols ascending) from a binary heap that
+    /// merges its two lightest nodes until one is left.
+    fn heap_code_lengths(alphabet: &[(u32, u64)]) -> Vec<u32> {
+        use std::collections::BinaryHeap;
+        let n = alphabet.len();
+        if n == 1 {
+            return vec![1];
+        }
+        let mut heap: BinaryHeap<HeapNode> = alphabet
+            .iter()
+            .enumerate()
+            .map(|(id, &(order, weight))| HeapNode { weight, order, id: id as u32 })
+            .collect();
+        let mut children = Vec::new();
+        while heap.len() > 1 {
+            let (a, b) = (heap.pop().expect("two nodes"), heap.pop().expect("two nodes"));
+            let id = (n + children.len()) as u32;
+            children.push((a.id, b.id));
+            heap.push(HeapNode { weight: a.weight + b.weight, order: a.order.min(b.order), id });
+        }
+        let mut lens = vec![0; n];
+        let mut stack = vec![(heap.pop().expect("the root").id, 0)];
+        while let Some((node, depth)) = stack.pop() {
+            if (node as usize) < n {
+                lens[node as usize] = depth;
+            } else {
+                let (a, b) = children[node as usize - n];
+                stack.extend([(a, depth + 1), (b, depth + 1)]);
+            }
+        }
+        lens
+    }
+
+    #[test]
+    fn heap_oracle_pops_the_lightest_then_the_smallest_order() {
+        let mut h = std::collections::BinaryHeap::new();
+        h.push(HeapNode { weight: 5, order: 1, id: 0 });
+        h.push(HeapNode { weight: 2, order: 9, id: 1 });
+        h.push(HeapNode { weight: 2, order: 3, id: 2 });
+        let ids: Vec<u32> = std::iter::from_fn(|| h.pop().map(|node| node.id)).collect();
+        assert_eq!(ids, [2, 1, 0]);
+    }
+
+    #[test]
+    fn two_queue_code_lengths_equal_the_heap_oracle() {
+        // Symbols spread with gaps, so a symbol is not its leaf index.
+        let mut scratch = CodecScratch::new();
+        let mut check = |counts: &[u64], what: &str| {
+            scratch.alphabet.clear();
+            scratch.alphabet.extend(counts.iter().enumerate().map(|(k, &c)| (3 * k as u32 + 7, c)));
+            build_code_lengths(&mut scratch);
+            assert!(scratch.lens == heap_code_lengths(&scratch.alphabet), "{what}, n={}", counts.len());
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            1 + (state >> 33) % bound
+        };
+        for n in [2usize, 3, 4, 5, 7, 8, 13, 64, 100, 255, 1000, 4097, 20_000] {
+            check(&vec![1; n], "equal counts");
+            check(&vec![1000; n], "equal large counts");
+            let powers: Vec<u64> = (0..n).map(|k| 1 << (k % 40)).collect();
+            check(&powers, "powers of two");
+            check(&powers.iter().rev().copied().collect::<Vec<_>>(), "powers of two, descending");
+            let mut fib = vec![1u64, 1];
+            while fib.len() < n.min(60) {
+                fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+            }
+            let fib: Vec<u64> = (0..n).map(|k| fib[k % fib.len()]).collect();
+            check(&fib, "Fibonacci counts");
+            for bound in [2, 5, 100, 1 << 20] {
+                let counts: Vec<u64> = (0..n).map(|_| random(bound)).collect();
+                check(&counts, "random counts");
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_order_sorts_by_length_then_symbol() {
+        let lens = [3u32, 1, 3, 2, 64, 2, 3];
+        let mut order = Vec::new();
+        canonical_order(lens.len(), |k| lens[k], &mut order);
+        assert_eq!(order, [1, 3, 5, 0, 2, 6, 4]);
+        let mut expected: Vec<u32> = (0..lens.len() as u32).collect();
+        expected.sort_by_key(|&k| (lens[k as usize], k));
+        assert_eq!(order, expected);
+    }
+
+    /// A Huffman stream of `n_symbols` symbols whose header lists `entries`
+    /// as written, then `payload` (`payload_bits` of it).
+    fn forged(n_symbols: u64, entries: &[(u64, u64)], payload_bits: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, n_symbols);
+        write_varint(&mut bytes, entries.len() as u64);
+        for &(sym, len) in entries {
+            write_varint(&mut bytes, sym);
+            write_varint(&mut bytes, len);
+        }
+        write_varint(&mut bytes, payload_bits);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn header_symbols_that_do_not_strictly_ascend_are_refused() {
+        // The encoder's stream of 1 2 3 3 1 1 1: codes 0, 10, 11.
+        let symbols = [1, 2, 3, 3, 1, 1, 1];
+        let payload = [0b0101_1110, 0];
+        let good = forged(7, &[(1, 1), (2, 2), (3, 2)], 10, &payload);
+        assert_eq!(good, huffman_encode(&symbols));
+        assert_eq!(huffman_decode(&good), Ok((symbols.to_vec(), good.len())));
+        // The last symbol repeated: decoded before, every 3 read as a 2.
+        let duplicate = forged(7, &[(1, 1), (2, 2), (2, 2)], 10, &payload);
+        // A descending pair: the canonical order would swap their codes.
+        let descending = forged(7, &[(1, 1), (3, 2), (2, 2)], 10, &payload);
+        // A symbol past `u32::MAX` would alias a small one.
+        let too_wide = forged(7, &[(1, 1), (2, 2), (1 << 32 | 3, 2)], 10, &payload);
+        for (what, bad) in [("duplicate", duplicate), ("descending", descending), ("wide", too_wide)] {
+            let mut scratch = CodecScratch::new();
+            let got = assert_decoders_agree(&mut scratch, &bad);
+            assert!(matches!(got, Err(CodecError::Corrupt(_))), "{what}: {got:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Reusable working memory for the lossless coders.
 //!
 //! Every per-call allocation of the Huffman and LZ77 hot paths lives in a
-//! [`CodecScratch`]: the dense histogram, the heap and tree arrays of the
-//! code-length construction, the flat canonical code tables, the decoder
+//! [`CodecScratch`]: the dense histogram, the two queues and tree arrays of
+//! the code-length construction, the flat canonical code tables, the decoder
 //! LUT, the LZ77 hash-chain heads, and the bit/byte buffers. A caller that
 //! compresses many streams (the SZ/ZFP/MGARD compressors, the sweep
 //! scheduler's worker threads) creates one scratch and threads `&mut`
@@ -24,31 +24,6 @@ pub(crate) const CHAIN_NIL: u32 = u32::MAX;
 /// alphabets fall back to an open-addressed symbol map of the distinct
 /// symbols only.
 pub(crate) const DENSE_SPAN_MAX: usize = 1 << 21;
-
-/// A binary-heap node of the Huffman code-length construction.
-///
-/// Ordering is reversed (min-heap) on `(weight, order)` where `order` is the
-/// smallest symbol in the node's subtree — subtrees hold disjoint symbol
-/// sets, so the order is strict and the merge sequence (hence every code
-/// length) is deterministic regardless of heap-internal layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HeapNode {
-    pub weight: u64,
-    pub order: u32,
-    pub id: u32,
-}
-
-impl Ord for HeapNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.weight.cmp(&self.weight).then(other.order.cmp(&self.order))
-    }
-}
-
-impl PartialOrd for HeapNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Open-addressed `u32 symbol → u32 slot` map with linear probing, used for
 /// alphabets too sparse for the dense histogram. Slots are handed out in
@@ -265,18 +240,21 @@ pub struct CodecScratch {
     pub(crate) alphabet: Vec<(u32, u64)>,
 
     // ---- Huffman code construction ----
-    /// Heap storage for the code-length build (allocation recycled through
-    /// `BinaryHeap::from` / `into_vec`).
-    pub(crate) heap: Vec<HeapNode>,
-    /// Children of internal tree nodes (leaves are ids `< alphabet.len()`).
+    /// The leaf queue: `(count, leaf)` sorted, leaf `k` being `alphabet[k]`.
+    pub(crate) leaves: Vec<(u64, u32)>,
+    /// The merged-node queue in creation order: `(weight, order)`, the order
+    /// being the smallest leaf below the node.
+    pub(crate) merged: Vec<(u64, u32)>,
+    /// Children of merged node `k`, whose id is `alphabet.len() + k` (leaves
+    /// are ids `< alphabet.len()`).
     pub(crate) children: Vec<(u32, u32)>,
-    /// Depth-first traversal stack for depth assignment.
-    pub(crate) stack: Vec<(u32, u32)>,
+    /// Depth of each merged node.
+    pub(crate) depths: Vec<u32>,
     /// Code length per leaf, parallel to `alphabet`.
     pub(crate) lens: Vec<u32>,
-    /// `(length, symbol, leaf_index)` sorted by `(length, symbol)` — the
-    /// canonical assignment order.
-    pub(crate) canon: Vec<(u32, u32, u32)>,
+    /// Alphabet indices in canonical `(length, symbol)` order, for the
+    /// encoder's code assignment and the decoder's tables alike.
+    pub(crate) canon: Vec<u32>,
 
     // ---- Huffman encode tables ----
     /// Dense `symbol − min_symbol` → code length (0 = absent).
@@ -422,17 +400,5 @@ mod tests {
             assert_eq!(scratch.alphabet, expected);
             assert!(scratch.hist.iter().all(|&c| c == 0));
         }
-    }
-
-    #[test]
-    fn heap_node_ordering_is_a_min_heap_on_weight_then_order() {
-        use std::collections::BinaryHeap;
-        let mut h = BinaryHeap::new();
-        h.push(HeapNode { weight: 5, order: 1, id: 0 });
-        h.push(HeapNode { weight: 2, order: 9, id: 1 });
-        h.push(HeapNode { weight: 2, order: 3, id: 2 });
-        assert_eq!(h.pop().unwrap().id, 2, "lowest weight, lowest order first");
-        assert_eq!(h.pop().unwrap().id, 1);
-        assert_eq!(h.pop().unwrap().id, 0);
     }
 }

@@ -315,6 +315,68 @@ mod tests {
     }
 
     #[test]
+    fn coefficients_stay_within_the_width_check() {
+        // Every sign pattern of ±2^40, the corners of a 40-bit block: the
+        // transform grows them at most 4×, far below a 63-bit coefficient.
+        let bound = 1i64 << 40;
+        let mut widest = 0;
+        for signs in 0..1u32 << BLOCK_LEN {
+            let mut block = [[0i64; BLOCK_LEN]];
+            for (k, x) in block[0].iter_mut().enumerate() {
+                *x = if signs >> k & 1 == 1 { -bound } else { bound };
+            }
+            fwd_transform_batch_at(simd_level(), &mut block);
+            for c in block[0] {
+                assert!(c.unsigned_abs() <= 4 * bound.unsigned_abs(), "{c}");
+                widest = widest.max(64 - c.unsigned_abs().leading_zeros());
+            }
+        }
+        assert_eq!(widest, 43);
+    }
+
+    /// One coded block whose first coefficient is `±mag << kmin`, written as
+    /// a `width`-bit magnitude, and whose other coefficients are zero.
+    fn forged_block(kmin: u64, width: u32, negative: bool, mag: u64) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.write_bits(TYPE_CODED, 2);
+        w.write_bits(EXPONENT_BIAS as u64, 12);
+        w.write_bits(kmin, 6);
+        w.write_bits(u64::from(width), 6);
+        w.write_bit(negative);
+        w.write_bits(mag, width);
+        for _ in 1..BLOCK_LEN {
+            w.write_bits(0, 6);
+        }
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn coefficients_wider_than_63_bits_are_refused() {
+        // 60 magnitude bits above 4 truncated planes: 64 bits, and the shift
+        // into an `i64` used to drop the top one without a word.
+        for (kmin, width) in [(4, 60), (62, 2), (10, 63), (1, 63)] {
+            let bytes = forged_block(kmin, width, false, 1 << (width - 1));
+            let got = decode_block(&mut BitReader::new(&bytes), 40);
+            assert!(matches!(got, Err(CodecError::Corrupt(_))), "kmin {kmin} width {width}");
+        }
+        // 63 bits decode, through the read that takes the sign apart; so do
+        // 55, the widest read together with the sign.
+        for (kmin, width) in [(3, 60), (0, 63), (8, 55), (0, 55)] {
+            let mag = (1 << (width - 1)) | 0x5A5;
+            for negative in [false, true] {
+                let bytes = forged_block(kmin, width, negative, mag);
+                let got = decode_block(&mut BitReader::new(&bytes), 40).expect("plausible width");
+                let c = (mag << kmin) as i64;
+                let mut expected = [[0i64; BLOCK_LEN]];
+                expected[0][0] = if negative { -c } else { c };
+                inv_transform_batch_at(simd_level(), &mut expected);
+                let expected = expected[0].map(|c| c as f64 / 2f64.powi(40));
+                assert_eq!(got, expected, "kmin {kmin} width {width} negative {negative}");
+            }
+        }
+    }
+
+    #[test]
     fn truncated_block_stream_errors() {
         let mut w = BitWriter::new();
         encode_block(&mut w, &[1.25; BLOCK_LEN], 1e-6, 40);
