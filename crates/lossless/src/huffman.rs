@@ -163,23 +163,24 @@ fn build_code_lengths(scratch: &mut CodecScratch) {
     }
 
     leaves.clear();
-    leaves.extend(alphabet.iter().enumerate().map(|(k, &(_, count))| (count, k as u32)));
-    leaves.sort_unstable();
+    leaves.extend(0..n as u32);
+    leaves.sort_unstable_by_key(|&k| (alphabet[k as usize].1, k));
     merged.clear();
     children.clear();
     let (mut next_leaf, mut next_merged) = (0, 0);
-    // The lighter head by `(weight, order)`, as `(weight, order, id)`.
+    // The lighter head by `(weight, order)`, as `(weight, order, id)`. An
+    // empty queue's head is heavier than any node: a weight is at most the
+    // symbol count.
+    const EMPTY: (u64, u32) = (u64::MAX, u32::MAX);
     let mut take = |merged: &[(u64, u32)]| {
-        let leaf_first = next_leaf < n
-            && merged.get(next_merged).is_none_or(|&head| leaves[next_leaf] < head);
-        if leaf_first {
-            let (count, leaf) = leaves[next_leaf];
+        let leaf = leaves.get(next_leaf).map_or(EMPTY, |&k| (alphabet[k as usize].1, k));
+        let head = merged.get(next_merged).copied().unwrap_or(EMPTY);
+        if leaf < head {
             next_leaf += 1;
-            (count, leaf, leaf)
+            (leaf.0, leaf.1, leaf.1)
         } else {
-            let (weight, order) = merged[next_merged];
             next_merged += 1;
-            (weight, order, (n + next_merged - 1) as u32)
+            (head.0, head.1, (n + next_merged - 1) as u32)
         }
     };
     for _ in 1..n {
@@ -959,7 +960,11 @@ mod tests {
             scratch.alphabet.clear();
             scratch.alphabet.extend(counts.iter().enumerate().map(|(k, &c)| (3 * k as u32 + 7, c)));
             build_code_lengths(&mut scratch);
-            assert!(scratch.lens == heap_code_lengths(&scratch.alphabet), "{what}, n={}", counts.len());
+            assert!(
+                scratch.lens == heap_code_lengths(&scratch.alphabet),
+                "{what}, n={}",
+                counts.len()
+            );
         };
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut random = |bound: u64| {
@@ -985,20 +990,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn canonical_order_sorts_by_length_then_symbol() {
-        let lens = [3u32, 1, 3, 2, 64, 2, 3];
-        let mut order = Vec::new();
-        canonical_order(lens.len(), |k| lens[k], &mut order);
-        assert_eq!(order, [1, 3, 5, 0, 2, 6, 4]);
-        let mut expected: Vec<u32> = (0..lens.len() as u32).collect();
-        expected.sort_by_key(|&k| (lens[k as usize], k));
-        assert_eq!(order, expected);
-    }
-
     /// A Huffman stream of `n_symbols` symbols whose header lists `entries`
     /// as written, then `payload` (`payload_bits` of it).
-    fn forged(n_symbols: u64, entries: &[(u64, u64)], payload_bits: u64, payload: &[u8]) -> Vec<u8> {
+    fn forged(
+        n_symbols: u64,
+        entries: &[(u64, u64)],
+        payload_bits: u64,
+        payload: &[u8],
+    ) -> Vec<u8> {
         let mut bytes = Vec::new();
         write_varint(&mut bytes, n_symbols);
         write_varint(&mut bytes, entries.len() as u64);
@@ -1025,7 +1024,9 @@ mod tests {
         let descending = forged(7, &[(1, 1), (3, 2), (2, 2)], 10, &payload);
         // A symbol past `u32::MAX` would alias a small one.
         let too_wide = forged(7, &[(1, 1), (2, 2), (1 << 32 | 3, 2)], 10, &payload);
-        for (what, bad) in [("duplicate", duplicate), ("descending", descending), ("wide", too_wide)] {
+        for (what, bad) in
+            [("duplicate", duplicate), ("descending", descending), ("wide", too_wide)]
+        {
             let mut scratch = CodecScratch::new();
             let got = assert_decoders_agree(&mut scratch, &bad);
             assert!(matches!(got, Err(CodecError::Corrupt(_))), "{what}: {got:?}");

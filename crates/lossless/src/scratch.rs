@@ -240,8 +240,9 @@ pub struct CodecScratch {
     pub(crate) alphabet: Vec<(u32, u64)>,
 
     // ---- Huffman code construction ----
-    /// The leaf queue: `(count, leaf)` sorted, leaf `k` being `alphabet[k]`.
-    pub(crate) leaves: Vec<(u64, u32)>,
+    /// The leaf queue: leaves `k` (standing for `alphabet[k]`) sorted by
+    /// `(count, k)`.
+    pub(crate) leaves: Vec<u32>,
     /// The merged-node queue in creation order: `(weight, order)`, the order
     /// being the smallest leaf below the node.
     pub(crate) merged: Vec<(u64, u32)>,

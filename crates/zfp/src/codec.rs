@@ -101,8 +101,8 @@ pub fn encode_blocks(writer: &mut BitWriter, blocks: &[[f64; BLOCK_LEN]], eb: f6
                 // a sign bit and the magnitude bits. Smooth blocks spend ~7
                 // bits on each high-frequency coefficient while the DC term
                 // keeps full precision — the same "pay for what the block
-                // contains" behaviour ZFP's embedded coding has.
-                // Up to 57 magnitude bits, the three fields go in one append.
+                // contains" behaviour ZFP's embedded coding has. Up to 57
+                // magnitude bits, the three fields go in one 64-bit append.
                 for &c in &coeffs[slot] {
                     let mag = c.unsigned_abs() >> kmin;
                     let width = 64 - mag.leading_zeros();
@@ -166,11 +166,10 @@ pub fn decode_blocks(
                         *c = 0;
                         continue;
                     }
-                    // `width + kmin` is the coefficient's bit length. The
-                    // block's values are at most 2^precision in magnitude and
-                    // the transform grows them at most 4×, so the encoder
-                    // writes at most `precision + 3` bits (64 only for a
-                    // coefficient of 2^63), and a wider one would not fit.
+                    // `width + kmin` is the coefficient's bit length, and an
+                    // `i64` holds 63 magnitude bits. The encoder's values are
+                    // at most 2^precision and the transform grows them at
+                    // most 4×: it writes at most `precision + 3` bits.
                     if width + kmin > 63 {
                         return Err(CodecError::Corrupt("implausible coefficient width".into()));
                     }
