@@ -800,9 +800,13 @@ mod tests {
                 let mut encoded = Vec::new();
                 huffman_encode_with(&mut scratch, &symbols, &mut encoded);
                 assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
-                let k = scratch.alphabet.iter().position(|&(s, _)| s == last).expect("coded");
-                let len = scratch.lens[k] as usize;
-                let zero_fill = scratch.writer.finish().len() * 8 - scratch.writer.bit_len();
+                let len_of = |sym: u32| {
+                    let k = scratch.alphabet.iter().position(|&(s, _)| s == sym).expect("coded");
+                    scratch.lens[k] as usize
+                };
+                let len = len_of(last);
+                let payload_bits: usize = symbols.iter().map(|&s| len_of(s)).sum();
+                let zero_fill = payload_bits.next_multiple_of(8) - payload_bits;
                 short_tails += usize::from(len > LUT_BITS as usize && len + zero_fill < max_len);
             }
         }

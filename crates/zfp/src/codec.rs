@@ -36,8 +36,10 @@ enum EncPlan {
 /// Encode up to [`TRANSFORM_BATCH`] consecutive 4×4 blocks under the
 /// absolute error bound `eb`, forward-transforming the whole batch through
 /// one dispatch call. Bit-identical to encoding the blocks one per call.
+/// `precision` is at most 48, the widest the stream header admits.
 pub fn encode_blocks(writer: &mut BitWriter, blocks: &[[f64; BLOCK_LEN]], eb: f64, precision: u32) {
     assert!(blocks.len() <= TRANSFORM_BATCH);
+    debug_assert!(precision <= 48, "precision {precision} exceeds the stream's 48");
     let mut plans: [EncPlan; TRANSFORM_BATCH] = std::array::from_fn(|_| EncPlan::Zero);
     let mut coeffs = [[0i64; BLOCK_LEN]; TRANSFORM_BATCH];
     let mut coded = 0usize;
@@ -101,20 +103,17 @@ pub fn encode_blocks(writer: &mut BitWriter, blocks: &[[f64; BLOCK_LEN]], eb: f6
                 // a sign bit and the magnitude bits. Smooth blocks spend ~7
                 // bits on each high-frequency coefficient while the DC term
                 // keeps full precision — the same "pay for what the block
-                // contains" behaviour ZFP's embedded coding has. Up to 57
-                // magnitude bits, the three fields go in one 64-bit append.
+                // contains" behaviour ZFP's embedded coding has. The three
+                // fields go in one append: a coefficient has at most
+                // `precision + 3` ≤ 51 bits.
                 for &c in &coeffs[slot] {
                     let mag = c.unsigned_abs() >> kmin;
                     let width = 64 - mag.leading_zeros();
                     if width == 0 {
                         writer.write_bits(0, 6);
-                    } else if width <= 57 {
+                    } else {
                         let head = (u64::from(width) << 1) | u64::from(c < 0);
                         writer.write_bits((head << width) | mag, width + 7);
-                    } else {
-                        writer.write_bits(u64::from(width), 6);
-                        writer.write_bit(c < 0);
-                        writer.write_bits(mag, width);
                     }
                 }
             }
@@ -173,13 +172,9 @@ pub fn decode_blocks(
                     if width + kmin > 63 {
                         return Err(CodecError::Corrupt("implausible coefficient width".into()));
                     }
-                    // Sign and magnitude in one read where the peek holds both.
-                    let (negative, mag) = if width < 56 {
-                        let bits = reader.read_bits(width + 1)?;
-                        (bits >> width == 1, bits & ((1 << width) - 1))
-                    } else {
-                        (reader.read_bit()?, reader.read_bits(width)?)
-                    };
+                    // Sign and magnitude in one read of at most 64 bits.
+                    let bits = reader.read_bits(width + 1)?;
+                    let (negative, mag) = (bits >> width == 1, bits & (u64::MAX >> (64 - width)));
                     let mag = (mag << kmin) as i64;
                     *c = if negative { -mag } else { mag };
                 }
@@ -358,8 +353,7 @@ mod tests {
             let got = decode_block(&mut BitReader::new(&bytes), 40);
             assert!(matches!(got, Err(CodecError::Corrupt(_))), "kmin {kmin} width {width}");
         }
-        // 63 bits decode, through the read that takes the sign apart; so do
-        // 55, the widest read together with the sign.
+        // 63 bits decode, as do narrower coefficients.
         for (kmin, width) in [(3, 60), (0, 63), (8, 55), (0, 55)] {
             let mag = (1 << (width - 1)) | 0x5A5;
             for negative in [false, true] {
