@@ -89,43 +89,22 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
         write_varint(out, u64::from(scratch.lens[k]));
     }
 
-    // Payload: one table lookup per symbol, with codes packed into a local
-    // 64-bit accumulator so the bit writer is called once per ~5–20 symbols
-    // instead of once per symbol. MSB-first concatenation is associative,
-    // so the emitted bytes are unchanged.
+    // Payload: one table lookup and one bit-writer append per symbol.
     scratch.writer.clear();
-    let mut acc = 0u64;
-    let mut acc_bits = 0u32;
     match mode {
         TableMode::Dense { min } => {
             for &s in symbols {
                 let idx = (s - min) as usize;
-                let len = u32::from(scratch.enc_len[idx]);
-                if acc_bits + len > 64 {
-                    scratch.writer.write_bits(acc, acc_bits);
-                    acc = 0;
-                    acc_bits = 0;
-                }
-                acc = (acc << len) | scratch.enc_code[idx];
-                acc_bits += len;
+                scratch.writer.write_bits(scratch.enc_code[idx], u32::from(scratch.enc_len[idx]));
             }
         }
         TableMode::Sparse => {
             for &s in symbols {
                 let slot = scratch.sym_map.get(s).expect("alphabet covers every symbol") as usize;
                 let (len, code) = scratch.slot_codes[slot];
-                if acc_bits + len > 64 {
-                    scratch.writer.write_bits(acc, acc_bits);
-                    acc = 0;
-                    acc_bits = 0;
-                }
-                acc = (acc << len) | code;
-                acc_bits += len;
+                scratch.writer.write_bits(code, len);
             }
         }
-    }
-    if acc_bits > 0 {
-        scratch.writer.write_bits(acc, acc_bits);
     }
     write_varint(out, scratch.writer.bit_len() as u64);
     out.extend_from_slice(scratch.writer.finish());

@@ -267,7 +267,7 @@ pub struct CodecScratch {
     pub(crate) enc_code: Vec<u64>,
     /// Sparse slot → `(length, code)` pairs.
     pub(crate) slot_codes: Vec<(u32, u64)>,
-    /// Payload bit accumulator.
+    /// Payload bit writer.
     pub(crate) writer: BitWriter,
 
     // ---- Huffman decode tables ----
