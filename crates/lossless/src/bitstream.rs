@@ -36,12 +36,6 @@ impl BitWriter {
         self.bytes.len() * 8 + self.fill as usize
     }
 
-    /// Append a single bit.
-    #[inline]
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(u64::from(bit), 1);
-    }
-
     /// Append the lowest `count` bits of `value`, most significant first.
     ///
     /// The bits join the accumulator with one shift and OR; when it fills,
@@ -208,7 +202,7 @@ mod tests {
         let pattern = [true, false, true, true, false, false, true, false, true, true, true];
         let mut w = BitWriter::new();
         for &b in &pattern {
-            w.write_bit(b);
+            w.write_bits(u64::from(b), 1);
         }
         assert_eq!(w.bit_len(), pattern.len());
         let bytes = w.finish().to_vec();
@@ -241,7 +235,7 @@ mod tests {
     #[test]
     fn bytes_roundtrip_and_alignment() {
         let mut w = BitWriter::new();
-        w.write_bit(true); // force misalignment
+        w.write_bits(1, 1); // force misalignment
         for b in 0u8..=255 {
             w.write_byte(b);
         }
@@ -351,10 +345,6 @@ mod tests {
                 let value = next();
                 match next() % 8 {
                     0 => {
-                        writer.write_bit(value & 1 == 1);
-                        reference.write_bits(value, 1);
-                    }
-                    1 => {
                         writer.write_byte(value as u8);
                         reference.write_bits(value, 8);
                     }
@@ -374,8 +364,8 @@ mod tests {
     fn msb_first_layout_is_stable() {
         // Guard the exact bit layout: 0b1010_0000 after writing bits 1,0,1,0.
         let mut w = BitWriter::new();
-        for b in [true, false, true, false] {
-            w.write_bit(b);
+        for b in [1, 0, 1, 0] {
+            w.write_bits(b, 1);
         }
         assert_eq!(w.finish(), &[0b1010_0000]);
     }

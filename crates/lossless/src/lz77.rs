@@ -304,7 +304,8 @@ fn compress_chained(
     }
 }
 
-/// Decompress a stream produced by [`lz77_compress`].
+/// Decompress a stream produced by [`lz77_compress`]; bytes after its end
+/// are `Corrupt`.
 pub fn lz77_decompress(bytes: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
     lz77_decompress_into(bytes, &mut out)?;
@@ -376,6 +377,12 @@ pub fn lz77_decompress_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), Codec
     }
     if out.len() as u64 != orig_len {
         return Err(CodecError::Corrupt("decoded length mismatch".into()));
+    }
+    if offset != bytes.len() {
+        return Err(CodecError::Corrupt(format!(
+            "{} bytes after the end of the stream",
+            bytes.len() - offset
+        )));
     }
     Ok(())
 }

@@ -208,6 +208,12 @@ impl Compressor for MgardCompressor {
                 *slot = q as f64 * bin;
             }
         }
+        if exact_idx < w.exact.len() {
+            let surplus = w.exact.len() - exact_idx;
+            return Err(CompressError::CorruptStream(format!(
+                "{surplus} exact coefficients after the last escape"
+            )));
+        }
         decompose::inverse_inplace(out, levels);
         Ok(())
     }

@@ -215,7 +215,8 @@ pub fn write_payload(
 /// by the bytes present. A header no encoder writes — an empty or
 /// overflowing shape, a bound not finite and positive, a radius below 2, a
 /// parameter outside the codec's range — is `CorruptStream` here, before
-/// any codec state is built from it.
+/// any codec state is built from it, and so are bytes after the exact
+/// section (or after the LZ77 stream).
 pub fn open<'a>(
     format: &Format,
     stream: &'a [u8],
@@ -252,6 +253,9 @@ pub fn open<'a>(
     let middle = &payload[at..r.pos];
     let section = r.counted(1)?;
     let exact = r.counted(8)?;
+    if r.remaining() > 0 {
+        return Err(corrupt(format!("{} bytes after the exact section", r.remaining())));
+    }
     Ok(Parts { backend, header, middle, section, exact })
 }
 

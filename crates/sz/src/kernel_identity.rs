@@ -1,8 +1,9 @@
-//! The wavefront predict/quantize kernel and the wavefront decode replay
-//! against the raster cell loop they replaced, kept here as the oracle
-//! (libm `round`, one cell at a time, codes and exact values pushed in scan
-//! order): codes, exact values and every reconstructed bit must agree, at
-//! every SIMD tier the host supports.
+//! The wavefront predict/quantize kernel — run windows, and the AVX2 band
+//! on the AVX2 tier — and the wavefront decode replay against the raster
+//! cell loop they replaced, kept here as the oracle (libm `round`, one block
+//! and one cell at a time, codes and exact values pushed in scan order):
+//! codes, exact values and every reconstructed bit must agree, at every SIMD
+//! tier the host supports.
 
 use super::*;
 use lcc_grid::Window;
@@ -106,7 +107,7 @@ fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, arena: &m
         };
         assert!(got == expected, "encoder sections differ from the raster loop: {what} {level:?}");
     }
-    let stream = sz.compress_into(field, ErrorBound::Absolute(eb), arena, || {}).unwrap();
+    let stream = sz.compress_view_with(field, ErrorBound::Absolute(eb), arena).unwrap();
     let mut out = Field2D::filled(3, 5, f64::NAN);
     let mut arena = ScratchArena::new();
     sz.decompress_view_with(&stream, &mut arena, &mut out).unwrap();
@@ -236,4 +237,102 @@ fn stale_scratch_of_another_shape_is_never_read() {
     // Strided views take the same path as owned fields.
     let window = Window { i0: 3, j0: 7, height: 17, width: 60 };
     assert_identical(&sz, &wide.view().window(&window), eb, &mut s);
+}
+
+/// The length, in blocks, of every run of Lorenzo blocks `sz` picks for
+/// `field`, block row by block row.
+fn lorenzo_runs(sz: &SzCompressor, field: &Field2D) -> Vec<Vec<usize>> {
+    let mut s = SzScratch::default();
+    sz.select_modes(&field.view(), &mut s).unwrap();
+    let per_row = field.nx().div_ceil(sz.config.block_size);
+    let runs = |row: &[BlockMode]| {
+        let lengths = row.split(|m| *m == BlockMode::Regression).map(<[BlockMode]>::len);
+        lengths.filter(|&n| n > 0).collect()
+    };
+    s.modes.chunks(per_row).map(runs).collect()
+}
+
+/// A field every block of which Lorenzo predicts better than a plane, to be
+/// coded at a bound of 0.01: the value at each of `spikes` is 35 000 bins off
+/// its prediction, past the default radius, the rest at most 1 250.
+fn smooth_with_spikes(ny: usize, nx: usize, spikes: &[(usize, usize)]) -> Field2D {
+    let mut state = 0x5B1Eu64;
+    Field2D::from_fn(ny, nx, |i, j| {
+        // Separable, so Lorenzo is exact but for the noise; curved, so no
+        // plane is.
+        let smooth = 100.0 * ((i as f64 * 0.3).sin() + (j as f64 * 0.25).cos());
+        let value = smooth + (xorshift(&mut state) - 0.5) * 2e-3;
+        if spikes.contains(&(i, j)) {
+            value + 700.0
+        } else {
+            value
+        }
+    })
+}
+
+#[test]
+fn run_windows_equal_raster_at_every_tier() {
+    let eb = 1e-3;
+    let mut s = poisoned_scratch();
+    let sz = SzCompressor::default();
+    // Runs of one block: noisy block columns (regression) between smooth
+    // ones (Lorenzo).
+    let mut state = 0x0DDu64;
+    let alternating = smooth_with_spikes(48, 96, &[]);
+    let alternating = Field2D::from_fn(48, 96, |i, j| {
+        let noise = if (j / 16) % 2 == 1 { (xorshift(&mut state) - 0.5) * 400.0 } else { 0.0 };
+        alternating.get(i, j) + noise
+    });
+    let runs = lorenzo_runs(&sz, &alternating);
+    assert!(runs.iter().all(|row| *row == [1, 1, 1]), "runs of one block: {runs:?}");
+    // Block rows that mix regression blocks and runs of several blocks.
+    let mixed = smooth_with_spikes(64, 200, &[(20, 70), (40, 150)]);
+    let mixed = Field2D::from_fn(64, 200, |i, j| {
+        let noisy = (j / 16 + 2 * (i / 16)) % 5 == 0;
+        mixed.get(i, j) + if noisy { (xorshift(&mut state) - 0.5) * 400.0 } else { 0.0 }
+    });
+    let runs = lorenzo_runs(&sz, &mixed);
+    let mixes = |row: &Vec<usize>| row.len() > 1 && row.iter().any(|&n| n > 1);
+    assert!(runs.iter().all(mixes), "mixed block rows: {runs:?}");
+    let cases = [
+        alternating,
+        mixed,
+        // A partial last block in both directions.
+        mixed_field(61, 83, eb, 2),
+        // An archive tile.
+        mixed_field(64, 64, eb, 3),
+        // 512 wide; the last block row (8 rows) is shorter than the band.
+        mixed_field(40, 512, eb, 4),
+        // One block row, the top one, so no row above any band.
+        mixed_field(16, 200, eb, 5),
+        // A last block row of five rows.
+        mixed_field(37, 70, eb, 6),
+    ];
+    for (k, field) in cases.iter().enumerate() {
+        // The first two are coded at the bound they were built for.
+        let eb = if k < 2 { 0.01 } else { eb };
+        for sz in [SzCompressor::default(), SzCompressor::lorenzo_only(), SzCompressor::rans8()] {
+            assert_identical(&sz, &field.view(), eb, &mut s);
+        }
+    }
+}
+
+#[test]
+fn a_lane_that_escapes_mid_run_takes_the_scalar_cell() {
+    // One escape at a time in the middle of 64-wide Lorenzo runs: at band
+    // rows 0, 5, 11 and 15 of the first block row and in the second and
+    // last, so every step around it runs all lanes in registers.
+    let eb = 0.01;
+    let spikes = [(0, 30), (5, 40), (11, 52), (15, 47), (23, 33), (63, 20)];
+    let field = smooth_with_spikes(64, 64, &spikes);
+    let sz = SzCompressor::default();
+    let runs = lorenzo_runs(&sz, &field);
+    assert!(runs.iter().all(|row| *row == [4]), "whole block rows of Lorenzo: {runs:?}");
+    // A spike escapes, and so do the cells whose prediction reads it.
+    let escapes = reference_sections(&sz, &field.view(), eb).exact_bits.len();
+    assert!((spikes.len()..=4 * spikes.len()).contains(&escapes), "{escapes} escapes");
+    let mut s = poisoned_scratch();
+    for sz in [sz, SzCompressor::rans8()] {
+        assert_identical(&sz, &field.view(), eb, &mut s);
+    }
 }

@@ -34,7 +34,7 @@ mod lorenzo;
 pub mod predictor;
 pub mod quantize;
 
-use lcc_grid::{Field2D, FieldView, WindowIter};
+use lcc_grid::{Field2D, FieldView, Window, WindowIter};
 use lcc_lossless::dispatch::{simd_level, SimdLevel};
 use lcc_lossless::EntropyBackend;
 use lcc_pressio::codes::{self, Format, Header, Reader};
@@ -117,6 +117,8 @@ struct SzScratch {
     modes: Vec<BlockMode>,
     /// Regression coefficients for regression blocks.
     planes: Vec<[f64; 3]>,
+    /// The codes of one run of Lorenzo blocks, by cell of the run window.
+    run_codes: Vec<u32>,
 }
 
 impl SzCompressor {
@@ -136,14 +138,32 @@ impl SzCompressor {
         bound: ErrorBound,
         scratch: &mut ScratchArena,
     ) -> Result<(Vec<u8>, [f64; 5]), CompressError> {
-        codes::timed_layers(|layer_done| self.compress_into(field, bound, scratch, layer_done))
+        codes::timed_layers(|layer_done| {
+            self.compress_into(simd_level(), field, bound, scratch, layer_done)
+        })
     }
 
-    /// The compress pipeline over the arena's scratch. The stream does not
-    /// depend on what the arena held before. `layer_done` is called after
-    /// each of [`Self::ENCODE_LAYERS`].
+    /// [`Compressor::compress_view_with`] with the predict/quantize kernels
+    /// at SIMD tier `level` instead of the dispatched one: the stream, and
+    /// the reconstruction left in the arena's [`CodecWork::cells`], are the
+    /// same at every tier.
+    pub fn compress_view_at(
+        &self,
+        level: SimdLevel,
+        field: &FieldView<'_>,
+        bound: ErrorBound,
+        scratch: &mut ScratchArena,
+    ) -> Result<Vec<u8>, CompressError> {
+        self.compress_into(level, field, bound, scratch, || {})
+    }
+
+    /// The compress pipeline over the arena's scratch, with the
+    /// predict/quantize kernels at tier `level`. The stream does not depend
+    /// on what the arena held before. `layer_done` is called after each of
+    /// [`Self::ENCODE_LAYERS`].
     fn compress_into(
         &self,
+        level: SimdLevel,
         field: &FieldView<'_>,
         bound: ErrorBound,
         arena: &mut ScratchArena,
@@ -158,13 +178,12 @@ impl SzCompressor {
         self.select_modes(field, s)?;
         let eb = eb?;
         layer_done();
-        // One dispatch lookup per stream, threaded into the row kernel.
-        self.predict_quantize_at(simd_level(), field, eb, s, w);
+        self.predict_quantize_at(level, field, eb, s, w);
         layer_done();
         let (ny, nx) = field.shape();
         let SzConfig { block_size, quantization_radius: radius, entropy, .. } = self.config;
         let header = Header { ny, nx, eb, param: block_size as u32, radius };
-        let SzScratch { modes, planes } = s;
+        let SzScratch { modes, planes, .. } = s;
         // The middle [`FORMAT`] declares.
         let middle = |w: &mut codes::Writer| {
             w.u64(modes.len() as u64);
@@ -196,15 +215,17 @@ impl SzCompressor {
     }
 
     /// Predict and quantize every block against the absolute bound `eb` with
-    /// the predictors [`SzCompressor::select_modes`] chose for this field,
-    /// filling the code and exact streams in block-raster order (the same
-    /// streams at every SIMD tier).
+    /// the predictors [`SzCompressor::select_modes`] chose for this field —
+    /// regression blocks one at a time, each block row's runs of
+    /// consecutive Lorenzo blocks as one window, in block order — filling
+    /// the code and exact streams in block-raster order (the same streams
+    /// at every SIMD tier).
     fn predict_quantize_at(
         &self,
         level: SimdLevel,
         field: &FieldView<'_>,
         eb: f64,
-        s: &SzScratch,
+        s: &mut SzScratch,
         w: &mut CodecWork,
     ) {
         let (ny, nx) = field.shape();
@@ -223,9 +244,17 @@ impl SzCompressor {
         w.codes.clear();
         w.codes.reserve(ny * nx);
         w.exact.clear();
-        let mut planes = s.planes.iter();
-
-        for (win, mode) in blocks.zip(&s.modes) {
+        let SzScratch { modes, planes, run_codes } = s;
+        let mut planes = planes.iter();
+        // The block row's run of Lorenzo blocks not yet quantized: it ends at
+        // a regression block or the end of the block row.
+        let mut run: Option<Window> = None;
+        for (win, mode) in blocks.zip(modes.iter()) {
+            if *mode == BlockMode::Regression || win.j0 == 0 {
+                if let Some(r) = run.take() {
+                    self.lorenzo_run(level, &quantizer, field, &r, run_codes, w);
+                }
+            }
             match mode {
                 BlockMode::Regression => {
                     // Independent per cell → the runtime-dispatched row
@@ -248,41 +277,52 @@ impl SzCompressor {
                     }
                 }
                 BlockMode::Lorenzo => {
-                    // Codes land by block-raster index, so the wavefront
-                    // order of the kernel never shows in the stream; escaped
-                    // cells keep the fill value.
-                    let base = w.codes.len();
-                    w.codes.resize(base + win.len(), quantize::UNPREDICTABLE);
-                    let codes = &mut w.codes[base..];
-                    let mut escaped = false;
-                    lorenzo::replay_block(
-                        &mut w.cells,
-                        nx,
-                        &win,
-                        Order::Wavefront,
-                        |di, dj, prediction| {
-                            let original = field.at(win.i0 + di, win.j0 + dj);
-                            match quantizer.quantize(original, prediction) {
-                                Some((code, reconstructed)) => {
-                                    codes[di * win.width + dj] = code;
-                                    reconstructed
-                                }
-                                None => {
-                                    escaped = true;
-                                    original
-                                }
-                            }
-                        },
+                    run = Some(match run {
+                        Some(r) => Window { width: r.width + win.width, ..r },
+                        None => win,
+                    });
+                }
+            }
+        }
+        if let Some(r) = run {
+            self.lorenzo_run(level, &quantizer, field, &r, run_codes, w);
+        }
+    }
+
+    /// Predict and quantize the run of Lorenzo blocks `run` as one window
+    /// ([`lorenzo::quantize_run`], its codes by cell in `run_codes`), then
+    /// append its codes block by block, each block in raster order, and its
+    /// escaped values in the same order.
+    fn lorenzo_run(
+        &self,
+        level: SimdLevel,
+        quantizer: &Quantizer,
+        field: &FieldView<'_>,
+        run: &Window,
+        run_codes: &mut Vec<u32>,
+        w: &mut CodecWork,
+    ) {
+        let nx = field.nx();
+        run_codes.resize(run.len(), quantize::UNPREDICTABLE);
+        let escaped =
+            lorenzo::quantize_run(level, quantizer, field, &mut w.cells, nx, run, run_codes);
+        // Every block of the run is `block_size` wide but the field's last.
+        let bs = self.config.block_size;
+        let blocks = (0..run.width).step_by(bs).map(|dj| dj..(dj + bs).min(run.width));
+        for span in blocks.clone() {
+            for di in 0..run.height {
+                w.codes.extend_from_slice(&run_codes[di * run.width..][span.clone()]);
+            }
+        }
+        if escaped {
+            for span in blocks {
+                for di in 0..run.height {
+                    let codes = &run_codes[di * run.width..][span.clone()];
+                    let values = &field.row(run.i0 + di)[run.j0..][span.clone()];
+                    let escapes = codes.iter().zip(values);
+                    w.exact.extend(
+                        escapes.filter(|(&c, _)| c == quantize::UNPREDICTABLE).map(|(_, &v)| v),
                     );
-                    if escaped {
-                        // The exact stream is in raster order too.
-                        for (idx, _) in
-                            codes.iter().enumerate().filter(|(_, &c)| c == quantize::UNPREDICTABLE)
-                        {
-                            let (di, dj) = (idx / win.width, idx % win.width);
-                            w.exact.push(field.at(win.i0 + di, win.j0 + dj));
-                        }
-                    }
                 }
             }
         }
@@ -341,7 +381,8 @@ impl Compressor for SzCompressor {
         bound: ErrorBound,
         scratch: &mut ScratchArena,
     ) -> Result<Vec<u8>, CompressError> {
-        self.compress_into(field, bound, scratch, || {})
+        // One dispatch lookup per stream, threaded into the kernels.
+        self.compress_into(simd_level(), field, bound, scratch, || {})
     }
 
     fn decompress_view_with(
@@ -350,7 +391,7 @@ impl Compressor for SzCompressor {
         scratch: &mut ScratchArena,
         out: &mut Field2D,
     ) -> Result<(), CompressError> {
-        let (SzScratch { modes, planes }, w) = scratch.get_with_work::<SzScratch>();
+        let (SzScratch { modes, planes, .. }, w) = scratch.get_with_work::<SzScratch>();
         let parts = w.decode(&FORMAT, stream)?;
         read_middle(parts.middle, modes, planes)?;
         let Header { ny, nx, eb, param, radius } = parts.header;
@@ -365,11 +406,15 @@ impl Compressor for SzCompressor {
         let mut codes = w.codes.as_slice();
         let mut exact = w.exact.as_slice();
         let mut planes = planes.iter();
+        let blocks = WindowIter::over(ny, nx, block_size, block_size);
+        if modes.len() != blocks.count_windows() {
+            let (found, expected) = (modes.len(), blocks.count_windows());
+            return Err(CompressError::CorruptStream(format!(
+                "{found} block modes for {expected} blocks"
+            )));
+        }
 
-        for (mode_idx, win) in WindowIter::over(ny, nx, block_size, block_size).enumerate() {
-            let Some(&mode) = modes.get(mode_idx) else {
-                return Err(CompressError::CorruptStream("missing block mode".into()));
-            };
+        for (win, &mode) in blocks.zip(modes.iter()) {
             let (block, rest) = codes.split_at(win.len());
             codes = rest;
             let escapes = block.iter().filter(|&&c| c == quantize::UNPREDICTABLE).count();
@@ -400,20 +445,29 @@ impl Compressor for SzCompressor {
                     // holding escapes replays in raster order; every other
                     // block takes the wavefront.
                     let order = if escapes == 0 { Order::Wavefront } else { Order::Raster };
-                    lorenzo::replay_block(
-                        out.as_mut_slice(),
-                        nx,
-                        &win,
-                        order,
-                        |di, dj, prediction| match block[di * win.width + dj] {
+                    lorenzo::replay(out.as_mut_slice(), nx, &win, order, |di, dj, prediction| {
+                        match block[di * win.width + dj] {
                             quantize::UNPREDICTABLE => {
                                 *block_exact.next().expect("escapes were counted")
                             }
                             code => quantizer.dequantize(code, prediction),
-                        },
-                    );
+                        }
+                    });
                 }
             }
+        }
+        // Every section is consumed: what is left, no encoder wrote.
+        if !exact.is_empty() {
+            let surplus = exact.len();
+            return Err(CompressError::CorruptStream(format!(
+                "{surplus} exact values after the last escape"
+            )));
+        }
+        let surplus = planes.len();
+        if surplus > 0 {
+            return Err(CompressError::CorruptStream(format!(
+                "{surplus} planes after the last regression block"
+            )));
         }
         Ok(())
     }

@@ -80,7 +80,7 @@ impl Quantizer {
 /// into the code/exact streams and the reconstruction row. This is the
 /// independent-per-cell half of the SZ encode hot loop (the Lorenzo
 /// recurrence runs through the just-written neighbour; `crate::lorenzo`
-/// overlaps four of those chains instead), so it vectorizes: the AVX2 tier runs 4 f64 lanes per iteration
+/// overlaps several of those chains instead), so it vectorizes: the AVX2 tier runs 4 f64 lanes per iteration
 /// with the exact scalar rounding sequence — `lcc_lossless::round`'s
 /// truncate-plus-half-test, reconstruction multiplied in the scalar's
 /// `(q·2)·ε` order — so codes, exact values, and reconstructions are

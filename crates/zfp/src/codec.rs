@@ -336,7 +336,7 @@ mod tests {
         w.write_bits(EXPONENT_BIAS as u64, 12);
         w.write_bits(kmin, 6);
         w.write_bits(u64::from(width), 6);
-        w.write_bit(negative);
+        w.write_bits(u64::from(negative), 1);
         w.write_bits(mag, width);
         for _ in 1..BLOCK_LEN {
             w.write_bits(0, 6);

@@ -6,12 +6,15 @@
 //! cases live in the per-crate suites; this file lets proptest hunt for
 //! divergence in the corners nobody thought to pin.
 
+use lcc::grid::Field2D;
 use lcc::lossless::round::quantize_rounded_at;
 use lcc::lossless::{
     lz77_compress_with_at, lz77_decompress, rans8_decode_with_at, rans8_encode, supported_levels,
     CodecScratch, RansScratch, SimdLevel,
 };
+use lcc::pressio::{Compressor, ErrorBound, ScratchArena};
 use lcc::sz::quantize::{quantize_plane_row_at, Quantizer};
+use lcc::sz::SzCompressor;
 use lcc::zfp::transform::{fwd_transform_batch_at, inv_transform_batch_at};
 use lcc::zfp::BLOCK_LEN;
 use proptest::prelude::*;
@@ -171,6 +174,62 @@ proptest! {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&exact), bits(&ref_exact));
             prop_assert_eq!(bits(&recon), bits(&ref_recon));
+        }
+    }
+
+    #[test]
+    fn sz_lorenzo_runs_are_level_invariant(
+        // Fields from one cell to a few block rows, and from one block to
+        // past an archive tile's width: a separable curve Lorenzo predicts,
+        // noisy blocks that go to regression and split the Lorenzo runs,
+        // noise of a few bins, and spikes past the radius that escape in
+        // any lane of the AVX2 band. The SZ stream — modes, planes, codes
+        // and exact values — and the encoder's reconstruction must be the
+        // scalar tier's bit for bit, and the decoder must replay it.
+        ny in 1usize..50,
+        nx in 1usize..150,
+        seed in any::<u64>(),
+        eb_sel in 0usize..3,
+        rans in any::<bool>(),
+    ) {
+        let eb = [1e-3, 1e-2, 0.5][eb_sel];
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let noisy_block = (next() * 4.0) as usize + 2;
+        // In bins of 2ε: the curve moves up to 10^4 a cell, a spike is
+        // 2.5·10^4 to 7.5·10^4 off (past the radius 32 768 mostly), the
+        // noise of a noisy block 5·10^5.
+        let field = Field2D::from_fn(ny, nx, |i, j| {
+            let curve = 2e4 * eb * ((i as f64 * 0.3).sin() + (j as f64 * 0.25).cos());
+            let noisy = (i / 16 * 7 + j / 16) % noisy_block == 0;
+            let cell = match (next() * 128.0) as usize {
+                0 => (next() + 0.5) * 1e5 * eb * if next() < 0.5 { -1.0 } else { 1.0 },
+                _ => (next() - 0.5) * eb * 8.0,
+            };
+            curve + cell + if noisy { (next() - 0.5) * 1e6 * eb } else { 0.0 }
+        });
+        let sz = if rans { SzCompressor::rans8() } else { SzCompressor::default() };
+        let bound = ErrorBound::Absolute(eb);
+        // The reconstruction the encoder leaves in the arena's shared cells.
+        let reconstruction = |arena: &mut ScratchArena| -> Vec<u64> {
+            arena.get_with_work::<()>().1.cells[..ny * nx].iter().map(|v| v.to_bits()).collect()
+        };
+        let mut arena = ScratchArena::new();
+        let reference = sz.compress_view_at(SimdLevel::Scalar, &field.view(), bound, &mut arena);
+        let reference = reference.expect("a finite field");
+        let reference_recon = reconstruction(&mut arena);
+        let decoded = sz.decompress_field(&reference).expect("its own stream");
+        let decoded: Vec<u64> = decoded.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&decoded, &reference_recon);
+        for &level in &supported_levels()[1..] {
+            let stream = sz.compress_view_at(level, &field.view(), bound, &mut arena);
+            prop_assert_eq!(&stream.expect("a finite field"), &reference);
+            prop_assert_eq!(&reconstruction(&mut arena), &reference_recon);
         }
     }
 }
