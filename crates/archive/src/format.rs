@@ -52,7 +52,7 @@ pub const FOOTER_LEN: usize = 8 + 8 + 4 + 1 + 4;
 pub(crate) const MIN_ENTRY_RECORD: usize = 2 + 2 + 8 + 8 + 8 + 4 + 4 + 1 + 8 + 8 + 8 + 4 + 32;
 
 /// Windowed summary statistics of one tile, stored in the entry metadata.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TileStats {
     /// Minimum value in the tile.
     pub min: f64,

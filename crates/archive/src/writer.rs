@@ -4,7 +4,7 @@
 use crate::format::{
     write_entry, ArchiveEntry, TileStats, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN,
 };
-use lcc_grid::Field2D;
+use lcc_grid::{Field2D, Summary};
 use lcc_par::ThreadPoolConfig;
 use lcc_pressio::frame::compress_frame;
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch};
@@ -59,8 +59,9 @@ impl ArchiveWriter {
         if name.len() > u16::MAX as usize || compressor.name().len() > u16::MAX as usize {
             return Err(CompressError::InvalidInput("entry name too long".into()));
         }
-        // Each tile's statistics are taken by the worker that has just
-        // encoded it, while the tile is in that core's cache.
+        // Each run's statistics are taken by the worker that has just
+        // encoded its tiles, while they are in that core's cache, and side
+        // by side, so the tiles' add chains overlap.
         let (frame, tile_stats) = compress_frame(
             compressor,
             &field.view(),
@@ -69,9 +70,11 @@ impl ArchiveWriter {
             true,
             pool,
             scratch,
-            |tile| {
-                let s = tile.summary();
-                TileStats { min: s.min, max: s.max, mean: s.mean, variance: s.variance }
+            |tiles, stats: &mut [TileStats]| {
+                for (s, slot) in Summary::side_by_side(tiles).zip(stats) {
+                    *slot =
+                        TileStats { min: s.min, max: s.max, mean: s.mean, variance: s.variance };
+                }
             },
         )?;
         let (ny, nx) = field.shape();

@@ -1,4 +1,23 @@
 //! Scalar summary statistics over slices of values.
+//!
+//! There is one accumulation kernel for [`Summary`]: it walks equal-shape
+//! [`FieldView`]s together, cell by cell, each view in its own row-major
+//! order through its own accumulators. A view's summary therefore does not
+//! depend on which views ran beside it, and [`Summary::of`] and
+//! `FieldView::summary` are its one-view case — but neighbouring views put
+//! several independent add chains in flight where one view alone waits on
+//! its sum. [`Summary::side_by_side`] takes up to [`SIDE_BY_SIDE`] views and
+//! runs them [`LANES`] at a time.
+
+use crate::FieldView;
+
+/// Most views [`Summary::side_by_side`] takes in one call.
+pub const SIDE_BY_SIDE: usize = 8;
+
+/// Views the kernel advances together: with eight, its accumulators no
+/// longer fit the registers (eight 64 × 64 views read 0.117 ms a 512² field
+/// on a 2-vCPU AVX2 box, two fours 0.099 ms, one at a time 0.25 ms).
+const LANES: usize = 4;
 
 /// Summary statistics of a slice of `f64` values.
 ///
@@ -21,51 +40,108 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Compute the summary of `values`.
+    /// Placeholder for the slots of [`Summary::side_by_side`]'s buffer that
+    /// no view fills; never returned.
+    const UNSET: Summary =
+        Summary { count: 0, min: f64::NAN, max: f64::NAN, mean: f64::NAN, variance: f64::NAN };
+
+    /// Compute the summary of `values`: the summary of the `1 × n` view of
+    /// them.
     ///
     /// # Panics
     /// Panics if `values` is empty.
     pub fn of(values: &[f64]) -> Summary {
         assert!(!values.is_empty(), "cannot summarize an empty slice");
-        Summary::of_iter(values.iter().copied())
+        FieldView::new(values, 1, values.len(), values.len())
+            .expect("a non-empty slice is a one-row view")
+            .summary()
     }
 
-    /// Compute the summary of a re-iterable value sequence (two passes).
-    ///
-    /// This is the one accumulation kernel behind both [`Summary::of`] and
-    /// `FieldView::summary`, so owned fields and strided views that visit
-    /// the same values in the same order produce bit-identical summaries.
+    /// The summaries of up to [`SIDE_BY_SIDE`] equal-shape views, in order,
+    /// accumulated [`LANES`] at a time — each bit-identical to that view's
+    /// own `FieldView::summary`, whatever views ran beside it.
     ///
     /// # Panics
-    /// Panics if the sequence is empty.
-    pub fn of_iter<I>(values: I) -> Summary
-    where
-        I: Iterator<Item = f64> + Clone,
-    {
-        let mut count = 0usize;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for v in values.clone() {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-            count += 1;
+    /// Panics if `views` is empty, holds more than [`SIDE_BY_SIDE`] views,
+    /// or holds views of different shapes.
+    pub fn side_by_side(views: &[FieldView<'_>]) -> impl ExactSizeIterator<Item = Summary> {
+        fn fill<const G: usize>(views: &[FieldView<'_>], out: &mut [Summary]) {
+            let views: &[FieldView<'_>; G] = views.try_into().expect("G views");
+            out.copy_from_slice(&accumulate(views));
         }
-        assert!(count > 0, "cannot summarize an empty sequence");
-        let mean = sum / count as f64;
-        let mut ssq = 0.0;
-        for v in values {
-            let d = v - mean;
-            ssq += d * d;
+        let n = views.len();
+        assert!(
+            (1..=SIDE_BY_SIDE).contains(&n),
+            "side by side takes 1 to {SIDE_BY_SIDE} views, not {n}"
+        );
+        let mut out = [Summary::UNSET; SIDE_BY_SIDE];
+        for (lanes, out) in views.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let out = &mut out[..lanes.len()];
+            match lanes.len() {
+                1 => fill::<1>(lanes, out),
+                2 => fill::<2>(lanes, out),
+                3 => fill::<3>(lanes, out),
+                _ => fill::<LANES>(lanes, out),
+            }
         }
-        Summary { count, min, max, mean, variance: ssq / count as f64 }
+        out.into_iter().take(n)
     }
 
     /// Value range `max - min`.
     pub fn range(&self) -> f64 {
         self.max - self.min
     }
+}
+
+/// The accumulation kernel: the summaries of `G` equal-shape views, the
+/// views advancing cell by cell together, each in its own row-major order
+/// through its own min, max, sum and (second pass) squared-deviation
+/// accumulators. A min or max moves only on a strictly smaller or larger
+/// value, so a NaN never enters it and the first of `±0.0` stays — what
+/// `f64::min` / `f64::max` computed here before on x86-64, in one `minpd` /
+/// `maxpd` instead of a NaN-checked sequence. Kept out of line: inlined into
+/// [`Summary::side_by_side`]'s loop over its lanes it ran 0.129 ms where it
+/// runs 0.111.
+#[inline(never)]
+pub(crate) fn accumulate<const G: usize>(views: &[FieldView<'_>; G]) -> [Summary; G] {
+    let (ny, nx) = views[0].shape();
+    assert!(views.iter().all(|v| v.shape() == (ny, nx)), "side-by-side views differ in shape");
+    let rows = |i: usize| views.map(|v| &v.row(i)[..nx]);
+    let mut min = [f64::INFINITY; G];
+    let mut max = [f64::NEG_INFINITY; G];
+    let mut sum = [0.0; G];
+    for i in 0..ny {
+        let rows = rows(i);
+        for j in 0..nx {
+            let cells = rows.map(|row| row[j]);
+            for g in 0..G {
+                let v = cells[g];
+                min[g] = if v < min[g] { v } else { min[g] };
+                max[g] = if v > max[g] { v } else { max[g] };
+                sum[g] += v;
+            }
+        }
+    }
+    let count = ny * nx;
+    let mean = sum.map(|s| s / count as f64);
+    let mut ssq = [0.0; G];
+    for i in 0..ny {
+        let rows = rows(i);
+        for j in 0..nx {
+            let cells = rows.map(|row| row[j]);
+            for g in 0..G {
+                let d = cells[g] - mean[g];
+                ssq[g] += d * d;
+            }
+        }
+    }
+    std::array::from_fn(|g| Summary {
+        count,
+        min: min[g],
+        max: max[g],
+        mean: mean[g],
+        variance: ssq[g] / count as f64,
+    })
 }
 
 /// Maximum absolute difference and mean squared error between two paired
@@ -171,13 +247,31 @@ mod tests {
     }
 
     #[test]
-    fn of_iter_matches_of_bitwise() {
-        let values = [1.5, -2.25, 7.125, 0.0, 3.5];
-        let a = Summary::of(&values);
-        let b = Summary::of_iter(values.iter().copied());
-        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        assert_eq!(a.variance.to_bits(), b.variance.to_bits());
-        assert_eq!((a.min, a.max, a.count), (b.min, b.max, b.count));
+    fn side_by_side_matches_each_view_bitwise() {
+        let values: Vec<f64> =
+            (0..7 * 24).map(|k| ((k * 37 % 101) as f64 - 50.0) * 0.125).collect();
+        let field = crate::Field2D::from_vec(7, 24, values).unwrap();
+        let views: Vec<FieldView<'_>> =
+            (0..8).map(|g| field.view().subview(0, 3 * g, 7, 3)).collect();
+        for n in 1..=SIDE_BY_SIDE {
+            let got: Vec<Summary> = Summary::side_by_side(&views[..n]).collect();
+            assert_eq!(got.len(), n);
+            for (s, v) in got.iter().zip(&views) {
+                let want = Summary::of(&v.to_field().into_vec());
+                assert_eq!(s.count, want.count);
+                for (a, b) in [(s.min, want.min), (s.max, want.max), (s.mean, want.mean)] {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                assert_eq!(s.variance.to_bits(), want.variance.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in shape")]
+    fn side_by_side_refuses_mixed_shapes() {
+        let field = crate::Field2D::zeros(4, 4);
+        let _ = Summary::side_by_side(&[field.view().subview(0, 0, 2, 2), field.view()]);
     }
 
     #[test]

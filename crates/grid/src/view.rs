@@ -175,11 +175,13 @@ impl<'a> FieldView<'a> {
 
     /// Summary statistics of the viewed values.
     ///
-    /// Accumulates in row-major order through the same kernel as
-    /// [`Summary::of`], so the result is bit-identical to summarizing an
-    /// owned copy of the same rectangle.
+    /// The one-view case of the side-by-side kernel
+    /// ([`Summary::side_by_side`]): accumulates in row-major order, so the
+    /// result is bit-identical to summarizing an owned copy of the same
+    /// rectangle.
     pub fn summary(&self) -> Summary {
-        Summary::of_iter(self.iter())
+        let [summary] = crate::stats::accumulate(&[*self]);
+        summary
     }
 
     /// `max - min` of the viewed values.

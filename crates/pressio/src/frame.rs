@@ -13,7 +13,7 @@
 //! ([`compress_framed_with`], [`compress_tiled_with`],
 //! [`decompress_framed_with`]). Encoding has one general form,
 //! [`compress_frame`], which takes the tile shape, a checksum switch and a
-//! per-block hook; the plain encoders are one-line calls into it, and
+//! per-run hook; the plain encoders are one-line calls into it, and
 //! `compress_framed_with`'s `blocks` are full-width tiles of
 //! `ny.div_ceil(blocks)` rows. Decoding has one block step,
 //! [`FrameIndex::decode_block`], shared by the frame decoder and the
@@ -95,7 +95,7 @@
 //! block's disjoint segments of the output.
 
 use crate::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
-use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window, WindowIter};
+use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
 use lcc_lossless::xxh64;
 use lcc_par::{try_parallel_block_map, JobPanicked, ThreadPoolConfig};
 use std::sync::Mutex;
@@ -197,7 +197,7 @@ pub fn compress_framed_with(
 
 /// Compress a view as a frame of `tile_ny × tile_nx` tiles, whose length
 /// table doubles as a seek index over the tiles: [`compress_frame`] without
-/// digests or a per-block hook.
+/// digests or a per-run hook.
 pub fn compress_tiled_with(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
@@ -207,9 +207,22 @@ pub fn compress_tiled_with(
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
 ) -> Result<Vec<u8>, CompressError> {
-    compress_frame(compressor, view, bound, (tile_ny, tile_nx), false, pool, scratch, |_| ())
-        .map(|(frame, _)| frame)
+    compress_frame(
+        compressor,
+        view,
+        bound,
+        (tile_ny, tile_nx),
+        false,
+        pool,
+        scratch,
+        |_, _: &mut [()]| {},
+    )
+    .map(|(frame, _)| frame)
 }
+
+/// Most tiles one job of [`compress_frame`] encodes and hands to its hook
+/// together (the run length).
+pub const RUN: usize = lcc_grid::stats::SIDE_BY_SIDE;
 
 /// Compress a view as a frame of `tile_ny × tile_nx` tiles (each dimension
 /// clamped to the field's; zero is [`CompressError::InvalidInput`]),
@@ -224,15 +237,19 @@ pub fn compress_tiled_with(
 /// [`ErrorBound::ValueRangeRelative`] bound is relative to the whole
 /// field's range: every tile is coded at the absolute bound it resolves to.
 ///
-/// `per_block` is handed every block's view inside that block's job, on the
-/// worker that has just encoded it, and its results come back in block
-/// order beside the frame: the hook by which an archive computes per-tile
-/// metadata while the tile is still in that core's cache, instead of in a
-/// later pass over the field. A panic in it is caught like one in the
-/// encoder and fails the frame with [`CompressError::Internal`]; a one-tile
-/// frame calls it once, on the calling thread, with the whole view.
+/// One job is a **run**: up to [`RUN`] side-by-side tiles of one tile row,
+/// all of the same shape (a clipped last tile of a row is a run of its
+/// own). The job encodes the run's tiles in order, then hands their views
+/// to `per_run` together with the run's slots of the result, on the worker
+/// that has just encoded them; the slots come back in block order beside
+/// the frame. This is the hook by which an archive computes per-tile
+/// metadata while the tiles are still in that core's cache, instead of in a
+/// later pass over the field, and several tiles at once. A panic in it is
+/// caught like one in the encoder and fails the frame with
+/// [`CompressError::Internal`]; a one-tile frame calls it once, on the
+/// calling thread, with the whole view.
 #[allow(clippy::too_many_arguments)]
-pub fn compress_frame<R: Send>(
+pub fn compress_frame<R: Send + Default>(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
     bound: ErrorBound,
@@ -240,18 +257,22 @@ pub fn compress_frame<R: Send>(
     checksum: bool,
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
-    per_block: impl Fn(&FieldView<'_>) -> R + Sync,
+    per_run: impl Fn(&[FieldView<'_>], &mut [R]) + Sync,
 ) -> Result<(Vec<u8>, Vec<R>), CompressError> {
     if tile_ny == 0 || tile_nx == 0 {
         return Err(CompressError::InvalidInput("tile dimensions must be non-zero".into()));
     }
     let (ny, nx) = view.shape();
     let (tile_ny, tile_nx) = (tile_ny.min(ny), tile_nx.min(nx));
-    let n_blocks = ny.div_ceil(tile_ny) * nx.div_ceil(tile_nx);
+    let tiles_x = nx.div_ceil(tile_nx);
+    let n_blocks = ny.div_ceil(tile_ny) * tiles_x;
+    let mut results: Vec<R> = Vec::new();
+    results.resize_with(n_blocks, R::default);
     if n_blocks == 1 {
         let stream =
             compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena)?;
-        return Ok((stream, vec![per_block(view)]));
+        per_run(&[*view], &mut results);
+        return Ok((stream, results));
     }
     // A relative bound is the field's, not each tile's: resolve it once,
     // against the whole view. Non-finite input is refused first, as a tile
@@ -263,9 +284,23 @@ pub fn compress_frame<R: Send>(
             ErrorBound::Absolute(bound.absolute_for_view(view)?)
         }
     };
-    let sub_views: Vec<FieldView<'_>> =
-        WindowIter::over(ny, nx, tile_ny, tile_nx).map(|w| view.window(&w)).collect();
-    debug_assert_eq!(sub_views.len(), n_blocks);
+    // Each run is its first block and its slots of `results`: the full
+    // tiles of a row in chunks of `RUN`, then a clipped last tile alone.
+    let full_x = nx / tile_nx;
+    let mut runs: Vec<(usize, &mut [R])> =
+        Vec::with_capacity(n_blocks.div_ceil(tiles_x) * (full_x.div_ceil(RUN) + 1));
+    let mut rest = results.as_mut_slice();
+    for row_start in (0..n_blocks).step_by(tiles_x) {
+        let mut col = 0;
+        while col < tiles_x {
+            let len = if col < full_x { RUN.min(full_x - col) } else { 1 };
+            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            runs.push((row_start + col, slots));
+            rest = tail;
+            col += len;
+        }
+    }
+    let n_runs = runs.len();
 
     // The fixed header, then zeroed length (and digest) tables to backfill,
     // in a buffer with room for a frame as long as the last one.
@@ -287,17 +322,27 @@ pub fn compress_frame<R: Send>(
         hash_table_at: checksum.then_some(HEADER_LEN + 8 * n_blocks),
     });
 
-    let workers = scratch.workers(pool.threads().min(n_blocks));
-    let results = try_parallel_block_map(pool, workers, sub_views, |worker, b, sub| {
-        // The digest is computed here, on the encoding worker, so hashing
-        // of one block overlaps with encoding of the others.
-        let result = compressor.compress_view_with(&sub, bound, &mut worker.arena).map(|stream| {
-            let digest = checksum.then(|| xxh64(&stream, 0));
-            (stream, digest)
-        });
-        let encoded = result.is_ok();
-        assembler.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).submit(b, result);
-        encoded.then(|| per_block(&sub))
+    let workers = scratch.workers(pool.threads().min(n_runs));
+    try_parallel_block_map(pool, workers, runs, |worker, _, (first, slots)| {
+        let mut tiles = [*view; RUN];
+        for (k, tile) in tiles[..slots.len()].iter_mut().enumerate() {
+            let b = first + k;
+            let (i0, j0) = (b / tiles_x * tile_ny, b % tiles_x * tile_nx);
+            *tile = view.subview(i0, j0, tile_ny, tile_nx);
+            // The digest is computed here, on the encoding worker, so
+            // hashing of one block overlaps with encoding of the others.
+            let result =
+                compressor.compress_view_with(tile, bound, &mut worker.arena).map(|stream| {
+                    let digest = checksum.then(|| xxh64(&stream, 0));
+                    (stream, digest)
+                });
+            let encoded = result.is_ok();
+            assembler.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).submit(b, result);
+            if !encoded {
+                return;
+            }
+        }
+        per_run(&tiles[..slots.len()], slots);
     })
     .map_err(job_panic)?;
 
@@ -307,7 +352,6 @@ pub fn compress_frame<R: Send>(
         None => {
             debug_assert_eq!(assembler.next, n_blocks, "every block was appended");
             scratch.frame_len = assembler.out.len();
-            let results = results.into_iter().map(|r| r.expect("every block encoded")).collect();
             Ok((assembler.out, results))
         }
     }
@@ -636,8 +680,16 @@ mod tests {
     /// A `Store` frame of `field` in `tile`s, with fresh scratch.
     fn tiled(field: &Field2D, tile: (usize, usize), checksum: bool) -> Vec<u8> {
         let (bound, scratch) = (ErrorBound::Absolute(1.0), &mut FrameScratch::new());
-        let encoded =
-            compress_frame(&Store, &field.view(), bound, tile, checksum, pool(), scratch, |_| ());
+        let encoded = compress_frame(
+            &Store,
+            &field.view(),
+            bound,
+            tile,
+            checksum,
+            pool(),
+            scratch,
+            |_, _: &mut [()]| {},
+        );
         encoded.unwrap().0
     }
 
@@ -949,14 +1001,68 @@ mod tests {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
         let scratch = &mut FrameScratch::new();
-        let (tiled, cells) =
-            compress_frame(&Store, &field.view(), bound, (8, 8), true, pool(), scratch, |tile| {
-                tile.len()
-            })
-            .unwrap();
+        let (tiled, cells) = compress_frame(
+            &Store,
+            &field.view(),
+            bound,
+            (8, 8),
+            true,
+            pool(),
+            scratch,
+            cell_counts,
+        )
+        .unwrap();
         assert_eq!(cells, [64, 64, 8, 64, 64, 8, 56, 56, 7], "one result a tile, in tile order");
         assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
         assert_eq!(decode(&Store, &tiled).unwrap(), field);
+    }
+
+    /// A per-run hook that stores each tile's cell count in its slot.
+    fn cell_counts(tiles: &[FieldView<'_>], slots: &mut [usize]) {
+        for (tile, slot) in tiles.iter().zip(slots) {
+            *slot = tile.len();
+        }
+    }
+
+    #[test]
+    fn runs_are_up_to_eight_equal_tiles_of_one_row() {
+        // 10 × 43 in 4 × 5 tiles: each of the three tile rows holds eight
+        // full tiles and a clipped 3-wide one, the last row 2 high.
+        let field = ramp(10, 43);
+        let bound = ErrorBound::Absolute(1.0);
+        for threads in [1, 3] {
+            let runs = Mutex::new(Vec::new());
+            let (frame, cells) = compress_frame(
+                &Store,
+                &field.view(),
+                bound,
+                (4, 5),
+                false,
+                ThreadPoolConfig::with_threads(threads),
+                &mut FrameScratch::new(),
+                |tiles: &[FieldView<'_>], slots: &mut [usize]| {
+                    let shapes: Vec<_> = tiles.iter().map(FieldView::shape).collect();
+                    runs.lock().unwrap().push((tiles[0].at(0, 0), shapes));
+                    cell_counts(tiles, slots);
+                },
+            )
+            .unwrap();
+            let mut runs = runs.into_inner().unwrap();
+            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let expected: Vec<_> = [(0, 4), (4, 4), (8, 2)]
+                .into_iter()
+                .flat_map(|(i0, h)| {
+                    [(field.at(i0, 0), vec![(h, 5); 8]), (field.at(i0, 40), vec![(h, 3)])]
+                })
+                .collect();
+            assert_eq!(runs, expected, "width {threads}");
+            let want: Vec<usize> = [4, 4, 2]
+                .into_iter()
+                .flat_map(|h| std::iter::repeat_n(5 * h, 8).chain([3 * h]))
+                .collect();
+            assert_eq!(cells, want, "width {threads}");
+            assert_eq!(decode(&Store, &frame).unwrap(), field);
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn tile_statistics_are_the_serial_summaries_bit_for_bit() {
 }
 
 /// `SzCompressor::rans8()` behind a rendezvous: every worker of a
-/// `width`-wide pool is held at a barrier on the first tile it claims, so
+/// `width`-wide pool is held at a barrier on the first tile it encodes, so
 /// each of them — the calling thread too — provably encodes at least one
 /// tile. Tiles claimed on `fail_on` fail to encode.
 struct Rendezvous {
@@ -283,17 +283,25 @@ impl Compressor for Rendezvous {
     }
 }
 
+/// A per-run hook that stores each tile's cell count in its slot.
+fn cell_counts(tiles: &[FieldView<'_>], cells: &mut [usize]) {
+    tiles.iter().zip(cells).for_each(|(tile, cell)| *cell = tile.len());
+}
+
 #[test]
 fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
+    // 16 × 8 tiles of a 96 × 96 field: six tile rows of twelve tiles, each
+    // row a run of eight and a run of four — twelve runs, so each worker of
+    // the widest pool below claims one and reaches the rendezvous.
+    const TILE: (usize, usize) = (16, 8);
     let field = ripple(96, 96);
     let view = field.view();
     let caller = std::thread::current().id();
     let mut scratch = FrameScratch::new();
     let sz = SzCompressor::rans8();
     let (clean, cells) =
-        compress_frame(&sz, &view, BOUND, (16, 16), true, pool(2), &mut scratch, |t| t.len())
-            .unwrap();
-    assert_eq!(cells, vec![256; 36]);
+        compress_frame(&sz, &view, BOUND, TILE, true, pool(2), &mut scratch, cell_counts).unwrap();
+    assert_eq!(cells, vec![128; 72]);
 
     for width in [2, 3, 8] {
         // A tile that fails to encode on the calling thread's share.
@@ -302,11 +310,11 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
             &codec,
             &view,
             BOUND,
-            (16, 16),
+            TILE,
             true,
             pool(width),
             &mut scratch,
-            |tile| tile.len(),
+            cell_counts,
         );
         assert_eq!(codec.workers(), width, "the caller and {width} - 1 spawned workers");
         assert!(
@@ -314,24 +322,24 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
             "width {width}: {result:?}"
         );
 
-        // A tile closure that panics on the calling thread's share.
+        // A run's tile closure that panics on the calling thread's share.
         let codec = Rendezvous::new(width, None);
         let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let result = compress_frame(
             &codec,
             &view,
             BOUND,
-            (16, 16),
+            TILE,
             true,
             pool(width),
             &mut scratch,
-            |tile| {
+            |tiles, cells: &mut [usize]| {
                 started.fetch_add(1, Ordering::SeqCst);
                 if std::thread::current().id() == caller {
                     panic!("tile closure went bad");
                 }
                 finished.fetch_add(1, Ordering::SeqCst);
-                tile.len()
+                cell_counts(tiles, cells);
             },
         );
         assert_eq!(codec.workers(), width);
@@ -355,18 +363,26 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
             &sz,
             &poisoned.view(),
             BOUND,
-            (16, 16),
+            TILE,
             true,
             pool(width),
             &mut scratch,
-            |tile| tile.len(),
+            cell_counts,
         );
         assert!(matches!(result, Err(CompressError::InvalidInput(_))), "width {width}");
 
         // The scratch the failed frames ran over is as good as new.
-        let (again, _) =
-            compress_frame(&sz, &view, BOUND, (16, 16), true, pool(width), &mut scratch, |_| ())
-                .unwrap();
+        let (again, _) = compress_frame(
+            &sz,
+            &view,
+            BOUND,
+            TILE,
+            true,
+            pool(width),
+            &mut scratch,
+            |_, _: &mut [()]| {},
+        )
+        .unwrap();
         assert!(again == clean, "width {width}: bytes after the failures differ");
     }
 }

@@ -266,7 +266,7 @@ fn round_trip(
         checksum,
         pool,
         &mut scratch.frame,
-        |_| (),
+        |_, _: &mut [()]| {},
     )?;
     corrupt(&mut stream);
     decompress_framed_with(compressor, &stream, pool, &mut scratch.frame, &mut scratch.recon)?;

@@ -412,9 +412,17 @@ fn row_band_frame(compressor: &dyn Compressor, field: &Field2D, rows: usize, ck:
     let (bound, pool) = (ErrorBound::Absolute(1e-3), ThreadPoolConfig::with_threads(1));
     let tile = (rows, field.nx());
     let scratch = &mut FrameScratch::new();
-    let (mut frame, _) =
-        frame::compress_frame(compressor, &field.view(), bound, tile, ck, pool, scratch, |_| ())
-            .unwrap();
+    let (mut frame, _) = frame::compress_frame(
+        compressor,
+        &field.view(),
+        bound,
+        tile,
+        ck,
+        pool,
+        scratch,
+        |_, _: &mut [()]| {},
+    )
+    .unwrap();
     frame[4] &= !FLAG_TILED;
     frame.drain(25..33);
     frame

@@ -178,7 +178,7 @@ fn relative_bounds_resolve_against_the_whole_field_on_every_path() {
             true,
             pool,
             &mut scratch,
-            |_| (),
+            |_, _: &mut [()]| {},
         )
         .unwrap_or_else(|e| panic!("top range {top_range:e}: tiled: {e}"));
         assert_tiles_coded_at(&tiled, &field, absolute, "compress_frame");
@@ -225,8 +225,17 @@ fn non_finite_input_is_refused_the_same_way_on_every_path() {
                     ),
                     (
                         "tiled",
-                        compress_frame(c, &view, bound, (16, 16), true, pool, &mut scratch, |_| ())
-                            .map(drop),
+                        compress_frame(
+                            c,
+                            &view,
+                            bound,
+                            (16, 16),
+                            true,
+                            pool,
+                            &mut scratch,
+                            |_, _: &mut [()]| {},
+                        )
+                        .map(drop),
                     ),
                     (
                         "archive",

@@ -106,9 +106,17 @@ fn format_md_names_exactly_the_forms_the_encoders_write() {
                 label_stream(name, &single, &mut labels);
                 let rows = compress_framed_with(c, &view, bound, 4, pool, &mut scratch).unwrap();
                 label_frame(name, &rows, &mut labels);
-                let (tiles, _) =
-                    compress_frame(c, &view, bound, (64, 64), true, pool, &mut scratch, |_| ())
-                        .unwrap();
+                let (tiles, _) = compress_frame(
+                    c,
+                    &view,
+                    bound,
+                    (64, 64),
+                    true,
+                    pool,
+                    &mut scratch,
+                    |_, _: &mut [()]| {},
+                )
+                .unwrap();
                 label_frame(name, &tiles, &mut labels);
                 let entry = format!("{family}/{name}@{eb}");
                 archive.add_entry(&entry, 0, &field, c, bound, 64, 64, pool, &mut scratch).unwrap();

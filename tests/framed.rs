@@ -20,7 +20,7 @@
 //! * every header forgery is refused by class without an allocation sized
 //!   by what the header claims, and so is a retired row-band header.
 
-use lcc::grid::Field2D;
+use lcc::grid::{Field2D, FieldView};
 use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::frame::{
@@ -383,8 +383,11 @@ fn the_general_forms_agree_with_the_pinned_entry_points_over_every_option() {
             let what = format!("{tile:?} checksum={checksum}");
             // One worker against the pinned name's two: the bytes depend on
             // neither the pool nor the hook.
+            let cell_counts = |tiles: &[FieldView<'_>], cells: &mut [usize]| {
+                tiles.iter().zip(cells).for_each(|(tile, cell)| *cell = tile.len());
+            };
             let (frame, cells) =
-                compress_frame(&sz, &view, bound, tile, checksum, pool(1), scratch, |b| b.len())
+                compress_frame(&sz, &view, bound, tile, checksum, pool(1), scratch, cell_counts)
                     .unwrap();
             let windows = (0..n_blocks).map(|b| plain_index.block_window(b));
             let want: Vec<usize> = windows.map(|w| w.height * w.width).collect();
