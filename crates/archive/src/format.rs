@@ -32,6 +32,11 @@
 //! n_tiles × windowed stats: min, max, mean, variance (f64 LE bits each)
 //! ```
 //!
+//! A record no writer produces is refused: an ε that is not positive and
+//! finite, and tile statistics outside what a summary of finite values
+//! can be (a non-finite `min` or `max`, `min > max`, a NaN mean, a NaN or
+//! negative variance).
+//!
 //! The per-tile windowed statistics are the paper's compressibility
 //! predictors, stored so a router can rank or prefetch tiles without
 //! decoding anything.
@@ -62,6 +67,17 @@ pub struct TileStats {
     pub mean: f64,
     /// Population variance of the tile.
     pub variance: f64,
+}
+
+impl TileStats {
+    /// Whether the writer can produce these statistics: it summarizes only
+    /// finite values, so `min` and `max` are finite with `min ≤ max`, the
+    /// mean is never NaN and the variance never NaN or negative — where a
+    /// tile's sum overflows, the mean is ±∞ and the variance +∞.
+    fn is_plausible(&self) -> bool {
+        let TileStats { min, max, mean, variance } = *self;
+        min.is_finite() && max.is_finite() && min <= max && !mean.is_nan() && variance >= 0.0
+    }
 }
 
 /// Metadata record of one archive entry (one field at one timestep).
@@ -167,6 +183,13 @@ pub(crate) fn parse_entry(cur: &mut Reader<'_>) -> Result<ArchiveEntry, Compress
     let offset = cur.u64()?;
     let length = cur.u64()?;
     let n_tiles = cur.u32()? as usize;
+    // The writer refuses a bound that does not resolve to a positive,
+    // finite value, so no stored ε is anything else.
+    if !(eps.is_finite() && eps > 0.0) {
+        return Err(corrupt(format!(
+            "entry '{name}' has error bound {eps}: not positive and finite"
+        )));
+    }
     if ny == 0 || nx == 0 {
         return Err(corrupt(format!("entry '{name}' has an empty field shape")));
     }
@@ -194,13 +217,13 @@ pub(crate) fn parse_entry(cur: &mut Reader<'_>) -> Result<ArchiveEntry, Compress
         )));
     }
     let mut tile_stats = Vec::with_capacity(n_tiles);
-    for _ in 0..n_tiles {
-        tile_stats.push(TileStats {
-            min: cur.f64()?,
-            max: cur.f64()?,
-            mean: cur.f64()?,
-            variance: cur.f64()?,
-        });
+    for t in 0..n_tiles {
+        let stats =
+            TileStats { min: cur.f64()?, max: cur.f64()?, mean: cur.f64()?, variance: cur.f64()? };
+        if !stats.is_plausible() {
+            return Err(corrupt(format!("entry '{name}' tile {t} has statistics {stats:?}")));
+        }
+        tile_stats.push(stats);
     }
     Ok(ArchiveEntry {
         name,

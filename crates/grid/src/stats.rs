@@ -7,7 +7,7 @@
 //! `FieldView::summary` are its one-view case — but neighbouring views put
 //! several independent add chains in flight where one view alone waits on
 //! its sum. [`Summary::side_by_side`] takes up to [`SIDE_BY_SIDE`] views and
-//! runs them [`LANES`] at a time.
+//! runs them four at a time.
 
 use crate::FieldView;
 
@@ -58,7 +58,7 @@ impl Summary {
     }
 
     /// The summaries of up to [`SIDE_BY_SIDE`] equal-shape views, in order,
-    /// accumulated [`LANES`] at a time — each bit-identical to that view's
+    /// accumulated four at a time — each bit-identical to that view's
     /// own `FieldView::summary`, whatever views ran beside it.
     ///
     /// # Panics

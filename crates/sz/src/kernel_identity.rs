@@ -3,7 +3,8 @@
 //! cell loop they replaced, kept here as the oracle (libm `round`, one block
 //! and one cell at a time, codes and exact values pushed in scan order):
 //! codes, exact values and every reconstructed bit must agree, at every SIMD
-//! tier the host supports.
+//! tier the host supports. Mode selection likewise: every tier's grouped
+//! passes against the one-block scalar passes, sum for sum.
 
 use super::*;
 use lcc_grid::Window;
@@ -98,7 +99,7 @@ fn assert_identical(sz: &SzCompressor, field: &FieldView<'_>, eb: f64, arena: &m
     let what = format!("{ny}x{nx} bs={} eb={eb:e}", sz.config.block_size);
     for &level in supported_levels() {
         let (s, w) = arena.get_with_work::<SzScratch>();
-        sz.select_modes(field, s).unwrap();
+        sz.select_modes(level, field, s).unwrap();
         sz.predict_quantize_at(level, field, eb, s, w);
         let got = Sections {
             codes: w.codes.clone(),
@@ -243,7 +244,7 @@ fn stale_scratch_of_another_shape_is_never_read() {
 /// `field`, block row by block row.
 fn lorenzo_runs(sz: &SzCompressor, field: &Field2D) -> Vec<Vec<usize>> {
     let mut s = SzScratch::default();
-    sz.select_modes(&field.view(), &mut s).unwrap();
+    sz.select_modes(SimdLevel::Scalar, &field.view(), &mut s).unwrap();
     let per_row = field.nx().div_ceil(sz.config.block_size);
     let runs = |row: &[BlockMode]| {
         let lengths = row.split(|m| *m == BlockMode::Regression).map(<[BlockMode]>::len);
@@ -334,5 +335,103 @@ fn a_lane_that_escapes_mid_run_takes_the_scalar_cell() {
     let mut s = poisoned_scratch();
     for sz in [sz, SzCompressor::rans8()] {
         assert_identical(&sz, &field.view(), eb, &mut s);
+    }
+}
+
+/// `predictor::select_modes` at `level` against the one-block oracle — modes
+/// and planes — and, for every full group of blocks, the grouped passes'
+/// value sums and error sums against each block's own scalar passes, bit for
+/// bit.
+fn assert_selection_identical(field: &FieldView<'_>, block_size: usize, level: SimdLevel) {
+    use predictor::{block_errors, block_sums, group_errors_at, group_sums_at, GROUP};
+    let (ny, nx) = field.shape();
+    let what = format!("{ny}x{nx} bs={block_size} {level:?}");
+    let (mut modes, mut planes) = (Vec::new(), Vec::new());
+    predictor::select_modes(level, field, block_size, &mut modes, &mut planes);
+    let mut planes = planes.iter();
+    let blocks = WindowIter::over(ny, nx, block_size, block_size);
+    assert_eq!(modes.len(), blocks.count_windows(), "{what}");
+    for (win, mode) in blocks.zip(&modes) {
+        let (expected, plane) = predictor::select_mode_with_plane(field, &win);
+        assert_eq!(*mode, expected, "{what}: block at {:?}", (win.i0, win.j0));
+        if expected == BlockMode::Regression {
+            let kept = planes.next().expect("a plane per regression block");
+            assert_eq!(kept.map(f64::to_bits), plane.map(f64::to_bits), "{what}");
+        }
+    }
+    assert!(planes.next().is_none(), "{what}: no plane without a regression block");
+    for i0 in (0..ny).step_by(block_size) {
+        let h = block_size.min(ny - i0);
+        let mut j0 = 0;
+        while j0 + GROUP * block_size <= nx {
+            let sums = group_sums_at(level, field, i0, j0, h, block_size);
+            let fitted = sums.map(|s| predictor::plane_from_sums(h, block_size, s));
+            let errors = group_errors_at(level, field, i0, j0, h, block_size, &fitted);
+            for g in 0..GROUP {
+                let j = j0 + g * block_size;
+                let [want_sums] = block_sums::<1>(field, i0, j, h, block_size);
+                let [want_errors] = block_errors::<1>(field, i0, j, h, block_size, &[fitted[g]]);
+                let at = format!("{what}: block {g} of the group at {:?}", (i0, j0));
+                assert_eq!(sums[g].map(f64::to_bits), want_sums.map(f64::to_bits), "{at}");
+                assert_eq!(errors[g].map(f64::to_bits), want_errors.map(f64::to_bits), "{at}");
+            }
+            j0 += GROUP * block_size;
+        }
+    }
+}
+
+#[test]
+fn mode_selection_equals_the_one_block_passes_at_every_tier() {
+    let eb = 1e-3;
+    let mut state = 0x00F1_E1D5_u64;
+    let wide = mixed_field(70, 300, eb, 0xE);
+    let cases = [
+        // A partial last block in both directions; groups on the i0 = 0 and
+        // j0 = 0 edges, and a ragged last block row.
+        mixed_field(61, 83, eb, 0xA),
+        // An archive tile: one group of four a block row.
+        mixed_field(64, 64, eb, 0xB),
+        // One block row, the top one: no row above any group.
+        mixed_field(16, 200, eb, 0xC),
+        // Values near `f64::MAX`: sums overflow to ±∞ and NaN.
+        Field2D::from_fn(40, 70, |_, _| f64::MAX * (2.0 * xorshift(&mut state) - 1.0)),
+        Field2D::from_fn(33, 64, |i, j| if (i + j) % 3 == 0 { f64::MAX } else { -f64::MAX / 3.0 }),
+    ];
+    for &level in supported_levels() {
+        for field in &cases {
+            for block_size in [3, 4, 5, 8, 16, 17] {
+                assert_selection_identical(&field.view(), block_size, level);
+            }
+        }
+        // A strided view whose first column sits inside the parent's rows:
+        // its left edge is still the field's edge.
+        let window = Window { i0: 5, j0: 9, height: 50, width: 260 };
+        assert_selection_identical(&wide.view().window(&window), 16, level);
+    }
+}
+
+#[test]
+fn non_finite_fields_are_refused_alike_at_every_tier() {
+    let sz = SzCompressor::default();
+    let clean = mixed_field(48, 96, 1e-3, 0xD);
+    let (mut modes, mut planes) = (Vec::new(), Vec::new());
+    // In a grouped block (rows 0 and 20, the first group), in the last
+    // group's last block, and in the ragged last block row.
+    for (i, j, bad) in [(0, 0, f64::NAN), (20, 40, f64::INFINITY), (47, 63, f64::NEG_INFINITY)] {
+        let mut field = clean.clone();
+        field.set(i, j, bad);
+        let mut refusals = Vec::new();
+        for &level in supported_levels() {
+            assert!(!predictor::select_modes(level, &field.view(), 16, &mut modes, &mut planes));
+            let result = sz.compress_view_at(
+                level,
+                &field.view(),
+                ErrorBound::Absolute(1e-3),
+                &mut ScratchArena::new(),
+            );
+            refusals.push(format!("{result:?}"));
+        }
+        assert!(refusals[0].contains("InvalidInput"), "({i}, {j}): {}", refusals[0]);
+        assert!(refusals.iter().all(|r| *r == refusals[0]), "({i}, {j}): {refusals:?}");
     }
 }

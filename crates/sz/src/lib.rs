@@ -175,7 +175,7 @@ impl SzCompressor {
         // when the check was a pass of its own.
         let eb = bound.absolute_for_view(field);
         layer_done();
-        self.select_modes(field, s)?;
+        self.select_modes(level, field, s)?;
         let eb = eb?;
         layer_done();
         self.predict_quantize_at(level, field, eb, s, w);
@@ -200,7 +200,12 @@ impl SzCompressor {
     /// per-block value sums are finite only if every value is, so the scan
     /// of [`validate_finite_view`] runs only to tell an overflowed sum from
     /// a non-finite value (or when there is no selection pass).
-    fn select_modes(&self, field: &FieldView<'_>, s: &mut SzScratch) -> Result<(), CompressError> {
+    fn select_modes(
+        &self,
+        level: SimdLevel,
+        field: &FieldView<'_>,
+        s: &mut SzScratch,
+    ) -> Result<(), CompressError> {
         s.modes.clear();
         s.planes.clear();
         let bs = self.config.block_size;
@@ -208,7 +213,7 @@ impl SzCompressor {
             validate_finite_view(field)?;
             let blocks = WindowIter::over(field.ny(), field.nx(), bs, bs).count_windows();
             s.modes.resize(blocks, BlockMode::Lorenzo);
-        } else if !predictor::select_modes(field, bs, &mut s.modes, &mut s.planes) {
+        } else if !predictor::select_modes(level, field, bs, &mut s.modes, &mut s.planes) {
             validate_finite_view(field)?;
         }
         Ok(())

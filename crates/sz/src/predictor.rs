@@ -1,7 +1,19 @@
 //! Prediction schemes: the 2D Lorenzo predictor and the block hyper-plane
 //! (regression) predictor, plus per-block predictor selection.
+//!
+//! Selection fits a plane to every block and sums both predictors' absolute
+//! residuals over it: two passes over the field, each an add chain per
+//! block. [`select_modes`] runs the full-width blocks of a block row
+//! `GROUP` (four) at a time so that their chains overlap. On the AVX2 tier a
+//! group is one `ymm` lane per block: four cells of each block are loaded
+//! and transposed so that lane `g` holds block `g`'s cell, and every lane
+//! does the scalar arithmetic in the scalar order — a multiply, then an add,
+//! never a fused multiply-add; `abs` is the sign-bit mask — so modes and
+//! planes are the same bits at every tier. The scalar `block_sums` and
+//! `block_errors` are the scalar tier and the oracle of the vector one.
 
 use lcc_grid::FieldView;
+use lcc_lossless::dispatch::SimdLevel;
 
 /// Which predictor a block uses; the discriminant is its byte in the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +48,7 @@ pub(crate) fn fit_block_plane(field: &FieldView<'_>, win: &lcc_grid::Window) -> 
 /// cells left to right — so its sums do not depend on its neighbours; the
 /// blocks advance cell by cell together so that `3·G` add chains are in
 /// flight where one block alone waits on three.
-fn block_sums<const G: usize>(
+pub(crate) fn block_sums<const G: usize>(
     field: &FieldView<'_>,
     i0: usize,
     j0: usize,
@@ -60,7 +72,7 @@ fn block_sums<const G: usize>(
 
 /// The least-squares plane of an `h × w` block from its value sums
 /// `[Σv, Σv·di, Σv·dj]`.
-fn plane_from_sums(h: usize, w: usize, [s_v, s_iv, s_jv]: [f64; 3]) -> [f64; 3] {
+pub(crate) fn plane_from_sums(h: usize, w: usize, [s_v, s_iv, s_jv]: [f64; 3]) -> [f64; 3] {
     let h = h as f64;
     let w = w as f64;
     let n = h * w;
@@ -137,7 +149,7 @@ pub(crate) fn select_mode_with_plane(
 /// `[Σ|v − lorenzo|, Σ|v − plane|]` of `G` side-by-side `h × w` blocks, the
 /// first at `(i0, j0)`, each against its own plane; accumulated per block
 /// and interleaved across blocks the way [`block_sums`] is.
-fn block_errors<const G: usize>(
+pub(crate) fn block_errors<const G: usize>(
     field: &FieldView<'_>,
     i0: usize,
     j0: usize,
@@ -175,16 +187,65 @@ fn mode_of([lorenzo_err, plane_err]: [f64; 2]) -> BlockMode {
 }
 
 /// Blocks of one block row whose selection passes run interleaved: twelve
-/// add chains in the fitting pass, eight in the comparison.
-const GROUP: usize = 4;
+/// add chains in the fitting pass, eight in the comparison (three and two
+/// `ymm` chains on the AVX2 tier).
+pub(crate) const GROUP: usize = 4;
+
+/// [`block_sums`] of the `GROUP` side-by-side `h × w` blocks at `(i0, j0)`,
+/// at tier `level`: the same bits at every tier.
+// Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`): the shim
+// holds the feature-detection guard that makes the AVX2 kernel legal.
+#[allow(unsafe_code)]
+pub(crate) fn group_sums_at(
+    level: SimdLevel,
+    field: &FieldView<'_>,
+    i0: usize,
+    j0: usize,
+    h: usize,
+    w: usize,
+) -> [[f64; 3]; GROUP] {
+    #[cfg(target_arch = "x86_64")]
+    if level >= SimdLevel::Avx2 {
+        // SAFETY: AVX2 presence is guaranteed by dispatch.
+        return unsafe { simd::group_sums(field, i0, j0, h, w) };
+    }
+    let _ = level;
+    block_sums::<GROUP>(field, i0, j0, h, w)
+}
+
+/// [`block_errors`] of the `GROUP` side-by-side `h × w` blocks at
+/// `(i0, j0)` against their `planes`, at tier `level`: the same bits at
+/// every tier.
+// Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`): the shim
+// holds the feature-detection guard that makes the AVX2 kernel legal.
+#[allow(unsafe_code)]
+pub(crate) fn group_errors_at(
+    level: SimdLevel,
+    field: &FieldView<'_>,
+    i0: usize,
+    j0: usize,
+    h: usize,
+    w: usize,
+    planes: &[[f64; 3]; GROUP],
+) -> [[f64; 2]; GROUP] {
+    #[cfg(target_arch = "x86_64")]
+    if level >= SimdLevel::Avx2 {
+        // SAFETY: AVX2 presence is guaranteed by dispatch.
+        return unsafe { simd::group_errors(field, i0, j0, h, w, planes) };
+    }
+    let _ = level;
+    block_errors::<GROUP>(field, i0, j0, h, w, planes)
+}
 
 /// `select_mode_with_plane` (the test oracle) for every `block_size`-sided
 /// block of `field` in [`lcc_grid::WindowIter`] order — same decisions,
-/// same plane bits — with full-width blocks taken `GROUP` at a time: `modes`
-/// gets one entry per block, `planes` one per regression block. Returns whether every
-/// block's value sum was finite; where it is, so is every value of the
-/// field, and where it is not, a value is non-finite or the sum overflowed.
+/// same plane bits — with full-width blocks taken `GROUP` at a time, at
+/// SIMD tier `level`: `modes` gets one entry per block, `planes` one per
+/// regression block. Returns whether every block's value sum was finite;
+/// where it is, so is every value of the field, and where it is not, a value
+/// is non-finite or the sum overflowed.
 pub fn select_modes(
+    level: SimdLevel,
     field: &FieldView<'_>,
     block_size: usize,
     modes: &mut Vec<BlockMode>,
@@ -204,9 +265,9 @@ pub fn select_modes(
         let h = block_size.min(ny - i0);
         let mut j0 = 0;
         while j0 + GROUP * block_size <= nx {
-            let sums = block_sums::<GROUP>(field, i0, j0, h, block_size);
+            let sums = group_sums_at(level, field, i0, j0, h, block_size);
             let fitted = sums.map(|s| plane_from_sums(h, block_size, s));
-            let errors = block_errors::<GROUP>(field, i0, j0, h, block_size, &fitted);
+            let errors = group_errors_at(level, field, i0, j0, h, block_size, &fitted);
             for g in 0..GROUP {
                 keep(sums[g], errors[g], fitted[g]);
             }
@@ -222,6 +283,164 @@ pub fn select_modes(
         }
     }
     sums_finite
+}
+
+#[cfg(target_arch = "x86_64")]
+mod simd {
+    // Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`):
+    // `core::arch` intrinsics are unsafe by definition; the caller holds the
+    // feature guard and `kernel_identity.rs` pins scalar equivalence.
+    #![allow(unsafe_code)]
+
+    use super::GROUP;
+    use lcc_grid::FieldView;
+    use std::arch::x86_64::*;
+
+    /// Cell `dj` of each of the four `w`-wide blocks laid side by side in
+    /// `row`: lane `g` is block `g`'s.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cell(row: &[f64], w: usize, dj: usize) -> __m256d {
+        _mm256_set_pd(row[3 * w + dj], row[2 * w + dj], row[w + dj], row[dj])
+    }
+
+    /// Cells `dj..dj + 4` of each of the four blocks, transposed: entry `k`
+    /// is cell `dj + k`, lane `g` block `g`'s.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn cells4(row: &[f64], w: usize, dj: usize) -> [__m256d; 4] {
+        let load = |g: usize| _mm256_loadu_pd(row[g * w + dj..][..4].as_ptr());
+        let (r0, r1, r2, r3) = (load(0), load(1), load(2), load(3));
+        let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+        [
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ]
+    }
+
+    /// The lanes of `v`, lane `g` at index `g`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes(v: __m256d) -> [f64; GROUP] {
+        let mut out = [0.0; GROUP];
+        _mm256_storeu_pd(out.as_mut_ptr(), v);
+        out
+    }
+
+    /// `super::block_sums::<GROUP>` with block `g` in lane `g`: per cell
+    /// `Σv += v`, `Σv·di += v · di`, `Σv·dj += v · dj`, multiplied then
+    /// added.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn group_sums(
+        field: &FieldView<'_>,
+        i0: usize,
+        j0: usize,
+        h: usize,
+        w: usize,
+    ) -> [[f64; 3]; GROUP] {
+        let one = _mm256_set1_pd(1.0);
+        let (mut s_v, mut s_iv, mut s_jv) =
+            (_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_pd());
+        for di in 0..h {
+            let row = &field.row(i0 + di)[j0..j0 + GROUP * w];
+            let div = _mm256_set1_pd(di as f64);
+            let mut djv = _mm256_setzero_pd();
+            let mut add = |v: __m256d, djv: __m256d| {
+                s_v = _mm256_add_pd(s_v, v);
+                s_iv = _mm256_add_pd(s_iv, _mm256_mul_pd(v, div));
+                s_jv = _mm256_add_pd(s_jv, _mm256_mul_pd(v, djv));
+            };
+            let mut dj = 0;
+            while dj + 4 <= w {
+                for v in cells4(row, w, dj) {
+                    add(v, djv);
+                    djv = _mm256_add_pd(djv, one);
+                }
+                dj += 4;
+            }
+            for dj in dj..w {
+                add(cell(row, w, dj), djv);
+                djv = _mm256_add_pd(djv, one);
+            }
+        }
+        let (s_v, s_iv, s_jv) = (lanes(s_v), lanes(s_iv), lanes(s_jv));
+        std::array::from_fn(|g| [s_v[g], s_iv[g], s_jv[g]])
+    }
+
+    /// `super::block_errors::<GROUP>` with block `g` in lane `g`: per cell
+    /// `|v − ((up + left) − diag)|` and `|v − ((c0 + c1·di) + c2·dj)|`, a
+    /// missing neighbour read as `+0.0`, each product rounded before its
+    /// add.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn group_errors(
+        field: &FieldView<'_>,
+        i0: usize,
+        j0: usize,
+        h: usize,
+        w: usize,
+        planes: &[[f64; 3]; GROUP],
+    ) -> [[f64; 2]; GROUP] {
+        let coeff =
+            |c: usize| _mm256_set_pd(planes[3][c], planes[2][c], planes[1][c], planes[0][c]);
+        let (c0, c1, c2) = (coeff(0), coeff(1), coeff(2));
+        let (one, zero, sign) = (_mm256_set1_pd(1.0), _mm256_setzero_pd(), _mm256_set1_pd(-0.0));
+        let width = GROUP * w;
+        // The cell left of each block's first: the field's left edge is 0.0.
+        let before = |row: &[f64]| {
+            let edge = if j0 > 0 { row[j0 - 1] } else { 0.0 };
+            _mm256_set_pd(row[j0 + 3 * w - 1], row[j0 + 2 * w - 1], row[j0 + w - 1], edge)
+        };
+        let (mut lorenzo_err, mut plane_err) = (zero, zero);
+        for di in 0..h {
+            let i = i0 + di;
+            let full_row = field.row(i);
+            let row = &full_row[j0..j0 + width];
+            let (prev, mut diag) = match i.checked_sub(1).map(|p| field.row(p)) {
+                Some(prev) => (Some(&prev[j0..j0 + width]), before(prev)),
+                None => (None, zero),
+            };
+            let mut left = before(full_row);
+            let base = _mm256_add_pd(c0, _mm256_mul_pd(c1, _mm256_set1_pd(di as f64)));
+            let mut djv = zero;
+            let mut add = |v: __m256d, up: __m256d, left: __m256d, diag: __m256d, djv: __m256d| {
+                let lorenzo = _mm256_sub_pd(_mm256_add_pd(up, left), diag);
+                let residual = _mm256_andnot_pd(sign, _mm256_sub_pd(v, lorenzo));
+                lorenzo_err = _mm256_add_pd(lorenzo_err, residual);
+                let plane = _mm256_add_pd(base, _mm256_mul_pd(c2, djv));
+                let residual = _mm256_andnot_pd(sign, _mm256_sub_pd(v, plane));
+                plane_err = _mm256_add_pd(plane_err, residual);
+            };
+            let mut dj = 0;
+            while dj + 4 <= w {
+                let values = cells4(row, w, dj);
+                let ups = prev.map_or([zero; 4], |prev| cells4(prev, w, dj));
+                for (v, up) in values.into_iter().zip(ups) {
+                    add(v, up, left, diag, djv);
+                    (left, diag) = (v, up);
+                    djv = _mm256_add_pd(djv, one);
+                }
+                dj += 4;
+            }
+            for dj in dj..w {
+                let v = cell(row, w, dj);
+                let up = prev.map_or(zero, |prev| cell(prev, w, dj));
+                add(v, up, left, diag, djv);
+                (left, diag) = (v, up);
+                djv = _mm256_add_pd(djv, one);
+            }
+        }
+        let (lorenzo_err, plane_err) = (lanes(lorenzo_err), lanes(plane_err));
+        std::array::from_fn(|g| [lorenzo_err[g], plane_err[g]])
+    }
 }
 
 #[cfg(test)]
@@ -357,7 +576,13 @@ mod tests {
                 let (mut modes, mut planes) = (vec![BlockMode::Regression], vec![[7.0; 3]]);
                 modes.clear();
                 planes.clear();
-                assert!(select_modes(&view, block_size, &mut modes, &mut planes));
+                assert!(select_modes(
+                    SimdLevel::Scalar,
+                    &view,
+                    block_size,
+                    &mut modes,
+                    &mut planes
+                ));
                 let mut planes = planes.iter();
                 let blocks = lcc_grid::WindowIter::over(ny, nx, block_size, block_size);
                 assert_eq!(modes.len(), blocks.count_windows());
@@ -389,17 +614,20 @@ mod tests {
     fn block_sums_flag_non_finite_values_and_overflowed_sums_alike() {
         let clean = Field2D::from_fn(20, 70, |i, j| (i + j) as f64);
         let (mut modes, mut planes) = (Vec::new(), Vec::new());
-        assert!(select_modes(&clean.view(), 16, &mut modes, &mut planes));
+        assert!(select_modes(SimdLevel::Scalar, &clean.view(), 16, &mut modes, &mut planes));
         // Anywhere in a grouped block, a ragged one, or the last row.
         for (i, j, bad) in [(0, 0, f64::NAN), (3, 40, f64::INFINITY), (19, 69, f64::NEG_INFINITY)] {
             let mut field = clean.clone();
             field.set(i, j, bad);
-            assert!(!select_modes(&field.view(), 16, &mut modes, &mut planes), "({i}, {j})");
+            assert!(
+                !select_modes(SimdLevel::Scalar, &field.view(), 16, &mut modes, &mut planes),
+                "({i}, {j})"
+            );
         }
         // Finite values whose sum is not: flagged too, for the caller's
         // exact scan to clear.
         let huge = Field2D::from_fn(20, 70, |_, _| f64::MAX / 4.0);
-        assert!(!select_modes(&huge.view(), 16, &mut modes, &mut planes));
+        assert!(!select_modes(SimdLevel::Scalar, &huge.view(), 16, &mut modes, &mut planes));
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! entries, footer entry counts the table cannot hold, frame headers that
 //! disagree with the entry metadata, tile-length overflow in the frame's
 //! seek index, stray table bytes, raw (unframed) payloads claiming a
-//! multi-tile shape, entries holding a retired row-band frame, and reads
-//! with a codec other than the entry's writer.
+//! multi-tile shape, entries holding a retired row-band frame, reads
+//! with a codec other than the entry's writer, and entry records no writer
+//! produces (a bound that is not positive and finite, impossible tile
+//! statistics).
 
 use lcc::archive::format::{write_entry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN};
 use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt};
@@ -369,4 +371,90 @@ fn reads_with_a_codec_other_than_the_writer_are_refused_before_any_tile_is_touch
     let stats = archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out).unwrap();
     assert_eq!(stats.tiles, 4);
     assert_eq!(reads.load(Ordering::Relaxed), opened + 4, "one positioned read a tile");
+}
+
+#[test]
+fn bounds_no_writer_accepts_are_rejected() {
+    let (payload, entries) = dissect(&build());
+    for eps in [f64::NAN, -1e-3, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
+        for bound in [ErrorBound::Absolute(eps), ErrorBound::ValueRangeRelative(eps)] {
+            let mut forged = entries.clone();
+            forged[1].bound = bound;
+            let msg = open_err(reassemble(&payload, &forged));
+            assert!(msg.contains("entry 'energy'"), "{bound:?}: {msg}");
+            assert!(msg.contains("not positive and finite"), "{bound:?}: {msg}");
+        }
+    }
+    // A relative bound the writer accepts still opens.
+    let mut forged = entries;
+    forged[1].bound = ErrorBound::ValueRangeRelative(1e-2);
+    assert!(Archive::open(reassemble(&payload, &forged)).is_ok());
+}
+
+#[test]
+fn tile_statistics_no_summary_produces_are_rejected() {
+    use lcc::archive::TileStats;
+    let (payload, entries) = dissect(&build());
+    let real = entries[0].tile_stats[5];
+    let forgeries = [
+        TileStats { min: real.max + 1.0, ..real },
+        TileStats { mean: f64::NAN, ..real },
+        TileStats { variance: -1e-9, ..real },
+        TileStats { variance: f64::NAN, ..real },
+        TileStats { min: f64::NAN, ..real },
+        TileStats { max: f64::NAN, ..real },
+        TileStats { min: f64::NEG_INFINITY, ..real },
+        TileStats { max: f64::INFINITY, ..real },
+        // All of it at once, as the bug report forged it.
+        TileStats { min: 1.0, max: -1.0, mean: f64::NAN, variance: -1.0 },
+    ];
+    for stats in forgeries {
+        let mut forged = entries.clone();
+        forged[0].tile_stats[5] = stats;
+        let msg = open_err(reassemble(&payload, &forged));
+        assert!(msg.contains("entry 'density' tile 5"), "{stats:?}: {msg}");
+    }
+    // What a summary of finite values can be: an overflowed mean and
+    // variance, a one-valued tile, and the all-zero statistics the forgeries
+    // above start from elsewhere in this suite.
+    let valid = [
+        TileStats { mean: f64::INFINITY, variance: f64::INFINITY, ..real },
+        TileStats { mean: f64::NEG_INFINITY, variance: f64::INFINITY, ..real },
+        TileStats { min: 2.5, max: 2.5, mean: 2.5, variance: 0.0 },
+        TileStats { min: 0.0, max: 0.0, mean: 0.0, variance: 0.0 },
+    ];
+    for stats in valid {
+        let mut forged = entries.clone();
+        forged[0].tile_stats[5] = stats;
+        assert!(Archive::open(reassemble(&payload, &forged)).is_ok(), "{stats:?}");
+    }
+}
+
+#[test]
+fn tiles_whose_sums_overflow_are_written_and_read_back() {
+    // Values near ±1.7e308: each tile's sum overflows, so its mean is ±∞
+    // and its variance +∞ — still what the writer stores, and still opened.
+    let huge = Field2D::from_fn(16, 16, |i, j| {
+        let sign = if i < 8 { 1.0 } else { -1.0 };
+        sign * (1.7e308 - (i * 16 + j) as f64 * 1e292)
+    });
+    let mut scratch = FrameScratch::default();
+    let mut writer = ArchiveWriter::new();
+    let sz = SzCompressor::default();
+    let pool = ThreadPoolConfig::with_threads(2);
+    let bound = ErrorBound::Absolute(1e300);
+    writer.add_entry("huge", 0, &huge, &sz, bound, 8, 8, pool, &mut scratch).unwrap();
+    let archive = Archive::open(writer.finish()).unwrap();
+    let stats = &archive.entry(0).tile_stats;
+    assert_eq!(stats.len(), 4);
+    for (t, s) in stats.iter().enumerate() {
+        let sign = if t < 2 { 1.0 } else { -1.0 };
+        assert_eq!(s.mean, sign * f64::INFINITY, "tile {t}: {s:?}");
+        assert_eq!(s.variance, f64::INFINITY, "tile {t}: {s:?}");
+        assert!(s.min.is_finite() && s.max.is_finite() && s.min <= s.max, "tile {t}: {s:?}");
+    }
+    let window = lcc::grid::Window { i0: 0, j0: 0, height: 16, width: 16 };
+    let mut out = Field2D::zeros(1, 1);
+    archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out).unwrap();
+    assert!(huge.max_abs_diff(&out) <= 1e300);
 }

@@ -5,9 +5,11 @@
 //! * the lossy compressors never exceed the requested absolute bound on
 //!   arbitrary fields and always reproduce the field shape,
 //! * the variogram and summary statistics obey their mathematical
-//!   invariants (non-negativity, symmetry in the inputs, etc.).
+//!   invariants (non-negativity, symmetry in the inputs, etc.), and the
+//!   side-by-side summary kernel gives each view the bits of its own
+//!   summary.
 
-use lcc::grid::{stats, Field2D};
+use lcc::grid::{stats, Field2D, FieldView, Summary};
 use lcc::lossless::{
     huffman_decode, huffman_decode_with, huffman_encode, huffman_encode_with, lz77_compress,
     lz77_compress_with, lz77_decompress, rans8_decode, rans8_decode_with, rans8_encode,
@@ -208,6 +210,90 @@ proptest! {
         // Pearson of a slice with itself is 1 (or 0 for constant slices).
         let r = stats::pearson(&values, &values);
         prop_assert!(r == 0.0 || (r - 1.0).abs() < 1e-9);
+    }
+}
+
+/// The serial two-pass loop every summary used to be, `f64::min` /
+/// `f64::max` and all: the bits the archive's tile statistics have always
+/// carried.
+fn serial_summary_bits(view: &FieldView<'_>) -> [u64; 4] {
+    let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+    for v in view.iter() {
+        min = min.min(v);
+        max = max.max(v);
+        sum += v;
+    }
+    let mean = sum / view.len() as f64;
+    let mut ssq = 0.0;
+    for v in view.iter() {
+        let d = v - mean;
+        ssq += d * d;
+    }
+    [min, max, mean, ssq / view.len() as f64].map(f64::to_bits)
+}
+
+fn summary_bits(s: &Summary) -> [u64; 4] {
+    [s.min, s.max, s.mean, s.variance].map(f64::to_bits)
+}
+
+/// A value of class `class`: 0 ordinary, 1 a signed zero or a small integer
+/// (ties of `±0.0` in min and max), 2 subnormal, 3 near `±1.7e308` (sums
+/// overflow).
+fn summary_value(class: u64, r: u64) -> f64 {
+    let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+    let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+    match class {
+        0 => sign * 1e3 * unit,
+        1 => sign * ((r >> 1) % 3) as f64,
+        2 => sign * f64::MIN_POSITIVE * unit,
+        _ => sign * (1.7e308 - 1e307 * unit),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn side_by_side_summaries_are_each_views_own_bit_for_bit(
+        group in 1usize..9,
+        ny in 1usize..24,
+        nx in 1usize..24,
+        shape in 0u8..4,
+        mix in 0u64..5,
+        seed in any::<u64>(),
+    ) {
+        // Random shapes, 1 × N, N × 1, and prime sides.
+        const PRIMES: [usize; 6] = [2, 3, 7, 13, 17, 31];
+        let (ny, nx) = match shape {
+            0 => (ny, nx),
+            1 => (1, ny * nx),
+            2 => (ny * nx, 1),
+            _ => (PRIMES[ny % 6], PRIMES[nx % 6]),
+        };
+        // One class of value throughout, or (mix 4) every class mixed.
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // The views side by side in one row of a parent, as a run of tiles
+        // is, with a ragged column to their right.
+        let field = Field2D::from_fn(ny, group * nx + 1, |_, _| {
+            let r = next();
+            summary_value(if mix == 4 { (r >> 60) & 3 } else { mix }, r)
+        });
+        let views: Vec<FieldView<'_>> =
+            (0..group).map(|g| field.view().subview(0, g * nx, ny, nx)).collect();
+        let summaries: Vec<Summary> = Summary::side_by_side(&views).collect();
+        prop_assert_eq!(summaries.len(), group);
+        for (s, view) in summaries.iter().zip(&views) {
+            prop_assert_eq!(s.count, ny * nx);
+            prop_assert_eq!(summary_bits(s), summary_bits(&view.summary()));
+            prop_assert_eq!(summary_bits(s), serial_summary_bits(view));
+            prop_assert_eq!(summary_bits(s), summary_bits(&Summary::of(view.to_field().as_slice())));
+        }
     }
 }
 
