@@ -287,17 +287,14 @@ pub fn compress_frame<R: Send + Default>(
     // Each run is its first block and its slots of `results`: the full
     // tiles of a row in chunks of `RUN`, then a clipped last tile alone.
     let full_x = nx / tile_nx;
-    let mut runs: Vec<(usize, &mut [R])> =
-        Vec::with_capacity(n_blocks.div_ceil(tiles_x) * (full_x.div_ceil(RUN) + 1));
-    let mut rest = results.as_mut_slice();
-    for row_start in (0..n_blocks).step_by(tiles_x) {
-        let mut col = 0;
-        while col < tiles_x {
-            let len = if col < full_x { RUN.min(full_x - col) } else { 1 };
-            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            runs.push((row_start + col, slots));
-            rest = tail;
-            col += len;
+    let mut runs = Vec::with_capacity(ny.div_ceil(tile_ny) * (full_x.div_ceil(RUN) + 1));
+    for (row, slots) in results.chunks_mut(tiles_x).enumerate() {
+        let (full, clipped) = slots.split_at_mut(full_x);
+        let mut first = row * tiles_x;
+        for run in full.chunks_mut(RUN).chain((!clipped.is_empty()).then_some(clipped)) {
+            let len = run.len();
+            runs.push((first, run));
+            first += len;
         }
     }
     let n_runs = runs.len();
