@@ -74,6 +74,8 @@ impl Summary {
             (1..=SIDE_BY_SIDE).contains(&n),
             "side by side takes 1 to {SIDE_BY_SIDE} views, not {n}"
         );
+        let shape = views[0].shape();
+        assert!(views.iter().all(|v| v.shape() == shape), "side-by-side views differ in shape");
         let mut out = [Summary::UNSET; SIDE_BY_SIDE];
         for (lanes, out) in views.chunks(LANES).zip(out.chunks_mut(LANES)) {
             let out = &mut out[..lanes.len()];
@@ -93,10 +95,10 @@ impl Summary {
     }
 }
 
-/// The accumulation kernel: the summaries of `G` equal-shape views, the
-/// views advancing cell by cell together, each in its own row-major order
-/// through its own min, max, sum and (second pass) squared-deviation
-/// accumulators. A min or max moves only on a strictly smaller or larger
+/// The accumulation kernel: the summaries of `G` views, all of the first
+/// one's shape (the callers check it), the views advancing cell by cell
+/// together, each in its own row-major order through its own min, max, sum
+/// and (second pass) squared-deviation accumulators. A min or max moves only on a strictly smaller or larger
 /// value, so a NaN never enters it and the first of `±0.0` stays — what
 /// `f64::min` / `f64::max` computed here before on x86-64, in one `minpd` /
 /// `maxpd` instead of a NaN-checked sequence. Kept out of line: inlined into
@@ -105,7 +107,6 @@ impl Summary {
 #[inline(never)]
 pub(crate) fn accumulate<const G: usize>(views: &[FieldView<'_>; G]) -> [Summary; G] {
     let (ny, nx) = views[0].shape();
-    assert!(views.iter().all(|v| v.shape() == (ny, nx)), "side-by-side views differ in shape");
     let rows = |i: usize| views.map(|v| &v.row(i)[..nx]);
     let mut min = [f64::INFINITY; G];
     let mut max = [f64::NEG_INFINITY; G];
@@ -270,8 +271,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "differ in shape")]
     fn side_by_side_refuses_mixed_shapes() {
+        // The odd view out in the second group of four.
         let field = crate::Field2D::zeros(4, 4);
-        let _ = Summary::side_by_side(&[field.view().subview(0, 0, 2, 2), field.view()]);
+        let mut views = [field.view().subview(0, 0, 2, 2); 5];
+        views[4] = field.view();
+        let _ = Summary::side_by_side(&views);
     }
 
     #[test]

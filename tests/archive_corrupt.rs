@@ -405,7 +405,7 @@ fn tile_statistics_no_summary_produces_are_rejected() {
         TileStats { max: f64::NAN, ..real },
         TileStats { min: f64::NEG_INFINITY, ..real },
         TileStats { max: f64::INFINITY, ..real },
-        // All of it at once, as the bug report forged it.
+        // Every rule broken at once.
         TileStats { min: 1.0, max: -1.0, mean: f64::NAN, variance: -1.0 },
     ];
     for stats in forgeries {
