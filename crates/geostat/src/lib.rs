@@ -16,6 +16,12 @@
 //! * [`regression`] — the logarithmic regression `CR = α + β·log(a) + ε`
 //!   used in every figure legend, with goodness-of-fit summaries.
 //!
+//! The two windowed statistics run their full windows four at a time, one
+//! window per lane of an interleaved copy (the private `quad` module, at
+//! the tier `lcc_lossless::simd_level()` picks), and every window keeps the
+//! bits of its one-window kernel, [`window_range`] or
+//! [`window_truncation_level`].
+//!
 //! The statistics only ever need *small* dense numerics, and each routine
 //! lives, private, beside its one caller:
 //!
@@ -36,16 +42,21 @@
 #[cfg(test)]
 mod jacobi;
 pub mod local;
+mod quad;
 pub mod regression;
 pub mod svdstat;
 #[cfg(test)]
 mod test_fields;
 pub mod variogram;
 
-pub use local::{local_range_std_view, local_variogram_ranges_view, window_range, LocalStatConfig};
+pub use local::{
+    local_range_std_view, local_variogram_ranges_view, local_variogram_ranges_view_at,
+    window_range, LocalStatConfig,
+};
 pub use regression::{log_regression, LogRegression};
 pub use svdstat::{
-    local_svd_truncation_levels_view, local_svd_truncation_std_view, window_truncation_level,
+    local_svd_truncation_levels_view, local_svd_truncation_levels_view_at,
+    local_svd_truncation_std_view, window_truncation_level,
 };
 pub use variogram::{
     empirical_variogram_view, estimate_range_pooled, estimate_range_view, fit_squared_exponential,

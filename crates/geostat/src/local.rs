@@ -3,10 +3,17 @@
 //! The paper estimates the variogram range on 32×32 windows tiling the
 //! entire field and summarizes the spatial heterogeneity of correlation by
 //! the **standard deviation** of those local ranges.
+//!
+//! Every full window has the same shape, so the estimator is laid out once
+//! per field (a `WindowPlan`: offsets, strides, bins) and the windows run
+//! four at a time, one per lane (`quad`). [`window_range`], the
+//! one-window kernel, is the oracle each window's range equals bit for bit.
 
-use crate::variogram::{estimate_range_view, VariogramConfig};
+use crate::quad::map_quads;
+use crate::variogram::{estimate_range_view, VariogramConfig, WindowPlan, WindowScratch};
 use lcc_grid::{stats, FieldView};
-use lcc_par::{parallel_map_with, ThreadPoolConfig};
+use lcc_lossless::dispatch::{simd_level, SimdLevel};
+use lcc_par::ThreadPoolConfig;
 
 /// Configuration of the local (windowed) statistics. Only full
 /// `window × window` tiles are measured: partial edge windows are skipped,
@@ -32,8 +39,8 @@ impl Default for LocalStatConfig {
 }
 
 /// Estimate the variogram range of a single window view — the per-window
-/// kernel of [`local_variogram_ranges_view`], public so a benchmark can time
-/// one window. Returns NaN when the fit fails.
+/// kernel [`local_variogram_ranges_view`] equals window by window, public
+/// so a benchmark can time one window. Returns NaN when the fit fails.
 #[inline]
 pub fn window_range(view: &FieldView<'_>, config: &VariogramConfig) -> f64 {
     estimate_range_view(view, config).range
@@ -49,21 +56,41 @@ pub(crate) fn full_windows<'a>(field: &FieldView<'a>, window: usize) -> Vec<Fiel
         .collect()
 }
 
-/// Estimate the variogram range on every full window tiling the field;
-/// windows whose fit fails (NaN) are dropped. Windows are strided sub-views
-/// of the parent buffer, with no per-window `Field2D` allocation.
+/// Estimate the variogram range on every full window tiling the field, in
+/// row-major tile order. A window whose variogram is refused (it holds a
+/// non-finite value, or its squared differences overflow) reads NaN.
+/// Windows are strided sub-views of the parent buffer, copied four at a
+/// time into one worker buffer; each range has [`window_range`]'s bits.
 pub fn local_variogram_ranges_view(field: &FieldView<'_>, config: &LocalStatConfig) -> Vec<f64> {
+    local_variogram_ranges_view_at(simd_level(), field, config)
+}
+
+/// [`local_variogram_ranges_view`] at an explicit SIMD tier (lowered to
+/// one the hardware runs); every tier gives the same bits.
+pub fn local_variogram_ranges_view_at(
+    level: SimdLevel,
+    field: &FieldView<'_>,
+    config: &LocalStatConfig,
+) -> Vec<f64> {
     assert!(config.window >= 4, "local windows must be at least 4x4");
     let windows = full_windows(field, config.window);
+    let plan = WindowPlan::new(config.window, config.window, &config.variogram)
+        .expect("a window of at least 4x4 has lags");
     let pool = config.threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
-    let ranges = parallel_map_with(pool, &windows, |view| window_range(view, &config.variogram));
-    ranges.into_iter().filter(|r| r.is_finite()).collect()
+    map_quads(pool, &windows, WindowScratch::default, |scratch, quad| {
+        crate::quad::sum_quad(level, &plan, quad, scratch);
+        std::array::from_fn(|lane| plan.fit_lane(scratch, lane))
+    })
 }
 
 /// Standard deviation of the local variogram ranges — the paper's
-/// "Std estimated of local variogram range (H=32)" statistic.
+/// "Std estimated of local variogram range (H=32)" statistic. NaN when any
+/// full window's range is (its variogram was refused).
 pub fn local_range_std_view(field: &FieldView<'_>, config: &LocalStatConfig) -> f64 {
     let ranges = local_variogram_ranges_view(field, config);
+    if ranges.iter().any(|r| !r.is_finite()) {
+        return f64::NAN;
+    }
     stats::std_dev(&ranges)
 }
 

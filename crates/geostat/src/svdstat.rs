@@ -15,10 +15,22 @@
 //! many modes hold 99 % of the energy": that needs the eigenvalues of the
 //! Gram matrix of the window's shorter side and no singular vectors —
 //! centre → scale by a power of two near `1 / max|x|` → Gram → Householder
-//! tridiagonalisation → implicit QL (≈ 0.035 ms at 32×32). The tests check
-//! it against a one-sided Jacobi SVD, which computes every singular value,
-//! small ones included, to high *relative* accuracy but is ≈ 17× slower
-//! (≈ 0.6 ms at 32×32: three dot products per column pair per sweep).
+//! tridiagonalisation → implicit QL. The tests check it against a
+//! one-sided Jacobi SVD, which computes every singular value, small ones
+//! included, to high *relative* accuracy but is ≈ 17× slower (≈ 0.6 ms at
+//! 32×32: three dot products per column pair per sweep).
+//!
+//! **Four windows at a time.** [`local_svd_truncation_levels_view`] runs
+//! its tiles as quads (`quad`): the first four steps are lane
+//! arithmetic on one interleaved copy of four windows (`QuadSpectrum`; the
+//! one data branch, a zero Householder column, is a per-lane select), and
+//! implicit QL interleaves the four windows' rotation chains, each with its
+//! own `l`, `m`, sweep count and deflation. Every lane takes its window's
+//! scalar steps, so each eigenvalue and level has the bits of the
+//! one-window kernel, [`window_truncation_level`], which stays as the test
+//! oracle and the single-window entry point (≈ 2× the quad path's time per
+//! window: 512² GRFs, one thread). A field with a non-finite window has no
+//! levels; a window whose QL does not converge is dropped.
 //!
 //! **Accuracy of the energy route.** The symmetric eigensolver is backward
 //! stable: each computed eigenvalue `λᵢ = σᵢ²` is off by at most about
@@ -31,13 +43,16 @@
 //! negative before clamping); only the Jacobi route resolves those.
 
 use crate::local::full_windows;
+use crate::quad::{add, div, interleave, map_quads, mul, select, sub, Lanes, QUAD};
 use lcc_grid::{stats, FieldView};
-use lcc_par::{try_parallel_map_with_state, ThreadPoolConfig};
+use lcc_lossless::dispatch::{simd_level, SimdLevel};
+use lcc_par::ThreadPoolConfig;
 
-/// Truncation level of a single window view — one window through the
-/// kernel [`local_svd_truncation_levels_view`] runs per tile, public so a
-/// benchmark can time one window. Returns `None` when the decomposition
-/// fails.
+/// Truncation level of a single window view — the per-window kernel
+/// [`local_svd_truncation_levels_view`] equals window by window, public so
+/// a benchmark can time one window. Returns `None` when the window holds a
+/// non-finite value (or its centring overflows) or the eigensolver does not
+/// converge.
 ///
 /// The window is centred so the level describes the variance (fluctuation)
 /// structure, not the rank-1 mean component; the level itself comes from the
@@ -45,43 +60,79 @@ use lcc_par::{try_parallel_map_with_state, ThreadPoolConfig};
 /// Jacobi SVD oracle unless the cumulative energy lands within rounding
 /// of the threshold.
 pub fn window_truncation_level(view: &FieldView<'_>, fraction: f64) -> Option<usize> {
-    EnergySpectrum::new().truncation_level(view.rows(), fraction)
+    EnergySpectrum::new().truncation_level(view.rows(), fraction).ok()
 }
 
 /// Compute the 99 %-variance (or any `fraction`) truncation level of every
-/// full `window × window` tile of the field; tiles whose decomposition fails
-/// are dropped. Each tile is a strided sub-view of the parent buffer, with
-/// no per-window allocation at all (each worker reuses one spectrum
-/// scratch).
+/// full `window × window` tile of the field, in row-major tile order, each
+/// with [`window_truncation_level`]'s value. Tiles whose eigensolver does
+/// not converge are left out. Empty when any tile holds a non-finite value
+/// or its centring overflows: such a field has no spectrum, and
+/// [`local_svd_truncation_std_view`] reads NaN. Tiles are strided sub-views
+/// of the parent buffer, copied four at a time into one worker buffer.
 pub fn local_svd_truncation_levels_view(
     field: &FieldView<'_>,
     window: usize,
     fraction: f64,
     threads: Option<usize>,
 ) -> Vec<usize> {
+    local_svd_truncation_levels_view_at(simd_level(), field, window, fraction, threads)
+        .unwrap_or_default()
+}
+
+/// [`local_svd_truncation_levels_view`] at an explicit SIMD tier (lowered
+/// to one the hardware runs), `None` where the plain call is empty because
+/// a tile has no spectrum; every tier gives the same levels.
+pub fn local_svd_truncation_levels_view_at(
+    level: SimdLevel,
+    field: &FieldView<'_>,
+    window: usize,
+    fraction: f64,
+    threads: Option<usize>,
+) -> Option<Vec<usize>> {
     assert!(window >= 2, "windows must be at least 2x2");
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
     let tiles = full_windows(field, window);
     let pool = threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
-    let level = |spectrum: &mut EnergySpectrum, _, view: &FieldView<'_>| {
-        spectrum.truncation_level(view.rows(), fraction)
-    };
-    let levels = try_parallel_map_with_state(pool, &tiles, EnergySpectrum::new, level)
-        .unwrap_or_else(|err| panic!("{err}"));
-    levels.into_iter().flatten().collect()
+    let levels = map_quads(pool, &tiles, QuadSpectrum::default, |spectrum, quad| {
+        spectrum.truncation_levels(level, quad, fraction)
+    });
+    let mut out = Vec::with_capacity(levels.len());
+    for result in levels {
+        match result {
+            Ok(level) => out.push(level),
+            Err(NoLevel::NonFinite) => return None,
+            Err(NoLevel::NoConvergence) => {}
+        }
+    }
+    Some(out)
 }
 
 /// Standard deviation of the local SVD truncation levels — the statistic on
-/// the x-axis of Figure 6 and the right column of Figure 7.
+/// the x-axis of Figure 6 and the right column of Figure 7. NaN when any
+/// full tile holds a non-finite value or its centring overflows.
 pub fn local_svd_truncation_std_view(
     field: &FieldView<'_>,
     window: usize,
     fraction: f64,
     threads: Option<usize>,
 ) -> f64 {
-    let levels = local_svd_truncation_levels_view(field, window, fraction, threads);
+    let Some(levels) =
+        local_svd_truncation_levels_view_at(simd_level(), field, window, fraction, threads)
+    else {
+        return f64::NAN;
+    };
     let as_f64: Vec<f64> = levels.iter().map(|&l| l as f64).collect();
     stats::std_dev(&as_f64)
+}
+
+/// Why a window has no truncation level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NoLevel {
+    /// The window holds a non-finite value, or its centring overflows.
+    NonFinite,
+    /// Implicit QL did not converge within [`MAX_QL_SWEEPS`] a level.
+    NoConvergence,
 }
 
 /// Number of leading modes, energies `σ²` in non-increasing order, whose
@@ -104,6 +155,39 @@ pub(crate) fn energy_level(energies: impl Iterator<Item = f64> + Clone, fraction
         }
     }
     modes
+}
+
+/// [`energy_level`] of a window's Gram eigenvalues, given unordered: each
+/// clamped at zero (rounding can push null eigenvalues slightly below it),
+/// then sorted largest first.
+fn level_of(eigenvalues: &mut [f64], fraction: f64) -> usize {
+    for e in eigenvalues.iter_mut() {
+        *e = e.max(0.0);
+    }
+    eigenvalues.sort_unstable_by(|a, b| b.total_cmp(a));
+    energy_level(eigenvalues.iter().copied(), fraction)
+}
+
+/// The powers of two `(pre, post)` that bring a centred window's largest
+/// magnitude `max_abs` (finite, positive) into `[1, 2)` as
+/// `max_abs · pre · post`.
+///
+/// The Gram matrix squares entries, which overflows beyond ~1e154 and
+/// flushes to zero below ~1e-154 where Jacobi did neither. The level is
+/// scale-invariant and a power of two scales exactly, so bring the largest
+/// entry into [1, 2). `pre` first lifts subnormal / lowers huge maxima to
+/// where the exact reciprocal power of two exists.
+#[inline(always)]
+fn power_of_two_scale(max_abs: f64) -> (f64, f64) {
+    let pre = if max_abs < 1e-150 {
+        2f64.powi(600)
+    } else if max_abs > 1e150 {
+        2f64.powi(-600)
+    } else {
+        1.0
+    };
+    let exponent = (((max_abs * pre).to_bits() >> 52) & 0x7ff) as i64 - 1023;
+    (pre, f64::from_bits(((1023 - exponent) as u64) << 52))
 }
 
 /// `hypot(f, g)`, by a plain square root wherever the squares neither
@@ -152,8 +236,7 @@ impl EnergySpectrum {
     /// eigenvalues (module docs give the accuracy statement).
     ///
     /// `rows` are the window's rows, all of one length. A constant window
-    /// has level 0. `None` when the window holds a non-finite value or the
-    /// eigensolver does not converge.
+    /// has level 0.
     ///
     /// # Panics
     /// Panics if `fraction` is outside `[0, 1]`, the window is empty, or the
@@ -162,8 +245,17 @@ impl EnergySpectrum {
         &mut self,
         rows: impl Iterator<Item = &'a [f64]>,
         fraction: f64,
-    ) -> Option<usize> {
+    ) -> Result<usize, NoLevel> {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
+        Ok(level_of(self.eigenvalues(rows)?, fraction))
+    }
+
+    /// The eigenvalues of the centred window's Gram matrix, unordered; none
+    /// for a window without variance.
+    fn eigenvalues<'a>(
+        &mut self,
+        rows: impl Iterator<Item = &'a [f64]>,
+    ) -> Result<&mut [f64], NoLevel> {
         self.window.clear();
         let mut n_rows = 0;
         let mut n_cols = 0;
@@ -185,39 +277,20 @@ impl EnergySpectrum {
             max_abs = max_abs.max(x.abs());
         }
         if !max_abs.is_finite() || mean.is_nan() {
-            return None;
+            return Err(NoLevel::NonFinite);
         }
         if max_abs == 0.0 {
-            return Some(0);
+            return Ok(&mut []);
         }
-        // The Gram matrix squares entries, which overflows beyond ~1e154 and
-        // flushes to zero below ~1e-154 where Jacobi did neither. The level
-        // is scale-invariant and a power of two scales exactly, so bring the
-        // largest entry into [1, 2). `pre` first lifts subnormal / lowers
-        // huge maxima to where the exact reciprocal power of two exists.
-        let pre = if max_abs < 1e-150 {
-            2f64.powi(600)
-        } else if max_abs > 1e150 {
-            2f64.powi(-600)
-        } else {
-            1.0
-        };
-        let exponent = (((max_abs * pre).to_bits() >> 52) & 0x7ff) as i64 - 1023;
-        let post = f64::from_bits(((1023 - exponent) as u64) << 52);
+        let (pre, post) = power_of_two_scale(max_abs);
         for x in &mut self.window {
             *x = *x * pre * post;
         }
 
         let n = self.form_gram(n_rows, n_cols);
         self.tridiagonalise(n);
-        self.eigenvalues_ql(n)?;
-        // Rounding can push null eigenvalues slightly below zero.
-        let energies = &mut self.diag[..n];
-        for e in energies.iter_mut() {
-            *e = e.max(0.0);
-        }
-        energies.sort_unstable_by(|a, b| b.total_cmp(a));
-        Some(energy_level(energies.iter().copied(), fraction))
+        self.eigenvalues_ql(n).ok_or(NoLevel::NoConvergence)?;
+        Ok(&mut self.diag[..n])
     }
 
     /// Fill the lower triangle of `gram` with `X Xᵀ` (rows ≤ cols) or `XᵀX`;
@@ -375,13 +448,346 @@ impl EnergySpectrum {
     }
 }
 
+/// How a window of a quad came out of centring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Centred {
+    /// It holds a non-finite value, or its centring overflowed.
+    NonFinite,
+    /// No variance: level 0.
+    Constant,
+    /// Centred and scaled; its spectrum is in the quad's tridiagonal form.
+    Varies,
+}
+
+/// [`EnergySpectrum`] for four square windows at once (one per worker
+/// thread): lane `k` of every buffer belongs to window `k`, and every step
+/// is that window's scalar step (centring, power-of-two scaling, Gram,
+/// Householder tridiagonalisation), so each window keeps its bits; the
+/// scalar kernel's branches are per-lane selects. Implicit QL then runs
+/// the four rotation chains interleaved, each lane with its own state.
+#[derive(Debug, Default)]
+pub(crate) struct QuadSpectrum {
+    /// The quad's centred, scaled windows, row-major.
+    cells: Vec<Lanes>,
+    /// Their Gram matrices (lower triangle), reduced in place.
+    gram: Vec<Lanes>,
+    /// The tridiagonal couplings, `off[i]` joining `i-1` and `i`.
+    off: Vec<Lanes>,
+    /// Per window: the tridiagonal form, then its eigenvalues.
+    diag: [Vec<f64>; QUAD],
+    couplings: [Vec<f64>; QUAD],
+    /// Each window's QL state, kept for the tests to read.
+    ql: [QlChain; QUAD],
+}
+
+impl QuadSpectrum {
+    /// Each window's level, or why it has none.
+    fn truncation_levels(
+        &mut self,
+        level: SimdLevel,
+        quad: &[FieldView<'_>; QUAD],
+        fraction: f64,
+    ) -> [Result<usize, NoLevel>; QUAD] {
+        let centred = crate::quad::tridiagonalise_quad(level, self, quad);
+        let converged = self.eigenvalues_ql();
+        std::array::from_fn(|k| match centred[k] {
+            Centred::NonFinite => Err(NoLevel::NonFinite),
+            Centred::Constant => Ok(0),
+            Centred::Varies if !converged[k] => Err(NoLevel::NoConvergence),
+            Centred::Varies => Ok(level_of(&mut self.diag[k], fraction)),
+        })
+    }
+
+    /// The lane body: copy a quad of square windows in, centre and scale
+    /// each, form the Gram matrices and reduce them to tridiagonal form.
+    /// A window that is not [`Centred::Varies`] runs as zeros, which every
+    /// step leaves alone.
+    #[inline(always)]
+    pub(crate) fn tridiagonalise_body(&mut self, quad: &[FieldView<'_>; QUAD]) -> [Centred; QUAD] {
+        let n = quad[0].ny();
+        debug_assert_eq!(quad[0].shape(), (n, n), "quads of square windows");
+        interleave(quad, &mut self.cells);
+
+        // Centre on the mean, summed in row-major order from `Sum`'s -0.0.
+        let mut sum = [-0.0f64; QUAD];
+        for cell in &self.cells {
+            for k in 0..QUAD {
+                sum[k] += cell[k];
+            }
+        }
+        let mean = sum.map(|s| s / self.cells.len() as f64);
+        let mut max_abs = [0.0f64; QUAD];
+        for cell in &mut self.cells {
+            for k in 0..QUAD {
+                cell[k] -= mean[k];
+                max_abs[k] = max_abs[k].max(cell[k].abs());
+            }
+        }
+        let centred: [Centred; QUAD] = std::array::from_fn(|k| {
+            if !max_abs[k].is_finite() || mean[k].is_nan() {
+                Centred::NonFinite
+            } else if max_abs[k] == 0.0 {
+                Centred::Constant
+            } else {
+                Centred::Varies
+            }
+        });
+        let mut pre = [1.0; QUAD];
+        let mut post = [1.0; QUAD];
+        for k in 0..QUAD {
+            if centred[k] == Centred::Varies {
+                (pre[k], post[k]) = power_of_two_scale(max_abs[k]);
+            }
+        }
+        for cell in &mut self.cells {
+            for k in 0..QUAD {
+                cell[k] = cell[k] * pre[k] * post[k];
+            }
+        }
+        for k in 0..QUAD {
+            if centred[k] != Centred::Varies {
+                self.cells.iter_mut().for_each(|cell| cell[k] = 0.0);
+            }
+        }
+
+        // `X Xᵀ`, each entry summed along the row from `Sum`'s -0.0; four
+        // entries of a row at a time, each its own chain.
+        self.gram.clear();
+        self.gram.resize(n * n, [0.0; QUAD]);
+        for (i, ri) in self.cells.chunks_exact(n).enumerate() {
+            let row = &mut self.gram[i * n..=i * n + i];
+            let mut rj = self.cells.chunks_exact(n);
+            let mut entries = row.chunks_exact_mut(4);
+            for four in entries.by_ref() {
+                let rows = [(); 4].map(|()| rj.next().expect("a row per entry"));
+                four.copy_from_slice(&dots(ri, rows));
+            }
+            for (gij, rj) in entries.into_remainder().iter_mut().zip(rj) {
+                [*gij] = dots(ri, [rj]);
+            }
+        }
+
+        self.tridiagonalise(n);
+        centred
+    }
+
+    /// [`EnergySpectrum::tridiagonalise`] lane by lane. Its one data branch,
+    /// the skip of a step whose Householder column is zero, becomes a
+    /// per-lane select: a skipping lane's step runs on a divisor of 1 and
+    /// writes nothing back but its coupling. Row `i`'s Householder vector
+    /// and the scratch `off[..i]` are read by no later step, so only the
+    /// coupling and the trailing update need the select.
+    #[inline(always)]
+    fn tridiagonalise(&mut self, n: usize) {
+        self.off.clear();
+        self.off.resize(n, [0.0; QUAD]);
+        let (a, e) = (&mut self.gram, &mut self.off);
+        for i in (1..n).rev() {
+            let (above, rest) = a.split_at_mut(i * n);
+            let u = &mut rest[..i];
+            let mut scale = [-0.0f64; QUAD];
+            for x in u.iter() {
+                scale = add(scale, x.map(f64::abs));
+            }
+            let active = scale.map(|s| s != 0.0);
+            if i == 1 || !active.contains(&true) {
+                e[i] = u[i - 1];
+                continue;
+            }
+            let divisor = select(active, scale, [1.0; QUAD]);
+            let mut h = [0.0f64; QUAD];
+            for x in u.iter_mut() {
+                *x = div(*x, divisor);
+                h = add(h, mul(*x, *x));
+            }
+            let f = u[i - 1];
+            let root = h.map(f64::sqrt);
+            let g = select(f.map(|f| f >= 0.0), root.map(|r| -r), root);
+            e[i] = select(active, mul(scale, g), f);
+            h = sub(h, mul(f, g));
+            u[i - 1] = sub(f, g);
+            // p = A·u / h into e[..i], as the scalar kernel walks it.
+            e[..i].fill([0.0; QUAD]);
+            for j in 0..i {
+                let row = &above[j * n..j * n + j];
+                let uj = u[j];
+                let mut g = mul(above[j * n + j], uj);
+                for ((a, uk), pk) in row.iter().zip(&*u).zip(e.iter_mut()) {
+                    g = add(g, mul(*a, *uk));
+                    *pk = add(*pk, mul(*a, uj));
+                }
+                e[j] = add(e[j], g);
+            }
+            let mut upu = [0.0f64; QUAD];
+            for (pj, uj) in e[..i].iter_mut().zip(&*u) {
+                *pj = div(*pj, h);
+                upu = add(upu, mul(*pj, *uj));
+            }
+            let hh = div(upu, add(h, h));
+            // A ← A − q·uᵀ − u·qᵀ with q = p − hh·u, where the lane is active.
+            for j in 0..i {
+                let f = u[j];
+                let g = sub(e[j], mul(hh, f));
+                e[j] = g;
+                for ((x, ek), uk) in above[j * n..j * n + j + 1].iter_mut().zip(&e[..=j]).zip(&*u) {
+                    *x = select(active, sub(*x, add(mul(f, *ek), mul(g, *uk))), *x);
+                }
+            }
+        }
+        for k in 0..QUAD {
+            self.diag[k].clear();
+            self.diag[k].extend((0..n).map(|i| self.gram[i * n + i][k]));
+            self.couplings[k].clear();
+            self.couplings[k].extend(self.off.iter().map(|e| e[k]));
+        }
+    }
+
+    /// [`EnergySpectrum::eigenvalues_ql`] on the four tridiagonal forms at
+    /// once: one step of each unfinished window's chain in turn, so four
+    /// independent rotation chains are in flight. Each window keeps its own
+    /// `l`, `m`, sweep count and deflation, and takes exactly its scalar
+    /// steps. Returns which windows converged.
+    fn eigenvalues_ql(&mut self) -> [bool; QUAD] {
+        for (e, chain) in self.couplings.iter_mut().zip(&mut self.ql) {
+            let n = e.len();
+            e.copy_within(1..n, 0);
+            e[n - 1] = 0.0;
+            *chain = QlChain::default();
+        }
+        loop {
+            let mut running = false;
+            for ((chain, d), e) in self.ql.iter_mut().zip(&mut self.diag).zip(&mut self.couplings) {
+                if !chain.done {
+                    chain.step(d, e);
+                    running = true;
+                }
+            }
+            if !running {
+                break;
+            }
+        }
+        self.ql.map(|chain| !chain.failed)
+    }
+}
+
+/// The dot products, each summed in order from `Sum`'s -0.0, of row `ri`
+/// with each of `rows`, lane by lane: `J` independent chains in flight.
+#[inline(always)]
+fn dots<const J: usize>(ri: &[Lanes], rows: [&[Lanes]; J]) -> [Lanes; J] {
+    let rows = rows.map(|r| &r[..ri.len()]);
+    let mut acc = [[-0.0f64; QUAD]; J];
+    for (t, a) in ri.iter().enumerate() {
+        for (acc, r) in acc.iter_mut().zip(&rows) {
+            *acc = add(*acc, mul(*a, r[t]));
+        }
+    }
+    acc
+}
+
+/// One window's implicit-QL state between steps.
+#[derive(Debug, Default, Clone, Copy)]
+struct QlChain {
+    /// The eigenvalue being isolated, and its sweeps so far.
+    l: usize,
+    sweeps: usize,
+    /// Within a sweep: its end `m`, the rotation index `i` last done, and
+    /// the carried `s`, `c`, `p`, `g`.
+    in_sweep: bool,
+    m: usize,
+    i: usize,
+    s: f64,
+    c: f64,
+    p: f64,
+    g: f64,
+    done: bool,
+    failed: bool,
+    /// Sweeps over all eigenvalues, and sweeps ended by a zero rotation.
+    #[cfg(test)]
+    total_sweeps: usize,
+    #[cfg(test)]
+    deflations: usize,
+}
+
+impl QlChain {
+    /// One step of [`EnergySpectrum::eigenvalues_ql`]: outside a sweep, the
+    /// search for `m` and the sweep's set-up; inside one, one rotation.
+    #[inline]
+    fn step(&mut self, d: &mut [f64], e: &mut [f64]) {
+        let n = d.len();
+        let l = self.l;
+        if !self.in_sweep {
+            // Smallest m ≥ l whose coupling to m+1 is negligible.
+            let mut m = l;
+            while m + 1 < n {
+                let dd = d[m].abs() + d[m + 1].abs();
+                if e[m].abs() <= f64::EPSILON * dd {
+                    break;
+                }
+                m += 1;
+            }
+            if m == l {
+                self.l += 1;
+                self.sweeps = 0;
+                self.done = self.l == n;
+                return;
+            }
+            if self.sweeps == MAX_QL_SWEEPS {
+                self.failed = true;
+                self.done = true;
+                return;
+            }
+            self.sweeps += 1;
+            #[cfg(test)]
+            {
+                self.total_sweeps += 1;
+            }
+            let g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            let r = g.hypot(1.0);
+            self.g = d[m] - d[l] + e[l] / (g + r.copysign(g));
+            (self.s, self.c, self.p) = (1.0, 1.0, 0.0);
+            (self.m, self.i, self.in_sweep) = (m, m, true);
+            return;
+        }
+        let (m, i) = (self.m, self.i - 1);
+        let f = self.s * e[i];
+        let b = self.c * e[i];
+        let r = rotation_length(f, self.g);
+        e[i + 1] = r;
+        if r == 0.0 {
+            d[i + 1] -= self.p;
+            e[m] = 0.0;
+            self.in_sweep = false;
+            #[cfg(test)]
+            {
+                self.deflations += 1;
+            }
+            return;
+        }
+        self.s = f / r;
+        self.c = self.g / r;
+        let g = d[i + 1] - self.p;
+        let r = (d[i] - g) * self.s + 2.0 * self.c * b;
+        self.p = self.s * r;
+        d[i + 1] = g + self.p;
+        self.g = self.c * r - b;
+        self.i = i;
+        if i == l {
+            d[l] -= self.p;
+            e[l] = self.g;
+            e[m] = 0.0;
+            self.in_sweep = false;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::jacobi::{singular_values, truncation_level};
     use crate::regression::Matrix;
-    use crate::test_fields::{families, white_noise};
+    use crate::test_fields::{families, quad_cases, white_noise};
     use lcc_grid::Field2D;
+    use lcc_lossless::dispatch::supported_levels;
     use lcc_synth::{generate_single_range, GaussianFieldConfig};
 
     /// Mean truncation level over the field's full 32 × 32 windows.
@@ -585,7 +991,7 @@ mod tests {
     }
 
     fn energy_level_of(spectrum: &mut EnergySpectrum, a: &Matrix, fraction: f64) -> Option<usize> {
-        spectrum.truncation_level((0..a.rows()).map(|i| a.row(i)), fraction)
+        spectrum.truncation_level((0..a.rows()).map(|i| a.row(i)), fraction).ok()
     }
 
     #[test]
@@ -645,6 +1051,52 @@ mod tests {
             (i + 1) as f64 * (j as f64 - 15.5) + if (i + j) % 2 == 0 { 3.0 } else { -3.0 }
         });
         assert_eq!(energy_level_of(&mut spectrum, &rank2, 1.0), Some(oracle_level(&rank2, 1.0)));
+    }
+
+    #[test]
+    fn quads_have_each_windows_eigenvalues_and_level_at_every_tier() {
+        let mut oracle = EnergySpectrum::new();
+        let (mut windows, mut sweep_counts, mut deflated) = (0, Vec::new(), 0);
+        for case in quad_cases() {
+            let tiles = full_windows(&case.view(), case.window);
+            for &level in supported_levels() {
+                let mut spectrum = QuadSpectrum::default();
+                for group in tiles.chunks(QUAD) {
+                    let quad = std::array::from_fn(|k| *group.get(k).unwrap_or(&group[0]));
+                    let centred = crate::quad::tridiagonalise_quad(level, &mut spectrum, &quad);
+                    let converged = spectrum.eigenvalues_ql();
+                    for (k, view) in group.iter().enumerate() {
+                        let what = format!("{} at {level:?}, window {windows}", case.name);
+                        match oracle.eigenvalues(view.rows()) {
+                            Err(NoLevel::NonFinite) => assert_eq!(centred[k], Centred::NonFinite),
+                            Err(NoLevel::NoConvergence) => panic!("{what}: QL did not converge"),
+                            Ok([]) => assert_eq!(centred[k], Centred::Constant, "{what}"),
+                            Ok(want) => {
+                                assert_eq!(centred[k], Centred::Varies, "{what}");
+                                assert!(converged[k], "{what}");
+                                let got: Vec<u64> =
+                                    spectrum.diag[k].iter().map(|x| x.to_bits()).collect();
+                                let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+                                assert_eq!(got, want, "{what}");
+                                sweep_counts.push(spectrum.ql[k].total_sweeps);
+                                deflated += spectrum.ql[k].deflations.min(1);
+                            }
+                        }
+                        windows += 1;
+                    }
+                    let levels = spectrum.truncation_levels(level, &quad, 0.99);
+                    for (got, view) in levels.iter().zip(group) {
+                        assert_eq!(got.ok(), window_truncation_level(view, 0.99), "{}", case.name);
+                    }
+                }
+            }
+        }
+        // Lanes whose chains take different sweep counts, and lanes that
+        // deflate, sit in the quads above.
+        sweep_counts.sort_unstable();
+        sweep_counts.dedup();
+        assert!(sweep_counts.len() > 10, "{sweep_counts:?}");
+        assert!(deflated > 0);
     }
 
     #[test]

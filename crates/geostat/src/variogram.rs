@@ -45,10 +45,27 @@
 //! [`empirical_variogram_view`] / [`estimate_range_view`] are the same code
 //! at width 1.
 //!
+//! **Windows.** The local statistic estimates the variogram of every full
+//! window of a field, and all of them share one shape, so `WindowPlan`
+//! lays the offset list (strides included), each offset's bin and the
+//! bins' distances out once per field and sums four windows' offsets at
+//! once, one window per lane of a `quad` copy, binning into the
+//! worker's buffers. Each lane takes the per-offset pass's steps, so every
+//! window's γ has [`empirical_variogram_view`]'s bits (the unit tests hold
+//! it there at every SIMD tier).
+//!
 //! The paper's "estimated variogram range" is the range parameter `a` of the
 //! squared-exponential model `γ(h) = c₀ (1 − exp(−h²/a²))` fitted to the
-//! empirical variogram by least squares.
+//! empirical variogram by least squares. The Gauss–Newton fit evaluates
+//! `exp(−h²/a²)` once per sample per parameter vector: the model and its
+//! gradient share it, and a candidate's residual pass also builds the
+//! normal equations the next iteration uses if the step is accepted — the
+//! same sums, bit for bit, as separate residual, model and Jacobian passes
+//! (a test keeps that three-pass fit as the oracle). A variogram with a
+//! non-finite γ is refused, so a field holding NaN or ±∞, or values whose
+//! squared differences overflow, has a NaN range and sill.
 
+use crate::quad::{interleave, Lanes, QUAD};
 use crate::GeostatError;
 use lcc_grid::FieldView;
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
@@ -464,10 +481,15 @@ impl BandSweep {
         sums
     }
 
+    /// The distance bin of offset `o`.
+    fn bin_of(&self, o: &Offset) -> usize {
+        (((o.dist / self.max_dist) * self.n_bins as f64) as usize).min(self.n_bins - 1)
+    }
+
     /// Fold the job sums (`jobs` order) into the distance bins, offset by
     /// offset in list order.
     fn bin(&self, job_sums: &[BandSums]) -> EmpiricalVariogram {
-        let (n_bins, max_dist) = (self.n_bins, self.max_dist);
+        let n_bins = self.n_bins;
         // Bin accumulators over distance [0, max_dist].
         let mut bin_gamma = vec![0.0f64; n_bins];
         let mut bin_dist = vec![0.0f64; n_bins];
@@ -475,7 +497,7 @@ impl BandSweep {
         for (o, sum) in self.offsets.iter().zip(self.offset_sums(job_sums)) {
             let count = o.pairs(self.ny, self.nx);
             let gamma = sum / (2.0 * count as f64);
-            let bin = (((o.dist / max_dist) * n_bins as f64) as usize).min(n_bins - 1);
+            let bin = self.bin_of(o);
             bin_gamma[bin] += gamma * count as f64;
             bin_dist[bin] += o.dist * count as f64;
             bin_count[bin] += count;
@@ -510,19 +532,155 @@ fn empirical_variogram_pooled(
     sweep.bin(&job_sums)
 }
 
+/// The estimator of every window of one shape, laid out once per field:
+/// the offset list with each offset's bin and pair count, and the mean
+/// distance of each non-empty bin — all of which depend on the shape
+/// alone. [`WindowPlan::sum_quad`] sums four windows' offsets at once,
+/// each window in its own lane and in the order of its per-offset pass
+/// (module docs), so [`WindowPlan::fit_lane`] reads every window's
+/// variogram with the bits [`empirical_variogram_view`] gives it.
+#[derive(Debug)]
+pub(crate) struct WindowPlan {
+    ny: usize,
+    nx: usize,
+    /// The offsets in list order, each with its bin and its pair count.
+    offsets: Vec<(Offset, usize, f64)>,
+    /// The non-empty bins: index and pair count.
+    filled: Vec<(usize, f64)>,
+    /// Mean pair distance of each non-empty bin.
+    distances: Vec<f64>,
+    n_bins: usize,
+}
+
+/// One worker's buffers for [`WindowPlan`]: a quad's cells, its bins'
+/// semi-variances, and one window's variogram.
+#[derive(Debug, Default)]
+pub(crate) struct WindowScratch {
+    cells: Vec<Lanes>,
+    bins: Vec<Lanes>,
+    gammas: Vec<f64>,
+}
+
+impl WindowPlan {
+    /// Lay out the estimator for `ny × nx` windows; `None` where
+    /// [`BandSweep::plan`] has none (a single row or column).
+    pub(crate) fn new(ny: usize, nx: usize, config: &VariogramConfig) -> Option<WindowPlan> {
+        let sweep = BandSweep::plan(ny, nx, config)?;
+        let mut bin_dist = vec![0.0f64; sweep.n_bins];
+        let mut bin_count = vec![0u64; sweep.n_bins];
+        let mut offsets = Vec::with_capacity(sweep.offsets.len());
+        for o in &sweep.offsets {
+            let (count, bin) = (o.pairs(ny, nx), sweep.bin_of(o));
+            bin_dist[bin] += o.dist * count as f64;
+            bin_count[bin] += count;
+            offsets.push((*o, bin, count as f64));
+        }
+        let filled: Vec<(usize, f64)> = (0..sweep.n_bins)
+            .filter(|&b| bin_count[b] > 0)
+            .map(|b| (b, bin_count[b] as f64))
+            .collect();
+        let distances = filled.iter().map(|&(b, w)| bin_dist[b] / w).collect();
+        Some(WindowPlan { ny, nx, offsets, filled, distances, n_bins: sweep.n_bins })
+    }
+
+    /// The lane body: copy a quad of `ny × nx` windows into `scratch` and
+    /// fold every offset's sum of squared differences into the bins, lane
+    /// `k` holding window `k`. Each lane takes its window's per-offset pass
+    /// step for step: element `t` of a row to accumulator `t mod LANES`,
+    /// rows ascending, the same fixed tree, the same binning in list order.
+    #[inline(always)]
+    pub(crate) fn sum_quad(&self, quad: &[FieldView<'_>; QUAD], scratch: &mut WindowScratch) {
+        interleave(quad, &mut scratch.cells);
+        scratch.bins.clear();
+        scratch.bins.resize(self.n_bins, [0.0; QUAD]);
+        let (ny, nx) = (self.ny, self.nx);
+        for (o, bin, count) in &self.offsets {
+            let width = nx - o.off_x;
+            let (a_start, b_start) = if o.negative_x { (o.off_x, 0) } else { (0, o.off_x) };
+            let mut acc = [[0.0f64; QUAD]; LANES];
+            for i in (0..ny - o.off_y).step_by(o.stride) {
+                let a = &scratch.cells[i * nx + a_start..][..width];
+                let b = &scratch.cells[(i + o.off_y) * nx + b_start..][..width];
+                match o.stride {
+                    1 => accumulate_quad(&mut acc, a, b, 1),
+                    s => accumulate_quad(&mut acc, a, b, s),
+                }
+            }
+            let l = acc;
+            let bin = &mut scratch.bins[*bin];
+            for k in 0..QUAD {
+                let sum = ((l[0][k] + l[4][k]) + (l[2][k] + l[6][k]))
+                    + ((l[1][k] + l[5][k]) + (l[3][k] + l[7][k]));
+                let gamma = sum / (2.0 * count);
+                bin[k] += gamma * count;
+            }
+        }
+    }
+
+    /// The variogram range of window `lane` of the quad [`Self::sum_quad`]
+    /// last summed: [`window_range`](crate::window_range)'s bits.
+    pub(crate) fn fit_lane(&self, scratch: &mut WindowScratch, lane: usize) -> f64 {
+        let WindowScratch { bins, gammas, .. } = scratch;
+        gammas.clear();
+        gammas.extend(self.filled.iter().map(|&(b, w)| bins[b][lane] / w));
+        fit_samples(&self.distances, gammas).map_or(f64::NAN, |fit| fit.range)
+    }
+}
+
+/// [`accumulate_strided`] for a quad: `acc[t mod LANES][k] += (a[t·stride][k]
+/// − b[t·stride][k])²` over the sampled elements `t` of two equally long
+/// row slices, for each window `k`.
+#[inline(always)]
+fn accumulate_quad(acc: &mut [Lanes; LANES], a: &[Lanes], b: &[Lanes], stride: usize) {
+    let block = LANES * stride;
+    let (a_blocks, b_blocks) = (a.chunks_exact(block), b.chunks_exact(block));
+    let a_tail = a_blocks.remainder().iter().step_by(stride);
+    let b_tail = b_blocks.remainder().iter().step_by(stride);
+    let mut lanes = *acc;
+    for (ca, cb) in a_blocks.zip(b_blocks) {
+        for (t, lane) in lanes.iter_mut().enumerate() {
+            add_squared_difference(lane, &ca[t * stride], &cb[t * stride]);
+        }
+    }
+    for ((lane, x), y) in lanes.iter_mut().zip(a_tail).zip(b_tail) {
+        add_squared_difference(lane, x, y);
+    }
+    *acc = lanes;
+}
+
+/// `lane[k] += (x[k] − y[k])²` for each window `k`.
+#[inline(always)]
+fn add_squared_difference(lane: &mut Lanes, x: &Lanes, y: &Lanes) {
+    for k in 0..QUAD {
+        let d = x[k] - y[k];
+        lane[k] += d * d;
+    }
+}
+
 /// Fit the squared-exponential variogram model by damped Gauss–Newton with a
 /// coarse grid-search initialization.
+///
+/// A variogram with fewer than three bins, or with a non-finite
+/// semi-variance (a field holding NaN or ±∞, or finite values whose squared
+/// differences overflow), is refused: no range describes it.
 pub fn fit_squared_exponential(
     variogram: &EmpiricalVariogram,
 ) -> Result<VariogramFit, GeostatError> {
-    if variogram.len() < 3 {
+    fit_samples(&variogram.distances, &variogram.gammas)
+}
+
+/// [`fit_squared_exponential`] of the bins' distances `h` and
+/// semi-variances `g`.
+fn fit_samples(h: &[f64], g: &[f64]) -> Result<VariogramFit, GeostatError> {
+    if h.len() < 3 {
         return Err(GeostatError::DegenerateInput(format!(
             "need at least 3 variogram bins, got {}",
-            variogram.len()
+            h.len()
         )));
     }
-    let h = &variogram.distances;
-    let g = &variogram.gammas;
+    if let Some(bad) = g.iter().find(|gamma| !gamma.is_finite()) {
+        return Err(GeostatError::DegenerateInput(format!("semi-variance {bad}")));
+    }
     let max_h = h.iter().cloned().fold(0.0, f64::max);
     let max_g = g.iter().cloned().fold(0.0, f64::max);
     if max_g <= 0.0 {
@@ -532,9 +690,10 @@ pub fn fit_squared_exponential(
     }
 
     let model = |hh: f64, p: &[f64; 2]| p[0] * (1.0 - (-(hh * hh) / (p[1] * p[1])).exp());
-    let jacobian = |hh: f64, p: &[f64; 2]| {
+    // The model and its gradient from one `exp`.
+    let eval = |hh: f64, p: &[f64; 2]| {
         let e = (-(hh * hh) / (p[1] * p[1])).exp();
-        [1.0 - e, -2.0 * p[0] * e * hh * hh / (p[1] * p[1] * p[1])]
+        (p[0] * (1.0 - e), [1.0 - e, -2.0 * p[0] * e * hh * hh / (p[1] * p[1] * p[1])])
     };
     let sse = |p: &[f64; 2]| -> f64 {
         h.iter().zip(g.iter()).map(|(&hh, &gg)| (model(hh, p) - gg).powi(2)).sum()
@@ -550,7 +709,7 @@ pub fn fit_squared_exponential(
         }
     }
 
-    let fitted = gauss_newton(h, g, &best.0, model, jacobian)?;
+    let fitted = gauss_newton(h, g, &best.0, eval)?;
     let mut sill = fitted[0];
     let mut range = fitted[1].abs(); // the model is even in the range parameter
                                      // Guard against non-physical fits on pathological inputs.
@@ -572,24 +731,30 @@ const TOLERANCE: f64 = 1e-10;
 /// diagonal; adapts up and down as steps are rejected/accepted.
 const DAMPING: f64 = 1e-6;
 
+/// The residual sum of squares of a parameter vector and the normal
+/// equations `JᵀJ`, `Jᵀr` at it, from one pass over the samples.
+type Normal<const P: usize> = (f64, [[f64; P]; P], [f64; P]);
+
 /// Damped Gauss–Newton (Levenberg–Marquardt) minimization of
 /// `sum_i (model(x_i, params) - y_i)²` over `P` parameters.
 ///
-/// `model` evaluates the model at one sample; `jacobian` returns the partial
-/// derivatives of the model with respect to each parameter at one sample.
-/// Returns the fitted parameters. The parameter count is a constant so the
-/// normal equations live on the stack: a fit allocates nothing (the study
-/// runs 257 of them per field).
-fn gauss_newton<const P: usize, M, J>(
+/// `eval` returns the model at one sample and its partial derivatives with
+/// respect to each parameter, so a model can share its costly terms (the
+/// variogram's `exp`) between the two. Each parameter vector is evaluated
+/// once: a candidate's pass gives its residual sum of squares and, should
+/// the step be accepted, the next iteration's normal equations — the sums
+/// a separate residual pass, model pass and Jacobian pass would give, bit
+/// for bit. Returns the fitted parameters. The parameter count is a
+/// constant so the normal equations live on the stack: a fit allocates
+/// nothing (the study runs 257 of them per field).
+fn gauss_newton<const P: usize, E>(
     x: &[f64],
     y: &[f64],
     initial: &[f64; P],
-    model: M,
-    jacobian: J,
+    eval: E,
 ) -> Result<[f64; P], GeostatError>
 where
-    M: Fn(f64, &[f64; P]) -> f64,
-    J: Fn(f64, &[f64; P]) -> [f64; P],
+    E: Fn(f64, &[f64; P]) -> (f64, [f64; P]),
 {
     if x.len() != y.len() {
         return Err(GeostatError::DegenerateInput("x and y lengths differ".into()));
@@ -597,21 +762,15 @@ where
     if x.len() < P {
         return Err(GeostatError::DegenerateInput("fewer samples than parameters".into()));
     }
-    let mut params = *initial;
-    let mut lambda = DAMPING;
-
-    let sse = |p: &[f64; P]| -> f64 {
-        x.iter().zip(y.iter()).map(|(&xi, &yi)| (model(xi, p) - yi).powi(2)).sum()
-    };
-    let mut current_sse = sse(&params);
-
-    for _ in 0..MAX_ITERATIONS {
-        // Build JᵀJ and Jᵀr for the current parameters.
+    let normal = |p: &[f64; P]| -> Normal<P> {
+        // `-0.0`, the start value of `f64`'s `Sum`.
+        let mut sse = -0.0;
         let mut jtj = [[0.0; P]; P];
         let mut jtr = [0.0; P];
         for (&xi, &yi) in x.iter().zip(y.iter()) {
-            let r = yi - model(xi, &params);
-            let grad = jacobian(xi, &params);
+            let (model, grad) = eval(xi, p);
+            sse += (model - yi).powi(2);
+            let r = yi - model;
             for p in 0..P {
                 jtr[p] += grad[p] * r;
                 for q in 0..P {
@@ -619,7 +778,13 @@ where
                 }
             }
         }
+        (sse, jtj, jtr)
+    };
+    let mut params = *initial;
+    let mut lambda = DAMPING;
+    let (mut current_sse, mut jtj, mut jtr) = normal(&params);
 
+    for _ in 0..MAX_ITERATIONS {
         // Solve the damped system (JᵀJ + λ diag(JᵀJ)) δ = Jᵀ r.
         let mut step = None;
         for _attempt in 0..8 {
@@ -636,22 +801,23 @@ where
             for (c, d) in candidate.iter_mut().zip(&rhs) {
                 *c += d;
             }
-            let new_sse = sse(&candidate);
+            let at_candidate = normal(&candidate);
+            let new_sse = at_candidate.0;
             if new_sse.is_finite() && new_sse <= current_sse {
-                step = Some((candidate, rhs, new_sse));
+                step = Some((candidate, rhs, at_candidate));
                 lambda = (lambda * 0.3).max(1e-14);
                 break;
             }
             lambda *= 10.0;
         }
 
-        let Some((candidate, delta, new_sse)) = step else {
+        let Some((candidate, delta, at_candidate)) = step else {
             // Could not find a descent step; treat current params as converged.
             return Ok(params);
         };
         let delta_norm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
         params = candidate;
-        current_sse = new_sse;
+        (current_sse, jtj, jtr) = at_candidate;
         if delta_norm < TOLERANCE {
             return Ok(params);
         }
@@ -718,7 +884,7 @@ pub fn estimate_range_pooled(
 ) -> VariogramFit {
     let vg = empirical_variogram_pooled(field, config, pool);
     fit_squared_exponential(&vg).unwrap_or(VariogramFit {
-        sill: 0.0,
+        sill: f64::NAN,
         range: f64::NAN,
         residual: f64::NAN,
     })
@@ -736,21 +902,23 @@ pub fn model_gamma(fit: &VariogramFit, h: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fields::{families, white_noise};
+    use crate::test_fields::{families, quad_cases, white_noise};
     use lcc_grid::Field2D;
+    use lcc_lossless::dispatch::supported_levels;
     use lcc_synth::{generate_single_range, GaussianFieldConfig};
+
+    /// `y = A exp(−x / τ)` and its gradient.
+    fn exponential_decay(x: f64, p: &[f64; 2]) -> (f64, [f64; 2]) {
+        let e = (-x / p[1]).exp();
+        (p[0] * e, [e, p[0] * e * x / (p[1] * p[1])])
+    }
 
     #[test]
     fn gauss_newton_fits_exponential_decay() {
         // y = A exp(-x / tau) with A = 2, tau = 3.
         let xs: Vec<f64> = (0..40).map(|i| i as f64 * 0.25).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * (-x / 3.0).exp()).collect();
-        let model = |x: f64, p: &[f64; 2]| p[0] * (-x / p[1]).exp();
-        let jac = |x: f64, p: &[f64; 2]| {
-            let e = (-x / p[1]).exp();
-            [e, p[0] * e * x / (p[1] * p[1])]
-        };
-        let fitted = gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac).unwrap();
+        let fitted = gauss_newton(&xs, &ys, &[1.0, 1.0], exponential_decay).unwrap();
         assert!((fitted[0] - 2.0).abs() < 1e-6, "{fitted:?}");
         assert!((fitted[1] - 3.0).abs() < 1e-6, "{fitted:?}");
     }
@@ -760,12 +928,11 @@ mod tests {
         // gamma(h) = c0 (1 - exp(-(h/a)^2)) with c0 = 1.2, a = 14.
         let hs: Vec<f64> = (1..60).map(|i| i as f64).collect();
         let ys: Vec<f64> = hs.iter().map(|h| 1.2 * (1.0 - (-(h / 14.0).powi(2)).exp())).collect();
-        let model = |h: f64, p: &[f64; 2]| p[0] * (1.0 - (-(h / p[1]).powi(2)).exp());
-        let jac = |h: f64, p: &[f64; 2]| {
+        let eval = |h: f64, p: &[f64; 2]| {
             let e = (-(h / p[1]).powi(2)).exp();
-            [1.0 - e, -p[0] * e * 2.0 * h * h / (p[1] * p[1] * p[1])]
+            (p[0] * (1.0 - e), [1.0 - e, -p[0] * e * 2.0 * h * h / (p[1] * p[1] * p[1])])
         };
-        let fitted = gauss_newton(&hs, &ys, &[0.5, 5.0], model, jac).unwrap();
+        let fitted = gauss_newton(&hs, &ys, &[0.5, 5.0], eval).unwrap();
         assert!((fitted[0] - 1.2).abs() < 1e-5, "{fitted:?}");
         assert!((fitted[1] - 14.0).abs() < 1e-4, "{fitted:?}");
     }
@@ -779,22 +946,168 @@ mod tests {
             .enumerate()
             .map(|(i, x)| 5.0 * (-x / 2.0).exp() + 0.01 * ((i * 2654435761) % 1000) as f64 / 1000.0)
             .collect();
-        let model = |x: f64, p: &[f64; 2]| p[0] * (-x / p[1]).exp();
-        let jac = |x: f64, p: &[f64; 2]| {
-            let e = (-x / p[1]).exp();
-            [e, p[0] * e * x / (p[1] * p[1])]
-        };
-        let fitted = gauss_newton(&xs, &ys, &[1.0, 1.0], model, jac).unwrap();
+        let fitted = gauss_newton(&xs, &ys, &[1.0, 1.0], exponential_decay).unwrap();
         assert!((fitted[0] - 5.0).abs() < 0.05);
         assert!((fitted[1] - 2.0).abs() < 0.05);
     }
 
     #[test]
     fn gauss_newton_validates_inputs() {
-        let model = |_x: f64, p: &[f64; 1]| p[0];
-        let jac = |_x: f64, _p: &[f64; 1]| [1.0];
-        assert!(gauss_newton(&[1.0], &[1.0, 2.0], &[0.0], model, jac).is_err());
-        assert!(gauss_newton(&[] as &[f64], &[], &[0.0], model, jac).is_err());
+        let eval = |_x: f64, p: &[f64; 1]| (p[0], [1.0]);
+        assert!(gauss_newton(&[1.0], &[1.0, 2.0], &[0.0], eval).is_err());
+        assert!(gauss_newton(&[] as &[f64], &[], &[0.0], eval).is_err());
+    }
+
+    /// The fit as it was before the model and its gradient shared one
+    /// `exp`: a residual pass per candidate, then a model pass and a
+    /// Jacobian pass per accepted parameter vector. Kept as the oracle of
+    /// [`fit_samples`]'s bits.
+    fn three_pass_fit(h: &[f64], g: &[f64]) -> (f64, f64) {
+        let model = |hh: f64, p: &[f64; 2]| p[0] * (1.0 - (-(hh * hh) / (p[1] * p[1])).exp());
+        let jacobian = |hh: f64, p: &[f64; 2]| {
+            let e = (-(hh * hh) / (p[1] * p[1])).exp();
+            [1.0 - e, -2.0 * p[0] * e * hh * hh / (p[1] * p[1] * p[1])]
+        };
+        let sse = |p: &[f64; 2]| -> f64 {
+            h.iter().zip(g).map(|(&hh, &gg)| (model(hh, p) - gg).powi(2)).sum()
+        };
+        let max_h = h.iter().cloned().fold(0.0, f64::max);
+        let max_g = g.iter().cloned().fold(0.0, f64::max);
+        let mut best = ([max_g, max_h / 3.0], f64::INFINITY);
+        for frac in [0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.5] {
+            let candidate = [max_g, (max_h * frac).max(1e-3)];
+            let err = sse(&candidate);
+            if err < best.1 {
+                best = (candidate, err);
+            }
+        }
+        let (mut params, mut lambda) = (best.0, DAMPING);
+        let mut current_sse = sse(&params);
+        for _ in 0..MAX_ITERATIONS {
+            let mut jtj = [[0.0; 2]; 2];
+            let mut jtr = [0.0; 2];
+            for (&xi, &yi) in h.iter().zip(g) {
+                let r = yi - model(xi, &params);
+                let grad = jacobian(xi, &params);
+                for p in 0..2 {
+                    jtr[p] += grad[p] * r;
+                    for q in 0..2 {
+                        jtj[p][q] += grad[p] * grad[q];
+                    }
+                }
+            }
+            let mut step = None;
+            for _attempt in 0..8 {
+                let mut a = jtj;
+                for (p, row) in a.iter_mut().enumerate() {
+                    row[p] += lambda * row[p].max(1e-12);
+                }
+                let mut rhs = jtr;
+                if solve_inplace(&mut a, &mut rhs).is_none() {
+                    lambda *= 10.0;
+                    continue;
+                }
+                let candidate = [params[0] + rhs[0], params[1] + rhs[1]];
+                let new_sse = sse(&candidate);
+                if new_sse.is_finite() && new_sse <= current_sse {
+                    step = Some((candidate, rhs, new_sse));
+                    lambda = (lambda * 0.3).max(1e-14);
+                    break;
+                }
+                lambda *= 10.0;
+            }
+            let Some((candidate, delta, new_sse)) = step else { break };
+            params = candidate;
+            current_sse = new_sse;
+            if (delta[0] * delta[0] + delta[1] * delta[1]).sqrt() < TOLERANCE {
+                break;
+            }
+        }
+        let (mut sill, mut range) = (params[0], params[1].abs());
+        if !sill.is_finite() || !range.is_finite() || range <= 0.0 {
+            sill = max_g;
+            range = best.0[1];
+        }
+        (sill, range.min(10.0 * max_h.max(1.0)))
+    }
+
+    #[test]
+    fn window_plan_quads_have_each_windows_variogram_at_every_tier() {
+        let mut strides = Vec::new();
+        for case in quad_cases() {
+            let config =
+                VariogramConfig { max_lag: Some(10), n_bins: 10, sample_budget: case.budget };
+            let windows = crate::local::full_windows(&case.view(), case.window);
+            let plan = WindowPlan::new(case.window, case.window, &config).unwrap();
+            strides.extend(plan.offsets.iter().map(|(o, _, _)| o.stride));
+            for &level in supported_levels() {
+                let mut scratch = WindowScratch::default();
+                for (q, group) in windows.chunks(QUAD).enumerate() {
+                    let quad = std::array::from_fn(|k| *group.get(k).unwrap_or(&group[0]));
+                    crate::quad::sum_quad(level, &plan, &quad, &mut scratch);
+                    for (k, view) in group.iter().enumerate() {
+                        let what = format!("{} at {level:?}, window {}", case.name, 4 * q + k);
+                        let range = plan.fit_lane(&mut scratch, k);
+                        let want = empirical_variogram_view(view, &config);
+                        assert_eq!(plan.distances, want.distances, "{what}");
+                        let counts: Vec<f64> = want.counts.iter().map(|&c| c as f64).collect();
+                        let filled: Vec<f64> = plan.filled.iter().map(|&(_, w)| w).collect();
+                        assert_eq!(filled, counts, "{what}");
+                        let gammas: Vec<u64> = scratch.gammas.iter().map(|g| g.to_bits()).collect();
+                        let want_gammas: Vec<u64> =
+                            want.gammas.iter().map(|g| g.to_bits()).collect();
+                        assert_eq!(gammas, want_gammas, "{what}");
+                        let want_range = crate::window_range(view, &config);
+                        assert_eq!(range.to_bits(), want_range.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+        assert!(strides.contains(&1) && strides.iter().any(|&s| s > 1), "{strides:?}");
+    }
+
+    #[test]
+    fn non_finite_semi_variances_are_refused() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let vg = EmpiricalVariogram {
+                distances: vec![1.0, 2.0, 3.0, 4.0],
+                gammas: vec![0.1, 0.2, bad, 0.3],
+                counts: vec![10; 4],
+            };
+            assert!(matches!(fit_squared_exponential(&vg), Err(GeostatError::DegenerateInput(_))));
+        }
+        // A field holding NaN, ±∞, or finite values whose squared
+        // differences overflow has no range and no sill.
+        let base = generate_single_range(&GaussianFieldConfig::new(64, 64, 6.0, 3));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let mut field = base.clone();
+            field.set(17, 40, bad);
+            let fit = estimate_range_view(&field.view(), &VariogramConfig::default());
+            assert!(fit.range.is_nan() && fit.sill.is_nan(), "{bad}: {fit:?}");
+        }
+    }
+
+    #[test]
+    fn the_shared_exp_fit_has_the_three_pass_bits() {
+        let configs = [
+            VariogramConfig { max_lag: Some(10), n_bins: 10, ..Default::default() },
+            VariogramConfig::default(),
+        ];
+        let mut fits = 0;
+        for (name, field) in families() {
+            for config in &configs {
+                for (win, view) in field.windows(32, 32) {
+                    let vg = empirical_variogram_view(&view, config);
+                    let fit = fit_squared_exponential(&vg).unwrap();
+                    let (sill, range) = three_pass_fit(&vg.distances, &vg.gammas);
+                    let what = format!("{name} at ({}, {})", win.i0, win.j0);
+                    assert_eq!(fit.sill.to_bits(), sill.to_bits(), "{what}");
+                    assert_eq!(fit.range.to_bits(), range.to_bits(), "{what}");
+                    fits += 1;
+                }
+            }
+        }
+        assert_eq!(fits, 9 * 2 * 16);
     }
 
     /// The estimator as one scalar loop: every pair read through `at`, one
