@@ -4,9 +4,10 @@
 //! offset            size   field
 //! 0                 4      magic b"LCCA"
 //! 4                 1      archive version (1)
-//! 5                 …      entry payloads, back to back: each one LCCF v2
-//!                          tiled frame (or, for single-tile entries, the
-//!                          inner compressor's raw stream)
+//! 5                 …      entry payloads, back to back: each one LCCF
+//!                          `0x61` frame (or, for single-tile entries, the
+//!                          one-tile inner stream: the compressor's raw
+//!                          stream)
 //! table_offset      …      entry metadata records (layout below)
 //! len - 25          25     footer:
 //!                            table_offset (u64 LE)

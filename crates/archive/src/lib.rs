@@ -1,13 +1,13 @@
 //! # lcc_archive — indexed multi-field archives with tiled region reads
 //!
-//! Serving-side container over the LCCF v2 tiled frame format: many fields
-//! across many timesteps in one byte stream, each entry independently
-//! seekable down to the tile. Three pieces:
+//! Serving-side container over the LCCF `0x61` frame (tiles, each with its
+//! XXH64 digest): many fields across many timesteps in one byte stream,
+//! each entry independently seekable down to the tile. Three pieces:
 //!
-//! * [`ArchiveWriter`] — appends each field as a checksummed LCCF v2 tiled
-//!   frame and lands the metadata table (names, timesteps, codec, error
-//!   bound, per-tile windowed statistics) at the tail, found via a
-//!   fixed-size footer.
+//! * [`ArchiveWriter`] — appends each field as a `0x61` frame (or, for a
+//!   one-tile entry, the one-tile inner stream) and lands the metadata
+//!   table (names, timesteps, codec, error bound, per-tile windowed
+//!   statistics) at the tail, found via a fixed-size footer.
 //! * [`Archive`] — opens any [`ReadAt`] source (in-memory bytes, a file),
 //!   validates every structural claim up front, and serves
 //!   [`read_region`](Archive::read_region): decode **only the tiles
@@ -177,8 +177,8 @@ mod tests {
 
     #[test]
     fn single_tile_entries_store_the_raw_stream() {
-        // The "energy" entry is one 9x9 tile: the v2 passthrough rule says
-        // its payload must be the codec's raw stream, no frame header.
+        // The "energy" entry is one 9x9 tile: its payload is the one-tile
+        // inner stream, the codec's raw stream with no frame header.
         let bytes = build_archive();
         let archive = Archive::open(bytes.clone()).unwrap();
         let entry = archive.entry(2).clone();

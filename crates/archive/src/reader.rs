@@ -258,9 +258,9 @@ impl<R: ReadAt> Archive<R> {
             source.read_at(meta.offset, &mut prefix)?;
             FrameIndex::parse(&prefix, frame_len)?
         } else {
-            // No frame magic: the entry is the inner codec's raw stream,
-            // which the passthrough rule only permits for a single-tile
-            // tiling. Synthesize the trivial index.
+            // No frame magic: the entry is the one-tile inner stream, the
+            // codec's raw stream, which only a single-tile tiling writes.
+            // Synthesize the trivial index.
             if meta.n_tiles() != 1 {
                 return Err(corrupt(format!(
                     "entry '{}' claims {} tiles but its payload is not a tiled frame",

@@ -11,8 +11,8 @@ use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch};
 
 /// Builds an LCCA archive in memory: add one entry per (field, timestep),
 /// then [`finish`](ArchiveWriter::finish) to append the entry table and
-/// footer. Entry payloads are checksummed LCCF v2 tiled frames, so every
-/// tile a region read touches is digest-verified before decode.
+/// footer. Entry payloads are LCCF `0x61` frames, so every tile a region
+/// read touches is digest-verified before decode.
 #[derive(Debug, Default)]
 pub struct ArchiveWriter {
     bytes: Vec<u8>,
@@ -38,11 +38,11 @@ impl ArchiveWriter {
         self.entries.is_empty()
     }
 
-    /// Compress `field` as a `tile_ny × tile_nx` tiled, checksummed frame
-    /// and append it as an entry, computing the per-tile windowed summary
+    /// Compress `field` as a `0x61` frame of `tile_ny × tile_nx` tiles and
+    /// append it as an entry, computing the per-tile windowed summary
     /// statistics that ride in the metadata. Tile dims are clamped to the
-    /// field; a single-tile entry is the codec's raw stream (the v2
-    /// passthrough rule). Returns the entry's index.
+    /// field; a single-tile entry is the one-tile inner stream, the codec's
+    /// raw stream with no header. Returns the entry's index.
     #[allow(clippy::too_many_arguments)]
     pub fn add_entry(
         &mut self,
@@ -67,7 +67,6 @@ impl ArchiveWriter {
             &field.view(),
             bound,
             (tile_ny, tile_nx),
-            true,
             pool,
             scratch,
             |tiles, stats: &mut [TileStats]| {

@@ -129,9 +129,11 @@ pub struct VariogramFit {
     pub residual: f64,
 }
 
-/// Compute the empirical semi-variogram of a (possibly strided) view — the
-/// zero-copy path the windowed local statistics use so each `32 × 32` tile
-/// is enumerated directly in the parent field's buffer.
+/// Compute the empirical semi-variogram of a (possibly strided) view,
+/// serially and in the view's own buffer — the variogram of the global
+/// estimate ([`estimate_range_view`]) and of the one-window kernel
+/// [`window_range`](crate::window_range). The windowed local statistics do
+/// not call it: they run their windows as `WindowPlan` quads.
 pub fn empirical_variogram_view(
     field: &FieldView<'_>,
     config: &VariogramConfig,

@@ -12,8 +12,8 @@
 //! Every operation has one pinned plain entry point
 //! ([`compress_framed_with`], [`compress_tiled_with`],
 //! [`decompress_framed_with`]). Encoding has one general form,
-//! [`compress_frame`], which takes the tile shape, a checksum switch and a
-//! per-run hook; the plain encoders are one-line calls into it, and
+//! [`compress_frame`], which takes the tile shape and a per-run hook; the
+//! plain encoders are one-line calls into it, and
 //! `compress_framed_with`'s `blocks` are full-width tiles of
 //! `ny.div_ceil(blocks)` rows. Decoding has one block step,
 //! [`FrameIndex::decode_block`], shared by the frame decoder and the
@@ -26,8 +26,7 @@
 //! holds point-wise: it is enforced per block. A tile shape that covers the
 //! field in **one block** is, by definition, the inner compressor's raw
 //! stream with no header at all, byte-identical to
-//! [`Compressor::compress_view`]; that passthrough carries no digest,
-//! whatever `checksum` says.
+//! [`Compressor::compress_view`]; that passthrough carries no digest.
 //!
 //! ## Layout
 //!
@@ -38,15 +37,14 @@
 //! ```text
 //! offset  size        field
 //! 0       4           magic  b"LCCF"
-//! 4       1           version byte: 1 | FLAG_TILED (0x20), optionally
-//!                     | FLAG_CHECKSUM (0x40) — 0x21 or 0x61
+//! 4       1           version byte FRAME_VERSION (0x61)
 //! 5       8           ny  (u64 LE, total rows)
 //! 13      8           nx  (u64 LE, columns)
 //! 21      4           n_blocks (u32 LE, == tiles_y * tiles_x, >= 2)
 //! 25      4           tile_ny (u32 LE)
 //! 29      4           tile_nx (u32 LE)
 //! 33      8*n_blocks  per-tile compressed byte length (u64 LE each)
-//! …       8*n_blocks  per-tile XXH64 digest — only with FLAG_CHECKSUM
+//! …       8*n_blocks  per-tile XXH64 digest (seed 0) of its stream
 //! …       …           the n_blocks tile streams, concatenated
 //! ```
 //!
@@ -54,19 +52,20 @@
 //! index**: prefix-summing it locates any block's bytes without touching
 //! the rest of the stream. [`FrameIndex`] is that index, which is what
 //! archive-style region readers use to decode only the tiles overlapping a
-//! query window. Any other version byte — the retired row-band frames'
-//! `0x01` / `0x41` among them (`FORMAT.md`) — is refused by value.
+//! query window. Any other version byte — the retired frames without a
+//! digest table (`0x21`) or a tile shape (`0x01` / `0x41`) among them
+//! (`FORMAT.md`) — is refused by value.
 //!
 //! ## Encoding
 //!
 //! The encoder does not wait for every block before assembling the frame:
-//! it reserves the header and zeroed length (and digest) tables up front,
+//! it reserves the header and zeroed length and digest tables up front,
 //! and each block's worker appends the block's bytes, backfilling its table
 //! slots, the moment all earlier blocks have landed — later blocks are still
 //! encoding while early ones are copied into place. The produced bytes are
 //! those of a barrier-then-concatenate assembly and do not depend on the
-//! pool's width. With `checksum` each block's compressed bytes are hashed
-//! ([`lcc_lossless::xxh64`], seed 0) on the worker that encoded them.
+//! pool's width. Each block's compressed bytes are hashed
+//! ([`lcc_lossless::xxh64`]) on the worker that encoded them.
 //!
 //! ## Decoding
 //!
@@ -82,17 +81,16 @@
 //!
 //! A framed stream goes through one parser, [`FrameIndex::parse`], which
 //! refuses — before anything sized by a header claim is allocated — any
-//! version byte but `0x21` / `0x61`, a tile shape that is empty or larger
-//! than the field, a block count below two or different from the tile
-//! cover, a table that does not fit the stream, block lengths that overflow
-//! or do not sum exactly to the body, and a cell count implausible for the
-//! body's bytes. Then every block goes through [`FrameIndex::decode_block`]
-//! on a worker: its digest, when the frame carries one, is verified *before* the
-//! inner decoder touches the bytes (so bit corruption is a
-//! [`CompressError::CorruptStream`] naming the block, never a garbled
-//! entropy-decode failure or a silently wrong field), and the decoded shape
-//! is checked against the block's window; the rows are then copied into the
-//! block's disjoint segments of the output.
+//! version byte but `0x61`, a tile shape that is empty or larger than the
+//! field, a block count below two or different from the tile cover, tables
+//! that do not fit the stream, block lengths that overflow or do not sum
+//! exactly to the body, and a cell count implausible for the body's bytes.
+//! Then every block goes through [`FrameIndex::decode_block`] on a worker:
+//! its digest is verified *before* the inner decoder touches the bytes (so
+//! bit corruption is a [`CompressError::CorruptStream`] naming the block,
+//! never a garbled entropy-decode failure or a silently wrong field), and
+//! the decoded shape is checked against the block's window; the rows are
+//! then copied into the block's disjoint segments of the output.
 
 use crate::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
@@ -112,15 +110,11 @@ fn corrupt(msg: &str) -> CompressError {
 
 /// Magic prefix of a multi-block frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"LCCF";
-/// Current frame-format version byte.
-pub const FRAME_VERSION: u8 = 1;
-/// Version-byte flag bit: the length table is followed by a per-block
-/// XXH64 digest table, verified before each block decodes.
-pub const FLAG_CHECKSUM: u8 = 0x40;
-/// Version-byte flag bit: blocks are 2D `tile_ny × tile_nx` tiles in
-/// row-major tile order and the header carries the tile shape. Every frame
-/// carries it.
-pub const FLAG_TILED: u8 = 0x20;
+/// The version byte of every frame: blocks are `tile_ny × tile_nx` tiles
+/// in row-major tile order, the header carries the tile shape, and the
+/// length table is followed by a per-block XXH64 digest table, verified
+/// before each block decodes.
+pub const FRAME_VERSION: u8 = 0x61;
 
 /// Fixed header bytes: magic, version byte, shape, block count, tile shape.
 const HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4 + 4 + 4;
@@ -197,7 +191,7 @@ pub fn compress_framed_with(
 
 /// Compress a view as a frame of `tile_ny × tile_nx` tiles, whose length
 /// table doubles as a seek index over the tiles: [`compress_frame`] without
-/// digests or a per-run hook.
+/// a per-run hook.
 pub fn compress_tiled_with(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
@@ -207,17 +201,8 @@ pub fn compress_tiled_with(
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
 ) -> Result<Vec<u8>, CompressError> {
-    compress_frame(
-        compressor,
-        view,
-        bound,
-        (tile_ny, tile_nx),
-        false,
-        pool,
-        scratch,
-        |_, _: &mut [()]| {},
-    )
-    .map(|(frame, _)| frame)
+    compress_frame(compressor, view, bound, (tile_ny, tile_nx), pool, scratch, |_, _: &mut [()]| {})
+        .map(|(frame, _)| frame)
 }
 
 /// Most tiles one job of [`compress_frame`] encodes and hands to its hook
@@ -228,14 +213,14 @@ pub const RUN: usize = lcc_grid::stats::SIDE_BY_SIDE;
 /// clamped to the field's; zero is [`CompressError::InvalidInput`]),
 /// encoded in parallel over `pool` with per-worker arenas from `scratch` —
 /// the general encoder behind [`compress_framed_with`] and
-/// [`compress_tiled_with`]. With `checksum` the frame carries a per-tile
-/// XXH64 digest table (the version byte gains [`FLAG_CHECKSUM`]), so a
-/// decoder refuses a damaged tile before decoding it. The produced stream
-/// is independent of the pool width; a tile shape that covers the field in
-/// one tile emits the inner compressor's raw stream, byte-identical to
-/// [`Compressor::compress_view`], with no header and no digest. A
-/// [`ErrorBound::ValueRangeRelative`] bound is relative to the whole
-/// field's range: every tile is coded at the absolute bound it resolves to.
+/// [`compress_tiled_with`]. The frame carries a per-tile XXH64 digest
+/// table, so a decoder refuses a damaged tile before decoding it. The
+/// produced stream is independent of the pool width; a tile shape that
+/// covers the field in one tile emits the inner compressor's raw stream,
+/// byte-identical to [`Compressor::compress_view`], with no header and no
+/// digest. A [`ErrorBound::ValueRangeRelative`] bound is relative to the
+/// whole field's range: every tile is coded at the absolute bound it
+/// resolves to.
 ///
 /// One job is a **run**: up to [`RUN`] side-by-side tiles of one tile row,
 /// all of the same shape (a clipped last tile of a row is a run of its
@@ -248,13 +233,11 @@ pub const RUN: usize = lcc_grid::stats::SIDE_BY_SIDE;
 /// caught like one in the encoder and fails the frame with
 /// [`CompressError::Internal`]; a one-tile frame calls it once, on the
 /// calling thread, with the whole view.
-#[allow(clippy::too_many_arguments)]
 pub fn compress_frame<R: Send + Default>(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
     bound: ErrorBound,
     (tile_ny, tile_nx): (usize, usize),
-    checksum: bool,
     pool: ThreadPoolConfig,
     scratch: &mut FrameScratch,
     per_run: impl Fn(&[FieldView<'_>], &mut [R]) + Sync,
@@ -299,24 +282,22 @@ pub fn compress_frame<R: Send + Default>(
     }
     let n_runs = runs.len();
 
-    // The fixed header, then zeroed length (and digest) tables to backfill,
+    // The fixed header, then zeroed length and digest tables to backfill,
     // in a buffer with room for a frame as long as the last one.
-    let flags = FLAG_TILED | if checksum { FLAG_CHECKSUM } else { 0 };
     let mut out = Vec::with_capacity(HEADER_LEN.max(scratch.frame_len));
     out.extend_from_slice(&FRAME_MAGIC);
-    out.push(FRAME_VERSION | flags);
+    out.push(FRAME_VERSION);
     out.extend_from_slice(&(ny as u64).to_le_bytes());
     out.extend_from_slice(&(nx as u64).to_le_bytes());
     out.extend_from_slice(&(n_blocks as u32).to_le_bytes());
     out.extend_from_slice(&(tile_ny as u32).to_le_bytes());
     out.extend_from_slice(&(tile_nx as u32).to_le_bytes());
-    out.resize(HEADER_LEN + if checksum { 16 } else { 8 } * n_blocks, 0);
+    out.resize(HEADER_LEN + 16 * n_blocks, 0);
     let assembler = Mutex::new(FrameAssembler {
         out,
         next: 0,
         pending: (0..n_blocks).map(|_| None).collect(),
         error: None,
-        hash_table_at: checksum.then_some(HEADER_LEN + 8 * n_blocks),
     });
 
     let workers = scratch.workers(pool.threads().min(n_runs));
@@ -328,11 +309,9 @@ pub fn compress_frame<R: Send + Default>(
             *tile = view.subview(i0, j0, tile_ny, tile_nx);
             // The digest is computed here, on the encoding worker, so
             // hashing of one block overlaps with encoding of the others.
-            let result =
-                compressor.compress_view_with(tile, bound, &mut worker.arena).map(|stream| {
-                    let digest = checksum.then(|| xxh64(&stream, 0));
-                    (stream, digest)
-                });
+            let result = compressor
+                .compress_view_with(tile, bound, &mut worker.arena)
+                .map(|stream| (xxh64(&stream, 0), stream));
             let encoded = result.is_ok();
             assembler.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).submit(b, result);
             if !encoded {
@@ -361,19 +340,17 @@ struct FrameAssembler {
     out: Vec<u8>,
     /// Next block index to append.
     next: usize,
-    /// Encoded streams (and optional digests) of blocks that finished
-    /// before their predecessors.
-    pending: Vec<Option<(Vec<u8>, Option<u64>)>>,
+    /// Digests and encoded streams of blocks that finished before their
+    /// predecessors, one slot a block.
+    pending: Vec<Option<(u64, Vec<u8>)>>,
     /// First compression error observed (the frame is abandoned).
     error: Option<CompressError>,
-    /// Byte offset of the reserved digest table, when checksumming.
-    hash_table_at: Option<usize>,
 }
 
 impl FrameAssembler {
     /// Record one block's encode result: append it (and any unblocked
-    /// successors) to the stream, backfilling the reserved table slots.
-    fn submit(&mut self, block: usize, result: Result<(Vec<u8>, Option<u64>), CompressError>) {
+    /// successors) to the stream, backfilling its length and digest slots.
+    fn submit(&mut self, block: usize, result: Result<(u64, Vec<u8>), CompressError>) {
         match result {
             Err(error) => {
                 if self.error.is_none() {
@@ -382,15 +359,13 @@ impl FrameAssembler {
             }
             Ok(entry) => {
                 self.pending[block] = Some(entry);
-                while let Some((stream, digest)) =
+                while let Some((digest, stream)) =
                     self.pending.get_mut(self.next).and_then(Option::take)
                 {
                     let slot = HEADER_LEN + 8 * self.next;
                     self.out[slot..slot + 8].copy_from_slice(&(stream.len() as u64).to_le_bytes());
-                    if let (Some(base), Some(digest)) = (self.hash_table_at, digest) {
-                        let slot = base + 8 * self.next;
-                        self.out[slot..slot + 8].copy_from_slice(&digest.to_le_bytes());
-                    }
+                    let slot = slot + 8 * self.pending.len();
+                    self.out[slot..slot + 8].copy_from_slice(&digest.to_le_bytes());
                     self.out.extend_from_slice(&stream);
                     self.next += 1;
                 }
@@ -417,8 +392,9 @@ pub struct FrameIndex {
     pub tile: (usize, usize),
     /// Byte offset of every block within the frame, then the frame's length.
     offsets: Vec<usize>,
-    /// Per-block XXH64 digest of a checksummed frame.
-    digests: Option<Vec<u64>>,
+    /// Per-block XXH64 digest; empty for the one-tile passthrough, which
+    /// carries none.
+    digests: Vec<u64>,
 }
 
 impl FrameIndex {
@@ -434,13 +410,12 @@ impl FrameIndex {
         if !is_framed(prefix) {
             return Err(corrupt("header truncated or missing magic"));
         }
-        if prefix[4] & !FLAG_CHECKSUM != (FRAME_VERSION | FLAG_TILED) {
+        if prefix[4] != FRAME_VERSION {
             return Err(corrupt(&format!("unsupported version byte {:#04x}", prefix[4])));
         }
-        let per_block = if prefix[4] & FLAG_CHECKSUM != 0 { 16 } else { 8 };
         let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
         n_blocks
-            .checked_mul(per_block)
+            .checked_mul(16)
             .and_then(|t| t.checked_add(HEADER_LEN))
             .filter(|&t| t <= frame_len)
             .ok_or_else(|| corrupt(&format!("block table for {n_blocks} blocks exceeds stream")))
@@ -509,16 +484,15 @@ impl FrameIndex {
                 frame_len - span
             )));
         }
-        let digests = (prefix[4] & FLAG_CHECKSUM != 0).then(|| {
-            digests.chunks_exact(8).map(|e| u64::from_le_bytes(e.try_into().unwrap())).collect()
-        });
+        let digests =
+            digests.chunks_exact(8).map(|e| u64::from_le_bytes(e.try_into().unwrap())).collect();
         Ok(FrameIndex { ny, nx, tile: (tile_ny, tile_nx), offsets, digests })
     }
 
     /// The index of a `len`-byte raw stream standing for a whole `ny × nx`
     /// field: the one-tile passthrough, which carries no header to parse.
     pub fn single_tile(ny: usize, nx: usize, len: usize) -> FrameIndex {
-        FrameIndex { ny, nx, tile: (ny, nx), offsets: vec![0, len], digests: None }
+        FrameIndex { ny, nx, tile: (ny, nx), offsets: vec![0, len], digests: Vec::new() }
     }
 
     /// Number of blocks.
@@ -542,8 +516,8 @@ impl FrameIndex {
 
     /// Decode block `b` from its compressed `bytes` into `worker.block` and
     /// return it — the block step of [`decompress_framed_with`] and of the
-    /// archive's region reads. A checksummed frame's digest is verified
-    /// before the inner decoder touches the bytes, and the decoded shape must
+    /// archive's region reads. A frame block's digest is verified before the
+    /// inner decoder touches the bytes, and the decoded shape must
     /// be [`block_window`](Self::block_window)`(b)`'s; either failure is a
     /// [`CompressError::CorruptStream`] naming the block.
     pub fn decode_block<'w>(
@@ -553,7 +527,7 @@ impl FrameIndex {
         compressor: &dyn Compressor,
         worker: &'w mut FrameWorker,
     ) -> Result<&'w Field2D, CompressError> {
-        if self.digests.as_ref().is_some_and(|digests| xxh64(bytes, 0) != digests[b]) {
+        if self.digests.get(b).is_some_and(|&digest| xxh64(bytes, 0) != digest) {
             return Err(corrupt(&format!("block {b} checksum mismatch")));
         }
         let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
@@ -675,33 +649,23 @@ mod tests {
     }
 
     /// A `Store` frame of `field` in `tile`s, with fresh scratch.
-    fn tiled(field: &Field2D, tile: (usize, usize), checksum: bool) -> Vec<u8> {
+    fn tiled(field: &Field2D, (ty, tx): (usize, usize)) -> Vec<u8> {
         let (bound, scratch) = (ErrorBound::Absolute(1.0), &mut FrameScratch::new());
-        let encoded = compress_frame(
-            &Store,
-            &field.view(),
-            bound,
-            tile,
-            checksum,
-            pool(),
-            scratch,
-            |_, _: &mut [()]| {},
-        );
-        encoded.unwrap().0
+        compress_tiled_with(&Store, &field.view(), bound, ty, tx, pool(), scratch).unwrap()
     }
 
-    /// Byte offset of the length-table entry of block `b`.
+    /// Byte offset of the length-table entry of block `b`; `b = n_blocks`
+    /// is the digest table's first entry.
     fn length_slot(frame: &[u8], b: usize) -> usize {
         let index = FrameIndex::parse(frame, frame.len()).unwrap();
-        let per_block = if index.digests.is_some() { 16 } else { 8 };
-        index.block_span(0).0 - per_block * index.n_blocks() + 8 * b
+        index.block_span(0).0 - 16 * index.n_blocks() + 8 * b
     }
 
     #[test]
     fn single_block_is_the_raw_stream() {
         // Blocks or tile dims that cover the field once collapse to one
         // block: the output equals the unframed stream, byte for byte, and
-        // carries no digest even when asked for one.
+        // carries no digest.
         let field = ramp(8, 5);
         let bound = ErrorBound::Absolute(1.0);
         let raw = Store.compress_view(&field.view(), bound).unwrap();
@@ -712,7 +676,7 @@ mod tests {
         assert!(!is_framed(&framed));
         assert_eq!(decode(&Store, &framed).unwrap(), field);
         for (ty, tx) in [(8, 5), (100, 100), (8, 9)] {
-            assert_eq!(tiled(&field, (ty, tx), true), raw, "{ty}x{tx} tiles");
+            assert_eq!(tiled(&field, (ty, tx)), raw, "{ty}x{tx} tiles");
         }
     }
 
@@ -726,7 +690,7 @@ mod tests {
                 compress_framed_with(&Store, &field.view(), bound, blocks, pool(), &mut scratch)
                     .unwrap();
             assert!(is_framed(&framed), "{blocks} blocks");
-            assert_eq!(framed[4], FRAME_VERSION | FLAG_TILED);
+            assert_eq!(framed[4], FRAME_VERSION);
             let index = FrameIndex::parse(&framed, framed.len()).unwrap();
             assert_eq!(index.tile, (23usize.div_ceil(blocks), 7), "{blocks} blocks");
             let back = decode(&Store, &framed).unwrap();
@@ -899,35 +863,38 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_frame_is_the_plain_frame_plus_digest_table() {
-        // Same header fields, same lengths, same payload — the digest table
-        // is strictly additive, so the checksummed encoder cannot change
-        // what the blocks themselves contain.
+    fn the_frame_is_its_header_tables_and_block_streams() {
+        // The layout of the module docs, assembled by hand from each
+        // tile's stand-alone stream: header, lengths, digests, streams.
         let field = ramp(40, 6);
         let bound = ErrorBound::Absolute(1.0);
-        let plain =
+        let framed =
             compress_framed_with(&Store, &field.view(), bound, 4, pool(), &mut FrameScratch::new())
                 .unwrap();
-        let summed = tiled(&field, (10, 6), true);
-        let table_end = HEADER_LEN + 8 * 4;
-        assert_eq!(summed[..4], plain[..4]);
-        assert_eq!(summed[4], plain[4] | FLAG_CHECKSUM);
-        assert_eq!(summed[5..table_end], plain[5..table_end], "header + length table");
-        assert_eq!(summed[table_end + 8 * 4..], plain[table_end..], "block payloads");
-        // And each digest in the table matches an independent hash of the
-        // block bytes it covers.
-        let index = FrameIndex::parse(&summed, summed.len()).unwrap();
-        for b in 0..4 {
-            let (at, len) = index.block_span(b);
-            let digest = u64::from_le_bytes(summed[table_end + 8 * b..][..8].try_into().unwrap());
-            assert_eq!(digest, xxh64(&summed[at..at + len], 0), "block {b}");
+        let streams: Vec<Vec<u8>> = (0..4)
+            .map(|b| Store.compress_view(&field.view().subview(10 * b, 0, 10, 6), bound).unwrap())
+            .collect();
+        let mut want = FRAME_MAGIC.to_vec();
+        want.push(0x61);
+        want.extend_from_slice(&40u64.to_le_bytes());
+        want.extend_from_slice(&6u64.to_le_bytes());
+        for word in [4u32, 10, 6] {
+            want.extend_from_slice(&word.to_le_bytes());
         }
+        for stream in &streams {
+            want.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+        }
+        for stream in &streams {
+            want.extend_from_slice(&xxh64(stream, 0).to_le_bytes());
+        }
+        want.extend(streams.concat());
+        assert_eq!(framed, want);
     }
 
     #[test]
     fn checksum_catches_payload_corruption() {
         let field = ramp(24, 8);
-        for good in [tiled(&field, (6, 8), true), tiled(&field, (8, 3), true)] {
+        for good in [tiled(&field, (6, 8)), tiled(&field, (8, 3))] {
             // Flip one payload bit in each block's last byte: the digest
             // check must reject it with the block-naming message. (The Store
             // codec would otherwise happily decode some of these corruptions
@@ -959,18 +926,19 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_header_too_short_for_both_tables_is_rejected() {
-        // A forged checksummed header claiming more blocks than the stream
-        // can hold tables for must fail the early size check.
+    fn header_too_short_for_both_tables_is_rejected() {
+        // A forged header claiming 200 blocks over bytes that would hold
+        // their lengths but not their digests too must fail the early size
+        // check.
         let mut bad = Vec::new();
         bad.extend_from_slice(&FRAME_MAGIC);
-        bad.push(FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
+        bad.push(FRAME_VERSION);
         bad.extend_from_slice(&1000u64.to_le_bytes());
         bad.extend_from_slice(&8u64.to_le_bytes());
         bad.extend_from_slice(&200u32.to_le_bytes());
         bad.extend_from_slice(&5u32.to_le_bytes());
         bad.extend_from_slice(&8u32.to_le_bytes());
-        bad.extend_from_slice(&[0u8; 32]);
+        bad.extend_from_slice(&[0u8; 8 * 200]);
         assert!(matches!(
             decode(&Store, &bad),
             Err(CompressError::CorruptStream(msg)) if msg.contains("exceeds stream")
@@ -987,31 +955,23 @@ mod tests {
                 compress_tiled_with(&Store, &field.view(), bound, ty, tx, pool(), &mut scratch)
                     .unwrap();
             assert!(is_framed(&tiled), "{ty}x{tx}");
-            assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED, "{ty}x{tx}");
+            assert_eq!(tiled[4], FRAME_VERSION, "{ty}x{tx}");
             let back = decode(&Store, &tiled).unwrap();
             assert_eq!(back, field, "{ty}x{tx} tiles");
         }
     }
 
     #[test]
-    fn tiled_checksummed_frames_roundtrip_and_flag_both_bits() {
+    fn the_hook_returns_one_result_a_tile_in_tile_order() {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
         let scratch = &mut FrameScratch::new();
-        let (tiled, cells) = compress_frame(
-            &Store,
-            &field.view(),
-            bound,
-            (8, 8),
-            true,
-            pool(),
-            scratch,
-            cell_counts,
-        )
-        .unwrap();
-        assert_eq!(cells, [64, 64, 8, 64, 64, 8, 56, 56, 7], "one result a tile, in tile order");
-        assert_eq!(tiled[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
-        assert_eq!(decode(&Store, &tiled).unwrap(), field);
+        let (frame, cells) =
+            compress_frame(&Store, &field.view(), bound, (8, 8), pool(), scratch, cell_counts)
+                .unwrap();
+        assert_eq!(cells, [64, 64, 8, 64, 64, 8, 56, 56, 7]);
+        assert_eq!(frame, tiled(&field, (8, 8)), "the hook leaves the bytes alone");
+        assert_eq!(decode(&Store, &frame).unwrap(), field);
     }
 
     /// A per-run hook that stores each tile's cell count in its slot.
@@ -1034,7 +994,6 @@ mod tests {
                 &field.view(),
                 bound,
                 (4, 5),
-                false,
                 ThreadPoolConfig::with_threads(threads),
                 &mut FrameScratch::new(),
                 |tiles: &[FieldView<'_>], slots: &mut [usize]| {
@@ -1068,44 +1027,43 @@ mod tests {
         // matching window of the field — the property the archive's seek
         // path and the one decode loop rest on.
         let field = ramp(23, 17);
-        for checksum in [false, true] {
-            for (tile, n_blocks) in [((8, 8), 9), ((6, 17), 4), ((1, 17), 23)] {
-                let frame = tiled(&field, tile, checksum);
-                let what = format!("{n_blocks} blocks, checksum={checksum}");
-                let index = FrameIndex::parse(&frame, frame.len()).unwrap();
-                assert_eq!((index.ny, index.nx, index.tile), (23, 17, tile), "{what}");
-                assert_eq!(index.n_blocks(), n_blocks, "{what}");
-                let mut worker = FrameWorker::default();
-                let mut cells = 0;
-                for b in 0..index.n_blocks() {
-                    let w = index.block_window(b);
-                    let (at, len) = index.block_span(b);
-                    let bytes = &frame[at..at + len];
-                    let digest = index.digests.as_ref().map(|d| d[b]);
-                    assert_eq!(digest, checksum.then(|| xxh64(bytes, 0)), "{what}");
-                    let block = index.decode_block(b, bytes, &Store, &mut worker).unwrap();
-                    let want = field.subfield(w.i0, w.j0, w.height, w.width);
-                    assert_eq!(*block, want, "{what}: block {b}");
-                    cells += w.height * w.width;
-                }
-                assert_eq!(cells, 23 * 17, "{what}: the windows cover the field");
-                // The two-step prefix parse (header, then exactly table_span
-                // bytes) must agree with parsing the whole stream.
-                let span =
-                    FrameIndex::table_span(&frame[..FrameIndex::PREFIX_LEN], frame.len()).unwrap();
-                assert_eq!(span, index.block_span(0).0);
-                assert_eq!(FrameIndex::parse(&frame[..span], frame.len()).unwrap(), index);
+        for (tile, n_blocks) in [((8, 8), 9), ((6, 17), 4), ((1, 17), 23)] {
+            let frame = tiled(&field, tile);
+            let what = format!("{n_blocks} blocks");
+            let index = FrameIndex::parse(&frame, frame.len()).unwrap();
+            assert_eq!((index.ny, index.nx, index.tile), (23, 17, tile), "{what}");
+            assert_eq!(index.n_blocks(), n_blocks, "{what}");
+            let mut worker = FrameWorker::default();
+            let mut cells = 0;
+            for b in 0..index.n_blocks() {
+                let w = index.block_window(b);
+                let (at, len) = index.block_span(b);
+                let bytes = &frame[at..at + len];
+                assert_eq!(index.digests[b], xxh64(bytes, 0), "{what}");
+                let block = index.decode_block(b, bytes, &Store, &mut worker).unwrap();
+                let want = field.subfield(w.i0, w.j0, w.height, w.width);
+                assert_eq!(*block, want, "{what}: block {b}");
+                cells += w.height * w.width;
             }
+            assert_eq!(cells, 23 * 17, "{what}: the windows cover the field");
+            // The two-step prefix parse (header, then exactly table_span
+            // bytes) must agree with parsing the whole stream.
+            let span =
+                FrameIndex::table_span(&frame[..FrameIndex::PREFIX_LEN], frame.len()).unwrap();
+            assert_eq!(span, index.block_span(0).0);
+            assert_eq!(FrameIndex::parse(&frame[..span], frame.len()).unwrap(), index);
         }
     }
 
     #[test]
     fn decode_block_refuses_a_block_of_the_wrong_shape() {
-        // Block 0's bytes stand in for the shorter last tile: the shape
-        // check names the block instead of copying a wrong-sized field.
+        // Block 0's bytes stand in for the shorter last tile, under a digest
+        // that vouches for them: the shape check names the block instead of
+        // copying a wrong-sized field.
         let field = ramp(10, 3);
-        let frame = tiled(&field, (3, 3), false);
-        let index = FrameIndex::parse(&frame, frame.len()).unwrap();
+        let frame = tiled(&field, (3, 3));
+        let mut index = FrameIndex::parse(&frame, frame.len()).unwrap();
+        index.digests[3] = index.digests[0];
         let (at, len) = index.block_span(0);
         let mut worker = FrameWorker::default();
         let err = index.decode_block(3, &frame[at..at + len], &Store, &mut worker).unwrap_err();
@@ -1117,7 +1075,7 @@ mod tests {
     fn corrupt_frames_are_rejected() {
         let field = ramp(23, 17);
         let bound = ErrorBound::Absolute(1.0);
-        let good = tiled(&field, (8, 8), false);
+        let good = tiled(&field, (8, 8));
         let refused = |bad: &[u8], names: &str| {
             let result = decode(&Store, bad);
             assert!(
@@ -1140,18 +1098,29 @@ mod tests {
             Err(CompressError::InvalidInput(_))
         ));
 
-        // Any version byte but 0x21 / 0x61: an unknown flag bit, a version
-        // number no encoder wrote, and a retired row-band (v1) frame — a
-        // frame of full-width tiles without the tile shape in its header.
-        for version in [FRAME_VERSION | FLAG_TILED | 0x80, 9] {
+        // Any version byte but 0x61: a stray high bit, a version number no
+        // encoder wrote, and the retired forms — the frame without its
+        // digest table (0x21), and a frame of full-width tiles without the
+        // tile shape in its header (0x01 without digests, 0x41 with them).
+        for version in [FRAME_VERSION | 0x80, 9] {
             let mut bad = good.clone();
             bad[4] = version;
             refused(&bad, &format!("unsupported version byte {version:#04x}"));
         }
-        let mut v1 = tiled(&field, (6, 17), false);
-        v1[4] = FRAME_VERSION;
-        v1.drain(25..33);
-        refused(&v1, "unsupported version byte 0x01");
+        // (version byte, without the digest table, without the tile shape)
+        for (version, no_digests, no_tile) in
+            [(0x21, true, false), (0x01, true, true), (0x41, false, true)]
+        {
+            let mut retired = tiled(&field, (6, 17));
+            retired[4] = version;
+            if no_digests {
+                retired.drain(HEADER_LEN + 8 * 4..HEADER_LEN + 16 * 4);
+            }
+            if no_tile {
+                retired.drain(25..HEADER_LEN);
+            }
+            refused(&retired, &format!("unsupported version byte {version:#04x}"));
+        }
 
         // Tile dims that don't cover the field: claimed 4x4 tiling of a
         // 23x17 field needs 30 tiles, but the header still says 9.
@@ -1192,7 +1161,7 @@ mod tests {
         // the allocation guard before `out` is sized.
         let mut bad = Vec::new();
         bad.extend_from_slice(&FRAME_MAGIC);
-        bad.push(FRAME_VERSION | FLAG_TILED);
+        bad.push(FRAME_VERSION);
         bad.extend_from_slice(&(1u64 << 32).to_le_bytes());
         bad.extend_from_slice(&(1u64 << 16).to_le_bytes());
         bad.extend_from_slice(&2u32.to_le_bytes());
@@ -1201,7 +1170,7 @@ mod tests {
         for len in [8u64, 8] {
             bad.extend_from_slice(&len.to_le_bytes());
         }
-        bad.extend_from_slice(&[0u8; 16]);
+        bad.extend_from_slice(&[0u8; 16 + 16]);
         refused(&bad, "plausible yield");
 
         // The untouched stream still decodes.

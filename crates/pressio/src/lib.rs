@@ -28,9 +28,7 @@ pub mod scratch;
 
 pub use bound::ErrorBound;
 pub use codes::CodecWork;
-pub use frame::{
-    FrameIndex, FrameScratch, FrameWorker, FLAG_CHECKSUM, FLAG_TILED, FRAME_MAGIC, FRAME_VERSION,
-};
+pub use frame::{FrameIndex, FrameScratch, FrameWorker, FRAME_MAGIC, FRAME_VERSION};
 pub use metrics::Metrics;
 pub use registry::{CompressorInfo, Registry};
 pub use scratch::ScratchArena;

@@ -7,10 +7,10 @@
 //! entries, footer entry counts the table cannot hold, frame headers that
 //! disagree with the entry metadata, tile-length overflow in the frame's
 //! seek index, stray table bytes, raw (unframed) payloads claiming a
-//! multi-tile shape, entries holding a retired row-band frame, reads
-//! with a codec other than the entry's writer, and entry records no writer
-//! produces (a bound that is not positive and finite, impossible tile
-//! statistics).
+//! multi-tile shape, entries holding a retired row-band frame or a frame
+//! without its digest table, reads with a codec other than the entry's
+//! writer, and entry records no writer produces (a bound that is not
+//! positive and finite, impossible tile statistics).
 
 use lcc::archive::format::{write_entry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN};
 use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt};
@@ -254,6 +254,37 @@ fn entries_holding_a_retired_row_band_frame_are_rejected() {
 }
 
 #[test]
+fn entries_holding_an_unchecksummed_frame_are_rejected() {
+    // Entry 0's twelve 8×8 tiles with their digest table cut out and the
+    // version byte's digest flag cleared are the retired `0x21` frame: its
+    // tiles would decode unverified, so the entry must not open.
+    use lcc::grid::Window;
+    let (mut payload, mut entries) = dissect(&build());
+    let at = entries[0].offset as usize - HEAD_LEN;
+    let n_blocks = entries[0].tile_stats.len();
+    assert_eq!(n_blocks, 12);
+    assert_eq!(payload[at + 4], 0x61, "a checksummed tiled frame");
+    payload[at + 4] = 0x21;
+    let digests = at + 33 + 8 * n_blocks;
+    payload.drain(digests..digests + 8 * n_blocks);
+    entries[0].length -= 8 * n_blocks as u64;
+    entries[1].offset -= 8 * n_blocks as u64;
+    match Archive::open(reassemble(&payload, &entries)) {
+        Err(CompressError::CorruptStream(msg)) => {
+            assert!(msg.contains("unsupported version byte 0x21"), "{msg}");
+        }
+        Err(other) => panic!("expected CorruptStream, got {other:?}"),
+        Ok(archive) => {
+            let (sz, pool) = (SzCompressor::default(), ThreadPoolConfig::with_threads(1));
+            let (mut scratch, mut out) = (FrameScratch::default(), Field2D::zeros(1, 1));
+            let window = Window { i0: 0, j0: 0, height: 32, width: 24 };
+            let read = archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out);
+            panic!("an entry without digests opened, and a full-window read gave {read:?}");
+        }
+    }
+}
+
+#[test]
 fn every_single_byte_flip_is_survived() {
     // Exhaustive single-byte fuzz: flip all eight bits of EVERY byte of the
     // archive, one position at a time, and demand that `Archive::open` plus a
@@ -299,7 +330,7 @@ fn tile_length_overflow_in_the_seek_index_is_rejected() {
     // sums), long before any tile is fetched.
     let bytes = build();
     let (_, entries) = dissect(&bytes);
-    let table_at = entries[0].offset as usize + 33; // v2 header is 33 bytes
+    let table_at = entries[0].offset as usize + 33; // the frame header is 33 bytes
     let mut bad = bytes.clone();
     bad[table_at..table_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(Archive::open(bad).is_err());

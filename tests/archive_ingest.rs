@@ -15,8 +15,7 @@ use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::frame::compress_frame;
 use lcc::pressio::{
-    CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena, FLAG_CHECKSUM, FLAG_TILED,
-    FRAME_MAGIC, FRAME_VERSION,
+    CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena, FRAME_MAGIC, FRAME_VERSION,
 };
 use lcc::synth::{
     generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
@@ -132,7 +131,7 @@ fn reference_archive(entries: &[Entry]) -> Vec<u8> {
             bytes.extend_from_slice(only);
         } else {
             bytes.extend_from_slice(&FRAME_MAGIC);
-            bytes.push(FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM);
+            bytes.push(FRAME_VERSION);
             bytes.extend_from_slice(&(ny as u64).to_le_bytes());
             bytes.extend_from_slice(&(nx as u64).to_le_bytes());
             bytes.extend_from_slice(&(streams.len() as u32).to_le_bytes());
@@ -300,22 +299,14 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
     let mut scratch = FrameScratch::new();
     let sz = SzCompressor::rans8();
     let (clean, cells) =
-        compress_frame(&sz, &view, BOUND, TILE, true, pool(2), &mut scratch, cell_counts).unwrap();
+        compress_frame(&sz, &view, BOUND, TILE, pool(2), &mut scratch, cell_counts).unwrap();
     assert_eq!(cells, vec![128; 72]);
 
     for width in [2, 3, 8] {
         // A tile that fails to encode on the calling thread's share.
         let codec = Rendezvous::new(width, Some(caller));
-        let result = compress_frame(
-            &codec,
-            &view,
-            BOUND,
-            TILE,
-            true,
-            pool(width),
-            &mut scratch,
-            cell_counts,
-        );
+        let result =
+            compress_frame(&codec, &view, BOUND, TILE, pool(width), &mut scratch, cell_counts);
         assert_eq!(codec.workers(), width, "the caller and {width} - 1 spawned workers");
         assert!(
             matches!(&result, Err(CompressError::Internal(m)) if m == "the caller's tile failed"),
@@ -330,7 +321,6 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
             &view,
             BOUND,
             TILE,
-            true,
             pool(width),
             &mut scratch,
             |tiles, cells: &mut [usize]| {
@@ -364,7 +354,6 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
             &poisoned.view(),
             BOUND,
             TILE,
-            true,
             pool(width),
             &mut scratch,
             cell_counts,
@@ -377,7 +366,6 @@ fn a_failing_tile_and_a_panicking_tile_closure_each_surface_as_one_error() {
             &view,
             BOUND,
             TILE,
-            true,
             pool(width),
             &mut scratch,
             |_, _: &mut [()]| {},

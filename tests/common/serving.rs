@@ -1,10 +1,10 @@
 //! The serving set-up `tests/concurrency_identity.rs` and `tests/chaos.rs`
-//! share (`#[path]`-included). 18 variants: the five registry codecs, each
-//! as a single stream, in a frame of four full-width tiles and in a
-//! checksummed one, plus region reads of three codecs' entries in one tiled archive
-//! behind a shared [`TileCache`]. Six payload fields, a fixed seeded request
-//! list, and the single-threaded, fresh-scratch references every concurrent
-//! answer must equal.
+//! share (`#[path]`-included). 13 variants: the five registry codecs, each
+//! as a single stream and in a frame of four full-width tiles, plus region
+//! reads of three codecs' entries in one tiled archive behind a shared
+//! [`TileCache`]. Six payload fields, a fixed seeded request list, and the
+//! single-threaded, fresh-scratch references every concurrent answer must
+//! equal.
 
 #![allow(dead_code)]
 
@@ -15,7 +15,7 @@ use lcc_archive::{Archive, ArchiveWriter, ReadAt, TileCache};
 use lcc_core::registry::entropy_ablation_registry;
 use lcc_grid::{Field2D, Window};
 use lcc_par::ThreadPoolConfig;
-use lcc_pressio::frame::{compress_frame, decompress_framed_with};
+use lcc_pressio::frame::{compress_tiled_with, decompress_framed_with};
 use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
 use lcc_synth::{generate_single_range, GaussianFieldConfig};
 use std::sync::Arc;
@@ -49,9 +49,8 @@ pub fn mix(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     Single,
-    Framed {
-        checksum: bool,
-    },
+    /// A frame of four full-width tiles.
+    Framed,
     /// A tile-sized window of archive entry `k`.
     Region(usize),
 }
@@ -122,9 +121,7 @@ impl<R: ReadAt> Load<R> {
         let registry = entropy_ablation_registry();
         let codec = |name: &str| registry.get(name).expect("registered codec");
         let mut variants = Vec::new();
-        for mode in
-            [Mode::Single, Mode::Framed { checksum: false }, Mode::Framed { checksum: true }]
-        {
+        for mode in [Mode::Single, Mode::Framed] {
             let compressors = registry.compressors().into_iter();
             variants.extend(compressors.map(|compressor| Variant { compressor, mode }));
         }
@@ -250,24 +247,16 @@ fn round_trip(
     corrupt: impl FnOnce(&mut Vec<u8>),
 ) -> Result<Vec<u8>, CompressError> {
     let compressor = variant.compressor.as_ref();
-    let Mode::Framed { checksum } = variant.mode else {
+    if variant.mode != Mode::Framed {
         let mut stream = compressor.compress_view_with(&field.view(), BOUND, &mut scratch.arena)?;
         corrupt(&mut stream);
         compressor.decompress_view_with(&stream, &mut scratch.arena, &mut scratch.recon)?;
         return Ok(stream);
-    };
+    }
     let pool = ThreadPoolConfig::with_threads(1);
-    let tile = (field.ny().div_ceil(FRAMED_BLOCKS), field.nx());
-    let (mut stream, _) = compress_frame(
-        compressor,
-        &field.view(),
-        BOUND,
-        tile,
-        checksum,
-        pool,
-        &mut scratch.frame,
-        |_, _: &mut [()]| {},
-    )?;
+    let (rows, nx) = (field.ny().div_ceil(FRAMED_BLOCKS), field.nx());
+    let mut stream =
+        compress_tiled_with(compressor, &field.view(), BOUND, rows, nx, pool, &mut scratch.frame)?;
     corrupt(&mut stream);
     decompress_framed_with(compressor, &stream, pool, &mut scratch.frame, &mut scratch.recon)?;
     Ok(stream)

@@ -1,5 +1,5 @@
 //! Concurrency identity: four workers, each reusing its own scratch, serve
-//! a fixed request list over all 18 variants through
+//! a fixed request list over all 13 variants through
 //! `lcc_par::run_bounded_queue`, and every answer must equal the
 //! single-threaded, fresh-scratch reference — the round trips' streams and
 //! reconstructions, and the region reads' windows of a full-entry decode.

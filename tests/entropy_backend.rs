@@ -11,8 +11,9 @@
 //!   bytes and forged giant headers all surface `CompressError` with
 //!   allocation bounded by the actual stream,
 //! * every retired form `FORMAT.md` lists (SZ `LSR1`, MGARD `LMR1`, ZFP
-//!   container tags 1–3, rANS mode bytes 0 and 2, `LCCF` row bands) is
-//!   refused the same way, by a message that names it, never mis-decoded.
+//!   container tags 1–3, rANS mode bytes 0 and 2, `LCCF` row bands and the
+//!   `LCCF` frame without digests) is refused the same way, by a message
+//!   that names it, never mis-decoded.
 
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
@@ -20,7 +21,6 @@ use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
 use lcc::pressio::{
     frame, CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena,
-    FLAG_TILED,
 };
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
@@ -405,26 +405,37 @@ fn pair_table_section(n: u64, symbol: u64) -> Vec<u8> {
     s
 }
 
-/// A retired row-band frame: a frame of full-width tiles of equal height is
-/// one once its header drops the tile shape (bytes 25..33) and its version
-/// byte the tiled flag (`0x21` → `0x01`, `0x61` → `0x41`).
-fn row_band_frame(compressor: &dyn Compressor, field: &Field2D, rows: usize, ck: bool) -> Vec<u8> {
+/// A retired frame, cut from a real `0x61` frame of full-width tiles
+/// `rows` high under `version`: `0x21` is it without its digest table;
+/// the row-band frames are it without the tile shape (bytes 25..33),
+/// `0x41` keeping the digest table and `0x01` dropping it too.
+fn retired_frame(
+    compressor: &dyn Compressor,
+    field: &Field2D,
+    rows: usize,
+    version: u8,
+) -> Vec<u8> {
     let (bound, pool) = (ErrorBound::Absolute(1e-3), ThreadPoolConfig::with_threads(1));
-    let tile = (rows, field.nx());
     let scratch = &mut FrameScratch::new();
-    let (mut frame, _) = frame::compress_frame(
+    let mut frame = frame::compress_tiled_with(
         compressor,
         &field.view(),
         bound,
-        tile,
-        ck,
+        rows,
+        field.nx(),
         pool,
         scratch,
-        |_, _: &mut [()]| {},
     )
     .unwrap();
-    frame[4] &= !FLAG_TILED;
-    frame.drain(25..33);
+    assert_eq!(frame[4], 0x61);
+    let n_blocks = field.ny().div_ceil(rows);
+    frame[4] = version;
+    if version != 0x41 {
+        frame.drain(33 + 8 * n_blocks..33 + 16 * n_blocks);
+    }
+    if version != 0x21 {
+        frame.drain(25..33);
+    }
     frame
 }
 
@@ -436,8 +447,9 @@ fn legacy_formats_are_refused_not_misdecoded() {
     // containers around it, and the ZFP container tags 2 (2-way) and 3
     // (8-way) over the byte-symbol form of the coder. The forms whose
     // decoders went later are streams a decoder once read back: rANS mode 2
-    // (the pair table), ZFP tag 1 (the bit stream behind an LZ77 pass) and
-    // `LCCF` row-band frames, plain (`0x01`) and checksummed (`0x41`).
+    // (the pair table), ZFP tag 1 (the bit stream behind an LZ77 pass),
+    // `LCCF` row-band frames, plain (`0x01`) and checksummed (`0x41`), and
+    // the tiled frame without its digest table (`0x21`).
     let mut two_way = vec![0u8]; // mode 0 = the retired 2-way format
     push_varint(&mut two_way, 1 << 40); // n_symbols
     push_varint(&mut two_way, 1); // alphabet size
@@ -523,8 +535,9 @@ fn legacy_formats_are_refused_not_misdecoded() {
             zfp_tagged(1, &lcc::lossless::lz77_compress(&zfp_stream[1..])),
             "container tag 1",
         ),
-        ("LCCF 0x01", &sz, row_band_frame(&sz, &warmup, 8, false), "version byte 0x01"),
-        ("LCCF 0x41", &sz, row_band_frame(&sz, &warmup, 4, true), "version byte 0x41"),
+        ("LCCF 0x01", &sz, retired_frame(&sz, &warmup, 8, 0x01), "version byte 0x01"),
+        ("LCCF 0x41", &sz, retired_frame(&sz, &warmup, 4, 0x41), "version byte 0x41"),
+        ("LCCF 0x21", &sz, retired_frame(&sz, &warmup, 4, 0x21), "version byte 0x21"),
     ];
 
     // The bare sections, straight into a warm coder (padded too: a section

@@ -175,7 +175,6 @@ fn relative_bounds_resolve_against_the_whole_field_on_every_path() {
             &field.view(),
             relative,
             (16, 16),
-            true,
             pool,
             &mut scratch,
             |_, _: &mut [()]| {},
@@ -230,7 +229,6 @@ fn non_finite_input_is_refused_the_same_way_on_every_path() {
                             &view,
                             bound,
                             (16, 16),
-                            true,
                             pool,
                             &mut scratch,
                             |_, _: &mut [()]| {},

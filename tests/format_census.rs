@@ -3,12 +3,12 @@
 //! table to the encoders: every registry codec, at two paper bounds, over
 //! the study's three families at 128², through every path that writes bytes
 //! — a single stream, a frame of four full-width blocks, a frame of 64 × 64
-//! checksummed tiles, and an archive entry. Every stream and every frame
-//! block is labelled by its leading bytes (the frame's version byte, the
-//! codes container's magic and its section's rANS mode byte, the ZFP
-//! container tag, the archive version), and the labels must be exactly the
-//! written table's first column: a row no encoder writes fails, and so does
-//! a form no row names.
+//! tiles, and an archive entry. Every stream and every frame block is
+//! labelled by its leading bytes (the frame's version byte, the codes
+//! container's magic and its section's rANS mode byte, the ZFP container
+//! tag, the archive version), and the labels must be exactly the written
+//! table's first column: a row no encoder writes fails, and so does a form
+//! no row names.
 
 use lcc::archive::{Archive, ArchiveWriter};
 use lcc::core::registry::entropy_ablation_registry;
@@ -16,7 +16,7 @@ use lcc::grid::Field2D;
 use lcc::hydro::{MirandaProxy, MirandaProxyConfig, Problem};
 use lcc::lossless::EntropyBackend;
 use lcc::par::ThreadPoolConfig;
-use lcc::pressio::frame::{compress_frame, compress_framed_with, is_framed};
+use lcc::pressio::frame::{compress_framed_with, compress_tiled_with, is_framed};
 use lcc::pressio::{ErrorBound, FrameIndex, FrameScratch};
 use lcc::synth::{
     generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
@@ -106,17 +106,8 @@ fn format_md_names_exactly_the_forms_the_encoders_write() {
                 label_stream(name, &single, &mut labels);
                 let rows = compress_framed_with(c, &view, bound, 4, pool, &mut scratch).unwrap();
                 label_frame(name, &rows, &mut labels);
-                let (tiles, _) = compress_frame(
-                    c,
-                    &view,
-                    bound,
-                    (64, 64),
-                    true,
-                    pool,
-                    &mut scratch,
-                    |_, _: &mut [()]| {},
-                )
-                .unwrap();
+                let tiles =
+                    compress_tiled_with(c, &view, bound, 64, 64, pool, &mut scratch).unwrap();
                 label_frame(name, &tiles, &mut labels);
                 let entry = format!("{family}/{name}@{eb}");
                 archive.add_entry(&entry, 0, &field, c, bound, 64, 64, pool, &mut scratch).unwrap();

@@ -16,19 +16,21 @@
 //! * corrupt frames (bad version, truncated table, overflowing/overlapping
 //!   lengths) error out instead of panicking for every compressor,
 //! * the general `compress_frame` form agrees with the pinned plain entry
-//!   points over both tile shapes they write × checksum,
+//!   points over both tile shapes they write, and every flipped tile-body
+//!   byte of either frame is refused by its block's digest,
 //! * every header forgery is refused by class without an allocation sized
 //!   by what the header claims, and so is a retired row-band header.
 
 use lcc::grid::{Field2D, FieldView};
+use lcc::lossless::xxh64;
 use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::frame::{
     compress_frame, compress_framed_with, compress_tiled_with, decompress_framed_with, is_framed,
 };
 use lcc::pressio::{
-    CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena, FLAG_CHECKSUM,
-    FLAG_TILED, FRAME_MAGIC, FRAME_VERSION,
+    CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena, FRAME_MAGIC,
+    FRAME_VERSION,
 };
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
@@ -247,9 +249,10 @@ fn corrupt_frames_error_for_every_compressor() {
         )
         .unwrap();
         assert!(is_framed(&good));
-        // The length table sits right before the first block's bytes.
+        // The length table sits before the digest table, which sits right
+        // before the first block's bytes.
         let index = FrameIndex::parse(&good, good.len()).unwrap();
-        let table = index.block_span(0).0 - 8 * index.n_blocks();
+        let table = index.block_span(0).0 - 16 * index.n_blocks();
         let (first, second) = (table..table + 8, table + 8..table + 16);
         let (len0, len1) = (index.block_span(0).1 as u64, index.block_span(1).1 as u64);
 
@@ -265,7 +268,7 @@ fn corrupt_frames_error_for_every_compressor() {
         );
 
         // Truncated frame table (header claims blocks the table can't hold).
-        let forged = forged_frame(V2, (512, 512), 500, Some((23, 23)), &[0, 0], 0);
+        let forged = forged_frame(V, (512, 512), 500, Some((23, 23)), &[0, 0], 0);
         assert!(refused(&decode(&forged), "exceeds"), "{}: truncated table", comp.name());
 
         // Overflowing block length.
@@ -288,7 +291,7 @@ fn corrupt_frames_error_for_every_compressor() {
         // but the claimed cell count must be rejected before `out` is
         // resized to exabytes.
         let giant = Some((1 << 31, 1 << 16));
-        let forged = forged_frame(V2, (1 << 32, 1 << 16), 2, giant, &[0, 0], 0);
+        let forged = forged_frame(V, (1 << 32, 1 << 16), 2, giant, &[0, 0], 0);
         assert!(refused(&decode(&forged), "cells"), "{}: forged giant shape", comp.name());
 
         // A block whose substream decodes to the wrong shape: swap the
@@ -333,7 +336,7 @@ proptest! {
             let rows = ny.div_ceil(blocks);
             prop_assert_eq!(is_framed(&stream), rows < ny);
             if is_framed(&stream) {
-                prop_assert!(stream[4] & FLAG_TILED != 0, "{}: not a tiled frame", comp.name());
+                prop_assert!(stream[4] == FRAME_VERSION, "{}: not a 0x61 frame", comp.name());
                 let index = FrameIndex::parse(&stream, stream.len()).unwrap();
                 let n_blocks = index.n_blocks();
                 prop_assert!(n_blocks <= blocks, "{n_blocks} tiles for {blocks} blocks");
@@ -373,52 +376,36 @@ fn the_general_forms_agree_with_the_pinned_entry_points_over_every_option() {
         ((16, 16), compress_tiled_with(&sz, &view, bound, 16, 16, pool(2), scratch)),
     ] {
         let pinned = pinned.unwrap();
-        let plain_index = FrameIndex::parse(&pinned, pinned.len()).unwrap();
-        assert_eq!(plain_index.tile, tile);
-        let n_blocks = plain_index.n_blocks();
+        assert_eq!(pinned[4], FRAME_VERSION, "{tile:?}");
+        let index = FrameIndex::parse(&pinned, pinned.len()).unwrap();
+        assert_eq!(index.tile, tile);
+        let n_blocks = index.n_blocks();
         let pinned_decode = decompress_framed(&sz, &pinned, pool(2)).unwrap();
         assert!(field.max_abs_diff(&pinned_decode) <= eb);
 
-        for checksum in [false, true] {
-            let what = format!("{tile:?} checksum={checksum}");
-            // One worker against the pinned name's two: the bytes depend on
-            // neither the pool nor the hook.
-            let cell_counts = |tiles: &[FieldView<'_>], cells: &mut [usize]| {
-                tiles.iter().zip(cells).for_each(|(tile, cell)| *cell = tile.len());
-            };
-            let (frame, cells) =
-                compress_frame(&sz, &view, bound, tile, checksum, pool(1), scratch, cell_counts)
-                    .unwrap();
-            let windows = (0..n_blocks).map(|b| plain_index.block_window(b));
-            let want: Vec<usize> = windows.map(|w| w.height * w.width).collect();
-            assert_eq!(cells, want, "{what}: one hook result a block, in block order");
-            if checksum {
-                assert_eq!(frame[4], FRAME_VERSION | FLAG_TILED | FLAG_CHECKSUM, "{what}");
-                // The digest table is strictly additive.
-                let index = FrameIndex::parse(&frame, frame.len()).unwrap();
-                let (at, plain_at) = (index.block_span(0).0, plain_index.block_span(0).0);
-                assert_eq!(at, plain_at + 8 * n_blocks, "{what}");
-                assert_eq!(frame[5..plain_at], pinned[5..plain_at], "{what}");
-                assert_eq!(frame[at..], pinned[plain_at..], "{what}: block bytes");
-            } else {
-                assert_eq!(frame, pinned, "{what}: drifted from the pinned name");
-            }
-            assert_eq!(decompress_framed(&sz, &frame, pool(2)).unwrap(), pinned_decode, "{what}");
+        // One worker against the pinned name's two: the bytes depend on
+        // neither the pool nor the hook.
+        let cell_counts = |tiles: &[FieldView<'_>], cells: &mut [usize]| {
+            tiles.iter().zip(cells).for_each(|(tile, cell)| *cell = tile.len());
+        };
+        let (frame, cells) =
+            compress_frame(&sz, &view, bound, tile, pool(1), scratch, cell_counts).unwrap();
+        let windows = (0..n_blocks).map(|b| index.block_window(b));
+        let want: Vec<usize> = windows.map(|w| w.height * w.width).collect();
+        assert_eq!(cells, want, "{tile:?}: one hook result a block, in block order");
+        assert_eq!(frame, pinned, "{tile:?}: drifted from the pinned name");
 
-            // One flipped body byte: a checksummed frame names the block, an
-            // unchecksummed one still never panics.
-            let index = FrameIndex::parse(&frame, frame.len()).unwrap();
-            for b in [0, n_blocks / 2, n_blocks - 1] {
-                let (at, len) = index.block_span(b);
-                let mut bad = frame.clone();
-                bad[at + len / 2] ^= 0x20;
-                let result = decompress_framed(&sz, &bad, pool(2));
-                if checksum {
-                    let want = format!("frame: block {b} checksum mismatch");
-                    assert_eq!(result, Err(CompressError::CorruptStream(want)), "{what}");
-                } else if let Ok(decoded) = result {
-                    assert_eq!(decoded.shape(), field.shape());
-                }
+        // Every flipped body byte of every tile is refused by that tile's
+        // digest, before its decoder sees the bytes.
+        let mut bad = frame.clone();
+        for b in 0..n_blocks {
+            let (at, len) = index.block_span(b);
+            let want =
+                Err(CompressError::CorruptStream(format!("frame: block {b} checksum mismatch")));
+            for pos in at..at + len {
+                bad[pos] ^= 0x20;
+                assert_eq!(decompress_framed(&sz, &bad, pool(1)), want, "{tile:?}: byte {pos}");
+                bad[pos] ^= 0x20;
             }
         }
     }
@@ -430,13 +417,13 @@ mod alloc_probe;
 #[global_allocator]
 static ALLOC: alloc_probe::Probe = alloc_probe::Probe;
 
-/// The version byte of a tiled frame; with [`FLAG_CHECKSUM`] that of a
-/// checksummed one.
-const V2: u8 = FRAME_VERSION | FLAG_TILED;
+/// The version byte of every frame.
+const V: u8 = FRAME_VERSION;
 
 /// A frame header (with `tile`, the tiled layout's; without, a retired
-/// row-band header) under `version`, followed by `lengths` and `body` zero
-/// bytes.
+/// row-band header) under `version`, followed by `lengths`, a zeroed digest
+/// a length where `version` carries the digest bit `0x40` (as every layout
+/// that had a digest table laid it out), and `body` zero bytes.
 fn forged_frame(
     version: u8,
     (ny, nx): (u64, u64),
@@ -457,6 +444,9 @@ fn forged_frame(
     for len in lengths {
         bytes.extend_from_slice(&len.to_le_bytes());
     }
+    if version & 0x40 != 0 {
+        bytes.resize(bytes.len() + 8 * lengths.len(), 0);
+    }
     bytes.resize(bytes.len() + body, 0);
     bytes
 }
@@ -464,43 +454,46 @@ fn forged_frame(
 #[test]
 fn forged_headers_of_either_layout_are_refused_without_reserving() {
     let t = Some((4u32, 4u32));
-    let ck = V2 | FLAG_CHECKSUM;
+    // The table of two blocks cut inside their digests.
+    let mut digests_cut = forged_frame(V, (8, 4), 2, t, &[8; 2], 0);
+    digests_cut.truncate(digests_cut.len() - 8);
     // (what is forged, the forgery, what its refusal names)
     let forgeries: Vec<(&str, Vec<u8>, &str)> = vec![
-        ("zero tiles", forged_frame(V2, (8, 8), 0, t, &[], 16), "does not cover"),
-        ("one tile", forged_frame(V2, (4, 4), 1, t, &[16], 16), "does not cover"),
-        ("count is not the cover", forged_frame(V2, (8, 8), 3, t, &[4; 3], 12), "does not cover"),
-        ("zero tile height", forged_frame(V2, (8, 8), 4, Some((0, 4)), &[4; 4], 16), "tile shape"),
+        ("zero tiles", forged_frame(V, (8, 8), 0, t, &[], 16), "does not cover"),
+        ("one tile", forged_frame(V, (4, 4), 1, t, &[16], 16), "does not cover"),
+        ("count is not the cover", forged_frame(V, (8, 8), 3, t, &[4; 3], 12), "does not cover"),
+        ("zero tile height", forged_frame(V, (8, 8), 4, Some((0, 4)), &[4; 4], 16), "tile shape"),
         (
             "tile wider than the field",
-            forged_frame(V2, (8, 8), 2, Some((4, 9)), &[8; 2], 16),
+            forged_frame(V, (8, 8), 2, Some((4, 9)), &[8; 2], 16),
             "tile shape",
         ),
-        ("empty shape", forged_frame(V2, (0, 8), 2, t, &[8, 8], 16), "empty field shape"),
-        ("table past the end", forged_frame(V2, (1000, 1000), 62_500, t, &[0, 0], 0), "exceeds"),
-        (
-            "checksummed: digest table past the end",
-            forged_frame(ck, (8, 4), 2, t, &[8; 2], 8),
-            "exceeds",
-        ),
-        ("length overflows", forged_frame(V2, (8, 8), 4, t, &[u64::MAX, 8, 8, 8], 32), "overflow"),
-        ("lengths fall short", forged_frame(V2, (8, 8), 4, t, &[4; 4], 17), "lengths end at"),
+        ("empty shape", forged_frame(V, (0, 8), 2, t, &[8, 8], 16), "empty field shape"),
+        ("table past the end", forged_frame(V, (1000, 1000), 62_500, t, &[0, 0], 0), "exceeds"),
+        ("digest table past the end", digests_cut, "exceeds"),
+        ("length overflows", forged_frame(V, (8, 8), 4, t, &[u64::MAX, 8, 8, 8], 32), "overflow"),
+        ("lengths fall short", forged_frame(V, (8, 8), 4, t, &[4; 4], 17), "lengths end at"),
         (
             "cell-count guard",
-            forged_frame(V2, (1 << 32, 1 << 16), 2, Some((1 << 31, 1 << 16)), &[8; 2], 16),
+            forged_frame(V, (1 << 32, 1 << 16), 2, Some((1 << 31, 1 << 16)), &[8; 2], 16),
             "plausible yield",
         ),
         (
             "cell count overflows",
-            forged_frame(V2, (1 << 33, 1 << 33), 9, Some((u32::MAX, u32::MAX)), &[8; 9], 72),
+            forged_frame(V, (1 << 33, 1 << 33), 9, Some((u32::MAX, u32::MAX)), &[8; 9], 72),
             "cell count overflows",
         ),
-        ("unknown flag bit 0x80", forged_frame(V2 | 0x80, (8, 8), 4, t, &[4; 4], 16), "byte 0xa1"),
-        ("unknown flag bit 0x10", forged_frame(V2 | 0x10, (8, 8), 4, t, &[4; 4], 16), "byte 0x31"),
-        ("version 2", forged_frame(2 | FLAG_TILED, (8, 8), 4, t, &[4; 4], 16), "byte 0x22"),
+        ("unknown bit 0x80", forged_frame(V | 0x80, (8, 8), 4, t, &[4; 4], 16), "byte 0xe1"),
+        ("unknown bit 0x10", forged_frame(V | 0x10, (8, 8), 4, t, &[4; 4], 16), "byte 0x71"),
+        ("version 2", forged_frame(0x62, (8, 8), 4, t, &[4; 4], 16), "byte 0x62"),
+        (
+            "the retired frame without digests",
+            forged_frame(0x21, (8, 8), 4, t, &[4; 4], 16),
+            "byte 0x21",
+        ),
         (
             "v1 row bands are refused by version",
-            forged_frame(FRAME_VERSION, (8, 8), 2, None, &[8, 8], 16),
+            forged_frame(0x01, (8, 8), 2, None, &[8, 8], 16),
             "byte 0x01",
         ),
     ];
@@ -527,19 +520,24 @@ fn forged_headers_of_either_layout_are_refused_without_reserving() {
 
     // A stream cut inside the header is no frame: the inner codec refuses
     // it, and so does the index parse.
-    let cut = forged_frame(V2, (8, 8), 4, None, &[], 4);
+    let cut = forged_frame(V, (8, 8), 4, None, &[], 4);
     assert!(!is_framed(&cut));
     assert!(matches!(decompress_framed(&sz, &cut, pool(1)), Err(CompressError::CorruptStream(_))));
     assert!(refused(&FrameIndex::parse(&cut, cut.len()), "truncated"));
 
-    // Control: the same builder, given true lengths, makes frames that parse.
+    // Control: the same builder, given true lengths and digests, makes
+    // frames that parse and decode.
     let field = wavy(8, 8, 3);
     let bound = ErrorBound::Absolute(1e-3);
     let streams: Vec<Vec<u8>> = (0..2)
         .map(|b| sz.compress_view(&field.view().subview(4 * b, 0, 4, 8), bound).unwrap())
         .collect();
     let lengths: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    let mut good = forged_frame(V2, (8, 8), 2, Some((4, 8)), &lengths, 0);
+    let mut good = forged_frame(V, (8, 8), 2, Some((4, 8)), &lengths, 0);
+    good.truncate(good.len() - 16);
+    for stream in &streams {
+        good.extend_from_slice(&xxh64(stream, 0).to_le_bytes());
+    }
     good.extend(streams.concat());
     let decoded = decompress_framed(&sz, &good, pool(1)).unwrap();
     assert!(field.max_abs_diff(&decoded) <= 1e-3);
