@@ -5,9 +5,7 @@
 //! 0                 4      magic b"LCCA"
 //! 4                 1      archive version (1)
 //! 5                 …      entry payloads, back to back: each one LCCF
-//!                          `0x61` frame (or, for single-tile entries, the
-//!                          one-tile inner stream: the compressor's raw
-//!                          stream)
+//!                          `0x61` frame, one-tile entries included
 //! table_offset      …      entry metadata records (layout below)
 //! len - 25          25     footer:
 //!                            table_offset (u64 LE)

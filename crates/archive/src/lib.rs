@@ -4,9 +4,8 @@
 //! XXH64 digest): many fields across many timesteps in one byte stream,
 //! each entry independently seekable down to the tile. Three pieces:
 //!
-//! * [`ArchiveWriter`] — appends each field as a `0x61` frame (or, for a
-//!   one-tile entry, the one-tile inner stream) and lands the metadata
-//!   table (names, timesteps, codec, error bound, per-tile windowed
+//! * [`ArchiveWriter`] — appends each field as a `0x61` frame (one tile
+//!   or many) and lands the metadata table (names, timesteps, codec, error bound, per-tile windowed
 //!   statistics) at the tail, found via a fixed-size footer.
 //! * [`Archive`] — opens any [`ReadAt`] source (in-memory bytes, a file),
 //!   validates every structural claim up front, and serves
@@ -51,7 +50,9 @@ mod tests {
     use super::*;
     use lcc_grid::{Field2D, FieldView, Window};
     use lcc_par::ThreadPoolConfig;
-    use lcc_pressio::{CompressError, Compressor, ErrorBound, FrameScratch, ScratchArena};
+    use lcc_pressio::{
+        CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena,
+    };
     use std::sync::Arc;
 
     /// Store-everything codec, as in `lcc_pressio::frame`'s tests: enough
@@ -177,15 +178,21 @@ mod tests {
 
     #[test]
     fn single_tile_entries_store_the_raw_stream() {
-        // The "energy" entry is one 9x9 tile: its payload is the one-tile
-        // inner stream, the codec's raw stream with no frame header.
+        // The "energy" entry is one 9x9 tile: its payload is a one-block
+        // `0x61` frame whose one block is the codec's raw stream, under its
+        // length and digest.
         let bytes = build_archive();
         let archive = Archive::open(bytes.clone()).unwrap();
         let entry = archive.entry(2).clone();
         assert_eq!(entry.n_tiles(), 1);
-        let raw = &bytes[entry.offset as usize..(entry.offset + entry.length) as usize];
-        let expected = Store.compress_view(&ramp(9, 9, 2.0).view(), bound()).unwrap();
-        assert_eq!(raw, expected.as_slice());
+        let payload = &bytes[entry.offset as usize..(entry.offset + entry.length) as usize];
+        assert_eq!(payload[..5], [b'L', b'C', b'C', b'F', lcc_pressio::FRAME_VERSION]);
+        let index = FrameIndex::parse(payload, payload.len()).unwrap();
+        assert_eq!((index.ny, index.nx, index.tile, index.n_blocks()), (9, 9, (9, 9), 1));
+        let raw = Store.compress_view(&ramp(9, 9, 2.0).view(), bound()).unwrap();
+        let (at, len) = index.block_span(0);
+        assert_eq!(at, FrameIndex::PREFIX_LEN + 16, "one length, one digest");
+        assert_eq!(&payload[at..at + len], raw.as_slice());
 
         // And read_region still serves windows out of it.
         let mut scratch = FrameScratch::default();
@@ -197,6 +204,16 @@ mod tests {
         let full = ramp(9, 9, 2.0);
         let want: Vec<f64> = full.view().window(&window).iter().collect();
         assert_eq!(out.as_slice(), want.as_slice());
+
+        // The one tile is digest-checked like any other: a flipped digest
+        // byte still opens, and fails the read.
+        let mut bad = bytes;
+        bad[entry.offset as usize + FrameIndex::PREFIX_LEN + 8] ^= 1;
+        let archive = Archive::open(bad).unwrap();
+        let err =
+            archive.read_region(2, &window, &Store, pool(), &mut scratch, &mut out).unwrap_err();
+        let want = "frame: block 0 checksum mismatch";
+        assert_eq!(err, CompressError::CorruptStream(want.into()));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
 use lcc_par::{try_parallel_block_map, JobPanicked, ThreadPoolConfig};
 use lcc_pressio::codes::Reader;
 use lcc_pressio::frame::{decompress_framed_with, FrameWorker};
-use lcc_pressio::{CompressError, Compressor, FrameIndex, FrameScratch, FRAME_MAGIC};
+use lcc_pressio::{CompressError, Compressor, FrameIndex, FrameScratch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -245,31 +245,17 @@ impl<R: ReadAt> Archive<R> {
         })
     }
 
-    /// Parse (or, for raw single-tile entries, synthesize) the tile seek
-    /// index of one entry, reading only the frame's header and tables.
+    /// Parse the tile seek index of one entry, reading only the frame's
+    /// header and tables.
     fn index_entry(source: &R, meta: &ArchiveEntry) -> Result<FrameIndex, CompressError> {
         let corrupt = |msg: String| CompressError::CorruptStream(format!("archive: {msg}"));
         let frame_len = meta.length as usize;
         let mut prefix = vec![0u8; FrameIndex::PREFIX_LEN.min(frame_len)];
         source.read_at(meta.offset, &mut prefix)?;
-        let index = if prefix.len() == FrameIndex::PREFIX_LEN && prefix[..4] == FRAME_MAGIC {
-            let span = FrameIndex::table_span(&prefix, frame_len)?;
-            prefix.resize(span, 0);
-            source.read_at(meta.offset, &mut prefix)?;
-            FrameIndex::parse(&prefix, frame_len)?
-        } else {
-            // No frame magic: the entry is the one-tile inner stream, the
-            // codec's raw stream, which only a single-tile tiling writes.
-            // Synthesize the trivial index.
-            if meta.n_tiles() != 1 {
-                return Err(corrupt(format!(
-                    "entry '{}' claims {} tiles but its payload is not a tiled frame",
-                    meta.name,
-                    meta.n_tiles()
-                )));
-            }
-            FrameIndex::single_tile(meta.ny, meta.nx, frame_len)
-        };
+        let span = FrameIndex::table_span(&prefix, frame_len)?;
+        prefix.resize(span, 0);
+        source.read_at(meta.offset, &mut prefix)?;
+        let index = FrameIndex::parse(&prefix, frame_len)?;
         let (tile_ny, tile_nx) = index.tile;
         if (index.ny, index.nx, tile_ny, tile_nx) != (meta.ny, meta.nx, meta.tile_ny, meta.tile_nx)
         {

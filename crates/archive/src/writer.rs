@@ -41,8 +41,8 @@ impl ArchiveWriter {
     /// Compress `field` as a `0x61` frame of `tile_ny × tile_nx` tiles and
     /// append it as an entry, computing the per-tile windowed summary
     /// statistics that ride in the metadata. Tile dims are clamped to the
-    /// field; a single-tile entry is the one-tile inner stream, the codec's
-    /// raw stream with no header. Returns the entry's index.
+    /// field; a tiling that covers it once is a frame of one tile. Returns
+    /// the entry's index.
     #[allow(clippy::too_many_arguments)]
     pub fn add_entry(
         &mut self,

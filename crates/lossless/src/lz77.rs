@@ -329,12 +329,20 @@ pub fn lz77_decompress_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), Codec
         }
         let tag = bytes[offset];
         offset += 1;
+        // No token may write past the decoded length the header promised.
+        let owed = orig_len - out.len() as u64;
+        let token_len = |len: u64| match usize::try_from(len) {
+            Ok(len) if len as u64 <= owed => Ok(len),
+            _ => Err(CodecError::Corrupt(format!(
+                "token length {len} exceeds the {owed} bytes still to decode"
+            ))),
+        };
         match tag {
             0x00 => {
                 let (len, used) = read_varint(&bytes[offset..])?;
                 offset += used;
-                let len = len as usize;
-                if offset + len > bytes.len() {
+                let len = token_len(len)?;
+                if len > bytes.len() - offset {
                     return Err(CodecError::UnexpectedEof);
                 }
                 out.extend_from_slice(&bytes[offset..offset + len]);
@@ -346,7 +354,7 @@ pub fn lz77_decompress_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), Codec
                 let (len, used) = read_varint(&bytes[offset..])?;
                 offset += used;
                 let dist = dist as usize;
-                let len = len as usize;
+                let len = token_len(len)?;
                 if dist == 0 || dist > out.len() {
                     return Err(CodecError::Corrupt(format!(
                         "match distance {dist} exceeds output length {}",
@@ -374,9 +382,6 @@ pub fn lz77_decompress_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), Codec
                 return Err(CodecError::Corrupt(format!("unknown token tag {other:#x}")));
             }
         }
-    }
-    if out.len() as u64 != orig_len {
-        return Err(CodecError::Corrupt("decoded length mismatch".into()));
     }
     if offset != bytes.len() {
         return Err(CodecError::Corrupt(format!(
@@ -660,5 +665,36 @@ mod tests {
         write_varint(&mut bad, 5); // distance 5 with empty output
         write_varint(&mut bad, 5);
         assert!(matches!(lz77_decompress(&bad), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_literal_longer_than_the_stream_can_hold_is_refused() {
+        // One byte owed, then a literal claiming u64::MAX bytes, whose end
+        // `offset + len` overflows unless the length is checked first.
+        let mut bad = vec![0x01, 0x00];
+        write_varint(&mut bad, u64::MAX);
+        assert_eq!(bad.len(), 12);
+        let want = format!("token length {} exceeds the 1 bytes still to decode", u64::MAX);
+        assert_eq!(lz77_decompress(&bad), Err(CodecError::Corrupt(want)));
+    }
+
+    #[test]
+    fn a_match_longer_than_the_decoded_length_is_refused_before_it_copies() {
+        // Two bytes owed: a one-byte literal, then a match of 2^28 bytes at
+        // distance 1, which reserves 512 MiB if it is copied before its
+        // length is checked.
+        let mut bad = vec![0x02, 0x00, 0x01, b'a', 0x01, 0x01];
+        write_varint(&mut bad, 1 << 28);
+        assert_eq!(bad.len(), 11);
+        let mut out = Vec::new();
+        let want = "token length 268435456 exceeds the 1 bytes still to decode";
+        assert_eq!(lz77_decompress_into(&bad, &mut out), Err(CodecError::Corrupt(want.into())));
+        assert!(out.capacity() <= 64, "{} bytes reserved", out.capacity());
+
+        // The longest match that fits is still a match.
+        let mut good = vec![0x03, 0x00, 0x01, b'a', 0x01, 0x01, 0x02];
+        assert_eq!(lz77_decompress(&good).unwrap(), b"aaa");
+        good[6] = 0x03;
+        assert!(lz77_decompress(&good).is_err());
     }
 }

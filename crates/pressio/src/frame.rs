@@ -24,9 +24,7 @@
 //! stitching the windows — but not the single-stream encoding of the whole
 //! field (predictors do not see across block seams). The error bound still
 //! holds point-wise: it is enforced per block. A tile shape that covers the
-//! field in **one block** is, by definition, the inner compressor's raw
-//! stream with no header at all, byte-identical to
-//! [`Compressor::compress_view`]; that passthrough carries no digest.
+//! field once is an ordinary frame of one block, header and digest included.
 //!
 //! ## Layout
 //!
@@ -40,7 +38,7 @@
 //! 4       1           version byte FRAME_VERSION (0x61)
 //! 5       8           ny  (u64 LE, total rows)
 //! 13      8           nx  (u64 LE, columns)
-//! 21      4           n_blocks (u32 LE, == tiles_y * tiles_x, >= 2)
+//! 21      4           n_blocks (u32 LE, == tiles_y * tiles_x)
 //! 25      4           tile_ny (u32 LE)
 //! 29      4           tile_nx (u32 LE)
 //! 33      8*n_blocks  per-tile compressed byte length (u64 LE each)
@@ -69,22 +67,16 @@
 //!
 //! ## Decoding
 //!
-//! [`decompress_framed_with`] dispatches on the magic: no `LCCF` prefix
-//! means the stream is the inner compressor's own (the one-block
-//! passthrough, and every stream written before this container existed).
-//! No inner stream opens with `LCCF`. The `sz*` / `mgard*` codes containers
-//! (`crate::codes`) open either with their rANS magic (`LS81` / `LM81`),
-//! whose second byte is never `b'C'`, or with LZ77 output under their
-//! Huffman magic (`LSZ1` / `LMG1`): a decoded-length varint which, where it
-//! is the single byte `b'L'`, is followed by a token tag `0x00` or `0x01`,
-//! never `b'C'`. ZFP streams open with container tag 0, never `b'L'`.
+//! [`decompress_framed_with`] reads frames only: a stream without the
+//! `LCCF` magic — an inner compressor's single stream among them — is
+//! refused. Single streams are read by [`Compressor::decompress_view_with`].
 //!
-//! A framed stream goes through one parser, [`FrameIndex::parse`], which
+//! Every frame goes through one parser, [`FrameIndex::parse`], which
 //! refuses — before anything sized by a header claim is allocated — any
 //! version byte but `0x61`, a tile shape that is empty or larger than the
-//! field, a block count below two or different from the tile cover, tables
-//! that do not fit the stream, block lengths that overflow or do not sum
-//! exactly to the body, and a cell count implausible for the body's bytes.
+//! field, a block count different from the tile cover, tables that do not
+//! fit the stream, block lengths that overflow or do not sum exactly to the
+//! body, and a cell count implausible for the body's bytes.
 //! Then every block goes through [`FrameIndex::decode_block`] on a worker:
 //! its digest is verified *before* the inner decoder touches the bytes (so
 //! bit corruption is a [`CompressError::CorruptStream`] naming the block,
@@ -108,7 +100,7 @@ fn corrupt(msg: &str) -> CompressError {
     CompressError::CorruptStream(format!("frame: {msg}"))
 }
 
-/// Magic prefix of a multi-block frame.
+/// Magic prefix of every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"LCCF";
 /// The version byte of every frame: blocks are `tile_ny × tile_nx` tiles
 /// in row-major tile order, the header carries the tile shape, and the
@@ -133,7 +125,7 @@ const MAX_CELLS_PER_STREAM_BYTE: usize = 1 << 16;
 #[derive(Debug, Default)]
 pub struct FrameScratch {
     workers: Vec<FrameWorker>,
-    /// Length of the last multi-block frame encoded through this scratch:
+    /// Length of the last frame encoded through this scratch:
     /// the capacity the next one starts with, so a frame is not grown by
     /// doubling from its header.
     frame_len: usize,
@@ -164,12 +156,6 @@ impl FrameScratch {
         }
         &mut self.workers[..n]
     }
-}
-
-/// True when `stream` carries a multi-block frame header (as opposed to a
-/// raw single stream of an inner compressor).
-pub fn is_framed(stream: &[u8]) -> bool {
-    stream.len() >= HEADER_LEN && stream[..4] == FRAME_MAGIC
 }
 
 /// Compress a view as a frame of at most `blocks` full-width tiles, each
@@ -214,13 +200,12 @@ pub const RUN: usize = lcc_grid::stats::SIDE_BY_SIDE;
 /// encoded in parallel over `pool` with per-worker arenas from `scratch` —
 /// the general encoder behind [`compress_framed_with`] and
 /// [`compress_tiled_with`]. The frame carries a per-tile XXH64 digest
-/// table, so a decoder refuses a damaged tile before decoding it. The
-/// produced stream is independent of the pool width; a tile shape that
-/// covers the field in one tile emits the inner compressor's raw stream,
-/// byte-identical to [`Compressor::compress_view`], with no header and no
-/// digest. A [`ErrorBound::ValueRangeRelative`] bound is relative to the
-/// whole field's range: every tile is coded at the absolute bound it
-/// resolves to.
+/// table, so a decoder refuses a damaged tile before decoding it; a tile
+/// shape that covers the field once writes a frame of one tile. The
+/// produced stream is independent of the pool width. A
+/// [`ErrorBound::ValueRangeRelative`] bound is relative to the whole
+/// field's range: every tile is coded at the absolute bound it resolves
+/// to.
 ///
 /// One job is a **run**: up to [`RUN`] side-by-side tiles of one tile row,
 /// all of the same shape (a clipped last tile of a row is a run of its
@@ -231,8 +216,7 @@ pub const RUN: usize = lcc_grid::stats::SIDE_BY_SIDE;
 /// metadata while the tiles are still in that core's cache, instead of in a
 /// later pass over the field, and several tiles at once. A panic in it is
 /// caught like one in the encoder and fails the frame with
-/// [`CompressError::Internal`]; a one-tile frame calls it once, on the
-/// calling thread, with the whole view.
+/// [`CompressError::Internal`].
 pub fn compress_frame<R: Send + Default>(
     compressor: &dyn Compressor,
     view: &FieldView<'_>,
@@ -251,12 +235,6 @@ pub fn compress_frame<R: Send + Default>(
     let n_blocks = ny.div_ceil(tile_ny) * tiles_x;
     let mut results: Vec<R> = Vec::new();
     results.resize_with(n_blocks, R::default);
-    if n_blocks == 1 {
-        let stream =
-            compressor.compress_view_with(view, bound, &mut scratch.workers(1)[0].arena)?;
-        per_run(&[*view], &mut results);
-        return Ok((stream, results));
-    }
     // A relative bound is the field's, not each tile's: resolve it once,
     // against the whole view. Non-finite input is refused first, as a tile
     // would refuse it, rather than read as an infinite range.
@@ -333,7 +311,7 @@ pub fn compress_frame<R: Send + Default>(
     }
 }
 
-/// In-order assembly state of a multi-block frame under construction: the
+/// In-order assembly state of a frame under construction: the
 /// output already holds the header and the reserved (zeroed) tables; blocks
 /// arriving out of order park in `pending` until their turn.
 struct FrameAssembler {
@@ -392,8 +370,7 @@ pub struct FrameIndex {
     pub tile: (usize, usize),
     /// Byte offset of every block within the frame, then the frame's length.
     offsets: Vec<usize>,
-    /// Per-block XXH64 digest; empty for the one-tile passthrough, which
-    /// carries none.
+    /// Per-block XXH64 digest of the block's bytes.
     digests: Vec<u64>,
 }
 
@@ -407,7 +384,7 @@ impl FrameIndex {
     /// the total frame length so a forged block count cannot demand more
     /// bytes than the frame holds.
     pub fn table_span(prefix: &[u8], frame_len: usize) -> Result<usize, CompressError> {
-        if !is_framed(prefix) {
+        if prefix.len() < HEADER_LEN || prefix[..4] != FRAME_MAGIC {
             return Err(corrupt("header truncated or missing magic"));
         }
         if prefix[4] != FRAME_VERSION {
@@ -446,14 +423,13 @@ impl FrameIndex {
                 "tile shape {tile_ny}x{tile_nx} invalid for a {ny}x{nx} field"
             )));
         }
-        // No encoder writes a one-tile frame (that is the raw passthrough
-        // stream), and every frame holds exactly one block per tile of the
-        // cover, so any other count is corrupt by construction.
+        // Every frame holds exactly one block per tile of the cover, so any
+        // other count is corrupt by construction.
         let tiles = ny
             .div_ceil(tile_ny)
             .checked_mul(nx.div_ceil(tile_nx))
             .ok_or_else(|| corrupt("tile count overflows usize"))?;
-        if n_blocks != tiles || n_blocks < 2 {
+        if n_blocks != tiles {
             return Err(corrupt(&format!(
                 "tile count {n_blocks} does not cover a {ny}x{nx} field \
                  with {tile_ny}x{tile_nx} tiles (expected {tiles})"
@@ -489,12 +465,6 @@ impl FrameIndex {
         Ok(FrameIndex { ny, nx, tile: (tile_ny, tile_nx), offsets, digests })
     }
 
-    /// The index of a `len`-byte raw stream standing for a whole `ny × nx`
-    /// field: the one-tile passthrough, which carries no header to parse.
-    pub fn single_tile(ny: usize, nx: usize, len: usize) -> FrameIndex {
-        FrameIndex { ny, nx, tile: (ny, nx), offsets: vec![0, len], digests: Vec::new() }
-    }
-
     /// Number of blocks.
     pub fn n_blocks(&self) -> usize {
         self.offsets.len() - 1
@@ -516,7 +486,7 @@ impl FrameIndex {
 
     /// Decode block `b` from its compressed `bytes` into `worker.block` and
     /// return it — the block step of [`decompress_framed_with`] and of the
-    /// archive's region reads. A frame block's digest is verified before the
+    /// archive's region reads. The block's digest is verified before the
     /// inner decoder touches the bytes, and the decoded shape must
     /// be [`block_window`](Self::block_window)`(b)`'s; either failure is a
     /// [`CompressError::CorruptStream`] naming the block.
@@ -527,7 +497,7 @@ impl FrameIndex {
         compressor: &dyn Compressor,
         worker: &'w mut FrameWorker,
     ) -> Result<&'w Field2D, CompressError> {
-        if self.digests.get(b).is_some_and(|&digest| xxh64(bytes, 0) != digest) {
+        if xxh64(bytes, 0) != self.digests[b] {
             return Err(corrupt(&format!("block {b} checksum mismatch")));
         }
         let block = worker.block.get_or_insert_with(|| Field2D::zeros(1, 1));
@@ -545,12 +515,10 @@ impl FrameIndex {
     }
 }
 
-/// Decompress a frame, or a raw single stream (which
-/// passes straight through to [`Compressor::decompress_view_with`]), into
-/// `out`, resized to the decoded shape, decoding blocks in parallel over
-/// `pool` with per-worker arenas and reusable block fields from `scratch`;
-/// the module docs list what it refuses. `out` holds unspecified contents
-/// after an error.
+/// Decompress a frame into `out`, resized to the decoded shape, decoding
+/// blocks in parallel over `pool` with per-worker arenas and reusable block
+/// fields from `scratch`; the module docs list what it refuses. `out` holds
+/// unspecified contents after an error.
 pub fn decompress_framed_with(
     compressor: &dyn Compressor,
     stream: &[u8],
@@ -558,9 +526,6 @@ pub fn decompress_framed_with(
     scratch: &mut FrameScratch,
     out: &mut Field2D,
 ) -> Result<(), CompressError> {
-    if !is_framed(stream) {
-        return compressor.decompress_view_with(stream, &mut scratch.workers(1)[0].arena, out);
-    }
     let index = FrameIndex::parse(stream, stream.len())?;
     let n_blocks = index.n_blocks();
     let windows: Vec<Window> = (0..n_blocks).map(|b| index.block_window(b)).collect();
@@ -664,20 +629,39 @@ mod tests {
     #[test]
     fn single_block_is_the_raw_stream() {
         // Blocks or tile dims that cover the field once collapse to one
-        // block: the output equals the unframed stream, byte for byte, and
-        // carries no digest.
+        // block: a frame like any other, whose one block is the unframed
+        // stream, byte for byte, under its length and digest.
         let field = ramp(8, 5);
         let bound = ErrorBound::Absolute(1.0);
         let raw = Store.compress_view(&field.view(), bound).unwrap();
+        let mut want = FRAME_MAGIC.to_vec();
+        want.push(FRAME_VERSION);
+        want.extend_from_slice(&8u64.to_le_bytes());
+        want.extend_from_slice(&5u64.to_le_bytes());
+        for word in [1u32, 8, 5] {
+            want.extend_from_slice(&word.to_le_bytes());
+        }
+        want.extend_from_slice(&(raw.len() as u64).to_le_bytes());
+        want.extend_from_slice(&xxh64(&raw, 0).to_le_bytes());
+        want.extend_from_slice(&raw);
         let framed =
             compress_framed_with(&Store, &field.view(), bound, 1, pool(), &mut FrameScratch::new())
                 .unwrap();
-        assert_eq!(framed, raw, "version-0 passthrough must not add a header");
-        assert!(!is_framed(&framed));
+        assert_eq!(framed, want, "one block: header, length, digest, stream");
         assert_eq!(decode(&Store, &framed).unwrap(), field);
         for (ty, tx) in [(8, 5), (100, 100), (8, 9)] {
-            assert_eq!(tiled(&field, (ty, tx)), raw, "{ty}x{tx} tiles");
+            assert_eq!(tiled(&field, (ty, tx)), want, "{ty}x{tx} tiles");
         }
+        // The frame decoder reads frames only: the unframed stream is refused
+        // as one without the magic, and so is a one-block frame whose stream
+        // no longer matches its digest.
+        let missing =
+            Err(CompressError::CorruptStream("frame: header truncated or missing magic".into()));
+        assert_eq!(decode(&Store, &raw), missing);
+        let mut bad = framed.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        let mismatch = Err(CompressError::CorruptStream("frame: block 0 checksum mismatch".into()));
+        assert_eq!(decode(&Store, &bad), mismatch);
     }
 
     #[test]
@@ -689,7 +673,7 @@ mod tests {
             let framed =
                 compress_framed_with(&Store, &field.view(), bound, blocks, pool(), &mut scratch)
                     .unwrap();
-            assert!(is_framed(&framed), "{blocks} blocks");
+            assert_eq!(framed[..4], FRAME_MAGIC, "{blocks} blocks");
             assert_eq!(framed[4], FRAME_VERSION);
             let index = FrameIndex::parse(&framed, framed.len()).unwrap();
             assert_eq!(index.tile, (23usize.div_ceil(blocks), 7), "{blocks} blocks");
@@ -954,7 +938,7 @@ mod tests {
             let tiled =
                 compress_tiled_with(&Store, &field.view(), bound, ty, tx, pool(), &mut scratch)
                     .unwrap();
-            assert!(is_framed(&tiled), "{ty}x{tx}");
+            assert_eq!(tiled[..4], FRAME_MAGIC, "{ty}x{tx}");
             assert_eq!(tiled[4], FRAME_VERSION, "{ty}x{tx}");
             let back = decode(&Store, &tiled).unwrap();
             assert_eq!(back, field, "{ty}x{tx} tiles");

@@ -6,25 +6,32 @@
 //! versions, entry offsets outside the payload region, overlapping
 //! entries, footer entry counts the table cannot hold, frame headers that
 //! disagree with the entry metadata, tile-length overflow in the frame's
-//! seek index, stray table bytes, raw (unframed) payloads claiming a
-//! multi-tile shape, entries holding a retired row-band frame or a frame
-//! without its digest table, reads with a codec other than the entry's
-//! writer, and entry records no writer produces (a bound that is not
-//! positive and finite, impossible tile statistics).
+//! seek index, stray table bytes, raw (unframed) payloads under one-tile or
+//! multi-tile metadata, entries holding a retired row-band frame or a frame
+//! without its digest table, every flipped bit of a one-tile entry, reads
+//! with a codec other than the entry's writer, and entry records no writer
+//! produces (a bound that is not positive and finite, impossible tile
+//! statistics).
 
 use lcc::archive::format::{write_entry, ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_LEN, HEAD_LEN};
 use lcc::archive::{Archive, ArchiveEntry, ArchiveWriter, ReadAt};
 use lcc::grid::Field2D;
 use lcc::par::ThreadPoolConfig;
-use lcc::pressio::{CompressError, ErrorBound, FrameScratch};
+use lcc::pressio::{CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch};
 use lcc::sz::SzCompressor;
+
+#[path = "common/alloc_probe.rs"]
+mod alloc_probe;
+
+#[global_allocator]
+static ALLOC: alloc_probe::Probe = alloc_probe::Probe;
 
 fn wavy(ny: usize, nx: usize) -> Field2D {
     Field2D::from_fn(ny, nx, |i, j| (i as f64 * 0.13).sin() + (j as f64 * 0.09).cos())
 }
 
 /// A small, genuine archive: one 32×24 sz entry in 8×8 tiles (12 tiles)
-/// plus one single-tile (raw passthrough) 9×9 entry.
+/// plus one 9×9 entry in a single tile (a one-block frame).
 fn build() -> Vec<u8> {
     let mut scratch = FrameScratch::default();
     let mut writer = ArchiveWriter::new();
@@ -144,9 +151,8 @@ fn entry_offsets_outside_the_payload_region_are_rejected() {
 fn entry_spans_overflowing_u64_are_rejected() {
     // offset + length wrapping past u64::MAX must read as an out-of-bounds
     // span (None from checked_add), not slip past the comparison — for the
-    // tiled entry and for the raw single-tile passthrough, whose synthesized
-    // index would otherwise carry the forged length into a read-time
-    // allocation.
+    // tiled entry and for the one-tile one, whose forged length would
+    // otherwise reach a read-time allocation.
     let (payload, entries) = dissect(&build());
     for k in 0..entries.len() {
         let mut forged = entries.clone();
@@ -221,16 +227,81 @@ fn frame_headers_disagreeing_with_metadata_are_rejected() {
     assert!(open_err(reassemble(&payload, &entries)).contains("disagrees"));
 }
 
+/// [`build`]'s archive with its last entry, the one-tile "energy", holding
+/// the codec's raw stream of the field instead of a frame around it, under
+/// the entry's own metadata: the form a one-tile entry took before every
+/// tiling became a frame.
+fn raw_one_tile_entry() -> (Vec<u8>, Vec<ArchiveEntry>) {
+    let (mut payload, mut entries) = dissect(&build());
+    let at = entries[1].offset as usize - HEAD_LEN;
+    let frame = payload.split_off(at);
+    let raw = SzCompressor::default()
+        .compress_view(&wavy(9, 9).view(), ErrorBound::Absolute(1e-3))
+        .unwrap();
+    let index = FrameIndex::parse(&frame, frame.len()).unwrap();
+    let (block, len) = index.block_span(0);
+    assert_eq!(frame[block..block + len], raw[..], "the frame's one block is the raw stream");
+    payload.extend_from_slice(&raw);
+    entries[1].length = raw.len() as u64;
+    (payload, entries)
+}
+
 #[test]
 fn raw_payloads_claiming_multiple_tiles_are_rejected() {
-    // Entry 1 is a single-tile raw passthrough stream; forge its metadata
-    // to claim a 5×9 tiling (2 tiles) of the same 9×9 field.
-    let (payload, mut entries) = dissect(&build());
+    // The one-tile entry's raw stream, under metadata forged to claim a
+    // 5×9 tiling (2 tiles) of the same 9×9 field: no frame magic.
+    let (payload, mut entries) = raw_one_tile_entry();
     entries[1].tile_ny = 5;
     entries[1].tile_nx = 9;
     entries[1].tile_stats =
         vec![lcc::archive::TileStats { min: 0.0, max: 0.0, mean: 0.0, variance: 0.0 }; 2];
-    assert!(open_err(reassemble(&payload, &entries)).contains("not a tiled frame"));
+    let msg = open_err(reassemble(&payload, &entries));
+    assert_eq!(msg, "frame: header truncated or missing magic");
+}
+
+#[test]
+fn raw_payloads_under_one_tile_metadata_are_rejected() {
+    // The same raw stream under the entry's true one-tile metadata is no
+    // frame either: `Archive::open` refuses it before reading a tile, with
+    // no allocation larger than the archive.
+    let (payload, entries) = raw_one_tile_entry();
+    let bytes = reassemble(&payload, &entries);
+    let (opened, largest) =
+        alloc_probe::largest_request_during(|| Archive::open(bytes.clone()).map(drop));
+    let want = "frame: header truncated or missing magic";
+    assert_eq!(opened, Err(CompressError::CorruptStream(want.into())));
+    assert!(largest <= bytes.len(), "a {largest}-byte allocation for {} bytes", bytes.len());
+}
+
+#[test]
+fn every_flipped_bit_of_a_one_tile_entry_is_refused() {
+    // A one-tile entry is a frame with one digest: no flipped bit of its
+    // payload may open and read back as a field, right or wrong.
+    use lcc::grid::Window;
+    let (bound, pool) = (ErrorBound::Absolute(1e-3), ThreadPoolConfig::with_threads(1));
+    let sz = SzCompressor::rans8();
+    let mut writer = ArchiveWriter::new();
+    let mut scratch = FrameScratch::default();
+    writer.add_entry("energy", 0, &wavy(9, 9), &sz, bound, 16, 16, pool, &mut scratch).unwrap();
+    let good = writer.finish();
+    let archive = Archive::open(good.clone()).unwrap();
+    let entry = archive.entry(0).clone();
+    let raw = sz.compress_view(&wavy(9, 9).view(), bound).unwrap();
+    assert_eq!(entry.n_tiles(), 1);
+    assert_eq!(entry.length as usize, FrameIndex::PREFIX_LEN + 16 + raw.len(), "a frame of one");
+    let window = Window { i0: 0, j0: 0, height: 9, width: 9 };
+    let mut out = Field2D::zeros(1, 1);
+    archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out).unwrap();
+    assert!(wavy(9, 9).max_abs_diff(&out) <= 1e-3, "the pristine entry reads");
+
+    let (start, end) = (entry.offset as usize, (entry.offset + entry.length) as usize);
+    for bit in 8 * start..8 * end {
+        let mut bad = good.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let read = Archive::open(bad)
+            .and_then(|archive| archive.read_region(0, &window, &sz, pool, &mut scratch, &mut out));
+        assert!(read.is_err(), "flipping bit {} of byte {} read {read:?}", bit % 8, bit / 8);
+    }
 }
 
 #[test]

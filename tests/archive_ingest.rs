@@ -127,25 +127,21 @@ fn reference_archive(entries: &[Entry]) -> Vec<u8> {
         let streams: Vec<Vec<u8>> =
             tiles.iter().map(|tile| e.codec.compress_view(tile, BOUND).unwrap()).collect();
         let offset = bytes.len() as u64;
-        if let [only] = streams.as_slice() {
-            bytes.extend_from_slice(only);
-        } else {
-            bytes.extend_from_slice(&FRAME_MAGIC);
-            bytes.push(FRAME_VERSION);
-            bytes.extend_from_slice(&(ny as u64).to_le_bytes());
-            bytes.extend_from_slice(&(nx as u64).to_le_bytes());
-            bytes.extend_from_slice(&(streams.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&(tile_ny as u32).to_le_bytes());
-            bytes.extend_from_slice(&(tile_nx as u32).to_le_bytes());
-            for stream in &streams {
-                bytes.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-            }
-            for stream in &streams {
-                bytes.extend_from_slice(&xxh64(stream, 0).to_le_bytes());
-            }
-            for stream in &streams {
-                bytes.extend_from_slice(stream);
-            }
+        bytes.extend_from_slice(&FRAME_MAGIC);
+        bytes.push(FRAME_VERSION);
+        bytes.extend_from_slice(&(ny as u64).to_le_bytes());
+        bytes.extend_from_slice(&(nx as u64).to_le_bytes());
+        bytes.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(tile_ny as u32).to_le_bytes());
+        bytes.extend_from_slice(&(tile_nx as u32).to_le_bytes());
+        for stream in &streams {
+            bytes.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+        }
+        for stream in &streams {
+            bytes.extend_from_slice(&xxh64(stream, 0).to_le_bytes());
+        }
+        for stream in &streams {
+            bytes.extend_from_slice(stream);
         }
         let tile_stats = tiles
             .iter()
@@ -181,11 +177,14 @@ fn reference_archive(entries: &[Entry]) -> Vec<u8> {
 
 /// XXH64 of the archive of [`entries`] (`add_entry` at width 2, then
 /// `finish`). Taken at the commit before tiles were summarized on the
-/// workers (`0xd824_94f6_7f85_a1dd`) and re-captured once since, in PR 21,
-/// when the `*-rans8` tile streams moved to run-coded frequency tables (the
-/// nine `sz-rans8` / `mgard-rans8` entries; the `sz`, `zfp` and `mgard`
-/// entries, the frames and the container did not move).
-const ARCHIVE_DIGEST: u64 = 0x3086_6a00_356a_9efc;
+/// workers (`0xd824_94f6_7f85_a1dd`) and re-captured twice since: when the
+/// `*-rans8` tile streams moved to run-coded frequency tables
+/// (`0x3086_6a00_356a_9efc`: the nine `sz-rans8` / `mgard-rans8` entries
+/// moved; the `sz`, `zfp` and `mgard` entries, the frames and the container
+/// did not), and when a one-tile tiling became a one-block frame instead of
+/// the codec's bare stream (only the `one-tile` entry moved: its stream now
+/// sits behind a frame header, one length and one digest).
+const ARCHIVE_DIGEST: u64 = 0xbcbf_fe2b_1449_e2e9;
 
 #[test]
 fn archives_are_byte_identical_at_every_pool_width_and_to_the_serial_build() {

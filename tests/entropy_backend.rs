@@ -11,9 +11,10 @@
 //!   bytes and forged giant headers all surface `CompressError` with
 //!   allocation bounded by the actual stream,
 //! * every retired form `FORMAT.md` lists (SZ `LSR1`, MGARD `LMR1`, ZFP
-//!   container tags 1–3, rANS mode bytes 0 and 2, `LCCF` row bands and the
-//!   `LCCF` frame without digests) is refused the same way, by a message
-//!   that names it, never mis-decoded.
+//!   container tags 1–3, rANS mode bytes 0 and 2, `LCCF` row bands, the
+//!   `LCCF` frame without digests, and the one-tile inner stream as a frame
+//!   payload) is refused the same way, by a message that names it, never
+//!   mis-decoded.
 
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
@@ -21,6 +22,7 @@ use lcc::grid::Field2D;
 use lcc::mgard::MgardCompressor;
 use lcc::pressio::{
     frame, CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena,
+    FRAME_MAGIC,
 };
 use lcc::sz::SzCompressor;
 use lcc::zfp::ZfpCompressor;
@@ -119,25 +121,25 @@ fn framed_container_carries_rans_variants() {
         let framed_h =
             frame::compress_framed_with(huff.as_ref(), &field.view(), bound, 4, pool, &mut scratch)
                 .unwrap();
-        assert!(frame::is_framed(&framed_r));
+        assert_eq!(framed_r[..4], FRAME_MAGIC);
         let dec_r = decode(rans.as_ref(), &framed_r).unwrap();
         let dec_h = decode(huff.as_ref(), &framed_h).unwrap();
         assert_eq!(dec_r, dec_h, "{} framed decode differs", rans.name());
 
-        // Single-block passthrough: the raw rANS container must survive the
-        // frame dispatch (its magic cannot read as an LCCF header).
+        // A single block is a one-tile frame around the raw rANS container,
+        // byte for byte.
         let single =
             frame::compress_framed_with(rans.as_ref(), &field.view(), bound, 1, pool, &mut scratch)
                 .unwrap();
-        assert_eq!(single, rans.compress_view(&field.view(), bound).unwrap());
-        assert!(!frame::is_framed(&single));
-        // Passthrough decode equals the direct single-stream decode (framed
+        let index = FrameIndex::parse(&single, single.len()).unwrap();
+        assert_eq!(index.n_blocks(), 1);
+        let (at, len) = index.block_span(0);
+        let raw = rans.compress_view(&field.view(), bound).unwrap();
+        assert_eq!(single[at..at + len], raw[..], "{}", rans.name());
+        // Its decode equals the direct single-stream decode (framed
         // multi-block decodes differ legitimately: predictors do not see
         // across block seams).
-        assert_eq!(
-            decode(rans.as_ref(), &single).unwrap(),
-            rans.decompress_field(&single).unwrap()
-        );
+        assert_eq!(decode(rans.as_ref(), &single).unwrap(), rans.decompress_field(&raw).unwrap());
     }
 }
 
@@ -439,6 +441,9 @@ fn retired_frame(
     frame
 }
 
+/// The `FORMAT.md` row of the codec's single stream as a frame payload.
+const ONE_TILE: &str = "one-tile inner stream";
+
 #[test]
 fn legacy_formats_are_refused_not_misdecoded() {
     // What the deleted encoders used to write. The forms retired with
@@ -448,8 +453,11 @@ fn legacy_formats_are_refused_not_misdecoded() {
     // (8-way) over the byte-symbol form of the coder. The forms whose
     // decoders went later are streams a decoder once read back: rANS mode 2
     // (the pair table), ZFP tag 1 (the bit stream behind an LZ77 pass),
-    // `LCCF` row-band frames, plain (`0x01`) and checksummed (`0x41`), and
-    // the tiled frame without its digest table (`0x21`).
+    // `LCCF` row-band frames, plain (`0x01`) and checksummed (`0x41`), the
+    // tiled frame without its digest table (`0x21`), and the one-tile inner
+    // stream: the codec's single stream, which a tiling that covered the
+    // field once wrote as its frame and archive-entry payload. It is still a
+    // valid single stream, so it is refused only where a frame is read.
     let mut two_way = vec![0u8]; // mode 0 = the retired 2-way format
     push_varint(&mut two_way, 1 << 40); // n_symbols
     push_varint(&mut two_way, 1); // alphabet size
@@ -479,7 +487,8 @@ fn legacy_formats_are_refused_not_misdecoded() {
     let mgard = MgardCompressor::rans8();
     let zfp = ZfpCompressor::default();
     let warmup = wavy(16, 16, 29);
-    let zfp_stream = zfp.compress_view(&warmup.view(), ErrorBound::Absolute(1e-3)).unwrap();
+    let bound = ErrorBound::Absolute(1e-3);
+    let zfp_stream = zfp.compress_view(&warmup.view(), bound).unwrap();
     let sz_pairs = pair_table_section(256, u64::from(SZ_RADIUS));
     let mgard_pairs = pair_table_section(256, u64::from(MGARD_RADIUS));
     // (what, decoder, stream, what its refusal names; `LSR1` / `LMR1` are
@@ -538,6 +547,7 @@ fn legacy_formats_are_refused_not_misdecoded() {
         ("LCCF 0x01", &sz, retired_frame(&sz, &warmup, 8, 0x01), "version byte 0x01"),
         ("LCCF 0x41", &sz, retired_frame(&sz, &warmup, 4, 0x41), "version byte 0x41"),
         ("LCCF 0x21", &sz, retired_frame(&sz, &warmup, 4, 0x21), "version byte 0x21"),
+        (ONE_TILE, &sz, sz.compress_view(&warmup.view(), bound).unwrap(), "missing magic"),
     ];
 
     // The bare sections, straight into a warm coder (padded too: a section
@@ -564,16 +574,21 @@ fn legacy_formats_are_refused_not_misdecoded() {
         // Warm scratch as a serving worker's would be (the per-codec scratch
         // boxed, its buffers sized for a 16×16 field), so the probe sees
         // only what the refused stream itself asks for.
-        let valid = compressor.compress_view(&warmup.view(), ErrorBound::Absolute(1e-3)).unwrap();
+        let valid = compressor.compress_view(&warmup.view(), bound).unwrap();
         let mut arena = ScratchArena::new();
         let mut frames = FrameScratch::new();
         let mut out = Field2D::zeros(1, 1);
         compressor.decompress_view_with(&valid, &mut arena, &mut out).unwrap();
+        let valid =
+            frame::compress_framed_with(*compressor, &warmup.view(), bound, 1, pool, &mut frames)
+                .unwrap();
         frame::decompress_framed_with(*compressor, &valid, pool, &mut frames, &mut out).unwrap();
 
-        // A frame's one-stream path is its header parse, the archive's too.
+        // A frame's one-stream path is its header parse, the archive's too,
+        // and so is that of a form only a frame or an entry ever held.
+        let frame_payload = stream.starts_with(&FRAME_MAGIC) || *what == ONE_TILE;
         let (single, largest_single) = alloc_probe::largest_request_during(|| {
-            if frame::is_framed(stream) {
+            if frame_payload {
                 FrameIndex::parse(stream, stream.len()).map(drop)
             } else {
                 compressor.decompress_view_with(stream, &mut arena, &mut out)
@@ -582,9 +597,13 @@ fn legacy_formats_are_refused_not_misdecoded() {
         let (framed, largest_framed) = alloc_probe::largest_request_during(|| {
             frame::decompress_framed_with(*compressor, stream, pool, &mut frames, &mut out)
         });
-        for (path, result, largest) in
-            [("single", single, largest_single), ("framed", framed, largest_framed)]
-        {
+        // The frame decoder reads nothing but frames: a form without the
+        // `LCCF` magic is refused there as no frame at all.
+        let framed_names = if stream.starts_with(&FRAME_MAGIC) { names } else { "missing magic" };
+        for (path, result, largest, names) in [
+            ("single", single, largest_single, names),
+            ("framed", framed, largest_framed, &framed_names),
+        ] {
             assert!(
                 matches!(&result, Err(CompressError::CorruptStream(msg)) if msg.contains(names)),
                 "{what} ({path}): expected CorruptStream naming {names:?}, got {result:?}"
@@ -610,6 +629,47 @@ fn truncated_rans_containers_are_rejected_at_every_cut() {
                 rans.name(),
                 stream.len()
             );
+        }
+    }
+}
+
+#[test]
+fn every_flipped_bit_of_a_single_stream_is_refused_or_decoded_without_reserving() {
+    // A single stream has no digest: a flipped bit may decode to some field,
+    // but it must never panic, and never size a buffer by a corrupt length.
+    // The LZ77 front end may reserve the decoded length a stream claims, up
+    // to what its bytes could expand to, and a Huffman table may grow with
+    // the code lengths it reads: the largest any flip of these streams asks
+    // for is 16 KiB, about 100 times the input. On this 9×9 field and bound,
+    // flipping byte 16, bit 0 of the `sz` stream makes an LZ77 match claim
+    // 20 843 353 340 bytes: the decoder must refuse it, not copy it.
+    let field = Field2D::from_fn(9, 9, |i, j| (i as f64 * 0.13).sin() + (j as f64 * 0.09).cos());
+    let bound = ErrorBound::Absolute(1e-3);
+    let codecs: [&dyn Compressor; 2] = [&SzCompressor::default(), &MgardCompressor::default()];
+    for codec in codecs {
+        let name = codec.name();
+        let good = codec.compress_view(&field.view(), bound).unwrap();
+        // Warm scratch, so the probe sees only what the flipped stream asks.
+        let (mut arena, mut out) = (ScratchArena::new(), Field2D::zeros(1, 1));
+        codec.decompress_view_with(&good, &mut arena, &mut out).unwrap();
+        for bit in 0..8 * good.len() {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let (result, largest) = alloc_probe::largest_request_during(|| {
+                codec.decompress_view_with(&bad, &mut arena, &mut out)
+            });
+            let (byte, bit) = (bit / 8, bit % 8);
+            assert!(
+                largest <= 128 * good.len(),
+                "{name}: flipping bit {bit} of byte {byte} asked for {largest} bytes"
+            );
+            if (name, byte, bit) == ("sz", 16, 0) {
+                assert!(
+                    matches!(&result, Err(CompressError::CorruptStream(msg))
+                        if msg.contains("token length") && msg.contains("still to decode")),
+                    "the flipped match length: {result:?}"
+                );
+            }
         }
     }
 }

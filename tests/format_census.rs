@@ -2,8 +2,10 @@
 //! they once wrote and the decoders now refuse. This census holds the first
 //! table to the encoders: every registry codec, at two paper bounds, over
 //! the study's three families at 128², through every path that writes bytes
-//! — a single stream, a frame of four full-width blocks, a frame of 64 × 64
-//! tiles, and an archive entry. Every stream and every frame block is
+//! — a single stream, a frame of one block, a frame of four full-width
+//! blocks, a frame of 64 × 64 tiles, and an archive entry. Every framed,
+//! tiled and archive-entry output must open with the frame magic. Every
+//! stream and every frame block is
 //! labelled by its leading bytes (the frame's version byte, the codes
 //! container's magic and its section's rANS mode byte, the ZFP container
 //! tag, the archive version), and the labels must be exactly the written
@@ -16,8 +18,8 @@ use lcc::grid::Field2D;
 use lcc::hydro::{MirandaProxy, MirandaProxyConfig, Problem};
 use lcc::lossless::EntropyBackend;
 use lcc::par::ThreadPoolConfig;
-use lcc::pressio::frame::{compress_framed_with, compress_tiled_with, is_framed};
-use lcc::pressio::{ErrorBound, FrameIndex, FrameScratch};
+use lcc::pressio::frame::{compress_framed_with, compress_tiled_with};
+use lcc::pressio::{ErrorBound, FrameIndex, FrameScratch, FRAME_MAGIC};
 use lcc::synth::{
     generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig,
 };
@@ -64,11 +66,9 @@ fn label_stream(name: &str, stream: &[u8], labels: &mut BTreeSet<String>) {
     labels.insert(String::from_utf8_lossy(&payload[..4]).into_owned());
 }
 
-/// Label a frame and each of its blocks, or a single-tile passthrough.
+/// Label a frame and each of its blocks.
 fn label_frame(name: &str, frame: &[u8], labels: &mut BTreeSet<String>) {
-    if !is_framed(frame) {
-        return label_stream(name, frame, labels);
-    }
+    assert_eq!(frame[..4], FRAME_MAGIC, "{name}: every frame path writes an LCCF frame");
     labels.insert(format!("LCCF {:#04x}", frame[4]));
     let index = FrameIndex::parse(frame, frame.len()).expect("a written frame parses");
     for b in 0..index.n_blocks() {
@@ -104,6 +104,8 @@ fn format_md_names_exactly_the_forms_the_encoders_write() {
                 let c = compressor.as_ref();
                 let single = c.compress_view(&view, bound).unwrap();
                 label_stream(name, &single, &mut labels);
+                let one = compress_framed_with(c, &view, bound, 1, pool, &mut scratch).unwrap();
+                label_frame(name, &one, &mut labels);
                 let rows = compress_framed_with(c, &view, bound, 4, pool, &mut scratch).unwrap();
                 label_frame(name, &rows, &mut labels);
                 let tiles =

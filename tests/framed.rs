@@ -7,8 +7,9 @@
 //! * framed round-trips across block counts 1..=8, including non-divisible
 //!   row tails and 1×N / N×1 degenerate fields, always hold the error bound,
 //!   and `blocks` always means full-width tiles of `ny.div_ceil(blocks)` rows,
-//! * a single-block frame is byte-identical to the unframed stream
-//!   (version-0 passthrough),
+//! * a single-block frame is a `0x61` frame whose one block is
+//!   byte-identical to the unframed stream, and the frame decoder refuses
+//!   the unframed stream itself,
 //! * a multi-block frame decodes to exactly the values obtained by
 //!   decoding each block's stand-alone stream and stitching the rows,
 //! * the scratch-threaded `decompress_view_with` path is bit-identical to
@@ -26,7 +27,7 @@ use lcc::lossless::xxh64;
 use lcc::mgard::MgardCompressor;
 use lcc::par::ThreadPoolConfig;
 use lcc::pressio::frame::{
-    compress_frame, compress_framed_with, compress_tiled_with, decompress_framed_with, is_framed,
+    compress_frame, compress_framed_with, compress_tiled_with, decompress_framed_with,
 };
 use lcc::pressio::{
     CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena, FRAME_MAGIC,
@@ -65,7 +66,7 @@ fn refused<T>(result: &Result<T, CompressError>, names: &str) -> bool {
     matches!(result, Err(CompressError::CorruptStream(msg)) if msg.contains(names))
 }
 
-/// Decode a (framed or raw) stream with fresh scratch into an owned field.
+/// Decode a frame with fresh scratch into an owned field.
 fn decompress_framed(
     compressor: &dyn Compressor,
     stream: &[u8],
@@ -91,11 +92,21 @@ fn single_block_frame_is_byte_identical_to_the_unframed_stream() {
             &mut FrameScratch::new(),
         )
         .unwrap();
-        assert_eq!(framed, raw, "{}: single-block passthrough", comp.name());
-        assert!(!is_framed(&framed), "{}", comp.name());
-        // And the framed decoder transparently decodes legacy raw streams.
-        let back = decompress_framed(comp.as_ref(), &raw, pool(3)).unwrap();
+        // One block: the header, one length, one digest, then the
+        // unframed stream byte for byte.
+        let index = FrameIndex::parse(&framed, framed.len()).unwrap();
+        assert_eq!((index.n_blocks(), index.tile), (1, (48, 37)), "{}", comp.name());
+        let (at, len) = index.block_span(0);
+        assert_eq!(framed[..5], [b'L', b'C', b'C', b'F', FRAME_VERSION], "{}", comp.name());
+        assert_eq!(at, FrameIndex::PREFIX_LEN + 16, "{}", comp.name());
+        assert_eq!(framed[at - 8..at], xxh64(&raw, 0).to_le_bytes(), "{}", comp.name());
+        assert_eq!(framed[at..at + len], raw[..], "{}: the one block", comp.name());
+        let back = decompress_framed(comp.as_ref(), &framed, pool(3)).unwrap();
         assert_eq!(back, comp.decompress_field(&raw).unwrap(), "{}", comp.name());
+        // The frame decoder reads frames only: the unframed stream is
+        // refused as one without the magic.
+        let result = decompress_framed(comp.as_ref(), &raw, pool(3));
+        assert!(refused(&result, "missing magic"), "{}: {result:?}", comp.name());
     }
 }
 
@@ -115,7 +126,9 @@ fn framed_roundtrip_holds_the_bound_across_block_counts() {
                 &mut FrameScratch::new(),
             )
             .unwrap();
-            assert_eq!(is_framed(&stream), blocks > 1, "{} blocks={blocks}", comp.name());
+            assert_eq!(stream[..4], FRAME_MAGIC, "{} blocks={blocks}", comp.name());
+            let index = FrameIndex::parse(&stream, stream.len()).unwrap();
+            assert_eq!(index.n_blocks(), blocks, "{} blocks={blocks}", comp.name());
             let back = decompress_framed(comp.as_ref(), &stream, pool(4)).unwrap();
             assert_eq!(back.shape(), field.shape(), "{} blocks={blocks}", comp.name());
             assert!(
@@ -131,7 +144,7 @@ fn framed_roundtrip_holds_the_bound_across_block_counts() {
 fn degenerate_row_and_column_fields_roundtrip() {
     let eb = 1e-4;
     for comp in compressors() {
-        // 1×N: the block count clamps to one row → passthrough.
+        // 1×N: the block count clamps to one row → a one-tile frame.
         // N×1: genuinely multi-block single-column frames.
         for (ny, nx) in [(1, 64), (64, 1), (1, 1), (2, 39)] {
             let field = wavy(ny, nx, 11);
@@ -248,7 +261,7 @@ fn corrupt_frames_error_for_every_compressor() {
             &mut FrameScratch::new(),
         )
         .unwrap();
-        assert!(is_framed(&good));
+        assert_eq!(good[..4], FRAME_MAGIC);
         // The length table sits before the digest table, which sits right
         // before the first block's bytes.
         let index = FrameIndex::parse(&good, good.len()).unwrap();
@@ -334,17 +347,16 @@ proptest! {
             )
             .unwrap();
             let rows = ny.div_ceil(blocks);
-            prop_assert_eq!(is_framed(&stream), rows < ny);
-            if is_framed(&stream) {
-                prop_assert!(stream[4] == FRAME_VERSION, "{}: not a 0x61 frame", comp.name());
-                let index = FrameIndex::parse(&stream, stream.len()).unwrap();
-                let n_blocks = index.n_blocks();
-                prop_assert!(n_blocks <= blocks, "{n_blocks} tiles for {blocks} blocks");
-                for b in 0..n_blocks {
-                    let w = index.block_window(b);
-                    prop_assert_eq!((w.i0, w.j0, w.width), (b * rows, 0, nx));
-                    prop_assert!(w.height == rows || b + 1 == n_blocks, "tile {b}: {w:?}");
-                }
+            prop_assert!(stream[..4] == FRAME_MAGIC, "{}: no frame magic", comp.name());
+            prop_assert!(stream[4] == FRAME_VERSION, "{}: not a 0x61 frame", comp.name());
+            let index = FrameIndex::parse(&stream, stream.len()).unwrap();
+            let n_blocks = index.n_blocks();
+            prop_assert_eq!(n_blocks, ny.div_ceil(rows));
+            prop_assert!(n_blocks <= blocks, "{n_blocks} tiles for {blocks} blocks");
+            for b in 0..n_blocks {
+                let w = index.block_window(b);
+                prop_assert_eq!((w.i0, w.j0, w.width), (b * rows, 0, nx));
+                prop_assert!(w.height == rows || b + 1 == n_blocks, "tile {b}: {w:?}");
             }
             let mut out = Field2D::zeros(1, 1);
             decompress_framed_with(
@@ -460,7 +472,6 @@ fn forged_headers_of_either_layout_are_refused_without_reserving() {
     // (what is forged, the forgery, what its refusal names)
     let forgeries: Vec<(&str, Vec<u8>, &str)> = vec![
         ("zero tiles", forged_frame(V, (8, 8), 0, t, &[], 16), "does not cover"),
-        ("one tile", forged_frame(V, (4, 4), 1, t, &[16], 16), "does not cover"),
         ("count is not the cover", forged_frame(V, (8, 8), 3, t, &[4; 3], 12), "does not cover"),
         ("zero tile height", forged_frame(V, (8, 8), 4, Some((0, 4)), &[4; 4], 16), "tile shape"),
         (
@@ -502,7 +513,8 @@ fn forged_headers_of_either_layout_are_refused_without_reserving() {
     let mut scratch = FrameScratch::new();
     let mut out = Field2D::zeros(1, 1);
     for (what, bytes, names) in &forgeries {
-        assert!(is_framed(bytes), "{what}: the forgery must reach the frame parser");
+        assert!(bytes.len() >= FrameIndex::PREFIX_LEN, "{what}: the forgery must reach the parser");
+        assert_eq!(bytes[..4], FRAME_MAGIC, "{what}: the forgery must reach the frame parser");
         let (result, largest) = alloc_probe::largest_request_during(|| {
             decompress_framed_with(&sz, bytes, pool(1), &mut scratch, &mut out)
         });
@@ -518,11 +530,31 @@ fn forged_headers_of_either_layout_are_refused_without_reserving() {
         assert!(largest <= 4 * bytes.len() + 256, "{what}: parse requested {largest} bytes");
     }
 
-    // A stream cut inside the header is no frame: the inner codec refuses
+    // One tile is a frame like any other: the forgery parses, and its
+    // zeroed digest refuses the block before the codec sees its bytes. A
+    // genuine one-tile frame warms the scratch first, so the probe sees only
+    // what the forgery asks for.
+    let one_tile = forged_frame(V, (4, 4), 1, t, &[16], 16);
+    let small = wavy(4, 4, 3);
+    let bound = ErrorBound::Absolute(1e-3);
+    let genuine =
+        compress_framed_with(&sz, &small.view(), bound, 1, pool(1), &mut scratch).unwrap();
+    decompress_framed_with(&sz, &genuine, pool(1), &mut scratch, &mut out).unwrap();
+    assert!(small.max_abs_diff(&out) <= 1e-3);
+    let (parsed, largest) =
+        alloc_probe::largest_request_during(|| FrameIndex::parse(&one_tile, one_tile.len()));
+    assert_eq!(parsed.map(|index| (index.n_blocks(), index.block_span(0))), Ok((1, (49, 16))));
+    assert!(largest <= 4 * one_tile.len() + 256, "one tile: parse requested {largest} bytes");
+    let (result, largest) = alloc_probe::largest_request_during(|| {
+        decompress_framed_with(&sz, &one_tile, pool(1), &mut scratch, &mut out)
+    });
+    assert!(refused(&result, "block 0 checksum mismatch"), "one tile: {result:?}");
+    assert!(largest <= 4 * one_tile.len() + 256, "one tile: decode requested {largest} bytes");
+
+    // A stream cut inside the header is no frame: the frame decoder refuses
     // it, and so does the index parse.
     let cut = forged_frame(V, (8, 8), 4, None, &[], 4);
-    assert!(!is_framed(&cut));
-    assert!(matches!(decompress_framed(&sz, &cut, pool(1)), Err(CompressError::CorruptStream(_))));
+    assert!(refused(&decompress_framed(&sz, &cut, pool(1)), "header truncated"));
     assert!(refused(&FrameIndex::parse(&cut, cut.len()), "truncated"));
 
     // Control: the same builder, given true lengths and digests, makes
