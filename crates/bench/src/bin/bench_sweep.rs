@@ -26,9 +26,10 @@
 //! - how many of the `*-rans8` streams overflowed the 12-bit rANS table
 //!   and carry Huffman-mode codes instead;
 //! - every stage's seconds;
-//! - the global variogram's pairs, its ns/pair at width 1 (the pair kernel
-//!   on an L1-resident row runs 0.17 ns/pair on the dev box) and its
-//!   parallel efficiency at the pool's width;
+//! - the global variogram's pairs, its ns/pair at width 1 (at 1028², whose
+//!   origin strides are 3, 2 and 1, a 2-vCPU box reads ≈ 0.27 ns/pair at the
+//!   AVX2 tier and ≈ 0.31 at `LCC_SIMD=off`) and its parallel efficiency at
+//!   the pool's width;
 //! - `correlation_statistics_compute` seconds over `compress_sz` seconds:
 //!   what the predictor costs in units of the compression it steers.
 

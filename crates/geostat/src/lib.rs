@@ -17,10 +17,13 @@
 //!   used in every figure legend, with goodness-of-fit summaries.
 //!
 //! The two windowed statistics run their full windows four at a time, one
-//! window per lane of an interleaved copy (the private `quad` module, at
-//! the tier `lcc_lossless::simd_level()` picks), and every window keeps the
-//! bits of its one-window kernel, [`window_range`] or
-//! [`window_truncation_level`].
+//! window per lane of an interleaved copy (the private `quad` module), and
+//! every window keeps the bits of its one-window kernel, [`window_range`]
+//! or [`window_truncation_level`]. Those quads and the global variogram's
+//! band sweep are each one body of `[f64; 4]` lane arithmetic, compiled as
+//! a scalar and an AVX2 tier (the private `simd` module, the crate's only
+//! `unsafe` code) with the same bits; `lcc_lossless::simd_level()` picks
+//! the tier.
 //!
 //! The statistics only ever need *small* dense numerics, and each routine
 //! lives, private, beside its one caller:
@@ -44,6 +47,7 @@ mod jacobi;
 pub mod local;
 mod quad;
 pub mod regression;
+mod simd;
 pub mod svdstat;
 #[cfg(test)]
 mod test_fields;

@@ -78,7 +78,7 @@ pub fn local_variogram_ranges_view_at(
         .expect("a window of at least 4x4 has lags");
     let pool = config.threads.map_or_else(ThreadPoolConfig::auto, ThreadPoolConfig::with_threads);
     map_quads(pool, &windows, WindowScratch::default, |scratch, quad| {
-        crate::quad::sum_quad(level, &plan, quad, scratch);
+        crate::simd::sum_quad(level, &plan, quad, scratch);
         std::array::from_fn(|lane| plan.fit_lane(scratch, lane))
     })
 }

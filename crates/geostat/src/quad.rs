@@ -10,17 +10,11 @@
 //! group is padded with copies of its first window, whose results are
 //! dropped.
 //!
-//! The kernels' lane bodies are plain Rust on `[f64; 4]`; compiled as they
-//! are they are the scalar tier, and inlined into one
-//! `#[target_feature(enable = "avx2")]` function each (the private `simd`
-//! module) they are the AVX2 tier, one 256-bit register a lane vector.
-//! Neither tier contracts a multiply and an add, so both give the same
-//! bits; `lcc_lossless::simd_level()` picks the tier.
+//! The kernels' lane bodies are plain Rust on `[f64; 4]`, written with the
+//! whole-value helpers below; the crate's `simd` module compiles each once
+//! per tier.
 
-use crate::svdstat::{Centred, QuadSpectrum};
-use crate::variogram::{WindowPlan, WindowScratch};
 use lcc_grid::FieldView;
-use lcc_lossless::dispatch::SimdLevel;
 use lcc_par::{try_parallel_map_with_state, ThreadPoolConfig};
 
 /// Windows a kernel call runs side by side.
@@ -95,110 +89,6 @@ where
     let results = try_parallel_map_with_state(pool, &quads, init, |s, _, quad| kernel(s, quad))
         .unwrap_or_else(|err| panic!("{err}"));
     results.into_iter().flatten().take(windows.len()).collect()
-}
-
-/// [`WindowPlan::sum_quad`] at tier `level`, lowered to one the hardware
-/// runs.
-#[inline]
-pub(crate) fn sum_quad(
-    level: SimdLevel,
-    plan: &WindowPlan,
-    quad: &[FieldView<'_>; QUAD],
-    scratch: &mut WindowScratch,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::sum_quad(level, plan, quad, scratch).is_some() {
-        return;
-    }
-    let _ = level;
-    plan.sum_quad(quad, scratch)
-}
-
-/// [`QuadSpectrum::tridiagonalise_body`] at tier `level`, lowered to one
-/// the hardware runs.
-#[inline]
-pub(crate) fn tridiagonalise_quad(
-    level: SimdLevel,
-    spectrum: &mut QuadSpectrum,
-    quad: &[FieldView<'_>; QUAD],
-) -> [Centred; QUAD] {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(centred) = simd::tridiagonalise_quad(level, spectrum, quad) {
-        return centred;
-    }
-    let _ = level;
-    spectrum.tridiagonalise_body(quad)
-}
-
-/// The AVX2 tier: each lane body inlined into one function compiled with
-/// AVX2 enabled (and FMA not), where `[f64; 4]` arithmetic becomes one
-/// 256-bit instruction. Each entry runs it when `level` asks for AVX2 and
-/// the CPU has it, and returns `None` otherwise.
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    // Sanctioned `unsafe_code` waiver (see `lcc_lossless::dispatch`):
-    // a `target_feature` function is unsafe to call; the entries check
-    // the CPU first.
-    #![allow(unsafe_code)]
-
-    use super::QUAD;
-    use crate::svdstat::{Centred, QuadSpectrum};
-    use crate::variogram::{WindowPlan, WindowScratch};
-    use lcc_grid::FieldView;
-    use lcc_lossless::dispatch::{supported_levels, SimdLevel};
-
-    /// `level` asks for AVX2 and the CPU has it.
-    fn avx2(level: SimdLevel) -> bool {
-        level >= SimdLevel::Avx2 && supported_levels().contains(&SimdLevel::Avx2)
-    }
-
-    pub(super) fn sum_quad(
-        level: SimdLevel,
-        plan: &WindowPlan,
-        quad: &[FieldView<'_>; QUAD],
-        scratch: &mut WindowScratch,
-    ) -> Option<()> {
-        avx2(level).then(|| {
-            // SAFETY: `avx2` checked that the CPU has AVX2.
-            unsafe { sum_quad_avx2(plan, quad, scratch) }
-        })
-    }
-
-    pub(super) fn tridiagonalise_quad(
-        level: SimdLevel,
-        spectrum: &mut QuadSpectrum,
-        quad: &[FieldView<'_>; QUAD],
-    ) -> Option<[Centred; QUAD]> {
-        avx2(level).then(|| {
-            // SAFETY: `avx2` checked that the CPU has AVX2.
-            unsafe { tridiagonalise_quad_avx2(spectrum, quad) }
-        })
-    }
-
-    /// [`WindowPlan::sum_quad`]'s lane body compiled for AVX2.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn sum_quad_avx2(
-        plan: &WindowPlan,
-        quad: &[FieldView<'_>; QUAD],
-        scratch: &mut WindowScratch,
-    ) {
-        plan.sum_quad(quad, scratch)
-    }
-
-    /// [`QuadSpectrum::tridiagonalise_body`] compiled for AVX2.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tridiagonalise_quad_avx2(
-        spectrum: &mut QuadSpectrum,
-        quad: &[FieldView<'_>; QUAD],
-    ) -> [Centred; QUAD] {
-        spectrum.tridiagonalise_body(quad)
-    }
 }
 
 #[cfg(test)]

@@ -488,7 +488,7 @@ impl QuadSpectrum {
         quad: &[FieldView<'_>; QUAD],
         fraction: f64,
     ) -> [Result<usize, NoLevel>; QUAD] {
-        let centred = crate::quad::tridiagonalise_quad(level, self, quad);
+        let centred = crate::simd::tridiagonalise_quad(level, self, quad);
         let converged = self.eigenvalues_ql();
         std::array::from_fn(|k| match centred[k] {
             Centred::NonFinite => Err(NoLevel::NonFinite),
@@ -1063,7 +1063,7 @@ mod tests {
                 let mut spectrum = QuadSpectrum::default();
                 for group in tiles.chunks(QUAD) {
                     let quad = std::array::from_fn(|k| *group.get(k).unwrap_or(&group[0]));
-                    let centred = crate::quad::tridiagonalise_quad(level, &mut spectrum, &quad);
+                    let centred = crate::simd::tridiagonalise_quad(level, &mut spectrum, &quad);
                     let converged = spectrum.eigenvalues_ql();
                     for (k, view) in group.iter().enumerate() {
                         let what = format!("{} at {level:?}, window {windows}", case.name);

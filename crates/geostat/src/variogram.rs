@@ -18,32 +18,43 @@
 //! 1. **offset list** — every (direction, lag) offset that fits the field,
 //!    direction-major, with the origin stride its sampling budget implies;
 //! 2. **band sweep** — the offsets of one stride whose lags fall in one band
-//!    of `BAND` (16) consecutive lags, in all four directions, are one job. The
-//!    job walks the field's origin rows once, `ROWS` (8) at a time, and runs
-//!    every offset of the band against each block of rows: horizontal lags
-//!    re-read a row that is in L1, vertical and diagonal lags share one
-//!    sliding window of `ROWS · stride + BAND` partner rows, so a 512² field
-//!    is streamed once per band (15 times) instead of once per offset (680
-//!    times). Per offset the sum of squared differences still goes into
-//!    `LANES` (8) independent accumulators combined in a fixed tree (one
-//!    accumulator is a single floating-point dependency chain and runs at
-//!    add latency, not throughput), and `GROUP` (2) lags of a direction share
-//!    a kernel call, their blocks interleaved;
+//!    of `BAND` (16) consecutive lags, in all four directions, are one job.
+//!    Before the fan-out, each stride `s > 1` the jobs use gets one
+//!    *residue plane*, a copy of the field whose row `i` holds the columns
+//!    `r, r + s, r + 2s, …` of row `i` packed, residue after residue: an
+//!    offset's sampled origin and partner elements are contiguous there,
+//!    so every kernel call reads unit-stride (unit-stride offsets read the
+//!    field itself). The job walks the origin rows once, `ROWS` (8) at a
+//!    time, and runs every offset of the band against each block of rows:
+//!    horizontal lags re-read a row that is in L1, vertical and diagonal
+//!    lags share one sliding window of `ROWS · stride + BAND` partner rows,
+//!    so a 512² field is streamed once per band (15 times) instead of once
+//!    per offset (680 times). Per offset the sum of squared differences
+//!    still goes into `LANES` (8) independent accumulators, two `[f64; 4]`
+//!    lane vectors, combined in a fixed tree (one accumulator is a single
+//!    floating-point dependency chain and runs at add latency, not
+//!    throughput), and `GROUP` (4) lags of a direction share a kernel call,
+//!    their blocks interleaved; where the group's origin samples start at
+//!    one cell (every direction but the anti-diagonal) each origin block is
+//!    read once for the four. The job is lane arithmetic throughout and the
+//!    crate's `simd` module compiles it once per SIMD tier;
 //! 3. **ordered binning** — the per-offset sums are folded into the distance
 //!    bins in list order.
 //!
 //! Step 2 is the only part that costs anything, and jobs are independent, so
 //! it fans out over a thread pool ([`estimate_range_pooled`], largest job
-//! first). **The variogram is bit-identical for every pool
-//! width, and to a pass over the field per offset**: each offset is in
-//! exactly one job and its sum is computed by exactly one thread; element
-//! `k` of a row still goes to lane `k mod LANES`; each lane still receives
-//! its offset's terms rows ascending, columns ascending — interleaving lags
-//! and blocking rows only reorders work *between* lanes, which do not
-//! interact until the fixed tree; and step 3 is serial in list order. The
-//! per-offset pass survives as the test oracle (`offset_sum`).
-//! [`empirical_variogram_view`] / [`estimate_range_view`] are the same code
-//! at width 1.
+//! first). **The variogram is bit-identical for every pool width and SIMD
+//! tier, and to a pass over the field per offset**: each offset is in
+//! exactly one job and its sum is computed by exactly one thread; the
+//! residue plane moves where a sampled element is read from, not which
+//! element it is; element `k` of a row's samples still goes to lane
+//! `k mod LANES`; each lane still receives its offset's terms rows
+//! ascending, columns ascending — interleaving lags and blocking rows only
+//! reorders work *between* lanes, which do not interact until the fixed
+//! tree; neither tier contracts a multiply and an add; and step 3 is serial
+//! in list order. The per-offset pass over the field's own rows survives as
+//! the test oracle (`offset_sum`). [`empirical_variogram_view`] /
+//! [`estimate_range_view`] are the same code at width 1.
 //!
 //! **Windows.** The local statistic estimates the variogram of every full
 //! window of a field, and all of them share one shape, so `WindowPlan`
@@ -65,9 +76,10 @@
 //! non-finite γ is refused, so a field holding NaN or ±∞, or values whose
 //! squared differences overflow, has a NaN range and sill.
 
-use crate::quad::{interleave, Lanes, QUAD};
+use crate::quad::{add, interleave, mul, sub, Lanes, QUAD};
 use crate::GeostatError;
-use lcc_grid::FieldView;
+use lcc_grid::{Field2D, FieldView};
+use lcc_lossless::dispatch::{simd_level, SimdLevel};
 use lcc_par::{parallel_map_with, ThreadPoolConfig};
 
 /// Configuration of the empirical variogram estimator.
@@ -130,15 +142,15 @@ pub struct VariogramFit {
 }
 
 /// Compute the empirical semi-variogram of a (possibly strided) view,
-/// serially and in the view's own buffer — the variogram of the global
-/// estimate ([`estimate_range_view`]) and of the one-window kernel
+/// serially — the variogram of the global estimate
+/// ([`estimate_range_view`]) and of the one-window kernel
 /// [`window_range`](crate::window_range). The windowed local statistics do
 /// not call it: they run their windows as `WindowPlan` quads.
 pub fn empirical_variogram_view(
     field: &FieldView<'_>,
     config: &VariogramConfig,
 ) -> EmpiricalVariogram {
-    empirical_variogram_pooled(field, config, ThreadPoolConfig::with_threads(1))
+    empirical_variogram_pooled(simd_level(), field, config, ThreadPoolConfig::with_threads(1))
 }
 
 /// One (direction, lag) offset of the pair enumeration: origins `(i, j)` on
@@ -154,12 +166,18 @@ struct Offset {
     negative_x: bool,
     stride: usize,
     dist: f64,
+    /// Pairs the offset samples in one origin row.
+    samples: usize,
+    /// Where the origin row's and the partner row's samples start in a row
+    /// of the stride's residue plane ([`plane_column`]).
+    a_col: usize,
+    b_col: usize,
 }
 
 impl Offset {
-    /// Number of pairs the offset samples in an `ny × nx` field.
-    fn pairs(&self, ny: usize, nx: usize) -> u64 {
-        ((ny - self.off_y).div_ceil(self.stride) * (nx - self.off_x).div_ceil(self.stride)) as u64
+    /// Number of pairs the offset samples in a field of `ny` rows.
+    fn pairs(&self, ny: usize) -> u64 {
+        ((ny - self.off_y).div_ceil(self.stride) * self.samples) as u64
     }
 }
 
@@ -186,195 +204,246 @@ fn offsets(ny: usize, nx: usize, max_lag: usize, max_dist: f64, budget: usize) -
             }
             // Stride the origin points so the per-offset pair count stays
             // within the sampling budget. A stride of the larger extent
-            // already samples a single origin, so nothing above it is needed
-            // (and `LANES * stride` cannot overflow).
+            // already samples a single origin, so nothing above it is needed.
             let pairs = (ny - off_y) * (nx - off_x);
             let stride = ((pairs as f64 / budget).sqrt().ceil() as usize).clamp(1, ny.max(nx));
-            out.push(Offset { dir, lag, off_y, off_x, negative_x, stride, dist });
+            let (a_start, b_start) = if negative_x { (off_x, 0) } else { (0, off_x) };
+            out.push(Offset {
+                dir,
+                lag,
+                off_y,
+                off_x,
+                negative_x,
+                stride,
+                dist,
+                samples: (nx - off_x).div_ceil(stride),
+                a_col: plane_column(a_start, nx, stride),
+                b_col: plane_column(b_start, nx, stride),
+            });
         }
     }
     out
 }
 
+/// Where column `c` of an `nx`-wide row sits in a row of the residue plane
+/// for origin stride `s` ([`residue_plane`]): residue `c mod s` starts at
+/// `(c mod s) · ⌈nx / s⌉`, and `c` is its element `c / s`.
+fn plane_column(c: usize, nx: usize, s: usize) -> usize {
+    (c % s) * nx.div_ceil(s) + c / s
+}
+
+/// The field's residue plane for origin stride `s > 1`: row `i` holds the
+/// columns `r, r + s, r + 2s, …` of the field's row `i` for each residue
+/// `r < s` in turn, each residue `⌈nx / s⌉` wide (a short residue's last
+/// cell is zero). The `k`-th sampled element of a row from column `c` is
+/// then element `plane_column(c) + k`: every offset of stride `s` reads its
+/// origin and partner samples contiguously.
+fn residue_plane(field: &FieldView<'_>, s: usize) -> Field2D {
+    let (ny, nx) = field.shape();
+    let width = nx.div_ceil(s);
+    let mut plane = Field2D::zeros(ny, s * width);
+    for i in 0..ny {
+        let (row, out) = (field.row(i), plane.row_mut(i));
+        // A stride above `nx` (a tiny budget on a tall field) leaves the
+        // residues from `nx` on empty.
+        for (residue, r) in out.chunks_exact_mut(width).zip(0..nx) {
+            for (k, cell) in residue[..(nx - r).div_ceil(s)].iter_mut().enumerate() {
+                *cell = row[r + k * s];
+            }
+        }
+    }
+    plane
+}
+
 /// Independent accumulators of the pair kernel.
 const LANES: usize = 8;
 
-/// Consecutive lags one job sweeps together. 512² at one thread, alternating
-/// runs: 8 lags 17.8 ms, 16 lags 17.9, 32 lags 16.4–19.8 — flat, because any
-/// of them keeps the partner rows in L2; 16 leaves 15 jobs for the pool to
-/// balance where 32 leaves 8, and a 4 KB accumulator block on the stack.
+/// One offset's [`LANES`] accumulators as two lane vectors: accumulators
+/// 0–3, then 4–7.
+type Acc = [Lanes; 2];
+
+/// Consecutive lags one job sweeps together. A 512² GRF at one thread on a
+/// 2-vCPU x86-64 box, best of nine, alternating builds, AVX2 / scalar
+/// tier: 8 lags 12.4 / 16.7 ms, 16 lags 12.2 / 16.5, 32 lags 11.6 / 16.4 —
+/// nearly flat, because any of them keeps the partner rows in L2; 16
+/// leaves 15 jobs for the pool to balance where 32 leaves 8, and a 4 KB
+/// accumulator block on the stack.
 const BAND: usize = 16;
 
-/// Lags of one direction that share a kernel call. Alternating runs at one
-/// thread, no grouping / 2 / 4: 512² 20.7 / 17.7 / 17.6 ms; a 32 × 32 window
-/// (10 lags a direction) 10.2 / 11.0 / 12.9 µs against 9.5 for the per-offset
-/// pass — groups of four leave two of ten lags, and every row only the
-/// shorter lags of a group have, to single calls. Two takes the large-field
-/// gain and a third of the window cost.
-const GROUP: usize = 2;
+/// Lags of one direction that share a kernel call, their blocks
+/// interleaved so that `GROUP × LANES` add chains are in flight. The same
+/// runs, 2 / 4 lags: 512² 12.7 / 11.8 ms at AVX2 (four offsets' eight
+/// accumulator vectors take half its sixteen registers) but 15.4 / 16.6
+/// scalar (they take all sixteen SSE2 registers), and `select` `req_per_s`
+/// 53.7 / 55.9 (ten alternating pairs, all won by four). The one-window
+/// kernel pays for it: a 32 × 32 window's variogram plus fit 15.4 / 17.2 µs at AVX2,
+/// 15.7 / 19.3 scalar — groups of four leave two of ten lags, and every
+/// row only the shorter lags of a group have, to single calls.
+const GROUP: usize = 4;
 
 /// Origin rows a kernel call walks with its accumulators in registers.
-/// 512² at one thread: 4 rows 18.5 ms, 8 rows 17.2–18.2, 16 rows 18.3–21.9,
-/// 32 rows 19.8, 256 rows 20.1 (the per-band working set leaves L2's fast
-/// ways); one row a call costs a 32 × 32 window 15 µs instead of 11.
+/// The same runs: 4 rows 12.0 / 16.7 ms, 8 rows 12.2 / 16.5, 16 rows
+/// 12.4 / 16.7, 32 rows 12.2 / 16.6 — flat (256 rows read 20.1 ms against
+/// 17.2–18.2 for 8 before the residue planes: the per-band working set
+/// leaves L2's fast ways).
 const ROWS: usize = 8;
 
-/// `acc[k] += (a[k·stride] − b[k·stride])²` for the [`LANES`] sampled
-/// elements of one `LANES × stride` block.
+/// The two lane vectors of a [`LANES`]-element block.
 #[inline(always)]
-fn accumulate_block(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
-    for (k, lane) in acc.iter_mut().enumerate() {
-        let d = a[k * stride] - b[k * stride];
-        *lane += d * d;
-    }
+fn halves(block: &[f64]) -> Acc {
+    let (lo, hi) = block.split_at(QUAD);
+    [lo.try_into().expect("a block of LANES"), hi.try_into().expect("a block of LANES")]
 }
 
-/// `acc[k mod LANES] += (a[k·stride] − b[k·stride])²` over the sampled
-/// elements `k` of two equally long row slices.
+/// `acc[k] += (a[k] − b[k])²` for the [`LANES`] elements of one block.
 #[inline(always)]
-fn accumulate_strided(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
-    let block = LANES * stride;
-    let (a_blocks, b_blocks) = (a.chunks_exact(block), b.chunks_exact(block));
-    let a_tail = a_blocks.remainder().iter().step_by(stride);
-    let b_tail = b_blocks.remainder().iter().step_by(stride);
+fn accumulate_block(acc: &mut Acc, a: &[f64], b: &[f64]) {
+    let ([a0, a1], [b0, b1]) = (halves(a), halves(b));
+    let (d0, d1) = (sub(a0, b0), sub(a1, b1));
+    *acc = [add(acc[0], mul(d0, d0)), add(acc[1], mul(d1, d1))];
+}
+
+/// `acc[k mod LANES] += (a[k] − b[k])²` over two equally long slices.
+#[inline(always)]
+fn accumulate(acc: &mut Acc, a: &[f64], b: &[f64]) {
+    let (a_blocks, b_blocks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail = a_blocks.remainder().iter().zip(b_blocks.remainder());
     // A copy, so that the lanes are registers over both loops: accumulating
     // through `acc` reads 25 ms for a 512² field where this reads 17.
     let mut lanes = *acc;
     for (ca, cb) in a_blocks.zip(b_blocks) {
-        accumulate_block(&mut lanes, ca, cb, stride);
+        accumulate_block(&mut lanes, ca, cb);
     }
-    for ((lane, x), y) in lanes.iter_mut().zip(a_tail).zip(b_tail) {
+    for (k, (x, y)) in tail.enumerate() {
         let d = x - y;
-        *lane += d * d;
+        lanes[k / QUAD][k % QUAD] += d * d;
     }
     *acc = lanes;
 }
 
-/// [`accumulate_strided`] for `G` slice pairs at once: the full
-/// `LANES × stride` blocks every pair has are interleaved block by block
-/// (`G × LANES` independent add chains in flight), then each pair finishes
-/// its own remaining blocks and ragged tail. Every pair's lanes receive
-/// exactly the terms, in exactly the order, of a call of its own.
+/// [`accumulate`] for a [`GROUP`] of slice pairs at once: the blocks every
+/// pair has are interleaved block by block, then each pair finishes its
+/// own remaining blocks and ragged tail. Every pair's lanes receive exactly
+/// the terms, in exactly the order, of a call of its own. The joint blocks
+/// are one zip of block iterators, so the loop carries no bounds check;
+/// with `SHARED` (every `a` starts at the same cell: the origin samples of
+/// all directions but the anti-diagonal) each block of `a` is read once.
 #[inline(always)]
-fn accumulate_interleaved<const G: usize>(
-    acc: &mut [[f64; LANES]; G],
-    a: [&[f64]; G],
-    b: [&[f64]; G],
-    stride: usize,
+fn accumulate_group<'a, const SHARED: bool>(
+    acc: &mut [Acc; GROUP],
+    a: [&'a [f64]; GROUP],
+    b: [&'a [f64]; GROUP],
 ) {
-    let block = LANES * stride;
-    let mut blocks = usize::MAX;
-    for pair in &a {
-        blocks = blocks.min(pair.len() / block);
-    }
-    let joint = blocks * block;
-    for t in 0..blocks {
-        for g in 0..G {
-            let (ca, cb) =
-                (&a[g][..joint][t * block..][..block], &b[g][..joint][t * block..][..block]);
-            accumulate_block(&mut acc[g], ca, cb, stride);
+    let blocks = |s: &'a [f64]| s.chunks_exact(LANES);
+    let [mut l0, mut l1, mut l2, mut l3] = *acc;
+    let mut joint = 0;
+    let partners = blocks(b[0]).zip(blocks(b[1])).zip(blocks(b[2]).zip(blocks(b[3])));
+    if SHARED {
+        for (ca, ((b0, b1), (b2, b3))) in blocks(a[0]).zip(partners) {
+            accumulate_block(&mut l0, ca, b0);
+            accumulate_block(&mut l1, ca, b1);
+            accumulate_block(&mut l2, ca, b2);
+            accumulate_block(&mut l3, ca, b3);
+            joint += LANES;
+        }
+    } else {
+        let origins = blocks(a[0]).zip(blocks(a[1])).zip(blocks(a[2]).zip(blocks(a[3])));
+        for (((a0, a1), (a2, a3)), ((b0, b1), (b2, b3))) in origins.zip(partners) {
+            accumulate_block(&mut l0, a0, b0);
+            accumulate_block(&mut l1, a1, b1);
+            accumulate_block(&mut l2, a2, b2);
+            accumulate_block(&mut l3, a3, b3);
+            joint += LANES;
         }
     }
-    for g in 0..G {
-        accumulate_strided(&mut acc[g], &a[g][joint..], &b[g][joint..], stride);
+    let mut lanes = [l0, l1, l2, l3];
+    for (g, lanes) in lanes.iter_mut().enumerate() {
+        accumulate(lanes, &a[g][joint..], &b[g][joint..]);
     }
+    *acc = lanes;
 }
 
-/// The slices offset `o` pairs on origin row `i`: the origin row's part and
-/// the partner row's.
+/// The slices offset `o` pairs on origin row `i` of its stride's residue
+/// plane `rows`: the origin row's samples and the partner row's.
 #[inline(always)]
-fn pair_rows<'a>(field: &FieldView<'a>, i: usize, o: &Offset) -> (&'a [f64], &'a [f64]) {
-    let (origin, partner) = (field.row(i), field.row(i + o.off_y));
-    let width = origin.len() - o.off_x;
-    let (a_start, b_start) = if o.negative_x { (o.off_x, 0) } else { (0, o.off_x) };
-    (&origin[a_start..a_start + width], &partner[b_start..b_start + width])
+fn pair_rows<'a>(rows: &FieldView<'a>, i: usize, o: &Offset) -> (&'a [f64], &'a [f64]) {
+    let (origin, partner) = (rows.row(i), rows.row(i + o.off_y));
+    (&origin[o.a_col..][..o.samples], &partner[o.b_col..][..o.samples])
 }
 
-/// [`sweep_group`] at a stride the compiler can see.
+/// The pair kernel: a [`GROUP`] of offsets of one direction against the
+/// origin rows `r · stride`, `r` in `origins`, of the residue plane `rows`;
+/// `SHARED` when the offsets' origin samples start at one cell.
 #[inline(always)]
-fn sweep_group_strided<const G: usize>(
-    acc: &mut [[f64; LANES]; G],
-    field: &FieldView<'_>,
-    group: &[Offset; G],
+fn sweep_group<const SHARED: bool>(
+    acc: &mut [Acc; GROUP],
+    rows: &FieldView<'_>,
+    group: &[Offset; GROUP],
     origins: std::ops::Range<usize>,
     stride: usize,
 ) {
     let mut lanes = *acc;
     for r in origins {
-        let (mut a, mut b): ([&[f64]; G], [&[f64]; G]) = ([&[]; G], [&[]; G]);
-        for g in 0..G {
-            (a[g], b[g]) = pair_rows(field, r * stride, &group[g]);
+        let (mut a, mut b): ([&[f64]; GROUP], [&[f64]; GROUP]) = ([&[]; GROUP], [&[]; GROUP]);
+        for g in 0..GROUP {
+            (a[g], b[g]) = pair_rows(rows, r * stride, &group[g]);
         }
-        accumulate_interleaved(&mut lanes, a, b, stride);
+        accumulate_group::<SHARED>(&mut lanes, a, b);
     }
     *acc = lanes;
 }
 
-/// The pair kernel: `G` offsets of one direction against the origin rows
-/// `r · stride`, `r` in `origins`, rows ascending. Not inlined, so that the
-/// accumulators are plain memory on entry and exit and registers between;
-/// the unit stride (every window, and the long lags of a large field) and
-/// stride 2 (the short lags of a 512² field) are compiled as constants.
-#[inline(never)]
-fn sweep_group<const G: usize>(
-    acc: &mut [[f64; LANES]; G],
-    field: &FieldView<'_>,
-    group: &[Offset; G],
-    origins: std::ops::Range<usize>,
-    stride: usize,
-) {
-    match stride {
-        1 => sweep_group_strided(acc, field, group, origins, 1),
-        2 => sweep_group_strided(acc, field, group, origins, 2),
-        s => sweep_group_strided(acc, field, group, origins, s),
+/// [`sweep_group`] for one offset.
+#[inline(always)]
+fn sweep_one(acc: &mut Acc, rows: &FieldView<'_>, o: &Offset, origins: std::ops::Range<usize>) {
+    let mut lanes = *acc;
+    for r in origins {
+        let (a, b) = pair_rows(rows, r * o.stride, o);
+        accumulate(&mut lanes, a, b);
     }
+    *acc = lanes;
 }
 
 /// A block of origin rows against the offsets of one direction (`acc[k]`
 /// belongs to `band[k]`, lags ascending): each [`GROUP`] of offsets in one
 /// kernel call over the rows its longest lag still has a partner for, the
 /// rows only shorter lags have, and the offsets short of a group, singly.
+#[inline(always)]
 fn sweep_direction(
-    acc: &mut [[f64; LANES]],
-    field: &FieldView<'_>,
+    acc: &mut [Acc],
+    rows: &FieldView<'_>,
     band: &[Offset],
     origins: std::ops::Range<usize>,
     stride: usize,
 ) {
-    let ny = field.ny();
+    let ny = rows.ny();
     // Origin rows `r · stride` of offset `o` that fall in this block.
     let rows_of =
         |o: &Offset, from: usize| from..(ny - o.off_y).div_ceil(stride).clamp(from, origins.end);
     let mut acc_groups = acc.chunks_exact_mut(GROUP);
     let mut band_groups = band.chunks_exact(GROUP);
     for (acc, group) in acc_groups.by_ref().zip(band_groups.by_ref()) {
-        let acc: &mut [[f64; LANES]; GROUP] = acc.try_into().expect("a chunk of GROUP");
+        let acc: &mut [Acc; GROUP] = acc.try_into().expect("a chunk of GROUP");
         let group: &[Offset; GROUP] = group.try_into().expect("a chunk of GROUP");
         let joint = rows_of(&group[GROUP - 1], origins.start);
-        sweep_group(acc, field, group, joint.clone(), stride);
+        if group.iter().all(|o| o.a_col == group[0].a_col) {
+            sweep_group::<true>(acc, rows, group, joint.clone(), stride);
+        } else {
+            sweep_group::<false>(acc, rows, group, joint.clone(), stride);
+        }
         for (acc, o) in acc.iter_mut().zip(group) {
-            let rest = rows_of(o, joint.end);
-            if !rest.is_empty() {
-                sweep_group(
-                    std::array::from_mut(acc),
-                    field,
-                    std::array::from_ref(o),
-                    rest,
-                    stride,
-                );
-            }
+            sweep_one(acc, rows, o, rows_of(o, joint.end));
         }
     }
     for (acc, o) in acc_groups.into_remainder().iter_mut().zip(band_groups.remainder()) {
-        let rows = rows_of(o, origins.start);
-        sweep_group(std::array::from_mut(acc), field, std::array::from_ref(o), rows, stride);
+        sweep_one(acc, rows, o, rows_of(o, origins.start));
     }
 }
 
 /// The unit of parallel work: the offsets of one origin stride whose lags
 /// fall in one band of [`BAND`] consecutive lags, in all four directions.
 #[derive(Debug)]
-struct BandJob {
+pub(crate) struct BandJob {
     stride: usize,
     /// `(lag − 1) / BAND`.
     band: usize,
@@ -385,11 +454,11 @@ struct BandJob {
 }
 
 /// Per direction, the sum of squared differences of each offset of a job.
-type BandSums = [[f64; BAND]; DIRECTIONS.len()];
+pub(crate) type BandSums = [[f64; BAND]; DIRECTIONS.len()];
 
 /// Group the offset list into band jobs, most pairs first. Every offset is
 /// in exactly one job.
-fn band_jobs(offsets: &[Offset], ny: usize, nx: usize) -> Vec<BandJob> {
+fn band_jobs(offsets: &[Offset], ny: usize) -> Vec<BandJob> {
     let mut jobs: Vec<BandJob> = Vec::new();
     // Within a direction the stride never rises and the band never falls,
     // so equal (direction, stride, band) keys are one run of consecutive
@@ -412,20 +481,18 @@ fn band_jobs(offsets: &[Offset], ny: usize, nx: usize) -> Vec<BandJob> {
             }
         };
         jobs[job].dirs[o.dir].end = index + 1;
-        jobs[job].pairs += o.pairs(ny, nx);
+        jobs[job].pairs += o.pairs(ny);
     }
     jobs.sort_unstable_by_key(|j| (std::cmp::Reverse(j.pairs), j.stride, j.band));
     jobs
 }
 
 /// The estimator of one field laid out as work: the offset list (step 1),
-/// its band jobs, largest first (step 2, [`BandSweep::run`] on any thread,
-/// one call per job) and the binning of their sums (step 3,
-/// [`BandSweep::bin`]).
+/// its band jobs, largest first (step 2, [`BandSweep::sums`]) and the
+/// binning of their sums (step 3, [`BandSweep::bin`]).
 #[derive(Debug)]
-struct BandSweep {
+pub(crate) struct BandSweep {
     ny: usize,
-    nx: usize,
     n_bins: usize,
     max_dist: f64,
     offsets: Vec<Offset>,
@@ -446,28 +513,54 @@ impl BandSweep {
         let n_bins = config.n_bins.max(2);
         let max_dist = (max_lag as f64) * std::f64::consts::SQRT_2;
         let offsets = offsets(ny, nx, max_lag, max_dist, config.sample_budget);
-        let jobs = band_jobs(&offsets, ny, nx);
-        Some(BandSweep { ny, nx, n_bins, max_dist, offsets, jobs })
+        let jobs = band_jobs(&offsets, ny);
+        Some(BandSweep { ny, n_bins, max_dist, offsets, jobs })
     }
 
-    /// Run one band job: walk the origin rows once, a block of [`ROWS`] at a
-    /// time, and pair each block with every offset of the band. Each
-    /// offset's eight lanes see its rows ascending and its columns
-    /// ascending, and are combined in the same fixed tree, as if the offset
-    /// had been swept alone.
-    fn run(&self, field: &FieldView<'_>, job: &BandJob) -> BandSums {
-        debug_assert_eq!(field.shape(), (self.ny, self.nx));
+    /// Step 2 at tier `level` over `pool`: the residue plane of every
+    /// stride above one the jobs use, built once, then every job on the
+    /// plane of its stride (the field itself at unit stride). Returns the
+    /// sum of squared differences of every offset, in list order.
+    fn sums(&self, level: SimdLevel, field: &FieldView<'_>, pool: ThreadPoolConfig) -> Vec<f64> {
+        let mut planes: Vec<(usize, Field2D)> = Vec::new();
+        for job in &self.jobs {
+            if job.stride > 1 && planes.iter().all(|(s, _)| *s != job.stride) {
+                planes.push((job.stride, residue_plane(field, job.stride)));
+            }
+        }
+        let job_sums = parallel_map_with(pool, &self.jobs, |job| {
+            let plane = planes.iter().find(|(s, _)| *s == job.stride);
+            let rows = plane.map_or(*field, |(_, plane)| plane.view());
+            crate::simd::sweep_band(level, self, &rows, job)
+        });
+        self.offset_sums(&job_sums)
+    }
+
+    /// Run one band job on its stride's residue plane `rows`: walk the
+    /// origin rows once, a block of [`ROWS`] at a time, and pair each block
+    /// with every offset of the band. Each offset's eight lanes see its
+    /// rows ascending and its columns ascending, and are combined in the
+    /// same fixed tree, as if the offset had been swept alone. Lane
+    /// arithmetic throughout, so that `simd::sweep_band` compiles it once
+    /// per tier.
+    #[inline(always)]
+    pub(crate) fn run(&self, rows: &FieldView<'_>, job: &BandJob) -> BandSums {
+        debug_assert_eq!(rows.ny(), self.ny);
         let origins = self.ny.div_ceil(job.stride);
-        let mut acc = [[[0.0f64; LANES]; BAND]; DIRECTIONS.len()];
+        let mut acc = [[[[0.0f64; QUAD]; 2]; BAND]; DIRECTIONS.len()];
         for start in (0..origins).step_by(ROWS) {
             let block = start..(start + ROWS).min(origins);
             for (acc, range) in acc.iter_mut().zip(&job.dirs) {
                 let band = &self.offsets[range.clone()];
-                sweep_direction(&mut acc[..band.len()], field, band, block.clone(), job.stride);
+                sweep_direction(&mut acc[..band.len()], rows, band, block.clone(), job.stride);
             }
         }
+        // ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).
         acc.map(|dir| {
-            dir.map(|l| ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7])))
+            dir.map(|[lo, hi]| {
+                let s = add(lo, hi);
+                (s[0] + s[2]) + (s[1] + s[3])
+            })
         })
     }
 
@@ -488,16 +581,16 @@ impl BandSweep {
         (((o.dist / self.max_dist) * self.n_bins as f64) as usize).min(self.n_bins - 1)
     }
 
-    /// Fold the job sums (`jobs` order) into the distance bins, offset by
-    /// offset in list order.
-    fn bin(&self, job_sums: &[BandSums]) -> EmpiricalVariogram {
+    /// Fold the per-offset sums (list order) into the distance bins, offset
+    /// by offset.
+    fn bin(&self, sums: &[f64]) -> EmpiricalVariogram {
         let n_bins = self.n_bins;
         // Bin accumulators over distance [0, max_dist].
         let mut bin_gamma = vec![0.0f64; n_bins];
         let mut bin_dist = vec![0.0f64; n_bins];
         let mut bin_count = vec![0u64; n_bins];
-        for (o, sum) in self.offsets.iter().zip(self.offset_sums(job_sums)) {
-            let count = o.pairs(self.ny, self.nx);
+        for (o, &sum) in self.offsets.iter().zip(sums) {
+            let count = o.pairs(self.ny);
             let gamma = sum / (2.0 * count as f64);
             let bin = self.bin_of(o);
             bin_gamma[bin] += gamma * count as f64;
@@ -519,9 +612,10 @@ impl BandSweep {
     }
 }
 
-/// [`empirical_variogram_view`] with the band jobs spread over `pool`.
-/// The result does not depend on the pool's width (module docs).
+/// [`empirical_variogram_view`] at tier `level`, with the band jobs spread
+/// over `pool`. The result depends on neither (module docs).
 fn empirical_variogram_pooled(
+    level: SimdLevel,
     field: &FieldView<'_>,
     config: &VariogramConfig,
     pool: ThreadPoolConfig,
@@ -530,8 +624,7 @@ fn empirical_variogram_pooled(
     let Some(sweep) = BandSweep::plan(ny, nx, config) else {
         return EmpiricalVariogram::empty();
     };
-    let job_sums = parallel_map_with(pool, &sweep.jobs, |job| sweep.run(field, job));
-    sweep.bin(&job_sums)
+    sweep.bin(&sweep.sums(level, field, pool))
 }
 
 /// The estimator of every window of one shape, laid out once per field:
@@ -572,7 +665,7 @@ impl WindowPlan {
         let mut bin_count = vec![0u64; sweep.n_bins];
         let mut offsets = Vec::with_capacity(sweep.offsets.len());
         for o in &sweep.offsets {
-            let (count, bin) = (o.pairs(ny, nx), sweep.bin_of(o));
+            let (count, bin) = (o.pairs(ny), sweep.bin_of(o));
             bin_dist[bin] += o.dist * count as f64;
             bin_count[bin] += count;
             offsets.push((*o, bin, count as f64));
@@ -629,9 +722,9 @@ impl WindowPlan {
     }
 }
 
-/// [`accumulate_strided`] for a quad: `acc[t mod LANES][k] += (a[t·stride][k]
-/// − b[t·stride][k])²` over the sampled elements `t` of two equally long
-/// row slices, for each window `k`.
+/// The band sweep's pair kernel for a quad, on the window's own rows:
+/// `acc[t mod LANES][k] += (a[t·stride][k] − b[t·stride][k])²` over the
+/// sampled elements `t` of two equally long row slices, for each window `k`.
 #[inline(always)]
 fn accumulate_quad(acc: &mut [Lanes; LANES], a: &[Lanes], b: &[Lanes], stride: usize) {
     let block = LANES * stride;
@@ -884,7 +977,7 @@ pub fn estimate_range_pooled(
     config: &VariogramConfig,
     pool: ThreadPoolConfig,
 ) -> VariogramFit {
-    let vg = empirical_variogram_pooled(field, config, pool);
+    let vg = empirical_variogram_pooled(simd_level(), field, config, pool);
     fit_squared_exponential(&vg).unwrap_or(VariogramFit {
         sill: f64::NAN,
         range: f64::NAN,
@@ -1046,7 +1139,7 @@ mod tests {
                 let mut scratch = WindowScratch::default();
                 for (q, group) in windows.chunks(QUAD).enumerate() {
                     let quad = std::array::from_fn(|k| *group.get(k).unwrap_or(&group[0]));
-                    crate::quad::sum_quad(level, &plan, &quad, &mut scratch);
+                    crate::simd::sum_quad(level, &plan, &quad, &mut scratch);
                     for (k, view) in group.iter().enumerate() {
                         let what = format!("{} at {level:?}, window {}", case.name, 4 * q + k);
                         let range = plan.fit_lane(&mut scratch, k);
@@ -1189,9 +1282,31 @@ mod tests {
         }
     }
 
+    /// `acc[k mod LANES] += (a[k·stride] − b[k·stride])²` over the sampled
+    /// elements `k` of two equally long row slices: the pair kernel before
+    /// the residue planes, reading the field's own rows at a run-time
+    /// stride.
+    fn accumulate_strided(acc: &mut [f64; LANES], a: &[f64], b: &[f64], stride: usize) {
+        let block = LANES * stride;
+        let (a_blocks, b_blocks) = (a.chunks_exact(block), b.chunks_exact(block));
+        let a_tail = a_blocks.remainder().iter().step_by(stride);
+        let b_tail = b_blocks.remainder().iter().step_by(stride);
+        for (ca, cb) in a_blocks.zip(b_blocks) {
+            for (k, lane) in acc.iter_mut().enumerate() {
+                let d = ca[k * stride] - cb[k * stride];
+                *lane += d * d;
+            }
+        }
+        for ((lane, x), y) in acc.iter_mut().zip(a_tail).zip(b_tail) {
+            let d = x - y;
+            *lane += d * d;
+        }
+    }
+
     /// The per-offset pass the band sweep replaced, kept as its oracle: one
     /// offset alone, its rows ascending, through the single-pair kernel at a
-    /// run-time stride, the eight lanes combined in the fixed tree.
+    /// run-time stride on the field's own rows, the eight lanes combined in
+    /// the fixed tree.
     fn offset_sum(field: &FieldView<'_>, o: &Offset) -> (f64, u64) {
         let (ny, nx) = field.shape();
         let width = nx - o.off_x;
@@ -1208,8 +1323,9 @@ mod tests {
     }
 
     /// Every offset sits in exactly one band job of its own stride, and its
-    /// `(sum, count)` from the sweep has the oracle's bits at every pool
-    /// width. Returns the strides the field was swept at.
+    /// `(sum, count)` from the sweep — residue planes included — has the
+    /// oracle's bits at every SIMD tier and pool width. Returns the strides
+    /// the field was swept at.
     fn assert_sweep_matches_oracle(
         field: &FieldView<'_>,
         config: &VariogramConfig,
@@ -1226,13 +1342,14 @@ mod tests {
         }
         assert!(jobs_of.iter().all(|&n| n == 1), "{what}: one job per offset");
         let oracle: Vec<(f64, u64)> = sweep.offsets.iter().map(|o| offset_sum(field, o)).collect();
-        for width in [1, 2, 3, 8] {
-            let pool = ThreadPoolConfig::with_threads(width);
-            let job_sums = parallel_map_with(pool, &sweep.jobs, |job| sweep.run(field, job));
-            let sums = sweep.offset_sums(&job_sums);
-            for ((o, sum), (want, count)) in sweep.offsets.iter().zip(sums).zip(&oracle) {
-                assert_eq!(sum.to_bits(), want.to_bits(), "{what}, width {width}: {o:?}");
-                assert_eq!(o.pairs(ny, nx), *count, "{what}: {o:?}");
+        for &level in supported_levels() {
+            for width in [1, 2, 3, 8] {
+                let sums = sweep.sums(level, field, ThreadPoolConfig::with_threads(width));
+                for ((o, sum), (want, count)) in sweep.offsets.iter().zip(sums).zip(&oracle) {
+                    let at = format!("{what} at {level:?}, width {width}: {o:?}");
+                    assert_eq!(sum.to_bits(), want.to_bits(), "{at}");
+                    assert_eq!(o.pairs(ny), *count, "{at}");
+                }
             }
         }
         let mut strides: Vec<usize> = sweep.offsets.iter().map(|o| o.stride).collect();
@@ -1316,18 +1433,24 @@ mod tests {
     fn a_zero_or_tiny_budget_samples_one_origin_and_does_not_overflow() {
         // `sample_budget: 0` used to give `stride = usize::MAX`, whose
         // `LANES * stride` overflows (a panic with debug assertions, a wrap
-        // without); the stride is clamped to the larger extent instead.
-        let field = white_noise(40, 56, 13);
-        for budget in [0, 1, 2] {
-            let config = VariogramConfig { sample_budget: budget, ..Default::default() };
-            let kernel = empirical_variogram_view(&field.view(), &config);
-            let reference = reference_variogram(&field.view(), &config);
-            assert_eq!(kernel.counts, reference.counts, "budget {budget}");
-            assert_eq!(kernel.distances, reference.distances, "budget {budget}");
-            assert!(!kernel.is_empty());
-            let strides = assert_sweep_matches_oracle(&field.view(), &config, "tiny budget");
-            assert!(strides.iter().all(|&s| s <= 56), "budget {budget}: {strides:?}");
+        // without); the stride is clamped to the larger extent instead. On
+        // the tall field that is wider than a row: residues from `nx` on
+        // are empty.
+        for field in [white_noise(40, 56, 13), white_noise(56, 40, 13)] {
+            for budget in [0, 1, 2] {
+                let config = VariogramConfig { sample_budget: budget, ..Default::default() };
+                let kernel = empirical_variogram_view(&field.view(), &config);
+                let reference = reference_variogram(&field.view(), &config);
+                assert_eq!(kernel.counts, reference.counts, "budget {budget}");
+                assert_eq!(kernel.distances, reference.distances, "budget {budget}");
+                assert!(!kernel.is_empty());
+                let strides = assert_sweep_matches_oracle(&field.view(), &config, "tiny budget");
+                assert!(strides.iter().all(|&s| s <= 56), "budget {budget}: {strides:?}");
+            }
         }
+        let tall =
+            BandSweep::plan(56, 40, &VariogramConfig { sample_budget: 0, ..Default::default() });
+        assert!(tall.unwrap().offsets.iter().any(|o| o.stride > 40));
     }
 
     fn bits(vg: &EmpiricalVariogram) -> (Vec<u64>, Vec<u64>, &[u64]) {
@@ -1375,10 +1498,15 @@ mod tests {
             (field.view().subview(11, 5, 150, 97), VariogramConfig::default()),
         ] {
             let serial = empirical_variogram_view(&view, &config);
+            for &level in supported_levels() {
+                for width in [1, 2, 3, 8] {
+                    let pool = ThreadPoolConfig::with_threads(width);
+                    let pooled = empirical_variogram_pooled(level, &view, &config, pool);
+                    assert_eq!(bits(&pooled), bits(&serial), "{level:?}, width {width}");
+                }
+            }
             for width in [1, 2, 3, 8] {
                 let pool = ThreadPoolConfig::with_threads(width);
-                let pooled = empirical_variogram_pooled(&view, &config, pool);
-                assert_eq!(bits(&pooled), bits(&serial), "width {width}");
                 let fit = estimate_range_pooled(&view, &config, pool);
                 let fit_serial = estimate_range_view(&view, &config);
                 assert_eq!(fit.range.to_bits(), fit_serial.range.to_bits());
