@@ -177,9 +177,9 @@ impl<R: ReadAt> Archive<R> {
         if footer[21..25] != ARCHIVE_MAGIC || footer[20] != ARCHIVE_VERSION {
             return Err(corrupt("footer magic/version mismatch (truncated archive?)".into()));
         }
-        let table_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-        let table_bytes = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-        let n_entries = u32::from_le_bytes(footer[16..20].try_into().unwrap()) as usize;
+        let mut tail = Reader::new(&footer);
+        let (table_offset, table_bytes) = (tail.u64()?, tail.u64()?);
+        let n_entries = tail.u32()? as usize;
         // The table must sit flush between the payloads and the footer;
         // anything else means forged or inconsistent offsets.
         if table_offset < HEAD_LEN as u64

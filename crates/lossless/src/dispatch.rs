@@ -2,10 +2,13 @@
 //!
 //! There are two tiers, scalar and AVX2. Every vectorized kernel in the
 //! workspace (the rANS decode loop, the LZ77 match comparator, the rounding
-//! quantizer, the SZ plane-predict/quantize row kernel, the ZFP block
-//! transform) asks this module which one to run, and each AVX2 kernel that
-//! ships was measured against its scalar twin on the codecs' own streams and
-//! wins. The guarantees are:
+//! quantizer, the SZ plane-predict/quantize row kernel, SZ mode selection,
+//! the SZ Lorenzo runs, and `lcc_geostat`'s window and variogram sweeps)
+//! asks this module which one to run, and each AVX2 kernel that ships was
+//! measured against its scalar twin on the codecs' own streams and wins.
+//! ZFP's block transform has no AVX2 twin: end to end, coding one block at
+//! a time with the scalar lifts beat the batched AVX2 lift. The guarantees
+//! are:
 //!
 //! * **One-time detection.** [`simd_level`] probes the CPU once (via
 //!   `is_x86_feature_detected!("avx2")` on x86_64; every other

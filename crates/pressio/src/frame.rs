@@ -84,6 +84,7 @@
 //! the decoded shape is checked against the block's window; the rows are
 //! then copied into the block's disjoint segments of the output.
 
+use crate::codes::Reader;
 use crate::{validate_finite_view, CompressError, Compressor, ErrorBound, ScratchArena};
 use lcc_grid::{disjoint_window_rows, Field2D, FieldView, Window};
 use lcc_lossless::xxh64;
@@ -352,6 +353,34 @@ impl FrameAssembler {
     }
 }
 
+/// The fixed header of a frame, as written.
+struct FrameHeader {
+    ny: u64,
+    nx: u64,
+    n_blocks: usize,
+    tile: (usize, usize),
+}
+
+impl FrameHeader {
+    /// Read the header from a frame's first [`HEADER_LEN`] bytes, after
+    /// checking the magic and the version byte.
+    fn read(prefix: &[u8]) -> Result<FrameHeader, CompressError> {
+        if prefix.len() < HEADER_LEN || prefix[..4] != FRAME_MAGIC {
+            return Err(corrupt("header truncated or missing magic"));
+        }
+        if prefix[4] != FRAME_VERSION {
+            return Err(corrupt(&format!("unsupported version byte {:#04x}", prefix[4])));
+        }
+        let mut r = Reader::new(&prefix[5..HEADER_LEN]);
+        Ok(FrameHeader {
+            ny: r.u64()?,
+            nx: r.u64()?,
+            n_blocks: r.u32()? as usize,
+            tile: (r.u32()? as usize, r.u32()? as usize),
+        })
+    }
+}
+
 /// Parsed header + seek index of a frame: everything a reader needs to
 /// locate one block's compressed bytes, the window of the field it decodes
 /// to, and to decode it, without touching the rest of the stream. Parsing
@@ -384,13 +413,7 @@ impl FrameIndex {
     /// the total frame length so a forged block count cannot demand more
     /// bytes than the frame holds.
     pub fn table_span(prefix: &[u8], frame_len: usize) -> Result<usize, CompressError> {
-        if prefix.len() < HEADER_LEN || prefix[..4] != FRAME_MAGIC {
-            return Err(corrupt("header truncated or missing magic"));
-        }
-        if prefix[4] != FRAME_VERSION {
-            return Err(corrupt(&format!("unsupported version byte {:#04x}", prefix[4])));
-        }
-        let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
+        let n_blocks = FrameHeader::read(prefix)?.n_blocks;
         n_blocks
             .checked_mul(16)
             .and_then(|t| t.checked_add(HEADER_LEN))
@@ -408,13 +431,9 @@ impl FrameIndex {
         if prefix.len() < span {
             return Err(corrupt("block table truncated"));
         }
-        let ny = usize::try_from(u64::from_le_bytes(prefix[5..13].try_into().unwrap()))
-            .map_err(|_| corrupt("row count overflows usize"))?;
-        let nx = usize::try_from(u64::from_le_bytes(prefix[13..21].try_into().unwrap()))
-            .map_err(|_| corrupt("column count overflows usize"))?;
-        let n_blocks = u32::from_le_bytes(prefix[21..25].try_into().unwrap()) as usize;
-        let tile_ny = u32::from_le_bytes(prefix[25..29].try_into().unwrap()) as usize;
-        let tile_nx = u32::from_le_bytes(prefix[29..33].try_into().unwrap()) as usize;
+        let FrameHeader { ny, nx, n_blocks, tile: (tile_ny, tile_nx) } = FrameHeader::read(prefix)?;
+        let ny = usize::try_from(ny).map_err(|_| corrupt("row count overflows usize"))?;
+        let nx = usize::try_from(nx).map_err(|_| corrupt("column count overflows usize"))?;
         if ny == 0 || nx == 0 {
             return Err(corrupt("empty field shape"));
         }
@@ -435,11 +454,12 @@ impl FrameIndex {
                  with {tile_ny}x{tile_nx} tiles (expected {tiles})"
             )));
         }
-        let (lengths, digests) = prefix[HEADER_LEN..span].split_at(8 * n_blocks);
+        // The length table, then the digest table: `span` holds both.
+        let mut tables = Reader::new(&prefix[HEADER_LEN..span]);
         let mut offsets = Vec::with_capacity(n_blocks + 1);
         let mut at = span;
-        for entry in lengths.chunks_exact(8) {
-            let len = usize::try_from(u64::from_le_bytes(entry.try_into().unwrap()))
+        for _ in 0..n_blocks {
+            let len = usize::try_from(tables.u64()?)
                 .map_err(|_| corrupt("block length overflows usize"))?;
             offsets.push(at);
             at = at.checked_add(len).ok_or_else(|| corrupt("block lengths overflow"))?;
@@ -460,8 +480,7 @@ impl FrameIndex {
                 frame_len - span
             )));
         }
-        let digests =
-            digests.chunks_exact(8).map(|e| u64::from_le_bytes(e.try_into().unwrap())).collect();
+        let digests = (0..n_blocks).map(|_| tables.u64()).collect::<Result<_, _>>()?;
         Ok(FrameIndex { ny, nx, tile: (tile_ny, tile_nx), offsets, digests })
     }
 

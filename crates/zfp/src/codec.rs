@@ -1,19 +1,13 @@
 //! Per-block encoding: block-floating-point conversion, transform, and
 //! tolerance-driven bit-plane truncation.
 //!
-//! Blocks are encoded and decoded in batches of up to [`TRANSFORM_BATCH`]
-//! consecutive blocks: the classification/quantization and bit-level I/O
-//! phases run per block, but the decorrelating transforms of a whole batch
-//! go through **one** dispatch call
-//! ([`crate::transform::fwd_transform_batch_at`]) — the 4×4 lift is
-//! load/store/call-bound, so amortizing the call is what makes the AVX2
-//! tier pay. The stream is bit-identical to per-block encoding.
+//! Each 4×4 block is coded on its own, in field order: classify it, quantize
+//! and forward-transform it, then write its bits. Decoding reads a block's
+//! bits and inverse-transforms it before the next block is read.
 
-use crate::transform::{
-    fwd_transform_batch_at, inv_transform_batch_at, INVERSE_ERROR_GAIN, INVERSE_ERROR_OFFSET,
-};
+use crate::transform::{fwd_transform, inv_transform, INVERSE_ERROR_GAIN, INVERSE_ERROR_OFFSET};
 use crate::BLOCK_LEN;
-use lcc_lossless::{simd_level, BitReader, BitWriter, CodecError};
+use lcc_lossless::{BitReader, BitWriter, CodecError};
 
 /// Block wire types.
 const TYPE_ZERO: u64 = 0; // every value reconstructs to 0.0 (|v| ≤ eb for all)
@@ -23,100 +17,64 @@ const TYPE_EXACT: u64 = 2; // raw IEEE754 fallback
 /// Bias applied to the block exponent so it is stored as an unsigned field.
 const EXPONENT_BIAS: i32 = 2048;
 
-/// Number of consecutive blocks buffered per transform dispatch call.
-pub const TRANSFORM_BATCH: usize = 4;
-
-/// What the write phase emits for one block, decided in the prepare phase.
-enum EncPlan {
-    Zero,
-    Exact,
-    Coded { e: i32, kmin: u32, slot: usize },
-}
-
-/// Encode up to [`TRANSFORM_BATCH`] consecutive 4×4 blocks under the
-/// absolute error bound `eb`, forward-transforming the whole batch through
-/// one dispatch call. Bit-identical to encoding the blocks one per call.
-/// `precision` is at most 48, the widest the stream header admits.
-pub fn encode_blocks(writer: &mut BitWriter, blocks: &[[f64; BLOCK_LEN]], eb: f64, precision: u32) {
-    assert!(blocks.len() <= TRANSFORM_BATCH);
+/// Encode one 4×4 block under the absolute error bound `eb`. `precision` is
+/// at most 48, the widest the stream header admits.
+pub fn encode_block(writer: &mut BitWriter, values: &[f64; BLOCK_LEN], eb: f64, precision: u32) {
     debug_assert!(precision <= 48, "precision {precision} exceeds the stream's 48");
-    let mut plans: [EncPlan; TRANSFORM_BATCH] = std::array::from_fn(|_| EncPlan::Zero);
-    let mut coeffs = [[0i64; BLOCK_LEN]; TRANSFORM_BATCH];
-    let mut coded = 0usize;
-
-    // Prepare: classify each block and quantize the transform-coded ones.
-    for (plan, values) in plans.iter_mut().zip(blocks.iter()) {
-        let maxabs = values.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        if maxabs <= eb {
-            *plan = EncPlan::Zero;
-            continue;
-        }
-
-        // Block-floating-point alignment: maxabs < 2^e.
-        let e = maxabs.log2().floor() as i32 + 1;
-        let scale = (precision as i32 - e) as f64;
-        let s = scale.exp2();
-        // eb in integer units, minus the 0.5 fixed-point rounding slack.
-        let budget = eb * s - 0.5;
-
-        if budget < 0.0 || !(-(EXPONENT_BIAS - 1)..=EXPONENT_BIAS - 1).contains(&e) {
-            // Cannot guarantee the bound within the fixed-point representation.
-            *plan = EncPlan::Exact;
-            continue;
-        }
-
-        // Quantize to fixed point; the batch transform decorrelates below.
-        for (c, v) in coeffs[coded].iter_mut().zip(values.iter()) {
-            *c = (v * s).round() as i64;
-        }
-
-        // Deepest low bit plane we may drop: GAIN·(2^k − 1) + OFFSET ≤ budget.
-        let mut kmin: u32 = 0;
-        while kmin < 62 {
-            let k = kmin + 1;
-            let err =
-                INVERSE_ERROR_GAIN as f64 * ((1u64 << k) - 1) as f64 + INVERSE_ERROR_OFFSET as f64;
-            if err <= budget {
-                kmin = k;
-            } else {
-                break;
-            }
-        }
-
-        *plan = EncPlan::Coded { e, kmin, slot: coded };
-        coded += 1;
+    let maxabs = values.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    if maxabs <= eb {
+        writer.write_bits(TYPE_ZERO, 2);
+        return;
     }
 
-    fwd_transform_batch_at(simd_level(), &mut coeffs[..coded]);
+    // Block-floating-point alignment: maxabs < 2^e.
+    let e = maxabs.log2().floor() as i32 + 1;
+    let scale = (precision as i32 - e) as f64;
+    let s = scale.exp2();
+    // eb in integer units, minus the 0.5 fixed-point rounding slack.
+    let budget = eb * s - 0.5;
 
-    // Write: emit the blocks in their original order.
-    for (plan, values) in plans.iter().zip(blocks.iter()) {
-        match *plan {
-            EncPlan::Zero => writer.write_bits(TYPE_ZERO, 2),
-            EncPlan::Exact => write_exact(writer, values),
-            EncPlan::Coded { e, kmin, slot } => {
-                writer.write_bits(TYPE_CODED, 2);
-                writer.write_bits((e + EXPONENT_BIAS) as u64, 12);
-                writer.write_bits(u64::from(kmin), 6);
-                // Per-coefficient variable-width coding of the truncated
-                // magnitudes: a 6-bit width, then (for non-zero magnitudes)
-                // a sign bit and the magnitude bits. Smooth blocks spend ~7
-                // bits on each high-frequency coefficient while the DC term
-                // keeps full precision — the same "pay for what the block
-                // contains" behaviour ZFP's embedded coding has. The three
-                // fields go in one append: a coefficient has at most
-                // `precision + 3` ≤ 51 bits.
-                for &c in &coeffs[slot] {
-                    let mag = c.unsigned_abs() >> kmin;
-                    let width = 64 - mag.leading_zeros();
-                    if width == 0 {
-                        writer.write_bits(0, 6);
-                    } else {
-                        let head = (u64::from(width) << 1) | u64::from(c < 0);
-                        writer.write_bits((head << width) | mag, width + 7);
-                    }
-                }
-            }
+    if budget < 0.0 || !(-(EXPONENT_BIAS - 1)..=EXPONENT_BIAS - 1).contains(&e) {
+        // Cannot guarantee the bound within the fixed-point representation.
+        write_exact(writer, values);
+        return;
+    }
+
+    // Quantize to fixed point, then decorrelate.
+    let mut coeffs = values.map(|v| (v * s).round() as i64);
+    fwd_transform(&mut coeffs);
+
+    // Deepest low bit plane we may drop: GAIN·(2^k − 1) + OFFSET ≤ budget.
+    let mut kmin: u32 = 0;
+    while kmin < 62 {
+        let k = kmin + 1;
+        let err =
+            INVERSE_ERROR_GAIN as f64 * ((1u64 << k) - 1) as f64 + INVERSE_ERROR_OFFSET as f64;
+        if err <= budget {
+            kmin = k;
+        } else {
+            break;
+        }
+    }
+
+    writer.write_bits(TYPE_CODED, 2);
+    writer.write_bits((e + EXPONENT_BIAS) as u64, 12);
+    writer.write_bits(u64::from(kmin), 6);
+    // Per-coefficient variable-width coding of the truncated magnitudes: a
+    // 6-bit width, then (for non-zero magnitudes) a sign bit and the
+    // magnitude bits. Smooth blocks spend ~7 bits on each high-frequency
+    // coefficient while the DC term keeps full precision — the same "pay
+    // for what the block contains" behaviour ZFP's embedded coding has. The
+    // three fields go in one append: a coefficient has at most
+    // `precision + 3` ≤ 51 bits.
+    for &c in &coeffs {
+        let mag = c.unsigned_abs() >> kmin;
+        let width = 64 - mag.leading_zeros();
+        if width == 0 {
+            writer.write_bits(0, 6);
+        } else {
+            let head = (u64::from(width) << 1) | u64::from(c < 0);
+            writer.write_bits((head << width) | mag, width + 7);
         }
     }
 }
@@ -128,98 +86,58 @@ fn write_exact(writer: &mut BitWriter, values: &[f64; BLOCK_LEN]) {
     }
 }
 
-/// Decode up to [`TRANSFORM_BATCH`] consecutive blocks into `out`,
-/// inverse-transforming the whole batch through one dispatch call. Reads
-/// the same bits and reports the same errors as per-block decoding.
-pub fn decode_blocks(
+/// Decode one block written by [`encode_block`].
+pub fn decode_block(
     reader: &mut BitReader<'_>,
     precision: u32,
-    out: &mut [[f64; BLOCK_LEN]],
-) -> Result<(), CodecError> {
-    assert!(out.len() <= TRANSFORM_BATCH);
-    // `usize::MAX` marks "already materialized" (zero or exact blocks);
-    // otherwise the value is the block's coefficient slot.
-    let mut slots = [usize::MAX; TRANSFORM_BATCH];
-    let mut exps = [0i32; TRANSFORM_BATCH];
-    let mut coeffs = [[0i64; BLOCK_LEN]; TRANSFORM_BATCH];
-    let mut coded = 0usize;
-
-    for (i, block_out) in out.iter_mut().enumerate() {
-        let block_type = reader.read_bits(2)?;
-        match block_type {
-            TYPE_ZERO => *block_out = [0.0; BLOCK_LEN],
-            TYPE_EXACT => {
-                for v in block_out.iter_mut() {
-                    *v = f64::from_bits(reader.read_bits(64)?);
-                }
+) -> Result<[f64; BLOCK_LEN], CodecError> {
+    let mut out = [0.0; BLOCK_LEN];
+    match reader.read_bits(2)? {
+        TYPE_ZERO => {}
+        TYPE_EXACT => {
+            for v in &mut out {
+                *v = f64::from_bits(reader.read_bits(64)?);
             }
-            TYPE_CODED => {
-                let e = reader.read_bits(12)? as i32 - EXPONENT_BIAS;
-                let kmin = reader.read_bits(6)? as u32;
-                if kmin > 62 {
-                    return Err(CodecError::Corrupt("implausible truncation depth".into()));
-                }
-                for c in &mut coeffs[coded] {
-                    let width = reader.read_bits(6)? as u32;
-                    if width == 0 {
-                        *c = 0;
-                        continue;
-                    }
-                    // `width + kmin` is the coefficient's bit length, and an
-                    // `i64` holds 63 magnitude bits. The encoder's values are
-                    // at most 2^precision and the transform grows them at
-                    // most 4×: it writes at most `precision + 3` bits.
-                    if width + kmin > 63 {
-                        return Err(CodecError::Corrupt("implausible coefficient width".into()));
-                    }
-                    // Sign and magnitude in one read of at most 64 bits.
-                    let bits = reader.read_bits(width + 1)?;
-                    let (negative, mag) = (bits >> width == 1, bits & (u64::MAX >> (64 - width)));
-                    let mag = (mag << kmin) as i64;
-                    *c = if negative { -mag } else { mag };
-                }
-                slots[i] = coded;
-                exps[i] = e;
-                coded += 1;
+        }
+        TYPE_CODED => {
+            let e = reader.read_bits(12)? as i32 - EXPONENT_BIAS;
+            let kmin = reader.read_bits(6)? as u32;
+            if kmin > 62 {
+                return Err(CodecError::Corrupt("implausible truncation depth".into()));
             }
-            other => return Err(CodecError::Corrupt(format!("unknown block type {other}"))),
+            let mut coeffs = [0i64; BLOCK_LEN];
+            for c in &mut coeffs {
+                let width = reader.read_bits(6)? as u32;
+                if width == 0 {
+                    continue;
+                }
+                // `width + kmin` is the coefficient's bit length, and an
+                // `i64` holds 63 magnitude bits. The encoder's values are at
+                // most 2^precision and the transform grows them at most 4×:
+                // it writes at most `precision + 3` bits.
+                if width + kmin > 63 {
+                    return Err(CodecError::Corrupt("implausible coefficient width".into()));
+                }
+                // Sign and magnitude in one read of at most 64 bits.
+                let bits = reader.read_bits(width + 1)?;
+                let (negative, mag) = (bits >> width == 1, bits & (u64::MAX >> (64 - width)));
+                let mag = (mag << kmin) as i64;
+                *c = if negative { -mag } else { mag };
+            }
+            inv_transform(&mut coeffs);
+            let s = ((precision as i32 - e) as f64).exp2();
+            for (v, &c) in out.iter_mut().zip(coeffs.iter()) {
+                *v = c as f64 / s;
+            }
         }
+        other => return Err(CodecError::Corrupt(format!("unknown block type {other}"))),
     }
-
-    inv_transform_batch_at(simd_level(), &mut coeffs[..coded]);
-
-    for (i, block_out) in out.iter_mut().enumerate() {
-        if slots[i] == usize::MAX {
-            continue;
-        }
-        let s = ((precision as i32 - exps[i]) as f64).exp2();
-        for (v, &c) in block_out.iter_mut().zip(coeffs[slots[i]].iter()) {
-            *v = c as f64 / s;
-        }
-    }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Encode one 4×4 block under the absolute error bound `eb`. Equivalent to
-    /// a one-block [`encode_blocks`] batch.
-    fn encode_block(writer: &mut BitWriter, values: &[f64; BLOCK_LEN], eb: f64, precision: u32) {
-        encode_blocks(writer, std::slice::from_ref(values), eb, precision);
-    }
-
-    /// Decode one block previously written by [`encode_block`]. Equivalent to a
-    /// one-block [`decode_blocks`] batch.
-    fn decode_block(
-        reader: &mut BitReader<'_>,
-        precision: u32,
-    ) -> Result<[f64; BLOCK_LEN], CodecError> {
-        let mut out = [[0.0; BLOCK_LEN]; 1];
-        decode_blocks(reader, precision, &mut out)?;
-        Ok(out[0])
-    }
 
     fn roundtrip(values: [f64; BLOCK_LEN], eb: f64) -> [f64; BLOCK_LEN] {
         let mut w = BitWriter::new();
@@ -315,12 +233,10 @@ mod tests {
         let bound = 1i64 << 40;
         let mut widest = 0;
         for signs in 0..1u32 << BLOCK_LEN {
-            let mut block = [[0i64; BLOCK_LEN]];
-            for (k, x) in block[0].iter_mut().enumerate() {
-                *x = if signs >> k & 1 == 1 { -bound } else { bound };
-            }
-            fwd_transform_batch_at(simd_level(), &mut block);
-            for c in block[0] {
+            let mut block: [i64; BLOCK_LEN] =
+                std::array::from_fn(|k| if signs >> k & 1 == 1 { -bound } else { bound });
+            fwd_transform(&mut block);
+            for c in block {
                 assert!(c.unsigned_abs() <= 4 * bound.unsigned_abs(), "{c}");
                 widest = widest.max(64 - c.unsigned_abs().leading_zeros());
             }
@@ -360,10 +276,10 @@ mod tests {
                 let bytes = forged_block(kmin, width, negative, mag);
                 let got = decode_block(&mut BitReader::new(&bytes), 40).expect("plausible width");
                 let c = (mag << kmin) as i64;
-                let mut expected = [[0i64; BLOCK_LEN]];
-                expected[0][0] = if negative { -c } else { c };
-                inv_transform_batch_at(simd_level(), &mut expected);
-                let expected = expected[0].map(|c| c as f64 / 2f64.powi(40));
+                let mut expected = [0i64; BLOCK_LEN];
+                expected[0] = if negative { -c } else { c };
+                inv_transform(&mut expected);
+                let expected = expected.map(|c| c as f64 / 2f64.powi(40));
                 assert_eq!(got, expected, "kmin {kmin} width {width} negative {negative}");
             }
         }

@@ -23,6 +23,11 @@
 //! exactly. Integration tests assert the observed maximum error against the
 //! bound for every dataset family in the study.
 //!
+//! Blocks are coded one at a time, in row-major block order, by
+//! [`codec::encode_block`] / [`codec::decode_block`]. The transform is
+//! scalar at every SIMD tier: a batched AVX2 lift won a transform-only
+//! kernel row but lost end to end to this per-block loop.
+//!
 //! ```
 //! use lcc_grid::Field2D;
 //! use lcc_pressio::{Compressor, ErrorBound};
@@ -92,22 +97,11 @@ impl ZfpCompressor {
         writer.write_bits(eb.to_bits(), 64);
         writer.write_bits(u64::from(PRECISION_BITS), 8);
 
-        // Blocks are gathered into batches of `TRANSFORM_BATCH` so the
-        // forward transforms share one dispatch call (the stream is
-        // bit-identical to per-block encoding).
-        let mut batch = [[0.0f64; BLOCK_LEN]; codec::TRANSFORM_BATCH];
-        let mut filled = 0usize;
         for bi in (0..ny).step_by(BLOCK_DIM) {
             for bj in (0..nx).step_by(BLOCK_DIM) {
-                batch[filled] = block::gather(field, bi, bj);
-                filled += 1;
-                if filled == codec::TRANSFORM_BATCH {
-                    codec::encode_blocks(writer, &batch, eb, PRECISION_BITS);
-                    filled = 0;
-                }
+                codec::encode_block(writer, &block::gather(field, bi, bj), eb, PRECISION_BITS);
             }
         }
-        codec::encode_blocks(writer, &batch[..filled], eb, PRECISION_BITS);
 
         // Container tag 0, the one tag: the bit stream as it is.
         let bits = s.writer.finish();
@@ -183,34 +177,29 @@ impl Compressor for ZfpCompressor {
         }
 
         // Every cell lands in some 4×4 block, so the resized buffer's stale
-        // contents are fully overwritten by the scatter loop. Blocks decode
-        // in batches of `TRANSFORM_BATCH` so the inverse transforms share
-        // one dispatch call.
+        // contents are fully overwritten by the scatter loop.
         out.resize(ny, nx);
-        let mut coords = [(0usize, 0usize); codec::TRANSFORM_BATCH];
-        let mut decoded = [[0.0f64; BLOCK_LEN]; codec::TRANSFORM_BATCH];
-        let mut filled = 0usize;
         let block_err = |e| CompressError::CorruptStream(format!("block: {e}"));
         for bi in (0..ny).step_by(BLOCK_DIM) {
             for bj in (0..nx).step_by(BLOCK_DIM) {
-                coords[filled] = (bi, bj);
-                filled += 1;
-                if filled == codec::TRANSFORM_BATCH {
-                    codec::decode_blocks(&mut reader, precision, &mut decoded)
-                        .map_err(block_err)?;
-                    for (&(bi, bj), values) in coords.iter().zip(decoded.iter()) {
-                        block::scatter(out, bi, bj, values);
-                    }
-                    filled = 0;
-                }
+                let values = codec::decode_block(&mut reader, precision).map_err(block_err)?;
+                block::scatter(out, bi, bj, &values);
             }
         }
-        if filled > 0 {
-            codec::decode_blocks(&mut reader, precision, &mut decoded[..filled])
-                .map_err(block_err)?;
-            for (&(bi, bj), values) in coords[..filled].iter().zip(decoded.iter()) {
-                block::scatter(out, bi, bj, values);
-            }
+        // `BitWriter::finish` zero-pads the last byte and writes nothing
+        // after it: a whole byte or a set pad bit past the last block is
+        // not this encoder's.
+        let left = reader.remaining();
+        if left >= 8 {
+            return Err(CompressError::CorruptStream(format!(
+                "{} bytes after the last block",
+                left / 8
+            )));
+        }
+        if reader.peek_bits(left as u32) != 0 {
+            return Err(CompressError::CorruptStream(
+                "nonzero pad bits after the last block".into(),
+            ));
         }
         Ok(())
     }
@@ -323,6 +312,34 @@ mod tests {
         let field = smooth(32);
         let stream = zfp.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert!(zfp.decompress_field(&stream[..stream.len() / 3]).is_err());
+    }
+
+    #[test]
+    fn bytes_and_pad_bits_after_the_last_block_are_refused() {
+        let zfp = ZfpCompressor::default();
+        let field = smooth(32);
+        let stream = zfp.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).unwrap();
+        zfp.decompress_field(&stream).expect("the stream as written decodes");
+        let refused = |forged: &[u8], what: &str| {
+            let result = zfp.decompress_field(forged).map(drop);
+            assert!(matches!(result, Err(CompressError::CorruptStream(_))), "{what}: {result:?}");
+        };
+        for junk in [&[0u8][..], &[0xFF], &[0; 64]] {
+            let mut padded = stream.clone();
+            padded.extend_from_slice(junk);
+            refused(&padded, &format!("{} bytes appended", junk.len()));
+        }
+        // A 4×4 zero field is one two-bit zero block after the 21-byte
+        // header: the last byte holds six pad bits, each of which must read 0.
+        let stream = zfp.compress_view(&Field2D::zeros(4, 4).view(), ErrorBound::Absolute(1e-3));
+        let stream = stream.unwrap();
+        assert_eq!(stream.len(), 1 + 21 + 1);
+        zfp.decompress_field(&stream).expect("the stream as written decodes");
+        for bit in 0..6 {
+            let mut forged = stream.clone();
+            *forged.last_mut().unwrap() |= 1 << bit;
+            refused(&forged, &format!("pad bit {bit} set"));
+        }
     }
 
     #[test]

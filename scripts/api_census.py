@@ -22,9 +22,15 @@ And it prints each declared dependency of a `crates/*/Cargo.toml` that
 the crate never names: a `[dependencies]` entry its `src/` does not
 mention, or a `[dev-dependencies]` entry neither `src/` nor `tests/` does.
 
+And it holds the workspace's `unsafe_code` waivers to UNSAFE_WAIVERS: each
+`crates/*/src` file that carries `allow(unsafe_code)` must be listed there
+with the kernel it serves, and each listed file must still carry one. A
+SIMD twin that joins or leaves the workspace edits that list and says why.
+
 Exit status 1 when anything is listed: delete the item, make it
 `pub(crate)`, gate a test oracle `#[cfg(test)]`, or add it to EXEMPT with
-the reason it stays; drop an unnamed dependency from its manifest.
+the reason it stays; drop an unnamed dependency from its manifest; add or
+drop an UNSAFE_WAIVERS entry.
 """
 
 import glob
@@ -40,6 +46,18 @@ EXEMPT = {
     "read_raw_f64_2d": "lcc_grid::io — the only way outside (SDRBench-layout) data enters; ROADMAP 'Parked'",
     "write_raw_f64": "lcc_grid::io — writes the layout read_raw_f64_2d reads",
 }
+
+UNSAFE_WAIVERS = {
+    # file: the AVX2 kernel whose intrinsics the waiver covers
+    "crates/geostat/src/simd.rs": "window statistics on quads and the global variogram band sweep",
+    "crates/lossless/src/lz77.rs": "LZ77 match-length compare",
+    "crates/lossless/src/rans.rs": "rANS 8-way interleaved decode",
+    "crates/lossless/src/round.rs": "rounding quantizer (MGARD coefficients)",
+    "crates/sz/src/lorenzo.rs": "SZ Lorenzo runs, encode",
+    "crates/sz/src/predictor.rs": "SZ mode selection",
+    "crates/sz/src/quantize.rs": "SZ plane-quantizer rows",
+}
+WAIVER = re.compile(r"#!?\[allow\([^)]*\bunsafe_code\b")
 
 ITEM = re.compile(r"^\s*pub (?:const |unsafe )*(fn|struct|enum|trait|const|type) (\w+)", re.M)
 # Comments and string literals: mentions that call nothing.
@@ -130,6 +148,20 @@ def unnamed_dependencies(crate):
     return unnamed
 
 
+def unsafe_waivers():
+    """A line for each file whose `unsafe_code` waivers UNSAFE_WAIVERS does
+    not account for: a waiver in an unlisted file, or a listed file without one."""
+    waived = {
+        os.path.relpath(p, ROOT)
+        for p in glob.glob(os.path.join(ROOT, "crates", "*", "src", "**", "*.rs"), recursive=True)
+        if WAIVER.search(read(p, tests=True))
+    }
+    listed = UNSAFE_WAIVERS.keys()
+    return [f"{p}: allow(unsafe_code) outside UNSAFE_WAIVERS" for p in sorted(waived - listed)] + [
+        f"{p}: in UNSAFE_WAIVERS but carries no allow(unsafe_code)" for p in sorted(listed - waived)
+    ]
+
+
 def main():
     crates = sorted(os.listdir(os.path.join(ROOT, "crates")))
     # crate -> {path: non-test library text}; all caller text outside crate libraries
@@ -179,11 +211,15 @@ def main():
                 if f"{enum}::{variant}" not in EXEMPT and not named.search(elsewhere):
                     listed.append(f"{crate}: variant {enum}::{variant}")
         listed += unnamed_dependencies(crate)
+    listed += unsafe_waivers()
     for line in listed:
         print(line)
     print("exempt:")
     for name, why in EXEMPT.items():
         print(f"  {name} — {why}")
+    print("unsafe waivers:")
+    for path, kernel in UNSAFE_WAIVERS.items():
+        print(f"  {path} — {kernel}")
     return 1 if listed else 0
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 //! Property-based bit-identity tests for the runtime-dispatched SIMD
 //! kernels: on *arbitrary* inputs, every SIMD tier the host supports must
 //! produce exactly the bytes/bits the scalar kernel produces — compressed
-//! streams, decoded symbols, transform coefficients, quantizer codes and
-//! reconstructions. Fixed seeds and hand-picked edge
-//! cases live in the per-crate suites; this file lets proptest hunt for
-//! divergence in the corners nobody thought to pin.
+//! streams, decoded symbols, quantizer codes and reconstructions. Fixed
+//! seeds and hand-picked edge cases live in the per-crate suites; this file
+//! lets proptest hunt for divergence in the corners nobody thought to pin.
 
 use lcc::grid::Field2D;
 use lcc::lossless::round::quantize_rounded_at;
@@ -15,8 +14,6 @@ use lcc::lossless::{
 use lcc::pressio::{Compressor, ErrorBound, ScratchArena};
 use lcc::sz::quantize::{quantize_plane_row_at, Quantizer};
 use lcc::sz::SzCompressor;
-use lcc::zfp::transform::{fwd_transform_batch_at, inv_transform_batch_at};
-use lcc::zfp::BLOCK_LEN;
 use proptest::prelude::*;
 
 proptest! {
@@ -49,36 +46,6 @@ proptest! {
                 .expect("well-formed stream");
             prop_assert_eq!(&out, &symbols);
             prop_assert_eq!(consumed, encoded.len());
-        }
-    }
-
-    #[test]
-    fn zfp_transforms_are_level_invariant(
-        coeffs in proptest::collection::vec(
-            -(1i64 << 40)..(1i64 << 40),
-            5 * BLOCK_LEN..5 * BLOCK_LEN + 1,
-        ),
-    ) {
-        let blocks: Vec<[i64; BLOCK_LEN]> =
-            coeffs.chunks_exact(BLOCK_LEN).map(|c| c.try_into().expect("exact length")).collect();
-        let mut scalar_fwd = blocks.clone();
-        fwd_transform_batch_at(SimdLevel::Scalar, &mut scalar_fwd);
-        let mut scalar_inv = scalar_fwd.clone();
-        inv_transform_batch_at(SimdLevel::Scalar, &mut scalar_inv);
-        prop_assert_eq!(&scalar_inv, &blocks);
-        for &level in &supported_levels()[1..] {
-            // One batch of five blocks, and five batches of one.
-            let mut batch = blocks.clone();
-            let mut single = blocks.clone();
-            fwd_transform_batch_at(level, &mut batch);
-            single.chunks_mut(1).for_each(|b| fwd_transform_batch_at(level, b));
-            prop_assert_eq!(&batch, &scalar_fwd);
-            prop_assert_eq!(&single, &scalar_fwd);
-
-            inv_transform_batch_at(level, &mut batch);
-            single.chunks_mut(1).for_each(|b| inv_transform_batch_at(level, b));
-            prop_assert_eq!(&batch, &scalar_inv);
-            prop_assert_eq!(&single, &scalar_inv);
         }
     }
 
