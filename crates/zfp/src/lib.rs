@@ -331,8 +331,8 @@ mod tests {
         }
         // A 4×4 zero field is one two-bit zero block after the 21-byte
         // header: the last byte holds six pad bits, each of which must read 0.
-        let stream = zfp.compress_view(&Field2D::zeros(4, 4).view(), ErrorBound::Absolute(1e-3));
-        let stream = stream.unwrap();
+        let zero = Field2D::zeros(4, 4);
+        let stream = zfp.compress_view(&zero.view(), ErrorBound::Absolute(1e-3)).unwrap();
         assert_eq!(stream.len(), 1 + 21 + 1);
         zfp.decompress_field(&stream).expect("the stream as written decodes");
         for bit in 0..6 {
