@@ -3,9 +3,11 @@
 //! There are two tiers, scalar and AVX2. Every vectorized kernel in the
 //! workspace (the rANS decode loop, the LZ77 match comparator, the rounding
 //! quantizer, the SZ plane-predict/quantize row kernel, SZ mode selection,
-//! the SZ Lorenzo runs, and `lcc_geostat`'s window and variogram sweeps)
-//! asks this module which one to run, and each AVX2 kernel that ships was
-//! measured against its scalar twin on the codecs' own streams and wins.
+//! the SZ Lorenzo runs, `lcc_geostat`'s window and variogram sweeps, and
+//! `lcc_synth`'s FFT row and column strips) asks this module which one to
+//! run, and each AVX2 kernel that ships was measured against its scalar
+//! twin end to end (the codecs on their own streams, the statistics and
+//! the synthesis on their own fields) and wins.
 //! ZFP's block transform has no AVX2 twin: end to end, coding one block at
 //! a time with the scalar lifts beat the batched AVX2 lift. The guarantees
 //! are:

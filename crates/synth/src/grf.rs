@@ -18,22 +18,37 @@
 //!
 //! ## Traversal
 //!
-//! The FFT computes every value by the same floating-point operations, in
-//! the same order, as the textbook transform (the 1D transform of each row
-//! and then of each column, with its twiddles built inside the butterfly
-//! loop and the inverse divided by `N`), which the tests keep as the
-//! oracle; only the traversal differs:
+//! Every value is computed by the same floating-point operations, in the
+//! same order, as the textbook synthesis: the kernel evaluated cell by
+//! cell, and the textbook transform (the 1D transform of each row and then
+//! of each column, with its twiddles built inside the butterfly loop and
+//! the inverse divided by `N`), which the tests keep as the oracle. Only
+//! the traversal differs:
 //!
+//! * the kernel is even in both axes, so one quadrant of `exp` calls fills
+//!   it, each value mirrored to the cells at the same `di`, `dj`;
+//! * the kernel's row `i` equals its row `m_y − i`, and a short range ends
+//!   in rows that are all zero (915 of 1 024 at a = 2), so the forward row
+//!   pass transforms each distinct row once and copies its result to the
+//!   rows equal to it, bit for bit (rows are compared by their bits, so `+0`
+//!   and `−0` never merge);
 //! * each axis's twiddles are built once per transform, by the butterfly
 //!   loop's own `w = w · wlen` recurrence, so each has that loop's bits;
-//! * columns are transformed eight at a time, gathered once into a
-//!   contiguous strip, instead of one strided column at a time;
+//! * rows and columns are transformed eight at a time: gathered, in
+//!   bit-reversed order, into a strip of separate real and imaginary parts,
+//!   so each butterfly is plain lane arithmetic (`Complex::mul`'s products
+//!   and sums, no fused multiply-add), compiled once more for AVX2
+//!   (`simd`); a field narrower or shorter than a strip (1, 2 or 4
+//!   cells) runs its rows or columns one at a time through the same code;
 //! * the inverse multiplies by `1 / N`, an exact power of two, which
 //!   rounds as the quotient by `N` does.
 
 use crate::rng::GaussianSampler;
+use crate::simd;
 use lcc_grid::Field2D;
-use std::ops::{Add, Mul, Sub};
+use lcc_lossless::dispatch::{simd_level, SimdLevel};
+use std::array::from_fn;
+use std::ops::Mul;
 
 /// Configuration for a single-range squared-exponential Gaussian field.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,7 +114,7 @@ impl MultiRangeConfig {
 /// Generate a single-range squared-exponential Gaussian random field.
 ///
 /// The whole synthesis runs on one buffer of the embedding's size: the
-/// kernel is filled into it, transformed, filtered and inverse-transformed
+/// kernel's spectrum is built in it, then filtered and inverse-transformed
 /// in place.
 ///
 /// # Panics
@@ -119,23 +134,15 @@ pub fn generate_single_range(config: &GaussianFieldConfig) -> Field2D {
         panic!("correlation range {} needs a periodic embedding too large to address", config.range)
     });
 
-    // Wrapped squared-exponential covariance kernel; its FFT is the
-    // eigenvalues of the circulant covariance.
     let a2 = config.range * config.range;
     assert!(
         a2 > 0.0,
         "correlation range {:e} is too small: its square underflows to zero",
         config.range
     );
-    let mut data = Vec::with_capacity(m_y * m_x);
-    for i in 0..m_y {
-        let di = i.min(m_y - i) as f64;
-        for j in 0..m_x {
-            let dj = j.min(m_x - j) as f64;
-            data.push(Complex::new((-(di * di + dj * dj) / a2).exp(), 0.0));
-        }
-    }
-    fft_2d(&mut data, m_x, false);
+    let level = simd_level();
+    let mut strip = Strip::new(m_y.max(m_x));
+    let mut data = kernel_spectrum(m_y, m_x, a2, level, &mut strip);
 
     // Filter complex white noise by sqrt(eigenvalues).
     let mut sampler = GaussianSampler::new(config.seed);
@@ -144,7 +151,7 @@ pub fn generate_single_range(config: &GaussianFieldConfig) -> Field2D {
         let amp = c.re.max(0.0).sqrt();
         *c = Complex::new(sampler.sample() * amp, sampler.sample() * amp);
     }
-    fft_2d(&mut data, m_x, true);
+    fft_2d(&mut data, m_x, true, level, &mut strip);
 
     // Normalize the real part to zero mean / requested variance over the
     // generation domain, and crop the requested corner.
@@ -194,9 +201,77 @@ pub fn generate_multi_range(config: &MultiRangeConfig) -> Field2D {
     out
 }
 
+/// The 2D FFT of the wrapped squared-exponential kernel
+/// `exp(−(di² + dj²) / a²)` on an `m_y × m_x` embedding (`di = min(i, m_y − i)`,
+/// `dj = min(j, m_x − j)`): the eigenvalues of the circulant covariance, with
+/// the bits of [`fft_2d`] over the kernel filled cell by cell.
+fn kernel_spectrum(
+    m_y: usize,
+    m_x: usize,
+    a2: f64,
+    level: SimdLevel,
+    strip: &mut Strip,
+) -> Vec<Complex> {
+    let mut data = kernel_row_transforms(m_y, m_x, a2, level, strip);
+    simd::column_pass(level, &mut data, m_x, &Axis::new(m_y, false), strip);
+    data
+}
+
+/// The kernel of [`kernel_spectrum`] with the 1D transform of each row.
+///
+/// Only rows `di = 0 ..= m_y / 2` are distinct, and each is evaluated on
+/// `dj = 0 ..= m_x / 2` and mirrored. They are stored at the top of the
+/// buffer, a row whose bits equal the row stored before it (the all-zero
+/// rows of a short range, or two rows rounded to the same subnormals)
+/// taking no slot of its own, and only stored rows are transformed. Each row of the embedding then copies its stored row,
+/// bottom row first: row `i`'s stored row is never below `i`, so no copy
+/// overwrites a stored row a later copy reads.
+fn kernel_row_transforms(
+    m_y: usize,
+    m_x: usize,
+    a2: f64,
+    level: SimdLevel,
+    strip: &mut Strip,
+) -> Vec<Complex> {
+    let mut data = vec![Complex::ZERO; m_y * m_x];
+    // `slot[di]`: the stored row that kernel row `di` equals.
+    let mut slot = Vec::with_capacity(m_y / 2 + 1);
+    let mut stored = 0;
+    for di in 0..=m_y / 2 {
+        let (done, rest) = data.split_at_mut(stored * m_x);
+        let row = &mut rest[..m_x];
+        let di = di as f64;
+        for dj in 0..=m_x / 2 {
+            let value = (-(di * di + (dj as f64) * (dj as f64)) / a2).exp();
+            row[dj].re = value;
+            row[(m_x - dj) % m_x].re = value;
+        }
+        let repeats = stored > 0 && same_bits(row, &done[(stored - 1) * m_x..]);
+        if !repeats {
+            stored += 1;
+        }
+        slot.push(stored - 1);
+    }
+    simd::row_pass(level, &mut data[..stored * m_x], &Axis::new(m_x, false), strip);
+    for i in (0..m_y).rev() {
+        let from = slot[i.min(m_y - i)];
+        if from != i {
+            data.copy_within(from * m_x..(from + 1) * m_x, i * m_x);
+        }
+    }
+    data
+}
+
+/// `a` and `b` hold the same bits, value for value.
+fn same_bits(a: &[Complex], b: &[Complex]) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
 /// Complex number with `f64` parts: the FFT's element.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Complex {
+pub(crate) struct Complex {
     re: f64,
     im: f64,
 }
@@ -215,22 +290,6 @@ impl Complex {
     }
 }
 
-impl Add for Complex {
-    type Output = Complex;
-    #[inline]
-    fn add(self, rhs: Complex) -> Complex {
-        Complex { re: self.re + rhs.re, im: self.im + rhs.im }
-    }
-}
-
-impl Sub for Complex {
-    type Output = Complex;
-    #[inline]
-    fn sub(self, rhs: Complex) -> Complex {
-        Complex { re: self.re - rhs.re, im: self.im - rhs.im }
-    }
-}
-
 impl Mul for Complex {
     type Output = Complex;
     #[inline]
@@ -239,46 +298,46 @@ impl Mul for Complex {
     }
 }
 
-/// Columns transformed together by [`fft_2d`]: the strip is gathered into
-/// an `ny × STRIP` scratch once, so each butterfly runs over `STRIP`
-/// contiguous values instead of one strided column at a time.
+/// Signals one strip transforms side by side: eight rows or eight columns.
 const STRIP: usize = 8;
 
 /// In-place 2D FFT of a row-major buffer `nx` wide (both extents powers of
 /// two): the 1D transform over every row, then over every column. `inverse`
-/// is normalized, so the inverse undoes the forward transform. A strip of
-/// `STRIP` columns applies each butterfly to its columns side by side, in
-/// the order of one column, so each value has the textbook transform's
-/// bits (see the module's traversal notes).
-fn fft_2d(data: &mut [Complex], nx: usize, inverse: bool) {
+/// is normalized, so the inverse undoes the forward transform. Each value
+/// has the textbook transform's bits (see the module's traversal notes).
+fn fft_2d(data: &mut [Complex], nx: usize, inverse: bool, level: SimdLevel, strip: &mut Strip) {
     let ny = data.len() / nx;
-    let row_twiddles = twiddles(nx, inverse);
-    for row in data.chunks_exact_mut(nx) {
-        fft_lanes::<1>(row, &row_twiddles, inverse);
+    simd::row_pass(level, data, &Axis::new(nx, inverse), strip);
+    simd::column_pass(level, data, nx, &Axis::new(ny, inverse), strip);
+}
+
+/// One axis of a transform of length `n`: the stage twiddles, where each
+/// element lands under the bit-reversal permutation, and the inverse's
+/// `1 / n`.
+pub(crate) struct Axis {
+    twiddles: Vec<Complex>,
+    /// `reversed[k]`: the bit-reversal of `k` in `log2 n` bits.
+    reversed: Vec<usize>,
+    /// `Some(1 / n)` for the inverse: a power of two, so the product is
+    /// the quotient by `n`, bit for bit.
+    scale: Option<f64>,
+}
+
+impl Axis {
+    fn new(n: usize, inverse: bool) -> Self {
+        debug_assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
+        let bits = n.trailing_zeros();
+        let reversed =
+            (0..n).map(|k| if bits == 0 { 0 } else { k.reverse_bits() >> (usize::BITS - bits) });
+        Axis {
+            twiddles: twiddles(n, inverse),
+            reversed: reversed.collect(),
+            scale: inverse.then(|| 1.0 / n as f64),
+        }
     }
-    let col_twiddles = if ny == nx { row_twiddles } else { twiddles(ny, inverse) };
-    let mut strip = vec![Complex::ZERO; ny * STRIP.min(nx)];
-    let wide = nx - nx % STRIP;
-    for j in (0..wide).step_by(STRIP) {
-        for (lanes, row) in strip.chunks_exact_mut(STRIP).zip(data.chunks_exact(nx)) {
-            lanes.copy_from_slice(&row[j..j + STRIP]);
-        }
-        fft_lanes::<STRIP>(&mut strip, &col_twiddles, inverse);
-        for (lanes, row) in strip.chunks_exact(STRIP).zip(data.chunks_exact_mut(nx)) {
-            row[j..j + STRIP].copy_from_slice(lanes);
-        }
-    }
-    // `nx` is a power of two, so columns are left over only when the whole
-    // field is narrower than one strip (`nx` of 1, 2 or 4): those go one by one.
-    let column = &mut strip[..ny];
-    for j in wide..nx {
-        for (value, row) in column.iter_mut().zip(data.chunks_exact(nx)) {
-            *value = row[j];
-        }
-        fft_lanes::<1>(column, &col_twiddles, inverse);
-        for (value, row) in column.iter().zip(data.chunks_exact_mut(nx)) {
-            row[j] = *value;
-        }
+
+    fn len(&self) -> usize {
+        self.reversed.len()
     }
 }
 
@@ -302,50 +361,140 @@ fn twiddles(n: usize, inverse: bool) -> Vec<Complex> {
     table
 }
 
-/// In-place radix-2 Cooley–Tukey FFT of `LANES` interleaved signals of a
-/// power-of-two length `data.len() / LANES` (element `i` of lane `b` at
-/// `i * LANES + b`), with the stage twiddles of [`twiddles`]: the DFT with
-/// the `exp(-i 2π kn / N)` kernel, unnormalized, or with `inverse` the
-/// `exp(+i …)` kernel times `1 / N` (a power of two, so the product is the
-/// quotient by `N`, bit for bit).
-fn fft_lanes<const LANES: usize>(data: &mut [Complex], twiddles: &[Complex], inverse: bool) {
-    let n = data.len() / LANES;
-    debug_assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
-    debug_assert_eq!(twiddles.len(), n - 1, "twiddle table of another length");
-    if n > 1 {
-        // Bit-reversal permutation.
-        let shift = usize::BITS - n.trailing_zeros();
-        for i in 0..n {
-            let j = i.reverse_bits() >> shift;
-            if j > i {
-                for b in 0..LANES {
-                    data.swap(i * LANES + b, j * LANES + b);
-                }
-            }
-        }
-        // Danielson–Lanczos butterflies.
-        let mut half = 1usize;
-        while half < n {
-            let stage = &twiddles[half - 1..2 * half - 1];
-            for block in data.chunks_exact_mut(2 * half * LANES) {
-                let (lo, hi) = block.split_at_mut(half * LANES);
-                for ((a, b), &w) in
-                    lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)).zip(stage)
-                {
-                    for (a, b) in a.iter_mut().zip(b.iter_mut()) {
-                        let t = *b * w;
-                        *b = *a - t;
-                        *a = *a + t;
-                    }
-                }
-            }
-            half <<= 1;
+/// Up to [`STRIP`] signals of one axis side by side. With `LANES` signals,
+/// element `k` is the `2 · LANES` values from `2 · LANES · k`: the real
+/// parts of its `LANES` signals, then their imaginary parts. Sized once for
+/// the longer axis of a field. (With all real parts in one array and all
+/// imaginary parts in another, the butterflies ran about three times
+/// slower: the compiler vectorized across butterflies, with strided loads,
+/// instead of across lanes.)
+pub(crate) struct Strip(Vec<f64>);
+
+impl Strip {
+    fn new(n: usize) -> Self {
+        Strip(vec![0.0; 2 * STRIP * n])
+    }
+}
+
+/// The 1D transform of every row of `data` (`axis.len()` wide): [`STRIP`]
+/// rows at a time, the rows of a field shorter than a strip one at a time.
+/// The body of [`simd::row_pass`].
+#[inline(always)]
+pub(crate) fn row_pass(data: &mut [Complex], axis: &Axis, strip: &mut Strip) {
+    let nx = axis.len();
+    let mut strips = data.chunks_exact_mut(STRIP * nx);
+    for rows in &mut strips {
+        transform_rows::<STRIP>(rows, axis, strip);
+    }
+    for row in strips.into_remainder().chunks_exact_mut(nx) {
+        transform_rows::<1>(row, axis, strip);
+    }
+}
+
+/// The 1D transform of every column of `data` (`nx` wide, `axis.len()`
+/// tall): [`STRIP`] columns at a time, the columns of a field narrower than
+/// a strip one at a time. The body of [`simd::column_pass`].
+#[inline(always)]
+pub(crate) fn column_pass(data: &mut [Complex], nx: usize, axis: &Axis, strip: &mut Strip) {
+    let wide = nx - nx % STRIP;
+    for j in (0..wide).step_by(STRIP) {
+        transform_columns::<STRIP>(data, nx, j, axis, strip);
+    }
+    for j in wide..nx {
+        transform_columns::<1>(data, nx, j, axis, strip);
+    }
+}
+
+/// The `LANES` rows of `rows`, gathered transposed into the strip (row `b`
+/// in lane `b`, element `j` at its bit-reversed place), transformed and put
+/// back.
+#[inline(always)]
+fn transform_rows<const LANES: usize>(rows: &mut [Complex], axis: &Axis, strip: &mut Strip) {
+    let n = axis.len();
+    let strip = &mut strip.0[..2 * LANES * n];
+    for (j, &k) in axis.reversed.iter().enumerate() {
+        let (re, im) = strip[2 * LANES * k..][..2 * LANES].split_at_mut(LANES);
+        for (b, (r, i)) in re.iter_mut().zip(im).enumerate() {
+            let c = rows[b * n + j];
+            *r = c.re;
+            *i = c.im;
         }
     }
-    if inverse {
-        let scale = 1.0 / n as f64;
-        for v in data {
-            *v = Complex::new(v.re * scale, v.im * scale);
+    transform::<LANES>(strip, axis);
+    for (j, element) in strip.chunks_exact(2 * LANES).enumerate() {
+        let (re, im) = element.split_at(LANES);
+        for (b, (&r, &i)) in re.iter().zip(im).enumerate() {
+            rows[b * n + j] = Complex::new(r, i);
+        }
+    }
+}
+
+/// Columns `j .. j + LANES` of `data` (`nx` wide), gathered into the strip
+/// (column `j + b` in lane `b`, row `i` at its bit-reversed place),
+/// transformed and put back.
+#[inline(always)]
+fn transform_columns<const LANES: usize>(
+    data: &mut [Complex],
+    nx: usize,
+    j: usize,
+    axis: &Axis,
+    strip: &mut Strip,
+) {
+    let n = axis.len();
+    let strip = &mut strip.0[..2 * LANES * n];
+    for (row, &k) in data.chunks_exact(nx).zip(&axis.reversed) {
+        let (re, im) = strip[2 * LANES * k..][..2 * LANES].split_at_mut(LANES);
+        for ((r, i), c) in re.iter_mut().zip(im).zip(&row[j..j + LANES]) {
+            *r = c.re;
+            *i = c.im;
+        }
+    }
+    transform::<LANES>(strip, axis);
+    for (row, element) in data.chunks_exact_mut(nx).zip(strip.chunks_exact(2 * LANES)) {
+        let (re, im) = element.split_at(LANES);
+        for ((c, &r), &i) in row[j..j + LANES].iter_mut().zip(re).zip(im) {
+            *c = Complex::new(r, i);
+        }
+    }
+}
+
+/// The `LANES` values of `lanes`, by value.
+#[inline(always)]
+fn lanes<const LANES: usize>(lanes: &[f64]) -> [f64; LANES] {
+    from_fn(|b| lanes[b])
+}
+
+/// Radix-2 Cooley–Tukey butterflies over the `LANES` signals of a strip
+/// whose elements already sit in bit-reversed order, then the inverse's
+/// scaling: the DFT with the `exp(-i 2π kn / N)` kernel, unnormalized, or
+/// with an inverse axis the `exp(+i …)` kernel times `1 / N`. Each lane's
+/// product `t = b · w` and sums `a ± t` are `Complex`'s, operation for
+/// operation.
+#[inline(always)]
+fn transform<const LANES: usize>(strip: &mut [f64], axis: &Axis) {
+    let mut half = 1usize;
+    while half < axis.len() {
+        let stage = &axis.twiddles[half - 1..2 * half - 1];
+        for block in strip.chunks_exact_mut(4 * LANES * half) {
+            let (lo, hi) = block.split_at_mut(2 * LANES * half);
+            let pairs = lo.chunks_exact_mut(2 * LANES).zip(hi.chunks_exact_mut(2 * LANES));
+            for ((a, b), w) in pairs.zip(stage) {
+                let ((ar, ai), (br, bi)) = (a.split_at_mut(LANES), b.split_at_mut(LANES));
+                let (xr, xi) = (lanes::<LANES>(ar), lanes::<LANES>(ai));
+                let (yr, yi) = (lanes::<LANES>(br), lanes::<LANES>(bi));
+                let tr: [f64; LANES] = from_fn(|b| yr[b] * w.re - yi[b] * w.im);
+                let ti: [f64; LANES] = from_fn(|b| yr[b] * w.im + yi[b] * w.re);
+                br.copy_from_slice(&from_fn::<f64, LANES, _>(|b| xr[b] - tr[b]));
+                bi.copy_from_slice(&from_fn::<f64, LANES, _>(|b| xi[b] - ti[b]));
+                ar.copy_from_slice(&from_fn::<f64, LANES, _>(|b| xr[b] + tr[b]));
+                ai.copy_from_slice(&from_fn::<f64, LANES, _>(|b| xi[b] + ti[b]));
+            }
+        }
+        half <<= 1;
+    }
+    if let Some(scale) = axis.scale {
+        for v in strip {
+            *v *= scale;
         }
     }
 }
@@ -354,6 +503,22 @@ fn fft_lanes<const LANES: usize>(data: &mut [Complex], twiddles: &[Complex], inv
 mod tests {
     use super::*;
     use lcc_grid::stats;
+    use lcc_lossless::dispatch::supported_levels;
+    use std::ops::{Add, Sub};
+
+    impl Add for Complex {
+        type Output = Complex;
+        fn add(self, rhs: Complex) -> Complex {
+            Complex { re: self.re + rhs.re, im: self.im + rhs.im }
+        }
+    }
+
+    impl Sub for Complex {
+        type Output = Complex;
+        fn sub(self, rhs: Complex) -> Complex {
+            Complex { re: self.re - rhs.re, im: self.im - rhs.im }
+        }
+    }
 
     /// The textbook transform [`fft_2d`] must reproduce bit for bit: each
     /// stage's twiddles built inside the butterfly loop, and the inverse
@@ -419,33 +584,116 @@ mod tests {
         data.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
+    /// The kernel filled cell by cell, every row evaluated on its own.
+    fn kernel(m_y: usize, m_x: usize, a2: f64) -> Vec<Complex> {
+        let mut data = Vec::with_capacity(m_y * m_x);
+        for i in 0..m_y {
+            let di = i.min(m_y - i) as f64;
+            for j in 0..m_x {
+                let dj = j.min(m_x - j) as f64;
+                data.push(Complex::new((-(di * di + dj * dj) / a2).exp(), 0.0));
+            }
+        }
+        data
+    }
+
+    /// [`fft_2d`] at tier `level` with a strip of its own.
+    fn fft_2d_at(data: &mut [Complex], nx: usize, inverse: bool, level: SimdLevel) {
+        let ny = data.len() / nx;
+        fft_2d(data, nx, inverse, level, &mut Strip::new(ny.max(nx)));
+    }
+
     #[test]
-    fn fft_lanes_equals_the_textbook_transform_bit_for_bit() {
+    fn every_length_equals_the_textbook_transform_bit_for_bit() {
+        // One signal and a strip of them, along each axis.
         for log_n in 0..=12 {
             let n = 1usize << log_n;
-            for inverse in [false, true] {
-                let mut expected = signal(n);
-                fft(&mut expected, inverse);
-                let mut got = signal(n);
-                fft_lanes::<1>(&mut got, &twiddles(n, inverse), inverse);
-                assert_eq!(bits(&got), bits(&expected), "n = {n}, inverse = {inverse}");
+            for (ny, nx) in [(1, n), (n, 1), (STRIP, n), (n, STRIP)] {
+                for inverse in [false, true] {
+                    let mut expected = signal(ny * nx);
+                    fft_2d_textbook(&mut expected, nx, inverse);
+                    for &level in supported_levels() {
+                        let mut got = signal(ny * nx);
+                        fft_2d_at(&mut got, nx, inverse, level);
+                        let at = format!("{ny}x{nx}, inverse = {inverse}, {level:?}");
+                        assert_eq!(bits(&got), bits(&expected), "{at}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn fft_2d_equals_the_textbook_transform_bit_for_bit() {
-        // 64 × 256 is the embedding of a 40 × 200 field at range 3.
-        let shapes = [(1, 64), (64, 1), (1, 1), (2, 1024), (1024, 2), (16, 8), (8, 32), (64, 256)];
+        // 64 × 256 is the embedding of a 40 × 200 field at range 3; a field
+        // 1, 2 or 4 cells wide or tall runs those rows or columns one by one.
+        let shapes = [
+            (1, 64),
+            (64, 1),
+            (1, 1),
+            (2, 1024),
+            (1024, 2),
+            (16, 8),
+            (8, 32),
+            (64, 256),
+            (16, 1024),
+            (1024, 16),
+        ];
         for (ny, nx) in shapes {
             for inverse in [false, true] {
                 let mut expected = signal(ny * nx);
                 fft_2d_textbook(&mut expected, nx, inverse);
-                let mut got = signal(ny * nx);
-                fft_2d(&mut got, nx, inverse);
-                assert_eq!(bits(&got), bits(&expected), "{ny}x{nx}, inverse = {inverse}");
+                for &level in supported_levels() {
+                    let mut got = signal(ny * nx);
+                    fft_2d_at(&mut got, nx, inverse, level);
+                    let at = format!("{ny}x{nx}, inverse = {inverse}, {level:?}");
+                    assert_eq!(bits(&got), bits(&expected), "{at}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn deduplicated_kernel_rows_give_the_full_transform_bit_for_bit() {
+        // At a = 2 the rows past di = 54 are all zero; at a = 18 they pass
+        // through subnormal values on the way; at a = 40 none is zero. At
+        // a = 64 rows 1 746 and 1 747 both round to the least subnormal, so
+        // a repeat comes before the zero rows and the stored rows shift.
+        let cases = [
+            (1024, 16, 2.0),
+            (1024, 16, 18.0),
+            (4096, 4, 64.0),
+            (64, 256, 3.0),
+            (256, 64, 3.0),
+            (128, 128, 40.0),
+            (16, 1, 2.0),
+            (1, 16, 2.0),
+        ];
+        for (m_y, m_x, range) in cases {
+            let a2: f64 = range * range;
+            // The rows alone: a subnormal row copied to the wrong place
+            // would vanish in the sums of the column pass.
+            let mut rows = kernel(m_y, m_x, a2);
+            rows.chunks_exact_mut(m_x).for_each(|row| fft(row, false));
+            let mut spectrum = kernel(m_y, m_x, a2);
+            fft_2d_textbook(&mut spectrum, m_x, false);
+            for &level in supported_levels() {
+                let at = format!("{m_y}x{m_x}, a = {range}, {level:?}");
+                let mut strip = Strip::new(m_y.max(m_x));
+                let got = kernel_row_transforms(m_y, m_x, a2, level, &mut strip);
+                assert_eq!(bits(&got), bits(&rows), "rows, {at}");
+                let got = kernel_spectrum(m_y, m_x, a2, level, &mut strip);
+                assert_eq!(bits(&got), bits(&spectrum), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_rows_repeat_only_where_their_bits_do() {
+        let rows = |a: [f64; 2]| a.map(|v| Complex::new(v, 0.0));
+        assert!(same_bits(&rows([0.0, 1e-310]), &rows([0.0, 1e-310])));
+        assert!(!same_bits(&rows([0.0, 0.0]), &rows([-0.0, 0.0])));
+        assert!(!same_bits(&rows([5e-324, 0.0]), &rows([0.0, 0.0])));
     }
 
     /// Empirical correlation between the field and itself shifted by `lag`
@@ -596,8 +844,8 @@ mod tests {
         }
         let x = signal(16 * 8);
         let mut y = x.clone();
-        fft_2d(&mut y, 8, false);
-        fft_2d(&mut y, 8, true);
+        fft_2d_at(&mut y, 8, false, simd_level());
+        fft_2d_at(&mut y, 8, true, simd_level());
         assert!(x
             .iter()
             .zip(&y)
@@ -616,7 +864,7 @@ mod tests {
             .collect();
         let energy = |d: &[Complex]| d.iter().map(|c| c.re * c.re + c.im * c.im).sum::<f64>();
         let before = energy(&data);
-        fft_2d(&mut data, nx, false);
+        fft_2d_at(&mut data, nx, false, simd_level());
         // Parseval: the unnormalized transform scales energy by the cell count.
         assert!((energy(&data) / (ny * nx) as f64 - before).abs() < 1e-9 * before);
         for (idx, c) in data.iter().enumerate() {

@@ -17,14 +17,18 @@
 //!   its seed.
 //!
 //! The spectral synthesis needs only a power-of-two complex FFT in 2D: a
-//! private iterative radix-2 Cooley–Tukey transform, applied row by row and
-//! then to strips of eight columns, with each axis's twiddles tabulated
-//! once, in place on the one buffer a field is generated on. It gives the
-//! textbook transform's bits (see [`grf`]). Generating one full-scale
-//! 1028×1028 field takes 0.6–0.8 s on a 2-vCPU dev box (1.0–1.1 s with the
-//! textbook transform), 15–20 times one `sz` compress of it (≈ 40 ms):
-//! synthesis, not compression, is what a paper-scale study spends its
-//! set-up on.
+//! private iterative radix-2 Cooley–Tukey transform, applied to strips of
+//! eight rows and then of eight columns (plain lane arithmetic, compiled
+//! once more for AVX2), with each axis's twiddles tabulated once, in place
+//! on the one buffer a field is generated on. The covariance kernel is
+//! evaluated on one quadrant, and only its distinct rows are transformed.
+//! Every field keeps the bits of the textbook synthesis (see [`grf`]).
+//! Generating one full-scale 1028×1028 field (a 2048² embedding) takes
+//! ≈ 0.5 s on a 2-vCPU dev box at the AVX2 tier (≈ 0.7 s with whole-kernel
+//! rows and one-row transforms), over ten times one `sz` compress of it
+//! (≈ 40 ms): synthesis, not compression, is what a paper-scale study
+//! spends its set-up on. Box–Muller sampling of the noise is now about
+//! two fifths of it.
 //!
 //! ```
 //! use lcc_synth::{generate_single_range, GaussianFieldConfig};
@@ -34,6 +38,7 @@
 
 pub mod grf;
 pub mod rng;
+mod simd;
 
 pub use grf::{generate_multi_range, generate_single_range, GaussianFieldConfig, MultiRangeConfig};
 pub use rng::GaussianSampler;

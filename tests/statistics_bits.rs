@@ -153,3 +153,43 @@ fn generated_fields_and_sampler_streams_equal_the_parent_commit() {
     let uniforms = digest((0..1000).map(|_| sampler.uniform()));
     assert_eq!(uniforms, 0xd93b80b1b0dd97af, "uniform() digest {uniforms:#x}");
 }
+
+/// Fields whose kernels the synthesis treats specially, with the digest of
+/// their values captured at the commit before it did: mostly all-zero
+/// kernel rows (a = 2), a ring of subnormal kernel values (a = 18),
+/// embeddings four times wider than tall and the reverse (64 × 256 and
+/// 256 × 64), and a superposition of a short and a long range.
+#[test]
+fn fields_with_zero_subnormal_and_non_square_kernels_equal_the_parent_commit() {
+    let fields = [
+        (
+            "grf-a2 512",
+            generate_single_range(&GaussianFieldConfig::new(512, 512, 2.0, 102)),
+            0x1816c3026779dc0f,
+        ),
+        (
+            "grf-a18 512",
+            generate_single_range(&GaussianFieldConfig::new(512, 512, 18.0, 118)),
+            0x4f5e27f9e064e89e,
+        ),
+        (
+            "grf-a3 40x200",
+            generate_single_range(&GaussianFieldConfig::new(40, 200, 3.0, 340)),
+            0xa92f8614b48d2af8,
+        ),
+        (
+            "grf-a3 200x40",
+            generate_single_range(&GaussianFieldConfig::new(200, 40, 3.0, 341)),
+            0x8b651879d82fbc09,
+        ),
+        (
+            "grf-a2+40 256",
+            generate_multi_range(&MultiRangeConfig::two_ranges(256, 256, 2.0, 40.0, 240)),
+            0xff573b7cdbf2b018,
+        ),
+    ];
+    for (name, field, parent) in fields {
+        let values = fnv::values(&field.view());
+        assert_eq!(values, parent, "{name}: field digest {values:#x}");
+    }
+}
