@@ -1,16 +1,17 @@
 //! Runtime SIMD dispatch for the codec hot-path kernels.
 //!
 //! There are two tiers, scalar and AVX2. Every vectorized kernel in the
-//! workspace (the rANS decode loop, the LZ77 match comparator, the rounding
-//! quantizer, the SZ plane-predict/quantize row kernel, SZ mode selection,
-//! the SZ Lorenzo runs, `lcc_geostat`'s window and variogram sweeps, and
-//! `lcc_synth`'s FFT row and column strips) asks this module which one to
-//! run, and each AVX2 kernel that ships was measured against its scalar
-//! twin end to end (the codecs on their own streams, the statistics and
-//! the synthesis on their own fields) and wins.
-//! ZFP's block transform has no AVX2 twin: end to end, coding one block at
-//! a time with the scalar lifts beat the batched AVX2 lift. The guarantees
-//! are:
+//! workspace (the rANS decode loop, the rounding quantizer, SZ mode
+//! selection, the SZ Lorenzo runs, `lcc_geostat`'s window and variogram
+//! sweeps, and `lcc_synth`'s FFT row and column strips) asks this module
+//! which one to run, and each AVX2 kernel that ships was measured against
+//! its scalar twin end to end (the codecs on their own streams, the
+//! statistics and the synthesis on their own fields) and wins.
+//! Three kernels have no AVX2 twin because theirs did not win end to end:
+//! ZFP's block transform (coding one block at a time with the scalar lifts
+//! beat the batched AVX2 lift), the LZ77 match-length comparator and the SZ
+//! regression-block row quantizer (neither moved an `sz`, `sz-rans8` or
+//! `mgard` encode beyond its run-to-run noise). The guarantees are:
 //!
 //! * **One-time detection.** [`simd_level`] probes the CPU once (via
 //!   `is_x86_feature_detected!("avx2")` on x86_64; every other

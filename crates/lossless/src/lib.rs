@@ -9,7 +9,8 @@
 //!   (and by the ZFP-style embedded bit-plane coder),
 //! * [`huffman`] — canonical Huffman coding over `u32` symbols with an
 //!   embedded code-length table (table-driven encode and LUT decode),
-//! * [`lz77`] — greedy hash-chain LZ77 with byte-oriented token encoding,
+//! * [`lz77`] — greedy hash-chain LZ77 with byte-oriented token encoding
+//!   (scalar; an AVX2 match comparator changed no encode end to end),
 //! * [`rans`] — the 8-way interleaved byte-oriented rANS coder (12-bit
 //!   normalized tables, self-describing mode byte), the fast-path entropy
 //!   backend of the ratio-vs-throughput ablation; the payload is split into
@@ -19,9 +20,8 @@
 //!   compressors thread through their streams,
 //! * [`dispatch`] — one-time runtime SIMD feature detection
 //!   ([`SimdLevel`]: scalar or AVX2, and the `LCC_SIMD` override); the rANS
-//!   decode loop, the LZ77 comparator and the rounding quantizer run their
-//!   AVX2 implementation at the AVX2 tier, with byte-identical streams at
-//!   both tiers,
+//!   decode loop and the rounding quantizer run their AVX2 implementation
+//!   at the AVX2 tier, with byte-identical streams at both tiers,
 //! * [`round`] — exact `f64::round` without the libm call (scalar and AVX2)
 //!   and the dispatched rounding quantizer the lossy codecs' quantization
 //!   loops share,
@@ -50,9 +50,7 @@ pub mod xxhash;
 pub use bitstream::{BitReader, BitWriter};
 pub use dispatch::{simd_level, supported_levels, SimdLevel};
 pub use huffman::{huffman_decode, huffman_decode_with, huffman_encode, huffman_encode_with};
-pub use lz77::{
-    lz77_compress, lz77_compress_with, lz77_compress_with_at, lz77_decompress, lz77_decompress_into,
-};
+pub use lz77::{lz77_compress, lz77_compress_with, lz77_decompress, lz77_decompress_into};
 pub use pipeline::EntropyBackend;
 pub use rans::{
     rans8_decode, rans8_decode_with, rans8_decode_with_at, rans8_encode, rans8_encode_with,

@@ -15,8 +15,8 @@
 //!
 //! The token format is the contract; what the encoder does with it is
 //! policy, and only the format is pinned (decode fixtures in
-//! `tests/bit_identity.rs`). The policy, like the Zstd-class stage it stands
-//! in for, does not fight input it cannot shrink:
+//! `crates/lossless/tests/bit_identity.rs`). The policy, like the Zstd-class
+//! stage it stands in for, does not fight input it cannot shrink:
 //!
 //! * **miss-skipping** — consecutive search misses widen the stride
 //!   (`pos += 1 + (misses >> 6)`, LZ4's skip acceleration, reset by the next
@@ -34,9 +34,9 @@
 //! `p & (WINDOW − 1)`, so a slot is overwritten only once its position is
 //! more than `WINDOW` behind every later search, which is where the chain
 //! walk stops anyway. Match candidates are compared eight bytes at a time
-//! (32 under AVX2 dispatch); both tiers emit the same stream.
+//! at every SIMD tier (a 32-byte AVX2 compare moved no `sz` or `mgard`
+//! encode beyond its run-to-run noise).
 
-use crate::dispatch::{simd_level, SimdLevel};
 use crate::scratch::{CodecScratch, CHAIN_NIL};
 use crate::{read_varint, write_varint, CodecError};
 
@@ -55,6 +55,12 @@ fn hash3(bytes: &[u8]) -> usize {
 /// Length of the longest common prefix of `a[a_at..]` and `a[b_at..]`
 /// (with `b_at > a_at`), capped at `max_len`. Compares whole 8-byte words
 /// first, then the remaining tail bytes.
+// Inlined into the chain walk. Against `#[inline(never)]`, six alternating
+// process pairs (best of 15 encodes per field over eight 512² fields like
+// `benchmarks/e2e`'s pool, `Absolute(1e-3)`, one thread of a 2-vCPU AVX2
+// Xeon) read `sz` 30.2–49.8 ms inlined vs 30.3–48.5 out of line (median
+// pair −0.6 %, 4 of 6 faster) and `mgard` 39.7–63.4 vs 41.4–65.3 (median
+// pair −2.9 %, 5 of 6 faster).
 #[inline]
 fn match_length(bytes: &[u8], a_at: usize, b_at: usize, max_len: usize) -> usize {
     let mut len = 0usize;
@@ -71,78 +77,6 @@ fn match_length(bytes: &[u8], a_at: usize, b_at: usize, max_len: usize) -> usize
         len += 1;
     }
     len
-}
-
-/// `match_length` at an explicit SIMD tier: AVX2 compares 32 bytes per
-/// iteration and locates the first mismatch with a `movemask`, returning
-/// the same length as the scalar comparator, so the greedy token stream is
-/// independent of the dispatch level.
-///
-/// # Panics
-/// Panics unless `a_at <= b_at` and `b_at + max_len <= bytes.len()` — the
-/// in-bounds window the wide loads rely on (the compress loop guarantees it:
-/// `max_len` is capped at `input.len() - pos` and candidates sit before
-/// `pos`).
-// Sanctioned `unsafe_code` waiver (see `crate::dispatch`): this shim owns
-// the bounds assertion the wide loads rely on and the feature-detection
-// guard that makes the intrinsics legal. Kept out of line: inlined into the
-// chain walk, it encoded a 512² `sz` stream 4 % slower.
-#[allow(unsafe_code)]
-#[inline(never)]
-fn match_length_at(
-    level: SimdLevel,
-    bytes: &[u8],
-    a_at: usize,
-    b_at: usize,
-    max_len: usize,
-) -> usize {
-    assert!(
-        a_at <= b_at && max_len <= bytes.len() && b_at <= bytes.len() - max_len,
-        "match window out of bounds"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Avx2 && max_len >= 32 {
-        // SAFETY: AVX2 verified by dispatch; bounds asserted above.
-        return unsafe { simd::match_length_avx2(bytes, a_at, b_at, max_len) };
-    }
-    let _ = level;
-    match_length(bytes, a_at, b_at, max_len)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    // Sanctioned `unsafe_code` waiver (see `crate::dispatch`): `core::arch`
-    // intrinsics are unsafe by definition; the callers assert the bounds the
-    // wide loads need and the bit-identity suite pins scalar equivalence.
-    #![allow(unsafe_code)]
-
-    use std::arch::x86_64::*;
-
-    /// 32-byte compare loop, falling back to the scalar comparator for the
-    /// sub-32-byte tail.
-    ///
-    /// # Safety
-    /// Requires AVX2, `a_at <= b_at`, and `b_at + max_len <= bytes.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn match_length_avx2(
-        bytes: &[u8],
-        a_at: usize,
-        b_at: usize,
-        max_len: usize,
-    ) -> usize {
-        let base = bytes.as_ptr();
-        let mut len = 0usize;
-        while len + 32 <= max_len {
-            let a = _mm256_loadu_si256(base.add(a_at + len) as *const __m256i);
-            let b = _mm256_loadu_si256(base.add(b_at + len) as *const __m256i);
-            let eq = _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)) as u32;
-            if eq != 0xFFFF_FFFF {
-                return len + (!eq).trailing_zeros() as usize;
-            }
-            len += 32;
-        }
-        len + super::match_length(bytes, a_at + len, b_at + len, max_len - len)
-    }
 }
 
 /// Compress `input` with greedy LZ77. The output always starts with a varint
@@ -167,32 +101,12 @@ pub fn lz77_compress(input: &[u8]) -> Vec<u8> {
 /// # Panics
 /// Panics on inputs of 4 GiB or more (see [`lz77_compress`]).
 pub fn lz77_compress_with(scratch: &mut CodecScratch, input: &[u8], out: &mut Vec<u8>) {
-    lz77_compress_with_at(scratch, simd_level(), input, out);
-}
-
-/// [`lz77_compress_with`] at an explicit SIMD tier (tests and benchmarks —
-/// the emitted stream is identical at every tier).
-///
-/// # Panics
-/// Panics on inputs of 4 GiB or more (see [`lz77_compress`]).
-pub fn lz77_compress_with_at(
-    scratch: &mut CodecScratch,
-    level: SimdLevel,
-    input: &[u8],
-    out: &mut Vec<u8>,
-) {
-    compress_chained(scratch, level, input, out, WINDOW);
+    compress_chained(scratch, input, out, WINDOW);
 }
 
 /// The encoder over a ring of `ring` chain links (a power of two; `WINDOW`
 /// but in the full-length oracle of the tests).
-fn compress_chained(
-    scratch: &mut CodecScratch,
-    level: SimdLevel,
-    input: &[u8],
-    out: &mut Vec<u8>,
-    ring: usize,
-) {
+fn compress_chained(scratch: &mut CodecScratch, input: &[u8], out: &mut Vec<u8>, ring: usize) {
     out.reserve(input.len() / 2 + 16);
     let start = out.len();
     write_varint(out, input.len() as u64);
@@ -257,7 +171,7 @@ fn compress_chained(
                 // prefix is ≤ best_len and the candidate cannot win. The
                 // greedy outcome is unchanged.
                 if input[candidate_pos + best_len] == input[pos + best_len] {
-                    let len = match_length_at(level, input, candidate_pos, pos, max_len);
+                    let len = match_length(input, candidate_pos, pos, max_len);
                     if len > best_len {
                         best_len = len;
                         best_dist = pos - candidate_pos;
@@ -532,58 +446,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn match_length_levels_agree_on_every_mismatch_offset() {
-        use crate::dispatch::supported_levels;
-        // A long shared prefix broken at every offset in turn hits the wide
-        // loop, its movemask mismatch location, and the scalar tail.
-        let period = 97usize; // coprime with 32 → mismatches land at every lane
-        let template: Vec<u8> = (0..400).map(|i| (i % period) as u8).collect();
-        let mut data = template.clone();
-        data.extend_from_slice(&template);
-        let b_at = template.len();
-        for mismatch in 0..160usize {
-            let mut bytes = data.clone();
-            bytes[b_at + mismatch] ^= 0xA5;
-            for cap in [mismatch / 2 + 1, mismatch, mismatch + 1, 160, 400] {
-                let reference = match_length(&bytes, 0, b_at, cap);
-                for &level in supported_levels() {
-                    assert_eq!(
-                        match_length_at(level, &bytes, 0, b_at, cap),
-                        reference,
-                        "mismatch={mismatch} cap={cap} level={level:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compress_streams_identical_at_every_level() {
-        use crate::dispatch::supported_levels;
-        let mut data = Vec::new();
-        for i in 0..4096 {
-            let v = ((i / 7) % 50) as f64 * 0.25 - 3.0;
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        data.extend_from_slice(&vec![7u8; 10_000]);
-        let mut scratch = CodecScratch::new();
-        let mut reference = Vec::new();
-        lz77_compress_with_at(&mut scratch, SimdLevel::Scalar, &data, &mut reference);
-        for &level in supported_levels() {
-            let mut out = Vec::new();
-            lz77_compress_with_at(&mut scratch, level, &data, &mut out);
-            assert_eq!(out, reference, "level={level:?}");
-        }
-        assert_eq!(lz77_decompress(&reference).unwrap(), data);
-    }
-
     /// The encoder with a chain link per input position, as it was before
     /// the links became a ring: the oracle the ring must match byte for byte.
     fn full_chain_oracle(input: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         let links = input.len().next_power_of_two();
-        compress_chained(&mut CodecScratch::new(), SimdLevel::Scalar, input, &mut out, links);
+        compress_chained(&mut CodecScratch::new(), input, &mut out, links);
         out
     }
 

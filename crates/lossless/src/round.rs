@@ -75,8 +75,8 @@ pub fn quantize_rounded_at(
     }
 }
 
-/// The AVX2 forms. Public so the SZ plane kernel (in `lcc_sz`) rounds with
-/// the same sequence.
+/// The AVX2 forms. Public so the SZ Lorenzo band (`lcc_sz::lorenzo`) rounds
+/// with the same sequence.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     // Sanctioned `unsafe_code` waiver (see `crate::dispatch`): `core::arch`

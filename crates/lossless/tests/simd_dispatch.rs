@@ -1,22 +1,13 @@
-//! Byte-identity gate for the runtime-dispatched SIMD kernels.
+//! Byte-identity gate for the runtime-dispatched rANS decoder.
 //!
-//! Every SIMD tier the host supports must reproduce the scalar kernels'
-//! bytes exactly — same compressed streams, same decoded symbols, same
-//! errors on the same truncated inputs. The fixture checks
-//! additionally pin the SIMD encoders to the historical stream format: the
-//! `tests/fixtures/*.bin` streams were captured long before the SIMD pass
-//! existed, so a vector path that drifted from the scalar match/emit
-//! decisions would fail here before it could invalidate archives.
+//! Every SIMD tier the host supports must decode exactly what the scalar
+//! kernel decodes — same symbols, same consumed byte counts, same errors on
+//! the same truncated inputs. The encoders (Huffman, rANS, LZ77) have one
+//! scalar path each; their historical streams are pinned by
+//! `bit_identity.rs`, and the rounding quantizer's tiers are compared in
+//! `round`'s unit tests and the root `tests/simd_kernels.rs`.
 
-use lcc_lossless::{
-    lz77_compress_with_at, lz77_decompress, rans8_decode_with_at, rans8_encode, supported_levels,
-    CodecScratch, RansScratch, SimdLevel,
-};
-
-fn fixture(name: &str) -> Vec<u8> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
-    std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
-}
+use lcc_lossless::{rans8_decode_with_at, rans8_encode, supported_levels, RansScratch, SimdLevel};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -28,63 +19,6 @@ fn the_host_supports_at_least_the_scalar_tier() {
     let levels = supported_levels();
     assert_eq!(levels[0], SimdLevel::Scalar);
     assert!(!levels.is_empty());
-}
-
-/// Inputs with known fixture streams, regenerated deterministically (same
-/// generators as `bit_identity.rs`).
-fn lz77_fixture_inputs() -> Vec<(&'static str, Vec<u8>)> {
-    vec![
-        (
-            "lz77_repetitive_text.bin",
-            b"hello world, ".iter().copied().cycle().take(10_000).collect(),
-        ),
-        ("lz77_zero_run.bin", vec![0u8; 65_000]),
-    ]
-}
-
-#[test]
-fn every_level_reproduces_the_lz77_fixture_streams() {
-    let mut scratch = CodecScratch::new();
-    for (name, input) in lz77_fixture_inputs() {
-        let expected = fixture(name);
-        for &level in supported_levels() {
-            let mut out = Vec::new();
-            lz77_compress_with_at(&mut scratch, level, &input, &mut out);
-            assert_eq!(out, expected, "{name} at {level:?}");
-        }
-    }
-}
-
-#[test]
-fn every_level_compresses_mixed_entropy_bytes_identically() {
-    // Stretches of literal-heavy noise, long matches, and near-match data
-    // (period-one-off repeats) — the cases where a SIMD comparator that
-    // mis-located a mismatch byte would change the token stream.
-    let mut state = 0xD15_BA7C4u64;
-    let mut data = Vec::with_capacity(48_000);
-    for _ in 0..8_000 {
-        data.push(lcg(&mut state) as u8);
-    }
-    data.extend(std::iter::repeat_n(0xABu8, 9_000));
-    for i in 0..16_000u32 {
-        data.push((i % 251) as u8);
-    }
-    for i in 0..15_000u32 {
-        // Period 97 with sparse corruption: long matches that end at
-        // unpredictable offsets.
-        let b = (i % 97) as u8;
-        data.push(if i % 1013 == 0 { b ^ 0x55 } else { b });
-    }
-
-    let mut scratch = CodecScratch::new();
-    let mut reference = Vec::new();
-    lz77_compress_with_at(&mut scratch, SimdLevel::Scalar, &data, &mut reference);
-    assert_eq!(lz77_decompress(&reference).unwrap(), data);
-    for &level in &supported_levels()[1..] {
-        let mut out = Vec::new();
-        lz77_compress_with_at(&mut scratch, level, &data, &mut out);
-        assert_eq!(out, reference, "{level:?}");
-    }
 }
 
 #[test]

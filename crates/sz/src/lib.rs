@@ -262,15 +262,11 @@ impl SzCompressor {
             }
             match mode {
                 BlockMode::Regression => {
-                    // Independent per cell → the runtime-dispatched row
-                    // kernel (AVX2 4-lane on capable hosts, scalar otherwise;
-                    // bit-identical streams either way).
                     let plane = planes.next().expect("one plane per regression block");
                     for di in 0..win.height {
                         let i = win.i0 + di;
                         let span = win.j0..win.j0 + win.width;
-                        quantize::quantize_plane_row_at(
-                            level,
+                        quantize::quantize_plane_row(
                             &quantizer,
                             plane,
                             di,

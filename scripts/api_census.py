@@ -50,12 +50,10 @@ EXEMPT = {
 UNSAFE_WAIVERS = {
     # file: the AVX2 kernel whose intrinsics the waiver covers
     "crates/geostat/src/simd.rs": "window statistics on quads and the global variogram band sweep",
-    "crates/lossless/src/lz77.rs": "LZ77 match-length compare",
     "crates/lossless/src/rans.rs": "rANS 8-way interleaved decode",
-    "crates/lossless/src/round.rs": "rounding quantizer (MGARD coefficients)",
+    "crates/lossless/src/round.rs": "rounding quantizer (MGARD coefficients) and the four-lane round of the SZ Lorenzo band",
     "crates/sz/src/lorenzo.rs": "SZ Lorenzo runs, encode",
     "crates/sz/src/predictor.rs": "SZ mode selection",
-    "crates/sz/src/quantize.rs": "SZ plane-quantizer rows",
     "crates/synth/src/simd.rs": "FFT row and column strips of the Gaussian field synthesis",
 }
 WAIVER = re.compile(r"#!?\[allow\([^)]*\bunsafe_code\b")

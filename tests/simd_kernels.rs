@@ -7,30 +7,13 @@
 
 use lcc::grid::Field2D;
 use lcc::lossless::round::quantize_rounded_at;
-use lcc::lossless::{
-    lz77_compress_with_at, lz77_decompress, rans8_decode_with_at, rans8_encode, supported_levels,
-    CodecScratch, RansScratch, SimdLevel,
-};
+use lcc::lossless::{rans8_decode_with_at, rans8_encode, supported_levels, RansScratch, SimdLevel};
 use lcc::pressio::{Compressor, ErrorBound, ScratchArena};
-use lcc::sz::quantize::{quantize_plane_row_at, Quantizer};
 use lcc::sz::SzCompressor;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn lz77_streams_are_level_invariant(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
-        let mut scratch = CodecScratch::new();
-        let mut reference = Vec::new();
-        lz77_compress_with_at(&mut scratch, SimdLevel::Scalar, &data, &mut reference);
-        prop_assert_eq!(lz77_decompress(&reference).expect("roundtrip"), data);
-        for &level in &supported_levels()[1..] {
-            let mut out = Vec::new();
-            lz77_compress_with_at(&mut scratch, level, &data, &mut out);
-            prop_assert_eq!(&out, &reference);
-        }
-    }
 
     #[test]
     fn rans8_decode_is_level_invariant(symbols in proptest::collection::vec(0u32..5000, 0..30_000)) {
@@ -84,63 +67,6 @@ proptest! {
             quantize_rounded_at(level, &values, bin, radius, &mut codes, &mut exact);
             prop_assert_eq!(&codes, &ref_codes);
             prop_assert_eq!(exact.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), ref_exact.clone());
-        }
-    }
-
-    #[test]
-    fn sz_plane_quantizer_is_level_invariant(
-        // Residual structure spanning the quantizer's regimes: values near
-        // the prediction (predictable), spikes far outside the code range
-        // (exact fallback), and non-finite cells (always exact). The AVX2
-        // path must agree with scalar bit for bit on every one, including
-        // the NaN payloads carried through `exact`.
-        raw_cells in proptest::collection::vec(any::<u64>(), 0..96),
-        plane in proptest::collection::vec(-100.0f64..100.0, 3..4),
-        di in 0usize..16,
-        eb_sel in 0usize..3,
-    ) {
-        let error_bound = [1e-6, 1e-3, 0.5][eb_sel];
-        let quantizer = Quantizer::new(error_bound, 1 << 15);
-        let plane: [f64; 3] = plane.try_into().expect("exact length");
-        let pred0 = plane[0] + plane[1] * di as f64;
-        // Offset the residuals from the row's predictions so "near zero"
-        // residual cases actually exercise the predictable path; each raw
-        // draw picks a regime by its low bits and a magnitude from the rest.
-        let orig: Vec<f64> = raw_cells
-            .iter()
-            .enumerate()
-            .map(|(j, &raw)| {
-                let unit = (raw >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-                let cell = match raw % 10 {
-                    0..=4 => unit * 20.0 - 10.0,  // near the prediction
-                    5 | 6 => (unit - 0.5) * 2e9,  // far outside the code range
-                    7 => f64::NAN,
-                    8 => f64::INFINITY,
-                    _ => f64::NEG_INFINITY,
-                };
-                pred0 + plane[2] * j as f64 + cell
-            })
-            .collect();
-
-        let mut ref_recon = vec![0.0; orig.len()];
-        let mut ref_codes = Vec::new();
-        let mut ref_exact = Vec::new();
-        quantize_plane_row_at(
-            SimdLevel::Scalar, &quantizer, &plane, di,
-            &orig, &mut ref_recon, &mut ref_codes, &mut ref_exact,
-        );
-        for &level in &supported_levels()[1..] {
-            let mut recon = vec![0.0; orig.len()];
-            let mut codes = Vec::new();
-            let mut exact = Vec::new();
-            quantize_plane_row_at(
-                level, &quantizer, &plane, di,
-                &orig, &mut recon, &mut codes, &mut exact,
-            );
-            prop_assert_eq!(&codes, &ref_codes);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&exact), bits(&ref_exact));
-            prop_assert_eq!(bits(&recon), bits(&ref_recon));
         }
     }
 
