@@ -146,7 +146,7 @@ impl<'a> BitReader<'a> {
 
     /// Look ahead `count` bits (MSB first) without consuming them; bits past
     /// the end of the stream read as zero. This is the primitive behind the
-    /// table-driven Huffman decoder: peek a LUT index, then
+    /// table-driven Huffman decoder: peek a pair-table index, then
     /// [`skip_bits`](BitReader::skip_bits) the decoded code length.
     #[inline]
     pub fn peek_bits(&self, count: u32) -> u64 {

@@ -13,16 +13,25 @@
 //!   stored in the header, in strictly ascending symbol order (the decoder
 //!   refuses any other); the `(length, symbol)` order of the codes is a
 //!   counting sort on length, shared by encoder and decoder,
-//! * decode is table-driven: a `LUT_BITS`-wide prefix table resolves the
-//!   short codes in one peek; a longer code is found in one `max_len`-bit
-//!   peek compared against the canonical (first code, count) of each
-//!   populated length — MGARD's alphabets of thousands of distinct codes
-//!   spend most of their symbols there; the bit-by-bit canonical walk
-//!   serves only the last `max_len` bits of a stream.
+//! * the payload's bit length is Σ count · length, known before a bit is
+//!   written, so the payload goes straight into the presized output,
+//! * decode is table-driven: a 64-bit window is refilled eight bytes at a
+//!   time and looked up in a pair table, whose entries hold the one or two
+//!   codes at the front of a `table_bits`-wide prefix and the bits they take
+//!   (8 to 14 bits, sized by the section's code count, so a tile does not
+//!   fill a field's table). A code longer than the table is read from a
+//!   fresh window: the number of populated longer lengths whose last code
+//!   lies below the window is its length. A prefix no code has, and the
+//!   payload's last eight bytes, take the checked per-symbol path: the
+//!   table's first code, else the same long-code read from a
+//!   `max_len`-bit peek, else the bit-by-bit canonical walk, which names
+//!   every error,
+//! * the payload ends where its last code does: a bit length past it, or a
+//!   set pad bit, is refused.
 //!
 //! The hot paths are **allocation-free** when driven through
 //! [`huffman_encode_with`] / [`huffman_decode_with`]: the histogram, tree,
-//! code tables and bit buffers all live in a caller-owned
+//! code tables and the decoder's pair table all live in a caller-owned
 //! [`CodecScratch`]. Dense `Vec`-indexed tables serve
 //! the common tightly-clustered alphabets (quantization codes around the
 //! zero-residual symbol); alphabets spanning more than ~2M symbol values
@@ -52,11 +61,44 @@ use crate::{read_varint, write_varint, CodecError};
 /// protects the decoder against corrupt headers.
 const MAX_CODE_LEN: u32 = 48;
 
-/// Width of the decoder's prefix LUT: every code of at most this many bits
-/// decodes with one peek + one table load. 12 bits covers the entire
-/// alphabet of typical quantization-code distributions while keeping the
-/// two tables at 4096 entries.
-const LUT_BITS: u32 = 12;
+/// Widest pair table: 2^14 entries, for sections of at least 65 536 codes.
+/// On a 512² GRF at a = 2 MGARD's alphabet holds 18 970 distinct codes at
+/// `Absolute(1e-3)` and `sz`'s 62 022 at 1e-5, so a 12-bit table leaves
+/// many of their codes to the long-code read; a 16-bit one decoded slower,
+/// its 512 KiB outgrowing the cache.
+const MAX_TABLE_BITS: u32 = 14;
+
+/// Narrowest pair table, for sections of a few hundred codes: 2 KiB.
+const MIN_TABLE_BITS: u32 = 8;
+
+/// Width of the pair table of a section of `codes` codes whose longest code
+/// is `max_len` bits: about a quarter as many entries as codes, so filling
+/// it costs a fraction of decoding through it, within
+/// [`MIN_TABLE_BITS`]`..=`[`MAX_TABLE_BITS`], and no wider than two longest
+/// codes.
+fn table_bits(codes: u64, max_len: u32) -> u32 {
+    let quarter = codes.max(1).ilog2().saturating_sub(2);
+    quarter.clamp(MIN_TABLE_BITS, MAX_TABLE_BITS).min(2 * max_len)
+}
+
+// A pair-table entry is two parallel values: a byte holding the bits its
+// codes take (low nibble; 0: the table does not hold the window's first
+// code) and the first code's length (high nibble), and the two symbols (the
+// second repeats the first in a one-symbol entry). The lookup's next window
+// waits on the byte alone, which sits in a table an eighth the size.
+const _: () = assert!(MAX_TABLE_BITS < 16 && 4 * MAX_TABLE_BITS <= 57);
+
+/// Bits an entry's codes take (0: not held).
+#[inline]
+fn entry_bits(lens: u8) -> u32 {
+    u32::from(lens & 0xF)
+}
+
+/// Length of an entry's first code (0: not held).
+#[inline]
+fn first_len(lens: u8) -> u32 {
+    u32::from(lens >> 4)
+}
 
 /// Encode `symbols` into a self-describing byte stream.
 ///
@@ -77,9 +119,15 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
     if symbols.is_empty() {
         return;
     }
-
     let mode = build_alphabet(scratch, symbols);
     build_code_lengths(scratch);
+    write_codes(scratch, mode, symbols, out);
+}
+
+/// The header and payload of `symbols` under the code lengths
+/// `scratch.lens` of the alphabet `scratch.alphabet`, whose counts are the
+/// symbols' (they size the payload).
+fn write_codes(scratch: &mut CodecScratch, mode: TableMode, symbols: &[u32], out: &mut Vec<u8>) {
     assign_canonical_codes(scratch, mode);
 
     // Header: alphabet description in ascending symbol order.
@@ -89,25 +137,34 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
         write_varint(out, u64::from(scratch.lens[k]));
     }
 
-    // Payload: one table lookup and one bit-writer append per symbol.
-    scratch.writer.clear();
+    // Payload: one table lookup and one append per symbol, into bytes sized
+    // before the first.
+    let bits: u64 = scratch
+        .alphabet
+        .iter()
+        .zip(&scratch.lens)
+        .map(|(&(_, count), &len)| count * u64::from(len))
+        .sum();
+    write_varint(out, bits);
+    let at = out.len();
+    out.resize(at + bits.div_ceil(8) as usize, 0);
+    let mut payload = Payload { bytes: &mut out[at..], at: 0, acc: 0, fill: 0 };
     match mode {
         TableMode::Dense { min } => {
             for &s in symbols {
                 let idx = (s - min) as usize;
-                scratch.writer.write_bits(scratch.enc_code[idx], u32::from(scratch.enc_len[idx]));
+                payload.put(scratch.enc_code[idx], u32::from(scratch.enc_len[idx]));
             }
         }
         TableMode::Sparse => {
             for &s in symbols {
                 let slot = scratch.sym_map.get(s).expect("alphabet covers every symbol") as usize;
                 let (len, code) = scratch.slot_codes[slot];
-                scratch.writer.write_bits(code, len);
+                payload.put(code, len);
             }
         }
     }
-    write_varint(out, scratch.writer.bit_len() as u64);
-    out.extend_from_slice(scratch.writer.finish());
+    payload.finish();
 
     // Restore the all-zero invariant of the dense tables (O(distinct), not
     // O(span)).
@@ -115,6 +172,45 @@ pub fn huffman_encode_with(scratch: &mut CodecScratch, symbols: &[u32], out: &mu
         for &(sym, _) in &scratch.alphabet {
             scratch.enc_len[(sym - min) as usize] = 0;
         }
+    }
+}
+
+/// MSB-first codes into bytes presized to hold them exactly: `BitWriter`'s
+/// layout — pending bits in a `u64`, stored eight bytes at once, the last
+/// byte zero-padded — with no growth to check.
+struct Payload<'a> {
+    bytes: &'a mut [u8],
+    /// Bytes stored.
+    at: usize,
+    /// The pending bits are the low `fill` bits; the bits above are stale.
+    acc: u64,
+    fill: u32,
+}
+
+impl Payload<'_> {
+    /// Append the `len`-bit code `code` (`0 < len <= 64`, `code < 2^len`).
+    #[inline]
+    fn put(&mut self, code: u64, len: u32) {
+        let free = 64 - self.fill;
+        if len < free {
+            self.acc = (self.acc << len) | code;
+            self.fill += len;
+            return;
+        }
+        // (`<< (free - 1) << 1`: `free` may be 64.)
+        let spill = len - free;
+        let word = (self.acc << (free - 1) << 1) | (code >> spill);
+        self.bytes[self.at..self.at + 8].copy_from_slice(&word.to_be_bytes());
+        self.at += 8;
+        self.acc = code;
+        self.fill = spill;
+    }
+
+    /// Store the pending bits, the last byte zero-padded.
+    fn finish(self) {
+        let word = self.acc << (63 - self.fill) << 1;
+        let tail = self.fill.div_ceil(8) as usize;
+        self.bytes[self.at..].copy_from_slice(&word.to_be_bytes()[..tail]);
     }
 }
 
@@ -260,40 +356,62 @@ pub fn huffman_decode(bytes: &[u8]) -> Result<(Vec<u32>, usize), CodecError> {
 }
 
 /// [`huffman_decode`] into a caller-owned symbol buffer (cleared first),
-/// reusing `scratch` for the canonical tables and the prefix LUT. Returns
+/// reusing `scratch` for the canonical tables and the pair table. Returns
 /// the number of bytes consumed.
 pub fn huffman_decode_with(
     scratch: &mut CodecScratch,
     bytes: &[u8],
     out: &mut Vec<u32>,
 ) -> Result<usize, CodecError> {
-    decode_section(scratch, bytes, out, |scratch, canon, reader| {
-        let lut_bits = canon.lut_bits;
-        // Fast path: enough bits left for a full-width peek.
-        if reader.remaining() >= lut_bits as usize {
-            let probe = reader.peek_bits(lut_bits) as usize;
-            let len = scratch.lut_len[probe];
-            if len != 0 {
-                reader.skip_bits(u32::from(len))?;
-                return Ok(scratch.lut_sym[probe]);
-            }
-            // The LUT missed, so the code is longer than `lut_bits`: one
-            // `max_len`-bit window holds it whole, and each populated length
-            // is one shift and compare against it.
-            if reader.remaining() >= canon.max_len as usize {
-                let window = reader.peek_bits(canon.max_len);
-                for &len in &canon.long_lens[..canon.n_long] {
-                    let len = u32::from(len);
-                    if let Some(k) = canon.index_of(window >> (canon.max_len - len), len) {
-                        reader.skip_bits(len)?;
-                        return Ok(scratch.dec_syms[k]);
+    decode_section(scratch, bytes, out, |scratch, canon, payload, out| {
+        let (lens, pairs) = (&scratch.pair_lens[..], &scratch.pair_syms[..]);
+        let shift = 64 - canon.table_bits;
+        let (mut k, mut pos) = (0, 0);
+        while k < out.len() {
+            // Four lookups per eight-byte refill: a window holds at least 57
+            // bits past the cursor, and an entry takes at most 14. Each
+            // writes two symbols and keeps as many as it decoded.
+            'bulk: while k + 8 <= out.len() && pos / 8 + 8 <= payload.len() {
+                let window_at = |pos: usize| {
+                    let bytes: [u8; 8] = payload[pos / 8..pos / 8 + 8].try_into().expect("8 bytes");
+                    u64::from_be_bytes(bytes) << (pos % 8)
+                };
+                let mut window = window_at(pos);
+                for _ in 0..4 {
+                    let i = (window >> shift) as usize;
+                    let bits = entry_bits(lens[i]);
+                    if bits == 0 {
+                        // A code longer than the table, whole in a fresh
+                        // window (57 bits or more against `max_len` <= 48),
+                        // or a prefix no code has.
+                        let long = (pos / 8 + 8 <= payload.len())
+                            .then(|| canon.long_code(window_at(pos)))
+                            .flatten();
+                        let Some((at, len)) = long else {
+                            break 'bulk;
+                        };
+                        out[k] = scratch.dec_syms[at];
+                        k += 1;
+                        pos += len as usize;
+                        continue 'bulk;
                     }
+                    [out[k], out[k + 1]] = pairs[i];
+                    k += 1 + usize::from(bits != first_len(lens[i]));
+                    window <<= bits;
+                    pos += bits as usize;
                 }
             }
+            if k == out.len() {
+                break;
+            }
+            // The payload's last bytes, or a prefix no code has.
+            let mut reader = BitReader::new(&payload[pos / 8..]);
+            reader.skip_bits((pos % 8) as u32)?;
+            out[k] = canon.next_checked(&mut reader, scratch)?;
+            k += 1;
+            pos = pos / 8 * 8 + reader.position();
         }
-        // The last `max_len` bits of the stream, and windows no code matches
-        // (whose error the walk names).
-        canon.walk(reader, &scratch.dec_syms)
+        Ok(pos)
     })
 }
 
@@ -304,10 +422,14 @@ struct Canon {
     first_code: [u64; (MAX_CODE_LEN + 1) as usize],
     len_offset: [u32; (MAX_CODE_LEN + 1) as usize],
     max_len: u32,
-    /// Width of the prefix LUT: `min(max_len, LUT_BITS)`.
-    lut_bits: u32,
-    /// The populated lengths above `lut_bits`, ascending.
+    /// Width of the pair table (`CodecScratch::pair_lens` / `pair_syms`).
+    table_bits: u32,
+    /// The populated lengths above `table_bits`, ascending.
     long_lens: [u8; MAX_CODE_LEN as usize],
+    /// The last code of each of those lengths, left-aligned in a `u64` and
+    /// followed by ones: a 64-bit window whose code is one of them holds a
+    /// code of the first length whose entry is not below the window.
+    long_last: [u64; MAX_CODE_LEN as usize],
     n_long: usize,
 }
 
@@ -323,6 +445,54 @@ impl Canon {
         let count = u64::from(self.len_count[len as usize]);
         (code >= first && code - first < count)
             .then(|| self.len_offset[len as usize] as usize + (code - first) as usize)
+    }
+
+    /// Decode one symbol, checking every bit read: the pair table's first
+    /// code, if the stream holds all of its bits; else
+    /// [`Canon::next_past_table`].
+    fn next_checked(
+        &self,
+        reader: &mut BitReader<'_>,
+        scratch: &CodecScratch,
+    ) -> Result<u32, CodecError> {
+        // Bits past the end peek as zeros: a code is only taken if it ends
+        // before them.
+        let i = reader.peek_bits(self.table_bits) as usize;
+        let len = first_len(scratch.pair_lens[i]);
+        if len != 0 && len as usize <= reader.remaining() {
+            reader.skip_bits(len)?;
+            return Ok(scratch.pair_syms[i][0]);
+        }
+        self.next_past_table(reader, &scratch.dec_syms)
+    }
+
+    /// Decode one symbol the pair table does not hold: the code is longer
+    /// than the table, and one `max_len`-bit window holds it whole
+    /// ([`Canon::long_code`]); else (the last `max_len` bits of the stream,
+    /// and windows no code matches) the bit-by-bit walk, which names the
+    /// error.
+    fn next_past_table(&self, reader: &mut BitReader<'_>, syms: &[u32]) -> Result<u32, CodecError> {
+        if reader.remaining() >= self.max_len as usize {
+            let window = reader.peek_bits(self.max_len) << (64 - self.max_len);
+            if let Some((k, len)) = self.long_code(window) {
+                reader.skip_bits(len)?;
+                return Ok(syms[k]);
+            }
+        }
+        self.walk(reader, syms)
+    }
+
+    /// The code longer than the pair table at the front of `window` (its
+    /// top `max_len` bits are the stream's), as its position in the
+    /// canonical symbol order and its length: its length is the number of
+    /// long lengths whose last code is below the window, counted without a
+    /// branch, and one compare checks it.
+    #[inline]
+    fn long_code(&self, window: u64) -> Option<(usize, u32)> {
+        let below = self.long_last[..self.n_long].iter().map(|&last| usize::from(last < window));
+        let &len = self.long_lens[..self.n_long].get(below.sum::<usize>())?;
+        let len = u32::from(len);
+        self.index_of(window >> (64 - len), len).map(|k| (k, len))
     }
 
     /// Decode one symbol bit by bit: the canonical per-length walk.
@@ -342,14 +512,17 @@ impl Canon {
     }
 }
 
-/// Parse one Huffman section — header, canonical tables, prefix LUT — and
-/// decode its `n_symbols` payload symbols with `next_symbol`. Returns the
-/// number of bytes consumed.
+/// Parse one Huffman section — header, canonical tables, pair table — and
+/// decode its payload with `decode`, which fills the symbol slice it is
+/// handed from the payload bytes and returns the bit after the last code
+/// (it fails first if the slice is longer than the payload's bits could
+/// fill). Refuses a payload that does not end there, and returns the number
+/// of bytes consumed.
 fn decode_section(
     scratch: &mut CodecScratch,
     bytes: &[u8],
     out: &mut Vec<u32>,
-    mut next_symbol: impl FnMut(&CodecScratch, &Canon, &mut BitReader<'_>) -> Result<u32, CodecError>,
+    decode: impl FnOnce(&CodecScratch, &Canon, &[u8], &mut [u32]) -> Result<usize, CodecError>,
 ) -> Result<usize, CodecError> {
     out.clear();
     let mut offset = 0usize;
@@ -396,86 +569,114 @@ fn decode_section(
     let payload = &bytes[offset..offset + payload_bytes];
     let consumed = offset + payload_bytes;
 
-    // A symbol costs at least one bit, so this reserve is bounded by the
-    // actual payload even if a corrupt header claims an absurd count.
-    out.reserve((n_symbols as usize).min(payload.len() * 8 + 1));
-    let mut reader = BitReader::new(payload);
+    // A symbol costs at least one bit, so the symbols are bounded by the
+    // actual payload even if a corrupt header claims an absurd count: a
+    // decoder handed more fails before filling them all.
+    out.resize((n_symbols as usize).min(payload.len() * 8 + 1), 0);
 
-    // The degenerate single-symbol alphabet: one placeholder bit per symbol
-    // (any value), see the module docs.
-    if scratch.dec_lens.len() == 1 {
-        let sym = scratch.dec_lens[0].0;
+    let end = if scratch.dec_lens.len() == 1 {
+        // The degenerate single-symbol alphabet: one placeholder bit per
+        // symbol (any value), see the module docs.
+        let mut reader = BitReader::new(payload);
         for _ in 0..n_symbols {
             let _ = reader.read_bit()?;
-            out.push(sym);
         }
-        return Ok(consumed);
+        out.fill(scratch.dec_lens[0].0);
+        reader.position()
+    } else {
+        let canon = build_tables(scratch, n_symbols.min(payload_bits))?;
+        decode(scratch, &canon, payload, out)?
+    };
+    if end as u64 != payload_bits {
+        return Err(CodecError::Corrupt(format!(
+            "the codes end at bit {end} of a {payload_bits}-bit payload"
+        )));
     }
+    let pad = payload.len() * 8 - end;
+    if payload.last().is_some_and(|&last| last & ((1u16 << pad) - 1) as u8 != 0) {
+        return Err(CodecError::Corrupt("nonzero pad bits after the last code".into()));
+    }
+    Ok(consumed)
+}
 
-    // Canonical reconstruction: put (symbol, length) in (length, symbol)
-    // order as the encoder did, assign consecutive codes, and record
-    // per-length (first code, count, offset into the canonical symbol order).
-    // The same walk also fills the prefix LUT — codes of at most `lut_bits`
-    // bits resolve with one peek, longer codes leave entry length 0.
-    let dec_lens = &scratch.dec_lens;
-    canonical_order(dec_lens.len(), |k| dec_lens[k].1, &mut scratch.canon);
-    let max_len = dec_lens[*scratch.canon.last().expect("alphabet_size >= 1") as usize].1;
-    let lut_bits = max_len.min(LUT_BITS);
-    let lut_size = 1usize << lut_bits;
-    scratch.lut_len.clear();
-    scratch.lut_len.resize(lut_size, 0);
-    if scratch.lut_sym.len() < lut_size {
-        scratch.lut_sym.resize(lut_size, 0);
-    }
-    scratch.dec_syms.clear();
+/// Canonical reconstruction of the header in `scratch.dec_lens`, for a
+/// section of `codes` codes: put (symbol, length) in (length, symbol) order
+/// as the encoder did, assign consecutive codes, record per-length (first
+/// code, count, offset into the canonical symbol order), and fill the pair
+/// table — the codes of at most `table_bits` bits, each entry then joined by
+/// the code after its first if that fits too.
+fn build_tables(scratch: &mut CodecScratch, codes: u64) -> Result<Canon, CodecError> {
+    let CodecScratch { dec_lens, dec_syms, pair_lens, pair_syms, canon: order, .. } = scratch;
+    canonical_order(dec_lens.len(), |k| dec_lens[k].1, order);
+    let max_len = dec_lens[*order.last().expect("alphabet_size >= 1") as usize].1;
+    let table_bits = table_bits(codes, max_len);
+    pair_lens.clear();
+    pair_lens.resize(1 << table_bits, 0);
+    pair_syms.resize(1 << table_bits, [0; 2]);
+    dec_syms.clear();
     let mut canon = Canon {
         len_count: [0; (MAX_CODE_LEN + 1) as usize],
         first_code: [0; (MAX_CODE_LEN + 1) as usize],
         len_offset: [0; (MAX_CODE_LEN + 1) as usize],
         max_len,
-        lut_bits,
+        table_bits,
         long_lens: [0; MAX_CODE_LEN as usize],
+        long_last: [0; MAX_CODE_LEN as usize],
         n_long: 0,
     };
     let mut code = 0u64;
     let mut prev_len = 0u32;
-    for (k, &entry) in scratch.canon.iter().enumerate() {
-        let (sym, len) = scratch.dec_lens[entry as usize];
+    for (k, &entry) in order.iter().enumerate() {
+        let (sym, len) = dec_lens[entry as usize];
         if prev_len != 0 {
             code = (code + 1) << (len - prev_len);
         }
         // Kraft check: a canonical code must fit in its declared length. A
         // corrupt header whose lengths oversubscribe the code space (e.g.
         // three symbols all claiming length 1) fails here instead of
-        // overrunning the LUT fill below.
+        // overrunning the table fill below.
         if code >> len != 0 {
             return Err(CodecError::Corrupt("code lengths oversubscribe the code space".into()));
         }
         if len != prev_len {
             canon.first_code[len as usize] = code;
             canon.len_offset[len as usize] = k as u32;
-            if len > lut_bits {
+            if len > table_bits {
                 canon.long_lens[canon.n_long] = len as u8;
                 canon.n_long += 1;
             }
         }
         canon.len_count[len as usize] += 1;
-        scratch.dec_syms.push(sym);
+        dec_syms.push(sym);
         prev_len = len;
-        if len <= lut_bits {
-            let lo = (code << (lut_bits - len)) as usize;
-            let hi = ((code + 1) << (lut_bits - len)) as usize;
-            for entry in lo..hi {
-                scratch.lut_len[entry] = len as u8;
-                scratch.lut_sym[entry] = sym;
-            }
+        if len <= table_bits {
+            let lo = (code << (table_bits - len)) as usize;
+            let hi = ((code + 1) << (table_bits - len)) as usize;
+            pair_lens[lo..hi].fill((len as u8) << 4 | len as u8);
+            pair_syms[lo..hi].fill([sym; 2]);
         }
     }
-
-    while out.len() < n_symbols as usize {
-        out.push(next_symbol(scratch, &canon, &mut reader)?);
+    for (last, &len) in canon.long_last.iter_mut().zip(&canon.long_lens[..canon.n_long]) {
+        let len = u32::from(len);
+        let code = canon.first_code[len as usize] + u64::from(canon.len_count[len as usize]) - 1;
+        *last = code << (64 - len) | u64::MAX >> len;
     }
-    Ok(consumed)
+    // Join each entry to the code after its first where that fits too: the
+    // entry `i << len` starts there, and joining rewrites no first code.
+    let mask = pair_lens.len() - 1;
+    for i in 0..pair_lens.len() {
+        let len = first_len(pair_lens[i]);
+        if len == 0 {
+            continue;
+        }
+        let next = (i << len) & mask;
+        let next_len = first_len(pair_lens[next]);
+        if next_len != 0 && len + next_len <= table_bits {
+            pair_lens[i] += next_len as u8;
+            pair_syms[i][1] = pair_syms[next][0];
+        }
+    }
+    Ok(canon)
 }
 
 #[cfg(test)]
@@ -647,8 +848,8 @@ mod tests {
     }
 
     #[test]
-    fn codes_longer_than_the_lut_decode_through_the_slow_path() {
-        // A steep geometric distribution forces code lengths past LUT_BITS,
+    fn codes_longer_than_the_table_decode_through_the_checked_path() {
+        // A steep geometric distribution forces code lengths past the table,
         // so both decoder paths run within one stream.
         let mut symbols = Vec::new();
         for s in 0..20u32 {
@@ -659,13 +860,19 @@ mod tests {
     }
 
     /// The reference the table-driven decoder is held to: every symbol
-    /// through the bit-by-bit canonical walk, no LUT and no peek.
+    /// through the bit-by-bit canonical walk, no table and no peek.
     fn decode_bitwise(
         scratch: &mut CodecScratch,
         bytes: &[u8],
         out: &mut Vec<u32>,
     ) -> Result<usize, CodecError> {
-        decode_section(scratch, bytes, out, |s, canon, reader| canon.walk(reader, &s.dec_syms))
+        decode_section(scratch, bytes, out, |s, canon, payload, out| {
+            let mut reader = BitReader::new(payload);
+            for slot in out {
+                *slot = canon.walk(&mut reader, &s.dec_syms)?;
+            }
+            Ok(reader.position())
+        })
     }
 
     /// Both decoders on `bytes`: same consumed length or same error, same
@@ -713,6 +920,12 @@ mod tests {
         *scratch.lens.iter().max().expect("non-empty alphabet")
     }
 
+    /// Whether `symbols` code some symbols past their section's pair table.
+    fn longer_than_the_table(scratch: &mut CodecScratch, symbols: &[u32]) -> bool {
+        let max_len = max_code_len(scratch, symbols);
+        max_len > table_bits(symbols.len() as u64, max_len)
+    }
+
     #[test]
     fn peek_decode_equals_the_bitwise_walk_from_2_to_20k_distinct_symbols() {
         let mut scratch = CodecScratch::new();
@@ -726,7 +939,7 @@ mod tests {
             assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
         }
         // MGARD's shape: thousands of distinct codes of 9–17 bits around the
-        // radius, nearly all of them past the LUT.
+        // radius, most of them past the pair table.
         let mut state = 7u64;
         for distinct in [4_000u32, 19_000] {
             let symbols: Vec<u32> = (0..60_000)
@@ -736,7 +949,7 @@ mod tests {
                     (1 << 30) + a.min(b)
                 })
                 .collect();
-            assert!(max_code_len(&mut scratch, &symbols) > LUT_BITS);
+            assert!(longer_than_the_table(&mut scratch, &symbols));
             let encoded = huffman_encode(&symbols);
             assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
         }
@@ -749,7 +962,7 @@ mod tests {
         symbols.extend(std::iter::repeat_n(5000, 2000));
         symbols.extend(std::iter::repeat_n(5001, 4000));
         let mut scratch = CodecScratch::new();
-        assert!(max_code_len(&mut scratch, &symbols) > LUT_BITS);
+        assert!(longer_than_the_table(&mut scratch, &symbols));
         let encoded = huffman_encode(&symbols);
         for cut in 0..encoded.len() {
             assert!(assert_decoders_agree(&mut scratch, &encoded[..cut]).is_err(), "cut {cut}");
@@ -768,7 +981,9 @@ mod tests {
         // every bit alignment, so short-of-`max_len` tails are covered.
         let body = skewed_symbols(16, 0);
         let mut scratch = CodecScratch::new();
-        let max_len = max_code_len(&mut scratch, &body) as usize;
+        let max_len = max_code_len(&mut scratch, &body);
+        let width = table_bits(body.len() as u64 + 8, max_len) as usize;
+        let max_len = max_len as usize;
         let frequent = *body.iter().max().expect("non-empty");
         let mut short_tails = 0;
         for last in 0..16u32 {
@@ -786,10 +1001,190 @@ mod tests {
                 let len = len_of(last);
                 let payload_bits: usize = symbols.iter().map(|&s| len_of(s)).sum();
                 let zero_fill = payload_bits.next_multiple_of(8) - payload_bits;
-                short_tails += usize::from(len > LUT_BITS as usize && len + zero_fill < max_len);
+                short_tails += usize::from(len > width && len + zero_fill < max_len);
             }
         }
         assert!(short_tails > 0);
+    }
+
+    /// A seeded generator for the tests below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 16) % bound
+        }
+    }
+
+    /// `n >= 2` code lengths of at most `max_len` bits that fill the code
+    /// space (a Kraft sum of exactly 1), shuffled: a leaf is split until
+    /// there are `n` — the deepest until one is `max_len` bits deep (if `n`
+    /// allows), then one at a random depth.
+    fn complete_lengths(n: usize, max_len: u32, rng: &mut Lcg) -> Vec<u32> {
+        let mut leaves = vec![0u64; max_len as usize + 1];
+        leaves[1] = 2;
+        for _ in 2..n {
+            let splittable: Vec<usize> = (1..max_len as usize).filter(|&d| leaves[d] > 0).collect();
+            let depth = if leaves[max_len as usize] == 0 {
+                *splittable.last().expect("n < 2^max_len")
+            } else {
+                splittable[rng.below(splittable.len() as u64) as usize]
+            };
+            leaves[depth] -= 1;
+            leaves[depth + 1] += 2;
+        }
+        let mut lens: Vec<u32> = (1..=max_len)
+            .flat_map(|d| std::iter::repeat_n(d, leaves[d as usize] as usize))
+            .collect();
+        for i in (1..lens.len()).rev() {
+            lens.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        lens
+    }
+
+    /// The stream of `symbols` under the code lengths `lens` of their
+    /// distinct symbols, ascending (a prefix code, which need not be the
+    /// Huffman code of their counts): the encoder's header and payload.
+    fn encode_with_lengths(scratch: &mut CodecScratch, symbols: &[u32], lens: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, symbols.len() as u64);
+        let mode = build_alphabet(scratch, symbols);
+        assert_eq!(scratch.alphabet.len(), lens.len(), "one length per distinct symbol");
+        scratch.lens.clear();
+        scratch.lens.extend_from_slice(lens);
+        write_codes(scratch, mode, symbols, &mut out);
+        out
+    }
+
+    /// Every one of the `lens.len()` symbols `value(k)` once, then `extra`
+    /// more: half drawn as a stream of the code would draw them (symbol `k`
+    /// with probability `2^-lens[k]`, mostly short codes), half uniformly
+    /// (mostly long ones); shuffled.
+    fn symbols_for(
+        lens: &[u32],
+        extra: usize,
+        value: impl Fn(usize) -> u32,
+        rng: &mut Lcg,
+    ) -> Vec<u32> {
+        let mut cumulative = Vec::with_capacity(lens.len());
+        let mut total = 0.0;
+        for &len in lens {
+            total += (-f64::from(len)).exp2();
+            cumulative.push(total);
+        }
+        let mut symbols: Vec<u32> = (0..lens.len()).map(&value).collect();
+        for i in 0..extra {
+            let k = if i % 2 == 0 {
+                let at = rng.below(1 << 53) as f64 / (1u64 << 53) as f64 * total;
+                cumulative.partition_point(|&c| c <= at).min(lens.len() - 1)
+            } else {
+                rng.below(lens.len() as u64) as usize
+            };
+            symbols.push(value(k));
+        }
+        for i in (1..symbols.len()).rev() {
+            symbols.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        symbols
+    }
+
+    #[test]
+    fn bulk_decode_equals_the_bitwise_walk_up_to_65_536_symbols_and_48_bit_codes() {
+        let mut rng = Lcg(0x5EED);
+        let mut scratch = CodecScratch::new();
+        let mut past_table = 0;
+        for (n, max_len, extra) in [
+            (2, 1, 100),
+            (3, 2, 1000),
+            (49, 48, 3000),
+            (300, 48, 5000),
+            (4096, 30, 20_000),
+            (20_000, 24, 60_000),
+            (65_536, 16, 70_000),
+            (65_536, 40, 150_000),
+        ] {
+            let lens = complete_lengths(n, max_len, &mut rng);
+            assert_eq!(lens.iter().max(), Some(&max_len), "n={n}");
+            // Dense symbols, and MGARD's shape: an escape 0 beside codes
+            // around 2^30 (the sparse tables).
+            let values: [&dyn Fn(usize) -> u32; 2] =
+                [&|k| k as u32, &|k| if k == 0 { 0 } else { (1 << 30) + k as u32 }];
+            for value in values {
+                let symbols = symbols_for(&lens, extra, value, &mut rng);
+                let encoded = encode_with_lengths(&mut scratch, &symbols, &lens);
+                let mut decoded = Vec::new();
+                assert_eq!(
+                    huffman_decode_with(&mut scratch, &encoded, &mut decoded),
+                    Ok(encoded.len())
+                );
+                assert!(decoded == symbols, "n={n} max_len={max_len}");
+                assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
+                past_table += usize::from(max_len > table_bits(symbols.len() as u64, max_len));
+            }
+        }
+        assert!(past_table >= 10, "most sections hold codes past their table");
+    }
+
+    #[test]
+    fn every_cut_and_flipped_bit_of_a_multi_window_section_decodes_alike() {
+        // 120 codes of 1 to 20 bits in a payload of several 8-byte windows,
+        // some codes past the table.
+        let mut rng = Lcg(11);
+        let lens = complete_lengths(120, 20, &mut rng);
+        let symbols = symbols_for(&lens, 500, |k| 3 * k as u32, &mut rng);
+        let mut scratch = CodecScratch::new();
+        let encoded = encode_with_lengths(&mut scratch, &symbols, &lens);
+        assert_eq!(huffman_decode(&encoded), Ok((symbols, encoded.len())));
+        let payload_bytes = encoded.len() - 2 * 120;
+        assert!(payload_bytes > 8 * 20, "{payload_bytes} bytes");
+        for cut in 0..encoded.len() {
+            assert!(assert_decoders_agree(&mut scratch, &encoded[..cut]).is_err(), "cut {cut}");
+        }
+        let (mut bad, mut decoded) = (encoded, 0);
+        for bit in 0..8 * bad.len() {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            decoded += usize::from(assert_decoders_agree(&mut scratch, &bad).is_ok());
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(decoded > 0, "some flips decode to other symbols");
+    }
+
+    #[test]
+    fn a_last_code_ending_one_bit_before_at_or_after_a_window_edge_decodes() {
+        // Codes of 1 to 12 bits, symbol 0's of one. After the body, symbol
+        // 0 fills the payload up to `end - len(last)`, so `last` ends at
+        // `edge - 1`, `edge` or `edge + 1` for five 8-byte window edges.
+        let mut rng = Lcg(3);
+        let mut lens = vec![1];
+        lens.extend(complete_lengths(39, 11, &mut rng).iter().map(|len| len + 1));
+        let one_bit = 0;
+        let body = symbols_for(&lens, 60, |k| k as u32, &mut rng);
+        let body_bits: u32 = body.iter().map(|&s| lens[s as usize]).sum();
+        let mut scratch = CodecScratch::new();
+        let mut cases = 0;
+        for edge in (1..=5).map(|w| 64 * w + body_bits.next_multiple_of(64)) {
+            for end in [edge - 1, edge, edge + 1] {
+                for (last, &len) in lens.iter().enumerate() {
+                    let mut symbols = body.clone();
+                    symbols.extend(std::iter::repeat_n(
+                        one_bit as u32,
+                        (end - len - body_bits) as usize,
+                    ));
+                    symbols.push(last as u32);
+                    let encoded = encode_with_lengths(&mut scratch, &symbols, &lens);
+                    assert_eq!(
+                        read_varint(&encoded[encoded.len() - end.div_ceil(8) as usize - 2..])
+                            .map(|v| v.0),
+                        Ok(u64::from(end))
+                    );
+                    assert_eq!(assert_decoders_agree(&mut scratch, &encoded), Ok(encoded.len()));
+                    assert_eq!(huffman_decode(&encoded), Ok((symbols, encoded.len())));
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 3 * 40);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`bitstream`] — MSB-first bit-level writer/reader used by every coder
 //!   (and by the ZFP-style embedded bit-plane coder),
 //! * [`huffman`] — canonical Huffman coding over `u32` symbols with an
-//!   embedded code-length table (table-driven encode and LUT decode),
+//!   embedded code-length table (table-driven encode; decode through a
+//!   64-bit window and a table of code pairs),
 //! * [`lz77`] — greedy hash-chain LZ77 with byte-oriented token encoding
 //!   (scalar; an AVX2 match comparator changed no encode end to end),
 //! * [`rans`] — the 8-way interleaved byte-oriented rANS coder (12-bit

@@ -2,8 +2,8 @@
 //!
 //! Every per-call allocation of the Huffman and LZ77 hot paths lives in a
 //! [`CodecScratch`]: the dense histogram, the two queues and tree arrays of
-//! the code-length construction, the flat canonical code tables, the decoder
-//! LUT, the LZ77 hash-chain heads, and the bit/byte buffers. A caller that
+//! the code-length construction, the flat canonical code tables, the
+//! decoder's pair table, and the LZ77 hash-chain heads. A caller that
 //! compresses many streams (the SZ/ZFP/MGARD compressors, the sweep
 //! scheduler's worker threads) creates one scratch and threads `&mut`
 //! references through `*_with` codec entry points; every buffer is cleared
@@ -12,8 +12,6 @@
 //! The scratch-free wrappers (`huffman_encode`, `lz77_compress`, …) simply
 //! create a fresh scratch per call, so existing callers keep working and
 //! produce byte-identical streams.
-
-use crate::bitstream::BitWriter;
 
 /// Sentinel for "no position" in the LZ77 hash chains.
 pub(crate) const CHAIN_NIL: u32 = u32::MAX;
@@ -267,18 +265,19 @@ pub struct CodecScratch {
     pub(crate) enc_code: Vec<u64>,
     /// Sparse slot → `(length, code)` pairs.
     pub(crate) slot_codes: Vec<(u32, u64)>,
-    /// Payload bit writer.
-    pub(crate) writer: BitWriter,
 
     // ---- Huffman decode tables ----
     /// Decoded `(symbol, length)` header entries.
     pub(crate) dec_lens: Vec<(u32, u32)>,
     /// Symbols in canonical `(length, symbol)` order.
     pub(crate) dec_syms: Vec<u32>,
-    /// LUT: peeked prefix → symbol (parallel to `lut_len`).
-    pub(crate) lut_sym: Vec<u32>,
-    /// LUT: peeked prefix → code length (0 = longer than the LUT covers).
-    pub(crate) lut_len: Vec<u8>,
+    /// Pair table, sized by the section it decodes: a `table_bits`-wide
+    /// prefix → the bits the one or two codes at its front take (low
+    /// nibble, 0 = not held) and the first one's length (high nibble).
+    pub(crate) pair_lens: Vec<u8>,
+    /// Pair table: prefix → the symbols of those codes (parallel to
+    /// `pair_lens`; the second repeats the first where there is one code).
+    pub(crate) pair_syms: Vec<[u32; 2]>,
 
     // ---- LZ77 hash chains ----
     /// Hash bucket → most recent position.

@@ -318,9 +318,9 @@ impl CodecWork {
     }
 
     /// [`open`] `stream`, decode its section into [`CodecWork::codes`] (one
-    /// per cell, or the stream is corrupt) and its escape values into
-    /// [`CodecWork::exact`]. The rANS container is read in place; only an
-    /// LZ77-wrapped payload is copied.
+    /// per cell, or the stream is corrupt; the entropy stream must fill the
+    /// section) and its escape values into [`CodecWork::exact`]. The rANS
+    /// container is read in place; only an LZ77-wrapped payload is copied.
     pub fn decode<'a>(
         &'a mut self,
         format: &Format,
@@ -328,12 +328,18 @@ impl CodecWork {
     ) -> Result<Parts<'a>, CompressError> {
         let CodecWork { rans, payload, codes, exact, .. } = self;
         let parts = open(format, stream, &mut payload.0)?;
-        match parts.backend {
+        let used = match parts.backend {
             EntropyBackend::Huffman => huffman_decode_with(rans.huffman(), parts.section, codes)
                 .map_err(|e| corrupt(format!("huffman: {e}")))?,
             EntropyBackend::Rans8 => rans8_decode_with(rans, parts.section, codes)
                 .map_err(|e| corrupt(format!("rans8: {e}")))?,
         };
+        if used != parts.section.len() {
+            let surplus = parts.section.len() - used;
+            return Err(corrupt(format!(
+                "{surplus} bytes after the entropy stream of the codes section"
+            )));
+        }
         let cells = parts.header.ny * parts.header.nx;
         if codes.len() != cells {
             return Err(corrupt(format!("expected {cells} codes, found {}", codes.len())));

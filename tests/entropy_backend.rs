@@ -19,7 +19,9 @@
 use lcc::core::experiment::{run_sweep, SweepConfig};
 use lcc::core::registry::entropy_ablation_registry;
 use lcc::grid::Field2D;
+use lcc::lossless::{lz77_compress, read_varint, write_varint, EntropyBackend};
 use lcc::mgard::MgardCompressor;
+use lcc::pressio::codes::Parts;
 use lcc::pressio::{
     frame, CompressError, Compressor, ErrorBound, FrameIndex, FrameScratch, ScratchArena,
     FRAME_MAGIC,
@@ -335,6 +337,97 @@ fn forged_giant_rans_headers_fail_before_allocating() {
     let section = valid_rans_section(1 << 40, 7);
     let giant = forge_sz_container(b"LS81", (1 << 20, 1 << 20), 1e-3, SZ_RADIUS, &section);
     assert_corrupt(&sz, &giant, "implausible count");
+}
+
+#[path = "common/container.rs"]
+mod container;
+
+/// The Huffman stream `section` with its payload bit length raised by 64
+/// and eight bytes appended, and with every pad bit of its last byte set:
+/// two streams whose codes end before their payload does.
+fn huffman_surpluses(section: &[u8]) -> [(Vec<u8>, &'static str); 2] {
+    // `n_symbols | alphabet_size | (symbol, length)* | payload_bits | payload`
+    let varint = |at: &mut usize| {
+        let (value, used) = read_varint(&section[*at..]).unwrap();
+        *at += used;
+        value
+    };
+    let mut at = 0;
+    varint(&mut at);
+    for _ in 0..2 * varint(&mut at) {
+        varint(&mut at);
+    }
+    let bits_at = at;
+    let bits = varint(&mut at);
+    assert_eq!(section.len() - at, bits.div_ceil(8) as usize, "one Huffman stream");
+    let pad = bits.next_multiple_of(8) - bits;
+    assert!(pad > 0, "a payload that ends inside its last byte");
+
+    let mut longer = section[..bits_at].to_vec();
+    write_varint(&mut longer, bits + 64);
+    longer.extend_from_slice(&section[at..]);
+    longer.extend_from_slice(&[0; 8]);
+    let mut padded = section.to_vec();
+    *padded.last_mut().unwrap() |= ((1u16 << pad) - 1) as u8;
+    [(longer, "the codes end at bit"), (padded, "nonzero pad bits after the last code")]
+}
+
+#[test]
+fn bytes_and_bits_after_a_codes_sections_entropy_stream_are_refused() {
+    // No encoder writes these: each decoded to the original field before the
+    // codes section had to end where its entropy stream does.
+    let field = wavy(40, 40, 3);
+    let registry = entropy_ablation_registry();
+    let surplus = "8 bytes after the entropy stream of the codes section";
+    for name in ["sz", "sz-rans8", "mgard", "mgard-rans8"] {
+        let codec = registry.get(name).expect("registered compressor");
+        let stream = codec.compress_view(&field.view(), ErrorBound::Absolute(1e-3)).unwrap();
+        let mut expanded = Vec::new();
+        let parts = container::open(name, &stream, &mut expanded);
+        let huffman_mode = [&[1][..], parts.section].concat();
+        let refused = |parts: &Parts<'_>, section: &[u8], names: &str, what: &str| {
+            let payload = container::reassemble(name, parts, section);
+            let forged = if parts.backend == EntropyBackend::Rans8 {
+                payload
+            } else {
+                lz77_compress(&payload)
+            };
+            let result = codec.decompress_field(&forged).map(drop);
+            assert!(
+                matches!(&result, Err(CompressError::CorruptStream(msg)) if msg.contains(names)),
+                "{name}, {what}: expected CorruptStream naming {names:?}, got {result:?}"
+            );
+        };
+
+        let mut longer = parts.section.to_vec();
+        longer.extend_from_slice(&[0; 8]);
+        refused(&parts, &longer, surplus, "eight bytes after the section's stream");
+        if parts.backend == EntropyBackend::Rans8 {
+            continue;
+        }
+        for (section, names) in huffman_surpluses(parts.section) {
+            refused(&parts, &section, names, "a surplus inside the Huffman stream");
+        }
+
+        // The same Huffman stream as a rANS section in Huffman mode (mode
+        // byte 1, what the rANS encoder writes for an alphabet its 12-bit
+        // table cannot hold), in the codec's rANS container.
+        // Either variant of a codec decodes both containers.
+        let rans = Parts { backend: EntropyBackend::Rans8, section: &huffman_mode, ..parts };
+        let control = container::reassemble(name, &rans, &huffman_mode);
+        assert_eq!(
+            codec.decompress_field(&control).unwrap(),
+            codec.decompress_field(&stream).unwrap(),
+            "{name}: the Huffman-mode control"
+        );
+        let mut longer = huffman_mode.clone();
+        longer.extend_from_slice(&[0; 8]);
+        refused(&rans, &longer, surplus, "eight bytes after a Huffman-mode rANS section");
+        for (section, names) in huffman_surpluses(parts.section) {
+            let section = [&[1][..], &section].concat();
+            refused(&rans, &section, names, "a surplus inside a Huffman-mode rANS section");
+        }
+    }
 }
 
 type Forge = fn(&[u8; 4], (u64, u64), f64, u32, &[u8]) -> Vec<u8>;

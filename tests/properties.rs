@@ -43,6 +43,67 @@ fn lz77_does_not_expand_the_mgard_payload_of_a_long_range_field() {
     assert!(stream.len() <= lz77_stored_len(payload.len()), "{} > {}", stream.len(), payload.len());
 }
 
+/// 100 000 random Huffman sections — flat, Zipf-like and geometric counts,
+/// dense, MGARD-like and scattered symbol values, up to 2^20 distinct
+/// symbols (and codes past 20 bits) in every 2 500th — each coded through
+/// one warm scratch and through fresh ones: the same bytes, the input back,
+/// the whole stream consumed, and a cut stream refused alike.
+#[cfg(feature = "slow-tests")]
+#[test]
+fn huffman_sections_round_trip_through_a_warm_scratch_over_a_long_sweep() {
+    let mut state = 0x243F_6A88_85A3_08D3u64;
+    let mut below = move |bound: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) % bound
+    };
+    let mut scratch = CodecScratch::new();
+    let (mut encoded, mut decoded) = (Vec::new(), Vec::new());
+    for section in 0..100_000u32 {
+        let (distinct, len) = if section % 2500 == 0 {
+            (1 + below(1 << 20), 1 << 20)
+        } else {
+            let span = 1 << (1 + below(13));
+            (1 + below(span), 1 + below(3000) as usize)
+        };
+        let (skew, values) = (below(3), below(3));
+        let symbols: Vec<u32> = (0..len)
+            .map(|_| {
+                let rank = match skew {
+                    0 => below(distinct),
+                    // Zipf-like: a log-uniform rank.
+                    1 => {
+                        (distinct as f64).powf(below(1 << 20) as f64 / (1 << 20) as f64) as u64 - 1
+                    }
+                    // Geometric: a rank of r - 1 one time in 2^r.
+                    _ => u64::from((below(u64::MAX >> 11) | 1 << 52).trailing_zeros()),
+                }
+                .min(distinct - 1);
+                match values {
+                    0 => rank as u32,
+                    1 if rank == 0 => 0,
+                    1 => (1 << 30) + rank as u32,
+                    _ => (rank as u32).wrapping_mul(0x9E37_79B9),
+                }
+            })
+            .collect();
+        encoded.clear();
+        huffman_encode_with(&mut scratch, &symbols, &mut encoded);
+        assert!(encoded == huffman_encode(&symbols), "section {section}: warm-scratch bytes");
+        let used = huffman_decode_with(&mut scratch, &encoded, &mut decoded);
+        assert_eq!(used, Ok(encoded.len()), "section {section}");
+        assert!(decoded == symbols, "section {section}: decoded symbols");
+        assert_eq!(huffman_decode(&encoded).map(|(_, used)| used), Ok(encoded.len()));
+        let cut = below(encoded.len() as u64) as usize;
+        let warm = huffman_decode_with(&mut scratch, &encoded[..cut], &mut decoded);
+        assert!(warm.is_err(), "section {section}: a {cut}-byte cut decoded");
+        assert_eq!(
+            warm,
+            huffman_decode(&encoded[..cut]).map(|(_, used)| used),
+            "section {section}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -88,7 +149,7 @@ proptest! {
     }
 
     /// Uniform draw over the full 2^16 alphabet: wide, flat histograms give
-    /// the deepest canonical codes the LUT decoder has to chain past.
+    /// the deepest canonical codes, past the decoder's pair table.
     #[test]
     fn huffman_uniform_u16_alphabet_roundtrips(symbols in proptest::collection::vec(0u32..65_536, 0..6000)) {
         let encoded = huffman_encode(&symbols);
